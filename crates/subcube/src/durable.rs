@@ -4,8 +4,8 @@
 //! Irreversible reduction makes durability *more* critical than in an
 //! ordinary warehouse — an aggregate lost to a torn write cannot be
 //! recomputed from detail that was already purged. [`DurableWarehouse`]
-//! therefore journals every state-changing operation (bulk loads, sync
-//! passes, and specification `insert`/`delete`) as a CRC-checksummed
+//! therefore journals every state-changing operation (a
+//! [`WarehouseOp`], see [`crate::op`]) as a CRC-checksummed
 //! record *before* acknowledging it, and periodically folds the log into
 //! an atomic checkpoint (see [`crate::persist`]). Recovery loads the
 //! live checkpoint and deterministically replays the log tail; torn or
@@ -33,186 +33,20 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use sdr_mdm::{DayNum, Mo};
-use sdr_reduce::{DataReductionSpec, ReduceError};
-use sdr_spec::{parse_action, ActionId, ActionSpec};
+use sdr_reduce::DataReductionSpec;
+use sdr_spec::{ActionId, ActionSpec};
 use sdr_storage::fs::{Fs, RealFs};
-use sdr_storage::{FactTable, Wal};
+use sdr_storage::Wal;
 use sdr_sync::fail;
 
 use crate::error::SubcubeError;
 use crate::layout::WarehouseLayout;
 use crate::manager::{AgeStats, SubcubeManager, SyncStats};
+use crate::op::{OpOutcome, WarehouseOp};
 use crate::persist::{
     load_checkpoint, read_current, read_manifest_at, spec_from_manifest, sweep_garbage,
     write_checkpoint, write_current,
 };
-
-/// One logged warehouse operation — the unit of replay.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WalOp {
-    /// New facts absorbed by [`SubcubeManager::bulk_load`], serialized as
-    /// an `sdr-storage` fact table.
-    BulkLoad(Vec<u8>),
-    /// A synchronization pass ([`SubcubeManager::sync`]) at a day. Sync
-    /// is deterministic, so logging the day is enough to replay the
-    /// collapse/advance it performed.
-    Sync(DayNum),
-    /// Actions inserted into the specification, in source form (the
-    /// rendered action round-trips through the parser).
-    SpecInsert(Vec<String>),
-    /// Actions deleted from the specification at a day.
-    SpecDelete(Vec<u32>, DayNum),
-    /// An incremental aging pass ([`SubcubeManager::age`]) to a day.
-    /// Aging is deterministic (the tick sequence is derived from the
-    /// spec's transition schedule), so logging the target day is enough
-    /// to replay every tick it applied.
-    Age(DayNum),
-}
-
-impl WalOp {
-    const TAG_BULK_LOAD: u8 = 1;
-    const TAG_SYNC: u8 = 2;
-    const TAG_SPEC_INSERT: u8 = 3;
-    const TAG_SPEC_DELETE: u8 = 4;
-    const TAG_AGE: u8 = 5;
-
-    /// Serializes the operation into a WAL record payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        match self {
-            WalOp::BulkLoad(table) => {
-                b.push(Self::TAG_BULK_LOAD);
-                b.extend_from_slice(table);
-            }
-            WalOp::Sync(now) => {
-                b.push(Self::TAG_SYNC);
-                b.extend_from_slice(&i64::from(*now).to_le_bytes());
-            }
-            WalOp::Age(until) => {
-                b.push(Self::TAG_AGE);
-                b.extend_from_slice(&i64::from(*until).to_le_bytes());
-            }
-            WalOp::SpecInsert(srcs) => {
-                b.push(Self::TAG_SPEC_INSERT);
-                b.extend_from_slice(&(srcs.len() as u32).to_le_bytes());
-                for s in srcs {
-                    b.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                    b.extend_from_slice(s.as_bytes());
-                }
-            }
-            WalOp::SpecDelete(ids, now) => {
-                b.push(Self::TAG_SPEC_DELETE);
-                b.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-                for id in ids {
-                    b.extend_from_slice(&id.to_le_bytes());
-                }
-                b.extend_from_slice(&i64::from(*now).to_le_bytes());
-            }
-        }
-        b
-    }
-
-    /// Decodes a WAL record payload.
-    pub fn decode(payload: &[u8]) -> Result<WalOp, SubcubeError> {
-        let bad = |what: &str| SubcubeError::Storage(format!("wal record: {what}"));
-        let (&tag, rest) = payload.split_first().ok_or_else(|| bad("empty record"))?;
-        let mut pos = 0usize;
-        let mut take = |n: usize| -> Result<&[u8], SubcubeError> {
-            let s = rest
-                .get(pos..pos + n)
-                .ok_or_else(|| bad("truncated record"))?;
-            pos += n;
-            Ok(s)
-        };
-        let op = match tag {
-            Self::TAG_BULK_LOAD => WalOp::BulkLoad(rest.to_vec()),
-            Self::TAG_SYNC => {
-                let raw = i64::from_le_bytes(take(8)?.try_into().unwrap());
-                WalOp::Sync(DayNum::try_from(raw).map_err(|_| bad("day out of range"))?)
-            }
-            Self::TAG_AGE => {
-                let raw = i64::from_le_bytes(take(8)?.try_into().unwrap());
-                WalOp::Age(DayNum::try_from(raw).map_err(|_| bad("day out of range"))?)
-            }
-            Self::TAG_SPEC_INSERT => {
-                let n = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
-                let mut srcs = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let len = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
-                    let s = String::from_utf8(take(len)?.to_vec())
-                        .map_err(|_| bad("action source is not UTF-8"))?;
-                    srcs.push(s);
-                }
-                WalOp::SpecInsert(srcs)
-            }
-            Self::TAG_SPEC_DELETE => {
-                let n = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
-                let mut ids = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    ids.push(u32::from_le_bytes(take(4)?.try_into().unwrap()));
-                }
-                let raw = i64::from_le_bytes(take(8)?.try_into().unwrap());
-                WalOp::SpecDelete(
-                    ids,
-                    DayNum::try_from(raw).map_err(|_| bad("day out of range"))?,
-                )
-            }
-            other => return Err(bad(&format!("unknown op tag {other}"))),
-        };
-        Ok(op)
-    }
-
-    /// Applies the operation to a manager (replay path — must mirror the
-    /// live path byte for byte).
-    fn apply(&self, mgr: &SubcubeManager) -> Result<(), SubcubeError> {
-        match self {
-            WalOp::BulkLoad(table) => {
-                let t = FactTable::deserialize(
-                    Arc::clone(mgr.schema()),
-                    bytes::Bytes::from(table.clone()),
-                )
-                .map_err(|e| SubcubeError::Storage(e.to_string()))?;
-                let mo = t
-                    .to_mo()
-                    .map_err(|e| SubcubeError::Storage(e.to_string()))?;
-                mgr.bulk_load(&mo)?;
-            }
-            WalOp::Sync(now) => {
-                mgr.sync(*now)?;
-            }
-            WalOp::Age(until) => {
-                mgr.age(*until)?;
-            }
-            WalOp::SpecInsert(srcs) => {
-                let schema = Arc::clone(mgr.schema());
-                let actions: Result<Vec<ActionSpec>, _> =
-                    srcs.iter().map(|s| parse_action(&schema, s)).collect();
-                mgr.evolve_insert(actions.map_err(ReduceError::Spec)?)?;
-            }
-            WalOp::SpecDelete(ids, now) => {
-                let ids: Vec<ActionId> = ids.iter().map(|&i| ActionId(i)).collect();
-                mgr.evolve_delete(&ids, *now)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// A warehouse mutation, the caller-facing unit of a group-committed
-/// batch (see [`DurableWarehouse::apply_batch`]).
-#[derive(Debug, Clone)]
-pub enum WarehouseOp {
-    /// Bulk-load bottom-granularity facts.
-    BulkLoad(Mo),
-    /// Synchronize the cubes to a day.
-    Sync(DayNum),
-    /// Incrementally age the cubes to a day.
-    Age(DayNum),
-    /// Insert actions into the specification.
-    SpecInsert(Vec<ActionSpec>),
-    /// Delete actions from the specification at a day.
-    SpecDelete(Vec<ActionId>, DayNum),
-}
 
 /// What [`SubcubeManager::recover`] found and did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -358,22 +192,20 @@ impl DurableWarehouse {
         let replay_span = sdr_obs::span("durable.recover.replay");
         let mut replayed = 0usize;
         for payload in &records {
-            if sdr_storage::is_group(payload) {
-                // A group-committed batch: the frame's CRC already proved
-                // it complete, so every packed operation replays (or none
-                // of the record survived the torn-tail scan).
-                let parts = sdr_storage::unpack_group(payload)
+            // A group-committed batch: the frame's CRC already proved it
+            // complete, so every packed operation replays (or none of the
+            // record survived the torn-tail scan).
+            let group;
+            let parts = if sdr_storage::is_group(payload) {
+                group = sdr_storage::unpack_group(payload)
                     .map_err(|e| SubcubeError::Storage(e.to_string()))?;
-                for part in &parts {
-                    let op_span = sdr_obs::span("durable.recover.replay_op");
-                    WalOp::decode(part)?.apply(&mgr)?;
-                    drop(op_span);
-                    replayed += 1;
-                }
+                group.as_slice()
             } else {
-                let op_span = sdr_obs::span("durable.recover.replay_op");
-                WalOp::decode(payload)?.apply(&mgr)?;
-                drop(op_span);
+                std::slice::from_ref(payload)
+            };
+            for part in parts {
+                let _op_span = sdr_obs::span("durable.recover.replay_op");
+                mgr.apply(&WarehouseOp::decode(mgr.schema(), part)?)?;
                 replayed += 1;
             }
         }
@@ -457,64 +289,47 @@ impl DurableWarehouse {
         Ok(())
     }
 
-    /// Appends an already-applied operation; a failure poisons the
-    /// warehouse (memory is ahead of the log) until a checkpoint.
-    fn log(&mut self, op: &WalOp) -> Result<(), SubcubeError> {
+    /// Appends already-applied operations (`n` of them, in one record);
+    /// a failure poisons the warehouse (memory is ahead of the log)
+    /// until a checkpoint.
+    fn append(
+        &mut self,
+        what: &str,
+        n: usize,
+        write: impl FnOnce(&mut Wal) -> Result<(), sdr_storage::StorageError>,
+    ) -> Result<(), SubcubeError> {
         // `durable.wal-fail` injects an append failure so the checker
         // can drive the broken-log path deterministically.
-        if fail::point("durable.wal-fail") {
+        let res = if fail::point("durable.wal-fail") {
+            Err("injected fault".to_string())
+        } else {
+            write(&mut self.wal).map_err(|e| e.to_string())
+        };
+        if let Err(e) = res {
             self.broken = true;
-            return Err(SubcubeError::Storage(
-                "wal append failed: injected fault".into(),
-            ));
+            return Err(SubcubeError::Storage(format!("{what} failed: {e}")));
         }
-        if let Err(e) = self.wal.append(&op.encode()) {
-            self.broken = true;
-            return Err(SubcubeError::Storage(format!("wal append failed: {e}")));
-        }
-        self.ops_in_log += 1;
+        self.ops_in_log += n as u64;
         Ok(())
     }
 
-    /// Applies one [`WarehouseOp`] to the manager, returning its log
-    /// encoding. Shared by [`apply_batch`](DurableWarehouse::apply_batch);
-    /// must mirror the single-op paths exactly so replay is identical.
-    fn apply_one(&self, op: WarehouseOp) -> Result<WalOp, SubcubeError> {
-        match op {
-            WarehouseOp::BulkLoad(mo) => {
-                let mut t = FactTable::from_mo(&mo, sdr_storage::DEFAULT_SEGMENT_ROWS)
-                    .map_err(|e| SubcubeError::Storage(e.to_string()))?;
-                let w = WalOp::BulkLoad(t.serialize().to_vec());
-                self.mgr.bulk_load(&mo)?;
-                Ok(w)
-            }
-            WarehouseOp::Sync(now) => {
-                self.mgr.sync(now)?;
-                Ok(WalOp::Sync(now))
-            }
-            WarehouseOp::Age(until) => {
-                self.mgr.age(until)?;
-                Ok(WalOp::Age(until))
-            }
-            WarehouseOp::SpecInsert(new) => {
-                let schema = Arc::clone(self.mgr.schema());
-                let srcs: Vec<String> = new.iter().map(|a| a.render(&schema)).collect();
-                for (src, a) in srcs.iter().zip(&new) {
-                    let back = parse_action(&schema, src).map_err(ReduceError::Spec)?;
-                    if back != *a {
-                        return Err(SubcubeError::Storage(format!(
-                            "action does not round-trip through its rendering: {src}"
-                        )));
-                    }
-                }
-                self.mgr.evolve_insert(new)?;
-                Ok(WalOp::SpecInsert(srcs))
-            }
-            WarehouseOp::SpecDelete(ids, now) => {
-                self.mgr.evolve_delete(&ids, now)?;
-                Ok(WalOp::SpecDelete(ids.iter().map(|i| i.0).collect(), now))
-            }
-        }
+    /// Encodes `op` and applies it to the manager. Encoding comes first:
+    /// an operation that cannot be replayed from its bytes must not
+    /// change memory.
+    fn stage(&self, op: &WarehouseOp) -> Result<(Vec<u8>, OpOutcome), SubcubeError> {
+        let payload = op.encode(self.mgr.schema())?;
+        Ok((payload, self.mgr.apply(op)?))
+    }
+
+    /// Applies one operation and journals it as one WAL record; on `Ok`
+    /// it survives any subsequent crash. The record is appended only
+    /// after the operation succeeded in memory, so a crash mid-call
+    /// recovers to the state before the call.
+    pub fn apply(&mut self, op: &WarehouseOp) -> Result<OpOutcome, SubcubeError> {
+        self.guard()?;
+        let (payload, outcome) = self.stage(op)?;
+        self.append("wal append", 1, |wal| wal.append(&payload))?;
+        Ok(outcome)
     }
 
     /// Group commit: applies a batch of operations and journals them as
@@ -535,9 +350,9 @@ impl DurableWarehouse {
         let _span = sdr_obs::span("durable.apply_batch");
         let before = self.mgr.view();
         let mut encoded = Vec::with_capacity(ops.len());
-        for op in ops {
-            match self.apply_one(op) {
-                Ok(w) => encoded.push(w.encode()),
+        for op in &ops {
+            match self.stage(op) {
+                Ok((payload, _)) => encoded.push(payload),
                 Err(e) => {
                     // Undo the partially applied batch: nothing was
                     // logged, so restoring the pre-batch version makes
@@ -553,19 +368,7 @@ impl DurableWarehouse {
             }
         }
         let n = encoded.len();
-        if fail::point("durable.wal-fail") {
-            self.broken = true;
-            return Err(SubcubeError::Storage(
-                "wal group append failed: injected fault".into(),
-            ));
-        }
-        if let Err(e) = self.wal.append_group(&encoded) {
-            self.broken = true;
-            return Err(SubcubeError::Storage(format!(
-                "wal group append failed: {e}"
-            )));
-        }
-        self.ops_in_log += n as u64;
+        self.append("wal group append", n, |wal| wal.append_group(&encoded))?;
         if sdr_obs::enabled() {
             sdr_obs::inc("durable.group_commit.batches");
             sdr_obs::add("durable.group_commit.ops", n as u64);
@@ -574,62 +377,32 @@ impl DurableWarehouse {
     }
 
     /// Durable [`SubcubeManager::bulk_load`]: on `Ok`, the facts survive
-    /// any subsequent crash.
+    /// any subsequent crash. Copies `facts` into the op; a caller that
+    /// owns them can hand [`apply`](Self::apply) a
+    /// [`WarehouseOp::BulkLoad`] instead.
     pub fn bulk_load(&mut self, facts: &Mo) -> Result<usize, SubcubeError> {
-        self.guard()?;
-        let mut t = FactTable::from_mo(facts, sdr_storage::DEFAULT_SEGMENT_ROWS)
-            .map_err(|e| SubcubeError::Storage(e.to_string()))?;
-        let op = WalOp::BulkLoad(t.serialize().to_vec());
-        let n = self.mgr.bulk_load(facts)?;
-        self.log(&op)?;
-        Ok(n)
+        Ok(self.apply(&WarehouseOp::BulkLoad(facts.clone()))?.loaded())
     }
 
     /// Durable [`SubcubeManager::sync`].
     pub fn sync(&mut self, now: DayNum) -> Result<SyncStats, SubcubeError> {
-        self.guard()?;
-        let stats = self.mgr.sync(now)?;
-        self.log(&WalOp::Sync(now))?;
-        Ok(stats)
+        Ok(self.apply(&WarehouseOp::Sync(now))?.synced())
     }
 
-    /// Durable [`SubcubeManager::age`]: one WAL record per aging call.
-    /// The tick loop inside `age` is deterministic given the spec, so a
-    /// crash mid-call recovers to the state before the call (the record
-    /// is appended only after the whole pass succeeds in memory), and a
-    /// durable record replays the full pass.
+    /// Durable [`SubcubeManager::age`]: one WAL record per aging call,
+    /// however many ticks it applies.
     pub fn age(&mut self, until: DayNum) -> Result<AgeStats, SubcubeError> {
-        self.guard()?;
-        let stats = self.mgr.age(until)?;
-        self.log(&WalOp::Age(until))?;
-        Ok(stats)
+        Ok(self.apply(&WarehouseOp::Age(until))?.aged())
     }
 
     /// Durable specification insert ([`SubcubeManager::evolve_insert`]).
     pub fn spec_insert(&mut self, new: Vec<ActionSpec>) -> Result<Vec<ActionId>, SubcubeError> {
-        self.guard()?;
-        let schema = Arc::clone(self.mgr.schema());
-        let srcs: Vec<String> = new.iter().map(|a| a.render(&schema)).collect();
-        // The log must replay to the identical spec: reject actions whose
-        // rendering does not round-trip through the parser (none known).
-        for (src, a) in srcs.iter().zip(&new) {
-            let back = parse_action(&schema, src).map_err(ReduceError::Spec)?;
-            if back != *a {
-                return Err(SubcubeError::Storage(format!(
-                    "action does not round-trip through its rendering: {src}"
-                )));
-            }
-        }
-        let ids = self.mgr.evolve_insert(new)?;
-        self.log(&WalOp::SpecInsert(srcs))?;
-        Ok(ids)
+        Ok(self.apply(&WarehouseOp::SpecInsert(new))?.inserted())
     }
 
     /// Durable specification delete ([`SubcubeManager::evolve_delete`]).
     pub fn spec_delete(&mut self, ids: &[ActionId], now: DayNum) -> Result<(), SubcubeError> {
-        self.guard()?;
-        self.mgr.evolve_delete(ids, now)?;
-        self.log(&WalOp::SpecDelete(ids.iter().map(|i| i.0).collect(), now))?;
+        self.apply(&WarehouseOp::SpecDelete(ids.to_vec(), now))?;
         Ok(())
     }
 
@@ -681,6 +454,7 @@ mod tests {
     use super::*;
     use crate::layout::wal_name;
     use sdr_mdm::calendar::days_from_civil;
+    use sdr_spec::parse_action;
     use sdr_workload::{paper_mo, ACTION_A1, ACTION_A2};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -705,26 +479,6 @@ mod tests {
         let mut v: Vec<String> = mo.facts().map(|f| mo.render_fact(f)).collect();
         v.sort();
         v
-    }
-
-    #[test]
-    fn wal_op_codec_roundtrips() {
-        let (mo, _) = paper_spec();
-        let mut t = FactTable::from_mo(&mo, 4).unwrap();
-        let ops = vec![
-            WalOp::BulkLoad(t.serialize().to_vec()),
-            WalOp::Sync(days_from_civil(2000, 6, 5)),
-            WalOp::SpecInsert(vec![ACTION_A1.into(), ACTION_A2.into()]),
-            WalOp::SpecDelete(vec![0, 3], days_from_civil(2001, 1, 1)),
-            WalOp::Age(days_from_civil(2002, 3, 1)),
-        ];
-        for op in ops {
-            assert_eq!(WalOp::decode(&op.encode()).unwrap(), op);
-        }
-        assert!(WalOp::decode(&[]).is_err());
-        assert!(WalOp::decode(&[99]).is_err());
-        assert!(WalOp::decode(&[WalOp::TAG_SYNC, 1, 2]).is_err());
-        assert!(WalOp::decode(&[WalOp::TAG_AGE, 7]).is_err());
     }
 
     #[test]

@@ -14,15 +14,17 @@ pub mod durable;
 pub mod error;
 pub mod layout;
 pub mod manager;
+pub mod op;
 pub mod persist;
 pub mod query;
 pub mod shard;
 pub mod stats;
 
-pub use durable::{DurableWarehouse, RecoveryReport, WalOp, WarehouseOp};
+pub use durable::{DurableWarehouse, RecoveryReport};
 pub use error::SubcubeError;
 pub use layout::WarehouseLayout;
 pub use manager::{AgeStats, CubeId, Subcube, SubcubeManager, SyncStats, WarehouseView};
+pub use op::{OpOutcome, WarehouseOp};
 pub use persist::{read_manifest, Manifest};
 pub use query::CubeQuery;
 pub use shard::{ShardRecoveryReport, ShardRouter, ShardViewSet};

@@ -25,14 +25,11 @@
 //! state" an explicit, testable mode instead of an accident of lock
 //! timing.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use sdr_sync::{fail, Mutex, Swap};
 
-use sdr_mdm::{
-    CatId, DayNum, DimValue, Dimension, FactId, Granularity, Mo, Schema, TimeValue, ORIGIN_USER,
-};
+use sdr_mdm::{DayNum, DimValue, Dimension, FactId, Granularity, Mo, Schema, ORIGIN_USER};
 use sdr_reduce::{cell_for, DataReductionSpec, ReduceError, ReductionSchedule};
 use sdr_spec::{ActionId, ActionSpec};
 
@@ -466,15 +463,7 @@ pub struct SubcubeManager {
     /// first [`age`](SubcubeManager::age) and keyed by spec identity
     /// (`Arc` pointer) so spec evolution invalidates it.
     schedule: Mutex<Option<(usize, Arc<ReductionSchedule>)>>,
-    /// Per-cube time footprints (`min_day..=max_day` over the cube's
-    /// facts), keyed by `(cube index, cube epoch)` so a rebuilt cube
-    /// recomputes. `None` = footprint unbounded (a `⊤` time value).
-    footprints: Mutex<FootprintCache>,
 }
-
-/// Cached day footprints: `(cube index, cube epoch)` → `min..=max` day
-/// range, `None` when some fact's time value is unbounded.
-type FootprintCache = HashMap<(usize, u64), Option<(DayNum, DayNum)>>;
 
 impl SubcubeManager {
     /// Builds the cube set for a validated specification: one cube per
@@ -494,7 +483,6 @@ impl SubcubeManager {
             })),
             writer: Mutex::new(()),
             schedule: Mutex::new(None),
-            footprints: Mutex::new(HashMap::new()),
         }
     }
 
@@ -820,7 +808,6 @@ impl SubcubeManager {
                 self.publish_watermark(&cur, until);
             }
         }
-        self.prune_footprints();
         if sdr_obs::enabled() {
             sdr_obs::add("age.ticks", stats.ticks as u64);
             sdr_obs::add("age.cells_delta", stats.cells_delta as u64);
@@ -842,8 +829,8 @@ impl SubcubeManager {
     /// days, nothing moves in between): evaluates the tick's **changed
     /// disjuncts** on candidate facts, re-homes exactly the facts whose
     /// cell moved, rebuilds only the affected cubes, and publishes once.
-    /// Cubes whose time footprint misses every Δ window are skipped
-    /// without scanning a row.
+    /// Cubes whose time hull misses every Δ window are skipped without
+    /// scanning a row.
     fn age_tick(
         &self,
         cur: &Arc<VersionInner>,
@@ -867,6 +854,7 @@ impl SubcubeManager {
             return Ok(stats);
         };
         let windows = sched.delta_time_windows(&schema, t_prev, t);
+        let ti = schema.dims.iter().position(Dimension::is_time);
         // Scan phase: find the facts whose home cube or target cell
         // changes across the tick. A fact on which every changed
         // disjunct evaluates false at both endpoints evaluates the whole
@@ -891,11 +879,13 @@ impl SubcubeManager {
             if cube.data.is_empty() {
                 continue;
             }
-            if let Some(ws) = &windows {
-                if let Some((lo, hi)) = self.footprint(ci, cube) {
-                    if !ws.iter().any(|&(wlo, whi)| wlo <= hi && lo <= whi) {
-                        continue; // disjoint from every Δ window
-                    }
+            // The cube's time hull (maintained with its stats) bounds
+            // every fact's day footprint; no hull means "never skip".
+            if let (Some(ws), Some((lo, hi))) = (&windows, ti.and_then(|ti| cube.stats.hull(ti))) {
+                let overlaps =
+                    |&(wlo, whi): &(DayNum, DayNum)| i64::from(wlo) <= hi && lo <= i64::from(whi);
+                if !ws.iter().any(overlaps) {
+                    continue; // disjoint from every Δ window
                 }
             }
             let mo = &cube.data;
@@ -1055,40 +1045,6 @@ impl SubcubeManager {
         sdr_obs::attr("transition_days", sched.transition_days().len());
         *cache = Some((key, Arc::clone(&sched)));
         Ok(sched)
-    }
-
-    /// The inclusive day footprint of cube `ci`'s facts, cached by
-    /// `(index, epoch)`. `None` = unbounded (no time dimension, or a `⊤`
-    /// time value) — the cube can never be pruned.
-    fn footprint(&self, ci: usize, cube: &Subcube) -> Option<(DayNum, DayNum)> {
-        let key = (ci, cube.epoch());
-        if let Some(fp) = self.footprints.lock().get(&key) {
-            return *fp;
-        }
-        let ti = self.schema.dims.iter().position(Dimension::is_time);
-        let fp = ti.and_then(|ti| {
-            let store = cube.data().store();
-            let mut lo = DayNum::MAX;
-            let mut hi = DayNum::MIN;
-            for row in 0..cube.data().len() {
-                let tv =
-                    TimeValue::from_code(CatId(store.cats[ti][row]), store.codes[ti][row]).ok()?;
-                let (s, e) = (tv.start_day()?, tv.end_day()?);
-                lo = lo.min(s);
-                hi = hi.max(e);
-            }
-            Some((lo, hi))
-        });
-        self.footprints.lock().insert(key, fp);
-        fp
-    }
-
-    /// Drops footprint-cache entries for cube versions no longer current.
-    fn prune_footprints(&self) {
-        let cur = self.current.load();
-        self.footprints
-            .lock()
-            .retain(|&(ci, epoch), _| cur.cubes.get(ci).is_some_and(|c| c.epoch() == epoch));
     }
 
     /// Evolves the specification by inserting `new` actions

@@ -55,10 +55,11 @@ use sdr_spec::{ActionId, ActionSpec};
 use sdr_storage::fs::{atomic_write, Fs, RealFs};
 use sdr_storage::wal::{crc32, truncate_wal_records};
 
-use crate::durable::{DurableWarehouse, WarehouseOp};
+use crate::durable::DurableWarehouse;
 use crate::error::SubcubeError;
 use crate::layout::WarehouseLayout;
 use crate::manager::{AgeStats, SyncStats, WarehouseView};
+use crate::op::{OpOutcome, WarehouseOp};
 use crate::persist::{read_current, spec_fingerprint};
 use crate::query::CubeQuery;
 
@@ -219,14 +220,7 @@ impl ShardViewSet {
     /// The union of all shards' logical MOs (Definition 2 view of the
     /// whole warehouse).
     pub fn to_mo(&self) -> Result<Mo, SubcubeError> {
-        let mut union = self.views[0].to_mo()?;
-        for v in &self.views[1..] {
-            let part = v.to_mo()?;
-            union
-                .absorb(&part)
-                .map_err(|e| SubcubeError::Storage(e.to_string()))?;
-        }
-        Ok(union)
+        union_mo(&self.views)
     }
 
     /// Evaluates `f` once per shard, across threads when `parallel` and
@@ -264,6 +258,43 @@ impl ShardViewSet {
                 .map_err(|e| SubcubeError::Storage(e.to_string()))?;
         }
         Ok(aggregate_ids(&union, &q.levels, q.approach)?)
+    }
+}
+
+/// The union of the views' logical MOs (at least one view).
+fn union_mo(views: &[WarehouseView]) -> Result<Mo, SubcubeError> {
+    let mut union = views[0].to_mo()?;
+    for v in &views[1..] {
+        let part = v.to_mo()?;
+        union
+            .absorb(&part)
+            .map_err(|e| SubcubeError::Storage(e.to_string()))?;
+    }
+    Ok(union)
+}
+
+/// Folds two shards' outcomes of one scatter into the logical outcome:
+/// counts and statistics add up, except `ticks` — every shard applies
+/// the same tick sequence — and the ids of a spec insert, which are the
+/// same on every shard.
+fn fold(a: OpOutcome, b: OpOutcome) -> OpOutcome {
+    match (a, b) {
+        (OpOutcome::Loaded(x), OpOutcome::Loaded(y)) => OpOutcome::Loaded(x + y),
+        (OpOutcome::Synced(mut a), OpOutcome::Synced(s)) => {
+            a.kept += s.kept;
+            a.migrated += s.migrated;
+            a.merged += s.merged;
+            OpOutcome::Synced(a)
+        }
+        (OpOutcome::Aged(mut a), OpOutcome::Aged(s)) => {
+            a.ticks = a.ticks.max(s.ticks);
+            a.cells_delta += s.cells_delta;
+            a.merged += s.merged;
+            a.cubes_rebuilt += s.cubes_rebuilt;
+            a.cubes_skipped += s.cubes_skipped;
+            OpOutcome::Aged(a)
+        }
+        (first, _) => first,
     }
 }
 
@@ -718,125 +749,124 @@ impl ShardRouter {
         Err(first)
     }
 
-    /// Durable, partitioned bulk load. Every shard logs one record (its
-    /// own partition, possibly empty) so WAL positions stay uniform.
-    pub fn bulk_load(&self, facts: &Mo) -> Result<usize, SubcubeError> {
+    /// One bulk-load operation per shard, each carrying its (possibly
+    /// empty) partition of `facts`, so every shard logs one record and
+    /// WAL positions stay uniform.
+    fn load_parts(&self, facts: &Mo, shards: usize) -> Result<Vec<WarehouseOp>, SubcubeError> {
+        let parts = self.partition(facts, shards)?;
+        Ok(parts.into_iter().map(WarehouseOp::BulkLoad).collect())
+    }
+
+    /// Splits `op` into one operation per shard: bulk loads are
+    /// partitioned, everything else is cloned.
+    fn split(&self, op: &WarehouseOp, shards: usize) -> Result<Vec<WarehouseOp>, SubcubeError> {
+        match op {
+            WarehouseOp::BulkLoad(mo) => self.load_parts(mo, shards),
+            other => Ok(vec![other.clone(); shards]),
+        }
+    }
+
+    /// Decides a specification change once, globally, so a rejection
+    /// touches no shard and acceptance is uniform across shards — the
+    /// exact behavior of the unsharded warehouse on the same facts. An
+    /// insert is validated against a clone of the current spec
+    /// (Growing/NonCrossing are instance-independent); a delete against
+    /// the **union** of all shards' facts (Definition 4's responsibility
+    /// check is per-fact, so acceptance on the union implies acceptance
+    /// on every shard's subset).
+    fn precheck(inner: &RouterInner, op: &WarehouseOp) -> Result<(), SubcubeError> {
+        let probe = || (*inner.shards[0].manager().spec()).clone();
+        match op {
+            WarehouseOp::SpecInsert(new) => {
+                probe().insert(new.clone())?;
+            }
+            WarehouseOp::SpecDelete(ids, now) => {
+                let views: Vec<WarehouseView> =
+                    inner.shards.iter().map(|s| s.manager().view()).collect();
+                probe().delete(ids, &union_mo(&views)?, *now)?;
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// The one write path: writer lock → wedge guard → `plan` (the
+    /// per-shard operations, after any global pre-check) → apply on
+    /// every shard → settle → one atomic publish → [`fold`]. `parallel`
+    /// runs the shards on scoped threads; otherwise they are walked in
+    /// order.
+    fn scatter(
+        &self,
+        name: &str,
+        parallel: bool,
+        plan: impl FnOnce(&RouterInner) -> Result<Vec<WarehouseOp>, SubcubeError>,
+    ) -> Result<OpOutcome, SubcubeError> {
         let mut inner = self.writer.lock();
         Self::guard(&inner)?;
-        let _span = sdr_obs::span("shard.bulk_load");
-        let parts = self.partition(facts, inner.shards.len())?;
-        let results: Vec<Result<usize, SubcubeError>> = inner
-            .shards
-            .iter_mut()
-            .zip(&parts)
-            .map(|(s, p)| s.bulk_load(p))
-            .collect();
-        let loaded = Self::settle(&mut inner, results)?;
+        let _span = sdr_obs::span(&format!("shard.{name}"));
+        let ops = plan(&inner)?;
+        let results: Vec<Result<OpOutcome, SubcubeError>> = if parallel && ops.len() > 1 {
+            thread::scope(|s| {
+                let handles: Vec<_> = inner
+                    .shards
+                    .iter_mut()
+                    .zip(&ops)
+                    .map(|(sh, op)| s.spawn(move || sh.apply(op)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("shard worker panicked"))
+                    .collect()
+            })
+        } else {
+            let shards = inner.shards.iter_mut().zip(&ops);
+            shards.map(|(sh, op)| sh.apply(op)).collect()
+        };
+        let outcomes = Self::settle(&mut inner, results)?;
         self.publish(&mut inner);
-        Ok(loaded.into_iter().sum())
+        let folded = outcomes.into_iter().reduce(fold);
+        Ok(folded.expect("at least one shard"))
+    }
+
+    /// Durably applies one operation to the whole sharded warehouse.
+    /// Reductions (sync, age) are independent per shard and run
+    /// concurrently; loads and specification changes walk the shards in
+    /// order.
+    pub fn apply(&self, op: &WarehouseOp) -> Result<OpOutcome, SubcubeError> {
+        let parallel = matches!(op, WarehouseOp::Sync(_) | WarehouseOp::Age(_));
+        self.scatter(op.name(), parallel, |inner| {
+            Self::precheck(inner, op)?;
+            self.split(op, inner.shards.len())
+        })
+    }
+
+    /// Durable, partitioned bulk load. Partitions straight from the
+    /// borrowed facts — `apply` would need an owned copy of the whole
+    /// load first.
+    pub fn bulk_load(&self, facts: &Mo) -> Result<usize, SubcubeError> {
+        let plan = |inner: &RouterInner| self.load_parts(facts, inner.shards.len());
+        Ok(self.scatter("bulk_load", false, plan)?.loaded())
     }
 
     /// Durable parallel synchronization: every shard syncs to `now`
     /// concurrently, then one atomic publish exposes all of them.
     pub fn sync(&self, now: DayNum) -> Result<SyncStats, SubcubeError> {
-        let mut inner = self.writer.lock();
-        Self::guard(&inner)?;
-        let _span = sdr_obs::span("shard.sync");
-        let results = Self::fanout(&mut inner.shards, |s| s.sync(now));
-        let stats = Self::settle(&mut inner, results)?;
-        self.publish(&mut inner);
-        Ok(stats.into_iter().fold(SyncStats::default(), |mut a, s| {
-            a.kept += s.kept;
-            a.migrated += s.migrated;
-            a.merged += s.merged;
-            a
-        }))
+        Ok(self.apply(&WarehouseOp::Sync(now))?.synced())
     }
 
     /// Durable parallel incremental aging to `until`.
     pub fn age(&self, until: DayNum) -> Result<AgeStats, SubcubeError> {
-        let mut inner = self.writer.lock();
-        Self::guard(&inner)?;
-        let _span = sdr_obs::span("shard.age");
-        let results = Self::fanout(&mut inner.shards, |s| s.age(until));
-        let stats = Self::settle(&mut inner, results)?;
-        self.publish(&mut inner);
-        Ok(stats.into_iter().fold(AgeStats::default(), |mut a, s| {
-            a.ticks = a.ticks.max(s.ticks);
-            a.cells_delta += s.cells_delta;
-            a.merged += s.merged;
-            a.cubes_rebuilt += s.cubes_rebuilt;
-            a.cubes_skipped += s.cubes_skipped;
-            a
-        }))
+        Ok(self.apply(&WarehouseOp::Age(until))?.aged())
     }
 
-    /// Runs `f` on every shard concurrently (each shard is `&mut` to
-    /// exactly one thread), preserving shard order in the results.
-    fn fanout<T: Send>(
-        shards: &mut [DurableWarehouse],
-        f: impl Fn(&mut DurableWarehouse) -> Result<T, SubcubeError> + Sync + Send,
-    ) -> Vec<Result<T, SubcubeError>> {
-        if shards.len() == 1 {
-            return vec![f(&mut shards[0])];
-        }
-        thread::scope(|s| {
-            let handles: Vec<_> = shards.iter_mut().map(|sh| s.spawn(|| f(sh))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        })
-    }
-
-    /// Durable specification insert, decided once globally: the new
-    /// actions are validated against a clone of the current spec
-    /// (Growing/NonCrossing are instance-independent), so a rejection
-    /// touches no shard and acceptance is uniform across shards.
+    /// Durable specification insert, decided once globally.
     pub fn spec_insert(&self, new: Vec<ActionSpec>) -> Result<Vec<ActionId>, SubcubeError> {
-        let mut inner = self.writer.lock();
-        Self::guard(&inner)?;
-        let _span = sdr_obs::span("shard.spec_insert");
-        let mut probe = (*inner.shards[0].manager().spec()).clone();
-        probe.insert(new.clone())?;
-        let results: Vec<Result<Vec<ActionId>, SubcubeError>> = inner
-            .shards
-            .iter_mut()
-            .map(|s| s.spec_insert(new.clone()))
-            .collect();
-        let mut ids = Self::settle(&mut inner, results)?;
-        self.publish(&mut inner);
-        Ok(ids.swap_remove(0))
+        Ok(self.apply(&WarehouseOp::SpecInsert(new))?.inserted())
     }
 
-    /// Durable specification delete, decided once globally against the
-    /// **union** of all shards' facts (Definition 4's responsibility
-    /// check is per-fact, so acceptance on the union implies acceptance
-    /// on every shard's subset). A rejection touches no shard — the
-    /// exact behavior of the unsharded warehouse on the same facts.
+    /// Durable specification delete, decided once globally.
     pub fn spec_delete(&self, ids: &[ActionId], now: DayNum) -> Result<(), SubcubeError> {
-        let mut inner = self.writer.lock();
-        Self::guard(&inner)?;
-        let _span = sdr_obs::span("shard.spec_delete");
-        let mut union: Option<Mo> = None;
-        for s in &inner.shards {
-            let part = s.manager().view().to_mo()?;
-            match &mut union {
-                None => union = Some(part),
-                Some(u) => u
-                    .absorb(&part)
-                    .map_err(|e| SubcubeError::Storage(e.to_string()))?,
-            }
-        }
-        let mut probe = (*inner.shards[0].manager().spec()).clone();
-        probe.delete(ids, &union.expect("at least one shard"), now)?;
-        let results: Vec<Result<(), SubcubeError>> = inner
-            .shards
-            .iter_mut()
-            .map(|s| s.spec_delete(ids, now))
-            .collect();
-        Self::settle(&mut inner, results)?;
-        self.publish(&mut inner);
+        self.apply(&WarehouseOp::SpecDelete(ids.to_vec(), now))?;
         Ok(())
     }
 
@@ -855,18 +885,9 @@ impl ShardRouter {
         let _span = sdr_obs::span("shard.apply_batch");
         let n = inner.shards.len();
         let mut batches: Vec<Vec<WarehouseOp>> = (0..n).map(|_| Vec::new()).collect();
-        for op in ops {
-            match op {
-                WarehouseOp::BulkLoad(mo) => {
-                    for (b, part) in batches.iter_mut().zip(self.partition(&mo, n)?) {
-                        b.push(WarehouseOp::BulkLoad(part));
-                    }
-                }
-                other => {
-                    for b in batches.iter_mut() {
-                        b.push(other.clone());
-                    }
-                }
+        for op in &ops {
+            for (b, part) in batches.iter_mut().zip(self.split(op, n)?) {
+                b.push(part);
             }
         }
         let results: Vec<Result<usize, SubcubeError>> = inner

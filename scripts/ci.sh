@@ -13,6 +13,11 @@ run() {
 run cargo build --release
 run cargo test -q
 run cargo test -q --workspace
+# The benchmark package sits outside the root workspace (its own
+# manifest and lock file), so the commands above never compile it; build
+# and test it here so a core refactor cannot break it unnoticed.
+run cargo build --release --offline --manifest-path benchmark/Cargo.toml
+run cargo test -q --offline --manifest-path benchmark/Cargo.toml
 run cargo fmt --check
 run cargo clippy --workspace -- -D warnings
 

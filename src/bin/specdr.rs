@@ -113,10 +113,10 @@ use specdr::query::{AggApproach, Query, SelectMode};
 use specdr::reduce::{reduce, DataReductionSpec};
 use specdr::spec::{explain_action, parse_actions, parse_pexp};
 use specdr::storage::FactTable;
-use specdr::subcube::{AgeStats, CubeQuery, SubcubeManager};
+use specdr::subcube::{AgeStats, CubeQuery, ShardRouter, SubcubeManager, SyncStats};
 use specdr::workload::{
-    generate, generate_sessions, paper_mo, retention_policy, snapshot_days, ClickstreamConfig,
-    SessionConfig, ACTION_A1, ACTION_A2,
+    generate, generate_sessions, paper_mo, retention_policy, snapshot_days, Clickstream,
+    ClickstreamConfig, SessionConfig, ACTION_A1, ACTION_A2,
 };
 
 fn main() -> ExitCode {
@@ -653,30 +653,99 @@ fn cmd_explain(opts: &Opts) -> Result<(), AnyError> {
     }
 }
 
+/// The synthetic click-stream warehouse the data commands build:
+/// `--months` × `--clicks`/day from 1999/1/1 (or the session-structured
+/// variant under `--sessions`) with its [`retention_spec`].
+struct Synthetic {
+    months: u32,
+    clicks: usize,
+    /// Year and month of the last loaded month; data ends on its 28th.
+    end: (i32, u32),
+    cs: Clickstream,
+    spec: DataReductionSpec,
+}
+
+impl Synthetic {
+    /// The last loaded day, `years` later.
+    fn end_day_plus(&self, years: i32) -> i32 {
+        days_from_civil(self.end.0 + years, self.end.1, 28)
+    }
+}
+
+/// Builds the [`Synthetic`] warehouse inputs; `months`/`clicks` are the
+/// calling command's defaults.
+fn synthetic(opts: &Opts, months: &str, clicks: &str) -> Result<Synthetic, AnyError> {
+    let months: u32 = opts.value("--months").unwrap_or(months).parse()?;
+    let clicks: usize = opts.value("--clicks").unwrap_or(clicks).parse()?;
+    let end_total = 12 * 1999 + months as i32 - 1;
+    let end = (end_total / 12, (end_total % 12 + 1) as u32);
+    let base = ClickstreamConfig {
+        clicks_per_day: clicks,
+        start: (1999, 1, 1),
+        end: (end.0, end.1, 28),
+        ..Default::default()
+    };
+    let cs = if opts.switch("--sessions") {
+        generate_sessions(&SessionConfig {
+            base: ClickstreamConfig {
+                clicks_per_day: 0,
+                ..base
+            },
+            sessions_per_day: clicks / 5,
+            ..Default::default()
+        })
+    } else {
+        generate(&base)
+    };
+    let spec = retention_spec(opts, &cs.schema)?;
+    Ok(Synthetic {
+        months,
+        clicks,
+        end,
+        cs,
+        spec,
+    })
+}
+
+/// The `--raw-months`/`--month-months` retention policy (6/36 where a
+/// command has no such flags) against the click-stream schema.
+fn retention_spec(
+    opts: &Opts,
+    schema: &Arc<specdr::mdm::Schema>,
+) -> Result<DataReductionSpec, AnyError> {
+    let raw_months: u32 = opts.value("--raw-months").unwrap_or("6").parse()?;
+    let month_months: u32 = opts.value("--month-months").unwrap_or("36").parse()?;
+    let actions: Result<Vec<_>, _> = retention_policy(raw_months, month_months)
+        .iter()
+        .map(|s| specdr::spec::parse_action(schema, s))
+        .collect();
+    Ok(DataReductionSpec::new(Arc::clone(schema), actions?)?)
+}
+
+/// The click-stream schema alone (no facts) — what the commands that
+/// only parse or recover against it need.
+fn clickstream_schema() -> Arc<specdr::mdm::Schema> {
+    let cs = generate(&ClickstreamConfig {
+        clicks_per_day: 0,
+        ..Default::default()
+    });
+    cs.schema
+}
+
 /// Builds the synthetic warehouse every introspection command runs
 /// against: `months` × `clicks`/day of click-stream facts bulk-loaded
 /// into a subcube manager under the 6/36-month retention policy.
 fn introspection_warehouse(
     opts: &Opts,
 ) -> Result<(SubcubeManager, Arc<specdr::mdm::Schema>, i32), AnyError> {
-    let months: u32 = opts.value("--months").unwrap_or("24").parse()?;
-    let clicks: usize = opts.value("--clicks").unwrap_or("100").parse()?;
-    let end_total = 12 * 1999 + months as i32 - 1;
-    let (ey, em) = (end_total / 12, (end_total % 12 + 1) as u32);
-    let cs = generate(&ClickstreamConfig {
-        clicks_per_day: clicks,
-        start: (1999, 1, 1),
-        end: (ey, em, 28),
-        ..Default::default()
-    });
+    let syn = synthetic(opts, "24", "100")?;
     let now = match opts.value("--now") {
         Some(s) => parse_date(s)?,
-        None => days_from_civil(ey + 2, em, 28),
+        None => syn.end_day_plus(2),
     };
-    let spec = retention_spec(&cs.schema, 6, 36)?;
-    let mgr = SubcubeManager::new(spec);
-    mgr.bulk_load(&cs.mo)?;
-    Ok((mgr, cs.schema, now))
+    let mgr = SubcubeManager::new(syn.spec);
+    mgr.bulk_load(&syn.cs.mo)?;
+    Ok((mgr, syn.cs.schema, now))
 }
 
 /// Builds a [`CubeQuery`] from `--where`/`--roll-up`/`--mode`; the
@@ -760,29 +829,20 @@ fn cmd_explain_warehouse(opts: &Opts, reduce_pass: bool) -> Result<(), AnyError>
 /// incremental. Returns the manager, the baseline day, and the default
 /// `--until` (two years past the data).
 fn aging_warehouse(opts: &Opts) -> Result<(SubcubeManager, i32, i32), AnyError> {
-    let months: u32 = opts.value("--months").unwrap_or("24").parse()?;
-    let clicks: usize = opts.value("--clicks").unwrap_or("50").parse()?;
-    let end_total = 12 * 1999 + months as i32 - 1;
-    let (ey, em) = (end_total / 12, (end_total % 12 + 1) as u32);
-    let cs = generate(&ClickstreamConfig {
-        clicks_per_day: clicks,
-        start: (1999, 1, 1),
-        end: (ey, em, 28),
-        ..Default::default()
-    });
+    let syn = synthetic(opts, "24", "50")?;
+    let (baseline, default_until) = (syn.end_day_plus(0), syn.end_day_plus(2));
     let spec = match opts.value("--spec-file") {
         Some(path) => {
             let src = std::fs::read_to_string(path)?;
-            let actions = parse_actions(&cs.schema, &src)?;
-            DataReductionSpec::new(Arc::clone(&cs.schema), actions)?
+            let actions = parse_actions(&syn.cs.schema, &src)?;
+            DataReductionSpec::new(Arc::clone(&syn.cs.schema), actions)?
         }
-        None => retention_spec(&cs.schema, 6, 36)?,
+        None => syn.spec,
     };
-    let baseline = days_from_civil(ey, em, 28);
     let mgr = SubcubeManager::new(spec);
-    mgr.bulk_load(&cs.mo)?;
+    mgr.bulk_load(&syn.cs.mo)?;
     mgr.sync(baseline)?;
-    Ok((mgr, baseline, days_from_civil(ey + 2, em, 28)))
+    Ok((mgr, baseline, default_until))
 }
 
 fn print_age_stats(t: i32, s: &AgeStats, mgr: &SubcubeManager) {
@@ -885,23 +945,20 @@ fn render_date(now: i32) -> String {
 }
 
 fn cmd_explain_spec(opts: &Opts) -> Result<(), AnyError> {
-    let cs = generate(&ClickstreamConfig {
-        clicks_per_day: 0,
-        ..Default::default()
-    });
+    let schema = clickstream_schema();
     let src = match opts.value("--spec-file") {
         Some(path) => std::fs::read_to_string(path)?,
         None => retention_policy(6, 36).join(";\n"),
     };
-    let actions = parse_actions(&cs.schema, &src)?;
+    let actions = parse_actions(&schema, &src)?;
     println!(
         "{} action(s) parsed against the click-stream schema:\n",
         actions.len()
     );
     for (i, a) in actions.iter().enumerate() {
-        println!("  a{i} {}", explain_action(a, &cs.schema));
+        println!("  a{i} {}", explain_action(a, &schema));
     }
-    match DataReductionSpec::new(Arc::clone(&cs.schema), actions) {
+    match DataReductionSpec::new(schema, actions) {
         Ok(_) => println!("\nspecification is sound: NonCrossing ✓ Growing ✓"),
         Err(e) => {
             println!("\nspecification is UNSOUND:\n  {e}");
@@ -915,13 +972,7 @@ fn cmd_lint(opts: &Opts) -> Result<(), AnyError> {
     use specdr::lint::{lint_source, Code, Level, LintConfig, Severity};
 
     let (schema, schema_name) = match opts.value("--schema").unwrap_or("clickstream") {
-        "clickstream" => {
-            let cs = generate(&ClickstreamConfig {
-                clicks_per_day: 0,
-                ..Default::default()
-            });
-            (cs.schema, "click-stream")
-        }
+        "clickstream" => (clickstream_schema(), "click-stream"),
         "paper" => (specdr::workload::paper_schema().0, "paper"),
         other => return Err(format!("unknown schema `{other}` (clickstream|paper)").into()),
     };
@@ -983,35 +1034,10 @@ fn cmd_lint(opts: &Opts) -> Result<(), AnyError> {
 }
 
 fn cmd_simulate(opts: &Opts) -> Result<(), AnyError> {
-    let months: u32 = opts.value("--months").unwrap_or("24").parse()?;
-    let clicks: usize = opts.value("--clicks").unwrap_or("200").parse()?;
+    let Synthetic {
+        months, cs, spec, ..
+    } = synthetic(opts, "24", "200")?;
     let raw_months: u32 = opts.value("--raw-months").unwrap_or("6").parse()?;
-    let month_months: u32 = opts.value("--month-months").unwrap_or("36").parse()?;
-    let end_total = 12 * 1999 + months as i32 - 1;
-    let (ey, em) = (end_total / 12, (end_total % 12 + 1) as u32);
-    let base = ClickstreamConfig {
-        clicks_per_day: clicks,
-        start: (1999, 1, 1),
-        end: (ey, em, 28),
-        ..Default::default()
-    };
-    let cs = if opts.switch("--sessions") {
-        generate_sessions(&SessionConfig {
-            base: ClickstreamConfig {
-                clicks_per_day: 0,
-                ..base
-            },
-            sessions_per_day: clicks / 5,
-            ..Default::default()
-        })
-    } else {
-        generate(&base)
-    };
-    let actions: Result<Vec<_>, _> = retention_policy(raw_months, month_months)
-        .iter()
-        .map(|s| specdr::spec::parse_action(&cs.schema, s))
-        .collect();
-    let spec = DataReductionSpec::new(Arc::clone(&cs.schema), actions?)?;
     let raw = FactTable::from_mo(&cs.mo, 1 << 16)?.stats();
     println!(
         "{} months of clicks: {} facts, {} bytes raw ({} encoded)\n",
@@ -1073,34 +1099,18 @@ fn cmd_simulate(opts: &Opts) -> Result<(), AnyError> {
 }
 
 fn cmd_query(opts: &Opts) -> Result<(), AnyError> {
-    let months: u32 = opts.value("--months").unwrap_or("24").parse()?;
-    let clicks: usize = opts.value("--clicks").unwrap_or("100").parse()?;
-    let end_total = 12 * 1999 + months as i32 - 1;
-    let (ey, em) = (end_total / 12, (end_total % 12 + 1) as u32);
-    let cs = generate(&ClickstreamConfig {
-        clicks_per_day: clicks,
-        start: (1999, 1, 1),
-        end: (ey, em, 28),
-        ..Default::default()
-    });
+    let syn = synthetic(opts, "24", "100")?;
     let now = match opts.value("--now") {
         Some(s) => parse_date(s)?,
-        None => days_from_civil(ey + 2, em, 28),
+        None => syn.end_day_plus(2),
     };
-    let actions: Result<Vec<_>, _> = retention_policy(6, 36)
-        .iter()
-        .map(|s| specdr::spec::parse_action(&cs.schema, s))
-        .collect();
-    let spec = DataReductionSpec::new(Arc::clone(&cs.schema), actions?)?;
+    let (cs, spec) = (syn.cs, syn.spec);
     let red = reduce(&cs.mo, &spec, now)?;
     println!(
         "warehouse: {} facts raw → {} facts reduced at NOW = {}",
         cs.mo.len(),
         red.len(),
-        {
-            let (y, m, d) = civil_from_days(now);
-            format!("{y}/{m}/{d}")
-        }
+        render_date(now)
     );
 
     let mut q = Query::new();
@@ -1131,17 +1141,16 @@ fn cmd_query(opts: &Opts) -> Result<(), AnyError> {
     Ok(())
 }
 
-/// Builds the retention-policy spec against the click-stream schema.
-fn retention_spec(
-    schema: &Arc<specdr::mdm::Schema>,
-    raw_months: u32,
-    month_months: u32,
-) -> Result<DataReductionSpec, AnyError> {
-    let actions: Result<Vec<_>, _> = retention_policy(raw_months, month_months)
-        .iter()
-        .map(|s| specdr::spec::parse_action(schema, s))
-        .collect();
-    Ok(DataReductionSpec::new(Arc::clone(schema), actions?)?)
+/// True when `dir` holds a sharded warehouse (what `specdr serve --dir`
+/// writes) rather than a single-directory one.
+fn is_sharded(dir: &str) -> bool {
+    specdr::subcube::WarehouseLayout::at(dir)
+        .shards_manifest()
+        .exists()
+}
+
+fn render_last_sync(day: Option<i32>) -> String {
+    day.map_or("never".into(), render_date)
 }
 
 fn cmd_checkpoint(opts: &Opts) -> Result<(), AnyError> {
@@ -1149,47 +1158,41 @@ fn cmd_checkpoint(opts: &Opts) -> Result<(), AnyError> {
         .value("--dir")
         .ok_or("`specdr checkpoint` requires --dir DIR")?
         .to_string();
-    let months: u32 = opts.value("--months").unwrap_or("12").parse()?;
-    let clicks: usize = opts.value("--clicks").unwrap_or("50").parse()?;
-    let raw_months: u32 = opts.value("--raw-months").unwrap_or("6").parse()?;
-    let month_months: u32 = opts.value("--month-months").unwrap_or("36").parse()?;
-    let end_total = 12 * 1999 + months as i32 - 1;
-    let (ey, em) = (end_total / 12, (end_total % 12 + 1) as u32);
-    let cs = generate(&ClickstreamConfig {
-        clicks_per_day: clicks,
-        start: (1999, 1, 1),
-        end: (ey, em, 28),
-        ..Default::default()
-    });
-    let spec = retention_spec(&cs.schema, raw_months, month_months)?;
-    let mut w = specdr::subcube::DurableWarehouse::open(spec, &dir)?;
-    let loaded = w.bulk_load(&cs.mo)?;
-    let now = days_from_civil(ey + 1, em, 28);
+    let syn = synthetic(opts, "12", "50")?;
+    let now = syn.end_day_plus(1);
+    let report = |loaded: usize, stats: SyncStats| {
+        println!(
+            "loaded {loaded} facts, synced at NOW = {}: kept={} migrated={} merged={}",
+            render_date(now),
+            stats.kept,
+            stats.migrated,
+            stats.merged
+        );
+        println!("checkpoint published: {dir}");
+    };
+    if is_sharded(&dir) {
+        let (router, _) = ShardRouter::recover(syn.spec, &dir)?;
+        let loaded = router.bulk_load(&syn.cs.mo)?;
+        let stats = router.sync(now)?;
+        let epoch = router.checkpoint()?;
+        report(loaded, stats);
+        println!("  shards     = {}", router.shards());
+        println!("  epoch      = {epoch}");
+        println!("  wal hwm    = {} ops", router.ops_durable());
+        println!("  last sync  = {}", render_last_sync(router.last_sync()));
+        return Ok(());
+    }
+    let mut w = specdr::subcube::DurableWarehouse::open(syn.spec, &dir)?;
+    let loaded = w.bulk_load(&syn.cs.mo)?;
     let stats = w.sync(now)?;
-    println!(
-        "loaded {loaded} facts, synced at NOW = {}: kept={} migrated={} merged={}",
-        {
-            let (y, m, d) = civil_from_days(now);
-            format!("{y}/{m}/{d}")
-        },
-        stats.kept,
-        stats.migrated,
-        stats.merged
-    );
     let epoch = w.checkpoint()?;
+    report(loaded, stats);
     let manifest = specdr::subcube::persist::read_manifest(&dir)?;
-    println!("checkpoint published: {dir}");
     println!("  epoch      = {epoch}");
     println!("  cubes      = {}", manifest.cube_count);
     println!("  wal hwm    = {} ops", manifest.wal_hwm);
     println!("  spec hash  = {:016x}", manifest.spec_hash);
-    println!(
-        "  last sync  = {}",
-        manifest.last_sync.map_or("never".into(), |t| {
-            let (y, m, d) = civil_from_days(t);
-            format!("{y}/{m}/{d}")
-        })
-    );
+    println!("  last sync  = {}", render_last_sync(manifest.last_sync));
     Ok(())
 }
 
@@ -1198,28 +1201,36 @@ fn cmd_recover(opts: &Opts) -> Result<(), AnyError> {
         .value("--dir")
         .ok_or("`specdr recover` requires --dir DIR")?
         .to_string();
-    let raw_months: u32 = opts.value("--raw-months").unwrap_or("6").parse()?;
-    let month_months: u32 = opts.value("--month-months").unwrap_or("36").parse()?;
     // The schema is warehouse metadata: rebuilt here exactly as
     // `checkpoint` built it (the manifest's spec hash cross-checks this).
-    let cs = generate(&ClickstreamConfig {
-        clicks_per_day: 0,
-        ..Default::default()
-    });
-    let spec = retention_spec(&cs.schema, raw_months, month_months)?;
+    let spec = retention_spec(opts, &clickstream_schema())?;
+    if is_sharded(&dir) {
+        let (router, report) = ShardRouter::recover(spec, &dir)?;
+        println!("recovered {dir}:");
+        println!("  shards          = {}", report.shards);
+        println!("  epoch           = {}", report.epoch);
+        println!("  replayed        = {} WAL records", report.replayed);
+        println!("  dropped (torn)  = {} bytes", report.dropped_bytes);
+        println!("  dropped (unacked) = {} records", report.dropped_records);
+        println!("  resumed ckpt    = {}", report.resumed_checkpoint);
+        println!(
+            "  last sync       = {}",
+            render_last_sync(router.last_sync())
+        );
+        println!(
+            "  warehouse       = {} facts across {} shards",
+            router.len(),
+            report.shards
+        );
+        return Ok(());
+    }
     let (mgr, report) = SubcubeManager::recover(spec, &dir)?;
     println!("recovered {dir}:");
     println!("  epoch           = {}", report.epoch);
     println!("  replayed        = {} WAL records", report.replayed);
     println!("  dropped (torn)  = {} bytes", report.dropped_bytes);
     println!("  ops durable     = {}", report.ops_durable);
-    println!(
-        "  last sync       = {}",
-        report.last_sync.map_or("never".into(), |t| {
-            let (y, m, d) = civil_from_days(t);
-            format!("{y}/{m}/{d}")
-        })
-    );
+    println!("  last sync       = {}", render_last_sync(report.last_sync));
     println!(
         "  warehouse       = {} facts across {} cubes",
         mgr.len(),
@@ -1229,8 +1240,6 @@ fn cmd_recover(opts: &Opts) -> Result<(), AnyError> {
 }
 
 fn cmd_stats(opts: &Opts) -> Result<(), AnyError> {
-    let months: u32 = opts.value("--months").unwrap_or("12").parse()?;
-    let clicks: usize = opts.value("--clicks").unwrap_or("100").parse()?;
     let format = match opts.value("--format") {
         Some(f) => MetricsFormat::parse(f)?,
         None => MetricsFormat::Table,
@@ -1238,20 +1247,9 @@ fn cmd_stats(opts: &Opts) -> Result<(), AnyError> {
     specdr::obs::set_enabled(true);
     specdr::obs::reset();
 
-    let end_total = 12 * 1999 + months as i32 - 1;
-    let (ey, em) = (end_total / 12, (end_total % 12 + 1) as u32);
-    let cs = generate(&ClickstreamConfig {
-        clicks_per_day: clicks,
-        start: (1999, 1, 1),
-        end: (ey, em, 28),
-        ..Default::default()
-    });
-    let actions: Result<Vec<_>, _> = retention_policy(6, 36)
-        .iter()
-        .map(|s| specdr::spec::parse_action(&cs.schema, s))
-        .collect();
-    let spec = DataReductionSpec::new(Arc::clone(&cs.schema), actions?)?;
-    let now = days_from_civil(ey + 2, em, 28);
+    let syn = synthetic(opts, "12", "100")?;
+    let now = syn.end_day_plus(2);
+    let (cs, spec) = (syn.cs, syn.spec);
 
     // One pass through every instrumented layer: logical reduction,
     // storage encoding, subcube load + sync, and a parallel query.
@@ -1275,7 +1273,9 @@ fn cmd_stats(opts: &Opts) -> Result<(), AnyError> {
     )?;
 
     eprintln!(
-        "pipeline over {months} months × {clicks} clicks/day ({} facts):",
+        "pipeline over {} months × {} clicks/day ({} facts):",
+        syn.months,
+        syn.clicks,
         cs.mo.len()
     );
     if opts.switch("--bytes") {
@@ -1444,22 +1444,12 @@ fn serve_warehouse(
     opts: &Opts,
     dir: &std::path::Path,
     shards: usize,
-) -> Result<(Arc<specdr::subcube::ShardRouter>, i32), AnyError> {
-    let months: u32 = opts.value("--months").unwrap_or("24").parse()?;
-    let clicks: usize = opts.value("--clicks").unwrap_or("100").parse()?;
-    let end_total = 12 * 1999 + months as i32 - 1;
-    let (ey, em) = (end_total / 12, (end_total % 12 + 1) as u32);
-    let cs = generate(&ClickstreamConfig {
-        clicks_per_day: clicks,
-        start: (1999, 1, 1),
-        end: (ey, em, 28),
-        ..Default::default()
-    });
-    let now = days_from_civil(ey + 2, em, 28);
-    let spec = retention_spec(&cs.schema, 6, 36)?;
-    let router = Arc::new(specdr::subcube::ShardRouter::open(spec, dir, shards)?);
+) -> Result<(Arc<ShardRouter>, i32), AnyError> {
+    let syn = synthetic(opts, "24", "100")?;
+    let now = syn.end_day_plus(2);
+    let router = Arc::new(ShardRouter::open(syn.spec, dir, shards)?);
     if router.is_empty() {
-        router.bulk_load(&cs.mo)?;
+        router.bulk_load(&syn.cs.mo)?;
         router.sync(now)?;
     }
     Ok((router, now))
@@ -1701,7 +1691,7 @@ fn cmd_loadgen(opts: &Opts) -> Result<(), AnyError> {
         std::process::id(),
         cfg.seed
     ));
-    let router = Arc::new(specdr::subcube::ShardRouter::create(spec, &dir, shards)?);
+    let router = Arc::new(ShardRouter::create(spec, &dir, shards)?);
     let handle = specdr::serve::serve(Arc::clone(&router), &specdr::serve::ServeConfig::default())?;
     let t = std::time::Instant::now();
     let report = drive_socket(Arc::clone(&router), handle.addr(), &cfg)?;

@@ -30,7 +30,8 @@ use sdr_query::{AggApproach, SelectMode};
 use sdr_reduce::DataReductionSpec;
 use sdr_spec::parse_pexp;
 use sdr_subcube::{
-    CubeQuery, ShardRouter, ShardViewSet, SubcubeError, SubcubeManager, WarehouseView,
+    CubeQuery, OpOutcome, ShardRouter, ShardViewSet, SubcubeError, SubcubeManager, WarehouseOp,
+    WarehouseView,
 };
 use sdr_workload::{churn_script, ChurnOp, SplitMix64};
 
@@ -179,18 +180,22 @@ fn run_query(
     }
 }
 
-/// Applies one churn op to the shared manager. `Ok(true)` when the op
-/// published a new version, `Ok(false)` when the warehouse rejected it
-/// (legal, nothing published).
-fn apply_churn(m: &SubcubeManager, op: &ChurnOp) -> Result<bool, SubcubeError> {
-    let r = match op {
-        ChurnOp::Load(mo) => m.bulk_load(mo).map(|_| ()),
-        ChurnOp::Sync(t) => m.sync(*t).map(|_| ()),
-        ChurnOp::SpecInsert(a) => m.evolve_insert(vec![a.clone()]).map(|_| ()),
-        ChurnOp::SpecDelete(id, t) => m.evolve_delete(&[*id], *t),
+/// Applies one churn op through `apply` — [`SubcubeManager::apply`] for
+/// the in-process loop, [`ShardRouter::apply`] for the socket one.
+/// `Ok(true)` when the op published a new version, `Ok(false)` when the
+/// warehouse rejected it (legal, nothing published).
+fn apply_churn(
+    apply: impl FnOnce(&WarehouseOp) -> Result<OpOutcome, SubcubeError>,
+    op: &ChurnOp,
+) -> Result<bool, SubcubeError> {
+    let op = match op {
+        ChurnOp::Load(mo) => WarehouseOp::BulkLoad(mo.clone()),
+        ChurnOp::Sync(t) => WarehouseOp::Sync(*t),
+        ChurnOp::SpecInsert(a) => WarehouseOp::SpecInsert(vec![a.clone()]),
+        ChurnOp::SpecDelete(id, t) => WarehouseOp::SpecDelete(vec![*id], *t),
     };
-    match r {
-        Ok(()) => Ok(true),
+    match apply(&op) {
+        Ok(_) => Ok(true),
         // Spec-evolution rejections are part of a legal schedule; any
         // other error is a real failure the driver must surface.
         Err(SubcubeError::Reduce(_)) => Ok(false),
@@ -261,7 +266,7 @@ pub fn drive(spec: DataReductionSpec, cfg: &DriveConfig) -> Result<DriveReport, 
         }
         // Writer: apply the schedule, snapshotting after each publication.
         for op in &script {
-            match apply_churn(&m, op) {
+            match apply_churn(|o| m.apply(o), op) {
                 Ok(true) => {
                     mutations_ok += 1;
                     published.lock().unwrap().push(m.view());
@@ -393,22 +398,6 @@ fn set_digest(set: &ShardViewSet) -> u64 {
     h
 }
 
-/// Applies one churn op through the shard router. `Ok(true)` when the op
-/// published a new version across all shards.
-fn apply_churn_sharded(r: &ShardRouter, op: &ChurnOp) -> Result<bool, SubcubeError> {
-    let res = match op {
-        ChurnOp::Load(mo) => r.bulk_load(mo).map(|_| ()),
-        ChurnOp::Sync(t) => r.sync(*t).map(|_| ()),
-        ChurnOp::SpecInsert(a) => r.spec_insert(vec![a.clone()]).map(|_| ()),
-        ChurnOp::SpecDelete(id, t) => r.spec_delete(&[*id], *t),
-    };
-    match res {
-        Ok(()) => Ok(true),
-        Err(SubcubeError::Reduce(_)) => Ok(false),
-        Err(e) => Err(e),
-    }
-}
-
 /// One wire observation, as parsed out of a query response frame.
 #[derive(Debug, Clone, Copy)]
 struct WireObservation {
@@ -534,7 +523,7 @@ pub fn drive_socket(
             });
         }
         for op in &script {
-            match apply_churn_sharded(&router, op) {
+            match apply_churn(|o| router.apply(o), op) {
                 Ok(true) => {
                     mutations_ok += 1;
                     published.lock().unwrap().push(router.view_set());

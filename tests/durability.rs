@@ -20,7 +20,7 @@ use specdr::mdm::{time_cat as tc, DimValue, Mo, Schema, TimeValue};
 use specdr::reduce::{DataReductionSpec, ReductionSchedule};
 use specdr::spec::{parse_action, ActionId, ActionSpec};
 use specdr::storage::fs::{FailpointFs, FaultMode, Fs, RealFs};
-use specdr::subcube::{DurableWarehouse, SubcubeManager, SubcubeStats, SyncStats};
+use specdr::subcube::{DurableWarehouse, SubcubeManager, SubcubeStats, SyncStats, WarehouseOp};
 use specdr::workload::{paper_mo, ACTION_A1, ACTION_A2};
 
 /// One logical warehouse operation of a test workload.
@@ -39,37 +39,32 @@ enum Op {
 }
 
 impl Op {
+    /// The logged mutation; `None` for a checkpoint.
+    fn mutation(&self) -> Option<WarehouseOp> {
+        Some(match self {
+            Op::Load(mo) => WarehouseOp::BulkLoad(mo.clone()),
+            Op::Sync(t) => WarehouseOp::Sync(*t),
+            Op::Age(t) => WarehouseOp::Age(*t),
+            Op::SpecInsert(a) => WarehouseOp::SpecInsert(a.clone()),
+            Op::SpecDelete(ids, t) => WarehouseOp::SpecDelete(ids.clone(), *t),
+            Op::Ckpt => return None,
+        })
+    }
+
     fn is_logged(&self) -> bool {
         !matches!(self, Op::Ckpt)
     }
 
     fn apply_durable(&self, w: &mut DurableWarehouse) -> Result<(), specdr::subcube::SubcubeError> {
-        match self {
-            Op::Load(mo) => w.bulk_load(mo).map(|_| ()),
-            Op::Sync(t) => w.sync(*t).map(|_| ()),
-            Op::Age(t) => w.age(*t).map(|_| ()),
-            Op::SpecInsert(a) => w.spec_insert(a.clone()).map(|_| ()),
-            Op::SpecDelete(ids, t) => w.spec_delete(ids, *t),
-            Op::Ckpt => w.checkpoint().map(|_| ()),
+        match self.mutation() {
+            Some(op) => w.apply(&op).map(|_| ()),
+            None => w.checkpoint().map(|_| ()),
         }
     }
 
     fn apply_plain(&self, m: &SubcubeManager) {
-        match self {
-            Op::Load(mo) => {
-                m.bulk_load(mo).unwrap();
-            }
-            Op::Sync(t) => {
-                m.sync(*t).unwrap();
-            }
-            Op::Age(t) => {
-                m.age(*t).unwrap();
-            }
-            Op::SpecInsert(a) => {
-                m.evolve_insert(a.clone()).unwrap();
-            }
-            Op::SpecDelete(ids, t) => m.evolve_delete(ids, *t).unwrap(),
-            Op::Ckpt => {}
+        if let Some(op) = self.mutation() {
+            m.apply(&op).unwrap();
         }
     }
 }
@@ -463,8 +458,8 @@ fn crash_during_post_recovery_checkpoint() {
 
 /// The group-commit workload: the paper workload's logical ops packed
 /// into four batches, each journaled as ONE WAL record (one fsync).
-fn batched_workload() -> (DataReductionSpec, Vec<Vec<specdr::subcube::WarehouseOp>>) {
-    use specdr::subcube::WarehouseOp as W;
+fn batched_workload() -> (DataReductionSpec, Vec<Vec<WarehouseOp>>) {
+    use WarehouseOp as W;
     let (mo, _) = paper_mo();
     let schema = Arc::clone(mo.schema());
     let a1 = parse_action(&schema, ACTION_A1).unwrap();
@@ -492,29 +487,12 @@ fn batched_workload() -> (DataReductionSpec, Vec<Vec<specdr::subcube::WarehouseO
 /// a crashed-and-recovered warehouse must land on exactly.
 fn batch_reference(
     spec: &DataReductionSpec,
-    batches: &[Vec<specdr::subcube::WarehouseOp>],
+    batches: &[Vec<WarehouseOp>],
     n_batches: usize,
 ) -> SubcubeManager {
-    use specdr::subcube::WarehouseOp as W;
     let m = SubcubeManager::new(spec.clone());
-    for b in &batches[..n_batches] {
-        for op in b {
-            match op {
-                W::BulkLoad(mo) => {
-                    m.bulk_load(mo).unwrap();
-                }
-                W::Sync(t) => {
-                    m.sync(*t).unwrap();
-                }
-                W::Age(t) => {
-                    m.age(*t).unwrap();
-                }
-                W::SpecInsert(a) => {
-                    m.evolve_insert(a.clone()).unwrap();
-                }
-                W::SpecDelete(ids, t) => m.evolve_delete(ids, *t).unwrap(),
-            }
-        }
+    for op in batches[..n_batches].iter().flatten() {
+        m.apply(op).unwrap();
     }
     m
 }
@@ -525,7 +503,7 @@ fn run_batches(
     spec: &DataReductionSpec,
     dir: &std::path::Path,
     fs: Arc<dyn Fs>,
-    batches: &[Vec<specdr::subcube::WarehouseOp>],
+    batches: &[Vec<WarehouseOp>],
 ) -> usize {
     let Ok(mut w) = DurableWarehouse::create_with_fs(spec.clone(), dir, fs) else {
         return 0;

@@ -217,15 +217,7 @@ fn sharded_apply_batch_matches_unsharded() {
     assert!(ops.len() >= 4, "schedule too short for a batch test");
     router.apply_batch(ops.clone()).unwrap();
     for op in &ops {
-        match op {
-            WarehouseOp::BulkLoad(mo) => {
-                mgr.bulk_load(mo).unwrap();
-            }
-            WarehouseOp::Sync(t) => {
-                mgr.sync(*t).unwrap();
-            }
-            _ => unreachable!(),
-        }
+        mgr.apply(op).unwrap();
     }
     assert_eq!(router_digests(&router), mgr_digests(&mgr));
     std::fs::remove_dir_all(&dir).ok();

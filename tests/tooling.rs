@@ -614,6 +614,100 @@ fn cli_checkpoint_then_recover_roundtrips() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `specdr serve --dir D --shards 2` leaves a sharded layout (`D/SHARDS`
+/// and `D/shard-00N/`); `recover` and `checkpoint` must route on what
+/// the directory is instead of assuming a single-directory warehouse.
+#[test]
+fn cli_recover_and_checkpoint_read_a_serve_created_directory() {
+    use std::io::{BufRead, BufReader};
+    let dir = std::env::temp_dir().join(format!("specdr-cli-serve-dir-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let dir_s = dir.to_str().unwrap();
+    let size = ["--months", "6", "--clicks", "10"];
+    let mut serve = specdr_bin()
+        .args(["serve", "--dir", dir_s, "--shards", "2"])
+        .args(size)
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    // The banner's last line is `serve: baseline …`; by then the
+    // warehouse is loaded, synced and its facts/epoch line printed.
+    let mut out = BufReader::new(serve.stdout.take().unwrap());
+    let mut banner = String::new();
+    while !banner.contains("serve: baseline") {
+        assert!(
+            out.read_line(&mut banner).unwrap() > 0,
+            "serve died: {banner}"
+        );
+    }
+    let term = std::process::Command::new("kill")
+        .args(["-TERM", &serve.id().to_string()])
+        .status()
+        .unwrap();
+    assert!(term.success());
+    // Drain to EOF so the daemon's shutdown line has somewhere to go.
+    while out.read_line(&mut banner).unwrap() > 0 {}
+    assert!(serve.wait().unwrap().success(), "serve output:\n{banner}");
+    let field = |name: &str| -> String {
+        let at = banner
+            .find(name)
+            .unwrap_or_else(|| panic!("no {name} in {banner}"));
+        let rest = &banner[at + name.len()..];
+        rest.split_whitespace().next().unwrap().to_string()
+    };
+    let (facts, epoch) = (field("facts="), field("epoch="));
+    assert!(dir.join("SHARDS").exists() && !dir.join("CURRENT").exists());
+
+    let run = |args: &[&str]| {
+        let out = specdr_bin().args(args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?} stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let stdout = run(&["recover", "--dir", dir_s]);
+    assert!(stdout.contains("shards          = 2"), "{stdout}");
+    assert!(
+        stdout.contains(&format!("epoch           = {epoch}\n")),
+        "{stdout}"
+    );
+    // The bulk load and the sync serve applied, one record per shard.
+    assert!(
+        stdout.contains("replayed        = 4 WAL records"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("dropped (torn)  = 0 bytes"), "{stdout}");
+    assert!(stdout.contains("dropped (unacked) = 0 records"), "{stdout}");
+    assert!(stdout.contains("resumed ckpt    = false"), "{stdout}");
+    assert!(
+        stdout.contains(&format!("= {facts} facts across 2 shards")),
+        "{stdout}"
+    );
+
+    let mut ckpt = vec!["checkpoint", "--dir", dir_s];
+    ckpt.extend(size);
+    let stdout = run(&ckpt);
+    assert!(stdout.contains("checkpoint published"), "{stdout}");
+    assert!(stdout.contains("shards     = 2"), "{stdout}");
+    let next: u64 = epoch.parse::<u64>().unwrap() + 1;
+    assert!(
+        stdout.contains(&format!("epoch      = {next}\n")),
+        "{stdout}"
+    );
+    let stdout = run(&["recover", "--dir", dir_s]);
+    assert!(
+        stdout.contains(&format!("epoch           = {next}\n")),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("replayed        = 0 WAL records"),
+        "{stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn cli_recover_fails_on_missing_directory() {
     let out = specdr_bin()
@@ -939,6 +1033,61 @@ fn atomic_orderings_carry_invariant_comments() {
     assert!(
         violations.is_empty(),
         "atomic-ordering audit failed:\n  {}",
+        violations.join("\n  ")
+    );
+}
+
+/// The mutation path has one dispatch site: `SubcubeManager::apply` (in
+/// `crates/subcube/src/op.rs`) is the only place a `WarehouseOp` variant
+/// reaches a manager mutator. The durable, sharded and driver layers
+/// must go through `apply`, so live, batch, replay and scatter cannot
+/// drift apart; and the old log-record enum must not come back.
+#[test]
+fn mutation_layers_only_apply_ops() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mutators = [
+        ".bulk_load(",
+        ".sync(",
+        ".age(",
+        ".evolve_insert(",
+        ".evolve_delete(",
+    ];
+    let mut violations = Vec::new();
+    for name in [
+        "crates/subcube/src/durable.rs",
+        "crates/subcube/src/shard.rs",
+        "src/driver.rs",
+    ] {
+        let src = std::fs::read_to_string(root.join(name)).unwrap();
+        let code = src.lines().take_while(|l| !l.starts_with("#[cfg(test)]"));
+        for (i, line) in code.enumerate() {
+            if line.trim_start().starts_with("//") {
+                continue;
+            }
+            for m in mutators {
+                if line.contains(m) {
+                    violations.push(format!("{name}:{}: calls `{m}` directly", i + 1));
+                }
+            }
+        }
+    }
+    let old_enum = concat!("Wal", "Op");
+    let mut stack = vec![root.join("crates"), root.join("src"), root.join("tests")];
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let p = entry.unwrap().path();
+            if p.is_dir() {
+                stack.push(p);
+            } else if p.extension().is_some_and(|e| e == "rs")
+                && std::fs::read_to_string(&p).unwrap().contains(old_enum)
+            {
+                violations.push(format!("{}: mentions `{old_enum}`", p.display()));
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "mutation-path audit failed:\n  {}",
         violations.join("\n  ")
     );
 }
