@@ -146,6 +146,25 @@ impl FactStore {
         out
     }
 
+    /// Columnar append: copies rows `rows` of `other` onto the end of
+    /// this store, one `extend_from_slice` per column. The caller
+    /// guarantees both stores have the same shape.
+    pub fn extend_from(&mut self, other: &FactStore, rows: std::ops::Range<usize>) {
+        debug_assert_eq!(other.cats.len(), self.cats.len());
+        debug_assert_eq!(other.measures.len(), self.measures.len());
+        for (dst, src) in self.cats.iter_mut().zip(&other.cats) {
+            dst.extend_from_slice(&src[rows.clone()]);
+        }
+        for (dst, src) in self.codes.iter_mut().zip(&other.codes) {
+            dst.extend_from_slice(&src[rows.clone()]);
+        }
+        for (dst, src) in self.measures.iter_mut().zip(&other.measures) {
+            dst.extend_from_slice(&src[rows.clone()]);
+        }
+        self.origin.extend_from_slice(&other.origin[rows.clone()]);
+        self.len += rows.len();
+    }
+
     /// Estimated resident bytes of the store (columnar payload only).
     pub fn approx_bytes(&self) -> usize {
         self.cats.iter().map(|c| c.len()).sum::<usize>()
@@ -191,6 +210,11 @@ impl Mo {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.store.is_empty()
+    }
+
+    /// Reserves room for `additional` more facts.
+    pub fn reserve(&mut self, additional: usize) {
+        self.store.reserve(additional);
     }
 
     /// Iterates all fact ids.
@@ -284,6 +308,13 @@ impl Mo {
             .collect()
     }
 
+    /// All coordinates of a fact, written into `out` (cleared first) —
+    /// the allocation-free form of [`Mo::coords`] for row loops.
+    pub fn coords_into(&self, f: FactId, out: &mut Vec<DimValue>) {
+        out.clear();
+        out.extend((0..self.schema.n_dims()).map(|i| self.store.value(f, DimId(i as u16))));
+    }
+
     /// All measure values of a fact.
     pub fn measures_of(&self, f: FactId) -> Vec<i64> {
         (0..self.schema.n_measures())
@@ -322,21 +353,26 @@ impl Mo {
 
     /// Appends all facts of `other` (same schema required) into `self`.
     pub fn absorb(&mut self, other: &Mo) -> Result<(), MdmError> {
+        self.absorb_rows(other, 0..other.len())
+    }
+
+    /// Appends rows `rows` of `other` (same schema required) into `self`,
+    /// column by column after one shape check.
+    pub fn absorb_rows(
+        &mut self,
+        other: &Mo,
+        rows: std::ops::Range<usize>,
+    ) -> Result<(), MdmError> {
         if !Arc::ptr_eq(&self.schema, &other.schema)
-            && self.schema.fact_type != other.schema.fact_type
+            && (self.schema.fact_type != other.schema.fact_type
+                || self.store.cats.len() != other.store.cats.len()
+                || self.store.measures.len() != other.store.measures.len())
         {
             return Err(MdmError::SchemaMismatch(
                 "absorb requires identical schemas".into(),
             ));
         }
-        self.store.reserve(other.len());
-        for f in other.facts() {
-            self.store.push(
-                &other.coords(f),
-                &other.measures_of(f),
-                other.store.origin[f.index()],
-            );
-        }
+        self.store.extend_from(&other.store, rows);
         Ok(())
     }
 
@@ -484,6 +520,65 @@ mod tests {
         a.absorb(&b).unwrap();
         assert_eq!(a.len(), 2);
         assert_eq!(a.measure(FactId(1), MeasureId(1)), 20);
+    }
+
+    #[test]
+    fn absorb_equals_row_wise_insert_on_mixed_granularities() {
+        let s = tiny_schema();
+        let Dimension::Enum(e) = s.dim(DimId(1)) else {
+            unreachable!()
+        };
+        let urlcat = e.graph().by_name("url").unwrap();
+        let domain = e.graph().by_name("domain").unwrap();
+        let month = DimValue::new(
+            tcat::MONTH,
+            TimeValue::Month {
+                year: 2000,
+                month: 5,
+            }
+            .code(),
+        );
+        // Bottom, intermediate and top values, user and action origins.
+        let mut src = Mo::new(Arc::clone(&s));
+        let a = e.value(urlcat, "a").unwrap();
+        let cnn = e.value(domain, "cnn.com").unwrap();
+        src.insert_fact(&[day(2000, 5, 7), a], &[1, 42]).unwrap();
+        src.insert_fact_at(&[month, cnn], &[3, 99], 0).unwrap();
+        src.insert_fact_at(&[s.dim(DimId(0)).top_value(), cnn], &[7, 5], 1)
+            .unwrap();
+        src.insert_fact(&[day(2001, 1, 1), s.dim(DimId(1)).top_value()], &[1, 0])
+            .unwrap();
+        let mut base = Mo::new(Arc::clone(&s));
+        base.insert_fact(&[day(1999, 12, 31), a], &[1, 7]).unwrap();
+
+        let mut columnar = base.clone();
+        columnar.absorb(&src).unwrap();
+        let mut row_wise = base.clone();
+        for f in src.facts() {
+            row_wise
+                .insert_fact_at(
+                    &src.coords(f),
+                    &src.measures_of(f),
+                    src.store().origin[f.index()],
+                )
+                .unwrap();
+        }
+        assert_eq!(columnar.len(), row_wise.len());
+        assert_eq!(columnar.store().len(), 5);
+        assert_eq!(columnar.store().cats, row_wise.store().cats);
+        assert_eq!(columnar.store().codes, row_wise.store().codes);
+        assert_eq!(columnar.store().measures, row_wise.store().measures);
+        assert_eq!(columnar.store().origin, row_wise.store().origin);
+        // `absorb_rows` is the same copy restricted to a row range.
+        let mut mid = columnar.empty_like();
+        mid.absorb_rows(&columnar, 1..4).unwrap();
+        assert_eq!(mid.len(), 3);
+        let mut buf = Vec::new();
+        for (i, f) in mid.facts().enumerate() {
+            mid.coords_into(f, &mut buf);
+            assert_eq!(buf, columnar.coords(FactId(i as u32 + 1)));
+        }
+        assert_eq!(mid.store().origin, columnar.store().origin[1..4]);
     }
 
     #[test]

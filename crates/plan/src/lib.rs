@@ -765,7 +765,7 @@ mod tests {
             Some(&edu),
             SelectMode::Conservative,
             now,
-            &[c.clone()],
+            std::slice::from_ref(&c),
             Some(&oracle),
         );
         assert_eq!(p.skip_reason(0), Some(SkipReason::ProvedRegion));
@@ -775,7 +775,7 @@ mod tests {
             Some(&edu),
             SelectMode::Conservative,
             now,
-            &[c.clone()],
+            std::slice::from_ref(&c),
             None,
         );
         assert!(p.scans(0));
@@ -852,7 +852,7 @@ mod tests {
             Some(&recent),
             SelectMode::Liberal,
             now,
-            &[c.clone()],
+            std::slice::from_ref(&c),
             Some(&oracle),
         );
         assert_eq!(p.skip_reason(0), Some(SkipReason::ProvedRegion));

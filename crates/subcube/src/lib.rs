@@ -23,12 +23,14 @@ pub mod stats;
 pub use durable::{DurableWarehouse, RecoveryReport};
 pub use error::SubcubeError;
 pub use layout::WarehouseLayout;
-pub use manager::{AgeStats, CubeId, Subcube, SubcubeManager, SyncStats, WarehouseView};
+pub use manager::{
+    AgeStats, Chunk, CubeId, Subcube, SubcubeManager, SyncStats, WarehouseView, CHUNK_ROWS,
+};
 pub use op::{OpOutcome, WarehouseOp};
 pub use persist::{read_manifest, Manifest};
 pub use query::CubeQuery;
 pub use shard::{ShardRecoveryReport, ShardRouter, ShardViewSet};
-pub use stats::{DimColStats, SubcubeStats};
+pub use stats::{ChunkSummary, DimColStats, SubcubeStats};
 
 #[cfg(test)]
 mod tests {
@@ -397,7 +399,7 @@ mod aging_tests {
     #[test]
     fn age_skips_untouched_cubes_and_counts_ticks() {
         let (m, _, _) = paper_managers();
-        // Baseline pass (dirty manager): a single full sync tick.
+        // Baseline pass (never-synced manager): a single full sync tick.
         let s0 = m.age(days_from_civil(2000, 4, 5)).unwrap();
         assert_eq!(s0.ticks, 1);
         // A long incremental run crosses many transition days; the cubes
@@ -427,15 +429,18 @@ mod aging_tests {
     }
 
     #[test]
-    fn age_after_bulk_load_rebaselines() {
-        // New facts dirty the manager; the next age falls back to one
-        // full pass and the differential guarantee still holds.
+    fn age_after_bulk_load_homes_the_new_rows() {
+        // New facts are un-homed; the next age resolves exactly those
+        // rows and the differential guarantee still holds.
         let (m, _, mo) = paper_managers();
         m.age(days_from_civil(2000, 6, 5)).unwrap();
         let (more, _) = paper_mo();
         m.bulk_load(&more).unwrap();
         let now = days_from_civil(2000, 11, 5);
-        m.age(now).unwrap();
+        assert!(m.view().is_dirty());
+        let s = m.age(now).unwrap();
+        assert_eq!(s.rows_homed, more.len());
+        assert!(!m.view().is_dirty());
         let fresh = {
             let schema = Arc::clone(mo.schema());
             let a1 = parse_action(&schema, ACTION_A1).unwrap();

@@ -24,22 +24,170 @@
 //! the *version vector* that makes Section 7's "query the un-synchronized
 //! state" an explicit, testable mode instead of an accident of lock
 //! timing.
+//!
+//! # Version shape
+//!
+//! A cube's facts are an ordered list of immutable [`Chunk`]s of at most
+//! [`CHUNK_ROWS`] rows, each summarized once when it is built. A
+//! mutator builds its successor by **sharing every chunk it does not
+//! change**: a load appends chunks to the bottom cube and marks them
+//! *un-homed*; an aging step rewrites only the chunks that lose or gain
+//! rows and coalesces what it appends into the preceding chunk while
+//! both fit one chunk; everything else crosses versions by pointer, so
+//! a day's write costs what the day changed, not what the warehouse
+//! holds. Readers still see one contiguous `Mo` per cube
+//! ([`Subcube::data`]): it is concatenated from the chunks — and the
+//! cube's [`SubcubeStats`] folded from their summaries — on first use,
+//! at most once per cube version, and carried along for as long as the
+//! cube's chunk list is unchanged. The write path never asks for
+//! either.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sdr_sync::{fail, Mutex, Swap};
+use sdr_sync::{fail, Mutex, OnceCell, Swap};
 
-use sdr_mdm::{DayNum, DimValue, Dimension, FactId, Granularity, Mo, Schema, ORIGIN_USER};
+use sdr_mdm::{
+    DayNum, DimValue, Dimension, FactId, Granularity, KeyPacker, MeasureId, Mo, Schema, ORIGIN_USER,
+};
 use sdr_reduce::{cell_for, DataReductionSpec, ReduceError, ReductionSchedule};
 use sdr_spec::{ActionId, ActionSpec};
 
 use crate::error::SubcubeError;
-use crate::stats::SubcubeStats;
+use crate::stats::{ChunkSummary, SubcubeStats};
 
 /// Identifies a subcube within a manager. Cube `0` is always the
 /// bottom-granularity cube.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CubeId(pub usize);
+
+/// The chunk capacity in rows: a load appends chunks of at most this
+/// size, whole-cube rebuilds cut at it in row order, and an aging step
+/// coalesces what it appends into the preceding chunk while both fit.
+/// It bounds what one publication copies beyond the rows it changed.
+pub const CHUNK_ROWS: usize = 4096;
+
+/// `parts` (`rows` facts in all) appended into one MO over `schema`.
+fn concat<'a>(schema: &Arc<Schema>, rows: usize, parts: impl IntoIterator<Item = &'a Mo>) -> Mo {
+    let mut all = Mo::new(Arc::clone(schema));
+    all.reserve(rows);
+    for part in parts {
+        all.absorb(part).expect("parts share the warehouse schema");
+    }
+    all
+}
+
+/// One immutable run of a cube's facts (at most [`CHUNK_ROWS`] rows,
+/// never empty) with the summary the cube's statistics fold from.
+#[derive(Debug)]
+pub struct Chunk {
+    mo: Arc<Mo>,
+    summary: ChunkSummary,
+}
+
+impl Chunk {
+    fn new(mo: Arc<Mo>) -> Arc<Chunk> {
+        debug_assert!(!mo.is_empty() && mo.len() <= CHUNK_ROWS);
+        Arc::new(Chunk {
+            summary: ChunkSummary::compute(&mo),
+            mo,
+        })
+    }
+
+    /// Copies `mo` into chunks of at most [`CHUNK_ROWS`] rows over
+    /// `schema`, in row order (none for an empty `mo`).
+    fn cut(schema: &Arc<Schema>, mo: &Mo) -> Result<Vec<Arc<Chunk>>, SubcubeError> {
+        (0..mo.len())
+            .step_by(CHUNK_ROWS)
+            .map(|lo| {
+                let mut part = Mo::new(Arc::clone(schema));
+                part.absorb_rows(mo, lo..mo.len().min(lo + CHUNK_ROWS))
+                    .map_err(ReduceError::Model)?;
+                Ok(Chunk::new(Arc::new(part)))
+            })
+            .collect()
+    }
+
+    /// `prev` followed by `next` as one chunk; the summary is folded,
+    /// not recomputed.
+    fn merged(schema: &Arc<Schema>, prev: &Chunk, next: &Chunk) -> Arc<Chunk> {
+        let rows = prev.mo.len() + next.mo.len();
+        Arc::new(Chunk {
+            mo: Arc::new(concat(schema, rows, [&*prev.mo, &*next.mo])),
+            summary: ChunkSummary::fold(schema, [&prev.summary, &next.summary]),
+        })
+    }
+
+    /// The chunk's facts.
+    pub fn data(&self) -> &Mo {
+        &self.mo
+    }
+
+    /// The chunk's summary.
+    pub fn summary(&self) -> &ChunkSummary {
+        &self.summary
+    }
+}
+
+/// The facts of one cube version: the chunk list plus what is derived
+/// from it on first use. Shared by `Arc` across every warehouse version
+/// in which the cube is unchanged, so the derived values are too.
+#[derive(Debug)]
+struct CubeData {
+    schema: Arc<Schema>,
+    chunks: Vec<Arc<Chunk>>,
+    rows: usize,
+    /// The warehouse epoch at which this chunk list was published.
+    epoch: u64,
+    /// The chunks concatenated — what readers scan.
+    whole: OnceCell<Arc<Mo>>,
+    /// The chunk summaries folded.
+    stats: OnceCell<SubcubeStats>,
+}
+
+impl CubeData {
+    fn from_chunks(schema: &Arc<Schema>, chunks: Vec<Arc<Chunk>>, epoch: u64) -> Arc<CubeData> {
+        Arc::new(CubeData {
+            schema: Arc::clone(schema),
+            rows: chunks.iter().map(|c| c.mo.len()).sum(),
+            chunks,
+            epoch,
+            whole: OnceCell::new(),
+            stats: OnceCell::new(),
+        })
+    }
+
+    /// A cube built whole (sync rebuild, checkpoint load): cut at the
+    /// chunk capacity in row order; the contiguous view is the input,
+    /// which a cube of at most one chunk shares with that chunk.
+    fn from_mo(mo: Mo, epoch: u64) -> Arc<CubeData> {
+        let mo = Arc::new(mo);
+        let chunks = if (1..=CHUNK_ROWS).contains(&mo.len()) {
+            vec![Chunk::new(Arc::clone(&mo))]
+        } else {
+            Chunk::cut(mo.schema(), &mo).expect("rows fit their own schema")
+        };
+        Arc::new(CubeData {
+            schema: Arc::clone(mo.schema()),
+            rows: mo.len(),
+            chunks,
+            epoch,
+            whole: OnceCell::with_value(mo),
+            stats: OnceCell::new(),
+        })
+    }
+
+    fn whole(&self) -> &Arc<Mo> {
+        self.whole.get_or_init(|| match self.chunks.as_slice() {
+            [one] => Arc::clone(&one.mo),
+            chunks => Arc::new(concat(
+                &self.schema,
+                self.rows,
+                chunks.iter().map(|c| c.data()),
+            )),
+        })
+    }
+}
 
 /// One physical subcube inside a published warehouse version: a fixed
 /// granularity, the actions it represents, and a frozen fact snapshot.
@@ -52,12 +200,7 @@ pub struct Subcube {
     /// disjoint actions on identical granularities, Section 7.1).
     pub actions: Vec<ActionId>,
     /// The cube's facts, immutable for the lifetime of this version.
-    data: Arc<Mo>,
-    /// Exact statistics of `data`, recomputed whenever `data` is
-    /// replaced (and only then — untouched cubes share the `Arc`).
-    stats: Arc<SubcubeStats>,
-    /// The warehouse epoch at which `data` was last replaced.
-    epoch: u64,
+    data: Arc<CubeData>,
     /// The last day this cube's contents were synchronized to. The bottom
     /// cube's watermark lags after a bulk load: its new rows have not been
     /// migrated yet.
@@ -65,43 +208,42 @@ pub struct Subcube {
 }
 
 impl Subcube {
-    /// The cube's facts (borrowed from the snapshot).
+    /// The cube's facts as one contiguous MO (borrowed from the
+    /// snapshot; concatenated from the chunks on first use).
     pub fn data(&self) -> &Mo {
-        &self.data
+        self.data.whole()
     }
 
     /// A shared handle to the cube's facts — hand this to worker threads;
     /// no lock or guard is needed to keep it alive.
     pub fn snapshot(&self) -> Arc<Mo> {
-        Arc::clone(&self.data)
+        Arc::clone(self.data.whole())
     }
 
-    /// Exact statistics of this cube's facts — maintained at every
-    /// publication, persisted through the checkpoint manifest, and
-    /// verified against recomputation on recovery.
+    /// The cube's facts as stored: immutable chunks in row order, whose
+    /// concatenation is [`data`](Subcube::data).
+    pub fn chunks(&self) -> &[Arc<Chunk>] {
+        &self.data.chunks
+    }
+
+    /// Number of facts in the cube.
+    pub fn rows(&self) -> usize {
+        self.data.rows
+    }
+
+    /// Exact statistics of this cube's facts — the fold of its chunk
+    /// summaries, persisted through the checkpoint manifest and verified
+    /// against recomputation on recovery.
     pub fn stats(&self) -> &SubcubeStats {
-        &self.stats
-    }
-
-    /// Replaces the cube's fact snapshot and recomputes its statistics;
-    /// the only way cube data changes, so stats can never drift. A
-    /// carried-forward publish (same `Arc`, e.g. an untouched cube in an
-    /// [`age`](SubcubeManager::age) tick) keeps the existing stats *and*
-    /// replacement epoch — the facts did not change, so both are still
-    /// exact and a zone-map rescan would only reproduce them.
-    pub(crate) fn set_data(&mut self, data: Arc<Mo>, epoch: u64) {
-        if Arc::ptr_eq(&self.data, &data) {
-            sdr_obs::inc("age.stats_reused");
-            return;
-        }
-        self.stats = Arc::new(SubcubeStats::compute(&data, epoch));
-        self.data = data;
-        self.epoch = epoch;
+        let d = &self.data;
+        d.stats.get_or_init(|| {
+            ChunkSummary::fold(&d.schema, d.chunks.iter().map(|c| &c.summary)).into_stats(d.epoch)
+        })
     }
 
     /// The warehouse epoch at which this cube's facts last changed.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.data.epoch
     }
 
     /// The last day this cube was synchronized to (`None` = never).
@@ -135,18 +277,29 @@ pub struct AgeStats {
     /// Cube rebuilds across all ticks (a cube rebuilt in two ticks
     /// counts twice).
     pub cubes_rebuilt: usize,
-    /// Cube carry-forwards across all ticks: the cube's fact `Arc` (and
+    /// Cube carry-forwards across all ticks: the cube's facts (and
     /// version-vector entry) survived the tick untouched.
     pub cubes_skipped: usize,
+    /// Un-homed (bulk-loaded, not yet synchronized) rows this call
+    /// resolved to their home cell.
+    pub rows_homed: usize,
+    /// Chunks built across all ticks: rewritten without the rows that
+    /// left, appended for the rows that arrived, or coalesced.
+    pub chunks_rewritten: usize,
+    /// Chunks that crossed a tick by pointer, over all cubes.
+    pub chunks_carried: usize,
 }
 
 impl AgeStats {
-    fn absorb(&mut self, o: AgeStats) {
+    pub(crate) fn absorb(&mut self, o: AgeStats) {
         self.ticks += o.ticks;
         self.cells_delta += o.cells_delta;
         self.merged += o.merged;
         self.cubes_rebuilt += o.cubes_rebuilt;
         self.cubes_skipped += o.cubes_skipped;
+        self.rows_homed += o.rows_homed;
+        self.chunks_rewritten += o.chunks_rewritten;
+        self.chunks_carried += o.chunks_carried;
     }
 }
 
@@ -165,23 +318,41 @@ pub(crate) struct VersionInner {
     pub(crate) parents: Vec<Vec<CubeId>>,
     /// The last day the cubes were synchronized to.
     pub(crate) last_sync: Option<DayNum>,
-    /// Set by a bulk load; cleared by a sync pass.
-    pub(crate) dirty: bool,
+    /// How many trailing chunks of the bottom cube hold **un-homed**
+    /// rows: appended by a bulk load (or staged by a specification
+    /// change) and not yet resolved to their home cell by a sync pass or
+    /// an aging step. Everything else is synchronized to `last_sync`.
+    pub(crate) unhomed: usize,
+}
+
+impl VersionInner {
+    fn n_chunks(&self) -> usize {
+        self.cubes.iter().map(|c| c.chunks().len()).sum()
+    }
+}
+
+/// The cube a cell at `target` belongs to: the one of exactly its
+/// granularity, else the bottom cube — a fact whose own granularity
+/// exceeds every action's target (possible after spec changes) stays
+/// where it is.
+fn home_of(cubes: &[Subcube], target: &[DimValue]) -> usize {
+    let cats = || target.iter().map(|v| v.cat);
+    cubes
+        .iter()
+        .position(|k| k.grain.0.iter().copied().eq(cats()))
+        .unwrap_or(0)
 }
 
 /// Builds the cube set and parent DAG for a validated specification: one
 /// cube per distinct action granularity plus the bottom cube.
 fn layout(spec: &DataReductionSpec, epoch: u64) -> (Vec<Subcube>, Vec<Vec<CubeId>>) {
     let schema = Arc::clone(spec.schema());
-    let empty = Arc::new(Mo::new(Arc::clone(&schema)));
-    // Every cube starts empty, so one stats value serves them all.
-    let empty_stats = Arc::new(SubcubeStats::compute(&empty, epoch));
+    // Every cube starts empty, so one (chunk-less) fact list serves all.
+    let empty = CubeData::from_chunks(&schema, Vec::new(), epoch);
     let mut cubes: Vec<Subcube> = vec![Subcube {
         grain: schema.bottom_granularity(),
         actions: Vec::new(),
         data: Arc::clone(&empty),
-        stats: Arc::clone(&empty_stats),
-        epoch,
         synced_to: None,
     }];
     for (id, a) in spec.actions() {
@@ -192,8 +363,6 @@ fn layout(spec: &DataReductionSpec, epoch: u64) -> (Vec<Subcube>, Vec<Vec<CubeId
                 grain: a.grain.clone(),
                 actions: vec![*id],
                 data: Arc::clone(&empty),
-                stats: Arc::clone(&empty_stats),
-                epoch,
                 synced_to: None,
             });
         }
@@ -265,19 +434,19 @@ impl WarehouseView {
     /// querying this view exercises the *un-synchronized* state of
     /// Section 7.3.
     pub fn is_dirty(&self) -> bool {
-        self.v.dirty
+        self.v.unhomed > 0
     }
 
     /// The version vector: per cube, the epoch at which its facts last
     /// changed. Two views observed the same warehouse contents iff their
     /// version vectors are equal.
     pub fn version_vector(&self) -> Vec<u64> {
-        self.v.cubes.iter().map(|c| c.epoch).collect()
+        self.v.cubes.iter().map(Subcube::epoch).collect()
     }
 
     /// Total number of facts across all cubes.
     pub fn len(&self) -> usize {
-        self.v.cubes.iter().map(|c| c.data.len()).sum()
+        self.v.cubes.iter().map(Subcube::rows).sum()
     }
 
     /// True when no cube holds facts.
@@ -293,18 +462,7 @@ impl WarehouseView {
         now: DayNum,
     ) -> Result<(CubeId, Vec<DimValue>), SubcubeError> {
         let c = cell_for(&self.v.spec, coords, now)?;
-        let grain = Granularity(c.coords.iter().map(|v| v.cat).collect());
-        let id = self
-            .v
-            .cubes
-            .iter()
-            .position(|k| k.grain == grain)
-            .map(CubeId)
-            // A fact whose own granularity exceeds every action's target
-            // (possible after spec changes) stays where it is; fall back to
-            // the best matching cube by grain, else bottom.
-            .unwrap_or(CubeId(0));
-        Ok((id, c.coords))
+        Ok((CubeId(home_of(&self.v.cubes, &c.coords)), c.coords))
     }
 
     /// True when a sync pass at `now` could move any fact: either new
@@ -314,7 +472,7 @@ impl WarehouseView {
     /// makes frequent scheduled syncs nearly free (Section 7.2's argument
     /// that synchronization is not a bottleneck).
     pub fn needs_sync(&self, now: DayNum) -> Result<bool, SubcubeError> {
-        if self.v.dirty {
+        if self.is_dirty() {
             return Ok(true);
         }
         let Some(last) = self.v.last_sync else {
@@ -379,25 +537,23 @@ impl WarehouseView {
     /// Materializes the whole warehouse version as one MO (union of all
     /// cubes).
     pub fn to_mo(&self) -> Result<Mo, SubcubeError> {
-        let mut out = Mo::new(Arc::clone(self.schema()));
-        for c in &self.v.cubes {
-            out.absorb(&c.data).map_err(ReduceError::Model)?;
-        }
-        Ok(out)
+        let chunks = self.v.cubes.iter().flat_map(Subcube::chunks);
+        Ok(concat(self.schema(), self.len(), chunks.map(|c| c.data())))
     }
 
-    /// Re-derives every cube's [`SubcubeStats`] from its facts and
-    /// compares against the maintained copy — the stats-drift invariant
-    /// check (`Err` names the first diverging cube). Cheap enough to run
-    /// after every recovery and in the integration suite.
+    /// Re-derives every cube's [`SubcubeStats`] from its concatenated
+    /// facts and compares against the fold of its chunk summaries — the
+    /// stats-drift invariant check (`Err` names the first diverging
+    /// cube). Cheap enough to run after every recovery and in the
+    /// integration suite.
     pub fn verify_stats(&self) -> Result<(), SubcubeError> {
         for (i, c) in self.v.cubes.iter().enumerate() {
-            let want = SubcubeStats::compute(&c.data, c.epoch);
-            if want != *c.stats {
+            let want = SubcubeStats::compute(c.data(), c.epoch());
+            if want != *c.stats() {
                 return Err(SubcubeError::Storage(format!(
                     "cube K{i}: maintained statistics diverge from recomputation \
                      (maintained {:?}, recomputed {want:?})",
-                    c.stats
+                    c.stats()
                 )));
             }
         }
@@ -409,7 +565,7 @@ impl WarehouseView {
     pub fn storage_stats(&self) -> Result<Vec<(CubeId, sdr_storage::TableStats)>, SubcubeError> {
         let mut out = Vec::with_capacity(self.v.cubes.len());
         for (i, c) in self.v.cubes.iter().enumerate() {
-            let t = sdr_storage::FactTable::from_mo(&c.data, 1 << 16)
+            let t = sdr_storage::FactTable::from_mo(c.data(), 1 << 16)
                 .map_err(|e| SubcubeError::Storage(e.to_string()))?;
             out.push((CubeId(i), t.stats()));
         }
@@ -433,8 +589,8 @@ impl WarehouseView {
                 schema.render_granularity(&c.grain),
                 acts.join(","),
                 parents.join(","),
-                c.data.len(),
-                c.epoch
+                c.rows(),
+                c.epoch()
             ));
         }
         s
@@ -479,7 +635,7 @@ impl SubcubeManager {
                 cubes,
                 parents,
                 last_sync: None,
-                dirty: false,
+                unhomed: 0,
             })),
             writer: Mutex::new(()),
             schedule: Mutex::new(None),
@@ -544,9 +700,10 @@ impl SubcubeManager {
     /// Bulk-loads new bottom-granularity facts into the bottom cube
     /// (Section 7.2: "all new data enter into the subcube having the
     /// bottom-level granularity"). Synchronize afterwards to migrate any
-    /// facts that immediately satisfy an action. Only the bottom cube's
-    /// snapshot is replaced; all other cubes keep their `Arc` (and their
-    /// version-vector entry).
+    /// facts that immediately satisfy an action. The facts are appended
+    /// to the bottom cube as new, **un-homed** chunks; every existing
+    /// chunk — and every other cube, with its version-vector entry —
+    /// crosses into the new version by pointer.
     pub fn bulk_load(&self, facts: &Mo) -> Result<usize, SubcubeError> {
         if facts.schema().fact_type != self.schema.fact_type {
             return Err(SubcubeError::Reduce(ReduceError::Model(
@@ -555,26 +712,35 @@ impl SubcubeManager {
         }
         let _span = sdr_obs::span("subcube.bulk_load");
         sdr_obs::attr("rows_in", facts.len());
+        // The one copy a load makes: its own rows, onto the warehouse's
+        // schema instance (before the writer lock — it needs no version).
+        let appended = Chunk::cut(&self.schema, facts)?;
         // `mgr.publish-unlocked` is a model-only mutation: skipping the
         // writer lock lets `specdr check` prove the single-writer
         // serialization is load-bearing (two loads race, one is lost).
         let _w = (!fail::point("mgr.publish-unlocked")).then(|| self.writer.lock());
         let cur = self.current.load();
-        let mut bottom = (*cur.cubes[0].data).clone();
-        bottom.absorb(facts).map_err(ReduceError::Model)?;
         let epoch = cur.epoch + 1;
         let mut cubes = cur.cubes.clone();
-        cubes[0].set_data(Arc::new(bottom), epoch);
+        if !appended.is_empty() {
+            let mut chunks = cur.cubes[0].chunks().to_vec();
+            chunks.extend(appended.iter().cloned());
+            cubes[0].data = CubeData::from_chunks(&self.schema, chunks, epoch);
+        }
+        if sdr_obs::enabled() {
+            sdr_obs::attr("epoch", epoch);
+            sdr_obs::attr("chunks_rewritten", appended.len());
+            sdr_obs::attr("chunks_carried", cur.n_chunks());
+            sdr_obs::add("subcube.bulk_load.facts", facts.len() as u64);
+        }
         self.publish(VersionInner {
             epoch,
             spec: Arc::clone(&cur.spec),
             cubes,
             parents: cur.parents.clone(),
             last_sync: cur.last_sync,
-            dirty: true,
+            unhomed: cur.unhomed + appended.len(),
         });
-        sdr_obs::attr("epoch", epoch);
-        sdr_obs::add("subcube.bulk_load.facts", facts.len() as u64);
         Ok(facts.len())
     }
 
@@ -637,7 +803,7 @@ impl SubcubeManager {
             cubes,
             parents: cur.parents.clone(),
             last_sync: Some(now),
-            dirty: false,
+            unhomed: cur.unhomed,
         });
     }
 
@@ -653,8 +819,8 @@ impl SubcubeManager {
         let schema = Arc::clone(&self.schema);
         // Collect per-cube rebuilt groups.
         type Key = Vec<DimValue>;
-        let mut groups: Vec<std::collections::BTreeMap<Key, (Vec<i64>, u32)>> =
-            (0..n).map(|_| std::collections::BTreeMap::new()).collect();
+        let mut groups: Vec<BTreeMap<Key, (Vec<i64>, u32)>> =
+            (0..n).map(|_| BTreeMap::new()).collect();
         let mut stats = SyncStats::default();
         // Per-source-cube migration counts, published once after the scan.
         let mut migrated_from = vec![0u64; n];
@@ -662,37 +828,38 @@ impl SubcubeManager {
         // home and provenance, cached per distinct cell) — the scan used
         // to evaluate every action predicate twice per fact.
         let mut cell_memo = sdr_reduce::CellMemo::new(&cur.spec, now)?;
+        let mut coords = Vec::new();
         for (ci, cube) in cur.cubes.iter().enumerate() {
-            let mo = &cube.data;
-            for f in mo.facts() {
-                let coords = mo.coords(f);
-                let cell = cell_memo.cell(&coords)?;
-                let grain = Granularity(cell.coords.iter().map(|v| v.cat).collect());
-                let home = cur.cubes.iter().position(|k| k.grain == grain).unwrap_or(0);
-                let target = cell.coords;
-                if home == ci && target == coords {
-                    stats.kept += 1;
-                } else {
-                    stats.migrated += 1;
-                    migrated_from[ci] += 1;
-                }
-                let origin = match cell.responsible {
-                    Some(id) => id.0,
-                    None => mo.store().origin[f.index()],
-                };
-                let entry = groups[home].entry(target).or_insert_with(|| {
-                    (
-                        schema.measures.iter().map(|m| m.agg.identity()).collect(),
-                        origin,
-                    )
-                });
-                for j in 0..schema.n_measures() {
-                    entry.0[j] = schema.measures[j]
-                        .agg
-                        .combine(entry.0[j], mo.measure(f, sdr_mdm::MeasureId(j as u16)));
-                }
-                if origin != ORIGIN_USER {
-                    entry.1 = origin;
+            for mo in cube.chunks().iter().map(|c| c.data()) {
+                for f in mo.facts() {
+                    mo.coords_into(f, &mut coords);
+                    let cell = cell_memo.cell(&coords)?;
+                    let home = home_of(&cur.cubes, &cell.coords);
+                    let target = cell.coords;
+                    if home == ci && target == coords {
+                        stats.kept += 1;
+                    } else {
+                        stats.migrated += 1;
+                        migrated_from[ci] += 1;
+                    }
+                    let origin = match cell.responsible {
+                        Some(id) => id.0,
+                        None => mo.store().origin[f.index()],
+                    };
+                    let entry = groups[home].entry(target).or_insert_with(|| {
+                        (
+                            schema.measures.iter().map(|m| m.agg.identity()).collect(),
+                            origin,
+                        )
+                    });
+                    for j in 0..schema.n_measures() {
+                        entry.0[j] = schema.measures[j]
+                            .agg
+                            .combine(entry.0[j], mo.measure(f, MeasureId(j as u16)));
+                    }
+                    if origin != ORIGIN_USER {
+                        entry.1 = origin;
+                    }
                 }
             }
         }
@@ -715,7 +882,7 @@ impl SubcubeManager {
                     .map_err(ReduceError::Model)?;
             }
             after += mo.len();
-            cubes[ci].set_data(Arc::new(mo), epoch);
+            cubes[ci].data = CubeData::from_mo(mo, epoch);
             cubes[ci].synced_to = Some(now);
         }
         stats.merged = before.saturating_sub(after);
@@ -725,7 +892,7 @@ impl SubcubeManager {
             cubes,
             parents: cur.parents.clone(),
             last_sync: Some(now),
-            dirty: false,
+            unhomed: 0,
         });
         drop(rebuild_span);
         if obs_on {
@@ -758,21 +925,25 @@ impl SubcubeManager {
     /// transition days in `(last_sync, until]` — the only days any cell
     /// can cross an action boundary — and each is applied as one **tick**
     /// that re-evaluates only facts touched by the changed groundings.
-    /// Untouched cubes are carried forward by `Arc` (their version-vector
-    /// entry does not move), and each tick lands as one atomic
-    /// publication journaling-compatible with [`sync`](Self::sync):
-    /// after `age(until)` the warehouse state equals a from-scratch
-    /// `sync(until)` (the differential suite asserts this at every tick).
+    /// Un-homed rows (bulk-loaded since the last pass) are resolved to
+    /// their home cell by the first step — a step of their own at `until`
+    /// when no transition is in range — so a load followed by `age` costs
+    /// the rows loaded, not the warehouse. Untouched chunks and cubes are
+    /// carried forward by `Arc` (a carried cube's version-vector entry
+    /// does not move), and each step lands as one atomic publication
+    /// journaling-compatible with [`sync`](Self::sync): after
+    /// `age(until)` the warehouse state equals a from-scratch
+    /// `sync(until)` (the differential suites assert this at every step).
     ///
-    /// A dirty warehouse (un-homed bulk-loaded rows) or one never synced
-    /// falls back to one full pass at `until` to establish the
-    /// incremental baseline. `until` earlier than the current watermark
-    /// is rejected with [`SubcubeError::AgeBeforeWatermark`] — aging is
-    /// monotone.
+    /// A warehouse never synced takes one full pass at `until` to
+    /// establish the incremental baseline. `until` earlier than the
+    /// current watermark is rejected with
+    /// [`SubcubeError::AgeBeforeWatermark`] — aging is monotone.
     pub fn age(&self, until: DayNum) -> Result<AgeStats, SubcubeError> {
         let _span = sdr_obs::span("subcube.age");
         let _w = self.writer.lock();
         let mut cur = self.current.load();
+        let mut stats = AgeStats::default();
         if let Some(last) = cur.last_sync {
             if until < last {
                 return Err(SubcubeError::AgeBeforeWatermark {
@@ -780,24 +951,15 @@ impl SubcubeManager {
                     last_sync: last,
                 });
             }
-        }
-        let mut stats = AgeStats::default();
-        if cur.dirty || cur.last_sync.is_none() {
-            // New rows (or a fresh warehouse) have no incremental
-            // baseline: home everything with one full pass.
-            let s = self.sync_pass(&cur, until)?;
-            cur = self.current.load();
-            stats.ticks = 1;
-            stats.cells_delta = s.migrated;
-            stats.merged = s.merged;
-            stats.cubes_rebuilt = cur.cubes.len();
-        }
-        let last = cur.last_sync.expect("baseline pass published a watermark");
-        if last < until {
             let sched = self.schedule_for(&cur.spec)?;
+            let ticks = sched.transitions_between(last, until);
+            // Un-homed rows ride the first tick; with no transition in
+            // range they get a step of their own (the schedule proves
+            // their cell at `until` is their cell on any day since `last`).
+            let homing_only = (ticks.is_empty() && cur.unhomed > 0).then_some(until);
             let mut prev = last;
-            for t in sched.transitions_between(last, until) {
-                stats.absorb(self.age_tick(&cur, &sched, prev, t)?);
+            for t in ticks.iter().copied().chain(homing_only) {
+                stats.absorb(self.age_tick(&cur, &sched, prev, t, homing_only.is_none())?);
                 prev = t;
                 cur = self.current.load();
             }
@@ -807,215 +969,64 @@ impl SubcubeManager {
                 // transition — the schedule proves nothing moves between).
                 self.publish_watermark(&cur, until);
             }
+        } else {
+            // No incremental baseline yet: home everything with one full
+            // pass.
+            let s = self.sync_pass(&cur, until)?;
+            stats.ticks = 1;
+            stats.cells_delta = s.migrated;
+            stats.merged = s.merged;
+            stats.cubes_rebuilt = cur.cubes.len();
+            stats.chunks_rewritten = self.current.load().n_chunks();
         }
         if sdr_obs::enabled() {
+            // Same locals returned to the caller — the counters cannot
+            // disagree with `AgeStats` (asserted by the integration suite).
             sdr_obs::add("age.ticks", stats.ticks as u64);
             sdr_obs::add("age.cells_delta", stats.cells_delta as u64);
             sdr_obs::add("age.cubes_skipped", stats.cubes_skipped as u64);
+            sdr_obs::add("age.rows_homed", stats.rows_homed as u64);
+            sdr_obs::add("subcube.chunks.rewritten", stats.chunks_rewritten as u64);
+            sdr_obs::add("subcube.chunks.carried", stats.chunks_carried as u64);
             sdr_obs::attr("ticks", stats.ticks);
             sdr_obs::attr("rows_out", self.len());
             sdr_obs::event(
                 "subcube.age",
                 format!(
-                    "until={until} ticks={} cells_delta={} cubes_skipped={}",
-                    stats.ticks, stats.cells_delta, stats.cubes_skipped
+                    "until={until} ticks={} cells_delta={} cubes_skipped={} rows_homed={}",
+                    stats.ticks, stats.cells_delta, stats.cubes_skipped, stats.rows_homed
                 ),
             );
         }
         Ok(stats)
     }
 
-    /// Applies one schedule tick `t_prev → t` (consecutive transition
-    /// days, nothing moves in between): evaluates the tick's **changed
-    /// disjuncts** on candidate facts, re-homes exactly the facts whose
-    /// cell moved, rebuilds only the affected cubes, and publishes once.
-    /// Cubes whose time hull misses every Δ window are skipped without
-    /// scanning a row.
+    /// Applies one aging step `t_prev → t` (nothing moves strictly in
+    /// between): evaluates the step's **changed disjuncts** on the rows
+    /// of every chunk whose time hull meets a Δ window, resolves every
+    /// un-homed row, re-homes exactly the rows whose cell moved (or that
+    /// were never homed), rewrites only the chunks that lose or gain
+    /// rows, and publishes once. `transition` says whether `t` is a
+    /// scheduled transition day (counted as a tick) or the homing-only
+    /// step of [`age`](Self::age).
     fn age_tick(
         &self,
         cur: &Arc<VersionInner>,
         sched: &ReductionSchedule,
         t_prev: DayNum,
         t: DayNum,
+        transition: bool,
     ) -> Result<AgeStats, SubcubeError> {
         let _span = sdr_obs::span("subcube.age.tick");
-        let obs_on = sdr_obs::enabled();
-        let n = cur.cubes.len();
-        let schema = Arc::clone(&self.schema);
-        let mut stats = AgeStats {
-            ticks: 1,
-            ..AgeStats::default()
-        };
-        let Some(delta) = sched.delta_pred(t_prev, t) else {
-            // A conservative schedule may list a day where no grounding
-            // actually changed: watermark bump only.
-            stats.cubes_skipped = n;
-            self.publish_watermark(cur, t);
-            return Ok(stats);
-        };
-        let windows = sched.delta_time_windows(&schema, t_prev, t);
-        let ti = schema.dims.iter().position(Dimension::is_time);
-        // Scan phase: find the facts whose home cube or target cell
-        // changes across the tick. A fact on which every changed
-        // disjunct evaluates false at both endpoints evaluates the whole
-        // spec identically at both days and provably stays put.
-        struct Move {
-            src: usize,
-            idx: u32,
-            home: usize,
-            target: Vec<DimValue>,
-            origin: u32,
-        }
-        let mut cell_memo = sdr_reduce::CellMemo::new(&cur.spec, t)?;
-        let mut moves: Vec<Move> = Vec::new();
-        let mut moved: Vec<Vec<bool>> = cur
-            .cubes
-            .iter()
-            .map(|c| vec![false; c.data.len()])
-            .collect();
-        let mut rebuild = vec![false; n];
-        let mut scanned = 0usize;
-        for (ci, cube) in cur.cubes.iter().enumerate() {
-            if cube.data.is_empty() {
-                continue;
-            }
-            // The cube's time hull (maintained with its stats) bounds
-            // every fact's day footprint; no hull means "never skip".
-            if let (Some(ws), Some((lo, hi))) = (&windows, ti.and_then(|ti| cube.stats.hull(ti))) {
-                let overlaps =
-                    |&(wlo, whi): &(DayNum, DayNum)| i64::from(wlo) <= hi && lo <= i64::from(whi);
-                if !ws.iter().any(overlaps) {
-                    continue; // disjoint from every Δ window
-                }
-            }
-            let mo = &cube.data;
-            for f in mo.facts() {
-                scanned += 1;
-                let coords = mo.coords(f);
-                let touched = sdr_spec::eval_pred(&schema, &delta, &coords, t_prev)
-                    .map_err(ReduceError::Spec)?
-                    || sdr_spec::eval_pred(&schema, &delta, &coords, t)
-                        .map_err(ReduceError::Spec)?;
-                if !touched {
-                    continue;
-                }
-                let cell = cell_memo.cell(&coords)?;
-                let grain = Granularity(cell.coords.iter().map(|v| v.cat).collect());
-                let home = cur.cubes.iter().position(|k| k.grain == grain).unwrap_or(0);
-                if home == ci && cell.coords == coords {
-                    continue; // already at its fixed point
-                }
-                let origin = match cell.responsible {
-                    Some(id) => id.0,
-                    None => mo.store().origin[f.index()],
-                };
-                moved[ci][f.index()] = true;
-                rebuild[ci] = true;
-                rebuild[home] = true;
-                moves.push(Move {
-                    src: ci,
-                    idx: f.index() as u32,
-                    home,
-                    target: cell.coords,
-                    origin,
-                });
-            }
-        }
-        stats.cells_delta = moves.len();
-        if moves.is_empty() {
-            stats.cubes_skipped = n;
-            self.publish_watermark(cur, t);
-            if obs_on {
-                sdr_obs::attr("day", t);
-                sdr_obs::attr("rows_in", scanned);
-            }
-            return Ok(stats);
-        }
-        // Rebuild phase: only cubes that lost or gained facts. Group
-        // members fold in global `(cube, row)` order — the same order the
-        // full sync pass encounters them — so merged measures and
-        // provenance come out identical to a from-scratch reduction.
-        let epoch = cur.epoch + 1;
-        let mut cubes = cur.cubes.clone();
-        let before: usize = cur.cubes.iter().map(|c| c.data.len()).sum();
-        let mut after = 0usize;
-        for ci in 0..n {
-            if !rebuild[ci] {
-                // Carry-forward: same fact `Arc`, so `set_data` keeps the
-                // stats and epoch untouched (and counts the reuse).
-                let same = Arc::clone(&cubes[ci].data);
-                cubes[ci].set_data(same, epoch);
-                cubes[ci].synced_to = Some(t);
-                after += cubes[ci].data.len();
-                stats.cubes_skipped += 1;
-                continue;
-            }
-            stats.cubes_rebuilt += 1;
-            // Incoming groups: target cell → contributing (src, row, origin).
-            let mut incoming: std::collections::BTreeMap<Vec<DimValue>, Vec<(usize, u32, u32)>> =
-                std::collections::BTreeMap::new();
-            for m in moves.iter().filter(|m| m.home == ci) {
-                incoming
-                    .entry(m.target.clone())
-                    .or_default()
-                    .push((m.src, m.idx, m.origin));
-            }
-            let mo = &cur.cubes[ci].data;
-            let mut keep: Vec<u32> = Vec::new();
-            for f in mo.facts() {
-                if moved[ci][f.index()] {
-                    continue; // re-homed elsewhere
-                }
-                let coords = mo.coords(f);
-                if let Some(members) = incoming.get_mut(&coords) {
-                    // An arriving group merges into this existing row:
-                    // fold it in as a member instead of keeping it.
-                    members.push((ci, f.index() as u32, mo.store().origin[f.index()]));
-                } else {
-                    keep.push(f.index() as u32);
-                }
-            }
-            let mut rebuilt = mo.gather(&keep);
-            for (target, mut members) in incoming {
-                members.sort_unstable();
-                let mut acc: Vec<i64> = schema.measures.iter().map(|m| m.agg.identity()).collect();
-                let mut origin = members[0].2;
-                for &(src, idx, o) in &members {
-                    let smo = &cur.cubes[src].data;
-                    for (j, a) in acc.iter_mut().enumerate() {
-                        *a = schema.measures[j]
-                            .agg
-                            .combine(*a, smo.measure(FactId(idx), sdr_mdm::MeasureId(j as u16)));
-                    }
-                    if o != ORIGIN_USER {
-                        origin = o;
-                    }
-                }
-                rebuilt
-                    .insert_fact_at(&target, &acc, origin)
-                    .map_err(ReduceError::Model)?;
-            }
-            after += rebuilt.len();
-            cubes[ci].set_data(Arc::new(rebuilt), epoch);
-            cubes[ci].synced_to = Some(t);
-        }
-        stats.merged = before.saturating_sub(after);
-        self.publish(VersionInner {
-            epoch,
-            spec: Arc::clone(&cur.spec),
-            cubes,
-            parents: cur.parents.clone(),
-            last_sync: Some(t),
-            dirty: false,
-        });
-        if obs_on {
+        let stats = self.age_step(cur, sched, t_prev, t, transition)?;
+        if sdr_obs::enabled() {
             sdr_obs::attr("day", t);
-            sdr_obs::attr("epoch", epoch);
-            sdr_obs::attr("rows_in", scanned);
-            sdr_obs::attr("rows_out", after);
             sdr_obs::attr("cells_delta", stats.cells_delta);
             sdr_obs::attr("cubes_rebuilt", stats.cubes_rebuilt);
             sdr_obs::attr("cubes_skipped", stats.cubes_skipped);
+            sdr_obs::attr("rows_homed", stats.rows_homed);
+            sdr_obs::attr("chunks_rewritten", stats.chunks_rewritten);
+            sdr_obs::attr("chunks_carried", stats.chunks_carried);
             sdr_obs::event(
                 "subcube.age.tick",
                 format!(
@@ -1024,6 +1035,249 @@ impl SubcubeManager {
                 ),
             );
         }
+        Ok(stats)
+    }
+
+    /// The body of [`age_tick`](Self::age_tick), inside its span.
+    fn age_step(
+        &self,
+        cur: &Arc<VersionInner>,
+        sched: &ReductionSchedule,
+        t_prev: DayNum,
+        t: DayNum,
+        transition: bool,
+    ) -> Result<AgeStats, SubcubeError> {
+        let n = cur.cubes.len();
+        let schema = &self.schema;
+        let mut stats = AgeStats {
+            ticks: usize::from(transition),
+            ..AgeStats::default()
+        };
+        // A conservative schedule may list a day where no grounding
+        // actually changed: then only un-homed rows can move.
+        let delta = sched.delta_pred(t_prev, t);
+        let windows = delta
+            .as_ref()
+            .and_then(|_| sched.delta_time_windows(schema, t_prev, t));
+        let ti = schema.dims.iter().position(Dimension::is_time);
+        // Chunks of the bottom cube from this index on are un-homed.
+        let homed = cur.cubes[0].chunks().len() - cur.unhomed;
+        // Scan phase: find the rows whose home cube or target cell
+        // changes across the step. A homed row on which every changed
+        // disjunct evaluates false at both endpoints evaluates the whole
+        // spec identically at both days and provably stays put; a chunk
+        // whose time hull misses every Δ window holds no other kind.
+        // Un-homed rows always move: they are taken out of their chunk
+        // and grouped by cell like any arriving row, so duplicates merge.
+        struct Move {
+            /// `(cube, chunk, row)` — the row's place in the global scan
+            /// order of the full pass.
+            src: (usize, usize, u32),
+            home: usize,
+            target: Vec<DimValue>,
+            origin: u32,
+        }
+        let mut cell_memo = sdr_reduce::CellMemo::new(&cur.spec, t)?;
+        let mut moves: Vec<Move> = Vec::new();
+        let mut coords: Vec<DimValue> = Vec::new();
+        let mut scanned = 0usize;
+        for (ci, cube) in cur.cubes.iter().enumerate() {
+            for (k, chunk) in cube.chunks().iter().enumerate() {
+                let unhomed = ci == 0 && k >= homed;
+                if unhomed {
+                    stats.rows_homed += chunk.mo.len();
+                } else {
+                    if delta.is_none() {
+                        continue;
+                    }
+                    // No hull (or no window list) means "never skip".
+                    if let (Some(ws), Some((lo, hi))) =
+                        (&windows, ti.and_then(|ti| chunk.summary.hull(ti)))
+                    {
+                        let overlaps = |&(wlo, whi): &(DayNum, DayNum)| {
+                            i64::from(wlo) <= hi && lo <= i64::from(whi)
+                        };
+                        if !ws.iter().any(overlaps) {
+                            continue; // disjoint from every Δ window
+                        }
+                    }
+                }
+                let mo = chunk.data();
+                for f in mo.facts() {
+                    scanned += 1;
+                    mo.coords_into(f, &mut coords);
+                    if let (false, Some(delta)) = (unhomed, &delta) {
+                        let touched = sdr_spec::eval_pred(schema, delta, &coords, t_prev)
+                            .map_err(ReduceError::Spec)?
+                            || sdr_spec::eval_pred(schema, delta, &coords, t)
+                                .map_err(ReduceError::Spec)?;
+                        if !touched {
+                            continue;
+                        }
+                    }
+                    let cell = cell_memo.cell(&coords)?;
+                    let home = home_of(&cur.cubes, &cell.coords);
+                    if home != ci || cell.coords != coords {
+                        stats.cells_delta += 1;
+                    } else if !unhomed {
+                        continue; // already at its fixed point
+                    }
+                    let origin = match cell.responsible {
+                        Some(id) => id.0,
+                        None => mo.store().origin[f.index()],
+                    };
+                    moves.push(Move {
+                        src: (ci, k, f.0),
+                        home,
+                        target: cell.coords,
+                        origin,
+                    });
+                }
+            }
+        }
+        sdr_obs::attr("rows_in", scanned);
+        if moves.is_empty() {
+            stats.cubes_skipped = n;
+            stats.chunks_carried = cur.n_chunks();
+            self.publish_watermark(cur, t);
+            return Ok(stats);
+        }
+        // Per cube: the rows leaving each chunk (in row order, as
+        // scanned) and the groups arriving, target cell → contributing
+        // `(source row, origin)`.
+        type Members = Vec<((usize, usize, u32), u32)>;
+        let mut leaving: Vec<BTreeMap<usize, Vec<u32>>> = vec![BTreeMap::new(); n];
+        let mut arriving: Vec<BTreeMap<Vec<DimValue>, Members>> = vec![BTreeMap::new(); n];
+        for m in moves {
+            leaving[m.src.0].entry(m.src.1).or_default().push(m.src.2);
+            arriving[m.home]
+                .entry(m.target)
+                .or_default()
+                .push((m.src, m.origin));
+        }
+        // Rebuild phase: only chunks that lose rows or may hold a row an
+        // arriving group merges into. Group members fold in global
+        // `(cube, chunk, row)` order — the order the full sync pass
+        // encounters them — so merged measures and provenance come out
+        // identical to a from-scratch reduction.
+        let epoch = cur.epoch + 1;
+        let packer = KeyPacker::new(schema);
+        let mut cubes = cur.cubes.clone();
+        let before: usize = cur.cubes.iter().map(Subcube::rows).sum();
+        let mut after = 0usize;
+        for (ci, cube) in cubes.iter_mut().enumerate() {
+            cube.synced_to = Some(t);
+            let old = cur.cubes[ci].chunks();
+            let mut groups = std::mem::take(&mut arriving[ci]);
+            if leaving[ci].is_empty() && groups.is_empty() {
+                // Carry-forward: same facts, stats and epoch.
+                after += cube.rows();
+                stats.cubes_skipped += 1;
+                stats.chunks_carried += old.len();
+                continue;
+            }
+            stats.cubes_rebuilt += 1;
+            let keys: Vec<Option<u128>> = groups
+                .keys()
+                .map(|target| packer.as_ref().map(|p| p.pack_coords(target)))
+                .collect();
+            // The successor chunk list; `true` marks a chunk built here.
+            let mut chunks: Vec<(Arc<Chunk>, bool)> = Vec::with_capacity(old.len() + 1);
+            for (k, chunk) in old.iter().enumerate() {
+                let gone = leaving[ci].get(&k).map_or(&[][..], Vec::as_slice);
+                if gone.len() == chunk.mo.len() {
+                    continue; // every row left (an un-homed chunk, typically)
+                }
+                let absorbs = groups
+                    .keys()
+                    .zip(&keys)
+                    .any(|(target, key)| chunk.summary.may_hold(target, *key));
+                if gone.is_empty() && !absorbs {
+                    chunks.push((Arc::clone(chunk), false));
+                    continue;
+                }
+                let mo = chunk.data();
+                let mut gone = gone.iter().peekable();
+                let mut keep: Vec<u32> = Vec::with_capacity(mo.len());
+                for f in mo.facts() {
+                    if gone.next_if_eq(&&f.0).is_some() {
+                        continue; // re-homed elsewhere
+                    }
+                    if absorbs {
+                        mo.coords_into(f, &mut coords);
+                        if let Some(members) = groups.get_mut(coords.as_slice()) {
+                            // An arriving group merges into this existing
+                            // row: fold it in as a member instead of
+                            // keeping it.
+                            members.push(((ci, k, f.0), mo.store().origin[f.index()]));
+                            continue;
+                        }
+                    }
+                    keep.push(f.0);
+                }
+                if keep.len() == mo.len() {
+                    chunks.push((Arc::clone(chunk), false));
+                } else if !keep.is_empty() {
+                    chunks.push((Chunk::new(Arc::new(mo.gather(&keep))), true));
+                }
+            }
+            let mut arrivals = Mo::new(Arc::clone(schema));
+            for (target, mut members) in groups {
+                members.sort_unstable();
+                let mut acc: Vec<i64> = schema.measures.iter().map(|m| m.agg.identity()).collect();
+                let mut origin = members[0].1;
+                for &((src, k, row), o) in &members {
+                    let smo = cur.cubes[src].chunks()[k].data();
+                    for (j, a) in acc.iter_mut().enumerate() {
+                        *a = schema.measures[j]
+                            .agg
+                            .combine(*a, smo.measure(FactId(row), MeasureId(j as u16)));
+                    }
+                    if o != ORIGIN_USER {
+                        origin = o;
+                    }
+                }
+                arrivals
+                    .insert_fact_at(&target, &acc, origin)
+                    .map_err(ReduceError::Model)?;
+            }
+            chunks.extend(
+                Chunk::cut(schema, &arrivals)?
+                    .into_iter()
+                    .map(|c| (c, true)),
+            );
+            // Coalesce: a chunk built here joins its predecessor while
+            // both fit one chunk, so the list stays ≈ rows / CHUNK_ROWS.
+            let mut list: Vec<(Arc<Chunk>, bool)> = Vec::with_capacity(chunks.len());
+            for (chunk, built) in chunks {
+                match list.last_mut() {
+                    Some((prev, prev_built))
+                        if built && prev.mo.len() + chunk.mo.len() <= CHUNK_ROWS =>
+                    {
+                        *prev = Chunk::merged(schema, prev, &chunk);
+                        *prev_built = true;
+                    }
+                    _ => list.push((chunk, built)),
+                }
+            }
+            let built = list.iter().filter(|(_, built)| *built).count();
+            stats.chunks_rewritten += built;
+            stats.chunks_carried += list.len() - built;
+            cube.data =
+                CubeData::from_chunks(schema, list.into_iter().map(|(c, _)| c).collect(), epoch);
+            after += cube.rows();
+        }
+        stats.merged = before.saturating_sub(after);
+        self.publish(VersionInner {
+            epoch,
+            spec: Arc::clone(&cur.spec),
+            cubes,
+            parents: cur.parents.clone(),
+            last_sync: Some(t),
+            unhomed: 0,
+        });
+        sdr_obs::attr("epoch", epoch);
+        sdr_obs::attr("rows_out", after);
         Ok(stats)
     }
 
@@ -1059,7 +1313,7 @@ impl SubcubeManager {
         let cur = self.current.load();
         let mut spec = (*cur.spec).clone();
         let ids = spec.insert(new)?;
-        self.rebuild_with_spec(&cur, spec)?;
+        self.rebuild_with_spec(&cur, spec);
         sdr_obs::inc("subcube.evolve.insert");
         Ok(ids)
     }
@@ -1077,33 +1331,34 @@ impl SubcubeManager {
         .to_mo()?;
         let mut spec = (*cur.spec).clone();
         spec.delete(ids, &mo, now)?;
-        self.rebuild_with_spec(&cur, spec)?;
+        self.rebuild_with_spec(&cur, spec);
         sdr_obs::inc("subcube.evolve.delete");
         Ok(())
     }
 
     /// Publishes a successor version with a new specification: the cube
-    /// DAG is re-derived and every existing fact is staged in the bottom
-    /// cube (the one cube allowed to hold foreign-granularity rows; a
-    /// sync pass homes them). Caller holds the writer lock.
-    fn rebuild_with_spec(
-        &self,
-        cur: &Arc<VersionInner>,
-        spec: DataReductionSpec,
-    ) -> Result<(), SubcubeError> {
-        let all = WarehouseView { v: Arc::clone(cur) }.to_mo()?;
+    /// DAG is re-derived and every existing chunk is staged, by pointer
+    /// and un-homed, in the bottom cube (the one cube allowed to hold
+    /// foreign-granularity rows; a sync pass or aging step homes them).
+    /// Caller holds the writer lock.
+    fn rebuild_with_spec(&self, cur: &Arc<VersionInner>, spec: DataReductionSpec) {
         let epoch = cur.epoch + 1;
         let (mut cubes, parents) = layout(&spec, epoch);
-        cubes[0].set_data(Arc::new(all), epoch);
+        let staged: Vec<Arc<Chunk>> = cur
+            .cubes
+            .iter()
+            .flat_map(|c| c.chunks().iter().cloned())
+            .collect();
+        let unhomed = staged.len();
+        cubes[0].data = CubeData::from_chunks(&self.schema, staged, epoch);
         self.publish(VersionInner {
             epoch,
             spec: Arc::new(spec),
             cubes,
             parents,
             last_sync: cur.last_sync,
-            dirty: true,
+            unhomed,
         });
-        Ok(())
     }
 
     /// Re-publishes the contents of `view` as a new version (epoch still
@@ -1120,7 +1375,7 @@ impl SubcubeManager {
             cubes: view.v.cubes.clone(),
             parents: view.v.parents.clone(),
             last_sync: view.v.last_sync,
-            dirty: view.v.dirty,
+            unhomed: view.v.unhomed,
         });
         sdr_obs::inc("subcube.publish.rollbacks");
     }
@@ -1134,7 +1389,7 @@ impl SubcubeManager {
         let mut cubes = cur.cubes.clone();
         debug_assert_eq!(mos.len(), cubes.len());
         for (c, mo) in cubes.iter_mut().zip(mos) {
-            c.set_data(Arc::new(mo), epoch);
+            c.data = CubeData::from_mo(mo, epoch);
             c.synced_to = last_sync;
         }
         self.publish(VersionInner {
@@ -1143,7 +1398,7 @@ impl SubcubeManager {
             cubes,
             parents: cur.parents.clone(),
             last_sync,
-            dirty: false,
+            unhomed: 0,
         });
     }
 

@@ -235,14 +235,7 @@ impl ShardViewSet {
         if n == 1 || !parallel {
             return (0..n).map(|i| f(i, parallel)).collect();
         }
-        let f = &f;
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..n).map(|i| s.spawn(move || f(i, false))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard query thread panicked"))
-                .collect()
-        })
+        fan_out(0..n, |i| f(i, false)).into_iter().collect()
     }
 
     /// Merges per-shard partial answers: absorb into one MO, then one
@@ -259,6 +252,33 @@ impl ShardViewSet {
         }
         Ok(aggregate_ids(&union, &q.levels, q.approach)?)
     }
+}
+
+/// `f` over every item concurrently, results in item order. The calling
+/// thread takes the first item itself and only the others get a scoped
+/// thread: a caller that spawns one worker per item and sleeps on the
+/// joins leaves all of them to be placed at once, and two new threads
+/// regularly start on the same core while the caller's idles — the
+/// fan-out then waits for a worker that has not run yet.
+fn fan_out<T: Send, R: Send>(
+    items: impl IntoIterator<Item = T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
+    let f = &f;
+    thread::scope(|s| {
+        let handles: Vec<_> = items.map(|item| s.spawn(move || f(item))).collect();
+        let mut results = vec![f(first)];
+        results.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard worker panicked")),
+        );
+        results
+    })
 }
 
 /// The union of the views' logical MOs (at least one view).
@@ -287,11 +307,10 @@ fn fold(a: OpOutcome, b: OpOutcome) -> OpOutcome {
             OpOutcome::Synced(a)
         }
         (OpOutcome::Aged(mut a), OpOutcome::Aged(s)) => {
-            a.ticks = a.ticks.max(s.ticks);
-            a.cells_delta += s.cells_delta;
-            a.merged += s.merged;
-            a.cubes_rebuilt += s.cubes_rebuilt;
-            a.cubes_skipped += s.cubes_skipped;
+            // Every shard applies the same tick sequence; the rest adds up.
+            let ticks = a.ticks.max(s.ticks);
+            a.absorb(s);
+            a.ticks = ticks;
             OpOutcome::Aged(a)
         }
         (first, _) => first,
@@ -667,17 +686,14 @@ impl ShardRouter {
     }
 
     /// Splits `mo` into one (possibly empty) partition per shard.
-    fn partition(&self, mo: &Mo, shards: usize) -> Result<Vec<Mo>, SubcubeError> {
-        let mut parts: Vec<Mo> = (0..shards).map(|_| mo.empty_like()).collect();
-        let store = mo.store();
+    fn partition(&self, mo: &Mo, shards: usize) -> Vec<Mo> {
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); shards];
+        let mut coords = Vec::new();
         for f in mo.facts() {
-            let coords = mo.coords(f);
-            let i = self.route(&coords, shards);
-            parts[i]
-                .insert_fact_at(&coords, &mo.measures_of(f), store.origin[f.index()])
-                .map_err(|e| SubcubeError::Storage(e.to_string()))?;
+            mo.coords_into(f, &mut coords);
+            rows[self.route(&coords, shards)].push(f.0);
         }
-        Ok(parts)
+        rows.iter().map(|r| mo.gather(r)).collect()
     }
 
     // ---- write side ----------------------------------------------------
@@ -752,17 +768,17 @@ impl ShardRouter {
     /// One bulk-load operation per shard, each carrying its (possibly
     /// empty) partition of `facts`, so every shard logs one record and
     /// WAL positions stay uniform.
-    fn load_parts(&self, facts: &Mo, shards: usize) -> Result<Vec<WarehouseOp>, SubcubeError> {
-        let parts = self.partition(facts, shards)?;
-        Ok(parts.into_iter().map(WarehouseOp::BulkLoad).collect())
+    fn load_parts(&self, facts: &Mo, shards: usize) -> Vec<WarehouseOp> {
+        let parts = self.partition(facts, shards);
+        parts.into_iter().map(WarehouseOp::BulkLoad).collect()
     }
 
     /// Splits `op` into one operation per shard: bulk loads are
     /// partitioned, everything else is cloned.
-    fn split(&self, op: &WarehouseOp, shards: usize) -> Result<Vec<WarehouseOp>, SubcubeError> {
+    fn split(&self, op: &WarehouseOp, shards: usize) -> Vec<WarehouseOp> {
         match op {
             WarehouseOp::BulkLoad(mo) => self.load_parts(mo, shards),
-            other => Ok(vec![other.clone(); shards]),
+            other => vec![other.clone(); shards],
         }
     }
 
@@ -806,18 +822,7 @@ impl ShardRouter {
         let _span = sdr_obs::span(&format!("shard.{name}"));
         let ops = plan(&inner)?;
         let results: Vec<Result<OpOutcome, SubcubeError>> = if parallel && ops.len() > 1 {
-            thread::scope(|s| {
-                let handles: Vec<_> = inner
-                    .shards
-                    .iter_mut()
-                    .zip(&ops)
-                    .map(|(sh, op)| s.spawn(move || sh.apply(op)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            })
+            fan_out(inner.shards.iter_mut().zip(&ops), |(sh, op)| sh.apply(op))
         } else {
             let shards = inner.shards.iter_mut().zip(&ops);
             shards.map(|(sh, op)| sh.apply(op)).collect()
@@ -836,7 +841,7 @@ impl ShardRouter {
         let parallel = matches!(op, WarehouseOp::Sync(_) | WarehouseOp::Age(_));
         self.scatter(op.name(), parallel, |inner| {
             Self::precheck(inner, op)?;
-            self.split(op, inner.shards.len())
+            Ok(self.split(op, inner.shards.len()))
         })
     }
 
@@ -844,7 +849,7 @@ impl ShardRouter {
     /// borrowed facts — `apply` would need an owned copy of the whole
     /// load first.
     pub fn bulk_load(&self, facts: &Mo) -> Result<usize, SubcubeError> {
-        let plan = |inner: &RouterInner| self.load_parts(facts, inner.shards.len());
+        let plan = |inner: &RouterInner| Ok(self.load_parts(facts, inner.shards.len()));
         Ok(self.scatter("bulk_load", false, plan)?.loaded())
     }
 
@@ -886,7 +891,7 @@ impl ShardRouter {
         let n = inner.shards.len();
         let mut batches: Vec<Vec<WarehouseOp>> = (0..n).map(|_| Vec::new()).collect();
         for op in &ops {
-            for (b, part) in batches.iter_mut().zip(self.split(op, n)?) {
+            for (b, part) in batches.iter_mut().zip(self.split(op, n)) {
                 b.push(part);
             }
         }

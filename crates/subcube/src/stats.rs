@@ -3,12 +3,16 @@
 //! Every published [`Subcube`](crate::manager::Subcube) carries a
 //! [`SubcubeStats`]: row and byte counts, per-dimension distinct counts
 //! and category histograms, and a min/max zone map over the packed cell
-//! key (see [`sdr_mdm::KeyPacker`]). Because cube contents are immutable
-//! once published, maintenance is tied to publication: whenever a
-//! mutator replaces a cube's fact snapshot it recomputes that cube's
-//! stats (and only that cube's — untouched cubes share their stats
-//! `Arc` across versions exactly like their data). The stats therefore
-//! can never drift from the facts they describe, an invariant
+//! key (see [`sdr_mdm::KeyPacker`]). A cube's facts are a list of
+//! immutable chunks, and the statistics are maintained at that grain:
+//! each chunk is summarized once, when it is built
+//! ([`ChunkSummary::compute`] — the only place rows are scanned), and a
+//! cube's `SubcubeStats` is the [`fold`](ChunkSummary::fold) of its
+//! chunks' summaries, derived on first use and carried with the cube
+//! for as long as its chunk list is unchanged. A summary keeps the
+//! per-dimension *sets* of distinct values rather than their sizes, so
+//! the fold is exact: it is bit-identical to
+//! [`SubcubeStats::compute`] over the concatenated rows, an invariant
 //! [`verify`](crate::manager::WarehouseView::verify_stats) re-checks on
 //! demand and recovery re-checks against the persisted copy in the
 //! checkpoint manifest.
@@ -17,7 +21,7 @@
 //! subcube DAG (which cubes a query scanned, which were skippable), so
 //! the numbers here must be exact, not estimates.
 
-use sdr_mdm::{CatId, DimId, DimValue, Dimension, KeyPacker, Mo, TimeValue};
+use sdr_mdm::{CatId, DimId, DimValue, Dimension, KeyPacker, Mo, Schema, TimeValue};
 
 use crate::error::SubcubeError;
 
@@ -77,41 +81,71 @@ pub struct SubcubeStats {
 /// beyond it the set degrades to `None` (planner: no region oracle).
 pub const MAX_ORIGINS: usize = 64;
 
-impl SubcubeStats {
-    /// Computes exact statistics of `mo`'s fact snapshot, stamped with
-    /// the epoch at which that snapshot was published.
-    pub fn compute(mo: &Mo, epoch: u64) -> SubcubeStats {
+/// What one immutable chunk of a cube's facts contributes to the cube's
+/// [`SubcubeStats`], in a form that folds exactly: the per-dimension
+/// distinct values are kept as sorted sets, not as counts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChunkSummary {
+    rows: u64,
+    bytes: u64,
+    /// Per dimension (schema order): the sorted distinct direct
+    /// `(category, code)` values.
+    distinct: Vec<Vec<(u8, u64)>>,
+    /// Per dimension: rows per category id, sorted by category id.
+    per_cat: Vec<Vec<(u8, u64)>>,
+    key_min: Option<u128>,
+    key_max: Option<u128>,
+    hulls: Vec<Option<(i64, i64)>>,
+    origins: Option<Vec<u32>>,
+}
+
+/// `values` as a sorted set (no spare capacity: summaries are kept for
+/// as long as their chunk). The sort is stable, so input that is a few
+/// sorted runs — the sets being folded — is merged rather than re-sorted.
+fn sorted_set<T: Ord>(mut values: Vec<T>) -> Vec<T> {
+    values.sort();
+    values.dedup();
+    values.shrink_to_fit();
+    values
+}
+
+/// Rows per category id from a dense count table.
+fn per_cat_of(counts: &[u64; 256]) -> Vec<(u8, u64)> {
+    (0u8..=255)
+        .zip(counts)
+        .filter(|&(_, &n)| n > 0)
+        .map(|(c, &n)| (c, n))
+        .collect()
+}
+
+impl ChunkSummary {
+    /// Summarizes `mo`'s rows — the one place fact rows are scanned for
+    /// statistics.
+    pub fn compute(mo: &Mo) -> ChunkSummary {
         let store = mo.store();
-        let n = store.len();
         let n_dims = mo.schema().n_dims();
-        let mut dims = Vec::with_capacity(n_dims);
+        let mut distinct = Vec::with_capacity(n_dims);
+        let mut per_cat = Vec::with_capacity(n_dims);
         let mut hulls = Vec::with_capacity(n_dims);
         for d in 0..n_dims {
             let cats = &store.cats[d];
-            let codes = &store.codes[d];
-            let mut seen = std::collections::BTreeSet::new();
-            let mut per_cat = std::collections::BTreeMap::<u8, u64>::new();
-            for i in 0..n {
-                seen.insert((cats[i], codes[i]));
-                *per_cat.entry(cats[i]).or_insert(0) += 1;
+            let seen: Vec<(u8, u64)> = sorted_set(
+                cats.iter()
+                    .copied()
+                    .zip(store.codes[d].iter().copied())
+                    .collect(),
+            );
+            let mut counts = [0u64; 256];
+            for &c in cats {
+                counts[c as usize] += 1;
             }
             hulls.push(dim_hull(mo.schema().dim(DimId(d as u16)), &seen));
-            dims.push(DimColStats {
-                distinct: seen.len() as u32,
-                per_cat: per_cat.into_iter().collect(),
-            });
+            per_cat.push(per_cat_of(&counts));
+            distinct.push(seen);
         }
-        let mut origin_set = std::collections::BTreeSet::new();
-        for i in 0..n {
-            origin_set.insert(store.origin[i]);
-            if origin_set.len() > MAX_ORIGINS {
-                break;
-            }
-        }
-        let origins =
-            (origin_set.len() <= MAX_ORIGINS).then(|| origin_set.into_iter().collect::<Vec<u32>>());
+        let origins = sorted_set(store.origin.clone());
         let (mut key_min, mut key_max) = (None, None);
-        if n > 0 {
+        if !store.is_empty() {
             if let Some(packer) = KeyPacker::new(mo.schema()) {
                 let mut lo = u128::MAX;
                 let mut hi = 0u128;
@@ -124,16 +158,120 @@ impl SubcubeStats {
                 key_max = Some(hi);
             }
         }
-        SubcubeStats {
-            rows: n as u64,
+        ChunkSummary {
+            rows: store.len() as u64,
             bytes: store.approx_bytes() as u64,
-            dims,
+            distinct,
+            per_cat,
             key_min,
             key_max,
-            last_epoch: epoch,
+            hulls,
+            origins: (origins.len() <= MAX_ORIGINS).then_some(origins),
+        }
+    }
+
+    /// The summary of the concatenation of the summarized chunks, without
+    /// looking at a row: counts add, zone maps widen, distinct sets and
+    /// origin sets are united, and each hull is re-derived from the
+    /// united set exactly as [`compute`](ChunkSummary::compute) derives
+    /// it from rows.
+    pub fn fold<'a>(
+        schema: &Schema,
+        parts: impl IntoIterator<Item = &'a ChunkSummary>,
+    ) -> ChunkSummary {
+        let parts: Vec<&ChunkSummary> = parts.into_iter().collect();
+        let n_dims = schema.n_dims();
+        let mut distinct = Vec::with_capacity(n_dims);
+        let mut per_cat = Vec::with_capacity(n_dims);
+        let mut hulls = Vec::with_capacity(n_dims);
+        for d in 0..n_dims {
+            let mut seen: Vec<(u8, u64)> = Vec::new();
+            let mut counts = [0u64; 256];
+            for p in &parts {
+                seen.extend_from_slice(&p.distinct[d]);
+                for &(c, n) in &p.per_cat[d] {
+                    counts[c as usize] += n;
+                }
+            }
+            let seen = sorted_set(seen);
+            hulls.push(dim_hull(schema.dim(DimId(d as u16)), &seen));
+            per_cat.push(per_cat_of(&counts));
+            distinct.push(seen);
+        }
+        let origins = parts
+            .iter()
+            .map(|p| p.origins.as_deref())
+            .collect::<Option<Vec<&[u32]>>>()
+            .map(|sets| sorted_set(sets.concat()))
+            .filter(|all| all.len() <= MAX_ORIGINS);
+        ChunkSummary {
+            rows: parts.iter().map(|p| p.rows).sum(),
+            bytes: parts.iter().map(|p| p.bytes).sum(),
+            distinct,
+            per_cat,
+            key_min: parts.iter().filter_map(|p| p.key_min).min(),
+            key_max: parts.iter().filter_map(|p| p.key_max).max(),
             hulls,
             origins,
         }
+    }
+
+    /// Number of summarized rows.
+    pub fn rows(&self) -> u64 {
+        self.rows
+    }
+
+    /// The bottom-footprint hull of dimension `d` (see
+    /// [`SubcubeStats::hulls`]).
+    pub fn hull(&self, d: usize) -> Option<(i64, i64)> {
+        self.hulls.get(d).copied().flatten()
+    }
+
+    /// False only when no summarized row can sit at cell `coords`
+    /// (packed as `key`, when the schema packs): the key lies outside
+    /// the zone map or some coordinate is not among that dimension's
+    /// distinct values.
+    pub fn may_hold(&self, coords: &[DimValue], key: Option<u128>) -> bool {
+        if let (Some(k), Some(lo), Some(hi)) = (key, self.key_min, self.key_max) {
+            if k < lo || k > hi {
+                return false;
+            }
+        }
+        coords
+            .iter()
+            .zip(&self.distinct)
+            .all(|(v, seen)| seen.binary_search(&(v.cat.0, v.code)).is_ok())
+    }
+
+    /// The statistics of a cube made of exactly the summarized rows,
+    /// stamped with the epoch at which those rows were published.
+    pub fn into_stats(self, epoch: u64) -> SubcubeStats {
+        SubcubeStats {
+            rows: self.rows,
+            bytes: self.bytes,
+            dims: self
+                .distinct
+                .iter()
+                .zip(self.per_cat)
+                .map(|(seen, per_cat)| DimColStats {
+                    distinct: seen.len() as u32,
+                    per_cat,
+                })
+                .collect(),
+            key_min: self.key_min,
+            key_max: self.key_max,
+            last_epoch: epoch,
+            hulls: self.hulls,
+            origins: self.origins,
+        }
+    }
+}
+
+impl SubcubeStats {
+    /// Computes exact statistics of `mo`'s fact snapshot, stamped with
+    /// the epoch at which that snapshot was published.
+    pub fn compute(mo: &Mo, epoch: u64) -> SubcubeStats {
+        ChunkSummary::compute(mo).into_stats(epoch)
     }
 
     /// A copy stripped to the format-2 fields (no hulls, no origins) —
@@ -272,7 +410,7 @@ impl SubcubeStats {
 /// bottom ids for enums) containing the bottom footprint of every
 /// distinct stored value. `None` when the column is empty or a value
 /// fails to resolve, which the planner must read as "cannot prune".
-fn dim_hull(dim: &Dimension, seen: &std::collections::BTreeSet<(u8, u64)>) -> Option<(i64, i64)> {
+fn dim_hull(dim: &Dimension, seen: &[(u8, u64)]) -> Option<(i64, i64)> {
     if seen.is_empty() {
         return None;
     }
@@ -335,6 +473,73 @@ mod tests {
             assert!(lo <= k && k <= hi);
         }
         assert_eq!(SubcubeStats::compute(&mo, 7), s, "bit-identical recompute");
+    }
+
+    /// Rows `rows` of `mo` as their own MO (one chunk of a cut).
+    fn slice(mo: &Mo, rows: std::ops::Range<usize>) -> Mo {
+        let mut out = mo.empty_like();
+        out.absorb_rows(mo, rows).unwrap();
+        out
+    }
+
+    #[test]
+    fn fold_of_chunk_summaries_equals_compute_over_the_concatenation() {
+        let (mo, _) = paper_mo();
+        let schema = mo.schema().clone();
+        let want = SubcubeStats::compute(&mo, 5);
+        // Every two-way cut, and one-row chunks.
+        for cut in 0..=mo.len() {
+            let parts =
+                [slice(&mo, 0..cut), slice(&mo, cut..mo.len())].map(|p| ChunkSummary::compute(&p));
+            assert_eq!(
+                ChunkSummary::fold(&schema, &parts).into_stats(5),
+                want,
+                "cut at {cut}"
+            );
+        }
+        let rows: Vec<ChunkSummary> = (0..mo.len())
+            .map(|i| ChunkSummary::compute(&slice(&mo, i..i + 1)))
+            .collect();
+        assert_eq!(ChunkSummary::fold(&schema, &rows).into_stats(5), want);
+        // Folding nothing is the empty cube.
+        assert_eq!(
+            ChunkSummary::fold(&schema, []).into_stats(0),
+            SubcubeStats::compute(&mo.empty_like(), 0)
+        );
+        // More than MAX_ORIGINS distinct origins across chunks degrade to
+        // `None`, exactly as within one.
+        let coords: Vec<_> = mo.coords(mo.facts().next().unwrap());
+        let ms = vec![1; schema.n_measures()];
+        let mut wide = mo.empty_like();
+        for o in 0..(MAX_ORIGINS as u32 + 1) {
+            wide.insert_fact_at(&coords, &ms, o).unwrap();
+        }
+        let halves =
+            [slice(&wide, 0..40), slice(&wide, 40..wide.len())].map(|p| ChunkSummary::compute(&p));
+        assert!(halves.iter().all(|h| h.origins.is_some()));
+        assert_eq!(
+            ChunkSummary::fold(&schema, &halves).into_stats(0),
+            SubcubeStats::compute(&wide, 0)
+        );
+    }
+
+    #[test]
+    fn may_hold_never_misses_a_stored_cell() {
+        let (mo, _) = paper_mo();
+        let s = ChunkSummary::compute(&slice(&mo, 0..3));
+        let packer = KeyPacker::new(mo.schema()).unwrap();
+        for f in mo.facts() {
+            let coords = mo.coords(f);
+            let held = f.index() < 3;
+            let key = Some(packer.pack_coords(&coords));
+            // Sound with and without a packed key; rows outside the
+            // chunk may still be admitted (it is a filter, not an index).
+            assert!(!held || s.may_hold(&coords, key), "{coords:?}");
+            assert!(!held || s.may_hold(&coords, None), "{coords:?}");
+            assert!(s.may_hold(&coords, None) || !s.may_hold(&coords, key));
+        }
+        let top: Vec<DimValue> = mo.schema().dims.iter().map(|d| d.top_value()).collect();
+        assert!(!s.may_hold(&top, None), "no stored row sits at ⊤");
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! The shim covers exactly what the epoch-publish, group-commit,
 //! cross-shard, and connection-admission protocols need: [`Mutex`],
 //! [`RwLock`], [`Condvar`], atomics with explicit `Ordering`
-//! ([`atomic`]), the `Arc`-swap publish primitive ([`Swap`]), scoped
-//! threads ([`thread`]), the admission [`Gate`], and failpoints
-//! ([`fail`]) for fault injection and mutation testing under the model.
+//! ([`atomic`]), the `Arc`-swap publish primitive ([`Swap`]), the
+//! write-once [`OnceCell`], scoped threads ([`thread`]), the admission
+//! [`Gate`], and failpoints ([`fail`]) for fault injection and mutation
+//! testing under the model.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![deny(missing_docs)]
@@ -27,11 +28,13 @@ mod gate;
 mod lock;
 #[cfg(feature = "model")]
 pub mod model;
+mod once;
 mod swap;
 pub mod thread;
 
 pub use gate::{Gate, GatePermit};
 pub use lock::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+pub use once::OnceCell;
 pub use swap::Swap;
 
 /// True when this build of `sdr-sync` contains the model backend.

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use sdr_sync::atomic::{AtomicUsize, Ordering};
 use sdr_sync::model::{check, ModelOptions};
-use sdr_sync::{fail, thread, Gate, Mutex};
+use sdr_sync::{fail, thread, Gate, Mutex, OnceCell};
 
 fn opts() -> ModelOptions {
     ModelOptions {
@@ -313,4 +313,30 @@ fn condvar_handoff_is_proved() {
         report.counterexample
     );
     assert!(report.complete);
+}
+
+#[test]
+fn once_cell_initializes_exactly_once_under_every_schedule() {
+    let report = check(&opts(), || {
+        let cell = Arc::new(OnceCell::<usize>::new());
+        let runs = Arc::new(AtomicUsize::new(0));
+        thread::scope(|s| {
+            for _ in 0..2 {
+                let (cell, runs) = (Arc::clone(&cell), Arc::clone(&runs));
+                s.spawn(move || {
+                    let v = cell.get_or_init(|| runs.fetch_add(1, Ordering::AcqRel) + 7);
+                    assert_eq!(*v, 7, "every reader sees the first initializer's value");
+                });
+            }
+        });
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "initializer ran twice");
+        assert_eq!(cell.get(), Some(&7));
+    });
+    assert!(
+        report.counterexample.is_none(),
+        "{:?}",
+        report.counterexample
+    );
+    assert!(report.complete, "space should be fully explored");
+    assert!(report.schedules > 1, "both initializer orders are explored");
 }

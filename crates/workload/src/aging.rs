@@ -8,8 +8,15 @@
 //! warehouse through every scheduled transition day and compare against
 //! a from-scratch reduction at each one. Everything is a pure function
 //! of the seed.
+//!
+//! [`daily_script`] is the write path's shape instead: one `Load` and one
+//! `Age` per simulated day, with the irregularities a real loader
+//! produces — facts that arrive months late, a day delivered in two
+//! loads, a day whose aging is skipped.
 
-use sdr_mdm::{calendar::days_from_civil, DayNum};
+use std::sync::Arc;
+
+use sdr_mdm::{calendar::days_from_civil, DayNum, Mo, Schema};
 
 use crate::concurrent::SplitMix64;
 use crate::gen::{
@@ -67,5 +74,76 @@ pub fn aging_script(seed: u64) -> AgingScript {
         actions,
         data_end: days_from_civil(ey, em, 28),
         horizon_end: days_from_civil(2005, 6, 28),
+    }
+}
+
+/// One step of a [`DailyScript`], in application order.
+#[derive(Debug, Clone)]
+pub enum DailyOp {
+    /// Bulk-load these bottom-granularity clicks.
+    Load(Mo),
+    /// Age the warehouse to this day.
+    Age(DayNum),
+}
+
+/// A seeded day-by-day ingest scenario: alternating loads and agings
+/// under a two-tier retention policy (see [`daily_script`]).
+pub struct DailyScript {
+    /// The schema every load is over.
+    pub schema: Arc<Schema>,
+    /// The policy's action sources (parse against `schema`).
+    pub actions: Vec<String>,
+    /// The steps: for each simulated day its load(s), then usually an
+    /// `Age` to that day.
+    pub ops: Vec<DailyOp>,
+}
+
+/// Builds `days` simulated days (from 1999/01/01) of a few clicks each
+/// under `retention_policy(raw, 12)`, so that over 400+ days facts pass
+/// from the raw tier through month × domain into quarter × group.
+/// Irregularities, all seeded: about one day in seven also delivers up to
+/// three **late** copies of clicks at least 70 days old (their home is
+/// already a month or quarter cube); about one in nine arrives as **two
+/// loads** before its `Age`; about one in eleven has **no `Age`**, so the
+/// next day's covers two days of loads. The policy is month-granular:
+/// most `Age` steps have no transition in range.
+pub fn daily_script(seed: u64, days: usize) -> DailyScript {
+    let mut rng = SplitMix64(seed ^ 0xD41C_7A6E_0B5E_55ED);
+    let start = days_from_civil(1999, 1, 1);
+    let last = sdr_mdm::calendar::civil_from_days(start + days as DayNum - 1);
+    let cs = generate(&ClickstreamConfig {
+        seed: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
+        clicks_per_day: 6 + rng.below(4) as usize,
+        start: (1999, 1, 1),
+        end: last,
+        ..Default::default()
+    });
+    let day_rows = cs.rows_by_day(start, days);
+    let mut ops = Vec::with_capacity(2 * days);
+    for (i, today) in day_rows.iter().enumerate() {
+        let mut rows = today.clone();
+        if i >= 120 && rng.below(7) == 0 {
+            for _ in 0..=rng.below(3) {
+                let old = &day_rows[rng.below((i - 70) as u64) as usize];
+                if !old.is_empty() {
+                    rows.push(old[rng.below(old.len() as u64) as usize]);
+                }
+            }
+        }
+        if rows.len() >= 2 && rng.below(9) == 0 {
+            let (a, b) = rows.split_at(rows.len() / 2);
+            ops.push(DailyOp::Load(cs.mo.gather(a)));
+            ops.push(DailyOp::Load(cs.mo.gather(b)));
+        } else {
+            ops.push(DailyOp::Load(cs.mo.gather(&rows)));
+        }
+        if i + 1 == days || rng.below(11) != 0 {
+            ops.push(DailyOp::Age(start + i as DayNum));
+        }
+    }
+    DailyScript {
+        schema: cs.schema,
+        actions: retention_policy(2 + rng.below(2) as u32, 12),
+        ops,
     }
 }

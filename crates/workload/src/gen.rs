@@ -67,6 +67,23 @@ pub struct Clickstream {
     pub url_cats: UrlCatIds,
 }
 
+impl Clickstream {
+    /// The fact rows of each of the `days` days from `start`, in row
+    /// order (the generator emits facts day by day, so each day is one
+    /// contiguous run) — what a day-by-day loader hands to `gather`.
+    pub fn rows_by_day(&self, start: DayNum, days: usize) -> Vec<Vec<u32>> {
+        let mut by_day = vec![Vec::new(); days];
+        for f in self.mo.facts() {
+            let code = self.mo.value(f, sdr_mdm::DimId(0)).code;
+            let Ok(TimeValue::Day(d)) = TimeValue::from_code(time_cat::DAY, code) else {
+                panic!("generated fact is not day-granular");
+            };
+            by_day[(d - start) as usize].push(f.0);
+        }
+        by_day
+    }
+}
+
 /// Category ids of the generated URL dimension.
 #[derive(Debug, Clone, Copy)]
 pub struct UrlCatIds {

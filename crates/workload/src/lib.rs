@@ -17,7 +17,7 @@ pub mod paper;
 pub mod retail;
 pub mod sessions;
 
-pub use aging::{aging_script, AgingScript};
+pub use aging::{aging_script, daily_script, AgingScript, DailyOp, DailyScript};
 pub use concurrent::{churn_script, ChurnOp, SplitMix64, CHURN_ACTION};
 pub use gen::{
     generate, prover_heavy_policy, retention_policy, tiered_policy, Clickstream, ClickstreamConfig,

@@ -19,7 +19,7 @@ run cargo test -q --workspace
 run cargo build --release --offline --manifest-path benchmark/Cargo.toml
 run cargo test -q --offline --manifest-path benchmark/Cargo.toml
 run cargo fmt --check
-run cargo clippy --workspace -- -D warnings
+run cargo clippy --workspace --all-targets -- -D warnings
 
 # Doc gate: first-party crates build their docs without warnings (the
 # crates that opt into #![warn(missing_docs)] promote missing docs to

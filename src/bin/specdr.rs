@@ -1278,6 +1278,15 @@ fn cmd_stats(opts: &Opts) -> Result<(), AnyError> {
         syn.clicks,
         cs.mo.len()
     );
+    let view = mgr.view();
+    for (i, c) in view.cubes().iter().enumerate() {
+        eprintln!(
+            "  K{i} {}: rows={} chunks={}",
+            cs.schema.render_granularity(&c.grain),
+            c.rows(),
+            c.chunks().len()
+        );
+    }
     if opts.switch("--bytes") {
         print_cube_bytes(&mgr, format)?;
     }

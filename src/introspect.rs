@@ -323,8 +323,8 @@ pub fn explain_sync(
 /// tracing on and assembles its introspection report. The phase table
 /// separates the scheduler (`subcube.age.schedule`), the per-transition
 /// ticks (`subcube.age.tick`) with their summed `rows_in`/`rows_out`,
-/// and any baseline `subcube.sync.scan`/`subcube.sync.rebuild` the
-/// dirty path fell back to —
+/// and the baseline `subcube.sync.scan`/`subcube.sync.rebuild` a
+/// never-synchronized warehouse starts with —
 /// so the report shows exactly how much work the incremental path did
 /// compared to a from-scratch synchronization.
 pub fn explain_age(

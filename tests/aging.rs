@@ -14,6 +14,9 @@
 //!   epoch they were last rebuilt at).
 //! * Tick-partition property: aging in one jump equals aging through
 //!   any random subset of the intermediate transition days.
+//! * Interleaved differential: 430 days of alternating `bulk_load` and
+//!   `age` (late facts, double loads, skipped agings) equal one load +
+//!   one `sync` of the same facts after every `age`.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -24,7 +27,10 @@ use specdr::prover::Region;
 use specdr::reduce::{DataReductionSpec, ReductionSchedule};
 use specdr::spec::{eval_pred, ground_conj, parse_action, parse_actions, to_dnf, Pexp};
 use specdr::subcube::{SubcubeManager, SubcubeStats};
-use specdr::workload::{aging_script, generate, paper_mo, ClickstreamConfig, ACTION_A1, ACTION_A2};
+use specdr::workload::{
+    aging_script, daily_script, generate, paper_mo, ClickstreamConfig, DailyOp, ACTION_A1,
+    ACTION_A2,
+};
 
 fn spec_from_sources(schema: &Arc<Schema>, srcs: &[String]) -> DataReductionSpec {
     let actions: Vec<_> = srcs
@@ -256,6 +262,84 @@ fn long_horizon_differential_seed_2() {
 #[test]
 fn long_horizon_differential_seed_3() {
     differential_run(3);
+}
+
+/// The write path's guarantee: loading a day and aging to it, day after
+/// day, lands after **every** `age` on exactly the state one bulk load of
+/// everything so far plus one `sync` produces — although `age` only ever
+/// resolves the rows loaded since the previous pass.
+fn interleaved_run(seed: u64) {
+    let script = daily_script(seed, 430);
+    let spec = spec_from_sources(&script.schema, &script.actions);
+    let sched = ReductionSchedule::build(&spec).unwrap();
+    let aged = SubcubeManager::new(spec.clone());
+    let mut all = specdr::mdm::Mo::new(Arc::clone(&script.schema));
+    let mut pending = 0usize; // rows loaded since the last age
+    let (mut late_homed, mut double_loads, mut quiet_ages) = (false, 0usize, 0usize);
+    let mut loads_since_age = 0usize;
+    for (step, op) in script.ops.iter().enumerate() {
+        let t = match op {
+            DailyOp::Load(mo) => {
+                aged.bulk_load(mo).unwrap();
+                all.absorb(mo).unwrap();
+                pending += mo.len();
+                loads_since_age += 1;
+                assert!(aged.view().is_dirty() || mo.is_empty());
+                continue;
+            }
+            DailyOp::Age(t) => *t,
+        };
+        let before = aged.view();
+        let stats = aged.age(t).unwrap();
+        let ctx = format!("seed {seed} step {step} day {t}");
+        if let Some(last) = before.last_sync() {
+            assert_eq!(stats.rows_homed, pending, "{ctx}: un-homed rows");
+            let ticks = sched.transitions_between(last, t).len();
+            assert_eq!(stats.ticks, ticks, "{ctx}: transition ticks");
+            quiet_ages += usize::from(ticks == 0);
+            // A non-bottom cube that changed on a quiet day received a
+            // late fact: nothing else can reach it without a transition.
+            let after = aged.view();
+            late_homed |= ticks == 0 && before.version_vector()[1..] != after.version_vector()[1..];
+        }
+        double_loads += usize::from(loads_since_age >= 2);
+        (pending, loads_since_age) = (0, 0);
+        assert!(!aged.view().is_dirty(), "{ctx}");
+
+        let fresh = SubcubeManager::new(spec.clone());
+        fresh.bulk_load(&all).unwrap();
+        fresh.sync(t).unwrap();
+        assert_eq!(digest(&aged), digest(&fresh), "{ctx}: digest divergence");
+        assert_eq!(
+            masked_stats(&aged),
+            masked_stats(&fresh),
+            "{ctx}: stats divergence"
+        );
+        aged.verify_stats().unwrap();
+    }
+    // The script exercised what it promises.
+    assert!(
+        late_homed,
+        "seed {seed}: no late fact reached a coarse cube"
+    );
+    assert!(double_loads > 0, "seed {seed}: no double load");
+    assert!(quiet_ages > 300, "seed {seed}: {quiet_ages} quiet agings");
+    let v = aged.view();
+    assert!(
+        v.cubes().iter().all(|c| c.rows() > 0),
+        "seed {seed}: every tier populated: {}",
+        v.describe()
+    );
+}
+
+#[test]
+fn interleaved_load_and_age_equals_from_scratch_seed_1() {
+    interleaved_run(1);
+}
+
+#[test]
+fn interleaved_load_and_age_equals_from_scratch_seed_2() {
+    interleaved_run(2);
 }
 
 proptest! {

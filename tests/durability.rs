@@ -21,7 +21,7 @@ use specdr::reduce::{DataReductionSpec, ReductionSchedule};
 use specdr::spec::{parse_action, ActionId, ActionSpec};
 use specdr::storage::fs::{FailpointFs, FaultMode, Fs, RealFs};
 use specdr::subcube::{DurableWarehouse, SubcubeManager, SubcubeStats, SyncStats, WarehouseOp};
-use specdr::workload::{paper_mo, ACTION_A1, ACTION_A2};
+use specdr::workload::{daily_script, paper_mo, DailyOp, ACTION_A1, ACTION_A2};
 
 /// One logical warehouse operation of a test workload.
 #[derive(Clone)]
@@ -412,7 +412,7 @@ fn aging_crash_matrix_over_every_fs_op() {
                         .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
                 let last = w.manager().last_sync();
                 assert!(
-                    last.map_or(true, |d| legal.contains(&d)),
+                    last.is_none_or(|d| legal.contains(&d)),
                     "{ctx}: recovered mid-tick watermark {last:?} not in {legal:?}"
                 );
             }
@@ -420,6 +420,81 @@ fn aging_crash_matrix_over_every_fs_op() {
             std::fs::remove_dir_all(&dir).ok();
         }
     }
+}
+
+/// The daily write path through drop → `recover`: 430 days of
+/// alternating `bulk_load` and `age`, dropped and recovered three times
+/// mid-script — once with loaded-but-un-aged rows only in the WAL tail,
+/// so replay must rebuild the un-homed set, and once from a checkpoint
+/// plus tail — end on exactly the state of a manager that never
+/// stopped, which is one load + one `sync` of the same facts.
+#[test]
+fn interleaved_load_and_age_survives_drop_and_recover() {
+    let script = daily_script(4, 430);
+    let actions = script
+        .actions
+        .iter()
+        .map(|src| parse_action(&script.schema, src).unwrap())
+        .collect();
+    let spec = DataReductionSpec::new(Arc::clone(&script.schema), actions).unwrap();
+    let ops: Vec<Op> = script
+        .ops
+        .iter()
+        .map(|op| match op {
+            DailyOp::Load(mo) => Op::Load(mo.clone()),
+            DailyOp::Age(t) => Op::Age(*t),
+        })
+        .collect();
+    // Drop points: right after a load (un-homed rows pending), right
+    // after an age that is then checkpointed, and right after an age
+    // with only the WAL to recover from.
+    let after = |from: usize, load: bool| {
+        from + ops[from..]
+            .iter()
+            .position(|op| matches!(op, Op::Load(_)) == load)
+            .unwrap()
+    };
+    let n = ops.len();
+    let (dirty_drop, ckpt_at) = (after(n / 4, true), after(n / 2, false));
+    let (ckpt_drop, wal_drop) = (after(ckpt_at + 40, false), after(3 * n / 4, false));
+    let dir = tmpdir("daily");
+    let mut w = DurableWarehouse::create(spec.clone(), &dir).unwrap();
+    let plain = SubcubeManager::new(spec.clone());
+    let mut all = Mo::new(Arc::clone(&script.schema));
+    for (i, op) in ops.iter().enumerate() {
+        op.apply_durable(&mut w).unwrap();
+        op.apply_plain(&plain);
+        if let Op::Load(mo) = op {
+            all.absorb(mo).unwrap();
+        }
+        if i == ckpt_at {
+            w.checkpoint().unwrap();
+        }
+        if [dirty_drop, ckpt_drop, wal_drop].contains(&i) {
+            let pending = w.manager().view().is_dirty();
+            assert_eq!(pending, i == dirty_drop, "drop point {i} of {n}");
+            drop(w);
+            let (rec, report) =
+                DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
+            assert!(report.replayed > 0, "drop point {i}: nothing replayed");
+            assert_eq!(
+                rec.manager().view().is_dirty(),
+                pending,
+                "drop point {i}: un-homed rows must survive recovery"
+            );
+            assert_eq!(state(rec.manager()), state(&plain), "drop point {i}");
+            w = rec;
+        }
+    }
+    let Some(Op::Age(end)) = ops.last() else {
+        panic!("the script ends with an age");
+    };
+    let fresh = SubcubeManager::new(spec.clone());
+    fresh.bulk_load(&all).unwrap();
+    fresh.sync(*end).unwrap();
+    assert_eq!(state(w.manager()), state(&fresh));
+    w.manager().verify_stats().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Double-crash: a second fault during the *recovered* warehouse's next
@@ -792,7 +867,7 @@ fn seeded_aging_crash_schedule_is_deterministic() {
                 DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
             let last = w.manager().last_sync();
             assert!(
-                last.map_or(true, |d| legal.contains(&d)),
+                last.is_none_or(|d| legal.contains(&d)),
                 "seed={seed}: recovered mid-tick watermark {last:?}"
             );
         }

@@ -105,6 +105,60 @@ fn metrics_agree_with_authoritative_numbers() {
     // a zero count).
     assert_eq!(snap.span("subcube.sync.scan").map_or(0, |s| s.count), 0);
 
+    // --- Phase 3b: load + age. The aging counters and the per-tick span
+    // attributes must equal the returned `AgeStats`, chunk accounting
+    // included. The load re-delivers old clicks, so homing them rewrites
+    // chunks of the coarse cubes; the target day crosses a month start.
+    obs::reset();
+    let chunks_before: usize = mgr.view().cubes().iter().map(|c| c.chunks().len()).sum();
+    let late: Vec<u32> = (0..50).collect();
+    mgr.bulk_load(&mo.gather(&late)).unwrap();
+    let aged = mgr.age(now + 40).unwrap();
+    let snap = obs::snapshot();
+    assert!(aged.ticks >= 1 && aged.chunks_rewritten > 0, "{aged:?}");
+    assert_eq!(aged.rows_homed, late.len());
+    for (name, want) in [
+        ("age.ticks", aged.ticks),
+        ("age.cells_delta", aged.cells_delta),
+        ("age.cubes_skipped", aged.cubes_skipped),
+        ("age.rows_homed", aged.rows_homed),
+        ("subcube.chunks.rewritten", aged.chunks_rewritten),
+        ("subcube.chunks.carried", aged.chunks_carried),
+    ] {
+        assert_eq!(snap.counter(name), Some(want as u64), "{name}");
+    }
+    let attr_sum = |span: &str, key: &str| -> u64 {
+        snap.traces
+            .iter()
+            .filter(|t| t.name == span)
+            .flat_map(|t| t.attrs.iter())
+            .filter(|(k, _)| k == key)
+            .map(|(_, v)| v.parse::<u64>().unwrap())
+            .sum()
+    };
+    assert_eq!(
+        snap.span("subcube.age.tick").unwrap().count,
+        aged.ticks as u64
+    );
+    for (key, want) in [
+        ("rows_homed", aged.rows_homed),
+        ("cells_delta", aged.cells_delta),
+        ("chunks_rewritten", aged.chunks_rewritten),
+        ("chunks_carried", aged.chunks_carried),
+    ] {
+        assert_eq!(
+            attr_sum("subcube.age.tick", key),
+            want as u64,
+            "tick attr {key}"
+        );
+    }
+    // The load appended one chunk and carried every other by pointer.
+    assert_eq!(attr_sum("subcube.bulk_load", "chunks_rewritten"), 1);
+    assert_eq!(
+        attr_sum("subcube.bulk_load", "chunks_carried"),
+        chunks_before as u64
+    );
+
     // --- Phase 4: parallel query. Fan-out covers every cube; one
     // sub-query span per cube (planner-skipped ones included — they
     // record a `skipped` attr) plus the final combine aggregation.

@@ -23,7 +23,9 @@ use specdr::spec::parse_action;
 use specdr::storage::fs::{FailpointFs, FaultMode, RealFs};
 use specdr::storage::{scan_wal, Fs};
 use specdr::subcube::{ShardRouter, SubcubeError, SubcubeManager, WarehouseLayout};
-use specdr::workload::{churn_script, paper_schema, ChurnOp, ACTION_A1, ACTION_A2};
+use specdr::workload::{
+    churn_script, daily_script, paper_schema, ChurnOp, DailyOp, ACTION_A1, ACTION_A2,
+};
 
 fn paper_spec() -> DataReductionSpec {
     let (schema, _) = paper_schema();
@@ -193,6 +195,57 @@ fn sharded_matches_unsharded_over_random_churn() {
             );
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+}
+
+/// The daily write path through the router: 430 days of alternating
+/// `bulk_load` and `age` (late facts, double loads, skipped agings) on
+/// N ∈ {1, 2} shards hold, after every `age`, the content of one
+/// unsharded bulk load of the same facts plus one `sync` — each shard
+/// homes only the rows it was handed since its previous pass.
+#[test]
+fn sharded_interleaved_load_and_age_matches_from_scratch() {
+    let script = daily_script(3, 430);
+    let actions = script
+        .actions
+        .iter()
+        .map(|src| parse_action(&script.schema, src).unwrap())
+        .collect();
+    let spec = DataReductionSpec::new(Arc::clone(&script.schema), actions).unwrap();
+    for shards in [1usize, 2] {
+        let dir = tdir(&format!("daily-{shards}"));
+        let router = ShardRouter::create(spec.clone(), &dir, shards).unwrap();
+        let mut all = specdr::mdm::Mo::new(Arc::clone(&script.schema));
+        let mut pending = 0usize;
+        for (step, op) in script.ops.iter().enumerate() {
+            let t = match op {
+                DailyOp::Load(mo) => {
+                    router.bulk_load(mo).unwrap();
+                    all.absorb(mo).unwrap();
+                    pending += mo.len();
+                    continue;
+                }
+                DailyOp::Age(t) => *t,
+            };
+            let first = router.view_set().views()[0].last_sync().is_none();
+            let stats = router.age(t).unwrap();
+            if !first {
+                assert_eq!(stats.rows_homed, pending, "shards={shards} step {step}");
+            }
+            pending = 0;
+            let fresh = SubcubeManager::new(spec.clone());
+            fresh.bulk_load(&all).unwrap();
+            fresh.sync(t).unwrap();
+            assert_eq!(
+                canonical_digest(&router.view_set().to_mo().unwrap()),
+                canonical_digest(&fresh.to_mo().unwrap()),
+                "shards={shards}: content diverged at step {step} (day {t})"
+            );
+        }
+        for v in router.view_set().views() {
+            v.verify_stats().unwrap();
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 

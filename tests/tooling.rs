@@ -402,6 +402,16 @@ fn cli_stats_prints_snapshot_table() {
     assert!(stdout.contains("reduce.facts_scanned"), "{stdout}");
     assert!(stdout.contains("spans:"), "{stdout}");
     assert!(stdout.contains("subcube.sync"), "{stdout}");
+    // The pipeline summary (stderr) lists every cube with its chunk count.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let cubes: Vec<&str> = stderr.lines().filter(|l| l.starts_with("  K")).collect();
+    assert_eq!(cubes.len(), 3, "{stderr}");
+    assert!(
+        cubes
+            .iter()
+            .all(|l| l.contains(" rows=") && l.contains(" chunks=")),
+        "{stderr}"
+    );
 }
 
 #[test]
