@@ -69,7 +69,7 @@ fn main() {
     );
 
     let view = m.view();
-    let oracle = m.region_oracle(&view);
+    let oracle = view.region_oracle();
     let queries: &[(&'static str, &str, SelectMode, bool)] = &[
         (
             "old_window_conservative",

@@ -26,11 +26,18 @@
 //!   `specdr serve`: a cap-`N` [`Gate`] must never
 //!   admit `N+1` concurrent holders and must never leak a slot, even on
 //!   handler error paths.
+//! * [`Protocol::Memo`] — the single-slot memo of
+//!   `WarehouseView::virtual_age` (un-synchronized reads): two readers
+//!   pinning one version race to fill its slot, for the same day and for
+//!   different days, while a writer publishes a successor. Every reader
+//!   gets the version aged to *its* day, never a slot computed for
+//!   another, and the successor starts with an empty slot.
 //!
 //! Every protocol has a named *mutation* (see [`MUTATIONS`]): a
 //! model-only failpoint that re-introduces the exact bug the protocol
 //! exists to prevent (skipping the writer lock, skipping rollback,
-//! skipping the wedge, check-then-act admission). `specdr check
+//! skipping the wedge, check-then-act admission, answering from the memo
+//! without comparing its day). `specdr check
 //! --mutate <name>` arms one and must produce a counterexample — this
 //! is how we know the harnesses have teeth.
 //!
@@ -69,16 +76,20 @@ pub enum Protocol {
     Shard,
     /// `specdr serve` admission: connection-cap gate soundness.
     Serve,
+    /// `WarehouseView::virtual_age`: the per-version memo of
+    /// un-synchronized reads.
+    Memo,
 }
 
 impl Protocol {
     /// All protocols, in the order `specdr check --protocol all` runs
     /// them.
-    pub const ALL: [Protocol; 4] = [
+    pub const ALL: [Protocol; 5] = [
         Protocol::Epoch,
         Protocol::GroupCommit,
         Protocol::Shard,
         Protocol::Serve,
+        Protocol::Memo,
     ];
 
     /// The CLI name of the protocol.
@@ -88,6 +99,7 @@ impl Protocol {
             Protocol::GroupCommit => "group-commit",
             Protocol::Shard => "shard",
             Protocol::Serve => "serve",
+            Protocol::Memo => "memo",
         }
     }
 
@@ -114,6 +126,10 @@ impl Protocol {
             Protocol::Serve => {
                 "the connection gate never admits cap+1 and never leaks \
                  a slot, even on error paths"
+            }
+            Protocol::Memo => {
+                "an un-synchronized reader is answered for its own \
+                 (version, day), never from a slot filled for another"
             }
         }
     }
@@ -144,7 +160,7 @@ pub struct Mutation {
 
 /// Every known mutation. `scripts/ci.sh` runs all of them and fails the
 /// build if any harness *misses* its planted bug.
-pub const MUTATIONS: [Mutation; 4] = [
+pub const MUTATIONS: [Mutation; 5] = [
     Mutation {
         name: "publish-unlocked",
         failpoint: "mgr.publish-unlocked",
@@ -172,6 +188,13 @@ pub const MUTATIONS: [Mutation; 4] = [
         protocol: Protocol::Serve,
         plants: "admission becomes check-then-act, so two connections \
                  can claim the last slot",
+    },
+    Mutation {
+        name: "memo-any-day",
+        failpoint: "unsync.memo-any-day",
+        protocol: Protocol::Memo,
+        plants: "a filled memo slot is returned without comparing its \
+                 day, so a reader is answered for another day",
     },
 ];
 
@@ -212,6 +235,7 @@ fn default_preemptions(p: Protocol) -> usize {
     match p {
         Protocol::GroupCommit | Protocol::Shard => 3,
         Protocol::Epoch => 4,
+        Protocol::Memo => 5,
         Protocol::Serve => 8,
     }
 }
@@ -231,6 +255,7 @@ pub fn run(protocol: Protocol, opts: &CheckOptions) -> Report {
         Protocol::GroupCommit => check_group_commit(&mopts, opts.mutation),
         Protocol::Shard => check_shard(&mopts, opts.mutation),
         Protocol::Serve => check_serve(&mopts, opts.mutation),
+        Protocol::Memo => check_memo(&mopts, opts.mutation),
     };
     sdr_obs::add("check.schedules_explored", report.schedules);
     sdr_obs::add("check.prunes", report.prunes);
@@ -525,6 +550,85 @@ fn check_serve(mopts: &ModelOptions, mutation: Option<&'static str>) -> Report {
     })
 }
 
+// ---- un-synchronized read memo -----------------------------------------
+
+/// Every fact of `v`, rendered and sorted.
+fn sorted_facts(v: &WarehouseView) -> Vec<String> {
+    let mo = v.to_mo().expect("view materializes");
+    let mut rows: Vec<String> = mo.facts().map(|f| mo.render_fact(f)).collect();
+    rows.sort();
+    rows
+}
+
+/// Two readers pin the same synchronized version and age it virtually —
+/// one to the second snapshot day and then the third, the other to the
+/// second only — while a writer publishes a successor. See
+/// [`Protocol::Memo`].
+fn check_memo(mopts: &ModelOptions, mutation: Option<&'static str>) -> Report {
+    let spec = paper_spec();
+    let (mo, _) = paper_mo();
+    let base = mo.gather(&[0, 1, 2, 3, 4]);
+    let extra = mo.gather(&[5, 6]);
+    let [synced, day_a, day_b] = snapshot_days();
+    // The single-threaded answers: the warehouse really aged to the day.
+    let really_aged = |loads: &[&sdr_mdm::Mo], day| {
+        let m = SubcubeManager::new(spec.clone());
+        m.bulk_load(loads[0]).expect("load");
+        m.sync(synced).expect("sync");
+        for more in &loads[1..] {
+            m.bulk_load(more).expect("load");
+        }
+        m.age(day).expect("age");
+        sorted_facts(&m.view())
+    };
+    let want_a = really_aged(&[&base], day_a);
+    let want_b = really_aged(&[&base], day_b);
+    let want_successor = really_aged(&[&base, &extra], day_a);
+    check(mopts, move || {
+        arm(mutation);
+        let mgr = Arc::new(SubcubeManager::new(spec.clone()));
+        mgr.bulk_load(&base).expect("baseline load");
+        mgr.sync(synced).expect("baseline sync");
+        let pinned = mgr.view();
+        let read = |view: &WarehouseView, day, want: &Vec<String>| {
+            let (aged, _) = view.virtual_age(day).expect("virtual age");
+            assert_eq!(
+                aged.last_sync(),
+                Some(day),
+                "reader asked for day {day} and was answered for another"
+            );
+            assert_eq!(&sorted_facts(&aged), want, "wrong answer for day {day}");
+        };
+        thread::scope(|s| {
+            {
+                let (pinned, read) = (pinned.clone(), &read);
+                let (want_a, want_b) = (&want_a, &want_b);
+                s.spawn_named("reader-ab".into(), move || {
+                    read(&pinned, day_a, want_a);
+                    read(&pinned, day_b, want_b);
+                });
+            }
+            {
+                let (pinned, read, want_a) = (pinned.clone(), &read, &want_a);
+                s.spawn_named("reader-a".into(), move || read(&pinned, day_a, want_a));
+            }
+            {
+                let (mgr, extra) = (Arc::clone(&mgr), &extra);
+                s.spawn_named("writer".into(), move || {
+                    mgr.bulk_load(extra).expect("successor load");
+                });
+            }
+        });
+        // Virtual: the readers published nothing, and the successor —
+        // whatever its predecessor's slot held — computes for itself.
+        assert_eq!(pinned.epoch() + 1, mgr.epoch(), "a reader published");
+        let fresh = mgr.view();
+        let (aged, hit) = fresh.virtual_age(day_a).expect("virtual age");
+        assert!(!hit, "the successor inherited a memo slot");
+        assert_eq!(sorted_facts(&aged), want_successor);
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,6 +669,14 @@ mod tests {
         let r = run(Protocol::Shard, &quick());
         assert!(r.counterexample.is_none(), "{:?}", r.counterexample);
         assert!(r.complete, "shard harness must be fully explored");
+        assert!(r.nondeterminism.is_none());
+    }
+
+    #[test]
+    fn memo_is_proved_clean() {
+        let r = run(Protocol::Memo, &quick());
+        assert!(r.counterexample.is_none(), "{:?}", r.counterexample);
+        assert!(r.complete, "memo harness must be fully explored");
         assert!(r.nondeterminism.is_none());
     }
 

@@ -209,6 +209,32 @@ mod tests {
     }
 
     #[test]
+    fn sync_never_moves_the_watermark_backwards() {
+        let (m, mo) = manager_with_paper_data();
+        let [_, earlier, watermark] = sdr_workload::snapshot_days();
+        m.sync(watermark).unwrap();
+        // Clean: an earlier day changes nothing, the watermark included.
+        let s = m.sync(earlier).unwrap();
+        assert_eq!((s.migrated, s.merged), (0, 0));
+        assert_eq!(m.last_sync(), Some(watermark));
+        // Dirty: the new rows are homed as of the watermark, so the
+        // warehouse is still the reduction at one day.
+        m.bulk_load(&mo).unwrap();
+        m.sync(earlier).unwrap();
+        assert_eq!(m.last_sync(), Some(watermark));
+        let (fresh, _) = manager_with_paper_data();
+        fresh.bulk_load(&mo).unwrap();
+        fresh.sync(watermark).unwrap();
+        let rows = |m: &SubcubeManager| {
+            let mo = m.to_mo().unwrap();
+            let mut r: Vec<String> = mo.facts().map(|f| mo.render_fact(f)).collect();
+            r.sort();
+            r
+        };
+        assert_eq!(rows(&m), rows(&fresh));
+    }
+
+    #[test]
     fn measures_conserved_through_sync() {
         let (m, mo) = manager_with_paper_data();
         for t in sdr_workload::snapshot_days() {

@@ -43,6 +43,7 @@
 //! either.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use sdr_sync::{fail, Mutex, OnceCell, Swap};
@@ -94,14 +95,18 @@ impl Chunk {
         })
     }
 
-    /// Copies `mo` into chunks of at most [`CHUNK_ROWS`] rows over
-    /// `schema`, in row order (none for an empty `mo`).
-    fn cut(schema: &Arc<Schema>, mo: &Mo) -> Result<Vec<Arc<Chunk>>, SubcubeError> {
-        (0..mo.len())
+    /// Copies `rows` of `mo` into chunks of at most [`CHUNK_ROWS`] rows
+    /// over `schema`, in row order (none for an empty range).
+    fn cut(
+        schema: &Arc<Schema>,
+        mo: &Mo,
+        rows: Range<usize>,
+    ) -> Result<Vec<Arc<Chunk>>, SubcubeError> {
+        rows.clone()
             .step_by(CHUNK_ROWS)
             .map(|lo| {
                 let mut part = Mo::new(Arc::clone(schema));
-                part.absorb_rows(mo, lo..mo.len().min(lo + CHUNK_ROWS))
+                part.absorb_rows(mo, lo..rows.end.min(lo + CHUNK_ROWS))
                     .map_err(ReduceError::Model)?;
                 Ok(Chunk::new(Arc::new(part)))
             })
@@ -165,7 +170,7 @@ impl CubeData {
         let chunks = if (1..=CHUNK_ROWS).contains(&mo.len()) {
             vec![Chunk::new(Arc::clone(&mo))]
         } else {
-            Chunk::cut(mo.schema(), &mo).expect("rows fit their own schema")
+            Chunk::cut(mo.schema(), &mo, 0..mo.len()).expect("rows fit their own schema")
         };
         Arc::new(CubeData {
             schema: Arc::clone(mo.schema()),
@@ -323,11 +328,110 @@ pub(crate) struct VersionInner {
     /// change) and not yet resolved to their home cell by a sync pass or
     /// an aging step. Everything else is synchronized to `last_sync`.
     pub(crate) unhomed: usize,
+    /// The reduction schedule of `spec`, built on first use. The cell
+    /// travels with the `spec` pointer it derives from — every successor
+    /// under the same specification shares it, a specification change
+    /// starts a fresh one — so `age`, the region oracle and the
+    /// un-synchronized read path all find the one schedule here.
+    schedule: Arc<OnceCell<Result<ReductionSchedule, ReduceError>>>,
+    /// The single-slot memo of [`WarehouseView::virtual_age`]: the last
+    /// day this version was virtually aged to and the version that
+    /// produced. It lives and dies with this version, and costs only
+    /// what the aging steps rewrote — every other chunk is shared.
+    aged: Mutex<Option<(DayNum, Arc<VersionInner>)>>,
+}
+
+/// What one full pass ([`VersionInner::sync_pass`]) built and did.
+struct FullPass {
+    next: VersionInner,
+    stats: SyncStats,
+    /// Per source cube, the facts that left it.
+    migrated_from: Vec<u64>,
+    distinct_cells: usize,
+}
+
+impl FullPass {
+    /// The pass as `age` reports it: one tick that rebuilt everything.
+    fn as_age(&self) -> AgeStats {
+        AgeStats {
+            ticks: 1,
+            cells_delta: self.stats.migrated,
+            merged: self.stats.merged,
+            cubes_rebuilt: self.next.cubes.len(),
+            chunks_rewritten: self.next.n_chunks(),
+            ..AgeStats::default()
+        }
+    }
 }
 
 impl VersionInner {
+    /// The first version of a warehouse under `spec`: empty cubes.
+    fn initial(spec: DataReductionSpec, epoch: u64) -> VersionInner {
+        let (cubes, parents) = layout(&spec, epoch);
+        VersionInner {
+            epoch,
+            spec: Arc::new(spec),
+            cubes,
+            parents,
+            last_sync: None,
+            unhomed: 0,
+            schedule: Arc::new(OnceCell::new()),
+            aged: Mutex::new(None),
+        }
+    }
+
+    /// The successor of this version under the same specification.
+    fn successor(
+        &self,
+        cubes: Vec<Subcube>,
+        last_sync: Option<DayNum>,
+        unhomed: usize,
+    ) -> VersionInner {
+        VersionInner {
+            epoch: self.epoch + 1,
+            spec: Arc::clone(&self.spec),
+            cubes,
+            parents: self.parents.clone(),
+            last_sync,
+            unhomed,
+            schedule: Arc::clone(&self.schedule),
+            aged: Mutex::new(None),
+        }
+    }
+
+    /// The successor that only advances the sync watermark to `now`:
+    /// cube contents (and their version-vector entries) are untouched.
+    fn with_watermark(&self, now: DayNum) -> VersionInner {
+        let mut cubes = self.cubes.clone();
+        for c in &mut cubes {
+            c.synced_to = Some(now);
+        }
+        self.successor(cubes, Some(now), self.unhomed)
+    }
+
+    /// The day a synchronization asked for at `now` brings this version
+    /// to: `now`, but never a day before the watermark.
+    fn day_of(&self, now: DayNum) -> DayNum {
+        self.last_sync.map_or(now, |last| last.max(now))
+    }
+
     fn n_chunks(&self) -> usize {
         self.cubes.iter().map(|c| c.chunks().len()).sum()
+    }
+
+    fn rows(&self) -> usize {
+        self.cubes.iter().map(Subcube::rows).sum()
+    }
+
+    /// The [`ReductionSchedule`] of this version's specification.
+    pub(crate) fn schedule(&self) -> Result<&ReductionSchedule, SubcubeError> {
+        let built = self.schedule.get_or_init(|| {
+            let _span = sdr_obs::span("subcube.age.schedule");
+            let sched = ReductionSchedule::build(&self.spec)?;
+            sdr_obs::attr("transition_days", sched.transition_days().len());
+            Ok(sched)
+        });
+        built.as_ref().map_err(|e| e.clone().into())
     }
 }
 
@@ -385,6 +489,386 @@ fn layout(spec: &DataReductionSpec, epoch: u64) -> (Vec<Subcube>, Vec<Vec<CubeId
         }
     }
     (cubes, parents)
+}
+
+/// The reduction steps, as pure functions of a version: each builds the
+/// successor without publishing it. [`SubcubeManager::sync`] and
+/// [`SubcubeManager::age`] publish what these return; an un-synchronized
+/// read ([`WarehouseView::virtual_age`]) only keeps it.
+impl VersionInner {
+    /// The full scan-and-rebuild synchronization pass (no `needs_sync`
+    /// pre-check): every fact of every cube is re-homed at `now` and
+    /// every cube is rebuilt.
+    fn sync_pass(&self, now: DayNum) -> Result<FullPass, SubcubeError> {
+        let scan_span = sdr_obs::span("subcube.sync.scan");
+        let n = self.cubes.len();
+        let schema = self.spec.schema();
+        // Collect per-cube rebuilt groups.
+        type Key = Vec<DimValue>;
+        let mut groups: Vec<BTreeMap<Key, (Vec<i64>, u32)>> =
+            (0..n).map(|_| BTreeMap::new()).collect();
+        let mut stats = SyncStats::default();
+        let mut migrated_from = vec![0u64; n];
+        // One compiled, memoized cell resolution per fact (shared across
+        // home and provenance, cached per distinct cell) — the scan used
+        // to evaluate every action predicate twice per fact.
+        let mut cell_memo = sdr_reduce::CellMemo::new(&self.spec, now)?;
+        let mut coords = Vec::new();
+        for (ci, cube) in self.cubes.iter().enumerate() {
+            for mo in cube.chunks().iter().map(|c| c.data()) {
+                for f in mo.facts() {
+                    mo.coords_into(f, &mut coords);
+                    let cell = cell_memo.cell(&coords)?;
+                    let home = home_of(&self.cubes, &cell.coords);
+                    let target = cell.coords;
+                    if home == ci && target == coords {
+                        stats.kept += 1;
+                    } else {
+                        stats.migrated += 1;
+                        migrated_from[ci] += 1;
+                    }
+                    let origin = match cell.responsible {
+                        Some(id) => id.0,
+                        None => mo.store().origin[f.index()],
+                    };
+                    let entry = groups[home].entry(target).or_insert_with(|| {
+                        (
+                            schema.measures.iter().map(|m| m.agg.identity()).collect(),
+                            origin,
+                        )
+                    });
+                    for j in 0..schema.n_measures() {
+                        entry.0[j] = schema.measures[j]
+                            .agg
+                            .combine(entry.0[j], mo.measure(f, MeasureId(j as u16)));
+                    }
+                    if origin != ORIGIN_USER {
+                        entry.1 = origin;
+                    }
+                }
+            }
+        }
+        let scanned = stats.kept + stats.migrated;
+        sdr_obs::attr("rows_in", scanned);
+        sdr_obs::attr("memo_hits", scanned.saturating_sub(cell_memo.distinct()));
+        drop(scan_span);
+        let _rebuild_span = sdr_obs::span("subcube.sync.rebuild");
+        let epoch = self.epoch + 1;
+        let mut cubes = self.cubes.clone();
+        for (cube, g) in cubes.iter_mut().zip(groups) {
+            let mut mo = Mo::new(Arc::clone(schema));
+            for (coords, (ms, origin)) in g {
+                mo.insert_fact_at(&coords, &ms, origin)
+                    .map_err(ReduceError::Model)?;
+            }
+            cube.data = CubeData::from_mo(mo, epoch);
+            cube.synced_to = Some(now);
+        }
+        let next = self.successor(cubes, Some(now), 0);
+        stats.merged = scanned.saturating_sub(next.rows());
+        Ok(FullPass {
+            next,
+            stats,
+            migrated_from,
+            distinct_cells: cell_memo.distinct(),
+        })
+    }
+
+    /// Brings a version synchronized to `last` forward to `until ≥ last`
+    /// by folding the aging steps: one per scheduled transition day in
+    /// `(last, until]`, un-homed rows riding the first — or a step of
+    /// their own at `until` when no transition is in range (the schedule
+    /// proves their cell at `until` is their cell on any day since
+    /// `last`) — then the watermark. With a manager each step is traced
+    /// as a `subcube.age.tick` and published; without one nothing is,
+    /// and the result is the version `age(until)` *would* publish.
+    fn aged(
+        self: &Arc<Self>,
+        last: DayNum,
+        until: DayNum,
+        live: Option<&SubcubeManager>,
+    ) -> Result<(Arc<VersionInner>, AgeStats), SubcubeError> {
+        let land = |next: VersionInner| match live {
+            Some(mgr) => mgr.publish(next),
+            None => Arc::new(next),
+        };
+        let sched = self.schedule()?;
+        let ticks = sched.transitions_between(last, until);
+        let homing_only = (ticks.is_empty() && self.unhomed > 0).then_some(until);
+        let mut cur = Arc::clone(self);
+        let mut stats = AgeStats::default();
+        let mut prev = last;
+        for t in ticks.iter().copied().chain(homing_only) {
+            let _span = live.map(|_| sdr_obs::span("subcube.age.tick"));
+            let (next, s, scanned) = cur.age_step(sched, prev, t, homing_only.is_none())?;
+            if live.is_some() && sdr_obs::enabled() {
+                sdr_obs::attr("day", t);
+                sdr_obs::attr("rows_in", scanned);
+                sdr_obs::attr("cells_delta", s.cells_delta);
+                sdr_obs::attr("cubes_rebuilt", s.cubes_rebuilt);
+                sdr_obs::attr("cubes_skipped", s.cubes_skipped);
+                sdr_obs::attr("rows_homed", s.rows_homed);
+                sdr_obs::attr("chunks_rewritten", s.chunks_rewritten);
+                sdr_obs::attr("chunks_carried", s.chunks_carried);
+                if s.cubes_rebuilt > 0 {
+                    sdr_obs::attr("epoch", next.epoch);
+                    sdr_obs::attr("rows_out", next.rows());
+                }
+                sdr_obs::event(
+                    "subcube.age.tick",
+                    format!(
+                        "day={t} cells_delta={} rebuilt={} skipped={}",
+                        s.cells_delta, s.cubes_rebuilt, s.cubes_skipped
+                    ),
+                );
+            }
+            cur = land(next);
+            stats.absorb(s);
+            prev = t;
+        }
+        if cur.last_sync != Some(until) {
+            // No transition lands exactly on `until`: advance the
+            // watermark (contents at `until` equal those at the last
+            // transition — the schedule proves nothing moves between).
+            cur = land(cur.with_watermark(until));
+        }
+        Ok((cur, stats))
+    }
+
+    /// One aging step `t_prev → t` (nothing moves strictly in between):
+    /// evaluates the step's **changed disjuncts** on the rows of every
+    /// chunk whose time hull meets a Δ window, resolves every un-homed
+    /// row, re-homes exactly the rows whose cell moved (or that were
+    /// never homed) and rewrites only the chunks that lose or gain rows.
+    /// `transition` says whether `t` is a scheduled transition day
+    /// (counted as a tick) or a homing-only step. Returns the successor,
+    /// what the step did, and how many rows it examined.
+    fn age_step(
+        &self,
+        sched: &ReductionSchedule,
+        t_prev: DayNum,
+        t: DayNum,
+        transition: bool,
+    ) -> Result<(VersionInner, AgeStats, usize), SubcubeError> {
+        let cur = self;
+        let n = cur.cubes.len();
+        let schema = cur.spec.schema();
+        let mut stats = AgeStats {
+            ticks: usize::from(transition),
+            ..AgeStats::default()
+        };
+        // A conservative schedule may list a day where no grounding
+        // actually changed: then only un-homed rows can move.
+        let delta = sched.delta_pred(t_prev, t);
+        let windows = delta
+            .as_ref()
+            .and_then(|_| sched.delta_time_windows(schema, t_prev, t));
+        let ti = schema.dims.iter().position(Dimension::is_time);
+        // Chunks of the bottom cube from this index on are un-homed.
+        let homed = cur.cubes[0].chunks().len() - cur.unhomed;
+        // Scan phase: find the rows whose home cube or target cell
+        // changes across the step. A homed row on which every changed
+        // disjunct evaluates false at both endpoints evaluates the whole
+        // spec identically at both days and provably stays put; a chunk
+        // whose time hull misses every Δ window holds no other kind.
+        // Un-homed rows always move: they are taken out of their chunk
+        // and grouped by cell like any arriving row, so duplicates merge.
+        struct Move {
+            /// `(cube, chunk, row)` — the row's place in the global scan
+            /// order of the full pass.
+            src: (usize, usize, u32),
+            home: usize,
+            target: Vec<DimValue>,
+            origin: u32,
+        }
+        let mut cell_memo = sdr_reduce::CellMemo::new(&cur.spec, t)?;
+        let mut moves: Vec<Move> = Vec::new();
+        let mut coords: Vec<DimValue> = Vec::new();
+        let mut scanned = 0usize;
+        for (ci, cube) in cur.cubes.iter().enumerate() {
+            for (k, chunk) in cube.chunks().iter().enumerate() {
+                let unhomed = ci == 0 && k >= homed;
+                if unhomed {
+                    stats.rows_homed += chunk.mo.len();
+                } else {
+                    if delta.is_none() {
+                        continue;
+                    }
+                    // No hull (or no window list) means "never skip".
+                    if let (Some(ws), Some((lo, hi))) =
+                        (&windows, ti.and_then(|ti| chunk.summary.hull(ti)))
+                    {
+                        let overlaps = |&(wlo, whi): &(DayNum, DayNum)| {
+                            i64::from(wlo) <= hi && lo <= i64::from(whi)
+                        };
+                        if !ws.iter().any(overlaps) {
+                            continue; // disjoint from every Δ window
+                        }
+                    }
+                }
+                let mo = chunk.data();
+                for f in mo.facts() {
+                    scanned += 1;
+                    mo.coords_into(f, &mut coords);
+                    if let (false, Some(delta)) = (unhomed, &delta) {
+                        let touched = sdr_spec::eval_pred(schema, delta, &coords, t_prev)
+                            .map_err(ReduceError::Spec)?
+                            || sdr_spec::eval_pred(schema, delta, &coords, t)
+                                .map_err(ReduceError::Spec)?;
+                        if !touched {
+                            continue;
+                        }
+                    }
+                    let cell = cell_memo.cell(&coords)?;
+                    let home = home_of(&cur.cubes, &cell.coords);
+                    if home != ci || cell.coords != coords {
+                        stats.cells_delta += 1;
+                    } else if !unhomed {
+                        continue; // already at its fixed point
+                    }
+                    let origin = match cell.responsible {
+                        Some(id) => id.0,
+                        None => mo.store().origin[f.index()],
+                    };
+                    moves.push(Move {
+                        src: (ci, k, f.0),
+                        home,
+                        target: cell.coords,
+                        origin,
+                    });
+                }
+            }
+        }
+        if moves.is_empty() {
+            stats.cubes_skipped = n;
+            stats.chunks_carried = cur.n_chunks();
+            return Ok((cur.with_watermark(t), stats, scanned));
+        }
+        // Per cube: the rows leaving each chunk (in row order, as
+        // scanned) and the groups arriving, target cell → contributing
+        // `(source row, origin)`.
+        type Members = Vec<((usize, usize, u32), u32)>;
+        let mut leaving: Vec<BTreeMap<usize, Vec<u32>>> = vec![BTreeMap::new(); n];
+        let mut arriving: Vec<BTreeMap<Vec<DimValue>, Members>> = vec![BTreeMap::new(); n];
+        for m in moves {
+            leaving[m.src.0].entry(m.src.1).or_default().push(m.src.2);
+            arriving[m.home]
+                .entry(m.target)
+                .or_default()
+                .push((m.src, m.origin));
+        }
+        // Rebuild phase: only chunks that lose rows or may hold a row an
+        // arriving group merges into. Group members fold in global
+        // `(cube, chunk, row)` order — the order the full sync pass
+        // encounters them — so merged measures and provenance come out
+        // identical to a from-scratch reduction.
+        let epoch = cur.epoch + 1;
+        let packer = KeyPacker::new(schema);
+        let mut cubes = cur.cubes.clone();
+        for (ci, cube) in cubes.iter_mut().enumerate() {
+            cube.synced_to = Some(t);
+            let old = cur.cubes[ci].chunks();
+            let mut groups = std::mem::take(&mut arriving[ci]);
+            if leaving[ci].is_empty() && groups.is_empty() {
+                // Carry-forward: same facts, stats and epoch.
+                stats.cubes_skipped += 1;
+                stats.chunks_carried += old.len();
+                continue;
+            }
+            stats.cubes_rebuilt += 1;
+            let keys: Vec<Option<u128>> = groups
+                .keys()
+                .map(|target| packer.as_ref().map(|p| p.pack_coords(target)))
+                .collect();
+            // The successor chunk list; `true` marks a chunk built here.
+            let mut chunks: Vec<(Arc<Chunk>, bool)> = Vec::with_capacity(old.len() + 1);
+            for (k, chunk) in old.iter().enumerate() {
+                let gone = leaving[ci].get(&k).map_or(&[][..], Vec::as_slice);
+                if gone.len() == chunk.mo.len() {
+                    continue; // every row left (an un-homed chunk, typically)
+                }
+                let absorbs = groups
+                    .keys()
+                    .zip(&keys)
+                    .any(|(target, key)| chunk.summary.may_hold(target, *key));
+                if gone.is_empty() && !absorbs {
+                    chunks.push((Arc::clone(chunk), false));
+                    continue;
+                }
+                let mo = chunk.data();
+                let mut gone = gone.iter().peekable();
+                let mut keep: Vec<u32> = Vec::with_capacity(mo.len());
+                for f in mo.facts() {
+                    if gone.next_if_eq(&&f.0).is_some() {
+                        continue; // re-homed elsewhere
+                    }
+                    if absorbs {
+                        mo.coords_into(f, &mut coords);
+                        if let Some(members) = groups.get_mut(coords.as_slice()) {
+                            // An arriving group merges into this existing
+                            // row: fold it in as a member instead of
+                            // keeping it.
+                            members.push(((ci, k, f.0), mo.store().origin[f.index()]));
+                            continue;
+                        }
+                    }
+                    keep.push(f.0);
+                }
+                if keep.len() == mo.len() {
+                    chunks.push((Arc::clone(chunk), false));
+                } else if !keep.is_empty() {
+                    chunks.push((Chunk::new(Arc::new(mo.gather(&keep))), true));
+                }
+            }
+            let mut arrivals = Mo::new(Arc::clone(schema));
+            for (target, mut members) in groups {
+                members.sort_unstable();
+                let mut acc: Vec<i64> = schema.measures.iter().map(|m| m.agg.identity()).collect();
+                let mut origin = members[0].1;
+                for &((src, k, row), o) in &members {
+                    let smo = cur.cubes[src].chunks()[k].data();
+                    for (j, a) in acc.iter_mut().enumerate() {
+                        *a = schema.measures[j]
+                            .agg
+                            .combine(*a, smo.measure(FactId(row), MeasureId(j as u16)));
+                    }
+                    if o != ORIGIN_USER {
+                        origin = o;
+                    }
+                }
+                arrivals
+                    .insert_fact_at(&target, &acc, origin)
+                    .map_err(ReduceError::Model)?;
+            }
+            chunks.extend(
+                Chunk::cut(schema, &arrivals, 0..arrivals.len())?
+                    .into_iter()
+                    .map(|c| (c, true)),
+            );
+            // Coalesce: a chunk built here joins its predecessor while
+            // both fit one chunk, so the list stays ≈ rows / CHUNK_ROWS.
+            let mut list: Vec<(Arc<Chunk>, bool)> = Vec::with_capacity(chunks.len());
+            for (chunk, built) in chunks {
+                match list.last_mut() {
+                    Some((prev, prev_built))
+                        if built && prev.mo.len() + chunk.mo.len() <= CHUNK_ROWS =>
+                    {
+                        *prev = Chunk::merged(schema, prev, &chunk);
+                        *prev_built = true;
+                    }
+                    _ => list.push((chunk, built)),
+                }
+            }
+            let built = list.iter().filter(|(_, built)| *built).count();
+            stats.chunks_rewritten += built;
+            stats.chunks_carried += list.len() - built;
+            cube.data =
+                CubeData::from_chunks(schema, list.into_iter().map(|(c, _)| c).collect(), epoch);
+        }
+        let next = cur.successor(cubes, Some(t), 0);
+        stats.merged = cur.rows().saturating_sub(next.rows());
+        Ok((next, stats, scanned))
+    }
 }
 
 /// A consistent, immutable read view of the whole warehouse: one
@@ -446,7 +930,14 @@ impl WarehouseView {
 
     /// Total number of facts across all cubes.
     pub fn len(&self) -> usize {
-        self.v.cubes.iter().map(Subcube::rows).sum()
+        self.v.rows()
+    }
+
+    /// How many rows of the bottom cube — its last, in row order — were
+    /// loaded but not yet homed by a sync pass or an aging step.
+    pub fn unhomed_rows(&self) -> usize {
+        let tail = self.v.cubes[0].chunks().iter().rev().take(self.v.unhomed);
+        tail.map(|c| c.mo.len()).sum()
     }
 
     /// True when no cube holds facts.
@@ -463,6 +954,68 @@ impl WarehouseView {
     ) -> Result<(CubeId, Vec<DimValue>), SubcubeError> {
         let c = cell_for(&self.v.spec, coords, now)?;
         Ok((CubeId(home_of(&self.v.cubes, &c.coords)), c.coords))
+    }
+
+    /// The view `age(now)` would publish from this one, **without
+    /// publishing it** — the virtual synchronization of Section 7.3 —
+    /// and whether it came from this version's memo. The aging is the
+    /// write path's own: the steps of [`SubcubeManager::age`] from the
+    /// watermark to `now` (to the watermark itself when `now` lies before
+    /// it: reduction is never undone), or the full pass of
+    /// [`SubcubeManager::sync`] when the view was never synchronized. A
+    /// view with nothing un-homed that is already there is its own aged
+    /// view and counts as a hit. The result is kept in a single slot on
+    /// the pinned version, so every further read of the same `(version,
+    /// now)` is one lock and an `Arc` clone; another day replaces it,
+    /// and it is dropped with the version. Nothing the manager publishes
+    /// — epoch, version vector, `age.*` counters — moves.
+    pub fn virtual_age(&self, now: DayNum) -> Result<(WarehouseView, bool), SubcubeError> {
+        let _span = sdr_obs::span("subcube.query.virtual_age");
+        let v = &self.v;
+        let day = v.day_of(now);
+        // `unsync.memo-any-day` is a model-only mutation: returning the
+        // slot without comparing its day is exactly the bug `specdr
+        // check memo` must catch (a reader answered for another day).
+        let memo = if v.unhomed == 0 && v.last_sync == Some(day) {
+            Some(Arc::clone(v))
+        } else {
+            let slot = v.aged.lock().clone();
+            slot.filter(|(at, _)| *at == day || fail::point("unsync.memo-any-day"))
+                .map(|(_, aged)| aged)
+        };
+        let hit = memo.is_some();
+        let (aged, stats) = match memo {
+            Some(aged) => (aged, AgeStats::default()),
+            None => {
+                let (aged, stats) = match v.last_sync {
+                    Some(last) => v.aged(last, day, None)?,
+                    None => {
+                        let pass = v.sync_pass(day)?;
+                        let stats = pass.as_age();
+                        (Arc::new(pass.next), stats)
+                    }
+                };
+                // (Never `v` itself — that case was answered above — so
+                // the slot cannot make a version keep itself alive.)
+                debug_assert!(!Arc::ptr_eq(&aged, v));
+                *v.aged.lock() = Some((day, Arc::clone(&aged)));
+                (aged, stats)
+            }
+        };
+        if sdr_obs::enabled() {
+            sdr_obs::inc(if hit {
+                "subcube.unsync.memo_hits"
+            } else {
+                "subcube.unsync.memo_misses"
+            });
+            sdr_obs::attr("ticks", stats.ticks);
+            sdr_obs::attr("rows_homed", stats.rows_homed);
+            sdr_obs::attr("cells_delta", stats.cells_delta);
+            sdr_obs::attr("chunks_rewritten", stats.chunks_rewritten);
+            sdr_obs::attr("chunks_carried", stats.chunks_carried);
+            sdr_obs::attr("memo", if hit { "hit" } else { "miss" });
+        }
+        Ok((WarehouseView { v: aged }, hit))
     }
 
     /// True when a sync pass at `now` could move any fact: either new
@@ -615,30 +1168,16 @@ pub struct SubcubeManager {
     /// Serializes mutators so each builds its successor from the latest
     /// published version.
     writer: Mutex<()>,
-    /// The reduction schedule of the current spec, built lazily on the
-    /// first [`age`](SubcubeManager::age) and keyed by spec identity
-    /// (`Arc` pointer) so spec evolution invalidates it.
-    schedule: Mutex<Option<(usize, Arc<ReductionSchedule>)>>,
 }
 
 impl SubcubeManager {
     /// Builds the cube set for a validated specification: one cube per
     /// distinct action granularity plus the bottom cube.
     pub fn new(spec: DataReductionSpec) -> Self {
-        let schema = Arc::clone(spec.schema());
-        let (cubes, parents) = layout(&spec, 0);
         SubcubeManager {
-            schema,
-            current: Swap::new(Arc::new(VersionInner {
-                epoch: 0,
-                spec: Arc::new(spec),
-                cubes,
-                parents,
-                last_sync: None,
-                unhomed: 0,
-            })),
+            schema: Arc::clone(spec.schema()),
+            current: Swap::new(Arc::new(VersionInner::initial(spec, 0))),
             writer: Mutex::new(()),
-            schedule: Mutex::new(None),
         }
     }
 
@@ -686,15 +1225,16 @@ impl SubcubeManager {
         self.len() == 0
     }
 
-    /// Publishes `next` as the current version: the single pointer swap
-    /// every reader observes atomically.
-    fn publish(&self, next: VersionInner) {
-        let epoch = next.epoch;
-        self.current.store(Arc::new(next));
+    /// Publishes `next` as the current version — the single pointer swap
+    /// every reader observes atomically — and returns it.
+    fn publish(&self, next: VersionInner) -> Arc<VersionInner> {
+        let next = Arc::new(next);
+        self.current.store(Arc::clone(&next));
         if sdr_obs::enabled() {
             sdr_obs::inc("subcube.publish.count");
-            sdr_obs::gauge_set("subcube.epoch", epoch as i64);
+            sdr_obs::gauge_set("subcube.epoch", next.epoch as i64);
         }
+        next
     }
 
     /// Bulk-loads new bottom-granularity facts into the bottom cube
@@ -714,7 +1254,7 @@ impl SubcubeManager {
         sdr_obs::attr("rows_in", facts.len());
         // The one copy a load makes: its own rows, onto the warehouse's
         // schema instance (before the writer lock — it needs no version).
-        let appended = Chunk::cut(&self.schema, facts)?;
+        let appended = Chunk::cut(&self.schema, facts, 0..facts.len())?;
         // `mgr.publish-unlocked` is a model-only mutation: skipping the
         // writer lock lets `specdr check` prove the single-writer
         // serialization is load-bearing (two loads race, one is lost).
@@ -733,24 +1273,8 @@ impl SubcubeManager {
             sdr_obs::attr("chunks_carried", cur.n_chunks());
             sdr_obs::add("subcube.bulk_load.facts", facts.len() as u64);
         }
-        self.publish(VersionInner {
-            epoch,
-            spec: Arc::clone(&cur.spec),
-            cubes,
-            parents: cur.parents.clone(),
-            last_sync: cur.last_sync,
-            unhomed: cur.unhomed + appended.len(),
-        });
+        self.publish(cur.successor(cubes, cur.last_sync, cur.unhomed + appended.len()));
         Ok(facts.len())
-    }
-
-    /// The home cube of a cell at time `now` (on the current version).
-    pub fn home_cube(
-        &self,
-        coords: &[DimValue],
-        now: DayNum,
-    ) -> Result<(CubeId, Vec<DimValue>), SubcubeError> {
-        self.view().home_cube(coords, now)
     }
 
     /// [`WarehouseView::needs_sync`] on the current version.
@@ -766,141 +1290,46 @@ impl SubcubeManager {
     /// concurrent readers keep answering from the predecessor version and
     /// never see a half-migrated state. A cheap
     /// [`needs_sync`](WarehouseView::needs_sync) pre-check skips the scan
-    /// entirely when nothing can have changed.
+    /// entirely when nothing can have changed. Time does not move
+    /// backwards — reduction cannot be undone — so a `now` before the
+    /// watermark synchronizes to the watermark: every version is the
+    /// reduction at one day, and no cell was ever placed after
+    /// `last_sync` (the region oracle's premise).
     pub fn sync(&self, now: DayNum) -> Result<SyncStats, SubcubeError> {
         let _span = sdr_obs::span("subcube.sync");
         // See bulk_load: model-only mutation hook for `specdr check`.
         let _w = (!fail::point("mgr.publish-unlocked")).then(|| self.writer.lock());
-        let cur = self.current.load();
-        let frozen = WarehouseView {
-            v: Arc::clone(&cur),
-        };
+        let frozen = self.view();
+        let now = frozen.v.day_of(now);
         if !frozen.needs_sync(now)? {
             // Nothing can move: publish only the advanced watermark.
-            let kept = frozen.len();
-            self.publish_watermark(&cur, now);
+            self.publish(frozen.v.with_watermark(now));
             sdr_obs::inc("subcube.sync.skipped");
             return Ok(SyncStats {
-                kept,
+                kept: frozen.len(),
                 ..SyncStats::default()
             });
         }
-        self.sync_pass(&cur, now)
+        Ok(self.publish_pass(frozen.v.sync_pass(now)?, now))
     }
 
-    /// Publishes a successor that only advances the sync watermark to
-    /// `now`: cube contents (and their version-vector entries) are
-    /// untouched. Caller holds the writer lock.
-    fn publish_watermark(&self, cur: &Arc<VersionInner>, now: DayNum) {
-        let epoch = cur.epoch + 1;
-        let mut cubes = cur.cubes.clone();
-        for c in &mut cubes {
-            c.synced_to = Some(now);
-        }
-        self.publish(VersionInner {
-            epoch,
-            spec: Arc::clone(&cur.spec),
-            cubes,
-            parents: cur.parents.clone(),
-            last_sync: Some(now),
-            unhomed: cur.unhomed,
-        });
-    }
-
-    /// The full scan-and-rebuild synchronization pass (no `needs_sync`
-    /// pre-check): every fact of every cube is re-homed at `now` and
-    /// every cube is rebuilt. Caller holds the writer lock; `cur` must be
-    /// the latest published version.
-    fn sync_pass(&self, cur: &Arc<VersionInner>, now: DayNum) -> Result<SyncStats, SubcubeError> {
-        let frozen = WarehouseView { v: Arc::clone(cur) };
-        let obs_on = sdr_obs::enabled();
-        let scan_span = sdr_obs::span("subcube.sync.scan");
-        let n = cur.cubes.len();
-        let schema = Arc::clone(&self.schema);
-        // Collect per-cube rebuilt groups.
-        type Key = Vec<DimValue>;
-        let mut groups: Vec<BTreeMap<Key, (Vec<i64>, u32)>> =
-            (0..n).map(|_| BTreeMap::new()).collect();
-        let mut stats = SyncStats::default();
-        // Per-source-cube migration counts, published once after the scan.
-        let mut migrated_from = vec![0u64; n];
-        // One compiled, memoized cell resolution per fact (shared across
-        // home and provenance, cached per distinct cell) — the scan used
-        // to evaluate every action predicate twice per fact.
-        let mut cell_memo = sdr_reduce::CellMemo::new(&cur.spec, now)?;
-        let mut coords = Vec::new();
-        for (ci, cube) in cur.cubes.iter().enumerate() {
-            for mo in cube.chunks().iter().map(|c| c.data()) {
-                for f in mo.facts() {
-                    mo.coords_into(f, &mut coords);
-                    let cell = cell_memo.cell(&coords)?;
-                    let home = home_of(&cur.cubes, &cell.coords);
-                    let target = cell.coords;
-                    if home == ci && target == coords {
-                        stats.kept += 1;
-                    } else {
-                        stats.migrated += 1;
-                        migrated_from[ci] += 1;
-                    }
-                    let origin = match cell.responsible {
-                        Some(id) => id.0,
-                        None => mo.store().origin[f.index()],
-                    };
-                    let entry = groups[home].entry(target).or_insert_with(|| {
-                        (
-                            schema.measures.iter().map(|m| m.agg.identity()).collect(),
-                            origin,
-                        )
-                    });
-                    for j in 0..schema.n_measures() {
-                        entry.0[j] = schema.measures[j]
-                            .agg
-                            .combine(entry.0[j], mo.measure(f, MeasureId(j as u16)));
-                    }
-                    if origin != ORIGIN_USER {
-                        entry.1 = origin;
-                    }
-                }
-            }
-        }
-        if obs_on {
-            sdr_obs::add("subcube.sync.distinct_cells", cell_memo.distinct() as u64);
-            let scanned = stats.kept + stats.migrated;
-            sdr_obs::attr("rows_in", scanned);
-            sdr_obs::attr("memo_hits", scanned.saturating_sub(cell_memo.distinct()));
-        }
-        drop(scan_span);
-        let rebuild_span = sdr_obs::span("subcube.sync.rebuild");
-        let before = frozen.len();
-        let epoch = cur.epoch + 1;
-        let mut cubes = cur.cubes.clone();
-        let mut after = 0usize;
-        for (ci, g) in groups.into_iter().enumerate() {
-            let mut mo = Mo::new(Arc::clone(&schema));
-            for (coords, (ms, origin)) in g {
-                mo.insert_fact_at(&coords, &ms, origin)
-                    .map_err(ReduceError::Model)?;
-            }
-            after += mo.len();
-            cubes[ci].data = CubeData::from_mo(mo, epoch);
-            cubes[ci].synced_to = Some(now);
-        }
-        stats.merged = before.saturating_sub(after);
-        self.publish(VersionInner {
-            epoch,
-            spec: Arc::clone(&cur.spec),
-            cubes,
-            parents: cur.parents.clone(),
-            last_sync: Some(now),
-            unhomed: 0,
-        });
-        drop(rebuild_span);
-        if obs_on {
-            sdr_obs::attr("epoch", epoch);
-            sdr_obs::attr("rows_in", before);
-            sdr_obs::attr("rows_out", after);
+    /// Publishes the successor a full pass built and records what the
+    /// pass did. Caller holds the writer lock.
+    fn publish_pass(&self, pass: FullPass, now: DayNum) -> SyncStats {
+        let FullPass {
+            next,
+            stats,
+            migrated_from,
+            distinct_cells,
+        } = pass;
+        let next = self.publish(next);
+        if sdr_obs::enabled() {
+            sdr_obs::attr("epoch", next.epoch);
+            sdr_obs::attr("rows_in", stats.kept + stats.migrated);
+            sdr_obs::attr("rows_out", next.rows());
             // Same locals returned to the caller — the metrics cannot
             // disagree with `SyncStats` (asserted by the integration suite).
+            sdr_obs::add("subcube.sync.distinct_cells", distinct_cells as u64);
             sdr_obs::add("subcube.sync.kept", stats.kept as u64);
             sdr_obs::add("subcube.sync.migrated", stats.migrated as u64);
             sdr_obs::add("subcube.sync.merged", stats.merged as u64);
@@ -917,7 +1346,7 @@ impl SubcubeManager {
                 ),
             );
         }
-        Ok(stats)
+        stats
     }
 
     /// Ages the warehouse incrementally to `until`: instead of one full
@@ -942,43 +1371,24 @@ impl SubcubeManager {
     pub fn age(&self, until: DayNum) -> Result<AgeStats, SubcubeError> {
         let _span = sdr_obs::span("subcube.age");
         let _w = self.writer.lock();
-        let mut cur = self.current.load();
-        let mut stats = AgeStats::default();
-        if let Some(last) = cur.last_sync {
-            if until < last {
+        let cur = self.current.load();
+        let stats = match cur.last_sync {
+            Some(last) if until < last => {
                 return Err(SubcubeError::AgeBeforeWatermark {
                     until,
                     last_sync: last,
-                });
+                })
             }
-            let sched = self.schedule_for(&cur.spec)?;
-            let ticks = sched.transitions_between(last, until);
-            // Un-homed rows ride the first tick; with no transition in
-            // range they get a step of their own (the schedule proves
-            // their cell at `until` is their cell on any day since `last`).
-            let homing_only = (ticks.is_empty() && cur.unhomed > 0).then_some(until);
-            let mut prev = last;
-            for t in ticks.iter().copied().chain(homing_only) {
-                stats.absorb(self.age_tick(&cur, &sched, prev, t, homing_only.is_none())?);
-                prev = t;
-                cur = self.current.load();
+            Some(last) => cur.aged(last, until, Some(self))?.1,
+            None => {
+                // No incremental baseline yet: home everything with one
+                // full pass.
+                let pass = cur.sync_pass(until)?;
+                let stats = pass.as_age();
+                self.publish_pass(pass, until);
+                stats
             }
-            if cur.last_sync != Some(until) {
-                // No transition lands exactly on `until`: advance the
-                // watermark (contents at `until` equal those at the last
-                // transition — the schedule proves nothing moves between).
-                self.publish_watermark(&cur, until);
-            }
-        } else {
-            // No incremental baseline yet: home everything with one full
-            // pass.
-            let s = self.sync_pass(&cur, until)?;
-            stats.ticks = 1;
-            stats.cells_delta = s.migrated;
-            stats.merged = s.merged;
-            stats.cubes_rebuilt = cur.cubes.len();
-            stats.chunks_rewritten = self.current.load().n_chunks();
-        }
+        };
         if sdr_obs::enabled() {
             // Same locals returned to the caller — the counters cannot
             // disagree with `AgeStats` (asserted by the integration suite).
@@ -999,306 +1409,6 @@ impl SubcubeManager {
             );
         }
         Ok(stats)
-    }
-
-    /// Applies one aging step `t_prev → t` (nothing moves strictly in
-    /// between): evaluates the step's **changed disjuncts** on the rows
-    /// of every chunk whose time hull meets a Δ window, resolves every
-    /// un-homed row, re-homes exactly the rows whose cell moved (or that
-    /// were never homed), rewrites only the chunks that lose or gain
-    /// rows, and publishes once. `transition` says whether `t` is a
-    /// scheduled transition day (counted as a tick) or the homing-only
-    /// step of [`age`](Self::age).
-    fn age_tick(
-        &self,
-        cur: &Arc<VersionInner>,
-        sched: &ReductionSchedule,
-        t_prev: DayNum,
-        t: DayNum,
-        transition: bool,
-    ) -> Result<AgeStats, SubcubeError> {
-        let _span = sdr_obs::span("subcube.age.tick");
-        let stats = self.age_step(cur, sched, t_prev, t, transition)?;
-        if sdr_obs::enabled() {
-            sdr_obs::attr("day", t);
-            sdr_obs::attr("cells_delta", stats.cells_delta);
-            sdr_obs::attr("cubes_rebuilt", stats.cubes_rebuilt);
-            sdr_obs::attr("cubes_skipped", stats.cubes_skipped);
-            sdr_obs::attr("rows_homed", stats.rows_homed);
-            sdr_obs::attr("chunks_rewritten", stats.chunks_rewritten);
-            sdr_obs::attr("chunks_carried", stats.chunks_carried);
-            sdr_obs::event(
-                "subcube.age.tick",
-                format!(
-                    "day={t} cells_delta={} rebuilt={} skipped={}",
-                    stats.cells_delta, stats.cubes_rebuilt, stats.cubes_skipped
-                ),
-            );
-        }
-        Ok(stats)
-    }
-
-    /// The body of [`age_tick`](Self::age_tick), inside its span.
-    fn age_step(
-        &self,
-        cur: &Arc<VersionInner>,
-        sched: &ReductionSchedule,
-        t_prev: DayNum,
-        t: DayNum,
-        transition: bool,
-    ) -> Result<AgeStats, SubcubeError> {
-        let n = cur.cubes.len();
-        let schema = &self.schema;
-        let mut stats = AgeStats {
-            ticks: usize::from(transition),
-            ..AgeStats::default()
-        };
-        // A conservative schedule may list a day where no grounding
-        // actually changed: then only un-homed rows can move.
-        let delta = sched.delta_pred(t_prev, t);
-        let windows = delta
-            .as_ref()
-            .and_then(|_| sched.delta_time_windows(schema, t_prev, t));
-        let ti = schema.dims.iter().position(Dimension::is_time);
-        // Chunks of the bottom cube from this index on are un-homed.
-        let homed = cur.cubes[0].chunks().len() - cur.unhomed;
-        // Scan phase: find the rows whose home cube or target cell
-        // changes across the step. A homed row on which every changed
-        // disjunct evaluates false at both endpoints evaluates the whole
-        // spec identically at both days and provably stays put; a chunk
-        // whose time hull misses every Δ window holds no other kind.
-        // Un-homed rows always move: they are taken out of their chunk
-        // and grouped by cell like any arriving row, so duplicates merge.
-        struct Move {
-            /// `(cube, chunk, row)` — the row's place in the global scan
-            /// order of the full pass.
-            src: (usize, usize, u32),
-            home: usize,
-            target: Vec<DimValue>,
-            origin: u32,
-        }
-        let mut cell_memo = sdr_reduce::CellMemo::new(&cur.spec, t)?;
-        let mut moves: Vec<Move> = Vec::new();
-        let mut coords: Vec<DimValue> = Vec::new();
-        let mut scanned = 0usize;
-        for (ci, cube) in cur.cubes.iter().enumerate() {
-            for (k, chunk) in cube.chunks().iter().enumerate() {
-                let unhomed = ci == 0 && k >= homed;
-                if unhomed {
-                    stats.rows_homed += chunk.mo.len();
-                } else {
-                    if delta.is_none() {
-                        continue;
-                    }
-                    // No hull (or no window list) means "never skip".
-                    if let (Some(ws), Some((lo, hi))) =
-                        (&windows, ti.and_then(|ti| chunk.summary.hull(ti)))
-                    {
-                        let overlaps = |&(wlo, whi): &(DayNum, DayNum)| {
-                            i64::from(wlo) <= hi && lo <= i64::from(whi)
-                        };
-                        if !ws.iter().any(overlaps) {
-                            continue; // disjoint from every Δ window
-                        }
-                    }
-                }
-                let mo = chunk.data();
-                for f in mo.facts() {
-                    scanned += 1;
-                    mo.coords_into(f, &mut coords);
-                    if let (false, Some(delta)) = (unhomed, &delta) {
-                        let touched = sdr_spec::eval_pred(schema, delta, &coords, t_prev)
-                            .map_err(ReduceError::Spec)?
-                            || sdr_spec::eval_pred(schema, delta, &coords, t)
-                                .map_err(ReduceError::Spec)?;
-                        if !touched {
-                            continue;
-                        }
-                    }
-                    let cell = cell_memo.cell(&coords)?;
-                    let home = home_of(&cur.cubes, &cell.coords);
-                    if home != ci || cell.coords != coords {
-                        stats.cells_delta += 1;
-                    } else if !unhomed {
-                        continue; // already at its fixed point
-                    }
-                    let origin = match cell.responsible {
-                        Some(id) => id.0,
-                        None => mo.store().origin[f.index()],
-                    };
-                    moves.push(Move {
-                        src: (ci, k, f.0),
-                        home,
-                        target: cell.coords,
-                        origin,
-                    });
-                }
-            }
-        }
-        sdr_obs::attr("rows_in", scanned);
-        if moves.is_empty() {
-            stats.cubes_skipped = n;
-            stats.chunks_carried = cur.n_chunks();
-            self.publish_watermark(cur, t);
-            return Ok(stats);
-        }
-        // Per cube: the rows leaving each chunk (in row order, as
-        // scanned) and the groups arriving, target cell → contributing
-        // `(source row, origin)`.
-        type Members = Vec<((usize, usize, u32), u32)>;
-        let mut leaving: Vec<BTreeMap<usize, Vec<u32>>> = vec![BTreeMap::new(); n];
-        let mut arriving: Vec<BTreeMap<Vec<DimValue>, Members>> = vec![BTreeMap::new(); n];
-        for m in moves {
-            leaving[m.src.0].entry(m.src.1).or_default().push(m.src.2);
-            arriving[m.home]
-                .entry(m.target)
-                .or_default()
-                .push((m.src, m.origin));
-        }
-        // Rebuild phase: only chunks that lose rows or may hold a row an
-        // arriving group merges into. Group members fold in global
-        // `(cube, chunk, row)` order — the order the full sync pass
-        // encounters them — so merged measures and provenance come out
-        // identical to a from-scratch reduction.
-        let epoch = cur.epoch + 1;
-        let packer = KeyPacker::new(schema);
-        let mut cubes = cur.cubes.clone();
-        let before: usize = cur.cubes.iter().map(Subcube::rows).sum();
-        let mut after = 0usize;
-        for (ci, cube) in cubes.iter_mut().enumerate() {
-            cube.synced_to = Some(t);
-            let old = cur.cubes[ci].chunks();
-            let mut groups = std::mem::take(&mut arriving[ci]);
-            if leaving[ci].is_empty() && groups.is_empty() {
-                // Carry-forward: same facts, stats and epoch.
-                after += cube.rows();
-                stats.cubes_skipped += 1;
-                stats.chunks_carried += old.len();
-                continue;
-            }
-            stats.cubes_rebuilt += 1;
-            let keys: Vec<Option<u128>> = groups
-                .keys()
-                .map(|target| packer.as_ref().map(|p| p.pack_coords(target)))
-                .collect();
-            // The successor chunk list; `true` marks a chunk built here.
-            let mut chunks: Vec<(Arc<Chunk>, bool)> = Vec::with_capacity(old.len() + 1);
-            for (k, chunk) in old.iter().enumerate() {
-                let gone = leaving[ci].get(&k).map_or(&[][..], Vec::as_slice);
-                if gone.len() == chunk.mo.len() {
-                    continue; // every row left (an un-homed chunk, typically)
-                }
-                let absorbs = groups
-                    .keys()
-                    .zip(&keys)
-                    .any(|(target, key)| chunk.summary.may_hold(target, *key));
-                if gone.is_empty() && !absorbs {
-                    chunks.push((Arc::clone(chunk), false));
-                    continue;
-                }
-                let mo = chunk.data();
-                let mut gone = gone.iter().peekable();
-                let mut keep: Vec<u32> = Vec::with_capacity(mo.len());
-                for f in mo.facts() {
-                    if gone.next_if_eq(&&f.0).is_some() {
-                        continue; // re-homed elsewhere
-                    }
-                    if absorbs {
-                        mo.coords_into(f, &mut coords);
-                        if let Some(members) = groups.get_mut(coords.as_slice()) {
-                            // An arriving group merges into this existing
-                            // row: fold it in as a member instead of
-                            // keeping it.
-                            members.push(((ci, k, f.0), mo.store().origin[f.index()]));
-                            continue;
-                        }
-                    }
-                    keep.push(f.0);
-                }
-                if keep.len() == mo.len() {
-                    chunks.push((Arc::clone(chunk), false));
-                } else if !keep.is_empty() {
-                    chunks.push((Chunk::new(Arc::new(mo.gather(&keep))), true));
-                }
-            }
-            let mut arrivals = Mo::new(Arc::clone(schema));
-            for (target, mut members) in groups {
-                members.sort_unstable();
-                let mut acc: Vec<i64> = schema.measures.iter().map(|m| m.agg.identity()).collect();
-                let mut origin = members[0].1;
-                for &((src, k, row), o) in &members {
-                    let smo = cur.cubes[src].chunks()[k].data();
-                    for (j, a) in acc.iter_mut().enumerate() {
-                        *a = schema.measures[j]
-                            .agg
-                            .combine(*a, smo.measure(FactId(row), MeasureId(j as u16)));
-                    }
-                    if o != ORIGIN_USER {
-                        origin = o;
-                    }
-                }
-                arrivals
-                    .insert_fact_at(&target, &acc, origin)
-                    .map_err(ReduceError::Model)?;
-            }
-            chunks.extend(
-                Chunk::cut(schema, &arrivals)?
-                    .into_iter()
-                    .map(|c| (c, true)),
-            );
-            // Coalesce: a chunk built here joins its predecessor while
-            // both fit one chunk, so the list stays ≈ rows / CHUNK_ROWS.
-            let mut list: Vec<(Arc<Chunk>, bool)> = Vec::with_capacity(chunks.len());
-            for (chunk, built) in chunks {
-                match list.last_mut() {
-                    Some((prev, prev_built))
-                        if built && prev.mo.len() + chunk.mo.len() <= CHUNK_ROWS =>
-                    {
-                        *prev = Chunk::merged(schema, prev, &chunk);
-                        *prev_built = true;
-                    }
-                    _ => list.push((chunk, built)),
-                }
-            }
-            let built = list.iter().filter(|(_, built)| *built).count();
-            stats.chunks_rewritten += built;
-            stats.chunks_carried += list.len() - built;
-            cube.data =
-                CubeData::from_chunks(schema, list.into_iter().map(|(c, _)| c).collect(), epoch);
-            after += cube.rows();
-        }
-        stats.merged = before.saturating_sub(after);
-        self.publish(VersionInner {
-            epoch,
-            spec: Arc::clone(&cur.spec),
-            cubes,
-            parents: cur.parents.clone(),
-            last_sync: Some(t),
-            unhomed: 0,
-        });
-        sdr_obs::attr("epoch", epoch);
-        sdr_obs::attr("rows_out", after);
-        Ok(stats)
-    }
-
-    /// The cached [`ReductionSchedule`] of `spec`, rebuilt when the spec
-    /// instance changes (evolution publishes a new `Arc`).
-    pub(crate) fn schedule_for(
-        &self,
-        spec: &Arc<DataReductionSpec>,
-    ) -> Result<Arc<ReductionSchedule>, SubcubeError> {
-        let key = Arc::as_ptr(spec) as usize;
-        let mut cache = self.schedule.lock();
-        if let Some((k, s)) = cache.as_ref() {
-            if *k == key {
-                return Ok(Arc::clone(s));
-            }
-        }
-        let _span = sdr_obs::span("subcube.age.schedule");
-        let sched = Arc::new(ReductionSchedule::build(spec)?);
-        sdr_obs::attr("transition_days", sched.transition_days().len());
-        *cache = Some((key, Arc::clone(&sched)));
-        Ok(sched)
     }
 
     /// Evolves the specification by inserting `new` actions
@@ -1342,23 +1452,16 @@ impl SubcubeManager {
     /// foreign-granularity rows; a sync pass or aging step homes them).
     /// Caller holds the writer lock.
     fn rebuild_with_spec(&self, cur: &Arc<VersionInner>, spec: DataReductionSpec) {
-        let epoch = cur.epoch + 1;
-        let (mut cubes, parents) = layout(&spec, epoch);
+        let mut next = VersionInner::initial(spec, cur.epoch + 1);
         let staged: Vec<Arc<Chunk>> = cur
             .cubes
             .iter()
             .flat_map(|c| c.chunks().iter().cloned())
             .collect();
-        let unhomed = staged.len();
-        cubes[0].data = CubeData::from_chunks(&self.schema, staged, epoch);
-        self.publish(VersionInner {
-            epoch,
-            spec: Arc::new(spec),
-            cubes,
-            parents,
-            last_sync: cur.last_sync,
-            unhomed,
-        });
+        next.last_sync = cur.last_sync;
+        next.unhomed = staged.len();
+        next.cubes[0].data = CubeData::from_chunks(&self.schema, staged, next.epoch);
+        self.publish(next);
     }
 
     /// Re-publishes the contents of `view` as a new version (epoch still
@@ -1369,37 +1472,46 @@ impl SubcubeManager {
     pub fn rollback_to(&self, view: &WarehouseView) {
         let _w = self.writer.lock();
         let cur = self.current.load();
+        let v = &view.v;
         self.publish(VersionInner {
             epoch: cur.epoch + 1,
-            spec: Arc::clone(&view.v.spec),
-            cubes: view.v.cubes.clone(),
-            parents: view.v.parents.clone(),
-            last_sync: view.v.last_sync,
-            unhomed: view.v.unhomed,
+            ..v.successor(v.cubes.clone(), v.last_sync, v.unhomed)
         });
         sdr_obs::inc("subcube.publish.rollbacks");
     }
 
     /// Installs recovered cube contents wholesale (checkpoint loading):
     /// one publication carrying every cube plus the recovered `last_sync`.
-    pub(crate) fn install_checkpoint(&self, mos: Vec<Mo>, last_sync: Option<DayNum>) {
+    /// The last `unhomed_rows` rows of the bottom cube were loaded but
+    /// not yet homed when the checkpoint was taken; they come back as
+    /// un-homed chunks of their own.
+    pub(crate) fn install_checkpoint(
+        &self,
+        mos: Vec<Mo>,
+        last_sync: Option<DayNum>,
+        unhomed_rows: usize,
+    ) -> Result<(), SubcubeError> {
         let _w = self.writer.lock();
         let cur = self.current.load();
         let epoch = cur.epoch + 1;
         let mut cubes = cur.cubes.clone();
         debug_assert_eq!(mos.len(), cubes.len());
-        for (c, mo) in cubes.iter_mut().zip(mos) {
-            c.data = CubeData::from_mo(mo, epoch);
+        let mut unhomed = 0;
+        for (i, (c, mo)) in cubes.iter_mut().zip(mos).enumerate() {
             c.synced_to = last_sync;
+            if i == 0 && unhomed_rows > 0 {
+                let split = mo.len() - unhomed_rows;
+                let mut chunks = Chunk::cut(&self.schema, &mo, 0..split)?;
+                let tail = Chunk::cut(&self.schema, &mo, split..mo.len())?;
+                unhomed = tail.len();
+                chunks.extend(tail);
+                c.data = CubeData::from_chunks(&self.schema, chunks, epoch);
+            } else {
+                c.data = CubeData::from_mo(mo, epoch);
+            }
         }
-        self.publish(VersionInner {
-            epoch,
-            spec: Arc::clone(&cur.spec),
-            cubes,
-            parents: cur.parents.clone(),
-            last_sync,
-            unhomed: 0,
-        });
+        self.publish(cur.successor(cubes, last_sync, unhomed));
+        Ok(())
     }
 
     /// [`WarehouseView::next_sync_due`] on the current version.

@@ -36,13 +36,16 @@ use crate::stats::SubcubeStats;
 /// Manifest file magic: `"SDRMAN01"`.
 const MANIFEST_MAGIC: u64 = 0x5344_524d_414e_3031;
 
-/// Checkpoint/manifest format version. Format 2 appended the per-cube
-/// [`SubcubeStats`] block; format 3 extends each stats block with
-/// bottom-footprint hulls + origin sets and appends a per-cube on-disk
-/// byte table (raw vs. encoded). Older manifests (1 and 2) still
-/// decode — recovery verifies their stats against the matching legacy
-/// projection and the next checkpoint rewrites them as format 3.
-const MANIFEST_FORMAT: u32 = 3;
+/// The newest checkpoint/manifest format this build reads. Format 2
+/// appended the per-cube [`SubcubeStats`] block; format 3 extends each
+/// stats block with bottom-footprint hulls + origin sets and appends a
+/// per-cube on-disk byte table (raw vs. encoded); format 4 is format 3
+/// plus one trailing `u64`, the bottom cube's un-homed row count, and is
+/// written only when that count is non-zero — a checkpoint of a fully
+/// homed warehouse stays byte-for-byte format 3. Older manifests (1 and
+/// 2) still decode — recovery verifies their stats against the matching
+/// legacy projection and the next checkpoint rewrites them.
+const MANIFEST_FORMAT: u32 = 4;
 
 use crate::layout::WarehouseLayout;
 pub use crate::layout::{ckpt_name, wal_name};
@@ -64,7 +67,8 @@ pub fn spec_fingerprint(spec: &DataReductionSpec) -> u64 {
 pub struct Manifest {
     /// The manifest format this checkpoint was written under (encode
     /// honors it too, so the migration suite can fabricate legacy
-    /// directories). Current writers use format 3.
+    /// directories). Current writers use format 3, or 4 when
+    /// `unhomed_rows` is non-zero.
     pub format: u32,
     /// The checkpoint's epoch (matches its directory and WAL file names).
     pub epoch: u64,
@@ -96,6 +100,11 @@ pub struct Manifest {
     /// length after dictionary/bit-packed column encoding — what
     /// `specdr stats --bytes` reports.
     pub cube_bytes: Vec<(u64, u64)>,
+    /// How many rows of the bottom cube — its last, in row order — were
+    /// bulk-loaded but not yet homed when the checkpoint was taken
+    /// (format ≥ 4; zero for older manifests). Recovery restores them as
+    /// un-homed, so the next `age` or un-synchronized read homes them.
+    pub unhomed_rows: u64,
 }
 
 impl Manifest {
@@ -128,6 +137,9 @@ impl Manifest {
                 b.extend_from_slice(&raw.to_le_bytes());
                 b.extend_from_slice(&enc.to_le_bytes());
             }
+        }
+        if self.format >= 4 {
+            b.extend_from_slice(&self.unhomed_rows.to_le_bytes());
         }
         let crc = crc32(&b);
         b.extend_from_slice(&crc.to_le_bytes());
@@ -193,6 +205,11 @@ impl Manifest {
         } else {
             Vec::new()
         };
+        let unhomed_rows = if format >= 4 {
+            u64::from_le_bytes(take(8)?.try_into().unwrap())
+        } else {
+            0
+        };
         let last_sync = if last_sync_raw == i64::MIN {
             None
         } else {
@@ -211,6 +228,7 @@ impl Manifest {
             spec_text,
             cube_stats,
             cube_bytes,
+            unhomed_rows,
         })
     }
 }
@@ -363,8 +381,13 @@ pub(crate) fn write_checkpoint_fmt(
             c.stats().clone()
         }
     };
+    let unhomed_rows = view.unhomed_rows() as u64;
     let manifest = Manifest {
-        format: if legacy { 2 } else { MANIFEST_FORMAT },
+        format: match (legacy, unhomed_rows) {
+            (true, _) => 2,
+            (false, 0) => 3,
+            (false, _) => 4,
+        },
         epoch,
         cube_count: view.cubes().len() as u32,
         wal_hwm,
@@ -374,6 +397,7 @@ pub(crate) fn write_checkpoint_fmt(
         spec_text: view.spec().render(),
         cube_stats: view.cubes().iter().map(stats_of).collect(),
         cube_bytes: if legacy { Vec::new() } else { cube_bytes },
+        unhomed_rows,
     };
     fs.write(&WarehouseLayout::manifest_in(&tmp), &manifest.encode())
         .map_err(|e| err(&e))?;
@@ -471,7 +495,15 @@ pub(crate) fn load_checkpoint(
             )));
         }
     }
-    m.install_checkpoint(mos, manifest.last_sync);
+    if manifest.unhomed_rows > mos[0].len() as u64 {
+        return Err(SubcubeError::Storage(format!(
+            "{}: manifest declares {} un-homed rows, the bottom cube holds {}",
+            man_path.display(),
+            manifest.unhomed_rows,
+            mos[0].len()
+        )));
+    }
+    m.install_checkpoint(mos, manifest.last_sync, manifest.unhomed_rows as usize)?;
     Ok((m, manifest))
 }
 

@@ -5,30 +5,38 @@
 //! aggregation — exact because all default aggregate functions are
 //! distributive (Section 3). Two states are supported:
 //!
-//! * **synchronized** — each cube holds exactly its own facts; the query
-//!   runs per cube and the sub-results are unioned and re-aggregated
-//!   (Figure 8);
-//! * **un-synchronized** — facts may still sit in ancestor cubes; each
-//!   sub-query therefore scans the cube *and its ancestors*, keeping only
-//!   the rows whose *home* is the queried cube, aggregated to the cube's
-//!   granularity first (the `α[G_i]σ[P_i](K_i ∪ parents)` strategy of
-//!   Figure 9). This makes query answers independent of the sync state,
-//!   which the test suite verifies.
+//! * **synchronized** — each cube holds exactly its own facts; the
+//!   planner skips the cubes whose statistics prove them irrelevant, the
+//!   query runs on the rest and the sub-results are unioned and
+//!   re-aggregated (Figure 8);
+//! * **un-synchronized** — facts may still sit in ancestor cubes, or
+//!   un-homed in the bottom cube. The paper answers with a *virtual*
+//!   synchronization (`α[G_i]σ[P_i](K_i ∪ parents)`, Figure 9); here that
+//!   is literally one: [`WarehouseView::query_unsync`]`(q, now)` is
+//!   [`WarehouseView::query`]`(q, now)` on the version `age(now)` would
+//!   publish ([`WarehouseView::virtual_age`]), computed by the write
+//!   path's own aging steps, published nowhere, and kept in a single
+//!   slot on the pinned version so the next read of the same `(version,
+//!   now)` finds it. The aged version's chunk summaries fold into exact
+//!   statistics, so this path is planned like the other. Query answers
+//!   are thereby independent of the sync state, which the test suite
+//!   verifies.
 //!
 //! Evaluation runs against a [`WarehouseView`] — one pinned version of
 //! the warehouse — so a multi-cube fan-out can never mix cube states from
 //! before and after a concurrent sync. Worker threads receive `Arc<Mo>`
 //! snapshots outright; no lock is held anywhere during evaluation.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sdr_mdm::{DayNum, Mo};
 use sdr_plan::{CubeSummary, QueryPlan, RegionOracle};
 use sdr_query::{aggregate_ids, select_snapshot, AggApproach, SelectMode};
 use sdr_spec::Pexp;
+use sdr_sync::thread;
 
 use crate::error::SubcubeError;
-use crate::manager::{CubeId, Subcube, SubcubeManager, WarehouseView};
+use crate::manager::{Subcube, SubcubeManager, WarehouseView};
 
 /// A query against the subcube warehouse: optional selection followed by
 /// aggregate formation (the operators of Section 6).
@@ -58,11 +66,38 @@ fn summarize(c: &Subcube) -> CubeSummary {
 
 /// `SDR_PLAN_VERIFY=1` — debug mode: planner-skipped cubes are evaluated
 /// anyway and the process panics if one contributes a row (the
-/// differential suite runs the whole test matrix under this).
+/// differential suite runs the whole test matrix under this). Read from
+/// the environment once per process.
 fn plan_verify() -> bool {
-    std::env::var("SDR_PLAN_VERIFY")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+    static VERIFY: OnceLock<bool> = OnceLock::new();
+    *VERIFY.get_or_init(|| std::env::var("SDR_PLAN_VERIFY").is_ok_and(|v| v == "1"))
+}
+
+/// `f` over every item concurrently, results in item order. The calling
+/// thread takes the first item itself and only the others get a scoped
+/// thread: a caller that spawns one worker per item and sleeps on the
+/// joins leaves all of them to be placed at once, and two new threads
+/// regularly start on the same core while the caller's idles — the
+/// fan-out then waits for a worker that has not run yet.
+pub(crate) fn fan_out<T: Send, R: Send>(
+    items: impl IntoIterator<Item = T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
+    let f = &f;
+    thread::scope(|s| {
+        let handles: Vec<_> = items.map(|item| s.spawn(move || f(item))).collect();
+        let mut results = vec![f(first)];
+        results.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("fan-out worker panicked")),
+        );
+        results
+    })
 }
 
 impl WarehouseView {
@@ -84,7 +119,7 @@ impl WarehouseView {
     }
 
     /// Evaluates `q` assuming synchronized cubes, with one worker per cube
-    /// (crossbeam scoped threads) when `parallel`. Cubes the planner
+    /// (scoped threads) when `parallel`. Cubes the planner
     /// proves irrelevant (empty, hull-disjoint) are skipped; use
     /// [`query_planned`](WarehouseView::query_planned) to also supply a
     /// region oracle, or [`query_naive`](WarehouseView::query_naive) for
@@ -94,8 +129,8 @@ impl WarehouseView {
     }
 
     /// [`query`](WarehouseView::query) with an optional region oracle
-    /// (built by [`SubcubeManager::query`] from the cached reduction
-    /// schedule) enabling proved-region pruning on origin-pure cubes.
+    /// ([`region_oracle`](WarehouseView::region_oracle)) enabling
+    /// proved-region pruning on origin-pure cubes.
     pub fn query_planned(
         &self,
         q: &CubeQuery,
@@ -104,7 +139,7 @@ impl WarehouseView {
         oracle: Option<&RegionOracle>,
     ) -> Result<Mo, SubcubeError> {
         let plan = self.plan(q, now, oracle);
-        let subresults = self.eval_per_cube(q, now, parallel, false, Some(&plan))?;
+        let subresults = self.eval_per_cube(q, now, parallel, Some(&plan))?;
         self.combine(q, subresults)
     }
 
@@ -118,23 +153,31 @@ impl WarehouseView {
         now: DayNum,
         parallel: bool,
     ) -> Result<Mo, SubcubeError> {
-        let subresults = self.eval_per_cube(q, now, parallel, false, None)?;
+        let subresults = self.eval_per_cube(q, now, parallel, None)?;
         self.combine(q, subresults)
     }
 
-    /// Evaluates `q` without assuming synchronization: every sub-query
-    /// additionally scans ancestor cubes for not-yet-migrated facts and
-    /// filters rows to the queried cube's responsibility. Never planned —
-    /// a cube's statistics say nothing about rows still sitting in its
-    /// ancestors, so pruning here would be unsound.
+    /// Evaluates `q` without assuming synchronization: the planned
+    /// [`query`](WarehouseView::query) on this view
+    /// [virtually aged](WarehouseView::virtual_age) to `now`.
     pub fn query_unsync(
         &self,
         q: &CubeQuery,
         now: DayNum,
         parallel: bool,
     ) -> Result<Mo, SubcubeError> {
-        let subresults = self.eval_per_cube(q, now, parallel, true, None)?;
-        self.combine(q, subresults)
+        self.virtual_age(now)?.0.query(q, now, parallel)
+    }
+
+    /// The region oracle for this view, built from the reduction
+    /// schedule of its spec. `None` when the view was never synchronized
+    /// (no cube content is action-placed yet) or the schedule cannot be
+    /// built — planning then falls back to statistics-only pruning, never
+    /// to an error.
+    pub fn region_oracle(&self) -> Option<RegionOracle> {
+        let last_sync = self.last_sync()?;
+        let schedule = self.v.schedule().ok()?;
+        Some(RegionOracle::build(schedule, last_sync))
     }
 
     fn eval_per_cube(
@@ -142,7 +185,6 @@ impl WarehouseView {
         q: &CubeQuery,
         now: DayNum,
         parallel: bool,
-        unsync: bool,
         plan: Option<&QueryPlan>,
     ) -> Result<Vec<Mo>, SubcubeError> {
         let _span = sdr_obs::span("subcube.query");
@@ -165,14 +207,9 @@ impl WarehouseView {
             // p50/p99 spread exposes cube-size skew across workers.
             let sub = sdr_obs::span_in("subcube.query.subquery", &ctx);
             let cube = &self.cubes()[i];
-            let r = if unsync {
-                let input = Arc::new(self.cube_view_unsync(CubeId(i), now)?);
-                run(&input)
-            } else {
-                // Evaluate on the cube's shared snapshot — no guard, no
-                // clone; the `Arc` keeps the version alive in the worker.
-                run(&cube.snapshot())
-            };
+            // Evaluate on the cube's shared snapshot — no guard, no
+            // clone; the `Arc` keeps the version alive in the worker.
+            let r = run(&cube.snapshot());
             if sub.is_recording() {
                 sdr_obs::attr("subcube", format_args!("K{i}"));
                 sdr_obs::attr("epoch", cube.epoch());
@@ -250,65 +287,7 @@ impl WarehouseView {
                 .collect());
         }
         sdr_obs::add("subcube.query.fanout", n as u64);
-        // One worker per cube; results streamed back over a channel so the
-        // combination step can start as soon as everything arrived.
-        let (tx, rx) = crossbeam::channel::bounded::<(usize, Result<Mo, SubcubeError>)>(n);
-        std::thread::scope(|s| {
-            for i in 0..n {
-                let tx = tx.clone();
-                let dispatch = &dispatch;
-                s.spawn(move || {
-                    let r = dispatch(i);
-                    let _ = tx.send((i, r));
-                });
-            }
-        });
-        drop(tx);
-        let mut results: Vec<Option<Mo>> = (0..n).map(|_| None).collect();
-        for (i, r) in rx.iter() {
-            results[i] = Some(r?);
-        }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("worker sent"))
-            .collect())
-    }
-
-    /// The consistent content of one cube in the un-synchronized state:
-    /// rows of the cube and all its ancestors whose *home* is this cube,
-    /// aggregated to the cube's granularity (`α[G_i]σ[P_i](K_i ∪ parents)`,
-    /// Section 7.3). Scanning *all* ancestors generalizes the paper's
-    /// one-generation staleness assumption.
-    fn cube_view_unsync(&self, id: CubeId, now: DayNum) -> Result<Mo, SubcubeError> {
-        // Ancestor closure of `id` (including itself).
-        let mut anc = vec![false; self.cubes().len()];
-        let mut stack = vec![id];
-        while let Some(c) = stack.pop() {
-            if std::mem::replace(&mut anc[c.0], true) {
-                continue;
-            }
-            stack.extend(self.parents(c).iter().copied());
-        }
-        let schema = Arc::clone(self.schema());
-        let mut view = Mo::new(Arc::clone(&schema));
-        for (ci, cube) in self.cubes().iter().enumerate() {
-            if !anc[ci] {
-                continue;
-            }
-            let mo = cube.data();
-            for f in mo.facts() {
-                let coords = mo.coords(f);
-                let (home, target) = self.home_cube(&coords, now)?;
-                if home == id {
-                    view.insert_fact_at(&target, &mo.measures_of(f), mo.store().origin[f.index()])
-                        .map_err(sdr_reduce::ReduceError::Model)?;
-                }
-            }
-        }
-        // Aggregate duplicates created by migration-pending rows (the
-        // final per-cube aggregation of Section 7.2 applied on the fly).
-        let grain = &self.cubes()[id.0].grain;
-        Ok(aggregate_ids(&view, &grain.0, AggApproach::Availability)?)
+        fan_out(0..n, dispatch).into_iter().collect()
     }
 
     /// Unions sub-results and applies the final aggregation step (exact
@@ -325,28 +304,17 @@ impl WarehouseView {
 impl SubcubeManager {
     /// Evaluates `q` on a fresh view of the current version, planned with
     /// the full oracle set: exact per-cube statistics plus the proved
-    /// regions of the cached reduction schedule. Counts a stale read when
+    /// regions of the reduction schedule. Counts a stale read when
     /// a newer version was published while the query ran — the answer is
     /// still consistent (it saw one whole version), just not the newest.
     pub fn query(&self, q: &CubeQuery, now: DayNum, parallel: bool) -> Result<Mo, SubcubeError> {
         let view = self.view();
-        let oracle = self.region_oracle(&view);
+        let oracle = view.region_oracle();
         let r = view.query_planned(q, now, parallel, oracle.as_ref());
         if self.epoch() > view.epoch() {
             sdr_obs::inc("subcube.query.stale_reads");
         }
         r
-    }
-
-    /// The region oracle for `view`, built from the cached
-    /// [`sdr_reduce::ReductionSchedule`] of its spec. `None` when the
-    /// view was never synchronized (no cube content is action-placed yet)
-    /// or the schedule cannot be built — planning then falls back to
-    /// statistics-only pruning, never to an error.
-    pub fn region_oracle(&self, view: &WarehouseView) -> Option<RegionOracle> {
-        let last_sync = view.last_sync()?;
-        let schedule = self.schedule_for(&view.v.spec).ok()?;
-        Some(RegionOracle::build(&schedule, last_sync))
     }
 
     /// [`WarehouseView::query_unsync`] on a fresh view of the current

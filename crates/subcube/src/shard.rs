@@ -45,7 +45,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use sdr_sync::{fail, thread, Mutex, Swap};
+use sdr_sync::{fail, Mutex, Swap};
 
 use sdr_mdm::{DayNum, DimValue, FxHasher, KeyPacker, Mo, Schema};
 use sdr_plan::{QueryPlan, RegionOracle};
@@ -61,7 +61,7 @@ use crate::layout::WarehouseLayout;
 use crate::manager::{AgeStats, SyncStats, WarehouseView};
 use crate::op::{OpOutcome, WarehouseOp};
 use crate::persist::{read_current, spec_fingerprint};
-use crate::query::CubeQuery;
+use crate::query::{fan_out, CubeQuery};
 
 /// `SHARDS` manifest magic: `"SDRSHD01"`.
 const SHARDS_MAGIC: u64 = 0x5344_5253_4844_3031;
@@ -195,8 +195,10 @@ impl ShardViewSet {
         self.gather(q, subs)
     }
 
-    /// Scatter-gather query over the *un*-synchronized state (lazy
-    /// virtual sync per shard, then the same distributive merge).
+    /// Scatter-gather query over the *un*-synchronized state: each shard
+    /// is [virtually aged](WarehouseView::virtual_age) to `now` (memoized
+    /// on its pinned version) and queried through its planner, then the
+    /// same distributive merge.
     pub fn query_unsync(
         &self,
         q: &CubeQuery,
@@ -215,6 +217,23 @@ impl ShardViewSet {
         (0..self.views.len())
             .map(|i| self.views[i].plan(q, now, self.oracles[i].as_ref()))
             .collect()
+    }
+
+    /// The set [`query_unsync`](ShardViewSet::query_unsync) evaluates at
+    /// `now` — every shard's view virtually aged — and, per shard,
+    /// whether it came from the memo (for `explain`: its
+    /// [`plans`](ShardViewSet::plans) are the verdicts of the aged
+    /// versions).
+    pub fn virtual_age(&self, now: DayNum) -> Result<(ShardViewSet, Vec<bool>), SubcubeError> {
+        let aged: Result<Vec<_>, _> = self.views.iter().map(|v| v.virtual_age(now)).collect();
+        let (views, hits): (Vec<_>, Vec<_>) = aged?.into_iter().unzip();
+        let oracles = vec![None; views.len()];
+        let set = ShardViewSet {
+            epoch: self.epoch,
+            views,
+            oracles,
+        };
+        Ok((set, hits))
     }
 
     /// The union of all shards' logical MOs (Definition 2 view of the
@@ -252,33 +271,6 @@ impl ShardViewSet {
         }
         Ok(aggregate_ids(&union, &q.levels, q.approach)?)
     }
-}
-
-/// `f` over every item concurrently, results in item order. The calling
-/// thread takes the first item itself and only the others get a scoped
-/// thread: a caller that spawns one worker per item and sleeps on the
-/// joins leaves all of them to be placed at once, and two new threads
-/// regularly start on the same core while the caller's idles — the
-/// fan-out then waits for a worker that has not run yet.
-fn fan_out<T: Send, R: Send>(
-    items: impl IntoIterator<Item = T>,
-    f: impl Fn(T) -> R + Sync,
-) -> Vec<R> {
-    let mut items = items.into_iter();
-    let Some(first) = items.next() else {
-        return Vec::new();
-    };
-    let f = &f;
-    thread::scope(|s| {
-        let handles: Vec<_> = items.map(|item| s.spawn(move || f(item))).collect();
-        let mut results = vec![f(first)];
-        results.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked")),
-        );
-        results
-    })
 }
 
 /// The union of the views' logical MOs (at least one view).
@@ -712,12 +704,7 @@ impl ShardRouter {
     fn snapshot(inner: &mut RouterInner) -> Arc<ShardViewSet> {
         inner.set_epoch += 1;
         let views: Vec<WarehouseView> = inner.shards.iter().map(|s| s.manager().view()).collect();
-        let oracles = inner
-            .shards
-            .iter()
-            .zip(&views)
-            .map(|(s, v)| s.manager().region_oracle(v))
-            .collect();
+        let oracles = views.iter().map(WarehouseView::region_oracle).collect();
         Arc::new(ShardViewSet {
             epoch: inner.set_epoch,
             views,

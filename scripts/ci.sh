@@ -49,7 +49,8 @@ done
 # exhausted budget means the proof no longer covers the state space and
 # is just as much a failure as a counterexample. SDR_CHECK_BUDGET caps
 # the schedule count so a scheduler regression cannot hang CI; the clean
-# harnesses explore a few hundred schedules in well under a second.
+# harnesses explore a few hundred schedules each (about a thousand for
+# the memo harness) in a couple of seconds.
 echo "==> specdr check gate (all protocols, budget ${SDR_CHECK_BUDGET:-50000})"
 check_out=$(target/release/specdr check --protocol all \
               --budget "${SDR_CHECK_BUDGET:-50000}") || {
@@ -60,8 +61,8 @@ check_out=$(target/release/specdr check --protocol all \
 echo "$check_out" | sed 's/^/  /'
 protocols=$(echo "$check_out" | grep -c '^check ' || true)
 exhaustive=$(echo "$check_out" | grep -c '(exhaustive)' || true)
-if [ "$protocols" -ne 4 ] || [ "$exhaustive" -ne 4 ]; then
-  echo "specdr check gate: expected 4 exhaustive protocol proofs," >&2
+if [ "$protocols" -ne 5 ] || [ "$exhaustive" -ne 5 ]; then
+  echo "specdr check gate: expected 5 exhaustive protocol proofs," >&2
   echo "  got $protocols protocols / $exhaustive exhaustive" >&2
   exit 1
 fi
@@ -71,7 +72,7 @@ fi
 # --mutate` must catch every one with a rendered C001 counterexample —
 # a seeded bug that survives means the harness lost its teeth.
 echo "==> specdr check mutation gate (every seeded bug must be caught)"
-for m in publish-unlocked skip-rollback skip-wedge gate-toctou; do
+for m in publish-unlocked skip-rollback skip-wedge gate-toctou memo-any-day; do
   if out=$(target/release/specdr check --mutate "$m" 2>&1); then
     echo "mutation gate: seeded bug '$m' was NOT caught:" >&2
     echo "$out" >&2

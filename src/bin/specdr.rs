@@ -168,6 +168,7 @@ fn run_command(cmd: &str, rest: &[String]) -> Result<(), AnyError> {
                     ("--query", ArgKind::Bool),
                     ("--reduce", ArgKind::Bool),
                     ("--age", ArgKind::Bool),
+                    ("--unsync", ArgKind::Bool),
                 ],
             )?;
             cmd_explain(&opts)
@@ -370,11 +371,14 @@ const USAGE: &str =
   demo                        run the paper's ISP example\n\
   explain [--spec-file FILE]  check + explain a reduction specification\n\
   explain --query [--where PRED] [--roll-up LEVELS] [--mode MODE] [--months N]\n\
-          [--clicks K] [--now Y/M/D] [--format json|table|trace]\n\
+          [--clicks K] [--now Y/M/D] [--unsync] [--format json|table|trace]\n\
   explain --reduce [--months N] [--clicks K] [--now Y/M/D] [--format json|table|trace]\n\
                               introspect a query / reduction pass: subcube DAG\n\
                               with exact per-cube statistics, scanned vs.\n\
-                              skippable cubes, memo hits, per-phase breakdown\n\
+                              skippable cubes, memo hits, per-phase breakdown;\n\
+                              --unsync leaves the warehouse at the last loaded\n\
+                              day and explains the un-synchronized query: the\n\
+                              virtually aged cubes and the memo line\n\
   explain --age [--until Y/M/D] [--months N] [--clicks K] [--spec-file FILE]\n\
           [--format json|table|trace]\n\
                               introspect one incremental aging pass: scheduler,\n\
@@ -405,7 +409,7 @@ const USAGE: &str =
        [--format text|json] [--allow CODE] [--warn CODE] [--deny CODE|warnings]\n\
                               statically analyze a reduction specification;\n\
                               non-zero exit iff a denied finding is present\n\
-  check [--protocol all|epoch|group-commit|shard|serve] [--budget N]\n\
+  check [--protocol all|epoch|group-commit|shard|serve|memo] [--budget N]\n\
         [--preemptions P] [--mutate NAME]\n\
                               model-check the warehouse concurrency protocols:\n\
                               exhaustively enumerate thread interleavings (up to\n\
@@ -642,6 +646,9 @@ fn cmd_explain(opts: &Opts) -> Result<(), AnyError> {
     if picked.iter().filter(|b| **b).count() > 1 {
         return Err("pass at most one of --query, --reduce, --age".into());
     }
+    if opts.switch("--unsync") && !opts.switch("--query") {
+        return Err("--unsync explains a query: pass it with --query".into());
+    }
     if opts.switch("--query") {
         cmd_explain_warehouse(opts, false)
     } else if opts.switch("--reduce") {
@@ -735,17 +742,19 @@ fn clickstream_schema() -> Arc<specdr::mdm::Schema> {
 /// Builds the synthetic warehouse every introspection command runs
 /// against: `months` × `clicks`/day of click-stream facts bulk-loaded
 /// into a subcube manager under the 6/36-month retention policy.
+/// Returns the manager, the schema, `NOW` and the last loaded day.
 fn introspection_warehouse(
     opts: &Opts,
-) -> Result<(SubcubeManager, Arc<specdr::mdm::Schema>, i32), AnyError> {
+) -> Result<(SubcubeManager, Arc<specdr::mdm::Schema>, i32, i32), AnyError> {
     let syn = synthetic(opts, "24", "100")?;
     let now = match opts.value("--now") {
         Some(s) => parse_date(s)?,
         None => syn.end_day_plus(2),
     };
+    let loaded_until = syn.end_day_plus(0);
     let mgr = SubcubeManager::new(syn.spec);
     mgr.bulk_load(&syn.cs.mo)?;
-    Ok((mgr, syn.cs.schema, now))
+    Ok((mgr, syn.cs.schema, now, loaded_until))
 }
 
 /// Builds a [`CubeQuery`] from `--where`/`--roll-up`/`--mode`; the
@@ -792,7 +801,7 @@ fn print_introspection(r: &specdr::introspect::Introspection, opts: &Opts) -> Re
 
 /// `specdr explain --query` / `specdr explain --reduce`.
 fn cmd_explain_warehouse(opts: &Opts, reduce_pass: bool) -> Result<(), AnyError> {
-    let (mgr, schema, now) = introspection_warehouse(opts)?;
+    let (mgr, schema, now, loaded_until) = introspection_warehouse(opts)?;
     let report = if reduce_pass {
         let (stats, report) = specdr::introspect::explain_sync(&mgr, now)?;
         if opts.value("--format").unwrap_or("table") == "table" {
@@ -806,11 +815,19 @@ fn cmd_explain_warehouse(opts: &Opts, reduce_pass: bool) -> Result<(), AnyError>
         }
         report
     } else {
-        // Queries are explained against a synchronized warehouse, so the
-        // DAG shows where the retention policy actually put the facts.
-        mgr.sync(now)?;
         let q = cube_query_from_opts(opts, &schema)?;
-        let (answer, report) = specdr::introspect::explain_query(&mgr, &q, now, true)?;
+        let (answer, report) = if opts.switch("--unsync") {
+            // The warehouse stays where the loader left it; the query
+            // ages its pinned view to `now` without publishing anything.
+            mgr.sync(loaded_until.min(now))?;
+            specdr::introspect::explain_query_unsync(&mgr, &q, now, true)?
+        } else {
+            // Queries are explained against a synchronized warehouse, so
+            // the DAG shows where the retention policy actually put the
+            // facts.
+            mgr.sync(now)?;
+            specdr::introspect::explain_query(&mgr, &q, now, true)?
+        };
         if opts.value("--format").unwrap_or("table") == "table" {
             println!(
                 "query at NOW = {}: {} result rows\n",
@@ -923,7 +940,7 @@ fn cmd_explain_age(opts: &Opts) -> Result<(), AnyError> {
 /// `specdr profile`: one sync + parallel roll-up under a single trace
 /// recording.
 fn cmd_profile(opts: &Opts) -> Result<(), AnyError> {
-    let (mgr, schema, now) = introspection_warehouse(opts)?;
+    let (mgr, schema, now, _) = introspection_warehouse(opts)?;
     let q = cube_query_from_opts(opts, &schema)?;
     let (stats, answer, report) = specdr::introspect::profile(&mgr, &q, now, true)?;
     if opts.value("--format").unwrap_or("table") == "table" {
@@ -1486,7 +1503,7 @@ fn cmd_check(opts: &Opts) -> Result<(), AnyError> {
         (Some(m), _) => vec![m.protocol],
         (None, "all") => Protocol::ALL.to_vec(),
         (None, name) => vec![Protocol::parse(name).ok_or_else(|| {
-            format!("unknown protocol `{name}`; expected all|epoch|group-commit|shard|serve")
+            format!("unknown protocol `{name}`; expected all|epoch|group-commit|shard|serve|memo")
         })?],
     };
     let co = CheckOptions {

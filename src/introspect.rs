@@ -191,9 +191,46 @@ pub fn explain_query(
     let view = mgr.view();
     let mut cubes = dag_of(&view);
     annotate_query_scans(&mut cubes, &snap);
-    annotate_plan(&mut cubes, mgr, &view, q, now);
+    annotate_plan(
+        &mut cubes,
+        &view.plan(q, now, view.region_oracle().as_ref()),
+    );
     let report = Introspection {
         op: "query".into(),
+        now,
+        epoch: view.epoch(),
+        result_rows: answer.len() as u64,
+        cubes,
+        phases: phases_of(&snap),
+        snapshot: snap,
+    };
+    Ok((answer, report))
+}
+
+/// Explains an un-synchronized query: evaluates `q` with
+/// [`query_unsync`](sdr_subcube::WarehouseView::query_unsync) on the
+/// manager's current view with tracing on. The DAG, scans and planner
+/// verdicts are those of the **virtually aged** version the answer came
+/// from (nothing was published: `epoch` is the pinned view's), and the
+/// report carries the `subcube.query.virtual_age` span, which the table
+/// and JSON renderings show as the memo line.
+pub fn explain_query_unsync(
+    mgr: &SubcubeManager,
+    q: &CubeQuery,
+    now: DayNum,
+    parallel: bool,
+) -> Result<(Mo, Introspection), SubcubeError> {
+    let view = mgr.view();
+    // `query_unsync`, with the aged view kept for the report.
+    let ((answer, aged), snap) = recorded(|| {
+        let (aged, _) = view.virtual_age(now)?;
+        Ok((aged.query(q, now, parallel)?, aged))
+    })?;
+    let mut cubes = dag_of(&aged);
+    annotate_query_scans(&mut cubes, &snap);
+    annotate_plan(&mut cubes, &aged.plan(q, now, None));
+    let report = Introspection {
+        op: "query_unsync".into(),
         now,
         epoch: view.epoch(),
         result_rows: answer.len() as u64,
@@ -234,18 +271,10 @@ fn annotate_query_scans(cubes: &mut [CubeReport], snap: &Snapshot) {
     }
 }
 
-/// Re-plans `q` against `view` (planning is deterministic and
-/// side-effect-free) and stamps each cube with the verdict and cost the
-/// evaluation used.
-fn annotate_plan(
-    cubes: &mut [CubeReport],
-    mgr: &SubcubeManager,
-    view: &sdr_subcube::WarehouseView,
-    q: &CubeQuery,
-    now: DayNum,
-) {
-    let oracle = mgr.region_oracle(view);
-    let plan = view.plan(q, now, oracle.as_ref());
+/// Stamps each cube with the verdict and cost of `plan` — re-planned by
+/// the caller exactly as the evaluation planned (planning is
+/// deterministic and side-effect-free).
+fn annotate_plan(cubes: &mut [CubeReport], plan: &sdr_plan::QueryPlan) {
     for (c, p) in cubes.iter_mut().zip(&plan.cubes) {
         match p.decision {
             sdr_plan::Decision::Scan { cost } => {
@@ -278,7 +307,10 @@ pub fn profile(
     let view = mgr.view();
     let mut cubes = dag_of(&view);
     annotate_query_scans(&mut cubes, &snap);
-    annotate_plan(&mut cubes, mgr, &view, q, now);
+    annotate_plan(
+        &mut cubes,
+        &view.plan(q, now, view.region_oracle().as_ref()),
+    );
     let report = Introspection {
         op: "profile".into(),
         now,
@@ -378,17 +410,37 @@ fn fmt_ns(v: u64) -> String {
 }
 
 impl Introspection {
+    /// The attributes of the run's first `subcube.query.virtual_age` span
+    /// (`memo`, `ticks`, `rows_homed`, …) — present for un-synchronized
+    /// queries only; rendered as the memo line.
+    pub fn virtual_age(&self) -> Option<&[(String, String)]> {
+        let span = self
+            .snapshot
+            .traces
+            .iter()
+            .find(|t| t.name == "subcube.query.virtual_age")?;
+        Some(&span.attrs)
+    }
+
     /// Renders one JSON object (stable key order; keys documented in
     /// `DESIGN.md` § Introspection).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{{\"op\":\"{}\",\"now\":{},\"epoch\":{},\"result_rows\":{},\"cubes\":[",
+            "{{\"op\":\"{}\",\"now\":{},\"epoch\":{},\"result_rows\":{},",
             json_escape(&self.op),
             self.now,
             self.epoch,
             self.result_rows
         ));
+        if let Some(attrs) = self.virtual_age() {
+            let attrs: Vec<String> = attrs
+                .iter()
+                .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
+                .collect();
+            out.push_str(&format!("\"virtual_age\":{{{}}},", attrs.join(",")));
+        }
+        out.push_str("\"cubes\":[");
         for (i, c) in self.cubes.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -445,9 +497,14 @@ impl Introspection {
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "explain {}: epoch {}, {} result rows\n\nsubcube DAG:\n",
+            "explain {}: epoch {}, {} result rows\n",
             self.op, self.epoch, self.result_rows
         ));
+        if let Some(attrs) = self.virtual_age() {
+            let attrs: Vec<String> = attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            out.push_str(&format!("virtual age: {}\n", attrs.join(" ")));
+        }
+        out.push_str("\nsubcube DAG:\n");
         for c in &self.cubes {
             let parents: Vec<String> = c.parents.iter().map(|p| format!("K{p}")).collect();
             let mark = match (&c.planned, c.scanned) {

@@ -559,9 +559,23 @@ fn run_explain(router: &ShardRouter, spec: &QuerySpec) -> Result<String, (u8, St
     let q = spec
         .build(router.schema())
         .map_err(|e| (ERR_BAD_REQUEST, e))?;
-    let set = router.view_set();
+    let pinned = router.view_set();
+    // An un-synchronized query is planned on the virtually aged views:
+    // explain those, and say whether each came from its version's memo.
+    let (set, memo) = if spec.unsync {
+        let (aged, hits) = pinned
+            .virtual_age(spec.now)
+            .map_err(|e| (ERR_INTERNAL, e.to_string()))?;
+        (Arc::new(aged), hits)
+    } else {
+        (pinned, Vec::new())
+    };
     let plans = set.plans(&q, spec.now);
     let mut body = format!("epoch={}\nshards={}\n", set.epoch(), set.shards());
+    for (s, hit) in memo.iter().enumerate() {
+        let verdict = if *hit { "hit" } else { "miss" };
+        body.push_str(&format!("memo=shard {s} virtual age: {verdict}\n"));
+    }
     for (s, (plan, view)) in plans.iter().zip(set.views()).enumerate() {
         for (i, cube) in view.cubes().iter().enumerate() {
             let verdict = match plan.skip_reason(i) {
@@ -571,7 +585,7 @@ fn run_explain(router: &ShardRouter, spec: &QuerySpec) -> Result<String, (u8, St
             body.push_str(&format!(
                 "plan=shard {s} cube {i} [{}] {} facts: {verdict}\n",
                 view.schema().render_granularity(&cube.grain),
-                cube.data().len(),
+                cube.rows(),
             ));
         }
     }

@@ -999,3 +999,97 @@ fn format2_migration_crash_matrix() {
         }
     }
 }
+
+/// ROADMAP 1(c) / the format 3 → 4 row of the migration matrix: a
+/// checkpoint taken between a load and its `age` records how many rows
+/// of the bottom cube are still un-homed (manifest format 4), so a
+/// warehouse recovered from it alone — nothing in the WAL — ages and
+/// answers un-synchronized queries exactly like one that never stopped.
+/// A fully homed warehouse keeps writing format 3, byte for byte, and a
+/// manifest newer than this build is refused by name.
+#[test]
+fn checkpoint_between_load_and_age_keeps_rows_unhomed() {
+    use specdr::query::{AggApproach, SelectMode};
+    use specdr::subcube::{read_manifest, CubeQuery, Manifest};
+    let (mo, _) = paper_mo();
+    let schema = Arc::clone(mo.schema());
+    let a1 = parse_action(&schema, ACTION_A1).unwrap();
+    let a2 = parse_action(&schema, ACTION_A2).unwrap();
+    let spec = DataReductionSpec::new(Arc::clone(&schema), vec![a1, a2]).unwrap();
+    let synced = days_from_civil(2000, 6, 5);
+    // The late load: 1999 clicks whose home on `synced` is already the
+    // month cube. No transition lies before `soon`, one before `later`.
+    let (early, late) = (mo.gather(&[4, 5, 6]), mo.gather(&[0, 1, 2, 3]));
+    let (soon, later) = (days_from_civil(2000, 6, 20), days_from_civil(2000, 11, 5));
+    let ops = [Op::Load(early), Op::Sync(synced), Op::Load(late.clone())];
+    let dir = tmpdir("unhomed");
+    let mut w = DurableWarehouse::create(spec.clone(), &dir).unwrap();
+    let plain = SubcubeManager::new(spec.clone());
+    for op in &ops {
+        op.apply_durable(&mut w).unwrap();
+        op.apply_plain(&plain);
+    }
+
+    // Format 3 -> 4: the dirty checkpoint carries the count, and is the
+    // clean manifest plus one trailing u64.
+    w.checkpoint().unwrap();
+    let dirty = read_manifest(&dir).unwrap();
+    assert_eq!((dirty.format, dirty.unhomed_rows), (4, late.len() as u64));
+    let as_clean = Manifest {
+        format: 3,
+        unhomed_rows: 0,
+        ..dirty.clone()
+    };
+    assert_eq!(dirty.encode().len(), as_clean.encode().len() + 8);
+    let newer = Manifest {
+        format: 5,
+        ..dirty.clone()
+    };
+    let err = Manifest::decode(&dir, &newer.encode()).unwrap_err();
+    assert!(
+        err.to_string().contains("unsupported manifest format 5"),
+        "{err}"
+    );
+
+    drop(w);
+    let (mut rec, report) =
+        DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
+    assert_eq!(report.replayed, 0, "the load is in the checkpoint alone");
+    assert_eq!(rec.manager().view().unhomed_rows(), late.len());
+    assert_eq!(state(rec.manager()), state(&plain));
+    rec.manager().verify_stats().unwrap();
+
+    // Asked at the bottom granularity, the answer shows every fact at
+    // the granularity it is stored at: a row left un-homed shows.
+    let q = CubeQuery {
+        pred: None,
+        mode: SelectMode::Conservative,
+        levels: schema.bottom_granularity().0,
+        approach: AggApproach::Availability,
+    };
+    let rows = |mo: Mo| {
+        let mut v: Vec<String> = mo.facts().map(|f| mo.render_fact(f)).collect();
+        v.sort();
+        v
+    };
+    for day in [soon, later] {
+        assert_eq!(
+            rows(rec.manager().query_unsync(&q, day, false).unwrap()),
+            rows(plain.query_unsync(&q, day, false).unwrap()),
+            "query_unsync at {day}"
+        );
+        rec.age(day).unwrap();
+        plain.age(day).unwrap();
+        assert_eq!(state(rec.manager()), state(&plain), "age({day})");
+        let fresh = SubcubeManager::new(spec.clone());
+        fresh.bulk_load(&mo).unwrap();
+        fresh.sync(day).unwrap();
+        assert_eq!(state(rec.manager()), state(&fresh), "age({day}) vs sync");
+    }
+
+    // Format 4 -> 3: once homed, the next checkpoint is a plain format 3.
+    rec.checkpoint().unwrap();
+    let clean = read_manifest(&dir).unwrap();
+    assert_eq!((clean.format, clean.unhomed_rows), (3, 0));
+    std::fs::remove_dir_all(&dir).ok();
+}

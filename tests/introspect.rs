@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use specdr::introspect::{explain_query, explain_sync, profile};
+use specdr::introspect::{explain_query, explain_query_unsync, explain_sync, profile};
 use specdr::mdm::calendar::days_from_civil;
 use specdr::mdm::time_cat as tc;
 use specdr::query::{aggregate_ids_naive, select_snapshot, AggApproach, SelectMode};
@@ -203,6 +203,48 @@ fn explain_counts_match_naive_references() {
             .map(|c| c.data().len() as u64)
             .sum::<u64>()
     );
+
+    // --- Phase 5: explain an un-synchronized query on a warehouse left
+    // at an earlier day. The report describes the virtually aged
+    // version — the same cubes, rows and verdicts a real sync to `now`
+    // then shows — and carries the memo line; nothing was published.
+    let m4 = manager_with_paper_data();
+    m4.sync(days_from_civil(2000, 6, 5)).unwrap();
+    let q4 = figure8_query(&m4);
+    let epoch = m4.epoch();
+    let (uanswer, ureport) = explain_query_unsync(&m4, &q4, now, true).unwrap();
+    assert_eq!(m4.epoch(), epoch, "explaining a read published a version");
+    assert_eq!(
+        (ureport.op.as_str(), ureport.epoch),
+        ("query_unsync", epoch)
+    );
+    assert_eq!(uanswer.len(), direct.len());
+    let memo = ureport
+        .virtual_age()
+        .expect("the report carries the memo line");
+    let attr = |k: &str| {
+        memo.iter()
+            .find(|(key, _)| key == k)
+            .map(|(_, v)| v.as_str())
+    };
+    assert_eq!(attr("memo"), Some("miss"));
+    assert!(
+        attr("ticks").unwrap().parse::<u64>().unwrap() >= 1,
+        "{memo:?}"
+    );
+    assert!(ureport.to_table().contains("virtual age: "));
+    assert!(ureport.to_json().contains("\"virtual_age\":{"));
+    let (_, again) = explain_query_unsync(&m4, &q4, now, true).unwrap();
+    let memo = again.virtual_age().unwrap();
+    assert!(
+        memo.contains(&("memo".to_string(), "hit".to_string())),
+        "{memo:?}"
+    );
+    for (virt, real) in ureport.cubes.iter().zip(&report.cubes) {
+        let key =
+            |c: &specdr::introspect::CubeReport| (c.rows, c.planned.clone(), c.scanned, c.rows_out);
+        assert_eq!(key(virt), key(real), "K{}", virt.id);
+    }
 }
 
 #[test]
@@ -237,6 +279,20 @@ fn explain_cli_formats_are_consistent() {
         strip_phases(&json2),
         "cube annotations are deterministic (phases carry wall-clock times)"
     );
+
+    // --unsync: the same command, explained on the virtually aged view.
+    let unsync = run(&[&["explain", "--query", "--unsync"], &base[..]].concat());
+    assert!(unsync.contains("explain query_unsync:"), "{unsync}");
+    assert!(
+        unsync.contains("virtual age: ") && unsync.contains("memo=miss"),
+        "{unsync}"
+    );
+    assert!(unsync.contains("subcube.query.virtual_age"), "{unsync}");
+    let out = std::process::Command::new(bin)
+        .args(["explain", "--reduce", "--unsync"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "--unsync explains queries only");
 
     let trace = run(&[&["explain", "--reduce", "--format", "trace"], &base[..]].concat());
     assert!(trace.contains("\"traceEvents\":["), "{trace}");

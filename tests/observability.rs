@@ -198,6 +198,75 @@ fn metrics_agree_with_authoritative_numbers() {
     );
     assert!(snap.counter("query.aggregate.cells_produced").unwrap() >= answer.len() as u64);
 
+    // --- Phase 4b: un-synchronized reads. Three evaluations of one
+    // pinned view at one day are one virtual aging (a miss) and two memo
+    // hits; the miss reports exactly what the real `age` to that day then
+    // does; and nothing on the write path's books moves.
+    mgr.bulk_load(&mo.gather(&late)).unwrap();
+    obs::reset();
+    let unsync_now = now + 85;
+    let (epoch, view) = (mgr.epoch(), mgr.view());
+    let first = view.query_unsync(&q, unsync_now, false).unwrap();
+    let again = view.query_unsync(&q, unsync_now, true).unwrap();
+    let third = mgr.query_unsync(&q, unsync_now, false).unwrap();
+    assert!(!first.is_empty());
+    assert_eq!((again.len(), third.len()), (first.len(), first.len()));
+    let snap = obs::snapshot();
+    assert_eq!(mgr.epoch(), epoch, "a read published");
+    assert_eq!(snap.counter("subcube.unsync.memo_misses"), Some(1));
+    assert_eq!(snap.counter("subcube.unsync.memo_hits"), Some(2));
+    assert_eq!(snap.span("subcube.query.virtual_age").unwrap().count, 3);
+    assert_eq!(snap.span("subcube.query").unwrap().count, 3);
+    for name in [
+        "age.ticks",
+        "age.cells_delta",
+        "age.cubes_skipped",
+        "age.rows_homed",
+        "subcube.chunks.rewritten",
+        "subcube.chunks.carried",
+        "subcube.publish.count",
+        "subcube.sync.migrated",
+    ] {
+        assert_eq!(snap.counter(name).unwrap_or(0), 0, "{name}");
+    }
+    for name in ["subcube.age", "subcube.age.tick", "subcube.sync"] {
+        assert_eq!(snap.span(name).map_or(0, |s| s.count), 0, "{name}");
+    }
+    let virtual_ages: Vec<_> = snap
+        .traces
+        .iter()
+        .filter(|t| t.name == "subcube.query.virtual_age")
+        .collect();
+    let attr = |t: &specdr::obs::TraceSpan, key: &str| -> String {
+        let found = t.attrs.iter().find(|(k, _)| k == key);
+        found
+            .unwrap_or_else(|| panic!("attr {key} missing on {t:?}"))
+            .1
+            .clone()
+    };
+    let memos: Vec<String> = virtual_ages.iter().map(|t| attr(t, "memo")).collect();
+    assert_eq!(memos, ["miss", "hit", "hit"]);
+    let real = mgr.age(unsync_now).unwrap();
+    assert!(real.ticks >= 1 && real.rows_homed == late.len(), "{real:?}");
+    for (key, want) in [
+        ("ticks", real.ticks),
+        ("rows_homed", real.rows_homed),
+        ("cells_delta", real.cells_delta),
+        ("chunks_rewritten", real.chunks_rewritten),
+        ("chunks_carried", real.chunks_carried),
+    ] {
+        assert_eq!(attr(virtual_ages[0], key), want.to_string(), "miss {key}");
+        assert_eq!(attr(virtual_ages[1], key), "0", "hit {key}");
+    }
+    // What the read computed is what the write then published.
+    let published = mgr.query(&q, unsync_now, false).unwrap();
+    let rows = |mo: &specdr::mdm::Mo| {
+        let mut v: Vec<String> = mo.facts().map(|f| mo.render_fact(f)).collect();
+        v.sort();
+        v
+    };
+    assert_eq!(rows(&first), rows(&published));
+
     // --- Phase 5: lint. One timed pass per rule, per-code finding
     // counters, and one analysis span per action.
     obs::reset();

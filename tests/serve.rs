@@ -150,6 +150,28 @@ fn wire_digests_match_in_process() {
     assert!(body.lines().any(|l| l.starts_with("plan=shard 0")));
     assert!(body.lines().any(|l| l.starts_with("plan=shard 1")));
     assert!(body.contains("scan") || body.contains("skip:"));
+    assert!(
+        !body.contains("memo="),
+        "a synchronized plan has no memo line"
+    );
+    // explain, un-synchronized: the aged views' verdicts plus, per shard,
+    // whether the pinned version's memo already held them.
+    let unsync = serve::QuerySpec {
+        unsync: true,
+        ..baseline_spec(days_from_civil(2004, 2, 29))
+    };
+    for verdict in ["miss", "hit"] {
+        let resp = request(&addr, &serve::explain_payload(&unsync), TIMEOUT).unwrap();
+        let (tag, body) = split_response(&resp).unwrap();
+        assert_eq!(tag, RESP_OK);
+        let body = String::from_utf8_lossy(body);
+        for shard in 0..2 {
+            let line = format!("memo=shard {shard} virtual age: {verdict}");
+            assert!(body.lines().any(|l| l == line), "{line}: {body}");
+            let plan = format!("plan=shard {shard}");
+            assert!(body.lines().any(|l| l.starts_with(&plan)));
+        }
+    }
     // ping
     let resp = request(&addr, &[REQ_PING], TIMEOUT).unwrap();
     let (tag, body) = split_response(&resp).unwrap();
