@@ -188,6 +188,66 @@ impl Mo {
         Mo { schema, store }
     }
 
+    /// An MO over `schema` that takes whole columns as they are — what a
+    /// decoder hands over instead of inserting fact by fact. Facts keep
+    /// the granularity and origin the columns give them, as with
+    /// [`Mo::insert_fact_at`].
+    ///
+    /// # Errors
+    /// [`MdmError::InvalidFact`] when the column counts do not match the
+    /// schema, the columns differ in length, or a category index lies
+    /// outside its dimension's category graph.
+    pub fn from_columns(
+        schema: Arc<Schema>,
+        cats: Vec<Vec<u8>>,
+        codes: Vec<Vec<u64>>,
+        measures: Vec<Vec<i64>>,
+        origin: Vec<u32>,
+    ) -> Result<Mo, MdmError> {
+        let bad = |what: String| Err(MdmError::InvalidFact(what));
+        if cats.len() != schema.n_dims() || codes.len() != schema.n_dims() {
+            return bad(format!(
+                "expected {} coordinate columns, got {} category and {} code columns",
+                schema.n_dims(),
+                cats.len(),
+                codes.len()
+            ));
+        }
+        if measures.len() != schema.n_measures() {
+            return bad(format!(
+                "expected {} measure columns, got {}",
+                schema.n_measures(),
+                measures.len()
+            ));
+        }
+        let len = origin.len();
+        let mut lens = cats
+            .iter()
+            .map(Vec::len)
+            .chain(codes.iter().map(Vec::len))
+            .chain(measures.iter().map(Vec::len));
+        if lens.any(|n| n != len) {
+            return bad(format!("columns differ in length ({len} origins)"));
+        }
+        for (i, col) in cats.iter().enumerate() {
+            let known = schema.dims[i].graph().len();
+            if let Some(&c) = col.iter().find(|&&c| c as usize >= known) {
+                return bad(format!(
+                    "coordinate {i} references unknown category {}",
+                    crate::category::CatId(c)
+                ));
+            }
+        }
+        let store = FactStore {
+            cats,
+            codes,
+            measures,
+            origin,
+            len,
+        };
+        Ok(Mo { schema, store })
+    }
+
     /// The schema `S` (which owns the dimensions `D`).
     #[inline]
     pub fn schema(&self) -> &Arc<Schema> {
@@ -579,6 +639,70 @@ mod tests {
             assert_eq!(buf, columnar.coords(FactId(i as u32 + 1)));
         }
         assert_eq!(mid.store().origin, columnar.store().origin[1..4]);
+    }
+
+    #[test]
+    fn from_columns_takes_whole_columns_and_validates_them() {
+        let s = tiny_schema();
+        let mut src = Mo::new(Arc::clone(&s));
+        let top = s.dim(DimId(1)).top_value();
+        src.insert_fact(&[day(2000, 1, 1), top], &[1, 10]).unwrap();
+        src.insert_fact_at(&[s.dim(DimId(0)).top_value(), top], &[2, -5], 7)
+            .unwrap();
+        let FactStore {
+            cats,
+            codes,
+            measures,
+            origin,
+            ..
+        } = src.store().clone();
+        let build =
+            |cats: &Vec<Vec<u8>>, codes: &Vec<Vec<u64>>, ms: &Vec<Vec<i64>>, org: &[u32]| {
+                Mo::from_columns(
+                    Arc::clone(&s),
+                    cats.clone(),
+                    codes.clone(),
+                    ms.clone(),
+                    org.to_vec(),
+                )
+            };
+        let back = build(&cats, &codes, &measures, &origin).unwrap();
+        assert_eq!(back.len(), 2);
+        assert_eq!(back.coords(FactId(1)), src.coords(FactId(1)));
+        assert_eq!(back.measures_of(FactId(1)), [2, -5]);
+        assert_eq!(back.store().origin, [ORIGIN_USER, 7]);
+        let empty = build(&vec![vec![]; 2], &vec![vec![]; 2], &vec![vec![]; 2], &[]).unwrap();
+        assert!(empty.is_empty());
+
+        let rejected = |r: Result<Mo, MdmError>, want: &str| {
+            let err = r.expect_err(want).to_string();
+            assert!(err.contains(want), "{err}");
+        };
+        // Shape: a missing dimension, a missing measure.
+        rejected(
+            build(&cats[..1].to_vec(), &codes, &measures, &origin),
+            "coordinate columns",
+        );
+        rejected(
+            build(&cats, &codes, &measures[..1].to_vec(), &origin),
+            "measure columns",
+        );
+        // One column shorter than the rest, whichever it is.
+        let mut short = codes.clone();
+        short[1].pop();
+        rejected(build(&cats, &short, &measures, &origin), "differ in length");
+        rejected(
+            build(&cats, &codes, &measures, &origin[..1]),
+            "differ in length",
+        );
+        // A category index the dimension's graph does not define (URL has
+        // three categories; Time has more).
+        let mut foreign = cats.clone();
+        foreign[1][0] = 3;
+        rejected(
+            build(&foreign, &codes, &measures, &origin),
+            "unknown category",
+        );
     }
 
     #[test]

@@ -169,10 +169,24 @@ pub fn agg_level(
 ///
 /// [`reduce` internals]: self
 pub fn reduce(mo: &Mo, spec: &DataReductionSpec, now: DayNum) -> Result<Mo, ReduceError> {
+    reduce_with_workers(mo, spec, now, None)
+}
+
+/// [`reduce`] with the kernel's scan worker count pinned (1 forces the
+/// sequential scan, more the chunk-parallel one even on small inputs)
+/// instead of chosen from the input size — for the span-handoff
+/// differential test, which compares both trees of the same pass.
+#[doc(hidden)]
+pub fn reduce_with_workers(
+    mo: &Mo,
+    spec: &DataReductionSpec,
+    now: DayNum,
+    workers: Option<usize>,
+) -> Result<Mo, ReduceError> {
     let _span = sdr_obs::span("reduce.reduce");
     let out = match KeyPacker::new(spec.schema()) {
-        Some(pk) if pk.fits64() => reduce_kernel::<u64>(mo, spec, now, &pk)?,
-        Some(pk) => reduce_kernel::<u128>(mo, spec, now, &pk)?,
+        Some(pk) if pk.fits64() => reduce_kernel::<u64>(mo, spec, now, &pk, workers)?,
+        Some(pk) => reduce_kernel::<u128>(mo, spec, now, &pk, workers)?,
         None => reduce_core_naive(mo, spec, now)?,
     };
     if sdr_obs::enabled() {
@@ -740,6 +754,7 @@ fn reduce_kernel<K: PackedKey>(
     spec: &DataReductionSpec,
     now: DayNum,
     pk: &KeyPacker,
+    workers: Option<usize>,
 ) -> Result<Mo, ReduceError> {
     let schema: &Schema = spec.schema();
     let mut actions: Vec<(ActionId, Granularity, CompiledPred)> = Vec::with_capacity(spec.len());
@@ -752,14 +767,7 @@ fn reduce_kernel<K: PackedKey>(
     }
     let n = mo.len();
     let obs_on = sdr_obs::enabled();
-    // `SDR_REDUCE_WORKERS` pins the worker count (1 forces the
-    // sequential scan, >1 forces the parallel one even on small inputs) —
-    // the span-handoff differential test in `tests/observability.rs`
-    // compares both trees of the same pass.
-    let workers = match std::env::var("SDR_REDUCE_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
+    let workers = match workers {
         Some(w) => w.clamp(1, MAX_WORKERS).min(n.max(1)),
         None if n >= 2 * CHUNK_TARGET => std::thread::available_parallelism()
             .map(|p| p.get())

@@ -1,6 +1,6 @@
-//! Column encodings for sealed segments.
+//! Column encodings for fact segments.
 //!
-//! Sealed (immutable) segments encode each column with the smallest of
+//! A segment encodes each column with the smallest of
 //! plain, run-length, delta (zigzag-varint), frame-of-reference
 //! bit-packed, or dictionary layout. Reduced warehouses are extremely
 //! compression-friendly: after aggregation, coordinate columns contain
@@ -9,8 +9,6 @@
 //! `ceil(log2(cardinality))` bits per row, and append-ordered time
 //! columns are near-sorted — this is where a large share of the paper's
 //! "huge storage gains" materializes physically.
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// An encoded `u64` column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,10 +106,11 @@ fn unpack_bits(words: &[u64], width: u8, i: usize) -> u64 {
     v & mask
 }
 
-/// Expected word count for `count` values at `width` bits.
+/// Expected word count for `count` values at `width` bits; `None` when
+/// it does not fit a `usize`.
 #[inline]
-fn packed_words(count: u64, width: u8) -> usize {
-    (count as u128 * width as u128).div_ceil(64) as usize
+fn packed_words(count: u64, width: u8) -> Option<usize> {
+    usize::try_from((count as u128 * width as u128).div_ceil(64)).ok()
 }
 
 /// Zigzag-encodes a signed delta to an unsigned varint payload.
@@ -150,22 +149,48 @@ fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
+/// Splits the first `n` bytes off `buf`; `None` when fewer remain.
+pub(crate) fn take<'a>(buf: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    let (head, rest) = buf.split_at_checked(n)?;
+    *buf = rest;
+    Some(head)
+}
+
+pub(crate) fn take_u8(buf: &mut &[u8]) -> Option<u8> {
+    take(buf, 1).map(|b| b[0])
+}
+
+pub(crate) fn take_u32(buf: &mut &[u8]) -> Option<u32> {
+    take(buf, 4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes taken")))
+}
+
+pub(crate) fn take_u64(buf: &mut &[u8]) -> Option<u64> {
+    take(buf, 8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes taken")))
+}
+
+/// `n` little-endian words; the byte count is checked before anything
+/// is allocated for it.
+fn take_u64s(buf: &mut &[u8], n: usize) -> Option<Vec<u64>> {
+    let bytes = take(buf, n.checked_mul(8)?)?;
+    Some(
+        bytes
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+            .collect(),
+    )
+}
+
+fn put_u64s(out: &mut Vec<u8>, words: &[u64]) {
+    out.reserve(words.len() * 8);
+    for w in words {
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+}
+
 impl ColumnEnc {
     /// Encodes a column, choosing the smallest of plain, RLE, delta,
     /// frame-of-reference bit-packed, and dictionary layouts.
     pub fn encode(values: &[u64]) -> ColumnEnc {
-        Self::encode_impl(values, true)
-    }
-
-    /// Encodes with the format-1 repertoire only (plain, RLE, delta) —
-    /// what sealed segments used before the `SDRFACT2` table format.
-    /// Retained so tests can fabricate legacy files that old readers
-    /// would have produced.
-    pub fn encode_legacy(values: &[u64]) -> ColumnEnc {
-        Self::encode_impl(values, false)
-    }
-
-    fn encode_impl(values: &[u64], packed: bool) -> ColumnEnc {
         let plain_bytes = values.len() * 8;
         // Candidate 1: RLE.
         let mut runs: Vec<(u64, u32)> = Vec::new();
@@ -196,9 +221,9 @@ impl ColumnEnc {
             .map(|d| d.encoded_bytes())
             .unwrap_or(usize::MAX);
         // Candidates 3 and 4: frame-of-reference bit packing and the
-        // sorted dictionary (format ≥ 2 segments only).
+        // sorted dictionary.
         let (mut bp, mut dict) = (None, None);
-        if packed && !values.is_empty() {
+        if !values.is_empty() {
             let (mut lo, mut hi) = (u64::MAX, 0u64);
             for &v in values {
                 lo = lo.min(v);
@@ -330,22 +355,21 @@ impl ColumnEnc {
         }
     }
 
-    /// Serializes the column into `buf` (tag + length + payload).
-    pub fn write(&self, buf: &mut BytesMut) {
+    /// Appends the serialized column (tag + length + payload) to `out`.
+    pub fn write(&self, out: &mut Vec<u8>) {
         match self {
             ColumnEnc::Plain(v) => {
-                buf.put_u8(0);
-                buf.put_u64_le(v.len() as u64);
-                for &x in v {
-                    buf.put_u64_le(x);
-                }
+                out.push(0);
+                out.extend_from_slice(&(v.len() as u64).to_le_bytes());
+                put_u64s(out, v);
             }
             ColumnEnc::Rle(r) => {
-                buf.put_u8(1);
-                buf.put_u64_le(r.len() as u64);
+                out.push(1);
+                out.extend_from_slice(&(r.len() as u64).to_le_bytes());
+                out.reserve(r.len() * 12);
                 for &(v, n) in r {
-                    buf.put_u64_le(v);
-                    buf.put_u32_le(n);
+                    out.extend_from_slice(&v.to_le_bytes());
+                    out.extend_from_slice(&n.to_le_bytes());
                 }
             }
             ColumnEnc::Delta {
@@ -353,11 +377,11 @@ impl ColumnEnc {
                 deltas,
                 count,
             } => {
-                buf.put_u8(2);
-                buf.put_u64_le(*count);
-                buf.put_u64_le(*base);
-                buf.put_u64_le(deltas.len() as u64);
-                buf.put_slice(deltas);
+                out.push(2);
+                out.extend_from_slice(&count.to_le_bytes());
+                out.extend_from_slice(&base.to_le_bytes());
+                out.extend_from_slice(&(deltas.len() as u64).to_le_bytes());
+                out.extend_from_slice(deltas);
             }
             ColumnEnc::BitPacked {
                 min,
@@ -365,13 +389,11 @@ impl ColumnEnc {
                 count,
                 words,
             } => {
-                buf.put_u8(3);
-                buf.put_u64_le(*count);
-                buf.put_u64_le(*min);
-                buf.put_u8(*width);
-                for &w in words {
-                    buf.put_u64_le(w);
-                }
+                out.push(3);
+                out.extend_from_slice(&count.to_le_bytes());
+                out.extend_from_slice(&min.to_le_bytes());
+                out.push(*width);
+                put_u64s(out, words);
             }
             ColumnEnc::Dict {
                 dict,
@@ -379,57 +401,52 @@ impl ColumnEnc {
                 count,
                 words,
             } => {
-                buf.put_u8(4);
-                buf.put_u64_le(*count);
-                buf.put_u64_le(dict.len() as u64);
-                buf.put_u8(*width);
-                for &v in dict {
-                    buf.put_u64_le(v);
-                }
-                for &w in words {
-                    buf.put_u64_le(w);
-                }
+                out.push(4);
+                out.extend_from_slice(&count.to_le_bytes());
+                out.extend_from_slice(&(dict.len() as u64).to_le_bytes());
+                out.push(*width);
+                put_u64s(out, dict);
+                put_u64s(out, words);
             }
         }
     }
 
-    /// Deserializes a column previously written with [`ColumnEnc::write`].
+    /// Reads a column previously written with [`ColumnEnc::write`] off
+    /// the front of `buf`.
     ///
-    /// Returns `None` on malformed input.
-    pub fn read(buf: &mut Bytes) -> Option<ColumnEnc> {
-        if buf.remaining() < 9 {
-            return None;
-        }
-        let tag = buf.get_u8();
-        let n = buf.get_u64_le() as usize;
+    /// Returns `None` on malformed input: every length is checked against
+    /// the bytes that remain before anything is allocated for it, and a
+    /// column that is returned decodes without panicking. What is *not*
+    /// bounded here is the number of values a run-length or zero-width
+    /// column stands for — compare [`ColumnEnc::len`] with the expected
+    /// row count before calling [`ColumnEnc::decode`].
+    pub fn read(buf: &mut &[u8]) -> Option<ColumnEnc> {
+        let tag = take_u8(buf)?;
+        let n = usize::try_from(take_u64(buf)?).ok()?;
         match tag {
-            0 => {
-                if buf.remaining() < n * 8 {
-                    return None;
-                }
-                Some(ColumnEnc::Plain((0..n).map(|_| buf.get_u64_le()).collect()))
-            }
+            0 => Some(ColumnEnc::Plain(take_u64s(buf, n)?)),
             1 => {
-                if buf.remaining() < n * 12 {
-                    return None;
-                }
+                let runs = take(buf, n.checked_mul(12)?)?;
                 Some(ColumnEnc::Rle(
-                    (0..n)
-                        .map(|_| (buf.get_u64_le(), buf.get_u32_le()))
+                    runs.chunks_exact(12)
+                        .map(|r| {
+                            (
+                                u64::from_le_bytes(r[..8].try_into().expect("8 of 12 bytes")),
+                                u32::from_le_bytes(r[8..].try_into().expect("4 of 12 bytes")),
+                            )
+                        })
                         .collect(),
                 ))
             }
             2 => {
-                if buf.remaining() < 16 {
+                let base = take_u64(buf)?;
+                let dlen = usize::try_from(take_u64(buf)?).ok()?;
+                let deltas = take(buf, dlen)?.to_vec();
+                // The payload must decode to exactly count-1 deltas (the
+                // encoder never writes a delta column of no values).
+                if n == 0 {
                     return None;
                 }
-                let base = buf.get_u64_le();
-                let dlen = buf.get_u64_le() as usize;
-                if buf.remaining() < dlen {
-                    return None;
-                }
-                let deltas = buf.copy_to_bytes(dlen).to_vec();
-                // Validate the payload decodes to exactly count-1 deltas.
                 let mut pos = 0usize;
                 for _ in 1..n {
                     get_varint(&deltas, &mut pos)?;
@@ -444,53 +461,35 @@ impl ColumnEnc {
                 })
             }
             3 => {
-                if buf.remaining() < 9 {
-                    return None;
-                }
-                let min = buf.get_u64_le();
-                let width = buf.get_u8();
+                let min = take_u64(buf)?;
+                let width = take_u8(buf)?;
                 if width > 64 {
                     return None;
                 }
-                let n_words = packed_words(n as u64, width);
-                if buf.remaining() < n_words.checked_mul(8)? {
-                    return None;
-                }
-                let words: Vec<u64> = (0..n_words).map(|_| buf.get_u64_le()).collect();
                 Some(ColumnEnc::BitPacked {
                     min,
                     width,
                     count: n as u64,
-                    words,
+                    words: take_u64s(buf, packed_words(n as u64, width)?)?,
                 })
             }
             4 => {
-                if buf.remaining() < 9 {
-                    return None;
-                }
-                let dict_len = buf.get_u64_le() as usize;
-                let width = buf.get_u8();
+                let dict_len = usize::try_from(take_u64(buf)?).ok()?;
+                let width = take_u8(buf)?;
                 if width > 64 {
                     return None;
                 }
-                let n_words = packed_words(n as u64, width);
-                let need = dict_len
-                    .checked_add(n_words)
-                    .and_then(|t| t.checked_mul(8))?;
-                if buf.remaining() < need {
-                    return None;
-                }
-                let dict: Vec<u64> = (0..dict_len).map(|_| buf.get_u64_le()).collect();
-                let words: Vec<u64> = (0..n_words).map(|_| buf.get_u64_le()).collect();
+                let dict = take_u64s(buf, dict_len)?;
+                let words = take_u64s(buf, packed_words(n as u64, width)?)?;
                 // Every packed index must address the dictionary; a
                 // truncated or forged payload fails here instead of
-                // panicking during a later decode.
-                for i in 0..n {
-                    if unpack_bits(&words, width, i) as usize >= dict_len {
-                        return None;
-                    }
-                }
-                Some(ColumnEnc::Dict {
+                // panicking during a later decode. With zero-width
+                // indices every row reads entry 0.
+                let in_range = match width {
+                    0 => n == 0 || dict_len > 0,
+                    _ => (0..n).all(|i| (unpack_bits(&words, width, i) as usize) < dict_len),
+                };
+                in_range.then_some(ColumnEnc::Dict {
                     dict,
                     width,
                     count: n as u64,
@@ -547,10 +546,9 @@ mod tests {
         let e = ColumnEnc::encode(&col);
         assert_eq!(e.decode(), col);
         // Zigzag varints roundtrip through serialization too.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         e.write(&mut buf);
-        let mut b = buf.freeze();
-        assert_eq!(ColumnEnc::read(&mut b).unwrap().decode(), col);
+        assert_eq!(ColumnEnc::read(&mut &buf[..]).unwrap().decode(), col);
     }
 
     #[test]
@@ -562,10 +560,9 @@ mod tests {
             (0..100u64).collect::<Vec<_>>(),
         ] {
             let e = ColumnEnc::encode(&col);
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             e.write(&mut buf);
-            let mut b = buf.freeze();
-            let d = ColumnEnc::read(&mut b).unwrap();
+            let d = ColumnEnc::read(&mut &buf[..]).unwrap();
             assert_eq!(d.decode(), col);
         }
     }
@@ -582,13 +579,6 @@ mod tests {
         assert!(e.encoded_bytes() < 1300, "{}", e.encoded_bytes());
         assert_eq!(e.decode(), col);
         assert_eq!(e.len(), 1000);
-        // The legacy repertoire must not produce the new tags.
-        let legacy = ColumnEnc::encode_legacy(&col);
-        assert!(
-            !matches!(legacy, ColumnEnc::BitPacked { .. } | ColumnEnc::Dict { .. }),
-            "{legacy:?}"
-        );
-        assert_eq!(legacy.decode(), col);
     }
 
     #[test]
@@ -632,13 +622,13 @@ mod tests {
         ];
         for e in cases {
             let col = e.decode();
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             e.write(&mut buf);
-            let mut b = buf.freeze();
+            let mut b = &buf[..];
             let d = ColumnEnc::read(&mut b).unwrap();
             assert_eq!(d, e);
             assert_eq!(d.decode(), col);
-            assert_eq!(b.remaining(), 0, "reader consumed the column exactly");
+            assert!(b.is_empty(), "reader consumed the column exactly");
         }
     }
 
@@ -651,10 +641,9 @@ mod tests {
             // Index 3 is out of range for a 2-entry dictionary.
             words: vec![0b11_01_00_01],
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         e.write(&mut buf);
-        let mut b = buf.freeze();
-        assert!(ColumnEnc::read(&mut b).is_none());
+        assert!(ColumnEnc::read(&mut &buf[..]).is_none());
     }
 
     #[test]
@@ -670,23 +659,53 @@ mod tests {
                 matches!(e, ColumnEnc::BitPacked { .. } | ColumnEnc::Dict { .. }),
                 "{e:?}"
             );
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             e.write(&mut buf);
-            let full = buf.freeze();
-            let mut truncated = full.slice(0..full.len() - 5);
-            assert!(ColumnEnc::read(&mut truncated).is_none());
+            assert!(ColumnEnc::read(&mut &buf[..buf.len() - 5]).is_none());
         }
     }
 
     #[test]
     fn read_rejects_truncation() {
         let e = ColumnEnc::encode(&(0..100u64).collect::<Vec<_>>());
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         e.write(&mut buf);
-        let full = buf.freeze();
-        let mut truncated = full.slice(0..full.len() - 4);
-        assert!(ColumnEnc::read(&mut truncated).is_none());
-        let mut empty = Bytes::new();
-        assert!(ColumnEnc::read(&mut empty).is_none());
+        assert!(ColumnEnc::read(&mut &buf[..buf.len() - 4]).is_none());
+        assert!(ColumnEnc::read(&mut &[][..]).is_none());
+    }
+
+    /// A forged count must fail the length check, not wrap it or size an
+    /// allocation: the products `n * 8` / `n * 12` overflow a `usize`.
+    #[test]
+    fn read_rejects_counts_whose_byte_length_overflows() {
+        for tag in [0u8, 1] {
+            for n in [u64::MAX, u64::MAX / 8 + 2, u64::MAX / 12 + 2, 1 << 61] {
+                let mut buf = vec![tag];
+                buf.extend_from_slice(&n.to_le_bytes());
+                buf.extend_from_slice(&[0u8; 64]);
+                assert!(ColumnEnc::read(&mut &buf[..]).is_none(), "tag {tag} n {n}");
+            }
+        }
+        // Zero-width packed columns carry no payload to bound the count:
+        // they read back, and `len` reports the count for the caller to
+        // check before decoding.
+        let forged = ColumnEnc::BitPacked {
+            min: 7,
+            width: 0,
+            count: 1 << 60,
+            words: vec![],
+        };
+        let mut buf = Vec::new();
+        forged.write(&mut buf);
+        assert_eq!(ColumnEnc::read(&mut &buf[..]).unwrap().len(), 1 << 60);
+        let forged = ColumnEnc::Dict {
+            dict: vec![],
+            width: 0,
+            count: 1 << 60,
+            words: vec![],
+        };
+        let mut buf = Vec::new();
+        forged.write(&mut buf);
+        assert!(ColumnEnc::read(&mut &buf[..]).is_none(), "no entry 0");
     }
 }

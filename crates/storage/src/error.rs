@@ -5,22 +5,19 @@ use sdr_mdm::MdmError;
 /// Errors raised by the storage layer.
 #[derive(Debug)]
 pub enum StorageError {
-    /// A row's shape does not match the table schema.
-    ShapeMismatch,
     /// A serialized table does not match the schema it is opened with.
     SchemaMismatch,
     /// A serialized table is truncated or malformed.
     Corrupt(String),
     /// An underlying model error.
     Model(MdmError),
-    /// A filesystem error while persisting or opening a table.
+    /// A filesystem error.
     Io(std::io::Error),
 }
 
 impl std::fmt::Display for StorageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StorageError::ShapeMismatch => write!(f, "row shape does not match schema"),
             StorageError::SchemaMismatch => write!(f, "serialized table schema mismatch"),
             StorageError::Corrupt(m) => write!(f, "corrupt table: {m}"),
             StorageError::Model(e) => write!(f, "{e}"),

@@ -1115,14 +1115,9 @@ impl WarehouseView {
 
     /// Storage statistics per cube (rows, raw and encoded bytes), via the
     /// `sdr-storage` layer.
-    pub fn storage_stats(&self) -> Result<Vec<(CubeId, sdr_storage::TableStats)>, SubcubeError> {
-        let mut out = Vec::with_capacity(self.v.cubes.len());
-        for (i, c) in self.v.cubes.iter().enumerate() {
-            let t = sdr_storage::FactTable::from_mo(c.data(), 1 << 16)
-                .map_err(|e| SubcubeError::Storage(e.to_string()))?;
-            out.push((CubeId(i), t.stats()));
-        }
-        Ok(out)
+    pub fn storage_stats(&self) -> Vec<(CubeId, sdr_storage::TableStats)> {
+        let stats = |(i, c): (usize, &Subcube)| (CubeId(i), sdr_storage::table_stats(c.data()));
+        self.v.cubes.iter().enumerate().map(stats).collect()
     }
 
     /// A human-readable description of the cube layout (Figure 6 / the
@@ -1531,7 +1526,7 @@ impl SubcubeManager {
 
     /// Storage statistics per cube (rows, raw and encoded bytes), via the
     /// `sdr-storage` layer.
-    pub fn storage_stats(&self) -> Result<Vec<(CubeId, sdr_storage::TableStats)>, SubcubeError> {
+    pub fn storage_stats(&self) -> Vec<(CubeId, sdr_storage::TableStats)> {
         self.view().storage_stats()
     }
 

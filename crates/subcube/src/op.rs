@@ -16,7 +16,7 @@
 //! # Record payload
 //!
 //! ```text
-//! tag 1  BulkLoad    sdr-storage fact table (FactTable::serialize)
+//! tag 1  BulkLoad    fact segments (sdr_storage::encode_facts)
 //! tag 2  Sync        day:i64le
 //! tag 3  SpecInsert  n:u32le (len:u32le utf8-action-source)*
 //! tag 4  SpecDelete  n:u32le (action-id:u32le)* day:i64le
@@ -28,7 +28,7 @@ use std::sync::Arc;
 use sdr_mdm::{DayNum, Mo, Schema};
 use sdr_reduce::ReduceError;
 use sdr_spec::{parse_action, ActionId, ActionSpec};
-use sdr_storage::FactTable;
+use sdr_storage::{decode_facts, encode_facts};
 
 use crate::error::SubcubeError;
 use crate::manager::{AgeStats, SubcubeManager, SyncStats};
@@ -115,17 +115,14 @@ impl WarehouseOp {
     }
 
     /// Serializes the operation into a WAL record payload. Fails when the
-    /// operation cannot be replayed from its bytes: facts the storage
-    /// layer cannot hold, or an action whose rendering does not parse
-    /// back to itself (none known).
+    /// operation cannot be replayed from its bytes: an action whose
+    /// rendering does not parse back to itself (none known).
     pub fn encode(&self, schema: &Schema) -> Result<Vec<u8>, SubcubeError> {
         let mut b = Vec::new();
         match self {
             WarehouseOp::BulkLoad(mo) => {
-                let mut t =
-                    FactTable::from_mo(mo, sdr_storage::DEFAULT_SEGMENT_ROWS).map_err(storage)?;
                 b.push(TAG_BULK_LOAD);
-                b.extend_from_slice(t.serialize().as_slice());
+                b.append(&mut encode_facts(mo.schema(), [mo]));
             }
             WarehouseOp::Sync(now) => {
                 b.push(TAG_SYNC);
@@ -168,11 +165,7 @@ impl WarehouseOp {
             .ok_or_else(|| Reader::bad("empty record"))?;
         let mut r = Reader { rest };
         Ok(match tag {
-            TAG_BULK_LOAD => {
-                let t = FactTable::deserialize(Arc::clone(schema), rest.to_vec().into())
-                    .map_err(storage)?;
-                WarehouseOp::BulkLoad(t.to_mo().map_err(storage)?)
-            }
+            TAG_BULK_LOAD => WarehouseOp::BulkLoad(decode_facts(schema, rest).map_err(storage)?),
             TAG_SYNC => WarehouseOp::Sync(r.day()?),
             TAG_AGE => WarehouseOp::Age(r.day()?),
             TAG_SPEC_INSERT => {

@@ -8,7 +8,7 @@
 //!   CURRENT            framed pointer to the live checkpoint directory
 //!   ckpt-<epoch>/      one complete checkpoint
 //!     MANIFEST         cube count, spec hash, WAL high-water mark, CRC
-//!     cube-<i>.sdr     one sdr-storage fact table per subcube
+//!     cube-<i>.sdr     one subcube's facts (sdr_storage::encode_facts)
 //!   wal-<epoch>.log    operations since that checkpoint (sdr-storage WAL)
 //! ```
 //!
@@ -27,7 +27,7 @@ use sdr_mdm::DayNum;
 use sdr_reduce::DataReductionSpec;
 use sdr_storage::fs::{atomic_write, Fs, RealFs};
 use sdr_storage::wal::crc32;
-use sdr_storage::{FactTable, Wal};
+use sdr_storage::{decode_facts, encode_facts, raw_bytes, Wal};
 
 use crate::error::SubcubeError;
 use crate::manager::{SubcubeManager, WarehouseView};
@@ -65,10 +65,9 @@ pub fn spec_fingerprint(spec: &DataReductionSpec) -> u64 {
 /// The decoded contents of a checkpoint `MANIFEST`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
-    /// The manifest format this checkpoint was written under (encode
-    /// honors it too, so the migration suite can fabricate legacy
-    /// directories). Current writers use format 3, or 4 when
-    /// `unhomed_rows` is non-zero.
+    /// The manifest format this checkpoint was written under. Writers
+    /// use format 3, or 4 when `unhomed_rows` is non-zero; formats 1 and
+    /// 2 are only ever decoded.
     pub format: u32,
     /// The checkpoint's epoch (matches its directory and WAL file names).
     pub epoch: u64,
@@ -108,7 +107,8 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Serializes the manifest with a trailing CRC-32.
+    /// Serializes the manifest in the format-3 layout — plus the format-4
+    /// trailer when `format` says so — with a trailing CRC-32.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::new();
         b.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
@@ -121,22 +121,17 @@ impl Manifest {
         b.extend_from_slice(&self.next_action_id.to_le_bytes());
         b.extend_from_slice(&(self.spec_text.len() as u32).to_le_bytes());
         b.extend_from_slice(self.spec_text.as_bytes());
-        // Format-2 stats block: its own count, independent of
-        // `cube_count`, so a forged count check still fires at load.
-        // Format 3 extends each block with hulls/origins.
-        if self.format >= 2 {
-            b.extend_from_slice(&(self.cube_stats.len() as u32).to_le_bytes());
-            for s in &self.cube_stats {
-                s.encode_into(&mut b, self.format >= 3);
-            }
+        // The stats block has its own count, independent of `cube_count`,
+        // so a forged count check still fires at load.
+        b.extend_from_slice(&(self.cube_stats.len() as u32).to_le_bytes());
+        for s in &self.cube_stats {
+            s.encode_into(&mut b);
         }
-        // Format-3 byte table: per-cube (raw, encoded) on-disk sizes.
-        if self.format >= 3 {
-            b.extend_from_slice(&(self.cube_bytes.len() as u32).to_le_bytes());
-            for (raw, enc) in &self.cube_bytes {
-                b.extend_from_slice(&raw.to_le_bytes());
-                b.extend_from_slice(&enc.to_le_bytes());
-            }
+        // The byte table: per-cube (raw, encoded) on-disk sizes.
+        b.extend_from_slice(&(self.cube_bytes.len() as u32).to_le_bytes());
+        for (raw, enc) in &self.cube_bytes {
+            b.extend_from_slice(&raw.to_le_bytes());
+            b.extend_from_slice(&enc.to_le_bytes());
         }
         if self.format >= 4 {
             b.extend_from_slice(&self.unhomed_rows.to_le_bytes());
@@ -327,23 +322,6 @@ pub(crate) fn write_checkpoint(
     epoch: u64,
     wal_hwm: u64,
 ) -> Result<(), SubcubeError> {
-    write_checkpoint_fmt(view, fs, dir, epoch, wal_hwm, false)
-}
-
-/// [`write_checkpoint`] with an explicit format switch. `legacy` writes
-/// the PR 6 layout — `SDRFACT1` cube files (plain/RLE/delta columns
-/// only) under a format-2 manifest with legacy-projected stats and no
-/// byte table — so the migration suite can fabricate old warehouse
-/// directories without keeping binary fixtures. Production paths always
-/// pass `false`.
-pub(crate) fn write_checkpoint_fmt(
-    view: &WarehouseView,
-    fs: &dyn Fs,
-    dir: &Path,
-    epoch: u64,
-    wal_hwm: u64,
-    legacy: bool,
-) -> Result<(), SubcubeError> {
     let _span = sdr_obs::span("durable.checkpoint");
     let err = |e: &dyn std::fmt::Display| SubcubeError::Storage(e.to_string());
     fs.create_dir_all(dir).map_err(|e| err(&e))?;
@@ -361,33 +339,18 @@ pub(crate) fn write_checkpoint_fmt(
     let mut bytes_written = 0u64;
     let mut cube_bytes = Vec::with_capacity(view.cubes().len());
     for (i, cube) in view.cubes().iter().enumerate() {
-        let mut t = FactTable::from_mo(cube.data(), sdr_storage::DEFAULT_SEGMENT_ROWS)
-            .map_err(|e| err(&e))?;
-        let raw = t.stats().raw_bytes as u64;
-        let bytes = if legacy {
-            t.serialize_legacy()
-        } else {
-            t.serialize()
-        };
+        // Straight from the chunks: the bytes are those of the cube's
+        // contiguous view, which a checkpoint has no need to build.
+        let bytes = encode_facts(view.schema(), cube.chunks().iter().map(|c| c.data()));
+        let raw = raw_bytes(view.schema(), cube.rows()) as u64;
         bytes_written += bytes.len() as u64;
         cube_bytes.push((raw, bytes.len() as u64));
         fs.write(&WarehouseLayout::cube_file_in(&tmp, i), &bytes)
             .map_err(|e| err(&e))?;
     }
-    let stats_of = |c: &crate::manager::Subcube| {
-        if legacy {
-            c.stats().legacy_projection()
-        } else {
-            c.stats().clone()
-        }
-    };
     let unhomed_rows = view.unhomed_rows() as u64;
     let manifest = Manifest {
-        format: match (legacy, unhomed_rows) {
-            (true, _) => 2,
-            (false, 0) => 3,
-            (false, _) => 4,
-        },
+        format: if unhomed_rows == 0 { 3 } else { 4 },
         epoch,
         cube_count: view.cubes().len() as u32,
         wal_hwm,
@@ -395,8 +358,8 @@ pub(crate) fn write_checkpoint_fmt(
         spec_hash: spec_fingerprint(view.spec()),
         next_action_id: view.spec().next_action_id(),
         spec_text: view.spec().render(),
-        cube_stats: view.cubes().iter().map(stats_of).collect(),
-        cube_bytes: if legacy { Vec::new() } else { cube_bytes },
+        cube_stats: view.cubes().iter().map(|c| c.stats().clone()).collect(),
+        cube_bytes,
         unhomed_rows,
     };
     fs.write(&WarehouseLayout::manifest_in(&tmp), &manifest.encode())
@@ -446,11 +409,10 @@ pub(crate) fn load_checkpoint(
     let mut mos = Vec::with_capacity(layout.cubes().len());
     for i in 0..layout.cubes().len() {
         let path = WarehouseLayout::cube_file_in(&ckpt, i);
-        let t = FactTable::load_from(std::sync::Arc::clone(m.schema()), &path)
-            .map_err(|e| SubcubeError::Storage(format!("{}: {e}", path.display())))?;
-        let mo = t
-            .to_mo()
-            .map_err(|e| SubcubeError::Storage(e.to_string()))?;
+        let bad =
+            |e: &dyn std::fmt::Display| SubcubeError::Storage(format!("{}: {e}", path.display()));
+        let bytes = fs.read(&path).map_err(|e| bad(&e))?;
+        let mo = decode_facts(m.schema(), &bytes).map_err(|e| bad(&e))?;
         // A persisted non-bottom cube must hold facts of its own
         // granularity; reject mismatched layouts early. (The bottom
         // cube may legitimately hold ⊤-coordinate facts and fallback
@@ -552,32 +514,6 @@ impl SubcubeManager {
             0
         };
         write_checkpoint(&self.view(), fs.as_ref(), dir, epoch, 0)?;
-        Wal::create(Arc::clone(fs), lay.wal(epoch), epoch)
-            .map_err(|e| SubcubeError::Storage(e.to_string()))?;
-        write_current(fs.as_ref(), dir, epoch)?;
-        sweep_garbage(fs.as_ref(), dir, epoch);
-        Ok(epoch)
-    }
-
-    /// Writes `dir` exactly as the format-2 (PR 6) checkpointer would
-    /// have: `SDRFACT1` cube files without dictionary/bit-packed
-    /// columns, a format-2 manifest (legacy-projected stats, no byte
-    /// table). **For the storage-format migration tests only** — it
-    /// lets the suite fabricate an old warehouse directory and prove
-    /// that current code loads it and re-checkpoints it as format 3.
-    /// Returns the published epoch.
-    pub fn save_legacy_format2_fs(
-        &self,
-        fs: &Arc<dyn Fs>,
-        dir: &Path,
-    ) -> Result<u64, SubcubeError> {
-        let lay = WarehouseLayout::at(dir);
-        let epoch = if fs.exists(&lay.current()) {
-            read_current(fs.as_ref(), dir)? + 1
-        } else {
-            0
-        };
-        write_checkpoint_fmt(&self.view(), fs.as_ref(), dir, epoch, 0, true)?;
         Wal::create(Arc::clone(fs), lay.wal(epoch), epoch)
             .map_err(|e| SubcubeError::Storage(e.to_string()))?;
         write_current(fs.as_ref(), dir, epoch)?;

@@ -287,10 +287,9 @@ impl SubcubeStats {
     }
 
     /// Serializes into a manifest stats block (fixed little-endian
-    /// layout; the enclosing manifest carries the CRC). `extended`
-    /// appends the format-3 hull/origin block; a format-2 manifest must
-    /// pass `false` to reproduce the PR 6 layout byte-for-byte.
-    pub(crate) fn encode_into(&self, b: &mut Vec<u8>, extended: bool) {
+    /// layout; the enclosing manifest carries the CRC): the format-2
+    /// fields, then the format-3 hull/origin block.
+    pub(crate) fn encode_into(&self, b: &mut Vec<u8>) {
         b.extend_from_slice(&self.rows.to_le_bytes());
         b.extend_from_slice(&self.bytes.to_le_bytes());
         b.extend_from_slice(&self.last_epoch.to_le_bytes());
@@ -305,9 +304,6 @@ impl SubcubeStats {
                 b.push(*cat);
                 b.extend_from_slice(&rows.to_le_bytes());
             }
-        }
-        if !extended {
-            return;
         }
         b.extend_from_slice(&(self.hulls.len() as u32).to_le_bytes());
         for h in &self.hulls {
@@ -329,9 +325,9 @@ impl SubcubeStats {
     }
 
     /// Decodes one stats block via the manifest's cursor-style reader.
-    /// `extended` must mirror what [`SubcubeStats::encode_into`] wrote
-    /// (manifest format ≥ 3); legacy blocks decode with empty hulls and
-    /// no origin set.
+    /// `extended` says whether the hull/origin block follows (manifest
+    /// format ≥ 3); legacy blocks decode with empty hulls and no origin
+    /// set.
     pub(crate) fn decode_from(
         take: &mut dyn FnMut(usize) -> Result<Vec<u8>, SubcubeError>,
         extended: bool,
@@ -559,9 +555,9 @@ mod tests {
             SubcubeStats::compute(&mo, 3),
             SubcubeStats::compute(&mo.empty_like(), 0),
         ] {
-            // Extended (format ≥ 3) round-trip is lossless.
+            // The (format ≥ 3) round-trip is lossless.
             let mut b = Vec::new();
-            s.encode_into(&mut b, true);
+            s.encode_into(&mut b);
             let mut pos = 0usize;
             let mut take = |n: usize| -> Result<Vec<u8>, SubcubeError> {
                 let out = b[pos..pos + n].to_vec();
@@ -570,9 +566,8 @@ mod tests {
             };
             assert_eq!(SubcubeStats::decode_from(&mut take, true).unwrap(), s);
             assert_eq!(pos, b.len(), "decoder consumed the whole block");
-            // Legacy (format 2) round-trip drops exactly the extension.
-            let mut b = Vec::new();
-            s.encode_into(&mut b, false);
+            // A legacy (format 2) block is the same bytes without the
+            // extension: decoding the prefix drops exactly that.
             let mut pos = 0usize;
             let mut take = |n: usize| -> Result<Vec<u8>, SubcubeError> {
                 let out = b[pos..pos + n].to_vec();
@@ -583,7 +578,9 @@ mod tests {
                 SubcubeStats::decode_from(&mut take, false).unwrap(),
                 s.legacy_projection()
             );
-            assert_eq!(pos, b.len(), "legacy decoder consumed the whole block");
+            let extension =
+                4 + 17 * s.hulls.len() + 1 + s.origins.as_ref().map_or(0, |o| 4 + 4 * o.len());
+            assert_eq!(pos + extension, b.len(), "the legacy block is a prefix");
         }
     }
 

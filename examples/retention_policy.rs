@@ -18,7 +18,7 @@ use specdr::mdm::calendar::{civil_from_days, days_from_civil};
 use specdr::mdm::{MeasureId, Span, TimeUnit};
 use specdr::reduce::{reduce, DataReductionSpec};
 use specdr::spec::parse_action;
-use specdr::storage::FactTable;
+use specdr::storage::table_stats;
 use specdr::workload::{generate, retention_policy, ClickstreamConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Retention policy (checked NonCrossing + Growing):");
     println!("{}", spec.render());
 
-    let raw = FactTable::from_mo(&cs.mo, 1 << 16)?.stats();
+    let raw = table_stats(&cs.mo);
     println!(
         "\nGenerated warehouse: {} facts, {} raw bytes, {} encoded bytes",
         raw.rows, raw.raw_bytes, raw.encoded_bytes
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut now = days_from_civil(1999, 7, 1);
     for _ in 0..11 {
         let red = reduce(&cs.mo, &spec, now)?;
-        let st = FactTable::from_mo(&red, 1 << 16)?.stats();
+        let st = table_stats(&red);
         let dwell: i64 = red.facts().map(|f| red.measure(f, MeasureId(1))).sum();
         let (y, m, _) = civil_from_days(now);
         println!(

@@ -18,6 +18,12 @@ run cargo test -q --workspace
 # and test it here so a core refactor cannot break it unnoticed.
 run cargo build --release --offline --manifest-path benchmark/Cargo.toml
 run cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# One-second smoke runs of the two write-path workloads: the benchmark
+# checks its digests (checkpoint -> drop -> recover -> first touch, and
+# the aged warehouse against a from-scratch reference) before it times
+# anything, so every change to the storage layer passes those gates here.
+run benchmark/run.sh --workload ingest_age --seconds 1 --trace 0
+run benchmark/run.sh --workload restart_scan --seconds 1 --trace 0
 run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings
 

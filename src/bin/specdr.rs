@@ -112,7 +112,7 @@ use specdr::mdm::{render_table, MeasureId, Span, TableOptions, TimeUnit};
 use specdr::query::{AggApproach, Query, SelectMode};
 use specdr::reduce::{reduce, DataReductionSpec};
 use specdr::spec::{explain_action, parse_actions, parse_pexp};
-use specdr::storage::FactTable;
+use specdr::storage::table_stats;
 use specdr::subcube::{AgeStats, CubeQuery, ShardRouter, SubcubeManager, SyncStats};
 use specdr::workload::{
     generate, generate_sessions, paper_mo, retention_policy, snapshot_days, Clickstream,
@@ -1055,7 +1055,7 @@ fn cmd_simulate(opts: &Opts) -> Result<(), AnyError> {
         months, cs, spec, ..
     } = synthetic(opts, "24", "200")?;
     let raw_months: u32 = opts.value("--raw-months").unwrap_or("6").parse()?;
-    let raw = FactTable::from_mo(&cs.mo, 1 << 16)?.stats();
+    let raw = table_stats(&cs.mo);
     println!(
         "{} months of clicks: {} facts, {} bytes raw ({} encoded)\n",
         months, raw.rows, raw.raw_bytes, raw.encoded_bytes
@@ -1067,7 +1067,7 @@ fn cmd_simulate(opts: &Opts) -> Result<(), AnyError> {
     let mut now = days_from_civil(1999, 1 + raw_months.min(11), 1);
     for _ in 0..(months / 6 + 6) {
         let red = reduce(&cs.mo, &spec, now)?;
-        let st = FactTable::from_mo(&red, 1 << 16)?.stats();
+        let st = table_stats(&red);
         let (y, m, _) = civil_from_days(now);
         println!(
             "{:>7}/{:<2} {:>10} {:>13} {:>13} {:>8.1}x",
@@ -1271,7 +1271,7 @@ fn cmd_stats(opts: &Opts) -> Result<(), AnyError> {
     // One pass through every instrumented layer: logical reduction,
     // storage encoding, subcube load + sync, and a parallel query.
     let red = reduce(&cs.mo, &spec, now)?;
-    let _ = FactTable::from_mo(&red, 1 << 14)?.stats();
+    let _ = table_stats(&red);
     let mgr = SubcubeManager::new(spec);
     mgr.bulk_load(&cs.mo)?;
     mgr.sync(now)?;

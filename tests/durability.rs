@@ -891,6 +891,31 @@ fn seeded_aging_crash_schedule_is_deterministic() {
     );
 }
 
+/// The paper MO, bulk-loaded and synchronized to 2000/11/5 under
+/// {a1, a2}, as the format-2 (PR 6) checkpointer wrote it: `SDRFACT1`
+/// cube files (plain/RLE/delta columns only) under a format-2 manifest
+/// with legacy-projected stats and no byte table. Generated once at
+/// commit c168b26, the last with a format-2 writer; copied into a fresh
+/// directory per use.
+fn legacy_format2_dir(tag: &str) -> PathBuf {
+    fn copy(from: &std::path::Path, to: &std::path::Path) {
+        std::fs::create_dir_all(to).unwrap();
+        for e in std::fs::read_dir(from).unwrap() {
+            let e = e.unwrap();
+            let dst = to.join(e.file_name());
+            if e.file_type().unwrap().is_dir() {
+                copy(&e.path(), &dst);
+            } else {
+                std::fs::copy(e.path(), dst).unwrap();
+            }
+        }
+    }
+    let dir = tmpdir(tag);
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/format2_dir");
+    copy(fixture.as_ref(), &dir);
+    dir
+}
+
 /// ISSUE 8, satellite 4: storage-format round-trip matrix. A directory
 /// written by the format-2 (PR 6) checkpointer must load under current
 /// code, and re-checkpointing it as format 3 must be crash-atomic: a
@@ -911,15 +936,11 @@ fn format2_migration_crash_matrix() {
     let want = state(&m);
     let fs: Arc<dyn Fs> = RealFs::shared();
 
-    // Clean round trip: fabricated legacy dir -> current loader ->
-    // format-3 re-checkpoint -> identical state either side.
-    let dir = tmpdir("fmt2-clean");
-    m.save_legacy_format2_fs(&fs, &dir).unwrap();
+    // Clean round trip: legacy dir -> current loader -> format-3
+    // re-checkpoint -> identical state either side.
+    let dir = legacy_format2_dir("fmt2-clean");
     let legacy = specdr::subcube::read_manifest(&dir).unwrap();
-    assert_eq!(
-        legacy.format, 2,
-        "fabricated dir must read back as format 2"
-    );
+    assert_eq!(legacy.format, 2, "the fixture reads back as format 2");
     let loaded = SubcubeManager::load_from_dir(spec.clone(), &dir).unwrap();
     assert_eq!(
         state(&loaded),
@@ -933,8 +954,7 @@ fn format2_migration_crash_matrix() {
     std::fs::remove_dir_all(&dir).ok();
 
     // Count the mutating fs ops of one clean migration rewrite.
-    let dir = tmpdir("fmt2-count");
-    m.save_legacy_format2_fs(&fs, &dir).unwrap();
+    let dir = legacy_format2_dir("fmt2-count");
     let counting = FailpointFs::counting(RealFs::shared());
     let counting_dyn: Arc<dyn Fs> = counting.clone();
     SubcubeManager::load_from_dir(spec.clone(), &dir)
@@ -951,8 +971,7 @@ fn format2_migration_crash_matrix() {
     for mode in FaultMode::ALL {
         for k in 0..total {
             let ctx = format!("fmt2 mode={mode:?} fail_op={k}");
-            let dir = tmpdir("fmt2-matrix");
-            m.save_legacy_format2_fs(&fs, &dir).unwrap();
+            let dir = legacy_format2_dir("fmt2-matrix");
             let loaded = SubcubeManager::load_from_dir(spec.clone(), &dir).unwrap();
             let shim = FailpointFs::new(RealFs::shared(), 0xF0F2F3 ^ k, k, mode);
             let shim_dyn: Arc<dyn Fs> = shim.clone();
@@ -1091,5 +1110,183 @@ fn checkpoint_between_load_and_age_keeps_rows_unhomed() {
     rec.checkpoint().unwrap();
     let clean = read_manifest(&dir).unwrap();
     assert_eq!((clean.format, clean.unhomed_rows), (3, 0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint is read back through the [`Fs`] it was written through:
+/// a warehouse that lives on [`MemFs`] alone — no file ever reaches the
+/// disk — recovers after its first checkpoint, cube files included.
+#[test]
+fn memfs_warehouse_recovers_from_its_checkpoint() {
+    use specdr::storage::MemFs;
+    use specdr::subcube::ShardRouter;
+    let (mo, _) = paper_mo();
+    let schema = Arc::clone(mo.schema());
+    let a1 = parse_action(&schema, ACTION_A1).unwrap();
+    let a2 = parse_action(&schema, ACTION_A2).unwrap();
+    let spec = DataReductionSpec::new(schema, vec![a1, a2]).unwrap();
+    let rows = |mo: Mo| {
+        let mut v: Vec<String> = mo.facts().map(|f| mo.render_fact(f)).collect();
+        v.sort();
+        v
+    };
+    let fs: Arc<dyn Fs> = MemFs::shared();
+    let dir = std::path::Path::new("/sdr-memfs-warehouse");
+    let router = ShardRouter::create_with_fs(spec.clone(), dir, 2, Arc::clone(&fs)).unwrap();
+    router.bulk_load(&mo).unwrap();
+    router.sync(days_from_civil(2000, 11, 5)).unwrap();
+    router.checkpoint().unwrap();
+    let want = rows(router.view_set().to_mo().unwrap());
+    assert!(!want.is_empty());
+    drop(router);
+    assert!(!dir.exists(), "the warehouse never touched the real disk");
+    let (back, report) = ShardRouter::recover_with_fs(spec, dir, fs).unwrap();
+    assert_eq!(report.replayed, 0, "everything is in the checkpoint");
+    assert_eq!(rows(back.view_set().to_mo().unwrap()), want);
+}
+
+/// Cube files carry no checksum and a WAL record's CRC only covers what
+/// was written, so the fact decoder is the last line: a segment row
+/// count, an RLE run length or a plain column's count that disagrees
+/// with the rest of the file — and the same inside a CRC-valid bulk-load
+/// record — must come back from `recover` as a typed error, whatever
+/// allocation or index the forged number asks for.
+#[test]
+fn forged_fact_bytes_are_a_typed_recovery_error() {
+    use specdr::storage::{crc32, scan_wal, ColumnEnc};
+    use specdr::subcube::WarehouseLayout;
+    use specdr::workload::{generate, retention_policy, ClickstreamConfig};
+    // One domain group: the quarter cube holds a single fact, so its
+    // columns are plain; the bottom cube's day column is run-length.
+    let cs = generate(&ClickstreamConfig {
+        clicks_per_day: 200,
+        n_domain_grps: 1,
+        start: (1999, 1, 1),
+        end: (1999, 4, 30),
+        ..Default::default()
+    });
+    let actions = retention_policy(1, 3)
+        .iter()
+        .map(|s| parse_action(&cs.schema, s).unwrap())
+        .collect();
+    let spec = DataReductionSpec::new(Arc::clone(&cs.schema), actions).unwrap();
+    let dir = tmpdir("forged");
+    let mut w = DurableWarehouse::create(spec.clone(), &dir).unwrap();
+    let day = |m, d| days_from_civil(1999, m, d);
+    let by_day = cs.rows_by_day(day(1, 1), 120);
+    let load = |rows: &[u32]| WarehouseOp::BulkLoad(cs.mo.gather(rows));
+    w.apply(&load(&by_day[..117].concat())).unwrap();
+    w.apply(&WarehouseOp::Sync(day(4, 27))).unwrap();
+    w.checkpoint().unwrap();
+    // Two days in one record (a run-length day column), then one fact
+    // (plain columns).
+    w.apply(&load(&by_day[117..119].concat())).unwrap();
+    w.apply(&load(&by_day[119][..1])).unwrap();
+    drop(w);
+    let recover = || DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared());
+    assert_eq!(recover().unwrap().1.replayed, 2, "intact before forging");
+
+    // Where each column of a fact table's first segment starts (after
+    // the 20-byte header, the row count and the 33-byte zone map), and
+    // how it is encoded.
+    let n_cols = 2 * cs.schema.n_dims() + cs.schema.n_measures() + 1;
+    let columns = |table: &[u8]| -> Vec<(usize, ColumnEnc)> {
+        let mut rest = &table[61..];
+        (0..n_cols)
+            .map(|_| {
+                let at = table.len() - rest.len();
+                (at, ColumnEnc::read(&mut rest).expect("a written column"))
+            })
+            .collect()
+    };
+    let put = |b: &mut [u8], at: usize, v: u64| b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    // The forgeries of one table: (what, bytes). None for an empty
+    // table, which is its header alone.
+    let forge = |table: &[u8]| -> Vec<(&'static str, Vec<u8>)> {
+        let mut out = Vec::new();
+        if table.len() == 20 {
+            return out;
+        }
+        let rows = u64::from_le_bytes(table[20..28].try_into().unwrap());
+        for forged in [rows + 1, rows - 1, 1 << 40, u64::MAX] {
+            let mut b = table.to_vec();
+            put(&mut b, 20, forged);
+            out.push(("segment rows", b));
+        }
+        let cols = columns(table);
+        if let Some((at, _)) = cols.iter().find(|(_, c)| matches!(c, ColumnEnc::Rle(_))) {
+            // tag, run count, first value, then the first run's length.
+            for forged in [0u32, u32::MAX] {
+                let mut b = table.to_vec();
+                b[at + 17..at + 21].copy_from_slice(&forged.to_le_bytes());
+                out.push(("run length", b));
+            }
+        }
+        if let Some((at, c)) = cols.iter().find(|(_, c)| matches!(c, ColumnEnc::Plain(_))) {
+            for forged in [c.len() as u64 - 1, u64::MAX / 8 + 2, u64::MAX] {
+                let mut b = table.to_vec();
+                put(&mut b, at + 1, forged);
+                out.push(("plain count", b));
+            }
+        }
+        out
+    };
+    // Forges one table after another: each forgery is put in place by
+    // `install`, must fail recovery with a typed error, and the kinds
+    // tried are returned.
+    let try_all = |tables: &[&[u8]], install: &dyn Fn(usize, &[u8])| {
+        let mut kinds = std::collections::BTreeSet::new();
+        for (i, good) in tables.iter().enumerate() {
+            for (n, (kind, bytes)) in forge(good).into_iter().enumerate() {
+                install(i, &bytes);
+                let err = recover()
+                    .map(|_| ())
+                    .expect_err(&format!("table {i}: {kind} forgery {n} recovered"));
+                assert!(
+                    matches!(err, specdr::subcube::SubcubeError::Storage(_)),
+                    "table {i}: {kind} forgery {n}: {err:?}"
+                );
+                kinds.insert(kind);
+            }
+            install(i, good);
+        }
+        assert_eq!(
+            kinds.into_iter().collect::<Vec<_>>(),
+            ["plain count", "run length", "segment rows"]
+        );
+        recover().expect("intact again once every table is restored");
+    };
+
+    // Every cube file of the checkpoint.
+    let lay = WarehouseLayout::at(&dir);
+    let cube = |i| WarehouseLayout::cube_file_in(&lay.ckpt_dir(1), i);
+    let files: Vec<Vec<u8>> = (0..3).map(|i| std::fs::read(cube(i)).unwrap()).collect();
+    let files: Vec<&[u8]> = files.iter().map(Vec::as_slice).collect();
+    try_all(&files, &|i, bytes| std::fs::write(cube(i), bytes).unwrap());
+
+    // Every bulk-load record of the log, re-framed with a valid CRC.
+    let log = std::fs::read(lay.wal(1)).unwrap();
+    let records = scan_wal(&RealFs, &lay.wal(1)).unwrap().records;
+    assert!(records.iter().all(|r| r[0] == 1), "bulk-load records");
+    let tables: Vec<&[u8]> = records.iter().map(|r| &r[1..]).collect();
+    try_all(&tables, &|i, table| {
+        let mut forged = log[..20].to_vec();
+        for (j, record) in records.iter().enumerate() {
+            let payload = match j == i {
+                true => [&[1u8][..], table].concat(),
+                false => record.clone(),
+            };
+            forged.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            forged.extend_from_slice(&crc32(&payload).to_le_bytes());
+            forged.extend_from_slice(&payload);
+        }
+        std::fs::write(lay.wal(1), forged).unwrap();
+        let scan = scan_wal(&RealFs, &lay.wal(1)).unwrap();
+        assert_eq!(
+            (scan.records.len(), scan.dropped_bytes),
+            (2, 0),
+            "CRC-valid"
+        );
+    });
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -11,6 +11,7 @@ use std::sync::Arc;
 use specdr::mdm::calendar::days_from_civil;
 use specdr::obs;
 use specdr::query::{AggApproach, SelectMode};
+use specdr::reduce::semantics::reduce_with_workers;
 use specdr::reduce::{reduce, DataReductionSpec};
 use specdr::spec::parse_action;
 use specdr::subcube::{CubeQuery, SubcubeManager};
@@ -321,11 +322,9 @@ fn metrics_agree_with_authoritative_numbers() {
             .and_then(|(_, v)| v.parse().ok())
             .unwrap_or_else(|| panic!("attr {key} missing on {t:?}"))
     };
-    let run_with_workers = |workers: &str| {
-        std::env::set_var("SDR_REDUCE_WORKERS", workers);
+    let run_with_workers = |workers: usize| {
         obs::reset();
-        let _ = reduce(&mo, &mgr.spec(), now).unwrap();
-        std::env::remove_var("SDR_REDUCE_WORKERS");
+        let _ = reduce_with_workers(&mo, &mgr.spec(), now, Some(workers)).unwrap();
         let snap = obs::snapshot();
         assert_eq!(
             obs::open_spans(),
@@ -334,8 +333,8 @@ fn metrics_agree_with_authoritative_numbers() {
         );
         snap
     };
-    let seq = run_with_workers("1");
-    let par = run_with_workers("4");
+    let seq = run_with_workers(1);
+    let par = run_with_workers(4);
     // Same tree shape: identical distinct span-path sets.
     let path_set = |snap: &specdr::obs::Snapshot| -> std::collections::BTreeSet<String> {
         snap.traces.iter().map(|t| t.path.clone()).collect()

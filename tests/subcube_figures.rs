@@ -203,17 +203,10 @@ fn interleaved_loads_and_syncs() {
 #[test]
 fn storage_shrinks_dramatically_with_age() {
     let (m, mo) = build_manager(50);
-    let raw = specdr::storage::FactTable::from_mo(&mo, 1 << 16)
-        .unwrap()
-        .stats();
+    let raw = specdr::storage::table_stats(&mo);
     m.sync(days_from_civil(2004, 6, 15)).unwrap();
     let m = crash_roundtrip(&m);
-    let reduced: usize = m
-        .storage_stats()
-        .unwrap()
-        .iter()
-        .map(|(_, s)| s.encoded_bytes)
-        .sum();
+    let reduced: usize = m.storage_stats().iter().map(|(_, s)| s.encoded_bytes).sum();
     assert!(
         (reduced as f64) < raw.raw_bytes as f64 / 50.0,
         "raw={} reduced={}",
