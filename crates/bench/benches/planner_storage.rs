@@ -100,23 +100,18 @@ fn main() {
             approach: AggApproach::Availability,
         };
         // Same answer, or the bench aborts.
-        let planned = view
-            .query_planned(&q, w.mid, true, oracle.as_ref())
-            .unwrap();
+        let planned = view.query_planned(&q, w.mid, true, oracle).unwrap();
         let naive = view.query_naive(&q, w.mid, true).unwrap();
         assert_eq!(
             mo_digest(&planned),
             mo_digest(&naive),
             "{label}: planned evaluation diverged from the naive fan-out"
         );
-        let skipped = view.plan(&q, w.mid, oracle.as_ref()).n_skipped();
+        let skipped = view.plan(&q, w.mid, oracle).n_skipped();
 
         let planned_ns = time_runs(
             || {
-                black_box(
-                    view.query_planned(&q, w.mid, true, oracle.as_ref())
-                        .unwrap(),
-                );
+                black_box(view.query_planned(&q, w.mid, true, oracle).unwrap());
             },
             RUNS,
         );

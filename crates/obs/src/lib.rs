@@ -21,11 +21,11 @@
 //!   without `--metrics` are indistinguishable from un-instrumented
 //!   builds.
 //! * **Names are `crate.subsystem.name`** (e.g.
-//!   `reduce.facts_collapsed`, `subcube.sync.migrated`,
+//!   `reduce.facts_collapsed`, `subcube.chunks.rewritten`,
 //!   `query.select.cells_visited`). Span histograms record nanoseconds.
 //! * **Metrics never drift from authoritative numbers.** Instrumented
 //!   code publishes the same locals it returns to callers (e.g.
-//!   `SyncStats`); the integration suite asserts equality.
+//!   `AgeStats`); the integration suite asserts equality.
 //!
 //! ## Usage
 //!

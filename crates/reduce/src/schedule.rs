@@ -237,11 +237,11 @@ impl ReductionSchedule {
 
     /// The transition days in the half-open window `(after, until]`, in
     /// order — the tick stops an ager advancing from `after` to `until`
-    /// must make.
+    /// must make (none when `until` is not after `after`).
     pub fn transitions_between(&self, after: DayNum, until: DayNum) -> Vec<DayNum> {
         let lo = self.transitions.partition_point(|&t| t <= after);
         let hi = self.transitions.partition_point(|&t| t <= until);
-        self.transitions[lo..hi].to_vec()
+        self.transitions[lo..hi.max(lo)].to_vec()
     }
 
     /// The disjuncts (across all actions) whose raw grounding differs

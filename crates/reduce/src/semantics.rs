@@ -539,7 +539,7 @@ impl CellKernelState {
 /// pass: action predicates are compiled once ([`CompiledPred`]) and the
 /// result is cached per distinct packed cell when the schema packs into
 /// a 128-bit key. Used by callers that resolve cells for many rows
-/// outside an `Mo` scan (e.g. the subcube sync pass); agrees with
+/// outside an `Mo` scan (e.g. the subcube reduction step); agrees with
 /// [`cell_for`] on every input.
 pub struct CellMemo<'a> {
     schema: &'a Schema,

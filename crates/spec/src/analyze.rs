@@ -140,40 +140,6 @@ pub fn step_days(
     Ok(out)
 }
 
-/// The first day strictly after `after` (searching up to `until`) at
-/// which the grounding of `conj` changes — i.e. the next moment a
-/// maintenance pass over this predicate could have work to do. `None`
-/// when the predicate is static or nothing changes in the window.
-///
-/// Section 8 lists "the scheduling of reduction actions" as an open
-/// issue; with staircase `NOW`-bounds the optimal schedule is simply the
-/// set of step days, which this function enumerates lazily.
-pub fn next_step_day(
-    schema: &Schema,
-    conj: &Conj,
-    after: DayNum,
-    until: DayNum,
-) -> Result<Option<DayNum>, SpecError> {
-    let dynamic: Conj = conj
-        .iter()
-        .filter(|a| match &a.kind {
-            AtomKind::Cmp { term, .. } => term.is_dynamic(),
-            AtomKind::In { terms } => terms.iter().any(Term::is_dynamic),
-        })
-        .cloned()
-        .collect();
-    if dynamic.is_empty() {
-        return Ok(None);
-    }
-    let base = ground_conj(schema, &dynamic, after)?;
-    for t in (after + 1)..=until {
-        if ground_conj(schema, &dynamic, t)? != base {
-            return Ok(Some(t));
-        }
-    }
-    Ok(None)
-}
-
 /// Union of the step days of several conjunctions (sorted, deduplicated).
 pub fn step_days_union(
     schema: &Schema,

@@ -32,7 +32,7 @@ pub mod ground;
 pub mod parser;
 pub mod span;
 
-pub use analyze::{classify_conj, next_step_day, step_days, step_days_union, GrowthClass};
+pub use analyze::{classify_conj, step_days, step_days_union, GrowthClass};
 pub use ast::{ActionId, ActionSpec, Atom, AtomKind, CmpOp, Pexp, Term};
 pub use compile::CompiledPred;
 pub use dnf::{from_dnf, split_action, to_dnf, Conj};
@@ -420,23 +420,23 @@ mod tests {
     }
 
     #[test]
-    fn next_step_day_enumerates_boundaries() {
+    fn step_days_enumerate_boundaries() {
         let s = paper_schema();
         let a1 = parse_action(&s, A1).unwrap();
         let dnf = to_dnf(&a1.pred);
         let after = days_from_civil(2000, 6, 15);
         let until = days_from_civil(2000, 12, 31);
-        let next = analyze::next_step_day(&s, &dnf[0], after, until)
-            .unwrap()
-            .unwrap();
-        assert_eq!(sdr_mdm::calendar::civil_from_days(next), (2000, 7, 1));
-        // Static predicates never step.
+        let steps = step_days(&s, &dnf[0], after, until).unwrap();
+        assert_eq!(steps[0], after);
+        assert_eq!(sdr_mdm::calendar::civil_from_days(steps[1]), (2000, 7, 1));
+        // Static predicates never step: only the endpoints come back.
         let fixed =
             parse_action(&s, "a[Time.month, URL.domain] o[Time.month <= 1999/12](O)").unwrap();
         let fdnf = to_dnf(&fixed.pred);
-        assert!(analyze::next_step_day(&s, &fdnf[0], after, until)
-            .unwrap()
-            .is_none());
+        assert_eq!(
+            step_days(&s, &fdnf[0], after, until).unwrap(),
+            [after, until]
+        );
     }
 
     #[test]

@@ -41,7 +41,7 @@ use sdr_sync::fail;
 
 use crate::error::SubcubeError;
 use crate::layout::WarehouseLayout;
-use crate::manager::{AgeStats, SubcubeManager, SyncStats};
+use crate::manager::{AgeStats, SubcubeManager};
 use crate::op::{OpOutcome, WarehouseOp};
 use crate::persist::{
     load_checkpoint, read_current, read_manifest_at, spec_from_manifest, sweep_garbage,
@@ -385,12 +385,12 @@ impl DurableWarehouse {
     }
 
     /// Durable [`SubcubeManager::sync`].
-    pub fn sync(&mut self, now: DayNum) -> Result<SyncStats, SubcubeError> {
-        Ok(self.apply(&WarehouseOp::Sync(now))?.synced())
+    pub fn sync(&mut self, now: DayNum) -> Result<AgeStats, SubcubeError> {
+        Ok(self.apply(&WarehouseOp::Sync(now))?.aged())
     }
 
-    /// Durable [`SubcubeManager::age`]: one WAL record per aging call,
-    /// however many ticks it applies.
+    /// Durable [`SubcubeManager::age`]: one WAL record per call, however
+    /// many ticks it applies.
     pub fn age(&mut self, until: DayNum) -> Result<AgeStats, SubcubeError> {
         Ok(self.apply(&WarehouseOp::Age(until))?.aged())
     }

@@ -23,9 +23,7 @@ pub mod stats;
 pub use durable::{DurableWarehouse, RecoveryReport};
 pub use error::SubcubeError;
 pub use layout::WarehouseLayout;
-pub use manager::{
-    AgeStats, Chunk, CubeId, Subcube, SubcubeManager, SyncStats, WarehouseView, CHUNK_ROWS,
-};
+pub use manager::{AgeStats, Chunk, CubeId, Subcube, SubcubeManager, WarehouseView, CHUNK_ROWS};
 pub use op::{OpOutcome, WarehouseOp};
 pub use persist::{read_manifest, Manifest};
 pub use query::CubeQuery;
@@ -95,15 +93,17 @@ mod tests {
     #[test]
     fn sync_stats_track_migrations() {
         let (m, _) = manager_with_paper_data();
+        // Never synchronized: one homing-only step over all seven facts,
+        // none of which an action selects yet.
         let s1 = m.sync(days_from_civil(2000, 4, 5)).unwrap();
-        assert_eq!(s1.migrated, 0);
-        assert_eq!(s1.kept, 7);
+        assert_eq!((s1.ticks, s1.rows_homed, s1.cells_delta), (0, 7, 0));
         let s2 = m.sync(days_from_civil(2000, 6, 5)).unwrap();
-        assert_eq!(s2.migrated, 4); // facts 0..=3 move to the month cube
+        assert_eq!(s2.cells_delta, 4); // facts 0..=3 move to the month cube
         assert_eq!(s2.merged, 1); // facts 1+2 merge into fact_12
         let s3 = m.sync(days_from_civil(2000, 11, 5)).unwrap();
-        assert_eq!(s3.migrated, 5); // 3 month-level facts + facts 4,5
+        assert_eq!(s3.cells_delta, 5); // 3 month-level facts + facts 4,5
         assert_eq!(s3.merged, 2);
+        assert!(s2.ticks >= 1 && s3.ticks > s2.ticks, "{s2:?} {s3:?}");
         assert_eq!(m.len(), 4);
     }
 
@@ -215,23 +215,23 @@ mod tests {
         m.sync(watermark).unwrap();
         // Clean: an earlier day changes nothing, the watermark included.
         let s = m.sync(earlier).unwrap();
-        assert_eq!((s.migrated, s.merged), (0, 0));
+        assert_eq!(s, AgeStats::default());
         assert_eq!(m.last_sync(), Some(watermark));
         // Dirty: the new rows are homed as of the watermark, so the
         // warehouse is still the reduction at one day.
         m.bulk_load(&mo).unwrap();
-        m.sync(earlier).unwrap();
+        let s = m.sync(earlier).unwrap();
+        assert_eq!((s.ticks, s.rows_homed), (0, mo.len()));
         assert_eq!(m.last_sync(), Some(watermark));
-        let (fresh, _) = manager_with_paper_data();
-        fresh.bulk_load(&mo).unwrap();
-        fresh.sync(watermark).unwrap();
-        let rows = |m: &SubcubeManager| {
-            let mo = m.to_mo().unwrap();
+        let mut twice = mo.clone();
+        twice.absorb(&mo).unwrap();
+        let want = sdr_reduce::reduce_naive(&twice, &m.spec(), watermark).unwrap();
+        let rows = |mo: &Mo| {
             let mut r: Vec<String> = mo.facts().map(|f| mo.render_fact(f)).collect();
             r.sort();
             r
         };
-        assert_eq!(rows(&m), rows(&fresh));
+        assert_eq!(rows(&m.to_mo().unwrap()), rows(&want));
     }
 
     #[test]
@@ -348,136 +348,9 @@ mod scheduler_tests {
         let (more, _) = paper_mo();
         m.bulk_load(&more).unwrap();
         assert!(m.needs_sync(days_from_civil(2000, 6, 6)).unwrap());
-        // And the no-work sync path still reports all facts as kept.
-        let before = m.len();
+        // Homing the load needs no transition day: one homing-only step.
         let stats = m.sync(days_from_civil(2000, 6, 6)).unwrap();
-        assert_eq!(stats.kept + stats.migrated, before);
-    }
-}
-
-#[cfg(test)]
-mod aging_tests {
-    use super::*;
-    use sdr_mdm::calendar::days_from_civil;
-    use sdr_mdm::Mo;
-    use sdr_reduce::DataReductionSpec;
-    use sdr_spec::parse_action;
-    use sdr_workload::{paper_mo, ACTION_A1, ACTION_A2};
-    use std::sync::Arc;
-
-    fn paper_managers() -> (SubcubeManager, SubcubeManager, Mo) {
-        let (mo, _) = paper_mo();
-        let build = || {
-            let schema = Arc::clone(mo.schema());
-            let a1 = parse_action(&schema, ACTION_A1).unwrap();
-            let a2 = parse_action(&schema, ACTION_A2).unwrap();
-            let spec = DataReductionSpec::new(schema, vec![a1, a2]).unwrap();
-            let m = SubcubeManager::new(spec);
-            m.bulk_load(&mo).unwrap();
-            m
-        };
-        (build(), build(), mo)
-    }
-
-    fn digest(m: &SubcubeManager) -> Vec<String> {
-        let whole = m.to_mo().unwrap();
-        let mut r: Vec<String> = whole.facts().map(|f| whole.render_fact(f)).collect();
-        r.sort();
-        r
-    }
-
-    #[test]
-    fn age_equals_sync_at_every_snapshot_day() {
-        // The continuous-aging guarantee on the paper's data: after the
-        // first baseline pass, every incremental `age` lands on exactly
-        // the state a from-scratch `sync` produces.
-        let (aged, _, mo) = paper_managers();
-        for t in sdr_workload::snapshot_days() {
-            aged.age(t).unwrap();
-            let fresh = {
-                let schema = Arc::clone(mo.schema());
-                let a1 = parse_action(&schema, ACTION_A1).unwrap();
-                let a2 = parse_action(&schema, ACTION_A2).unwrap();
-                let spec = DataReductionSpec::new(schema, vec![a1, a2]).unwrap();
-                let m = SubcubeManager::new(spec);
-                m.bulk_load(&mo).unwrap();
-                m.sync(t).unwrap();
-                m
-            };
-            assert_eq!(digest(&aged), digest(&fresh), "divergence at t={t}");
-        }
-    }
-
-    #[test]
-    fn one_jump_equals_many_ticks() {
-        // Aging straight to the horizon must equal aging through every
-        // intermediate snapshot day (substep composition).
-        let (jump, steps, _) = paper_managers();
-        let days = sdr_workload::snapshot_days();
-        let last = *days.last().unwrap();
-        jump.age(last).unwrap();
-        for t in days {
-            steps.age(t).unwrap();
-        }
-        assert_eq!(digest(&jump), digest(&steps));
-    }
-
-    #[test]
-    fn age_skips_untouched_cubes_and_counts_ticks() {
-        let (m, _, _) = paper_managers();
-        // Baseline pass (never-synced manager): a single full sync tick.
-        let s0 = m.age(days_from_civil(2000, 4, 5)).unwrap();
-        assert_eq!(s0.ticks, 1);
-        // A long incremental run crosses many transition days; the cubes
-        // untouched by each tick's delta must be carried forward as-is.
-        let s1 = m.age(days_from_civil(2000, 11, 5)).unwrap();
-        assert!(s1.ticks > 1, "expected multiple transition ticks: {s1:?}");
-        assert!(s1.cubes_skipped > 0, "expected pruned cubes: {s1:?}");
-        assert!(s1.cells_delta > 0, "expected migrated cells: {s1:?}");
-        assert_eq!(m.len(), 4, "final state matches the paper's Figure 7");
-    }
-
-    #[test]
-    fn age_rejects_backward_target() {
-        let (m, _, _) = paper_managers();
-        m.age(days_from_civil(2000, 11, 5)).unwrap();
-        let err = m.age(days_from_civil(2000, 6, 5)).unwrap_err();
-        match err {
-            SubcubeError::AgeBeforeWatermark { until, last_sync } => {
-                assert_eq!(until, days_from_civil(2000, 6, 5));
-                assert_eq!(last_sync, days_from_civil(2000, 11, 5));
-            }
-            other => panic!("wrong error: {other}"),
-        }
-        // Re-aging to the watermark itself is a no-op, not an error.
-        let s = m.age(days_from_civil(2000, 11, 5)).unwrap();
-        assert_eq!(s.cells_delta, 0);
-    }
-
-    #[test]
-    fn age_after_bulk_load_homes_the_new_rows() {
-        // New facts are un-homed; the next age resolves exactly those
-        // rows and the differential guarantee still holds.
-        let (m, _, mo) = paper_managers();
-        m.age(days_from_civil(2000, 6, 5)).unwrap();
-        let (more, _) = paper_mo();
-        m.bulk_load(&more).unwrap();
-        let now = days_from_civil(2000, 11, 5);
-        assert!(m.view().is_dirty());
-        let s = m.age(now).unwrap();
-        assert_eq!(s.rows_homed, more.len());
-        assert!(!m.view().is_dirty());
-        let fresh = {
-            let schema = Arc::clone(mo.schema());
-            let a1 = parse_action(&schema, ACTION_A1).unwrap();
-            let a2 = parse_action(&schema, ACTION_A2).unwrap();
-            let spec = DataReductionSpec::new(schema, vec![a1, a2]).unwrap();
-            let f = SubcubeManager::new(spec);
-            f.bulk_load(&mo).unwrap();
-            f.bulk_load(&more).unwrap();
-            f.sync(now).unwrap();
-            f
-        };
-        assert_eq!(digest(&m), digest(&fresh));
+        assert_eq!((stats.ticks, stats.rows_homed), (0, more.len()));
+        assert!(!m.needs_sync(days_from_civil(2000, 6, 20)).unwrap());
     }
 }

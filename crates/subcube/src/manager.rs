@@ -51,6 +51,7 @@ use sdr_sync::{fail, Mutex, OnceCell, Swap};
 use sdr_mdm::{
     DayNum, DimValue, Dimension, FactId, Granularity, KeyPacker, MeasureId, Mo, Schema, ORIGIN_USER,
 };
+use sdr_plan::RegionOracle;
 use sdr_reduce::{cell_for, DataReductionSpec, ReduceError, ReductionSchedule};
 use sdr_spec::{ActionId, ActionSpec};
 
@@ -162,8 +163,8 @@ impl CubeData {
         })
     }
 
-    /// A cube built whole (sync rebuild, checkpoint load): cut at the
-    /// chunk capacity in row order; the contiguous view is the input,
+    /// A cube built whole (checkpoint load): cut at the chunk capacity
+    /// in row order; the contiguous view is the input,
     /// which a cube of at most one chunk shares with that chunk.
     fn from_mo(mo: Mo, epoch: u64) -> Arc<CubeData> {
         let mo = Arc::new(mo);
@@ -257,25 +258,13 @@ impl Subcube {
     }
 }
 
-/// Statistics from one synchronization pass (used by experiment E6).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SyncStats {
-    /// Facts that stayed in their cube.
-    pub kept: usize,
-    /// Facts migrated to a different cube.
-    pub migrated: usize,
-    /// Facts merged away by the final per-cube re-aggregation.
-    pub merged: usize,
-}
-
-/// Statistics from one [`SubcubeManager::age`] call, accumulated over
-/// every tick it applied.
+/// Statistics from one reduction ([`SubcubeManager::sync`] or
+/// [`SubcubeManager::age`]), accumulated over every step it applied.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AgeStats {
     /// Transition-day ticks applied (each published atomically).
     pub ticks: usize,
-    /// Facts re-homed across all ticks (the delta the incremental path
-    /// actually touched — a from-scratch pass rescans everything).
+    /// Facts whose cube or cell changed, across all steps.
     pub cells_delta: usize,
     /// Facts merged away by per-cube re-aggregation across all ticks.
     pub merged: usize,
@@ -325,43 +314,25 @@ pub(crate) struct VersionInner {
     pub(crate) last_sync: Option<DayNum>,
     /// How many trailing chunks of the bottom cube hold **un-homed**
     /// rows: appended by a bulk load (or staged by a specification
-    /// change) and not yet resolved to their home cell by a sync pass or
-    /// an aging step. Everything else is synchronized to `last_sync`.
+    /// change) and not yet resolved to their home cell by a reduction
+    /// step. Everything else is synchronized to `last_sync`.
     pub(crate) unhomed: usize,
     /// The reduction schedule of `spec`, built on first use. The cell
     /// travels with the `spec` pointer it derives from — every successor
     /// under the same specification shares it, a specification change
-    /// starts a fresh one — so `age`, the region oracle and the
-    /// un-synchronized read path all find the one schedule here.
+    /// starts a fresh one — so the reduction step, the scheduler, the
+    /// region oracle and the un-synchronized read path all find the one
+    /// schedule here.
     schedule: Arc<OnceCell<Result<ReductionSchedule, ReduceError>>>,
+    /// The planner's region oracle, a function of `(schedule,
+    /// last_sync)` built on first use: shared by every successor that
+    /// moves neither, fresh otherwise.
+    pub(crate) oracle: Arc<OnceCell<Option<RegionOracle>>>,
     /// The single-slot memo of [`WarehouseView::virtual_age`]: the last
     /// day this version was virtually aged to and the version that
     /// produced. It lives and dies with this version, and costs only
     /// what the aging steps rewrote — every other chunk is shared.
     aged: Mutex<Option<(DayNum, Arc<VersionInner>)>>,
-}
-
-/// What one full pass ([`VersionInner::sync_pass`]) built and did.
-struct FullPass {
-    next: VersionInner,
-    stats: SyncStats,
-    /// Per source cube, the facts that left it.
-    migrated_from: Vec<u64>,
-    distinct_cells: usize,
-}
-
-impl FullPass {
-    /// The pass as `age` reports it: one tick that rebuilt everything.
-    fn as_age(&self) -> AgeStats {
-        AgeStats {
-            ticks: 1,
-            cells_delta: self.stats.migrated,
-            merged: self.stats.merged,
-            cubes_rebuilt: self.next.cubes.len(),
-            chunks_rewritten: self.next.n_chunks(),
-            ..AgeStats::default()
-        }
-    }
 }
 
 impl VersionInner {
@@ -376,6 +347,7 @@ impl VersionInner {
             last_sync: None,
             unhomed: 0,
             schedule: Arc::new(OnceCell::new()),
+            oracle: Arc::new(OnceCell::new()),
             aged: Mutex::new(None),
         }
     }
@@ -395,6 +367,11 @@ impl VersionInner {
             last_sync,
             unhomed,
             schedule: Arc::clone(&self.schedule),
+            oracle: if last_sync == self.last_sync {
+                Arc::clone(&self.oracle)
+            } else {
+                Arc::new(OnceCell::new())
+            },
             aged: Mutex::new(None),
         }
     }
@@ -491,100 +468,57 @@ fn layout(spec: &DataReductionSpec, epoch: u64) -> (Vec<Subcube>, Vec<Vec<CubeId
     (cubes, parents)
 }
 
-/// The reduction steps, as pure functions of a version: each builds the
-/// successor without publishing it. [`SubcubeManager::sync`] and
-/// [`SubcubeManager::age`] publish what these return; an un-synchronized
-/// read ([`WarehouseView::virtual_age`]) only keeps it.
-impl VersionInner {
-    /// The full scan-and-rebuild synchronization pass (no `needs_sync`
-    /// pre-check): every fact of every cube is re-homed at `now` and
-    /// every cube is rebuilt.
-    fn sync_pass(&self, now: DayNum) -> Result<FullPass, SubcubeError> {
-        let scan_span = sdr_obs::span("subcube.sync.scan");
-        let n = self.cubes.len();
-        let schema = self.spec.schema();
-        // Collect per-cube rebuilt groups.
-        type Key = Vec<DimValue>;
-        let mut groups: Vec<BTreeMap<Key, (Vec<i64>, u32)>> =
-            (0..n).map(|_| BTreeMap::new()).collect();
-        let mut stats = SyncStats::default();
-        let mut migrated_from = vec![0u64; n];
-        // One compiled, memoized cell resolution per fact (shared across
-        // home and provenance, cached per distinct cell) — the scan used
-        // to evaluate every action predicate twice per fact.
-        let mut cell_memo = sdr_reduce::CellMemo::new(&self.spec, now)?;
-        let mut coords = Vec::new();
-        for (ci, cube) in self.cubes.iter().enumerate() {
-            for mo in cube.chunks().iter().map(|c| c.data()) {
-                for f in mo.facts() {
-                    mo.coords_into(f, &mut coords);
-                    let cell = cell_memo.cell(&coords)?;
-                    let home = home_of(&self.cubes, &cell.coords);
-                    let target = cell.coords;
-                    if home == ci && target == coords {
-                        stats.kept += 1;
-                    } else {
-                        stats.migrated += 1;
-                        migrated_from[ci] += 1;
-                    }
-                    let origin = match cell.responsible {
-                        Some(id) => id.0,
-                        None => mo.store().origin[f.index()],
-                    };
-                    let entry = groups[home].entry(target).or_insert_with(|| {
-                        (
-                            schema.measures.iter().map(|m| m.agg.identity()).collect(),
-                            origin,
-                        )
-                    });
-                    for j in 0..schema.n_measures() {
-                        entry.0[j] = schema.measures[j]
-                            .agg
-                            .combine(entry.0[j], mo.measure(f, MeasureId(j as u16)));
-                    }
-                    if origin != ORIGIN_USER {
-                        entry.1 = origin;
-                    }
-                }
-            }
+/// An arriving group of one cube: the measures and provenance of every
+/// row a step has folded into one target cell so far.
+struct Arrival {
+    acc: Vec<i64>,
+    /// The action origin of the member latest in `(cube, chunk, row)`
+    /// order among those that carry one (`origin_at` is its place) —
+    /// what a row-ordered scan of the members leaves behind.
+    origin: u32,
+    origin_at: Option<(usize, usize, u32)>,
+}
+
+impl Arrival {
+    fn new(schema: &Schema) -> Arrival {
+        Arrival {
+            acc: schema.measures.iter().map(|m| m.agg.identity()).collect(),
+            origin: ORIGIN_USER,
+            origin_at: None,
         }
-        let scanned = stats.kept + stats.migrated;
-        sdr_obs::attr("rows_in", scanned);
-        sdr_obs::attr("memo_hits", scanned.saturating_sub(cell_memo.distinct()));
-        drop(scan_span);
-        let _rebuild_span = sdr_obs::span("subcube.sync.rebuild");
-        let epoch = self.epoch + 1;
-        let mut cubes = self.cubes.clone();
-        for (cube, g) in cubes.iter_mut().zip(groups) {
-            let mut mo = Mo::new(Arc::clone(schema));
-            for (coords, (ms, origin)) in g {
-                mo.insert_fact_at(&coords, &ms, origin)
-                    .map_err(ReduceError::Model)?;
-            }
-            cube.data = CubeData::from_mo(mo, epoch);
-            cube.synced_to = Some(now);
-        }
-        let next = self.successor(cubes, Some(now), 0);
-        stats.merged = scanned.saturating_sub(next.rows());
-        Ok(FullPass {
-            next,
-            stats,
-            migrated_from,
-            distinct_cells: cell_memo.distinct(),
-        })
     }
 
-    /// Brings a version synchronized to `last` forward to `until ≥ last`
-    /// by folding the aging steps: one per scheduled transition day in
-    /// `(last, until]`, un-homed rows riding the first — or a step of
-    /// their own at `until` when no transition is in range (the schedule
-    /// proves their cell at `until` is their cell on any day since
-    /// `last`) — then the watermark. With a manager each step is traced
-    /// as a `subcube.age.tick` and published; without one nothing is,
-    /// and the result is the version `age(until)` *would* publish.
+    /// Folds in row `f` of `mo`, found at `at`, carrying `origin`.
+    fn fold(&mut self, schema: &Schema, mo: &Mo, f: FactId, at: (usize, usize, u32), origin: u32) {
+        for (j, a) in self.acc.iter_mut().enumerate() {
+            *a = schema.measures[j]
+                .agg
+                .combine(*a, mo.measure(f, MeasureId(j as u16)));
+        }
+        if origin != ORIGIN_USER && Some(at) > self.origin_at {
+            (self.origin, self.origin_at) = (origin, Some(at));
+        }
+    }
+}
+
+/// The reduction step, as a pure function of a version: it builds the
+/// successor without publishing it. [`SubcubeManager::sync`] and
+/// [`SubcubeManager::age`] publish what it returns; an un-synchronized
+/// read ([`WarehouseView::virtual_age`]) only keeps it.
+impl VersionInner {
+    /// Brings this version forward to `until` (not before its
+    /// watermark) by folding the reduction steps: one per scheduled
+    /// transition day in `(last_sync, until]`, un-homed rows riding the
+    /// first — or a step of their own at `until` when no transition is
+    /// in range (the schedule proves their cell at `until` is their cell
+    /// on any day since `last_sync`) — then the watermark. A version
+    /// never synchronized has no transition to replay: every row it
+    /// holds is un-homed, and homing them at `until` *is* the reduction
+    /// at `until`. With a manager each step is traced as a
+    /// `subcube.age.tick` and published; without one nothing is, and the
+    /// result is the version `age(until)` *would* publish.
     fn aged(
         self: &Arc<Self>,
-        last: DayNum,
         until: DayNum,
         live: Option<&SubcubeManager>,
     ) -> Result<(Arc<VersionInner>, AgeStats), SubcubeError> {
@@ -592,17 +526,26 @@ impl VersionInner {
             Some(mgr) => mgr.publish(next),
             None => Arc::new(next),
         };
-        let sched = self.schedule()?;
-        let ticks = sched.transitions_between(last, until);
-        let homing_only = (ticks.is_empty() && self.unhomed > 0).then_some(until);
+        // The schedule is looked up once per call (under the model
+        // checker every look is a scheduling point), and not at all by
+        // the first reduction, which replays nothing.
+        let sched = self.last_sync.map(|_| self.schedule()).transpose()?;
+        let ticks = self
+            .last_sync
+            .zip(sched)
+            .map_or(Vec::new(), |(last, sched)| {
+                sched.transitions_between(last, until)
+            });
+        let unhomed = self.unhomed > 0 || self.last_sync.is_none();
+        let homing_only = (ticks.is_empty() && unhomed).then_some(until);
         let mut cur = Arc::clone(self);
         let mut stats = AgeStats::default();
-        let mut prev = last;
         for t in ticks.iter().copied().chain(homing_only) {
             let _span = live.map(|_| sdr_obs::span("subcube.age.tick"));
-            let (next, s, scanned) = cur.age_step(sched, prev, t, homing_only.is_none())?;
+            let (next, s, scanned) = cur.age_step(sched, t, homing_only.is_none())?;
             if live.is_some() && sdr_obs::enabled() {
                 sdr_obs::attr("day", t);
+                sdr_obs::attr("ticks", s.ticks);
                 sdr_obs::attr("rows_in", scanned);
                 sdr_obs::attr("cells_delta", s.cells_delta);
                 sdr_obs::attr("cubes_rebuilt", s.cubes_rebuilt);
@@ -624,7 +567,6 @@ impl VersionInner {
             }
             cur = land(next);
             stats.absorb(s);
-            prev = t;
         }
         if cur.last_sync != Some(until) {
             // No transition lands exactly on `until`: advance the
@@ -635,18 +577,19 @@ impl VersionInner {
         Ok((cur, stats))
     }
 
-    /// One aging step `t_prev → t` (nothing moves strictly in between):
-    /// evaluates the step's **changed disjuncts** on the rows of every
-    /// chunk whose time hull meets a Δ window, resolves every un-homed
-    /// row, re-homes exactly the rows whose cell moved (or that were
-    /// never homed) and rewrites only the chunks that lose or gain rows.
-    /// `transition` says whether `t` is a scheduled transition day
-    /// (counted as a tick) or a homing-only step. Returns the successor,
-    /// what the step did, and how many rows it examined.
+    /// One reduction step `last_sync → t` (nothing moves strictly in
+    /// between): evaluates the step's **changed disjuncts** on the rows
+    /// of every chunk whose time hull meets a Δ window, resolves every
+    /// un-homed row — all rows, when the version was never synchronized
+    /// — re-homes exactly the rows whose cell moved (or that were never
+    /// homed) and rewrites only the chunks that lose or gain rows.
+    /// `sched` is the version's schedule (`None` only for a version
+    /// never synchronized); `transition` says whether `t` is a scheduled
+    /// transition day (counted as a tick) or a homing-only step. Returns
+    /// the successor, what the step did, and how many rows it examined.
     fn age_step(
         &self,
-        sched: &ReductionSchedule,
-        t_prev: DayNum,
+        sched: Option<&ReductionSchedule>,
         t: DayNum,
         transition: bool,
     ) -> Result<(VersionInner, AgeStats, usize), SubcubeError> {
@@ -657,37 +600,45 @@ impl VersionInner {
             ticks: usize::from(transition),
             ..AgeStats::default()
         };
-        // A conservative schedule may list a day where no grounding
-        // actually changed: then only un-homed rows can move.
-        let delta = sched.delta_pred(t_prev, t);
-        let windows = delta
-            .as_ref()
-            .and_then(|_| sched.delta_time_windows(schema, t_prev, t));
+        // The changed disjuncts, with the day they are compared from and
+        // the time windows they can touch. A conservative schedule may
+        // list a day where no grounding actually changed: then, as in a
+        // version never synchronized, only un-homed rows can move.
+        let (delta, windows) = match cur.last_sync.zip(sched) {
+            Some((prev, sched)) => {
+                let delta = sched.delta_pred(prev, t).map(|d| (prev, d));
+                let windows = delta
+                    .as_ref()
+                    .and_then(|_| sched.delta_time_windows(schema, prev, t));
+                (delta, windows)
+            }
+            None => (None, None),
+        };
         let ti = schema.dims.iter().position(Dimension::is_time);
-        // Chunks of the bottom cube from this index on are un-homed.
+        // The first reduction of a version finds every chunk un-homed and
+        // enters every cube into the version vector; afterwards only the
+        // bottom cube's chunks from index `homed` on are un-homed.
+        let first = cur.last_sync.is_none();
         let homed = cur.cubes[0].chunks().len() - cur.unhomed;
+        let is_unhomed = |ci: usize, k: usize| first || (ci == 0 && k >= homed);
         // Scan phase: find the rows whose home cube or target cell
-        // changes across the step. A homed row on which every changed
-        // disjunct evaluates false at both endpoints evaluates the whole
-        // spec identically at both days and provably stays put; a chunk
-        // whose time hull misses every Δ window holds no other kind.
-        // Un-homed rows always move: they are taken out of their chunk
-        // and grouped by cell like any arriving row, so duplicates merge.
-        struct Move {
-            /// `(cube, chunk, row)` — the row's place in the global scan
-            /// order of the full pass.
-            src: (usize, usize, u32),
-            home: usize,
-            target: Vec<DimValue>,
-            origin: u32,
-        }
+        // changes across the step, note per chunk which rows leave, and
+        // fold each into the group arriving at its target cell as it is
+        // found. A homed row on which every changed disjunct evaluates
+        // false at both endpoints evaluates the whole spec identically at
+        // both days and provably stays put; a chunk whose time hull
+        // misses every Δ window holds no other kind. Un-homed rows always
+        // move: they are taken out of their chunk and grouped by cell
+        // like any arriving row, so duplicates merge.
+        let mut leaving: Vec<BTreeMap<usize, Vec<u32>>> = vec![BTreeMap::new(); n];
+        let mut arriving: Vec<BTreeMap<Vec<DimValue>, Arrival>> =
+            (0..n).map(|_| BTreeMap::new()).collect();
         let mut cell_memo = sdr_reduce::CellMemo::new(&cur.spec, t)?;
-        let mut moves: Vec<Move> = Vec::new();
         let mut coords: Vec<DimValue> = Vec::new();
         let mut scanned = 0usize;
         for (ci, cube) in cur.cubes.iter().enumerate() {
             for (k, chunk) in cube.chunks().iter().enumerate() {
-                let unhomed = ci == 0 && k >= homed;
+                let unhomed = is_unhomed(ci, k);
                 if unhomed {
                     stats.rows_homed += chunk.mo.len();
                 } else {
@@ -707,11 +658,12 @@ impl VersionInner {
                     }
                 }
                 let mo = chunk.data();
+                let mut gone: Vec<u32> = Vec::new();
                 for f in mo.facts() {
                     scanned += 1;
                     mo.coords_into(f, &mut coords);
-                    if let (false, Some(delta)) = (unhomed, &delta) {
-                        let touched = sdr_spec::eval_pred(schema, delta, &coords, t_prev)
+                    if let (false, Some((prev, delta))) = (unhomed, &delta) {
+                        let touched = sdr_spec::eval_pred(schema, delta, &coords, *prev)
                             .map_err(ReduceError::Spec)?
                             || sdr_spec::eval_pred(schema, delta, &coords, t)
                                 .map_err(ReduceError::Spec)?;
@@ -730,38 +682,27 @@ impl VersionInner {
                         Some(id) => id.0,
                         None => mo.store().origin[f.index()],
                     };
-                    moves.push(Move {
-                        src: (ci, k, f.0),
-                        home,
-                        target: cell.coords,
-                        origin,
-                    });
+                    gone.push(f.0);
+                    arriving[home]
+                        .entry(cell.coords)
+                        .or_insert_with(|| Arrival::new(schema))
+                        .fold(schema, mo, f, (ci, k, f.0), origin);
+                }
+                if !gone.is_empty() {
+                    leaving[ci].insert(k, gone);
                 }
             }
         }
-        if moves.is_empty() {
+        if !first && leaving.iter().all(BTreeMap::is_empty) {
             stats.cubes_skipped = n;
             stats.chunks_carried = cur.n_chunks();
             return Ok((cur.with_watermark(t), stats, scanned));
         }
-        // Per cube: the rows leaving each chunk (in row order, as
-        // scanned) and the groups arriving, target cell → contributing
-        // `(source row, origin)`.
-        type Members = Vec<((usize, usize, u32), u32)>;
-        let mut leaving: Vec<BTreeMap<usize, Vec<u32>>> = vec![BTreeMap::new(); n];
-        let mut arriving: Vec<BTreeMap<Vec<DimValue>, Members>> = vec![BTreeMap::new(); n];
-        for m in moves {
-            leaving[m.src.0].entry(m.src.1).or_default().push(m.src.2);
-            arriving[m.home]
-                .entry(m.target)
-                .or_default()
-                .push((m.src, m.origin));
-        }
         // Rebuild phase: only chunks that lose rows or may hold a row an
-        // arriving group merges into. Group members fold in global
-        // `(cube, chunk, row)` order — the order the full sync pass
-        // encounters them — so merged measures and provenance come out
-        // identical to a from-scratch reduction.
+        // arriving group merges into. Measures combine commutatively and
+        // a group's provenance is that of its member latest in `(cube,
+        // chunk, row)` order, so the result is what Definition 2 gives
+        // over the same facts scanned in that order.
         let epoch = cur.epoch + 1;
         let packer = KeyPacker::new(schema);
         let mut cubes = cur.cubes.clone();
@@ -769,7 +710,7 @@ impl VersionInner {
             cube.synced_to = Some(t);
             let old = cur.cubes[ci].chunks();
             let mut groups = std::mem::take(&mut arriving[ci]);
-            if leaving[ci].is_empty() && groups.is_empty() {
+            if !first && leaving[ci].is_empty() && groups.is_empty() {
                 // Carry-forward: same facts, stats and epoch.
                 stats.cubes_skipped += 1;
                 stats.chunks_carried += old.len();
@@ -804,11 +745,12 @@ impl VersionInner {
                     }
                     if absorbs {
                         mo.coords_into(f, &mut coords);
-                        if let Some(members) = groups.get_mut(coords.as_slice()) {
+                        if let Some(group) = groups.get_mut(coords.as_slice()) {
                             // An arriving group merges into this existing
                             // row: fold it in as a member instead of
                             // keeping it.
-                            members.push(((ci, k, f.0), mo.store().origin[f.index()]));
+                            let origin = mo.store().origin[f.index()];
+                            group.fold(schema, mo, f, (ci, k, f.0), origin);
                             continue;
                         }
                     }
@@ -821,23 +763,9 @@ impl VersionInner {
                 }
             }
             let mut arrivals = Mo::new(Arc::clone(schema));
-            for (target, mut members) in groups {
-                members.sort_unstable();
-                let mut acc: Vec<i64> = schema.measures.iter().map(|m| m.agg.identity()).collect();
-                let mut origin = members[0].1;
-                for &((src, k, row), o) in &members {
-                    let smo = cur.cubes[src].chunks()[k].data();
-                    for (j, a) in acc.iter_mut().enumerate() {
-                        *a = schema.measures[j]
-                            .agg
-                            .combine(*a, smo.measure(FactId(row), MeasureId(j as u16)));
-                    }
-                    if o != ORIGIN_USER {
-                        origin = o;
-                    }
-                }
+            for (target, group) in groups {
                 arrivals
-                    .insert_fact_at(&target, &acc, origin)
+                    .insert_fact_at(&target, &group.acc, group.origin)
                     .map_err(ReduceError::Model)?;
             }
             chunks.extend(
@@ -914,7 +842,7 @@ impl WarehouseView {
         self.v.last_sync
     }
 
-    /// True when facts were bulk-loaded since the last sync pass — i.e.
+    /// True when facts were bulk-loaded since the last reduction — i.e.
     /// querying this view exercises the *un-synchronized* state of
     /// Section 7.3.
     pub fn is_dirty(&self) -> bool {
@@ -934,7 +862,7 @@ impl WarehouseView {
     }
 
     /// How many rows of the bottom cube — its last, in row order — were
-    /// loaded but not yet homed by a sync pass or an aging step.
+    /// loaded but not yet homed by a reduction step.
     pub fn unhomed_rows(&self) -> usize {
         let tail = self.v.cubes[0].chunks().iter().rev().take(self.v.unhomed);
         tail.map(|c| c.mo.len()).sum()
@@ -961,14 +889,13 @@ impl WarehouseView {
     /// and whether it came from this version's memo. The aging is the
     /// write path's own: the steps of [`SubcubeManager::age`] from the
     /// watermark to `now` (to the watermark itself when `now` lies before
-    /// it: reduction is never undone), or the full pass of
-    /// [`SubcubeManager::sync`] when the view was never synchronized. A
-    /// view with nothing un-homed that is already there is its own aged
-    /// view and counts as a hit. The result is kept in a single slot on
-    /// the pinned version, so every further read of the same `(version,
-    /// now)` is one lock and an `Arc` clone; another day replaces it,
-    /// and it is dropped with the version. Nothing the manager publishes
-    /// — epoch, version vector, `age.*` counters — moves.
+    /// it: reduction is never undone). A view with nothing un-homed that
+    /// is already there is its own aged view and counts as a hit. The
+    /// result is kept in a single slot on the pinned version, so every
+    /// further read of the same `(version, now)` is one lock and an
+    /// `Arc` clone; another day replaces it, and it is dropped with the
+    /// version. Nothing the manager publishes — epoch, version vector,
+    /// `age.*` counters — moves.
     pub fn virtual_age(&self, now: DayNum) -> Result<(WarehouseView, bool), SubcubeError> {
         let _span = sdr_obs::span("subcube.query.virtual_age");
         let v = &self.v;
@@ -987,14 +914,7 @@ impl WarehouseView {
         let (aged, stats) = match memo {
             Some(aged) => (aged, AgeStats::default()),
             None => {
-                let (aged, stats) = match v.last_sync {
-                    Some(last) => v.aged(last, day, None)?,
-                    None => {
-                        let pass = v.sync_pass(day)?;
-                        let stats = pass.as_age();
-                        (Arc::new(pass.next), stats)
-                    }
-                };
+                let (aged, stats) = v.aged(day, None)?;
                 // (Never `v` itself — that case was answered above — so
                 // the slot cannot make a version keep itself alive.)
                 debug_assert!(!Arc::ptr_eq(&aged, v));
@@ -1018,73 +938,25 @@ impl WarehouseView {
         Ok((WarehouseView { v: aged }, hit))
     }
 
-    /// True when a sync pass at `now` could move any fact: either new
-    /// data was bulk-loaded since the last pass, or some action's
-    /// (dynamic) predicate stepped between `last_sync` and `now`. Checking
-    /// costs a handful of groundings — far cheaper than a full scan — and
+    /// True when a reduction at `now` could move any fact: the view was
+    /// never synchronized, new data was bulk-loaded since, or the
+    /// [`ReductionSchedule`] lists a transition day in `(last_sync,
+    /// now]`. One lookup in the schedule cached on the version — which
     /// makes frequent scheduled syncs nearly free (Section 7.2's argument
     /// that synchronization is not a bottleneck).
     pub fn needs_sync(&self, now: DayNum) -> Result<bool, SubcubeError> {
-        if self.is_dirty() {
-            return Ok(true);
-        }
         let Some(last) = self.v.last_sync else {
             return Ok(true);
         };
-        if now <= last {
-            return Ok(false);
-        }
-        let schema = self.schema();
-        for (_, a) in self.v.spec.actions() {
-            for conj in sdr_spec::to_dnf(&a.pred) {
-                let steps =
-                    sdr_spec::step_days(schema, &conj, last, now).map_err(ReduceError::Spec)?;
-                // step_days always returns the endpoints; anything in
-                // between means the grounded set changed.
-                if steps.len() > 2 {
-                    return Ok(true);
-                }
-                // The grounding may also change exactly at `now`.
-                if steps.len() == 2
-                    && sdr_spec::ground_conj(schema, &conj, last).map_err(ReduceError::Spec)?
-                        != sdr_spec::ground_conj(schema, &conj, now).map_err(ReduceError::Spec)?
-                {
-                    return Ok(true);
-                }
-            }
-        }
-        Ok(false)
+        Ok(self.is_dirty() || !self.v.schedule()?.transitions_between(last, now).is_empty())
     }
 
-    /// The next day strictly after `after` at which a scheduled sync pass
-    /// would have work to do (the minimum step day of any action's
-    /// grounding, searched to the time horizon). `None` when no further
+    /// The next scheduled transition day strictly after `after` — the
+    /// next day a reduction has work to do. `None` when no further
     /// migration can ever happen — the scheduling primitive Section 8
     /// leaves as future work.
     pub fn next_sync_due(&self, after: DayNum) -> Result<Option<DayNum>, SubcubeError> {
-        let schema = self.schema();
-        let horizon_end = match schema.dims.iter().find_map(|d| match d {
-            sdr_mdm::Dimension::Time(t) => Some(t.max_day),
-            _ => None,
-        }) {
-            Some(d) => d,
-            None => return Ok(None),
-        };
-        let mut best: Option<DayNum> = None;
-        for (_, a) in self.v.spec.actions() {
-            for conj in sdr_spec::to_dnf(&a.pred) {
-                let until = best.map(|b| b - 1).unwrap_or(horizon_end);
-                if until <= after {
-                    continue;
-                }
-                if let Some(d) = sdr_spec::next_step_day(schema, &conj, after, until)
-                    .map_err(ReduceError::Spec)?
-                {
-                    best = Some(best.map_or(d, |b: DayNum| b.min(d)));
-                }
-            }
-        }
-        Ok(best)
+        Ok(self.v.schedule()?.next_transition(after))
     }
 
     /// Materializes the whole warehouse version as one MO (union of all
@@ -1279,111 +1151,67 @@ impl SubcubeManager {
 
     /// Synchronizes all cubes to time `now` (Section 7.2): facts whose
     /// home cube changed are aggregated to the target granularity and
-    /// moved; each cube is then re-aggregated once so multi-parent inflows
-    /// merge (the "final aggregation" of the paper). The whole pass runs
-    /// against a frozen snapshot and lands as **one** atomic publication —
-    /// concurrent readers keep answering from the predecessor version and
-    /// never see a half-migrated state. A cheap
-    /// [`needs_sync`](WarehouseView::needs_sync) pre-check skips the scan
-    /// entirely when nothing can have changed. Time does not move
-    /// backwards — reduction cannot be undone — so a `now` before the
-    /// watermark synchronizes to the watermark: every version is the
-    /// reduction at one day, and no cell was ever placed after
-    /// `last_sync` (the region oracle's premise).
-    pub fn sync(&self, now: DayNum) -> Result<SyncStats, SubcubeError> {
+    /// moved, and inflows from several parents merge (the "final
+    /// aggregation" of the paper). This is [`age`](Self::age) under its
+    /// paper name, with one difference: time does not move backwards —
+    /// reduction cannot be undone — so a `now` before the watermark
+    /// synchronizes to the watermark instead of being refused: every
+    /// version is the reduction at one day, and no cell was ever placed
+    /// after `last_sync` (the region oracle's premise).
+    pub fn sync(&self, now: DayNum) -> Result<AgeStats, SubcubeError> {
         let _span = sdr_obs::span("subcube.sync");
-        // See bulk_load: model-only mutation hook for `specdr check`.
-        let _w = (!fail::point("mgr.publish-unlocked")).then(|| self.writer.lock());
-        let frozen = self.view();
-        let now = frozen.v.day_of(now);
-        if !frozen.needs_sync(now)? {
-            // Nothing can move: publish only the advanced watermark.
-            self.publish(frozen.v.with_watermark(now));
-            sdr_obs::inc("subcube.sync.skipped");
-            return Ok(SyncStats {
-                kept: frozen.len(),
-                ..SyncStats::default()
-            });
-        }
-        Ok(self.publish_pass(frozen.v.sync_pass(now)?, now))
-    }
-
-    /// Publishes the successor a full pass built and records what the
-    /// pass did. Caller holds the writer lock.
-    fn publish_pass(&self, pass: FullPass, now: DayNum) -> SyncStats {
-        let FullPass {
-            next,
-            stats,
-            migrated_from,
-            distinct_cells,
-        } = pass;
-        let next = self.publish(next);
+        let stats = self.reduce_to(now, true)?;
         if sdr_obs::enabled() {
-            sdr_obs::attr("epoch", next.epoch);
-            sdr_obs::attr("rows_in", stats.kept + stats.migrated);
-            sdr_obs::attr("rows_out", next.rows());
-            // Same locals returned to the caller — the metrics cannot
-            // disagree with `SyncStats` (asserted by the integration suite).
-            sdr_obs::add("subcube.sync.distinct_cells", distinct_cells as u64);
-            sdr_obs::add("subcube.sync.kept", stats.kept as u64);
-            sdr_obs::add("subcube.sync.migrated", stats.migrated as u64);
-            sdr_obs::add("subcube.sync.merged", stats.merged as u64);
-            for (ci, &m) in migrated_from.iter().enumerate() {
-                if m > 0 {
-                    sdr_obs::add(&format!("subcube.sync.migrated_from.K{ci}"), m);
-                }
-            }
             sdr_obs::event(
                 "subcube.sync",
                 format!(
-                    "day={now} kept={} migrated={} merged={}",
-                    stats.kept, stats.migrated, stats.merged
+                    "day={now} ticks={} cells_delta={} merged={} rows_homed={}",
+                    stats.ticks, stats.cells_delta, stats.merged, stats.rows_homed
                 ),
             );
         }
-        stats
+        Ok(stats)
     }
 
-    /// Ages the warehouse incrementally to `until`: instead of one full
-    /// re-reduction, the precomputed [`ReductionSchedule`] yields the
-    /// transition days in `(last_sync, until]` — the only days any cell
-    /// can cross an action boundary — and each is applied as one **tick**
-    /// that re-evaluates only facts touched by the changed groundings.
-    /// Un-homed rows (bulk-loaded since the last pass) are resolved to
-    /// their home cell by the first step — a step of their own at `until`
-    /// when no transition is in range — so a load followed by `age` costs
-    /// the rows loaded, not the warehouse. Untouched chunks and cubes are
-    /// carried forward by `Arc` (a carried cube's version-vector entry
-    /// does not move), and each step lands as one atomic publication
-    /// journaling-compatible with [`sync`](Self::sync): after
-    /// `age(until)` the warehouse state equals a from-scratch
-    /// `sync(until)` (the differential suites assert this at every step).
+    /// Ages the warehouse to `until`: the precomputed
+    /// [`ReductionSchedule`] yields the transition days in `(last_sync,
+    /// until]` — the only days any cell can cross an action boundary —
+    /// and each is applied as one **tick** that re-evaluates only facts
+    /// touched by the changed groundings. Un-homed rows (bulk-loaded
+    /// since the last reduction; every row of a warehouse never
+    /// synchronized) are resolved to their home cell by the first step —
+    /// a step of their own at `until` when no transition is in range —
+    /// so a load followed by `age` costs the rows loaded, not the
+    /// warehouse. Untouched chunks and cubes are carried forward by
+    /// `Arc` (a carried cube's version-vector entry does not move), and
+    /// each step lands as one atomic publication of a whole reduction
+    /// state: concurrent readers never see a half-migrated one. After
+    /// `age(until)` the warehouse is Definition 2's reduction of every
+    /// fact loaded so far at `until` (the differential suites assert
+    /// this at every step).
     ///
-    /// A warehouse never synced takes one full pass at `until` to
-    /// establish the incremental baseline. `until` earlier than the
-    /// current watermark is rejected with
+    /// `until` earlier than the current watermark is rejected with
     /// [`SubcubeError::AgeBeforeWatermark`] — aging is monotone.
     pub fn age(&self, until: DayNum) -> Result<AgeStats, SubcubeError> {
+        self.reduce_to(until, false)
+    }
+
+    /// The one reduction mutator behind [`sync`](Self::sync) and
+    /// [`age`](Self::age): folds the steps to `day` — clamped to the
+    /// watermark, or refused when before it — publishing each.
+    fn reduce_to(&self, day: DayNum, clamp: bool) -> Result<AgeStats, SubcubeError> {
         let _span = sdr_obs::span("subcube.age");
-        let _w = self.writer.lock();
+        // See bulk_load: model-only mutation hook for `specdr check`.
+        let _w = (!fail::point("mgr.publish-unlocked")).then(|| self.writer.lock());
         let cur = self.current.load();
-        let stats = match cur.last_sync {
-            Some(last) if until < last => {
-                return Err(SubcubeError::AgeBeforeWatermark {
-                    until,
-                    last_sync: last,
-                })
-            }
-            Some(last) => cur.aged(last, until, Some(self))?.1,
-            None => {
-                // No incremental baseline yet: home everything with one
-                // full pass.
-                let pass = cur.sync_pass(until)?;
-                let stats = pass.as_age();
-                self.publish_pass(pass, until);
-                stats
-            }
-        };
+        let until = cur.day_of(day);
+        if until != day && !clamp {
+            return Err(SubcubeError::AgeBeforeWatermark {
+                until: day,
+                last_sync: until,
+            });
+        }
+        let stats = cur.aged(until, Some(self))?.1;
         if sdr_obs::enabled() {
             // Same locals returned to the caller — the counters cannot
             // disagree with `AgeStats` (asserted by the integration suite).
@@ -1444,7 +1272,7 @@ impl SubcubeManager {
     /// Publishes a successor version with a new specification: the cube
     /// DAG is re-derived and every existing chunk is staged, by pointer
     /// and un-homed, in the bottom cube (the one cube allowed to hold
-    /// foreign-granularity rows; a sync pass or aging step homes them).
+    /// foreign-granularity rows; the next reduction step homes them).
     /// Caller holds the writer lock.
     fn rebuild_with_spec(&self, cur: &Arc<VersionInner>, spec: DataReductionSpec) {
         let mut next = VersionInner::initial(spec, cur.epoch + 1);

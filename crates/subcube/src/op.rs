@@ -31,7 +31,7 @@ use sdr_spec::{parse_action, ActionId, ActionSpec};
 use sdr_storage::{decode_facts, encode_facts};
 
 use crate::error::SubcubeError;
-use crate::manager::{AgeStats, SubcubeManager, SyncStats};
+use crate::manager::{AgeStats, SubcubeManager};
 
 /// One warehouse mutation — the unit of logging, replay, group commit
 /// and shard scatter.
@@ -39,12 +39,12 @@ use crate::manager::{AgeStats, SubcubeManager, SyncStats};
 pub enum WarehouseOp {
     /// Bulk-load bottom-granularity facts.
     BulkLoad(Mo),
-    /// Synchronize the cubes to a day. Sync is deterministic, so the day
-    /// is enough to replay the collapse/advance it performed.
+    /// Synchronize the cubes to a day (a day before the watermark means
+    /// the watermark). The steps are derived from the spec's transition
+    /// schedule, so the day is enough to replay every one.
     Sync(DayNum),
-    /// Incrementally age the cubes to a day. The tick sequence is derived
-    /// from the spec's transition schedule, so the target day is enough
-    /// to replay every tick.
+    /// Age the cubes to a day: [`Sync`](WarehouseOp::Sync), except that
+    /// a day before the watermark is refused.
     Age(DayNum),
     /// Insert actions into the specification (encoded in source form).
     SpecInsert(Vec<ActionSpec>),
@@ -192,16 +192,13 @@ impl WarehouseOp {
     }
 }
 
-/// What a successfully applied [`WarehouseOp`] returned — one variant per
-/// op variant, carrying the value the corresponding
-/// [`SubcubeManager`] mutator returns.
+/// What a successfully applied [`WarehouseOp`] returned: the value the
+/// corresponding [`SubcubeManager`] mutator returns.
 #[derive(Debug, Clone)]
 pub enum OpOutcome {
     /// Facts absorbed by a bulk load.
     Loaded(usize),
-    /// Statistics of a synchronization pass.
-    Synced(SyncStats),
-    /// Statistics of an aging call.
+    /// Statistics of a reduction (sync or age).
     Aged(AgeStats),
     /// The ids assigned to inserted actions.
     Inserted(Vec<ActionId>),
@@ -215,7 +212,7 @@ impl OpOutcome {
     }
 
     /// The fact count of a [`WarehouseOp::BulkLoad`]. Panics on any other
-    /// outcome, as the three accessors below do: [`SubcubeManager::apply`]
+    /// outcome, as the two accessors below do: [`SubcubeManager::apply`]
     /// pairs each op variant with its outcome variant.
     pub fn loaded(self) -> usize {
         match self {
@@ -224,19 +221,11 @@ impl OpOutcome {
         }
     }
 
-    /// The statistics of a [`WarehouseOp::Sync`].
-    pub fn synced(self) -> SyncStats {
-        match self {
-            OpOutcome::Synced(s) => s,
-            o => o.mismatch("sync"),
-        }
-    }
-
-    /// The statistics of a [`WarehouseOp::Age`].
+    /// The statistics of a [`WarehouseOp::Sync`] or [`WarehouseOp::Age`].
     pub fn aged(self) -> AgeStats {
         match self {
             OpOutcome::Aged(s) => s,
-            o => o.mismatch("age"),
+            o => o.mismatch("sync or age"),
         }
     }
 
@@ -256,7 +245,7 @@ impl SubcubeManager {
     pub fn apply(&self, op: &WarehouseOp) -> Result<OpOutcome, SubcubeError> {
         Ok(match op {
             WarehouseOp::BulkLoad(mo) => OpOutcome::Loaded(self.bulk_load(mo)?),
-            WarehouseOp::Sync(now) => OpOutcome::Synced(self.sync(*now)?),
+            WarehouseOp::Sync(now) => OpOutcome::Aged(self.sync(*now)?),
             WarehouseOp::Age(until) => OpOutcome::Aged(self.age(*until)?),
             WarehouseOp::SpecInsert(new) => OpOutcome::Inserted(self.evolve_insert(new.clone())?),
             WarehouseOp::SpecDelete(ids, now) => {

@@ -15,7 +15,7 @@
 //!   is literally one: [`WarehouseView::query_unsync`]`(q, now)` is
 //!   [`WarehouseView::query`]`(q, now)` on the version `age(now)` would
 //!   publish ([`WarehouseView::virtual_age`]), computed by the write
-//!   path's own aging steps, published nowhere, and kept in a single
+//!   path's own reduction steps, published nowhere, and kept in a single
 //!   slot on the pinned version so the next read of the same `(version,
 //!   now)` finds it. The aged version's chunk summaries fold into exact
 //!   statistics, so this path is planned like the other. Query answers
@@ -119,18 +119,19 @@ impl WarehouseView {
     }
 
     /// Evaluates `q` assuming synchronized cubes, with one worker per cube
-    /// (scoped threads) when `parallel`. Cubes the planner
-    /// proves irrelevant (empty, hull-disjoint) are skipped; use
-    /// [`query_planned`](WarehouseView::query_planned) to also supply a
-    /// region oracle, or [`query_naive`](WarehouseView::query_naive) for
-    /// the unplanned full fan-out.
+    /// (scoped threads) when `parallel`, planned with the full oracle
+    /// set: cubes proved irrelevant by their exact statistics (empty,
+    /// hull-disjoint) or by the schedule's proved regions
+    /// ([`region_oracle`](WarehouseView::region_oracle)) are skipped.
+    /// [`query_planned`](WarehouseView::query_planned) chooses the
+    /// oracle, [`query_naive`](WarehouseView::query_naive) is the
+    /// unplanned full fan-out.
     pub fn query(&self, q: &CubeQuery, now: DayNum, parallel: bool) -> Result<Mo, SubcubeError> {
-        self.query_planned(q, now, parallel, None)
+        self.query_planned(q, now, parallel, self.region_oracle())
     }
 
-    /// [`query`](WarehouseView::query) with an optional region oracle
-    /// ([`region_oracle`](WarehouseView::region_oracle)) enabling
-    /// proved-region pruning on origin-pure cubes.
+    /// [`query`](WarehouseView::query) with the region oracle the caller
+    /// picks (`None`: statistics-only pruning).
     pub fn query_planned(
         &self,
         q: &CubeQuery,
@@ -169,15 +170,17 @@ impl WarehouseView {
         self.virtual_age(now)?.0.query(q, now, parallel)
     }
 
-    /// The region oracle for this view, built from the reduction
-    /// schedule of its spec. `None` when the view was never synchronized
-    /// (no cube content is action-placed yet) or the schedule cannot be
-    /// built — planning then falls back to statistics-only pruning, never
-    /// to an error.
-    pub fn region_oracle(&self) -> Option<RegionOracle> {
-        let last_sync = self.last_sync()?;
-        let schedule = self.v.schedule().ok()?;
-        Some(RegionOracle::build(schedule, last_sync))
+    /// The region oracle for this view, built once per `(specification,
+    /// last_sync)` from the reduction schedule and kept on the version.
+    /// `None` when the view was never synchronized (no cube content is
+    /// action-placed yet) or the schedule cannot be built — planning then
+    /// falls back to statistics-only pruning, never to an error.
+    pub fn region_oracle(&self) -> Option<&RegionOracle> {
+        let build = || {
+            let schedule = self.v.schedule().ok()?;
+            Some(RegionOracle::build(schedule, self.last_sync()?))
+        };
+        self.v.oracle.get_or_init(build).as_ref()
     }
 
     fn eval_per_cube(
@@ -302,15 +305,13 @@ impl WarehouseView {
 }
 
 impl SubcubeManager {
-    /// Evaluates `q` on a fresh view of the current version, planned with
-    /// the full oracle set: exact per-cube statistics plus the proved
-    /// regions of the reduction schedule. Counts a stale read when
-    /// a newer version was published while the query ran — the answer is
-    /// still consistent (it saw one whole version), just not the newest.
+    /// [`WarehouseView::query`] on a fresh view of the current version.
+    /// Counts a stale read when a newer version was published while the
+    /// query ran — the answer is still consistent (it saw one whole
+    /// version), just not the newest.
     pub fn query(&self, q: &CubeQuery, now: DayNum, parallel: bool) -> Result<Mo, SubcubeError> {
         let view = self.view();
-        let oracle = view.region_oracle();
-        let r = view.query_planned(q, now, parallel, oracle.as_ref());
+        let r = view.query(q, now, parallel);
         if self.epoch() > view.epoch() {
             sdr_obs::inc("subcube.query.stale_reads");
         }

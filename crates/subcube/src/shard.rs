@@ -48,7 +48,7 @@ use std::sync::Arc;
 use sdr_sync::{fail, Mutex, Swap};
 
 use sdr_mdm::{DayNum, DimValue, FxHasher, KeyPacker, Mo, Schema};
-use sdr_plan::{QueryPlan, RegionOracle};
+use sdr_plan::QueryPlan;
 use sdr_query::aggregate_ids;
 use sdr_reduce::DataReductionSpec;
 use sdr_spec::{ActionId, ActionSpec};
@@ -58,7 +58,7 @@ use sdr_storage::wal::{crc32, truncate_wal_records};
 use crate::durable::DurableWarehouse;
 use crate::error::SubcubeError;
 use crate::layout::WarehouseLayout;
-use crate::manager::{AgeStats, SyncStats, WarehouseView};
+use crate::manager::{AgeStats, WarehouseView};
 use crate::op::{OpOutcome, WarehouseOp};
 use crate::persist::{read_current, spec_fingerprint};
 use crate::query::{fan_out, CubeQuery};
@@ -147,7 +147,6 @@ pub struct ShardRecoveryReport {
 pub struct ShardViewSet {
     epoch: u64,
     views: Vec<WarehouseView>,
-    oracles: Vec<Option<RegionOracle>>,
 }
 
 impl ShardViewSet {
@@ -190,7 +189,7 @@ impl ShardViewSet {
     pub fn query(&self, q: &CubeQuery, now: DayNum, parallel: bool) -> Result<Mo, SubcubeError> {
         let _span = sdr_obs::span("shard.query");
         let subs = self.scatter(parallel, |i, inner_parallel| {
-            self.views[i].query_planned(q, now, inner_parallel, self.oracles[i].as_ref())
+            self.views[i].query(q, now, inner_parallel)
         })?;
         self.gather(q, subs)
     }
@@ -214,9 +213,8 @@ impl ShardViewSet {
 
     /// The per-shard query plans (for `explain` over the wire).
     pub fn plans(&self, q: &CubeQuery, now: DayNum) -> Vec<QueryPlan> {
-        (0..self.views.len())
-            .map(|i| self.views[i].plan(q, now, self.oracles[i].as_ref()))
-            .collect()
+        let plan = |v: &WarehouseView| v.plan(q, now, v.region_oracle());
+        self.views.iter().map(plan).collect()
     }
 
     /// The set [`query_unsync`](ShardViewSet::query_unsync) evaluates at
@@ -227,13 +225,8 @@ impl ShardViewSet {
     pub fn virtual_age(&self, now: DayNum) -> Result<(ShardViewSet, Vec<bool>), SubcubeError> {
         let aged: Result<Vec<_>, _> = self.views.iter().map(|v| v.virtual_age(now)).collect();
         let (views, hits): (Vec<_>, Vec<_>) = aged?.into_iter().unzip();
-        let oracles = vec![None; views.len()];
-        let set = ShardViewSet {
-            epoch: self.epoch,
-            views,
-            oracles,
-        };
-        Ok((set, hits))
+        let epoch = self.epoch;
+        Ok((ShardViewSet { epoch, views }, hits))
     }
 
     /// The union of all shards' logical MOs (Definition 2 view of the
@@ -292,12 +285,6 @@ fn union_mo(views: &[WarehouseView]) -> Result<Mo, SubcubeError> {
 fn fold(a: OpOutcome, b: OpOutcome) -> OpOutcome {
     match (a, b) {
         (OpOutcome::Loaded(x), OpOutcome::Loaded(y)) => OpOutcome::Loaded(x + y),
-        (OpOutcome::Synced(mut a), OpOutcome::Synced(s)) => {
-            a.kept += s.kept;
-            a.migrated += s.migrated;
-            a.merged += s.merged;
-            OpOutcome::Synced(a)
-        }
         (OpOutcome::Aged(mut a), OpOutcome::Aged(s)) => {
             // Every shard applies the same tick sequence; the rest adds up.
             let ticks = a.ticks.max(s.ticks);
@@ -703,12 +690,9 @@ impl ShardRouter {
 
     fn snapshot(inner: &mut RouterInner) -> Arc<ShardViewSet> {
         inner.set_epoch += 1;
-        let views: Vec<WarehouseView> = inner.shards.iter().map(|s| s.manager().view()).collect();
-        let oracles = views.iter().map(WarehouseView::region_oracle).collect();
         Arc::new(ShardViewSet {
             epoch: inner.set_epoch,
-            views,
-            oracles,
+            views: inner.shards.iter().map(|s| s.manager().view()).collect(),
         })
     }
 
@@ -842,11 +826,11 @@ impl ShardRouter {
 
     /// Durable parallel synchronization: every shard syncs to `now`
     /// concurrently, then one atomic publish exposes all of them.
-    pub fn sync(&self, now: DayNum) -> Result<SyncStats, SubcubeError> {
-        Ok(self.apply(&WarehouseOp::Sync(now))?.synced())
+    pub fn sync(&self, now: DayNum) -> Result<AgeStats, SubcubeError> {
+        Ok(self.apply(&WarehouseOp::Sync(now))?.aged())
     }
 
-    /// Durable parallel incremental aging to `until`.
+    /// Durable parallel aging to `until`.
     pub fn age(&self, until: DayNum) -> Result<AgeStats, SubcubeError> {
         Ok(self.apply(&WarehouseOp::Age(until))?.aged())
     }

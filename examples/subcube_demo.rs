@@ -36,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let stats = m.sync(now)?;
         let (y, mm, d) = civil_from_days(now);
         println!(
-            "\nsync at {y}/{mm}/{d}: kept={}, migrated={}, merged={}",
-            stats.kept, stats.migrated, stats.merged
+            "\nsync at {y}/{mm}/{d}: ticks={}, cells_delta={}, merged={}",
+            stats.ticks, stats.cells_delta, stats.merged
         );
         print!("{}", m.describe());
     }

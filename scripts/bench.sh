@@ -10,9 +10,6 @@
 #   E12 explain_overhead -> BENCH_pr6.json (explain/profile vs the plain
 #                          query and sync+query they wrap, registry
 #                          enabled vs disabled, ~100k/~1M facts)
-#   E13 aging            -> BENCH_pr7.json (steady-state incremental age
-#                          per tick vs from-scratch sync, ~100k/~1M
-#                          facts; asserts cubes were carried forward)
 #   E14 planner_storage  -> BENCH_pr8.json (planned vs naive query at 10M
 #                          facts — ≥2x on selective windows — and the
 #                          format-3 bytes-on-disk table — ≥1.6x smaller
@@ -32,7 +29,6 @@ cargo bench -p sdr-bench --bench kernels
 cargo bench -p sdr-bench --bench concurrent_read
 cargo bench -p sdr-bench --bench lint_specs
 cargo bench -p sdr-bench --bench explain_overhead
-cargo bench -p sdr-bench --bench aging
 cargo bench -p sdr-bench --bench planner_storage
 cargo bench -p sdr-bench --bench sharded_serve
 for target in "$@"; do

@@ -160,8 +160,9 @@ fi
 run cargo test -q --release --test durability
 
 # Continuous-aging suite under --release: schedule goldens vs a
-# brute-force day scan, and the long-horizon differential harness (age
-# through every transition day == from-scratch reduction at each one).
+# brute-force day scan, the scheduler pinned to the step-day scan it
+# replaced, and the long-horizon differential harness (age through every
+# transition day == Definition 2 over the raw facts at each one).
 run cargo test -q --release --test aging
 
 # Concurrency stress under --release: 25+ seeded multi-reader schedules

@@ -29,12 +29,14 @@
 //!                [--spec-file FILE] [--format json|table|trace]
 //!     Introspect one incremental aging pass: the transition schedule
 //!     build, every per-tick span with its delta row counts, and the
-//!     subcube DAG after aging.
+//!     subcube DAG after aging. The explainer is `--reduce`'s; the
+//!     warehouse it starts from is synchronized to the end of its data,
+//!     where `--reduce` starts from the warehouse as loaded.
 //!
 //! specdr age --until Y/M/D [--months N] [--clicks K] [--spec-file FILE]
 //!            [--follow [--tick N]]
 //!     Incrementally age a synthetic warehouse along the specification's
-//!     transition-day schedule: the baseline is a full synchronization to
+//!     transition-day schedule: the baseline is a synchronization to
 //!     the end of the loaded data, then each scheduled tick re-evaluates
 //!     only the facts whose cell changed between consecutive transition
 //!     days (untouched subcubes are carried forward by reference).
@@ -44,7 +46,7 @@
 //!
 //! specdr profile [--months N] [--clicks K] [--now Y/M/D]
 //!                [--format json|table|trace]
-//!     Profile one full pass — synchronize the warehouse, then answer a
+//!     Profile one round trip — synchronize the warehouse, then answer a
 //!     parallel monthly roll-up — under a single trace recording, and
 //!     render the combined introspection report (same formats as
 //!     `explain --query`).
@@ -113,7 +115,7 @@ use specdr::query::{AggApproach, Query, SelectMode};
 use specdr::reduce::{reduce, DataReductionSpec};
 use specdr::spec::{explain_action, parse_actions, parse_pexp};
 use specdr::storage::table_stats;
-use specdr::subcube::{AgeStats, CubeQuery, ShardRouter, SubcubeManager, SyncStats};
+use specdr::subcube::{AgeStats, CubeQuery, ShardRouter, SubcubeManager};
 use specdr::workload::{
     generate, generate_sessions, paper_mo, retention_policy, snapshot_days, Clickstream,
     ClickstreamConfig, SessionConfig, ACTION_A1, ACTION_A2,
@@ -803,14 +805,14 @@ fn print_introspection(r: &specdr::introspect::Introspection, opts: &Opts) -> Re
 fn cmd_explain_warehouse(opts: &Opts, reduce_pass: bool) -> Result<(), AnyError> {
     let (mgr, schema, now, loaded_until) = introspection_warehouse(opts)?;
     let report = if reduce_pass {
-        let (stats, report) = specdr::introspect::explain_sync(&mgr, now)?;
+        // The one explainer, on the warehouse as loaded: never
+        // synchronized, so the reduction homes every row in one step.
+        let (stats, report) = specdr::introspect::explain_age(&mgr, now)?;
         if opts.value("--format").unwrap_or("table") == "table" {
             println!(
-                "reduction pass at NOW = {}: kept={} migrated={} merged={}\n",
+                "reduction pass at NOW = {}: {}\n",
                 render_date(now),
-                stats.kept,
-                stats.migrated,
-                stats.merged
+                age_line(&stats)
             );
         }
         report
@@ -862,16 +864,19 @@ fn aging_warehouse(opts: &Opts) -> Result<(SubcubeManager, i32, i32), AnyError> 
     Ok((mgr, baseline, default_until))
 }
 
+/// What a reduction did, as every command prints it.
+fn age_line(s: &AgeStats) -> String {
+    format!(
+        "ticks={} cells_delta={} merged={} cubes_rebuilt={} cubes_skipped={}",
+        s.ticks, s.cells_delta, s.merged, s.cubes_rebuilt, s.cubes_skipped
+    )
+}
+
 fn print_age_stats(t: i32, s: &AgeStats, mgr: &SubcubeManager) {
     println!(
-        "aged to {}: ticks={} cells_delta={} merged={} cubes_rebuilt={} \
-         cubes_skipped={}; {} facts remain",
+        "aged to {}: {}; {} facts remain",
         render_date(t),
-        s.ticks,
-        s.cells_delta,
-        s.merged,
-        s.cubes_rebuilt,
-        s.cubes_skipped,
+        age_line(s),
         mgr.len()
     );
 }
@@ -923,15 +928,10 @@ fn cmd_explain_age(opts: &Opts) -> Result<(), AnyError> {
     let (stats, report) = specdr::introspect::explain_age(&mgr, until)?;
     if opts.value("--format").unwrap_or("table") == "table" {
         println!(
-            "aging pass {} → {}: ticks={} cells_delta={} merged={} cubes_rebuilt={} \
-             cubes_skipped={}\n",
+            "aging pass {} → {}: {}\n",
             render_date(baseline),
             render_date(until),
-            stats.ticks,
-            stats.cells_delta,
-            stats.merged,
-            stats.cubes_rebuilt,
-            stats.cubes_skipped
+            age_line(&stats)
         );
     }
     print_introspection(&report, opts)
@@ -945,11 +945,9 @@ fn cmd_profile(opts: &Opts) -> Result<(), AnyError> {
     let (stats, answer, report) = specdr::introspect::profile(&mgr, &q, now, true)?;
     if opts.value("--format").unwrap_or("table") == "table" {
         println!(
-            "profiled sync + query at NOW = {}: kept={} migrated={} merged={}, {} result rows\n",
+            "profiled sync + query at NOW = {}: {}, {} result rows\n",
             render_date(now),
-            stats.kept,
-            stats.migrated,
-            stats.merged,
+            age_line(&stats),
             answer.len()
         );
     }
@@ -1089,10 +1087,8 @@ fn cmd_simulate(opts: &Opts) -> Result<(), AnyError> {
     mgr.bulk_load(&cs.mo)?;
     let stats = mgr.sync(now)?;
     println!(
-        "\nsubcube sync at final NOW: kept={} migrated={} merged={} across {} cubes",
-        stats.kept,
-        stats.migrated,
-        stats.merged,
+        "\nsubcube sync at final NOW: {} across {} cubes",
+        age_line(&stats),
         mgr.n_cubes()
     );
     let (tdim, month) = cs.schema.resolve_cat("Time.month")?;
@@ -1177,13 +1173,11 @@ fn cmd_checkpoint(opts: &Opts) -> Result<(), AnyError> {
         .to_string();
     let syn = synthetic(opts, "12", "50")?;
     let now = syn.end_day_plus(1);
-    let report = |loaded: usize, stats: SyncStats| {
+    let report = |loaded: usize, stats: AgeStats| {
         println!(
-            "loaded {loaded} facts, synced at NOW = {}: kept={} migrated={} merged={}",
+            "loaded {loaded} facts, synced at NOW = {}: {}",
             render_date(now),
-            stats.kept,
-            stats.migrated,
-            stats.merged
+            age_line(&stats)
         );
         println!("checkpoint published: {dir}");
     };

@@ -4,11 +4,14 @@
 //! syncs, and specification insert/delete to a shared
 //! [`SubcubeManager`], while `readers` threads continuously issue the
 //! Figure 5–9 query mix against whatever snapshot [`view()`] hands them.
-//! The writer retains every version it publishes; after the threads
-//! join, every reader observation `(epoch, query, result digest)` is
-//! re-evaluated against the retained view of that exact epoch — a
-//! mismatch is a *torn read*, a result that matches no published version
-//! of the warehouse. Under snapshot isolation the count must be zero.
+//! The writer retains the version each mutation leaves, every reader
+//! observation `(query, result digest)` the view it pinned (a
+//! reduction publishes once per transition day, so a reader can pin a
+//! version between two mutations); after the threads join, every
+//! observation is re-evaluated against its view, and a view of an epoch
+//! the writer retained must be that version — a mismatch is a *torn
+//! read*, a result that matches no published version of the warehouse.
+//! Under snapshot isolation the count must be zero.
 //!
 //! The driver is deliberately deterministic on the writer side: the
 //! churn schedule and therefore the sequence of published epochs and
@@ -62,11 +65,11 @@ impl Default for DriveConfig {
     }
 }
 
-/// One reader observation: which query ran against which published epoch
-/// and what the result's content digest was.
-#[derive(Debug, Clone, Copy)]
+/// One reader observation: which query ran against which published
+/// version and what the result's content digest was.
+#[derive(Clone)]
 struct Observation {
-    epoch: u64,
+    view: WarehouseView,
     query: usize,
     unsync: bool,
     now: DayNum,
@@ -252,7 +255,7 @@ pub fn drive(spec: DataReductionSpec, cfg: &DriveConfig) -> Result<DriveReport, 
                     let view = m.view();
                     if let Ok(res) = run_query(&view, &mix[qi], now, unsync, parallel) {
                         local.push(Observation {
-                            epoch: view.epoch(),
+                            view,
                             query: qi,
                             unsync,
                             now,
@@ -286,30 +289,32 @@ pub fn drive(spec: DataReductionSpec, cfg: &DriveConfig) -> Result<DriveReport, 
         return Err(e);
     }
 
-    // Audit: re-evaluate every observation against the retained view of
-    // the epoch it read. Sequential evaluation (parallel=false) is the
-    // reference; the digest is order-insensitive so it matches both.
+    // Audit: re-evaluate every observation against the view it pinned.
+    // Sequential evaluation (parallel=false) is the reference; the
+    // digest is order-insensitive so it matches both.
     let published = published.into_inner().unwrap();
-    let by_epoch: std::collections::HashMap<u64, &WarehouseView> =
-        published.iter().map(|v| (v.epoch(), v)).collect();
     let observations = observations.into_inner().unwrap();
     let mix0 = query_mix(&published[0]);
-    let mut torn = 0usize;
-    for ob in &observations {
-        let Some(view) = by_epoch.get(&ob.epoch) else {
-            torn += 1; // read an epoch that was never published
-            continue;
-        };
-        match run_query(view, &mix0[ob.query], ob.now, ob.unsync, false) {
-            Ok(expect) if result_digest(&expect) == ob.digest => {}
-            _ => torn += 1,
-        }
-    }
-
     let published: Vec<(u64, u64)> = published
         .iter()
         .map(|v| (v.epoch(), view_digest(v)))
         .collect();
+    let by_epoch: std::collections::HashMap<u64, u64> = published.iter().copied().collect();
+    let last_epoch = published.last().map_or(0, |&(e, _)| e);
+    let mut torn = 0usize;
+    for ob in &observations {
+        let epoch = ob.view.epoch();
+        // An epoch past the last mutation's was never published; one the
+        // writer retained must be the version the writer saw.
+        let retained = by_epoch.get(&epoch);
+        let was_published =
+            epoch <= last_epoch && retained.is_none_or(|d| *d == view_digest(&ob.view));
+        match run_query(&ob.view, &mix0[ob.query], ob.now, ob.unsync, false) {
+            Ok(expect) if was_published && result_digest(&expect) == ob.digest => {}
+            _ => torn += 1,
+        }
+    }
+
     let mut schedule_digest: u64 = 0xcbf2_9ce4_8422_2325;
     for &(e, d) in &published {
         schedule_digest ^= e.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ d;

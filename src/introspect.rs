@@ -1,7 +1,7 @@
 //! Warehouse introspection: `specdr explain` and `specdr profile`.
 //!
-//! Runs one operation — a subcube query or a synchronization (reduction)
-//! pass — with the `sdr-obs` registry recording, then assembles an
+//! Runs one operation — a subcube query or a reduction — with the
+//! `sdr-obs` registry recording, then assembles an
 //! [`Introspection`]: the subcube DAG annotated with each cube's exact
 //! [`SubcubeStats`](crate::subcube::SubcubeStats) (rows, bytes, distinct
 //! values, zone map, epoch), which cubes the operation scanned and which
@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use sdr_mdm::{DayNum, Mo};
 use sdr_obs::Snapshot;
-use sdr_subcube::{AgeStats, CubeQuery, SubcubeError, SubcubeManager, SyncStats};
+use sdr_subcube::{AgeStats, CubeQuery, SubcubeError, SubcubeManager};
 
 /// One cube of the warehouse DAG, annotated for explain output.
 #[derive(Debug, Clone)]
@@ -80,13 +80,14 @@ pub struct PhaseReport {
 /// The assembled introspection report for one operation.
 #[derive(Debug, Clone)]
 pub struct Introspection {
-    /// What ran: `"query"` or `"sync"`.
+    /// What ran: `"query"`, `"query_unsync"`, `"age"` or `"profile"`.
     pub op: String,
     /// The `NOW` the operation ran at.
     pub now: DayNum,
     /// The warehouse epoch after the operation.
     pub epoch: u64,
-    /// Rows in the operation's result (query answer or post-sync total).
+    /// Rows in the operation's result (query answer or post-reduction
+    /// total).
     pub result_rows: u64,
     /// The annotated subcube DAG.
     pub cubes: Vec<CubeReport>,
@@ -191,10 +192,7 @@ pub fn explain_query(
     let view = mgr.view();
     let mut cubes = dag_of(&view);
     annotate_query_scans(&mut cubes, &snap);
-    annotate_plan(
-        &mut cubes,
-        &view.plan(q, now, view.region_oracle().as_ref()),
-    );
+    annotate_plan(&mut cubes, &view.plan(q, now, view.region_oracle()));
     let report = Introspection {
         op: "query".into(),
         now,
@@ -228,7 +226,7 @@ pub fn explain_query_unsync(
     })?;
     let mut cubes = dag_of(&aged);
     annotate_query_scans(&mut cubes, &snap);
-    annotate_plan(&mut cubes, &aged.plan(q, now, None));
+    annotate_plan(&mut cubes, &aged.plan(q, now, aged.region_oracle()));
     let report = Introspection {
         op: "query_unsync".into(),
         now,
@@ -289,16 +287,16 @@ fn annotate_plan(cubes: &mut [CubeReport], plan: &sdr_plan::QueryPlan) {
     }
 }
 
-/// Profiles one full pass — a synchronization followed by a query —
-/// under a single trace recording, so the phase breakdown covers the
-/// reduction kernel, the sync scan/rebuild, and the query fan-out side
-/// by side. Cube scan annotations come from the query half.
+/// Profiles a synchronization followed by a query under a single trace
+/// recording, so the phase breakdown covers the reduction steps and the
+/// query fan-out side by side. Cube scan annotations come from the query
+/// half.
 pub fn profile(
     mgr: &SubcubeManager,
     q: &CubeQuery,
     now: DayNum,
     parallel: bool,
-) -> Result<(SyncStats, Mo, Introspection), SubcubeError> {
+) -> Result<(AgeStats, Mo, Introspection), SubcubeError> {
     let ((stats, answer), snap) = recorded(|| {
         let s = mgr.sync(now)?;
         let a = mgr.query(q, now, parallel)?;
@@ -307,10 +305,7 @@ pub fn profile(
     let view = mgr.view();
     let mut cubes = dag_of(&view);
     annotate_query_scans(&mut cubes, &snap);
-    annotate_plan(
-        &mut cubes,
-        &view.plan(q, now, view.region_oracle().as_ref()),
-    );
+    annotate_plan(&mut cubes, &view.plan(q, now, view.region_oracle()));
     let report = Introspection {
         op: "profile".into(),
         now,
@@ -323,42 +318,14 @@ pub fn profile(
     Ok((stats, answer, report))
 }
 
-/// Explains a reduction (synchronization) pass: runs
-/// [`SubcubeManager::sync`] at `now` with tracing on and reports the
-/// post-sync DAG. Every cube is scanned by a sync pass; `rows_out` is
-/// each cube's post-sync row count.
-pub fn explain_sync(
-    mgr: &SubcubeManager,
-    now: DayNum,
-) -> Result<(SyncStats, Introspection), SubcubeError> {
-    let (stats, snap) = recorded(|| mgr.sync(now))?;
-    let view = mgr.view();
-    let mut cubes = dag_of(&view);
-    for c in &mut cubes {
-        c.scanned = true;
-        c.rows_out = c.rows;
-        c.skippable = false;
-    }
-    let report = Introspection {
-        op: "sync".into(),
-        now,
-        epoch: view.epoch(),
-        result_rows: view.len() as u64,
-        cubes,
-        phases: phases_of(&snap),
-        snapshot: snap,
-    };
-    Ok((stats, report))
-}
-
-/// Runs one incremental aging pass ([`SubcubeManager::age`]) with
-/// tracing on and assembles its introspection report. The phase table
-/// separates the scheduler (`subcube.age.schedule`), the per-transition
-/// ticks (`subcube.age.tick`) with their summed `rows_in`/`rows_out`,
-/// and the baseline `subcube.sync.scan`/`subcube.sync.rebuild` a
-/// never-synchronized warehouse starts with —
-/// so the report shows exactly how much work the incremental path did
-/// compared to a from-scratch synchronization.
+/// Explains a reduction: runs [`SubcubeManager::age`] to `until` with
+/// tracing on and reports the DAG it leaves. The phase table separates
+/// the scheduler (`subcube.age.schedule`) from the steps
+/// (`subcube.age.tick`, one per transition day or one homing-only step)
+/// with their summed `rows_in`/`rows_out` — on a warehouse never
+/// synchronized the one step examines every row, on a synchronized one
+/// only what the transitions touch. Every cube counts as scanned;
+/// `rows_out` is each cube's row count afterwards.
 pub fn explain_age(
     mgr: &SubcubeManager,
     until: DayNum,
@@ -630,34 +597,32 @@ mod tests {
     }
 
     #[test]
-    fn explain_sync_reports_phase_breakdown() {
+    fn explain_age_reports_phase_breakdown() {
         let _g = REGISTRY.lock().unwrap();
         let m = warehouse();
         let now = days_from_civil(2000, 6, 5);
-        let (stats, report) = explain_sync(&m, now).unwrap();
-        assert_eq!(report.op, "sync");
-        assert!(stats.migrated > 0);
+        let loaded = m.len();
+        let (stats, report) = explain_age(&m, now).unwrap();
+        assert_eq!(report.op, "age");
+        assert!(stats.cells_delta > 0);
         let paths: Vec<&str> = report.phases.iter().map(|p| p.path.as_str()).collect();
-        assert!(paths.contains(&"subcube.sync"), "{paths:?}");
-        assert!(
-            paths.contains(&"subcube.sync/subcube.sync.scan"),
-            "{paths:?}"
-        );
+        assert!(paths.contains(&"subcube.age"), "{paths:?}");
         // The span attributes agree with the stats the call returned:
-        // the scan phase reads every surviving fact, the outer sync span
-        // stamps the before/after warehouse totals.
-        let scan = report
+        // the one step of a never-synchronized warehouse examines every
+        // loaded fact, the outer span stamps the warehouse total after.
+        let tick = report
             .phases
             .iter()
-            .find(|p| p.path == "subcube.sync/subcube.sync.scan")
-            .unwrap();
-        assert_eq!(scan.rows_in, (stats.kept + stats.migrated) as u64);
-        let sync = report
+            .find(|p| p.path == "subcube.age/subcube.age.tick")
+            .unwrap_or_else(|| panic!("{paths:?}"));
+        assert_eq!((tick.count, tick.rows_in), (1, loaded as u64));
+        assert_eq!(stats.rows_homed, loaded);
+        let age = report
             .phases
             .iter()
-            .find(|p| p.path == "subcube.sync")
+            .find(|p| p.path == "subcube.age")
             .unwrap();
-        assert_eq!(sync.rows_out, report.result_rows);
+        assert_eq!(age.rows_out, report.result_rows);
         assert_eq!(
             report.cubes.iter().map(|c| c.rows).sum::<u64>(),
             report.result_rows

@@ -1,6 +1,7 @@
-//! Continuous-aging suite: the incremental scheduler and aging engine
+//! Continuous-aging suite: the scheduler and the reduction step
 //! (`ReductionSchedule` + `SubcubeManager::age`) proven equal to
-//! from-scratch reduction at every tick.
+//! Definition 2 over the raw facts (`reduce`, which shares no code with
+//! the step) at every tick.
 //!
 //! * Schedule goldens: the precomputed transition days match a
 //!   brute-force day-by-day grounding scan for every example spec and
@@ -8,15 +9,21 @@
 //!   constant between consecutive transition days (the staircase
 //!   property the aging engine relies on).
 //! * Long-horizon differential: 3+ years of seeded clicks aged through
-//!   *every* scheduled transition day equal a from-scratch `sync` on a
-//!   fresh manager at each day — by full MO digest and by per-subcube
-//!   stats (epochs masked: carried-forward cubes legitimately keep the
-//!   epoch they were last rebuilt at).
+//!   *every* scheduled transition day hold, at each day, the reduction
+//!   of the raw clicks — content, per-cube placement and provenance.
 //! * Tick-partition property: aging in one jump equals aging through
-//!   any random subset of the intermediate transition days.
+//!   any random subset of the intermediate transition days (cubes and
+//!   per-subcube stats, epochs masked: carried-forward cubes
+//!   legitimately keep the epoch they were last rebuilt at).
 //! * Interleaved differential: 430 days of alternating `bulk_load` and
-//!   `age` (late facts, double loads, skipped agings) equal one load +
-//!   one `sync` of the same facts after every `age`.
+//!   `age` (late facts, double loads, skipped agings) hold the reduction
+//!   of everything loaded so far after every `age`.
+//! * Scheduler pins: `needs_sync` / `next_sync_due` answer from the
+//!   schedule what the per-call step-day scan they replaced answered,
+//!   on every day of the schema horizon.
+
+#[path = "../crates/subcube/tests/common/mod.rs"]
+mod common;
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -24,8 +31,8 @@ use std::sync::Arc;
 use specdr::mdm::calendar::days_from_civil;
 use specdr::mdm::{DayNum, Schema};
 use specdr::prover::Region;
-use specdr::reduce::{DataReductionSpec, ReductionSchedule};
-use specdr::spec::{eval_pred, ground_conj, parse_action, parse_actions, to_dnf, Pexp};
+use specdr::reduce::{reduce, reduce_naive, DataReductionSpec, ReductionSchedule};
+use specdr::spec::{eval_pred, ground_conj, parse_action, parse_actions, step_days, to_dnf, Pexp};
 use specdr::subcube::{SubcubeManager, SubcubeStats};
 use specdr::workload::{
     aging_script, daily_script, generate, paper_mo, ClickstreamConfig, DailyOp, ACTION_A1,
@@ -48,19 +55,15 @@ fn paper_spec() -> (DataReductionSpec, specdr::mdm::Mo) {
     (DataReductionSpec::new(schema, vec![a1, a2]).unwrap(), mo)
 }
 
-/// Sorted rendering of every fact in the warehouse — the full-MO digest
-/// the differential assertions compare (row order inside a cube is not
-/// observable through queries, so the digest must not depend on it).
-fn digest(m: &SubcubeManager) -> Vec<String> {
-    let whole = m.to_mo().unwrap();
-    let mut r: Vec<String> = whole.facts().map(|f| whole.render_fact(f)).collect();
-    r.sort();
-    r
+/// `m` holds Definition 2's reduction of `raw` at `t`.
+fn assert_reduced(m: &SubcubeManager, raw: &specdr::mdm::Mo, t: DayNum, ctx: &str) {
+    assert_eq!(m.last_sync(), Some(t), "{ctx}");
+    common::assert_holds(&[m.view()], &reduce(raw, &m.spec(), t).unwrap(), ctx);
 }
 
 /// Per-subcube stats with the epoch stamp masked: an aged warehouse
 /// carries untouched cubes forward without republishing them, so their
-/// `last_epoch` legitimately differs from a fresh manager's.
+/// `last_epoch` legitimately differs between two ways of getting there.
 fn masked_stats(m: &SubcubeManager) -> Vec<SubcubeStats> {
     m.view()
         .cubes()
@@ -207,9 +210,72 @@ fn schedule_boundary_cases() {
     assert_eq!(sched.transitions_between(t - 1, t), vec![t]);
 }
 
+/// The change days of every disjunct of `spec` over the horizon, by the
+/// day-by-day grounding scan of `sdr_spec::step_days` — what the
+/// warehouse's scheduler consulted, per call, before it asked the cached
+/// schedule. (`step_days` always returns both endpoints; the last one is
+/// a change day only if the grounding differs there.)
+fn step_day_scan(spec: &DataReductionSpec, horizon: (DayNum, DayNum)) -> Vec<DayNum> {
+    let schema = spec.schema();
+    let mut days = Vec::new();
+    for (_, a) in spec.actions() {
+        for conj in to_dnf(&a.pred) {
+            let steps = step_days(schema, &conj, horizon.0, horizon.1).unwrap();
+            let (inner, end) = steps[1..].split_at(steps.len() - 2);
+            days.extend_from_slice(inner);
+            let at = |t| ground_conj(schema, &conj, t).unwrap();
+            if at(horizon.1 - 1) != at(horizon.1) {
+                days.extend_from_slice(end);
+            }
+        }
+    }
+    days.sort_unstable();
+    days.dedup();
+    days
+}
+
+/// The scheduler swap changed no answer: on every day of the schema
+/// horizon, for both shipped specifications, `next_sync_due` and
+/// `needs_sync` (a day and forty days ahead of the watermark) say what
+/// the step-day scan said; outside the horizon they follow the schedule,
+/// which has nothing there.
+#[test]
+fn scheduler_answers_what_the_step_day_scan_answered() {
+    let cs = generate(&ClickstreamConfig {
+        clicks_per_day: 0,
+        ..Default::default()
+    });
+    let shipped = spec_from_sources(&cs.schema, &specdr::workload::retention_policy(6, 36));
+    for (name, spec) in [("retention(6,36)", shipped), ("paper", paper_spec().0)] {
+        let (lo, hi) = ReductionSchedule::build(&spec).unwrap().horizon();
+        let scan = step_day_scan(&spec, (lo, hi));
+        assert!(scan.len() > 20, "{name}: {} step days", scan.len());
+        let due_after = |d: DayNum| scan.iter().copied().find(|&t| t > d);
+        let m = SubcubeManager::new(spec);
+        for d in lo..=hi {
+            assert_eq!(m.next_sync_due(d).unwrap(), due_after(d), "{name} day {d}");
+            m.sync(d).unwrap();
+            for ahead in [1, 40].into_iter().filter(|a| d + a <= hi) {
+                let want = due_after(d).is_some_and(|t| t <= d + ahead);
+                assert_eq!(m.needs_sync(d + ahead).unwrap(), want, "{name} {d}+{ahead}");
+            }
+            assert!(
+                !m.needs_sync(d - 5).unwrap(),
+                "{name}: before the watermark"
+            );
+        }
+        assert_eq!(m.next_sync_due(lo - 400).unwrap(), scan.first().copied());
+        assert!(scan[0] > lo, "{name}: a due day at or before the horizon");
+        for past in [hi, hi + 1, hi + 4000] {
+            assert_eq!(m.next_sync_due(past).unwrap(), None, "{name} day {past}");
+            assert!(!m.needs_sync(past).unwrap(), "{name} day {past}");
+        }
+    }
+}
+
 /// The tentpole guarantee, long horizon: a warehouse aged through every
-/// scheduled transition day equals a from-scratch synchronization at
-/// each one, over 3+ years of seeded clicks and seeded random policies.
+/// scheduled transition day is, at each one, the reduction of the raw
+/// clicks, over 3+ years of seeded clicks and seeded random policies.
 fn differential_run(seed: u64) {
     let script = aging_script(seed);
     let schema = Arc::clone(&script.cs.schema);
@@ -230,19 +296,7 @@ fn differential_run(seed: u64) {
         let stats = aged.age(t).unwrap();
         assert_eq!(stats.ticks, 1, "seed {seed}: one transition per step");
         skipped_total += stats.cubes_skipped;
-        let fresh = SubcubeManager::new(spec.clone());
-        fresh.bulk_load(&script.cs.mo).unwrap();
-        fresh.sync(t).unwrap();
-        assert_eq!(
-            digest(&aged),
-            digest(&fresh),
-            "seed {seed}: digest divergence at tick {t}"
-        );
-        assert_eq!(
-            masked_stats(&aged),
-            masked_stats(&fresh),
-            "seed {seed}: stats divergence at tick {t}"
-        );
+        assert_reduced(&aged, &script.cs.mo, t, &format!("seed {seed} tick {t}"));
     }
     // Incrementality was real: untouched cubes were carried forward.
     assert!(skipped_total > 0, "seed {seed}: no cube ever skipped");
@@ -265,9 +319,9 @@ fn long_horizon_differential_seed_3() {
 }
 
 /// The write path's guarantee: loading a day and aging to it, day after
-/// day, lands after **every** `age` on exactly the state one bulk load of
-/// everything so far plus one `sync` produces — although `age` only ever
-/// resolves the rows loaded since the previous pass.
+/// day, holds after **every** `age` exactly the reduction of everything
+/// loaded so far — although `age` only ever resolves the rows loaded
+/// since the previous pass.
 fn interleaved_run(seed: u64) {
     let script = daily_script(seed, 430);
     let spec = spec_from_sources(&script.schema, &script.actions);
@@ -306,15 +360,7 @@ fn interleaved_run(seed: u64) {
         (pending, loads_since_age) = (0, 0);
         assert!(!aged.view().is_dirty(), "{ctx}");
 
-        let fresh = SubcubeManager::new(spec.clone());
-        fresh.bulk_load(&all).unwrap();
-        fresh.sync(t).unwrap();
-        assert_eq!(digest(&aged), digest(&fresh), "{ctx}: digest divergence");
-        assert_eq!(
-            masked_stats(&aged),
-            masked_stats(&fresh),
-            "{ctx}: stats divergence"
-        );
+        assert_reduced(&aged, &all, t, &ctx);
         aged.verify_stats().unwrap();
     }
     // The script exercised what it promises.
@@ -347,7 +393,8 @@ proptest! {
 
     /// Tick partitioning: aging straight to a target day equals aging
     /// through any subset of the intermediate transition days first
-    /// (one jump == k sub-steps), and both equal a from-scratch sync.
+    /// (one jump == k sub-steps), and both are the reduction at the
+    /// target.
     #[test]
     fn one_jump_equals_random_tick_partition(mask in any::<u64>(), stop_at in 4usize..40) {
         let (spec, mo) = paper_spec();
@@ -377,12 +424,9 @@ proptest! {
             stepped.age(t).unwrap();
         }
         stepped.age(target).unwrap();
-        prop_assert_eq!(digest(&jump), digest(&stepped));
+        prop_assert_eq!(common::placed(&[jump.view()]), common::placed(&[stepped.view()]));
         prop_assert_eq!(masked_stats(&jump), masked_stats(&stepped));
-
-        let fresh = SubcubeManager::new(spec);
-        fresh.bulk_load(&mo).unwrap();
-        fresh.sync(target).unwrap();
-        prop_assert_eq!(digest(&jump), digest(&fresh));
+        let want = reduce_naive(&mo, &spec, target).unwrap();
+        common::assert_holds(&[jump.view()], &want, "one jump");
     }
 }

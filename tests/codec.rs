@@ -17,7 +17,9 @@ use specdr::reduce::DataReductionSpec;
 use specdr::spec::parse_action;
 use specdr::storage::{decode_facts, encode_facts, table_stats, TableStats};
 use specdr::subcube::ShardRouter;
-use specdr::workload::{generate, paper_mo, paper_schema, retention_policy, ClickstreamConfig};
+use specdr::workload::{
+    generate, paper_mo, paper_schema, retention_policy, ClickstreamConfig, ACTION_A1, ACTION_A2,
+};
 
 fn fnv(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -204,6 +206,79 @@ fn seeded_warehouse_directory_matches_the_parents() {
     std::fs::remove_dir_all(&dir).ok();
     let got: Vec<(&str, u64)> = got.iter().map(|(p, d)| (p.as_str(), *d)).collect();
     assert_eq!(got, WANT, "got {got:#x?}");
+}
+
+/// (c) A fresh load reduced by one `sync` and checkpointed — the paper
+/// MO, and six weeks of clicks of which the sync day leaves the last two
+/// at the bottom — leaves, on two shards, the files the parent's
+/// scan-and-rebuild pass left: the one reduction step homes a warehouse
+/// never synchronized into the same rows in the same order.
+#[test]
+fn fresh_load_sync_checkpoint_matches_the_parents() {
+    const PAPER: [(&str, u64); 13] = [
+        ("SHARDS", 0x28db_194c_d6e9_d606),
+        ("shard-000/CURRENT", 0xaef4_069a_67ae_f9b5),
+        ("shard-000/ckpt-000001/MANIFEST", 0xd19a_d460_b4fc_6f2f),
+        ("shard-000/ckpt-000001/cube-0.sdr", 0x9be9_a64d_6081_4ae8),
+        ("shard-000/ckpt-000001/cube-1.sdr", 0x25d5_f547_72da_d27d),
+        ("shard-000/ckpt-000001/cube-2.sdr", 0xcd9a_8a13_9477_85a8),
+        ("shard-000/wal-000001.log", 0x4d7e_dd62_9f60_c7da),
+        ("shard-001/CURRENT", 0xaef4_069a_67ae_f9b5),
+        ("shard-001/ckpt-000001/MANIFEST", 0xe4cf_ca48_8e28_1863),
+        ("shard-001/ckpt-000001/cube-0.sdr", 0x6300_81af_ffef_b16f),
+        ("shard-001/ckpt-000001/cube-1.sdr", 0x7961_3e1c_d1b9_c0a5),
+        ("shard-001/ckpt-000001/cube-2.sdr", 0x9be9_a64d_6081_4ae8),
+        ("shard-001/wal-000001.log", 0x4d7e_dd62_9f60_c7da),
+    ];
+    const CLICKS: [(&str, u64); 13] = [
+        ("SHARDS", 0x28db_194c_d6e9_d606),
+        ("shard-000/CURRENT", 0xaef4_069a_67ae_f9b5),
+        ("shard-000/ckpt-000001/MANIFEST", 0xe637_5473_14a9_798f),
+        ("shard-000/ckpt-000001/cube-0.sdr", 0x2696_32c7_ca89_ad4d),
+        ("shard-000/ckpt-000001/cube-1.sdr", 0xd857_006a_8809_ad2d),
+        ("shard-000/ckpt-000001/cube-2.sdr", 0x9be9_a64d_6081_4ae8),
+        ("shard-000/wal-000001.log", 0x4d7e_dd62_9f60_c7da),
+        ("shard-001/CURRENT", 0xaef4_069a_67ae_f9b5),
+        ("shard-001/ckpt-000001/MANIFEST", 0xf38b_870f_d89f_aaa6),
+        ("shard-001/ckpt-000001/cube-0.sdr", 0x6465_cd65_7303_3f02),
+        ("shard-001/ckpt-000001/cube-1.sdr", 0xcc6d_e1e9_44b5_814d),
+        ("shard-001/ckpt-000001/cube-2.sdr", 0x9be9_a64d_6081_4ae8),
+        ("shard-001/wal-000001.log", 0x4d7e_dd62_9f60_c7da),
+    ];
+    let (paper, _) = paper_mo();
+    let paper_actions = [ACTION_A1, ACTION_A2]
+        .iter()
+        .map(|s| parse_action(paper.schema(), s).unwrap())
+        .collect();
+    let month = clicks(500, (2000, 1, 1), (2000, 2, 14));
+    let click_actions = retention_policy(2, 12)
+        .iter()
+        .map(|s| parse_action(month.schema(), s).unwrap())
+        .collect();
+    let cases = [
+        ("paper", paper, paper_actions, (2000, 11, 5), PAPER),
+        ("clicks", month, click_actions, (2000, 3, 20), CLICKS),
+    ];
+    for (name, mo, actions, (y, m, d), want) in cases {
+        let spec = DataReductionSpec::new(Arc::clone(mo.schema()), actions).unwrap();
+        let dir =
+            std::env::temp_dir().join(format!("sdr-codec-fresh-{name}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let router = ShardRouter::create(spec, &dir, 2).unwrap();
+        router.bulk_load(&mo).unwrap();
+        router.sync(days_from_civil(y, m, d)).unwrap();
+        assert!(router
+            .view_set()
+            .views()
+            .iter()
+            .all(|v| v.cubes()[1].rows() > 0));
+        router.checkpoint().unwrap();
+        drop(router);
+        let got = dir_digests(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        let got: Vec<(&str, u64)> = got.iter().map(|(p, d)| (p.as_str(), *d)).collect();
+        assert_eq!(got, want, "{name}: got {got:#x?}");
+    }
 }
 
 /// Twenty enumerated dimensions of 40 values: 7 bits each, more than the

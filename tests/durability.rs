@@ -8,8 +8,11 @@
 //! workload; the property test does the same over random workloads and
 //! crash points. Both re-apply the unacknowledged suffix after recovery
 //! and require the result to be indistinguishable — facts, per-cube
-//! granularities, `last_sync`, and the `SyncStats` of a probe sync —
-//! from a run that never crashed.
+//! granularities, `last_sync`, and what a probe sync then moves — from
+//! a run that never crashed.
+
+#[path = "../crates/subcube/tests/common/mod.rs"]
+mod common;
 
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -20,7 +23,7 @@ use specdr::mdm::{time_cat as tc, DimValue, Mo, Schema, TimeValue};
 use specdr::reduce::{DataReductionSpec, ReductionSchedule};
 use specdr::spec::{parse_action, ActionId, ActionSpec};
 use specdr::storage::fs::{FailpointFs, FaultMode, Fs, RealFs};
-use specdr::subcube::{DurableWarehouse, SubcubeManager, SubcubeStats, SyncStats, WarehouseOp};
+use specdr::subcube::{AgeStats, DurableWarehouse, SubcubeManager, SubcubeStats, WarehouseOp};
 use specdr::workload::{daily_script, paper_mo, DailyOp, ACTION_A1, ACTION_A2};
 
 /// One logical warehouse operation of a test workload.
@@ -489,10 +492,8 @@ fn interleaved_load_and_age_survives_drop_and_recover() {
     let Some(Op::Age(end)) = ops.last() else {
         panic!("the script ends with an age");
     };
-    let fresh = SubcubeManager::new(spec.clone());
-    fresh.bulk_load(&all).unwrap();
-    fresh.sync(*end).unwrap();
-    assert_eq!(state(w.manager()), state(&fresh));
+    let want = specdr::reduce::reduce(&all, &spec, *end).unwrap();
+    common::assert_holds(&[w.manager().view()], &want, "after the last age");
     w.manager().verify_stats().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -698,8 +699,8 @@ proptest! {
 
     /// Arbitrary workloads, arbitrary crash points, every fault mode:
     /// `recover()` + resume is indistinguishable from never crashing —
-    /// facts, per-cube granularities, `last_sync`, and the `SyncStats`
-    /// of a probe sync all agree.
+    /// facts, per-cube granularities, `last_sync`, and what a probe
+    /// sync moves all agree.
     #[test]
     fn recovery_equals_never_crashed(
         kinds in proptest::collection::vec((0u8..8, 0u32..90, 0usize..4), 2..9),
@@ -742,7 +743,10 @@ proptest! {
         // reference react identically to the next tick.
         let probe = clock + 60;
         let reference_m = reference(&spec, &ops);
-        let ref_stats: SyncStats = reference_m.sync(probe).unwrap();
+        // (What it moves, not how many chunks it rewrites: a recovered
+        // cube is re-cut from its checkpoint file.)
+        let moved = |s: AgeStats| (s.ticks, s.cells_delta, s.merged, s.rows_homed);
+        let ref_stats = moved(reference_m.sync(probe).unwrap());
         if dir.join("CURRENT").exists() {
             let (mut w, _) =
                 DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
@@ -758,7 +762,7 @@ proptest! {
                     op.apply_durable(&mut w).unwrap();
                 }
             }
-            let got_stats = w.sync(probe).unwrap();
+            let got_stats = moved(w.sync(probe).unwrap());
             prop_assert_eq!(got_stats, ref_stats);
             let (f2, c2, l2) = state(w.manager());
             let (rf, rc, rl) = state(&reference_m);
@@ -891,13 +895,9 @@ fn seeded_aging_crash_schedule_is_deterministic() {
     );
 }
 
-/// The paper MO, bulk-loaded and synchronized to 2000/11/5 under
-/// {a1, a2}, as the format-2 (PR 6) checkpointer wrote it: `SDRFACT1`
-/// cube files (plain/RLE/delta columns only) under a format-2 manifest
-/// with legacy-projected stats and no byte table. Generated once at
-/// commit c168b26, the last with a format-2 writer; copied into a fresh
-/// directory per use.
-fn legacy_format2_dir(tag: &str) -> PathBuf {
+/// A checked-in warehouse directory under `tests/fixtures`, copied into
+/// a fresh directory per use.
+fn fixture_dir(name: &str, tag: &str) -> PathBuf {
     fn copy(from: &std::path::Path, to: &std::path::Path) {
         std::fs::create_dir_all(to).unwrap();
         for e in std::fs::read_dir(from).unwrap() {
@@ -911,9 +911,65 @@ fn legacy_format2_dir(tag: &str) -> PathBuf {
         }
     }
     let dir = tmpdir(tag);
-    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/format2_dir");
-    copy(fixture.as_ref(), &dir);
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    copy(&fixture.join(name), &dir);
     dir
+}
+
+/// The paper MO, bulk-loaded and synchronized to 2000/11/5 under
+/// {a1, a2}, as the format-2 (PR 6) checkpointer wrote it: `SDRFACT1`
+/// cube files (plain/RLE/delta columns only) under a format-2 manifest
+/// with legacy-projected stats and no byte table. Generated once at
+/// commit c168b26, the last with a format-2 writer.
+fn legacy_format2_dir(tag: &str) -> PathBuf {
+    fixture_dir("format2_dir", tag)
+}
+
+/// A log written by the last commit whose `sync` was a scan-and-rebuild
+/// pass of its own (7d49c23) replays through the one reduction step to
+/// the content that commit held: the empty epoch-0 checkpoint plus six
+/// records — load facts 0–4, `Sync` 2000/6/5, load facts 5, 6 and 1
+/// again, `Sync` 2000/4/5 (before the watermark: the load is homed at
+/// 2000/6/5), `Sync` 2000/11/5, `Age` 2001/1/5. Rows and provenance per
+/// cube are that commit's own print-out.
+#[test]
+fn a_log_with_sync_records_written_by_the_parent_recovers_to_its_content() {
+    const WANT: [&str; 4] = [
+        "K0 fact(2000/1/20, http://www.cc.gatech.edu/ | 1, 32, 1, 12000) @4294967295",
+        "K2 fact(1999Q4, amazon.com | 2, 689, 3, 68000) @1",
+        "K2 fact(1999Q4, cnn.com | 3, 4824, 12, 146000) @1",
+        "K2 fact(2000Q1, cnn.com | 2, 955, 10, 99000) @1",
+    ];
+    let (mo, _) = paper_mo();
+    let schema = Arc::clone(mo.schema());
+    let a1 = parse_action(&schema, ACTION_A1).unwrap();
+    let a2 = parse_action(&schema, ACTION_A2).unwrap();
+    let spec = DataReductionSpec::new(schema, vec![a1, a2]).unwrap();
+    let dir = fixture_dir("sync_wal_dir", "sync-wal");
+    let records = specdr::storage::scan_wal(&RealFs, &dir.join("wal-000000.log")).unwrap();
+    let tags: Vec<u8> = records.records.iter().map(|r| r[0]).collect();
+    assert_eq!(tags, [1, 2, 1, 2, 2, 5], "load, sync and age records");
+    let (rec, report) = DurableWarehouse::recover_with_fs(spec, &dir, RealFs::shared()).unwrap();
+    assert_eq!((report.replayed, report.dropped_bytes), (6, 0));
+    let view = rec.manager().view();
+    assert_eq!(view.last_sync(), Some(days_from_civil(2001, 1, 5)));
+    let mut got = Vec::new();
+    for (i, c) in view.cubes().iter().enumerate() {
+        let d = c.data();
+        let origin = |f: specdr::mdm::FactId| d.store().origin[f.index()];
+        got.extend(
+            d.facts()
+                .map(|f| format!("K{i} {} @{}", d.render_fact(f), origin(f))),
+        );
+    }
+    got.sort();
+    assert_eq!(got, WANT);
+    // And that content is the reduction of the eight facts loaded.
+    let loaded = mo.gather(&[0, 1, 2, 3, 4, 5, 6, 1]);
+    let want =
+        specdr::reduce::reduce_naive(&loaded, &rec.manager().spec(), view.last_sync().unwrap());
+    common::assert_holds(&[view], &want.unwrap(), "replayed log");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// ISSUE 8, satellite 4: storage-format round-trip matrix. A directory
@@ -1100,10 +1156,8 @@ fn checkpoint_between_load_and_age_keeps_rows_unhomed() {
         rec.age(day).unwrap();
         plain.age(day).unwrap();
         assert_eq!(state(rec.manager()), state(&plain), "age({day})");
-        let fresh = SubcubeManager::new(spec.clone());
-        fresh.bulk_load(&mo).unwrap();
-        fresh.sync(day).unwrap();
-        assert_eq!(state(rec.manager()), state(&fresh), "age({day}) vs sync");
+        let want = specdr::reduce::reduce_naive(&mo, &spec, day).unwrap();
+        common::assert_holds(&[rec.manager().view()], &want, &format!("age({day})"));
     }
 
     // Format 4 -> 3: once homed, the next checkpoint is a plain format 3.

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use specdr::introspect::{explain_query, explain_query_unsync, explain_sync, profile};
+use specdr::introspect::{explain_age, explain_query, explain_query_unsync, profile};
 use specdr::mdm::calendar::days_from_civil;
 use specdr::mdm::time_cat as tc;
 use specdr::query::{aggregate_ids_naive, select_snapshot, AggApproach, SelectMode};
@@ -151,23 +151,20 @@ fn explain_counts_match_naive_references() {
     );
     assert_eq!(specdr::obs::open_spans(), 0, "no span leaked");
 
-    // --- Phase 3: explain a reduction pass on a fresh warehouse; the
-    // per-cube rows must equal a naive recount of the post-sync state.
+    // --- Phase 3: explain a reduction on a fresh warehouse; the
+    // per-cube rows must equal a naive recount of the state it leaves.
     let m2 = manager_with_paper_data();
-    let (stats, sync_report) = explain_sync(&m2, now).unwrap();
-    assert!(stats.migrated > 0);
+    let (stats, age_report) = explain_age(&m2, now).unwrap();
+    assert!(stats.cells_delta > 0);
     let v2 = m2.view();
     for (i, cube) in v2.cubes().iter().enumerate() {
-        assert_eq!(sync_report.cubes[i].rows, cube.data().len() as u64);
-        assert!(sync_report.cubes[i].scanned);
+        assert_eq!(age_report.cubes[i].rows, cube.data().len() as u64);
+        assert!(age_report.cubes[i].scanned);
     }
-    assert_eq!(sync_report.result_rows, v2.len() as u64);
-    let paths: Vec<&str> = sync_report.phases.iter().map(|p| p.path.as_str()).collect();
-    assert!(paths.contains(&"subcube.sync"), "{paths:?}");
-    assert!(
-        paths.contains(&"subcube.sync/subcube.sync.scan"),
-        "{paths:?}"
-    );
+    assert_eq!(age_report.result_rows, v2.len() as u64);
+    let paths: Vec<&str> = age_report.phases.iter().map(|p| p.path.as_str()).collect();
+    assert!(paths.contains(&"subcube.age"), "{paths:?}");
+    assert!(paths.contains(&"subcube.age/subcube.age.tick"), "{paths:?}");
 
     // --- Phase 4: profile = sync + query under one recording; both
     // phase families present, and the query half matches the direct
@@ -175,7 +172,7 @@ fn explain_counts_match_naive_references() {
     let m3 = manager_with_paper_data();
     let q3 = figure8_query(&m3);
     let (pstats, panswer, preport) = profile(&m3, &q3, now, true).unwrap();
-    assert!(pstats.migrated > 0);
+    assert!(pstats.cells_delta > 0);
     assert_eq!(
         panswer.len(),
         direct.len(),
@@ -184,6 +181,10 @@ fn explain_counts_match_naive_references() {
     assert_eq!(preport.result_rows, direct.len() as u64);
     let ppaths: Vec<&str> = preport.phases.iter().map(|p| p.path.as_str()).collect();
     assert!(ppaths.contains(&"subcube.sync"), "{ppaths:?}");
+    assert!(
+        ppaths.contains(&"subcube.sync/subcube.age/subcube.age.tick"),
+        "{ppaths:?}"
+    );
     assert!(
         ppaths.contains(&"subcube.query/subcube.query.subquery"),
         "{ppaths:?}"
@@ -296,7 +297,7 @@ fn explain_cli_formats_are_consistent() {
 
     let trace = run(&[&["explain", "--reduce", "--format", "trace"], &base[..]].concat());
     assert!(trace.contains("\"traceEvents\":["), "{trace}");
-    assert!(trace.contains("subcube.sync.scan"), "{trace}");
+    assert!(trace.contains("subcube.age.tick"), "{trace}");
 
     let prof = run(&[&["profile", "--format", "json"], &base[..]].concat());
     assert!(prof.starts_with("{\"op\":\"profile\""), "{prof}");

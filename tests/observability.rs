@@ -62,7 +62,9 @@ fn metrics_agree_with_authoritative_numbers() {
     // The reduce span recorded exactly one timing.
     assert_eq!(snap.span("reduce.reduce").unwrap().count, 1);
 
-    // --- Phase 2: subcube sync. Counters must equal the returned stats.
+    // --- Phase 2: subcube sync. Counters must equal the returned stats;
+    // a reduction emits one name family whichever entry point ran, and
+    // the `subcube.sync` span says which one did.
     obs::reset();
     let mgr = SubcubeManager::new(spec);
     mgr.bulk_load(&mo).unwrap();
@@ -72,39 +74,49 @@ fn metrics_agree_with_authoritative_numbers() {
         snap.counter("subcube.bulk_load.facts").unwrap(),
         mo.len() as u64
     );
-    assert_eq!(
-        snap.counter("subcube.sync.kept").unwrap(),
-        stats.kept as u64,
-        "sync metrics publish the same locals returned as SyncStats"
-    );
-    assert_eq!(
-        snap.counter("subcube.sync.migrated").unwrap(),
-        stats.migrated as u64
-    );
-    assert_eq!(
-        snap.counter("subcube.sync.merged").unwrap(),
-        stats.merged as u64
-    );
-    // Per-source-cube migrations sum to the total.
-    let per_cube: u64 = snap
-        .counters
-        .iter()
-        .filter(|(n, _)| n.starts_with("subcube.sync.migrated_from."))
-        .map(|(_, v)| *v)
-        .sum();
-    assert_eq!(per_cube, stats.migrated as u64);
-    for name in ["subcube.sync", "subcube.sync.scan", "subcube.sync.rebuild"] {
+    // Never synchronized: one homing-only step over every loaded row.
+    assert_eq!((stats.ticks, stats.rows_homed), (0, mo.len()));
+    assert_eq!(stats.merged, mo.len() - mgr.len());
+    for (name, want) in [
+        ("age.ticks", stats.ticks),
+        ("age.cells_delta", stats.cells_delta),
+        ("age.cubes_skipped", stats.cubes_skipped),
+        ("age.rows_homed", stats.rows_homed),
+        ("subcube.chunks.rewritten", stats.chunks_rewritten),
+        ("subcube.chunks.carried", stats.chunks_carried),
+    ] {
+        assert_eq!(snap.counter(name), Some(want as u64), "{name}");
+    }
+    for name in ["subcube.sync", "subcube.age", "subcube.age.tick"] {
         assert_eq!(snap.span(name).unwrap().count, 1, "{name}");
     }
+    let tick = snap
+        .traces
+        .iter()
+        .find(|t| t.name == "subcube.age.tick")
+        .unwrap();
+    for (key, want) in [("ticks", 0), ("rows_in", mo.len())] {
+        let found = tick.attrs.iter().find(|(k, _)| k == key);
+        assert_eq!(found.unwrap().1, want.to_string(), "tick attr {key}");
+    }
+    assert!(
+        !snap
+            .counters
+            .iter()
+            .any(|(n, _)| n.starts_with("subcube.sync.")),
+        "the second metric family is gone: {:?}",
+        snap.counters
+    );
 
-    // --- Phase 3: a no-op sync tick takes the skipped fast path.
+    // --- Phase 3: a sync with nothing to do takes no step and publishes
+    // nothing.
     obs::reset();
-    mgr.sync(now).unwrap();
+    let epoch = mgr.epoch();
+    assert_eq!(mgr.sync(now).unwrap(), specdr::subcube::AgeStats::default());
     let snap = obs::snapshot();
-    assert_eq!(snap.counter("subcube.sync.skipped"), Some(1));
-    // The scan phase never ran (its registration survives the reset with
-    // a zero count).
-    assert_eq!(snap.span("subcube.sync.scan").map_or(0, |s| s.count), 0);
+    assert_eq!(mgr.epoch(), epoch);
+    assert_eq!(snap.span("subcube.sync").unwrap().count, 1);
+    assert_eq!(snap.span("subcube.age.tick").map_or(0, |s| s.count), 0);
 
     // --- Phase 3b: load + age. The aging counters and the per-tick span
     // attributes must equal the returned `AgeStats`, chunk accounting
@@ -226,7 +238,6 @@ fn metrics_agree_with_authoritative_numbers() {
         "subcube.chunks.rewritten",
         "subcube.chunks.carried",
         "subcube.publish.count",
-        "subcube.sync.migrated",
     ] {
         assert_eq!(snap.counter(name).unwrap_or(0), 0, "{name}");
     }

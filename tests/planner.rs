@@ -160,7 +160,7 @@ proptest! {
         let oracle = view.region_oracle();
         prop_assert!(oracle.is_some(), "synced warehouse must yield an oracle");
 
-        let planned = view.query_planned(&q, now, parallel, oracle.as_ref()).unwrap();
+        let planned = view.query_planned(&q, now, parallel, oracle).unwrap();
         let naive = view.query_naive(&q, now, parallel).unwrap();
         prop_assert_eq!(
             sorted_rows(&planned),
@@ -170,7 +170,7 @@ proptest! {
             MODES[mode_ix]
         );
 
-        let plan = view.plan(&q, now, oracle.as_ref());
+        let plan = view.plan(&q, now, oracle);
         assert_skips_contribute_nothing(&view, &plan, &q, now);
     }
 }
@@ -198,10 +198,10 @@ fn planner_prunes_on_the_paper_fixture() {
         levels: vec![time_cat::QUARTER, domain],
         approach: AggApproach::Availability,
     };
-    let plan = view.plan(&impossible, now, oracle.as_ref());
+    let plan = view.plan(&impossible, now, oracle);
     assert_eq!(plan.n_skipped(), view.cubes().len(), "{plan:?}");
     assert_eq!(
-        view.query_planned(&impossible, now, false, oracle.as_ref())
+        view.query_planned(&impossible, now, false, oracle)
             .unwrap()
             .len(),
         0
@@ -213,7 +213,7 @@ fn planner_prunes_on_the_paper_fixture() {
         pred: Some(parse_pexp(m.schema(), "Time.quarter >= 2000Q1").unwrap()),
         ..impossible.clone()
     };
-    let plan = view.plan(&selective, now, oracle.as_ref());
+    let plan = view.plan(&selective, now, oracle);
     assert!(plan.n_skipped() >= 1, "{plan:?}");
     assert!(!plan.order.is_empty(), "{plan:?}");
     for w in plan.order.windows(2) {
@@ -222,9 +222,7 @@ fn planner_prunes_on_the_paper_fixture() {
             "scan order must be cheapest-first: {plan:?}"
         );
     }
-    let planned = view
-        .query_planned(&selective, now, false, oracle.as_ref())
-        .unwrap();
+    let planned = view.query_planned(&selective, now, false, oracle).unwrap();
     let naive = view.query_naive(&selective, now, false).unwrap();
     assert_eq!(sorted_rows(&planned), sorted_rows(&naive));
     assert_skips_contribute_nothing(&view, &plan, &selective, now);

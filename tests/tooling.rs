@@ -518,6 +518,10 @@ fn stats_json_golden_schema_is_stable() {
     assert_eq!(
         names_of_kind("counter"),
         [
+            "age.cells_delta",
+            "age.cubes_skipped",
+            "age.rows_homed",
+            "age.ticks",
             "obs.trace.spans_closed",
             "plan.cubes_scanned",
             "plan.cubes_skipped",
@@ -537,13 +541,10 @@ fn stats_json_golden_schema_is_stable() {
             "storage.encoded_bytes",
             "storage.rows_sealed",
             "subcube.bulk_load.facts",
+            "subcube.chunks.carried",
+            "subcube.chunks.rewritten",
             "subcube.publish.count",
             "subcube.query.fanout",
-            "subcube.sync.distinct_cells",
-            "subcube.sync.kept",
-            "subcube.sync.merged",
-            "subcube.sync.migrated",
-            "subcube.sync.migrated_from.K0",
         ],
         "counter name set drifted:\n{stdout}"
     );
@@ -562,13 +563,13 @@ fn stats_json_golden_schema_is_stable() {
             "reduce.kernel.chunk",
             "reduce.reduce",
             "storage.encode",
+            "subcube.age",
             "subcube.age.schedule",
+            "subcube.age.tick",
             "subcube.bulk_load",
             "subcube.query",
             "subcube.query.subquery",
             "subcube.sync",
-            "subcube.sync.rebuild",
-            "subcube.sync.scan",
         ],
         "span name set drifted:\n{stdout}"
     );
@@ -1051,7 +1052,10 @@ fn atomic_orderings_carry_invariant_comments() {
 /// `crates/subcube/src/op.rs`) is the only place a `WarehouseOp` variant
 /// reaches a manager mutator. The durable, sharded and driver layers
 /// must go through `apply`, so live, batch, replay and scatter cannot
-/// drift apart; and the old log-record enum must not come back.
+/// drift apart; and the old log-record enum must not come back. Nor may
+/// the second reduction path: the full pass, its result types and the
+/// per-call step-day scheduler went when `sync` became `age`, and the
+/// subcube layer asks the cached `ReductionSchedule`, never the DNF.
 #[test]
 fn mutation_layers_only_apply_ops() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -1081,17 +1085,31 @@ fn mutation_layers_only_apply_ops() {
             }
         }
     }
-    let old_enum = concat!("Wal", "Op");
+    let retired = [
+        concat!("Wal", "Op"),
+        concat!("sync", "_pass"),
+        concat!("Full", "Pass"),
+        concat!("publish", "_pass"),
+        concat!("as", "_age"),
+        concat!("Sync", "Stats"),
+        concat!("OpOutcome::", "Synced"),
+        concat!("explain", "_sync"),
+        concat!("next_step", "_day"),
+    ];
+    let schedulers = [concat!("step_days", "("), concat!("ground_conj", "(")];
+    let subcube_src = root.join("crates/subcube/src");
     let mut stack = vec![root.join("crates"), root.join("src"), root.join("tests")];
     while let Some(dir) = stack.pop() {
         for entry in std::fs::read_dir(dir).unwrap() {
             let p = entry.unwrap().path();
             if p.is_dir() {
                 stack.push(p);
-            } else if p.extension().is_some_and(|e| e == "rs")
-                && std::fs::read_to_string(&p).unwrap().contains(old_enum)
-            {
-                violations.push(format!("{}: mentions `{old_enum}`", p.display()));
+            } else if p.extension().is_some_and(|e| e == "rs") {
+                let src = std::fs::read_to_string(&p).unwrap();
+                let own = schedulers.iter().filter(|_| p.starts_with(&subcube_src));
+                for name in retired.iter().chain(own).filter(|n| src.contains(**n)) {
+                    violations.push(format!("{}: mentions `{name}`", p.display()));
+                }
             }
         }
     }
