@@ -1,4 +1,4 @@
-//! Obs-overhead probe for the CI gate: times the E10 kernel digest path
+//! Obs-overhead probe for the CI gate: times the kernel digest path
 //! (select → aggregate → reduce) with the `sdr-obs` registry disabled
 //! and prints the median per-iteration wall time.
 //!

@@ -1,8 +1,8 @@
-//! Release-mode perf smoke for CI: runs the E10 operator set at a fixed
-//! small scale and fails (non-zero exit) if any kernel's output digest
-//! differs from its naive reference — a cheap guard that the vectorized
-//! paths cannot silently drift from the row-at-a-time semantics between
-//! full differential-property runs.
+//! Release-mode perf smoke for CI: runs the kernel operator set (select,
+//! aggregate, reduce, sync) at a fixed small scale and fails (non-zero
+//! exit) if any kernel's output digest differs from its naive reference
+//! — a cheap guard that the vectorized paths cannot silently drift from
+//! the row-at-a-time semantics between full differential-property runs.
 
 use std::process::ExitCode;
 

@@ -62,15 +62,9 @@ pub fn policy_spec(schema: &Arc<Schema>) -> DataReductionSpec {
     DataReductionSpec::new(Arc::clone(schema), actions).expect("policy is sound")
 }
 
-/// Convenience: total facts of an MO (for throughput reporting).
-pub fn fact_count(mo: &Mo) -> u64 {
-    mo.len() as u64
-}
-
 /// An order-sensitive FNV-1a digest of an MO's full observable content
 /// (rendered rows plus provenance). Kernel and naive operator outputs
-/// must produce identical digests — the E10 bench and the CI perf smoke
-/// compare them before trusting any timing.
+/// must produce identical digests — the CI perf smoke compares them.
 pub fn mo_digest(mo: &Mo) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
@@ -99,19 +93,7 @@ pub fn mos_digest<'a>(mos: impl IntoIterator<Item = &'a Mo>) -> u64 {
 
 /// The digest of a subcube manager's full state (every cube, in order).
 pub fn manager_digest(m: &sdr_subcube::SubcubeManager) -> u64 {
-    view_digest(&m.view())
-}
-
-/// The digest of one published warehouse version (every cube, in order).
-/// Concurrency tests digest the version a reader observed and compare it
-/// against the digest recorded when that epoch was published.
-pub fn view_digest(v: &sdr_subcube::WarehouseView) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for c in v.cubes() {
-        h ^= mo_digest(c.data());
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    mos_digest(m.view().cubes().iter().map(|c| c.data()))
 }
 
 /// Replays the pre-kernel synchronization scan: two independent cell
@@ -119,8 +101,8 @@ pub fn view_digest(v: &sdr_subcube::WarehouseView) -> u64 {
 /// provenance), grouped into per-cube `BTreeMap`s and rebuilt into fresh
 /// MOs. The manager itself is not mutated — the result models what its
 /// cubes would hold after a sync at `now`, computed the naive way. Used
-/// by the E10 bench and the CI perf smoke as the timing and correctness
-/// baseline for the memoized kernel scan.
+/// by the CI perf smoke as the correctness baseline for the memoized
+/// kernel scan.
 pub fn sync_naive_replay(
     m: &sdr_subcube::SubcubeManager,
     spec: &DataReductionSpec,

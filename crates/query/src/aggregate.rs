@@ -74,6 +74,32 @@ impl AggApproach {
     }
 }
 
+/// The text form (CLI `--approach`, the wire protocol's `approach=`).
+impl std::fmt::Display for AggApproach {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            AggApproach::Availability => "availability",
+            AggApproach::Strict => "strict",
+            AggApproach::Lub => "lub",
+            AggApproach::Disaggregated => "disaggregated",
+        })
+    }
+}
+
+impl std::str::FromStr for AggApproach {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<AggApproach, String> {
+        match s {
+            "availability" => Ok(AggApproach::Availability),
+            "strict" => Ok(AggApproach::Strict),
+            "lub" => Ok(AggApproach::Lub),
+            "disaggregated" => Ok(AggApproach::Disaggregated),
+            other => Err(format!("unknown approach `{other}`")),
+        }
+    }
+}
+
 /// Aggregates `mo` to the categories named `Dim.cat` in `levels`.
 pub fn aggregate(mo: &Mo, levels: &[&str], approach: AggApproach) -> Result<Mo, QueryError> {
     let schema = mo.schema();
@@ -113,10 +139,10 @@ pub fn aggregate_ids(mo: &Mo, levels: &[CatId], approach: AggApproach) -> Result
 /// The retained row-at-a-time reference implementation of
 /// [`aggregate_ids`]: `BTreeMap` grouping on coordinate vectors, with the
 /// LUB approach pre-scanning all facts for the uniform target. Kept for
-/// the differential property suite and the E10 kernel-vs-naive
-/// benchmarks; [`aggregate_ids`] only falls back to this core when the
-/// schema does not pack (or for the disaggregated approach, whose fan-out
-/// is not cell-local).
+/// the differential property suite and the CI perf smoke's
+/// kernel-vs-naive digests; [`aggregate_ids`] only falls back to this
+/// core when the schema does not pack (or for the disaggregated approach,
+/// whose fan-out is not cell-local).
 pub fn aggregate_ids_naive(
     mo: &Mo,
     levels: &[CatId],

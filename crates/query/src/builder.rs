@@ -5,7 +5,7 @@
 //! will not surpass that of any commercial OLAP tool". [`Query`] chains
 //! those operators in the conventional order (σ → π → α) with sensible
 //! defaults (conservative selection, availability aggregation), which is
-//! what the CLI and examples use.
+//! what the examples use.
 
 use sdr_mdm::{DayNum, Mo};
 use sdr_spec::Pexp;

@@ -41,6 +41,34 @@ pub enum SelectMode {
     },
 }
 
+/// The text form (CLI `--mode`, the wire protocol's `mode=`):
+/// `conservative`, `liberal` or `weighted:<threshold>`.
+impl std::fmt::Display for SelectMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SelectMode::Conservative => f.write_str("conservative"),
+            SelectMode::Liberal => f.write_str("liberal"),
+            SelectMode::Weighted { threshold } => write!(f, "weighted:{threshold}"),
+        }
+    }
+}
+
+impl std::str::FromStr for SelectMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<SelectMode, String> {
+        match s {
+            "conservative" => Ok(SelectMode::Conservative),
+            "liberal" => Ok(SelectMode::Liberal),
+            _ => match s.strip_prefix("weighted:").map(str::parse) {
+                Some(Ok(threshold)) => Ok(SelectMode::Weighted { threshold }),
+                Some(Err(_)) => Err(format!("bad mode `{s}`")),
+                None => Err(format!("unknown mode `{s}`")),
+            },
+        }
+    }
+}
+
 /// The drill-down footprint of a value at the GLB category: a contiguous
 /// serial range for time values, an explicit id set for enumerated ones.
 enum Footprint {

@@ -277,14 +277,14 @@ impl CompiledSelect {
     }
 }
 
-/// A bitmask execution plan over a [`CompiledSelect`]: every atom
-/// occurrence gets one bit, and a conjunction holds iff all its bits are
-/// satisfied. Because each atom reads exactly one dimension value, the
-/// satisfied-bit set of a fact is the union of per-dimension masks — and
 /// One atom occurrence within a dimension's plan: its mask bit plus the
 /// `(conjunction, atom)` address inside the compiled DNF.
 type AtomSlot = (u64, usize, usize);
 
+/// A bitmask execution plan over a [`CompiledSelect`]: every atom
+/// occurrence gets one bit, and a conjunction holds iff all its bits are
+/// satisfied. Because each atom reads exactly one dimension value, the
+/// satisfied-bit set of a fact is the union of per-dimension masks — and
 /// those are memoized per *distinct dimension value*, of which there are
 /// orders of magnitude fewer than distinct cells. Built only when the
 /// predicate has ≤ 64 atom occurrences (callers fall back to the
@@ -523,8 +523,8 @@ pub fn select_snapshot(
 /// The retained row-at-a-time reference implementation of [`select`]:
 /// re-normalizes the predicate and re-resolves `NOW` terms per fact, and
 /// rebuilds the output fact by fact. Kept for the differential property
-/// suite and the E10 kernel-vs-naive benchmarks; not used by the
-/// operators.
+/// suite and the CI perf smoke's kernel-vs-naive digests; not used by
+/// the operators.
 pub fn select_naive(mo: &Mo, p: &Pexp, now: DayNum, mode: SelectMode) -> Result<Mo, QueryError> {
     let mut out = mo.empty_like();
     for f in mo.facts() {

@@ -207,10 +207,10 @@ pub fn reduce_with_workers(
 /// The retained fact-at-a-time reference implementation of [`reduce`]:
 /// re-evaluates every action predicate per fact through
 /// [`eval_pred`] and groups through a `BTreeMap` on coordinate vectors.
-/// Kept for the differential property suite and the E10 kernel-vs-naive
-/// benchmarks; [`reduce`] only falls back to this core when the schema
-/// does not pack. Does not publish the `reduce.facts_*` counters (the
-/// [`reduce`] wrapper does).
+/// Kept for the differential property suite and the CI perf smoke's
+/// kernel-vs-naive digests; [`reduce`] only falls back to this core when
+/// the schema does not pack. Does not publish the `reduce.facts_*`
+/// counters (the [`reduce`] wrapper does).
 pub fn reduce_naive(mo: &Mo, spec: &DataReductionSpec, now: DayNum) -> Result<Mo, ReduceError> {
     reduce_core_naive(mo, spec, now)
 }

@@ -69,14 +69,26 @@ pub struct CubeId(pub usize);
 /// It bounds what one publication copies beyond the rows it changed.
 pub const CHUNK_ROWS: usize = 4096;
 
-/// `parts` (`rows` facts in all) appended into one MO over `schema`.
-fn concat<'a>(schema: &Arc<Schema>, rows: usize, parts: impl IntoIterator<Item = &'a Mo>) -> Mo {
+/// `parts` (`rows` facts in all) appended into one MO over `schema` —
+/// the crate's one union, whether of a cube's chunks, of a view's cubes,
+/// of shards or of a query's sub-results. A part over another schema is
+/// its one failure.
+pub(crate) fn union<'a>(
+    schema: &Arc<Schema>,
+    rows: usize,
+    parts: impl IntoIterator<Item = &'a Mo>,
+) -> Result<Mo, SubcubeError> {
     let mut all = Mo::new(Arc::clone(schema));
     all.reserve(rows);
     for part in parts {
-        all.absorb(part).expect("parts share the warehouse schema");
+        all.absorb(part).map_err(ReduceError::Model)?;
     }
-    all
+    Ok(all)
+}
+
+/// [`union`] of chunks cut over `schema` itself.
+fn concat<'a>(schema: &Arc<Schema>, rows: usize, parts: impl IntoIterator<Item = &'a Mo>) -> Mo {
+    union(schema, rows, parts).expect("parts share the warehouse schema")
 }
 
 /// One immutable run of a cube's facts (at most [`CHUNK_ROWS`] rows,
@@ -963,7 +975,7 @@ impl WarehouseView {
     /// cubes).
     pub fn to_mo(&self) -> Result<Mo, SubcubeError> {
         let chunks = self.v.cubes.iter().flat_map(Subcube::chunks);
-        Ok(concat(self.schema(), self.len(), chunks.map(|c| c.data())))
+        union(self.schema(), self.len(), chunks.map(|c| c.data()))
     }
 
     /// Re-derives every cube's [`SubcubeStats`] from its concatenated

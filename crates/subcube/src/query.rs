@@ -1,9 +1,15 @@
 //! Querying a set of subcubes (Section 7.3).
 //!
 //! A query is evaluated on every subcube *separately and in parallel*,
-//! producing up to `m` sub-results that are combined by a final
+//! producing up to `m` sub-results that are combined by **one** final
 //! aggregation — exact because all default aggregate functions are
-//! distributive (Section 3). Two states are supported:
+//! distributive (Section 3). One scan loop (`eval_per_cube`, over the
+//! cubes a [`QueryPlan`] scans; the naive fan-out is that loop under
+//! [`QueryPlan::scan_all`]) feeds one `merge`, applied once per query
+//! at whichever level is the top: a view merges its own sub-results, a
+//! sharded set every shard's. `parallel` fans a view's scanned cubes out
+//! over scoped threads; a set of several shards fans out the shards
+//! instead. Two states are supported:
 //!
 //! * **synchronized** — each cube holds exactly its own facts; the
 //!   planner skips the cubes whose statistics prove them irrelevant, the
@@ -29,14 +35,14 @@
 
 use std::sync::{Arc, OnceLock};
 
-use sdr_mdm::{DayNum, Mo};
+use sdr_mdm::{DayNum, Mo, Schema};
 use sdr_plan::{CubeSummary, QueryPlan, RegionOracle};
 use sdr_query::{aggregate_ids, select_snapshot, AggApproach, SelectMode};
 use sdr_spec::Pexp;
 use sdr_sync::thread;
 
 use crate::error::SubcubeError;
-use crate::manager::{Subcube, SubcubeManager, WarehouseView};
+use crate::manager::{union, Subcube, SubcubeManager, WarehouseView};
 
 /// A query against the subcube warehouse: optional selection followed by
 /// aggregate formation (the operators of Section 6).
@@ -118,11 +124,12 @@ impl WarehouseView {
         )
     }
 
-    /// Evaluates `q` assuming synchronized cubes, with one worker per cube
-    /// (scoped threads) when `parallel`, planned with the full oracle
-    /// set: cubes proved irrelevant by their exact statistics (empty,
-    /// hull-disjoint) or by the schedule's proved regions
-    /// ([`region_oracle`](WarehouseView::region_oracle)) are skipped.
+    /// Evaluates `q` assuming synchronized cubes, planned with the full
+    /// oracle set: cubes proved irrelevant by their exact statistics
+    /// (empty, hull-disjoint) or by the schedule's proved regions
+    /// ([`region_oracle`](WarehouseView::region_oracle)) are skipped, the
+    /// rest scanned — one worker per scanned cube (scoped threads) when
+    /// `parallel` — and the sub-results merged.
     /// [`query_planned`](WarehouseView::query_planned) chooses the
     /// oracle, [`query_naive`](WarehouseView::query_naive) is the
     /// unplanned full fan-out.
@@ -140,8 +147,8 @@ impl WarehouseView {
         oracle: Option<&RegionOracle>,
     ) -> Result<Mo, SubcubeError> {
         let plan = self.plan(q, now, oracle);
-        let subresults = self.eval_per_cube(q, now, parallel, Some(&plan))?;
-        self.combine(q, subresults)
+        let parts = self.eval_per_cube(q, now, parallel, &plan)?;
+        merge(self.schema(), q, &parts)
     }
 
     /// The unplanned full fan-out over every cube — what
@@ -154,8 +161,10 @@ impl WarehouseView {
         now: DayNum,
         parallel: bool,
     ) -> Result<Mo, SubcubeError> {
-        let subresults = self.eval_per_cube(q, now, parallel, None)?;
-        self.combine(q, subresults)
+        let rows: Vec<u64> = self.cubes().iter().map(|c| c.rows() as u64).collect();
+        let plan = QueryPlan::scan_all(&rows);
+        let parts = self.eval_per_cube(q, now, parallel, &plan)?;
+        merge(self.schema(), q, &parts)
     }
 
     /// Evaluates `q` without assuming synchronization: the planned
@@ -183,12 +192,17 @@ impl WarehouseView {
         self.v.oracle.get_or_init(build).as_ref()
     }
 
-    fn eval_per_cube(
+    /// The one scan loop: `q` on every cube `plan` scans — in the plan's
+    /// cheapest-first order, or each on its own thread when `parallel` —
+    /// with the sub-results returned un-merged (a shard hands them to the
+    /// cross-shard `merge`, which is order-insensitive). A skipped cube
+    /// costs a span, never a thread or a placeholder result.
+    pub(crate) fn eval_per_cube(
         &self,
         q: &CubeQuery,
         now: DayNum,
         parallel: bool,
-        plan: Option<&QueryPlan>,
+        plan: &QueryPlan,
     ) -> Result<Vec<Mo>, SubcubeError> {
         let _span = sdr_obs::span("subcube.query");
         sdr_obs::attr("epoch", self.epoch());
@@ -196,112 +210,72 @@ impl WarehouseView {
         // sequential evaluation, handed off explicitly to the fan-out
         // workers otherwise — so both trees nest identically.
         let ctx = sdr_obs::ctx();
-        let n = self.cubes().len();
-        let run = |input: &Arc<Mo>| -> Result<Mo, SubcubeError> {
-            // `select_snapshot` shares the cube's `Arc` when nothing is
-            // filtered (in particular for `pred: None`), so aggregation
-            // runs directly on the cube's storage with no deep copy.
-            let selected = select_snapshot(input, q.pred.as_ref(), now, q.mode)?;
-            Ok(aggregate_ids(&selected, &q.levels, q.approach)?)
-        };
-        let verify = plan.is_some() && plan_verify();
-        let eval_one = |i: usize| -> Result<Mo, SubcubeError> {
-            // Fan-out latency: one sample per sub-query, so the span's
-            // p50/p99 spread exposes cube-size skew across workers.
-            let sub = sdr_obs::span_in("subcube.query.subquery", &ctx);
-            let cube = &self.cubes()[i];
+        let run = |i: usize| -> Result<Mo, SubcubeError> {
             // Evaluate on the cube's shared snapshot — no guard, no
             // clone; the `Arc` keeps the version alive in the worker.
-            let r = run(&cube.snapshot());
-            if sub.is_recording() {
-                sdr_obs::attr("subcube", format_args!("K{i}"));
-                sdr_obs::attr("epoch", cube.epoch());
-                sdr_obs::attr("rows_in", cube.data().len());
-                if let Ok(mo) = &r {
-                    sdr_obs::attr("rows_out", mo.len());
-                }
-            }
-            drop(sub);
-            r
+            // `select_snapshot` shares it when nothing is filtered (in
+            // particular for `pred: None`), so aggregation runs directly
+            // on the cube's storage with no deep copy.
+            let input = self.cubes()[i].snapshot();
+            let selected = select_snapshot(&input, q.pred.as_ref(), now, q.mode)?;
+            Ok(aggregate_ids(&selected, &q.levels, q.approach)?)
         };
-        // Planner-skipped cubes contribute an empty sub-result without
-        // being evaluated. Under `SDR_PLAN_VERIFY=1` they are evaluated
-        // anyway — a skipped cube producing a row is a planner soundness
-        // bug and aborts loudly.
-        let skip_one = |i: usize| -> Result<Mo, SubcubeError> {
-            let reason = plan
-                .and_then(|p| p.skip_reason(i))
-                .expect("skip_one only called for skipped cubes");
+        // One span per cube, scanned or skipped: its p50/p99 spread
+        // exposes cube-size skew across workers, and `explain` reads
+        // every verdict off the trace.
+        let visit = |&i: &usize| -> Result<Option<Mo>, SubcubeError> {
+            let skip = plan.skip_reason(i);
             let sub = sdr_obs::span_in("subcube.query.subquery", &ctx);
+            let r = skip.is_none().then(|| run(i)).transpose();
             if sub.is_recording() {
                 let cube = &self.cubes()[i];
                 sdr_obs::attr("subcube", format_args!("K{i}"));
                 sdr_obs::attr("epoch", cube.epoch());
-                sdr_obs::attr("rows_in", cube.data().len());
-                sdr_obs::attr("rows_out", 0u64);
-                sdr_obs::attr("skipped", reason.label());
+                sdr_obs::attr("rows_in", cube.rows());
+                if let Ok(mo) = &r {
+                    sdr_obs::attr("rows_out", mo.as_ref().map_or(0, Mo::len));
+                }
+                if let Some(reason) = skip {
+                    sdr_obs::attr("skipped", reason.label());
+                }
             }
-            drop(sub);
-            if verify {
-                // Evaluate the skipped cube anyway (span-free, so the
-                // fan-out telemetry matches the plan) and abort if it
-                // contributes anything.
-                let mo = run(&self.cubes()[i].snapshot())?;
+            r
+        };
+        let scanned: Result<Vec<_>, _> = if parallel {
+            sdr_obs::add("subcube.query.fanout", plan.order.len() as u64);
+            fan_out(&plan.order, visit).into_iter().collect()
+        } else {
+            plan.order.iter().map(visit).collect()
+        };
+        let scanned = scanned?;
+        for (i, reason) in (0..plan.cubes.len()).filter_map(|i| Some((i, plan.skip_reason(i)?))) {
+            visit(&i)?;
+            // Under `SDR_PLAN_VERIFY=1` the skipped cube is evaluated
+            // anyway (span-free, so the fan-out telemetry matches the
+            // plan) — one that contributes a row is a planner soundness
+            // bug and aborts loudly.
+            if plan_verify() {
+                let rows = run(i)?.len();
+                let why = reason.label();
                 assert_eq!(
-                    mo.len(),
-                    0,
-                    "planner skipped K{i} ({}) but it contributes {} rows",
-                    reason.label(),
-                    mo.len()
+                    rows, 0,
+                    "planner skipped K{i} ({why}) but it contributes {rows} rows"
                 );
             }
-            Ok(Mo::new(Arc::clone(self.schema())))
-        };
-        let dispatch = |i: usize| -> Result<Mo, SubcubeError> {
-            match plan {
-                Some(p) if !p.scans(i) => skip_one(i),
-                _ => eval_one(i),
-            }
-        };
-        if !parallel || n <= 1 {
-            // Sequential evaluation follows the plan's cheapest-first
-            // order (skips are free; results land in cube order).
-            let mut results: Vec<Option<Mo>> = (0..n).map(|_| None).collect();
-            match plan {
-                Some(p) => {
-                    for &i in &p.order {
-                        results[i] = Some(eval_one(i)?);
-                    }
-                    for (i, slot) in results.iter_mut().enumerate() {
-                        if slot.is_none() {
-                            *slot = Some(skip_one(i)?);
-                        }
-                    }
-                }
-                None => {
-                    for (i, slot) in results.iter_mut().enumerate() {
-                        *slot = Some(eval_one(i)?);
-                    }
-                }
-            }
-            return Ok(results
-                .into_iter()
-                .map(|r| r.expect("all cubes dispatched"))
-                .collect());
         }
-        sdr_obs::add("subcube.query.fanout", n as u64);
-        fan_out(0..n, dispatch).into_iter().collect()
+        Ok(scanned.into_iter().flatten().collect())
     }
+}
 
-    /// Unions sub-results and applies the final aggregation step (exact
-    /// for distributive aggregates).
-    fn combine(&self, q: &CubeQuery, subresults: Vec<Mo>) -> Result<Mo, SubcubeError> {
-        let mut union = Mo::new(Arc::clone(self.schema()));
-        for s in &subresults {
-            union.absorb(s).map_err(sdr_reduce::ReduceError::Model)?;
-        }
-        Ok(aggregate_ids(&union, &q.levels, q.approach)?)
-    }
+/// The one union + final aggregation of a query's sub-results — exact
+/// because all default aggregate functions are distributive (Section 3),
+/// and therefore applied once per query, over the per-cube sub-results of
+/// however many views the query spans. A sub-result over another schema
+/// is the same error at every level.
+pub(crate) fn merge(schema: &Arc<Schema>, q: &CubeQuery, parts: &[Mo]) -> Result<Mo, SubcubeError> {
+    let rows = parts.iter().map(Mo::len).sum();
+    let all = union(schema, rows, parts)?;
+    Ok(aggregate_ids(&all, &q.levels, q.approach)?)
 }
 
 impl SubcubeManager {

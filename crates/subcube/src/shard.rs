@@ -29,10 +29,14 @@
 //!   Growing/NonCrossing checks are instance-independent. A rejection
 //!   therefore touches no shard, exactly like the unsharded path.
 //!
-//! Queries scatter to the per-shard PR 8 planners and gather with the
-//! same distributive merge the unsharded evaluator already uses between
-//! subcubes (`union` + one final `aggregate_ids`), so the sharded
-//! answer is bit-identical to the unsharded one — `tests/sharding.rs`
+//! Queries scatter to the per-shard planners, which return their
+//! per-cube sub-results un-merged; the set applies the unsharded
+//! evaluator's own merge (`union` + one final `aggregate_ids`) once over
+//! all of them — a query is aggregated per scanned cube and once more,
+//! however many shards it spans. `parallel` runs the shards concurrently
+//! (each scans its cubes in sequence; a single shard fans out over its
+//! cubes), an un-synchronized query ages each shard inside that scatter,
+//! and the answer is row-for-row the unsharded one — `tests/sharding.rs`
 //! proves it differentially for N ∈ {1, 2, 4, 7}.
 //!
 //! On disk (see [`crate::layout`]):
@@ -49,7 +53,6 @@ use sdr_sync::{fail, Mutex, Swap};
 
 use sdr_mdm::{DayNum, DimValue, FxHasher, KeyPacker, Mo, Schema};
 use sdr_plan::QueryPlan;
-use sdr_query::aggregate_ids;
 use sdr_reduce::DataReductionSpec;
 use sdr_spec::{ActionId, ActionSpec};
 use sdr_storage::fs::{atomic_write, Fs, RealFs};
@@ -58,10 +61,10 @@ use sdr_storage::wal::{crc32, truncate_wal_records};
 use crate::durable::DurableWarehouse;
 use crate::error::SubcubeError;
 use crate::layout::WarehouseLayout;
-use crate::manager::{AgeStats, WarehouseView};
+use crate::manager::{union, AgeStats, WarehouseView};
 use crate::op::{OpOutcome, WarehouseOp};
 use crate::persist::{read_current, spec_fingerprint};
-use crate::query::{fan_out, CubeQuery};
+use crate::query::{fan_out, merge, CubeQuery};
 
 /// `SHARDS` manifest magic: `"SDRSHD01"`.
 const SHARDS_MAGIC: u64 = 0x5344_5253_4844_3031;
@@ -181,23 +184,21 @@ impl ShardViewSet {
         self.views[0].last_sync()
     }
 
-    /// Scatter-gather query over the synchronized state: each shard is
-    /// evaluated with its own PR 8 planner (zone-map skips and all) and
-    /// the partial answers are merged with the same distributive
-    /// `union + aggregate` step the unsharded evaluator uses between
+    /// Scatter-gather query over the synchronized state: each shard
+    /// plans and scans its own cubes (zone-map skips and all), and the
+    /// per-cube sub-results of all shards get the one distributive
+    /// `union + aggregate` merge the unsharded evaluator applies between
     /// subcubes — so the result is bit-identical to the unsharded path.
     pub fn query(&self, q: &CubeQuery, now: DayNum, parallel: bool) -> Result<Mo, SubcubeError> {
         let _span = sdr_obs::span("shard.query");
-        let subs = self.scatter(parallel, |i, inner_parallel| {
-            self.views[i].query(q, now, inner_parallel)
-        })?;
-        self.gather(q, subs)
+        self.scatter(q, now, parallel, false)
     }
 
     /// Scatter-gather query over the *un*-synchronized state: each shard
     /// is [virtually aged](WarehouseView::virtual_age) to `now` (memoized
-    /// on its pinned version) and queried through its planner, then the
-    /// same distributive merge.
+    /// on its pinned version) inside the scatter — a memo miss ages the
+    /// shards concurrently — and scanned through its planner, then the
+    /// same single merge.
     pub fn query_unsync(
         &self,
         q: &CubeQuery,
@@ -205,10 +206,7 @@ impl ShardViewSet {
         parallel: bool,
     ) -> Result<Mo, SubcubeError> {
         let _span = sdr_obs::span("shard.query_unsync");
-        let subs = self.scatter(parallel, |i, inner_parallel| {
-            self.views[i].query_unsync(q, now, inner_parallel)
-        })?;
-        self.gather(q, subs)
+        self.scatter(q, now, parallel, true)
     }
 
     /// The per-shard query plans (for `explain` over the wire).
@@ -235,47 +233,42 @@ impl ShardViewSet {
         union_mo(&self.views)
     }
 
-    /// Evaluates `f` once per shard, across threads when `parallel` and
-    /// more than one shard (each shard then evaluates its cubes
-    /// sequentially; with a single shard the inner per-cube parallelism
-    /// is used instead). Results keep shard order.
-    fn scatter<F>(&self, parallel: bool, f: F) -> Result<Vec<Mo>, SubcubeError>
-    where
-        F: Fn(usize, bool) -> Result<Mo, SubcubeError> + Sync + Send,
-    {
-        let n = self.views.len();
-        if n == 1 || !parallel {
-            return (0..n).map(|i| f(i, parallel)).collect();
-        }
-        fan_out(0..n, |i| f(i, false)).into_iter().collect()
-    }
-
-    /// Merges per-shard partial answers: absorb into one MO, then one
-    /// final distributive aggregation to the query's grouping levels —
-    /// the exact merge the unsharded evaluator applies between
-    /// subcubes.
-    fn gather(&self, q: &CubeQuery, subs: Vec<Mo>) -> Result<Mo, SubcubeError> {
-        let mut iter = subs.into_iter();
-        let mut union = iter.next().expect("at least one shard");
-        for part in iter {
-            union
-                .absorb(&part)
-                .map_err(|e| SubcubeError::Storage(e.to_string()))?;
-        }
-        Ok(aggregate_ids(&union, &q.levels, q.approach)?)
+    /// Every shard's un-merged sub-results — the shards across threads
+    /// when `parallel` and there are several, each then scanning its
+    /// cubes sequentially; a single shard fans out over its cubes instead
+    /// — and the one merge of all of them.
+    fn scatter(
+        &self,
+        q: &CubeQuery,
+        now: DayNum,
+        parallel: bool,
+        unsync: bool,
+    ) -> Result<Mo, SubcubeError> {
+        let across = parallel && self.views.len() > 1;
+        let scan = |v: &WarehouseView| {
+            let aged = unsync.then(|| v.virtual_age(now)).transpose()?;
+            let v = aged.as_ref().map_or(v, |(aged, _hit)| aged);
+            let plan = v.plan(q, now, v.region_oracle());
+            v.eval_per_cube(q, now, parallel && !across, &plan)
+        };
+        let parts: Result<Vec<Vec<Mo>>, SubcubeError> = if across {
+            fan_out(&self.views, scan).into_iter().collect()
+        } else {
+            self.views.iter().map(scan).collect()
+        };
+        let parts: Vec<Mo> = parts?.into_iter().flatten().collect();
+        merge(self.views[0].schema(), q, &parts)
     }
 }
 
 /// The union of the views' logical MOs (at least one view).
 fn union_mo(views: &[WarehouseView]) -> Result<Mo, SubcubeError> {
-    let mut union = views[0].to_mo()?;
-    for v in &views[1..] {
-        let part = v.to_mo()?;
-        union
-            .absorb(&part)
-            .map_err(|e| SubcubeError::Storage(e.to_string()))?;
-    }
-    Ok(union)
+    let chunks = views
+        .iter()
+        .flat_map(|v| v.cubes())
+        .flat_map(|c| c.chunks());
+    let rows = views.iter().map(|v| v.len()).sum();
+    union(views[0].schema(), rows, chunks.map(|c| c.data()))
 }
 
 /// Folds two shards' outcomes of one scatter into the logical outcome:
@@ -625,21 +618,6 @@ impl ShardRouter {
         self.writer.lock().broken
     }
 
-    /// Convenience scatter-gather query on the current published set.
-    pub fn query(&self, q: &CubeQuery, now: DayNum, parallel: bool) -> Result<Mo, SubcubeError> {
-        self.view_set().query(q, now, parallel)
-    }
-
-    /// Convenience unsynchronized query on the current published set.
-    pub fn query_unsync(
-        &self,
-        q: &CubeQuery,
-        now: DayNum,
-        parallel: bool,
-    ) -> Result<Mo, SubcubeError> {
-        self.view_set().query_unsync(q, now, parallel)
-    }
-
     // ---- routing -------------------------------------------------------
 
     /// The shard a cell routes to: SplitMix64-finalized hash of the
@@ -908,5 +886,72 @@ impl ShardRouter {
     /// The warehouse root directory.
     pub fn dir(&self) -> &Path {
         self.layout.root()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::manager::SubcubeManager;
+    use sdr_mdm::{MdmError, ORIGIN_USER};
+    use sdr_query::{AggApproach, SelectMode};
+    use sdr_reduce::ReduceError;
+    use sdr_workload::paper_mo;
+
+    /// A sub-result over another schema is one failure, so it is one
+    /// error — `Reduce(Model(SchemaMismatch))` — whether the merge meets
+    /// it between the cubes of a view or between shards, and whether the
+    /// union is a query's or `to_mo`'s.
+    #[test]
+    fn a_foreign_schema_is_the_same_error_between_cubes_and_between_shards() {
+        let (paper, _) = paper_mo();
+        // The paper's facts under another fact type: every per-cube scan
+        // works, only the union can tell the schemas apart.
+        let s = paper.schema();
+        let other = Schema::new("Visit", s.dims.clone(), s.measures.clone()).unwrap();
+        let mut foreign = Mo::new(Arc::clone(&other));
+        for f in paper.facts() {
+            let (coords, measures) = (paper.coords(f), paper.measures_of(f));
+            foreign
+                .insert_fact_at(&coords, &measures, ORIGIN_USER)
+                .unwrap();
+        }
+        let mismatch = |r: Result<Mo, SubcubeError>| {
+            use {MdmError::SchemaMismatch, ReduceError::Model};
+            let e = r.expect_err("schemas differ");
+            assert!(
+                matches!(e, SubcubeError::Reduce(Model(SchemaMismatch(_)))),
+                "{e:?}"
+            );
+        };
+        let q = CubeQuery {
+            pred: None,
+            mode: SelectMode::Conservative,
+            levels: s.bottom_granularity().0,
+            approach: AggApproach::Availability,
+        };
+        let view = |mo: &Mo| {
+            let m = SubcubeManager::new(DataReductionSpec::empty(Arc::clone(mo.schema())));
+            m.bulk_load(mo).unwrap();
+            m.view()
+        };
+        let (ours, theirs) = (view(&paper), view(&foreign));
+        // Between cubes: one view's sub-results, one of them foreign.
+        let scan = |v: &WarehouseView| {
+            let plan = v.plan(&q, 0, None);
+            v.eval_per_cube(&q, 0, false, &plan).unwrap()
+        };
+        let parts = [scan(&ours), scan(&theirs)].concat();
+        mismatch(merge(s, &q, &parts));
+        // Between shards: a set whose second shard is foreign.
+        let set = ShardViewSet {
+            epoch: 1,
+            views: vec![ours, theirs],
+        };
+        for parallel in [false, true] {
+            mismatch(set.query(&q, 0, parallel));
+            mismatch(set.query_unsync(&q, 0, parallel));
+        }
+        mismatch(set.to_mo());
     }
 }

@@ -383,17 +383,6 @@ impl SubcubeStats {
         })
     }
 
-    /// True when a selection constrained to packed keys in
-    /// `[lo, hi]` can skip this cube entirely — the zone-map pruning
-    /// check `explain` reports. Conservative: `false` whenever the zone
-    /// map is absent.
-    pub fn zone_disjoint(&self, lo: u128, hi: u128) -> bool {
-        match (self.key_min, self.key_max) {
-            (Some(min), Some(max)) => hi < min || lo > max,
-            _ => false,
-        }
-    }
-
     /// The bottom-footprint hull of dimension `d`, if one was computed
     /// (see [`SubcubeStats::hulls`]).
     pub fn hull(&self, d: usize) -> Option<(i64, i64)> {
@@ -545,7 +534,6 @@ mod tests {
         assert_eq!(s.rows, 0);
         assert_eq!(s.key_min, None);
         assert_eq!(s.key_max, None);
-        assert!(!s.zone_disjoint(0, u128::MAX), "no zone map → never skip");
     }
 
     #[test]
@@ -635,19 +623,5 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(SubcubeStats::compute(&wide, 0).origins, None);
-    }
-
-    #[test]
-    fn zone_disjoint_prunes_only_outside_the_range() {
-        let s = SubcubeStats {
-            key_min: Some(100),
-            key_max: Some(200),
-            ..SubcubeStats::default()
-        };
-        assert!(s.zone_disjoint(0, 99));
-        assert!(s.zone_disjoint(201, 300));
-        assert!(!s.zone_disjoint(150, 160));
-        assert!(!s.zone_disjoint(0, 100));
-        assert!(!s.zone_disjoint(200, 300));
     }
 }

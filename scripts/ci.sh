@@ -93,12 +93,12 @@ for m in publish-unlocked skip-rollback skip-wedge gate-toctou memo-any-day; do
   echo "  $m caught: ${sched:-counterexample rendered}"
 done
 
-# Perf smoke under --release: run the E10 operator set (select /
+# Perf smoke under --release: run the kernel operator set (select /
 # aggregate / reduce / sync) at a fixed small scale and fail if any
 # vectorized kernel's output digest differs from its naive reference.
 run cargo run -q --release -p sdr-bench --bin perf_smoke
 
-# Obs-overhead gate: tracing ships always-compiled-in, so the E10 kernel
+# Obs-overhead gate: tracing ships always-compiled-in, so the kernel
 # path with the registry merely *disabled* must cost no more than a
 # build with the instrumentation compiled out (sdr-obs `off`) — the
 # disabled path is one relaxed atomic load per operation, not per row.

@@ -111,11 +111,12 @@ use std::sync::Arc;
 
 use specdr::mdm::calendar::{civil_from_days, days_from_civil};
 use specdr::mdm::{render_table, MeasureId, Span, TableOptions, TimeUnit};
-use specdr::query::{AggApproach, Query, SelectMode};
+use specdr::query::{aggregate_ids, select_view};
 use specdr::reduce::{reduce, DataReductionSpec};
-use specdr::spec::{explain_action, parse_actions, parse_pexp};
+use specdr::serve::QuerySpec;
+use specdr::spec::{explain_action, parse_actions};
 use specdr::storage::table_stats;
-use specdr::subcube::{AgeStats, CubeQuery, ShardRouter, SubcubeManager};
+use specdr::subcube::{AgeStats, ShardRouter, SubcubeManager};
 use specdr::workload::{
     generate, generate_sessions, paper_mo, retention_policy, snapshot_days, Clickstream,
     ClickstreamConfig, SessionConfig, ACTION_A1, ACTION_A2,
@@ -135,237 +136,89 @@ fn main() -> ExitCode {
     }
 }
 
+/// One subcommand: the flags it declares and the function that runs it.
+struct Command {
+    name: &'static str,
+    /// `--flag VALUE` / `--flag=VALUE` flags.
+    values: &'static [&'static str],
+    /// Boolean switches (`--sessions`; a value is an error).
+    switches: &'static [&'static str],
+    /// Takes `--metrics[=json|table]`: record the run in the `sdr-obs`
+    /// registry and print the snapshot after the normal output.
+    metrics: bool,
+    run: fn(&Opts) -> Result<(), AnyError>,
+}
+
+#[rustfmt::skip]
+static COMMANDS: &[Command] = &[
+    Command { name: "demo", values: &[], switches: &[], metrics: true, run: cmd_demo },
+    Command { name: "explain", metrics: false, run: cmd_explain,
+        values: &["--spec-file", "--where", "--roll-up", "--mode", "--months", "--clicks", "--now",
+                  "--until", "--format"],
+        switches: &["--query", "--reduce", "--age", "--unsync"] },
+    Command { name: "age", metrics: true, run: cmd_age,
+        values: &["--until", "--months", "--clicks", "--spec-file", "--tick"],
+        switches: &["--follow"] },
+    Command { name: "profile", metrics: false, run: cmd_profile,
+        values: &["--months", "--clicks", "--now", "--format"], switches: &[] },
+    Command { name: "simulate", metrics: true, run: cmd_simulate,
+        values: &["--months", "--clicks", "--raw-months", "--month-months"],
+        switches: &["--sessions"] },
+    Command { name: "query", metrics: true, run: cmd_query,
+        values: &["--where", "--roll-up", "--mode", "--months", "--clicks", "--now"],
+        switches: &[] },
+    Command { name: "stats", metrics: false, run: cmd_stats,
+        values: &["--months", "--clicks", "--format"], switches: &["--bytes"] },
+    Command { name: "checkpoint", metrics: true, run: cmd_checkpoint,
+        values: &["--dir", "--months", "--clicks", "--raw-months", "--month-months"],
+        switches: &[] },
+    Command { name: "recover", metrics: true, run: cmd_recover,
+        values: &["--dir", "--raw-months", "--month-months"], switches: &[] },
+    Command { name: "lint", metrics: false, run: cmd_lint,
+        values: &["--spec-file", "--schema", "--now", "--format", "--allow", "--warn", "--deny"],
+        switches: &[] },
+    Command { name: "concurrent", metrics: true, run: cmd_concurrent,
+        values: &["--seed", "--readers", "--steps", "--queries"], switches: &[] },
+    Command { name: "serve", metrics: true, run: cmd_serve,
+        values: &["--addr", "--shards", "--months", "--clicks", "--cap", "--dir"],
+        switches: &[] },
+    Command { name: "client", metrics: false, run: cmd_client,
+        values: &["--addr", "--where", "--mode", "--roll-up", "--approach", "--now"],
+        switches: &["--stats", "--explain", "--ping", "--unsync"] },
+    Command { name: "loadgen", metrics: true, run: cmd_loadgen,
+        values: &["--seed", "--clients", "--steps", "--queries", "--shards"], switches: &[] },
+    Command { name: "check", metrics: true, run: cmd_check,
+        values: &["--protocol", "--budget", "--preemptions", "--mutate"], switches: &[] },
+];
+
 fn run_command(cmd: &str, rest: &[String]) -> Result<(), AnyError> {
     // `--help`/`-h` is accepted by every subcommand, before strict flag
     // validation, and always succeeds — `specdr check --help` must not
     // be an "unknown flag" error.
-    if rest.iter().any(|a| a == "--help" || a == "-h") {
+    let help = |a: &str| a == "--help" || a == "-h";
+    if help(cmd) || cmd == "help" || rest.iter().any(|a| help(a)) {
         print!("{}", USAGE);
         return Ok(());
     }
-    match cmd {
-        "demo" => {
-            let opts = Opts::parse(rest, "demo", &[], &[("--metrics", ArgKind::OptValue)])?;
-            let metrics = MetricsOut::from_opts(&opts)?;
-            cmd_demo()?;
-            metrics.emit();
-            Ok(())
-        }
-        "explain" => {
-            let opts = Opts::parse(
-                rest,
-                "explain",
-                &[
-                    "--spec-file",
-                    "--where",
-                    "--roll-up",
-                    "--mode",
-                    "--months",
-                    "--clicks",
-                    "--now",
-                    "--until",
-                    "--format",
-                ],
-                &[
-                    ("--query", ArgKind::Bool),
-                    ("--reduce", ArgKind::Bool),
-                    ("--age", ArgKind::Bool),
-                    ("--unsync", ArgKind::Bool),
-                ],
-            )?;
-            cmd_explain(&opts)
-        }
-        "age" => {
-            let opts = Opts::parse(
-                rest,
-                "age",
-                &["--until", "--months", "--clicks", "--spec-file", "--tick"],
-                &[
-                    ("--follow", ArgKind::Bool),
-                    ("--metrics", ArgKind::OptValue),
-                ],
-            )?;
-            let metrics = MetricsOut::from_opts(&opts)?;
-            cmd_age(&opts)?;
-            metrics.emit();
-            Ok(())
-        }
-        "profile" => {
-            let opts = Opts::parse(
-                rest,
-                "profile",
-                &["--months", "--clicks", "--now", "--format"],
-                &[],
-            )?;
-            cmd_profile(&opts)
-        }
-        "simulate" => {
-            let opts = Opts::parse(
-                rest,
-                "simulate",
-                &["--months", "--clicks", "--raw-months", "--month-months"],
-                &[
-                    ("--sessions", ArgKind::Bool),
-                    ("--metrics", ArgKind::OptValue),
-                ],
-            )?;
-            let metrics = MetricsOut::from_opts(&opts)?;
-            cmd_simulate(&opts)?;
-            metrics.emit();
-            Ok(())
-        }
-        "query" => {
-            let opts = Opts::parse(
-                rest,
-                "query",
-                &[
-                    "--where",
-                    "--roll-up",
-                    "--mode",
-                    "--months",
-                    "--clicks",
-                    "--now",
-                ],
-                &[("--metrics", ArgKind::OptValue)],
-            )?;
-            let metrics = MetricsOut::from_opts(&opts)?;
-            cmd_query(&opts)?;
-            metrics.emit();
-            Ok(())
-        }
-        "stats" => {
-            let opts = Opts::parse(
-                rest,
-                "stats",
-                &["--months", "--clicks", "--format"],
-                &[("--bytes", ArgKind::Bool)],
-            )?;
-            cmd_stats(&opts)
-        }
-        "checkpoint" => {
-            let opts = Opts::parse(
-                rest,
-                "checkpoint",
-                &[
-                    "--dir",
-                    "--months",
-                    "--clicks",
-                    "--raw-months",
-                    "--month-months",
-                ],
-                &[("--metrics", ArgKind::OptValue)],
-            )?;
-            let metrics = MetricsOut::from_opts(&opts)?;
-            cmd_checkpoint(&opts)?;
-            metrics.emit();
-            Ok(())
-        }
-        "recover" => {
-            let opts = Opts::parse(
-                rest,
-                "recover",
-                &["--dir", "--raw-months", "--month-months"],
-                &[("--metrics", ArgKind::OptValue)],
-            )?;
-            let metrics = MetricsOut::from_opts(&opts)?;
-            cmd_recover(&opts)?;
-            metrics.emit();
-            Ok(())
-        }
-        "lint" => {
-            let opts = Opts::parse(
-                rest,
-                "lint",
-                &[
-                    "--spec-file",
-                    "--schema",
-                    "--now",
-                    "--format",
-                    "--allow",
-                    "--warn",
-                    "--deny",
-                ],
-                &[],
-            )?;
-            cmd_lint(&opts)
-        }
-        "concurrent" => {
-            let opts = Opts::parse(
-                rest,
-                "concurrent",
-                &["--seed", "--readers", "--steps", "--queries"],
-                &[("--metrics", ArgKind::OptValue)],
-            )?;
-            let metrics = MetricsOut::from_opts(&opts)?;
-            cmd_concurrent(&opts)?;
-            metrics.emit();
-            Ok(())
-        }
-        "serve" => {
-            let opts = Opts::parse(
-                rest,
-                "serve",
-                &[
-                    "--addr", "--shards", "--months", "--clicks", "--cap", "--dir",
-                ],
-                &[("--metrics", ArgKind::OptValue)],
-            )?;
-            let metrics = MetricsOut::from_opts(&opts)?;
-            cmd_serve(&opts)?;
-            metrics.emit();
-            Ok(())
-        }
-        "client" => {
-            let opts = Opts::parse(
-                rest,
-                "client",
-                &[
-                    "--addr",
-                    "--where",
-                    "--mode",
-                    "--roll-up",
-                    "--approach",
-                    "--now",
-                ],
-                &[
-                    ("--stats", ArgKind::Bool),
-                    ("--explain", ArgKind::Bool),
-                    ("--ping", ArgKind::Bool),
-                    ("--unsync", ArgKind::Bool),
-                ],
-            )?;
-            cmd_client(&opts)
-        }
-        "loadgen" => {
-            let opts = Opts::parse(
-                rest,
-                "loadgen",
-                &["--seed", "--clients", "--steps", "--queries", "--shards"],
-                &[("--metrics", ArgKind::OptValue)],
-            )?;
-            let metrics = MetricsOut::from_opts(&opts)?;
-            cmd_loadgen(&opts)?;
-            metrics.emit();
-            Ok(())
-        }
-        "check" => {
-            let opts = Opts::parse(
-                rest,
-                "check",
-                &["--protocol", "--budget", "--preemptions", "--mutate"],
-                &[("--metrics", ArgKind::OptValue)],
-            )?;
-            let metrics = MetricsOut::from_opts(&opts)?;
-            cmd_check(&opts)?;
-            metrics.emit();
-            Ok(())
-        }
-        "help" | "--help" | "-h" => {
-            print!("{}", USAGE);
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`; try `specdr help`").into()),
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == cmd)
+        .ok_or_else(|| format!("unknown command `{cmd}`; try `specdr help`"))?;
+    let opts = Opts::parse(rest, command)?;
+    let format = match opts.metrics {
+        None => None,
+        Some(None) => Some(MetricsFormat::Table),
+        Some(Some(v)) => Some(MetricsFormat::parse(v)?),
+    };
+    if format.is_some() {
+        specdr::obs::set_enabled(true);
+        specdr::obs::reset();
     }
+    (command.run)(&opts)?;
+    if let Some(format) = format {
+        print_snapshot(format);
+    }
+    Ok(())
 }
 
 const USAGE: &str =
@@ -430,8 +283,8 @@ const USAGE: &str =
                               until SIGTERM/SIGINT; port 0 picks an ephemeral\n\
                               port and prints the bound address\n\
   client --addr H:P [--where PRED] [--roll-up LEVELS] [--mode MODE]\n\
-         [--approach availability|lub] [--now Y/M/D] [--unsync]\n\
-         [--stats] [--explain] [--ping]\n\
+         [--approach availability|strict|lub|disaggregated] [--now Y/M/D]\n\
+         [--unsync] [--stats] [--explain] [--ping]\n\
                               one wire round-trip against a running daemon;\n\
                               default issues the baseline query and prints its\n\
                               digest for comparison with the serve banner\n\
@@ -444,41 +297,29 @@ const USAGE: &str =
 
 type AnyError = Box<dyn std::error::Error>;
 
-/// How a flag consumes arguments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ArgKind {
-    /// Boolean switch: `--sessions`.
-    Bool,
-    /// Optional inline value: `--metrics` or `--metrics=json` (never
-    /// consumes the next argument).
-    OptValue,
-}
-
 /// Parsed command-line options with strict validation: anything not in
 /// the command's declared flag set is an error (exit code ≠ 0) with a
 /// usage hint, instead of being silently ignored.
-struct Opts {
+struct Opts<'a> {
     /// `--flag VALUE` / `--flag=VALUE` pairs.
-    values: Vec<(String, String)>,
-    /// Present boolean / optional-value switches (value empty for bare
-    /// `--metrics`).
-    switches: Vec<(String, Option<String>)>,
+    values: Vec<(&'a str, &'a str)>,
+    /// Present boolean switches.
+    switches: Vec<&'a str>,
+    /// `--metrics` (`Some(None)`) or `--metrics=FORMAT`; never consumes
+    /// the next argument.
+    metrics: Option<Option<&'a str>>,
 }
 
-impl Opts {
-    fn parse(
-        rest: &[String],
-        cmd: &str,
-        value_flags: &[&str],
-        switch_flags: &[(&str, ArgKind)],
-    ) -> Result<Opts, AnyError> {
+impl<'a> Opts<'a> {
+    fn parse(rest: &'a [String], command: &Command) -> Result<Opts<'a>, AnyError> {
+        let cmd = command.name;
         let mut out = Opts {
             values: Vec::new(),
             switches: Vec::new(),
+            metrics: None,
         };
-        let mut i = 0;
-        while i < rest.len() {
-            let arg = &rest[i];
+        let mut args = rest.iter();
+        while let Some(arg) = args.next() {
             if !arg.starts_with("--") {
                 return Err(format!(
                     "unexpected argument `{arg}` for `specdr {cmd}`; try `specdr help`"
@@ -489,57 +330,41 @@ impl Opts {
                 Some((n, v)) => (n, Some(v)),
                 None => (arg.as_str(), None),
             };
-            if value_flags.contains(&name) {
+            if command.values.contains(&name) {
                 let value = match inline {
-                    Some(v) => v.to_string(),
-                    None => {
-                        i += 1;
-                        rest.get(i)
-                            .ok_or_else(|| format!("flag `{name}` expects a value"))?
-                            .clone()
-                    }
+                    Some(v) => v,
+                    None => args
+                        .next()
+                        .ok_or_else(|| format!("flag `{name}` expects a value"))?,
                 };
-                out.values.push((name.to_string(), value));
-            } else if let Some((_, kind)) = switch_flags.iter().find(|(n, _)| *n == name) {
-                match (kind, inline) {
-                    (ArgKind::Bool, Some(_)) => {
-                        return Err(format!("flag `{name}` takes no value").into());
-                    }
-                    (ArgKind::Bool, None) => out.switches.push((name.to_string(), None)),
-                    (ArgKind::OptValue, v) => {
-                        out.switches.push((name.to_string(), v.map(str::to_string)))
-                    }
+                out.values.push((name, value));
+            } else if command.switches.contains(&name) {
+                if inline.is_some() {
+                    return Err(format!("flag `{name}` takes no value").into());
                 }
+                out.switches.push(name);
+            } else if command.metrics && name == "--metrics" {
+                out.metrics = Some(inline);
             } else {
                 return Err(
                     format!("unknown flag `{name}` for `specdr {cmd}`; try `specdr help`").into(),
                 );
             }
-            i += 1;
         }
         Ok(out)
     }
 
     /// The value of `--flag`, if given.
-    fn value(&self, flag: &str) -> Option<&str> {
+    fn value(&self, flag: &str) -> Option<&'a str> {
         self.values
             .iter()
-            .find(|(n, _)| n == flag)
-            .map(|(_, v)| v.as_str())
+            .find(|(n, _)| *n == flag)
+            .map(|(_, v)| *v)
     }
 
     /// True when the switch is present.
     fn switch(&self, flag: &str) -> bool {
-        self.switches.iter().any(|(n, _)| n == flag)
-    }
-
-    /// `Some(inline-value-or-None)` when the optional-value switch is
-    /// present.
-    fn opt_switch(&self, flag: &str) -> Option<Option<&str>> {
-        self.switches
-            .iter()
-            .find(|(n, _)| n == flag)
-            .map(|(_, v)| v.as_deref())
+        self.switches.contains(&flag)
     }
 }
 
@@ -556,33 +381,6 @@ impl MetricsFormat {
             "json" => Ok(MetricsFormat::Json),
             "table" => Ok(MetricsFormat::Table),
             other => Err(format!("unknown metrics format `{other}` (json|table)").into()),
-        }
-    }
-}
-
-/// Handles `--metrics[=json|table]`: enables the global registry for the
-/// run when requested and prints the snapshot afterwards.
-struct MetricsOut {
-    format: Option<MetricsFormat>,
-}
-
-impl MetricsOut {
-    fn from_opts(opts: &Opts) -> Result<MetricsOut, AnyError> {
-        let format = match opts.opt_switch("--metrics") {
-            None => None,
-            Some(None) => Some(MetricsFormat::Table),
-            Some(Some(v)) => Some(MetricsFormat::parse(v)?),
-        };
-        if format.is_some() {
-            specdr::obs::set_enabled(true);
-            specdr::obs::reset();
-        }
-        Ok(MetricsOut { format })
-    }
-
-    fn emit(&self) {
-        if let Some(format) = self.format {
-            print_snapshot(format);
         }
     }
 }
@@ -610,17 +408,22 @@ fn parse_date(s: &str) -> Result<i32, AnyError> {
     ))
 }
 
-fn cmd_demo() -> Result<(), AnyError> {
+/// The paper's specification `{a1, a2}` (Figure 3) against its schema.
+fn paper_spec(schema: &Arc<specdr::mdm::Schema>) -> Result<DataReductionSpec, AnyError> {
+    let a1 = specdr::spec::parse_action(schema, ACTION_A1)?;
+    let a2 = specdr::spec::parse_action(schema, ACTION_A2)?;
+    Ok(DataReductionSpec::new(Arc::clone(schema), vec![a1, a2])?)
+}
+
+fn cmd_demo(_opts: &Opts) -> Result<(), AnyError> {
     let (mo, _) = paper_mo();
-    let schema = Arc::clone(mo.schema());
     println!("The paper's example MO (Table 2 / Figure 1):\n");
     println!("{}", render_table(&mo, TableOptions::default()));
-    let a1 = specdr::spec::parse_action(&schema, ACTION_A1)?;
-    let a2 = specdr::spec::parse_action(&schema, ACTION_A2)?;
+    let spec = paper_spec(mo.schema())?;
     println!("Actions:");
-    println!("  a1 {}", explain_action(&a1, &schema));
-    println!("  a2 {}", explain_action(&a2, &schema));
-    let spec = DataReductionSpec::new(schema, vec![a1, a2])?;
+    for (id, a) in spec.actions() {
+        println!("  a{} {}", id.0 + 1, explain_action(a, mo.schema()));
+    }
     for now in snapshot_days() {
         let (y, m, d) = civil_from_days(now);
         let red = reduce(&mo, &spec, now)?;
@@ -759,36 +562,18 @@ fn introspection_warehouse(
     Ok((mgr, syn.cs.schema, now, loaded_until))
 }
 
-/// Builds a [`CubeQuery`] from `--where`/`--roll-up`/`--mode`; the
-/// default is the parallel monthly roll-up the other commands use.
-fn cube_query_from_opts(
-    opts: &Opts,
-    schema: &Arc<specdr::mdm::Schema>,
-) -> Result<CubeQuery, AnyError> {
-    let pred = match opts.value("--where") {
-        Some(w) => Some(parse_pexp(schema, w)?),
-        None => None,
-    };
-    let mode = match opts.value("--mode") {
-        None | Some("conservative") => SelectMode::Conservative,
-        Some("liberal") => SelectMode::Liberal,
-        Some(m) if m.starts_with("weighted:") => SelectMode::Weighted {
-            threshold: m["weighted:".len()..].parse()?,
-        },
-        Some(other) => return Err(format!("unknown mode `{other}`").into()),
-    };
-    let mut levels = schema.bottom_granularity().0;
-    let spec_levels = opts.value("--roll-up").unwrap_or("Time.month");
-    for name in spec_levels.split(',').map(str::trim) {
-        let (dim, cat) = schema.resolve_cat(name)?;
-        levels[dim.index()] = cat;
+/// The query the flags spell — `--where`, `--mode`, `--approach`,
+/// `--roll-up` (default `levels`), `--unsync` — evaluated at `now`.
+/// Conservative selection and availability aggregation when unspecified.
+fn query_spec(opts: &Opts, now: i32, levels: &str) -> QuerySpec {
+    QuerySpec {
+        pred: opts.value("--where").map(Into::into),
+        mode: opts.value("--mode").unwrap_or("conservative").into(),
+        levels: opts.value("--roll-up").unwrap_or(levels).into(),
+        approach: opts.value("--approach").unwrap_or("availability").into(),
+        now,
+        unsync: opts.switch("--unsync"),
     }
-    Ok(CubeQuery {
-        pred,
-        mode,
-        levels,
-        approach: AggApproach::Availability,
-    })
 }
 
 fn print_introspection(r: &specdr::introspect::Introspection, opts: &Opts) -> Result<(), AnyError> {
@@ -817,19 +602,15 @@ fn cmd_explain_warehouse(opts: &Opts, reduce_pass: bool) -> Result<(), AnyError>
         }
         report
     } else {
-        let q = cube_query_from_opts(opts, &schema)?;
-        let (answer, report) = if opts.switch("--unsync") {
-            // The warehouse stays where the loader left it; the query
-            // ages its pinned view to `now` without publishing anything.
-            mgr.sync(loaded_until.min(now))?;
-            specdr::introspect::explain_query_unsync(&mgr, &q, now, true)?
-        } else {
-            // Queries are explained against a synchronized warehouse, so
-            // the DAG shows where the retention policy actually put the
-            // facts.
-            mgr.sync(now)?;
-            specdr::introspect::explain_query(&mgr, &q, now, true)?
-        };
+        let spec = query_spec(opts, now, "Time.month");
+        let q = spec.build(&schema)?;
+        // Queries are explained against a synchronized warehouse, so the
+        // DAG shows where the retention policy actually put the facts;
+        // with `--unsync` the warehouse stays where the loader left it
+        // and the query ages its pinned view to `now` without publishing
+        // anything.
+        mgr.sync(if spec.unsync { loaded_until } else { now }.min(now))?;
+        let (answer, report) = specdr::introspect::explain_query(&mgr, &q, now, true, spec.unsync)?;
         if opts.value("--format").unwrap_or("table") == "table" {
             println!(
                 "query at NOW = {}: {} result rows\n",
@@ -941,7 +722,7 @@ fn cmd_explain_age(opts: &Opts) -> Result<(), AnyError> {
 /// recording.
 fn cmd_profile(opts: &Opts) -> Result<(), AnyError> {
     let (mgr, schema, now, _) = introspection_warehouse(opts)?;
-    let q = cube_query_from_opts(opts, &schema)?;
+    let q = query_spec(opts, now, "Time.month").build(&schema)?;
     let (stats, answer, report) = specdr::introspect::profile(&mgr, &q, now, true)?;
     if opts.value("--format").unwrap_or("table") == "table" {
         println!(
@@ -1005,8 +786,8 @@ fn cmd_lint(opts: &Opts) -> Result<(), AnyError> {
     }
     // Walk the raw flag list so later --allow/--warn/--deny override
     // earlier ones, exactly like rustc's -A/-W/-D.
-    for (flag, value) in &opts.values {
-        let level = match flag.as_str() {
+    for &(flag, value) in &opts.values {
+        let level = match flag {
             "--allow" => Level::Allow,
             "--warn" => Level::Warn,
             "--deny" => Level::Deny,
@@ -1091,19 +872,8 @@ fn cmd_simulate(opts: &Opts) -> Result<(), AnyError> {
         age_line(&stats),
         mgr.n_cubes()
     );
-    let (tdim, month) = cs.schema.resolve_cat("Time.month")?;
-    let mut levels = cs.schema.bottom_granularity().0;
-    levels[tdim.index()] = month;
-    let answer = mgr.query(
-        &CubeQuery {
-            pred: None,
-            mode: SelectMode::Conservative,
-            levels,
-            approach: AggApproach::Availability,
-        },
-        now,
-        true,
-    )?;
+    let q = query_spec(opts, now, "Time.month").build(&cs.schema)?;
+    let answer = mgr.query(&q, now, true)?;
     println!(
         "parallel monthly roll-up over the warehouse: {} result cells",
         answer.len()
@@ -1126,25 +896,14 @@ fn cmd_query(opts: &Opts) -> Result<(), AnyError> {
         render_date(now)
     );
 
-    let mut q = Query::new();
-    if let Some(w) = opts.value("--where") {
-        q = q.filter(parse_pexp(&cs.schema, w)?);
-    }
-    if let Some(mode) = opts.value("--mode") {
-        q = q.mode(match mode {
-            "conservative" => SelectMode::Conservative,
-            "liberal" => SelectMode::Liberal,
-            m if m.starts_with("weighted:") => SelectMode::Weighted {
-                threshold: m["weighted:".len()..].parse()?,
-            },
-            other => return Err(format!("unknown mode `{other}`").into()),
-        });
-    }
-    if let Some(levels) = opts.value("--roll-up") {
-        let ls: Vec<&str> = levels.split(',').map(str::trim).collect();
-        q = q.roll_up(&ls).approach(AggApproach::Availability);
-    }
-    let result = q.run(&red, now)?;
+    // σ, then α only when a roll-up was asked for: without one the
+    // selected facts print as stored.
+    let q = query_spec(opts, now, "").build(&cs.schema)?;
+    let selected = select_view(&red, q.pred.as_ref(), now, q.mode)?;
+    let result = match opts.value("--roll-up") {
+        Some(_) => aggregate_ids(&selected, &q.levels, q.approach)?,
+        None => selected.into_owned(),
+    };
     println!("\n{}", render_table(&result, TableOptions::default()));
     let total: i64 = result
         .facts()
@@ -1269,19 +1028,8 @@ fn cmd_stats(opts: &Opts) -> Result<(), AnyError> {
     let mgr = SubcubeManager::new(spec);
     mgr.bulk_load(&cs.mo)?;
     mgr.sync(now)?;
-    let (tdim, month) = cs.schema.resolve_cat("Time.month")?;
-    let mut levels = cs.schema.bottom_granularity().0;
-    levels[tdim.index()] = month;
-    let _ = mgr.query(
-        &CubeQuery {
-            pred: None,
-            mode: SelectMode::Conservative,
-            levels,
-            approach: AggApproach::Availability,
-        },
-        now,
-        true,
-    )?;
+    let q = query_spec(opts, now, "Time.month").build(&cs.schema)?;
+    let _ = mgr.query(&q, now, true)?;
 
     eprintln!(
         "pipeline over {} months × {} clicks/day ({} facts):",
@@ -1386,19 +1134,40 @@ fn print_cube_bytes(mgr: &SubcubeManager, format: MetricsFormat) -> Result<(), A
     result
 }
 
+/// The report lines both closed-loop drivers print: what the writer
+/// applied and published, and what the `readers` observed in `secs`.
+fn print_drive_lines(
+    applied: usize,
+    rejected: usize,
+    published: &[(u64, u64)],
+    observations: usize,
+    readers: &str,
+    secs: f64,
+) {
+    println!(
+        "  mutations       = {applied} applied, {rejected} rejected (legal spec-evolution refusals)"
+    );
+    println!(
+        "  published       = {} versions, epochs {}..{}",
+        published.len(),
+        published.first().map_or(0, |p| p.0),
+        published.last().map_or(0, |p| p.0)
+    );
+    println!(
+        "  observations    = {observations} {readers} ({:.0} queries/s)",
+        observations as f64 / secs.max(1e-9)
+    );
+}
+
 fn cmd_concurrent(opts: &Opts) -> Result<(), AnyError> {
     use specdr::driver::{drive, DriveConfig};
-    use specdr::workload::{paper_schema, ACTION_A1, ACTION_A2};
     let cfg = DriveConfig {
         seed: opts.value("--seed").unwrap_or("42").parse()?,
         readers: opts.value("--readers").unwrap_or("4").parse()?,
         steps: opts.value("--steps").unwrap_or("30").parse()?,
         min_queries_per_reader: opts.value("--queries").unwrap_or("40").parse()?,
     };
-    let (schema, _) = paper_schema();
-    let a1 = specdr::spec::parse_action(&schema, ACTION_A1)?;
-    let a2 = specdr::spec::parse_action(&schema, ACTION_A2)?;
-    let spec = DataReductionSpec::new(Arc::clone(&schema), vec![a1, a2])?;
+    let spec = paper_spec(&specdr::workload::paper_schema().0)?;
     let t = std::time::Instant::now();
     let report = drive(spec, &cfg)?;
     let secs = t.elapsed().as_secs_f64();
@@ -1406,21 +1175,13 @@ fn cmd_concurrent(opts: &Opts) -> Result<(), AnyError> {
         "concurrent: {} readers x {} churn steps (seed {})",
         cfg.readers, cfg.steps, cfg.seed
     );
-    println!(
-        "  mutations       = {} applied, {} rejected (legal spec-evolution refusals)",
-        report.mutations_ok, report.mutations_rejected
-    );
-    println!(
-        "  published       = {} versions, epochs {}..{}",
-        report.published.len(),
-        report.published.first().map_or(0, |p| p.0),
-        report.published.last().map_or(0, |p| p.0)
-    );
-    println!(
-        "  observations    = {} queries across {} readers ({:.0} queries/s)",
+    print_drive_lines(
+        report.mutations_ok,
+        report.mutations_rejected,
+        &report.published,
         report.observations,
-        cfg.readers,
-        report.observations as f64 / secs.max(1e-9)
+        &format!("queries across {} readers", cfg.readers),
+        secs,
     );
     println!("  torn reads      = {}", report.torn_reads);
     println!(
@@ -1609,10 +1370,9 @@ fn cmd_serve(opts: &Opts) -> Result<(), AnyError> {
     // In-process baseline digest, printed so a wire client's answer can
     // be compared against it (the ci smoke test does exactly that).
     let baseline = specdr::serve::baseline_spec(now);
-    let q = baseline
-        .build(router.schema())
-        .map_err(|e| -> AnyError { e.into() })?;
-    let digest = specdr::driver::result_digest(&router.query(&q, now, true)?);
+    let q = baseline.build(router.schema())?;
+    let answer = baseline.eval(&q, &router.view_set(), true)?;
+    let digest = specdr::driver::result_digest(&answer);
 
     let cfg = specdr::serve::ServeConfig {
         addr: opts.value("--addr").unwrap_or("127.0.0.1:0").to_string(),
@@ -1655,20 +1415,8 @@ fn cmd_client(opts: &Opts) -> Result<(), AnyError> {
             Some(s) => parse_date(s)?,
             None => days_from_civil(2002, 12, 28),
         };
-        let mut spec = serve::baseline_spec(now);
-        spec.unsync = opts.switch("--unsync");
-        if let Some(w) = opts.value("--where") {
-            spec.pred = Some(w.to_string());
-        }
-        if let Some(m) = opts.value("--mode") {
-            spec.mode = m.to_string();
-        }
-        if let Some(l) = opts.value("--roll-up") {
-            spec.levels = l.to_string();
-        }
-        if let Some(a) = opts.value("--approach") {
-            spec.approach = a.to_string();
-        }
+        // No flags: the baseline query the serve banner digests.
+        let spec = query_spec(opts, now, &serve::baseline_spec(now).levels);
         if opts.switch("--explain") {
             serve::explain_payload(&spec)
         } else {
@@ -1693,7 +1441,6 @@ fn cmd_client(opts: &Opts) -> Result<(), AnyError> {
 
 fn cmd_loadgen(opts: &Opts) -> Result<(), AnyError> {
     use specdr::driver::{drive_socket, percentile, SocketDriveConfig};
-    use specdr::workload::{paper_schema, ACTION_A1, ACTION_A2};
     let cfg = SocketDriveConfig {
         seed: opts.value("--seed").unwrap_or("42").parse()?,
         clients: opts.value("--clients").unwrap_or("4").parse()?,
@@ -1702,10 +1449,7 @@ fn cmd_loadgen(opts: &Opts) -> Result<(), AnyError> {
         ..Default::default()
     };
     let shards: usize = opts.value("--shards").unwrap_or("2").parse()?;
-    let (schema, _) = paper_schema();
-    let a1 = specdr::spec::parse_action(&schema, ACTION_A1)?;
-    let a2 = specdr::spec::parse_action(&schema, ACTION_A2)?;
-    let spec = DataReductionSpec::new(Arc::clone(&schema), vec![a1, a2])?;
+    let spec = paper_spec(&specdr::workload::paper_schema().0)?;
     let dir = std::env::temp_dir().join(format!(
         "specdr-loadgen-{}-{}",
         std::process::id(),
@@ -1722,21 +1466,13 @@ fn cmd_loadgen(opts: &Opts) -> Result<(), AnyError> {
         "loadgen: {} clients x {} churn steps over {} shards (seed {})",
         cfg.clients, cfg.steps, shards, cfg.seed
     );
-    println!(
-        "  mutations       = {} applied, {} rejected (legal spec-evolution refusals)",
-        report.mutations_ok, report.mutations_rejected
-    );
-    println!(
-        "  published       = {} versions, epochs {}..{}",
-        report.published.len(),
-        report.published.first().map_or(0, |p| p.0),
-        report.published.last().map_or(0, |p| p.0)
-    );
-    println!(
-        "  observations    = {} wire queries across {} clients ({:.0} queries/s)",
+    print_drive_lines(
+        report.mutations_ok,
+        report.mutations_rejected,
+        &report.published,
         report.observations,
-        cfg.clients,
-        report.observations as f64 / secs.max(1e-9)
+        &format!("wire queries across {} clients", cfg.clients),
+        secs,
     );
     println!(
         "  latency         = p50 {:.1}us p99 {:.1}us",

@@ -28,10 +28,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use sdr_mdm::{calendar::days_from_civil, time_cat, DayNum, Mo};
-use sdr_query::{AggApproach, SelectMode};
+use sdr_mdm::{calendar::days_from_civil, DayNum, Mo};
 use sdr_reduce::DataReductionSpec;
-use sdr_spec::parse_pexp;
 use sdr_subcube::{
     CubeQuery, OpOutcome, ShardRouter, ShardViewSet, SubcubeError, SubcubeManager, WarehouseOp,
     WarehouseView,
@@ -97,14 +95,25 @@ pub struct DriveReport {
     pub schedule_digest: u64,
 }
 
+/// An MO's rendered rows, sorted — what a query response lists and what
+/// [`result_digest`] folds.
+pub(crate) fn sorted_rows(mo: &Mo) -> Vec<String> {
+    let mut rows: Vec<String> = mo.facts().map(|f| mo.render_fact(f)).collect();
+    rows.sort();
+    rows
+}
+
 /// FNV-1a64 over an MO's *sorted* rendered rows: an order-insensitive
 /// content digest, so parallel and sequential evaluation of the same
 /// query against the same version agree.
 pub fn result_digest(mo: &Mo) -> u64 {
-    let mut rows: Vec<String> = mo.facts().map(|f| mo.render_fact(f)).collect();
-    rows.sort();
+    rows_digest(&sorted_rows(mo))
+}
+
+/// The fold of [`result_digest`] over rows already rendered and sorted.
+pub(crate) fn rows_digest(rows: &[String]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for row in &rows {
+    for row in rows {
         for &b in row.as_bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -125,44 +134,11 @@ fn view_digest(v: &WarehouseView) -> u64 {
     h
 }
 
-/// The Figure 5–9 query mix: roll-ups with and without predicates, in
-/// conservative/liberal/weighted imprecision modes.
-fn query_mix(view: &WarehouseView) -> Vec<CubeQuery> {
-    let schema = view.schema();
-    let domain = schema.resolve_cat("URL.domain").expect("paper schema").1;
-    let grp = schema
-        .resolve_cat("URL.domain_grp")
-        .expect("paper schema")
-        .1;
-    vec![
-        CubeQuery {
-            pred: None,
-            mode: SelectMode::Conservative,
-            levels: vec![time_cat::MONTH, domain],
-            approach: AggApproach::Availability,
-        },
-        CubeQuery {
-            pred: Some(parse_pexp(schema, "URL.domain_grp = .com").expect("pexp parses")),
-            mode: SelectMode::Conservative,
-            levels: vec![time_cat::QUARTER, grp],
-            approach: AggApproach::Availability,
-        },
-        CubeQuery {
-            pred: Some(parse_pexp(schema, "Time.year <= 2001").expect("pexp parses")),
-            mode: SelectMode::Liberal,
-            levels: vec![time_cat::YEAR, grp],
-            approach: AggApproach::Lub,
-        },
-        CubeQuery {
-            pred: Some(
-                parse_pexp(schema, "URL.domain_grp = .com AND Time.quarter <= 2001Q4")
-                    .expect("pexp parses"),
-            ),
-            mode: SelectMode::Weighted { threshold: 0.5 },
-            levels: vec![time_cat::QUARTER, domain],
-            approach: AggApproach::Availability,
-        },
-    ]
+/// The Figure 5–9 mix ([`serve::mix_specs`]) built against `schema`; a
+/// built query depends on neither `now` nor the sync state.
+fn built_mix(schema: &Arc<sdr_mdm::Schema>) -> Vec<CubeQuery> {
+    let build = |s: &serve::QuerySpec| s.build(schema).expect("the mix builds on the paper schema");
+    serve::mix_specs(0, false).iter().map(build).collect()
 }
 
 /// The fixed evaluation days readers draw `NOW` from (results differ per
@@ -238,7 +214,7 @@ pub fn drive(spec: DataReductionSpec, cfg: &DriveConfig) -> Result<DriveReport, 
             let min_queries = cfg.min_queries_per_reader;
             s.spawn(move || {
                 let mut rng = SplitMix64(seed ^ 0x5EAD ^ (r as u64).wrapping_mul(0x9E37_79B9));
-                let mix = query_mix(&m.view());
+                let mix = built_mix(m.schema());
                 let mut local = Vec::new();
                 let mut n = 0usize;
                 loop {
@@ -294,7 +270,7 @@ pub fn drive(spec: DataReductionSpec, cfg: &DriveConfig) -> Result<DriveReport, 
     // digest is order-insensitive so it matches both.
     let published = published.into_inner().unwrap();
     let observations = observations.into_inner().unwrap();
-    let mix0 = query_mix(&published[0]);
+    let mix0 = built_mix(&schema);
     let published: Vec<(u64, u64)> = published
         .iter()
         .map(|v| (v.epoch(), view_digest(v)))
@@ -563,13 +539,8 @@ pub fn drive_socket(
             continue;
         };
         let spec = serve::mix_specs(ob.now, ob.unsync).swap_remove(ob.query);
-        let expect = spec.build(&schema).ok().and_then(|q| {
-            if ob.unsync {
-                set.query_unsync(&q, ob.now, false).ok()
-            } else {
-                set.query(&q, ob.now, false).ok()
-            }
-        });
+        let built = spec.build(&schema).ok();
+        let expect = built.and_then(|q| spec.eval(&q, set, false).ok());
         match expect {
             Some(mo) if result_digest(&mo) == ob.digest => {}
             _ => torn += 1,

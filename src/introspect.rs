@@ -175,68 +175,83 @@ fn dag_of(view: &sdr_subcube::WarehouseView) -> Vec<CubeReport> {
         .collect()
 }
 
-/// Explains a query: evaluates `q` on the manager with tracing on and
-/// returns the answer plus the annotated report. Scanned/output counts
-/// per cube come from the `subcube.query.subquery` span attributes; a
-/// scanned cube that contributed no rows is marked skippable. Each cube
-/// also carries the planner's verdict (scan with a cost estimate, or the
-/// skip reason) — planning is deterministic, so the report's plan is the
-/// one the evaluation followed.
+/// Explains a query: evaluates `q` on the manager's current view with
+/// tracing on and returns the answer plus the annotated report.
+/// Scanned/output counts per cube come from the `subcube.query.subquery`
+/// span attributes; a scanned cube that contributed no rows is marked
+/// skippable. Each cube also carries the planner's verdict (scan with a
+/// cost estimate, or the skip reason) — planning is deterministic, so
+/// the report's plan is the one the evaluation followed.
+///
+/// With `unsync` the query is the un-synchronized one
+/// ([`query_unsync`](sdr_subcube::WarehouseView::query_unsync), op
+/// `"query_unsync"`): the DAG, scans and planner verdicts are those of
+/// the **virtually aged** version the answer came from (nothing was
+/// published: `epoch` is the pinned view's), and the report carries the
+/// `subcube.query.virtual_age` span, which the table and JSON renderings
+/// show as the memo line.
 pub fn explain_query(
     mgr: &SubcubeManager,
     q: &CubeQuery,
     now: DayNum,
     parallel: bool,
+    unsync: bool,
 ) -> Result<(Mo, Introspection), SubcubeError> {
-    let (answer, snap) = recorded(|| mgr.query(q, now, parallel))?;
-    let view = mgr.view();
-    let mut cubes = dag_of(&view);
-    annotate_query_scans(&mut cubes, &snap);
-    annotate_plan(&mut cubes, &view.plan(q, now, view.region_oracle()));
-    let report = Introspection {
-        op: "query".into(),
-        now,
-        epoch: view.epoch(),
-        result_rows: answer.len() as u64,
-        cubes,
-        phases: phases_of(&snap),
-        snapshot: snap,
-    };
+    let op = if unsync { "query_unsync" } else { "query" };
+    let ((), answer, report) = explained(op, mgr, q, now, parallel, unsync, || Ok(()))?;
     Ok((answer, report))
 }
 
-/// Explains an un-synchronized query: evaluates `q` with
-/// [`query_unsync`](sdr_subcube::WarehouseView::query_unsync) on the
-/// manager's current view with tracing on. The DAG, scans and planner
-/// verdicts are those of the **virtually aged** version the answer came
-/// from (nothing was published: `epoch` is the pinned view's), and the
-/// report carries the `subcube.query.virtual_age` span, which the table
-/// and JSON renderings show as the memo line.
-pub fn explain_query_unsync(
+/// Profiles a synchronization followed by a query under a single trace
+/// recording, so the phase breakdown covers the reduction steps and the
+/// query fan-out side by side. Cube scan annotations come from the query
+/// half.
+pub fn profile(
     mgr: &SubcubeManager,
     q: &CubeQuery,
     now: DayNum,
     parallel: bool,
-) -> Result<(Mo, Introspection), SubcubeError> {
-    let view = mgr.view();
-    // `query_unsync`, with the aged view kept for the report.
-    let ((answer, aged), snap) = recorded(|| {
-        let (aged, _) = view.virtual_age(now)?;
-        Ok((aged.query(q, now, parallel)?, aged))
+) -> Result<(AgeStats, Mo, Introspection), SubcubeError> {
+    explained("profile", mgr, q, now, parallel, false, || mgr.sync(now))
+}
+
+/// The one body of the query explainers: `before`, then `q` on the
+/// manager's current view — virtually aged to `now` first when `unsync`
+/// — under one recording; the report annotates the view the answer came
+/// from.
+fn explained<T>(
+    op: &str,
+    mgr: &SubcubeManager,
+    q: &CubeQuery,
+    now: DayNum,
+    parallel: bool,
+    unsync: bool,
+    before: impl FnOnce() -> Result<T, SubcubeError>,
+) -> Result<(T, Mo, Introspection), SubcubeError> {
+    let ((first, pinned, view, answer), snap) = recorded(|| {
+        let first = before()?;
+        let pinned = mgr.view();
+        let view = if unsync {
+            pinned.virtual_age(now)?.0
+        } else {
+            pinned.clone()
+        };
+        let answer = view.query(q, now, parallel)?;
+        Ok((first, pinned, view, answer))
     })?;
-    let mut cubes = dag_of(&aged);
+    let mut cubes = dag_of(&view);
     annotate_query_scans(&mut cubes, &snap);
-    annotate_plan(&mut cubes, &aged.plan(q, now, aged.region_oracle()));
+    annotate_plan(&mut cubes, &view.plan(q, now, view.region_oracle()));
     let report = Introspection {
-        op: "query_unsync".into(),
+        op: op.into(),
         now,
-        epoch: view.epoch(),
+        epoch: pinned.epoch(),
         result_rows: answer.len() as u64,
         cubes,
         phases: phases_of(&snap),
         snapshot: snap,
     };
-    Ok((answer, report))
+    Ok((first, answer, report))
 }
 
 /// Marks every cube with a `subcube.query.subquery` span as scanned and
@@ -285,37 +300,6 @@ fn annotate_plan(cubes: &mut [CubeReport], plan: &sdr_plan::QueryPlan) {
             }
         }
     }
-}
-
-/// Profiles a synchronization followed by a query under a single trace
-/// recording, so the phase breakdown covers the reduction steps and the
-/// query fan-out side by side. Cube scan annotations come from the query
-/// half.
-pub fn profile(
-    mgr: &SubcubeManager,
-    q: &CubeQuery,
-    now: DayNum,
-    parallel: bool,
-) -> Result<(AgeStats, Mo, Introspection), SubcubeError> {
-    let ((stats, answer), snap) = recorded(|| {
-        let s = mgr.sync(now)?;
-        let a = mgr.query(q, now, parallel)?;
-        Ok((s, a))
-    })?;
-    let view = mgr.view();
-    let mut cubes = dag_of(&view);
-    annotate_query_scans(&mut cubes, &snap);
-    annotate_plan(&mut cubes, &view.plan(q, now, view.region_oracle()));
-    let report = Introspection {
-        op: "profile".into(),
-        now,
-        epoch: view.epoch(),
-        result_rows: answer.len() as u64,
-        cubes,
-        phases: phases_of(&snap),
-        snapshot: snap,
-    };
-    Ok((stats, answer, report))
 }
 
 /// Explains a reduction: runs [`SubcubeManager::age`] to `until` with
@@ -564,7 +548,7 @@ mod tests {
             levels: vec![tc::YEAR, m.schema().dim(sdr_mdm::DimId(1)).graph().top()],
             approach: AggApproach::Availability,
         };
-        let (answer, report) = explain_query(&m, &q, now, true).unwrap();
+        let (answer, report) = explain_query(&m, &q, now, true, false).unwrap();
         assert!(!sdr_obs::enabled(), "registry state restored");
         assert_eq!(report.op, "query");
         assert_eq!(report.result_rows, answer.len() as u64);

@@ -46,11 +46,11 @@ use sdr_sync::atomic::{AtomicBool, Ordering};
 use sdr_sync::Gate;
 use std::time::{Duration, Instant};
 
-use sdr_mdm::{DayNum, Schema};
+use sdr_mdm::{DayNum, Mo, Schema};
 use sdr_query::{AggApproach, SelectMode};
 use sdr_spec::parse_pexp;
 use sdr_storage::wal::crc32;
-use sdr_subcube::{CubeQuery, ShardRouter};
+use sdr_subcube::{CubeQuery, ShardRouter, ShardViewSet, SubcubeError};
 
 /// Largest accepted frame payload (1 MiB).
 pub const MAX_FRAME: u32 = 1 << 20;
@@ -217,27 +217,15 @@ impl QuerySpec {
         Ok(spec)
     }
 
-    /// Compiles the spec into a [`CubeQuery`] against `schema`.
+    /// Compiles the spec into a [`CubeQuery`] against `schema` — the one
+    /// text → query builder, for the wire and for every CLI command.
     pub fn build(&self, schema: &Arc<Schema>) -> Result<CubeQuery, String> {
         let pred = match &self.pred {
             Some(p) => Some(parse_pexp(schema, p).map_err(|e| e.to_string())?),
             None => None,
         };
-        let mode = match self.mode.as_str() {
-            "conservative" => SelectMode::Conservative,
-            "liberal" => SelectMode::Liberal,
-            m if m.starts_with("weighted:") => SelectMode::Weighted {
-                threshold: m["weighted:".len()..]
-                    .parse()
-                    .map_err(|_| format!("bad mode `{m}`"))?,
-            },
-            other => return Err(format!("unknown mode `{other}`")),
-        };
-        let approach = match self.approach.as_str() {
-            "availability" => AggApproach::Availability,
-            "lub" => AggApproach::Lub,
-            other => return Err(format!("unknown approach `{other}`")),
-        };
+        let mode: SelectMode = self.mode.parse()?;
+        let approach: AggApproach = self.approach.parse()?;
         let mut levels = schema.bottom_granularity().0;
         for name in self.levels.split(',').map(str::trim) {
             if name.is_empty() {
@@ -253,44 +241,57 @@ impl QuerySpec {
             approach,
         })
     }
+
+    /// Evaluates `q` — this spec, [built](QuerySpec::build) — on a pinned
+    /// shard set at `now`, in the sync state the spec names: the one
+    /// place `unsync` picks the entry point.
+    pub fn eval(
+        &self,
+        q: &CubeQuery,
+        set: &ShardViewSet,
+        parallel: bool,
+    ) -> Result<Mo, SubcubeError> {
+        if self.unsync {
+            set.query_unsync(q, self.now, parallel)
+        } else {
+            set.query(q, self.now, parallel)
+        }
+    }
 }
 
-/// The Figure 5–9 query mix as textual specs (`now`/`unsync` filled in
-/// per request) — the socket load generator's request pool, and what
-/// `tests/sharding.rs` replays for differential digests.
+/// The Figure 5–9 query mix (`now`/`unsync` filled in per request):
+/// roll-ups with and without predicates, in conservative, liberal and
+/// weighted imprecision modes — the request pool of both load drivers
+/// and of the differential tests.
 pub fn mix_specs(now: DayNum, unsync: bool) -> Vec<QuerySpec> {
-    let q = |pred: Option<&str>, mode: &str, levels: &str, approach: &str| QuerySpec {
+    use {AggApproach::*, SelectMode::*};
+    let q = |pred: Option<&str>, mode: SelectMode, levels: &str, approach: AggApproach| QuerySpec {
         pred: pred.map(Into::into),
-        mode: mode.into(),
+        mode: mode.to_string(),
         levels: levels.into(),
-        approach: approach.into(),
+        approach: approach.to_string(),
         now,
         unsync,
     };
     vec![
-        q(
-            None,
-            "conservative",
-            "Time.month,URL.domain",
-            "availability",
-        ),
+        q(None, Conservative, "Time.month,URL.domain", Availability),
         q(
             Some("URL.domain_grp = .com"),
-            "conservative",
+            Conservative,
             "Time.quarter,URL.domain_grp",
-            "availability",
+            Availability,
         ),
         q(
             Some("Time.year <= 2001"),
-            "liberal",
+            Liberal,
             "Time.year,URL.domain_grp",
-            "lub",
+            Lub,
         ),
         q(
             Some("URL.domain_grp = .com AND Time.quarter <= 2001Q4"),
-            "weighted:0.5",
+            Weighted { threshold: 0.5 },
             "Time.quarter,URL.domain",
-            "availability",
+            Availability,
         ),
     ]
 }
@@ -489,19 +490,15 @@ fn handle_request(router: &ShardRouter, payload: &[u8]) -> Vec<u8> {
     let result = match tag {
         REQ_PING => Ok("pong\n".to_string()),
         REQ_STATS => Ok(render_stats(router)),
-        REQ_QUERY | REQ_EXPLAIN => match std::str::from_utf8(body)
-            .map_err(|_| (ERR_BAD_REQUEST, "request body is not UTF-8".to_string()))
-            .and_then(|text| QuerySpec::decode(text).map_err(|e| (ERR_BAD_REQUEST, e)))
-        {
-            Ok(spec) => {
-                if tag == REQ_QUERY {
-                    run_query(router, &spec)
-                } else {
-                    run_explain(router, &spec)
-                }
-            }
-            Err(e) => Err(e),
-        },
+        REQ_QUERY | REQ_EXPLAIN => std::str::from_utf8(body)
+            .map_err(|_| "request body is not UTF-8".to_string())
+            .and_then(QuerySpec::decode)
+            .and_then(|spec| Ok((spec.build(router.schema())?, spec)))
+            .map_err(|e| (ERR_BAD_REQUEST, e))
+            .and_then(|(q, spec)| match tag {
+                REQ_QUERY => run_query(router, &spec, &q),
+                _ => run_explain(router, &spec, &q),
+            }),
         other => Err((
             ERR_BAD_REQUEST,
             format!("unknown request tag 0x{other:02x}"),
@@ -525,23 +522,21 @@ fn handle_request(router: &ShardRouter, payload: &[u8]) -> Vec<u8> {
 /// the full result.
 const ROWS_CAP: usize = 500;
 
-fn run_query(router: &ShardRouter, spec: &QuerySpec) -> Result<String, (u8, String)> {
-    let q = spec
-        .build(router.schema())
-        .map_err(|e| (ERR_BAD_REQUEST, e))?;
+fn run_query(
+    router: &ShardRouter,
+    spec: &QuerySpec,
+    q: &CubeQuery,
+) -> Result<String, (u8, String)> {
     let set = router.view_set();
-    let res = if spec.unsync {
-        set.query_unsync(&q, spec.now, true)
-    } else {
-        set.query(&q, spec.now, true)
-    }
-    .map_err(|e| (ERR_INTERNAL, e.to_string()))?;
-    let mut rows: Vec<String> = res.facts().map(|f| res.render_fact(f)).collect();
-    rows.sort();
+    let res = spec
+        .eval(q, &set, true)
+        .map_err(|e| (ERR_INTERNAL, e.to_string()))?;
+    // Rendered and sorted once: the digest folds the rows the body lists.
+    let rows = crate::driver::sorted_rows(&res);
     let mut body = format!(
         "epoch={}\ndigest=0x{:016x}\nrows={}\n",
         set.epoch(),
-        crate::driver::result_digest(&res),
+        crate::driver::rows_digest(&rows),
         rows.len()
     );
     for row in rows.iter().take(ROWS_CAP) {
@@ -555,10 +550,11 @@ fn run_query(router: &ShardRouter, spec: &QuerySpec) -> Result<String, (u8, Stri
     Ok(body)
 }
 
-fn run_explain(router: &ShardRouter, spec: &QuerySpec) -> Result<String, (u8, String)> {
-    let q = spec
-        .build(router.schema())
-        .map_err(|e| (ERR_BAD_REQUEST, e))?;
+fn run_explain(
+    router: &ShardRouter,
+    spec: &QuerySpec,
+    q: &CubeQuery,
+) -> Result<String, (u8, String)> {
     let pinned = router.view_set();
     // An un-synchronized query is planned on the virtually aged views:
     // explain those, and say whether each came from its version's memo.
@@ -570,7 +566,7 @@ fn run_explain(router: &ShardRouter, spec: &QuerySpec) -> Result<String, (u8, St
     } else {
         (pinned, Vec::new())
     };
-    let plans = set.plans(&q, spec.now);
+    let plans = set.plans(q, spec.now);
     let mut body = format!("epoch={}\nshards={}\n", set.epoch(), set.shards());
     for (s, hit) in memo.iter().enumerate() {
         let verdict = if *hit { "hit" } else { "miss" };

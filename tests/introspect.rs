@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use specdr::introspect::{explain_age, explain_query, explain_query_unsync, profile};
+use specdr::introspect::{explain_age, explain_query, profile};
 use specdr::mdm::calendar::days_from_civil;
 use specdr::mdm::time_cat as tc;
 use specdr::query::{aggregate_ids_naive, select_snapshot, AggApproach, SelectMode};
@@ -52,7 +52,7 @@ fn explain_counts_match_naive_references() {
 
     // --- Phase 1: explain a Figure 8 query; every reported count must
     // equal a reference recomputed with the naive kernels.
-    let (answer, report) = explain_query(&m, &q, now, true).unwrap();
+    let (answer, report) = explain_query(&m, &q, now, true, false).unwrap();
     let direct = m.query(&q, now, false).unwrap();
     assert_eq!(
         answer.len(),
@@ -100,7 +100,7 @@ fn explain_counts_match_naive_references() {
         mode: SelectMode::Conservative,
         ..figure8_query(&m)
     };
-    let (empty_answer, empty_report) = explain_query(&m, &empty_q, now, false).unwrap();
+    let (empty_answer, empty_report) = explain_query(&m, &empty_q, now, false, false).unwrap();
     assert_eq!(empty_answer.len(), 0);
     for c in &empty_report.cubes {
         assert!(!c.scanned, "planner prunes the impossible window: {c:?}");
@@ -213,7 +213,7 @@ fn explain_counts_match_naive_references() {
     m4.sync(days_from_civil(2000, 6, 5)).unwrap();
     let q4 = figure8_query(&m4);
     let epoch = m4.epoch();
-    let (uanswer, ureport) = explain_query_unsync(&m4, &q4, now, true).unwrap();
+    let (uanswer, ureport) = explain_query(&m4, &q4, now, true, true).unwrap();
     assert_eq!(m4.epoch(), epoch, "explaining a read published a version");
     assert_eq!(
         (ureport.op.as_str(), ureport.epoch),
@@ -235,7 +235,7 @@ fn explain_counts_match_naive_references() {
     );
     assert!(ureport.to_table().contains("virtual age: "));
     assert!(ureport.to_json().contains("\"virtual_age\":{"));
-    let (_, again) = explain_query_unsync(&m4, &q4, now, true).unwrap();
+    let (_, again) = explain_query(&m4, &q4, now, true, true).unwrap();
     let memo = again.virtual_age().unwrap();
     assert!(
         memo.contains(&("memo".to_string(), "hit".to_string())),

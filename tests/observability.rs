@@ -172,9 +172,10 @@ fn metrics_agree_with_authoritative_numbers() {
         chunks_before as u64
     );
 
-    // --- Phase 4: parallel query. Fan-out covers every cube; one
-    // sub-query span per cube (planner-skipped ones included — they
-    // record a `skipped` attr) plus the final combine aggregation.
+    // --- Phase 4: parallel query. The fan-out covers the cubes the
+    // planner scans — a skipped cube gets no thread; one sub-query span
+    // per cube (planner-skipped ones included — they record a `skipped`
+    // attr) plus the one final merge aggregation.
     obs::reset();
     let (tdim, month) = schema.resolve_cat("Time.month").unwrap();
     let mut levels = schema.bottom_granularity().0;
@@ -189,15 +190,16 @@ fn metrics_agree_with_authoritative_numbers() {
     assert!(!answer.is_empty());
     let snap = obs::snapshot();
     let n_cubes = mgr.n_cubes() as u64;
-    assert_eq!(snap.counter("subcube.query.fanout"), Some(n_cubes));
     assert_eq!(snap.span("subcube.query.subquery").unwrap().count, n_cubes);
     assert_eq!(snap.span("subcube.query").unwrap().count, 1);
-    // The planner accounts for every cube: scanned + skipped = fan-out.
-    // With no predicate, only empty cubes can be skipped.
+    // The planner accounts for every cube: scanned + skipped = cubes.
+    // With no predicate, only empty cubes can be skipped; the fan-out is
+    // the cubes scanned.
     let scanned = snap.counter("plan.cubes_scanned").unwrap();
     let skipped = snap.counter("plan.cubes_skipped").unwrap();
     assert_eq!(scanned + skipped, n_cubes);
     assert_eq!(snap.counter("plan.skip.empty").unwrap_or(0), skipped);
+    assert_eq!(snap.counter("subcube.query.fanout"), Some(scanned));
     // aggregate runs once per scanned sub-query + once combining (plus
     // once per skipped cube when SDR_PLAN_VERIFY re-evaluates them).
     let verify_extra = if std::env::var("SDR_PLAN_VERIFY").ok().as_deref() == Some("1") {
@@ -211,11 +213,22 @@ fn metrics_agree_with_authoritative_numbers() {
     );
     assert!(snap.counter("query.aggregate.cells_produced").unwrap() >= answer.len() as u64);
 
+    // --- Phase 4a: the re-delivered clicks sit un-homed in the bottom
+    // cube, so a parallel query scans two cubes and skips the empty
+    // third: the fan-out is the cubes scanned, not the cubes of the
+    // view, and the skipped one still gets its sub-query span.
+    mgr.bulk_load(&mo.gather(&late)).unwrap();
+    obs::reset();
+    mgr.query(&q, now, true).unwrap();
+    let snap = obs::snapshot();
+    assert_eq!(snap.counter("plan.cubes_skipped"), Some(1));
+    assert_eq!(snap.counter("subcube.query.fanout"), Some(n_cubes - 1));
+    assert_eq!(snap.span("subcube.query.subquery").unwrap().count, n_cubes);
+
     // --- Phase 4b: un-synchronized reads. Three evaluations of one
     // pinned view at one day are one virtual aging (a miss) and two memo
     // hits; the miss reports exactly what the real `age` to that day then
     // does; and nothing on the write path's books moves.
-    mgr.bulk_load(&mo.gather(&late)).unwrap();
     obs::reset();
     let unsync_now = now + 85;
     let (epoch, view) = (mgr.epoch(), mgr.view());

@@ -274,8 +274,8 @@ impl Target {
         match (self, unsync) {
             (Target::Mgr(m), false) => m.query(q, now, parallel),
             (Target::Mgr(m), true) => m.query_unsync(q, now, parallel),
-            (Target::Router(r), false) => r.query(q, now, parallel),
-            (Target::Router(r), true) => r.query_unsync(q, now, parallel),
+            (Target::Router(r), false) => r.view_set().query(q, now, parallel),
+            (Target::Router(r), true) => r.view_set().query_unsync(q, now, parallel),
         }
         .unwrap()
     }

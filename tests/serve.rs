@@ -31,7 +31,10 @@ use specdr::serve::{
 };
 use specdr::spec::parse_action;
 use specdr::subcube::ShardRouter;
-use specdr::workload::{churn_script, paper_schema, ChurnOp, SplitMix64, ACTION_A1, ACTION_A2};
+use specdr::workload::{
+    churn_script, generate, paper_schema, retention_policy, ChurnOp, ClickstreamConfig, SplitMix64,
+    ACTION_A1, ACTION_A2,
+};
 
 fn paper_spec() -> DataReductionSpec {
     let (schema, _) = paper_schema();
@@ -69,6 +72,47 @@ fn served(
 
 const TIMEOUT: Duration = Duration::from_secs(5);
 
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One query round-trip checked against in-process evaluation of the
+/// same spec: the wire `digest=` is [`result_digest`] of the whole
+/// answer, `rows=` its length, and the `row=` lines are its rendered
+/// rows, sorted, capped at 500 with `truncated=1` exactly when the cap
+/// cut some off. Returns the body's FNV-1a (pinned against the parent
+/// commit's by the callers) and the answer's row count.
+fn checked_query(
+    router: &ShardRouter,
+    addr: &std::net::SocketAddr,
+    spec: &serve::QuerySpec,
+) -> (u64, usize) {
+    let resp = request(addr, &query_payload(spec), TIMEOUT).unwrap();
+    let (tag, body) = split_response(&resp).unwrap();
+    assert_eq!(tag, RESP_OK, "{}", String::from_utf8_lossy(body));
+    let digest = fnv(body);
+    let body = String::from_utf8_lossy(body);
+    let q = spec.build(router.schema()).unwrap();
+    let local = spec.eval(&q, &router.view_set(), false).unwrap();
+    let wire = response_field(&body, "digest").unwrap();
+    let wire = u64::from_str_radix(wire.strip_prefix("0x").unwrap(), 16).unwrap();
+    assert_eq!(wire, result_digest(&local), "{spec:?}");
+    let rows: usize = response_field(&body, "rows").unwrap().parse().unwrap();
+    assert_eq!(rows, local.len());
+    let mut want: Vec<String> = local.facts().map(|f| local.render_fact(f)).collect();
+    want.sort();
+    want.truncate(500);
+    let sent: Vec<&str> = body
+        .lines()
+        .filter_map(|l| l.strip_prefix("row="))
+        .collect();
+    assert_eq!(sent, want, "{spec:?}");
+    assert_eq!(body.ends_with("truncated=1\n"), rows > 500, "{spec:?}");
+    (digest, rows)
+}
+
 /// Asserts the daemon still answers a clean baseline query with the
 /// in-process digest — used after every abuse round.
 fn assert_still_serving(router: &ShardRouter, addr: &std::net::SocketAddr) {
@@ -87,7 +131,7 @@ fn assert_still_serving(router: &ShardRouter, addr: &std::net::SocketAddr) {
     )
     .unwrap();
     let q = spec.build(router.schema()).unwrap();
-    let local = result_digest(&router.query(&q, now, false).unwrap());
+    let local = result_digest(&spec.eval(&q, &router.view_set(), false).unwrap());
     assert_eq!(
         wire, local,
         "wire digest diverged from in-process evaluation"
@@ -100,34 +144,34 @@ fn assert_still_serving(router: &ShardRouter, addr: &std::net::SocketAddr) {
 fn wire_digests_match_in_process() {
     let (router, handle, dir) = served("digests", &ServeConfig::default());
     let addr = handle.addr();
+    // Response bodies as a051888 sent them (FNV-1a, in loop order).
+    const PARENT: [u64; 16] = [
+        0xe156_e35e_d914_89cf,
+        0xda5a_3b18_72a6_f6b3,
+        0xb2f3_f67f_88de_1f2c,
+        0x1327_5b27_38a3_28ad,
+        0xe156_e35e_d914_89cf,
+        0xda5a_3b18_72a6_f6b3,
+        0xb2f3_f67f_88de_1f2c,
+        0x1327_5b27_38a3_28ad,
+        0xe156_e35e_d914_89cf,
+        0xda5a_3b18_72a6_f6b3,
+        0xb2f3_f67f_88de_1f2c,
+        0x1327_5b27_38a3_28ad,
+        0x1327_5b27_38a3_28ad,
+        0xda5a_3b18_72a6_f6b3,
+        0xb2f3_f67f_88de_1f2c,
+        0x1327_5b27_38a3_28ad,
+    ];
+    let mut bodies = Vec::new();
     for &now in &[days_from_civil(2000, 9, 15), days_from_civil(2001, 6, 15)] {
         for unsync in [false, true] {
             for spec in mix_specs(now, unsync) {
-                let resp = request(&addr, &query_payload(&spec), TIMEOUT).unwrap();
-                let (tag, body) = split_response(&resp).unwrap();
-                assert_eq!(tag, RESP_OK, "{}", String::from_utf8_lossy(body));
-                let body = String::from_utf8_lossy(body);
-                let wire: u64 = u64::from_str_radix(
-                    response_field(&body, "digest")
-                        .unwrap()
-                        .strip_prefix("0x")
-                        .unwrap(),
-                    16,
-                )
-                .unwrap();
-                let q = spec.build(router.schema()).unwrap();
-                let local = if unsync {
-                    router.query_unsync(&q, now, false)
-                } else {
-                    router.query(&q, now, false)
-                }
-                .unwrap();
-                assert_eq!(wire, result_digest(&local));
-                let rows: usize = response_field(&body, "rows").unwrap().parse().unwrap();
-                assert_eq!(rows, local.len());
+                bodies.push(checked_query(&router, &addr, &spec).0);
             }
         }
     }
+    assert_eq!(bodies, PARENT, "got {bodies:#x?}");
     // stats
     let resp = request(&addr, &[REQ_STATS], TIMEOUT).unwrap();
     let (tag, body) = split_response(&resp).unwrap();
@@ -177,6 +221,62 @@ fn wire_digests_match_in_process() {
     let (tag, body) = split_response(&resp).unwrap();
     assert_eq!(tag, RESP_OK);
     assert_eq!(body, b"pong\n");
+    drop(handle);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The mix over a two-shard click-stream warehouse (18 months × 20
+/// clicks a day under the 6/36 retention policy, synchronized the day
+/// after its last click), and one bottom-granularity answer over the
+/// 500-row cap: bodies byte-identical to the parent commit's.
+#[test]
+fn wire_rows_are_sorted_capped_and_digested_whole() {
+    // Response bodies as a051888 sent them (FNV-1a, in loop order).
+    const PARENT: [u64; 9] = [
+        0xf2c2_113b_07bc_4266,
+        0x40e2_0964_10ae_3a9b,
+        0xe431_f4e3_2972_02a5,
+        0x0a6a_ebd0_3c86_6efc,
+        0xf2c2_113b_07bc_4266,
+        0x40e2_0964_10ae_3a9b,
+        0xe431_f4e3_2972_02a5,
+        0x0a6a_ebd0_3c86_6efc,
+        0x142d_77a8_0cf2_079b,
+    ];
+    let cs = generate(&ClickstreamConfig {
+        clicks_per_day: 20,
+        start: (1999, 1, 1),
+        end: (2000, 6, 28),
+        ..Default::default()
+    });
+    let actions = retention_policy(6, 36)
+        .iter()
+        .map(|s| parse_action(&cs.schema, s).unwrap())
+        .collect();
+    let spec = DataReductionSpec::new(Arc::clone(&cs.schema), actions).unwrap();
+    let dir = tdir("rows");
+    let router = Arc::new(ShardRouter::create(spec, &dir, 2).unwrap());
+    router.bulk_load(&cs.mo).unwrap();
+    router.sync(days_from_civil(2000, 6, 29)).unwrap();
+    let handle = serve::serve(Arc::clone(&router), &ServeConfig::default()).unwrap();
+    let addr = handle.addr();
+    let mut bodies = Vec::new();
+    for unsync in [false, true] {
+        for spec in mix_specs(days_from_civil(2000, 10, 1), unsync) {
+            bodies.push(checked_query(&router, &addr, &spec).0);
+        }
+    }
+    let bottom = serve::QuerySpec {
+        levels: String::new(),
+        ..baseline_spec(days_from_civil(2000, 6, 29))
+    };
+    let (body, rows) = checked_query(&router, &addr, &bottom);
+    assert!(
+        rows > 500,
+        "the bottom-granularity answer must exceed the cap: {rows}"
+    );
+    bodies.push(body);
+    assert_eq!(bodies, PARENT, "got {bodies:#x?}");
     drop(handle);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1120,6 +1120,71 @@ fn mutation_layers_only_apply_ops() {
     );
 }
 
+/// Source audit for the request path: each of its steps is written
+/// once. The mode grammar's `weighted:` literal lives in one file (the
+/// `FromStr`/`Display` pair in `sdr-query`); the subcube layer calls
+/// `aggregate_ids` in exactly two places — the per-cube scan and the one
+/// merge; and the second copies this path used to carry (a merge per
+/// level, a mix per driver, a query builder per front end) are not
+/// defined again.
+#[test]
+fn request_path_has_one_of_each() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let subcube_src = root.join("crates/subcube/src");
+    let weighted = concat!("\"", "weighted:");
+    // Definitions that must not come back: anywhere, and — names other
+    // layers use for other things — in the request path's own files.
+    let anywhere = [
+        concat!("fn ", "query_mix"),
+        concat!("fn ", "cube_query_from_opts"),
+    ];
+    let in_path = [concat!("fn ", "combine"), concat!("fn ", "gather")];
+    let (mut weighted_files, mut aggregations, mut violations) =
+        (Vec::new(), Vec::new(), Vec::new());
+    // Library and binary sources only: `crates/*/src` and `src/`.
+    let crates = std::fs::read_dir(root.join("crates")).unwrap();
+    let mut stack: Vec<_> = crates.map(|e| e.unwrap().path().join("src")).collect();
+    stack.push(root.join("src"));
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let p = entry.unwrap().path();
+            if p.is_dir() {
+                stack.push(p);
+                continue;
+            }
+            if p.extension().is_none_or(|e| e != "rs") {
+                continue;
+            }
+            let src = std::fs::read_to_string(&p).unwrap();
+            if src.contains(weighted) {
+                weighted_files.push(p.display().to_string());
+            }
+            let code = src.lines().take_while(|l| !l.starts_with("#[cfg(test)]"));
+            for (i, line) in code.enumerate() {
+                let line = line.trim_start();
+                if line.starts_with("//") {
+                    continue;
+                }
+                if p.starts_with(&subcube_src) && line.contains("aggregate_ids(") {
+                    aggregations.push(format!("{}:{}", p.display(), i + 1));
+                }
+                let own = p.starts_with(&subcube_src) || p.starts_with(root.join("src"));
+                for def in anywhere.iter().chain(in_path.iter().filter(|_| own)) {
+                    let defined = line.split(def).nth(1).is_some_and(|rest| {
+                        !rest.starts_with(|c: char| c.is_alphanumeric() || c == '_')
+                    });
+                    if defined {
+                        violations.push(format!("{}:{}: defines `{def}`", p.display(), i + 1));
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(weighted_files.len(), 1, "{weighted_files:?}");
+    assert_eq!(aggregations.len(), 2, "{aggregations:?}");
+    assert!(violations.is_empty(), "{}", violations.join("\n"));
+}
+
 // --- `specdr check` CLI ---
 
 #[test]
