@@ -12,11 +12,12 @@
 //!   combination of the loads), its view epoch must never go backwards,
 //!   and both publishes must survive (single-writer serialization).
 //! * [`Protocol::GroupCommit`] — the all-or-nothing batch contract of
-//!   `DurableWarehouse::apply_batch`: a batch whose tail op fails must
-//!   roll the manager back to the pre-batch version, a concurrent
-//!   reader may glimpse the intermediate version but never a torn one,
-//!   and a failed WAL append must wedge the warehouse (broken guard)
-//!   until a checkpoint repairs it.
+//!   `ShardRouter::apply_batch` on one shard: a batch whose tail op
+//!   fails must roll the shard back to the pre-batch version, so the
+//!   next publish shows no residue, and a concurrent reader never sees
+//!   a torn set; a failed WAL append must wedge the warehouse — every
+//!   mutator and `checkpoint` refused — until `ShardRouter::recover`
+//!   rebuilds it as if the failed call was never issued.
 //! * [`Protocol::Shard`] — the cross-shard scatter protocol of
 //!   `ShardRouter`: a scatter that fails on one shard after another
 //!   shard acknowledged must wedge the router; every subsequent mutator
@@ -53,7 +54,7 @@ use std::sync::Arc;
 use sdr_reduce::DataReductionSpec;
 use sdr_spec::{parse_action, ActionId};
 use sdr_storage::{Fs, MemFs};
-use sdr_subcube::{DurableWarehouse, ShardRouter, SubcubeManager, WarehouseOp, WarehouseView};
+use sdr_subcube::{ShardRouter, SubcubeManager, WarehouseOp, WarehouseView};
 use sdr_sync::model::{check, ModelOptions};
 use sdr_sync::{fail, thread, Gate};
 use sdr_workload::{paper_mo, paper_schema, snapshot_days, ACTION_A1, ACTION_A2};
@@ -68,8 +69,8 @@ pub enum Protocol {
     /// `SubcubeManager` epoch publish: single-writer serialization and
     /// torn-view freedom.
     Epoch,
-    /// `DurableWarehouse::apply_batch`: all-or-nothing batches and the
-    /// broken-WAL guard.
+    /// `ShardRouter::apply_batch` on one shard: all-or-nothing batches
+    /// and the wedge after a failed WAL append.
     GroupCommit,
     /// `ShardRouter` scatter: divergence wedging and atomic cross-shard
     /// publish.
@@ -117,7 +118,8 @@ impl Protocol {
             }
             Protocol::GroupCommit => {
                 "a failed batch rolls back completely; readers see only \
-                 whole batches; a failed WAL append wedges the warehouse"
+                 whole batches; a failed WAL append wedges the warehouse \
+                 until recover"
             }
             Protocol::Shard => {
                 "a failed scatter wedges every mutator until recovery \
@@ -358,52 +360,60 @@ fn check_epoch(mopts: &ModelOptions, mutation: Option<&'static str>) -> Report {
 // ---- group commit ------------------------------------------------------
 
 /// A writer applies a doomed batch (a bulk load followed by a delete of
-/// an unknown action id) while a reader snapshots views; afterwards the
-/// manager must be back at the pre-batch version, and an injected WAL
-/// append failure must wedge the warehouse. See
+/// an unknown action id) to a one-shard warehouse and then one
+/// successful publish (an empty load) while a reader snapshots the
+/// published set; the publish must show the pre-batch facts only. Then
+/// an injected WAL append failure must wedge the warehouse until
+/// `recover`, which lands on the pre-call state. See
 /// [`Protocol::GroupCommit`].
 fn check_group_commit(mopts: &ModelOptions, mutation: Option<&'static str>) -> Report {
     let spec = paper_spec();
     let (mo, _) = paper_mo();
     let base = mo.gather(&[0, 1, 2, 3]);
     let extra = mo.gather(&[4, 5, 6]);
-    let n_extra = extra.len();
+    let none = mo.gather(&[]);
     let day = snapshot_days()[0];
     check(mopts, move || {
         arm(mutation);
         let fs: Arc<dyn Fs> = MemFs::shared();
-        let mut w = DurableWarehouse::create_with_fs(spec.clone(), Path::new("/w"), fs)
-            .expect("create warehouse");
-        w.bulk_load(&base).expect("baseline load");
-        let mgr = w.manager_handle();
-        let pre = mgr.view();
+        let dir = Path::new("/w");
+        let router = Arc::new(
+            ShardRouter::create_with_fs(spec.clone(), dir, 1, Arc::clone(&fs))
+                .expect("create warehouse"),
+        );
+        router.bulk_load(&base).expect("baseline load");
+        let pre = router.view_set();
         let (pre_epoch, pre_len, pre_sync) = (pre.epoch(), pre.len(), pre.last_sync());
-        let allowed = [pre_len, pre_len + n_extra];
         thread::scope(|s| {
             {
-                let mgr = Arc::clone(&mgr);
+                let router = Arc::clone(&router);
                 s.spawn_named("reader".into(), move || {
-                    let v1 = mgr.view();
+                    let v1 = router.view_set();
                     assert!(v1.epoch() >= pre_epoch, "view epoch went backwards");
-                    assert_view_coherent(&v1, &allowed);
-                    let v2 = mgr.view();
+                    let v2 = router.view_set();
                     assert!(
                         v2.epoch() >= v1.epoch(),
                         "view epoch went backwards: {} then {}",
                         v1.epoch(),
                         v2.epoch()
                     );
-                    assert_view_coherent(&v2, &allowed);
+                    for v in [v1, v2] {
+                        assert_view_coherent(&v.views()[0], &[pre_len]);
+                    }
                 });
             }
             let batch = vec![
                 WarehouseOp::BulkLoad(extra.clone()),
                 WarehouseOp::SpecDelete(vec![ActionId(999)], day),
             ];
-            w.apply_batch(batch)
+            router
+                .apply_batch(batch)
                 .expect_err("a batch deleting an unknown action must fail");
+            // A published set is built from the shard's current version,
+            // so residue left by a skipped rollback shows from here on.
+            router.bulk_load(&none).expect("publish after the batch");
         });
-        let post = mgr.view();
+        let post = router.view_set();
         assert_eq!(
             post.len(),
             pre_len,
@@ -411,24 +421,29 @@ fn check_group_commit(mopts: &ModelOptions, mutation: Option<&'static str>) -> R
         );
         assert_eq!(post.last_sync(), pre_sync, "rollback changed last_sync");
 
-        // Broken-WAL guard: one injected append failure wedges every
-        // later mutation behind the repair error (single-threaded tail,
-        // so this costs no extra interleavings).
+        // The wedge: one injected append failure refuses every later
+        // mutation and the checkpoint, and only recovery — back to the
+        // state before the failed call — lets writes in again
+        // (single-threaded tail, so this costs no extra interleavings).
         fail::arm("durable.wal-fail", 1);
-        let e = w
+        let e = router
             .bulk_load(&extra)
             .expect_err("injected WAL failure must surface");
         assert!(
             e.to_string().contains("injected fault"),
             "unexpected append error: {e}"
         );
-        let e2 = w
-            .sync(day)
-            .expect_err("a broken warehouse must refuse mutations");
-        assert!(
-            e2.to_string().contains("broken"),
-            "broken guard missing: {e2}"
-        );
+        assert!(router.is_broken(), "a failed append must wedge");
+        for (what, r) in [
+            ("sync", router.sync(day).err()),
+            ("checkpoint", router.checkpoint().err()),
+        ] {
+            let e = r.unwrap_or_else(|| panic!("{what} must be refused when wedged"));
+            assert!(e.to_string().contains("wedged"), "{what}: {e}");
+        }
+        let (back, _) = ShardRouter::recover_with_fs(spec.clone(), dir, fs).expect("recover");
+        assert_eq!(back.len(), pre_len, "a failed append survived recovery");
+        assert!(!back.is_broken(), "recovery must clear the wedge");
     })
 }
 
@@ -507,7 +522,7 @@ fn check_shard(mopts: &ModelOptions, mutation: Option<&'static str>) -> Report {
                     ] {
                         let e = r.unwrap_or_else(|| panic!("{what} must be refused when wedged"));
                         assert!(
-                            e.to_string().contains("wedged by a failed scatter"),
+                            e.to_string().contains("wedged by a failed write"),
                             "{what} missed the wedge guard: {e}"
                         );
                     }

@@ -23,6 +23,13 @@ pub enum SubcubeError {
         /// The warehouse's last synchronized day.
         last_sync: DayNum,
     },
+    /// A warehouse of `shards` ≥ 2 shards was asked for over a schema
+    /// whose bottom-level key does not pack into 128 bits, so facts
+    /// cannot be routed; one shard routes nothing and always opens.
+    Unroutable {
+        /// The shard count asked for.
+        shards: usize,
+    },
 }
 
 impl std::fmt::Display for SubcubeError {
@@ -37,6 +44,11 @@ impl std::fmt::Display for SubcubeError {
                  (aging is monotone; reduction cannot be undone)",
                 TimeValue::Day(*until).render(),
                 TimeValue::Day(*last_sync).render()
+            ),
+            SubcubeError::Unroutable { shards } => write!(
+                f,
+                "cannot split the warehouse over {shards} shards: its bottom-level \
+                 key does not pack into 128 bits (one shard routes nothing)"
             ),
         }
     }

@@ -7,7 +7,7 @@
 //! naming now flows through [`WarehouseLayout`]:
 //!
 //! ```text
-//! <root>/                      single-shard warehouse, or one shard
+//! <root>/                      one-shard warehouse, or one shard of N ≥ 2
 //!   CURRENT                    framed pointer to the live epoch
 //!   ckpt-<e:06>/               checkpoint directory for epoch e
 //!     MANIFEST                 cube count, spec hash, WAL high-water mark
@@ -15,13 +15,14 @@
 //!   ckpt-<e:06>.tmp/           staging dir (renamed into place)
 //!   wal-<e:06>.log             write-ahead log for epoch e
 //!
-//! <root>/                      sharded warehouse (PR 9)
+//! <root>/                      warehouse of N ≥ 2 shards
 //!   SHARDS                     framed top-level shard manifest
 //!   shard-<i:03>/              one complete single-shard layout each
 //! ```
 //!
 //! The same struct describes both cases: a shard's directory is itself a
-//! full single-shard layout, obtained via [`WarehouseLayout::shard`].
+//! full single-shard layout, obtained via [`WarehouseLayout::shard`]; a
+//! one-shard warehouse is that layout at the root.
 
 use std::path::{Path, PathBuf};
 

@@ -10,7 +10,7 @@
 
 #![warn(missing_docs)]
 
-pub mod durable;
+mod durable;
 pub mod error;
 pub mod layout;
 pub mod manager;
@@ -20,14 +20,13 @@ pub mod query;
 pub mod shard;
 pub mod stats;
 
-pub use durable::{DurableWarehouse, RecoveryReport};
 pub use error::SubcubeError;
 pub use layout::WarehouseLayout;
 pub use manager::{AgeStats, Chunk, CubeId, Subcube, SubcubeManager, WarehouseView, CHUNK_ROWS};
 pub use op::{OpOutcome, WarehouseOp};
 pub use persist::{read_manifest, Manifest};
 pub use query::CubeQuery;
-pub use shard::{ShardRecoveryReport, ShardRouter, ShardViewSet};
+pub use shard::{RecoveryReport, ShardRouter, ShardViewSet};
 pub use stats::{ChunkSummary, DimColStats, SubcubeStats};
 
 #[cfg(test)]

@@ -7,11 +7,10 @@
 //! one value with one byte encoding ([`WarehouseOp::encode`] /
 //! [`WarehouseOp::decode`], the WAL record payload) and one way to run it
 //! ([`SubcubeManager::apply`]). The live path
-//! ([`DurableWarehouse::apply`](crate::DurableWarehouse::apply)), group
-//! commit, crash-recovery replay and the per-shard scatter of
-//! [`ShardRouter`](crate::ShardRouter) all go through these three
-//! functions, so a replayed record does what the acknowledged call did by
-//! construction.
+//! ([`ShardRouter::apply`](crate::ShardRouter::apply), one logged apply
+//! per shard), group commit and crash-recovery replay all go through
+//! these three functions, so a replayed record does what the acknowledged
+//! call did by construction.
 //!
 //! # Record payload
 //!

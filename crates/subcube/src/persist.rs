@@ -27,7 +27,7 @@ use sdr_mdm::DayNum;
 use sdr_reduce::DataReductionSpec;
 use sdr_storage::fs::{atomic_write, Fs, RealFs};
 use sdr_storage::wal::crc32;
-use sdr_storage::{decode_facts, encode_facts, raw_bytes, Wal};
+use sdr_storage::{decode_facts, encode_facts, raw_bytes};
 
 use crate::error::SubcubeError;
 use crate::manager::{SubcubeManager, WarehouseView};
@@ -291,9 +291,11 @@ pub(crate) fn read_current(fs: &dyn Fs, dir: &Path) -> Result<u64, SubcubeError>
     Ok(epoch)
 }
 
-/// Reads the live checkpoint's manifest of a warehouse directory (the
-/// `CURRENT` pointer decides which epoch is live). Inspection only — use
-/// [`SubcubeManager::recover`] to actually open the warehouse.
+/// Reads the live checkpoint's manifest of a one-shard warehouse or of
+/// one shard's directory (the `CURRENT` pointer decides which epoch is
+/// live). Inspection only — use
+/// [`ShardRouter::recover`](crate::ShardRouter::recover) to actually
+/// open the warehouse.
 pub fn read_manifest(dir: impl AsRef<Path>) -> Result<Manifest, SubcubeError> {
     let fs = RealFs;
     let dir = dir.as_ref();
@@ -489,56 +491,5 @@ pub(crate) fn sweep_garbage(fs: &dyn Fs, dir: &Path, live_epoch: u64) {
         } else if name.starts_with("wal-") {
             fs.remove_file(&p).ok();
         }
-    }
-}
-
-impl SubcubeManager {
-    /// Writes the warehouse into `dir` as a new atomic checkpoint
-    /// (creating the directory) and publishes it: staged cube files and
-    /// manifest, fsync, rename, `CURRENT` pointer flip. A fresh, empty
-    /// write-ahead log accompanies the checkpoint so the directory is
-    /// immediately [`recover`](SubcubeManager::recover)-able. A crash at
-    /// any point leaves the directory at the previous checkpoint.
-    pub fn save_to_dir(&self, dir: impl AsRef<Path>) -> Result<(), SubcubeError> {
-        self.save_to_dir_fs(&RealFs::shared(), dir.as_ref())?;
-        Ok(())
-    }
-
-    /// [`SubcubeManager::save_to_dir`] through an explicit [`Fs`];
-    /// returns the published epoch.
-    pub fn save_to_dir_fs(&self, fs: &Arc<dyn Fs>, dir: &Path) -> Result<u64, SubcubeError> {
-        let lay = WarehouseLayout::at(dir);
-        let epoch = if fs.exists(&lay.current()) {
-            read_current(fs.as_ref(), dir)? + 1
-        } else {
-            0
-        };
-        write_checkpoint(&self.view(), fs.as_ref(), dir, epoch, 0)?;
-        Wal::create(Arc::clone(fs), lay.wal(epoch), epoch)
-            .map_err(|e| SubcubeError::Storage(e.to_string()))?;
-        write_current(fs.as_ref(), dir, epoch)?;
-        sweep_garbage(fs.as_ref(), dir, epoch);
-        Ok(epoch)
-    }
-
-    /// Rebuilds a manager from `spec` and the *live checkpoint* of a
-    /// directory written by [`SubcubeManager::save_to_dir`] (or the
-    /// durable warehouse) with the *same* specification. The write-ahead
-    /// log is ignored — use [`SubcubeManager::recover`] to also replay
-    /// operations logged after the checkpoint.
-    ///
-    /// # Errors
-    /// [`SubcubeError::Storage`] when the pointer, manifest, or a cube
-    /// file is missing or corrupt, or the layout (cube count, spec hash,
-    /// cube granularities) does not match the specification.
-    pub fn load_from_dir(
-        spec: DataReductionSpec,
-        dir: impl AsRef<Path>,
-    ) -> Result<SubcubeManager, SubcubeError> {
-        let fs = RealFs;
-        let dir = dir.as_ref();
-        let epoch = read_current(&fs, dir)?;
-        let (m, _) = load_checkpoint(spec, &fs, dir, epoch)?;
-        Ok(m)
     }
 }

@@ -1,15 +1,20 @@
-//! # Sharded warehouse core (PR 9)
+//! # The durable warehouse: one router over N ≥ 1 shards
 //!
-//! Hash-partitions the warehouse into N independent [`DurableWarehouse`]
-//! shards, each with its own subcube set, checkpoint chain and WAL,
-//! under one [`ShardRouter`] that preserves every single-shard
+//! [`ShardRouter`] is the only way into a warehouse directory, whatever
+//! its shard count. It hash-partitions the facts over N shards — each a
+//! private per-shard log (`durable.rs`) with its own subcube
+//! set, checkpoint chain and WAL — and preserves every single-shard
 //! guarantee:
 //!
+//! * **One shard is the single-directory layout.** With N = 1 the root
+//!   *is* the shard: no `SHARDS` file, nothing routed, no logs to align
+//!   on recovery and no top-level manifest to rewrite on checkpoint.
 //! * **Routing invariant.** A fact lives on the shard selected by a
-//!   finalized hash of its PR 3 packed bottom key (`KeyPacker`), so the
+//!   finalized hash of its packed bottom key (`KeyPacker`), so the
 //!   same cell always routes to the same shard and per-shard reduction
 //!   is exactly the source paper's per-subcube reduction restricted to
-//!   a disjoint fact partition.
+//!   a disjoint fact partition. A schema too wide to pack cannot be
+//!   split: N ≥ 2 over it is refused ([`SubcubeError::Unroutable`]).
 //! * **Atomic cross-shard publish.** Every logical operation is applied
 //!   to all shards under one writer lock and then published as a single
 //!   pointer swap of an [`Arc<ShardViewSet>`] — readers always observe
@@ -27,7 +32,15 @@
 //!   shards' facts (per-fact, so global acceptance implies acceptance
 //!   on every fact subset — i.e. on every shard), and `spec_insert`'s
 //!   Growing/NonCrossing checks are instance-independent. A rejection
-//!   therefore touches no shard, exactly like the unsharded path.
+//!   therefore touches no shard.
+//! * **One wedge, one way out.** Any failure after memory moved ahead of
+//!   the log — an append that failed, a scatter some shards
+//!   acknowledged, a checkpoint cut short — wedges the warehouse: every
+//!   mutator and [`checkpoint`](ShardRouter::checkpoint) return the
+//!   wedge error while readers keep the last published set, and only
+//!   [`ShardRouter::recover`], which rebuilds memory from the logs, lets
+//!   writes in again. An `Err` therefore always means "as if never
+//!   issued".
 //!
 //! Queries scatter to the per-shard planners, which return their
 //! per-cube sub-results un-merged; the set applies the unsharded
@@ -42,23 +55,24 @@
 //! On disk (see [`crate::layout`]):
 //!
 //! ```text
-//! <root>/SHARDS            framed: shard count + top-level epoch + CRC
-//! <root>/shard-<i:03>/     one complete single-shard warehouse each
+//! <root>/CURRENT, ckpt-*, wal-*   N = 1: the root is the one shard
+//! <root>/SHARDS                   N ≥ 2: shard count + top-level epoch + CRC
+//! <root>/shard-<i:03>/            N ≥ 2: one complete single-shard layout each
 //! ```
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use sdr_sync::{fail, Mutex, Swap};
 
-use sdr_mdm::{DayNum, DimValue, FxHasher, KeyPacker, Mo, Schema};
+use sdr_mdm::{DayNum, DimValue, KeyPacker, Mo, Schema};
 use sdr_plan::QueryPlan;
 use sdr_reduce::DataReductionSpec;
 use sdr_spec::{ActionId, ActionSpec};
 use sdr_storage::fs::{atomic_write, Fs, RealFs};
 use sdr_storage::wal::{crc32, truncate_wal_records};
 
-use crate::durable::DurableWarehouse;
+use crate::durable::Shard;
 use crate::error::SubcubeError;
 use crate::layout::WarehouseLayout;
 use crate::manager::{union, AgeStats, WarehouseView};
@@ -71,7 +85,7 @@ const SHARDS_MAGIC: u64 = 0x5344_5253_4844_3031;
 /// `SHARDS` manifest format version.
 const SHARDS_FORMAT: u32 = 1;
 
-/// The decoded top-level manifest of a sharded warehouse.
+/// The decoded top-level manifest of a warehouse of N ≥ 2 shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ShardManifest {
     shards: u32,
@@ -125,15 +139,18 @@ impl ShardManifest {
 }
 
 /// What [`ShardRouter::recover`] found and did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardRecoveryReport {
-    /// Number of shards in the recovered warehouse.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RecoveryReport {
+    /// Number of shards (1 for a root without `SHARDS`).
     pub shards: usize,
-    /// The top-level epoch the warehouse is at after recovery.
+    /// The checkpoint epoch the warehouse is at after recovery.
     pub epoch: u64,
-    /// Log records replayed, summed over all shards.
+    /// Operations replayed on top of the checkpoints, summed over the
+    /// shards (a group-committed batch record counts once per operation
+    /// it carries).
     pub replayed: usize,
-    /// Bytes of torn/corrupt per-shard log tail dropped by CRC scan.
+    /// Bytes of torn/corrupt log tail detected by CRC and dropped,
+    /// summed over the shards.
     pub dropped_bytes: usize,
     /// Whole records dropped by cross-shard WAL alignment: they reached
     /// some shards but not all, so the operation was never acknowledged.
@@ -141,6 +158,16 @@ pub struct ShardRecoveryReport {
     /// True when recovery finished a checkpoint that a crash had left
     /// applied to only some shards.
     pub resumed_checkpoint: bool,
+    /// Acknowledged operations now reflected in the warehouse
+    /// (checkpoint high-water mark + replayed operations; the same on
+    /// every shard).
+    pub ops_durable: u64,
+    /// The recovered `last_sync`.
+    pub last_sync: Option<DayNum>,
+    /// Persisted cube-statistics blocks verified bit-identical to a
+    /// recomputation from the checkpoints' cube files, summed over the
+    /// shards (0 for legacy format-1 manifests, which carry none).
+    pub stats_verified: usize,
 }
 
 /// One immutable, internally consistent set of per-shard views — the
@@ -185,10 +212,10 @@ impl ShardViewSet {
     }
 
     /// Scatter-gather query over the synchronized state: each shard
-    /// plans and scans its own cubes (zone-map skips and all), and the
-    /// per-cube sub-results of all shards get the one distributive
-    /// `union + aggregate` merge the unsharded evaluator applies between
-    /// subcubes — so the result is bit-identical to the unsharded path.
+    /// plans and scans its own cubes, and the per-cube sub-results of
+    /// all shards get the one distributive `union + aggregate` merge the
+    /// unsharded evaluator applies between subcubes — so the result is
+    /// bit-identical to the unsharded path.
     pub fn query(&self, q: &CubeQuery, now: DayNum, parallel: bool) -> Result<Mo, SubcubeError> {
         let _span = sdr_obs::span("shard.query");
         self.scatter(q, now, parallel, false)
@@ -289,24 +316,24 @@ fn fold(a: OpOutcome, b: OpOutcome) -> OpOutcome {
     }
 }
 
-/// The writer-side state: the shard vector plus the top-level epoch.
+/// The writer-side state: the shards and the publish counter.
 struct RouterInner {
-    shards: Vec<DurableWarehouse>,
-    /// Top-level checkpoint epoch (the `SHARDS` manifest's).
-    epoch: u64,
+    shards: Vec<Shard>,
     /// Monotone publish counter for view sets.
     set_epoch: u64,
-    /// Set when a scatter failed after changing some shard: shard
-    /// states may diverge and every further mutation is refused until
-    /// [`ShardRouter::recover`] re-aligns the WALs.
+    /// Set by any failure after memory moved ahead of the log: every
+    /// further mutation and checkpoint is refused until
+    /// [`ShardRouter::recover`] rebuilds the shards from their logs.
     broken: bool,
 }
 
-/// An N-shard durable warehouse: hash-partitioned facts, one
-/// [`DurableWarehouse`] per shard, atomic cross-shard publish, aligned
-/// crash recovery. See the module docs for the invariants.
+/// The durable warehouse: N ≥ 1 hash-partitioned shards, one private
+/// per-shard log each, atomic cross-shard publish, aligned crash
+/// recovery and one wedge. See the module docs for the invariants.
 pub struct ShardRouter {
     schema: Arc<Schema>,
+    /// The bottom-key packer routing hashes; `None` for one shard, which
+    /// routes nothing.
     packer: Option<KeyPacker>,
     fs: Arc<dyn Fs>,
     layout: WarehouseLayout,
@@ -326,8 +353,35 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The packer routing over `shards` shards needs: none for one shard; a
+/// schema too wide to pack cannot be split.
+fn packer(schema: &Schema, shards: usize) -> Result<Option<KeyPacker>, SubcubeError> {
+    if shards == 1 {
+        return Ok(None);
+    }
+    KeyPacker::new(schema)
+        .map(Some)
+        .ok_or(SubcubeError::Unroutable { shards })
+}
+
+/// The directory of shard `i` of `n`: the root itself for one shard,
+/// `<root>/shard-<i:03>` otherwise.
+fn shard_dir(layout: &WarehouseLayout, i: usize, n: usize) -> PathBuf {
+    match n {
+        1 => layout.root().to_path_buf(),
+        _ => layout.shard(i).root().to_path_buf(),
+    }
+}
+
+/// True when `layout`'s root holds a committed warehouse: its `SHARDS`
+/// (N ≥ 2) or its own `CURRENT` (one shard) — the last file `create`
+/// writes.
+fn is_warehouse(fs: &dyn Fs, layout: &WarehouseLayout) -> bool {
+    fs.exists(&layout.shards_manifest()) || fs.exists(&layout.current())
+}
+
 impl ShardRouter {
-    /// Creates a fresh sharded warehouse with `shards` shards in `dir`.
+    /// Creates a fresh warehouse with `shards` shards in `dir`.
     pub fn create(
         spec: DataReductionSpec,
         dir: impl AsRef<Path>,
@@ -336,7 +390,12 @@ impl ShardRouter {
         Self::create_with_fs(spec, dir.as_ref(), shards, RealFs::shared())
     }
 
-    /// [`ShardRouter::create`] through an explicit [`Fs`].
+    /// [`ShardRouter::create`] through an explicit [`Fs`]. One shard
+    /// writes the single-directory layout at `dir`; N ≥ 2 write
+    /// `shard-NNN/` below it and then `SHARDS`. The last file written is
+    /// the commit point, so a crash before it leaves a directory that
+    /// holds nothing acknowledged — `create` overwrites such leftovers,
+    /// and `open` creates again.
     pub fn create_with_fs(
         spec: DataReductionSpec,
         dir: &Path,
@@ -345,36 +404,34 @@ impl ShardRouter {
     ) -> Result<ShardRouter, SubcubeError> {
         if shards == 0 {
             return Err(SubcubeError::Storage(
-                "a sharded warehouse needs at least one shard".into(),
+                "a warehouse needs at least one shard".into(),
             ));
         }
         let layout = WarehouseLayout::at(dir);
-        if fs.exists(&layout.shards_manifest()) {
+        if is_warehouse(fs.as_ref(), &layout) {
             return Err(SubcubeError::Storage(format!(
-                "{}: already a sharded warehouse directory (use open/recover)",
+                "{}: already a warehouse directory (use open/recover)",
                 dir.display()
             )));
         }
+        let packer = packer(spec.schema(), shards)?;
         let mut vec = Vec::with_capacity(shards);
         for i in 0..shards {
-            vec.push(DurableWarehouse::create_with_fs(
-                spec.clone(),
-                layout.shard(i).root(),
-                Arc::clone(&fs),
-            )?);
+            let root = shard_dir(&layout, i, shards);
+            vec.push(Shard::create(spec.clone(), &root, Arc::clone(&fs))?);
         }
-        // The manifest is written last: a crash mid-create leaves a
-        // directory `open` simply re-creates.
-        ShardManifest {
-            shards: shards as u32,
-            epoch: 0,
+        if shards > 1 {
+            ShardManifest {
+                shards: shards as u32,
+                epoch: 0,
+            }
+            .write(fs.as_ref(), &layout)?;
         }
-        .write(fs.as_ref(), &layout)?;
-        Ok(Self::assemble(spec, fs, layout, vec, 0))
+        Ok(Self::assemble(&spec, packer, fs, layout, vec))
     }
 
-    /// Opens `dir`: recovers an existing sharded warehouse or creates a
-    /// fresh one with `shards` shards when the directory is empty.
+    /// Opens `dir`: recovers the warehouse it holds (whatever its shard
+    /// count) or creates a fresh one with `shards` shards.
     pub fn open(
         spec: DataReductionSpec,
         dir: impl AsRef<Path>,
@@ -390,25 +447,26 @@ impl ShardRouter {
         shards: usize,
         fs: Arc<dyn Fs>,
     ) -> Result<ShardRouter, SubcubeError> {
-        if fs.exists(&WarehouseLayout::at(dir).shards_manifest()) {
+        if is_warehouse(fs.as_ref(), &WarehouseLayout::at(dir)) {
             Ok(Self::recover_with_fs(spec, dir, fs)?.0)
         } else {
             Self::create_with_fs(spec, dir, shards, fs)
         }
     }
 
-    /// Recovers a sharded warehouse to one consistent cross-shard state.
-    ///
-    /// Every shard first has its WAL aligned to the longest prefix
+    /// Recovers a warehouse to one consistent state. A root without
+    /// `SHARDS` is one shard rooted there — every single-directory
+    /// warehouse ever written — and simply replays its log. With N ≥ 2,
+    /// every shard first has its WAL aligned to the longest prefix
     /// present on *all* shards (a record missing anywhere was never
-    /// acknowledged), then recovers independently. A crash that left a
+    /// acknowledged), then recovers independently; a crash that left a
     /// cross-shard checkpoint half-applied (some shards already at the
     /// next epoch) is finished here: the remaining shards are
     /// checkpointed and the top-level manifest republished.
     pub fn recover(
         spec: DataReductionSpec,
         dir: impl AsRef<Path>,
-    ) -> Result<(ShardRouter, ShardRecoveryReport), SubcubeError> {
+    ) -> Result<(ShardRouter, RecoveryReport), SubcubeError> {
         Self::recover_with_fs(spec, dir.as_ref(), RealFs::shared())
     }
 
@@ -417,100 +475,42 @@ impl ShardRouter {
         spec: DataReductionSpec,
         dir: &Path,
         fs: Arc<dyn Fs>,
-    ) -> Result<(ShardRouter, ShardRecoveryReport), SubcubeError> {
+    ) -> Result<(ShardRouter, RecoveryReport), SubcubeError> {
         let _span = sdr_obs::span("shard.recover");
         let layout = WarehouseLayout::at(dir);
-        let man = ShardManifest::read(fs.as_ref(), &layout)?;
-        let n = man.shards as usize;
-
-        // Classify each shard by its own CURRENT epoch: at the manifest
-        // epoch (normal), or one ahead (a crash interrupted the
-        // cross-shard checkpoint after this shard completed its part).
-        let mut shard_epochs = Vec::with_capacity(n);
-        for i in 0..n {
-            let e = read_current(fs.as_ref(), layout.shard(i).root())?;
-            if e != man.epoch && e != man.epoch + 1 {
-                return Err(SubcubeError::Storage(format!(
-                    "{}: shard epoch {e} inconsistent with top-level epoch {}",
-                    layout.shard(i).root().display(),
-                    man.epoch
-                )));
-            }
-            shard_epochs.push(e);
-        }
-        let resumed = shard_epochs.iter().any(|&e| e == man.epoch + 1);
-
-        // Cross-shard WAL alignment. A checkpoint only runs quiesced,
-        // so when one was interrupted every behind shard holds a
-        // complete, identical log and no alignment is needed (unequal
-        // counts there are corruption, not a torn scatter).
-        let mut dropped_records = 0usize;
-        let counts: Vec<usize> = {
-            let mut counts = Vec::with_capacity(n);
-            for (i, &e) in shard_epochs.iter().enumerate() {
-                let path = layout.shard(i).wal(e);
-                counts.push(if fs.exists(&path) {
-                    sdr_storage::scan_wal(fs.as_ref(), &path)
-                        .map_err(|e| SubcubeError::Storage(e.to_string()))?
-                        .records
-                        .len()
-                } else {
-                    0
-                });
-            }
-            counts
-        };
-        if resumed {
-            let behind: Vec<usize> = (0..n).filter(|&i| shard_epochs[i] == man.epoch).collect();
-            if behind.iter().any(|&i| counts[i] != counts[behind[0]]) {
-                return Err(SubcubeError::Storage(format!(
-                    "{}: shards disagree mid-checkpoint — log counts {counts:?}",
-                    dir.display()
-                )));
-            }
+        let man = if fs.exists(&layout.shards_manifest()) {
+            Some(ShardManifest::read(fs.as_ref(), &layout)?)
         } else {
-            let keep = *counts.iter().min().expect("at least one shard");
-            for (i, &c) in counts.iter().enumerate() {
-                if c > keep {
-                    let path = layout.shard(i).wal(shard_epochs[i]);
-                    dropped_records += truncate_wal_records(fs.as_ref(), &path, keep)
-                        .map_err(|e| SubcubeError::Storage(e.to_string()))?;
-                }
-            }
+            None
+        };
+        let n = man.map_or(1, |m| m.shards as usize);
+        let packer = packer(spec.schema(), n)?;
+        let mut report = RecoveryReport {
+            shards: n,
+            ..RecoveryReport::default()
+        };
+        if let Some(man) = man {
+            Self::align(fs.as_ref(), &layout, man, &mut report)?;
         }
-
-        // Per-shard recovery (each replays its aligned log tail).
         let mut shards = Vec::with_capacity(n);
-        let mut replayed = 0usize;
-        let mut dropped_bytes = 0usize;
         for i in 0..n {
-            let (w, rep) = DurableWarehouse::recover_with_fs(
+            let root = shard_dir(&layout, i, n);
+            shards.push(Shard::recover(
                 spec.clone(),
-                layout.shard(i).root(),
+                &root,
                 Arc::clone(&fs),
-            )?;
-            replayed += rep.replayed;
-            dropped_bytes += rep.dropped_bytes;
-            shards.push(w);
+                &mut report,
+            )?);
         }
 
         // Finish an interrupted cross-shard checkpoint.
-        let epoch = if resumed {
-            for w in shards.iter_mut() {
-                if w.epoch() == man.epoch {
-                    w.checkpoint()?;
-                }
+        if let Some(man) = man.filter(|_| report.resumed_checkpoint) {
+            for w in shards.iter_mut().filter(|w| w.epoch() == man.epoch) {
+                w.checkpoint()?;
             }
-            let next = man.epoch + 1;
-            ShardManifest {
-                shards: n as u32,
-                epoch: next,
-            }
-            .write(fs.as_ref(), &layout)?;
-            next
-        } else {
-            man.epoch
-        };
+            let epoch = man.epoch + 1;
+            ShardManifest { epoch, ..man }.write(fs.as_ref(), &layout)?;
+        }
 
         // The recovered shards must agree on the evolved specification
         // and the sync watermark — anything else is corruption.
@@ -524,37 +524,89 @@ impl ShardRouter {
                 )));
             }
         }
+        report.epoch = shards[0].epoch();
+        report.ops_durable = shards[0].ops_durable();
+        report.last_sync = sync0;
+        Ok((Self::assemble(&spec, packer, fs, layout, shards), report))
+    }
 
-        let router = Self::assemble(spec, fs, layout, shards, epoch);
-        let report = ShardRecoveryReport {
-            shards: n,
-            epoch,
-            replayed,
-            dropped_bytes,
-            dropped_records,
-            resumed_checkpoint: resumed,
-        };
-        Ok((router, report))
+    /// Cross-shard WAL alignment before N ≥ 2 shards recover. Each shard
+    /// is classified by its own `CURRENT` epoch: at the manifest epoch
+    /// (normal), or one ahead (a crash interrupted the cross-shard
+    /// checkpoint after this shard completed its part — recorded as
+    /// `resumed_checkpoint`). A checkpoint only runs quiesced, so when
+    /// one was interrupted every behind shard holds a complete,
+    /// identical log and no alignment is needed (unequal counts there
+    /// are corruption, not a torn scatter); otherwise every log is cut to
+    /// the shortest one (`dropped_records`).
+    fn align(
+        fs: &dyn Fs,
+        layout: &WarehouseLayout,
+        man: ShardManifest,
+        report: &mut RecoveryReport,
+    ) -> Result<(), SubcubeError> {
+        let n = man.shards as usize;
+        let mut shard_epochs = Vec::with_capacity(n);
+        for i in 0..n {
+            let e = read_current(fs, layout.shard(i).root())?;
+            if e != man.epoch && e != man.epoch + 1 {
+                return Err(SubcubeError::Storage(format!(
+                    "{}: shard epoch {e} inconsistent with top-level epoch {}",
+                    layout.shard(i).root().display(),
+                    man.epoch
+                )));
+            }
+            shard_epochs.push(e);
+        }
+        report.resumed_checkpoint = shard_epochs.iter().any(|&e| e == man.epoch + 1);
+        let mut counts = Vec::with_capacity(n);
+        for (i, &e) in shard_epochs.iter().enumerate() {
+            let path = layout.shard(i).wal(e);
+            counts.push(if fs.exists(&path) {
+                sdr_storage::scan_wal(fs, &path)
+                    .map_err(|e| SubcubeError::Storage(e.to_string()))?
+                    .records
+                    .len()
+            } else {
+                0
+            });
+        }
+        if report.resumed_checkpoint {
+            let behind: Vec<usize> = (0..n).filter(|&i| shard_epochs[i] == man.epoch).collect();
+            if behind.iter().any(|&i| counts[i] != counts[behind[0]]) {
+                return Err(SubcubeError::Storage(format!(
+                    "{}: shards disagree mid-checkpoint — log counts {counts:?}",
+                    layout.root().display()
+                )));
+            }
+            return Ok(());
+        }
+        let keep = *counts.iter().min().expect("at least one shard");
+        for (i, &c) in counts.iter().enumerate() {
+            if c > keep {
+                let path = layout.shard(i).wal(shard_epochs[i]);
+                report.dropped_records += truncate_wal_records(fs, &path, keep)
+                    .map_err(|e| SubcubeError::Storage(e.to_string()))?;
+            }
+        }
+        Ok(())
     }
 
     fn assemble(
-        spec: DataReductionSpec,
+        spec: &DataReductionSpec,
+        packer: Option<KeyPacker>,
         fs: Arc<dyn Fs>,
         layout: WarehouseLayout,
-        shards: Vec<DurableWarehouse>,
-        epoch: u64,
+        shards: Vec<Shard>,
     ) -> ShardRouter {
-        let schema = Arc::clone(spec.schema());
-        let packer = KeyPacker::new(&schema);
         let mut inner = RouterInner {
             shards,
-            epoch,
             set_epoch: 0,
             broken: false,
         };
         let set = Self::snapshot(&mut inner);
         ShardRouter {
-            schema,
+            schema: Arc::clone(spec.schema()),
             packer,
             fs,
             layout,
@@ -577,9 +629,9 @@ impl ShardRouter {
         self.view_set().shards()
     }
 
-    /// The top-level checkpoint epoch.
+    /// The checkpoint epoch (the same on every shard).
     pub fn epoch(&self) -> u64 {
-        self.writer.lock().epoch
+        self.writer.lock().shards[0].epoch()
     }
 
     /// Total facts across all shards (current published set).
@@ -613,7 +665,7 @@ impl ShardRouter {
         self.writer.lock().shards[0].ops_durable()
     }
 
-    /// True when a failed scatter wedged the router (recover to fix).
+    /// True when a failure wedged the warehouse (recover to fix).
     pub fn is_broken(&self) -> bool {
         self.writer.lock().broken
     }
@@ -621,29 +673,21 @@ impl ShardRouter {
     // ---- routing -------------------------------------------------------
 
     /// The shard a cell routes to: SplitMix64-finalized hash of the
-    /// packed key, modulo the shard count. Schemas too wide to pack
-    /// (>128 bits) fall back to an Fx hash over the raw `(cat, code)`
-    /// pairs — still a pure function of the cell.
+    /// packed key, modulo the shard count — 0 on a one-shard warehouse,
+    /// which routes nothing.
     pub fn route(&self, coords: &[DimValue], shards: usize) -> usize {
-        let h = match &self.packer {
-            Some(p) => {
-                let k = p.pack_coords(coords);
-                mix64((k as u64) ^ ((k >> 64) as u64))
-            }
-            None => {
-                use std::hash::Hasher;
-                let mut fx = FxHasher::default();
-                for v in coords {
-                    fx.write_u64(((v.cat.0 as u64) << 32) | v.code);
-                }
-                mix64(fx.finish())
-            }
+        let Some(p) = &self.packer else {
+            return 0;
         };
-        (h % shards as u64) as usize
+        let k = p.pack_coords(coords);
+        (mix64((k as u64) ^ ((k >> 64) as u64)) % shards as u64) as usize
     }
 
     /// Splits `mo` into one (possibly empty) partition per shard.
     fn partition(&self, mo: &Mo, shards: usize) -> Vec<Mo> {
+        if shards == 1 {
+            return vec![mo.clone()];
+        }
         let mut rows: Vec<Vec<u32>> = vec![Vec::new(); shards];
         let mut coords = Vec::new();
         for f in mo.facts() {
@@ -658,7 +702,7 @@ impl ShardRouter {
     fn guard(inner: &RouterInner) -> Result<(), SubcubeError> {
         if inner.broken {
             return Err(SubcubeError::Storage(
-                "sharded warehouse wedged by a failed scatter; \
+                "warehouse wedged by a failed write; \
                  drop it and ShardRouter::recover the directory"
                     .into(),
             ));
@@ -684,9 +728,9 @@ impl ShardRouter {
 
     /// Folds per-shard results into one outcome. All-`Ok` commits; a
     /// uniform rejection (every shard refused, none after logging)
-    /// propagates the error with no state change, exactly like the
-    /// unsharded path; anything mixed means shard states may diverge,
-    /// so the router wedges itself until recovery.
+    /// propagates the error with no state change; anything else — some
+    /// shard acknowledged, or some shard's memory is ahead of its log —
+    /// wedges the warehouse until recovery.
     fn settle<T>(
         inner: &mut RouterInner,
         results: Vec<Result<T, SubcubeError>>,
@@ -708,7 +752,7 @@ impl ShardRouter {
                 inner.broken = true;
             }
             return Err(SubcubeError::Storage(format!(
-                "scatter diverged across shards ({first}); recovery required"
+                "warehouse wedged by a failed write ({first}); recovery required"
             )));
         }
         Err(first)
@@ -733,13 +777,17 @@ impl ShardRouter {
 
     /// Decides a specification change once, globally, so a rejection
     /// touches no shard and acceptance is uniform across shards — the
-    /// exact behavior of the unsharded warehouse on the same facts. An
-    /// insert is validated against a clone of the current spec
-    /// (Growing/NonCrossing are instance-independent); a delete against
-    /// the **union** of all shards' facts (Definition 4's responsibility
-    /// check is per-fact, so acceptance on the union implies acceptance
-    /// on every shard's subset).
+    /// exact behavior of one shard on the same facts (which decides for
+    /// itself, so one shard needs no pre-check). An insert is validated
+    /// against a clone of the current spec (Growing/NonCrossing are
+    /// instance-independent); a delete against the **union** of all
+    /// shards' facts (Definition 4's responsibility check is per-fact, so
+    /// acceptance on the union implies acceptance on every shard's
+    /// subset).
     fn precheck(inner: &RouterInner, op: &WarehouseOp) -> Result<(), SubcubeError> {
+        if inner.shards.len() == 1 {
+            return Ok(());
+        }
         let probe = || (*inner.shards[0].manager().spec()).clone();
         match op {
             WarehouseOp::SpecInsert(new) => {
@@ -782,10 +830,9 @@ impl ShardRouter {
         Ok(folded.expect("at least one shard"))
     }
 
-    /// Durably applies one operation to the whole sharded warehouse.
-    /// Reductions (sync, age) are independent per shard and run
-    /// concurrently; loads and specification changes walk the shards in
-    /// order.
+    /// Durably applies one operation to the whole warehouse. Reductions
+    /// (sync, age) are independent per shard and run concurrently; loads
+    /// and specification changes walk the shards in order.
     pub fn apply(&self, op: &WarehouseOp) -> Result<OpOutcome, SubcubeError> {
         let parallel = matches!(op, WarehouseOp::Sync(_) | WarehouseOp::Age(_));
         self.scatter(op.name(), parallel, |inner| {
@@ -828,8 +875,8 @@ impl ShardRouter {
     /// operation sequence (bulk loads partitioned) as **one** group
     /// record, keeping WAL positions uniform and whole-batch atomicity
     /// per shard. A uniform rejection rolls every shard back (the
-    /// single-shard group-commit contract); a divergent one wedges the
-    /// router for recovery.
+    /// group-commit contract); anything else wedges the warehouse for
+    /// recovery.
     pub fn apply_batch(&self, ops: Vec<WarehouseOp>) -> Result<usize, SubcubeError> {
         let mut inner = self.writer.lock();
         Self::guard(&inner)?;
@@ -855,32 +902,35 @@ impl ShardRouter {
         Ok(counts.into_iter().max().unwrap_or(0))
     }
 
-    /// Cross-shard checkpoint: folds every shard's log into a fresh
-    /// checkpoint, then bumps the top-level epoch. A crash anywhere in
-    /// the sequence is repaired by [`ShardRouter::recover`] (behind
-    /// shards are checkpointed on recovery — the manifest is written
-    /// only after every shard completed).
+    /// Folds every shard's log into a fresh checkpoint and returns the
+    /// new epoch. With N ≥ 2 the top-level `SHARDS` manifest is written
+    /// only after every shard completed; a crash anywhere in between is
+    /// finished by [`ShardRouter::recover`]. A failure wedges the
+    /// warehouse, like any write failure.
     pub fn checkpoint(&self) -> Result<u64, SubcubeError> {
         let mut inner = self.writer.lock();
         Self::guard(&inner)?;
         let _span = sdr_obs::span("shard.checkpoint");
-        for s in inner.shards.iter_mut() {
-            if let Err(e) = s.checkpoint() {
-                inner.broken = true;
-                return Err(e);
-            }
+        let res = self.checkpoint_shards(&mut inner.shards);
+        inner.broken |= res.is_err();
+        res
+    }
+
+    /// Checkpoints every shard, then — N ≥ 2 — publishes their new epoch
+    /// in `SHARDS`.
+    fn checkpoint_shards(&self, shards: &mut [Shard]) -> Result<u64, SubcubeError> {
+        for s in shards.iter_mut() {
+            s.checkpoint()?;
         }
-        let next = inner.epoch + 1;
-        let man = ShardManifest {
-            shards: inner.shards.len() as u32,
-            epoch: next,
-        };
-        if let Err(e) = man.write(self.fs.as_ref(), &self.layout) {
-            inner.broken = true;
-            return Err(e);
+        let epoch = shards[0].epoch();
+        if shards.len() > 1 {
+            let man = ShardManifest {
+                shards: shards.len() as u32,
+                epoch,
+            };
+            man.write(self.fs.as_ref(), &self.layout)?;
         }
-        inner.epoch = next;
-        Ok(next)
+        Ok(epoch)
     }
 
     /// The warehouse root directory.

@@ -110,7 +110,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use specdr::mdm::calendar::{civil_from_days, days_from_civil};
-use specdr::mdm::{render_table, MeasureId, Span, TableOptions, TimeUnit};
+use specdr::mdm::{render_table, MeasureId, Mo, Span, TableOptions, TimeUnit};
 use specdr::query::{aggregate_ids, select_view};
 use specdr::reduce::{reduce, DataReductionSpec};
 use specdr::serve::QuerySpec;
@@ -913,14 +913,6 @@ fn cmd_query(opts: &Opts) -> Result<(), AnyError> {
     Ok(())
 }
 
-/// True when `dir` holds a sharded warehouse (what `specdr serve --dir`
-/// writes) rather than a single-directory one.
-fn is_sharded(dir: &str) -> bool {
-    specdr::subcube::WarehouseLayout::at(dir)
-        .shards_manifest()
-        .exists()
-}
-
 fn render_last_sync(day: Option<i32>) -> String {
     day.map_or("never".into(), render_date)
 }
@@ -932,37 +924,22 @@ fn cmd_checkpoint(opts: &Opts) -> Result<(), AnyError> {
         .to_string();
     let syn = synthetic(opts, "12", "50")?;
     let now = syn.end_day_plus(1);
-    let report = |loaded: usize, stats: AgeStats| {
-        println!(
-            "loaded {loaded} facts, synced at NOW = {}: {}",
-            render_date(now),
-            age_line(&stats)
-        );
-        println!("checkpoint published: {dir}");
-    };
-    if is_sharded(&dir) {
-        let (router, _) = ShardRouter::recover(syn.spec, &dir)?;
-        let loaded = router.bulk_load(&syn.cs.mo)?;
-        let stats = router.sync(now)?;
-        let epoch = router.checkpoint()?;
-        report(loaded, stats);
-        println!("  shards     = {}", router.shards());
-        println!("  epoch      = {epoch}");
-        println!("  wal hwm    = {} ops", router.ops_durable());
-        println!("  last sync  = {}", render_last_sync(router.last_sync()));
-        return Ok(());
-    }
-    let mut w = specdr::subcube::DurableWarehouse::open(syn.spec, &dir)?;
-    let loaded = w.bulk_load(&syn.cs.mo)?;
-    let stats = w.sync(now)?;
-    let epoch = w.checkpoint()?;
-    report(loaded, stats);
-    let manifest = specdr::subcube::persist::read_manifest(&dir)?;
+    // Whatever the directory holds (one shard or `specdr serve`'s N);
+    // an empty one becomes a one-shard warehouse.
+    let router = ShardRouter::open(syn.spec, &dir, 1)?;
+    let loaded = router.bulk_load(&syn.cs.mo)?;
+    let stats = router.sync(now)?;
+    let epoch = router.checkpoint()?;
+    println!(
+        "loaded {loaded} facts, synced at NOW = {}: {}",
+        render_date(now),
+        age_line(&stats)
+    );
+    println!("checkpoint published: {dir}");
+    println!("  shards     = {}", router.shards());
     println!("  epoch      = {epoch}");
-    println!("  cubes      = {}", manifest.cube_count);
-    println!("  wal hwm    = {} ops", manifest.wal_hwm);
-    println!("  spec hash  = {:016x}", manifest.spec_hash);
-    println!("  last sync  = {}", render_last_sync(manifest.last_sync));
+    println!("  wal hwm    = {} ops", router.ops_durable());
+    println!("  last sync  = {}", render_last_sync(router.last_sync()));
     Ok(())
 }
 
@@ -971,41 +948,20 @@ fn cmd_recover(opts: &Opts) -> Result<(), AnyError> {
         .value("--dir")
         .ok_or("`specdr recover` requires --dir DIR")?
         .to_string();
-    // The schema is warehouse metadata: rebuilt here exactly as
-    // `checkpoint` built it (the manifest's spec hash cross-checks this).
+    // The schema is warehouse metadata, rebuilt here exactly as
+    // `checkpoint` built it; the actions come from the manifest.
     let spec = retention_spec(opts, &clickstream_schema())?;
-    if is_sharded(&dir) {
-        let (router, report) = ShardRouter::recover(spec, &dir)?;
-        println!("recovered {dir}:");
-        println!("  shards          = {}", report.shards);
-        println!("  epoch           = {}", report.epoch);
-        println!("  replayed        = {} WAL records", report.replayed);
-        println!("  dropped (torn)  = {} bytes", report.dropped_bytes);
-        println!("  dropped (unacked) = {} records", report.dropped_records);
-        println!("  resumed ckpt    = {}", report.resumed_checkpoint);
-        println!(
-            "  last sync       = {}",
-            render_last_sync(router.last_sync())
-        );
-        println!(
-            "  warehouse       = {} facts across {} shards",
-            router.len(),
-            report.shards
-        );
-        return Ok(());
-    }
-    let (mgr, report) = SubcubeManager::recover(spec, &dir)?;
+    let (router, report) = ShardRouter::recover(spec, &dir)?;
     println!("recovered {dir}:");
+    println!("  shards          = {}", report.shards);
     println!("  epoch           = {}", report.epoch);
     println!("  replayed        = {} WAL records", report.replayed);
     println!("  dropped (torn)  = {} bytes", report.dropped_bytes);
+    println!("  dropped (unacked) = {} records", report.dropped_records);
+    println!("  resumed ckpt    = {}", report.resumed_checkpoint);
     println!("  ops durable     = {}", report.ops_durable);
     println!("  last sync       = {}", render_last_sync(report.last_sync));
-    println!(
-        "  warehouse       = {} facts across {} cubes",
-        mgr.len(),
-        mgr.n_cubes()
-    );
+    println!("  warehouse       = {} facts", router.len());
     Ok(())
 }
 
@@ -1025,7 +981,7 @@ fn cmd_stats(opts: &Opts) -> Result<(), AnyError> {
     // storage encoding, subcube load + sync, and a parallel query.
     let red = reduce(&cs.mo, &spec, now)?;
     let _ = table_stats(&red);
-    let mgr = SubcubeManager::new(spec);
+    let mgr = SubcubeManager::new(spec.clone());
     mgr.bulk_load(&cs.mo)?;
     mgr.sync(now)?;
     let q = query_spec(opts, now, "Time.month").build(&cs.schema)?;
@@ -1047,24 +1003,33 @@ fn cmd_stats(opts: &Opts) -> Result<(), AnyError> {
         );
     }
     if opts.switch("--bytes") {
-        print_cube_bytes(&mgr, format)?;
+        print_cube_bytes(spec, &cs.mo, now, format)?;
     }
     print_snapshot(format);
     Ok(())
 }
 
-/// `specdr stats --bytes`: checkpoint the warehouse and report each
+/// `specdr stats --bytes`: load and sync `facts` into a one-shard
+/// warehouse in a temporary directory, checkpoint it, and report each
 /// subcube's on-disk footprint from the manifest's byte table — `raw` is
 /// the uncompressed row footprint, `encoded` the cube file length after
 /// dictionary/bit-packed column encoding.
-fn print_cube_bytes(mgr: &SubcubeManager, format: MetricsFormat) -> Result<(), AnyError> {
+fn print_cube_bytes(
+    spec: DataReductionSpec,
+    facts: &Mo,
+    now: i32,
+    format: MetricsFormat,
+) -> Result<(), AnyError> {
     let dir = std::env::temp_dir().join(format!("specdr-stats-bytes-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir)?;
     let result = (|| -> Result<(), AnyError> {
-        mgr.save_to_dir(&dir)?;
+        let router = ShardRouter::create(spec, &dir, 1)?;
+        router.bulk_load(facts)?;
+        router.sync(now)?;
+        router.checkpoint()?;
         let man = specdr::subcube::read_manifest(&dir)?;
-        let view = mgr.view();
+        let set = router.view_set();
+        let view = &set.views()[0];
         let schema = view.schema();
         match format {
             MetricsFormat::Json => {

@@ -1,4 +1,6 @@
-//! Crash-recovery test matrix for the durable warehouse.
+//! Crash-recovery test matrix for the durable warehouse, at one shard —
+//! the single-directory layout, `ShardRouter` over N = 1 (N ≥ 2 is
+//! `tests/sharding.rs`).
 //!
 //! The contract under test (see `crates/subcube/src/durable.rs`): an
 //! operation that returned `Ok` survives any later crash; an operation
@@ -23,7 +25,9 @@ use specdr::mdm::{time_cat as tc, DimValue, Mo, Schema, TimeValue};
 use specdr::reduce::{DataReductionSpec, ReductionSchedule};
 use specdr::spec::{parse_action, ActionId, ActionSpec};
 use specdr::storage::fs::{FailpointFs, FaultMode, Fs, RealFs};
-use specdr::subcube::{AgeStats, DurableWarehouse, SubcubeManager, SubcubeStats, WarehouseOp};
+use specdr::subcube::{
+    AgeStats, ShardRouter, SubcubeManager, SubcubeStats, WarehouseOp, WarehouseView,
+};
 use specdr::workload::{daily_script, paper_mo, DailyOp, ACTION_A1, ACTION_A2};
 
 /// One logical warehouse operation of a test workload.
@@ -58,7 +62,7 @@ impl Op {
         !matches!(self, Op::Ckpt)
     }
 
-    fn apply_durable(&self, w: &mut DurableWarehouse) -> Result<(), specdr::subcube::SubcubeError> {
+    fn apply_durable(&self, w: &ShardRouter) -> Result<(), specdr::subcube::SubcubeError> {
         match self.mutation() {
             Some(op) => w.apply(&op).map(|_| ()),
             None => w.checkpoint().map(|_| ()),
@@ -114,21 +118,25 @@ fn reference(spec: &DataReductionSpec, ops: &[Op]) -> SubcubeManager {
     m
 }
 
+/// The one shard's published view.
+fn view(w: &ShardRouter) -> WarehouseView {
+    w.view_set().views()[0].clone()
+}
+
 /// Warehouse state rendered for equality: sorted whole-MO facts, per-cube
 /// granularity + sorted facts, and `last_sync`.
-fn state(m: &SubcubeManager) -> (Vec<String>, Vec<String>, Option<i32>) {
-    let whole = m.to_mo().unwrap();
+fn state(v: &WarehouseView) -> (Vec<String>, Vec<String>, Option<i32>) {
+    let whole = v.to_mo().unwrap();
     let mut facts: Vec<String> = whole.facts().map(|f| whole.render_fact(f)).collect();
     facts.sort();
     let mut cubes = Vec::new();
-    let v = m.view();
     for (i, c) in v.cubes().iter().enumerate() {
         let data = c.data();
         let mut rows: Vec<String> = data.facts().map(|f| data.render_fact(f)).collect();
         rows.sort();
         cubes.push(format!("K{i} {:?}: {}", c.grain, rows.join(" | ")));
     }
-    (facts, cubes, m.last_sync())
+    (facts, cubes, v.last_sync())
 }
 
 /// Runs `create` + the workload through `fs`, stopping at the first
@@ -139,12 +147,12 @@ fn run_workload(
     fs: Arc<dyn Fs>,
     ops: &[Op],
 ) -> u64 {
-    let Ok(mut w) = DurableWarehouse::create_with_fs(spec.clone(), dir, fs) else {
+    let Ok(w) = ShardRouter::create_with_fs(spec.clone(), dir, 1, fs) else {
         return 0;
     };
     let mut acked = 0;
     for op in ops {
-        if op.apply_durable(&mut w).is_err() {
+        if op.apply_durable(&w).is_err() {
             break;
         }
         if op.is_logged() {
@@ -164,41 +172,45 @@ fn recover_and_verify(
     acked: u64,
     ctx: &str,
 ) -> (Vec<String>, Vec<String>, Option<i32>) {
-    if !dir.join("CURRENT").exists() {
-        // The warehouse was never established — only possible when not a
-        // single operation was acknowledged.
+    let (w, durable) = if dir.join("CURRENT").exists() {
+        let (w, report) = ShardRouter::recover_with_fs(spec.clone(), dir, RealFs::shared())
+            .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+        (w, report.ops_durable)
+    } else {
+        // The create never reached its commit point, the root's CURRENT:
+        // nothing was acknowledged, and `open` creates over whatever it
+        // had staged.
         assert_eq!(
             acked, 0,
             "{ctx}: CURRENT missing but {acked} ops were acknowledged"
         );
-        let m = reference(spec, ops);
-        return state(&m);
-    }
-    let (mut w, report) = DurableWarehouse::recover_with_fs(spec.clone(), dir, RealFs::shared())
-        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+        let w = ShardRouter::open(spec.clone(), dir, 1)
+            .unwrap_or_else(|e| panic!("{ctx}: open after a crashed create failed: {e}"));
+        assert!(w.is_empty(), "{ctx}: a crashed create opened non-empty");
+        (w, 0)
+    };
     // Durability accounting: everything acknowledged is durable; at most
     // one in-flight operation (applied + logged, error returned after the
     // log append survived — FaultMode::CrashAfter) may exceed it.
     assert!(
-        report.ops_durable >= acked && report.ops_durable <= acked + 1,
-        "{ctx}: acked={acked} but ops_durable={}",
-        report.ops_durable
+        durable >= acked && durable <= acked + 1,
+        "{ctx}: acked={acked} but ops_durable={durable}"
     );
     // Re-drive the workload from the first non-durable logical op.
     let mut skipped = 0;
     for op in ops {
-        if op.is_logged() && skipped < report.ops_durable {
+        if op.is_logged() && skipped < durable {
             skipped += 1;
             continue;
         }
         if !op.is_logged() {
             continue;
         }
-        op.apply_durable(&mut w)
+        op.apply_durable(&w)
             .unwrap_or_else(|e| panic!("{ctx}: re-applying suffix failed: {e}"));
     }
-    let got = state(w.manager());
-    let want = state(&reference(spec, ops));
+    let got = state(&view(&w));
+    let want = state(&reference(spec, ops).view());
     assert_eq!(
         got, want,
         "{ctx}: recovered+resumed state diverges from never-crashed run"
@@ -207,8 +219,7 @@ fn recover_and_verify(
     // WAL replay (+ the resumed suffix) must be bit-identical to a
     // from-scratch recomputation over the recovered facts — under every
     // fault schedule of the matrix.
-    let v = w.manager().view();
-    for (i, c) in v.cubes().iter().enumerate() {
+    for (i, c) in view(&w).cubes().iter().enumerate() {
         assert_eq!(
             *c.stats(),
             SubcubeStats::compute(c.data(), c.epoch()),
@@ -261,8 +272,8 @@ fn paper_workload_is_clean() {
     let logged = ops.iter().filter(|o| o.is_logged()).count() as u64;
     let acked = run_workload(&spec, &dir, RealFs::shared(), &ops);
     assert_eq!(acked, logged);
-    let (w, _) = DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
-    assert_eq!(state(w.manager()), state(&reference(&spec, &ops)));
+    let (w, _) = ShardRouter::recover(spec.clone(), &dir).unwrap();
+    assert_eq!(state(&view(&w)), state(&reference(&spec, &ops).view()));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -276,20 +287,18 @@ fn recovered_stats_match_recomputation_and_are_persisted() {
     let logged = ops.iter().filter(|o| o.is_logged()).count() as u64;
     let acked = run_workload(&spec, &dir, RealFs::shared(), &ops);
     assert_eq!(acked, logged);
-    let manifest = specdr::subcube::persist::read_manifest(&dir).unwrap();
+    let manifest = specdr::subcube::read_manifest(&dir).unwrap();
     assert!(
         !manifest.cube_stats.is_empty(),
         "format-2 manifest persists per-cube statistics"
     );
-    let (w, report) =
-        DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
+    let (w, report) = ShardRouter::recover(spec.clone(), &dir).unwrap();
     assert_eq!(
         report.stats_verified,
         manifest.cube_stats.len(),
         "recover verifies every persisted stats block"
     );
-    let v = w.manager().view();
-    for (i, c) in v.cubes().iter().enumerate() {
+    for (i, c) in view(&w).cubes().iter().enumerate() {
         assert_eq!(
             *c.stats(),
             SubcubeStats::compute(c.data(), c.epoch()),
@@ -310,10 +319,9 @@ fn crash_matrix_over_every_fs_op() {
     run_workload(&spec, &dir, counting.clone(), &ops);
     let total = counting.ops();
     std::fs::remove_dir_all(&dir).ok();
-    assert!(
-        total > 10,
-        "workload too small to be interesting: {total} fs ops"
-    );
+    // One shard is op for op the single-directory warehouse written
+    // before it was one: the same 25 mutating fs operations.
+    assert_eq!(total, 25, "the paper workload's mutating fs ops changed");
 
     for mode in FaultMode::ALL {
         for k in 0..total {
@@ -377,8 +385,8 @@ fn aging_workload_is_clean() {
     let logged = ops.iter().filter(|o| o.is_logged()).count() as u64;
     let acked = run_workload(&spec, &dir, RealFs::shared(), &ops);
     assert_eq!(acked, logged);
-    let (w, _) = DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
-    assert_eq!(state(w.manager()), state(&reference(&spec, &ops)));
+    let (w, _) = ShardRouter::recover(spec.clone(), &dir).unwrap();
+    assert_eq!(state(&view(&w)), state(&reference(&spec, &ops).view()));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -397,10 +405,7 @@ fn aging_crash_matrix_over_every_fs_op() {
     run_workload(&spec, &dir, counting.clone(), &ops);
     let total = counting.ops();
     std::fs::remove_dir_all(&dir).ok();
-    assert!(
-        total > 10,
-        "aging workload too small to be interesting: {total} fs ops"
-    );
+    assert_eq!(total, 24, "the aging workload's mutating fs ops changed");
 
     for mode in FaultMode::ALL {
         for k in 0..total {
@@ -410,10 +415,9 @@ fn aging_crash_matrix_over_every_fs_op() {
             let acked = run_workload(&spec, &dir, shim.clone(), &ops);
             assert!(shim.crashed(), "{ctx}: fault never fired");
             if dir.join("CURRENT").exists() {
-                let (w, _) =
-                    DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared())
-                        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
-                let last = w.manager().last_sync();
+                let (w, _) = ShardRouter::recover(spec.clone(), &dir)
+                    .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+                let last = w.last_sync();
                 assert!(
                     last.is_none_or(|d| legal.contains(&d)),
                     "{ctx}: recovered mid-tick watermark {last:?} not in {legal:?}"
@@ -461,11 +465,11 @@ fn interleaved_load_and_age_survives_drop_and_recover() {
     let (dirty_drop, ckpt_at) = (after(n / 4, true), after(n / 2, false));
     let (ckpt_drop, wal_drop) = (after(ckpt_at + 40, false), after(3 * n / 4, false));
     let dir = tmpdir("daily");
-    let mut w = DurableWarehouse::create(spec.clone(), &dir).unwrap();
+    let mut w = ShardRouter::create(spec.clone(), &dir, 1).unwrap();
     let plain = SubcubeManager::new(spec.clone());
     let mut all = Mo::new(Arc::clone(&script.schema));
     for (i, op) in ops.iter().enumerate() {
-        op.apply_durable(&mut w).unwrap();
+        op.apply_durable(&w).unwrap();
         op.apply_plain(&plain);
         if let Op::Load(mo) = op {
             all.absorb(mo).unwrap();
@@ -474,18 +478,17 @@ fn interleaved_load_and_age_survives_drop_and_recover() {
             w.checkpoint().unwrap();
         }
         if [dirty_drop, ckpt_drop, wal_drop].contains(&i) {
-            let pending = w.manager().view().is_dirty();
+            let pending = view(&w).is_dirty();
             assert_eq!(pending, i == dirty_drop, "drop point {i} of {n}");
             drop(w);
-            let (rec, report) =
-                DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
+            let (rec, report) = ShardRouter::recover(spec.clone(), &dir).unwrap();
             assert!(report.replayed > 0, "drop point {i}: nothing replayed");
             assert_eq!(
-                rec.manager().view().is_dirty(),
+                view(&rec).is_dirty(),
                 pending,
                 "drop point {i}: un-homed rows must survive recovery"
             );
-            assert_eq!(state(rec.manager()), state(&plain), "drop point {i}");
+            assert_eq!(state(&view(&rec)), state(&plain.view()), "drop point {i}");
             w = rec;
         }
     }
@@ -493,8 +496,8 @@ fn interleaved_load_and_age_survives_drop_and_recover() {
         panic!("the script ends with an age");
     };
     let want = specdr::reduce::reduce(&all, &spec, *end).unwrap();
-    common::assert_holds(&[w.manager().view()], &want, "after the last age");
-    w.manager().verify_stats().unwrap();
+    common::assert_holds(&[view(&w)], &want, "after the last age");
+    view(&w).verify_stats().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -508,11 +511,10 @@ fn crash_during_post_recovery_checkpoint() {
     let shim = FailpointFs::new(RealFs::shared(), 7, 12, FaultMode::ShortWrite);
     let acked = run_workload(&spec, &dir, shim, &ops);
     // Recover, then crash again during checkpoint().
-    let (mut w, report) =
-        DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
+    let (w, report) = ShardRouter::recover(spec.clone(), &dir).unwrap();
     assert!(report.ops_durable >= acked);
     for k in 0..6 {
-        let (w2, _) = DurableWarehouse::recover_with_fs(
+        let (w2, _) = ShardRouter::recover_with_fs(
             spec.clone(),
             &dir,
             FailpointFs::new(RealFs::shared(), 11, k, FaultMode::FailWrite),
@@ -520,13 +522,11 @@ fn crash_during_post_recovery_checkpoint() {
         .unwrap_or_else(|_| {
             // Recovery itself read-only fails only if the shim fired on
             // the repair write of a torn tail; the directory is intact.
-            DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap()
+            ShardRouter::recover(spec.clone(), &dir).unwrap()
         });
-        let mut w2 = w2;
         let _ = w2.checkpoint(); // may fail; must never corrupt
-        let (w3, _) =
-            DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
-        assert_eq!(state(w3.manager()), state(w.manager()));
+        let (w3, _) = ShardRouter::recover(spec.clone(), &dir).unwrap();
+        assert_eq!(state(&view(&w3)), state(&view(&w)));
     }
     let _ = w.checkpoint();
     std::fs::remove_dir_all(&dir).ok();
@@ -581,7 +581,7 @@ fn run_batches(
     fs: Arc<dyn Fs>,
     batches: &[Vec<WarehouseOp>],
 ) -> usize {
-    let Ok(mut w) = DurableWarehouse::create_with_fs(spec.clone(), dir, fs) else {
+    let Ok(w) = ShardRouter::create_with_fs(spec.clone(), dir, 1, fs) else {
         return 0;
     };
     let mut acked = 0;
@@ -603,16 +603,15 @@ fn batched_workload_is_clean() {
     let dir = tmpdir("batch-clean");
     let acked = run_batches(&spec, &dir, RealFs::shared(), &batches);
     assert_eq!(acked, batches.len());
-    let (w, report) =
-        DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
+    let (w, report) = ShardRouter::recover(spec.clone(), &dir).unwrap();
     assert_eq!(report.ops_durable, total_ops);
     assert_eq!(
         report.replayed as u64, total_ops,
         "replay counts per-op in batches"
     );
     assert_eq!(
-        state(w.manager()),
-        state(&batch_reference(&spec, &batches, batches.len()))
+        state(&view(&w)),
+        state(&batch_reference(&spec, &batches, batches.len()).view())
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -647,7 +646,7 @@ fn group_commit_crash_recovers_whole_batch_prefix() {
     run_batches(&spec, &dir, counting.clone(), &batches);
     let total = counting.ops();
     std::fs::remove_dir_all(&dir).ok();
-    assert!(total > 8, "batched workload too small: {total} fs ops");
+    assert_eq!(total, 12, "the batched workload's mutating fs ops changed");
 
     for mode in FaultMode::ALL {
         for k in 0..total {
@@ -661,9 +660,8 @@ fn group_commit_crash_recovers_whole_batch_prefix() {
                 std::fs::remove_dir_all(&dir).ok();
                 continue;
             }
-            let (w, report) =
-                DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared())
-                    .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+            let (w, report) = ShardRouter::recover(spec.clone(), &dir)
+                .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
             // No acknowledged op lost…
             let acked_ops: u64 = batches[..acked].iter().map(|b| b.len() as u64).sum();
             assert!(
@@ -685,8 +683,8 @@ fn group_commit_crash_recovers_whole_batch_prefix() {
                 "{ctx}: {n_batches} durable batches but only {acked} acknowledged"
             );
             assert_eq!(
-                state(w.manager()),
-                state(&batch_reference(&spec, &batches, n_batches)),
+                state(&view(&w)),
+                state(&batch_reference(&spec, &batches, n_batches).view()),
                 "{ctx}: recovered state is not the {n_batches}-batch reference"
             );
             std::fs::remove_dir_all(&dir).ok();
@@ -748,8 +746,7 @@ proptest! {
         let moved = |s: AgeStats| (s.ticks, s.cells_delta, s.merged, s.rows_homed);
         let ref_stats = moved(reference_m.sync(probe).unwrap());
         if dir.join("CURRENT").exists() {
-            let (mut w, _) =
-                DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
+            let (w, _) = ShardRouter::recover(spec.clone(), &dir).unwrap();
             // Skip the durable prefix, re-apply the rest, then probe.
             let durable = w.ops_durable();
             let mut skipped = 0;
@@ -759,13 +756,13 @@ proptest! {
                     continue;
                 }
                 if op.is_logged() {
-                    op.apply_durable(&mut w).unwrap();
+                    op.apply_durable(&w).unwrap();
                 }
             }
             let got_stats = moved(w.sync(probe).unwrap());
             prop_assert_eq!(got_stats, ref_stats);
-            let (f2, c2, l2) = state(w.manager());
-            let (rf, rc, rl) = state(&reference_m);
+            let (f2, c2, l2) = state(&view(&w));
+            let (rf, rc, rl) = state(&reference_m.view());
             prop_assert_eq!(f2, rf);
             prop_assert_eq!(c2, rc);
             prop_assert_eq!(l2, rl);
@@ -867,9 +864,8 @@ fn seeded_aging_crash_schedule_is_deterministic() {
         let shim = FailpointFs::new(RealFs::shared(), seed, fail_op, mode);
         let acked = run_workload(&spec, &dir, shim, &ops);
         if dir.join("CURRENT").exists() {
-            let (w, _) =
-                DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
-            let last = w.manager().last_sync();
+            let (w, _) = ShardRouter::recover(spec.clone(), &dir).unwrap();
+            let last = w.last_sync();
             assert!(
                 last.is_none_or(|d| legal.contains(&d)),
                 "seed={seed}: recovered mid-tick watermark {last:?}"
@@ -949,9 +945,12 @@ fn a_log_with_sync_records_written_by_the_parent_recovers_to_its_content() {
     let records = specdr::storage::scan_wal(&RealFs, &dir.join("wal-000000.log")).unwrap();
     let tags: Vec<u8> = records.records.iter().map(|r| r[0]).collect();
     assert_eq!(tags, [1, 2, 1, 2, 2, 5], "load, sync and age records");
-    let (rec, report) = DurableWarehouse::recover_with_fs(spec, &dir, RealFs::shared()).unwrap();
-    assert_eq!((report.replayed, report.dropped_bytes), (6, 0));
-    let view = rec.manager().view();
+    let (rec, report) = ShardRouter::recover(spec, &dir).unwrap();
+    assert_eq!(
+        (report.shards, report.replayed, report.dropped_bytes),
+        (1, 6, 0)
+    );
+    let view = view(&rec);
     assert_eq!(view.last_sync(), Some(days_from_civil(2001, 1, 5)));
     let mut got = Vec::new();
     for (i, c) in view.cubes().iter().enumerate() {
@@ -966,17 +965,16 @@ fn a_log_with_sync_records_written_by_the_parent_recovers_to_its_content() {
     assert_eq!(got, WANT);
     // And that content is the reduction of the eight facts loaded.
     let loaded = mo.gather(&[0, 1, 2, 3, 4, 5, 6, 1]);
-    let want =
-        specdr::reduce::reduce_naive(&loaded, &rec.manager().spec(), view.last_sync().unwrap());
+    let want = specdr::reduce::reduce_naive(&loaded, &rec.spec(), view.last_sync().unwrap());
     common::assert_holds(&[view], &want.unwrap(), "replayed log");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// ISSUE 8, satellite 4: storage-format round-trip matrix. A directory
-/// written by the format-2 (PR 6) checkpointer must load under current
+/// written by the format-2 checkpointer must recover under current
 /// code, and re-checkpointing it as format 3 must be crash-atomic: a
 /// [`FailpointFs`] fault at any mutating fs op of the rewrite leaves
-/// the directory loadable — at either the legacy or the migrated
+/// the directory recoverable — at either the legacy or the migrated
 /// checkpoint — with bit-identical warehouse state, and a clean retry
 /// always lands on format 3 with statistics matching a recomputation.
 #[test]
@@ -989,33 +987,39 @@ fn format2_migration_crash_matrix() {
     let m = SubcubeManager::new(spec.clone());
     m.bulk_load(&mo).unwrap();
     m.sync(days_from_civil(2000, 11, 5)).unwrap();
-    let want = state(&m);
-    let fs: Arc<dyn Fs> = RealFs::shared();
+    let want = state(&m.view());
+    let format = |dir: &std::path::Path| specdr::subcube::read_manifest(dir).unwrap().format;
+    let recover = |dir: &std::path::Path, fs: Arc<dyn Fs>| {
+        ShardRouter::recover_with_fs(spec.clone(), dir, fs).map(|(w, _)| w)
+    };
 
-    // Clean round trip: legacy dir -> current loader -> format-3
-    // re-checkpoint -> identical state either side.
+    // Clean round trip: legacy dir -> recovery -> format-3 checkpoint ->
+    // identical state either side.
     let dir = legacy_format2_dir("fmt2-clean");
-    let legacy = specdr::subcube::read_manifest(&dir).unwrap();
-    assert_eq!(legacy.format, 2, "the fixture reads back as format 2");
-    let loaded = SubcubeManager::load_from_dir(spec.clone(), &dir).unwrap();
+    assert_eq!(format(&dir), 2, "the fixture reads back as format 2");
+    let loaded = recover(&dir, RealFs::shared()).unwrap();
     assert_eq!(
-        state(&loaded),
+        state(&view(&loaded)),
         want,
         "legacy checkpoint loads bit-identically"
     );
-    loaded.save_to_dir_fs(&fs, &dir).unwrap();
-    assert_eq!(specdr::subcube::read_manifest(&dir).unwrap().format, 3);
-    let reloaded = SubcubeManager::load_from_dir(spec.clone(), &dir).unwrap();
-    assert_eq!(state(&reloaded), want, "migrated checkpoint round-trips");
+    loaded.checkpoint().unwrap();
+    assert_eq!(format(&dir), 3);
+    let reloaded = recover(&dir, RealFs::shared()).unwrap();
+    assert_eq!(
+        state(&view(&reloaded)),
+        want,
+        "migrated checkpoint round-trips"
+    );
     std::fs::remove_dir_all(&dir).ok();
 
-    // Count the mutating fs ops of one clean migration rewrite.
+    // Count the mutating fs ops of one clean migration (recovery itself
+    // issues none: the fixture's log has no torn tail).
     let dir = legacy_format2_dir("fmt2-count");
     let counting = FailpointFs::counting(RealFs::shared());
-    let counting_dyn: Arc<dyn Fs> = counting.clone();
-    SubcubeManager::load_from_dir(spec.clone(), &dir)
+    recover(&dir, counting.clone())
         .unwrap()
-        .save_to_dir_fs(&counting_dyn, &dir)
+        .checkpoint()
         .unwrap();
     let total = counting.ops();
     std::fs::remove_dir_all(&dir).ok();
@@ -1028,42 +1032,29 @@ fn format2_migration_crash_matrix() {
         for k in 0..total {
             let ctx = format!("fmt2 mode={mode:?} fail_op={k}");
             let dir = legacy_format2_dir("fmt2-matrix");
-            let loaded = SubcubeManager::load_from_dir(spec.clone(), &dir).unwrap();
             let shim = FailpointFs::new(RealFs::shared(), 0xF0F2F3 ^ k, k, mode);
-            let shim_dyn: Arc<dyn Fs> = shim.clone();
-            let res = loaded.save_to_dir_fs(&shim_dyn, &dir);
+            let res = recover(&dir, shim.clone()).unwrap().checkpoint();
             assert!(shim.crashed(), "{ctx}: fault never fired");
 
-            // Crash or not, the directory stays loadable with identical
-            // state: either checkpoint generation may be live, but never
-            // a torn mixture.
-            let recovered = SubcubeManager::load_from_dir(spec.clone(), &dir)
-                .unwrap_or_else(|e| panic!("{ctx}: load after crash failed: {e}"));
-            assert_eq!(state(&recovered), want, "{ctx}: state torn by crash");
-            let mf = specdr::subcube::read_manifest(&dir).unwrap();
-            if res.is_ok() {
-                assert_eq!(mf.format, 3, "{ctx}: acked rewrite must be format 3");
-            } else {
-                assert!(
-                    mf.format == 2 || mf.format == 3,
-                    "{ctx}: unknown live format {}",
-                    mf.format
-                );
+            // Crash or not, the directory stays recoverable with
+            // identical state: either checkpoint generation may be live,
+            // but never a torn mixture.
+            let recovered = recover(&dir, RealFs::shared())
+                .unwrap_or_else(|e| panic!("{ctx}: recovery after crash failed: {e}"));
+            assert_eq!(state(&view(&recovered)), want, "{ctx}: state torn by crash");
+            match res {
+                Ok(_) => assert_eq!(format(&dir), 3, "{ctx}: acked rewrite must be format 3"),
+                Err(_) => assert!(matches!(format(&dir), 2 | 3), "{ctx}: unknown live format"),
             }
 
             // A clean retry always completes the migration.
             recovered
-                .save_to_dir_fs(&fs, &dir)
+                .checkpoint()
                 .unwrap_or_else(|e| panic!("{ctx}: retry failed: {e}"));
-            assert_eq!(
-                specdr::subcube::read_manifest(&dir).unwrap().format,
-                3,
-                "{ctx}"
-            );
-            let done = SubcubeManager::load_from_dir(spec.clone(), &dir).unwrap();
-            assert_eq!(state(&done), want, "{ctx}: migrated state diverges");
-            let v = done.view();
-            for (i, c) in v.cubes().iter().enumerate() {
+            assert_eq!(format(&dir), 3, "{ctx}");
+            let done = recover(&dir, RealFs::shared()).unwrap();
+            assert_eq!(state(&view(&done)), want, "{ctx}: migrated state diverges");
+            for (i, c) in view(&done).cubes().iter().enumerate() {
                 assert_eq!(
                     *c.stats(),
                     SubcubeStats::compute(c.data(), c.epoch()),
@@ -1098,10 +1089,10 @@ fn checkpoint_between_load_and_age_keeps_rows_unhomed() {
     let (soon, later) = (days_from_civil(2000, 6, 20), days_from_civil(2000, 11, 5));
     let ops = [Op::Load(early), Op::Sync(synced), Op::Load(late.clone())];
     let dir = tmpdir("unhomed");
-    let mut w = DurableWarehouse::create(spec.clone(), &dir).unwrap();
+    let w = ShardRouter::create(spec.clone(), &dir, 1).unwrap();
     let plain = SubcubeManager::new(spec.clone());
     for op in &ops {
-        op.apply_durable(&mut w).unwrap();
+        op.apply_durable(&w).unwrap();
         op.apply_plain(&plain);
     }
 
@@ -1127,12 +1118,11 @@ fn checkpoint_between_load_and_age_keeps_rows_unhomed() {
     );
 
     drop(w);
-    let (mut rec, report) =
-        DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
+    let (rec, report) = ShardRouter::recover(spec.clone(), &dir).unwrap();
     assert_eq!(report.replayed, 0, "the load is in the checkpoint alone");
-    assert_eq!(rec.manager().view().unhomed_rows(), late.len());
-    assert_eq!(state(rec.manager()), state(&plain));
-    rec.manager().verify_stats().unwrap();
+    assert_eq!(view(&rec).unhomed_rows(), late.len());
+    assert_eq!(state(&view(&rec)), state(&plain.view()));
+    view(&rec).verify_stats().unwrap();
 
     // Asked at the bottom granularity, the answer shows every fact at
     // the granularity it is stored at: a row left un-homed shows.
@@ -1149,15 +1139,15 @@ fn checkpoint_between_load_and_age_keeps_rows_unhomed() {
     };
     for day in [soon, later] {
         assert_eq!(
-            rows(rec.manager().query_unsync(&q, day, false).unwrap()),
+            rows(view(&rec).query_unsync(&q, day, false).unwrap()),
             rows(plain.query_unsync(&q, day, false).unwrap()),
             "query_unsync at {day}"
         );
         rec.age(day).unwrap();
         plain.age(day).unwrap();
-        assert_eq!(state(rec.manager()), state(&plain), "age({day})");
+        assert_eq!(state(&view(&rec)), state(&plain.view()), "age({day})");
         let want = specdr::reduce::reduce_naive(&mo, &spec, day).unwrap();
-        common::assert_holds(&[rec.manager().view()], &want, &format!("age({day})"));
+        common::assert_holds(&[view(&rec)], &want, &format!("age({day})"));
     }
 
     // Format 4 -> 3: once homed, the next checkpoint is a plain format 3.
@@ -1167,13 +1157,118 @@ fn checkpoint_between_load_and_age_keeps_rows_unhomed() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An [`Fs`] whose next `append` after [`arm`](FailNextAppend::arm)
+/// fails, once; everything else passes through.
+struct FailNextAppend {
+    inner: Arc<dyn Fs>,
+    armed: std::sync::atomic::AtomicBool,
+}
+
+impl FailNextAppend {
+    fn arm(&self) {
+        self.armed.store(true, std::sync::atomic::Ordering::SeqCst);
+    }
+}
+
+impl Fs for FailNextAppend {
+    fn read(&self, p: &std::path::Path) -> std::io::Result<Vec<u8>> {
+        self.inner.read(p)
+    }
+    fn write(&self, p: &std::path::Path, data: &[u8]) -> std::io::Result<()> {
+        self.inner.write(p, data)
+    }
+    fn append(&self, p: &std::path::Path, data: &[u8]) -> std::io::Result<()> {
+        if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+            return Err(std::io::Error::other("append refused"));
+        }
+        self.inner.append(p, data)
+    }
+    fn rename(&self, from: &std::path::Path, to: &std::path::Path) -> std::io::Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn create_dir_all(&self, p: &std::path::Path) -> std::io::Result<()> {
+        self.inner.create_dir_all(p)
+    }
+    fn remove_file(&self, p: &std::path::Path) -> std::io::Result<()> {
+        self.inner.remove_file(p)
+    }
+    fn remove_dir_all(&self, p: &std::path::Path) -> std::io::Result<()> {
+        self.inner.remove_dir_all(p)
+    }
+    fn sync_dir(&self, p: &std::path::Path) -> std::io::Result<()> {
+        self.inner.sync_dir(p)
+    }
+    fn exists(&self, p: &std::path::Path) -> bool {
+        self.inner.exists(p)
+    }
+    fn read_dir(&self, p: &std::path::Path) -> std::io::Result<Vec<PathBuf>> {
+        self.inner.read_dir(p)
+    }
+}
+
+/// One failure, one contract, at every shard count: when a WAL append
+/// fails, the mutator returns `Err`, the warehouse reports itself
+/// wedged, every mutator and `checkpoint` are refused with the wedge
+/// error, and `recover` lands on the state before the failed call — an
+/// `Err` is "as if never issued". (A checkpoint that folded the failed
+/// load into the directory used to be accepted as the repair on a
+/// single-directory warehouse, and the load survived.)
+#[test]
+fn a_failed_append_wedges_until_recover_at_every_shard_count() {
+    const WEDGE: &str = "storage: warehouse wedged by a failed write; \
+                         drop it and ShardRouter::recover the directory";
+    let (mo, _) = paper_mo();
+    let schema = Arc::clone(mo.schema());
+    let a1 = parse_action(&schema, ACTION_A1).unwrap();
+    let a2 = parse_action(&schema, ACTION_A2).unwrap();
+    let spec = DataReductionSpec::new(schema, vec![a1, a2]).unwrap();
+    let rows = |w: &ShardRouter| {
+        let mo = w.view_set().to_mo().unwrap();
+        let mut v: Vec<String> = mo.facts().map(|f| mo.render_fact(f)).collect();
+        v.sort();
+        v
+    };
+    let day = days_from_civil(2000, 11, 5);
+    for shards in [1, 2] {
+        let dir = tmpdir(&format!("one-contract-{shards}"));
+        let fs = Arc::new(FailNextAppend {
+            inner: RealFs::shared(),
+            armed: Default::default(),
+        });
+        let w = ShardRouter::create_with_fs(spec.clone(), &dir, shards, fs.clone()).unwrap();
+        w.bulk_load(&mo.gather(&[0, 1, 2])).unwrap();
+        let before = rows(&w);
+        fs.arm();
+        let err = w.bulk_load(&mo).unwrap_err().to_string();
+        assert!(err.contains("append refused"), "shards={shards}: {err}");
+        assert!(err.contains("recovery required"), "shards={shards}: {err}");
+        assert!(!err.contains("shard"), "shards={shards}: {err}");
+        assert!(w.is_broken(), "shards={shards}: a failed append must wedge");
+        for (what, e) in [
+            ("checkpoint", w.checkpoint().unwrap_err()),
+            ("sync", w.sync(day).unwrap_err()),
+            ("bulk_load", w.bulk_load(&mo).unwrap_err()),
+        ] {
+            assert_eq!(e.to_string(), WEDGE, "shards={shards}: {what}");
+        }
+        drop(w);
+        let (rec, _) = ShardRouter::recover(spec.clone(), &dir).unwrap();
+        assert_eq!(
+            rows(&rec),
+            before,
+            "shards={shards}: the failed load survived"
+        );
+        rec.bulk_load(&mo).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// A checkpoint is read back through the [`Fs`] it was written through:
 /// a warehouse that lives on [`MemFs`] alone — no file ever reaches the
 /// disk — recovers after its first checkpoint, cube files included.
 #[test]
 fn memfs_warehouse_recovers_from_its_checkpoint() {
     use specdr::storage::MemFs;
-    use specdr::subcube::ShardRouter;
     let (mo, _) = paper_mo();
     let schema = Arc::clone(mo.schema());
     let a1 = parse_action(&schema, ACTION_A1).unwrap();
@@ -1225,7 +1320,7 @@ fn forged_fact_bytes_are_a_typed_recovery_error() {
         .collect();
     let spec = DataReductionSpec::new(Arc::clone(&cs.schema), actions).unwrap();
     let dir = tmpdir("forged");
-    let mut w = DurableWarehouse::create(spec.clone(), &dir).unwrap();
+    let w = ShardRouter::create(spec.clone(), &dir, 1).unwrap();
     let day = |m, d| days_from_civil(1999, m, d);
     let by_day = cs.rows_by_day(day(1, 1), 120);
     let load = |rows: &[u32]| WarehouseOp::BulkLoad(cs.mo.gather(rows));
@@ -1237,7 +1332,7 @@ fn forged_fact_bytes_are_a_typed_recovery_error() {
     w.apply(&load(&by_day[117..119].concat())).unwrap();
     w.apply(&load(&by_day[119][..1])).unwrap();
     drop(w);
-    let recover = || DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared());
+    let recover = || ShardRouter::recover(spec.clone(), &dir);
     assert_eq!(recover().unwrap().1.replayed, 2, "intact before forging");
 
     // Where each column of a fact table's first segment starts (after

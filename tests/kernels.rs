@@ -219,14 +219,9 @@ fn wide_schema() -> Arc<Schema> {
     .unwrap()
 }
 
-#[test]
-fn packed_key_overflow_falls_back_to_naive() {
-    let schema = wide_schema();
-    assert!(
-        KeyPacker::new(&schema).is_none(),
-        "wide schema must overflow the 128-bit key"
-    );
-    let mut mo = Mo::new(Arc::clone(&schema));
+/// 200 bottom-level facts over [`wide_schema`].
+fn wide_facts(schema: &Arc<Schema>) -> Mo {
+    let mut mo = Mo::new(Arc::clone(schema));
     for i in 0..200usize {
         let coords: Vec<DimValue> = (0..20)
             .map(|d| {
@@ -240,6 +235,45 @@ fn packed_key_overflow_falls_back_to_naive() {
             .collect();
         mo.insert_fact(&coords, &[1, i as i64]).unwrap();
     }
+    mo
+}
+
+/// Routing hashes the packed bottom key, so a schema too wide to pack
+/// cannot be split: two shards are refused at create with a typed error
+/// and nothing written, while one shard routes nothing and opens, loads
+/// and recovers it.
+#[test]
+fn a_schema_too_wide_to_pack_opens_with_one_shard_only() {
+    use specdr::storage::{Fs, MemFs};
+    use specdr::subcube::{ShardRouter, SubcubeError};
+    let schema = wide_schema();
+    let spec = DataReductionSpec::empty(Arc::clone(&schema));
+    let fs: Arc<dyn Fs> = MemFs::shared();
+    let dir = std::path::Path::new("/wide");
+    let refused = ShardRouter::create_with_fs(spec.clone(), dir, 2, Arc::clone(&fs));
+    let err = refused.err().expect("two shards need a packed key");
+    assert!(
+        matches!(err, SubcubeError::Unroutable { shards: 2 }),
+        "{err:?}"
+    );
+    assert!(!fs.exists(dir), "a refused create writes nothing");
+    let mo = wide_facts(&schema);
+    let w = ShardRouter::create_with_fs(spec.clone(), dir, 1, Arc::clone(&fs)).unwrap();
+    w.bulk_load(&mo).unwrap();
+    drop(w);
+    let (back, report) = ShardRouter::recover_with_fs(spec, dir, fs).unwrap();
+    assert_eq!((report.shards, report.replayed), (1, 1));
+    assert_eq!(back.len(), mo.len());
+}
+
+#[test]
+fn packed_key_overflow_falls_back_to_naive() {
+    let schema = wide_schema();
+    assert!(
+        KeyPacker::new(&schema).is_none(),
+        "wide schema must overflow the 128-bit key"
+    );
+    let mo = wide_facts(&schema);
     let now = days_from_civil(2000, 1, 1);
     // Selection falls back to per-fact satisfaction.
     let p = parse_pexp(&schema, "D00.v = x3").unwrap();

@@ -422,6 +422,7 @@ fn failpoint_crash_matrix_recovers_to_a_prefix() {
         .map(|n| prefix_reference(&schema, &script, n))
         .collect();
 
+    let mut reopened = 0;
     for k in (2..40).step_by(3) {
         let dir = tdir(&format!("crash-{k}"));
         let shim = FailpointFs::new(RealFs::shared(), 0xBEEF ^ k, k, FaultMode::CrashAfter);
@@ -452,8 +453,14 @@ fn failpoint_crash_matrix_recovers_to_a_prefix() {
             continue;
         }
         // The SHARDS manifest is written last in create; a crash before
-        // it leaves a directory with no sharded warehouse to recover.
+        // it leaves shards nothing was acknowledged in, and `open`
+        // completes the create over them.
         if !RealFs::shared().exists(&WarehouseLayout::at(&dir).shards_manifest()) {
+            let opened = ShardRouter::open(paper_spec(), &dir, shards)
+                .unwrap_or_else(|e| panic!("k={k}: open after a crashed create failed: {e}"));
+            assert_eq!((opened.shards(), opened.len()), (shards, 0), "k={k}");
+            assert_eq!(router_digests(&opened), prefixes[0], "k={k}");
+            reopened += 1;
             std::fs::remove_dir_all(&dir).ok();
             continue;
         }
@@ -465,6 +472,77 @@ fn failpoint_crash_matrix_recovers_to_a_prefix() {
             "k={k}: recovered state matches no accepted-prefix replay"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+    assert!(reopened >= 3, "the sweep crashed only {reopened} creates");
+}
+
+/// Every schema the project ships routes: the paper's, the click-stream
+/// and session click-stream generators', the three-dimensional retail
+/// generator's and the quickstart's retail schema all pack their bottom
+/// key into 128 bits, so each opens over two shards — the router needs
+/// no fallback hash.
+#[test]
+fn every_shipped_schema_packs_and_shards() {
+    use specdr::mdm::{
+        AggFn, CatGraph, Dimension, EnumDimensionBuilder, KeyPacker, MeasureDef, Schema,
+        TimeDimension,
+    };
+    use specdr::storage::MemFs;
+    use specdr::workload::{
+        generate, generate_retail, generate_sessions, ClickstreamConfig, RetailConfig,
+        SessionConfig,
+    };
+    let quickstart = {
+        let time = Dimension::Time(TimeDimension::new((2019, 1, 1), (2026, 12, 31)).unwrap());
+        let g = CatGraph::new(
+            vec!["sku", "category", "T"],
+            &[("sku", "category"), ("category", "T")],
+        )
+        .unwrap();
+        let (sku, category) = (g.by_name("sku").unwrap(), g.by_name("category").unwrap());
+        let mut b = EnumDimensionBuilder::new("Product", g);
+        for (s, c) in [
+            ("espresso-beans", "coffee"),
+            ("filter-beans", "coffee"),
+            ("green-tea", "tea"),
+            ("earl-grey", "tea"),
+        ] {
+            b.add_value(sku, s, &[(category, c)]).unwrap();
+        }
+        let measures = vec![
+            MeasureDef::new("Count", AggFn::Count),
+            MeasureDef::new("Revenue", AggFn::Sum),
+        ];
+        Schema::new(
+            "Sale",
+            vec![time, Dimension::Enum(b.build().unwrap())],
+            measures,
+        )
+        .unwrap()
+    };
+    let clicks = ClickstreamConfig {
+        clicks_per_day: 0,
+        ..Default::default()
+    };
+    let sessions = SessionConfig {
+        sessions_per_day: 0,
+        ..Default::default()
+    };
+    let retail = RetailConfig {
+        sales_per_day: 0,
+        ..Default::default()
+    };
+    for schema in [
+        paper_schema().0,
+        generate(&clicks).schema,
+        generate_sessions(&sessions).schema,
+        generate_retail(&retail).schema,
+        quickstart,
+    ] {
+        assert!(KeyPacker::new(&schema).is_some(), "{}", schema.fact_type);
+        let spec = DataReductionSpec::empty(Arc::clone(&schema));
+        ShardRouter::create_with_fs(spec, Path::new("/w"), 2, MemFs::shared())
+            .unwrap_or_else(|e| panic!("{}: {e}", schema.fact_type));
     }
 }
 
@@ -574,7 +652,7 @@ fn routing_is_deterministic_across_reopen() {
 /// `ShardRouter::recover` restores service on the pre-failure state.
 #[test]
 fn failed_scatter_wedges_every_mutator_until_recover() {
-    const WEDGE: &str = "storage: sharded warehouse wedged by a failed scatter; \
+    const WEDGE: &str = "storage: warehouse wedged by a failed write; \
                          drop it and ShardRouter::recover the directory";
     let (mo, _) = specdr::workload::paper_mo();
     let base = mo.gather(&[0, 1, 2, 3]);

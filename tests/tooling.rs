@@ -8,7 +8,7 @@ use specdr::mdm::{render_table, MeasureId, TableOptions};
 use specdr::query::{AggApproach, Query, SelectMode};
 use specdr::reduce::{reduce, DataReductionSpec};
 use specdr::spec::{explain_action, explain_origin, parse_action, parse_pexp};
-use specdr::subcube::SubcubeManager;
+use specdr::subcube::{ShardRouter, SubcubeError};
 use specdr::workload::{
     generate, paper_mo, prover_heavy_policy, retention_policy, ClickstreamConfig, ACTION_A1,
     ACTION_A2,
@@ -25,32 +25,37 @@ fn paper_spec() -> (specdr::mdm::Mo, DataReductionSpec) {
 #[test]
 fn subcube_persistence_roundtrip() {
     let (mo, spec) = paper_spec();
-    let m = SubcubeManager::new(spec.clone());
+    let dir = std::env::temp_dir().join(format!("specdr-test-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let m = ShardRouter::create(spec.clone(), &dir, 1).unwrap();
     m.bulk_load(&mo).unwrap();
     m.sync(days_from_civil(2000, 11, 5)).unwrap();
-    let dir = std::env::temp_dir().join(format!("specdr-test-{}", std::process::id()));
-    m.save_to_dir(&dir).unwrap();
-    let loaded = SubcubeManager::load_from_dir(spec, &dir).unwrap();
+    m.checkpoint().unwrap();
+    let (loaded, report) = ShardRouter::recover(spec, &dir).unwrap();
+    assert_eq!(report.replayed, 0, "everything is in the checkpoint");
     assert_eq!(loaded.len(), m.len());
-    let a = m.to_mo().unwrap();
-    let b = loaded.to_mo().unwrap();
-    let mut ra: Vec<String> = a.facts().map(|f| a.render_fact(f)).collect();
-    let mut rb: Vec<String> = b.facts().map(|f| b.render_fact(f)).collect();
-    ra.sort();
-    rb.sort();
-    assert_eq!(ra, rb);
-    // Loading with a *different* spec (different layout) must fail.
-    let (schema2, _) = specdr::workload::paper_schema();
-    let only_a2 = parse_action(&schema2, ACTION_A2).unwrap();
-    let small_spec = DataReductionSpec::new(schema2, vec![only_a2]).unwrap();
-    assert!(SubcubeManager::load_from_dir(small_spec, &dir).is_err());
+    let rows = |w: &ShardRouter| {
+        let mo = w.view_set().to_mo().unwrap();
+        let mut v: Vec<String> = mo.facts().map(|f| mo.render_fact(f)).collect();
+        v.sort();
+        v
+    };
+    assert_eq!(rows(&loaded), rows(&m));
+    // Opening it over a schema its specification does not parse against
+    // must fail.
+    let retail = specdr::workload::generate_retail(&specdr::workload::RetailConfig {
+        sales_per_day: 0,
+        ..Default::default()
+    })
+    .schema;
+    assert!(ShardRouter::recover(DataReductionSpec::empty(retail), &dir).is_err());
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn persistence_missing_dir_fails() {
     let (_, spec) = paper_spec();
-    assert!(SubcubeManager::load_from_dir(spec, "/nonexistent/specdr-dir").is_err());
+    assert!(ShardRouter::recover(spec, "/nonexistent/specdr-dir").is_err());
 }
 
 #[test]
@@ -181,27 +186,32 @@ fn retention_policy_end_to_end_totals() {
     }
 }
 
-// --- load_from_dir error paths: every failure names the file and cause ---
+// --- checkpoint error paths: every failure names the file and cause ---
 
-/// Saves a small warehouse under a unique temp dir and returns the spec
-/// that wrote it. With `sync: false` all facts stay at day level in the
-/// bottom cube.
+/// Writes a small one-shard warehouse under a unique temp dir, folded
+/// into the epoch-1 checkpoint, and returns the spec that wrote it and
+/// its checkpoint directory. With `sync: false` all facts stay at day
+/// level in the bottom cube.
 fn saved_dir(tag: &str, sync: bool) -> (DataReductionSpec, std::path::PathBuf) {
     let (mo, spec) = paper_spec();
-    let m = SubcubeManager::new(spec.clone());
+    let dir = std::env::temp_dir().join(format!("specdr-errs-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let m = ShardRouter::create(spec.clone(), &dir, 1).unwrap();
     m.bulk_load(&mo).unwrap();
     if sync {
         m.sync(days_from_civil(2000, 11, 5)).unwrap();
     }
-    let dir = std::env::temp_dir().join(format!("specdr-errs-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    m.save_to_dir(&dir).unwrap();
+    m.checkpoint().unwrap();
     (spec, dir)
 }
 
-fn storage_msg(e: specdr::subcube::SubcubeError) -> String {
-    match e {
-        specdr::subcube::SubcubeError::Storage(msg) => msg,
+/// The message `recover` fails `dir` with.
+fn storage_msg(spec: DataReductionSpec, dir: &std::path::Path) -> String {
+    match ShardRouter::recover(spec, dir)
+        .err()
+        .expect("recover should fail")
+    {
+        SubcubeError::Storage(msg) => msg,
         other => panic!("expected SubcubeError::Storage, got: {other}"),
     }
 }
@@ -209,13 +219,9 @@ fn storage_msg(e: specdr::subcube::SubcubeError) -> String {
 #[test]
 fn load_from_dir_reports_missing_cube_file() {
     let (spec, dir) = saved_dir("missing", true);
-    let victim = dir.join("ckpt-000000").join("cube-1.sdr");
+    let victim = dir.join("ckpt-000001").join("cube-1.sdr");
     std::fs::remove_file(&victim).unwrap();
-    let msg = storage_msg(
-        SubcubeManager::load_from_dir(spec, &dir)
-            .err()
-            .expect("load should fail"),
-    );
+    let msg = storage_msg(spec, &dir);
     assert!(msg.contains(&victim.display().to_string()), "{msg}");
     assert!(msg.contains("No such file or directory"), "{msg}");
     std::fs::remove_dir_all(&dir).ok();
@@ -224,17 +230,13 @@ fn load_from_dir_reports_missing_cube_file() {
 #[test]
 fn load_from_dir_reports_corrupt_cube_header() {
     let (spec, dir) = saved_dir("corrupt", true);
-    let victim = dir.join("ckpt-000000").join("cube-0.sdr");
+    let victim = dir.join("ckpt-000001").join("cube-0.sdr");
     let mut bytes = std::fs::read(&victim).unwrap();
     for b in bytes.iter_mut().take(8) {
         *b ^= 0xFF;
     }
     std::fs::write(&victim, &bytes).unwrap();
-    let msg = storage_msg(
-        SubcubeManager::load_from_dir(spec, &dir)
-            .err()
-            .expect("load should fail"),
-    );
+    let msg = storage_msg(spec, &dir);
     assert!(msg.contains(&victim.display().to_string()), "{msg}");
     assert!(msg.contains("corrupt table: bad magic"), "{msg}");
     std::fs::remove_dir_all(&dir).ok();
@@ -246,13 +248,9 @@ fn load_from_dir_rejects_foreign_granularity_cube() {
     // rejected: the file parses, but its contents belong to a different
     // layout.
     let (spec, dir) = saved_dir("foreign", false);
-    let ckpt = dir.join("ckpt-000000");
+    let ckpt = dir.join("ckpt-000001");
     std::fs::copy(ckpt.join("cube-0.sdr"), ckpt.join("cube-1.sdr")).unwrap();
-    let msg = storage_msg(
-        SubcubeManager::load_from_dir(spec, &dir)
-            .err()
-            .expect("load should fail"),
-    );
+    let msg = storage_msg(spec, &dir);
     assert!(
         msg.contains(
             "fact at foreign granularity — was the directory written \
@@ -264,17 +262,20 @@ fn load_from_dir_rejects_foreign_granularity_cube() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A manifest whose specification is not the one its cubes and hash
+/// were written under — here the a2-only spec's text, CRC-valid.
 #[test]
 fn load_from_dir_rejects_foreign_spec_with_hash_message() {
-    let (_, dir) = saved_dir("spechash", true);
+    let (spec, dir) = saved_dir("spechash", true);
     let (schema2, _) = specdr::workload::paper_schema();
     let only_a2 = parse_action(&schema2, ACTION_A2).unwrap();
     let small = DataReductionSpec::new(schema2, vec![only_a2]).unwrap();
-    let msg = storage_msg(
-        SubcubeManager::load_from_dir(small, &dir)
-            .err()
-            .expect("load should fail"),
-    );
+    let man_path = dir.join("ckpt-000001").join("MANIFEST");
+    let mut man =
+        specdr::subcube::Manifest::decode(&man_path, &std::fs::read(&man_path).unwrap()).unwrap();
+    man.spec_text = small.render();
+    std::fs::write(&man_path, man.encode()).unwrap();
+    let msg = storage_msg(spec, &dir);
     assert!(
         msg.contains(
             "specification hash mismatch — was the directory written \
@@ -294,16 +295,12 @@ fn load_from_dir_rejects_extra_cubes_on_disk() {
     let (spec, dir) = saved_dir("extra", true);
     // Forge a manifest announcing one more cube than the layout defines
     // (re-encoded, so the CRC is valid and the count check is what fires).
-    let man_path = dir.join("ckpt-000000").join("MANIFEST");
+    let man_path = dir.join("ckpt-000001").join("MANIFEST");
     let mut man =
         specdr::subcube::Manifest::decode(&man_path, &std::fs::read(&man_path).unwrap()).unwrap();
     man.cube_count += 1;
     std::fs::write(&man_path, man.encode()).unwrap();
-    let msg = storage_msg(
-        SubcubeManager::load_from_dir(spec, &dir)
-            .err()
-            .expect("load should fail"),
-    );
+    let msg = storage_msg(spec, &dir);
     assert!(
         msg.contains("more cubes on disk than the specification defines"),
         "{msg}"
@@ -599,9 +596,11 @@ fn cli_checkpoint_then_recover_roundtrips() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("checkpoint published"), "{stdout}");
+    assert!(stdout.contains("shards     = 1"), "{stdout}");
     assert!(stdout.contains("epoch      = 1"), "{stdout}");
     assert!(stdout.contains("wal hwm    = 2 ops"), "{stdout}");
-    assert!(dir.join("CURRENT").exists());
+    // One shard is the single-directory layout.
+    assert!(dir.join("CURRENT").exists() && !dir.join("SHARDS").exists());
     assert!(dir.join("ckpt-000001").join("MANIFEST").exists());
 
     let out = specdr_bin()
@@ -615,19 +614,22 @@ fn cli_checkpoint_then_recover_roundtrips() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("recovered"), "{stdout}");
+    assert!(stdout.contains("shards          = 1"), "{stdout}");
     assert!(stdout.contains("epoch           = 1"), "{stdout}");
     assert!(
         stdout.contains("replayed        = 0 WAL records"),
         "{stdout}"
     );
+    assert!(stdout.contains("dropped (unacked) = 0 records"), "{stdout}");
     assert!(stdout.contains("ops durable     = 2"), "{stdout}");
-    assert!(stdout.contains("facts across"), "{stdout}");
+    assert!(stdout.contains("last sync       = "), "{stdout}");
+    assert!(stdout.contains("warehouse       = "), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `specdr serve --dir D --shards 2` leaves a sharded layout (`D/SHARDS`
-/// and `D/shard-00N/`); `recover` and `checkpoint` must route on what
-/// the directory is instead of assuming a single-directory warehouse.
+/// and `D/shard-00N/`); `recover` and `checkpoint` open it with the
+/// shard count it holds, through the same path as a one-shard one.
 #[test]
 fn cli_recover_and_checkpoint_read_a_serve_created_directory() {
     use std::io::{BufRead, BufReader};
@@ -692,8 +694,9 @@ fn cli_recover_and_checkpoint_read_a_serve_created_directory() {
     assert!(stdout.contains("dropped (torn)  = 0 bytes"), "{stdout}");
     assert!(stdout.contains("dropped (unacked) = 0 records"), "{stdout}");
     assert!(stdout.contains("resumed ckpt    = false"), "{stdout}");
+    assert!(stdout.contains("ops durable     = 2"), "{stdout}");
     assert!(
-        stdout.contains(&format!("= {facts} facts across 2 shards")),
+        stdout.contains(&format!("warehouse       = {facts} facts\n")),
         "{stdout}"
     );
 
@@ -1182,6 +1185,49 @@ fn request_path_has_one_of_each() {
     }
     assert_eq!(weighted_files.len(), 1, "{weighted_files:?}");
     assert_eq!(aggregations.len(), 2, "{aggregations:?}");
+    assert!(violations.is_empty(), "{}", violations.join("\n"));
+}
+
+/// Source audit for the warehouse directory: `ShardRouter` is the one
+/// way in, for every shard count. The single-directory entry points, the
+/// manager's own save/load/recover, the caller-side layout probe and the
+/// second recovery report are named nowhere in the library and binary
+/// sources, the examples, or the three documents that describe them.
+#[test]
+fn warehouse_directory_has_one_way_in() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let retired = [
+        "DurableWarehouse::",
+        "save_to_dir",
+        "load_from_dir",
+        "SubcubeManager::recover",
+        "is_sharded",
+        "ShardRecoveryReport",
+    ];
+    let mut files: Vec<_> = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+        .iter()
+        .map(|f| root.join(f))
+        .collect();
+    let crates = std::fs::read_dir(root.join("crates")).unwrap();
+    let mut stack: Vec<_> = crates.map(|e| e.unwrap().path().join("src")).collect();
+    stack.extend([root.join("src"), root.join("examples")]);
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let p = entry.unwrap().path();
+            if p.is_dir() {
+                stack.push(p);
+            } else {
+                files.push(p);
+            }
+        }
+    }
+    let mut violations = Vec::new();
+    for p in &files {
+        let src = std::fs::read_to_string(p).unwrap();
+        for name in retired.iter().filter(|n| src.contains(**n)) {
+            violations.push(format!("{}: mentions `{name}`", p.display()));
+        }
+    }
     assert!(violations.is_empty(), "{}", violations.join("\n"));
 }
 
