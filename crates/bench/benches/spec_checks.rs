@@ -1,18 +1,24 @@
-//! Experiments E2 and E3: cost of the specification soundness checks.
+//! Experiments E2 and E3: cost of the specification soundness gate.
 //!
 //! The paper argues (Section 5.2) that the `|A|²` pairwise NonCrossing
 //! check "offers ample performance" because specifications are small and
 //! checks only run on update, and (Section 5.3) that the Growing check is
 //! a syntactic fast path for growing actions plus a prover obligation for
-//! shrinking ones. These benches measure both as the action count grows.
+//! shrinking ones. A specification analyzes each action once, when it
+//! enters, and decides both properties over those analyses. These benches
+//! time the whole gate — `DataReductionSpec::new`, analysis plus both
+//! decisions — and, separately, each decision pass over prebuilt
+//! analyses, as the action count grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 
-use sdr_reduce::{check_growing, check_noncrossing};
-use sdr_spec::parse_action;
-use sdr_workload::{generate, prover_heavy_policy, tiered_policy, ClickstreamConfig};
+use sdr_reduce::{crossings, escapes, ActionAnalysis, DataReductionSpec};
+use sdr_spec::{parse_action, ActionSpec};
+use sdr_workload::{
+    generate, prover_heavy_policy, retention_policy, tiered_policy, ClickstreamConfig,
+};
 
 fn bench_checks(c: &mut Criterion) {
     // A schema with 8 domain groups so tiered policies scale to 24 actions.
@@ -23,64 +29,69 @@ fn bench_checks(c: &mut Criterion) {
         ..Default::default()
     });
     let schema = Arc::clone(&cs.schema);
-
-    let mut g = c.benchmark_group("E2_noncrossing_check");
-    g.sample_size(10);
-    for n_grps in [2usize, 4, 8] {
-        let actions: Vec<_> = tiered_policy(n_grps, 3)
-            .iter()
+    let parse = |srcs: Vec<String>| -> Vec<ActionSpec> {
+        srcs.iter()
             .map(|s| parse_action(&schema, s).unwrap())
-            .collect();
-        g.bench_with_input(
-            BenchmarkId::new("actions", actions.len()),
-            &actions,
-            |b, actions| {
-                b.iter(|| check_noncrossing(&schema, black_box(actions).iter().collect()).unwrap());
-            },
-        );
+            .collect()
+    };
+    // Tiered policies order every overlapping pair (the syntactic fast
+    // path); prover-heavy ones aggregate to unordered granularities with
+    // disjoint predicates, so every cross-pair is decided on groundings;
+    // the retention policy carries a shrinking (category F) action.
+    let mut policies: Vec<(&str, Vec<ActionSpec>)> = Vec::new();
+    for n_grps in [2usize, 4, 8] {
+        policies.push(("tiered", parse(tiered_policy(n_grps, 3))));
     }
-    // Unordered granularities with disjoint predicates: every cross-pair
-    // takes the prover path (grounding + step-day overlap search).
     for n_grps in [2usize, 4, 8] {
-        let actions: Vec<_> = prover_heavy_policy(n_grps)
-            .iter()
-            .map(|s| parse_action(&schema, s).unwrap())
-            .collect();
+        policies.push(("prover_heavy", parse(prover_heavy_policy(n_grps))));
+    }
+    policies.push(("retention", parse(retention_policy(6, 36))));
+
+    let mut g = c.benchmark_group("E2_E3_spec_new");
+    g.sample_size(10);
+    for (label, actions) in &policies {
         g.bench_with_input(
-            BenchmarkId::new("prover_path_actions", actions.len()),
-            &actions,
+            BenchmarkId::new(*label, actions.len()),
+            actions,
             |b, actions| {
-                b.iter(|| check_noncrossing(&schema, black_box(actions).iter().collect()).unwrap());
+                b.iter(|| DataReductionSpec::new(Arc::clone(&schema), black_box(actions.clone())))
             },
         );
     }
     g.finish();
 
-    let mut g = c.benchmark_group("E3_growing_check");
+    let analyzed: Vec<Vec<ActionAnalysis>> = policies
+        .iter()
+        .map(|(_, actions)| {
+            let build = |a: &ActionSpec| ActionAnalysis::build(&schema, &a.pred).unwrap();
+            actions.iter().map(build).collect()
+        })
+        .collect();
+    let pairs = |k: usize| -> Vec<(&ActionSpec, &ActionAnalysis)> {
+        policies[k].1.iter().zip(&analyzed[k]).collect()
+    };
+    let mut g = c.benchmark_group("E2_noncrossing_decision");
     g.sample_size(10);
-    // Growing-only sets (syntactic fast path, Theorem 1)…
-    for n_grps in [2usize, 8] {
-        let actions: Vec<_> = tiered_policy(n_grps, 3)
-            .iter()
-            .map(|s| parse_action(&schema, s).unwrap())
-            .collect();
+    for (k, (label, actions)) in policies.iter().enumerate() {
+        let input = pairs(k);
         g.bench_with_input(
-            BenchmarkId::new("growing_only", actions.len()),
-            &actions,
-            |b, actions| {
-                b.iter(|| check_growing(&schema, black_box(actions).iter().collect()).unwrap());
-            },
+            BenchmarkId::new(*label, actions.len()),
+            &input,
+            |b, input| b.iter(|| assert_eq!(crossings(&schema, black_box(input)).count(), 0)),
         );
     }
-    // …vs a set with a shrinking action (category F → three-step prover
-    // check with step-day enumeration).
-    let shrinking: Vec<_> = sdr_workload::retention_policy(6, 36)
-        .iter()
-        .map(|s| parse_action(&schema, s).unwrap())
-        .collect();
-    g.bench_function("with_shrinking_action", |b| {
-        b.iter(|| check_growing(&schema, black_box(&shrinking).iter().collect()).unwrap());
-    });
+    g.finish();
+
+    let mut g = c.benchmark_group("E3_growing_decision");
+    g.sample_size(10);
+    for (k, (label, actions)) in policies.iter().enumerate() {
+        let input = pairs(k);
+        g.bench_with_input(
+            BenchmarkId::new(*label, actions.len()),
+            &input,
+            |b, input| b.iter(|| assert_eq!(escapes(&schema, black_box(input)).count(), 0)),
+        );
+    }
     g.finish();
 }
 

@@ -80,12 +80,12 @@ fn bench_sync(c: &mut Criterion) {
     m.sync(now).unwrap();
     // Same day: no transition in an empty window.
     g.bench_function("same_day", |b| {
-        b.iter(|| black_box(m.needs_sync(now).unwrap()));
+        b.iter(|| black_box(m.needs_sync(now)));
     });
     // Next day (no month boundary crossed): "nothing to do".
     let tomorrow = now + 1;
     g.bench_function("next_day", |b| {
-        b.iter(|| black_box(m.needs_sync(tomorrow).unwrap()));
+        b.iter(|| black_box(m.needs_sync(tomorrow)));
     });
     g.finish();
     sdr_bench::obs_record("subcube_sync");

@@ -7,16 +7,20 @@
 //! action's day-scan runs, and the cross-action rules recombine cached
 //! groundings with cheap region algebra. Because every `NOW`-affine bound
 //! is a staircase function of `t`, a disjunct's grounding is piecewise
-//! constant between its step days — `AnalyzedAction::region_at` answers
+//! constant between its step days — `ActionAnalysis::region_at` answers
 //! "the region at day `t`" for *any* `t` by binary search, which is what
 //! keeps the O(|A|²) NonCrossing pass free of per-pair day scans.
+//!
+//! L004 and L005 do not decide anything themselves: they render the
+//! witnesses of `sdr-reduce`'s [`crossings`] and [`escapes`] — the
+//! decisions `DataReductionSpec` gates on — so a clean lint and an
+//! accepted specification are one verdict.
 
 use std::sync::Arc;
 
 use sdr_mdm::{DayNum, DimValue, Dimension, Schema, TimeValue};
-use sdr_prover::{implies_union, implies_union_residue, GroundSet, Region};
-use sdr_reduce::checks_util::{concretize_all, time_horizon};
-use sdr_reduce::ActionAnalysis;
+use sdr_prover::{implies_union, GroundSet, Region};
+use sdr_reduce::{crossings, escapes, ActionAnalysis};
 use sdr_spec::{
     ground_conj, parse_action_raw, split_actions, ActionSpec, AtomKind, CmpOp, Conj, SpecError,
     SrcSpan,
@@ -66,8 +70,8 @@ impl LintConfig {
 }
 
 /// The cached analysis of one successfully parsed action: the shared
-/// span-free [`ActionAnalysis`] core (also used by the reduction
-/// scheduler) plus the source spans lint diagnostics anchor to. All
+/// span-free [`ActionAnalysis`] core (what a `DataReductionSpec` holds
+/// per action) plus the source spans lint diagnostics anchor to. All
 /// spans are relative to the action's own source segment.
 #[derive(Debug, Clone)]
 pub struct AnalyzedAction {
@@ -99,50 +103,6 @@ impl AnalyzedAction {
             core,
             conj_spans,
         })
-    }
-
-    /// The predicate's DNF.
-    fn dnf(&self) -> &[Conj] {
-        self.core.dnf()
-    }
-
-    /// The step days of disjunct `d`.
-    fn steps(&self, d: usize) -> &[DayNum] {
-        self.core.steps(d)
-    }
-
-    /// True when disjunct `d` is syntactically shrinking.
-    fn shrinking(&self, d: usize) -> bool {
-        self.core.shrinking(d)
-    }
-
-    /// The grounding of disjunct `d` at day `t`: the cached value at the
-    /// largest step day `≤ t` (the grounding is piecewise constant
-    /// between step days).
-    fn region_at(&self, d: usize, t: DayNum) -> &[Region] {
-        self.core.region_at(d, t)
-    }
-
-    /// The grounding of the whole predicate at day `t`.
-    fn regions_at(&self, t: DayNum) -> Vec<&Region> {
-        self.core.regions_at(t)
-    }
-
-    /// True when no disjunct selects any cell at any step day (the L001
-    /// verdict; exact because groundings are piecewise constant).
-    fn is_unsatisfiable(&self) -> bool {
-        self.core.is_unsatisfiable()
-    }
-
-    /// Sorted union of every disjunct's step days.
-    fn all_steps(&self) -> Vec<DayNum> {
-        self.core.all_steps()
-    }
-
-    /// True when any disjunct is time-dynamic (has step days beyond the
-    /// horizon endpoints).
-    fn is_dynamic(&self) -> bool {
-        self.core.is_dynamic()
     }
 }
 
@@ -302,19 +262,22 @@ impl Linter {
         Some(d)
     }
 
-    fn horizon(&self) -> (DayNum, DayNum) {
-        time_horizon(&self.schema)
+    /// The parsed actions as the `sdr-reduce` decisions take them.
+    fn cores<'a>(
+        acts: &[(usize, usize, &'a AnalyzedAction)],
+    ) -> Vec<(&'a ActionSpec, &'a ActionAnalysis)> {
+        acts.iter().map(|(_, _, a)| (&a.spec, &a.core)).collect()
     }
 
     /// L001 — unsatisfiable predicate: empty grounding in every disjunct
     /// at every step day.
     fn rule_l001(&self) -> Vec<Diagnostic> {
-        let (from, to) = self.horizon();
         let mut out = Vec::new();
         for (_, off, a) in self.analyzed() {
-            if !a.is_unsatisfiable() {
+            if !a.core.is_unsatisfiable() {
                 continue;
             }
+            let (from, to) = a.core.horizon();
             out.push(
                 Diagnostic::new(
                     Code::L001,
@@ -344,7 +307,7 @@ impl Linter {
         let acts = self.analyzed();
         let mut out = Vec::new();
         for &(i, off_i, a) in &acts {
-            if a.is_unsatisfiable() {
+            if a.core.is_unsatisfiable() {
                 continue; // already L001
             }
             let shadowers: Vec<&(usize, usize, &AnalyzedAction)> = acts
@@ -359,18 +322,21 @@ impl Linter {
             if shadowers.is_empty() {
                 continue;
             }
-            let mut days: Vec<DayNum> = a.all_steps();
+            let mut days: Vec<DayNum> = a.core.all_steps();
             for (_, _, b) in &shadowers {
-                days.extend(b.all_steps());
+                days.extend(b.core.all_steps());
             }
             days.sort_unstable();
             days.dedup();
             let covered = days.iter().all(|&t| {
                 let cover: Vec<Region> = shadowers
                     .iter()
-                    .flat_map(|(_, _, b)| b.regions_at(t).into_iter().cloned())
+                    .flat_map(|(_, _, b)| b.core.regions_at(t).into_iter().cloned())
                     .collect();
-                a.regions_at(t).iter().all(|r| implies_union(r, &cover))
+                a.core
+                    .regions_at(t)
+                    .iter()
+                    .all(|r| implies_union(r, &cover))
             });
             if !covered {
                 continue;
@@ -409,22 +375,26 @@ impl Linter {
     fn rule_l003(&self) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         for (_, off, a) in self.analyzed() {
-            if a.is_unsatisfiable() {
+            let core = &a.core;
+            if core.is_unsatisfiable() {
                 continue; // already L001
             }
-            let days = a.all_steps();
+            let days = core.all_steps();
             // Disjunct redundancy: maintain the active set so mutually
             // redundant disjuncts are not all removed.
-            let mut active: Vec<bool> = vec![true; a.dnf().len()];
-            if a.dnf().len() > 1 {
+            let n = core.n_conjs();
+            let mut active: Vec<bool> = vec![true; n];
+            if n > 1 {
                 let disjoint_spans = pairwise_disjoint(&a.conj_spans);
-                for i in 0..a.dnf().len() {
+                for i in 0..n {
                     let covered = days.iter().all(|&t| {
-                        let cover: Vec<Region> = (0..a.dnf().len())
+                        let cover: Vec<Region> = (0..n)
                             .filter(|j| *j != i && active[*j])
-                            .flat_map(|j| a.region_at(j, t).iter().cloned())
+                            .flat_map(|j| core.region_at(j, t).iter().cloned())
                             .collect();
-                        a.region_at(i, t).iter().all(|r| implies_union(r, &cover))
+                        core.region_at(i, t)
+                            .iter()
+                            .all(|r| implies_union(r, &cover))
                     });
                     if !covered {
                         continue;
@@ -445,7 +415,7 @@ impl Linter {
                 }
             }
             // Atom redundancy within each remaining disjunct.
-            for (ci, conj) in a.dnf().iter().enumerate() {
+            for (ci, conj) in core.dnf().iter().enumerate() {
                 if !active[ci] || conj.len() < 2 {
                     continue;
                 }
@@ -457,12 +427,11 @@ impl Linter {
                         .map(|(_, x)| x.clone())
                         .collect();
                     let redundant = days.iter().all(|&t| {
-                        let with = a.region_at(ci, t);
+                        let with = core.region_at(ci, t);
                         let Ok(wo) = ground_conj(&self.schema, &without, t) else {
                             return false;
                         };
-                        let wo = concretize_all(&self.schema, &wo);
-                        regions_equal(with, &wo)
+                        regions_equal(with, &ActionAnalysis::concretize(&self.schema, &wo))
                     });
                     if !redundant {
                         continue;
@@ -493,158 +462,89 @@ impl Linter {
         out
     }
 
-    /// L004 — NonCrossing violation: two granularity-incomparable actions
-    /// select a common cell at some day `t`. Reports the concrete `t`,
-    /// one shared cell, and a timeline of the two time windows.
+    /// L004 — NonCrossing violation: renders each [`crossings`] witness
+    /// — the pair, the day, one shared cell, and a timeline of the two
+    /// time windows.
     fn rule_l004(&self) -> Vec<Diagnostic> {
         let acts = self.analyzed();
-        let (from, to) = self.horizon();
-        let mut out = Vec::new();
-        for x in 0..acts.len() {
-            'pair: for y in (x + 1)..acts.len() {
-                let (i, off_i, a) = acts[x];
-                let (j, off_j, b) = acts[y];
-                if a.spec.leq_v(&b.spec, &self.schema) || b.spec.leq_v(&a.spec, &self.schema) {
-                    continue; // ordered pairs never cross
+        let cores = Self::cores(&acts);
+        crossings(&self.schema, &cores)
+            .map(|c| {
+                let ((i, off_i, a), (j, off_j, b)) = (acts[c.pair.0], acts[c.pair.1]);
+                let (ra, rb) = &c.regions;
+                let inter = ra.intersect(rb);
+                let mut d = Diagnostic::new(
+                    Code::L004,
+                    Severity::Error,
+                    format!(
+                        "NonCrossing violation: actions {} and {} have incomparable \
+                         target granularities but select a common cell",
+                        i + 1,
+                        j + 1
+                    ),
+                )
+                .with_primary(
+                    a.spec.grain_span.shifted(off_i),
+                    format!("action {} aggregates to this granularity", i + 1),
+                )
+                .with_label(
+                    b.spec.grain_span.shifted(off_j),
+                    format!(
+                        "action {} aggregates to this incomparable granularity",
+                        j + 1
+                    ),
+                )
+                .with_note(format!(
+                    "counterexample: on {} both actions select the cell {}",
+                    TimeValue::Day(c.day).render(),
+                    self.render_cell(&inter)
+                ));
+                let (from, to) = a.core.horizon();
+                for line in timeline(from, to, ra, rb, &inter, &self.schema) {
+                    d = d.with_note(line);
                 }
-                let mut days = a.all_steps();
-                days.extend(b.all_steps());
-                days.sort_unstable();
-                days.dedup();
-                for &t in &days {
-                    for ra in a.regions_at(t) {
-                        for rb in b.regions_at(t) {
-                            let inter = ra.intersect(rb);
-                            if inter.is_empty() {
-                                continue;
-                            }
-                            let cell = inter
-                                .sample_cell()
-                                .map(|c| self.render_cell(&c))
-                                .unwrap_or_else(|| "?".into());
-                            let mut d = Diagnostic::new(
-                                Code::L004,
-                                Severity::Error,
-                                format!(
-                                    "NonCrossing violation: actions {} and {} have incomparable \
-                                     target granularities but select a common cell",
-                                    i + 1,
-                                    j + 1
-                                ),
-                            )
-                            .with_primary(
-                                a.spec.grain_span.shifted(off_i),
-                                format!("action {} aggregates to this granularity", i + 1),
-                            )
-                            .with_label(
-                                b.spec.grain_span.shifted(off_j),
-                                format!(
-                                    "action {} aggregates to this incomparable granularity",
-                                    j + 1
-                                ),
-                            )
-                            .with_note(format!(
-                                "counterexample: on {} both actions select the cell {}",
-                                TimeValue::Day(t).render(),
-                                cell
-                            ));
-                            for line in timeline(from, to, ra, rb, &inter, &self.schema) {
-                                d = d.with_note(line);
-                            }
-                            out.push(d.with_note(Code::L004.explanation().to_string()));
-                            continue 'pair;
-                        }
-                    }
-                }
-            }
-        }
-        out
+                d.with_note(Code::L004.explanation().to_string())
+            })
+            .collect()
     }
 
-    /// L005 — Growing violation: replays the three-step check of
-    /// Section 5.3 over the cached groundings and, on failure, extracts
-    /// the dropped cell and the day it escapes.
+    /// L005 — Growing violation: renders each [`escapes`] witness — the
+    /// moving bound, one dropped cell and the day it escapes.
     fn rule_l005(&self) -> Vec<Diagnostic> {
         let acts = self.analyzed();
-        let mut out = Vec::new();
-        for &(i, off_i, a) in &acts {
-            // Candidate catchers A' = {a_j | a ≤_V a_j} ∪ {a}.
-            let catchers: Vec<&(usize, usize, &AnalyzedAction)> = acts
-                .iter()
-                .filter(|(j, _, b)| *j == i || a.spec.leq_v(&b.spec, &self.schema))
-                .collect();
-            'conjs: for (ci, conj) in a.dnf().iter().enumerate() {
-                if !a.shrinking(ci) {
-                    continue; // Theorem 1: growing disjuncts are safe
-                }
-                let steps = a.steps(ci);
-                for w in steps.windows(2) {
-                    let t = w[1];
-                    let prev = a.region_at(ci, w[0]);
-                    let cur = a.region_at(ci, t);
-                    // Cells selected at w[0] but no longer at t.
-                    let mut fallen: Vec<Region> = Vec::new();
-                    for p in prev {
-                        let mut residue = vec![p.clone()];
-                        for c in cur {
-                            let mut next = Vec::new();
-                            for r in residue {
-                                next.extend(r.subtract(c));
-                            }
-                            residue = next;
-                        }
-                        fallen.extend(residue);
-                    }
-                    if fallen.is_empty() {
-                        continue;
-                    }
-                    let cover: Vec<Region> = catchers
-                        .iter()
-                        .flat_map(|(_, _, c)| c.regions_at(t).into_iter().cloned())
-                        .collect();
-                    for f in &fallen {
-                        if let Some(residue) = implies_union_residue(f, &cover) {
-                            let cell = residue
-                                .sample_cell()
-                                .map(|c| self.render_cell(&c))
-                                .unwrap_or_else(|| "?".into());
-                            let span = shrinking_atom_span(&self.schema, conj)
-                                .unwrap_or(a.conj_spans[ci])
-                                .shifted(off_i);
-                            out.push(
-                                Diagnostic::new(
-                                    Code::L005,
-                                    Severity::Error,
-                                    format!(
-                                        "Growing violation: action {} drops a cell that no \
-                                         action catches",
-                                        i + 1
-                                    ),
-                                )
-                                .with_primary(
-                                    span,
-                                    "this moving lower bound pushes cells out of the predicate",
-                                )
-                                .with_note(format!(
-                                    "counterexample: the cell {} leaves the predicate on {} \
-                                     and no action aggregating at least as high selects it then",
-                                    cell,
-                                    TimeValue::Day(t).render()
-                                ))
-                                .with_note(
-                                    "already-aggregated facts cannot be un-aggregated; the \
-                                     paper's Figure 2 illustrates this violation"
-                                        .to_string(),
-                                )
-                                .with_note(Code::L005.explanation().to_string()),
-                            );
-                            break 'conjs; // one witness per action
-                        }
-                    }
-                }
-            }
-        }
-        out
+        let cores = Self::cores(&acts);
+        escapes(&self.schema, &cores)
+            .map(|e| {
+                let (i, off_i, a) = acts[e.action];
+                let span = shrinking_atom_span(&self.schema, &a.core.dnf()[e.conj])
+                    .unwrap_or(a.conj_spans[e.conj])
+                    .shifted(off_i);
+                Diagnostic::new(
+                    Code::L005,
+                    Severity::Error,
+                    format!(
+                        "Growing violation: action {} drops a cell that no action catches",
+                        i + 1
+                    ),
+                )
+                .with_primary(
+                    span,
+                    "this moving lower bound pushes cells out of the predicate",
+                )
+                .with_note(format!(
+                    "counterexample: the cell {} leaves the predicate on {} \
+                     and no action aggregating at least as high selects it then",
+                    self.render_cell(&e.residue),
+                    TimeValue::Day(e.day).render()
+                ))
+                .with_note(
+                    "already-aggregated facts cannot be un-aggregated; the \
+                     paper's Figure 2 illustrates this violation"
+                        .to_string(),
+                )
+                .with_note(Code::L005.explanation().to_string())
+            })
+            .collect()
     }
 
     /// L006 — never fires again: a time-dynamic action whose selected set
@@ -655,14 +555,15 @@ impl Linter {
         };
         let mut out = Vec::new();
         for (_, off, a) in self.analyzed() {
-            if !a.is_dynamic() || a.is_unsatisfiable() {
+            let core = &a.core;
+            if !core.is_dynamic() || core.is_unsatisfiable() {
                 continue;
             }
             // Non-empty somewhere before now…
             let mut last_alive: Option<DayNum> = None;
-            for ci in 0..a.dnf().len() {
-                for &s in a.steps(ci) {
-                    if s < now && !a.region_at(ci, s).is_empty() {
+            for ci in 0..core.n_conjs() {
+                for &s in core.steps(ci) {
+                    if s < now && !core.region_at(ci, s).is_empty() {
                         last_alive = Some(last_alive.map_or(s, |x: DayNum| x.max(s)));
                     }
                 }
@@ -672,15 +573,15 @@ impl Linter {
             };
             // …and empty at now and at every later step day.
             let future_days: Vec<DayNum> = std::iter::once(now)
-                .chain(a.all_steps().into_iter().filter(|&s| s > now))
+                .chain(core.all_steps().into_iter().filter(|&s| s > now))
                 .collect();
             let dead = future_days
                 .iter()
-                .all(|&t| (0..a.dnf().len()).all(|d| a.region_at(d, t).is_empty()));
+                .all(|&t| (0..core.n_conjs()).all(|d| core.region_at(d, t).is_empty()));
             if !dead {
                 continue;
             }
-            let span = a
+            let span = core
                 .dnf()
                 .iter()
                 .find_map(|c| shrinking_atom_span(&self.schema, c))
@@ -745,9 +646,12 @@ impl Linter {
         out
     }
 
-    /// Renders a sample cell (one bottom-level value id per dimension) as
-    /// `(1999/12/4, cnn.com)`.
-    fn render_cell(&self, cell: &[i64]) -> String {
+    /// Renders a sample cell of `region` (one bottom-level value id per
+    /// dimension) as `(1999/12/4, cnn.com)`, or `?` when it has none.
+    fn render_cell(&self, region: &Region) -> String {
+        let Some(cell) = region.sample_cell() else {
+            return "?".into();
+        };
         let parts: Vec<String> = cell
             .iter()
             .zip(&self.schema.dims)

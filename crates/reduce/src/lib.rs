@@ -5,32 +5,28 @@
 //!
 //! * [`semantics`] — `Spec_gran`, `Cell`, `AggLevel_i` (Equations 11–13)
 //!   and the reduction operator of Definition 2, with per-fact provenance;
-//! * [`noncrossing`] — the NonCrossing property (Equation 14) and the
-//!   operational pairwise check of Section 5.2;
-//! * [`growing`] — the Growing property (Equation 17), Theorem 1's
-//!   syntactic fast path, and the three-step operational check of
-//!   Section 5.3 (through the `sdr-prover` decision procedure);
+//! * [`schedule`] — [`ActionAnalysis`], each action's predicate analyzed
+//!   once (groundings are staircase functions of `NOW`); the NonCrossing
+//!   (Equation 14, Section 5.2) and Growing (Equation 17, Theorem 1's
+//!   syntactic fast path plus the three-step check of Section 5.3)
+//!   decisions over it, [`crossings`] and [`escapes`], which return
+//!   witnesses; and the transition-day [`ReductionSchedule`] that drives
+//!   incremental aging;
 //! * [`spec_set`] — [`DataReductionSpec`], the checked specification
-//!   container with the `insert`/`delete` operators of Definitions 3–4;
-//! * [`schedule`] — the transition-day schedule (groundings are
-//!   staircase functions of `NOW`) that drives incremental aging.
+//!   container with the `insert`/`delete` operators of Definitions 3–4:
+//!   it analyzes each action as it enters and holds the schedule.
 
 #![warn(missing_docs)]
 
-pub mod checks_util;
 pub mod error;
-pub mod growing;
-pub mod noncrossing;
 pub mod purge;
 pub mod schedule;
 pub mod semantics;
 pub mod spec_set;
 
 pub use error::ReduceError;
-pub use growing::check_growing;
-pub use noncrossing::{check_noncrossing, noncrossing_pair};
 pub use purge::{reduce_and_purge, PurgeSpec};
-pub use schedule::{ActionAnalysis, ReductionSchedule};
+pub use schedule::{crossings, escapes, ActionAnalysis, Crossing, Escape, ReductionSchedule};
 pub use semantics::{
     agg_level, cell, cell_for, reduce, reduce_naive, spec_gran, CellMemo, CellResult,
 };

@@ -1,14 +1,21 @@
-//! The reduction schedule: precomputed transition days for incremental
-//! aging.
+//! Per-action analysis, the soundness decisions made over it, and the
+//! transition-day schedule for incremental aging.
 //!
-//! The lint engine (PR 5) proved that every disjunct's grounding is a
-//! **staircase function of `NOW`** — piecewise constant between
-//! computable step days. This module turns that fact into a scheduler:
-//! [`ActionAnalysis`] caches, per action, the DNF, the step days of each
-//! disjunct, and the grounding at each step day (both raw and
-//! concretized); [`ReductionSchedule`] merges those into one sorted
-//! **transition-day** list for a whole [`DataReductionSpec`] — the only
-//! days on which *any* cell can cross an action boundary.
+//! Every disjunct's grounding is a **staircase function of `NOW`** —
+//! piecewise constant between computable step days. [`ActionAnalysis`]
+//! caches, per action, the DNF, the step days of each disjunct, and the
+//! grounding at each step day (both raw and concretized). A
+//! [`DataReductionSpec`] builds it once, when the action enters, and
+//! everything that asks about the action reads it:
+//!
+//! * the soundness gate of Sections 5.2–5.3: [`crossings`] (NonCrossing,
+//!   Equation 14) and [`escapes`] (Growing, Equation 17) decide both
+//!   properties over the cached groundings and return witnesses. The
+//!   specification rejects on the first; `sdr-lint` renders each one as
+//!   an L004/L005 diagnostic over its own span-carrying copy;
+//! * [`ReductionSchedule`], which merges the analyses into one sorted
+//!   **transition-day** list — the only days on which *any* cell can
+//!   cross an action boundary.
 //!
 //! Between two consecutive transition days the reduction function is
 //! constant, so an incremental ager (`SubcubeManager::age`) only has to
@@ -18,24 +25,35 @@
 //! [`ReductionSchedule::delta_regions`] returns the **symmetric
 //! difference** of the changed groundings — a cell outside every Δ
 //! region evaluates identically at both endpoints and provably cannot
-//! move. `crates/lint` builds its span-carrying `AnalyzedAction` on top
-//! of [`ActionAnalysis`], so the linter and the ager share one analysis
-//! cache.
+//! move.
+
+use std::sync::Arc;
 
 use sdr_mdm::{DayNum, Dimension, Schema};
-use sdr_prover::{GroundSet, Region};
+use sdr_prover::{implies_union_residue, BitSet, DayInterval, GroundSet, Region};
 use sdr_spec::{
-    classify_conj, from_dnf, ground_conj, step_days, to_dnf, ActionId, Conj, GrowthClass, Pexp,
-    SpecError,
+    classify_conj, from_dnf, ground_conj, step_days, to_dnf, ActionId, ActionSpec, Conj,
+    GrowthClass, Pexp, SpecError,
 };
 
-use crate::checks_util::{concretize_all, time_horizon};
 use crate::{DataReductionSpec, ReduceError};
+
+/// The day horizon the analysis quantifies `t` (and time cells) over:
+/// the time dimension's declared range. Schemas without a time dimension
+/// get a degenerate single-day horizon (their predicates are all static).
+fn time_horizon(schema: &Schema) -> (DayNum, DayNum) {
+    for d in &schema.dims {
+        if let Dimension::Time(t) = d {
+            return (t.min_day, t.max_day);
+        }
+    }
+    (0, 0)
+}
 
 /// The cached, span-free analysis of one action predicate: DNF, per
 /// disjunct step days, and the grounding at each step day. Groundings
 /// are stored twice — raw (exactly what [`ground_conj`] returned, used
-/// to *detect* change) and concretized against the schema's domains
+/// to *detect* change) and [concretized](ActionAnalysis::concretize)
 /// (used for region algebra and footprint pruning).
 #[derive(Debug, Clone)]
 pub struct ActionAnalysis {
@@ -45,31 +63,31 @@ pub struct ActionAnalysis {
     steps: Vec<Vec<DayNum>>,
     /// Per disjunct, per step day: the raw grounding.
     raw: Vec<Vec<Vec<Region>>>,
-    /// Per disjunct, per step day: the concretized grounding (empty
-    /// regions dropped).
+    /// Per disjunct, per step day: the concretized grounding.
     grounded: Vec<Vec<Vec<Region>>>,
     /// Per disjunct: syntactically shrinking (categories F–H)?
     shrinking: Vec<bool>,
     dynamic: bool,
+    horizon: (DayNum, DayNum),
 }
 
 impl ActionAnalysis {
     /// Analyzes `pred` over the schema's full time horizon: DNF, step
     /// days per disjunct, grounding at every step day.
     pub fn build(schema: &Schema, pred: &Pexp) -> Result<ActionAnalysis, SpecError> {
-        let (from, to) = time_horizon(schema);
+        let horizon = time_horizon(schema);
         let dnf = to_dnf(pred);
         let mut steps = Vec::with_capacity(dnf.len());
         let mut raw = Vec::with_capacity(dnf.len());
         let mut grounded = Vec::with_capacity(dnf.len());
         let mut shrinking = Vec::with_capacity(dnf.len());
         for conj in &dnf {
-            let days = step_days(schema, conj, from, to)?;
+            let days = step_days(schema, conj, horizon.0, horizon.1)?;
             let mut raws = Vec::with_capacity(days.len());
             let mut regions = Vec::with_capacity(days.len());
             for &t in &days {
                 let g = ground_conj(schema, conj, t)?;
-                regions.push(concretize_all(schema, &g));
+                regions.push(Self::concretize(schema, &g));
                 raws.push(g);
             }
             steps.push(days);
@@ -84,7 +102,39 @@ impl ActionAnalysis {
             grounded,
             shrinking,
             dynamic: sdr_spec::is_dynamic(pred),
+            horizon,
         })
+    }
+
+    /// Concretizes groundings against the schema's domains — time clipped
+    /// to the horizon, `All` replaced by the full domain, empty regions
+    /// dropped — so subset and coverage tests compare like with like.
+    /// Every cached concretized grounding is this of the raw one.
+    pub fn concretize(schema: &Schema, regions: &[Region]) -> Vec<Region> {
+        let concrete = |r: &Region| Region {
+            dims: r
+                .dims
+                .iter()
+                .zip(&schema.dims)
+                .map(|(g, d)| match (d, g) {
+                    (Dimension::Time(t), GroundSet::All) => {
+                        GroundSet::Interval(DayInterval::new(t.min_day as i64, t.max_day as i64))
+                    }
+                    (Dimension::Time(t), GroundSet::Interval(iv)) => GroundSet::Interval(
+                        iv.intersect(DayInterval::new(t.min_day as i64, t.max_day as i64)),
+                    ),
+                    (Dimension::Enum(e), GroundSet::All) => {
+                        GroundSet::Bits(BitSet::full(e.cardinality(e.graph().bottom())))
+                    }
+                    (_, g) => g.clone(),
+                })
+                .collect(),
+        };
+        regions
+            .iter()
+            .map(concrete)
+            .filter(|r| !r.is_empty())
+            .collect()
     }
 
     /// The predicate's DNF.
@@ -102,9 +152,9 @@ impl ActionAnalysis {
         &self.steps[d]
     }
 
-    /// True when disjunct `d` is syntactically shrinking.
-    pub fn shrinking(&self, d: usize) -> bool {
-        self.shrinking[d]
+    /// The time horizon the analysis covers.
+    pub fn horizon(&self) -> (DayNum, DayNum) {
+        self.horizon
     }
 
     /// Index of the cached step holding the grounding at day `t`: the
@@ -175,40 +225,170 @@ impl ActionAnalysis {
     }
 }
 
+/// A NonCrossing witness (Equation 14): two actions of incomparable
+/// granularity whose predicates select a common cell on `day`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Crossing {
+    /// The two actions' positions in the decided slice (first < second).
+    pub pair: (usize, usize),
+    /// The first step day of either action on which they overlap.
+    pub day: DayNum,
+    /// The first action's region and the second's, overlapping on `day`.
+    pub regions: (Region, Region),
+}
+
+/// A Growing witness (Equation 17): on `day`, disjunct `conj` of an
+/// action drops cells that no action aggregating at least as high then
+/// selects.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Escape {
+    /// The action's position in the decided slice.
+    pub action: usize,
+    /// The shrinking disjunct that drops the cells.
+    pub conj: usize,
+    /// The step day on which the cells leave it.
+    pub day: DayNum,
+    /// The dropped cells no catcher covers.
+    pub residue: Region,
+}
+
+/// NonCrossing over analyzed actions (Section 5.2): every pair `(i, j)`,
+/// `i < j` in order, whose granularities are unordered under `≤_V`
+/// (ordered pairs never cross) and whose groundings overlap on a step
+/// day of either — witnessed at the first such day. The `∃t` of the
+/// paper's prover obligation reduces to those days because both
+/// groundings are constant between them. Lazy: the gate takes the
+/// first witness, the linter all of them.
+pub fn crossings<'a>(
+    schema: &'a Schema,
+    actions: &'a [(&'a ActionSpec, &'a ActionAnalysis)],
+) -> impl Iterator<Item = Crossing> + 'a {
+    let n = actions.len();
+    let pairs = (0..n).flat_map(move |i| (i + 1..n).map(move |j| (i, j)));
+    pairs.filter_map(move |(i, j)| {
+        let ((a, x), (b, y)) = (actions[i], actions[j]);
+        if a.leq_v(b, schema) || b.leq_v(a, schema) {
+            return None;
+        }
+        let mut days = x.all_steps();
+        days.extend(y.all_steps());
+        days.sort_unstable();
+        days.dedup();
+        days.into_iter().find_map(|t| {
+            let theirs = y.regions_at(t);
+            let regions = x.regions_at(t).into_iter().find_map(|ra| {
+                let rb = theirs.iter().find(|rb| ra.overlaps(rb))?;
+                Some((ra.clone(), (*rb).clone()))
+            })?;
+            Some(Crossing {
+                pair: (i, j),
+                day: t,
+                regions,
+            })
+        })
+    })
+}
+
+/// Growing over analyzed actions (Section 5.3): for each action in
+/// order, its first escape. Growing disjuncts are skipped by Theorem 1;
+/// for a shrinking one, the cells leaving it at each step day must be
+/// covered, that day, by the predicates of the actions aggregating at
+/// least as high (`A' = {a_j | a ≤_V a_j}`, Equation 23 — the action
+/// itself included, another of its disjuncts may cover). Lazy, like
+/// [`crossings`].
+pub fn escapes<'a>(
+    schema: &'a Schema,
+    actions: &'a [(&'a ActionSpec, &'a ActionAnalysis)],
+) -> impl Iterator<Item = Escape> + 'a {
+    (0..actions.len()).filter_map(move |i| {
+        let (a, x) = actions[i];
+        let catchers: Vec<&ActionAnalysis> = actions
+            .iter()
+            .enumerate()
+            .filter(|(j, (c, _))| *j == i || a.leq_v(c, schema))
+            .map(|(_, (_, y))| *y)
+            .collect();
+        let mut shrinking = (0..x.n_conjs()).filter(|&d| x.shrinking[d]);
+        shrinking.find_map(|d| {
+            x.steps(d).windows(2).find_map(|w| {
+                let fallen = union_subtract(x.region_at(d, w[0]), x.region_at(d, w[1]));
+                if fallen.is_empty() {
+                    return None;
+                }
+                let cover: Vec<Region> = catchers
+                    .iter()
+                    .flat_map(|c| c.regions_at(w[1]))
+                    .cloned()
+                    .collect();
+                let residue = fallen
+                    .iter()
+                    .find_map(|f| implies_union_residue(f, &cover))?;
+                Some(Escape {
+                    action: i,
+                    conj: d,
+                    day: w[1],
+                    residue,
+                })
+            })
+        })
+    })
+}
+
 /// The reduction schedule of a whole specification: one
-/// [`ActionAnalysis`] per action plus the merged sorted transition-day
-/// list. Between consecutive transition days the reduction function is
-/// constant, so these are the only days an ager must stop at.
-#[derive(Debug)]
+/// [`ActionAnalysis`] per action, shared by `Arc`, plus the merged
+/// sorted transition-day list. Between consecutive transition days the
+/// reduction function is constant, so these are the only days an ager
+/// must stop at.
+#[derive(Debug, Clone)]
 pub struct ReductionSchedule {
-    analyses: Vec<(ActionId, ActionAnalysis)>,
+    analyses: Vec<(ActionId, Arc<ActionAnalysis>)>,
     transitions: Vec<DayNum>,
     horizon: (DayNum, DayNum),
 }
 
 impl ReductionSchedule {
-    /// Builds the schedule for `spec`: analyzes every action and merges
-    /// their transition days.
+    /// Builds the schedule of `spec` afresh: analyzes every action — the
+    /// analysis `spec` ran when they entered it, and holds as
+    /// [`DataReductionSpec::schedule`] — and merges their transition days.
     pub fn build(spec: &DataReductionSpec) -> Result<ReductionSchedule, ReduceError> {
-        let schema = spec.schema();
-        let mut analyses = Vec::with_capacity(spec.len());
-        let mut transitions = Vec::new();
-        for (id, a) in spec.actions() {
-            let analysis = ActionAnalysis::build(schema, &a.pred).map_err(ReduceError::Spec)?;
-            transitions.extend(analysis.transitions());
-            analyses.push((*id, analysis));
+        Ok(Self::analyze(spec.schema(), Vec::new(), spec.actions())?)
+    }
+
+    /// The one analysis site: `known` plus a fresh analysis of each of
+    /// `new`, traced as `reduce.analyze`.
+    pub(crate) fn analyze(
+        schema: &Schema,
+        mut known: Vec<(ActionId, Arc<ActionAnalysis>)>,
+        new: &[(ActionId, ActionSpec)],
+    ) -> Result<ReductionSchedule, SpecError> {
+        let _span = sdr_obs::span("reduce.analyze");
+        for (id, a) in new {
+            known.push((*id, Arc::new(ActionAnalysis::build(schema, &a.pred)?)));
         }
+        let sched = Self::merge(schema, known);
+        sdr_obs::attr("actions", new.len());
+        sdr_obs::attr("transition_days", sched.transitions.len());
+        Ok(sched)
+    }
+
+    /// The schedule of analyzed actions: their transition days merged.
+    pub(crate) fn merge(
+        schema: &Schema,
+        analyses: Vec<(ActionId, Arc<ActionAnalysis>)>,
+    ) -> ReductionSchedule {
+        let mut transitions: Vec<DayNum> =
+            analyses.iter().flat_map(|(_, a)| a.transitions()).collect();
         transitions.sort_unstable();
         transitions.dedup();
-        Ok(ReductionSchedule {
+        ReductionSchedule {
             analyses,
             transitions,
             horizon: time_horizon(schema),
-        })
+        }
     }
 
     /// The per-action analyses, in spec order.
-    pub fn analyses(&self) -> &[(ActionId, ActionAnalysis)] {
+    pub fn analyses(&self) -> &[(ActionId, Arc<ActionAnalysis>)] {
         &self.analyses
     }
 

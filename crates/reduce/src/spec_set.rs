@@ -6,14 +6,20 @@
 //! the checked container: constructing or evolving one re-establishes the
 //! NonCrossing and Growing properties, so any value of this type is sound
 //! by construction.
+//!
+//! Each action is analyzed once, when it enters ([`ActionAnalysis`]);
+//! the specification holds the analyses — shared by `Arc` with every
+//! clone — in its [`ReductionSchedule`], and the gate decides both
+//! properties over them ([`crossings`], [`escapes`]). An `insert` grounds
+//! only the new actions, a `delete` none.
 
 use std::sync::Arc;
 
-use sdr_mdm::{DayNum, Schema};
+use sdr_mdm::{DayNum, Schema, TimeValue};
 use sdr_spec::{ActionId, ActionSpec};
 
 use crate::error::ReduceError;
-use crate::{growing, noncrossing};
+use crate::schedule::{crossings, escapes, ActionAnalysis, ReductionSchedule};
 
 /// A validated data-reduction specification `V = (A, ≤_V)`.
 #[derive(Debug, Clone)]
@@ -25,6 +31,9 @@ pub struct DataReductionSpec {
     /// index-aligned with `actions`, so repeated reductions (e.g. the
     /// subcube sync path) never re-format metric names.
     raised_metrics: Vec<String>,
+    /// Every action's analysis, index-aligned with `actions`, and the
+    /// transition days they merge into.
+    schedule: ReductionSchedule,
 }
 
 /// The obs counter name for one action's raise count.
@@ -32,10 +41,37 @@ fn raised_metric_name(id: u32) -> String {
     format!("reduce.action.a{id}.facts_raised")
 }
 
+/// The soundness gate over analyzed actions: the first NonCrossing
+/// witness, else the first Growing witness, as the error it proves.
+fn gate<'a>(
+    schema: &Schema,
+    specs: impl IntoIterator<Item = &'a ActionSpec>,
+    schedule: &ReductionSchedule,
+) -> Result<(), ReduceError> {
+    let analyses = schedule.analyses().iter().map(|(_, x)| &**x);
+    let actions: Vec<(&ActionSpec, &ActionAnalysis)> = specs.into_iter().zip(analyses).collect();
+    let render = |i: usize| actions[i].0.render(schema);
+    if let Some(c) = crossings(schema, &actions).next() {
+        return Err(ReduceError::NotNonCrossing {
+            a: render(c.pair.0),
+            b: render(c.pair.1),
+            witness_day: TimeValue::Day(c.day).render(),
+        });
+    }
+    if let Some(e) = escapes(schema, &actions).next() {
+        return Err(ReduceError::NotGrowing {
+            action: render(e.action),
+            witness_day: TimeValue::Day(e.day).render(),
+        });
+    }
+    Ok(())
+}
+
 impl DataReductionSpec {
     /// Creates an empty specification (trivially sound).
     pub fn empty(schema: Arc<Schema>) -> Self {
         DataReductionSpec {
+            schedule: ReductionSchedule::merge(&schema, Vec::new()),
             schema,
             actions: Vec::new(),
             next_id: 0,
@@ -48,34 +84,20 @@ impl DataReductionSpec {
     ///
     /// # Errors
     /// [`ReduceError::NotNonCrossing`] / [`ReduceError::NotGrowing`] with a
-    /// witness when the set is unsound.
+    /// witness when the set is unsound; [`ReduceError::Spec`] when an
+    /// action cannot be analyzed (a date term outside the horizon).
     pub fn new(schema: Arc<Schema>, actions: Vec<ActionSpec>) -> Result<Self, ReduceError> {
-        let mut spec = Self::empty(schema);
-        for a in &actions {
-            a.validate(&spec.schema)?;
-        }
-        let tagged: Vec<(ActionId, ActionSpec)> = actions
-            .into_iter()
-            .enumerate()
-            .map(|(i, a)| (ActionId(i as u32), a))
-            .collect();
-        spec.next_id = tagged.len() as u32;
-        spec.raised_metrics = tagged
-            .iter()
-            .map(|(id, _)| raised_metric_name(id.0))
-            .collect();
-        spec.actions = tagged;
-        noncrossing::check_noncrossing(&spec.schema, spec.action_specs())?;
-        growing::check_growing(&spec.schema, spec.action_specs())?;
-        Ok(spec)
+        let n = actions.len() as u32;
+        let tagged = (0..n).map(ActionId).zip(actions).collect();
+        Self::from_parts(schema, tagged, n)
     }
 
     /// Restores a specification from persisted parts (the checkpoint
     /// recovery path): explicit action ids plus the insert counter, so
     /// that replayed `insert`/`delete` operations allocate and resolve
-    /// the same [`ActionId`]s as the original run. The NonCrossing and
-    /// Growing checks re-run — a restored value is sound by construction,
-    /// like any other.
+    /// the same [`ActionId`]s as the original run. The actions are
+    /// analyzed and gated like any others — a restored value is sound by
+    /// construction.
     pub fn from_parts(
         schema: Arc<Schema>,
         actions: Vec<(ActionId, ActionSpec)>,
@@ -84,19 +106,24 @@ impl DataReductionSpec {
         for (_, a) in &actions {
             a.validate(&schema)?;
         }
-        let raised_metrics = actions
-            .iter()
-            .map(|(id, _)| raised_metric_name(id.0))
-            .collect();
-        let spec = DataReductionSpec {
+        let schedule = ReductionSchedule::analyze(&schema, Vec::new(), &actions)?;
+        gate(&schema, actions.iter().map(|(_, a)| a), &schedule)?;
+        Ok(DataReductionSpec {
+            raised_metrics: actions
+                .iter()
+                .map(|(id, _)| raised_metric_name(id.0))
+                .collect(),
             schema,
             actions,
             next_id,
-            raised_metrics,
-        };
-        noncrossing::check_noncrossing(&spec.schema, spec.action_specs())?;
-        growing::check_growing(&spec.schema, spec.action_specs())?;
-        Ok(spec)
+            schedule,
+        })
+    }
+
+    /// The reduction schedule: every action's analysis, made when it
+    /// entered, and the transition days they merge into.
+    pub fn schedule(&self) -> &ReductionSchedule {
+        &self.schedule
     }
 
     /// The id the next inserted action will receive (monotonic — ids of
@@ -113,11 +140,6 @@ impl DataReductionSpec {
     /// The actions with their ids.
     pub fn actions(&self) -> &[(ActionId, ActionSpec)] {
         &self.actions
-    }
-
-    /// The action specs without ids.
-    pub fn action_specs(&self) -> Vec<&ActionSpec> {
-        self.actions.iter().map(|(_, a)| a).collect()
     }
 
     /// Looks an action up by id.
@@ -146,27 +168,24 @@ impl DataReductionSpec {
     ///
     /// Consistency is checked on the action specifications alone — never on
     /// the facts of any MO (the paper requires insertability to be
-    /// instance-independent).
+    /// instance-independent). Only the new actions are analyzed.
     pub fn insert(&mut self, new: Vec<ActionSpec>) -> Result<Vec<ActionId>, ReduceError> {
         for a in &new {
             a.validate(&self.schema)?;
         }
-        let mut candidate: Vec<&ActionSpec> = self.actions.iter().map(|(_, a)| a).collect();
-        candidate.extend(new.iter());
-        if let Err(e) = noncrossing::check_noncrossing(&self.schema, candidate.clone()) {
-            return Err(ReduceError::InsertRejected(Box::new(e)));
-        }
-        if let Err(e) = growing::check_growing(&self.schema, candidate) {
-            return Err(ReduceError::InsertRejected(Box::new(e)));
-        }
-        let mut ids = Vec::with_capacity(new.len());
-        for a in new {
-            let id = ActionId(self.next_id);
-            self.next_id += 1;
-            ids.push(id);
-            self.raised_metrics.push(raised_metric_name(id.0));
-            self.actions.push((id, a));
-        }
+        let tagged: Vec<(ActionId, ActionSpec)> = (self.next_id..).map(ActionId).zip(new).collect();
+        let known = self.schedule.analyses().to_vec();
+        let rejected = |e: ReduceError| ReduceError::InsertRejected(Box::new(e));
+        let schedule = ReductionSchedule::analyze(&self.schema, known, &tagged)
+            .map_err(|e| rejected(e.into()))?;
+        let candidate = self.actions.iter().chain(&tagged).map(|(_, a)| a);
+        gate(&self.schema, candidate, &schedule).map_err(rejected)?;
+        let ids: Vec<ActionId> = tagged.iter().map(|(id, _)| *id).collect();
+        self.next_id += ids.len() as u32;
+        self.raised_metrics
+            .extend(ids.iter().map(|id| raised_metric_name(id.0)));
+        self.actions.extend(tagged);
+        self.schedule = schedule;
         Ok(ids)
     }
 
@@ -179,6 +198,7 @@ impl DataReductionSpec {
     /// cell at least as high.
     ///
     /// All-or-nothing: on any violation the specification is unchanged.
+    /// Nothing is re-analyzed.
     pub fn delete(
         &mut self,
         ids: &[ActionId],
@@ -194,12 +214,11 @@ impl DataReductionSpec {
             .filter(|(i, _)| !ids.contains(i))
             .map(|(_, a)| a)
             .collect();
-        if let Err(e) = noncrossing::check_noncrossing(&self.schema, remaining.clone()) {
-            return Err(ReduceError::DeleteRejected(e.to_string()));
-        }
-        if let Err(e) = growing::check_growing(&self.schema, remaining.clone()) {
-            return Err(ReduceError::DeleteRejected(e.to_string()));
-        }
+        let analyses = self.schedule.analyses().iter();
+        let analyses = analyses.filter(|(i, _)| !ids.contains(i)).cloned();
+        let schedule = ReductionSchedule::merge(&self.schema, analyses.collect());
+        gate(&self.schema, remaining.iter().copied(), &schedule)
+            .map_err(|e| ReduceError::DeleteRejected(e.to_string()))?;
         // Responsibility check against the actual facts (Definition 4's
         // deliberate instance dependence — see the paper's discussion).
         for id in ids {
@@ -230,6 +249,7 @@ impl DataReductionSpec {
             }
         }
         self.actions.retain(|(i, _)| !ids.contains(i));
+        self.schedule = schedule;
         self.raised_metrics = self
             .actions
             .iter()

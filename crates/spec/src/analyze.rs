@@ -7,7 +7,8 @@
 //! (shrinking, requiring the three-step prover check). This module
 //! implements that syntactic classification, plus the *step-day*
 //! enumeration that reduces the `∃t`/`∀t` quantifiers of the operational
-//! checks to finitely many evaluation times.
+//! checks to finitely many evaluation times (`sdr-reduce`'s per-action
+//! analysis is its one caller).
 
 use sdr_mdm::{DayNum, Schema};
 
@@ -74,25 +75,6 @@ pub fn classify_conj(schema: &Schema, conj: &Conj) -> GrowthClass {
     GrowthClass::Growing
 }
 
-/// The `NOW`-relative lower-bound offsets of a conjunction, one per
-/// shrinking atom (used by the three-step Growing check to know where the
-/// "falling edge" of the predicate is).
-pub fn dynamic_lower_bounds(schema: &Schema, conj: &Conj) -> Vec<Term> {
-    let mut out = Vec::new();
-    for atom in conj {
-        if !schema.dim(atom.dim).is_time() {
-            continue;
-        }
-        if let AtomKind::Cmp { op, term } = &atom.kind {
-            let op = if atom.negated { op.negate() } else { *op };
-            if term.is_dynamic() && matches!(op, CmpOp::Gt | CmpOp::Ge | CmpOp::Eq) {
-                out.push(term.clone());
-            }
-        }
-    }
-    out
-}
-
 /// Enumerates the *step days* of a conjunction within `[from, to]`: the
 /// days `t` at which the grounded cell set changes, plus the endpoints.
 ///
@@ -138,20 +120,4 @@ pub fn step_days(
         out.push(to);
     }
     Ok(out)
-}
-
-/// Union of the step days of several conjunctions (sorted, deduplicated).
-pub fn step_days_union(
-    schema: &Schema,
-    conjs: &[&Conj],
-    from: DayNum,
-    to: DayNum,
-) -> Result<Vec<DayNum>, SpecError> {
-    let mut all = Vec::new();
-    for c in conjs {
-        all.extend(step_days(schema, c, from, to)?);
-    }
-    all.sort_unstable();
-    all.dedup();
-    Ok(all)
 }

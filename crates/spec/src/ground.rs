@@ -16,21 +16,12 @@ use sdr_prover::{BitSet, DayInterval, GroundSet, Region};
 
 use sdr_mdm::{DayNum, Dimension, Schema, TimeValue};
 
-use crate::ast::{Atom, AtomKind, Pexp};
-use crate::dnf::{to_dnf, Conj};
+use crate::ast::{Atom, AtomKind};
+use crate::dnf::Conj;
 use crate::error::SpecError;
 
-/// Grounds a full predicate at time `now` into a union of regions.
-pub fn ground_pexp(schema: &Schema, p: &Pexp, now: DayNum) -> Result<Vec<Region>, SpecError> {
-    let dnf = to_dnf(p);
-    let mut out = Vec::new();
-    for conj in &dnf {
-        out.extend(ground_conj(schema, conj, now)?);
-    }
-    Ok(out)
-}
-
-/// Grounds one conjunction of atoms at time `now`.
+/// Grounds one conjunction of atoms at time `now` (a predicate grounds
+/// to the union over its DNF's disjuncts).
 ///
 /// Each atom contributes a union of ground sets in its dimension; the
 /// conjunction is the per-dimension intersection, expanded into a

@@ -32,14 +32,14 @@ pub mod ground;
 pub mod parser;
 pub mod span;
 
-pub use analyze::{classify_conj, step_days, step_days_union, GrowthClass};
+pub use analyze::{classify_conj, step_days, GrowthClass};
 pub use ast::{ActionId, ActionSpec, Atom, AtomKind, CmpOp, Pexp, Term};
 pub use compile::CompiledPred;
 pub use dnf::{from_dnf, split_action, to_dnf, Conj};
 pub use error::SpecError;
 pub use eval::{eval_pred, is_dynamic};
 pub use explain::{explain_action, explain_origin, explain_pexp};
-pub use ground::{ground_conj, ground_pexp};
+pub use ground::ground_conj;
 pub use parser::{parse_action, parse_action_raw, parse_actions, parse_pexp, split_actions};
 pub use span::SrcSpan;
 
@@ -331,7 +331,10 @@ mod tests {
             "a[Time.day, URL.url] o[Time.month IN {1999/11, 2000/1} OR URL.domain = cnn.com](O)",
         ] {
             let a = parse_action(&s, src).unwrap();
-            let regions = ground_pexp(&s, &a.pred, now).unwrap();
+            let regions: Vec<sdr_prover::Region> = to_dnf(&a.pred)
+                .iter()
+                .flat_map(|conj| ground_conj(&s, conj, now).unwrap())
+                .collect();
             let Dimension::Enum(e) = s.dim(DimId(1)) else {
                 unreachable!()
             };
@@ -437,19 +440,6 @@ mod tests {
             step_days(&s, &fdnf[0], after, until).unwrap(),
             [after, until]
         );
-    }
-
-    #[test]
-    fn dynamic_lower_bounds_extraction() {
-        let s = paper_schema();
-        let a1 = parse_action(&s, A1).unwrap();
-        let dnf = to_dnf(&a1.pred);
-        let lbs = analyze::dynamic_lower_bounds(&s, &dnf[0]);
-        assert_eq!(lbs.len(), 1);
-        assert!(lbs[0].is_dynamic());
-        let a2 = parse_action(&s, A2).unwrap();
-        let dnf2 = to_dnf(&a2.pred);
-        assert!(analyze::dynamic_lower_bounds(&s, &dnf2[0]).is_empty());
     }
 
     #[test]

@@ -315,16 +315,10 @@ mod scheduler_tests {
         let m = SubcubeManager::new(spec);
         // a1's bounds are month-granular: from mid-June the next step is
         // July 1st.
-        let due = m
-            .next_sync_due(days_from_civil(2000, 6, 15))
-            .unwrap()
-            .unwrap();
+        let due = m.next_sync_due(days_from_civil(2000, 6, 15)).unwrap();
         assert_eq!(sdr_mdm::calendar::civil_from_days(due), (2000, 7, 1));
         // From the very end of the horizon nothing remains.
-        assert!(m
-            .next_sync_due(days_from_civil(2002, 12, 30))
-            .unwrap()
-            .is_none());
+        assert!(m.next_sync_due(days_from_civil(2002, 12, 30)).is_none());
     }
 
     #[test]
@@ -336,20 +330,20 @@ mod scheduler_tests {
         let spec = DataReductionSpec::new(schema, vec![a1, a2]).unwrap();
         let m = SubcubeManager::new(spec);
         // Fresh manager always wants a first sync.
-        assert!(m.needs_sync(days_from_civil(2000, 6, 5)).unwrap());
+        assert!(m.needs_sync(days_from_civil(2000, 6, 5)));
         m.bulk_load(&mo).unwrap();
         m.sync(days_from_civil(2000, 6, 5)).unwrap();
         // Same month, later day: nothing stepped.
-        assert!(!m.needs_sync(days_from_civil(2000, 6, 20)).unwrap());
+        assert!(!m.needs_sync(days_from_civil(2000, 6, 20)));
         // Crossing into July: a1's window moved.
-        assert!(m.needs_sync(days_from_civil(2000, 7, 2)).unwrap());
+        assert!(m.needs_sync(days_from_civil(2000, 7, 2)));
         // A bulk load dirties the manager even without time passing.
         let (more, _) = paper_mo();
         m.bulk_load(&more).unwrap();
-        assert!(m.needs_sync(days_from_civil(2000, 6, 6)).unwrap());
+        assert!(m.needs_sync(days_from_civil(2000, 6, 6)));
         // Homing the load needs no transition day: one homing-only step.
         let stats = m.sync(days_from_civil(2000, 6, 6)).unwrap();
         assert_eq!((stats.ticks, stats.rows_homed), (0, more.len()));
-        assert!(!m.needs_sync(days_from_civil(2000, 6, 20)).unwrap());
+        assert!(!m.needs_sync(days_from_civil(2000, 6, 20)));
     }
 }

@@ -329,14 +329,7 @@ pub(crate) struct VersionInner {
     /// change) and not yet resolved to their home cell by a reduction
     /// step. Everything else is synchronized to `last_sync`.
     pub(crate) unhomed: usize,
-    /// The reduction schedule of `spec`, built on first use. The cell
-    /// travels with the `spec` pointer it derives from — every successor
-    /// under the same specification shares it, a specification change
-    /// starts a fresh one — so the reduction step, the scheduler, the
-    /// region oracle and the un-synchronized read path all find the one
-    /// schedule here.
-    schedule: Arc<OnceCell<Result<ReductionSchedule, ReduceError>>>,
-    /// The planner's region oracle, a function of `(schedule,
+    /// The planner's region oracle, a function of `(spec.schedule(),
     /// last_sync)` built on first use: shared by every successor that
     /// moves neither, fresh otherwise.
     pub(crate) oracle: Arc<OnceCell<Option<RegionOracle>>>,
@@ -358,7 +351,6 @@ impl VersionInner {
             parents,
             last_sync: None,
             unhomed: 0,
-            schedule: Arc::new(OnceCell::new()),
             oracle: Arc::new(OnceCell::new()),
             aged: Mutex::new(None),
         }
@@ -378,7 +370,6 @@ impl VersionInner {
             parents: self.parents.clone(),
             last_sync,
             unhomed,
-            schedule: Arc::clone(&self.schedule),
             oracle: if last_sync == self.last_sync {
                 Arc::clone(&self.oracle)
             } else {
@@ -410,17 +401,6 @@ impl VersionInner {
 
     fn rows(&self) -> usize {
         self.cubes.iter().map(Subcube::rows).sum()
-    }
-
-    /// The [`ReductionSchedule`] of this version's specification.
-    pub(crate) fn schedule(&self) -> Result<&ReductionSchedule, SubcubeError> {
-        let built = self.schedule.get_or_init(|| {
-            let _span = sdr_obs::span("subcube.age.schedule");
-            let sched = ReductionSchedule::build(&self.spec)?;
-            sdr_obs::attr("transition_days", sched.transition_days().len());
-            Ok(sched)
-        });
-        built.as_ref().map_err(|e| e.clone().into())
     }
 }
 
@@ -538,16 +518,10 @@ impl VersionInner {
             Some(mgr) => mgr.publish(next),
             None => Arc::new(next),
         };
-        // The schedule is looked up once per call (under the model
-        // checker every look is a scheduling point), and not at all by
-        // the first reduction, which replays nothing.
-        let sched = self.last_sync.map(|_| self.schedule()).transpose()?;
+        let sched = self.spec.schedule();
         let ticks = self
             .last_sync
-            .zip(sched)
-            .map_or(Vec::new(), |(last, sched)| {
-                sched.transitions_between(last, until)
-            });
+            .map_or(Vec::new(), |last| sched.transitions_between(last, until));
         let unhomed = self.unhomed > 0 || self.last_sync.is_none();
         let homing_only = (ticks.is_empty() && unhomed).then_some(until);
         let mut cur = Arc::clone(self);
@@ -595,13 +569,13 @@ impl VersionInner {
     /// un-homed row — all rows, when the version was never synchronized
     /// — re-homes exactly the rows whose cell moved (or that were never
     /// homed) and rewrites only the chunks that lose or gain rows.
-    /// `sched` is the version's schedule (`None` only for a version
-    /// never synchronized); `transition` says whether `t` is a scheduled
-    /// transition day (counted as a tick) or a homing-only step. Returns
-    /// the successor, what the step did, and how many rows it examined.
+    /// `sched` is the specification's schedule; `transition` says whether
+    /// `t` is a scheduled transition day (counted as a tick) or a
+    /// homing-only step. Returns the successor, what the step did, and
+    /// how many rows it examined.
     fn age_step(
         &self,
-        sched: Option<&ReductionSchedule>,
+        sched: &ReductionSchedule,
         t: DayNum,
         transition: bool,
     ) -> Result<(VersionInner, AgeStats, usize), SubcubeError> {
@@ -616,8 +590,8 @@ impl VersionInner {
         // the time windows they can touch. A conservative schedule may
         // list a day where no grounding actually changed: then, as in a
         // version never synchronized, only un-homed rows can move.
-        let (delta, windows) = match cur.last_sync.zip(sched) {
-            Some((prev, sched)) => {
+        let (delta, windows) = match cur.last_sync {
+            Some(prev) => {
                 let delta = sched.delta_pred(prev, t).map(|d| (prev, d));
                 let windows = delta
                     .as_ref()
@@ -953,22 +927,23 @@ impl WarehouseView {
     /// True when a reduction at `now` could move any fact: the view was
     /// never synchronized, new data was bulk-loaded since, or the
     /// [`ReductionSchedule`] lists a transition day in `(last_sync,
-    /// now]`. One lookup in the schedule cached on the version — which
+    /// now]`. One lookup in the schedule the specification holds — which
     /// makes frequent scheduled syncs nearly free (Section 7.2's argument
     /// that synchronization is not a bottleneck).
-    pub fn needs_sync(&self, now: DayNum) -> Result<bool, SubcubeError> {
+    pub fn needs_sync(&self, now: DayNum) -> bool {
         let Some(last) = self.v.last_sync else {
-            return Ok(true);
+            return true;
         };
-        Ok(self.is_dirty() || !self.v.schedule()?.transitions_between(last, now).is_empty())
+        let sched = self.v.spec.schedule();
+        self.is_dirty() || !sched.transitions_between(last, now).is_empty()
     }
 
     /// The next scheduled transition day strictly after `after` — the
     /// next day a reduction has work to do. `None` when no further
     /// migration can ever happen — the scheduling primitive Section 8
     /// leaves as future work.
-    pub fn next_sync_due(&self, after: DayNum) -> Result<Option<DayNum>, SubcubeError> {
-        Ok(self.v.schedule()?.next_transition(after))
+    pub fn next_sync_due(&self, after: DayNum) -> Option<DayNum> {
+        self.v.spec.schedule().next_transition(after)
     }
 
     /// Materializes the whole warehouse version as one MO (union of all
@@ -1157,7 +1132,7 @@ impl SubcubeManager {
     }
 
     /// [`WarehouseView::needs_sync`] on the current version.
-    pub fn needs_sync(&self, now: DayNum) -> Result<bool, SubcubeError> {
+    pub fn needs_sync(&self, now: DayNum) -> bool {
         self.view().needs_sync(now)
     }
 
@@ -1350,7 +1325,7 @@ impl SubcubeManager {
     }
 
     /// [`WarehouseView::next_sync_due`] on the current version.
-    pub fn next_sync_due(&self, after: DayNum) -> Result<Option<DayNum>, SubcubeError> {
+    pub fn next_sync_due(&self, after: DayNum) -> Option<DayNum> {
         self.view().next_sync_due(after)
     }
 

@@ -180,14 +180,14 @@ impl WarehouseView {
     }
 
     /// The region oracle for this view, built once per `(specification,
-    /// last_sync)` from the reduction schedule and kept on the version.
-    /// `None` when the view was never synchronized (no cube content is
-    /// action-placed yet) or the schedule cannot be built — planning then
-    /// falls back to statistics-only pruning, never to an error.
+    /// last_sync)` from the specification's reduction schedule and kept on
+    /// the version. `None` when the view was never synchronized (no cube
+    /// content is action-placed yet) — planning then falls back to
+    /// statistics-only pruning.
     pub fn region_oracle(&self) -> Option<&RegionOracle> {
         let build = || {
-            let schedule = self.v.schedule().ok()?;
-            Some(RegionOracle::build(schedule, self.last_sync()?))
+            let last = self.last_sync()?;
+            Some(RegionOracle::build(self.v.spec.schedule(), last))
         };
         self.v.oracle.get_or_init(build).as_ref()
     }

@@ -91,7 +91,7 @@ fn sync_equals_one_age_equals_an_age_per_transition_day() {
     let aged = by_age.age(target).unwrap();
     let mut ticked = AgeStats::default();
     let mut cur = baseline;
-    while let Some(t) = by_tick.next_sync_due(cur).unwrap().filter(|t| *t <= target) {
+    while let Some(t) = by_tick.next_sync_due(cur).filter(|t| *t <= target) {
         let s = by_tick.age(t).unwrap();
         assert_eq!(s.ticks, 1, "day {t}");
         assert_reduced(&by_tick, &mo, &format!("tick at {t}"));

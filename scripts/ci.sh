@@ -55,8 +55,7 @@ done
 # exhausted budget means the proof no longer covers the state space and
 # is just as much a failure as a counterexample. SDR_CHECK_BUDGET caps
 # the schedule count so a scheduler regression cannot hang CI; the clean
-# harnesses explore a few hundred schedules each (about a thousand for
-# the memo harness) in a couple of seconds.
+# harnesses explore a few hundred schedules each in well under a second.
 echo "==> specdr check gate (all protocols, budget ${SDR_CHECK_BUDGET:-50000})"
 check_out=$(target/release/specdr check --protocol all \
               --budget "${SDR_CHECK_BUDGET:-50000}") || {

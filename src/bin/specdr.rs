@@ -682,7 +682,7 @@ fn cmd_age(opts: &Opts) -> Result<(), AnyError> {
         let ticks: u32 = opts.value("--tick").unwrap_or("4").parse()?;
         let mut cur = until;
         for i in 1..=ticks {
-            match mgr.next_sync_due(cur)? {
+            match mgr.next_sync_due(cur) {
                 Some(t) => {
                     let s = mgr.age(t)?;
                     print!("tick {i}: ");

@@ -303,13 +303,14 @@ fn annotate_plan(cubes: &mut [CubeReport], plan: &sdr_plan::QueryPlan) {
 }
 
 /// Explains a reduction: runs [`SubcubeManager::age`] to `until` with
-/// tracing on and reports the DAG it leaves. The phase table separates
-/// the scheduler (`subcube.age.schedule`) from the steps
-/// (`subcube.age.tick`, one per transition day or one homing-only step)
-/// with their summed `rows_in`/`rows_out` — on a warehouse never
+/// tracing on and reports the DAG it leaves. The phase table lists the
+/// steps (`subcube.age.tick`, one per transition day or one homing-only
+/// step) with their summed `rows_in`/`rows_out` — on a warehouse never
 /// synchronized the one step examines every row, on a synchronized one
-/// only what the transitions touch. Every cube counts as scanned;
-/// `rows_out` is each cube's row count afterwards.
+/// only what the transitions touch. The schedule the steps follow was
+/// analyzed when the specification was built (`reduce.analyze`), before
+/// this recording, so no scheduling phase appears. Every cube counts as
+/// scanned; `rows_out` is each cube's row count afterwards.
 pub fn explain_age(
     mgr: &SubcubeManager,
     until: DayNum,

@@ -253,22 +253,19 @@ fn scheduler_answers_what_the_step_day_scan_answered() {
         let due_after = |d: DayNum| scan.iter().copied().find(|&t| t > d);
         let m = SubcubeManager::new(spec);
         for d in lo..=hi {
-            assert_eq!(m.next_sync_due(d).unwrap(), due_after(d), "{name} day {d}");
+            assert_eq!(m.next_sync_due(d), due_after(d), "{name} day {d}");
             m.sync(d).unwrap();
             for ahead in [1, 40].into_iter().filter(|a| d + a <= hi) {
                 let want = due_after(d).is_some_and(|t| t <= d + ahead);
-                assert_eq!(m.needs_sync(d + ahead).unwrap(), want, "{name} {d}+{ahead}");
+                assert_eq!(m.needs_sync(d + ahead), want, "{name} {d}+{ahead}");
             }
-            assert!(
-                !m.needs_sync(d - 5).unwrap(),
-                "{name}: before the watermark"
-            );
+            assert!(!m.needs_sync(d - 5), "{name}: before the watermark");
         }
-        assert_eq!(m.next_sync_due(lo - 400).unwrap(), scan.first().copied());
+        assert_eq!(m.next_sync_due(lo - 400), scan.first().copied());
         assert!(scan[0] > lo, "{name}: a due day at or before the horizon");
         for past in [hi, hi + 1, hi + 4000] {
-            assert_eq!(m.next_sync_due(past).unwrap(), None, "{name} day {past}");
-            assert!(!m.needs_sync(past).unwrap(), "{name} day {past}");
+            assert_eq!(m.next_sync_due(past), None, "{name} day {past}");
+            assert!(!m.needs_sync(past), "{name} day {past}");
         }
     }
 }

@@ -557,11 +557,11 @@ fn stats_json_golden_schema_is_stable() {
             "plan.query",
             "query.aggregate",
             "query.select",
+            "reduce.analyze",
             "reduce.kernel.chunk",
             "reduce.reduce",
             "storage.encode",
             "subcube.age",
-            "subcube.age.schedule",
             "subcube.age.tick",
             "subcube.bulk_load",
             "subcube.query",
@@ -1058,7 +1058,8 @@ fn atomic_orderings_carry_invariant_comments() {
 /// drift apart; and the old log-record enum must not come back. Nor may
 /// the second reduction path: the full pass, its result types and the
 /// per-call step-day scheduler went when `sync` became `age`, and the
-/// subcube layer asks the cached `ReductionSchedule`, never the DNF.
+/// subcube layer asks the specification's `ReductionSchedule`, never the
+/// DNF.
 #[test]
 fn mutation_layers_only_apply_ops() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -1186,6 +1187,110 @@ fn request_path_has_one_of_each() {
     assert_eq!(weighted_files.len(), 1, "{weighted_files:?}");
     assert_eq!(aggregations.len(), 2, "{aggregations:?}");
     assert!(violations.is_empty(), "{}", violations.join("\n"));
+}
+
+/// Source audit for the soundness gate: NonCrossing and Growing are
+/// decided once, by `sdr-reduce`'s `crossings`/`escapes` over the
+/// per-action analysis. The per-call checks that re-grounded every pair
+/// at every step day are defined nowhere, and step days are enumerated
+/// at exactly one production site, `ActionAnalysis::build`.
+#[test]
+fn soundness_is_decided_once() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let retired = [
+        concat!("fn ", "check_noncrossing"),
+        concat!("fn ", "check_growing"),
+        concat!("fn ", "noncrossing_pair"),
+    ];
+    let (mut violations, mut step_day_calls) = (Vec::new(), Vec::new());
+    let mut stack = vec![root.join("crates"), root.join("src"), root.join("tests")];
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let p = entry.unwrap().path();
+            if p.is_dir() {
+                stack.push(p);
+                continue;
+            }
+            if p.extension().is_none_or(|e| e != "rs") {
+                continue;
+            }
+            let src = std::fs::read_to_string(&p).unwrap();
+            for name in retired.iter().filter(|n| src.contains(**n)) {
+                violations.push(format!("{}: defines `{name}`", p.display()));
+            }
+            let in_crate_src = p.strip_prefix(root.join("crates")).is_ok_and(|rel| {
+                rel.components()
+                    .nth(1)
+                    .is_some_and(|c| c.as_os_str() == "src")
+            });
+            if !in_crate_src {
+                continue;
+            }
+            let code = src.lines().take_while(|l| !l.starts_with("#[cfg(test)]"));
+            for (i, line) in code.enumerate() {
+                let line = line.trim_start();
+                let call = line.contains(concat!("step_days", "("))
+                    && !line.contains(concat!("fn ", "step_days"));
+                if call && !line.starts_with("//") {
+                    step_day_calls.push(format!("{}:{}", p.display(), i + 1));
+                }
+            }
+        }
+    }
+    assert!(violations.is_empty(), "{}", violations.join("\n"));
+    assert_eq!(step_day_calls.len(), 1, "{step_day_calls:?}");
+    assert!(
+        step_day_calls[0].contains("crates/reduce/src/schedule.rs"),
+        "{step_day_calls:?}"
+    );
+}
+
+/// Every back-ticked `*.rs` name in the three documents (fenced blocks
+/// aside) names a file in the tree: a path (`tests/aging.rs`, optionally
+/// `::test_name`) is a file at that path or path suffix, a bare name
+/// (`manager.rs`) some file of that name.
+#[test]
+fn documents_name_only_files_that_exist() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files: Vec<String> = Vec::new();
+    let mut stack = vec![root.to_path_buf()];
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let p = entry.unwrap().path();
+            let name = p.file_name().unwrap().to_string_lossy();
+            if p.is_dir() {
+                if !name.starts_with('.') && name != "target" {
+                    stack.push(p);
+                }
+            } else if name.ends_with(".rs") {
+                let rel = p.strip_prefix(root).unwrap();
+                files.push(format!("/{}", rel.display()));
+            }
+        }
+    }
+    let mut missing = Vec::new();
+    for doc in ["DESIGN.md", "EXPERIMENTS.md", "README.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        let mut fenced = false;
+        let prose: Vec<&str> = text
+            .lines()
+            .filter(|l| {
+                fenced ^= l.trim_start().starts_with("```");
+                !fenced && !l.trim_start().starts_with("```")
+            })
+            .collect();
+        let prose = prose.join("\n");
+        for ticked in prose.split('`').skip(1).step_by(2) {
+            for word in ticked.split_whitespace() {
+                let path = word.split("::").next().unwrap();
+                let suffix = format!("/{path}");
+                if path.ends_with(".rs") && !files.iter().any(|f| f.ends_with(&suffix)) {
+                    missing.push(format!("{doc}: `{ticked}`"));
+                }
+            }
+        }
+    }
+    assert!(missing.is_empty(), "no such file:\n{}", missing.join("\n"));
 }
 
 /// Source audit for the warehouse directory: `ShardRouter` is the one
