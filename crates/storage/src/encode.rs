@@ -94,11 +94,7 @@ fn unpack_bits(words: &[u64], width: u8, i: usize) -> u64 {
     }
     let bit = i * width as usize;
     let (w, off) = (bit / 64, (bit % 64) as u32);
-    let mask = if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    };
+    let mask = u64::MAX >> (64 - width);
     let mut v = words[w] >> off;
     if off + width as u32 > 64 {
         v |= words[w + 1] << (64 - off);
@@ -187,99 +183,127 @@ fn put_u64s(out: &mut Vec<u8>, words: &[u64]) {
     }
 }
 
-impl ColumnEnc {
-    /// Encodes a column, choosing the smallest of plain, RLE, delta,
-    /// frame-of-reference bit-packed, and dictionary layouts.
-    pub fn encode(values: &[u64]) -> ColumnEnc {
-        let plain_bytes = values.len() * 8;
-        // Candidate 1: RLE.
-        let mut runs: Vec<(u64, u32)> = Vec::new();
-        for &v in values {
-            match runs.last_mut() {
-                Some((rv, n)) if *rv == v && *n < u32::MAX => *n += 1,
-                _ => runs.push((v, 1)),
-            }
+/// A column layout. The order is the tie order: of two layouts of equal
+/// size, the earlier one is chosen.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Layout {
+    Delta,
+    Rle,
+    BitPacked,
+    Dict,
+    Plain,
+}
+
+/// The counter of columns sealed in each layout, by `Layout as usize`.
+pub(crate) const LAYOUT_COUNTERS: [&str; 5] = [
+    "storage.columns.delta",
+    "storage.columns.rle",
+    "storage.columns.bitpacked",
+    "storage.columns.dict",
+    "storage.columns.plain",
+];
+
+/// The sorted distinct values of a column: its run heads, sorted.
+fn distinct(values: &[u64]) -> Vec<u64> {
+    let heads = values.windows(2).filter(|w| w[0] != w[1]).map(|w| w[1]);
+    let mut dict: Vec<u64> = values.iter().take(1).copied().chain(heads).collect();
+    dict.sort_unstable();
+    dict.dedup();
+    dict
+}
+
+/// The smallest layout of `values` and its exact encoded bytes, found
+/// without building any layout: one pass sizes run-length, delta and
+/// bit-packed; distinct values are counted only when a dictionary could win.
+pub(crate) fn smallest_layout(values: &[u64]) -> (usize, Layout) {
+    let n = values.len();
+    let first = values.first().copied().unwrap_or_default();
+    let (mut prev, mut run, mut runs, mut varints) = (first, 1u32, n.min(1), 0);
+    let (mut lo, mut hi) = (first, first);
+    for &v in values.iter().skip(1) {
+        let split = v != prev || run == u32::MAX;
+        (runs, run) = (runs + split as usize, if split { 1 } else { run + 1 });
+        let delta = bits_for(zigzag((v as i64).wrapping_sub(prev as i64)));
+        varints += (delta as usize).max(1).div_ceil(7);
+        (prev, lo, hi) = (v, lo.min(v), hi.max(v));
+    }
+    let packed = |width| 8 * packed_words(n as u64, width).expect("fits a slice length");
+    let delta = if n >= 2 { 16 + varints } else { usize::MAX };
+    let mut sizes = [
+        (delta, Layout::Delta),
+        (12 * runs, Layout::Rle),
+        (9 + packed(bits_for(hi - lo)), Layout::BitPacked),
+        (usize::MAX, Layout::Dict),
+        (8 * n, Layout::Plain),
+    ];
+    // The dictionary of the fewest values the column can hold — one, or
+    // two with 1-bit indices when min and max differ — bounds it below.
+    let floor = if hi > lo { 25 + packed(1) } else { 17 };
+    if sizes[..3].iter().all(|&(bytes, _)| floor < bytes) && floor <= 8 * n {
+        let d = distinct(values).len();
+        if d <= 1 << 16 {
+            sizes[3].0 = 9 + 8 * d + packed(bits_for(d as u64 - 1));
         }
-        let rle_bytes = runs.len() * 12;
-        // Candidate 2: delta (only meaningful with ≥ 2 values).
-        let delta = if values.len() >= 2 {
-            let base = values[0];
-            let mut deltas = Vec::with_capacity(values.len());
-            for w in values.windows(2) {
-                put_varint(&mut deltas, zigzag((w[1] as i64).wrapping_sub(w[0] as i64)));
-            }
-            Some(ColumnEnc::Delta {
-                base,
-                count: values.len() as u64,
-                deltas,
-            })
-        } else {
-            None
-        };
-        let delta_bytes = delta
-            .as_ref()
-            .map(|d| d.encoded_bytes())
-            .unwrap_or(usize::MAX);
-        // Candidates 3 and 4: frame-of-reference bit packing and the
-        // sorted dictionary.
-        let (mut bp, mut dict) = (None, None);
-        if !values.is_empty() {
-            let (mut lo, mut hi) = (u64::MAX, 0u64);
-            for &v in values {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            let width = bits_for(hi - lo);
-            bp = Some(ColumnEnc::BitPacked {
-                min: lo,
-                width,
-                count: values.len() as u64,
-                words: pack_bits(values.iter().map(|&v| v - lo), width),
-            });
-            let mut index = std::collections::BTreeMap::new();
-            for &v in values {
-                let next = index.len() as u64;
-                index.entry(v).or_insert(next);
-                if index.len() > (1 << 16) {
-                    break;
+    }
+    sizes.into_iter().min().expect("five candidates")
+}
+
+impl Layout {
+    /// Builds `values` in this layout.
+    pub(crate) fn build(self, values: &[u64]) -> ColumnEnc {
+        let count = values.len() as u64;
+        match self {
+            Layout::Delta => {
+                let mut deltas = Vec::with_capacity(values.len());
+                for w in values.windows(2) {
+                    put_varint(&mut deltas, zigzag((w[1] as i64).wrapping_sub(w[0] as i64)));
+                }
+                ColumnEnc::Delta {
+                    base: values[0],
+                    deltas,
+                    count,
                 }
             }
-            if index.len() <= (1 << 16) {
-                // BTreeMap insertion order is value order only for sorted
-                // input; re-rank so indices are order-preserving.
-                for (rank, (_, slot)) in index.iter_mut().enumerate() {
-                    *slot = rank as u64;
-                }
-                let width = bits_for(index.len() as u64 - 1);
-                dict = Some(ColumnEnc::Dict {
+            Layout::Rle => ColumnEnc::Rle(
+                values
+                    .chunk_by(|a, b| a == b)
+                    .flat_map(|run| run.chunks(u32::MAX as usize))
+                    .map(|run| (run[0], run.len() as u32))
+                    .collect(),
+            ),
+            Layout::BitPacked => {
+                let min = *values.iter().min().expect("a non-empty column");
+                let width = bits_for(values.iter().max().expect("a non-empty column") - min);
+                ColumnEnc::BitPacked {
+                    words: pack_bits(values.iter().map(|&v| v - min), width),
+                    min,
                     width,
-                    count: values.len() as u64,
-                    words: pack_bits(values.iter().map(|v| index[v]), width),
-                    dict: index.into_keys().collect(),
-                });
+                    count,
+                }
             }
+            Layout::Dict => {
+                // An index is the value's rank among the sorted distinct
+                // values, so index order is value order.
+                let dict = distinct(values);
+                let width = bits_for(dict.len() as u64 - 1);
+                let rank = |v: &u64| dict.binary_search(v).expect("a value of the column") as u64;
+                ColumnEnc::Dict {
+                    words: pack_bits(values.iter().map(rank), width),
+                    dict,
+                    width,
+                    count,
+                }
+            }
+            Layout::Plain => ColumnEnc::Plain(values.to_vec()),
         }
-        let bp_bytes = bp.as_ref().map(|e| e.encoded_bytes()).unwrap_or(usize::MAX);
-        let dict_bytes = dict
-            .as_ref()
-            .map(|e| e.encoded_bytes())
-            .unwrap_or(usize::MAX);
-        let best = plain_bytes
-            .min(rle_bytes)
-            .min(delta_bytes)
-            .min(bp_bytes)
-            .min(dict_bytes);
-        if best == delta_bytes {
-            delta.expect("delta computed")
-        } else if best == rle_bytes {
-            ColumnEnc::Rle(runs)
-        } else if best == bp_bytes {
-            bp.expect("bit-packed computed")
-        } else if best == dict_bytes {
-            dict.expect("dictionary computed")
-        } else {
-            ColumnEnc::Plain(values.to_vec())
-        }
+    }
+}
+
+impl ColumnEnc {
+    /// Encodes a column in the smallest of plain, RLE, delta, frame-of-
+    /// reference bit-packed, and dictionary layouts, building only that one.
+    pub fn encode(values: &[u64]) -> ColumnEnc {
+        smallest_layout(values).1.build(values)
     }
 
     /// Number of logical values.
@@ -426,17 +450,9 @@ impl ColumnEnc {
         match tag {
             0 => Some(ColumnEnc::Plain(take_u64s(buf, n)?)),
             1 => {
-                let runs = take(buf, n.checked_mul(12)?)?;
-                Some(ColumnEnc::Rle(
-                    runs.chunks_exact(12)
-                        .map(|r| {
-                            (
-                                u64::from_le_bytes(r[..8].try_into().expect("8 of 12 bytes")),
-                                u32::from_le_bytes(r[8..].try_into().expect("4 of 12 bytes")),
-                            )
-                        })
-                        .collect(),
-                ))
+                let mut runs = take(buf, n.checked_mul(12)?)?;
+                let run = |_| Some((take_u64(&mut runs)?, take_u32(&mut runs)?));
+                Some(ColumnEnc::Rle((0..n).map(run).collect::<Option<_>>()?))
             }
             2 => {
                 let base = take_u64(buf)?;
@@ -462,10 +478,7 @@ impl ColumnEnc {
             }
             3 => {
                 let min = take_u64(buf)?;
-                let width = take_u8(buf)?;
-                if width > 64 {
-                    return None;
-                }
+                let width = take_u8(buf).filter(|&w| w <= 64)?;
                 Some(ColumnEnc::BitPacked {
                     min,
                     width,
@@ -475,10 +488,7 @@ impl ColumnEnc {
             }
             4 => {
                 let dict_len = usize::try_from(take_u64(buf)?).ok()?;
-                let width = take_u8(buf)?;
-                if width > 64 {
-                    return None;
-                }
+                let width = take_u8(buf).filter(|&w| w <= 64)?;
                 let dict = take_u64s(buf, dict_len)?;
                 let words = take_u64s(buf, packed_words(n as u64, width)?)?;
                 // Every packed index must address the dictionary; a
@@ -504,13 +514,236 @@ impl ColumnEnc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The encoder as it was before layouts were sized first: build all
+    /// five candidates, keep the smallest. The reference the sizing
+    /// encoder must equal, layout and payload alike.
+    fn encode_reference(values: &[u64]) -> ColumnEnc {
+        let plain_bytes = values.len() * 8;
+        // Candidate 1: RLE.
+        let mut runs: Vec<(u64, u32)> = Vec::new();
+        for &v in values {
+            match runs.last_mut() {
+                Some((rv, n)) if *rv == v && *n < u32::MAX => *n += 1,
+                _ => runs.push((v, 1)),
+            }
+        }
+        let rle_bytes = runs.len() * 12;
+        // Candidate 2: delta (only meaningful with ≥ 2 values).
+        let delta = if values.len() >= 2 {
+            let base = values[0];
+            let mut deltas = Vec::with_capacity(values.len());
+            for w in values.windows(2) {
+                put_varint(&mut deltas, zigzag((w[1] as i64).wrapping_sub(w[0] as i64)));
+            }
+            Some(ColumnEnc::Delta {
+                base,
+                count: values.len() as u64,
+                deltas,
+            })
+        } else {
+            None
+        };
+        let delta_bytes = delta
+            .as_ref()
+            .map(|d| d.encoded_bytes())
+            .unwrap_or(usize::MAX);
+        // Candidates 3 and 4: frame-of-reference bit packing and the
+        // sorted dictionary.
+        let (mut bp, mut dict) = (None, None);
+        if !values.is_empty() {
+            let (mut lo, mut hi) = (u64::MAX, 0u64);
+            for &v in values {
+                lo = lo.min(v);
+                hi = hi.max(v);
+            }
+            let width = bits_for(hi - lo);
+            bp = Some(ColumnEnc::BitPacked {
+                min: lo,
+                width,
+                count: values.len() as u64,
+                words: pack_bits(values.iter().map(|&v| v - lo), width),
+            });
+            let mut index = std::collections::BTreeMap::new();
+            for &v in values {
+                let next = index.len() as u64;
+                index.entry(v).or_insert(next);
+                if index.len() > (1 << 16) {
+                    break;
+                }
+            }
+            if index.len() <= (1 << 16) {
+                // BTreeMap insertion order is value order only for sorted
+                // input; re-rank so indices are order-preserving.
+                for (rank, (_, slot)) in index.iter_mut().enumerate() {
+                    *slot = rank as u64;
+                }
+                let width = bits_for(index.len() as u64 - 1);
+                dict = Some(ColumnEnc::Dict {
+                    width,
+                    count: values.len() as u64,
+                    words: pack_bits(values.iter().map(|v| index[v]), width),
+                    dict: index.into_keys().collect(),
+                });
+            }
+        }
+        let bp_bytes = bp.as_ref().map(|e| e.encoded_bytes()).unwrap_or(usize::MAX);
+        let dict_bytes = dict
+            .as_ref()
+            .map(|e| e.encoded_bytes())
+            .unwrap_or(usize::MAX);
+        let best = plain_bytes
+            .min(rle_bytes)
+            .min(delta_bytes)
+            .min(bp_bytes)
+            .min(dict_bytes);
+        if best == delta_bytes {
+            delta.expect("delta computed")
+        } else if best == rle_bytes {
+            ColumnEnc::Rle(runs)
+        } else if best == bp_bytes {
+            bp.expect("bit-packed computed")
+        } else if best == dict_bytes {
+            dict.expect("dictionary computed")
+        } else {
+            ColumnEnc::Plain(values.to_vec())
+        }
+    }
+
+    /// `values` encoded, checked against the reference encoder and the
+    /// sizing pass's byte count.
+    fn encode_checked(values: &[u64]) -> ColumnEnc {
+        let e = ColumnEnc::encode(values);
+        assert_eq!(e, encode_reference(values));
+        assert_eq!(smallest_layout(values).0, e.encoded_bytes());
+        e
+    }
+
+    /// A column of `len` values in one of the shapes fact segments hold
+    /// (or must survive), drawn from `seed`.
+    fn shaped(shape: u8, len: usize, seed: u64) -> Vec<u64> {
+        let mut rng = TestRng::for_test(&format!("{shape}/{len}/{seed}"));
+        let wide: Vec<u64> = (0..1 + rng.below(300)).map(|_| rng.next_u64()).collect();
+        let mut col = Vec::with_capacity(len);
+        let mut at = rng.next_u64() >> rng.below(64);
+        while col.len() < len {
+            let (bits, coin) = (rng.below(40), rng.below(4) == 0);
+            let step = rng.below(1 << bits);
+            let v = match shape {
+                // Sorted: append-ordered time codes.
+                0 => at.wrapping_add(step >> 20),
+                // Runs of repeated values.
+                1 => at ^ (coin as u64 * step),
+                // Bounded noise: shuffled dimension codes.
+                2 => (wide[0] >> 1) + rng.below(1 + (wide[0] & 0xfff)),
+                // Wide, low cardinality: biased packed codes.
+                3 => wide[rng.below(wide.len() as u64) as usize],
+                // Extremes: 0, `u64::MAX`, and deltas that wrap `i64`.
+                4 => [0, u64::MAX, i64::MAX as u64, i64::MIN as u64, at][rng.below(5) as usize],
+                // Noise over the full range.
+                _ => rng.next_u64(),
+            };
+            at = v;
+            col.push(v);
+        }
+        col
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The sizing encoder returns the reference encoder's column —
+        /// the same layout, the same payload — on every shape, at the
+        /// lengths that decide the candidates (0, 1, 2), a full segment
+        /// (65 536), one distinct value more than a dictionary may hold,
+        /// and anything in between.
+        #[test]
+        fn encode_equals_the_reference(
+            shape in 0u8..6,
+            pick in 0usize..9,
+            len in 3usize..3000,
+            seed in any::<u64>(),
+        ) {
+            let len = [0, 1, 2, 1 << 16, (1 << 16) + 1].get(pick).copied().unwrap_or(len);
+            let col = shaped(shape, len, seed);
+            let e = ColumnEnc::encode(&col);
+            prop_assert_eq!(&e, &encode_reference(&col), "shape {} len {}", shape, len);
+            prop_assert_eq!(smallest_layout(&col).0, e.encoded_bytes());
+            prop_assert_eq!(e.decode(), col);
+        }
+    }
+
+    /// No dictionary holds more than 65 536 entries: at 65 536 distinct
+    /// wide values it is the smallest layout, at one more it is not a
+    /// candidate.
+    #[test]
+    fn dictionary_caps_at_65_536_distinct_values() {
+        for (distinct, dict_wins) in [(1 << 16, true), ((1 << 16) + 1, false)] {
+            let col: Vec<u64> = (0..3 << 16)
+                .map(|i: u64| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % distinct) << 40)
+                .collect();
+            let e = encode_checked(&col);
+            assert_eq!(matches!(e, ColumnEnc::Dict { .. }), dict_wins, "{distinct}");
+        }
+    }
+
+    #[test]
+    fn empty_column_is_an_empty_run_list() {
+        assert_eq!(encode_checked(&[]), ColumnEnc::Rle(vec![]));
+    }
+
+    /// Delta and run-length both take 24 bytes; delta wins the tie.
+    #[test]
+    fn delta_wins_a_tie_with_run_length() {
+        // Two runs: 12 B each. Deltas: 16 B header, six 1-byte zeros,
+        // one 2-byte step of 300. Bit-packing at 9 bits needs 2 words.
+        let col = [[1000u64; 4], [1300; 4]].concat();
+        let e = encode_checked(&col);
+        assert!(matches!(e, ColumnEnc::Delta { .. }), "{e:?}");
+        assert_eq!(e.encoded_bytes(), 24);
+        assert_eq!(
+            ColumnEnc::Rle(vec![(1000, 4), (1300, 4)]).encoded_bytes(),
+            24
+        );
+    }
+
+    /// Sorting is skipped only when the dictionary's lower bound cannot
+    /// win; two distinct values win at exactly that bound.
+    #[test]
+    fn dictionary_wins_at_its_lower_bound() {
+        let col: Vec<u64> = (0..5).map(|i| (i % 2) << 40).collect();
+        let e = encode_checked(&col);
+        assert!(matches!(e, ColumnEnc::Dict { width: 1, .. }), "{e:?}");
+        // Plain takes 40 bytes, 41-bit packing 41.
+        assert_eq!(e.encoded_bytes(), 33);
+    }
+
+    /// Bit-packed and dictionary both take 49 bytes; bit-packed wins.
+    #[test]
+    fn bitpacked_wins_a_tie_with_the_dictionary() {
+        // 64 rows cycling 0, 1, 16: 5-bit offsets fill 5 words; the
+        // 3-entry dictionary plus 2-bit indices (2 words) is 5 words too.
+        let col: Vec<u64> = (0..64).map(|i| [0, 1, 16][i % 3]).collect();
+        let e = encode_checked(&col);
+        assert!(matches!(e, ColumnEnc::BitPacked { width: 5, .. }), "{e:?}");
+        assert_eq!(e.encoded_bytes(), 49);
+        let ranks = (0..64).fold(0u128, |w, i| w | (((i % 3) as u128) << (2 * i)));
+        let dict = ColumnEnc::Dict {
+            dict: vec![0, 1, 16],
+            width: 2,
+            count: 64,
+            words: vec![ranks as u64, (ranks >> 64) as u64],
+        };
+        assert_eq!((dict.encoded_bytes(), dict.decode()), (49, col));
+    }
 
     #[test]
     fn rle_wins_on_runs() {
         let col: Vec<u64> = std::iter::repeat_n(7u64, 1000)
             .chain(std::iter::repeat_n(9u64, 500))
             .collect();
-        let e = ColumnEnc::encode(&col);
+        let e = encode_checked(&col);
         assert!(matches!(e, ColumnEnc::Rle(_)));
         assert_eq!(e.encoded_bytes(), 24);
         assert_eq!(e.decode(), col);
@@ -520,7 +753,7 @@ mod tests {
     #[test]
     fn delta_wins_on_sorted() {
         let col: Vec<u64> = (0..1000u64).map(|i| i * 3).collect();
-        let e = ColumnEnc::encode(&col);
+        let e = encode_checked(&col);
         assert!(matches!(e, ColumnEnc::Delta { .. }), "{e:?}");
         // ~1 byte per row instead of 8.
         assert!(e.encoded_bytes() < 1100, "{}", e.encoded_bytes());
@@ -534,7 +767,7 @@ mod tests {
         let col: Vec<u64> = (0..1000u64)
             .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .collect();
-        let e = ColumnEnc::encode(&col);
+        let e = encode_checked(&col);
         assert!(matches!(e, ColumnEnc::Plain(_)), "{e:?}");
         assert_eq!(e.encoded_bytes(), 8000);
         assert_eq!(e.decode(), col);
@@ -543,7 +776,7 @@ mod tests {
     #[test]
     fn delta_handles_negative_steps_and_extremes() {
         let col = vec![100u64, 50, 75, 0, u64::MAX / 4, 3];
-        let e = ColumnEnc::encode(&col);
+        let e = encode_checked(&col);
         assert_eq!(e.decode(), col);
         // Zigzag varints roundtrip through serialization too.
         let mut buf = Vec::new();
@@ -559,7 +792,7 @@ mod tests {
             std::iter::repeat_n(7u64, 100).collect::<Vec<_>>(),
             (0..100u64).collect::<Vec<_>>(),
         ] {
-            let e = ColumnEnc::encode(&col);
+            let e = encode_checked(&col);
             let mut buf = Vec::new();
             e.write(&mut buf);
             let d = ColumnEnc::read(&mut &buf[..]).unwrap();
@@ -574,7 +807,7 @@ mod tests {
         let col: Vec<u64> = (0..1000u64)
             .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 1000)
             .collect();
-        let e = ColumnEnc::encode(&col);
+        let e = encode_checked(&col);
         assert!(matches!(e, ColumnEnc::BitPacked { width: 10, .. }), "{e:?}");
         assert!(e.encoded_bytes() < 1300, "{}", e.encoded_bytes());
         assert_eq!(e.decode(), col);
@@ -589,7 +822,7 @@ mod tests {
         let col: Vec<u64> = (0..1000u64)
             .map(|i| months[(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 36) as usize])
             .collect();
-        let e = ColumnEnc::encode(&col);
+        let e = encode_checked(&col);
         let ColumnEnc::Dict {
             ref dict, width, ..
         } = e
@@ -654,7 +887,7 @@ mod tests {
                 .map(|i| (1 << 50) + i % 4 * 1000)
                 .collect::<Vec<_>>(),
         ] {
-            let e = ColumnEnc::encode(&col);
+            let e = encode_checked(&col);
             assert!(
                 matches!(e, ColumnEnc::BitPacked { .. } | ColumnEnc::Dict { .. }),
                 "{e:?}"

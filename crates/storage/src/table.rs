@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use sdr_mdm::{CatId, FactId, FactStore, KeyPacker, Mo, Schema};
 
-use crate::encode::{take, take_u32, take_u64, take_u8, ColumnEnc};
+use crate::encode::{self, take, take_u32, take_u64, take_u8, ColumnEnc};
 use crate::error::StorageError;
 
 /// Rows per segment.
@@ -56,54 +56,59 @@ pub fn raw_bytes(schema: &Schema, rows: usize) -> usize {
 type Piece<'a> = (&'a FactStore, Range<usize>);
 
 /// One column of a segment — each piece's slice of it, widened to `u64`
-/// through `buf` — in its smallest encoding.
-fn column<T: Copy>(
+/// through `buf`.
+fn column<'b, T: Copy>(
     pieces: &[Piece],
-    buf: &mut Vec<u64>,
+    buf: &'b mut Vec<u64>,
     of: impl Fn(&FactStore) -> &[T],
     widen: impl Fn(T) -> u64,
-) -> ColumnEnc {
+) -> &'b [u64] {
     buf.clear();
     for (store, rows) in pieces {
         buf.extend(of(store)[rows.clone()].iter().map(|&v| widen(v)));
     }
-    ColumnEnc::encode(buf)
+    buf
 }
 
-/// One encoded segment: its columns in file order (categories, codes,
-/// measures, origin).
+/// One segment: its columns in file order (categories, codes, measures,
+/// origin), each with its encoded size, and built unless only sized.
 struct Segment {
     rows: usize,
     /// Min/max packed key of the rows — `None` when the schema exceeds
-    /// the 128-bit packing budget.
+    /// the 128-bit packing budget, or the segment was only sized.
     zone: Option<(u128, u128)>,
-    cols: Vec<ColumnEnc>,
+    cols: Vec<(usize, Option<ColumnEnc>)>,
 }
 
 impl Segment {
-    /// Encodes the rows of `pieces` (of stores over one schema, in order)
-    /// as one segment.
-    fn seal(packer: Option<&KeyPacker>, pieces: &[Piece]) -> Segment {
+    /// Sizes the rows of `pieces` (of stores over one schema, in order)
+    /// as one segment, and encodes them when `build` is set.
+    fn seal(packer: Option<&KeyPacker>, pieces: &[Piece], build: bool) -> Segment {
         let span = sdr_obs::span("storage.encode");
         let rows = pieces.iter().map(|(_, r)| r.len()).sum();
         let buf = &mut Vec::with_capacity(rows);
         let (n_dims, n_measures) = (pieces[0].0.cats.len(), pieces[0].0.measures.len());
-        let mut cols = Vec::with_capacity(2 * n_dims + n_measures + 1);
+        let (mut cols, mut layouts) = (Vec::with_capacity(2 * n_dims + n_measures + 1), [0; 5]);
+        let mut put = |values: &[u64]| {
+            let (bytes, layout) = encode::smallest_layout(values);
+            layouts[layout as usize] += 1;
+            cols.push((bytes, build.then(|| layout.build(values))));
+        };
         for d in 0..n_dims {
-            cols.push(column(pieces, buf, |s| s.cats[d].as_slice(), u64::from));
+            put(column(pieces, buf, |s| s.cats[d].as_slice(), u64::from));
         }
         for d in 0..n_dims {
-            cols.push(column(pieces, buf, |s| s.codes[d].as_slice(), |c| c));
+            put(column(pieces, buf, |s| s.codes[d].as_slice(), |c| c));
         }
         for j in 0..n_measures {
-            cols.push(column(
+            put(column(
                 pieces,
                 buf,
                 |s| s.measures[j].as_slice(),
                 |m| m as u64,
             ));
         }
-        cols.push(column(pieces, buf, |s| s.origin.as_slice(), u64::from));
+        put(column(pieces, buf, |s| s.origin.as_slice(), u64::from));
         let zone = packer.map(|p| {
             let keys = pieces
                 .iter()
@@ -116,19 +121,22 @@ impl Segment {
             sdr_obs::add("storage.rows_sealed", rows as u64);
             sdr_obs::add("storage.encoded_bytes", seg.encoded_bytes() as u64);
             sdr_obs::record("storage.segment_bytes", seg.encoded_bytes() as u64);
+            for (name, n) in encode::LAYOUT_COUNTERS.into_iter().zip(layouts) {
+                sdr_obs::add(name, n);
+            }
         }
         seg
     }
 
     fn encoded_bytes(&self) -> usize {
-        self.cols.iter().map(ColumnEnc::encoded_bytes).sum()
+        self.cols.iter().map(|(bytes, _)| bytes).sum()
     }
 }
 
 /// Cuts the concatenation of `parts` into segments of
 /// [`DEFAULT_SEGMENT_ROWS`] rows (the last one shorter), across part
-/// boundaries, and encodes each.
-fn seal<'a>(schema: &Schema, parts: impl IntoIterator<Item = &'a Mo>) -> Vec<Segment> {
+/// boundaries, and seals each — sized only, or `build` too.
+fn seal<'a>(schema: &Schema, parts: impl IntoIterator<Item = &'a Mo>, build: bool) -> Vec<Segment> {
     let mut cuts: Vec<Vec<Piece>> = Vec::new();
     let mut room = 0;
     for part in parts {
@@ -147,18 +155,19 @@ fn seal<'a>(schema: &Schema, parts: impl IntoIterator<Item = &'a Mo>) -> Vec<Seg
             lo = hi;
         }
     }
-    let packer = KeyPacker::new(schema);
+    let packer = KeyPacker::new(schema).filter(|_| build);
     cuts.iter()
-        .map(|pieces| Segment::seal(packer.as_ref(), pieces))
+        .map(|pieces| Segment::seal(packer.as_ref(), pieces, build))
         .collect()
 }
 
-/// Storage statistics (raw vs. encoded bytes) of an MO's facts.
+/// Storage statistics (raw vs. encoded bytes) of an MO's facts, sized
+/// without building any column.
 pub fn table_stats(mo: &Mo) -> TableStats {
     TableStats {
         rows: mo.len(),
         raw_bytes: raw_bytes(mo.schema(), mo.len()),
-        encoded_bytes: seal(mo.schema(), [mo])
+        encoded_bytes: seal(mo.schema(), [mo], false)
             .iter()
             .map(Segment::encoded_bytes)
             .sum(),
@@ -170,7 +179,7 @@ pub fn table_stats(mo: &Mo) -> TableStats {
 /// depend on the concatenated rows only, not on where the parts divide
 /// them.
 pub fn encode_facts<'a>(schema: &Schema, parts: impl IntoIterator<Item = &'a Mo>) -> Vec<u8> {
-    let segments = seal(schema, parts);
+    let segments = seal(schema, parts, true);
     let _span = sdr_obs::span("storage.serialize");
     let mut out = Vec::with_capacity(
         20 + segments
@@ -192,8 +201,8 @@ pub fn encode_facts<'a>(schema: &Schema, parts: impl IntoIterator<Item = &'a Mo>
             }
             None => out.push(0),
         }
-        for c in &s.cols {
-            c.write(&mut out);
+        for (_, c) in &s.cols {
+            c.as_ref().expect("a built segment").write(&mut out);
         }
     }
     sdr_obs::add("storage.serialized_bytes", out.len() as u64);
@@ -286,7 +295,8 @@ pub fn decode_facts(schema: &Arc<Schema>, mut buf: &[u8]) -> Result<Mo, StorageE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdr_workload::paper_mo;
+    use proptest::prelude::*;
+    use sdr_workload::{generate, paper_mo, ClickstreamConfig};
 
     /// The paper MO as a format-1 build wrote it (segments of 4 rows,
     /// plain/RLE/delta columns), generated once at commit c168b26.
@@ -305,12 +315,66 @@ mod tests {
         assert_eq!(rows(&back), rows(&mo));
         assert_eq!(back.store().origin, mo.store().origin);
         let packer = KeyPacker::new(mo.schema()).unwrap();
-        let segs = seal(mo.schema(), [&mo]);
+        let segs = seal(mo.schema(), [&mo], true);
         assert_eq!(segs.len(), 1);
         let (lo, hi) = segs[0].zone.expect("packable schema → zone map");
         let keys: Vec<u128> = mo.facts().map(|f| packer.pack_row(mo.store(), f)).collect();
         assert_eq!(lo, *keys.iter().min().unwrap());
         assert_eq!(hi, *keys.iter().max().unwrap());
+    }
+
+    /// Summed `encoded_bytes` of every column `bytes` holds, read back
+    /// the way `decode_facts` reads them.
+    fn written_column_bytes(mut bytes: &[u8]) -> usize {
+        let buf = &mut bytes;
+        take(buf, 8).unwrap();
+        let cols = 2 * take_u32(buf).unwrap() + take_u32(buf).unwrap() + 1;
+        let mut total = 0;
+        for _ in 0..take_u32(buf).unwrap() {
+            take(buf, 8).unwrap();
+            if take_u8(buf).unwrap() == 1 {
+                take(buf, 32).unwrap();
+            }
+            for _ in 0..cols {
+                total += ColumnEnc::read(buf).unwrap().encoded_bytes();
+            }
+        }
+        assert!(buf.is_empty());
+        total
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// `table_stats` builds no column, yet its byte count is exactly
+        /// what `encode_facts` writes for the columns of the same rows —
+        /// in click order or shuffled, across segment boundaries.
+        #[test]
+        fn stats_size_the_columns_encode_writes(
+            len in 0usize..100_000,
+            shuffled in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            static CLICKS: std::sync::OnceLock<Mo> = std::sync::OnceLock::new();
+            let clicks = CLICKS.get_or_init(|| {
+                generate(&ClickstreamConfig {
+                    clicks_per_day: 200,
+                    start: (1999, 1, 1),
+                    end: (1999, 3, 31),
+                    ..Default::default()
+                })
+                .mo
+            });
+            let mut rng = TestRng::for_test(&seed.to_string());
+            let n = clicks.len() as u64;
+            let rows: Vec<u32> = (0..len as u64)
+                .map(|i| if shuffled { rng.below(n) } else { i * n / len as u64 } as u32)
+                .collect();
+            let mo = clicks.gather(&rows);
+            let stats = table_stats(&mo);
+            let bytes = encode_facts(mo.schema(), [&mo]);
+            prop_assert_eq!(stats.encoded_bytes, written_column_bytes(&bytes));
+        }
     }
 
     #[test]

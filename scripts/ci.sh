@@ -154,6 +154,10 @@ if ! awk -v raw="$raw_total" -v enc="$enc_total" 'BEGIN { exit !(enc <= 0.6 * ra
   exit 1
 fi
 
+# Column codec under --release: the differential against the reference
+# encoder runs full 65 536-row segments.
+run cargo test -q --release -p sdr-storage
+
 # Durability suite under --release: the crash matrix and the proptest
 # layer exercise many fs-failure schedules and want optimized code.
 run cargo test -q --release --test durability

@@ -292,6 +292,26 @@ fn metrics_agree_with_authoritative_numbers() {
     };
     assert_eq!(rows(&first), rows(&published));
 
+    // --- Phase 4c: storage. Every column sealed counts once under the
+    // layout it was sealed in — sized only (`table_stats`) or built
+    // (`encode_facts`; four copies of the MO cross a segment boundary).
+    obs::reset();
+    specdr::storage::table_stats(&mo);
+    specdr::storage::encode_facts(&schema, [&mo, &mo, &mo, &mo]);
+    let snap = obs::snapshot();
+    let segments = snap.span("storage.encode").unwrap().count;
+    assert_eq!(segments, 1 + (4 * mo.len()).div_ceil(65_536) as u64);
+    assert_eq!(
+        snap.counter("storage.rows_sealed"),
+        Some(5 * mo.len() as u64)
+    );
+    let columns: u64 = ["bitpacked", "delta", "dict", "plain", "rle"]
+        .iter()
+        .map(|l| snap.counter(&format!("storage.columns.{l}")).unwrap())
+        .sum();
+    let per_segment = 2 * schema.n_dims() + schema.n_measures() + 1;
+    assert_eq!(columns, segments * per_segment as u64);
+
     // --- Phase 5: lint. One timed pass per rule, per-code finding
     // counters, and one analysis span per action.
     obs::reset();

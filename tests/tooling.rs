@@ -535,6 +535,11 @@ fn stats_json_golden_schema_is_stable() {
             "reduce.facts_scanned",
             "reduce.kernel.chunks",
             "reduce.kernel.distinct_cells",
+            "storage.columns.bitpacked",
+            "storage.columns.delta",
+            "storage.columns.dict",
+            "storage.columns.plain",
+            "storage.columns.rle",
             "storage.encoded_bytes",
             "storage.rows_sealed",
             "subcube.bulk_load.facts",
