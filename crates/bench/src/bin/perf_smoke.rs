@@ -1,8 +1,9 @@
 //! Release-mode perf smoke for CI: runs the kernel operator set (select,
 //! aggregate, reduce, sync) at a fixed small scale and fails (non-zero
 //! exit) if any kernel's output digest differs from its naive reference
-//! — a cheap guard that the vectorized paths cannot silently drift from
-//! the row-at-a-time semantics between full differential-property runs.
+//! — a cheap guard that the vectorized select/aggregate kernels and the
+//! `CellMemo` pass behind reduce and sync cannot silently drift from the
+//! row-at-a-time semantics between full differential-property runs.
 
 use std::process::ExitCode;
 

@@ -11,8 +11,7 @@
 //! [`current_ctx`](crate::Registry::current_ctx) and workers open their
 //! spans under it with
 //! [`span_in`](crate::Registry::span_in), so fan-out work (the
-//! chunk-parallel reduce scan, the per-subcube query workers) nests under
-//! the operation that spawned it.
+//! per-subcube query workers) nests under the operation that spawned it.
 //!
 //! The ring is export-ready: [`chrome_trace_json`] renders a snapshot as
 //! a chrome `trace_event` document (open it in `chrome://tracing` or

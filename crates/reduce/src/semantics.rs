@@ -8,12 +8,12 @@
 //! *responsible* action, supporting the paper's requirement that the
 //! system can explain why data sits at its current level.
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 use sdr_mdm::{
-    CatId, DayNum, DimId, DimValue, FactId, FxHashMap, Granularity, KeyPacker, Mo, PackedKey,
-    Schema, ORIGIN_USER,
+    CatId, DayNum, DimId, DimValue, FactId, FxHashMap, Granularity, KeyPacker, Mo, Schema,
+    ORIGIN_USER,
 };
 use sdr_spec::{eval_pred, ActionId, CompiledPred};
 
@@ -76,50 +76,91 @@ pub fn cell_for(
     now: DayNum,
 ) -> Result<CellResult, ReduceError> {
     let schema = spec.schema();
-    let own = Granularity(coords.iter().map(|v| v.cat).collect());
-    let mut grans: Vec<(ActionId, &Granularity)> = Vec::with_capacity(spec.len());
+    let mut applicable = Vec::with_capacity(spec.len());
     for (id, a) in spec.actions() {
         if eval_pred(schema, &a.pred, coords, now)? {
-            grans.push((*id, &a.grain));
+            applicable.push((*id, &a.grain));
         }
     }
+    roll_up(schema, coords, &applicable)
+}
+
+/// The target cell decision for one (applicable-action set, own
+/// granularity) pair: everything in `Cell(v⃗, t)` past predicate
+/// evaluation depends only on those two inputs, never on the coordinate
+/// codes themselves.
+struct CellDecision {
+    responsible: Option<ActionId>,
+    target_cats: Vec<CatId>,
+}
+
+/// The one `Cell` decision, given the actions whose predicates the cell
+/// satisfies: the maximum of their grains, its LUB with the cell's own
+/// categories, and the action responsible.
+///
+/// # Errors
+/// [`ReduceError::IncomparableGranularities`] when two applicable grains
+/// are unordered.
+fn decide(
+    schema: &Schema,
+    coords: &[DimValue],
+    applicable: &[(ActionId, &Granularity)],
+) -> Result<CellDecision, ReduceError> {
+    let own: Vec<CatId> = coords.iter().map(|v| v.cat).collect();
     // The applicable action grains are totally ordered (NonCrossing);
     // the fact's own granularity may be *incomparable* with them when a
     // coordinate is ⊤ ("unknown value", Section 3), so the target is the
     // per-dimension LUB of the winning action grain and the fact's own
     // categories — a fact can never be rolled down.
-    let max_action = Granularity::max_of(grans.iter().map(|(_, g)| *g), schema);
-    if !grans.is_empty() && max_action.is_none() {
-        return Err(ReduceError::IncomparableGranularities {
-            fact: format!("{coords:?}"),
+    let Some(max) = Granularity::max_of(applicable.iter().map(|(_, g)| *g), schema) else {
+        if !applicable.is_empty() {
+            return Err(ReduceError::IncomparableGranularities {
+                fact: format!("{coords:?}"),
+            });
+        }
+        return Ok(CellDecision {
+            responsible: None,
+            target_cats: own,
         });
-    }
-    let target_gran = match &max_action {
-        None => own.clone(),
-        Some(m) => Granularity(
-            m.0.iter()
-                .enumerate()
-                .map(|(i, &c)| schema.dims[i].graph().lub(c, own.0[i]))
-                .collect(),
-        ),
     };
+    let target_cats: Vec<CatId> = max
+        .0
+        .iter()
+        .zip(&own)
+        .enumerate()
+        .map(|(i, (&c, &o))| schema.dims[i].graph().lub(c, o))
+        .collect();
     // Responsible: the action achieving the maximum, when it strictly
     // raises the fact; otherwise the fact keeps its provenance.
-    let responsible = if target_gran == own {
+    let responsible = if target_cats == own {
         None
     } else {
-        max_action
-            .as_ref()
-            .and_then(|m| grans.iter().find(|(_, g)| *g == m).map(|(id, _)| *id))
+        applicable
+            .iter()
+            .find(|(_, g)| **g == max)
+            .map(|(id, _)| *id)
     };
+    Ok(CellDecision {
+        responsible,
+        target_cats,
+    })
+}
+
+/// `Cell(v⃗, t)` from the applicable actions: [`decide`], then every
+/// coordinate rolled up to its target category.
+fn roll_up(
+    schema: &Schema,
+    coords: &[DimValue],
+    applicable: &[(ActionId, &Granularity)],
+) -> Result<CellResult, ReduceError> {
+    let d = decide(schema, coords, applicable)?;
     let mut target = Vec::with_capacity(coords.len());
-    for (i, v) in coords.iter().enumerate() {
-        let d = DimId(i as u16);
-        target.push(schema.dim(d).rollup(*v, target_gran.cat(d))?);
+    for (i, (v, &c)) in coords.iter().zip(&d.target_cats).enumerate() {
+        target.push(schema.dim(DimId(i as u16)).rollup(*v, c)?);
     }
     Ok(CellResult {
         coords: target,
-        responsible,
+        responsible: d.responsible,
     })
 }
 
@@ -156,39 +197,15 @@ pub fn agg_level(
 /// * measure-conserving for SUM/COUNT measures;
 /// * schema-preserving (new facts can still be inserted at the bottom).
 ///
-/// # Vectorized kernel
-///
-/// When the schema's cells pack into a `u64`/`u128` key ([`KeyPacker`]),
-/// the scan runs a compiled kernel: every action predicate is compiled
-/// once per pass ([`CompiledPred`] — DNF + `NOW` terms pre-resolved), the
-/// `Cell` result is memoized per *distinct* direct cell, and large fact
-/// sets are scanned in parallel chunks whose partial aggregates merge
-/// deterministically (see [`reduce` internals]); output, provenance, and
-/// error behaviour are identical to the retained reference
+/// One sequential pass: every fact's cell is resolved through the
+/// [`CellMemo`] the warehouse's reduction step uses (action predicates
+/// compiled once, a per-dimension mask kernel, a memo per packed cell),
+/// and folded into its target group in fact order. Output, row order
+/// (sorted by target cell), provenance, and error behaviour are those of
 /// [`reduce_naive`], which the differential property suite asserts.
-///
-/// [`reduce` internals]: self
 pub fn reduce(mo: &Mo, spec: &DataReductionSpec, now: DayNum) -> Result<Mo, ReduceError> {
-    reduce_with_workers(mo, spec, now, None)
-}
-
-/// [`reduce`] with the kernel's scan worker count pinned (1 forces the
-/// sequential scan, more the chunk-parallel one even on small inputs)
-/// instead of chosen from the input size — for the span-handoff
-/// differential test, which compares both trees of the same pass.
-#[doc(hidden)]
-pub fn reduce_with_workers(
-    mo: &Mo,
-    spec: &DataReductionSpec,
-    now: DayNum,
-    workers: Option<usize>,
-) -> Result<Mo, ReduceError> {
     let _span = sdr_obs::span("reduce.reduce");
-    let out = match KeyPacker::new(spec.schema()) {
-        Some(pk) if pk.fits64() => reduce_kernel::<u64>(mo, spec, now, &pk, workers)?,
-        Some(pk) => reduce_kernel::<u128>(mo, spec, now, &pk, workers)?,
-        None => reduce_core_naive(mo, spec, now)?,
-    };
+    let out = fold(mo, spec, now, Some(CellMemo::new(spec, now)?))?;
     if sdr_obs::enabled() {
         // Published from the same values the caller observes:
         // scanned = collapsed + kept always holds (the integration suite
@@ -204,24 +221,29 @@ pub fn reduce_with_workers(
     Ok(out)
 }
 
-/// The retained fact-at-a-time reference implementation of [`reduce`]:
-/// re-evaluates every action predicate per fact through
-/// [`eval_pred`] and groups through a `BTreeMap` on coordinate vectors.
-/// Kept for the differential property suite and the CI perf smoke's
-/// kernel-vs-naive digests; [`reduce`] only falls back to this core when
-/// the schema does not pack. Does not publish the `reduce.facts_*`
-/// counters (the [`reduce`] wrapper does).
+/// The fact-at-a-time reference for [`reduce`]: the same fold, with every
+/// action predicate interpreted per fact through [`eval_pred`]
+/// ([`cell_for`]) instead of compiled and memoized. Kept for the
+/// differential property suite and the CI perf smoke's digests. Does not
+/// publish the `reduce.facts_*` counters (the [`reduce`] wrapper does).
 pub fn reduce_naive(mo: &Mo, spec: &DataReductionSpec, now: DayNum) -> Result<Mo, ReduceError> {
-    reduce_core_naive(mo, spec, now)
+    fold(mo, spec, now, None)
 }
 
-fn reduce_core_naive(mo: &Mo, spec: &DataReductionSpec, now: DayNum) -> Result<Mo, ReduceError> {
+/// Definition 2's grouping, shared by [`reduce`] and [`reduce_naive`]:
+/// resolves each fact's cell through `memo`, or through [`cell_for`] at
+/// `now` when there is none, and folds it into its target group.
+fn fold(
+    mo: &Mo,
+    spec: &DataReductionSpec,
+    now: DayNum,
+    mut memo: Option<CellMemo>,
+) -> Result<Mo, ReduceError> {
     let schema = spec.schema();
-    let n_measures = schema.n_measures();
+    let store = mo.store();
     // Grouping is keyed on the target coordinates. BTreeMap keeps the
     // output deterministic (sorted by cell), which the figure-exact tests
     // rely on.
-    #[derive(Default)]
     struct Group {
         acc: Vec<i64>,
         origin: u32,
@@ -232,117 +254,56 @@ fn reduce_core_naive(mo: &Mo, spec: &DataReductionSpec, now: DayNum) -> Result<M
     // after the loop (the hot loop pays one hoisted bool while disabled).
     let obs_on = sdr_obs::enabled();
     let mut raised_by: BTreeMap<u32, u64> = BTreeMap::new();
+    let mut coords: Vec<DimValue> = Vec::with_capacity(schema.n_dims());
     for f in mo.facts() {
-        let c = cell(mo, spec, f, now)?;
+        mo.coords_into(f, &mut coords);
+        let c = match memo.as_mut() {
+            Some(m) => m.cell(&coords)?,
+            None => cell_for(spec, &coords, now)?,
+        };
         if obs_on {
             if let Some(id) = c.responsible {
                 *raised_by.entry(id.0).or_insert(0) += 1;
             }
         }
-        let entry = groups.entry(c.coords).or_insert_with(|| Group {
+        let g = groups.entry(c.coords).or_insert_with(|| Group {
             acc: schema.measures.iter().map(|m| m.agg.identity()).collect(),
             origin: ORIGIN_USER,
             members: 0,
         });
-        for j in 0..n_measures {
-            let m = sdr_mdm::MeasureId(j as u16);
-            entry.acc[j] = schema.measures[j]
-                .agg
-                .combine(entry.acc[j], mo.measure(f, m));
+        for (j, m) in schema.measures.iter().enumerate() {
+            g.acc[j] = m.agg.combine(g.acc[j], store.measures[j][f.index()]);
         }
-        entry.members += 1;
+        g.members += 1;
         // Provenance: the responsible action if the fact moved; otherwise
         // the fact's existing origin. When several facts merge, the
         // aggregating action is responsible.
         match c.responsible {
-            Some(id) => entry.origin = id.0,
-            None => {
-                if entry.members == 1 {
-                    entry.origin = mo.store().origin[f.index()];
-                }
-            }
+            Some(id) => g.origin = id.0,
+            None if g.members == 1 => g.origin = store.origin[f.index()],
+            None => {}
         }
     }
     let mut out = mo.empty_like();
     // Handle looked up once; recording is a few relaxed atomics per group.
     let members_hist = obs_on.then(|| sdr_obs::global().histogram("reduce.group_members"));
-    for (coords, grp) in groups {
+    for (coords, g) in groups {
         if let Some(h) = &members_hist {
-            h.record(grp.members as u64);
+            h.record(g.members as u64);
         }
-        out.insert_fact_at(&coords, &grp.acc, grp.origin)?;
+        out.insert_fact_at(&coords, &g.acc, g.origin)?;
     }
     if obs_on {
-        publish_raised_by(spec, &raised_by);
+        // Through the spec's cached metric names (no `format!` on the
+        // steady-state path).
+        for (action, n) in raised_by {
+            match spec.raised_metric(ActionId(action)) {
+                Some(name) => sdr_obs::add(name, n),
+                None => sdr_obs::add(&format!("reduce.action.a{action}.facts_raised"), n),
+            }
+        }
     }
     Ok(out)
-}
-
-/// Publishes per-action raise counts through the spec's cached metric
-/// names (no `format!` on the steady-state path).
-fn publish_raised_by(spec: &DataReductionSpec, raised_by: &BTreeMap<u32, u64>) {
-    for (&action, &n) in raised_by {
-        match spec.raised_metric(ActionId(action)) {
-            Some(name) => sdr_obs::add(name, n),
-            None => sdr_obs::add(&format!("reduce.action.a{action}.facts_raised"), n),
-        }
-    }
-}
-
-/// Coordinate-level `Cell` over pre-compiled action predicates — mirrors
-/// [`cell_for`] exactly, including the incomparable-granularities error.
-fn cell_compiled(
-    schema: &Schema,
-    actions: &[(ActionId, Granularity, CompiledPred)],
-    coords: &[DimValue],
-) -> Result<CellResult, ReduceError> {
-    let own = Granularity(coords.iter().map(|v| v.cat).collect());
-    let mut grans: Vec<(ActionId, &Granularity)> = Vec::with_capacity(actions.len());
-    for (id, grain, pred) in actions {
-        if pred.eval_cell(schema, coords)? {
-            grans.push((*id, grain));
-        }
-    }
-    let max_action = Granularity::max_of(grans.iter().map(|(_, g)| *g), schema);
-    if !grans.is_empty() && max_action.is_none() {
-        return Err(ReduceError::IncomparableGranularities {
-            fact: format!("{coords:?}"),
-        });
-    }
-    let target_gran = match &max_action {
-        None => own.clone(),
-        Some(m) => Granularity(
-            m.0.iter()
-                .enumerate()
-                .map(|(i, &c)| schema.dims[i].graph().lub(c, own.0[i]))
-                .collect(),
-        ),
-    };
-    let responsible = if target_gran == own {
-        None
-    } else {
-        max_action
-            .as_ref()
-            .and_then(|m| grans.iter().find(|(_, g)| *g == m).map(|(id, _)| *id))
-    };
-    let mut target = Vec::with_capacity(coords.len());
-    for (i, v) in coords.iter().enumerate() {
-        let d = DimId(i as u16);
-        target.push(schema.dim(d).rollup(*v, target_gran.cat(d))?);
-    }
-    Ok(CellResult {
-        coords: target,
-        responsible,
-    })
-}
-
-/// The target cell decision for one (applicable-action set, own
-/// granularity) pair: everything in `Cell(v⃗, t)` past predicate
-/// evaluation depends only on those two inputs, never on the coordinate
-/// codes themselves.
-struct CellDecision {
-    responsible: Option<u32>,
-    target_cats: Vec<CatId>,
 }
 
 /// One leaf occurrence within a dimension's plan: its mask bit plus the
@@ -353,8 +314,8 @@ type LeafSlot = (u64, usize, usize, usize);
 ///
 /// A whole-cell memo caps out when most cells are distinct (a raw
 /// clickstream has nearly one cell per fact), leaving the expensive
-/// [`cell_compiled`] walk on the memo-miss path. This kernel splits the
-/// work along axes with far smaller domains:
+/// whole-cell walk on the memo-miss path. This kernel splits the work
+/// along axes with far smaller domains:
 ///
 /// 1. **Leaves per dimension value.** Every compiled leaf reads one
 ///    dimension; its outcome is memoized per distinct `(cat, code)` of
@@ -427,53 +388,9 @@ impl CellKernelState {
         })
     }
 
-    /// The decision for one new (action mask, own granularity) pair —
-    /// byte-for-byte the tail of [`cell_compiled`].
-    fn decide(
-        &self,
-        schema: &Schema,
-        actions: &[(ActionId, Granularity, CompiledPred)],
-        amask: u32,
-        coords: &[DimValue],
-    ) -> Result<CellDecision, ReduceError> {
-        let own = Granularity(coords.iter().map(|v| v.cat).collect());
-        let mut grans: Vec<(ActionId, &Granularity)> = Vec::with_capacity(actions.len());
-        for (ai, (id, grain, _)) in actions.iter().enumerate() {
-            if amask & (1 << ai) != 0 {
-                grans.push((*id, grain));
-            }
-        }
-        let max_action = Granularity::max_of(grans.iter().map(|(_, g)| *g), schema);
-        if !grans.is_empty() && max_action.is_none() {
-            return Err(ReduceError::IncomparableGranularities {
-                fact: format!("{coords:?}"),
-            });
-        }
-        let target_gran = match &max_action {
-            None => own.clone(),
-            Some(m) => Granularity(
-                m.0.iter()
-                    .enumerate()
-                    .map(|(i, &c)| schema.dims[i].graph().lub(c, own.0[i]))
-                    .collect(),
-            ),
-        };
-        let responsible = if target_gran == own {
-            None
-        } else {
-            max_action
-                .as_ref()
-                .and_then(|m| grans.iter().find(|(_, g)| *g == m).map(|(id, _)| id.0))
-        };
-        Ok(CellDecision {
-            responsible,
-            target_cats: target_gran.0,
-        })
-    }
-
     /// Resolves `Cell(coords, t)`: returns the responsible action and
     /// leaves the target coordinates in `self.target`. Agrees with
-    /// [`cell_compiled`] on every input.
+    /// [`cell_for`] on every input.
     fn resolve(
         &mut self,
         schema: &Schema,
@@ -508,11 +425,18 @@ impl CellKernelState {
         for v in coords {
             dkey = (dkey << 8) | v.cat.0 as u128;
         }
-        if !self.decisions.contains_key(&dkey) {
-            let d = self.decide(schema, actions, amask, coords)?;
-            self.decisions.insert(dkey, d);
-        }
-        let dec = &self.decisions[&dkey];
+        let dec = match self.decisions.entry(dkey) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let applicable: Vec<(ActionId, &Granularity)> = actions
+                    .iter()
+                    .enumerate()
+                    .filter(|(ai, _)| amask & (1 << ai) != 0)
+                    .map(|(_, (id, grain, _))| (*id, grain))
+                    .collect();
+                e.insert(decide(schema, coords, &applicable)?)
+            }
+        };
         self.target.clear();
         for (i, v) in coords.iter().enumerate() {
             let tc = dec.target_cats[i];
@@ -531,16 +455,17 @@ impl CellKernelState {
             };
             self.target.push(tv);
         }
-        Ok(dec.responsible.map(ActionId))
+        Ok(dec.responsible)
     }
 }
 
-/// A memoized coordinate-level `Cell` evaluator for one `(spec, now)`
-/// pass: action predicates are compiled once ([`CompiledPred`]) and the
-/// result is cached per distinct packed cell when the schema packs into
-/// a 128-bit key. Used by callers that resolve cells for many rows
-/// outside an `Mo` scan (e.g. the subcube reduction step); agrees with
-/// [`cell_for`] on every input.
+/// The compiled, memoized coordinate-level `Cell` for one `(spec, now)`
+/// pass — the one resolver behind both [`reduce`] and the warehouse's
+/// reduction step. Action predicates are compiled once
+/// ([`CompiledPred`]); a cell is resolved through the per-dimension mask
+/// kernel when the spec fits its layout, and the result is cached per
+/// distinct packed cell when the schema packs into a 128-bit key. Agrees
+/// with [`cell_for`] on every input.
 pub struct CellMemo<'a> {
     schema: &'a Schema,
     actions: Vec<(ActionId, Granularity, CompiledPred)>,
@@ -576,312 +501,35 @@ impl<'a> CellMemo<'a> {
     /// One uncached cell resolution — the per-dimension kernel when the
     /// spec fits its mask layout, the whole-cell walk otherwise.
     fn compute(&mut self, coords: &[DimValue]) -> Result<CellResult, ReduceError> {
-        match self.kernel.as_mut() {
-            Some(k) => {
-                let responsible = k.resolve(self.schema, &self.actions, coords)?;
-                Ok(CellResult {
-                    coords: k.target.clone(),
-                    responsible,
-                })
-            }
-            None => cell_compiled(self.schema, &self.actions, coords),
+        if let Some(k) = self.kernel.as_mut() {
+            let responsible = k.resolve(self.schema, &self.actions, coords)?;
+            return Ok(CellResult {
+                coords: k.target.clone(),
+                responsible,
+            });
         }
+        let mut applicable = Vec::with_capacity(self.actions.len());
+        for (id, grain, pred) in &self.actions {
+            if pred.eval_cell(self.schema, coords)? {
+                applicable.push((*id, grain));
+            }
+        }
+        roll_up(self.schema, coords, &applicable)
     }
 
     /// `Cell(v⃗, t)` with `t` fixed at construction — equal to
     /// [`cell_for`] on the same inputs, memoized per distinct cell.
     pub fn cell(&mut self, coords: &[DimValue]) -> Result<CellResult, ReduceError> {
-        if let Some(pk) = &self.packer {
-            let k = pk.pack_coords(coords);
-            if let Some(&ix) = self.memo.get(&k) {
-                return Ok(self.cells[ix as usize].clone());
-            }
-            let c = self.compute(coords)?;
-            self.memo.insert(k, self.cells.len() as u32);
-            self.cells.push(c.clone());
-            Ok(c)
-        } else {
-            self.compute(coords)
-        }
-    }
-
-    /// Distinct cells resolved so far (0 when the schema does not pack —
-    /// nothing is cached then).
-    pub fn distinct(&self) -> usize {
-        self.cells.len()
-    }
-}
-
-/// One chunk's partial aggregation state for a target cell. Provenance
-/// merges exactly like the sequential scan: the final origin is the
-/// responsible action of the *last* raised member in scan order, else the
-/// *first* member's stored origin.
-struct LocalGroup {
-    coords: Vec<DimValue>,
-    acc: Vec<i64>,
-    members: u32,
-    /// The chunk-local first member's stored origin (meaningful only when
-    /// that member was not raised — exactly the case where the sequential
-    /// scan would have recorded it).
-    first_origin: u32,
-    /// The responsible action of the chunk-local last raised member.
-    last_resp: Option<u32>,
-}
-
-struct ChunkOut {
-    groups: Vec<LocalGroup>,
-    /// Full-width packed target key per group (parallel to `groups`).
-    /// Packed keys order exactly like the coordinate vectors, so the
-    /// merge can group and sort on integers.
-    keys: Vec<u128>,
-    raised_by: BTreeMap<u32, u64>,
-    distinct: usize,
-}
-
-/// Scans one contiguous fact range, memoizing the `Cell` decision per
-/// distinct packed direct cell and accumulating per-target partials in
-/// first-seen order.
-fn scan_chunk<K: PackedKey>(
-    mo: &Mo,
-    schema: &Schema,
-    actions: &[(ActionId, Granularity, CompiledPred)],
-    pk: &KeyPacker,
-    range: Range<usize>,
-    obs_on: bool,
-) -> Result<ChunkOut, ReduceError> {
-    let store = mo.store();
-    let n_measures = schema.n_measures();
-    let n_dims = schema.n_dims();
-    // Per-dimension decomposed resolver for the memo-miss path; when the
-    // spec exceeds its mask layout, misses fall back to the whole-cell
-    // walk.
-    let mut cellk = CellKernelState::new(schema, actions);
-    let mut coords_buf: Vec<DimValue> = Vec::with_capacity(n_dims);
-    // Packed direct cell → (responsible, group slot). Sized for the
-    // worst common case (mostly-distinct raw cells) up front — repeated
-    // rehash growth costs more than the over-allocation.
-    let mut memo: FxHashMap<K, (Option<u32>, u32)> =
-        FxHashMap::with_capacity_and_hasher(range.len(), Default::default());
-    // Packed target cell → group slot (distinct direct cells may share a
-    // target).
-    let mut tmap: FxHashMap<K, u32> =
-        FxHashMap::with_capacity_and_hasher(range.len() / 2, Default::default());
-    let mut groups: Vec<LocalGroup> = Vec::new();
-    let mut keys: Vec<u128> = Vec::new();
-    let mut raised_by: BTreeMap<u32, u64> = BTreeMap::new();
-    for fi in range {
-        let f = FactId(fi as u32);
-        let key = K::from_wide(pk.pack_row(store, f));
-        let (resp, slot) = match memo.get(&key) {
-            Some(&e) => e,
-            None => {
-                coords_buf.clear();
-                for d in 0..n_dims {
-                    coords_buf.push(store.value(f, DimId(d as u16)));
-                }
-                let (resp, target) = match cellk.as_mut() {
-                    Some(k) => {
-                        let r = k.resolve(schema, actions, &coords_buf)?.map(|id| id.0);
-                        (r, &k.target)
-                    }
-                    None => {
-                        let c = cell_compiled(schema, actions, &coords_buf)?;
-                        coords_buf = c.coords;
-                        (c.responsible.map(|id| id.0), &coords_buf)
-                    }
-                };
-                let full = pk.pack_coords(target);
-                let tkey = K::from_wide(full);
-                let slot = match tmap.get(&tkey) {
-                    Some(&s) => s,
-                    None => {
-                        let s = groups.len() as u32;
-                        tmap.insert(tkey, s);
-                        keys.push(full);
-                        groups.push(LocalGroup {
-                            coords: target.clone(),
-                            acc: schema.measures.iter().map(|m| m.agg.identity()).collect(),
-                            members: 0,
-                            first_origin: ORIGIN_USER,
-                            last_resp: None,
-                        });
-                        s
-                    }
-                };
-                memo.insert(key, (resp, slot));
-                (resp, slot)
-            }
+        let Some(pk) = &self.packer else {
+            return self.compute(coords);
         };
-        let g = &mut groups[slot as usize];
-        for j in 0..n_measures {
-            g.acc[j] = schema.measures[j]
-                .agg
-                .combine(g.acc[j], store.measures[j][fi]);
+        let k = pk.pack_coords(coords);
+        if let Some(&ix) = self.memo.get(&k) {
+            return Ok(self.cells[ix as usize].clone());
         }
-        g.members += 1;
-        match resp {
-            Some(id) => {
-                g.last_resp = Some(id);
-                if obs_on {
-                    *raised_by.entry(id).or_insert(0) += 1;
-                }
-            }
-            None => {
-                if g.members == 1 {
-                    g.first_origin = store.origin[fi];
-                }
-            }
-        }
+        let c = self.compute(coords)?;
+        self.memo.insert(k, self.cells.len() as u32);
+        self.cells.push(c.clone());
+        Ok(c)
     }
-    Ok(ChunkOut {
-        groups,
-        keys,
-        raised_by,
-        distinct: memo.len(),
-    })
-}
-
-/// Facts per parallel chunk: below twice this, the scan stays sequential
-/// (thread spin-up would dominate).
-const CHUNK_TARGET: usize = 16_384;
-
-/// Upper bound on reduce scan workers.
-const MAX_WORKERS: usize = 8;
-
-/// The compiled, memoized, chunk-parallel reduction kernel.
-fn reduce_kernel<K: PackedKey>(
-    mo: &Mo,
-    spec: &DataReductionSpec,
-    now: DayNum,
-    pk: &KeyPacker,
-    workers: Option<usize>,
-) -> Result<Mo, ReduceError> {
-    let schema: &Schema = spec.schema();
-    let mut actions: Vec<(ActionId, Granularity, CompiledPred)> = Vec::with_capacity(spec.len());
-    for (id, a) in spec.actions() {
-        actions.push((
-            *id,
-            a.grain.clone(),
-            CompiledPred::compile(schema, &a.pred, now)?,
-        ));
-    }
-    let n = mo.len();
-    let obs_on = sdr_obs::enabled();
-    let workers = match workers {
-        Some(w) => w.clamp(1, MAX_WORKERS).min(n.max(1)),
-        None if n >= 2 * CHUNK_TARGET => std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(n / CHUNK_TARGET)
-            .min(MAX_WORKERS),
-        None => 1,
-    };
-    let chunk_outs: Vec<ChunkOut> = if workers <= 1 {
-        let span = sdr_obs::span("reduce.kernel.chunk");
-        let co = scan_chunk::<K>(mo, schema, &actions, pk, 0..n, obs_on)?;
-        if span.is_recording() {
-            sdr_obs::attr("rows_in", n);
-            sdr_obs::attr("rows_out", co.groups.len());
-            sdr_obs::attr("memo_hits", n - co.distinct);
-        }
-        drop(span);
-        vec![co]
-    } else {
-        let per = n.div_ceil(workers);
-        // Cross-thread handoff: capture the current span context here and
-        // open each worker's chunk span under it, so the chunk spans
-        // parent under `reduce.reduce` instead of floating as roots.
-        let ctx = sdr_obs::ctx();
-        let results: Vec<Result<ChunkOut, ReduceError>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let lo = w * per;
-                    let hi = ((w + 1) * per).min(n);
-                    let actions = &actions;
-                    let ctx = ctx.clone();
-                    s.spawn(move || {
-                        let span = sdr_obs::span_in("reduce.kernel.chunk", &ctx);
-                        let r = scan_chunk::<K>(mo, schema, actions, pk, lo..hi, obs_on);
-                        if span.is_recording() {
-                            sdr_obs::attr("rows_in", hi.saturating_sub(lo));
-                            if let Ok(co) = &r {
-                                sdr_obs::attr("rows_out", co.groups.len());
-                                sdr_obs::attr("memo_hits", hi.saturating_sub(lo) - co.distinct);
-                            }
-                        }
-                        drop(span);
-                        r
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("reduce worker panicked"))
-                .collect()
-        });
-        // Surface the lowest-chunk error: chunks partition the scan in
-        // order, so this is the same error the sequential scan hits first.
-        let mut outs = Vec::with_capacity(results.len());
-        for r in results {
-            outs.push(r?);
-        }
-        outs
-    };
-    let n_chunks = chunk_outs.len();
-    // Deterministic merge: chunks are visited in fact order, so per-group
-    // member ordering matches the sequential scan; measure partials
-    // reassociate only through the (commutative, associative) AggFns.
-    // Grouping runs on the packed target keys; the final integer sort
-    // reproduces the reference `BTreeMap` coordinate order exactly,
-    // because packing is order-preserving (fixed-width fields, first
-    // dimension in the highest bits, category above code).
-    let mut index: FxHashMap<u128, u32> = FxHashMap::default();
-    let mut merged: Vec<(u128, LocalGroup)> = Vec::new();
-    let mut raised_by: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut distinct = 0usize;
-    for co in chunk_outs {
-        distinct += co.distinct;
-        for (id, r) in co.raised_by {
-            *raised_by.entry(id).or_insert(0) += r;
-        }
-        // A chunk's own groups are already key-distinct; with a single
-        // chunk no cross-chunk combination can occur.
-        if n_chunks == 1 {
-            merged = co.keys.into_iter().zip(co.groups).collect();
-            continue;
-        }
-        for (key, lg) in co.keys.into_iter().zip(co.groups) {
-            match index.get(&key) {
-                None => {
-                    index.insert(key, merged.len() as u32);
-                    merged.push((key, lg));
-                }
-                Some(&ix) => {
-                    let m = &mut merged[ix as usize].1;
-                    for j in 0..m.acc.len() {
-                        m.acc[j] = schema.measures[j].agg.combine(m.acc[j], lg.acc[j]);
-                    }
-                    m.members += lg.members;
-                    if lg.last_resp.is_some() {
-                        m.last_resp = lg.last_resp;
-                    }
-                }
-            }
-        }
-    }
-    merged.sort_unstable_by_key(|(k, _)| *k);
-    let mut out = mo.empty_like();
-    let members_hist = obs_on.then(|| sdr_obs::global().histogram("reduce.group_members"));
-    for (_, m) in &merged {
-        if let Some(h) = &members_hist {
-            h.record(m.members as u64);
-        }
-        out.insert_fact_at(&m.coords, &m.acc, m.last_resp.unwrap_or(m.first_origin))?;
-    }
-    if obs_on {
-        sdr_obs::add("reduce.kernel.distinct_cells", distinct as u64);
-        sdr_obs::add("reduce.kernel.chunks", n_chunks as u64);
-        publish_raised_by(spec, &raised_by);
-    }
-    Ok(out)
 }

@@ -53,7 +53,7 @@ use sdr_mdm::{
 };
 use sdr_plan::RegionOracle;
 use sdr_reduce::{cell_for, DataReductionSpec, ReduceError, ReductionSchedule};
-use sdr_spec::{ActionId, ActionSpec};
+use sdr_spec::{ActionId, ActionSpec, CompiledPred};
 
 use crate::error::SubcubeError;
 use crate::stats::{ChunkSummary, SubcubeStats};
@@ -586,17 +586,19 @@ impl VersionInner {
             ticks: usize::from(transition),
             ..AgeStats::default()
         };
-        // The changed disjuncts, with the day they are compared from and
-        // the time windows they can touch. A conservative schedule may
-        // list a day where no grounding actually changed: then, as in a
-        // version never synchronized, only un-homed rows can move.
-        let (delta, windows) = match cur.last_sync {
-            Some(prev) => {
-                let delta = sched.delta_pred(prev, t).map(|d| (prev, d));
-                let windows = delta
-                    .as_ref()
-                    .and_then(|_| sched.delta_time_windows(schema, prev, t));
-                (delta, windows)
+        // The changed disjuncts, compiled once per step at the day they
+        // are compared from and at `t`, and the time windows they can
+        // touch. A conservative schedule may list a day where no
+        // grounding actually changed: then, as in a version never
+        // synchronized, only un-homed rows can move.
+        let changed = cur
+            .last_sync
+            .and_then(|prev| Some((prev, sched.delta_pred(prev, t)?)));
+        let (delta, windows) = match changed {
+            Some((prev, d)) => {
+                let at = |day| CompiledPred::compile(schema, &d, day).map_err(ReduceError::Spec);
+                let windows = sched.delta_time_windows(schema, prev, t);
+                (Some((at(prev)?, at(t)?)), windows)
             }
             None => (None, None),
         };
@@ -648,11 +650,11 @@ impl VersionInner {
                 for f in mo.facts() {
                     scanned += 1;
                     mo.coords_into(f, &mut coords);
-                    if let (false, Some((prev, delta))) = (unhomed, &delta) {
-                        let touched = sdr_spec::eval_pred(schema, delta, &coords, *prev)
+                    if let (false, Some((at_prev, at_t))) = (unhomed, &delta) {
+                        let touched = at_prev
+                            .eval_cell(schema, &coords)
                             .map_err(ReduceError::Spec)?
-                            || sdr_spec::eval_pred(schema, delta, &coords, t)
-                                .map_err(ReduceError::Spec)?;
+                            || at_t.eval_cell(schema, &coords).map_err(ReduceError::Spec)?;
                         if !touched {
                             continue;
                         }

@@ -1,7 +1,9 @@
 //! The reference the differential suites hold a warehouse against:
-//! Definition 2 over the raw facts (`sdr_reduce::reduce`, itself pinned
-//! to `reduce_naive`), placed the way the cube layout places it — no
-//! cubes, no epochs, no code shared with the reduction step under test.
+//! Definition 2 over the raw facts (`sdr_reduce::reduce_naive`, which
+//! interprets every predicate per fact), placed the way the cube layout
+//! places it — no cubes, no epochs, no code shared with the reduction
+//! step under test (which resolves cells through `CellMemo`, as
+//! `sdr_reduce::reduce` does).
 //! The root crate's suites include this file by `#[path]`.
 
 use std::collections::btree_map::{BTreeMap, Entry};

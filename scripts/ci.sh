@@ -94,7 +94,8 @@ done
 
 # Perf smoke under --release: run the kernel operator set (select /
 # aggregate / reduce / sync) at a fixed small scale and fail if any
-# vectorized kernel's output digest differs from its naive reference.
+# vectorized kernel's output digest (for reduce and sync, the `CellMemo`
+# pass's) differs from its naive reference.
 run cargo run -q --release -p sdr-bench --bin perf_smoke
 
 # Obs-overhead gate: tracing ships always-compiled-in, so the kernel

@@ -73,8 +73,6 @@ pub struct PhaseReport {
     pub rows_in: u64,
     /// Summed `rows_out` attributes.
     pub rows_out: u64,
-    /// Summed `memo_hits` attributes.
-    pub memo_hits: u64,
 }
 
 /// The assembled introspection report for one operation.
@@ -138,7 +136,6 @@ fn phases_of(snap: &Snapshot) -> Vec<PhaseReport> {
         p.total_ns += t.dur_ns;
         p.rows_in += attr_u64(&t.attrs, "rows_in").unwrap_or(0);
         p.rows_out += attr_u64(&t.attrs, "rows_out").unwrap_or(0);
-        p.memo_hits += attr_u64(&t.attrs, "memo_hits").unwrap_or(0);
     }
     by_path.into_values().collect()
 }
@@ -432,13 +429,12 @@ impl Introspection {
             }
             out.push_str(&format!(
                 "{{\"path\":\"{}\",\"count\":{},\"total_ns\":{},\"rows_in\":{},\
-                 \"rows_out\":{},\"memo_hits\":{}}}",
+                 \"rows_out\":{}}}",
                 json_escape(&p.path),
                 p.count,
                 p.total_ns,
                 p.rows_in,
-                p.rows_out,
-                p.memo_hits
+                p.rows_out
             ));
         }
         out.push_str("]}");
@@ -491,18 +487,17 @@ impl Introspection {
             ));
         }
         out.push_str(&format!(
-            "\nphases:\n  {:<52} {:>6} {:>10} {:>10} {:>10} {:>10}\n",
-            "path", "count", "time", "rows_in", "rows_out", "memo_hits"
+            "\nphases:\n  {:<52} {:>6} {:>10} {:>10} {:>10}\n",
+            "path", "count", "time", "rows_in", "rows_out"
         ));
         for p in &self.phases {
             out.push_str(&format!(
-                "  {:<52} {:>6} {:>10} {:>10} {:>10} {:>10}\n",
+                "  {:<52} {:>6} {:>10} {:>10} {:>10}\n",
                 p.path,
                 p.count,
                 fmt_ns(p.total_ns),
                 p.rows_in,
-                p.rows_out,
-                p.memo_hits
+                p.rows_out
             ));
         }
         out

@@ -4,7 +4,7 @@
 //! references on arbitrary workloads — same rows, same order, same
 //! measures, same provenance — across modes, approaches, and `NOW`
 //! values. Also covers the packed-key-overflow fallback (a schema too
-//! wide for a 128-bit key) and the chunk-parallel reduce merge.
+//! wide for a 128-bit key) and a large reduce pass.
 
 use proptest::prelude::*;
 use std::borrow::Cow;
@@ -21,6 +21,8 @@ use specdr::query::{
 };
 use specdr::reduce::{reduce, reduce_naive, DataReductionSpec};
 use specdr::spec::{parse_action, parse_pexp};
+use specdr::storage::{Fs, MemFs};
+use specdr::subcube::ShardRouter;
 use specdr::workload::{paper_schema, ACTION_A1, ACTION_A2};
 
 /// Builds a random paper-schema MO from generated (day-offset, url-index)
@@ -244,8 +246,7 @@ fn wide_facts(schema: &Arc<Schema>) -> Mo {
 /// and recovers it.
 #[test]
 fn a_schema_too_wide_to_pack_opens_with_one_shard_only() {
-    use specdr::storage::{Fs, MemFs};
-    use specdr::subcube::{ShardRouter, SubcubeError};
+    use specdr::subcube::SubcubeError;
     let schema = wide_schema();
     let spec = DataReductionSpec::empty(Arc::clone(&schema));
     let fs: Arc<dyn Fs> = MemFs::shared();
@@ -304,18 +305,47 @@ fn packed_key_overflow_falls_back_to_naive() {
         let naive = aggregate_ids_naive(&mo, &levels, approach).unwrap();
         assert_eq!(fact_rows(&kernel), fact_rows(&naive));
     }
-    // Reduction (empty spec: every fact keeps its own cell).
-    let spec = DataReductionSpec::empty(Arc::clone(&schema));
-    let rk = reduce(&mo, &spec, now).unwrap();
-    let rn = reduce_naive(&mo, &spec, now).unwrap();
-    assert_eq!(fact_rows(&rk), fact_rows(&rn));
+    // Reduction: with no packer and no mask kernel (20 dimensions), every
+    // cell is resolved by the unmemoized whole-cell walk. Once with the
+    // empty spec (every fact keeps its own cell), once with an action
+    // that fires: the facts with `D00 = x3` raise `D01` to its top and
+    // merge.
+    let grain: Vec<String> = (0..20)
+        .map(|d| format!("D{d:02}.{}", if d == 1 { "T" } else { "v" }))
+        .collect();
+    let raise = format!("a[{}] o[D00.v = x3](O)", grain.join(", "));
+    let action = parse_action(&schema, &raise).unwrap();
+    let specs = [
+        DataReductionSpec::empty(Arc::clone(&schema)),
+        DataReductionSpec::new(Arc::clone(&schema), vec![action]).unwrap(),
+    ];
+    for (i, spec) in specs.into_iter().enumerate() {
+        let rk = reduce(&mo, &spec, now).unwrap();
+        let rn = reduce_naive(&mo, &spec, now).unwrap();
+        assert_eq!(fact_rows(&rk), fact_rows(&rn), "spec {i}");
+        let raised = rk.facts().filter(|f| rk.store().origin[f.index()] == 0);
+        assert_eq!(raised.count(), i, "spec {i}: facts the action produced");
+        // The warehouse's reduction step holds the same facts.
+        let fs: Arc<dyn Fs> = MemFs::shared();
+        let dir = std::path::Path::new("/wide");
+        let w = ShardRouter::create_with_fs(spec, dir, 1, fs).unwrap();
+        w.bulk_load(&mo).unwrap();
+        w.age(now).unwrap();
+        let sorted = |mo: &Mo| {
+            let mut rows = fact_rows(mo);
+            rows.sort();
+            rows
+        };
+        let held = w.view_set().to_mo().unwrap();
+        assert_eq!(sorted(&held), sorted(&rk), "spec {i}");
+    }
 }
 
-/// Enough facts to trigger the chunk-parallel reduce scan (≥ 2×16384):
-/// the deterministic partial-aggregate merge must reproduce the
-/// sequential result exactly, provenance included.
+/// A 40 000-fact pass, large enough that most of its cells are memo
+/// hits: the compiled, memoized fold must reproduce the interpreted
+/// reference exactly, provenance included.
 #[test]
-fn chunk_parallel_reduce_matches_naive() {
+fn large_reduce_matches_naive() {
     let rows: Vec<(i32, u8)> = (0..40_000)
         .map(|i| ((i * 37) % 720, (i % 9) as u8))
         .collect();

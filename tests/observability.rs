@@ -11,7 +11,6 @@ use std::sync::Arc;
 use specdr::mdm::calendar::days_from_civil;
 use specdr::obs;
 use specdr::query::{AggApproach, SelectMode};
-use specdr::reduce::semantics::reduce_with_workers;
 use specdr::reduce::{reduce, DataReductionSpec};
 use specdr::spec::parse_action;
 use specdr::subcube::{CubeQuery, SubcubeManager};
@@ -355,74 +354,62 @@ fn metrics_agree_with_authoritative_numbers() {
     assert!(snap.histograms.iter().all(|(_, s)| s.count == 0));
     assert!(snap.events.is_empty());
 
-    // --- Phase 7: cross-thread span handoff. The chunk-parallel reduce
-    // must produce the same span tree (modulo interleaving) as the
-    // single-threaded pass, and every span must close.
+    // --- Phase 7: cross-thread span handoff. A parallel query hands its
+    // span context to the fan-out workers, so it must produce the same
+    // span tree (modulo interleaving) as the sequential evaluation: every
+    // sub-query parents under its `subcube.query`, even when it closed on
+    // a worker thread, and every span closes.
+    // Aged, the warehouse holds one non-empty cube; re-delivered clicks
+    // wait un-homed in the bottom one, so the fan-out scans two.
+    mgr.bulk_load(&mo.gather(&late)).unwrap();
     obs::set_enabled(true);
-    let attr_u64 = |t: &specdr::obs::TraceSpan, key: &str| -> u64 {
-        t.attrs
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or_else(|| panic!("attr {key} missing on {t:?}"))
-    };
-    let run_with_workers = |workers: usize| {
+    let run = |parallel: bool| {
         obs::reset();
-        let _ = reduce_with_workers(&mo, &mgr.spec(), now, Some(workers)).unwrap();
+        mgr.query(&q, unsync_now, parallel).unwrap();
         let snap = obs::snapshot();
         assert_eq!(
             obs::open_spans(),
             0,
-            "leaked open spans with {workers} workers"
+            "leaked open spans (parallel={parallel})"
         );
         snap
     };
-    let seq = run_with_workers(1);
-    let par = run_with_workers(4);
+    let seq = run(false);
+    let par = run(true);
     // Same tree shape: identical distinct span-path sets.
     let path_set = |snap: &specdr::obs::Snapshot| -> std::collections::BTreeSet<String> {
         snap.traces.iter().map(|t| t.path.clone()).collect()
     };
     assert_eq!(path_set(&seq), path_set(&par), "span trees diverge");
-    for snap in [&seq, &par] {
+    // Checks every sub-query's parentage; returns the threads they
+    // closed on.
+    let subquery_tids = |snap: &specdr::obs::Snapshot| -> std::collections::BTreeSet<u64> {
         let root = snap
             .traces
             .iter()
-            .find(|t| t.name == "reduce.reduce")
-            .expect("reduce root span");
-        assert_eq!(root.parent, 0);
-        let chunks: Vec<_> = snap
+            .find(|t| t.name == "subcube.query")
+            .expect("subcube.query span");
+        let subs: Vec<_> = snap
             .traces
             .iter()
-            .filter(|t| t.name == "reduce.kernel.chunk")
+            .filter(|t| t.name == "subcube.query.subquery")
             .collect();
-        assert!(!chunks.is_empty());
-        for c in &chunks {
-            // The handoff context parents every chunk span under the
-            // reduce root — even when it closed on a worker thread.
-            assert_eq!(c.parent, root.id, "chunk floats as a root: {c:?}");
-            assert_eq!(c.path, "reduce.reduce/reduce.kernel.chunk");
+        assert_eq!(subs.len() as u64, n_cubes);
+        for s in &subs {
+            assert_eq!(s.parent, root.id, "sub-query floats as a root: {s:?}");
+            assert_eq!(s.path, format!("{}/subcube.query.subquery", root.path));
         }
-        // Chunk slices partition the input exactly.
-        let rows: u64 = chunks.iter().map(|c| attr_u64(c, "rows_in")).sum();
-        assert_eq!(rows, mo.len() as u64);
-    }
-    // The parallel pass really crossed threads: one chunk per worker,
-    // closed on more than one distinct thread.
-    let par_chunks: Vec<_> = par
-        .traces
-        .iter()
-        .filter(|t| t.name == "reduce.kernel.chunk")
-        .collect();
-    assert_eq!(par_chunks.len(), 4);
-    let tids: std::collections::BTreeSet<u64> = par_chunks.iter().map(|c| c.tid).collect();
-    assert!(tids.len() > 1, "chunk spans all closed on one thread");
+        subs.iter().map(|s| s.tid).collect()
+    };
     assert_eq!(
-        seq.traces
-            .iter()
-            .filter(|t| t.name == "reduce.kernel.chunk")
-            .count(),
-        1
+        subquery_tids(&seq).len(),
+        1,
+        "a sequential query stays on one thread"
+    );
+    // The parallel query really crossed threads.
+    assert!(
+        subquery_tids(&par).len() >= 2,
+        "sub-query spans all closed on one thread"
     );
     obs::set_enabled(false);
 }

@@ -289,7 +289,7 @@ fn sharded_interleaved_load_and_age_matches_from_scratch() {
             pending = 0;
             common::assert_holds(
                 router.view_set().views(),
-                &specdr::reduce::reduce(&all, &spec, t).unwrap(),
+                &specdr::reduce::reduce_naive(&all, &spec, t).unwrap(),
                 &format!("shards={shards} step {step} (day {t})"),
             );
         }

@@ -533,8 +533,6 @@ fn stats_json_golden_schema_is_stable() {
             "reduce.facts_collapsed",
             "reduce.facts_kept",
             "reduce.facts_scanned",
-            "reduce.kernel.chunks",
-            "reduce.kernel.distinct_cells",
             "storage.columns.bitpacked",
             "storage.columns.delta",
             "storage.columns.dict",
@@ -563,7 +561,6 @@ fn stats_json_golden_schema_is_stable() {
             "query.aggregate",
             "query.select",
             "reduce.analyze",
-            "reduce.kernel.chunk",
             "reduce.reduce",
             "storage.encode",
             "subcube.age",
@@ -1192,6 +1189,63 @@ fn request_path_has_one_of_each() {
     assert_eq!(weighted_files.len(), 1, "{weighted_files:?}");
     assert_eq!(aggregations.len(), 2, "{aggregations:?}");
     assert!(violations.is_empty(), "{}", violations.join("\n"));
+}
+
+/// Source audit for Definition 2: the reduction has one implementation,
+/// a sequential fold over the warehouse's `CellMemo` (the interpreted
+/// reference is the same fold over `cell_for`). The chunk-parallel kernel
+/// and its worker knobs are named nowhere, `sdr-reduce` spawns no thread,
+/// and the `Cell` decision is written once.
+#[test]
+fn definition_2_has_one_implementation() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let retired = [
+        concat!("reduce_with", "_workers"),
+        concat!("fn ", "reduce_kernel"),
+        concat!("fn ", "scan_chunk"),
+        concat!("Local", "Group"),
+        concat!("CHUNK", "_TARGET"),
+        concat!("MAX", "_WORKERS"),
+    ];
+    let reduce_src = root.join("crates/reduce/src");
+    let crates = std::fs::read_dir(root.join("crates")).unwrap();
+    let mut stack: Vec<_> = crates.map(|e| e.unwrap().path().join("src")).collect();
+    stack.extend([root.join("src"), root.join("tests"), root.join("examples")]);
+    let mut violations = Vec::new();
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let p = entry.unwrap().path();
+            if p.is_dir() {
+                stack.push(p);
+                continue;
+            }
+            if p.extension().is_none_or(|e| e != "rs") {
+                continue;
+            }
+            let src = std::fs::read_to_string(&p).unwrap();
+            // A whole identifier: `fn reduce_kernel_matches_naive` is a test.
+            let mentions = |name: &str| {
+                src.match_indices(name).any(|(i, _)| {
+                    !src[i + name.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_')
+                })
+            };
+            for name in retired.iter().filter(|n| mentions(n)) {
+                violations.push(format!("{}: mentions `{name}`", p.display()));
+            }
+            if p.starts_with(&reduce_src) && src.contains(concat!("thread", "::")) {
+                violations.push(format!("{}: spawns threads", p.display()));
+            }
+        }
+    }
+    assert!(violations.is_empty(), "{}", violations.join("\n"));
+    let semantics = std::fs::read_to_string(reduce_src.join("semantics.rs")).unwrap();
+    let decisions = semantics
+        .matches(concat!("IncomparableGranularities", " {"))
+        .count();
+    assert_eq!(
+        decisions, 1,
+        "the Cell decision is written {decisions} times"
+    );
 }
 
 /// Source audit for the soundness gate: NonCrossing and Growing are
