@@ -19,7 +19,7 @@ use sdr_storage::table_stats;
 fn bench_storage_gain(c: &mut Criterion) {
     sdr_bench::obs_begin();
     let w = bench_warehouse(24, 400);
-    let raw_stats = table_stats(&w.cs.mo);
+    let raw_stats = table_stats(w.cs.mo.schema(), [&w.cs.mo]);
     eprintln!("\nE1 storage-gain series (24 months of clicks, policy 6/36):");
     eprintln!(
         "{:>12} {:>10} {:>12} {:>12} {:>8}",
@@ -28,7 +28,7 @@ fn bench_storage_gain(c: &mut Criterion) {
     let mut now = sdr_mdm::calendar::days_from_civil(1999, 7, 1);
     for _ in 0..10 {
         let red = reduce(&w.cs.mo, &w.spec, now).unwrap();
-        let st = table_stats(&red);
+        let st = table_stats(red.schema(), [&red]);
         let (y, m, _) = civil_from_days(now);
         eprintln!(
             "{:>9}/{:<2} {:>10} {:>12} {:>12} {:>7.1}x",
@@ -47,7 +47,7 @@ fn bench_storage_gain(c: &mut Criterion) {
     g.bench_function("pipeline", |b| {
         b.iter(|| {
             let red = reduce(&w.cs.mo, &w.spec, w.now).unwrap();
-            black_box(table_stats(&red))
+            black_box(table_stats(red.schema(), [&red]))
         });
     });
     g.finish();

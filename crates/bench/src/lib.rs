@@ -66,6 +66,11 @@ pub fn policy_spec(schema: &Arc<Schema>) -> DataReductionSpec {
 /// (rendered rows plus provenance). Kernel and naive operator outputs
 /// must produce identical digests — the CI perf smoke compares them.
 pub fn mo_digest(mo: &Mo) -> u64 {
+    parts_digest([mo])
+}
+
+/// [`mo_digest`] of `parts` read as one MO, in the order given.
+fn parts_digest<'a>(parts: impl IntoIterator<Item = &'a Mo>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -73,9 +78,22 @@ pub fn mo_digest(mo: &Mo) -> u64 {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    for f in mo.facts() {
-        eat(mo.render_fact(f).as_bytes());
-        eat(&mo.store().origin[f.index()].to_le_bytes());
+    for mo in parts {
+        for f in mo.facts() {
+            eat(mo.render_fact(f).as_bytes());
+            eat(&mo.store().origin[f.index()].to_le_bytes());
+        }
+    }
+    h
+}
+
+/// Folds one digest per item, in order, so a whole warehouse state can
+/// be compared in one number.
+fn fold_digests(digests: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for d in digests {
+        h ^= d;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }
@@ -83,17 +101,15 @@ pub fn mo_digest(mo: &Mo) -> u64 {
 /// A digest over a sequence of MOs (cube contents in cube order) so a
 /// whole warehouse state can be compared in one number.
 pub fn mos_digest<'a>(mos: impl IntoIterator<Item = &'a Mo>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for mo in mos {
-        h ^= mo_digest(mo);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fold_digests(mos.into_iter().map(mo_digest))
 }
 
-/// The digest of a subcube manager's full state (every cube, in order).
+/// The digest of a subcube manager's full state (every cube, in order,
+/// read off its chunks): [`mos_digest`] of the cubes' contents.
 pub fn manager_digest(m: &sdr_subcube::SubcubeManager) -> u64 {
-    mos_digest(m.view().cubes().iter().map(|c| c.data()))
+    let view = m.view();
+    let cube = |c: &sdr_subcube::Subcube| parts_digest(c.chunks().iter().map(|k| k.mo()));
+    fold_digests(view.cubes().iter().map(cube))
 }
 
 /// Replays the pre-kernel synchronization scan: two independent cell
@@ -116,8 +132,7 @@ pub fn sync_naive_replay(
     let n = view.cubes().len();
     let mut groups: Vec<BTreeMap<Vec<sdr_mdm::DimValue>, CellAcc>> =
         (0..n).map(|_| BTreeMap::new()).collect();
-    for cube in view.cubes() {
-        let mo = cube.data();
+    for mo in view.cubes().iter().flat_map(|c| c.chunks()).map(|k| k.mo()) {
         for f in mo.facts() {
             let coords = mo.coords(f);
             let (home, target) = view.home_cube(&coords, now)?;

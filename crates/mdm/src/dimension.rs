@@ -427,11 +427,21 @@ impl Dimension {
 
     /// Renders a value for display.
     pub fn render(&self, v: DimValue) -> String {
+        let mut out = String::new();
+        self.write_value(&mut out, v)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// Writes [`render`](Dimension::render)'s text of `v` to `out`,
+    /// without an intermediate `String`.
+    pub fn write_value(&self, out: &mut impl std::fmt::Write, v: DimValue) -> std::fmt::Result {
         match self {
-            Dimension::Time(_) => TimeValue::from_code(v.cat, v.code)
-                .map(|t| t.render())
-                .unwrap_or_else(|_| format!("?{}", v.code)),
-            Dimension::Enum(e) => e.label(v).to_string(),
+            Dimension::Time(_) => match TimeValue::from_code(v.cat, v.code) {
+                Ok(t) => write!(out, "{t}"),
+                Err(_) => write!(out, "?{}", v.code),
+            },
+            Dimension::Enum(e) => out.write_str(e.label(v)),
         }
     }
 

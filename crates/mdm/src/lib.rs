@@ -36,7 +36,7 @@ pub use dimension::{
     DimId, DimValue, Dimension, EnumDimension, EnumDimensionBuilder, SubDimension,
 };
 pub use error::MdmError;
-pub use mo::{FactId, FactStore, Mo, ORIGIN_USER};
+pub use mo::{check_same_schema, FactId, FactStore, Mo, ORIGIN_USER};
 pub use pack::{FxBuildHasher, FxHashMap, FxHasher, KeyPacker, PackedKey};
 pub use print::{render_table, TableOptions};
 pub use schema::{AggFn, Granularity, MeasureDef, MeasureId, Schema};

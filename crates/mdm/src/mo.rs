@@ -19,6 +19,22 @@ use crate::dimension::{DimId, DimValue};
 use crate::error::MdmError;
 use crate::schema::{Granularity, MeasureId, Schema};
 
+/// The schema check of [`Mo::absorb`]: facts over `b` may be read as
+/// facts over `a` — the same schema, or one of the same fact type and
+/// shape.
+pub fn check_same_schema(a: &Arc<Schema>, b: &Arc<Schema>) -> Result<(), MdmError> {
+    if !Arc::ptr_eq(a, b)
+        && (a.fact_type != b.fact_type
+            || a.n_dims() != b.n_dims()
+            || a.n_measures() != b.n_measures())
+    {
+        return Err(MdmError::SchemaMismatch(
+            "absorb requires identical schemas".into(),
+        ));
+    }
+    Ok(())
+}
+
 /// Identifies a fact within one MO (dense row index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FactId(pub u32);
@@ -423,15 +439,7 @@ impl Mo {
         other: &Mo,
         rows: std::ops::Range<usize>,
     ) -> Result<(), MdmError> {
-        if !Arc::ptr_eq(&self.schema, &other.schema)
-            && (self.schema.fact_type != other.schema.fact_type
-                || self.store.cats.len() != other.store.cats.len()
-                || self.store.measures.len() != other.store.measures.len())
-        {
-            return Err(MdmError::SchemaMismatch(
-                "absorb requires identical schemas".into(),
-            ));
-        }
+        check_same_schema(&self.schema, &other.schema)?;
         self.store.extend_from(&other.store, rows);
         Ok(())
     }
@@ -439,14 +447,35 @@ impl Mo {
     /// Renders one fact like the paper's figures:
     /// `fact(1999Q4, amazon.com | 2, 689, 3, 68000)`.
     pub fn render_fact(&self, f: FactId) -> String {
-        let coords: Vec<String> = (0..self.schema.n_dims())
-            .map(|i| {
-                let d = DimId(i as u16);
-                self.schema.dim(d).render(self.store.value(f, d))
-            })
-            .collect();
-        let ms: Vec<String> = self.measures_of(f).iter().map(|m| m.to_string()).collect();
-        format!("fact({} | {})", coords.join(", "), ms.join(", "))
+        let mut out = String::with_capacity(64);
+        self.write_fact(&mut out, f)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// Writes [`render_fact`](Mo::render_fact)'s text of `f` to `out`,
+    /// field by field, with no intermediate `String`.
+    fn write_fact(&self, out: &mut String, f: FactId) -> std::fmt::Result {
+        use std::fmt::Write;
+        out.push_str("fact(");
+        for i in 0..self.schema.n_dims() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            let d = DimId(i as u16);
+            self.schema
+                .dim(d)
+                .write_value(out, self.store.value(f, d))?;
+        }
+        out.push_str(" | ");
+        for (j, col) in self.store.measures.iter().enumerate() {
+            if j > 0 {
+                out.push_str(", ");
+            }
+            write!(out, "{}", col[f.index()])?;
+        }
+        out.push(')');
+        Ok(())
     }
 }
 

@@ -215,20 +215,10 @@ impl TimeValue {
         }
     }
 
-    /// Renders the value in the paper's notation
-    /// (`1999/12/4`, `1999W48`, `1999/12`, `1999Q4`, `1999`, `⊤`).
+    /// Renders the value in the paper's notation (see the `Display`
+    /// impl).
     pub fn render(self) -> String {
-        match self {
-            TimeValue::Day(d) => {
-                let (y, m, dd) = civil_from_days(d);
-                format!("{y}/{m}/{dd}")
-            }
-            TimeValue::Week { iso_year, week } => format!("{iso_year}W{week}"),
-            TimeValue::Month { year, month } => format!("{year}/{month}"),
-            TimeValue::Quarter { year, quarter } => format!("{year}Q{quarter}"),
-            TimeValue::Year(y) => format!("{y}"),
-            TimeValue::Top => "⊤".to_string(),
-        }
+        self.to_string()
     }
 
     /// Parses the paper's notation for a value of category `category`.
@@ -419,6 +409,24 @@ impl TimeUnit {
             TimeUnit::Month => cat::MONTH,
             TimeUnit::Quarter => cat::QUARTER,
             TimeUnit::Year => cat::YEAR,
+        }
+    }
+}
+
+/// The paper's notation (`1999/12/4`, `1999W48`, `1999/12`, `1999Q4`,
+/// `1999`, `⊤`), written straight into the formatter.
+impl std::fmt::Display for TimeValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            TimeValue::Day(d) => {
+                let (y, m, dd) = civil_from_days(d);
+                write!(f, "{y}/{m}/{dd}")
+            }
+            TimeValue::Week { iso_year, week } => write!(f, "{iso_year}W{week}"),
+            TimeValue::Month { year, month } => write!(f, "{year}/{month}"),
+            TimeValue::Quarter { year, quarter } => write!(f, "{year}Q{quarter}"),
+            TimeValue::Year(y) => write!(f, "{y}"),
+            TimeValue::Top => f.write_str("⊤"),
         }
     }
 }

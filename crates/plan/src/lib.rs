@@ -5,7 +5,9 @@
 //! rest are scanned only to produce empty sub-results. This crate
 //! decides, *before* any row is read, which cubes can be skipped and in
 //! what order the survivors should be scanned, using two per-cube
-//! oracles that are maintained exactly (not estimated):
+//! oracles that are maintained exactly (not estimated). The query's
+//! predicate is grounded once ([`Grounding`]); its hull test also judges
+//! each chunk of a scanned cube, whose summary carries the same hulls.
 //!
 //! * **Bottom-footprint hulls** (`SubcubeStats::hulls`, PR 8): per
 //!   dimension, the smallest interval — day serials for time, interned
@@ -320,53 +322,74 @@ fn supported(schema: &Schema, atom: &Atom) -> bool {
     }
 }
 
-/// Grounds the query predicate's DNF for planning. Atoms that are
-/// unsupported — or whose grounding fails (the evaluation itself will
-/// surface the error) — contribute no constraint.
-fn ground_query(schema: &Schema, pred: &Pexp, now: DayNum) -> Vec<GroundedConj> {
-    to_dnf(pred)
-        .iter()
-        .map(|conj| GroundedConj {
-            atoms: conj
-                .iter()
-                .filter(|a| supported(schema, a))
-                .filter_map(|a| {
-                    sdr_spec::ground::ground_atom(schema, a, now)
-                        .ok()
-                        .map(|pieces| GroundedAtom {
-                            dim: a.dim.index(),
-                            pieces,
-                        })
-                })
-                .collect(),
-        })
-        .collect()
+/// The query predicate grounded for pruning — built once per query and
+/// applied to every cube ([`plan`]) and to every chunk of a scanned cube
+/// ([`may_match`](Grounding::may_match) on the chunk's hulls). Atoms
+/// that are unsupported — or whose grounding fails (the evaluation
+/// itself will surface the error) — contribute no constraint.
+pub struct Grounding {
+    /// `None`: nothing can be pruned by predicate (no predicate, or a
+    /// weighted selection with `threshold ≤ 0`, which keeps every fact).
+    conjs: Option<Vec<GroundedConj>>,
 }
 
-/// Plans one warehouse query: a scan/skip verdict per cube and a
-/// cheapest-first scan order. `oracle` is optional — without it only
-/// empty-cube and hull (zone-map) pruning apply.
+impl Grounding {
+    /// Grounds `pred`'s DNF under `mode` at `now`.
+    pub fn new(schema: &Schema, pred: Option<&Pexp>, mode: SelectMode, now: DayNum) -> Grounding {
+        let prunable = match mode {
+            SelectMode::Conservative | SelectMode::Liberal => true,
+            SelectMode::Weighted { threshold } => threshold > 0.0,
+        };
+        let conjs = pred.filter(|_| prunable).map(|p| {
+            to_dnf(p)
+                .iter()
+                .map(|conj| GroundedConj {
+                    atoms: conj
+                        .iter()
+                        .filter(|a| supported(schema, a))
+                        .filter_map(|a| {
+                            sdr_spec::ground::ground_atom(schema, a, now)
+                                .ok()
+                                .map(|pieces| GroundedAtom {
+                                    dim: a.dim.index(),
+                                    pieces,
+                                })
+                        })
+                        .collect(),
+                })
+                .collect()
+        });
+        Grounding { conjs }
+    }
+
+    /// The hull test: can a fact whose bottom footprint lies inside
+    /// `hulls` (per dimension; `None` = unbounded) satisfy the predicate?
+    /// A disjunct is alive when every supported atom's ground set
+    /// intersects the hull; an unsatisfiable predicate — zero disjuncts
+    /// — keeps nothing anywhere.
+    pub fn may_match(&self, hulls: &[Option<(i64, i64)>]) -> bool {
+        self.conjs.as_ref().is_none_or(|conjs| {
+            conjs
+                .iter()
+                .any(|conj| conj.atoms.iter().all(|a| a.alive_in_hulls(hulls)))
+        })
+    }
+}
+
+/// Plans one warehouse query, its predicate already `grounded`: a
+/// scan/skip verdict per cube and a cheapest-first scan order. `oracle`
+/// is optional — without it only empty-cube and hull (zone-map) pruning
+/// apply.
 pub fn plan(
     schema: &Schema,
-    pred: Option<&Pexp>,
-    mode: SelectMode,
-    now: DayNum,
+    grounded: &Grounding,
     cubes: &[CubeSummary],
     oracle: Option<&RegionOracle>,
 ) -> QueryPlan {
     let _span = sdr_obs::span("plan.query");
-    // Weighted selection keeps every fact when the threshold is ≤ 0.
-    let prunable = match mode {
-        SelectMode::Conservative | SelectMode::Liberal => true,
-        SelectMode::Weighted { threshold } => threshold > 0.0,
-    };
-    let grounded: Option<Vec<GroundedConj>> = match pred {
-        Some(p) if prunable => Some(ground_query(schema, p, now)),
-        _ => None,
-    };
     let mut plans = Vec::with_capacity(cubes.len());
     for (i, c) in cubes.iter().enumerate() {
-        let decision = decide(schema, c, grounded.as_deref(), oracle);
+        let decision = decide(schema, c, grounded, oracle);
         plans.push(CubePlan {
             cube: i,
             rows: c.rows,
@@ -402,7 +425,7 @@ pub fn plan(
 fn decide(
     schema: &Schema,
     c: &CubeSummary,
-    grounded: Option<&[GroundedConj]>,
+    grounded: &Grounding,
     oracle: Option<&RegionOracle>,
 ) -> Decision {
     if c.rows == 0 {
@@ -410,17 +433,10 @@ fn decide(
             reason: SkipReason::EmptyCube,
         };
     }
-    let Some(conjs) = grounded else {
+    let Some(conjs) = &grounded.conjs else {
         return Decision::Scan { cost: c.rows };
     };
-    // A disjunct is alive for the cube when every supported atom's
-    // ground set intersects the hull; the cube is skippable when no
-    // disjunct is alive. (An unsatisfiable predicate — zero disjuncts —
-    // keeps nothing anywhere.)
-    let hull_alive = conjs
-        .iter()
-        .any(|conj| conj.atoms.iter().all(|a| a.alive_in_hulls(&c.hulls)));
-    if !hull_alive {
+    if !grounded.may_match(&c.hulls) {
         return Decision::Skip {
             reason: SkipReason::ZoneMap,
         };
@@ -451,6 +467,23 @@ mod tests {
     use sdr_spec::{parse_action, parse_pexp};
     use sdr_workload::{paper_schema, ACTION_A1, ACTION_A2};
     use std::sync::Arc;
+
+    /// [`super::plan`] with the predicate grounded in place.
+    fn plan(
+        schema: &Schema,
+        pred: Option<&Pexp>,
+        mode: SelectMode,
+        now: DayNum,
+        cubes: &[CubeSummary],
+        oracle: Option<&RegionOracle>,
+    ) -> QueryPlan {
+        super::plan(
+            schema,
+            &Grounding::new(schema, pred, mode, now),
+            cubes,
+            oracle,
+        )
+    }
 
     fn bottom_grain(schema: &Schema) -> Vec<CatId> {
         (0..schema.n_dims())

@@ -26,26 +26,25 @@
 //!
 //! # Vectorized kernel
 //!
-//! When the schema's cells pack into a `u64`/`u128` ([`KeyPacker`]),
-//! grouping runs through an FxHash map over packed keys instead of a
-//! `BTreeMap<Vec<DimValue>, _>`: the per-fact cost drops from an
-//! allocating coordinate-vector comparison chain to one hash of a machine
-//! word. The target cell for each *distinct* direct cell is computed once
-//! and memoized, and the result groups are sorted by coordinates at the
-//! end — packed keys are injective on cells, so this reproduces the
-//! `BTreeMap` iteration order exactly. The LUB approach additionally
-//! folds its uniform target granularity into the same (single) grouping
-//! scan and rolls the few distinct direct cells up afterwards, replacing
-//! the old two-full-scans implementation. The row-at-a-time reference is
-//! retained as [`aggregate_ids_naive`]; measure folds are reassociated
-//! across partials only for the (commutative, associative) built-in
-//! [`AggFn`]s, so kernel output is identical.
+//! [`aggregate_ids`] is the compiled [`Scan`](crate::scan) over one MO:
+//! grouping runs through an FxHash map over packed keys
+//! ([`KeyPacker`](sdr_mdm::KeyPacker)) instead of a
+//! `BTreeMap<Vec<DimValue>, _>`, targets are memoized per distinct
+//! dimension value, and the LUB approach folds its uniform target into
+//! the same single grouping pass. The row-at-a-time reference is retained
+//! as [`aggregate_ids_naive`]; measure folds are reassociated across
+//! partials only for the (commutative, associative) built-in [`AggFn`]s,
+//! so kernel output is identical.
 
 use std::collections::BTreeMap;
 
-use sdr_mdm::{AggFn, CatId, DimId, DimValue, FxHashMap, KeyPacker, Mo, PackedKey, ORIGIN_USER};
+use std::sync::Arc;
 
+use sdr_mdm::{AggFn, CatId, DimId, DimValue, FactId, Mo, Schema, ORIGIN_USER};
+
+use crate::compare::SelectMode;
 use crate::error::QueryError;
+use crate::scan::Scan;
 
 /// Varying-granularity handling for aggregate formation (Section 6.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +63,7 @@ pub enum AggApproach {
 impl AggApproach {
     /// The pre-built per-approach `cells_visited` metric name (hoisted so
     /// the hot path never formats a string).
-    fn visited_metric(self) -> &'static str {
+    pub(crate) fn visited_metric(self) -> &'static str {
         match self {
             AggApproach::Availability => "query.aggregate.availability.cells_visited",
             AggApproach::Strict => "query.aggregate.strict.cells_visited",
@@ -116,52 +115,64 @@ pub fn aggregate(mo: &Mo, levels: &[&str], approach: AggApproach) -> Result<Mo, 
     aggregate_ids(mo, &cats, approach)
 }
 
-/// Aggregate formation with resolved category ids (one per dimension).
+/// Aggregate formation with resolved category ids (one per dimension):
+/// the compiled [`Scan`] over `mo` alone, with no selection.
 pub fn aggregate_ids(mo: &Mo, levels: &[CatId], approach: AggApproach) -> Result<Mo, QueryError> {
     let _span = sdr_obs::span("query.aggregate");
-    debug_assert_eq!(levels.len(), mo.schema().n_dims());
-    let out = if approach == AggApproach::Disaggregated {
-        aggregate_core_naive(mo, levels, approach)?
-    } else {
-        match KeyPacker::new(mo.schema()) {
-            Some(pk) if pk.fits64() => aggregate_kernel::<u64>(mo, levels, approach, &pk)?,
-            Some(pk) => aggregate_kernel::<u128>(mo, levels, approach, &pk)?,
-            None => aggregate_core_naive(mo, levels, approach)?,
-        }
-    };
-    if sdr_obs::enabled() {
-        sdr_obs::add(approach.visited_metric(), mo.len() as u64);
-        sdr_obs::add("query.aggregate.cells_produced", out.len() as u64);
-    }
-    Ok(out)
+    let scan = Scan::compile(
+        mo.schema(),
+        None,
+        0,
+        SelectMode::Conservative,
+        levels,
+        approach,
+    )?;
+    let mut acc = scan.start();
+    acc.feed(mo)?;
+    acc.finish()
 }
 
 /// The retained row-at-a-time reference implementation of
 /// [`aggregate_ids`]: `BTreeMap` grouping on coordinate vectors, with the
 /// LUB approach pre-scanning all facts for the uniform target. Kept for
 /// the differential property suite and the CI perf smoke's
-/// kernel-vs-naive digests; [`aggregate_ids`] only falls back to this
-/// core when the schema does not pack (or for the disaggregated approach,
-/// whose fan-out is not cell-local).
+/// kernel-vs-naive digests; the scan only falls back to this core when
+/// the schema does not pack (or for the disaggregated approach, whose
+/// fan-out is not cell-local).
 pub fn aggregate_ids_naive(
     mo: &Mo,
     levels: &[CatId],
     approach: AggApproach,
 ) -> Result<Mo, QueryError> {
-    aggregate_core_naive(mo, levels, approach)
+    aggregate_rows_naive(mo.schema(), &[(mo, None)], levels, approach)
 }
 
-fn aggregate_core_naive(
-    mo: &Mo,
+/// The facts of one run a row-at-a-time aggregation reads: `rows` of
+/// `mo` (`None`: all of them).
+fn part_facts<'a>(
+    (mo, rows): &'a (&'a Mo, Option<Vec<u32>>),
+) -> impl Iterator<Item = (&'a Mo, FactId)> + 'a {
+    let n = rows.as_ref().map_or(mo.len(), Vec::len);
+    (0..n).map(move |i| {
+        let f = rows.as_ref().map_or(i as u32, |r| r[i]);
+        (*mo, FactId(f))
+    })
+}
+
+/// Row-at-a-time aggregate formation over the given rows of `parts`
+/// (MOs over `schema`, read as one input in the order given).
+pub(crate) fn aggregate_rows_naive(
+    schema: &Arc<Schema>,
+    parts: &[(&Mo, Option<Vec<u32>>)],
     levels: &[CatId],
     approach: AggApproach,
 ) -> Result<Mo, QueryError> {
-    let schema = mo.schema();
+    let facts = || parts.iter().flat_map(part_facts);
     // For the LUB approach, first compute the uniform target granularity.
     let lub_target: Option<Vec<CatId>> = match approach {
         AggApproach::Lub => {
             let mut t = levels.to_vec();
-            for f in mo.facts() {
+            for (mo, f) in facts() {
                 for (i, tc) in t.iter_mut().enumerate() {
                     let c = mo.value(f, DimId(i as u16)).cat;
                     *tc = schema.dims[i].graph().lub(*tc, c);
@@ -181,7 +192,7 @@ fn aggregate_core_naive(
             *a = schema.measures[j].agg.combine(*a, values[j]);
         }
     };
-    'facts: for f in mo.facts() {
+    'facts: for (mo, f) in facts() {
         if approach == AggApproach::Disaggregated {
             disaggregate_fact(mo, f, levels, &mut add_to_group)?;
             continue;
@@ -214,157 +225,7 @@ fn aggregate_core_naive(
     }
     // End the closure's mutable borrow of `groups`.
     let _ = &mut add_to_group;
-    let mut out = mo.empty_like();
-    for (coords, ms) in groups {
-        out.insert_fact_at(&coords, &ms, ORIGIN_USER)?;
-    }
-    Ok(out)
-}
-
-/// A fresh accumulator row: each measure's aggregate identity.
-fn identity_acc(mo: &Mo) -> Vec<i64> {
-    mo.schema()
-        .measures
-        .iter()
-        .map(|m| m.agg.identity())
-        .collect()
-}
-
-/// Packed-key grouping kernel for the cell-local approaches
-/// (availability, strict, LUB).
-fn aggregate_kernel<K: PackedKey>(
-    mo: &Mo,
-    levels: &[CatId],
-    approach: AggApproach,
-    pk: &KeyPacker,
-) -> Result<Mo, QueryError> {
-    let schema = mo.schema();
-    let store = mo.store();
-    // Accumulator groups in first-seen order; sorted by coordinates at
-    // the end to reproduce BTreeMap iteration order.
-    let mut groups: Vec<(Vec<DimValue>, Vec<i64>)> = Vec::new();
-
-    if approach == AggApproach::Lub {
-        // Packed direct cell → group slot.
-        let mut memo: FxHashMap<K, u32> = FxHashMap::default();
-        // Single scan: group by *direct* cell while folding the uniform
-        // target granularity (LUB over distinct cells equals LUB over all
-        // facts — idempotent), then roll the few distinct cells up.
-        let mut t: Vec<CatId> = levels.to_vec();
-        for f in mo.facts() {
-            let key = K::from_wide(pk.pack_row(store, f));
-            let slot = match memo.get(&key) {
-                Some(&s) => s,
-                None => {
-                    let coords = mo.coords(f);
-                    for (i, tc) in t.iter_mut().enumerate() {
-                        *tc = schema.dims[i].graph().lub(*tc, coords[i].cat);
-                    }
-                    let s = groups.len() as u32;
-                    groups.push((coords, identity_acc(mo)));
-                    memo.insert(key, s);
-                    s
-                }
-            };
-            let acc = &mut groups[slot as usize].1;
-            let fi = f.index();
-            for (j, a) in acc.iter_mut().enumerate() {
-                *a = schema.measures[j].agg.combine(*a, store.measures[j][fi]);
-            }
-        }
-        if sdr_obs::enabled() {
-            sdr_obs::add("query.aggregate.kernel.distinct_cells", memo.len() as u64);
-        }
-        // Roll each distinct direct cell up to the uniform target and
-        // merge partials (AggFns are commutative and associative).
-        let mut merged: BTreeMap<Vec<DimValue>, Vec<i64>> = BTreeMap::new();
-        for (coords, acc) in groups {
-            let key: Vec<DimValue> = coords
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| schema.dim(DimId(i as u16)).rollup(v, t[i]))
-                .collect::<Result<_, _>>()?;
-            let e = merged.entry(key).or_insert_with(|| identity_acc(mo));
-            for (j, a) in e.iter_mut().enumerate() {
-                *a = schema.measures[j].agg.combine(*a, acc[j]);
-            }
-        }
-        let mut out = mo.empty_like();
-        for (coords, ms) in merged {
-            out.insert_fact_at(&coords, &ms, ORIGIN_USER)?;
-        }
-        return Ok(out);
-    }
-
-    // Availability / strict: a fact's target value in each dimension is a
-    // function of its *direct value in that dimension* alone, so the
-    // lattice walk (lub/leq + rollup) is memoized per distinct dimension
-    // value — a domain orders of magnitude smaller than distinct cells,
-    // which on raw data are nearly one per fact. `None` marks a value a
-    // strict aggregation excludes.
-    let mut dmemos: Vec<FxHashMap<(u8, u64), Option<DimValue>>> =
-        levels.iter().map(|_| FxHashMap::default()).collect();
-    // Packed *target* cell → group slot (distinct direct cells may share
-    // a target).
-    let mut tmap: FxHashMap<K, u32> = FxHashMap::default();
-    let mut tbuf: Vec<DimValue> = Vec::with_capacity(levels.len());
-    'fact: for f in mo.facts() {
-        let fi = f.index();
-        tbuf.clear();
-        for (i, &req) in levels.iter().enumerate() {
-            let cat = store.cats[i][fi];
-            let code = store.codes[i][fi];
-            let tv = match dmemos[i].get(&(cat, code)) {
-                Some(&t) => t,
-                None => {
-                    let dim = schema.dim(DimId(i as u16));
-                    let g = dim.graph();
-                    let v = DimValue {
-                        cat: sdr_mdm::CatId(cat),
-                        code,
-                    };
-                    let tc = match approach {
-                        AggApproach::Availability => Some(g.lub(req, v.cat)),
-                        AggApproach::Strict => g.leq(v.cat, req).then_some(req),
-                        _ => unreachable!("dispatched above"),
-                    };
-                    let t = match tc {
-                        Some(tc) => Some(dim.rollup(v, tc)?),
-                        None => None,
-                    };
-                    dmemos[i].insert((cat, code), t);
-                    t
-                }
-            };
-            match tv {
-                Some(t) => tbuf.push(t),
-                None => continue 'fact,
-            }
-        }
-        let tkey = K::from_wide(pk.pack_coords(&tbuf));
-        let slot = match tmap.get(&tkey) {
-            Some(&s) => s,
-            None => {
-                let s = groups.len() as u32;
-                tmap.insert(tkey, s);
-                groups.push((tbuf.clone(), identity_acc(mo)));
-                s
-            }
-        };
-        let acc = &mut groups[slot as usize].1;
-        for (j, a) in acc.iter_mut().enumerate() {
-            *a = schema.measures[j].agg.combine(*a, store.measures[j][fi]);
-        }
-    }
-    if sdr_obs::enabled() {
-        sdr_obs::add("query.aggregate.kernel.distinct_cells", tmap.len() as u64);
-        let dvals: usize = dmemos.iter().map(|m| m.len()).sum();
-        sdr_obs::add("query.aggregate.kernel.distinct_dim_values", dvals as u64);
-    }
-    // Packed keys are injective on cells, so sorting by coordinates
-    // reproduces the reference BTreeMap order exactly.
-    groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let mut out = mo.empty_like();
+    let mut out = Mo::new(Arc::clone(schema));
     for (coords, ms) in groups {
         out.insert_fact_at(&coords, &ms, ORIGIN_USER)?;
     }

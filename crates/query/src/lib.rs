@@ -11,7 +11,9 @@
 //! * [`mod@select`] — `σ[p](O)` (Equation 36);
 //! * [`mod@project`] — `π[D…][M…](O)` (Equation 37);
 //! * [`mod@aggregate`] — `α[C₁…Cₙ](O)` (Definition 6) with the availability
-//!   (default), strict, and LUB approaches.
+//!   (default), strict, and LUB approaches;
+//! * [`mod@scan`] — the one compiled kernel behind both: `α[…]σ[p]` fused
+//!   into a single pass over any number of fact runs.
 
 #![warn(missing_docs)]
 
@@ -21,6 +23,7 @@ pub mod collapse;
 pub mod compare;
 pub mod error;
 pub mod project;
+pub mod scan;
 pub mod select;
 
 pub use aggregate::{aggregate, aggregate_ids, aggregate_ids_naive, AggApproach};
@@ -29,6 +32,7 @@ pub use collapse::collapse_dimensions;
 pub use compare::{compare, compare_weight, member_of, member_weight, SelectMode};
 pub use error::QueryError;
 pub use project::{project, project_ids};
+pub use scan::{Scan, ScanAcc};
 pub use select::{
     predicate_weight, satisfies, select, select_naive, select_snapshot, select_view,
     select_weighted, MoView,

@@ -8,15 +8,16 @@
 //!
 //! # Vectorized kernel
 //!
-//! [`select`] runs a compiled kernel: the predicate is normalized to DNF
-//! **once** and every `NOW`-dependent term is pre-resolved into a constant
-//! (`CompiledSelect`); the decision for a fact depends only on its
-//! direct cell, so decisions are memoized per *distinct* cell (packed
-//! into a `u64`/`u128` key by [`KeyPacker`]) and surviving rows are
-//! materialized with one columnar gather instead of per-fact re-inserts.
-//! [`select_view`] additionally returns `Cow::Borrowed` when nothing is
-//! filtered (no predicate, or a full selection), eliminating the deep
-//! copy the subcube query path used to pay.
+//! [`select`] is the compiled [`Scan`](crate::scan) over one MO with no
+//! aggregation: the predicate is normalized to DNF **once** and every
+//! `NOW`-dependent term is pre-resolved into a constant
+//! (`CompiledSelect`); an atom depends only on its own dimension's
+//! value, so satisfied-atom masks are memoized per *distinct dimension
+//! value* (`SelMaskPlan`), or — for the weighted mode — decisions per
+//! distinct cell (packed into a `u64`/`u128` key by [`KeyPacker`]), and
+//! surviving rows are materialized with one columnar gather instead of
+//! per-fact re-inserts. [`select_view`] returns `Cow::Borrowed` when
+//! nothing is filtered (no predicate, or a full selection).
 //!
 //! The row-at-a-time reference implementation is retained as
 //! [`select_naive`]; the differential property suite asserts kernel ≡
@@ -25,11 +26,12 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use sdr_mdm::{DayNum, DimId, DimValue, FactId, FxHashMap, KeyPacker, Mo, PackedKey};
+use sdr_mdm::{DayNum, DimId, DimValue, FactId, FxHashMap, KeyPacker, Mo, PackedKey, Schema};
 use sdr_spec::{to_dnf, Atom, AtomKind, CmpOp, Pexp};
 
 use crate::compare::{compare, compare_weight, member_of, member_weight, SelectMode};
 use crate::error::QueryError;
+use crate::scan::Scan;
 
 /// Evaluates one atom against a fact under `mode` at time `now`.
 fn eval_atom(
@@ -145,11 +147,11 @@ pub fn satisfies(
 /// A selection predicate compiled for one `(schema, NOW)` pass: DNF
 /// normalized once, every term resolved to a constant. Decisions computed
 /// from it agree with [`satisfies`] / [`predicate_weight`] on every fact.
-struct CompiledSelect {
-    dnf: Vec<Vec<SelAtom>>,
+pub(crate) struct CompiledSelect {
+    pub(crate) dnf: Vec<Vec<SelAtom>>,
 }
 
-struct SelAtom {
+pub(crate) struct SelAtom {
     dim: DimId,
     negated: bool,
     kind: SelKind,
@@ -161,8 +163,11 @@ enum SelKind {
 }
 
 impl CompiledSelect {
-    fn compile(mo: &Mo, p: &Pexp, now: DayNum) -> Result<CompiledSelect, QueryError> {
-        let schema = mo.schema();
+    pub(crate) fn compile(
+        schema: &Schema,
+        p: &Pexp,
+        now: DayNum,
+    ) -> Result<CompiledSelect, QueryError> {
         let mut dnf = Vec::new();
         for conj in to_dnf(p) {
             let mut out = Vec::with_capacity(conj.len());
@@ -193,14 +198,14 @@ impl CompiledSelect {
     /// One atom on a single dimension value — mirrors [`eval_atom`] with
     /// resolved constants. An atom depends only on its own dimension's
     /// value, which is what makes the per-dimension mask memo exact.
-    fn eval_atom_value(
+    pub(crate) fn eval_atom_value(
         &self,
-        mo: &Mo,
+        schema: &Schema,
         a: &SelAtom,
         v: DimValue,
         mode: SelectMode,
     ) -> Result<bool, QueryError> {
-        let dim = mo.schema().dim(a.dim);
+        let dim = schema.dim(a.dim);
         match &a.kind {
             SelKind::Cmp { op, c } => {
                 let op = if a.negated { op.negate() } else { *op };
@@ -222,18 +227,18 @@ impl CompiledSelect {
     }
 
     /// The decision for one distinct cell — mirrors [`satisfies`].
-    fn decide_cell(
+    pub(crate) fn decide_cell(
         &self,
-        mo: &Mo,
+        schema: &Schema,
         coords: &[DimValue],
         mode: SelectMode,
     ) -> Result<bool, QueryError> {
         if let SelectMode::Weighted { threshold } = mode {
-            return Ok(self.weight_cell(mo, coords)? >= threshold);
+            return Ok(self.weight_cell(schema, coords)? >= threshold);
         }
         'conj: for conj in &self.dnf {
             for atom in conj {
-                if !self.eval_atom_value(mo, atom, coords[atom.dim.index()], mode)? {
+                if !self.eval_atom_value(schema, atom, coords[atom.dim.index()], mode)? {
                     continue 'conj;
                 }
             }
@@ -244,8 +249,7 @@ impl CompiledSelect {
 
     /// The satisfaction weight for one distinct cell — mirrors
     /// [`predicate_weight`].
-    fn weight_cell(&self, mo: &Mo, coords: &[DimValue]) -> Result<f64, QueryError> {
-        let schema = mo.schema();
+    fn weight_cell(&self, schema: &Schema, coords: &[DimValue]) -> Result<f64, QueryError> {
         let mut best = 0.0f64;
         for conj in &self.dnf {
             let mut w = 1.0f64;
@@ -289,17 +293,17 @@ type AtomSlot = (u64, usize, usize);
 /// orders of magnitude fewer than distinct cells. Built only when the
 /// predicate has ≤ 64 atom occurrences (callers fall back to the
 /// cell-memo kernel otherwise).
-struct SelMaskPlan {
+pub(crate) struct SelMaskPlan {
     /// One bit-set per conjunction; a fact is kept iff any conjunction's
     /// mask is contained in its satisfied mask.
-    conj_masks: Vec<u64>,
+    pub(crate) conj_masks: Vec<u64>,
     /// Dimensions that carry atoms: for each, the (bit, conj, atom)
     /// positions to evaluate on a memo miss.
-    dims: Vec<(DimId, Vec<AtomSlot>)>,
+    pub(crate) dims: Vec<(DimId, Vec<AtomSlot>)>,
 }
 
 impl SelMaskPlan {
-    fn build(compiled: &CompiledSelect) -> Option<SelMaskPlan> {
+    pub(crate) fn build(compiled: &CompiledSelect) -> Option<SelMaskPlan> {
         let n: usize = compiled.dnf.iter().map(|c| c.len()).sum();
         if n > 64 {
             return None;
@@ -324,118 +328,9 @@ impl SelMaskPlan {
     }
 }
 
-/// The per-dimension mask scan: one small memo per dimension (distinct
-/// dimension values, not distinct cells), bit-ops per fact.
-fn keep_rows_masked(
-    mo: &Mo,
-    compiled: &CompiledSelect,
-    plan: &SelMaskPlan,
-    mode: SelectMode,
-) -> Result<Vec<u32>, QueryError> {
-    let store = mo.store();
-    let mut memos: Vec<FxHashMap<(u8, u64), u64>> =
-        plan.dims.iter().map(|_| FxHashMap::default()).collect();
-    let mut keep = Vec::new();
-    let mut distinct = 0u64;
-    for f in mo.facts() {
-        let i = f.index();
-        let mut sat = 0u64;
-        for (di, (dim, atoms)) in plan.dims.iter().enumerate() {
-            let d = dim.index();
-            let cat = store.cats[d][i];
-            let code = store.codes[d][i];
-            sat |= match memos[di].get(&(cat, code)) {
-                Some(&m) => m,
-                None => {
-                    let v = DimValue {
-                        cat: sdr_mdm::CatId(cat),
-                        code,
-                    };
-                    let mut m = 0u64;
-                    for &(b, ci, ai) in atoms {
-                        if compiled.eval_atom_value(mo, &compiled.dnf[ci][ai], v, mode)? {
-                            m |= b;
-                        }
-                    }
-                    memos[di].insert((cat, code), m);
-                    distinct += 1;
-                    m
-                }
-            };
-        }
-        if plan.conj_masks.iter().any(|&cm| cm & !sat == 0) {
-            keep.push(f.0);
-        }
-    }
-    if sdr_obs::enabled() {
-        sdr_obs::add("query.select.kernel.distinct_dim_values", distinct);
-    }
-    Ok(keep)
-}
-
-/// The kernel scan: memoize the per-cell decision under the packed key,
-/// return the surviving row indices.
-fn keep_rows_kernel<K: PackedKey>(
-    mo: &Mo,
-    packer: &KeyPacker,
-    compiled: &CompiledSelect,
-    mode: SelectMode,
-) -> Result<Vec<u32>, QueryError> {
-    let store = mo.store();
-    let mut memo: FxHashMap<K, bool> = FxHashMap::default();
-    let mut keep = Vec::new();
-    for f in mo.facts() {
-        let key = K::from_wide(packer.pack_row(store, f));
-        let dec = match memo.get(&key) {
-            Some(&d) => d,
-            None => {
-                let d = compiled.decide_cell(mo, &mo.coords(f), mode)?;
-                memo.insert(key, d);
-                d
-            }
-        };
-        if dec {
-            keep.push(f.0);
-        }
-    }
-    if sdr_obs::enabled() {
-        sdr_obs::add("query.select.kernel.distinct_cells", memo.len() as u64);
-    }
-    Ok(keep)
-}
-
-/// The surviving rows of `mo` under `p`: the per-dimension mask kernel
-/// for boolean modes (≤ 64 atoms), the packed-cell memo kernel for the
-/// weighted mode (or very wide predicates), row-at-a-time otherwise.
-fn keep_rows(mo: &Mo, p: &Pexp, now: DayNum, mode: SelectMode) -> Result<Vec<u32>, QueryError> {
-    let compiled = CompiledSelect::compile(mo, p, now)?;
-    if !matches!(mode, SelectMode::Weighted { .. }) {
-        if let Some(plan) = SelMaskPlan::build(&compiled) {
-            return keep_rows_masked(mo, &compiled, &plan, mode);
-        }
-    }
-    match KeyPacker::new(mo.schema()) {
-        Some(pk) => {
-            if pk.fits64() {
-                keep_rows_kernel::<u64>(mo, &pk, &compiled, mode)
-            } else {
-                keep_rows_kernel::<u128>(mo, &pk, &compiled, mode)
-            }
-        }
-        None => {
-            let mut keep = Vec::new();
-            for f in mo.facts() {
-                if satisfies(mo, p, f, now, mode)? {
-                    keep.push(f.0);
-                }
-            }
-            Ok(keep)
-        }
-    }
-}
-
 /// The selection operator `σ[p](O)` (Equation 36) under `mode`, with
-/// `None` meaning "no predicate" (every fact qualifies). Returns a
+/// `None` meaning "no predicate" (every fact qualifies): the one
+/// compiled [`Scan`] over `mo` alone, with no aggregation. Returns a
 /// borrowed view when nothing is filtered out — the caller pays for a
 /// copy only when the selection actually narrows the fact set.
 pub fn select_view<'a>(
@@ -448,12 +343,10 @@ pub fn select_view<'a>(
     let out = match p {
         None => Cow::Borrowed(mo),
         Some(p) => {
-            let keep = keep_rows(mo, p, now, mode)?;
-            if keep.len() == mo.len() {
-                Cow::Borrowed(mo)
-            } else {
-                Cow::Owned(mo.gather(&keep))
-            }
+            let scan = Scan::selection(mo.schema(), p, now, mode)?;
+            let mut acc = scan.start();
+            acc.feed(mo)?;
+            acc.finish_rows()
         }
     };
     if sdr_obs::enabled() {
@@ -470,9 +363,8 @@ pub fn select(mo: &Mo, p: &Pexp, now: DayNum, mode: SelectMode) -> Result<Mo, Qu
 
 /// A selection result over a shared snapshot: either the snapshot itself
 /// (nothing filtered — the `Arc` is cloned, not the facts) or an owned,
-/// narrowed MO. The `'static` analogue of [`select_view`]'s `Cow`, built
-/// for snapshot-isolated readers that hand `Arc<Mo>` cube versions to
-/// worker threads and cannot borrow from a lock guard.
+/// narrowed MO. The `'static` analogue of [`select_view`]'s `Cow`, for
+/// callers that hand `Arc<Mo>` values to worker threads.
 #[derive(Debug, Clone)]
 pub enum MoView {
     /// The full input snapshot, shared.
@@ -562,7 +454,7 @@ pub fn select_weighted(
             let w = match memo.get(&key) {
                 Some(&w) => w,
                 None => {
-                    let w = compiled.weight_cell(mo, &mo.coords(f))?;
+                    let w = compiled.weight_cell(mo.schema(), &mo.coords(f))?;
                     memo.insert(key, w);
                     w
                 }
@@ -575,7 +467,7 @@ pub fn select_weighted(
     }
     match KeyPacker::new(mo.schema()) {
         Some(pk) => {
-            let compiled = CompiledSelect::compile(mo, p, now)?;
+            let compiled = CompiledSelect::compile(mo.schema(), p, now)?;
             if pk.fits64() {
                 run::<u64>(mo, &pk, &compiled, threshold)
             } else {

@@ -161,13 +161,17 @@ fn seal<'a>(schema: &Schema, parts: impl IntoIterator<Item = &'a Mo>, build: boo
         .collect()
 }
 
-/// Storage statistics (raw vs. encoded bytes) of an MO's facts, sized
-/// without building any column.
-pub fn table_stats(mo: &Mo) -> TableStats {
+/// Storage statistics (raw vs. encoded bytes) of the facts of `parts` —
+/// MOs over `schema`, read as one table in the order given — sized
+/// without building any column. Like [`encode_facts`], the sizes depend
+/// on the concatenated rows only.
+pub fn table_stats<'a>(schema: &Schema, parts: impl IntoIterator<Item = &'a Mo>) -> TableStats {
+    let parts: Vec<&Mo> = parts.into_iter().collect();
+    let rows = parts.iter().map(|p| p.len()).sum();
     TableStats {
-        rows: mo.len(),
-        raw_bytes: raw_bytes(mo.schema(), mo.len()),
-        encoded_bytes: seal(mo.schema(), [mo], false)
+        rows,
+        raw_bytes: raw_bytes(schema, rows),
+        encoded_bytes: seal(schema, parts, false)
             .iter()
             .map(Segment::encoded_bytes)
             .sum(),
@@ -371,7 +375,7 @@ mod tests {
                 .map(|i| if shuffled { rng.below(n) } else { i * n / len as u64 } as u32)
                 .collect();
             let mo = clicks.gather(&rows);
-            let stats = table_stats(&mo);
+            let stats = table_stats(mo.schema(), [&mo]);
             let bytes = encode_facts(mo.schema(), [&mo]);
             prop_assert_eq!(stats.encoded_bytes, written_column_bytes(&bytes));
         }
@@ -397,7 +401,7 @@ mod tests {
     fn empty_table() {
         let (mo, _) = paper_mo();
         let empty = mo.empty_like();
-        assert_eq!(table_stats(&empty), TableStats::default());
+        assert_eq!(table_stats(empty.schema(), [&empty]), TableStats::default());
         let bytes = encode_facts(mo.schema(), [&empty]);
         assert_eq!(bytes.len(), 20, "header only: no segment for no rows");
         assert_eq!(bytes, encode_facts(mo.schema(), []));

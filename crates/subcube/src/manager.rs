@@ -35,12 +35,12 @@
 //! rows and coalesces what it appends into the preceding chunk while
 //! both fit one chunk; everything else crosses versions by pointer, so
 //! a day's write costs what the day changed, not what the warehouse
-//! holds. Readers still see one contiguous `Mo` per cube
-//! ([`Subcube::data`]): it is concatenated from the chunks — and the
-//! cube's [`SubcubeStats`] folded from their summaries — on first use,
-//! at most once per cube version, and carried along for as long as the
-//! cube's chunk list is unchanged. The write path never asks for
-//! either.
+//! holds. Readers scan the chunks too: a query skips the chunks whose
+//! summary rules it out and folds the rest straight into its group map
+//! (`query.rs`), so no contiguous copy of a cube is ever kept. The
+//! cube's [`SubcubeStats`] are folded from the chunk summaries on first
+//! use, at most once per cube version, and carried along for as long as
+//! the cube's chunk list is unchanged.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -137,7 +137,7 @@ impl Chunk {
     }
 
     /// The chunk's facts.
-    pub fn data(&self) -> &Mo {
+    pub fn mo(&self) -> &Mo {
         &self.mo
     }
 
@@ -147,9 +147,9 @@ impl Chunk {
     }
 }
 
-/// The facts of one cube version: the chunk list plus what is derived
-/// from it on first use. Shared by `Arc` across every warehouse version
-/// in which the cube is unchanged, so the derived values are too.
+/// The facts of one cube version: the chunk list plus the statistics
+/// folded from it on first use. Shared by `Arc` across every warehouse
+/// version in which the cube is unchanged, so the statistics are too.
 #[derive(Debug)]
 struct CubeData {
     schema: Arc<Schema>,
@@ -157,8 +157,6 @@ struct CubeData {
     rows: usize,
     /// The warehouse epoch at which this chunk list was published.
     epoch: u64,
-    /// The chunks concatenated — what readers scan.
-    whole: OnceCell<Arc<Mo>>,
     /// The chunk summaries folded.
     stats: OnceCell<SubcubeStats>,
 }
@@ -170,40 +168,20 @@ impl CubeData {
             rows: chunks.iter().map(|c| c.mo.len()).sum(),
             chunks,
             epoch,
-            whole: OnceCell::new(),
             stats: OnceCell::new(),
         })
     }
 
     /// A cube built whole (checkpoint load): cut at the chunk capacity
-    /// in row order; the contiguous view is the input,
-    /// which a cube of at most one chunk shares with that chunk.
+    /// in row order; a cube of at most one chunk takes `mo` as it is.
     fn from_mo(mo: Mo, epoch: u64) -> Arc<CubeData> {
-        let mo = Arc::new(mo);
+        let schema = Arc::clone(mo.schema());
         let chunks = if (1..=CHUNK_ROWS).contains(&mo.len()) {
-            vec![Chunk::new(Arc::clone(&mo))]
+            vec![Chunk::new(Arc::new(mo))]
         } else {
-            Chunk::cut(mo.schema(), &mo, 0..mo.len()).expect("rows fit their own schema")
+            Chunk::cut(&schema, &mo, 0..mo.len()).expect("rows fit their own schema")
         };
-        Arc::new(CubeData {
-            schema: Arc::clone(mo.schema()),
-            rows: mo.len(),
-            chunks,
-            epoch,
-            whole: OnceCell::with_value(mo),
-            stats: OnceCell::new(),
-        })
-    }
-
-    fn whole(&self) -> &Arc<Mo> {
-        self.whole.get_or_init(|| match self.chunks.as_slice() {
-            [one] => Arc::clone(&one.mo),
-            chunks => Arc::new(concat(
-                &self.schema,
-                self.rows,
-                chunks.iter().map(|c| c.data()),
-            )),
-        })
+        CubeData::from_chunks(&schema, chunks, epoch)
     }
 }
 
@@ -226,20 +204,28 @@ pub struct Subcube {
 }
 
 impl Subcube {
-    /// The cube's facts as one contiguous MO (borrowed from the
-    /// snapshot; concatenated from the chunks on first use).
-    pub fn data(&self) -> &Mo {
-        self.data.whole()
+    /// The cube's facts as one contiguous MO: a fresh concatenation of
+    /// the [`chunks`](Subcube::chunks) on every call, cached nowhere.
+    /// No query path reads it — queries scan the chunks — so it is for
+    /// callers outside the engine that want one MO per cube.
+    pub fn data(&self) -> Mo {
+        concat(
+            &self.data.schema,
+            self.data.rows,
+            self.data.chunks.iter().map(|c| c.mo()),
+        )
     }
 
-    /// A shared handle to the cube's facts — hand this to worker threads;
-    /// no lock or guard is needed to keep it alive.
+    /// [`data`](Subcube::data) behind an `Arc`: an uncached
+    /// concatenation, except that a cube of one chunk shares it.
     pub fn snapshot(&self) -> Arc<Mo> {
-        Arc::clone(self.data.whole())
+        match self.data.chunks.as_slice() {
+            [one] => Arc::clone(&one.mo),
+            _ => Arc::new(self.data()),
+        }
     }
 
-    /// The cube's facts as stored: immutable chunks in row order, whose
-    /// concatenation is [`data`](Subcube::data).
+    /// The cube's facts as stored: immutable chunks in row order.
     pub fn chunks(&self) -> &[Arc<Chunk>] {
         &self.data.chunks
     }
@@ -645,7 +631,7 @@ impl VersionInner {
                         }
                     }
                 }
-                let mo = chunk.data();
+                let mo = chunk.mo();
                 let mut gone: Vec<u32> = Vec::new();
                 for f in mo.facts() {
                     scanned += 1;
@@ -724,7 +710,7 @@ impl VersionInner {
                     chunks.push((Arc::clone(chunk), false));
                     continue;
                 }
-                let mo = chunk.data();
+                let mo = chunk.mo();
                 let mut gone = gone.iter().peekable();
                 let mut keep: Vec<u32> = Vec::with_capacity(mo.len());
                 for f in mo.facts() {
@@ -952,17 +938,23 @@ impl WarehouseView {
     /// cubes).
     pub fn to_mo(&self) -> Result<Mo, SubcubeError> {
         let chunks = self.v.cubes.iter().flat_map(Subcube::chunks);
-        union(self.schema(), self.len(), chunks.map(|c| c.data()))
+        union(self.schema(), self.len(), chunks.map(|c| c.mo()))
     }
 
-    /// Re-derives every cube's [`SubcubeStats`] from its concatenated
-    /// facts and compares against the fold of its chunk summaries — the
-    /// stats-drift invariant check (`Err` names the first diverging
+    /// Re-derives every cube's [`SubcubeStats`] from its rows (every
+    /// chunk summarized afresh, the summaries folded) and compares against
+    /// the fold of its maintained chunk summaries — the stats-drift
+    /// invariant check (`Err` names the first diverging
     /// cube). Cheap enough to run after every recovery and in the
     /// integration suite.
     pub fn verify_stats(&self) -> Result<(), SubcubeError> {
         for (i, c) in self.v.cubes.iter().enumerate() {
-            let want = SubcubeStats::compute(c.data(), c.epoch());
+            let recomputed: Vec<ChunkSummary> = c
+                .chunks()
+                .iter()
+                .map(|k| ChunkSummary::compute(k.mo()))
+                .collect();
+            let want = ChunkSummary::fold(self.schema(), &recomputed).into_stats(c.epoch());
             if want != *c.stats() {
                 return Err(SubcubeError::Storage(format!(
                     "cube K{i}: maintained statistics diverge from recomputation \
@@ -977,7 +969,10 @@ impl WarehouseView {
     /// Storage statistics per cube (rows, raw and encoded bytes), via the
     /// `sdr-storage` layer.
     pub fn storage_stats(&self) -> Vec<(CubeId, sdr_storage::TableStats)> {
-        let stats = |(i, c): (usize, &Subcube)| (CubeId(i), sdr_storage::table_stats(c.data()));
+        let stats = |(i, c): (usize, &Subcube)| {
+            let chunks = c.chunks().iter().map(|k| k.mo());
+            (CubeId(i), sdr_storage::table_stats(self.schema(), chunks))
+        };
         self.v.cubes.iter().enumerate().map(stats).collect()
     }
 

@@ -343,7 +343,7 @@ pub(crate) fn write_checkpoint(
     for (i, cube) in view.cubes().iter().enumerate() {
         // Straight from the chunks: the bytes are those of the cube's
         // contiguous view, which a checkpoint has no need to build.
-        let bytes = encode_facts(view.schema(), cube.chunks().iter().map(|c| c.data()));
+        let bytes = encode_facts(view.schema(), cube.chunks().iter().map(|c| c.mo()));
         let raw = raw_bytes(view.schema(), cube.rows()) as u64;
         bytes_written += bytes.len() as u64;
         cube_bytes.push((raw, bytes.len() as u64));

@@ -30,19 +30,30 @@
 //!
 //! Evaluation runs against a [`WarehouseView`] — one pinned version of
 //! the warehouse — so a multi-cube fan-out can never mix cube states from
-//! before and after a concurrent sync. Worker threads receive `Arc<Mo>`
-//! snapshots outright; no lock is held anywhere during evaluation.
+//! before and after a concurrent sync; no lock is held anywhere during
+//! evaluation.
+//!
+//! # Chunk-native scans
+//!
+//! A query is compiled once (`CompiledQuery`: the fused select/aggregate
+//! [`Scan`] plus the predicate's [`Grounding`]) and shared read-only by
+//! every worker of every shard. A scanned cube is read chunk by chunk in
+//! row order: a chunk whose summary hulls fail the planner's hull test
+//! — the one a cube's skip is decided by — is skipped, and the kept rows
+//! of the rest are folded straight into one accumulator per cube scan.
+//! No cube is concatenated and no row is copied before it is grouped.
 
 use std::sync::{Arc, OnceLock};
 
 use sdr_mdm::{DayNum, Mo, Schema};
-use sdr_plan::{CubeSummary, QueryPlan, RegionOracle};
-use sdr_query::{aggregate_ids, select_snapshot, AggApproach, SelectMode};
+use sdr_plan::{CubeSummary, Grounding, QueryPlan, RegionOracle};
+use sdr_query::{aggregate_ids, AggApproach, Scan, SelectMode};
+use sdr_reduce::ReduceError;
 use sdr_spec::Pexp;
 use sdr_sync::thread;
 
 use crate::error::SubcubeError;
-use crate::manager::{union, Subcube, SubcubeManager, WarehouseView};
+use crate::manager::{union, Chunk, Subcube, SubcubeManager, WarehouseView};
 
 /// A query against the subcube warehouse: optional selection followed by
 /// aggregate formation (the operators of Section 6).
@@ -70,8 +81,81 @@ fn summarize(c: &Subcube) -> CubeSummary {
     }
 }
 
-/// `SDR_PLAN_VERIFY=1` — debug mode: planner-skipped cubes are evaluated
-/// anyway and the process panics if one contributes a row (the
+/// A query compiled once and shared read-only by every scan worker: the
+/// fused kernel and the predicate grounded for the hull test.
+pub(crate) struct CompiledQuery {
+    scan: Scan,
+    pub(crate) grounding: Grounding,
+}
+
+impl CompiledQuery {
+    /// Compiles `q` at `now` against `schema`. `planned: false` grounds
+    /// no predicate, so the hull test keeps every chunk — the unplanned
+    /// baseline.
+    pub(crate) fn new(
+        schema: &Arc<Schema>,
+        q: &CubeQuery,
+        now: DayNum,
+        planned: bool,
+    ) -> Result<CompiledQuery, SubcubeError> {
+        let pred = q.pred.as_ref();
+        let grounded = pred.filter(|_| planned);
+        Ok(CompiledQuery {
+            scan: Scan::compile(schema, pred, now, q.mode, &q.levels, q.approach)?,
+            grounding: Grounding::new(schema, grounded, q.mode, now),
+        })
+    }
+
+    /// `q` over one cube: the chunks the hull test keeps, in row order,
+    /// into one accumulator. Returns the sub-result and the chunks
+    /// scanned and skipped.
+    fn scan_cube(&self, i: usize, cube: &Subcube) -> Result<(Mo, u64, u64), SubcubeError> {
+        let _span = sdr_obs::span("query.aggregate");
+        let mut acc = self.scan.start();
+        let mut skipped = 0u64;
+        for (c, chunk) in cube.chunks().iter().enumerate() {
+            if self.grounding.may_match(chunk.summary().hulls()) {
+                acc.feed(chunk.mo())?;
+            } else {
+                skipped += 1;
+                self.verify_skipped(chunk, || format!("chunk {c} of K{i} (zone)"))?;
+            }
+        }
+        let scanned = cube.chunks().len() as u64 - skipped;
+        if sdr_obs::enabled() {
+            sdr_obs::add("query.select.cells_visited", acc.visited());
+            sdr_obs::add("query.select.cells_kept", acc.kept());
+            sdr_obs::add("plan.chunks_scanned", scanned);
+            sdr_obs::add("plan.chunks_skipped", skipped);
+        }
+        Ok((acc.finish()?, scanned, skipped))
+    }
+
+    /// Under `SDR_PLAN_VERIFY=1`, scans a chunk the planner skipped —
+    /// span- and counter-free, so the telemetry matches the plan — and
+    /// panics if its selection keeps a row: a planner soundness bug.
+    fn verify_skipped(
+        &self,
+        chunk: &Chunk,
+        what: impl FnOnce() -> String,
+    ) -> Result<(), SubcubeError> {
+        if plan_verify() {
+            let mut probe = self.scan.start();
+            probe.feed(chunk.mo())?;
+            let rows = probe.kept();
+            assert_eq!(
+                rows,
+                0,
+                "planner skipped {} but it keeps {rows} rows",
+                what()
+            );
+        }
+        Ok(())
+    }
+}
+
+/// `SDR_PLAN_VERIFY=1` — debug mode: planner-skipped cubes and chunks
+/// are evaluated anyway and the process panics if one keeps a row (the
 /// differential suite runs the whole test matrix under this). Read from
 /// the environment once per process.
 fn plan_verify() -> bool {
@@ -113,15 +197,18 @@ impl WarehouseView {
     /// planned evaluation returns exactly the naive full fan-out's
     /// answer.
     pub fn plan(&self, q: &CubeQuery, now: DayNum, oracle: Option<&RegionOracle>) -> QueryPlan {
+        let grounding = Grounding::new(self.schema(), q.pred.as_ref(), q.mode, now);
+        self.plan_grounded(&grounding, oracle)
+    }
+
+    /// [`plan`](WarehouseView::plan) for a predicate already grounded.
+    pub(crate) fn plan_grounded(
+        &self,
+        grounding: &Grounding,
+        oracle: Option<&RegionOracle>,
+    ) -> QueryPlan {
         let summaries: Vec<CubeSummary> = self.cubes().iter().map(summarize).collect();
-        sdr_plan::plan(
-            self.schema(),
-            q.pred.as_ref(),
-            q.mode,
-            now,
-            &summaries,
-            oracle,
-        )
+        sdr_plan::plan(self.schema(), grounding, &summaries, oracle)
     }
 
     /// Evaluates `q` assuming synchronized cubes, planned with the full
@@ -146,12 +233,13 @@ impl WarehouseView {
         parallel: bool,
         oracle: Option<&RegionOracle>,
     ) -> Result<Mo, SubcubeError> {
-        let plan = self.plan(q, now, oracle);
-        let parts = self.eval_per_cube(q, now, parallel, &plan)?;
+        let cq = CompiledQuery::new(self.schema(), q, now, true)?;
+        let plan = self.plan_grounded(&cq.grounding, oracle);
+        let parts = self.eval_per_cube(&cq, parallel, &plan)?;
         merge(self.schema(), q, &parts)
     }
 
-    /// The unplanned full fan-out over every cube — what
+    /// The unplanned full fan-out over every chunk of every cube — what
     /// [`query`](WarehouseView::query) degenerates to when nothing can be
     /// pruned. Kept as the differential baseline: planned and naive
     /// answers must be identical.
@@ -163,7 +251,8 @@ impl WarehouseView {
     ) -> Result<Mo, SubcubeError> {
         let rows: Vec<u64> = self.cubes().iter().map(|c| c.rows() as u64).collect();
         let plan = QueryPlan::scan_all(&rows);
-        let parts = self.eval_per_cube(q, now, parallel, &plan)?;
+        let cq = CompiledQuery::new(self.schema(), q, now, false)?;
+        let parts = self.eval_per_cube(&cq, parallel, &plan)?;
         merge(self.schema(), q, &parts)
     }
 
@@ -192,54 +281,52 @@ impl WarehouseView {
         self.v.oracle.get_or_init(build).as_ref()
     }
 
-    /// The one scan loop: `q` on every cube `plan` scans — in the plan's
+    /// The one scan loop: `cq` on every cube `plan` scans — in the plan's
     /// cheapest-first order, or each on its own thread when `parallel` —
     /// with the sub-results returned un-merged (a shard hands them to the
     /// cross-shard `merge`, which is order-insensitive). A skipped cube
-    /// costs a span, never a thread or a placeholder result.
+    /// costs a span, never a thread or a placeholder result. A view over
+    /// another schema than `cq`'s is the error the merge of its parts
+    /// would be.
     pub(crate) fn eval_per_cube(
         &self,
-        q: &CubeQuery,
-        now: DayNum,
+        cq: &CompiledQuery,
         parallel: bool,
         plan: &QueryPlan,
     ) -> Result<Vec<Mo>, SubcubeError> {
         let _span = sdr_obs::span("subcube.query");
         sdr_obs::attr("epoch", self.epoch());
+        sdr_mdm::check_same_schema(cq.scan.schema(), self.schema()).map_err(ReduceError::Model)?;
         // Sub-query spans open under this context — on this thread for a
         // sequential evaluation, handed off explicitly to the fan-out
         // workers otherwise — so both trees nest identically.
         let ctx = sdr_obs::ctx();
-        let run = |i: usize| -> Result<Mo, SubcubeError> {
-            // Evaluate on the cube's shared snapshot — no guard, no
-            // clone; the `Arc` keeps the version alive in the worker.
-            // `select_snapshot` shares it when nothing is filtered (in
-            // particular for `pred: None`), so aggregation runs directly
-            // on the cube's storage with no deep copy.
-            let input = self.cubes()[i].snapshot();
-            let selected = select_snapshot(&input, q.pred.as_ref(), now, q.mode)?;
-            Ok(aggregate_ids(&selected, &q.levels, q.approach)?)
-        };
         // One span per cube, scanned or skipped: its p50/p99 spread
         // exposes cube-size skew across workers, and `explain` reads
-        // every verdict off the trace.
+        // every verdict and chunk count off the trace.
         let visit = |&i: &usize| -> Result<Option<Mo>, SubcubeError> {
             let skip = plan.skip_reason(i);
             let sub = sdr_obs::span_in("subcube.query.subquery", &ctx);
-            let r = skip.is_none().then(|| run(i)).transpose();
+            let cube = &self.cubes()[i];
+            let r = skip.is_none().then(|| cq.scan_cube(i, cube)).transpose();
             if sub.is_recording() {
-                let cube = &self.cubes()[i];
                 sdr_obs::attr("subcube", format_args!("K{i}"));
                 sdr_obs::attr("epoch", cube.epoch());
                 sdr_obs::attr("rows_in", cube.rows());
-                if let Ok(mo) = &r {
-                    sdr_obs::attr("rows_out", mo.as_ref().map_or(0, Mo::len));
+                match &r {
+                    Ok(Some((mo, chunks, skipped))) => {
+                        sdr_obs::attr("rows_out", mo.len());
+                        sdr_obs::attr("chunks_scanned", chunks);
+                        sdr_obs::attr("chunks_skipped", skipped);
+                    }
+                    Ok(None) => sdr_obs::attr("rows_out", 0),
+                    Err(_) => {}
                 }
                 if let Some(reason) = skip {
                     sdr_obs::attr("skipped", reason.label());
                 }
             }
-            r
+            Ok(r?.map(|(mo, _, _)| mo))
         };
         let scanned: Result<Vec<_>, _> = if parallel {
             sdr_obs::add("subcube.query.fanout", plan.order.len() as u64);
@@ -250,17 +337,9 @@ impl WarehouseView {
         let scanned = scanned?;
         for (i, reason) in (0..plan.cubes.len()).filter_map(|i| Some((i, plan.skip_reason(i)?))) {
             visit(&i)?;
-            // Under `SDR_PLAN_VERIFY=1` the skipped cube is evaluated
-            // anyway (span-free, so the fan-out telemetry matches the
-            // plan) — one that contributes a row is a planner soundness
-            // bug and aborts loudly.
-            if plan_verify() {
-                let rows = run(i)?.len();
-                let why = reason.label();
-                assert_eq!(
-                    rows, 0,
-                    "planner skipped K{i} ({why}) but it contributes {rows} rows"
-                );
+            for (c, chunk) in self.cubes()[i].chunks().iter().enumerate() {
+                let why = || format!("K{i} ({}), its chunk {c}", reason.label());
+                cq.verify_skipped(chunk, why)?;
             }
         }
         Ok(scanned.into_iter().flatten().collect())

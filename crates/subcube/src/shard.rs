@@ -78,7 +78,7 @@ use crate::layout::WarehouseLayout;
 use crate::manager::{union, AgeStats, WarehouseView};
 use crate::op::{OpOutcome, WarehouseOp};
 use crate::persist::{read_current, spec_fingerprint};
-use crate::query::{fan_out, merge, CubeQuery};
+use crate::query::{fan_out, merge, CompiledQuery, CubeQuery};
 
 /// `SHARDS` manifest magic: `"SDRSHD01"`.
 const SHARDS_MAGIC: u64 = 0x5344_5253_4844_3031;
@@ -272,11 +272,12 @@ impl ShardViewSet {
         unsync: bool,
     ) -> Result<Mo, SubcubeError> {
         let across = parallel && self.views.len() > 1;
+        let cq = CompiledQuery::new(self.views[0].schema(), q, now, true)?;
         let scan = |v: &WarehouseView| {
             let aged = unsync.then(|| v.virtual_age(now)).transpose()?;
             let v = aged.as_ref().map_or(v, |(aged, _hit)| aged);
-            let plan = v.plan(q, now, v.region_oracle());
-            v.eval_per_cube(q, now, parallel && !across, &plan)
+            let plan = v.plan_grounded(&cq.grounding, v.region_oracle());
+            v.eval_per_cube(&cq, parallel && !across, &plan)
         };
         let parts: Result<Vec<Vec<Mo>>, SubcubeError> = if across {
             fan_out(&self.views, scan).into_iter().collect()
@@ -295,7 +296,7 @@ fn union_mo(views: &[WarehouseView]) -> Result<Mo, SubcubeError> {
         .flat_map(|v| v.cubes())
         .flat_map(|c| c.chunks());
     let rows = views.iter().map(|v| v.len()).sum();
-    union(views[0].schema(), rows, chunks.map(|c| c.data()))
+    union(views[0].schema(), rows, chunks.map(|c| c.mo()))
 }
 
 /// Folds two shards' outcomes of one scatter into the logical outcome:
@@ -988,8 +989,9 @@ mod tests {
         let (ours, theirs) = (view(&paper), view(&foreign));
         // Between cubes: one view's sub-results, one of them foreign.
         let scan = |v: &WarehouseView| {
-            let plan = v.plan(&q, 0, None);
-            v.eval_per_cube(&q, 0, false, &plan).unwrap()
+            let cq = CompiledQuery::new(v.schema(), &q, 0, true).unwrap();
+            let plan = v.plan_grounded(&cq.grounding, None);
+            v.eval_per_cube(&cq, false, &plan).unwrap()
         };
         let parts = [scan(&ours), scan(&theirs)].concat();
         mismatch(merge(s, &q, &parts));

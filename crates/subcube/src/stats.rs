@@ -12,10 +12,11 @@
 //! for as long as its chunk list is unchanged. A summary keeps the
 //! per-dimension *sets* of distinct values rather than their sizes, so
 //! the fold is exact: it is bit-identical to
-//! [`SubcubeStats::compute`] over the concatenated rows, an invariant
-//! [`verify`](crate::manager::WarehouseView::verify_stats) re-checks on
-//! demand and recovery re-checks against the persisted copy in the
-//! checkpoint manifest.
+//! [`SubcubeStats::compute`] over the concatenated rows (the chunk suite
+//! checks this), [`verify`](crate::manager::WarehouseView::verify_stats)
+//! re-derives it from every chunk's rows on demand, and recovery
+//! re-checks it against the persisted copy in the checkpoint manifest.
+//! A query reads each chunk's hulls to skip the chunks it cannot match.
 //!
 //! `specdr explain` uses the zone maps and row counts to annotate the
 //! subcube DAG (which cubes a query scanned, which were skippable), so
@@ -225,6 +226,12 @@ impl ChunkSummary {
     /// [`SubcubeStats::hulls`]).
     pub fn hull(&self, d: usize) -> Option<(i64, i64)> {
         self.hulls.get(d).copied().flatten()
+    }
+
+    /// Every dimension's bottom-footprint hull, in schema order — what
+    /// the planner's hull test reads to skip the chunk.
+    pub fn hulls(&self) -> &[Option<(i64, i64)>] {
+        &self.hulls
     }
 
     /// False only when no summarized row can sit at cell `coords`

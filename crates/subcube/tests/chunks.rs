@@ -77,15 +77,16 @@ fn check_version(v: &WarehouseView, ctx: &str) -> Result<(), TestCaseError> {
     for (i, cube) in v.cubes().iter().enumerate() {
         let mut concat = Mo::new(Arc::clone(v.schema()));
         for chunk in cube.chunks() {
-            let n = chunk.data().len();
+            let n = chunk.mo().len();
             prop_assert!(
                 (1..=CHUNK_ROWS).contains(&n),
                 "{ctx}: K{i} holds a chunk of {n} rows"
             );
             prop_assert_eq!(chunk.summary().rows(), n as u64);
-            concat.absorb(chunk.data()).unwrap();
+            concat.absorb(chunk.mo()).unwrap();
         }
-        let (whole, got) = (cube.data().store(), concat.store());
+        let data = cube.data();
+        let (whole, got) = (data.store(), concat.store());
         prop_assert_eq!(cube.rows(), whole.len());
         prop_assert!(
             whole.cats == got.cats
@@ -96,7 +97,7 @@ fn check_version(v: &WarehouseView, ctx: &str) -> Result<(), TestCaseError> {
         );
         prop_assert_eq!(
             cube.stats(),
-            &SubcubeStats::compute(cube.data(), cube.epoch()),
+            &SubcubeStats::compute(&concat, cube.epoch()),
             "{}: K{} folded statistics",
             ctx,
             i

@@ -24,7 +24,7 @@ pub fn placed(views: &[WarehouseView]) -> Vec<Cells> {
     for view in views {
         for (i, cube) in view.cubes().iter().enumerate() {
             let mut cells = Cells::new();
-            for mo in cube.chunks().iter().map(|c| c.data()) {
+            for mo in cube.chunks().iter().map(|c| c.mo()) {
                 for f in mo.facts() {
                     let row = (mo.measures_of(f), mo.store().origin[f.index()]);
                     let dup = cells.insert(mo.coords(f), row);

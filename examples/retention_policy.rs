@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Retention policy (checked NonCrossing + Growing):");
     println!("{}", spec.render());
 
-    let raw = table_stats(&cs.mo);
+    let raw = table_stats(cs.mo.schema(), [&cs.mo]);
     println!(
         "\nGenerated warehouse: {} facts, {} raw bytes, {} encoded bytes",
         raw.rows, raw.raw_bytes, raw.encoded_bytes
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut now = days_from_civil(1999, 7, 1);
     for _ in 0..11 {
         let red = reduce(&cs.mo, &spec, now)?;
-        let st = table_stats(&red);
+        let st = table_stats(red.schema(), [&red]);
         let dwell: i64 = red.facts().map(|f| red.measure(f, MeasureId(1))).sum();
         let (y, m, _) = civil_from_days(now);
         println!(

@@ -834,7 +834,7 @@ fn cmd_simulate(opts: &Opts) -> Result<(), AnyError> {
         months, cs, spec, ..
     } = synthetic(opts, "24", "200")?;
     let raw_months: u32 = opts.value("--raw-months").unwrap_or("6").parse()?;
-    let raw = table_stats(&cs.mo);
+    let raw = table_stats(cs.mo.schema(), [&cs.mo]);
     println!(
         "{} months of clicks: {} facts, {} bytes raw ({} encoded)\n",
         months, raw.rows, raw.raw_bytes, raw.encoded_bytes
@@ -846,7 +846,7 @@ fn cmd_simulate(opts: &Opts) -> Result<(), AnyError> {
     let mut now = days_from_civil(1999, 1 + raw_months.min(11), 1);
     for _ in 0..(months / 6 + 6) {
         let red = reduce(&cs.mo, &spec, now)?;
-        let st = table_stats(&red);
+        let st = table_stats(red.schema(), [&red]);
         let (y, m, _) = civil_from_days(now);
         println!(
             "{:>7}/{:<2} {:>10} {:>13} {:>13} {:>8.1}x",
@@ -980,7 +980,7 @@ fn cmd_stats(opts: &Opts) -> Result<(), AnyError> {
     // One pass through every instrumented layer: logical reduction,
     // storage encoding, subcube load + sync, and a parallel query.
     let red = reduce(&cs.mo, &spec, now)?;
-    let _ = table_stats(&red);
+    let _ = table_stats(red.schema(), [&red]);
     let mgr = SubcubeManager::new(spec.clone());
     mgr.bulk_load(&cs.mo)?;
     mgr.sync(now)?;

@@ -95,10 +95,13 @@ pub struct DriveReport {
     pub schedule_digest: u64,
 }
 
-/// An MO's rendered rows, sorted — what a query response lists and what
-/// [`result_digest`] folds.
-pub(crate) fn sorted_rows(mo: &Mo) -> Vec<String> {
-    let mut rows: Vec<String> = mo.facts().map(|f| mo.render_fact(f)).collect();
+/// The rendered rows of `parts` read as one MO, sorted — what a query
+/// response lists and what [`result_digest`] folds.
+pub(crate) fn sorted_rows<'a>(parts: impl IntoIterator<Item = &'a Mo>) -> Vec<String> {
+    let mut rows: Vec<String> = parts
+        .into_iter()
+        .flat_map(|mo| mo.facts().map(|f| mo.render_fact(f)))
+        .collect();
     rows.sort();
     rows
 }
@@ -107,7 +110,7 @@ pub(crate) fn sorted_rows(mo: &Mo) -> Vec<String> {
 /// content digest, so parallel and sequential evaluation of the same
 /// query against the same version agree.
 pub fn result_digest(mo: &Mo) -> u64 {
-    rows_digest(&sorted_rows(mo))
+    rows_digest(&sorted_rows([mo]))
 }
 
 /// The fold of [`result_digest`] over rows already rendered and sorted.
@@ -124,11 +127,12 @@ pub(crate) fn rows_digest(rows: &[String]) -> u64 {
     h
 }
 
-/// Digest of a whole published version (every cube, in cube order).
+/// Digest of a whole published version (every cube, in cube order): each
+/// cube's [`result_digest`], read off its chunks.
 fn view_digest(v: &WarehouseView) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for c in v.cubes() {
-        h ^= result_digest(c.data());
+        h ^= rows_digest(&sorted_rows(c.chunks().iter().map(|k| k.mo())));
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h

@@ -47,6 +47,13 @@ pub struct CubeReport {
     pub scanned: bool,
     /// Rows this cube contributed to the operation's result.
     pub rows_out: u64,
+    /// The cube's chunks.
+    pub chunks: u64,
+    /// Chunks of a scanned cube the query read, and those its hull test
+    /// skipped (both 0 when the cube was not scanned).
+    pub chunks_scanned: u64,
+    /// See [`chunks_scanned`](CubeReport::chunks_scanned).
+    pub chunks_skipped: u64,
     /// True when scanning the cube was provably unnecessary — the
     /// operation read it and produced nothing from it.
     pub skippable: bool,
@@ -164,6 +171,9 @@ fn dag_of(view: &sdr_subcube::WarehouseView) -> Vec<CubeReport> {
                 key_range: s.key_min.zip(s.key_max),
                 scanned: false,
                 rows_out: 0,
+                chunks: c.chunks().len() as u64,
+                chunks_scanned: 0,
+                chunks_skipped: 0,
                 skippable: false,
                 planned: None,
                 cost: None,
@@ -252,8 +262,8 @@ fn explained<T>(
 }
 
 /// Marks every cube with a `subcube.query.subquery` span as scanned and
-/// copies its `rows_out` attribute; a scanned cube that produced nothing
-/// is skippable. Spans stamped with a `skipped` attr were planner skips:
+/// copies its `rows_out`, `chunks_scanned` and `chunks_skipped`
+/// attributes; a scanned cube that produced nothing is skippable. Spans stamped with a `skipped` attr were planner skips:
 /// the cube was *not* evaluated (and by planner soundness contributed
 /// nothing).
 fn annotate_query_scans(cubes: &mut [CubeReport], snap: &Snapshot) {
@@ -276,6 +286,8 @@ fn annotate_query_scans(cubes: &mut [CubeReport], snap: &Snapshot) {
             }
             c.scanned = true;
             c.rows_out = attr_u64(&t.attrs, "rows_out").unwrap_or(0);
+            c.chunks_scanned = attr_u64(&t.attrs, "chunks_scanned").unwrap_or(0);
+            c.chunks_skipped = attr_u64(&t.attrs, "chunks_skipped").unwrap_or(0);
             c.skippable = c.rows_out == 0;
         }
     }
@@ -409,7 +421,7 @@ impl Introspection {
             out.push_str(&format!(
                 "{{\"id\":{},\"grain\":\"{}\",\"parents\":[{}],\"rows\":{},\"bytes\":{},\
                  \"epoch\":{},\"distinct\":[{}],{keys}{planned}\"scanned\":{},\"rows_out\":{},\
-                 \"skippable\":{}}}",
+                 \"chunks\":{},\"chunks_scanned\":{},\"chunks_skipped\":{},\"skippable\":{}}}",
                 c.id,
                 json_escape(&c.grain),
                 parents.join(","),
@@ -419,6 +431,9 @@ impl Introspection {
                 distinct.join(","),
                 c.scanned,
                 c.rows_out,
+                c.chunks,
+                c.chunks_scanned,
+                c.chunks_skipped,
                 c.skippable
             ));
         }
@@ -480,8 +495,16 @@ impl Introspection {
                 parents.join(",")
             ));
             let distinct: Vec<String> = c.distinct.iter().map(|d| d.to_string()).collect();
+            let chunks = if c.chunks_scanned + c.chunks_skipped > 0 {
+                format!(
+                    "chunks={} (scanned={} skipped={})",
+                    c.chunks, c.chunks_scanned, c.chunks_skipped
+                )
+            } else {
+                format!("chunks={}", c.chunks)
+            };
             out.push_str(&format!(
-                "     distinct/dim=[{}] {mark}, rows_out={}\n",
+                "     distinct/dim=[{}] {mark}, rows_out={}, {chunks}\n",
                 distinct.join(","),
                 c.rows_out
             ));

@@ -532,7 +532,7 @@ fn run_query(
         .eval(q, &set, true)
         .map_err(|e| (ERR_INTERNAL, e.to_string()))?;
     // Rendered and sorted once: the digest folds the rows the body lists.
-    let rows = crate::driver::sorted_rows(&res);
+    let rows = crate::driver::sorted_rows([&res]);
     let mut body = format!(
         "epoch={}\ndigest=0x{:016x}\nrows={}\n",
         set.epoch(),

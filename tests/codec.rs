@@ -126,7 +126,7 @@ fn bytes_and_stats_equal_the_parents() {
         ),
     ];
     for (mo, want, file_len, digest) in cases {
-        assert_eq!(table_stats(&mo), want);
+        assert_eq!(table_stats(mo.schema(), [&mo]), want);
         let bytes = encode_facts(mo.schema(), [&mo]);
         assert_eq!((bytes.len(), fnv(&bytes)), (file_len, digest), "{want:?}");
         assert_same(&decode_facts(mo.schema(), &bytes).unwrap(), &mo);

@@ -222,7 +222,7 @@ fn recover_and_verify(
     for (i, c) in view(&w).cubes().iter().enumerate() {
         assert_eq!(
             *c.stats(),
-            SubcubeStats::compute(c.data(), c.epoch()),
+            SubcubeStats::compute(&c.data(), c.epoch()),
             "{ctx}: cube K{i} statistics diverge from recomputation"
         );
     }
@@ -301,7 +301,7 @@ fn recovered_stats_match_recomputation_and_are_persisted() {
     for (i, c) in view(&w).cubes().iter().enumerate() {
         assert_eq!(
             *c.stats(),
-            SubcubeStats::compute(c.data(), c.epoch()),
+            SubcubeStats::compute(&c.data(), c.epoch()),
             "cube K{i} statistics diverge after WAL replay"
         );
     }
@@ -1057,7 +1057,7 @@ fn format2_migration_crash_matrix() {
             for (i, c) in view(&done).cubes().iter().enumerate() {
                 assert_eq!(
                     *c.stats(),
-                    SubcubeStats::compute(c.data(), c.epoch()),
+                    SubcubeStats::compute(&c.data(), c.epoch()),
                     "{ctx}: K{i} statistics diverge after migration"
                 );
             }

@@ -11,6 +11,7 @@ use std::sync::Arc;
 use specdr::introspect::{explain_age, explain_query, profile};
 use specdr::mdm::calendar::days_from_civil;
 use specdr::mdm::time_cat as tc;
+use specdr::plan::Grounding;
 use specdr::query::{aggregate_ids_naive, select_snapshot, AggApproach, SelectMode};
 use specdr::reduce::DataReductionSpec;
 use specdr::spec::{parse_action, parse_pexp};
@@ -89,8 +90,48 @@ fn explain_counts_match_naive_references() {
         let naive = aggregate_ids_naive(&selected, &q.levels, q.approach).unwrap();
         assert_eq!(rep.rows_out, naive.len() as u64, "K{i} rows_out");
         assert_eq!(rep.skippable, naive.is_empty(), "K{i} skippable");
+        // Chunk verdicts, recomputed from each chunk's hulls.
+        let grounding = Grounding::new(m.schema(), q.pred.as_ref(), q.mode, now);
+        let alive = cube
+            .chunks()
+            .iter()
+            .filter(|c| grounding.may_match(c.summary().hulls()))
+            .count() as u64;
+        assert_eq!(rep.chunks, cube.chunks().len() as u64, "K{i} chunks");
+        assert_eq!(rep.chunks_scanned, alive, "K{i} chunks scanned");
+        assert_eq!(
+            rep.chunks_skipped,
+            rep.chunks - alive,
+            "K{i} chunks skipped"
+        );
     }
     assert!(report.cubes.iter().any(|c| !c.skippable));
+
+    // Loaded one fact at a time and never synchronized, the bottom cube
+    // is one chunk per fact: the report's chunk verdicts are the hull
+    // test's, and a window from 2000 on skips some of them.
+    let (facts, _) = paper_mo();
+    let chunked = SubcubeManager::new(m.spec().as_ref().clone());
+    for f in 0..facts.len() as u32 {
+        chunked.bulk_load(&facts.gather(&[f])).unwrap();
+    }
+    let recent = CubeQuery {
+        pred: Some(parse_pexp(m.schema(), "Time.quarter >= 2000Q1").unwrap()),
+        ..figure8_query(&m)
+    };
+    let (_, chunked_report) = explain_query(&chunked, &recent, now, false, false).unwrap();
+    let chunked_view = chunked.view();
+    let k0 = &chunked_view.cubes()[0];
+    let grounding = Grounding::new(m.schema(), recent.pred.as_ref(), recent.mode, now);
+    let hulls = k0.chunks().iter().map(|c| c.summary().hulls());
+    let alive = hulls.filter(|h| grounding.may_match(h)).count() as u64;
+    let rep = &chunked_report.cubes[0];
+    assert_eq!(rep.chunks, facts.len() as u64);
+    assert_eq!(
+        (rep.chunks_scanned, rep.chunks_skipped),
+        (alive, rep.chunks - alive)
+    );
+    assert!(rep.chunks_skipped > 0, "{rep:?}");
 
     // A window before any fact exists: the planner proves every cube
     // irrelevant from its statistics — nothing is scanned, the answer is

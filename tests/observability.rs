@@ -199,17 +199,9 @@ fn metrics_agree_with_authoritative_numbers() {
     assert_eq!(scanned + skipped, n_cubes);
     assert_eq!(snap.counter("plan.skip.empty").unwrap_or(0), skipped);
     assert_eq!(snap.counter("subcube.query.fanout"), Some(scanned));
-    // aggregate runs once per scanned sub-query + once combining (plus
-    // once per skipped cube when SDR_PLAN_VERIFY re-evaluates them).
-    let verify_extra = if std::env::var("SDR_PLAN_VERIFY").ok().as_deref() == Some("1") {
-        skipped
-    } else {
-        0
-    };
-    assert_eq!(
-        snap.span("query.aggregate").unwrap().count,
-        scanned + 1 + verify_extra
-    );
+    // aggregate runs once per scanned sub-query + once combining (the
+    // SDR_PLAN_VERIFY re-evaluation of skipped cubes is span-free).
+    assert_eq!(snap.span("query.aggregate").unwrap().count, scanned + 1);
     assert!(snap.counter("query.aggregate.cells_produced").unwrap() >= answer.len() as u64);
 
     // --- Phase 4a: the re-delivered clicks sit un-homed in the bottom
@@ -295,7 +287,7 @@ fn metrics_agree_with_authoritative_numbers() {
     // layout it was sealed in — sized only (`table_stats`) or built
     // (`encode_facts`; four copies of the MO cross a segment boundary).
     obs::reset();
-    specdr::storage::table_stats(&mo);
+    specdr::storage::table_stats(mo.schema(), [&mo]);
     specdr::storage::encode_facts(&schema, [&mo, &mo, &mo, &mo]);
     let snap = obs::snapshot();
     let segments = snap.span("storage.encode").unwrap().count;

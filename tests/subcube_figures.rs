@@ -234,7 +234,7 @@ fn interleaved_loads_and_syncs() {
 #[test]
 fn storage_shrinks_dramatically_with_age() {
     let (mut m, mo) = build_manager(50);
-    let raw = specdr::storage::table_stats(&mo);
+    let raw = specdr::storage::table_stats(mo.schema(), [&mo]);
     m.sync(days_from_civil(2004, 6, 15)).unwrap();
     m.crash_roundtrip();
     let reduced: usize = m

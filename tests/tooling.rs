@@ -520,6 +520,8 @@ fn stats_json_golden_schema_is_stable() {
             "age.rows_homed",
             "age.ticks",
             "obs.trace.spans_closed",
+            "plan.chunks_scanned",
+            "plan.chunks_skipped",
             "plan.cubes_scanned",
             "plan.cubes_skipped",
             "plan.skip.empty",
@@ -559,7 +561,6 @@ fn stats_json_golden_schema_is_stable() {
         [
             "plan.query",
             "query.aggregate",
-            "query.select",
             "reduce.analyze",
             "reduce.reduce",
             "storage.encode",
@@ -1128,11 +1129,11 @@ fn mutation_layers_only_apply_ops() {
 
 /// Source audit for the request path: each of its steps is written
 /// once. The mode grammar's `weighted:` literal lives in one file (the
-/// `FromStr`/`Display` pair in `sdr-query`); the subcube layer calls
-/// `aggregate_ids` in exactly two places — the per-cube scan and the one
-/// merge; and the second copies this path used to carry (a merge per
-/// level, a mix per driver, a query builder per front end) are not
-/// defined again.
+/// `FromStr`/`Display` pair in `sdr-query`); the subcube layer compiles
+/// a query's scan in exactly one place and calls `aggregate_ids` in
+/// exactly one — the one merge; and the second copies this path used to
+/// carry (a merge per level, a mix per driver, a query builder per
+/// front end) are not defined again.
 #[test]
 fn request_path_has_one_of_each() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -1145,8 +1146,8 @@ fn request_path_has_one_of_each() {
         concat!("fn ", "cube_query_from_opts"),
     ];
     let in_path = [concat!("fn ", "combine"), concat!("fn ", "gather")];
-    let (mut weighted_files, mut aggregations, mut violations) =
-        (Vec::new(), Vec::new(), Vec::new());
+    let (mut weighted_files, mut aggregations, mut compiles, mut violations) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     // Library and binary sources only: `crates/*/src` and `src/`.
     let crates = std::fs::read_dir(root.join("crates")).unwrap();
     let mut stack: Vec<_> = crates.map(|e| e.unwrap().path().join("src")).collect();
@@ -1174,6 +1175,9 @@ fn request_path_has_one_of_each() {
                 if p.starts_with(&subcube_src) && line.contains("aggregate_ids(") {
                     aggregations.push(format!("{}:{}", p.display(), i + 1));
                 }
+                if p.starts_with(&subcube_src) && line.contains("Scan::compile(") {
+                    compiles.push(format!("{}:{}", p.display(), i + 1));
+                }
                 let own = p.starts_with(&subcube_src) || p.starts_with(root.join("src"));
                 for def in anywhere.iter().chain(in_path.iter().filter(|_| own)) {
                     let defined = line.split(def).nth(1).is_some_and(|rest| {
@@ -1187,7 +1191,52 @@ fn request_path_has_one_of_each() {
         }
     }
     assert_eq!(weighted_files.len(), 1, "{weighted_files:?}");
-    assert_eq!(aggregations.len(), 2, "{aggregations:?}");
+    assert_eq!(aggregations.len(), 1, "{aggregations:?}");
+    assert_eq!(compiles.len(), 1, "{compiles:?}");
+    assert!(violations.is_empty(), "{}", violations.join("\n"));
+}
+
+/// Source audit for the read path: a query scans a cube's chunks, never
+/// a contiguous copy of the cube. The warehouse keeps no concatenated
+/// view (`CubeData` has no `whole` field), and the query and shard
+/// modules neither concatenate a cube (`Subcube::snapshot()`,
+/// `Subcube::data()`) nor copy the rows they keep (`gather(`). The one
+/// exemption is the write path's `fn partition`, which splits a load
+/// into one batch per shard.
+#[test]
+fn read_path_is_chunk_native() {
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/subcube/src");
+    // Every non-comment line of a file, numbered from 1.
+    let code = |file: &str| -> Vec<(usize, String)> {
+        let text = std::fs::read_to_string(src.join(file)).unwrap();
+        text.lines()
+            .enumerate()
+            .filter(|(_, l)| !l.trim_start().starts_with("//"))
+            .map(|(i, l)| (i + 1, l.trim_start().to_string()))
+            .collect()
+    };
+    let mut violations = Vec::new();
+    for (n, line) in code("manager.rs") {
+        let field = ["pub(crate) ", "pub "]
+            .iter()
+            .fold(line.as_str(), |l, vis| l.strip_prefix(vis).unwrap_or(l));
+        if field.starts_with("whole:") {
+            violations.push(format!("manager.rs:{n}: a `whole` field"));
+        }
+    }
+    for file in ["query.rs", "shard.rs"] {
+        let mut in_partition = false;
+        for (n, line) in code(file) {
+            if line.contains("fn ") {
+                in_partition = line.contains("fn partition(");
+            }
+            for pat in [".snapshot()", ".data()", "gather("] {
+                if line.contains(pat) && !(in_partition && pat == "gather(") {
+                    violations.push(format!("{file}:{n}: `{pat}` in `{line}`"));
+                }
+            }
+        }
+    }
     assert!(violations.is_empty(), "{}", violations.join("\n"));
 }
 
