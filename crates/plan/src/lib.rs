@@ -30,8 +30,8 @@
 //!
 //! Pruning must be *observationally invisible*: the planned evaluation
 //! returns exactly what the naive full fan-out returns (the
-//! differential suite and the `SDR_PLAN_VERIFY=1` debug mode both
-//! assert this). The planner therefore only uses **necessary**
+//! differential suite and every debug build's in-engine check of the
+//! skipped cubes both assert this). The planner therefore only uses **necessary**
 //! conditions for a fact to survive selection:
 //!
 //! * Selection compares footprints at the GLB category (Definition 5

@@ -43,7 +43,7 @@
 //! of the rest are folded straight into one accumulator per cube scan.
 //! No cube is concatenated and no row is copied before it is grouped.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use sdr_mdm::{DayNum, Mo, Schema};
 use sdr_plan::{CubeSummary, Grounding, QueryPlan, RegionOracle};
@@ -131,15 +131,16 @@ impl CompiledQuery {
         Ok((acc.finish()?, scanned, skipped))
     }
 
-    /// Under `SDR_PLAN_VERIFY=1`, scans a chunk the planner skipped —
-    /// span- and counter-free, so the telemetry matches the plan — and
-    /// panics if its selection keeps a row: a planner soundness bug.
+    /// In a debug build, scans a chunk the planner skipped — span- and
+    /// counter-free, so the telemetry matches the plan — and panics if
+    /// its selection keeps a row: a planner soundness bug. Every debug
+    /// test run checks every skip this way.
     fn verify_skipped(
         &self,
         chunk: &Chunk,
         what: impl FnOnce() -> String,
     ) -> Result<(), SubcubeError> {
-        if plan_verify() {
+        if cfg!(debug_assertions) {
             let mut probe = self.scan.start();
             probe.feed(chunk.mo())?;
             let rows = probe.kept();
@@ -152,15 +153,6 @@ impl CompiledQuery {
         }
         Ok(())
     }
-}
-
-/// `SDR_PLAN_VERIFY=1` — debug mode: planner-skipped cubes and chunks
-/// are evaluated anyway and the process panics if one keeps a row (the
-/// differential suite runs the whole test matrix under this). Read from
-/// the environment once per process.
-fn plan_verify() -> bool {
-    static VERIFY: OnceLock<bool> = OnceLock::new();
-    *VERIFY.get_or_init(|| std::env::var("SDR_PLAN_VERIFY").is_ok_and(|v| v == "1"))
 }
 
 /// `f` over every item concurrently, results in item order. The calling

@@ -133,10 +133,11 @@ fi
 
 # Planner differential gate: the planned evaluation must equal the
 # naive full fan-out on every query family, and every skipped cube must
-# contribute zero rows. SDR_PLAN_VERIFY=1 makes the engine re-evaluate
-# each skipped cube inside query_planned and panic on a row, so the
-# whole matrix runs with both the external and the in-engine check.
-run env SDR_PLAN_VERIFY=1 cargo test -q --release --test planner
+# contribute zero rows. A debug build makes the engine re-evaluate each
+# skipped cube and chunk and panic on a row, so the whole matrix runs
+# with both the external and the in-engine check (as does every debug
+# `cargo test` run above).
+run cargo test -q --test planner
 
 # Compression floor on the Figure 7 dataset (the default 24-month
 # click-stream under the paper's retention policy): the dictionary +
@@ -204,11 +205,15 @@ fi
 
 # Serve smoke test: boot the daemon on an ephemeral port, compare a wire
 # client's digest against the in-process baseline digest printed in the
-# serve banner, then verify clean SIGTERM shutdown (exit 0).
+# serve banner, then verify clean SIGTERM shutdown (exit 0) that removes
+# the daemon's own warehouse directory.
 echo "==> specdr serve smoke test (wire digest + clean shutdown)"
 serve_log=$(mktemp)
 target/release/specdr serve --months 6 --clicks 20 --shards 2 >"$serve_log" 2>&1 &
 serve_pid=$!
+# Without --dir the daemon keeps its warehouse in a directory of its
+# own, which it must remove on exit.
+serve_dir="${TMPDIR:-/tmp}/specdr-serve-$serve_pid"
 for i in $(seq 1 50); do
   grep -q '^serve: baseline' "$serve_log" 2>/dev/null && break
   sleep 0.2
@@ -219,6 +224,11 @@ serve_digest=$(sed -n 's/^serve: baseline .*digest=\(0x[0-9a-f]*\)$/\1/p' "$serv
 if [ -z "$serve_addr" ] || [ -z "$serve_digest" ]; then
   echo "serve smoke: daemon did not come up:" >&2
   cat "$serve_log" >&2
+  kill "$serve_pid" 2>/dev/null || true
+  exit 1
+fi
+if [ ! -d "$serve_dir" ]; then
+  echo "serve smoke: no warehouse directory at $serve_dir" >&2
   kill "$serve_pid" 2>/dev/null || true
   exit 1
 fi
@@ -235,6 +245,10 @@ wait "$serve_pid" || serve_rc=$?
 if [ "$serve_rc" -ne 0 ] || ! grep -q '^serve: shutdown$' "$serve_log"; then
   echo "serve smoke: SIGTERM shutdown was not clean (rc=$serve_rc):" >&2
   cat "$serve_log" >&2
+  exit 1
+fi
+if [ -e "$serve_dir" ]; then
+  echo "serve smoke: $serve_dir left behind after shutdown" >&2
   exit 1
 fi
 echo "  addr=$serve_addr digest=$client_digest shutdown clean"

@@ -1,107 +1,7 @@
 //! `specdr` — command-line driver for the specification-based data
-//! reduction library.
-//!
-//! ```text
-//! specdr demo
-//!     Run the paper's ISP example end to end (Figures 1, 3, 4, 5).
-//!
-//! specdr explain [--spec-file FILE]
-//!     Parse a reduction specification (one action per line or
-//!     semicolon-separated; `--` starts a comment), check NonCrossing and
-//!     Growing, and print a plain-language explanation of every action.
-//!     Without a file, explains the built-in 6/36-month retention policy.
-//!
-//! specdr explain --query [--where PRED] [--roll-up LEVELS] [--mode MODE]
-//!                [--months N] [--clicks K] [--now Y/M/D]
-//!                [--format json|table|trace]
-//! specdr explain --reduce [--months N] [--clicks K] [--now Y/M/D]
-//!                [--format json|table|trace]
-//!     Warehouse introspection: run the query (or the reduction pass,
-//!     with --reduce) against a synthetic subcube warehouse with tracing
-//!     on, and render the subcube DAG annotated with each cube's exact
-//!     statistics (rows, bytes, distinct values per dimension, epoch),
-//!     which cubes were scanned vs. skippable, memoization hits, and a
-//!     per-phase time/row breakdown. `--format=trace` emits the span
-//!     tree as a chrome `trace_event` document (load in chrome://tracing
-//!     or Perfetto).
-//!
-//! specdr explain --age [--until Y/M/D] [--months N] [--clicks K]
-//!                [--spec-file FILE] [--format json|table|trace]
-//!     Introspect one incremental aging pass: the transition schedule
-//!     build, every per-tick span with its delta row counts, and the
-//!     subcube DAG after aging. The explainer is `--reduce`'s; the
-//!     warehouse it starts from is synchronized to the end of its data,
-//!     where `--reduce` starts from the warehouse as loaded.
-//!
-//! specdr age --until Y/M/D [--months N] [--clicks K] [--spec-file FILE]
-//!            [--follow [--tick N]]
-//!     Incrementally age a synthetic warehouse along the specification's
-//!     transition-day schedule: the baseline is a synchronization to
-//!     the end of the loaded data, then each scheduled tick re-evaluates
-//!     only the facts whose cell changed between consecutive transition
-//!     days (untouched subcubes are carried forward by reference).
-//!     `--until` earlier than the baseline is rejected — aging is
-//!     monotone. `--follow` keeps aging through the next `--tick` N
-//!     scheduled transition days, printing per-tick statistics.
-//!
-//! specdr profile [--months N] [--clicks K] [--now Y/M/D]
-//!                [--format json|table|trace]
-//!     Profile one round trip — synchronize the warehouse, then answer a
-//!     parallel monthly roll-up — under a single trace recording, and
-//!     render the combined introspection report (same formats as
-//!     `explain --query`).
-//!
-//! specdr simulate [--months N] [--clicks K] [--raw-months A]
-//!                 [--month-months B] [--sessions]
-//!     Generate a synthetic click-stream, validate the retention policy,
-//!     and print the storage-gain series as NOW sweeps forward.
-//!
-//! specdr query --where PRED [--roll-up LEVELS] [--mode MODE]
-//!              [--months N] [--clicks K] [--now Y/M/D]
-//!     Generate + reduce a synthetic warehouse and run a query against it
-//!     (e.g. --where "URL.domain_grp = .com" --roll-up Time.quarter,URL.domain
-//!     --mode liberal).
-//!
-//! specdr stats [--months N] [--clicks K] [--format json|table] [--bytes]
-//!     Run the full pipeline (generate → reduce → subcube load/sync/query
-//!     → storage) with metric recording on and print the snapshot.
-//!
-//! specdr checkpoint --dir DIR [--months N] [--clicks K]
-//!                   [--raw-months A] [--month-months B]
-//!     Build a synthetic warehouse durably (every load and sync
-//!     write-ahead logged into DIR), publish an atomic checkpoint, and
-//!     print the resulting manifest.
-//!
-//! specdr recover --dir DIR [--raw-months A] [--month-months B]
-//!     Recover the warehouse in DIR: load the live checkpoint, replay
-//!     the WAL tail (dropping any torn records), and print the recovery
-//!     report plus a warehouse summary.
-//!
-//! specdr lint [--spec-file FILE] [--schema clickstream|paper] [--now Y/M/D]
-//!             [--format text|json] [--allow CODE] [--warn CODE]
-//!             [--deny CODE|warnings]
-//!     Statically analyze a reduction specification with `sdr-lint`:
-//!     unsatisfiable/dead/redundant predicates, NonCrossing and Growing
-//!     violations with concrete counterexamples, expired windows
-//!     (relative to --now), and granularity mismatches. Findings are
-//!     rendered rustc-style with caret-underlined spans (or as one JSON
-//!     object with `--format=json`); the exit code is non-zero exactly
-//!     when a denied finding is present. Without a file, lints the
-//!     built-in 6/36-month retention policy.
-//!
-//! specdr concurrent [--seed S] [--readers N] [--steps M] [--queries Q]
-//!     Closed-loop snapshot-isolation driver: N reader threads issue the
-//!     Figure 5-9 query mix against published snapshots while a seeded
-//!     writer churns the warehouse with loads, syncs, and specification
-//!     evolution; every observation is audited against the exact epoch
-//!     it read (torn reads fail the run) and the deterministic
-//!     (epoch, digest) schedule is printed for cross-run comparison.
-//! ```
-//!
-//! `demo`, `simulate`, and `query` also accept `--metrics[=json|table]`,
-//! which enables the `sdr-obs` registry for the run and prints the metric
-//! snapshot after the normal output (JSON-lines with `--metrics=json`).
-//! Unknown flags are rejected with a non-zero exit.
+//! reduction library. `specdr help` lists every command and its flags;
+//! that text (`USAGE` below, headed by the command table) is the one
+//! description of the commands.
 //!
 //! All data is synthetic/deterministic; the CLI exists to exercise every
 //! public API from the outside, exactly like a downstream user would.
@@ -109,17 +9,16 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use specdr::mdm::calendar::{civil_from_days, days_from_civil};
-use specdr::mdm::{render_table, MeasureId, Mo, Span, TableOptions, TimeUnit};
-use specdr::query::{aggregate_ids, select_view};
-use specdr::reduce::{reduce, DataReductionSpec};
+use specdr::mdm::calendar::{civil_from_days, days_from_civil, days_in_month};
+use specdr::mdm::{render_table, MeasureId, TableOptions};
+use specdr::reduce::DataReductionSpec;
 use specdr::serve::QuerySpec;
 use specdr::spec::{explain_action, parse_actions};
-use specdr::storage::table_stats;
-use specdr::subcube::{AgeStats, ShardRouter, SubcubeManager};
+use specdr::subcube::{
+    read_manifest, AgeStats, Manifest, ShardRouter, SubcubeManager, WarehouseView,
+};
 use specdr::workload::{
-    generate, generate_sessions, paper_mo, retention_policy, snapshot_days, Clickstream,
-    ClickstreamConfig, SessionConfig, ACTION_A1, ACTION_A2,
+    generate, retention_policy, Clickstream, ClickstreamConfig, ACTION_A1, ACTION_A2,
 };
 
 fn main() -> ExitCode {
@@ -141,7 +40,7 @@ struct Command {
     name: &'static str,
     /// `--flag VALUE` / `--flag=VALUE` flags.
     values: &'static [&'static str],
-    /// Boolean switches (`--sessions`; a value is an error).
+    /// Boolean switches (`--follow`; a value is an error).
     switches: &'static [&'static str],
     /// Takes `--metrics[=json|table]`: record the run in the `sdr-obs`
     /// registry and print the snapshot after the normal output.
@@ -151,7 +50,6 @@ struct Command {
 
 #[rustfmt::skip]
 static COMMANDS: &[Command] = &[
-    Command { name: "demo", values: &[], switches: &[], metrics: true, run: cmd_demo },
     Command { name: "explain", metrics: false, run: cmd_explain,
         values: &["--spec-file", "--where", "--roll-up", "--mode", "--months", "--clicks", "--now",
                   "--until", "--format"],
@@ -159,11 +57,6 @@ static COMMANDS: &[Command] = &[
     Command { name: "age", metrics: true, run: cmd_age,
         values: &["--until", "--months", "--clicks", "--spec-file", "--tick"],
         switches: &["--follow"] },
-    Command { name: "profile", metrics: false, run: cmd_profile,
-        values: &["--months", "--clicks", "--now", "--format"], switches: &[] },
-    Command { name: "simulate", metrics: true, run: cmd_simulate,
-        values: &["--months", "--clicks", "--raw-months", "--month-months"],
-        switches: &["--sessions"] },
     Command { name: "query", metrics: true, run: cmd_query,
         values: &["--where", "--roll-up", "--mode", "--months", "--clicks", "--now"],
         switches: &[] },
@@ -177,6 +70,8 @@ static COMMANDS: &[Command] = &[
     Command { name: "lint", metrics: false, run: cmd_lint,
         values: &["--spec-file", "--schema", "--now", "--format", "--allow", "--warn", "--deny"],
         switches: &[] },
+    Command { name: "check", metrics: true, run: cmd_check,
+        values: &["--protocol", "--budget", "--preemptions", "--mutate"], switches: &[] },
     Command { name: "concurrent", metrics: true, run: cmd_concurrent,
         values: &["--seed", "--readers", "--steps", "--queries"], switches: &[] },
     Command { name: "serve", metrics: true, run: cmd_serve,
@@ -187,8 +82,6 @@ static COMMANDS: &[Command] = &[
         switches: &["--stats", "--explain", "--ping", "--unsync"] },
     Command { name: "loadgen", metrics: true, run: cmd_loadgen,
         values: &["--seed", "--clients", "--steps", "--queries", "--shards"], switches: &[] },
-    Command { name: "check", metrics: true, run: cmd_check,
-        values: &["--protocol", "--budget", "--preemptions", "--mutate"], switches: &[] },
 ];
 
 fn run_command(cmd: &str, rest: &[String]) -> Result<(), AnyError> {
@@ -197,7 +90,7 @@ fn run_command(cmd: &str, rest: &[String]) -> Result<(), AnyError> {
     // be an "unknown flag" error.
     let help = |a: &str| a == "--help" || a == "-h";
     if help(cmd) || cmd == "help" || rest.iter().any(|a| help(a)) {
-        print!("{}", USAGE);
+        print_usage();
         return Ok(());
     }
     let command = COMMANDS
@@ -221,79 +114,92 @@ fn run_command(cmd: &str, rest: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
-const USAGE: &str =
-    "usage: specdr <demo|explain|age|profile|lint|check|simulate|query|stats|checkpoint|recover|concurrent|serve|client|loadgen|help> [options]\n\
-  demo                        run the paper's ISP example\n\
-  explain [--spec-file FILE]  check + explain a reduction specification\n\
-  explain --query [--where PRED] [--roll-up LEVELS] [--mode MODE] [--months N]\n\
-          [--clicks K] [--now Y/M/D] [--unsync] [--format json|table|trace]\n\
-  explain --reduce [--months N] [--clicks K] [--now Y/M/D] [--format json|table|trace]\n\
-                              introspect a query / reduction pass: subcube DAG\n\
-                              with exact per-cube statistics, scanned vs.\n\
-                              skippable cubes, memo hits, per-phase breakdown;\n\
-                              --unsync leaves the warehouse at the last loaded\n\
-                              day and explains the un-synchronized query: the\n\
-                              virtually aged cubes and the memo line\n\
-  explain --age [--until Y/M/D] [--months N] [--clicks K] [--spec-file FILE]\n\
-          [--format json|table|trace]\n\
-                              introspect one incremental aging pass: scheduler,\n\
-                              per-tick spans, and the cube DAG after aging\n\
-  age --until Y/M/D [--months N] [--clicks K] [--spec-file FILE]\n\
-      [--follow [--tick N]]   incrementally age the warehouse along the spec's\n\
-                              transition-day schedule (only facts whose cell\n\
-                              changed between consecutive transitions are\n\
-                              re-evaluated); --follow keeps aging through the\n\
-                              next N scheduled transitions\n\
-  profile [--months N] [--clicks K] [--now Y/M/D] [--format json|table|trace]\n\
-                              trace one sync + parallel roll-up pass and render\n\
-                              the combined introspection report\n\
-  simulate [--months N] [--clicks K] [--raw-months A] [--month-months B] [--sessions]\n\
-                              storage-gain simulation under a retention policy\n\
-  query --where PRED [--roll-up LEVELS] [--mode conservative|liberal|weighted:T]\n\
-        [--months N] [--clicks K] [--now Y/M/D]\n\
-  stats [--months N] [--clicks K] [--format json|table] [--bytes]\n\
-                              (--bytes: per-subcube on-disk raw vs. encoded sizes)\n\
-                              run the pipeline with metrics on, print the snapshot\n\
-  checkpoint --dir DIR [--months N] [--clicks K] [--raw-months A] [--month-months B]\n\
-                              load a synthetic warehouse durably (WAL) and publish\n\
-                              an atomic checkpoint; print the manifest\n\
-  recover --dir DIR [--raw-months A] [--month-months B]\n\
-                              recover a warehouse directory: load the live\n\
-                              checkpoint, replay the WAL tail, print the report\n\
-  lint [--spec-file FILE] [--schema clickstream|paper] [--now Y/M/D]\n\
-       [--format text|json] [--allow CODE] [--warn CODE] [--deny CODE|warnings]\n\
-                              statically analyze a reduction specification;\n\
-                              non-zero exit iff a denied finding is present\n\
-  check [--protocol all|epoch|group-commit|shard|serve|memo] [--budget N]\n\
-        [--preemptions P] [--mutate NAME]\n\
-                              model-check the warehouse concurrency protocols:\n\
-                              exhaustively enumerate thread interleavings (up to\n\
-                              P preemptions, at most N schedules per protocol)\n\
-                              and fail with a minimal counterexample schedule on\n\
-                              any contract violation; --mutate arms a seeded\n\
-                              protocol bug that the harness must catch\n\
-  concurrent [--seed S] [--readers N] [--steps M] [--queries Q]\n\
-                              closed-loop snapshot-isolation driver: N readers\n\
-                              query while a seeded writer churns loads, syncs,\n\
-                              and spec evolution; audits for torn reads and\n\
-                              prints the deterministic schedule digest\n\
-  serve [--addr H:P] [--shards N] [--months N] [--clicks K] [--cap C] [--dir DIR]\n\
-                              build a sharded click-stream warehouse and serve\n\
-                              the CRC-framed wire protocol (query/stats/explain)\n\
-                              until SIGTERM/SIGINT; port 0 picks an ephemeral\n\
-                              port and prints the bound address\n\
-  client --addr H:P [--where PRED] [--roll-up LEVELS] [--mode MODE]\n\
-         [--approach availability|strict|lub|disaggregated] [--now Y/M/D]\n\
-         [--unsync] [--stats] [--explain] [--ping]\n\
-                              one wire round-trip against a running daemon;\n\
-                              default issues the baseline query and prints its\n\
-                              digest for comparison with the serve banner\n\
-  loadgen [--seed S] [--clients N] [--steps M] [--queries Q] [--shards K]\n\
-                              multi-client socket load generator: in-process\n\
-                              daemon over a sharded warehouse, N TCP clients\n\
-                              churned by a seeded writer; audits every wire\n\
-                              response for torn reads, prints p50/p99 latency\n\
-  demo/age/simulate/query/checkpoint/recover/concurrent/serve/loadgen also take --metrics[=json|table]\n";
+/// `specdr help`: the command list and the `--metrics` line come from
+/// [`COMMANDS`], the entries in between from [`USAGE`].
+fn print_usage() {
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+    let metered: Vec<&str> = COMMANDS
+        .iter()
+        .filter(|c| c.metrics)
+        .map(|c| c.name)
+        .collect();
+    print!(
+        "usage: specdr <{}|help> [options]\n{USAGE}  {} also take --metrics[=json|table]\n",
+        names.join("|"),
+        metered.join("/")
+    );
+}
+
+/// One entry per command, in [`COMMANDS`] order.
+const USAGE: &str = "  explain [--spec-file FILE]  check + explain a reduction specification
+  explain --query [--where PRED] [--roll-up LEVELS] [--mode MODE] [--months N]
+          [--clicks K] [--now Y/M/D] [--unsync] [--format json|table|trace]
+  explain --reduce [--months N] [--clicks K] [--now Y/M/D] [--format json|table|trace]
+                              introspect a query / reduction pass: subcube DAG
+                              with exact per-cube statistics, scanned vs.
+                              skippable cubes, memo hits, per-phase breakdown;
+                              --unsync leaves the warehouse at the last loaded
+                              day and explains the un-synchronized query: the
+                              virtually aged cubes and the memo line
+  explain --age [--until Y/M/D] [--months N] [--clicks K] [--spec-file FILE]
+          [--format json|table|trace]
+                              introspect one incremental aging pass: scheduler,
+                              per-tick spans, and the cube DAG after aging
+  age --until Y/M/D [--months N] [--clicks K] [--spec-file FILE]
+      [--follow [--tick N]]   incrementally age the warehouse along the spec's
+                              transition-day schedule (only facts whose cell
+                              changed between consecutive transitions are
+                              re-evaluated); --follow keeps aging through the
+                              next N scheduled transitions
+  query [--where PRED] [--roll-up LEVELS] [--mode conservative|liberal|weighted:T]
+        [--months N] [--clicks K] [--now Y/M/D]
+                              synchronize the `explain --query` warehouse to
+                              NOW and print the query's rows and Number_of total
+  stats [--months N] [--clicks K] [--format json|table] [--bytes]
+                              load, sync, checkpoint and query one durable
+                              warehouse with metrics on; print the snapshot
+                              (--bytes: the checkpoint's per-subcube raw vs.
+                              encoded bytes)
+  checkpoint --dir DIR [--months N] [--clicks K] [--raw-months A] [--month-months B]
+                              load a synthetic warehouse durably (WAL) and publish
+                              an atomic checkpoint; print the manifest
+  recover --dir DIR [--raw-months A] [--month-months B]
+                              recover a warehouse directory: load the live
+                              checkpoint, replay the WAL tail, print the report
+  lint [--spec-file FILE] [--schema clickstream|paper] [--now Y/M/D]
+       [--format text|json] [--allow CODE] [--warn CODE] [--deny CODE|warnings]
+                              statically analyze a reduction specification;
+                              non-zero exit iff a denied finding is present
+  check [--protocol all|epoch|group-commit|shard|serve|memo] [--budget N]
+        [--preemptions P] [--mutate NAME]
+                              model-check the warehouse concurrency protocols:
+                              exhaustively enumerate thread interleavings (up to
+                              P preemptions, at most N schedules per protocol)
+                              and fail with a minimal counterexample schedule on
+                              any contract violation; --mutate arms a seeded
+                              protocol bug that the harness must catch
+  concurrent [--seed S] [--readers N] [--steps M] [--queries Q]
+                              closed-loop snapshot-isolation driver: N readers
+                              query while a seeded writer churns loads, syncs,
+                              and spec evolution; audits for torn reads and
+                              prints the deterministic schedule digest
+  serve [--addr H:P] [--shards N] [--months N] [--clicks K] [--cap C] [--dir DIR]
+                              build a sharded click-stream warehouse and serve
+                              the CRC-framed wire protocol (query/stats/explain)
+                              until SIGTERM/SIGINT; port 0 picks an ephemeral
+                              port and prints the bound address
+  client --addr H:P [--where PRED] [--roll-up LEVELS] [--mode MODE]
+         [--approach availability|strict|lub|disaggregated] [--now Y/M/D]
+         [--unsync] [--stats] [--explain] [--ping]
+                              one wire round-trip against a running daemon;
+                              default issues the baseline query and prints its
+                              digest for comparison with the serve banner
+  loadgen [--seed S] [--clients N] [--steps M] [--queries Q] [--shards K]
+                              multi-client socket load generator: in-process
+                              daemon over a sharded warehouse, N TCP clients
+                              churned by a seeded writer; audits every wire
+                              response for torn reads, prints p50/p99 latency
+";
 
 type AnyError = Box<dyn std::error::Error>;
 
@@ -396,16 +302,20 @@ fn print_snapshot(format: MetricsFormat) {
     }
 }
 
+/// A `Y/M/D` day; a month outside 1–12 or a day past the month's end
+/// is a `bad date` error, not some other day.
 fn parse_date(s: &str) -> Result<i32, AnyError> {
-    let parts: Vec<&str> = s.split('/').collect();
-    if parts.len() != 3 {
-        return Err(format!("bad date `{s}` (expected Y/M/D)").into());
+    let bad = || -> AnyError { format!("bad date `{s}` (expected Y/M/D)").into() };
+    let [y, m, d] = s.split('/').collect::<Vec<_>>()[..] else {
+        return Err(bad());
+    };
+    let (Ok(y), Ok(m), Ok(d)) = (y.parse::<i32>(), m.parse::<u32>(), d.parse::<u32>()) else {
+        return Err(bad());
+    };
+    if !(1..=12).contains(&m) || !(1..=days_in_month(y, m)).contains(&d) {
+        return Err(bad());
     }
-    Ok(days_from_civil(
-        parts[0].parse()?,
-        parts[1].parse()?,
-        parts[2].parse()?,
-    ))
+    Ok(days_from_civil(y, m, d))
 }
 
 /// The paper's specification `{a1, a2}` (Figure 3) against its schema.
@@ -413,33 +323,6 @@ fn paper_spec(schema: &Arc<specdr::mdm::Schema>) -> Result<DataReductionSpec, An
     let a1 = specdr::spec::parse_action(schema, ACTION_A1)?;
     let a2 = specdr::spec::parse_action(schema, ACTION_A2)?;
     Ok(DataReductionSpec::new(Arc::clone(schema), vec![a1, a2])?)
-}
-
-fn cmd_demo(_opts: &Opts) -> Result<(), AnyError> {
-    let (mo, _) = paper_mo();
-    println!("The paper's example MO (Table 2 / Figure 1):\n");
-    println!("{}", render_table(&mo, TableOptions::default()));
-    let spec = paper_spec(mo.schema())?;
-    println!("Actions:");
-    for (id, a) in spec.actions() {
-        println!("  a{} {}", id.0 + 1, explain_action(a, mo.schema()));
-    }
-    for now in snapshot_days() {
-        let (y, m, d) = civil_from_days(now);
-        let red = reduce(&mo, &spec, now)?;
-        println!("\nReduced MO at {y}/{m}/{d} (Figure 3):\n");
-        println!(
-            "{}",
-            render_table(
-                &red,
-                TableOptions {
-                    show_origin: true,
-                    ..Default::default()
-                }
-            )
-        );
-    }
-    Ok(())
 }
 
 fn cmd_explain(opts: &Opts) -> Result<(), AnyError> {
@@ -466,8 +349,7 @@ fn cmd_explain(opts: &Opts) -> Result<(), AnyError> {
 }
 
 /// The synthetic click-stream warehouse the data commands build:
-/// `--months` × `--clicks`/day from 1999/1/1 (or the session-structured
-/// variant under `--sessions`) with its [`retention_spec`].
+/// `--months` × `--clicks`/day from 1999/1/1 with its [`retention_spec`].
 struct Synthetic {
     months: u32,
     clicks: usize,
@@ -491,24 +373,12 @@ fn synthetic(opts: &Opts, months: &str, clicks: &str) -> Result<Synthetic, AnyEr
     let clicks: usize = opts.value("--clicks").unwrap_or(clicks).parse()?;
     let end_total = 12 * 1999 + months as i32 - 1;
     let end = (end_total / 12, (end_total % 12 + 1) as u32);
-    let base = ClickstreamConfig {
+    let cs = generate(&ClickstreamConfig {
         clicks_per_day: clicks,
         start: (1999, 1, 1),
         end: (end.0, end.1, 28),
         ..Default::default()
-    };
-    let cs = if opts.switch("--sessions") {
-        generate_sessions(&SessionConfig {
-            base: ClickstreamConfig {
-                clicks_per_day: 0,
-                ..base
-            },
-            sessions_per_day: clicks / 5,
-            ..Default::default()
-        })
-    } else {
-        generate(&base)
-    };
+    });
     let spec = retention_spec(opts, &cs.schema)?;
     Ok(Synthetic {
         months,
@@ -544,11 +414,12 @@ fn clickstream_schema() -> Arc<specdr::mdm::Schema> {
     cs.schema
 }
 
-/// Builds the synthetic warehouse every introspection command runs
-/// against: `months` × `clicks`/day of click-stream facts bulk-loaded
-/// into a subcube manager under the 6/36-month retention policy.
+/// Builds the synthetic warehouse `query` and `explain --query/--reduce`
+/// run against: `months` × `clicks`/day of click-stream facts
+/// bulk-loaded into a subcube manager under the 6/36-month retention
+/// policy.
 /// Returns the manager, the schema, `NOW` and the last loaded day.
-fn introspection_warehouse(
+fn query_warehouse(
     opts: &Opts,
 ) -> Result<(SubcubeManager, Arc<specdr::mdm::Schema>, i32, i32), AnyError> {
     let syn = synthetic(opts, "24", "100")?;
@@ -588,7 +459,7 @@ fn print_introspection(r: &specdr::introspect::Introspection, opts: &Opts) -> Re
 
 /// `specdr explain --query` / `specdr explain --reduce`.
 fn cmd_explain_warehouse(opts: &Opts, reduce_pass: bool) -> Result<(), AnyError> {
-    let (mgr, schema, now, loaded_until) = introspection_warehouse(opts)?;
+    let (mgr, schema, now, loaded_until) = query_warehouse(opts)?;
     let report = if reduce_pass {
         // The one explainer, on the warehouse as loaded: never
         // synchronized, so the reduction homes every row in one step.
@@ -718,23 +589,6 @@ fn cmd_explain_age(opts: &Opts) -> Result<(), AnyError> {
     print_introspection(&report, opts)
 }
 
-/// `specdr profile`: one sync + parallel roll-up under a single trace
-/// recording.
-fn cmd_profile(opts: &Opts) -> Result<(), AnyError> {
-    let (mgr, schema, now, _) = introspection_warehouse(opts)?;
-    let q = query_spec(opts, now, "Time.month").build(&schema)?;
-    let (stats, answer, report) = specdr::introspect::profile(&mgr, &q, now, true)?;
-    if opts.value("--format").unwrap_or("table") == "table" {
-        println!(
-            "profiled sync + query at NOW = {}: {}, {} result rows\n",
-            render_date(now),
-            age_line(&stats),
-            answer.len()
-        );
-    }
-    print_introspection(&report, opts)
-}
-
 fn render_date(now: i32) -> String {
     let (y, m, d) = civil_from_days(now);
     format!("{y}/{m}/{d}")
@@ -829,81 +683,20 @@ fn cmd_lint(opts: &Opts) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn cmd_simulate(opts: &Opts) -> Result<(), AnyError> {
-    let Synthetic {
-        months, cs, spec, ..
-    } = synthetic(opts, "24", "200")?;
-    let raw_months: u32 = opts.value("--raw-months").unwrap_or("6").parse()?;
-    let raw = table_stats(cs.mo.schema(), [&cs.mo]);
-    println!(
-        "{} months of clicks: {} facts, {} bytes raw ({} encoded)\n",
-        months, raw.rows, raw.raw_bytes, raw.encoded_bytes
-    );
-    println!(
-        "{:>10} {:>10} {:>13} {:>13} {:>9}",
-        "NOW", "facts", "raw bytes", "enc bytes", "factor"
-    );
-    let mut now = days_from_civil(1999, 1 + raw_months.min(11), 1);
-    for _ in 0..(months / 6 + 6) {
-        let red = reduce(&cs.mo, &spec, now)?;
-        let st = table_stats(red.schema(), [&red]);
-        let (y, m, _) = civil_from_days(now);
-        println!(
-            "{:>7}/{:<2} {:>10} {:>13} {:>13} {:>8.1}x",
-            y,
-            m,
-            st.rows,
-            st.raw_bytes,
-            st.encoded_bytes,
-            raw.raw_bytes as f64 / st.encoded_bytes.max(1) as f64
-        );
-        now = specdr::mdm::time::shift_day(now, Span::new(6, TimeUnit::Month), 1);
-    }
-
-    // Exercise the physical layer too (Section 7): load the stream into
-    // the subcube warehouse, synchronize to the final NOW, and answer one
-    // representative roll-up in parallel — so a `--metrics` run shows
-    // reduce, subcube, query, and storage numbers side by side.
-    let mgr = SubcubeManager::new(spec);
-    mgr.bulk_load(&cs.mo)?;
-    let stats = mgr.sync(now)?;
-    println!(
-        "\nsubcube sync at final NOW: {} across {} cubes",
-        age_line(&stats),
-        mgr.n_cubes()
-    );
-    let q = query_spec(opts, now, "Time.month").build(&cs.schema)?;
-    let answer = mgr.query(&q, now, true)?;
-    println!(
-        "parallel monthly roll-up over the warehouse: {} result cells",
-        answer.len()
-    );
-    Ok(())
-}
-
+/// `specdr query`: the `explain --query` warehouse, synchronized to
+/// NOW, answers the query the flags spell; without `--roll-up` it stays
+/// at bottom granularity, so the selected facts print as stored.
 fn cmd_query(opts: &Opts) -> Result<(), AnyError> {
-    let syn = synthetic(opts, "24", "100")?;
-    let now = match opts.value("--now") {
-        Some(s) => parse_date(s)?,
-        None => syn.end_day_plus(2),
-    };
-    let (cs, spec) = (syn.cs, syn.spec);
-    let red = reduce(&cs.mo, &spec, now)?;
+    let (mgr, schema, now, _) = query_warehouse(opts)?;
+    let loaded = mgr.len();
+    mgr.sync(now)?;
     println!(
-        "warehouse: {} facts raw → {} facts reduced at NOW = {}",
-        cs.mo.len(),
-        red.len(),
+        "warehouse: {loaded} facts loaded → {} facts at NOW = {}",
+        mgr.len(),
         render_date(now)
     );
-
-    // σ, then α only when a roll-up was asked for: without one the
-    // selected facts print as stored.
-    let q = query_spec(opts, now, "").build(&cs.schema)?;
-    let selected = select_view(&red, q.pred.as_ref(), now, q.mode)?;
-    let result = match opts.value("--roll-up") {
-        Some(_) => aggregate_ids(&selected, &q.levels, q.approach)?,
-        None => selected.into_owned(),
-    };
+    let q = query_spec(opts, now, "").build(&schema)?;
+    let result = mgr.query(&q, now, true)?;
     println!("\n{}", render_table(&result, TableOptions::default()));
     let total: i64 = result
         .facts()
@@ -965,6 +758,33 @@ fn cmd_recover(opts: &Opts) -> Result<(), AnyError> {
     Ok(())
 }
 
+/// A directory a command makes for itself under the system temp dir
+/// (`specdr-<tag>-<pid>`), removed when dropped — on every exit path of
+/// that command, error returns included.
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("specdr-{tag}-{}", std::process::id()));
+        // A leftover of an earlier process with this pid is ours too.
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+
+    fn path(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// `specdr stats`: one durable warehouse in a directory of its own —
+/// load → sync → checkpoint → query — with metric recording on; the
+/// snapshot goes to stdout, a summary of the cubes to stderr.
 fn cmd_stats(opts: &Opts) -> Result<(), AnyError> {
     let format = match opts.value("--format") {
         Some(f) => MetricsFormat::parse(f)?,
@@ -975,128 +795,105 @@ fn cmd_stats(opts: &Opts) -> Result<(), AnyError> {
 
     let syn = synthetic(opts, "12", "100")?;
     let now = syn.end_day_plus(2);
-    let (cs, spec) = (syn.cs, syn.spec);
-
-    // One pass through every instrumented layer: logical reduction,
-    // storage encoding, subcube load + sync, and a parallel query.
-    let red = reduce(&cs.mo, &spec, now)?;
-    let _ = table_stats(red.schema(), [&red]);
-    let mgr = SubcubeManager::new(spec.clone());
-    mgr.bulk_load(&cs.mo)?;
-    mgr.sync(now)?;
-    let q = query_spec(opts, now, "Time.month").build(&cs.schema)?;
-    let _ = mgr.query(&q, now, true)?;
+    let dir = TempDir::new("stats");
+    let router = ShardRouter::create(syn.spec, dir.path(), 1)?;
+    router.bulk_load(&syn.cs.mo)?;
+    router.sync(now)?;
+    router.checkpoint()?;
+    let q = query_spec(opts, now, "Time.month").build(&syn.cs.schema)?;
+    let set = router.view_set();
+    set.query(&q, now, true)?;
 
     eprintln!(
         "pipeline over {} months × {} clicks/day ({} facts):",
         syn.months,
         syn.clicks,
-        cs.mo.len()
+        syn.cs.mo.len()
     );
-    let view = mgr.view();
+    let view = &set.views()[0];
     for (i, c) in view.cubes().iter().enumerate() {
         eprintln!(
             "  K{i} {}: rows={} chunks={}",
-            cs.schema.render_granularity(&c.grain),
+            syn.cs.schema.render_granularity(&c.grain),
             c.rows(),
             c.chunks().len()
         );
     }
     if opts.switch("--bytes") {
-        print_cube_bytes(spec, &cs.mo, now, format)?;
+        print_cube_bytes(&read_manifest(dir.path())?, view, format);
     }
     print_snapshot(format);
     Ok(())
 }
 
-/// `specdr stats --bytes`: load and sync `facts` into a one-shard
-/// warehouse in a temporary directory, checkpoint it, and report each
-/// subcube's on-disk footprint from the manifest's byte table — `raw` is
-/// the uncompressed row footprint, `encoded` the cube file length after
-/// dictionary/bit-packed column encoding.
-fn print_cube_bytes(
-    spec: DataReductionSpec,
-    facts: &Mo,
-    now: i32,
-    format: MetricsFormat,
-) -> Result<(), AnyError> {
-    let dir = std::env::temp_dir().join(format!("specdr-stats-bytes-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let result = (|| -> Result<(), AnyError> {
-        let router = ShardRouter::create(spec, &dir, 1)?;
-        router.bulk_load(facts)?;
-        router.sync(now)?;
-        router.checkpoint()?;
-        let man = specdr::subcube::read_manifest(&dir)?;
-        let set = router.view_set();
-        let view = &set.views()[0];
-        let schema = view.schema();
-        match format {
-            MetricsFormat::Json => {
-                let mut out = String::from("{\"cube_bytes\":[");
-                for (i, c) in view.cubes().iter().enumerate() {
-                    let (raw, enc) = man.cube_bytes.get(i).copied().unwrap_or((0, 0));
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"id\":{i},\"grain\":\"{}\",\"rows\":{},\"raw\":{raw},\"encoded\":{enc}}}",
-                        schema.render_granularity(&c.grain),
-                        c.stats().rows,
-                    ));
+/// `specdr stats --bytes`: each subcube's on-disk footprint from the
+/// checkpoint manifest's byte table — `raw` is the uncompressed row
+/// footprint, `encoded` the cube file length after dictionary/bit-packed
+/// column encoding.
+fn print_cube_bytes(man: &Manifest, view: &WarehouseView, format: MetricsFormat) {
+    let schema = view.schema();
+    match format {
+        MetricsFormat::Json => {
+            let mut out = String::from("{\"cube_bytes\":[");
+            for (i, c) in view.cubes().iter().enumerate() {
+                let (raw, enc) = man.cube_bytes.get(i).copied().unwrap_or((0, 0));
+                if i > 0 {
+                    out.push(',');
                 }
-                out.push_str("]}");
-                println!("{out}");
+                out.push_str(&format!(
+                    "{{\"id\":{i},\"grain\":\"{}\",\"rows\":{},\"raw\":{raw},\"encoded\":{enc}}}",
+                    schema.render_granularity(&c.grain),
+                    c.stats().rows,
+                ));
             }
-            MetricsFormat::Table => {
-                println!(
-                    "\non-disk bytes per subcube (checkpoint format {}):",
-                    man.format
-                );
-                println!(
-                    "  {:<5} {:<38} {:>10} {:>12} {:>12} {:>7}",
-                    "cube", "grain", "rows", "raw", "encoded", "ratio"
-                );
-                let (mut traw, mut tenc) = (0u64, 0u64);
-                for (i, c) in view.cubes().iter().enumerate() {
-                    let (raw, enc) = man.cube_bytes.get(i).copied().unwrap_or((0, 0));
-                    traw += raw;
-                    tenc += enc;
-                    let ratio = if enc > 0 && raw > 0 {
-                        format!("{:.2}x", raw as f64 / enc as f64)
-                    } else {
-                        "-".to_string()
-                    };
-                    println!(
-                        "  K{:<4} {:<38} {:>10} {:>12} {:>12} {:>7}",
-                        i,
-                        schema.render_granularity(&c.grain),
-                        c.stats().rows,
-                        raw,
-                        enc,
-                        ratio
-                    );
-                }
-                let ratio = if tenc > 0 {
-                    format!("{:.2}x", traw as f64 / tenc as f64)
+            out.push_str("]}");
+            println!("{out}");
+        }
+        MetricsFormat::Table => {
+            println!(
+                "\non-disk bytes per subcube (checkpoint format {}):",
+                man.format
+            );
+            println!(
+                "  {:<5} {:<38} {:>10} {:>12} {:>12} {:>7}",
+                "cube", "grain", "rows", "raw", "encoded", "ratio"
+            );
+            let (mut traw, mut tenc) = (0u64, 0u64);
+            for (i, c) in view.cubes().iter().enumerate() {
+                let (raw, enc) = man.cube_bytes.get(i).copied().unwrap_or((0, 0));
+                traw += raw;
+                tenc += enc;
+                let ratio = if enc > 0 && raw > 0 {
+                    format!("{:.2}x", raw as f64 / enc as f64)
                 } else {
                     "-".to_string()
                 };
                 println!(
-                    "  {:<5} {:<38} {:>10} {:>12} {:>12} {:>7}",
-                    "total",
-                    "",
-                    view.len(),
-                    traw,
-                    tenc,
+                    "  K{:<4} {:<38} {:>10} {:>12} {:>12} {:>7}",
+                    i,
+                    schema.render_granularity(&c.grain),
+                    c.stats().rows,
+                    raw,
+                    enc,
                     ratio
                 );
             }
+            let ratio = if tenc > 0 {
+                format!("{:.2}x", traw as f64 / tenc as f64)
+            } else {
+                "-".to_string()
+            };
+            println!(
+                "  {:<5} {:<38} {:>10} {:>12} {:>12} {:>7}",
+                "total",
+                "",
+                view.len(),
+                traw,
+                tenc,
+                ratio
+            );
         }
-        Ok(())
-    })();
-    let _ = std::fs::remove_dir_all(&dir);
-    result
+    }
 }
 
 /// The report lines both closed-loop drivers print: what the writer
@@ -1321,15 +1118,19 @@ fn cmd_check(_opts: &Opts) -> Result<(), AnyError> {
 fn cmd_serve(opts: &Opts) -> Result<(), AnyError> {
     let shards: usize = opts.value("--shards").unwrap_or("2").parse()?;
     let cap: usize = opts.value("--cap").unwrap_or("64").parse()?;
+    // Installed first, so a signal during the build still ends in the
+    // clean shutdown below (and the temp dir's removal).
+    install_stop_signals();
+    // A user's `--dir` is kept; the one made here is removed on exit.
     let tmp;
     let dir = match opts.value("--dir") {
-        Some(d) => std::path::PathBuf::from(d),
+        Some(d) => std::path::Path::new(d),
         None => {
-            tmp = std::env::temp_dir().join(format!("specdr-serve-{}", std::process::id()));
-            tmp.clone()
+            tmp = TempDir::new("serve");
+            tmp.path()
         }
     };
-    let (router, now) = serve_warehouse(opts, &dir, shards)?;
+    let (router, now) = serve_warehouse(opts, dir, shards)?;
     let (ny, nm, nd) = civil_from_days(now);
 
     // In-process baseline digest, printed so a wire client's answer can
@@ -1344,7 +1145,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), AnyError> {
         max_conns: cap,
         ..Default::default()
     };
-    install_stop_signals();
     let handle = specdr::serve::serve(Arc::clone(&router), &cfg)?;
     println!("serve: listening on {}", handle.addr());
     println!(
@@ -1415,18 +1215,14 @@ fn cmd_loadgen(opts: &Opts) -> Result<(), AnyError> {
     };
     let shards: usize = opts.value("--shards").unwrap_or("2").parse()?;
     let spec = paper_spec(&specdr::workload::paper_schema().0)?;
-    let dir = std::env::temp_dir().join(format!(
-        "specdr-loadgen-{}-{}",
-        std::process::id(),
-        cfg.seed
-    ));
-    let router = Arc::new(ShardRouter::create(spec, &dir, shards)?);
+    let dir = TempDir::new("loadgen");
+    let router = Arc::new(ShardRouter::create(spec, dir.path(), shards)?);
     let handle = specdr::serve::serve(Arc::clone(&router), &specdr::serve::ServeConfig::default())?;
     let t = std::time::Instant::now();
-    let report = drive_socket(Arc::clone(&router), handle.addr(), &cfg)?;
+    let report = drive_socket(Arc::clone(&router), handle.addr(), &cfg);
     let secs = t.elapsed().as_secs_f64();
     handle.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
+    let report = report?;
     println!(
         "loadgen: {} clients x {} churn steps over {} shards (seed {})",
         cfg.clients, cfg.steps, shards, cfg.seed

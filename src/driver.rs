@@ -25,7 +25,7 @@
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sdr_mdm::{calendar::days_from_civil, DayNum, Mo};
@@ -147,7 +147,9 @@ fn built_mix(schema: &Arc<sdr_mdm::Schema>) -> Vec<CubeQuery> {
 
 /// The fixed evaluation days readers draw `NOW` from (results differ per
 /// day, so each observation records which one it used).
-const QUERY_DAYS: [(i32, u32, u32); 3] = [(2000, 9, 15), (2001, 6, 15), (2002, 3, 1)];
+fn query_days() -> [DayNum; 3] {
+    [(2000, 9, 15), (2001, 6, 15), (2002, 3, 1)].map(|(y, m, d)| days_from_civil(y, m, d))
+}
 
 fn run_query(
     view: &WarehouseView,
@@ -186,77 +188,55 @@ fn apply_churn(
     }
 }
 
-/// Runs the closed loop against a fresh warehouse seeded with the paper
-/// spec: writer churn + `cfg.readers` reader threads, then the torn-read
-/// audit. See the module docs for the guarantees checked.
-pub fn drive(spec: DataReductionSpec, cfg: &DriveConfig) -> Result<DriveReport, SubcubeError> {
-    let schema = Arc::clone(spec.schema());
-    let m = Arc::new(SubcubeManager::new(spec));
-    let script = churn_script(&schema, cfg.seed, cfg.steps);
+/// What one run of the [`closed_loop`] leaves for its audit.
+struct LoopRun<V, R> {
+    /// The version before the first op, then the version each op that
+    /// published left, in publication order.
+    published: Vec<V>,
+    /// What each reader returned, in reader order.
+    readers: Vec<R>,
+    mutations_ok: usize,
+    mutations_rejected: usize,
+}
 
-    // Every published version, retained for the post-join audit. The
-    // writer is the only mutator, so capturing `view()` right after a
-    // successful mutation observes exactly the version it published.
-    let published: Mutex<Vec<WarehouseView>> = Mutex::new(vec![m.view()]);
-    let observations: Mutex<Vec<Observation>> = Mutex::new(Vec::new());
+/// The closed loop both drivers run. `readers` threads each run
+/// `reader(r, go)`, querying while `go(n)` holds for the `n` queries
+/// issued so far: until the writer is done, then down to `min_queries`.
+/// The calling thread is the writer: it applies `script` through
+/// `apply` and keeps `version()` after every op that published.
+fn closed_loop<V, R: Send>(
+    readers: usize,
+    min_queries: usize,
+    script: &[ChurnOp],
+    apply: impl Fn(&WarehouseOp) -> Result<OpOutcome, SubcubeError>,
+    version: impl Fn() -> V,
+    reader: impl Fn(usize, &dyn Fn(usize) -> bool) -> R + Sync,
+) -> Result<LoopRun<V, R>, SubcubeError> {
     let done = AtomicBool::new(false);
-    let mut mutations_ok = 0usize;
-    let mut mutations_rejected = 0usize;
-    let query_days: Vec<DayNum> = QUERY_DAYS
-        .iter()
-        .map(|&(y, mo_, d)| days_from_civil(y, mo_, d))
-        .collect();
-
-    let writer_err: Mutex<Option<SubcubeError>> = Mutex::new(None);
-    std::thread::scope(|s| {
-        for r in 0..cfg.readers {
-            let m = Arc::clone(&m);
-            let done = &done;
-            let observations = &observations;
-            let query_days = &query_days;
-            let seed = cfg.seed;
-            let min_queries = cfg.min_queries_per_reader;
-            s.spawn(move || {
-                let mut rng = SplitMix64(seed ^ 0x5EAD ^ (r as u64).wrapping_mul(0x9E37_79B9));
-                let mix = built_mix(m.schema());
-                let mut local = Vec::new();
-                let mut n = 0usize;
-                loop {
-                    // Acquire: pairs with the writer's Release store so a
-                    // reader that sees `done` also sees the final publish.
-                    let writer_active = !done.load(Ordering::Acquire);
-                    if !writer_active && n >= min_queries {
-                        break;
-                    }
-                    let qi = rng.below(mix.len() as u64) as usize;
-                    let now = query_days[rng.below(query_days.len() as u64) as usize];
-                    let unsync = rng.below(2) == 0;
-                    let parallel = rng.below(2) == 0;
-                    let view = m.view();
-                    if let Ok(res) = run_query(&view, &mix[qi], now, unsync, parallel) {
-                        local.push(Observation {
-                            view,
-                            query: qi,
-                            unsync,
-                            now,
-                            digest: result_digest(&res),
-                        });
-                    }
-                    n += 1;
-                }
-                observations.lock().unwrap().extend(local);
-            });
-        }
-        // Writer: apply the schedule, snapshotting after each publication.
-        for op in &script {
-            match apply_churn(|o| m.apply(o), op) {
+    // Acquire: pairs with the writer's Release store so a reader that
+    // sees `done` also sees the final publish.
+    let go = |n: usize| !done.load(Ordering::Acquire) || n < min_queries;
+    // The writer is the only mutator, so the version read right after a
+    // successful op is exactly the one that op published.
+    let mut published = vec![version()];
+    let (mut mutations_ok, mut mutations_rejected) = (0, 0);
+    let mut writer_err = None;
+    let outputs = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..readers)
+            .map(|r| {
+                let (reader, go) = (&reader, &go);
+                s.spawn(move || reader(r, go))
+            })
+            .collect();
+        for op in script {
+            match apply_churn(&apply, op) {
                 Ok(true) => {
                     mutations_ok += 1;
-                    published.lock().unwrap().push(m.view());
+                    published.push(version());
                 }
                 Ok(false) => mutations_rejected += 1,
                 Err(e) => {
-                    *writer_err.lock().unwrap() = Some(e);
+                    writer_err = Some(e);
                     break;
                 }
             }
@@ -264,18 +244,69 @@ pub fn drive(spec: DataReductionSpec, cfg: &DriveConfig) -> Result<DriveReport, 
         // Release: readers' Acquire loads of `done` must also observe
         // every version published before the writer finished.
         done.store(true, Ordering::Release);
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("closed-loop reader panicked"))
+            .collect()
     });
-    if let Some(e) = writer_err.into_inner().unwrap() {
-        return Err(e);
+    match writer_err {
+        Some(e) => Err(e),
+        None => Ok(LoopRun {
+            published,
+            readers: outputs,
+            mutations_ok,
+            mutations_rejected,
+        }),
     }
+}
+
+/// Runs the closed loop against a fresh warehouse seeded with the paper
+/// spec: writer churn + `cfg.readers` reader threads, then the torn-read
+/// audit. See the module docs for the guarantees checked.
+pub fn drive(spec: DataReductionSpec, cfg: &DriveConfig) -> Result<DriveReport, SubcubeError> {
+    let schema = Arc::clone(spec.schema());
+    let m = SubcubeManager::new(spec);
+    let script = churn_script(&schema, cfg.seed, cfg.steps);
+    let query_days = query_days();
+    let run = closed_loop(
+        cfg.readers,
+        cfg.min_queries_per_reader,
+        &script,
+        |op| m.apply(op),
+        || m.view(),
+        |r, go| {
+            let mut rng = SplitMix64(cfg.seed ^ 0x5EAD ^ (r as u64).wrapping_mul(0x9E37_79B9));
+            let mix = built_mix(m.schema());
+            let mut local = Vec::new();
+            let mut n = 0usize;
+            while go(n) {
+                let qi = rng.below(mix.len() as u64) as usize;
+                let now = query_days[rng.below(query_days.len() as u64) as usize];
+                let unsync = rng.below(2) == 0;
+                let parallel = rng.below(2) == 0;
+                let view = m.view();
+                if let Ok(res) = run_query(&view, &mix[qi], now, unsync, parallel) {
+                    local.push(Observation {
+                        view,
+                        query: qi,
+                        unsync,
+                        now,
+                        digest: result_digest(&res),
+                    });
+                }
+                n += 1;
+            }
+            local
+        },
+    )?;
 
     // Audit: re-evaluate every observation against the view it pinned.
     // Sequential evaluation (parallel=false) is the reference; the
     // digest is order-insensitive so it matches both.
-    let published = published.into_inner().unwrap();
-    let observations = observations.into_inner().unwrap();
+    let observations: Vec<Observation> = run.readers.into_iter().flatten().collect();
     let mix0 = built_mix(&schema);
-    let published: Vec<(u64, u64)> = published
+    let published: Vec<(u64, u64)> = run
+        .published
         .iter()
         .map(|v| (v.epoch(), view_digest(v)))
         .collect();
@@ -305,8 +336,8 @@ pub fn drive(spec: DataReductionSpec, cfg: &DriveConfig) -> Result<DriveReport, 
         published,
         observations: observations.len(),
         torn_reads: torn,
-        mutations_ok,
-        mutations_rejected,
+        mutations_ok: run.mutations_ok,
+        mutations_rejected: run.mutations_rejected,
         schedule_digest,
     })
 }
@@ -393,6 +424,15 @@ struct WireObservation {
     digest: u64,
 }
 
+/// What one socket client saw.
+#[derive(Default)]
+struct ClientRun {
+    observations: Vec<WireObservation>,
+    latency_ns: Vec<u64>,
+    proto_errors: usize,
+    transport_errors: usize,
+}
+
 /// Runs the multi-client load generator against a live `specdr serve`
 /// daemon at `addr`, while a local writer thread churns the same
 /// [`ShardRouter`] the daemon serves from.
@@ -411,161 +451,97 @@ pub fn drive_socket(
 ) -> Result<SocketDriveReport, SubcubeError> {
     let schema = Arc::clone(router.schema());
     let script = churn_script(&schema, cfg.seed, cfg.steps);
-
-    let published: Mutex<Vec<Arc<ShardViewSet>>> = Mutex::new(vec![router.view_set()]);
-    let observations: Mutex<Vec<WireObservation>> = Mutex::new(Vec::new());
-    let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-    let proto_errors = std::sync::atomic::AtomicUsize::new(0);
-    let transport_errors = std::sync::atomic::AtomicUsize::new(0);
-    let done = AtomicBool::new(false);
-    let mut mutations_ok = 0usize;
-    let mut mutations_rejected = 0usize;
-    let query_days: Vec<DayNum> = QUERY_DAYS
-        .iter()
-        .map(|&(y, mo_, d)| days_from_civil(y, mo_, d))
-        .collect();
-
-    let writer_err: Mutex<Option<SubcubeError>> = Mutex::new(None);
-    std::thread::scope(|s| {
-        for c in 0..cfg.clients {
-            let done = &done;
-            let observations = &observations;
-            let latencies = &latencies;
-            let proto_errors = &proto_errors;
-            let transport_errors = &transport_errors;
-            let query_days = &query_days;
-            let seed = cfg.seed;
-            let min_queries = cfg.min_queries_per_client;
-            let timeout = cfg.timeout;
-            s.spawn(move || {
-                let mut rng = SplitMix64(seed ^ 0x50C4E7 ^ (c as u64).wrapping_mul(0x9E37_79B9));
-                let Ok(stream) = TcpStream::connect_timeout(&addr, timeout) else {
-                    // relaxed-ok: monotonic error counter, read only after join.
-                    transport_errors.fetch_add(1, Ordering::Relaxed);
-                    return;
+    let query_days = query_days();
+    let run = closed_loop(
+        cfg.clients,
+        cfg.min_queries_per_client,
+        &script,
+        |op| router.apply(op),
+        || router.view_set(),
+        |c, go| {
+            let mut rng = SplitMix64(cfg.seed ^ 0x50C4E7 ^ (c as u64).wrapping_mul(0x9E37_79B9));
+            let mut out = ClientRun::default();
+            let Ok(stream) = TcpStream::connect_timeout(&addr, cfg.timeout) else {
+                out.transport_errors += 1;
+                return out;
+            };
+            let mut n = 0usize;
+            while go(n) {
+                let now = query_days[rng.below(query_days.len() as u64) as usize];
+                let unsync = rng.below(2) == 0;
+                let mix = serve::mix_specs(now, unsync);
+                let qi = rng.below(mix.len() as u64) as usize;
+                let payload = serve::query_payload(&mix[qi]);
+                let t0 = Instant::now();
+                let Ok(resp) = serve::request_on(&stream, &payload, cfg.timeout) else {
+                    out.transport_errors += 1;
+                    break; // the stream is no longer trustworthy
                 };
-                let mut local = Vec::new();
-                let mut local_lat = Vec::new();
-                let mut n = 0usize;
-                loop {
-                    // Acquire: pairs with the writer's Release store so a
-                    // reader that sees `done` also sees the final publish.
-                    let writer_active = !done.load(Ordering::Acquire);
-                    if !writer_active && n >= min_queries {
-                        break;
-                    }
-                    let now = query_days[rng.below(query_days.len() as u64) as usize];
-                    let unsync = rng.below(2) == 0;
-                    let mix = serve::mix_specs(now, unsync);
-                    let qi = rng.below(mix.len() as u64) as usize;
-                    let payload = serve::query_payload(&mix[qi]);
-                    let t0 = Instant::now();
-                    match serve::request_on(&stream, &payload, timeout) {
-                        Ok(resp) => {
-                            local_lat.push(t0.elapsed().as_nanos() as u64);
-                            match serve::split_response(&resp) {
-                                Ok((serve::RESP_OK, body)) => {
-                                    let body = String::from_utf8_lossy(body);
-                                    let parsed = (|| {
-                                        let epoch: u64 =
-                                            serve::response_field(&body, "epoch")?.parse().ok()?;
-                                        let digest = serve::response_field(&body, "digest")?;
-                                        let digest =
-                                            u64::from_str_radix(digest.strip_prefix("0x")?, 16)
-                                                .ok()?;
-                                        Some((epoch, digest))
-                                    })();
-                                    match parsed {
-                                        Some((epoch, digest)) => local.push(WireObservation {
-                                            epoch,
-                                            query: qi,
-                                            unsync,
-                                            now,
-                                            digest,
-                                        }),
-                                        None => {
-                                            // relaxed-ok: monotonic error counter, read only after join.
-                                            proto_errors.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                    }
-                                }
-                                _ => {
-                                    // relaxed-ok: monotonic error counter, read only after join.
-                                    proto_errors.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                        Err(_) => {
-                            // relaxed-ok: monotonic error counter, read only after join.
-                            transport_errors.fetch_add(1, Ordering::Relaxed);
-                            break; // the stream is no longer trustworthy
-                        }
-                    }
-                    n += 1;
+                out.latency_ns.push(t0.elapsed().as_nanos() as u64);
+                match parse_query_response(&resp) {
+                    Some((epoch, digest)) => out.observations.push(WireObservation {
+                        epoch,
+                        query: qi,
+                        unsync,
+                        now,
+                        digest,
+                    }),
+                    None => out.proto_errors += 1,
                 }
-                observations.lock().unwrap().extend(local);
-                latencies.lock().unwrap().extend(local_lat);
-            });
-        }
-        for op in &script {
-            match apply_churn(|o| router.apply(o), op) {
-                Ok(true) => {
-                    mutations_ok += 1;
-                    published.lock().unwrap().push(router.view_set());
-                }
-                Ok(false) => mutations_rejected += 1,
-                Err(e) => {
-                    *writer_err.lock().unwrap() = Some(e);
-                    break;
-                }
+                n += 1;
             }
-        }
-        // Release: readers' Acquire loads of `done` must also observe
-        // every version published before the writer finished.
-        done.store(true, Ordering::Release);
-    });
-    if let Some(e) = writer_err.into_inner().unwrap() {
-        return Err(e);
-    }
+            out
+        },
+    )?;
 
     // Audit: rebuild each query from the same textual spec the client
     // sent and evaluate it against the retained set of the epoch the
     // response claimed — the daemon and the audit share one compiler
     // ([`serve::QuerySpec::build`]), so digests are directly comparable.
-    let published = published.into_inner().unwrap();
     let by_epoch: std::collections::HashMap<u64, &Arc<ShardViewSet>> =
-        published.iter().map(|v| (v.epoch(), v)).collect();
-    let observations = observations.into_inner().unwrap();
-    let mut torn = 0usize;
-    for ob in &observations {
-        let Some(set) = by_epoch.get(&ob.epoch) else {
-            torn += 1;
-            continue;
-        };
-        let spec = serve::mix_specs(ob.now, ob.unsync).swap_remove(ob.query);
-        let built = spec.build(&schema).ok();
-        let expect = built.and_then(|q| spec.eval(&q, set, false).ok());
-        match expect {
-            Some(mo) if result_digest(&mo) == ob.digest => {}
-            _ => torn += 1,
+        run.published.iter().map(|v| (v.epoch(), v)).collect();
+    let mut report = SocketDriveReport {
+        published: run
+            .published
+            .iter()
+            .map(|v| (v.epoch(), set_digest(v)))
+            .collect(),
+        observations: 0,
+        torn_reads: 0,
+        mutations_ok: run.mutations_ok,
+        mutations_rejected: run.mutations_rejected,
+        proto_errors: 0,
+        transport_errors: 0,
+        latency_ns: Vec::new(),
+    };
+    for client in run.readers {
+        for ob in &client.observations {
+            let expect = by_epoch.get(&ob.epoch).and_then(|set| {
+                let spec = serve::mix_specs(ob.now, ob.unsync).swap_remove(ob.query);
+                let q = spec.build(&schema).ok()?;
+                spec.eval(&q, set, false).ok()
+            });
+            if expect.is_none_or(|mo| result_digest(&mo) != ob.digest) {
+                report.torn_reads += 1;
+            }
         }
+        report.observations += client.observations.len();
+        report.proto_errors += client.proto_errors;
+        report.transport_errors += client.transport_errors;
+        report.latency_ns.extend(client.latency_ns);
     }
+    report.latency_ns.sort_unstable();
+    Ok(report)
+}
 
-    let published: Vec<(u64, u64)> = published
-        .iter()
-        .map(|v| (v.epoch(), set_digest(v)))
-        .collect();
-    let mut latency_ns = latencies.into_inner().unwrap();
-    latency_ns.sort_unstable();
-
-    Ok(SocketDriveReport {
-        published,
-        observations: observations.len(),
-        torn_reads: torn,
-        mutations_ok,
-        mutations_rejected,
-        proto_errors: proto_errors.into_inner(),
-        transport_errors: transport_errors.into_inner(),
-        latency_ns,
-    })
+/// The `(epoch, digest)` an OK query response carries; `None` for an
+/// error frame or a body without both fields.
+fn parse_query_response(resp: &[u8]) -> Option<(u64, u64)> {
+    let (serve::RESP_OK, body) = serve::split_response(resp).ok()? else {
+        return None;
+    };
+    let body = String::from_utf8_lossy(body);
+    let epoch = serve::response_field(&body, "epoch")?.parse().ok()?;
+    let digest = serve::response_field(&body, "digest")?.strip_prefix("0x")?;
+    Some((epoch, u64::from_str_radix(digest, 16).ok()?))
 }

@@ -1,4 +1,4 @@
-//! Warehouse introspection: `specdr explain` and `specdr profile`.
+//! Warehouse introspection: `specdr explain --query/--reduce/--age`.
 //!
 //! Runs one operation — a subcube query or a reduction — with the
 //! `sdr-obs` registry recording, then assembles an
@@ -85,7 +85,7 @@ pub struct PhaseReport {
 /// The assembled introspection report for one operation.
 #[derive(Debug, Clone)]
 pub struct Introspection {
-    /// What ran: `"query"`, `"query_unsync"`, `"age"` or `"profile"`.
+    /// What ran: `"query"`, `"query_unsync"` or `"age"`.
     pub op: String,
     /// The `NOW` the operation ran at.
     pub now: DayNum,
@@ -204,39 +204,7 @@ pub fn explain_query(
     parallel: bool,
     unsync: bool,
 ) -> Result<(Mo, Introspection), SubcubeError> {
-    let op = if unsync { "query_unsync" } else { "query" };
-    let ((), answer, report) = explained(op, mgr, q, now, parallel, unsync, || Ok(()))?;
-    Ok((answer, report))
-}
-
-/// Profiles a synchronization followed by a query under a single trace
-/// recording, so the phase breakdown covers the reduction steps and the
-/// query fan-out side by side. Cube scan annotations come from the query
-/// half.
-pub fn profile(
-    mgr: &SubcubeManager,
-    q: &CubeQuery,
-    now: DayNum,
-    parallel: bool,
-) -> Result<(AgeStats, Mo, Introspection), SubcubeError> {
-    explained("profile", mgr, q, now, parallel, false, || mgr.sync(now))
-}
-
-/// The one body of the query explainers: `before`, then `q` on the
-/// manager's current view — virtually aged to `now` first when `unsync`
-/// — under one recording; the report annotates the view the answer came
-/// from.
-fn explained<T>(
-    op: &str,
-    mgr: &SubcubeManager,
-    q: &CubeQuery,
-    now: DayNum,
-    parallel: bool,
-    unsync: bool,
-    before: impl FnOnce() -> Result<T, SubcubeError>,
-) -> Result<(T, Mo, Introspection), SubcubeError> {
-    let ((first, pinned, view, answer), snap) = recorded(|| {
-        let first = before()?;
+    let ((pinned, view, answer), snap) = recorded(|| {
         let pinned = mgr.view();
         let view = if unsync {
             pinned.virtual_age(now)?.0
@@ -244,13 +212,13 @@ fn explained<T>(
             pinned.clone()
         };
         let answer = view.query(q, now, parallel)?;
-        Ok((first, pinned, view, answer))
+        Ok((pinned, view, answer))
     })?;
     let mut cubes = dag_of(&view);
     annotate_query_scans(&mut cubes, &snap);
     annotate_plan(&mut cubes, &view.plan(q, now, view.region_oracle()));
     let report = Introspection {
-        op: op.into(),
+        op: if unsync { "query_unsync" } else { "query" }.into(),
         now,
         epoch: pinned.epoch(),
         result_rows: answer.len() as u64,
@@ -258,7 +226,7 @@ fn explained<T>(
         phases: phases_of(&snap),
         snapshot: snap,
     };
-    Ok((first, answer, report))
+    Ok((answer, report))
 }
 
 /// Marks every cube with a `subcube.query.subquery` span as scanned and

@@ -21,9 +21,9 @@
 //! * [`workload`] — the paper's example dataset and synthetic click-stream
 //!   generators for the experiments;
 //! * [`obs`] — the zero-dependency metrics/tracing layer wired through
-//!   reduce, sync, and query (`specdr --metrics`, `specdr stats`);
-//! * [`introspect`] — warehouse introspection: the explain/profile engine
-//!   behind `specdr explain --query/--reduce/--age` and `specdr profile`.
+//!   reduce, sync, and query (`--metrics`, `specdr stats`);
+//! * [`introspect`] — warehouse introspection: the explain engine
+//!   behind `specdr explain --query/--reduce/--age`.
 //!
 //! See `examples/quickstart.rs` for a guided tour, and `DESIGN.md` /
 //! `EXPERIMENTS.md` for the experiment index.

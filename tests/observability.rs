@@ -200,7 +200,7 @@ fn metrics_agree_with_authoritative_numbers() {
     assert_eq!(snap.counter("plan.skip.empty").unwrap_or(0), skipped);
     assert_eq!(snap.counter("subcube.query.fanout"), Some(scanned));
     // aggregate runs once per scanned sub-query + once combining (the
-    // SDR_PLAN_VERIFY re-evaluation of skipped cubes is span-free).
+    // debug build's re-evaluation of skipped cubes is span-free).
     assert_eq!(snap.span("query.aggregate").unwrap().count, scanned + 1);
     assert!(snap.counter("query.aggregate.cells_produced").unwrap() >= answer.len() as u64);
 

@@ -4,15 +4,14 @@
 //! cube the planner skips must contribute zero rows when its sub-query
 //! is evaluated anyway.
 //!
-//! `scripts/ci.sh` additionally runs this file with `SDR_PLAN_VERIFY=1`,
-//! which makes the engine itself re-evaluate each skipped cube inside
-//! `query_planned` and panic if one contributes a row — so the same
-//! matrix exercises both the external and the in-engine check.
+//! In a debug build the engine itself re-evaluates each skipped cube and
+//! chunk inside `query_planned` and panics if one contributes a row — so
+//! the same matrix exercises both the external and the in-engine check.
 //!
 //! The un-synchronized path is planned too — `query_unsync(q, now)` is
 //! `query(q, now)` on the view virtually aged to `now` — so its
 //! differential test lives here, over the same predicate and mode pool
-//! and under the same `SDR_PLAN_VERIFY` run.
+//! and under the same in-engine check.
 
 use proptest::prelude::*;
 use std::sync::Arc;

@@ -319,7 +319,7 @@ fn specdr_bin() -> std::process::Command {
 fn cli_rejects_unknown_flags() {
     // Unknown flag: non-zero exit, error names the flag and hints at help.
     let out = specdr_bin()
-        .args(["simulate", "--bogus-flag"])
+        .args(["query", "--bogus-flag"])
         .output()
         .unwrap();
     assert!(!out.status.success());
@@ -335,10 +335,11 @@ fn cli_rejects_unknown_flags() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unexpected"));
     // A boolean switch given a value is rejected.
     let out = specdr_bin()
-        .args(["simulate", "--sessions=yes"])
+        .args(["stats", "--bytes=yes"])
         .output()
         .unwrap();
     assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("takes no value"));
     // Unknown subcommands still fail.
     let out = specdr_bin().arg("frobnicate").output().unwrap();
     assert!(!out.status.success());
@@ -348,7 +349,7 @@ fn cli_rejects_unknown_flags() {
 fn cli_metrics_json_is_parseable_and_complete() {
     let out = specdr_bin()
         .args([
-            "simulate",
+            "query",
             "--months",
             "12",
             "--clicks",
@@ -369,12 +370,15 @@ fn cli_metrics_json_is_parseable_and_complete() {
             .iter()
             .any(|l| l.contains(&format!("\"kind\":\"{kind}\"")) && l.contains(name_part))
     };
-    // ≥1 counter, ≥1 histogram with percentiles, and span timings from
-    // each of sdr-reduce, sdr-subcube, and sdr-query.
-    assert!(has("counter", "reduce.facts_kept"), "{stdout}");
+    // ≥1 counter, span timings with percentiles from each of sdr-reduce
+    // (the spec's analysis), sdr-subcube, and sdr-query. The in-memory
+    // warehouse records no histogram; `stats` covers that kind.
+    assert!(has("counter", "age.rows_homed"), "{stdout}");
     assert!(
-        has("histogram", "reduce.group_members")
-            && metric_lines.iter().any(|l| l.contains("\"p99\":")),
+        has("span", "\"name\":\"subcube.sync\"")
+            && metric_lines
+                .iter()
+                .any(|l| l.contains("\"kind\":\"span\"") && l.contains("\"p99\":")),
         "{stdout}"
     );
     assert!(has("span", "\"name\":\"reduce."), "{stdout}");
@@ -396,7 +400,8 @@ fn cli_stats_prints_snapshot_table() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("counters:"), "{stdout}");
-    assert!(stdout.contains("reduce.facts_scanned"), "{stdout}");
+    assert!(stdout.contains("age.rows_homed"), "{stdout}");
+    assert!(stdout.contains("wal.records_appended"), "{stdout}");
     assert!(stdout.contains("spans:"), "{stdout}");
     assert!(stdout.contains("subcube.sync"), "{stdout}");
     // The pipeline summary (stderr) lists every cube with its chunk count.
@@ -417,7 +422,8 @@ fn stats_json_golden_schema_is_stable() {
     // `Snapshot::to_jsonl` and in DESIGN.md § Introspection): fixed kind
     // order, names sorted within a kind, fixed key order per line, and
     // the exact metric-name sets emitted by the deterministic
-    // 6-month × 10-click pipeline — so the schema cannot silently
+    // 6-month × 10-click durable warehouse (load → sync → checkpoint →
+    // query) — so the schema cannot silently
     // drift. Counts and durations vary with the machine; the names ARE
     // the schema.
     let out = specdr_bin()
@@ -519,6 +525,9 @@ fn stats_json_golden_schema_is_stable() {
             "age.cubes_skipped",
             "age.rows_homed",
             "age.ticks",
+            "durable.checkpoint.bytes",
+            "durable.checkpoint.count",
+            "durable.checkpoint.cubes",
             "obs.trace.spans_closed",
             "plan.chunks_scanned",
             "plan.chunks_skipped",
@@ -531,10 +540,6 @@ fn stats_json_golden_schema_is_stable() {
             "query.aggregate.kernel.distinct_dim_values",
             "query.select.cells_kept",
             "query.select.cells_visited",
-            "reduce.action.a0.facts_raised",
-            "reduce.facts_collapsed",
-            "reduce.facts_kept",
-            "reduce.facts_scanned",
             "storage.columns.bitpacked",
             "storage.columns.delta",
             "storage.columns.dict",
@@ -542,34 +547,43 @@ fn stats_json_golden_schema_is_stable() {
             "storage.columns.rle",
             "storage.encoded_bytes",
             "storage.rows_sealed",
+            "storage.serialized_bytes",
             "subcube.bulk_load.facts",
             "subcube.chunks.carried",
             "subcube.chunks.rewritten",
             "subcube.publish.count",
             "subcube.query.fanout",
+            "wal.bytes_appended",
+            "wal.records_appended",
         ],
         "counter name set drifted:\n{stdout}"
     );
     assert_eq!(names_of_kind("gauge"), ["subcube.epoch"], "{stdout}");
     assert_eq!(
         names_of_kind("histogram"),
-        ["reduce.group_members", "storage.segment_bytes"],
+        ["storage.segment_bytes", "wal.record_bytes"],
         "{stdout}"
     );
     assert_eq!(
         names_of_kind("span"),
         [
+            "durable.checkpoint",
             "plan.query",
             "query.aggregate",
             "reduce.analyze",
-            "reduce.reduce",
+            "shard.bulk_load",
+            "shard.checkpoint",
+            "shard.query",
+            "shard.sync",
             "storage.encode",
+            "storage.serialize",
             "subcube.age",
             "subcube.age.tick",
             "subcube.bulk_load",
             "subcube.query",
             "subcube.query.subquery",
             "subcube.sync",
+            "wal.append",
         ],
         "span name set drifted:\n{stdout}"
     );
@@ -747,13 +761,192 @@ fn cli_checkpoint_requires_dir_flag() {
 fn cli_runs_without_metrics_by_default() {
     // No --metrics flag → no metric lines in the output at all.
     let out = specdr_bin()
-        .args(["simulate", "--months", "6", "--clicks", "10"])
+        .args(["query", "--months", "6", "--clicks", "10"])
         .output()
         .unwrap();
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(!stdout.contains("\"kind\":"), "{stdout}");
     assert!(!stdout.contains("metrics:"), "{stdout}");
+}
+
+/// Every `--now`/`--until` goes through one date parser: a month
+/// outside 1–12 or a day past the month's end is a `bad date`, never a
+/// panic or another day.
+#[test]
+fn cli_rejects_impossible_dates() {
+    for args in [
+        ["lint", "--now", "2001/13/40"],
+        ["age", "--until", "2001/2/30"],
+    ] {
+        let out = specdr_bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("bad date"), "{args:?}: {err}");
+    }
+}
+
+/// `specdr query` answers from the warehouse exactly what Definitions
+/// 2, 5 and 6 give on the raw facts: its output equals the test-side
+/// reference — `reduce_naive` → `select_naive` → `aggregate_ids_naive`,
+/// rows sorted — for every flag set.
+#[test]
+fn cli_query_matches_the_naive_reference() {
+    use specdr::query::{aggregate_ids_naive, select_naive};
+    use specdr::reduce::reduce_naive;
+    use specdr::serve::QuerySpec;
+
+    // Six months × 2 clicks/day seen from 2002/3/15: 1999Q1 is reduced
+    // to (quarter, domain_grp), the rest to (month, domain), and every
+    // answer is short enough to print whole.
+    let data = ["--months", "6", "--clicks", "2", "--now", "2002/3/15"];
+    let cs = generate(&ClickstreamConfig {
+        clicks_per_day: 2,
+        start: (1999, 1, 1),
+        end: (1999, 6, 28),
+        ..Default::default()
+    });
+    let actions = retention_policy(6, 36)
+        .iter()
+        .map(|a| parse_action(&cs.schema, a).unwrap())
+        .collect();
+    let spec = DataReductionSpec::new(Arc::clone(&cs.schema), actions).unwrap();
+    let now = days_from_civil(2002, 3, 15);
+    let reduced = reduce_naive(&cs.mo, &spec, now).unwrap();
+    let flag_sets: [&[&str]; 4] = [
+        &[],
+        &[
+            "--where",
+            "URL.domain_grp = .com",
+            "--roll-up",
+            "Time.quarter,URL.domain",
+            "--mode",
+            "liberal",
+        ],
+        &["--mode", "weighted:0.5"],
+        // Imprecise: 1999Q1 is two thirds inside the window.
+        &["--where", "Time.month <= 1999/2", "--mode", "weighted:0.5"],
+    ];
+    for flags in flag_sets {
+        let value = |f: &str| flags.iter().position(|a| *a == f).map(|i| flags[i + 1]);
+        let q = QuerySpec {
+            pred: value("--where").map(Into::into),
+            mode: value("--mode").unwrap_or("conservative").into(),
+            levels: value("--roll-up").unwrap_or("").into(),
+            approach: "availability".into(),
+            now,
+            unsync: false,
+        }
+        .build(&cs.schema)
+        .unwrap();
+        let selected = match &q.pred {
+            Some(p) => select_naive(&reduced, p, now, q.mode).unwrap(),
+            None => reduced.clone(),
+        };
+        let want = aggregate_ids_naive(&selected, &q.levels, q.approach).unwrap();
+        let table = TableOptions::default();
+        assert!(want.len() <= table.max_rows, "{flags:?}: answer is cut");
+        let total: i64 = want.facts().map(|f| want.measure(f, MeasureId(0))).sum();
+        let expect = format!(
+            "warehouse: {} facts loaded → {} facts at NOW = 2002/3/15\n\n{}\n{} rows, total Number_of = {total}\n",
+            cs.mo.len(),
+            reduced.len(),
+            render_table(&want, table),
+            want.len()
+        );
+        let out = specdr_bin()
+            .arg("query")
+            .args(data)
+            .args(flags)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{flags:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), expect, "{flags:?}");
+    }
+}
+
+/// Source audit for the library and the CLI: every command answers from
+/// the warehouse, so nothing under `src/` evaluates Definition 2 or the
+/// query operators on a bare MO, or sizes one with `table_stats`.
+#[test]
+fn cli_answers_from_the_warehouse() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let banned = ["reduce(", "select_view", "aggregate_ids", "table_stats"];
+    let mut hits = Vec::new();
+    let mut stack = vec![root.join("src")];
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let p = entry.unwrap().path();
+            if p.is_dir() {
+                stack.push(p);
+                continue;
+            }
+            let src = std::fs::read_to_string(&p).unwrap();
+            for (i, line) in src.lines().enumerate() {
+                for b in banned {
+                    // A whole identifier: `age_reduce(` is another name.
+                    let called = line.match_indices(b).any(|(at, _)| {
+                        !line[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_')
+                    });
+                    if called {
+                        hits.push(format!("{}:{}: {b}", p.display(), i + 1));
+                    }
+                }
+            }
+        }
+    }
+    assert!(hits.is_empty(), "{}", hits.join("\n"));
+}
+
+/// `specdr help`'s text and the commands it names — the `<a|b|…>` list
+/// of its first line, `help` included.
+fn specdr_help() -> (String, Vec<String>) {
+    let out = specdr_bin().arg("help").output().unwrap();
+    let help = String::from_utf8(out.stdout).unwrap();
+    let list = help
+        .lines()
+        .next()
+        .and_then(|l| l.split_once('<'))
+        .and_then(|(_, r)| r.split_once('>'))
+        .unwrap_or_else(|| panic!("no command list in:\n{help}"))
+        .0;
+    let commands = list.split('|').map(str::to_string).collect();
+    (help, commands)
+}
+
+/// The command table and `specdr help` agree: the help lists exactly the
+/// twelve commands of the table, in its order, and its entries describe
+/// exactly those. The commands the warehouse made redundant are unknown.
+#[test]
+fn cli_help_lists_exactly_the_commands() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(root.join("src/bin/specdr.rs")).unwrap();
+    let table: Vec<&str> = src
+        .split("Command { name: \"")
+        .skip(1)
+        .map(|r| r.split('"').next().unwrap())
+        .collect();
+    let (help, listed) = specdr_help();
+    assert_eq!(listed.last().map(String::as_str), Some("help"));
+    assert_eq!(&listed[..listed.len() - 1], &table[..]);
+    assert_eq!(table.len(), 12, "{table:?}");
+
+    let entries: std::collections::BTreeSet<&str> = help
+        .lines()
+        .skip(1)
+        .filter(|l| l.starts_with("  ") && !l.starts_with("   "))
+        .filter_map(|l| l.split_whitespace().next())
+        .filter(|w| !w.contains('/'))
+        .collect();
+    let table_set: std::collections::BTreeSet<&str> = table.iter().copied().collect();
+    assert_eq!(entries, table_set, "help entries vs. command table");
+
+    for gone in ["demo", "simulate", "profile"] {
+        let out = specdr_bin().arg(gone).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{gone}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown command"), "{gone}: {err}");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1356,7 +1549,8 @@ fn soundness_is_decided_once() {
 /// Every back-ticked `*.rs` name in the three documents (fenced blocks
 /// aside) names a file in the tree: a path (`tests/aging.rs`, optionally
 /// `::test_name`) is a file at that path or path suffix, a bare name
-/// (`manager.rs`) some file of that name.
+/// (`manager.rs`) some file of that name. A back-ticked `specdr <word>`
+/// names a command `specdr help` lists.
 #[test]
 fn documents_name_only_files_that_exist() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -1376,6 +1570,7 @@ fn documents_name_only_files_that_exist() {
             }
         }
     }
+    let (_, commands) = specdr_help();
     let mut missing = Vec::new();
     for doc in ["DESIGN.md", "EXPERIMENTS.md", "README.md"] {
         let text = std::fs::read_to_string(root.join(doc)).unwrap();
@@ -1389,6 +1584,16 @@ fn documents_name_only_files_that_exist() {
             .collect();
         let prose = prose.join("\n");
         for ticked in prose.split('`').skip(1).step_by(2) {
+            let mut words = ticked.split_whitespace();
+            if words.next() == Some("specdr") {
+                // `specdr checkpoint/recover` names two commands.
+                let named = words.next().filter(|w| !w.starts_with('-'));
+                for cmd in named.into_iter().flat_map(|w| w.split('/')) {
+                    if !commands.iter().any(|c| c == cmd) {
+                        missing.push(format!("{doc}: `{ticked}` (no command `{cmd}`)"));
+                    }
+                }
+            }
             for word in ticked.split_whitespace() {
                 let path = word.split("::").next().unwrap();
                 let suffix = format!("/{path}");
@@ -1398,7 +1603,11 @@ fn documents_name_only_files_that_exist() {
             }
         }
     }
-    assert!(missing.is_empty(), "no such file:\n{}", missing.join("\n"));
+    assert!(
+        missing.is_empty(),
+        "dangling names:\n{}",
+        missing.join("\n")
+    );
 }
 
 /// Source audit for the warehouse directory: `ShardRouter` is the one
