@@ -26,6 +26,14 @@ pub enum MdmError {
     /// A roll-up between enumerated values is inconsistent (two paths in a
     /// non-linear hierarchy disagree).
     InconsistentRollup(String),
+    /// Where measures met, a SUM or COUNT left the `i64` range: nothing
+    /// holding the wrong value was stored or returned.
+    MeasureOverflow {
+        /// The aggregate and measure, e.g. `SUM(Revenue)`.
+        measure: String,
+        /// The rendered coordinates of the group it overflowed in.
+        cell: String,
+    },
 }
 
 impl std::fmt::Display for MdmError {
@@ -43,6 +51,12 @@ impl std::fmt::Display for MdmError {
             MdmError::UnknownMeasure(m) => write!(f, "unknown measure: {m}"),
             MdmError::SchemaMismatch(m) => write!(f, "schema mismatch: {m}"),
             MdmError::InconsistentRollup(m) => write!(f, "inconsistent roll-up: {m}"),
+            MdmError::MeasureOverflow { measure, cell } => {
+                write!(
+                    f,
+                    "measure overflow: {measure} of cell {cell} leaves the i64 range"
+                )
+            }
         }
     }
 }

@@ -7,10 +7,11 @@
 //! by repeated reduction and by the subcube combination step of Section
 //! 7.3 — is exact).
 
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
 use crate::category::CatId;
-use crate::dimension::{DimId, Dimension};
+use crate::dimension::{DimId, DimValue, Dimension};
 use crate::error::MdmError;
 
 /// A distributive aggregate function over `i64` measure values.
@@ -29,17 +30,32 @@ pub enum AggFn {
 }
 
 impl AggFn {
-    /// Combines two already-aggregated values (associative & commutative).
+    /// Combines two already-aggregated values (associative & commutative);
+    /// `None` when a SUM or COUNT leaves the `i64` range. MIN and MAX
+    /// always combine.
     #[inline]
-    pub fn combine(self, a: i64, b: i64) -> i64 {
+    pub fn checked_combine(self, a: i64, b: i64) -> Option<i64> {
         match self {
-            AggFn::Sum | AggFn::Count => a + b,
-            AggFn::Min => a.min(b),
-            AggFn::Max => a.max(b),
+            AggFn::Sum | AggFn::Count => a.checked_add(b),
+            AggFn::Min => Some(a.min(b)),
+            AggFn::Max => Some(a.max(b)),
         }
     }
 
-    /// The identity element, such that `combine(identity, x) = x`.
+    /// [`checked_combine`](AggFn::checked_combine) for callers whose sums
+    /// provably fit, such as digests of generated data.
+    ///
+    /// # Panics
+    ///
+    /// When a SUM or COUNT leaves the `i64` range — in every build; the
+    /// warehouse itself folds through [`Schema::fold_measures`], which
+    /// reports it.
+    #[inline]
+    pub fn combine(self, a: i64, b: i64) -> i64 {
+        self.checked_combine(a, b).expect("measure overflow")
+    }
+
+    /// The identity element, such that `checked_combine(identity, x) = Some(x)`.
     #[inline]
     pub fn identity(self) -> i64 {
         match self {
@@ -181,6 +197,61 @@ impl Schema {
         Granularity(self.dims.iter().map(|d| d.graph().bottom()).collect())
     }
 
+    /// Folds one row of measure values (`value(j)` for measure `j`) into
+    /// the accumulator row `acc` with each measure's aggregate function —
+    /// where measures meet, in every aggregation. `Err` names the first
+    /// measure whose SUM or COUNT left the `i64` range; its slot keeps
+    /// the value it had.
+    #[inline]
+    pub fn fold_measures(
+        &self,
+        acc: &mut [i64],
+        value: impl Fn(usize) -> i64,
+    ) -> Result<(), MeasureId> {
+        for (j, (a, m)) in acc.iter_mut().zip(&self.measures).enumerate() {
+            *a = m
+                .agg
+                .checked_combine(*a, value(j))
+                .ok_or(MeasureId(j as u16))?;
+        }
+        Ok(())
+    }
+
+    /// Folds one row into the group of `cell` in `groups`. A new group is
+    /// the row itself: every aggregate's identity absorbs any value.
+    pub fn fold_into_group(
+        &self,
+        groups: &mut BTreeMap<Vec<DimValue>, Vec<i64>>,
+        cell: Vec<DimValue>,
+        value: impl Fn(usize) -> i64,
+    ) -> Result<(), MdmError> {
+        match groups.entry(cell) {
+            Entry::Vacant(v) => {
+                v.insert((0..self.n_measures()).map(value).collect());
+            }
+            Entry::Occupied(mut o) => {
+                let folded = self.fold_measures(o.get_mut(), value);
+                folded.map_err(|m| self.measure_overflow(m, o.key()))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The error for measure `m` leaving the `i64` range in the group of
+    /// `cell`.
+    pub fn measure_overflow(&self, m: MeasureId, cell: &[DimValue]) -> MdmError {
+        let def = &self.measures[m.index()];
+        let values: Vec<String> = cell
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| self.dims[i].render(v))
+            .collect();
+        MdmError::MeasureOverflow {
+            measure: format!("{}({})", def.agg, def.name),
+            cell: format!("({})", values.join(", ")),
+        }
+    }
+
     /// Renders a granularity as `(Time.month, URL.domain)`.
     pub fn render_granularity(&self, g: &Granularity) -> String {
         let parts: Vec<String> =
@@ -311,10 +382,56 @@ mod tests {
     #[test]
     fn aggfn_laws() {
         for f in [AggFn::Sum, AggFn::Min, AggFn::Max, AggFn::Count] {
-            assert_eq!(f.combine(f.identity(), 42), 42);
-            assert_eq!(f.combine(7, f.combine(3, 5)), f.combine(f.combine(7, 3), 5));
-            assert_eq!(f.combine(7, 3), f.combine(3, 7));
+            let c = |a, b| f.checked_combine(a, b).unwrap();
+            assert_eq!(c(f.identity(), 42), 42);
+            assert_eq!(c(7, c(3, 5)), c(c(7, 3), 5));
+            assert_eq!(c(7, 3), c(3, 7));
         }
+    }
+
+    #[test]
+    fn sums_and_counts_that_leave_i64_are_errors_not_wrapped_values() {
+        for f in [AggFn::Sum, AggFn::Count] {
+            assert_eq!(f.checked_combine(i64::MAX - 1, i64::MAX - 1), None);
+            assert_eq!(f.checked_combine(i64::MIN, -1), None);
+            assert_eq!(f.checked_combine(i64::MAX - 1, 1), Some(i64::MAX));
+        }
+        // MIN and MAX never leave the range of their inputs.
+        for (a, b) in [
+            (i64::MAX, i64::MAX),
+            (i64::MIN, i64::MAX),
+            (i64::MIN, i64::MIN),
+        ] {
+            assert_eq!(AggFn::Min.checked_combine(a, b), Some(a.min(b)));
+            assert_eq!(AggFn::Max.checked_combine(a, b), Some(a.max(b)));
+        }
+        let s = schema();
+        let cell = vec![
+            s.dim(DimId(0)).parse_value(tcat::MONTH, "2000/1").unwrap(),
+            s.dim(DimId(1)).top_value(),
+        ];
+        let mut groups = BTreeMap::new();
+        let big = |_| i64::MAX - 1;
+        s.fold_into_group(&mut groups, cell.clone(), big).unwrap();
+        assert_eq!(
+            groups[&cell],
+            vec![i64::MAX - 1; 2],
+            "a new group is the row"
+        );
+        let err = s
+            .fold_into_group(&mut groups, cell.clone(), big)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            MdmError::MeasureOverflow {
+                measure: "COUNT(Number_of)".into(),
+                cell: "(2000/1, ⊤)".into(),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "measure overflow: COUNT(Number_of) of cell (2000/1, ⊤) leaves the i64 range"
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@ use std::collections::BTreeMap;
 
 use std::sync::Arc;
 
-use sdr_mdm::{AggFn, CatId, DimId, DimValue, FactId, Mo, Schema, ORIGIN_USER};
+use sdr_mdm::{AggFn, CatId, DimId, DimValue, FactId, MdmError, Mo, Schema, ORIGIN_USER};
 
 use crate::compare::SelectMode;
 use crate::error::QueryError;
@@ -185,12 +185,7 @@ pub(crate) fn aggregate_rows_naive(
 
     let mut groups: BTreeMap<Vec<DimValue>, Vec<i64>> = BTreeMap::new();
     let mut add_to_group = |key: Vec<DimValue>, values: &[i64]| {
-        let acc = groups
-            .entry(key)
-            .or_insert_with(|| schema.measures.iter().map(|m| m.agg.identity()).collect());
-        for (j, a) in acc.iter_mut().enumerate() {
-            *a = schema.measures[j].agg.combine(*a, values[j]);
-        }
+        schema.fold_into_group(&mut groups, key, |j| values[j])
     };
     'facts: for (mo, f) in facts() {
         if approach == AggApproach::Disaggregated {
@@ -221,7 +216,7 @@ pub(crate) fn aggregate_rows_naive(
             };
             key.push(dim.rollup(v, target)?);
         }
-        add_to_group(key, &mo.measures_of(f));
+        add_to_group(key, &mo.measures_of(f))?;
     }
     // End the closure's mutable borrow of `groups`.
     let _ = &mut add_to_group;
@@ -244,7 +239,7 @@ fn disaggregate_fact(
     mo: &Mo,
     f: sdr_mdm::FactId,
     levels: &[CatId],
-    add_to_group: &mut impl FnMut(Vec<DimValue>, &[i64]),
+    add_to_group: &mut impl FnMut(Vec<DimValue>, &[i64]) -> Result<(), MdmError>,
 ) -> Result<(), QueryError> {
     let schema = mo.schema();
     // Per dimension: the list of target values the fact covers.
@@ -312,7 +307,7 @@ fn disaggregate_fact(
     let mut idx = vec![0usize; per_dim.len()];
     for s in spread.iter() {
         let key: Vec<DimValue> = idx.iter().zip(&per_dim).map(|(&i, t)| t[i]).collect();
-        add_to_group(key, s);
+        add_to_group(key, s)?;
         // Advance the mixed-radix counter.
         for (pos, t) in idx.iter_mut().zip(&per_dim).rev() {
             *pos += 1;

@@ -44,14 +44,9 @@ pub fn collapse_dimensions(mo: &Mo, dropped: &[&str]) -> Result<Mo, QueryError> 
     let mut groups: BTreeMap<Vec<DimValue>, Vec<i64>> = BTreeMap::new();
     for f in mo.facts() {
         let key: Vec<DimValue> = keep.iter().map(|&d| mo.value(f, d)).collect();
-        let acc = groups
-            .entry(key)
-            .or_insert_with(|| schema.measures.iter().map(|m| m.agg.identity()).collect());
-        for (j, a) in acc.iter_mut().enumerate() {
-            *a = schema.measures[j]
-                .agg
-                .combine(*a, mo.measure(f, sdr_mdm::MeasureId(j as u16)));
-        }
+        new_schema.fold_into_group(&mut groups, key, |j| {
+            mo.measure(f, sdr_mdm::MeasureId(j as u16))
+        })?;
     }
     let mut out = Mo::new(Arc::clone(&new_schema));
     for (coords, ms) in groups {

@@ -331,12 +331,16 @@ fn identity_acc(schema: &Schema) -> Vec<i64> {
     schema.measures.iter().map(|m| m.agg.identity()).collect()
 }
 
-/// Folds measure row `fi` of `mo` into `acc`.
-fn combine_row(schema: &Schema, acc: &mut [i64], mo: &Mo, fi: usize) {
+/// Folds measure row `fi` of `mo` into the group `(cell, acc)`.
+fn combine_row(
+    schema: &Schema,
+    (cell, acc): &mut (Vec<DimValue>, Vec<i64>),
+    mo: &Mo,
+    fi: usize,
+) -> Result<(), QueryError> {
     let measures = &mo.store().measures;
-    for (j, a) in acc.iter_mut().enumerate() {
-        *a = schema.measures[j].agg.combine(*a, measures[j][fi]);
-    }
+    let folded = schema.fold_measures(acc, |j| measures[j][fi]);
+    Ok(folded.map_err(|m| schema.measure_overflow(m, cell))?)
 }
 
 impl<K: PackedKey> Groups<K> {
@@ -371,7 +375,7 @@ impl<K: PackedKey> Groups<K> {
                         s
                     }
                 };
-                combine_row(schema, &mut self.groups[slot as usize].1, mo, fi);
+                combine_row(schema, &mut self.groups[slot as usize], mo, fi)?;
             }
             return Ok(());
         }
@@ -418,7 +422,7 @@ impl<K: PackedKey> Groups<K> {
                     s
                 }
             };
-            combine_row(schema, &mut self.groups[slot as usize].1, mo, fi);
+            combine_row(schema, &mut self.groups[slot as usize], mo, fi)?;
         }
         Ok(())
     }
@@ -446,10 +450,7 @@ impl<K: PackedKey> Groups<K> {
                     .enumerate()
                     .map(|(i, &v)| schema.dim(DimId(i as u16)).rollup(v, self.lub[i]))
                     .collect::<Result<_, _>>()?;
-                let e = merged.entry(key).or_insert_with(|| identity_acc(schema));
-                for (j, a) in e.iter_mut().enumerate() {
-                    *a = schema.measures[j].agg.combine(*a, acc[j]);
-                }
+                schema.fold_into_group(&mut merged, key, |j| acc[j])?;
             }
             groups = merged.into_iter().collect();
         } else {

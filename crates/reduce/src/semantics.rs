@@ -12,8 +12,8 @@ use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
 use sdr_mdm::{
-    CatId, DayNum, DimId, DimValue, FactId, FxHashMap, Granularity, KeyPacker, Mo, Schema,
-    ORIGIN_USER,
+    CatId, DayNum, DimId, DimValue, FactId, FxHashMap, Granularity, KeyPacker, MeasureId, Mo,
+    Schema, ORIGIN_USER,
 };
 use sdr_spec::{eval_pred, ActionId, CompiledPred};
 
@@ -248,6 +248,9 @@ fn fold(
         acc: Vec<i64>,
         origin: u32,
         members: u32,
+        /// The first measure whose SUM or COUNT left `i64`, reported
+        /// with the cell before anything is built.
+        overflow: Option<MeasureId>,
     }
     let mut groups: BTreeMap<Vec<DimValue>, Group> = BTreeMap::new();
     // Per-action raise counts, accumulated locally and published once
@@ -270,9 +273,10 @@ fn fold(
             acc: schema.measures.iter().map(|m| m.agg.identity()).collect(),
             origin: ORIGIN_USER,
             members: 0,
+            overflow: None,
         });
-        for (j, m) in schema.measures.iter().enumerate() {
-            g.acc[j] = m.agg.combine(g.acc[j], store.measures[j][f.index()]);
+        if let Err(m) = schema.fold_measures(&mut g.acc, |j| store.measures[j][f.index()]) {
+            g.overflow.get_or_insert(m);
         }
         g.members += 1;
         // Provenance: the responsible action if the fact moved; otherwise
@@ -288,6 +292,9 @@ fn fold(
     // Handle looked up once; recording is a few relaxed atomics per group.
     let members_hist = obs_on.then(|| sdr_obs::global().histogram("reduce.group_members"));
     for (coords, g) in groups {
+        if let Some(m) = g.overflow {
+            return Err(schema.measure_overflow(m, &coords).into());
+        }
         if let Some(h) = &members_hist {
             h.record(g.members as u64);
         }

@@ -98,24 +98,34 @@ impl Shard {
     }
 
     /// Recovers the shard at `dir`: loads the live checkpoint, truncates
-    /// any torn log tail, and replays the surviving records, adding what
-    /// it replayed, dropped and verified to `report`.
+    /// any torn log tail, and replays the surviving records. Returns the
+    /// shard with its part of the report: what it replayed, dropped and
+    /// verified.
     pub(crate) fn recover(
-        spec: DataReductionSpec,
+        spec: &DataReductionSpec,
         dir: &Path,
         fs: Arc<dyn Fs>,
-        report: &mut RecoveryReport,
-    ) -> Result<Shard, SubcubeError> {
+    ) -> Result<(Shard, RecoveryReport), SubcubeError> {
         let _span = sdr_obs::span("durable.recover");
         let epoch = read_current(fs.as_ref(), dir)?;
         // The specification is durable state: journaled `insert`/`delete`
         // operations may have evolved it past what the caller configured,
         // so the checkpoint's own spec (exact action ids + insert counter,
-        // from the manifest) is authoritative. The caller's spec supplies
-        // the schema to parse it against.
+        // from the manifest) is authoritative. When it is the caller's —
+        // same actions under the same ids, same insert counter — the
+        // caller's already-analyzed value is used; otherwise it is rebuilt
+        // from the manifest against the caller's schema.
         let manifest = read_manifest_at(fs.as_ref(), dir, epoch)?;
-        let ckpt_spec = spec_from_manifest(spec.schema(), &manifest)?;
-        let (mgr, manifest) = load_checkpoint(ckpt_spec, fs.as_ref(), dir, epoch)?;
+        let unchanged =
+            manifest.spec_text == spec.render() && manifest.next_action_id == spec.next_action_id();
+        let ckpt_spec = if unchanged {
+            spec.clone()
+        } else {
+            spec_from_manifest(spec.schema(), &manifest)?
+        };
+        let ckpt_span = sdr_obs::span("durable.recover.checkpoint");
+        let mgr = load_checkpoint(ckpt_spec, &manifest, fs.as_ref(), dir, epoch)?;
+        drop(ckpt_span);
         let wal_path = WarehouseLayout::at(dir).wal(epoch);
         let (wal, records, dropped_bytes) = if fs.exists(&wal_path) {
             let (wal, scan) = Wal::open(Arc::clone(&fs), wal_path)
@@ -159,7 +169,7 @@ impl Shard {
         // Replay drives the ordinary mutators, which maintain per-cube
         // stats as they go; re-assert the no-drift invariant on the final
         // recovered state (the persisted copy was already verified
-        // against the checkpoint files in `load_checkpoint`).
+        // against the checkpoint's chunks in `load_checkpoint`).
         mgr.verify_stats()?;
         if sdr_obs::enabled() {
             sdr_obs::inc("durable.recover.runs");
@@ -170,10 +180,13 @@ impl Shard {
                 manifest.cube_stats.len() as u64,
             );
         }
-        report.replayed += replayed;
-        report.dropped_bytes += dropped_bytes;
-        report.stats_verified += manifest.cube_stats.len();
-        Ok(Shard {
+        let part = RecoveryReport {
+            replayed,
+            dropped_bytes,
+            stats_verified: manifest.cube_stats.len(),
+            ..RecoveryReport::default()
+        };
+        let shard = Shard {
             mgr,
             fs,
             dir: dir.to_path_buf(),
@@ -182,7 +195,8 @@ impl Shard {
             hwm: manifest.wal_hwm,
             ops_in_log: replayed as u64,
             broken: false,
-        })
+        };
+        Ok((shard, part))
     }
 
     /// The shard's manager (views are taken through here).

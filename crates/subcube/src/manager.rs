@@ -455,6 +455,9 @@ struct Arrival {
     /// what a row-ordered scan of the members leaves behind.
     origin: u32,
     origin_at: Option<(usize, usize, u32)>,
+    /// The first measure whose SUM or COUNT left `i64`: the step fails,
+    /// naming it and the cell, before it builds anything.
+    overflow: Option<MeasureId>,
 }
 
 impl Arrival {
@@ -463,15 +466,15 @@ impl Arrival {
             acc: schema.measures.iter().map(|m| m.agg.identity()).collect(),
             origin: ORIGIN_USER,
             origin_at: None,
+            overflow: None,
         }
     }
 
     /// Folds in row `f` of `mo`, found at `at`, carrying `origin`.
     fn fold(&mut self, schema: &Schema, mo: &Mo, f: FactId, at: (usize, usize, u32), origin: u32) {
-        for (j, a) in self.acc.iter_mut().enumerate() {
-            *a = schema.measures[j]
-                .agg
-                .combine(*a, mo.measure(f, MeasureId(j as u16)));
+        let row = |j| mo.measure(f, MeasureId(j as u16));
+        if let Err(m) = schema.fold_measures(&mut self.acc, row) {
+            self.overflow.get_or_insert(m);
         }
         if origin != ORIGIN_USER && Some(at) > self.origin_at {
             (self.origin, self.origin_at) = (origin, Some(at));
@@ -738,6 +741,10 @@ impl VersionInner {
             }
             let mut arrivals = Mo::new(Arc::clone(schema));
             for (target, group) in groups {
+                if let Some(m) = group.overflow {
+                    let e = schema.measure_overflow(m, &target);
+                    return Err(ReduceError::Model(e).into());
+                }
                 arrivals
                     .insert_fact_at(&target, &group.acc, group.origin)
                     .map_err(ReduceError::Model)?;
@@ -1195,7 +1202,18 @@ impl SubcubeManager {
                 last_sync: until,
             });
         }
-        let stats = cur.aged(until, Some(self))?.1;
+        let stats = match cur.aged(until, Some(self)) {
+            Ok((_, stats)) => stats,
+            Err(e) => {
+                // A failed step published nothing, but the steps before it
+                // did: put the pre-call contents back, so the failed call
+                // is as if never issued — the caller logs nothing.
+                if self.current.load().epoch != cur.epoch {
+                    self.republish(&cur);
+                }
+                return Err(e);
+            }
+        };
         if sdr_obs::enabled() {
             // Same locals returned to the caller — the counters cannot
             // disagree with `AgeStats` (asserted by the integration suite).
@@ -1278,8 +1296,12 @@ impl SubcubeManager {
     /// one publication of the pre-batch snapshot.
     pub fn rollback_to(&self, view: &WarehouseView) {
         let _w = self.writer.lock();
+        self.republish(&view.v);
+    }
+
+    /// [`rollback_to`](Self::rollback_to) with the writer lock held.
+    fn republish(&self, v: &VersionInner) {
         let cur = self.current.load();
-        let v = &view.v;
         self.publish(VersionInner {
             epoch: cur.epoch + 1,
             ..v.successor(v.cubes.clone(), v.last_sync, v.unhomed)

@@ -376,21 +376,19 @@ pub(crate) fn write_checkpoint(
     Ok(())
 }
 
-/// Loads the cubes of checkpoint `epoch` into a fresh manager for
-/// `spec`, verifying the manifest, the per-cube files, and the cube
-/// granularities.
+/// Loads the cubes of checkpoint `epoch`, whose decoded `manifest` the
+/// caller has read, into a fresh manager for `spec`, verifying the spec
+/// hash, the per-cube files, the cube granularities and the persisted
+/// statistics.
 pub(crate) fn load_checkpoint(
     spec: DataReductionSpec,
+    manifest: &Manifest,
     fs: &dyn Fs,
     dir: &Path,
     epoch: u64,
-) -> Result<(SubcubeManager, Manifest), SubcubeError> {
+) -> Result<SubcubeManager, SubcubeError> {
     let ckpt = WarehouseLayout::at(dir).ckpt_dir(epoch);
     let man_path = WarehouseLayout::manifest_in(&ckpt);
-    let man_bytes = fs
-        .read(&man_path)
-        .map_err(|e| SubcubeError::Storage(format!("{}: {e}", man_path.display())))?;
-    let manifest = Manifest::decode(&man_path, &man_bytes)?;
     let m = SubcubeManager::new(spec);
     let layout = m.view();
     if manifest.spec_hash != spec_fingerprint(&m.spec()) {
@@ -405,6 +403,13 @@ pub(crate) fn load_checkpoint(
         let extra = WarehouseLayout::cube_file_in(&ckpt, layout.cubes().len());
         return Err(SubcubeError::Storage(format!(
             "{}: more cubes on disk than the specification defines",
+            extra.display()
+        )));
+    }
+    if manifest.cube_stats.len() > layout.cubes().len() {
+        let extra = WarehouseLayout::cube_file_in(&ckpt, layout.cubes().len());
+        return Err(SubcubeError::Storage(format!(
+            "{}: manifest carries statistics for a cube that has no file",
             extra.display()
         )));
     }
@@ -432,33 +437,6 @@ pub(crate) fn load_checkpoint(
         }
         mos.push(mo);
     }
-    // Persisted stats (format ≥ 2) must be bit-identical to a fresh
-    // recomputation from the loaded cube files — stale or forged stats
-    // are a corruption signal, not something to silently repair. A
-    // format-≤2 checkpoint never stored hulls/origins, so its stats are
-    // checked against the legacy projection; `install_checkpoint` below
-    // recomputes full extended stats for the live cubes either way.
-    for (i, persisted) in manifest.cube_stats.iter().enumerate() {
-        let path = WarehouseLayout::cube_file_in(&ckpt, i);
-        let Some(mo) = mos.get(i) else {
-            return Err(SubcubeError::Storage(format!(
-                "{}: manifest carries statistics for a cube that has no file",
-                path.display()
-            )));
-        };
-        let computed = SubcubeStats::compute(mo, persisted.last_epoch);
-        let matches = if manifest.format >= 3 {
-            computed == *persisted
-        } else {
-            computed.legacy_projection() == *persisted
-        };
-        if !matches {
-            return Err(SubcubeError::Storage(format!(
-                "{}: persisted cube statistics diverge from recomputation",
-                path.display()
-            )));
-        }
-    }
     if manifest.unhomed_rows > mos[0].len() as u64 {
         return Err(SubcubeError::Storage(format!(
             "{}: manifest declares {} un-homed rows, the bottom cube holds {}",
@@ -468,7 +446,32 @@ pub(crate) fn load_checkpoint(
         )));
     }
     m.install_checkpoint(mos, manifest.last_sync, manifest.unhomed_rows as usize)?;
-    Ok((m, manifest))
+    // Persisted stats (format ≥ 2) must be bit-identical to the fold of
+    // the installed chunks' summaries — each chunk was summarized once,
+    // when it was built, and the fold is exact (it equals a recomputation
+    // over the whole cube). Stale or forged stats are a corruption
+    // signal, not something to silently repair. A format-≤2 checkpoint
+    // never stored hulls/origins, so its stats are checked against the
+    // legacy projection.
+    let view = m.view();
+    for (i, (persisted, cube)) in manifest.cube_stats.iter().zip(view.cubes()).enumerate() {
+        let folded = SubcubeStats {
+            last_epoch: persisted.last_epoch,
+            ..cube.stats().clone()
+        };
+        let matches = if manifest.format >= 3 {
+            folded == *persisted
+        } else {
+            folded.legacy_projection() == *persisted
+        };
+        if !matches {
+            return Err(SubcubeError::Storage(format!(
+                "{}: persisted cube statistics diverge from recomputation",
+                WarehouseLayout::cube_file_in(&ckpt, i).display()
+            )));
+        }
+    }
+    Ok(m)
 }
 
 /// Removes superseded checkpoint directories and log files (best

@@ -460,7 +460,8 @@ impl ShardRouter {
     /// warehouse ever written — and simply replays its log. With N ≥ 2,
     /// every shard first has its WAL aligned to the longest prefix
     /// present on *all* shards (a record missing anywhere was never
-    /// acknowledged), then recovers independently; a crash that left a
+    /// acknowledged), then the shards recover concurrently, each
+    /// independently of the others; a crash that left a
     /// cross-shard checkpoint half-applied (some shards already at the
     /// next epoch) is finished here: the remaining shards are
     /// checkpointed and the top-level manifest republished.
@@ -493,15 +494,18 @@ impl ShardRouter {
         if let Some(man) = man {
             Self::align(fs.as_ref(), &layout, man, &mut report)?;
         }
+        // The shards recover concurrently (one shard inline, on this
+        // thread); their reports fold, and the first failure wins, in
+        // shard order.
+        let roots: Vec<PathBuf> = (0..n).map(|i| shard_dir(&layout, i, n)).collect();
+        let recovered = fan_out(&roots, |root| Shard::recover(&spec, root, Arc::clone(&fs)));
         let mut shards = Vec::with_capacity(n);
-        for i in 0..n {
-            let root = shard_dir(&layout, i, n);
-            shards.push(Shard::recover(
-                spec.clone(),
-                &root,
-                Arc::clone(&fs),
-                &mut report,
-            )?);
+        for r in recovered {
+            let (shard, part) = r?;
+            report.replayed += part.replayed;
+            report.dropped_bytes += part.dropped_bytes;
+            report.stats_verified += part.stats_verified;
+            shards.push(shard);
         }
 
         // Finish an interrupted cross-shard checkpoint.

@@ -254,6 +254,42 @@ fi
 echo "  addr=$serve_addr digest=$client_digest shutdown clean"
 rm -f "$serve_log"
 
+# Sharded restart smoke: a 4-shard warehouse that `serve --dir` wrote
+# and left on SIGTERM recovers — its shards concurrently — to the fact
+# count the serve banner printed, and a second recovery of the same
+# directory lands on the same state.
+echo "==> sharded restart smoke (serve --shards 4, recover twice)"
+restart_dir=$(mktemp -d)
+restart_log=$(mktemp)
+target/release/specdr serve --dir "$restart_dir" --shards 4 --months 6 --clicks 20 \
+  >"$restart_log" 2>&1 &
+restart_pid=$!
+for i in $(seq 1 50); do
+  grep -q '^serve: baseline' "$restart_log" 2>/dev/null && break
+  sleep 0.2
+done
+restart_facts=$(sed -n 's/^serve: shards=4 facts=\([0-9]*\) .*/\1/p' "$restart_log")
+kill -TERM "$restart_pid"
+restart_rc=0
+wait "$restart_pid" || restart_rc=$?
+if [ -z "$restart_facts" ] || [ "$restart_rc" -ne 0 ]; then
+  echo "restart smoke: serve did not come up or shut down cleanly (rc=$restart_rc):" >&2
+  cat "$restart_log" >&2
+  exit 1
+fi
+for pass in 1 2; do
+  restart_out=$(target/release/specdr recover --dir "$restart_dir")
+  if ! echo "$restart_out" | grep -q '^  shards          = 4$' ||
+     ! echo "$restart_out" | grep -q "^  warehouse       = $restart_facts facts$"; then
+    echo "restart smoke: recovery $pass did not land on shards = 4, facts=$restart_facts:" >&2
+    echo "$restart_out" >&2
+    exit 1
+  fi
+done
+echo "  shards=4 facts=$restart_facts recovered twice"
+rm -rf "$restart_dir"
+rm -f "$restart_log"
+
 # Multi-client socket load generator: concurrent TCP clients against the
 # daemon while a writer churns the sharded warehouse; any torn read or
 # protocol error through the wire exits non-zero.

@@ -1439,3 +1439,194 @@ fn forged_fact_bytes_are_a_typed_recovery_error() {
     });
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Recovery checks each cube's persisted statistics against the fold of
+/// the summaries its chunks got when they were built: a forged stats
+/// block — a row count, or a format-3 hull — is a typed recovery error.
+#[test]
+fn forged_persisted_stats_are_a_recovery_error() {
+    use specdr::subcube::{read_manifest, WarehouseLayout};
+    let (spec, ops) = paper_workload();
+    let dir = tmpdir("forged-stats");
+    let w = ShardRouter::create(spec.clone(), &dir, 1).unwrap();
+    for op in &ops {
+        match op.mutation() {
+            Some(m) => drop(w.apply(&m).unwrap()),
+            None => drop(w.checkpoint().unwrap()),
+        }
+    }
+    w.checkpoint().unwrap();
+    drop(w);
+    let path = WarehouseLayout::at(&dir).manifest(read_manifest(&dir).unwrap().epoch);
+    let intact = std::fs::read(&path).unwrap();
+    let manifest = read_manifest(&dir).unwrap();
+    let last = manifest.cube_stats.len() - 1;
+    assert!(manifest.cube_stats[last].hulls.iter().any(Option::is_some));
+    for what in ["rows", "hull"] {
+        let mut m = manifest.clone();
+        let forged = &mut m.cube_stats[last];
+        match what {
+            "rows" => forged.rows += 1,
+            _ => forged.hulls = vec![None; forged.hulls.len()],
+        }
+        std::fs::write(&path, m.encode()).unwrap();
+        let Err(e) = ShardRouter::recover(spec.clone(), &dir) else {
+            panic!("{what}: recovered over forged statistics");
+        };
+        assert!(
+            e.to_string()
+                .contains("persisted cube statistics diverge from recomputation"),
+            "{what}: {e}"
+        );
+    }
+    std::fs::write(&path, &intact).unwrap();
+    let (_, report) = ShardRouter::recover(spec, &dir).unwrap();
+    assert_eq!(report.stats_verified, manifest.cube_stats.len());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two sales of `i64::MAX − 1` on consecutive days, rolled up into one
+/// month by the spec's only action: the sum leaves `i64`, in a debug
+/// build (which used to panic) and a release build (which used to store
+/// a wrapped sum) alike. The reduction is refused with a typed error
+/// naming the measure and the cell, and nothing of it is kept: one shard
+/// rejects it whole (no wedge); over two shards, where the other shard
+/// logged the step, the router wedges and recovery drops the step on
+/// every shard. Recovery succeeds, again and again, a query whose sum
+/// leaves `i64` is refused the same way, and MIN and MAX are unaffected.
+#[test]
+fn measure_sums_that_leave_i64_are_refused_and_recovery_stays_clean() {
+    use specdr::mdm::{AggFn, DimId, MdmError, MeasureDef};
+    use specdr::query::{AggApproach, SelectMode};
+    use specdr::reduce::ReduceError;
+    use specdr::subcube::{CubeQuery, SubcubeError};
+    use specdr::workload::{generate_retail, RetailConfig};
+    let retail = generate_retail(&RetailConfig {
+        sales_per_day: 0,
+        ..Default::default()
+    });
+    let schema = Arc::clone(&retail.schema);
+    let sku = schema
+        .dim(DimId(1))
+        .parse_value(retail.cats.sku, "sku-0-0-0");
+    let store = schema
+        .dim(DimId(2))
+        .parse_value(retail.cats.store, "store-0-0-0");
+    let (sku, store) = (sku.unwrap(), store.unwrap());
+    let sales_in = |month: u32, schema: &Arc<Schema>, measures: [[i64; 2]; 2]| {
+        let mut mo = Mo::new(Arc::clone(schema));
+        for (d, m) in [10, 11].into_iter().zip(measures) {
+            let day = TimeValue::Day(days_from_civil(2000, month, d));
+            let day = DimValue::new(tc::DAY, day.code());
+            mo.insert_fact(&[day, sku, store], &m).unwrap();
+        }
+        mo
+    };
+    let sales = |schema: &Arc<Schema>, measures| sales_in(1, schema, measures);
+    let action = "p(a[Time.month, Product.sku, Store.store] o[Time.month <= NOW - 1 months](O))";
+    let spec_over = |schema: &Arc<Schema>| {
+        let a = parse_action(schema, action).unwrap();
+        DataReductionSpec::new(Arc::clone(schema), vec![a]).unwrap()
+    };
+    let spec = spec_over(&schema);
+    let month_query = CubeQuery {
+        pred: None,
+        mode: SelectMode::Conservative,
+        levels: vec![tc::MONTH, retail.cats.sku, retail.cats.store],
+        approach: AggApproach::Availability,
+    };
+    let day = days_from_civil(2000, 3, 1);
+    let cell = "(2000/1, sku-0-0-0, store-0-0-0)";
+    let overflow = MdmError::MeasureOverflow {
+        measure: "SUM(Revenue)".into(),
+        cell: cell.into(),
+    };
+    let rows = |w: &ShardRouter| {
+        let mo = w.view_set().to_mo().unwrap();
+        let mut v: Vec<String> = mo.facts().map(|f| mo.render_fact(f)).collect();
+        v.sort();
+        v
+    };
+    let big = i64::MAX - 1;
+    for shards in [1, 2] {
+        let dir = tmpdir(&format!("overflow-{shards}"));
+        let w = ShardRouter::create(spec.clone(), &dir, shards).unwrap();
+        w.bulk_load(&sales(&schema, [[1, big], [1, big]])).unwrap();
+        let loaded = rows(&w);
+        let err = w.sync(day).unwrap_err();
+        if shards == 1 {
+            assert!(
+                matches!(&err, SubcubeError::Reduce(ReduceError::Model(e)) if *e == overflow),
+                "{err:?}"
+            );
+            assert!(!w.is_broken(), "a uniform refusal does not wedge");
+        } else {
+            assert!(err.to_string().contains("recovery required"), "{err}");
+            assert!(w.is_broken());
+        }
+        assert!(err.to_string().contains(&overflow.to_string()), "{err}");
+        assert_eq!(
+            rows(&w),
+            loaded,
+            "shards={shards}: the refused step left a trace"
+        );
+        assert_eq!(w.last_sync(), None);
+        drop(w);
+        for attempt in 0..2 {
+            let (rec, report) = ShardRouter::recover(spec.clone(), &dir)
+                .unwrap_or_else(|e| panic!("shards={shards} attempt {attempt}: {e}"));
+            assert_eq!((report.ops_durable, report.last_sync), (1, None));
+            assert_eq!(rows(&rec), loaded);
+            for r in [
+                rec.view_set().query(&month_query, day, true),
+                rec.view_set().query_unsync(&month_query, day, true),
+            ] {
+                let e = r.expect_err("a sum that leaves i64 is no answer");
+                assert!(e.to_string().contains(&overflow.to_string()), "{e}");
+            }
+            // Refused again, the same way, without harm.
+            assert!(rec.age(day).is_err());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    // A multi-step age whose second step overflows: the first step had
+    // landed, and is taken back — the failed call is as if never issued.
+    let m = SubcubeManager::new(spec.clone());
+    m.bulk_load(&sales(&schema, [[1, 5], [1, 7]])).unwrap();
+    m.bulk_load(&sales_in(2, &schema, [[1, big], [1, big]]))
+        .unwrap();
+    let synced = days_from_civil(2000, 1, 20);
+    m.sync(synced).unwrap();
+    let before = m.to_mo().unwrap();
+    let err = m.age(days_from_civil(2000, 3, 5)).unwrap_err();
+    assert!(
+        err.to_string().contains("(2000/2, sku-0-0-0, store-0-0-0)"),
+        "{err}"
+    );
+    let after = m.to_mo().unwrap();
+    let render = |mo: &Mo| mo.facts().map(|f| mo.render_fact(f)).collect::<Vec<_>>();
+    assert_eq!(render(&after), render(&before));
+    assert_eq!(m.view().last_sync(), Some(synced));
+
+    // MIN and MAX at the ends of the range combine without error.
+    let extremes = Schema::new(
+        "Sale",
+        schema.dims.clone(),
+        vec![
+            MeasureDef::new("Low", AggFn::Min),
+            MeasureDef::new("High", AggFn::Max),
+        ],
+    )
+    .unwrap();
+    let m = SubcubeManager::new(spec_over(&extremes));
+    m.bulk_load(&sales(
+        &extremes,
+        [[i64::MIN, i64::MAX], [i64::MAX, i64::MIN]],
+    ))
+    .unwrap();
+    m.sync(day).unwrap();
+    let got = m.view().query(&month_query, day, false).unwrap();
+    let facts: Vec<_> = got.facts().map(|f| got.measures_of(f)).collect();
+    assert_eq!(facts, vec![vec![i64::MIN, i64::MAX]]);
+}

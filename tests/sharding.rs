@@ -94,18 +94,10 @@ fn canonical_digest(mo: &specdr::mdm::Mo) -> u64 {
     let mut cells: std::collections::BTreeMap<Vec<specdr::mdm::DimValue>, Vec<i64>> =
         std::collections::BTreeMap::new();
     for f in mo.facts() {
-        let coords = mo.coords(f);
         let measures = mo.measures_of(f);
-        match cells.entry(coords) {
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(measures);
-            }
-            std::collections::btree_map::Entry::Occupied(mut o) => {
-                for (i, acc) in o.get_mut().iter_mut().enumerate() {
-                    *acc = schema.measures[i].agg.combine(*acc, measures[i]);
-                }
-            }
-        }
+        schema
+            .fold_into_group(&mut cells, mo.coords(f), |j| measures[j])
+            .expect("test measures stay inside i64");
     }
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for (coords, measures) in &cells {
@@ -722,4 +714,171 @@ fn failed_scatter_wedges_every_mutator_until_recover() {
         wedged_cases >= 1,
         "the fault sweep never produced a wedged router"
     );
+}
+
+/// The shard roots of a warehouse directory: the root itself for one
+/// shard, `shard-NNN` below it otherwise.
+fn shard_roots(dir: &Path, shards: usize) -> Vec<PathBuf> {
+    if shards == 1 {
+        return vec![dir.to_path_buf()];
+    }
+    let layout = WarehouseLayout::at(dir);
+    (0..shards)
+        .map(|i| layout.shard(i).root().to_path_buf())
+        .collect()
+}
+
+/// Concurrent recovery lands exactly where recovering the shards one
+/// after another does. Each shard directory is a complete one-shard
+/// layout, so the sequential reference recovers a copy of every shard as
+/// its own warehouse, in shard order, on this thread; the shards' report
+/// parts must sum to the router's, and every shard's contents, its
+/// `ops_durable` and the `last_sync` must agree. Every WAL carries a torn
+/// tail, so `dropped_bytes` is exercised; a checkpoint before the tail
+/// makes `stats_verified` count real cubes.
+#[test]
+fn concurrent_recovery_equals_shard_by_shard_recovery() {
+    let schema = Arc::clone(paper_spec().schema());
+    let script = churn_script(&schema, 11, 14);
+    for shards in 1..=4usize {
+        let dir = tdir(&format!("concurrent-{shards}"));
+        let router = ShardRouter::create(paper_spec(), &dir, shards).unwrap();
+        let (head, tail) = script.split_at(script.len() / 2);
+        for op in head {
+            apply_router(&router, op).unwrap();
+        }
+        router.checkpoint().unwrap();
+        for op in tail {
+            apply_router(&router, op).unwrap();
+        }
+        let want = router_digests(&router);
+        let epoch = router.epoch();
+        drop(router);
+        for root in shard_roots(&dir, shards) {
+            let wal = WarehouseLayout::at(&root).wal(epoch);
+            let mut bytes = std::fs::read(&wal).unwrap();
+            bytes.extend_from_slice(&[0x5a; 7]);
+            std::fs::write(&wal, &bytes).unwrap();
+        }
+        let seq = tdir(&format!("concurrent-{shards}-seq"));
+        copy_dir(&dir, &seq);
+
+        let (rec, report) = ShardRouter::recover(paper_spec(), &dir).unwrap();
+        let mut parts = Vec::new();
+        for (i, root) in shard_roots(&seq, shards).iter().enumerate() {
+            let (one, part) = ShardRouter::recover(paper_spec(), root).unwrap();
+            let got = rec.view_set().views()[i].to_mo().unwrap();
+            let alone = one.view_set().to_mo().unwrap();
+            assert_eq!(
+                canonical_digest(&got),
+                canonical_digest(&alone),
+                "N={shards}: shard {i} recovered differently"
+            );
+            parts.push(part);
+        }
+        let sum = |f: fn(&specdr::subcube::RecoveryReport) -> usize| parts.iter().map(f).sum();
+        assert_eq!(report.shards, shards);
+        assert_eq!(report.replayed, sum(|p| p.replayed), "N={shards}");
+        assert_eq!(report.dropped_bytes, sum(|p| p.dropped_bytes), "N={shards}");
+        assert_eq!(report.dropped_bytes, 7 * shards, "N={shards}");
+        assert_eq!(
+            report.stats_verified,
+            sum(|p| p.stats_verified),
+            "N={shards}"
+        );
+        assert!(report.stats_verified > shards, "N={shards}");
+        for p in &parts {
+            assert_eq!(p.ops_durable, report.ops_durable, "N={shards}");
+            assert_eq!(p.last_sync, report.last_sync, "N={shards}");
+        }
+        assert_eq!(rec.last_sync(), report.last_sync);
+        assert_eq!(router_digests(&rec), want, "N={shards}");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&seq).ok();
+    }
+}
+
+/// With shards 1 and 3 of 4 corrupt, recovery fails every time, and
+/// always with shard 1's error — the first failure in shard order, as
+/// when the shards recovered one after another — however the concurrent
+/// recoveries happen to finish.
+#[test]
+fn concurrent_recovery_reports_the_first_corrupt_shard() {
+    let dir = tdir("corrupt-1-3");
+    let schema = Arc::clone(paper_spec().schema());
+    let router = ShardRouter::create(paper_spec(), &dir, 4).unwrap();
+    for op in &churn_script(&schema, 2, 8) {
+        apply_router(&router, op).unwrap();
+    }
+    router.checkpoint().unwrap();
+    let epoch = router.epoch();
+    drop(router);
+    let layout = WarehouseLayout::at(&dir);
+    for victim in [1, 3] {
+        let manifest = layout.shard(victim).manifest(epoch);
+        let mut bytes = std::fs::read(&manifest).unwrap();
+        bytes[20] ^= 0x10;
+        std::fs::write(&manifest, &bytes).unwrap();
+    }
+    let shard1 = layout.shard(1).root().display().to_string();
+    let shard3 = layout.shard(3).root().display().to_string();
+    for attempt in 0..20 {
+        let Err(e) = ShardRouter::recover(paper_spec(), &dir) else {
+            panic!("attempt {attempt}: recovered a corrupt warehouse");
+        };
+        let msg = e.to_string();
+        assert!(
+            msg.contains(&shard1) && !msg.contains(&shard3),
+            "attempt {attempt}: {msg}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Recovery reuses the caller's spec only when the checkpoint's is the
+/// same: a caller spec that renders differently (the checkpoint holds a
+/// journaled insert) and one with another insert counter (an action
+/// inserted and deleted again renders as before) both yield the
+/// checkpoint's spec — its ids, its counter and its fingerprint.
+#[test]
+fn recovery_rebuilds_an_evolved_spec_from_the_manifest() {
+    use specdr::subcube::persist::{spec_fingerprint, spec_from_manifest};
+    use specdr::workload::CHURN_ACTION;
+    let schema = Arc::clone(paper_spec().schema());
+    let churn = parse_action(&schema, CHURN_ACTION).unwrap();
+    for delete_again in [false, true] {
+        let dir = tdir(&format!("spec-evolved-{delete_again}"));
+        let router = ShardRouter::create(paper_spec(), &dir, 2).unwrap();
+        let ids = router.spec_insert(vec![churn.clone()]).unwrap();
+        if delete_again {
+            router
+                .spec_delete(&ids, days_from_civil(2000, 1, 1))
+                .unwrap();
+        }
+        router.checkpoint().unwrap();
+        drop(router);
+        let manifest =
+            specdr::subcube::read_manifest(WarehouseLayout::at(&dir).shard(0).root()).unwrap();
+        let caller = paper_spec();
+        assert_eq!(
+            (manifest.spec_text == caller.render()),
+            delete_again,
+            "the insert shows in the rendered spec until it is deleted"
+        );
+        assert_ne!(manifest.next_action_id, caller.next_action_id());
+
+        let (rec, _) = ShardRouter::recover(caller, &dir).unwrap();
+        let spec = rec.spec();
+        let ids = |s: &DataReductionSpec| s.actions().iter().map(|(id, _)| *id).collect::<Vec<_>>();
+        assert_eq!(
+            ids(&spec),
+            ids(&spec_from_manifest(&schema, &manifest).unwrap())
+        );
+        assert_eq!(spec.next_action_id(), manifest.next_action_id);
+        assert_eq!(spec_fingerprint(&spec), manifest.spec_hash);
+        // The next insert allocates the id the original run would have.
+        let next = rec.spec_insert(vec![churn.clone()]).unwrap();
+        assert_eq!(next, vec![specdr::spec::ActionId(manifest.next_action_id)]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

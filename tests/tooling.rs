@@ -646,7 +646,8 @@ fn cli_checkpoint_then_recover_roundtrips() {
 
 /// `specdr serve --dir D --shards 2` leaves a sharded layout (`D/SHARDS`
 /// and `D/shard-00N/`); `recover` and `checkpoint` open it with the
-/// shard count it holds, through the same path as a one-shard one.
+/// shard count it holds, through the same path as a one-shard one, and
+/// `recover --metrics=json` shows where the cold start went.
 #[test]
 fn cli_recover_and_checkpoint_read_a_serve_created_directory() {
     use std::io::{BufRead, BufReader};
@@ -697,8 +698,31 @@ fn cli_recover_and_checkpoint_read_a_serve_created_directory() {
         );
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
-    let stdout = run(&["recover", "--dir", dir_s]);
+    let stdout = run(&["recover", "--dir", dir_s, "--metrics=json"]);
     assert!(stdout.contains("shards          = 2"), "{stdout}");
+    // The metrics split the cold start: the router's recovery, then each
+    // shard's checkpoint load and WAL replay. The spec is analyzed once,
+    // for the command's own spec build: every shard's checkpoint holds
+    // that same spec, and recovery reuses it.
+    let span_count = |name: &str| -> Option<u64> {
+        let line = stdout.lines().find(|l| {
+            l.contains("\"kind\":\"span\"") && l.contains(&format!("\"name\":\"{name}\""))
+        })?;
+        let rest = line.split("\"count\":").nth(1)?;
+        rest.split(|c: char| !c.is_ascii_digit())
+            .next()?
+            .parse()
+            .ok()
+    };
+    assert_eq!(span_count("shard.recover"), Some(1), "{stdout}");
+    for shard_span in [
+        "durable.recover",
+        "durable.recover.checkpoint",
+        "durable.recover.replay",
+    ] {
+        assert_eq!(span_count(shard_span), Some(2), "{shard_span}: {stdout}");
+    }
+    assert_eq!(span_count("reduce.analyze"), Some(1), "{stdout}");
     assert!(
         stdout.contains(&format!("epoch           = {epoch}\n")),
         "{stdout}"
