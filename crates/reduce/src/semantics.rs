@@ -12,10 +12,10 @@ use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
 use sdr_mdm::{
-    CatId, DayNum, DimId, DimValue, FactId, FxHashMap, Granularity, KeyPacker, MeasureId, Mo,
-    Schema, ORIGIN_USER,
+    CatId, DayNum, DimId, DimValue, FactId, FxHashMap, Granularity, MeasureId, Mo, Schema,
+    ORIGIN_USER,
 };
-use sdr_spec::{eval_pred, ActionId, CompiledPred};
+use sdr_spec::{eval_pred, ActionId, CompiledPred, LeafMaskPlan};
 
 use crate::error::ReduceError;
 use crate::spec_set::DataReductionSpec;
@@ -82,7 +82,12 @@ pub fn cell_for(
             applicable.push((*id, &a.grain));
         }
     }
-    roll_up(schema, coords, &applicable)
+    let mut target = Vec::with_capacity(coords.len());
+    let responsible = roll_up(schema, coords, &applicable, &mut target)?;
+    Ok(CellResult {
+        coords: target,
+        responsible,
+    })
 }
 
 /// The target cell decision for one (applicable-action set, own
@@ -147,21 +152,20 @@ fn decide(
 }
 
 /// `Cell(v⃗, t)` from the applicable actions: [`decide`], then every
-/// coordinate rolled up to its target category.
+/// coordinate rolled up to its target category into `target`. Returns
+/// the responsible action.
 fn roll_up(
     schema: &Schema,
     coords: &[DimValue],
     applicable: &[(ActionId, &Granularity)],
-) -> Result<CellResult, ReduceError> {
+    target: &mut Vec<DimValue>,
+) -> Result<Option<ActionId>, ReduceError> {
     let d = decide(schema, coords, applicable)?;
-    let mut target = Vec::with_capacity(coords.len());
+    target.clear();
     for (i, (v, &c)) in coords.iter().zip(&d.target_cats).enumerate() {
         target.push(schema.dim(DimId(i as u16)).rollup(*v, c)?);
     }
-    Ok(CellResult {
-        coords: target,
-        responsible: d.responsible,
-    })
+    Ok(d.responsible)
 }
 
 /// `AggLevel_i(v₁,…,vₙ, t)` (Equation 13): the maximum category any action
@@ -199,8 +203,9 @@ pub fn agg_level(
 ///
 /// One sequential pass: every fact's cell is resolved through the
 /// [`CellMemo`] the warehouse's reduction step uses (action predicates
-/// compiled once, a per-dimension mask kernel, a memo per packed cell),
-/// and folded into its target group in fact order. Output, row order
+/// compiled once into a leaf-mask plan, decisions and roll-ups memoized
+/// per category vector and per value), and folded into its target group
+/// in fact order. Output, row order
 /// (sorted by target cell), provenance, and error behaviour are those of
 /// [`reduce_naive`], which the differential property suite asserts.
 pub fn reduce(mo: &Mo, spec: &DataReductionSpec, now: DayNum) -> Result<Mo, ReduceError> {
@@ -241,9 +246,9 @@ fn fold(
 ) -> Result<Mo, ReduceError> {
     let schema = spec.schema();
     let store = mo.store();
-    // Grouping is keyed on the target coordinates. BTreeMap keeps the
-    // output deterministic (sorted by cell), which the figure-exact tests
-    // rely on.
+    // Grouping is hashed on the target coordinates (only a new group
+    // allocates its key); the groups are sorted by cell at the end,
+    // which keeps the output deterministic for the figure-exact tests.
     struct Group {
         acc: Vec<i64>,
         origin: u32,
@@ -252,7 +257,7 @@ fn fold(
         /// with the cell before anything is built.
         overflow: Option<MeasureId>,
     }
-    let mut groups: BTreeMap<Vec<DimValue>, Group> = BTreeMap::new();
+    let mut groups: FxHashMap<Vec<DimValue>, Group> = FxHashMap::default();
     // Per-action raise counts, accumulated locally and published once
     // after the loop (the hot loop pays one hoisted bool while disabled).
     let obs_on = sdr_obs::enabled();
@@ -260,21 +265,28 @@ fn fold(
     let mut coords: Vec<DimValue> = Vec::with_capacity(schema.n_dims());
     for f in mo.facts() {
         mo.coords_into(f, &mut coords);
-        let c = match memo.as_mut() {
+        let naive;
+        let (target, responsible) = match memo.as_mut() {
             Some(m) => m.cell(&coords)?,
-            None => cell_for(spec, &coords, now)?,
+            None => {
+                naive = cell_for(spec, &coords, now)?;
+                (naive.coords.as_slice(), naive.responsible)
+            }
         };
         if obs_on {
-            if let Some(id) = c.responsible {
+            if let Some(id) = responsible {
                 *raised_by.entry(id.0).or_insert(0) += 1;
             }
         }
-        let g = groups.entry(c.coords).or_insert_with(|| Group {
-            acc: schema.measures.iter().map(|m| m.agg.identity()).collect(),
-            origin: ORIGIN_USER,
-            members: 0,
-            overflow: None,
-        });
+        let g = match groups.get_mut(target) {
+            Some(g) => g,
+            None => groups.entry(target.to_vec()).or_insert(Group {
+                acc: schema.measures.iter().map(|m| m.agg.identity()).collect(),
+                origin: ORIGIN_USER,
+                members: 0,
+                overflow: None,
+            }),
+        };
         if let Err(m) = schema.fold_measures(&mut g.acc, |j| store.measures[j][f.index()]) {
             g.overflow.get_or_insert(m);
         }
@@ -282,12 +294,14 @@ fn fold(
         // Provenance: the responsible action if the fact moved; otherwise
         // the fact's existing origin. When several facts merge, the
         // aggregating action is responsible.
-        match c.responsible {
+        match responsible {
             Some(id) => g.origin = id.0,
             None if g.members == 1 => g.origin = store.origin[f.index()],
             None => {}
         }
     }
+    let mut groups: Vec<(Vec<DimValue>, Group)> = groups.into_iter().collect();
+    groups.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
     let mut out = mo.empty_like();
     // Handle looked up once; recording is a few relaxed atomics per group.
     let members_hist = obs_on.then(|| sdr_obs::global().histogram("reduce.group_members"));
@@ -313,23 +327,15 @@ fn fold(
     Ok(out)
 }
 
-/// One leaf occurrence within a dimension's plan: its mask bit plus the
-/// `(action, conjunction, leaf)` address inside the compiled predicates.
-type LeafSlot = (u64, usize, usize, usize);
-
-/// A per-dimension decomposition of `Cell(v⃗, t)`.
+/// The memos of the per-dimension decomposition of `Cell(v⃗, t)`.
 ///
 /// A whole-cell memo caps out when most cells are distinct (a raw
-/// clickstream has nearly one cell per fact), leaving the expensive
-/// whole-cell walk on the memo-miss path. This kernel splits the work
-/// along axes with far smaller domains:
+/// clickstream has nearly one cell per fact). This kernel splits the
+/// work along axes with far smaller domains:
 ///
-/// 1. **Leaves per dimension value.** Every compiled leaf reads one
-///    dimension; its outcome is memoized per distinct `(cat, code)` of
-///    that dimension (hundreds of entries, not tens of thousands).
-///    Leaves of all actions share one ≤64-bit space, so a fact's
-///    satisfied set is the OR of its per-dimension masks and an action
-///    applies iff one of its conjunction masks is contained in it.
+/// 1. **Action predicates per dimension value**, through the
+///    [`LeafMaskPlan`] the [`CellMemo`] holds: the set of actions a cell
+///    satisfies comes out as one mask.
 /// 2. **Decision per (action set, own granularity).** Granularity
 ///    maximum, incomparability, LUB target and responsibility are
 ///    functions of the applicable-action mask and the fact's category
@@ -338,96 +344,39 @@ type LeafSlot = (u64, usize, usize, usize);
 ///    per distinct dimension value and target, shared across all cells
 ///    that contain the value.
 ///
-/// Construction returns `None` (callers keep the whole-cell path) when
-/// the spec exceeds the mask layout: > 64 leaves, > 32 actions, or
-/// > 12 dimensions.
+/// Construction returns `None` (callers keep the whole-cell walk) when
+/// the decision key does not fit 128 bits: > 32 actions or > 12
+/// dimensions.
 struct CellKernelState {
-    /// Per action, its conjunction masks in the shared leaf bit space.
-    action_conjs: Vec<Vec<u64>>,
-    /// Dimensions carrying leaves: `(dim, [(bit, action, conj, leaf)])`.
-    dims: Vec<(DimId, Vec<LeafSlot>)>,
-    /// Per entry of `dims`: distinct dimension value → satisfied-leaf mask.
-    dim_memos: Vec<FxHashMap<(u8, u64), u64>>,
     /// `(action mask, packed category vector)` → decision.
     decisions: FxHashMap<u128, CellDecision>,
     /// `(dim, cat, code, target cat)` → rolled-up value.
     rollups: FxHashMap<(u16, u8, u64, u8), DimValue>,
-    /// Scratch target coordinates of the last [`CellKernelState::resolve`].
-    target: Vec<DimValue>,
 }
 
 impl CellKernelState {
-    fn new(schema: &Schema, actions: &[(ActionId, Granularity, CompiledPred)]) -> Option<Self> {
-        let total: usize = actions.iter().map(|(_, _, p)| p.n_leaves()).sum();
-        if total > 64 || actions.len() > 32 || schema.n_dims() > 12 {
+    fn new(schema: &Schema, n_actions: usize) -> Option<Self> {
+        if n_actions > 32 || schema.n_dims() > 12 {
             return None;
         }
-        let mut action_conjs = Vec::with_capacity(actions.len());
-        let mut dims: Vec<(DimId, Vec<LeafSlot>)> = Vec::new();
-        let mut bit = 0u32;
-        for (ai, (_, _, p)) in actions.iter().enumerate() {
-            let lens: Vec<usize> = p.conj_lens().collect();
-            let mut conjs = Vec::with_capacity(lens.len());
-            for (ci, &len) in lens.iter().enumerate() {
-                let mut cm = 0u64;
-                for li in 0..len {
-                    let b = 1u64 << bit;
-                    bit += 1;
-                    cm |= b;
-                    let d = p.leaf_dim(ci, li);
-                    match dims.iter_mut().find(|(dim, _)| *dim == d) {
-                        Some((_, v)) => v.push((b, ai, ci, li)),
-                        None => dims.push((d, vec![(b, ai, ci, li)])),
-                    }
-                }
-                conjs.push(cm);
-            }
-            action_conjs.push(conjs);
-        }
-        let dim_memos = dims.iter().map(|_| FxHashMap::default()).collect();
         Some(CellKernelState {
-            action_conjs,
-            dims,
-            dim_memos,
             decisions: FxHashMap::default(),
             rollups: FxHashMap::default(),
-            target: Vec::new(),
         })
     }
 
-    /// Resolves `Cell(coords, t)`: returns the responsible action and
-    /// leaves the target coordinates in `self.target`. Agrees with
+    /// Resolves `Cell(coords, t)` given `amask`, the actions whose
+    /// predicates `coords` satisfies: returns the responsible action and
+    /// leaves the target coordinates in `target`. Agrees with
     /// [`cell_for`] on every input.
     fn resolve(
         &mut self,
         schema: &Schema,
-        actions: &[(ActionId, Granularity, CompiledPred)],
+        actions: &[(ActionId, Granularity)],
+        amask: u32,
         coords: &[DimValue],
+        target: &mut Vec<DimValue>,
     ) -> Result<Option<ActionId>, ReduceError> {
-        let mut sat = 0u64;
-        for (di, (dim, leaves)) in self.dims.iter().enumerate() {
-            let v = coords[dim.index()];
-            let key = (v.cat.0, v.code);
-            sat |= match self.dim_memos[di].get(&key) {
-                Some(&m) => m,
-                None => {
-                    let mut m = 0u64;
-                    for &(b, ai, ci, li) in leaves {
-                        if actions[ai].2.eval_leaf(schema, ci, li, v)? {
-                            m |= b;
-                        }
-                    }
-                    self.dim_memos[di].insert(key, m);
-                    m
-                }
-            };
-        }
-        let mut amask = 0u32;
-        for (ai, conjs) in self.action_conjs.iter().enumerate() {
-            if conjs.iter().any(|&cm| cm & !sat == 0) {
-                amask |= 1 << ai;
-            }
-        }
         let mut dkey = amask as u128;
         for v in coords {
             dkey = (dkey << 8) | v.cat.0 as u128;
@@ -439,12 +388,12 @@ impl CellKernelState {
                     .iter()
                     .enumerate()
                     .filter(|(ai, _)| amask & (1 << ai) != 0)
-                    .map(|(_, (id, grain, _))| (*id, grain))
+                    .map(|(_, (id, grain))| (*id, grain))
                     .collect();
                 e.insert(decide(schema, coords, &applicable)?)
             }
         };
-        self.target.clear();
+        target.clear();
         for (i, v) in coords.iter().enumerate() {
             let tc = dec.target_cats[i];
             let tv = if v.cat == tc {
@@ -460,7 +409,7 @@ impl CellKernelState {
                     }
                 }
             };
-            self.target.push(tv);
+            target.push(tv);
         }
         Ok(dec.responsible)
     }
@@ -468,18 +417,19 @@ impl CellKernelState {
 
 /// The compiled, memoized coordinate-level `Cell` for one `(spec, now)`
 /// pass — the one resolver behind both [`reduce`] and the warehouse's
-/// reduction step. Action predicates are compiled once
-/// ([`CompiledPred`]); a cell is resolved through the per-dimension mask
-/// kernel when the spec fits its layout, and the result is cached per
-/// distinct packed cell when the schema packs into a 128-bit key. Agrees
-/// with [`cell_for`] on every input.
+/// reduction step. Action predicates are compiled once into one
+/// [`LeafMaskPlan`]; a cell is resolved through the per-dimension kernel
+/// when the spec fits its decision key, and through the whole-cell walk
+/// otherwise. Agrees with [`cell_for`] on every input.
 pub struct CellMemo<'a> {
     schema: &'a Schema,
-    actions: Vec<(ActionId, Granularity, CompiledPred)>,
-    packer: Option<KeyPacker>,
+    /// Each action's id and grain, in spec order; its predicate sits at
+    /// the same position of `preds`.
+    actions: Vec<(ActionId, Granularity)>,
+    preds: LeafMaskPlan,
     kernel: Option<CellKernelState>,
-    memo: FxHashMap<u128, u32>,
-    cells: Vec<CellResult>,
+    /// The target coordinates of the last [`CellMemo::cell`].
+    target: Vec<DimValue>,
 }
 
 impl<'a> CellMemo<'a> {
@@ -487,56 +437,43 @@ impl<'a> CellMemo<'a> {
     pub fn new(spec: &'a DataReductionSpec, now: DayNum) -> Result<Self, ReduceError> {
         let schema: &Schema = spec.schema();
         let mut actions = Vec::with_capacity(spec.len());
+        let mut preds = Vec::with_capacity(spec.len());
         for (id, a) in spec.actions() {
-            actions.push((
-                *id,
-                a.grain.clone(),
-                CompiledPred::compile(schema, &a.pred, now)?,
-            ));
+            actions.push((*id, a.grain.clone()));
+            preds.push(CompiledPred::compile(schema, &a.pred, now)?);
         }
-        let kernel = CellKernelState::new(schema, &actions);
         Ok(CellMemo {
             schema,
+            kernel: CellKernelState::new(schema, actions.len()),
             actions,
-            packer: KeyPacker::new(schema),
-            kernel,
-            memo: FxHashMap::default(),
-            cells: Vec::new(),
+            preds: LeafMaskPlan::new(preds),
+            target: Vec::with_capacity(schema.n_dims()),
         })
     }
 
-    /// One uncached cell resolution — the per-dimension kernel when the
-    /// spec fits its mask layout, the whole-cell walk otherwise.
-    fn compute(&mut self, coords: &[DimValue]) -> Result<CellResult, ReduceError> {
-        if let Some(k) = self.kernel.as_mut() {
-            let responsible = k.resolve(self.schema, &self.actions, coords)?;
-            return Ok(CellResult {
-                coords: k.target.clone(),
-                responsible,
-            });
-        }
-        let mut applicable = Vec::with_capacity(self.actions.len());
-        for (id, grain, pred) in &self.actions {
-            if pred.eval_cell(self.schema, coords)? {
-                applicable.push((*id, grain));
+    /// `Cell(v⃗, t)` with `t` fixed at construction: the target
+    /// coordinates and the action responsible for them, equal to
+    /// [`cell_for`] on the same inputs. The coordinates are lent until
+    /// the next call, so the kernel path allocates nothing per cell.
+    pub fn cell(
+        &mut self,
+        coords: &[DimValue],
+    ) -> Result<(&[DimValue], Option<ActionId>), ReduceError> {
+        let responsible = match self.kernel.as_mut() {
+            Some(k) => {
+                let amask = self.preds.holding(self.schema, coords)? as u32;
+                k.resolve(self.schema, &self.actions, amask, coords, &mut self.target)?
             }
-        }
-        roll_up(self.schema, coords, &applicable)
-    }
-
-    /// `Cell(v⃗, t)` with `t` fixed at construction — equal to
-    /// [`cell_for`] on the same inputs, memoized per distinct cell.
-    pub fn cell(&mut self, coords: &[DimValue]) -> Result<CellResult, ReduceError> {
-        let Some(pk) = &self.packer else {
-            return self.compute(coords);
+            None => {
+                let mut applicable = Vec::with_capacity(self.actions.len());
+                for ((id, grain), pred) in self.actions.iter().zip(self.preds.preds()) {
+                    if pred.eval_cell(self.schema, coords)? {
+                        applicable.push((*id, grain));
+                    }
+                }
+                roll_up(self.schema, coords, &applicable, &mut self.target)?
+            }
         };
-        let k = pk.pack_coords(coords);
-        if let Some(&ix) = self.memo.get(&k) {
-            return Ok(self.cells[ix as usize].clone());
-        }
-        let c = self.compute(coords)?;
-        self.memo.insert(k, self.cells.len() as u32);
-        self.cells.push(c.clone());
-        Ok(c)
+        Ok((&self.target, responsible))
     }
 }

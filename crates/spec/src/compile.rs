@@ -11,6 +11,10 @@
 //! normalized to DNF, and every term — including `NOW ± k` expressions —
 //! is pre-evaluated into a constant [`DimValue`]. Evaluation then runs
 //! over flat conjunctions of resolved atoms with no allocation.
+//! [`LeafMaskPlan`] goes one step further for a set of predicates
+//! evaluated over many rows: each leaf's outcome is memoized per distinct
+//! value of the one dimension it reads, and a predicate holds when one of
+//! its conjunctions' leaf bits are all set.
 //!
 //! # Exactness
 //!
@@ -26,7 +30,7 @@
 //! and distribution are truth-preserving for every leaf valuation, so the
 //! compiled DNF agrees with the recursive evaluation on every cell.
 
-use sdr_mdm::{CatId, DayNum, DimId, DimValue, Schema};
+use sdr_mdm::{CatId, DayNum, DimId, DimValue, FactId, FactStore, FxHashMap, Schema};
 
 use crate::ast::{Atom, AtomKind, CmpOp, Pexp};
 use crate::error::SpecError;
@@ -141,37 +145,200 @@ impl CompiledPred {
     pub fn is_const_true(&self) -> bool {
         self.dnf.len() == 1 && self.dnf[0].is_empty()
     }
+}
 
-    /// Total leaf (atom occurrence) count across all conjunctions.
-    pub fn n_leaves(&self) -> usize {
-        self.dnf.iter().map(|c| c.len()).sum()
+/// Compiled predicates evaluated through one per-dimension **leaf-mask
+/// plan** — the kernel behind the reduction step's Δ test and its
+/// `Cell` resolution.
+///
+/// Every leaf reads one dimension, so its outcome is a function of that
+/// dimension's value alone and is memoized per distinct `(cat, code)`
+/// (hundreds of entries, where a raw clickstream has nearly one cell per
+/// fact). With at most [`LeafMaskPlan::MAX_LEAVES`] leaves across all
+/// predicates, each leaf owns one bit: a cell's satisfied set is the OR
+/// of its per-dimension masks, and a predicate holds iff one of its
+/// conjunction masks is contained in it. Above that the plan has no
+/// layout and evaluates every cell whole through
+/// [`CompiledPred::eval_cell`]. Either way it agrees with `eval_cell` on
+/// every cell.
+#[derive(Debug, Clone)]
+pub struct LeafMaskPlan {
+    preds: Vec<CompiledPred>,
+    /// `None` above [`LeafMaskPlan::MAX_LEAVES`] leaves.
+    masks: Option<Masks>,
+    /// Scratch cell of the row-by-row path.
+    cell: Vec<DimValue>,
+}
+
+/// The bit layout of a [`LeafMaskPlan`] and its per-dimension memos.
+#[derive(Debug, Clone)]
+struct Masks {
+    /// Per predicate, its conjunction masks.
+    conjs: Vec<Vec<u64>>,
+    /// The dimensions carrying leaves.
+    dims: Vec<DimLeaves>,
+}
+
+/// The leaves of one dimension with their bits, and the memo distinct
+/// `(cat, code)` → satisfied-leaf mask.
+#[derive(Debug, Clone)]
+struct DimLeaves {
+    dim: DimId,
+    leaves: Vec<(u64, CompiledLeaf)>,
+    memo: FxHashMap<(u8, u64), u64>,
+}
+
+impl Masks {
+    /// Lays the leaves of `preds` out in one bit space, or `None` when
+    /// they do not fit it.
+    fn new(preds: &[CompiledPred]) -> Option<Masks> {
+        let leaves: usize = preds.iter().flat_map(|p| &p.dnf).map(Vec::len).sum();
+        if leaves > LeafMaskPlan::MAX_LEAVES {
+            return None;
+        }
+        let mut dims: Vec<DimLeaves> = Vec::new();
+        let mut bit = 0;
+        let conjs = preds
+            .iter()
+            .map(|p| {
+                p.dnf
+                    .iter()
+                    .map(|conj| {
+                        let mut cm = 0u64;
+                        for leaf in conj {
+                            let b = 1u64 << bit;
+                            bit += 1;
+                            cm |= b;
+                            match dims.iter_mut().find(|d| d.dim == leaf.dim) {
+                                Some(d) => d.leaves.push((b, leaf.clone())),
+                                None => dims.push(DimLeaves {
+                                    dim: leaf.dim,
+                                    leaves: vec![(b, leaf.clone())],
+                                    memo: FxHashMap::default(),
+                                }),
+                            }
+                        }
+                        cm
+                    })
+                    .collect()
+            })
+            .collect();
+        Some(Masks { conjs, dims })
     }
 
-    /// Leaf count of each conjunction, in DNF order. Together with
-    /// [`CompiledPred::leaf_dim`] and [`CompiledPred::eval_leaf`] this
-    /// lets mask-based kernels lay the leaves out in a flat bit space
-    /// without exposing the DNF representation.
-    pub fn conj_lens(&self) -> impl Iterator<Item = usize> + '_ {
-        self.dnf.iter().map(|c| c.len())
-    }
-
-    /// The dimension leaf `(conj, leaf)` reads.
-    pub fn leaf_dim(&self, conj: usize, leaf: usize) -> DimId {
-        self.dnf[conj][leaf].dim
-    }
-
-    /// Evaluates leaf `(conj, leaf)` on a single dimension value —
-    /// exactly the contribution that leaf makes to
-    /// [`CompiledPred::eval_cell`] for a cell whose value in the leaf's
-    /// dimension is `v`.
-    pub fn eval_leaf(
-        &self,
+    /// The satisfied-leaf mask of the cell whose value in dimension `d`
+    /// is `value(d)`, as `(cat, code)`.
+    #[inline]
+    fn sat(
+        &mut self,
         schema: &Schema,
-        conj: usize,
-        leaf: usize,
-        v: DimValue,
+        value: impl Fn(DimId) -> (u8, u64),
+    ) -> Result<u64, SpecError> {
+        let mut sat = 0u64;
+        for DimLeaves { dim, leaves, memo } in &mut self.dims {
+            let key = value(*dim);
+            sat |= match memo.get(&key) {
+                Some(&m) => m,
+                None => {
+                    let v = DimValue::new(CatId(key.0), key.1);
+                    let mut m = 0u64;
+                    for (b, leaf) in leaves.iter() {
+                        if leaf.eval_value(schema, v)? {
+                            m |= b;
+                        }
+                    }
+                    memo.insert(key, m);
+                    m
+                }
+            };
+        }
+        Ok(sat)
+    }
+}
+
+/// True when some conjunction mask of `conjs` is contained in `sat`.
+#[inline]
+fn any_within(conjs: &[u64], sat: u64) -> bool {
+    conjs.iter().any(|&cm| cm & !sat == 0)
+}
+
+impl LeafMaskPlan {
+    /// The most leaves, across all predicates, the bit layout holds.
+    pub const MAX_LEAVES: usize = 64;
+
+    /// Lays `preds` out in one plan (without a bit layout above
+    /// [`LeafMaskPlan::MAX_LEAVES`] leaves).
+    pub fn new(preds: Vec<CompiledPred>) -> LeafMaskPlan {
+        LeafMaskPlan {
+            masks: Masks::new(&preds),
+            preds,
+            cell: Vec::new(),
+        }
+    }
+
+    /// The predicates, in the order given.
+    pub fn preds(&self) -> &[CompiledPred] {
+        &self.preds
+    }
+
+    /// True when the plan evaluates through leaf masks; false when it
+    /// evaluates every cell whole.
+    pub fn is_masked(&self) -> bool {
+        self.masks.is_some()
+    }
+
+    /// Which predicates hold on `coords`: bit `i` is set iff `preds()[i]`
+    /// holds. Takes at most 64 predicates.
+    pub fn holding(&mut self, schema: &Schema, coords: &[DimValue]) -> Result<u64, SpecError> {
+        debug_assert!(self.preds.len() <= 64);
+        let mut out = 0u64;
+        match &mut self.masks {
+            Some(m) => {
+                let sat = m.sat(schema, |d| {
+                    let v = coords[d.index()];
+                    (v.cat.0, v.code)
+                })?;
+                for (i, conjs) in m.conjs.iter().enumerate() {
+                    if any_within(conjs, sat) {
+                        out |= 1 << i;
+                    }
+                }
+            }
+            None => {
+                for (i, p) in self.preds.iter().enumerate() {
+                    if p.eval_cell(schema, coords)? {
+                        out |= 1 << i;
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// Whether any predicate holds on row `row` of `store`, read straight
+    /// from its columns.
+    pub fn any_row(
+        &mut self,
+        schema: &Schema,
+        store: &FactStore,
+        row: usize,
     ) -> Result<bool, SpecError> {
-        self.dnf[conj][leaf].eval_value(schema, v)
+        if let Some(m) = &mut self.masks {
+            let sat = m.sat(schema, |d| {
+                (store.cats[d.index()][row], store.codes[d.index()][row])
+            })?;
+            return Ok(m.conjs.iter().any(|conjs| any_within(conjs, sat)));
+        }
+        let f = FactId(row as u32);
+        self.cell.clear();
+        self.cell
+            .extend((0..store.cats.len()).map(|d| store.value(f, DimId(d as u16))));
+        for p in &self.preds {
+            if p.eval_cell(schema, &self.cell)? {
+                return Ok(true);
+            }
+        }
+        Ok(false)
     }
 }
 

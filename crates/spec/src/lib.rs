@@ -14,6 +14,9 @@
 //!   cells, with `NOW ← t`;
 //! * [`ground`] — exact compilation of predicates into `sdr-prover`
 //!   regions for the operational NonCrossing/Growing checks;
+//! * [`compile`] — predicates compiled once per pass ([`CompiledPred`])
+//!   and laid out in one per-dimension leaf-mask plan ([`LeafMaskPlan`])
+//!   for the reduction step;
 //! * [`analyze`] — the growing/shrinking syntactic classification
 //!   (categories A–H) and step-day enumeration;
 //! * [`span`] — byte-offset source spans carried by every parsed atom,
@@ -34,7 +37,7 @@ pub mod span;
 
 pub use analyze::{classify_conj, step_days, GrowthClass};
 pub use ast::{ActionId, ActionSpec, Atom, AtomKind, CmpOp, Pexp, Term};
-pub use compile::CompiledPred;
+pub use compile::{CompiledPred, LeafMaskPlan};
 pub use dnf::{from_dnf, split_action, to_dnf, Conj};
 pub use error::SpecError;
 pub use eval::{eval_pred, is_dynamic};

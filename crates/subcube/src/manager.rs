@@ -49,11 +49,12 @@ use std::sync::Arc;
 use sdr_sync::{fail, Mutex, OnceCell, Swap};
 
 use sdr_mdm::{
-    DayNum, DimValue, Dimension, FactId, Granularity, KeyPacker, MeasureId, Mo, Schema, ORIGIN_USER,
+    DayNum, DimValue, Dimension, FactId, FxHashMap, Granularity, KeyPacker, MeasureId, Mo, Schema,
+    ORIGIN_USER,
 };
 use sdr_plan::RegionOracle;
 use sdr_reduce::{cell_for, DataReductionSpec, ReduceError, ReductionSchedule};
-use sdr_spec::{ActionId, ActionSpec, CompiledPred};
+use sdr_spec::{ActionId, ActionSpec, CompiledPred, LeafMaskPlan};
 
 use crate::error::SubcubeError;
 use crate::stats::{ChunkSummary, SubcubeStats};
@@ -517,7 +518,8 @@ impl VersionInner {
         let mut stats = AgeStats::default();
         for t in ticks.iter().copied().chain(homing_only) {
             let _span = live.map(|_| sdr_obs::span("subcube.age.tick"));
-            let (next, s, scanned) = cur.age_step(sched, t, homing_only.is_none())?;
+            let (next, s, scanned) =
+                cur.age_step(sched, t, homing_only.is_none(), live.is_some())?;
             if live.is_some() && sdr_obs::enabled() {
                 sdr_obs::attr("day", t);
                 sdr_obs::attr("ticks", s.ticks);
@@ -567,6 +569,7 @@ impl VersionInner {
         sched: &ReductionSchedule,
         t: DayNum,
         transition: bool,
+        traced: bool,
     ) -> Result<(VersionInner, AgeStats, usize), SubcubeError> {
         let cur = self;
         let n = cur.cubes.len();
@@ -583,11 +586,11 @@ impl VersionInner {
         let changed = cur
             .last_sync
             .and_then(|prev| Some((prev, sched.delta_pred(prev, t)?)));
-        let (delta, windows) = match changed {
+        let (mut delta, windows) = match changed {
             Some((prev, d)) => {
                 let at = |day| CompiledPred::compile(schema, &d, day).map_err(ReduceError::Spec);
                 let windows = sched.delta_time_windows(schema, prev, t);
-                (Some((at(prev)?, at(t)?)), windows)
+                (Some(LeafMaskPlan::new(vec![at(prev)?, at(t)?])), windows)
             }
             None => (None, None),
         };
@@ -604,12 +607,15 @@ impl VersionInner {
         // found. A homed row on which every changed disjunct evaluates
         // false at both endpoints evaluates the whole spec identically at
         // both days and provably stays put; a chunk whose time hull
-        // misses every Δ window holds no other kind. Un-homed rows always
+        // misses every Δ window holds no other kind. The Δ pair is one
+        // leaf-mask plan read straight from the chunk's columns, so only
+        // a row that passes is read out as a cell. Un-homed rows always
         // move: they are taken out of their chunk and grouped by cell
         // like any arriving row, so duplicates merge.
+        let scan_span = traced.then(|| sdr_obs::span("subcube.age.scan"));
         let mut leaving: Vec<BTreeMap<usize, Vec<u32>>> = vec![BTreeMap::new(); n];
-        let mut arriving: Vec<BTreeMap<Vec<DimValue>, Arrival>> =
-            (0..n).map(|_| BTreeMap::new()).collect();
+        let mut arriving: Vec<FxHashMap<Vec<DimValue>, Arrival>> =
+            (0..n).map(|_| FxHashMap::default()).collect();
         let mut cell_memo = sdr_reduce::CellMemo::new(&cur.spec, t)?;
         let mut coords: Vec<DimValue> = Vec::new();
         let mut scanned = 0usize;
@@ -635,41 +641,45 @@ impl VersionInner {
                     }
                 }
                 let mo = chunk.mo();
+                let store = mo.store();
                 let mut gone: Vec<u32> = Vec::new();
                 for f in mo.facts() {
                     scanned += 1;
-                    mo.coords_into(f, &mut coords);
-                    if let (false, Some((at_prev, at_t))) = (unhomed, &delta) {
-                        let touched = at_prev
-                            .eval_cell(schema, &coords)
+                    if let (false, Some(delta)) = (unhomed, &mut delta) {
+                        if !delta
+                            .any_row(schema, store, f.index())
                             .map_err(ReduceError::Spec)?
-                            || at_t.eval_cell(schema, &coords).map_err(ReduceError::Spec)?;
-                        if !touched {
+                        {
                             continue;
                         }
                     }
-                    let cell = cell_memo.cell(&coords)?;
-                    let home = home_of(&cur.cubes, &cell.coords);
-                    if home != ci || cell.coords != coords {
+                    mo.coords_into(f, &mut coords);
+                    let (target, responsible) = cell_memo.cell(&coords)?;
+                    let home = home_of(&cur.cubes, target);
+                    if home != ci || target != coords.as_slice() {
                         stats.cells_delta += 1;
                     } else if !unhomed {
                         continue; // already at its fixed point
                     }
-                    let origin = match cell.responsible {
+                    let origin = match responsible {
                         Some(id) => id.0,
-                        None => mo.store().origin[f.index()],
+                        None => store.origin[f.index()],
                     };
                     gone.push(f.0);
-                    arriving[home]
-                        .entry(cell.coords)
-                        .or_insert_with(|| Arrival::new(schema))
-                        .fold(schema, mo, f, (ci, k, f.0), origin);
+                    let group = match arriving[home].get_mut(target) {
+                        Some(group) => group,
+                        None => arriving[home]
+                            .entry(target.to_vec())
+                            .or_insert_with(|| Arrival::new(schema)),
+                    };
+                    group.fold(schema, mo, f, (ci, k, f.0), origin);
                 }
                 if !gone.is_empty() {
                     leaving[ci].insert(k, gone);
                 }
             }
         }
+        drop(scan_span);
         if !first && leaving.iter().all(BTreeMap::is_empty) {
             stats.cubes_skipped = n;
             stats.chunks_carried = cur.n_chunks();
@@ -680,6 +690,7 @@ impl VersionInner {
         // a group's provenance is that of its member latest in `(cube,
         // chunk, row)` order, so the result is what Definition 2 gives
         // over the same facts scanned in that order.
+        let _rebuild_span = traced.then(|| sdr_obs::span("subcube.age.rebuild"));
         let epoch = cur.epoch + 1;
         let packer = KeyPacker::new(schema);
         let mut cubes = cur.cubes.clone();
@@ -694,6 +705,8 @@ impl VersionInner {
                 continue;
             }
             stats.cubes_rebuilt += 1;
+            // The groups' packed keys, in the map's iteration order (the
+            // map gains no entry below, so the order holds).
             let keys: Vec<Option<u128>> = groups
                 .keys()
                 .map(|target| packer.as_ref().map(|p| p.pack_coords(target)))
@@ -739,6 +752,10 @@ impl VersionInner {
                     chunks.push((Chunk::new(Arc::new(mo.gather(&keep))), true));
                 }
             }
+            // Sorted by cell, the arrivals are checked and inserted in
+            // the order a coordinate-keyed scan gives.
+            let mut groups: Vec<(Vec<DimValue>, Arrival)> = groups.into_iter().collect();
+            groups.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
             let mut arrivals = Mo::new(Arc::clone(schema));
             for (target, group) in groups {
                 if let Some(m) = group.overflow {

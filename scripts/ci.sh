@@ -18,16 +18,18 @@ run cargo test -q --workspace
 # and test it here so a core refactor cannot break it unnoticed.
 run cargo build --release --offline --manifest-path benchmark/Cargo.toml
 run cargo test -q --offline --manifest-path benchmark/Cargo.toml
-# One-second smoke runs of the two write-path workloads and of the
-# static read workload: the benchmark checks its digests (checkpoint ->
-# drop -> recover -> first touch, the aged warehouse against a
-# from-scratch reference, sharded answers against a 1-shard reference
-# and wire answers against in-process ones) before it times anything,
-# so every change to the storage layer or the read path passes those
-# gates here.
+# One-second smoke runs of the two write-path workloads, of the static
+# read workload and of the mixed one: the benchmark checks its digests
+# (checkpoint -> drop -> recover -> first touch, the aged warehouse
+# against a from-scratch reference, sharded answers against a 1-shard
+# reference and wire answers against in-process ones) before it times
+# anything, so every change to the storage layer or the read path
+# passes those gates here. `read_churn` is the one workload whose gates
+# check for torn reads while a writer publishes aging steps.
 run benchmark/run.sh --workload ingest_age --seconds 1 --trace 0
 run benchmark/run.sh --workload restart_scan --seconds 1 --trace 0
 run benchmark/run.sh --workload read_static --seconds 1 --trace 0
+run benchmark/run.sh --workload read_churn --seconds 1 --trace 0
 run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings
 

@@ -1630,3 +1630,86 @@ fn measure_sums_that_leave_i64_are_refused_and_recovery_stays_clean() {
     let facts: Vec<_> = got.facts().map(|f| got.measures_of(f)).collect();
     assert_eq!(facts, vec![vec![i64::MIN, i64::MAX]]);
 }
+
+/// Two cells of one cube overflow in the same step, the coordinate-last
+/// one loaded first. The step is refused naming the coordinate-first
+/// cell — what a pass over the arrivals in cell order reports, however
+/// they were grouped. Every shard holds two overflowing sales of each
+/// cell, so every shard refuses alike: nothing is published, logged or
+/// wedged, and recovery replays the load alone.
+#[test]
+fn overflowing_cells_of_one_step_name_the_coordinate_first() {
+    use specdr::mdm::{DimId, MdmError};
+    use specdr::reduce::ReduceError;
+    use specdr::subcube::SubcubeError;
+    use specdr::workload::{generate_retail, RetailConfig};
+    let retail = generate_retail(&RetailConfig {
+        sales_per_day: 0,
+        ..Default::default()
+    });
+    let schema = Arc::clone(&retail.schema);
+    let value = |d: u16, cat, label: &str| schema.dim(DimId(d)).parse_value(cat, label).unwrap();
+    let (first, last) = (
+        value(1, retail.cats.sku, "sku-0-0-0"),
+        value(1, retail.cats.sku, "sku-0-0-1"),
+    );
+    assert!(first < last, "sku-0-0-0 is the coordinate-first cell");
+    let store = value(2, retail.cats.store, "store-0-0-0");
+    let action = "p(a[Time.month, Product.sku, Store.store] o[Time.month <= NOW - 1 months](O))";
+    let spec = DataReductionSpec::new(
+        Arc::clone(&schema),
+        vec![parse_action(&schema, action).unwrap()],
+    )
+    .unwrap();
+    let overflow = MdmError::MeasureOverflow {
+        measure: "SUM(Revenue)".into(),
+        cell: "(2000/1, sku-0-0-0, store-0-0-0)".into(),
+    };
+    let cell = |d: u32, sku: DimValue| {
+        let day = TimeValue::Day(days_from_civil(2000, 1, d));
+        [DimValue::new(tc::DAY, day.code()), sku, store]
+    };
+    let rows = |w: &ShardRouter| {
+        let mo = w.view_set().to_mo().unwrap();
+        let mut v: Vec<String> = mo.facts().map(|f| mo.render_fact(f)).collect();
+        v.sort();
+        v
+    };
+    for shards in [1, 2] {
+        let dir = tmpdir(&format!("overflow-order-{shards}"));
+        let w = ShardRouter::create(spec.clone(), &dir, shards).unwrap();
+        let mut sales = Mo::new(Arc::clone(&schema));
+        for sku in [last, first] {
+            for shard in 0..shards {
+                let days: Vec<u32> = (1..=31)
+                    .filter(|&d| w.route(&cell(d, sku), shards) == shard)
+                    .take(2)
+                    .collect();
+                assert_eq!(days.len(), 2, "shard {shard} of {shards}");
+                for d in days {
+                    sales
+                        .insert_fact(&cell(d, sku), &[1, i64::MAX - 1])
+                        .unwrap();
+                }
+            }
+        }
+        w.bulk_load(&sales).unwrap();
+        let (loaded, epoch) = (rows(&w), w.epoch());
+        let err = w.sync(days_from_civil(2000, 3, 1)).unwrap_err();
+        assert!(
+            matches!(&err, SubcubeError::Reduce(ReduceError::Model(e)) if *e == overflow),
+            "shards={shards}: {err:?}"
+        );
+        assert!(
+            !w.is_broken(),
+            "shards={shards}: a uniform refusal does not wedge"
+        );
+        assert_eq!((w.epoch(), w.last_sync()), (epoch, None), "shards={shards}");
+        assert_eq!(rows(&w), loaded, "shards={shards}");
+        drop(w);
+        let (rec, report) = ShardRouter::recover(spec.clone(), &dir).unwrap();
+        assert_eq!((report.ops_durable, report.last_sync), (1, None));
+        assert_eq!(rows(&rec), loaded);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

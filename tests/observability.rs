@@ -86,7 +86,13 @@ fn metrics_agree_with_authoritative_numbers() {
     ] {
         assert_eq!(snap.counter(name), Some(want as u64), "{name}");
     }
-    for name in ["subcube.sync", "subcube.age", "subcube.age.tick"] {
+    for name in [
+        "subcube.sync",
+        "subcube.age",
+        "subcube.age.tick",
+        "subcube.age.scan",
+        "subcube.age.rebuild",
+    ] {
         assert_eq!(snap.span(name).unwrap().count, 1, "{name}");
     }
     let tick = snap
@@ -94,6 +100,12 @@ fn metrics_agree_with_authoritative_numbers() {
         .iter()
         .find(|t| t.name == "subcube.age.tick")
         .unwrap();
+    // The step's two phases split its time, as children of the tick.
+    for phase in ["subcube.age.scan", "subcube.age.rebuild"] {
+        let t = snap.traces.iter().find(|t| t.name == phase).unwrap();
+        assert_eq!(t.parent, tick.id, "{phase} floats outside its tick");
+        assert_eq!(t.path, format!("{}/{phase}", tick.path));
+    }
     for (key, want) in [("ticks", 0), ("rows_in", mo.len())] {
         let found = tick.attrs.iter().find(|(k, _)| k == key);
         assert_eq!(found.unwrap().1, want.to_string(), "tick attr {key}");
@@ -245,7 +257,13 @@ fn metrics_agree_with_authoritative_numbers() {
     ] {
         assert_eq!(snap.counter(name).unwrap_or(0), 0, "{name}");
     }
-    for name in ["subcube.age", "subcube.age.tick", "subcube.sync"] {
+    for name in [
+        "subcube.age",
+        "subcube.age.tick",
+        "subcube.age.scan",
+        "subcube.age.rebuild",
+        "subcube.sync",
+    ] {
         assert_eq!(snap.span(name).map_or(0, |s| s.count), 0, "{name}");
     }
     let virtual_ages: Vec<_> = snap

@@ -578,6 +578,8 @@ fn stats_json_golden_schema_is_stable() {
             "storage.encode",
             "storage.serialize",
             "subcube.age",
+            "subcube.age.rebuild",
+            "subcube.age.scan",
             "subcube.age.tick",
             "subcube.bulk_load",
             "subcube.query",
