@@ -8,12 +8,12 @@ use sdr_bench::{bench_warehouse, policy_spec};
 use sdr_mdm::time_cat as tc;
 use sdr_query::{AggApproach, SelectMode};
 use sdr_spec::parse_pexp;
-use sdr_subcube::{CubeQuery, SubcubeManager};
+use sdr_subcube::{CubeQuery, ShardRouter};
 
 fn bench_subcube_query(c: &mut Criterion) {
     sdr_bench::obs_begin();
     let w = bench_warehouse(36, 400);
-    let m = SubcubeManager::new(policy_spec(&w.cs.schema));
+    let m = ShardRouter::in_memory(policy_spec(&w.cs.schema)).unwrap();
     m.bulk_load(&w.cs.mo).unwrap();
     // Mid-life state: tens of thousands of rows spread over all cubes.
     m.sync(w.mid).unwrap();
@@ -28,19 +28,19 @@ fn bench_subcube_query(c: &mut Criterion) {
     g.sample_size(10);
     for (label, parallel) in [("sequential", false), ("parallel", true)] {
         g.bench_with_input(BenchmarkId::new("synced", label), &parallel, |b, &p| {
-            b.iter(|| black_box(m.query(&q, w.mid, p).unwrap()));
+            b.iter(|| black_box(m.view_set().query(&q, w.mid, p).unwrap()));
         });
     }
     g.finish();
 
-    // Un-synchronized querying: same manager, one month further along, so
+    // Un-synchronized querying: same warehouse, one month further along, so
     // some facts' homes have moved but the cubes have not been synced.
     let later = sdr_mdm::time::shift_day(w.mid, sdr_mdm::Span::new(1, sdr_mdm::TimeUnit::Month), 1);
     let mut g = c.benchmark_group("E7_unsync_query");
     g.sample_size(10);
     for (label, parallel) in [("sequential", false), ("parallel", true)] {
         g.bench_with_input(BenchmarkId::new("unsynced", label), &parallel, |b, &p| {
-            b.iter(|| black_box(m.query_unsync(&q, later, p).unwrap()));
+            b.iter(|| black_box(m.view_set().query_unsync(&q, later, p).unwrap()));
         });
     }
     g.finish();

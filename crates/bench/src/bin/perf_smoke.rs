@@ -7,14 +7,14 @@
 
 use std::process::ExitCode;
 
-use sdr_bench::{bench_warehouse, manager_digest, mo_digest, mos_digest, sync_naive_replay};
+use sdr_bench::{bench_warehouse, mo_digest, mos_digest, sync_naive_replay, warehouse_digest};
 use sdr_mdm::time_cat as tc;
 use sdr_query::{
     aggregate_ids, aggregate_ids_naive, select, select_naive, AggApproach, SelectMode,
 };
 use sdr_reduce::{reduce, reduce_naive};
 use sdr_spec::parse_pexp;
-use sdr_subcube::SubcubeManager;
+use sdr_subcube::ShardRouter;
 
 fn main() -> ExitCode {
     sdr_obs::set_enabled(false);
@@ -56,11 +56,11 @@ fn main() -> ExitCode {
         let n = reduce_naive(raw, &w.spec, t).unwrap();
         check("reduce", mo_digest(&k), mo_digest(&n));
     }
-    let m = SubcubeManager::new(w.spec.clone());
+    let m = ShardRouter::in_memory(w.spec.clone()).unwrap();
     m.bulk_load(raw).unwrap();
     let naive_cubes = sync_naive_replay(&m, &w.spec, w.mid).unwrap();
     m.sync(w.mid).unwrap();
-    check("sync", manager_digest(&m), mos_digest(&naive_cubes));
+    check("sync", warehouse_digest(&m), mos_digest(&naive_cubes));
 
     if failures > 0 {
         eprintln!("perf-smoke: FAILED ({failures} digest mismatches)");

@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use sdr_mdm::{calendar::days_from_civil, DayNum, Mo, Schema};
 use sdr_reduce::DataReductionSpec;
+use sdr_subcube::ShardRouter;
 use sdr_workload::{generate, retention_policy, Clickstream, ClickstreamConfig};
 
 /// A standard bench warehouse: `months` months of clicks at
@@ -104,31 +105,34 @@ pub fn mos_digest<'a>(mos: impl IntoIterator<Item = &'a Mo>) -> u64 {
     fold_digests(mos.into_iter().map(mo_digest))
 }
 
-/// The digest of a subcube manager's full state (every cube, in order,
-/// read off its chunks): [`mos_digest`] of the cubes' contents.
-pub fn manager_digest(m: &sdr_subcube::SubcubeManager) -> u64 {
-    let view = m.view();
+/// The digest of a warehouse's full state (every shard's cubes, in
+/// order, read off their chunks): [`mos_digest`] of the cubes' contents.
+pub fn warehouse_digest(w: &ShardRouter) -> u64 {
+    let set = w.view_set();
     let cube = |c: &sdr_subcube::Subcube| parts_digest(c.chunks().iter().map(|k| k.mo()));
-    fold_digests(view.cubes().iter().map(cube))
+    fold_digests(set.views().iter().flat_map(|v| v.cubes()).map(cube))
 }
 
 /// Replays the pre-kernel synchronization scan: two independent cell
 /// resolutions per fact (`home_cube` for placement, `cell_for` for
 /// provenance), grouped into per-cube `BTreeMap`s and rebuilt into fresh
-/// MOs. The manager itself is not mutated — the result models what its
-/// cubes would hold after a sync at `now`, computed the naive way. Used
-/// by the CI perf smoke as the correctness baseline for the memoized
-/// kernel scan.
+/// MOs. The one-shard warehouse `w` is not mutated — the result models
+/// what its cubes would hold after a sync at `now`, computed the naive
+/// way. Used by the CI perf smoke as the correctness baseline for the
+/// memoized kernel scan.
 pub fn sync_naive_replay(
-    m: &sdr_subcube::SubcubeManager,
+    w: &ShardRouter,
     spec: &DataReductionSpec,
     now: DayNum,
 ) -> Result<Vec<Mo>, Box<dyn std::error::Error>> {
     use std::collections::BTreeMap;
     /// Accumulator per target cell: folded measures plus the provenance id.
     type CellAcc = (Vec<i64>, u32);
-    let schema = Arc::clone(m.schema());
-    let view = m.view();
+    let schema = Arc::clone(w.schema());
+    let set = w.view_set();
+    let [view] = set.views() else {
+        return Err("the naive sync replay reads a one-shard warehouse".into());
+    };
     let n = view.cubes().len();
     let mut groups: Vec<BTreeMap<Vec<sdr_mdm::DimValue>, CellAcc>> =
         (0..n).map(|_| BTreeMap::new()).collect();

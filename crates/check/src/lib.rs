@@ -5,9 +5,9 @@
 //! backend, which exhaustively enumerates thread interleavings up to a
 //! preemption bound. The assertions are the protocol contracts:
 //!
-//! * [`Protocol::Epoch`] — the epoch-publish protocol of
-//!   `SubcubeManager`: two writers bulk-load disjoint fact sets while a
-//!   reader snapshots views. A reader must never observe a torn or
+//! * [`Protocol::Epoch`] — the epoch-publish protocol of a shard's
+//!   core (`SubcubeManager`): two writers bulk-load disjoint fact sets
+//!   while a reader snapshots views. A reader must never observe a torn or
 //!   partially-applied version (fact counts other than a whole-publish
 //!   combination of the loads), its view epoch must never go backwards,
 //!   and both publishes must survive (single-writer serialization).
@@ -636,7 +636,7 @@ fn check_memo(mopts: &ModelOptions, mutation: Option<&'static str>) -> Report {
         });
         // Virtual: the readers published nothing, and the successor —
         // whatever its predecessor's slot held — computes for itself.
-        assert_eq!(pinned.epoch() + 1, mgr.epoch(), "a reader published");
+        assert_eq!(pinned.epoch() + 1, mgr.view().epoch(), "a reader published");
         let fresh = mgr.view();
         let (aged, hit) = fresh.virtual_age(day_a).expect("virtual age");
         assert!(!hit, "the successor inherited a memo slot");

@@ -170,7 +170,7 @@ impl Shard {
         // stats as they go; re-assert the no-drift invariant on the final
         // recovered state (the persisted copy was already verified
         // against the checkpoint's chunks in `load_checkpoint`).
-        mgr.verify_stats()?;
+        mgr.view().verify_stats()?;
         if sdr_obs::enabled() {
             sdr_obs::inc("durable.recover.runs");
             sdr_obs::add("durable.recover.records_replayed", replayed as u64);

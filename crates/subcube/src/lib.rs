@@ -66,7 +66,7 @@ mod tests {
         assert_eq!(v.cubes().len(), 3);
         assert_eq!(v.cubes()[0].grain, m.schema().bottom_granularity());
         // The DAG: bottom → month cube → quarter cube.
-        let d = m.describe();
+        let d = m.view().describe();
         assert!(d.contains("K1 (Time.month, URL.domain)"), "{d}");
         assert!(d.contains("K2 (Time.quarter, URL.domain)"), "{d}");
         assert_eq!(v.parents(CubeId(1)), &[CubeId(0)]);
@@ -103,7 +103,7 @@ mod tests {
         assert_eq!(s3.cells_delta, 5); // 3 month-level facts + facts 4,5
         assert_eq!(s3.merged, 2);
         assert!(s2.ticks >= 1 && s3.ticks > s2.ticks, "{s2:?} {s3:?}");
-        assert_eq!(m.len(), 4);
+        assert_eq!(m.view().len(), 4);
     }
 
     #[test]
@@ -252,9 +252,9 @@ mod tests {
     fn storage_stats_shrink_with_reduction() {
         let (m, _) = manager_with_paper_data();
         m.sync(days_from_civil(2000, 4, 5)).unwrap();
-        let before: usize = m.storage_stats().iter().map(|(_, s)| s.rows).sum();
+        let before: usize = m.view().storage_stats().iter().map(|(_, s)| s.rows).sum();
         m.sync(days_from_civil(2000, 11, 5)).unwrap();
-        let after: usize = m.storage_stats().iter().map(|(_, s)| s.rows).sum();
+        let after: usize = m.view().storage_stats().iter().map(|(_, s)| s.rows).sum();
         assert!(after < before);
     }
 
@@ -312,13 +312,13 @@ mod scheduler_tests {
         let a1 = parse_action(&schema, ACTION_A1).unwrap();
         let a2 = parse_action(&schema, ACTION_A2).unwrap();
         let spec = DataReductionSpec::new(schema, vec![a1, a2]).unwrap();
-        let m = SubcubeManager::new(spec);
+        let v = SubcubeManager::new(spec).view();
         // a1's bounds are month-granular: from mid-June the next step is
         // July 1st.
-        let due = m.next_sync_due(days_from_civil(2000, 6, 15)).unwrap();
+        let due = v.next_sync_due(days_from_civil(2000, 6, 15)).unwrap();
         assert_eq!(sdr_mdm::calendar::civil_from_days(due), (2000, 7, 1));
         // From the very end of the horizon nothing remains.
-        assert!(m.next_sync_due(days_from_civil(2002, 12, 30)).is_none());
+        assert!(v.next_sync_due(days_from_civil(2002, 12, 30)).is_none());
     }
 
     #[test]
@@ -330,20 +330,20 @@ mod scheduler_tests {
         let spec = DataReductionSpec::new(schema, vec![a1, a2]).unwrap();
         let m = SubcubeManager::new(spec);
         // Fresh manager always wants a first sync.
-        assert!(m.needs_sync(days_from_civil(2000, 6, 5)));
+        assert!(m.view().needs_sync(days_from_civil(2000, 6, 5)));
         m.bulk_load(&mo).unwrap();
         m.sync(days_from_civil(2000, 6, 5)).unwrap();
         // Same month, later day: nothing stepped.
-        assert!(!m.needs_sync(days_from_civil(2000, 6, 20)));
+        assert!(!m.view().needs_sync(days_from_civil(2000, 6, 20)));
         // Crossing into July: a1's window moved.
-        assert!(m.needs_sync(days_from_civil(2000, 7, 2)));
+        assert!(m.view().needs_sync(days_from_civil(2000, 7, 2)));
         // A bulk load dirties the manager even without time passing.
         let (more, _) = paper_mo();
         m.bulk_load(&more).unwrap();
-        assert!(m.needs_sync(days_from_civil(2000, 6, 6)));
+        assert!(m.view().needs_sync(days_from_civil(2000, 6, 6)));
         // Homing the load needs no transition day: one homing-only step.
         let stats = m.sync(days_from_civil(2000, 6, 6)).unwrap();
         assert_eq!((stats.ticks, stats.rows_homed), (0, more.len()));
-        assert!(!m.needs_sync(days_from_civil(2000, 6, 20)));
+        assert!(!m.view().needs_sync(days_from_civil(2000, 6, 20)));
     }
 }

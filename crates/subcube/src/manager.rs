@@ -1,4 +1,5 @@
-//! The subcube manager (Section 7), snapshot-isolated.
+//! The per-shard core (Section 7), snapshot-isolated: the subcubes of
+//! one shard of a [`ShardRouter`](crate::ShardRouter) warehouse.
 //!
 //! The implementation strategy of the paper: the logical MO is stored as a
 //! set of physical *subcubes*, one per distinct target granularity of the
@@ -257,8 +258,13 @@ impl Subcube {
     }
 }
 
-/// Statistics from one reduction ([`SubcubeManager::sync`] or
-/// [`SubcubeManager::age`]), accumulated over every step it applied.
+/// Statistics from one reduction ([`ShardRouter::sync`] or
+/// [`ShardRouter::age`]), accumulated over every step it applied; a
+/// router adds up its shards' (see [`ShardRouter::apply`]).
+///
+/// [`ShardRouter::sync`]: crate::ShardRouter::sync
+/// [`ShardRouter::age`]: crate::ShardRouter::age
+/// [`ShardRouter::apply`]: crate::ShardRouter::apply
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AgeStats {
     /// Transition-day ticks applied (each published atomically).
@@ -797,13 +803,13 @@ impl VersionInner {
     }
 }
 
-/// A consistent, immutable read view of the whole warehouse: one
-/// published version, held alive for as long as the view exists. Acquired
-/// with [`SubcubeManager::view`]; cheap to clone and [`Send`], so it can
-/// be handed to worker threads outright. All read-side accessors — cube
-/// contents, the parent DAG, the spec, the sync watermarks — answer from
-/// the same version, which is what makes multi-step query evaluation
-/// torn-read-free.
+/// A consistent, immutable read view of one shard: one published
+/// version, held alive for as long as the view exists — the per-shard
+/// element of a [`ShardViewSet`](crate::ShardViewSet). Cheap to clone
+/// and [`Send`], so it can be handed to worker threads outright. All
+/// read-side accessors — cube contents, the parent DAG, the spec, the
+/// sync watermarks — answer from the same version, which is what makes
+/// multi-step query evaluation torn-read-free.
 #[derive(Clone)]
 pub struct WarehouseView {
     pub(crate) v: Arc<VersionInner>,
@@ -1025,14 +1031,18 @@ impl WarehouseView {
     }
 }
 
-/// The subcube manager: the physical MO of Section 7, published as
-/// epoch-versioned immutable snapshots.
+/// The per-shard core: one shard's part of the physical MO of Section
+/// 7, published as epoch-versioned immutable snapshots. The warehouse is
+/// [`ShardRouter`](crate::ShardRouter), which logs every operation and
+/// applies it to one core per shard; the core is public only as the
+/// seam the model checker (`sdr-check`) and the benchmark's reference
+/// drive.
 ///
 /// All mutators take `&self` (they serialize on an internal writer lock
-/// and publish a successor version), so a manager can be shared across
-/// threads as `Arc<SubcubeManager>` with readers querying concurrently —
-/// the closed-loop concurrency driver and the torn-read stress suite do
-/// exactly that.
+/// and publish a successor version), so a core can be shared across
+/// threads as `Arc<SubcubeManager>` with readers pinning views
+/// concurrently.
+#[doc(hidden)]
 pub struct SubcubeManager {
     schema: Arc<Schema>,
     /// The current published version. Readers clone the `Arc` with one
@@ -1071,33 +1081,13 @@ impl SubcubeManager {
     }
 
     /// The specification driving the cubes (of the current version).
-    pub fn spec(&self) -> Arc<DataReductionSpec> {
+    pub(crate) fn spec(&self) -> Arc<DataReductionSpec> {
         Arc::clone(&self.current.load().spec)
     }
 
-    /// The current published epoch.
-    pub fn epoch(&self) -> u64 {
-        self.current.load().epoch
-    }
-
-    /// Number of subcubes in the current version.
-    pub fn n_cubes(&self) -> usize {
-        self.current.load().cubes.len()
-    }
-
     /// The last day the cubes were synchronized to.
-    pub fn last_sync(&self) -> Option<DayNum> {
+    pub(crate) fn last_sync(&self) -> Option<DayNum> {
         self.current.load().last_sync
-    }
-
-    /// Total number of facts across all cubes (of the current version).
-    pub fn len(&self) -> usize {
-        self.view().len()
-    }
-
-    /// True when no cube holds facts.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Publishes `next` as the current version — the single pointer swap
@@ -1150,11 +1140,6 @@ impl SubcubeManager {
         }
         self.publish(cur.successor(cubes, cur.last_sync, cur.unhomed + appended.len()));
         Ok(facts.len())
-    }
-
-    /// [`WarehouseView::needs_sync`] on the current version.
-    pub fn needs_sync(&self, now: DayNum) -> bool {
-        self.view().needs_sync(now)
     }
 
     /// Synchronizes all cubes to time `now` (Section 7.2): facts whose
@@ -1241,7 +1226,7 @@ impl SubcubeManager {
             sdr_obs::add("subcube.chunks.rewritten", stats.chunks_rewritten as u64);
             sdr_obs::add("subcube.chunks.carried", stats.chunks_carried as u64);
             sdr_obs::attr("ticks", stats.ticks);
-            sdr_obs::attr("rows_out", self.len());
+            sdr_obs::attr("rows_out", self.view().len());
             sdr_obs::event(
                 "subcube.age",
                 format!(
@@ -1260,7 +1245,10 @@ impl SubcubeManager {
     /// [`sync`](SubcubeManager::sync) pass, exactly as after a bulk load.
     /// On rejection (NonCrossing/Growing violation) the manager is
     /// unchanged.
-    pub fn evolve_insert(&self, new: Vec<ActionSpec>) -> Result<Vec<ActionId>, SubcubeError> {
+    pub(crate) fn evolve_insert(
+        &self,
+        new: Vec<ActionSpec>,
+    ) -> Result<Vec<ActionId>, SubcubeError> {
         let _w = self.writer.lock();
         let cur = self.current.load();
         let mut spec = (*cur.spec).clone();
@@ -1274,7 +1262,7 @@ impl SubcubeManager {
     /// ([`DataReductionSpec::delete`], Definition 4) — checked against the
     /// warehouse's current facts at time `now` — and rebuilds the cube
     /// layout. On rejection the manager is unchanged.
-    pub fn evolve_delete(&self, ids: &[ActionId], now: DayNum) -> Result<(), SubcubeError> {
+    pub(crate) fn evolve_delete(&self, ids: &[ActionId], now: DayNum) -> Result<(), SubcubeError> {
         let _w = self.writer.lock();
         let cur = self.current.load();
         let mo = WarehouseView {
@@ -1311,7 +1299,7 @@ impl SubcubeManager {
     /// durability: a batch that fails partway must leave the warehouse
     /// "as if never issued", and with immutable versions that is exactly
     /// one publication of the pre-batch snapshot.
-    pub fn rollback_to(&self, view: &WarehouseView) {
+    pub(crate) fn rollback_to(&self, view: &WarehouseView) {
         let _w = self.writer.lock();
         self.republish(&view.v);
     }
@@ -1360,30 +1348,8 @@ impl SubcubeManager {
         Ok(())
     }
 
-    /// [`WarehouseView::next_sync_due`] on the current version.
-    pub fn next_sync_due(&self, after: DayNum) -> Option<DayNum> {
-        self.view().next_sync_due(after)
-    }
-
-    /// Materializes the whole warehouse as one MO (union of all cubes).
+    /// Materializes the whole core as one MO (union of all cubes).
     pub fn to_mo(&self) -> Result<Mo, SubcubeError> {
         self.view().to_mo()
-    }
-
-    /// [`WarehouseView::verify_stats`] on the current version.
-    pub fn verify_stats(&self) -> Result<(), SubcubeError> {
-        self.view().verify_stats()
-    }
-
-    /// Storage statistics per cube (rows, raw and encoded bytes), via the
-    /// `sdr-storage` layer.
-    pub fn storage_stats(&self) -> Vec<(CubeId, sdr_storage::TableStats)> {
-        self.view().storage_stats()
-    }
-
-    /// A human-readable description of the cube layout (Figure 6 / the
-    /// disjoint-action example of Section 7.1).
-    pub fn describe(&self) -> String {
-        self.view().describe()
     }
 }

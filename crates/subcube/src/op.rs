@@ -6,7 +6,7 @@
 //! `insert` and `delete` (Definitions 3–4). [`WarehouseOp`] is that set as
 //! one value with one byte encoding ([`WarehouseOp::encode`] /
 //! [`WarehouseOp::decode`], the WAL record payload) and one way to run it
-//! ([`SubcubeManager::apply`]). The live path
+//! on a shard's core (`SubcubeManager::apply`). The live path
 //! ([`ShardRouter::apply`](crate::ShardRouter::apply), one logged apply
 //! per shard), group commit and crash-recovery replay all go through
 //! these three functions, so a replayed record does what the acknowledged
@@ -192,7 +192,7 @@ impl WarehouseOp {
 }
 
 /// What a successfully applied [`WarehouseOp`] returned: the value the
-/// corresponding [`SubcubeManager`] mutator returns.
+/// corresponding mutation returns.
 #[derive(Debug, Clone)]
 pub enum OpOutcome {
     /// Facts absorbed by a bulk load.
@@ -211,8 +211,8 @@ impl OpOutcome {
     }
 
     /// The fact count of a [`WarehouseOp::BulkLoad`]. Panics on any other
-    /// outcome, as the two accessors below do: [`SubcubeManager::apply`]
-    /// pairs each op variant with its outcome variant.
+    /// outcome, as the two accessors below do: a shard's apply pairs
+    /// each op variant with its outcome variant.
     pub fn loaded(self) -> usize {
         match self {
             OpOutcome::Loaded(n) => n,
@@ -241,7 +241,7 @@ impl SubcubeManager {
     /// Applies one mutation — the only place an op variant is dispatched
     /// to its mutator, whether the op came from a caller, a batch, a
     /// replayed log record or a shard scatter.
-    pub fn apply(&self, op: &WarehouseOp) -> Result<OpOutcome, SubcubeError> {
+    pub(crate) fn apply(&self, op: &WarehouseOp) -> Result<OpOutcome, SubcubeError> {
         Ok(match op {
             WarehouseOp::BulkLoad(mo) => OpOutcome::Loaded(self.bulk_load(mo)?),
             WarehouseOp::Sync(now) => OpOutcome::Aged(self.sync(*now)?),

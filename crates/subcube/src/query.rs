@@ -351,32 +351,18 @@ pub(crate) fn merge(schema: &Arc<Schema>, q: &CubeQuery, parts: &[Mo]) -> Result
 
 impl SubcubeManager {
     /// [`WarehouseView::query`] on a fresh view of the current version.
-    /// Counts a stale read when a newer version was published while the
-    /// query ran — the answer is still consistent (it saw one whole
-    /// version), just not the newest.
     pub fn query(&self, q: &CubeQuery, now: DayNum, parallel: bool) -> Result<Mo, SubcubeError> {
-        let view = self.view();
-        let r = view.query(q, now, parallel);
-        if self.epoch() > view.epoch() {
-            sdr_obs::inc("subcube.query.stale_reads");
-        }
-        r
+        self.view().query(q, now, parallel)
     }
 
     /// [`WarehouseView::query_unsync`] on a fresh view of the current
-    /// version, with the same stale-read accounting as
-    /// [`query`](SubcubeManager::query).
+    /// version.
     pub fn query_unsync(
         &self,
         q: &CubeQuery,
         now: DayNum,
         parallel: bool,
     ) -> Result<Mo, SubcubeError> {
-        let view = self.view();
-        let r = view.query_unsync(q, now, parallel);
-        if self.epoch() > view.epoch() {
-            sdr_obs::inc("subcube.query.stale_reads");
-        }
-        r
+        self.view().query_unsync(q, now, parallel)
     }
 }

@@ -1,7 +1,10 @@
-//! # The durable warehouse: one router over N ≥ 1 shards
+//! # The warehouse: one router over N ≥ 1 shards
 //!
-//! [`ShardRouter`] is the only way into a warehouse directory, whatever
-//! its shard count. It hash-partitions the facts over N shards — each a
+//! [`ShardRouter`] is the one warehouse type: every caller builds,
+//! changes and reads a warehouse through it, on disk or — over an
+//! in-memory filesystem — [in memory](ShardRouter::in_memory), and it is
+//! the only way into a warehouse directory, whatever its shard count. It
+//! hash-partitions the facts over N shards — each a
 //! private per-shard log (`durable.rs`) with its own subcube
 //! set, checkpoint chain and WAL — and preserves every single-shard
 //! guarantee:
@@ -69,7 +72,7 @@ use sdr_mdm::{DayNum, DimValue, KeyPacker, Mo, Schema};
 use sdr_plan::QueryPlan;
 use sdr_reduce::DataReductionSpec;
 use sdr_spec::{ActionId, ActionSpec};
-use sdr_storage::fs::{atomic_write, Fs, RealFs};
+use sdr_storage::fs::{atomic_write, Fs, MemFs, RealFs};
 use sdr_storage::wal::{crc32, truncate_wal_records};
 
 use crate::durable::Shard;
@@ -333,9 +336,9 @@ struct RouterInner {
 /// recovery and one wedge. See the module docs for the invariants.
 pub struct ShardRouter {
     schema: Arc<Schema>,
-    /// The bottom-key packer routing hashes; `None` for one shard, which
-    /// routes nothing.
-    packer: Option<KeyPacker>,
+    /// The bottom-key packer routing hashes and the shard count it
+    /// routes over; `None` for one shard, which routes nothing.
+    routing: Option<(KeyPacker, usize)>,
     fs: Arc<dyn Fs>,
     layout: WarehouseLayout,
     writer: Mutex<RouterInner>,
@@ -354,15 +357,14 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The packer routing over `shards` shards needs: none for one shard; a
-/// schema too wide to pack cannot be split.
-fn packer(schema: &Schema, shards: usize) -> Result<Option<KeyPacker>, SubcubeError> {
+/// The routing over `shards` shards: none for one shard; a schema too
+/// wide to pack cannot be split.
+fn routing(schema: &Schema, shards: usize) -> Result<Option<(KeyPacker, usize)>, SubcubeError> {
     if shards == 1 {
         return Ok(None);
     }
-    KeyPacker::new(schema)
-        .map(Some)
-        .ok_or(SubcubeError::Unroutable { shards })
+    let packer = KeyPacker::new(schema).ok_or(SubcubeError::Unroutable { shards })?;
+    Ok(Some((packer, shards)))
 }
 
 /// The directory of shard `i` of `n`: the root itself for one shard,
@@ -415,7 +417,7 @@ impl ShardRouter {
                 dir.display()
             )));
         }
-        let packer = packer(spec.schema(), shards)?;
+        let routing = routing(spec.schema(), shards)?;
         let mut vec = Vec::with_capacity(shards);
         for i in 0..shards {
             let root = shard_dir(&layout, i, shards);
@@ -428,7 +430,15 @@ impl ShardRouter {
             }
             .write(fs.as_ref(), &layout)?;
         }
-        Ok(Self::assemble(&spec, packer, fs, layout, vec))
+        Ok(Self::assemble(&spec, routing, fs, layout, vec))
+    }
+
+    /// A fresh one-shard warehouse held in memory:
+    /// [`ShardRouter::create_with_fs`] over a new [`MemFs`], so every
+    /// operation takes the durable path — logged, checkpointable,
+    /// wedged on failure — without touching a disk.
+    pub fn in_memory(spec: DataReductionSpec) -> Result<ShardRouter, SubcubeError> {
+        Self::create_with_fs(spec, Path::new("/warehouse"), 1, MemFs::shared())
     }
 
     /// Opens `dir`: recovers the warehouse it holds (whatever its shard
@@ -486,7 +496,7 @@ impl ShardRouter {
             None
         };
         let n = man.map_or(1, |m| m.shards as usize);
-        let packer = packer(spec.schema(), n)?;
+        let routing = routing(spec.schema(), n)?;
         let mut report = RecoveryReport {
             shards: n,
             ..RecoveryReport::default()
@@ -532,7 +542,7 @@ impl ShardRouter {
         report.epoch = shards[0].epoch();
         report.ops_durable = shards[0].ops_durable();
         report.last_sync = sync0;
-        Ok((Self::assemble(&spec, packer, fs, layout, shards), report))
+        Ok((Self::assemble(&spec, routing, fs, layout, shards), report))
     }
 
     /// Cross-shard WAL alignment before N ≥ 2 shards recover. Each shard
@@ -599,7 +609,7 @@ impl ShardRouter {
 
     fn assemble(
         spec: &DataReductionSpec,
-        packer: Option<KeyPacker>,
+        routing: Option<(KeyPacker, usize)>,
         fs: Arc<dyn Fs>,
         layout: WarehouseLayout,
         shards: Vec<Shard>,
@@ -612,7 +622,7 @@ impl ShardRouter {
         let set = Self::snapshot(&mut inner);
         ShardRouter {
             schema: Arc::clone(spec.schema()),
-            packer,
+            routing,
             fs,
             layout,
             writer: Mutex::new(inner),
@@ -678,26 +688,32 @@ impl ShardRouter {
     // ---- routing -------------------------------------------------------
 
     /// The shard a cell routes to: SplitMix64-finalized hash of the
-    /// packed key, modulo the shard count — 0 on a one-shard warehouse,
-    /// which routes nothing.
-    pub fn route(&self, coords: &[DimValue], shards: usize) -> usize {
-        let Some(p) = &self.packer else {
+    /// packed key, modulo the router's shard count — 0 on a one-shard
+    /// warehouse, which routes nothing.
+    pub fn route(&self, coords: &[DimValue]) -> usize {
+        let Some((p, shards)) = &self.routing else {
             return 0;
         };
         let k = p.pack_coords(coords);
-        (mix64((k as u64) ^ ((k >> 64) as u64)) % shards as u64) as usize
+        (mix64((k as u64) ^ ((k >> 64) as u64)) % *shards as u64) as usize
+    }
+
+    /// The shard count, as routing sees it.
+    fn n_shards(&self) -> usize {
+        self.routing.as_ref().map_or(1, |(_, n)| *n)
     }
 
     /// Splits `mo` into one (possibly empty) partition per shard.
-    fn partition(&self, mo: &Mo, shards: usize) -> Vec<Mo> {
-        if shards == 1 {
+    fn partition(&self, mo: &Mo) -> Vec<Mo> {
+        let n = self.n_shards();
+        if n == 1 {
             return vec![mo.clone()];
         }
-        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); shards];
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut coords = Vec::new();
         for f in mo.facts() {
             mo.coords_into(f, &mut coords);
-            rows[self.route(&coords, shards)].push(f.0);
+            rows[self.route(&coords)].push(f.0);
         }
         rows.iter().map(|r| mo.gather(r)).collect()
     }
@@ -766,17 +782,17 @@ impl ShardRouter {
     /// One bulk-load operation per shard, each carrying its (possibly
     /// empty) partition of `facts`, so every shard logs one record and
     /// WAL positions stay uniform.
-    fn load_parts(&self, facts: &Mo, shards: usize) -> Vec<WarehouseOp> {
-        let parts = self.partition(facts, shards);
+    fn load_parts(&self, facts: &Mo) -> Vec<WarehouseOp> {
+        let parts = self.partition(facts);
         parts.into_iter().map(WarehouseOp::BulkLoad).collect()
     }
 
     /// Splits `op` into one operation per shard: bulk loads are
     /// partitioned, everything else is cloned.
-    fn split(&self, op: &WarehouseOp, shards: usize) -> Vec<WarehouseOp> {
+    fn split(&self, op: &WarehouseOp) -> Vec<WarehouseOp> {
         match op {
-            WarehouseOp::BulkLoad(mo) => self.load_parts(mo, shards),
-            other => vec![other.clone(); shards],
+            WarehouseOp::BulkLoad(mo) => self.load_parts(mo),
+            other => vec![other.clone(); self.n_shards()],
         }
     }
 
@@ -842,7 +858,7 @@ impl ShardRouter {
         let parallel = matches!(op, WarehouseOp::Sync(_) | WarehouseOp::Age(_));
         self.scatter(op.name(), parallel, |inner| {
             Self::precheck(inner, op)?;
-            Ok(self.split(op, inner.shards.len()))
+            Ok(self.split(op))
         })
     }
 
@@ -850,7 +866,7 @@ impl ShardRouter {
     /// borrowed facts — `apply` would need an owned copy of the whole
     /// load first.
     pub fn bulk_load(&self, facts: &Mo) -> Result<usize, SubcubeError> {
-        let plan = |inner: &RouterInner| Ok(self.load_parts(facts, inner.shards.len()));
+        let plan = |_: &RouterInner| Ok(self.load_parts(facts));
         Ok(self.scatter("bulk_load", false, plan)?.loaded())
     }
 
@@ -892,7 +908,7 @@ impl ShardRouter {
         let n = inner.shards.len();
         let mut batches: Vec<Vec<WarehouseOp>> = (0..n).map(|_| Vec::new()).collect();
         for op in &ops {
-            for (b, part) in batches.iter_mut().zip(self.split(op, n)) {
+            for (b, part) in batches.iter_mut().zip(self.split(op)) {
                 b.push(part);
             }
         }

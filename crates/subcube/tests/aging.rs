@@ -28,9 +28,10 @@ fn paper_manager() -> (SubcubeManager, Mo) {
 
 /// `m` holds Definition 2's reduction of `raw` at `m`'s watermark.
 fn assert_reduced(m: &SubcubeManager, raw: &Mo, ctx: &str) {
-    let t = m.last_sync().expect("synchronized");
-    let want = reduce_naive(raw, &m.spec(), t).unwrap();
-    assert_holds(&[m.view()], &want, ctx);
+    let v = m.view();
+    let t = v.last_sync().expect("synchronized");
+    let want = reduce_naive(raw, v.spec(), t).unwrap();
+    assert_holds(&[v], &want, ctx);
 }
 
 /// Field-wise sum (the crate's own `absorb` is not public).
@@ -91,7 +92,7 @@ fn sync_equals_one_age_equals_an_age_per_transition_day() {
     let aged = by_age.age(target).unwrap();
     let mut ticked = AgeStats::default();
     let mut cur = baseline;
-    while let Some(t) = by_tick.next_sync_due(cur).filter(|t| *t <= target) {
+    while let Some(t) = by_tick.view().next_sync_due(cur).filter(|t| *t <= target) {
         let s = by_tick.age(t).unwrap();
         assert_eq!(s.ticks, 1, "day {t}");
         assert_reduced(&by_tick, &mo, &format!("tick at {t}"));
@@ -105,7 +106,7 @@ fn sync_equals_one_age_equals_an_age_per_transition_day() {
     assert_eq!(placed(&[by_sync.view()]), placed(&[by_tick.view()]));
     assert_reduced(&by_sync, &mo, "sync");
     // One publication per transition day, plus the watermark.
-    assert_eq!(by_sync.epoch(), by_tick.epoch());
+    assert_eq!(by_sync.view().epoch(), by_tick.view().epoch());
 }
 
 #[test]
@@ -120,7 +121,11 @@ fn age_skips_untouched_cubes_and_counts_ticks() {
     assert!(s1.ticks > 1, "expected multiple transition ticks: {s1:?}");
     assert!(s1.cubes_skipped > 0, "expected pruned cubes: {s1:?}");
     assert!(s1.cells_delta > 0, "expected migrated cells: {s1:?}");
-    assert_eq!(m.len(), 4, "final state matches the paper's Figure 7");
+    assert_eq!(
+        m.view().len(),
+        4,
+        "final state matches the paper's Figure 7"
+    );
 }
 
 #[test]
@@ -172,8 +177,9 @@ fn never_synced_virtual_age_equals_sync_on_a_clone() {
         fresh.sync(t).unwrap();
         let aged = [aged];
         assert_eq!(placed(&aged), placed(&[fresh.view()]), "day {t}");
-        let want = reduce_naive(&mo, &m.spec(), t).unwrap();
+        let want = reduce_naive(&mo, m.view().spec(), t).unwrap();
         assert_holds(&aged, &want, &format!("virtual age to {t}"));
     }
-    assert_eq!((m.epoch(), m.last_sync()), (clone.epoch(), None));
+    let v = m.view();
+    assert_eq!((v.epoch(), v.last_sync()), (clone.view().epoch(), None));
 }

@@ -22,7 +22,8 @@ use sdr_mdm::{DayNum, Mo};
 use sdr_reduce::DataReductionSpec;
 use sdr_spec::{parse_action, ActionId};
 use sdr_subcube::{
-    Chunk, SubcubeError, SubcubeManager, SubcubeStats, WarehouseOp, WarehouseView, CHUNK_ROWS,
+    Chunk, ShardRouter, SubcubeError, SubcubeManager, SubcubeStats, WarehouseOp, WarehouseView,
+    CHUNK_ROWS,
 };
 use sdr_workload::{generate, retention_policy, Clickstream, ClickstreamConfig};
 
@@ -140,13 +141,16 @@ proptest! {
     ) {
         let (cs, day_rows) = clicks();
         let (spec, month) = specs(&cs);
-        let m = SubcubeManager::new(spec);
+        // One in-memory shard: the specification changes take the
+        // warehouse's own apply path.
+        let w = ShardRouter::in_memory(spec).unwrap();
+        let view = || w.view_set().views()[0].clone();
         let start = days_from_civil(START.0, START.1, START.2);
         let mut loaded = 0usize; // days loaded so far
         let mut clock = start;   // never moves backwards
         let mut month_id: Option<ActionId> = None;
         for (step, &(kind, mag)) in ops.iter().enumerate() {
-            let before = m.view();
+            let before = view();
             let ctx = format!("step {step} of {ops:?}");
             match kind {
                 0..=2 => {
@@ -155,8 +159,8 @@ proptest! {
                     let upto = (loaded + mag).min(DAYS);
                     let rows: Vec<u32> = day_rows[loaded..upto].concat();
                     loaded = upto;
-                    let n = m.bulk_load(&cs.mo.gather(&rows)).unwrap();
-                    let after = m.view();
+                    let n = w.bulk_load(&cs.mo.gather(&rows)).unwrap();
+                    let after = view();
                     prop_assert_eq!(after.is_dirty(), before.is_dirty() || n > 0);
                     // Everything that was there crosses by pointer; the
                     // load's rows are appended behind it.
@@ -167,8 +171,8 @@ proptest! {
                 }
                 3 | 4 => {
                     clock = clock.max(start + loaded as DayNum + (mag % 45) as DayNum);
-                    let stats = m.age(clock).unwrap();
-                    let after = m.view();
+                    let stats = w.age(clock).unwrap();
+                    let after = view();
                     prop_assert!(!after.is_dirty());
                     // Steps applied: one per transition day, or one
                     // homing-only step when none was in range.
@@ -187,9 +191,9 @@ proptest! {
                 }
                 5 => {
                     clock = clock.max(start + loaded as DayNum + (mag % 20) as DayNum);
-                    m.sync(clock).unwrap();
-                    prop_assert!(!m.view().is_dirty());
-                    check_unmoved_cubes(&before, &m.view(), &ctx)?;
+                    w.sync(clock).unwrap();
+                    prop_assert!(!view().is_dirty());
+                    check_unmoved_cubes(&before, &view(), &ctx)?;
                 }
                 _ => {
                     // Specification change through the one apply path: a
@@ -199,13 +203,13 @@ proptest! {
                         None => WarehouseOp::SpecInsert(vec![month.clone()]),
                         Some(id) => WarehouseOp::SpecDelete(vec![id], clock),
                     };
-                    match m.apply(&op) {
+                    match w.apply(&op) {
                         Ok(outcome) => {
                             month_id = match op {
                                 WarehouseOp::SpecInsert(_) => Some(outcome.inserted()[0]),
                                 _ => None,
                             };
-                            let after = m.view();
+                            let after = view();
                             let staged = after.cubes()[0].chunks();
                             let old = all_chunks(&before);
                             prop_assert_eq!(staged.len(), old.len());
@@ -213,13 +217,22 @@ proptest! {
                             prop_assert_eq!(after.is_dirty(), !old.is_empty());
                         }
                         Err(SubcubeError::Reduce(_)) => {
-                            prop_assert_eq!(m.epoch(), before.epoch(), "{}", ctx);
+                            // The router publishes nothing on an error,
+                            // so make the shard publish: an empty load
+                            // is the only version since `before`, with
+                            // every chunk crossing by pointer.
+                            w.bulk_load(&Mo::new(Arc::clone(&cs.schema))).unwrap();
+                            let after = view();
+                            prop_assert_eq!(after.epoch(), before.epoch() + 1, "{}", ctx);
+                            let old = all_chunks(&before);
+                            prop_assert_eq!(shared(&before, &after), old.len(), "{}", ctx);
+                            prop_assert_eq!(all_chunks(&after).len(), old.len(), "{}", ctx);
                         }
                         Err(e) => panic!("{ctx}: {e}"),
                     }
                 }
             }
-            check_version(&m.view(), &ctx)?;
+            check_version(&view(), &ctx)?;
         }
     }
 }
@@ -281,10 +294,10 @@ fn a_tick_rewrites_only_the_chunks_it_touches() {
         Arc::ptr_eq(old.last().unwrap(), new.last().unwrap()),
         "the newest chunk is untouched by a tick on old rows"
     );
-    m.verify_stats().unwrap();
+    after.verify_stats().unwrap();
     // Shared chunks and all, the cubes are Definition 2's reduction of
     // the 310 days loaded.
     let raw = cs.mo.gather(&day_rows[..310].concat());
-    let want = sdr_reduce::reduce_naive(&raw, &m.spec(), start + 340).unwrap();
+    let want = sdr_reduce::reduce_naive(&raw, after.spec(), start + 340).unwrap();
     common::assert_holds(&[after], &want, "after the month boundary");
 }

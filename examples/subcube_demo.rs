@@ -13,7 +13,7 @@ use specdr::mdm::time_cat;
 use specdr::query::{AggApproach, SelectMode};
 use specdr::reduce::DataReductionSpec;
 use specdr::spec::{parse_action, parse_pexp};
-use specdr::subcube::{CubeQuery, SubcubeManager};
+use specdr::subcube::{CubeQuery, ShardRouter};
 use specdr::workload::{paper_mo, ACTION_A1, ACTION_A2};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,11 +24,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = DataReductionSpec::new(Arc::clone(&schema), vec![a1, a2])?;
 
     // Figure 6: the physical architecture — one subcube per distinct
-    // action granularity plus the bottom cube all new data enters.
-    let m = SubcubeManager::new(spec);
+    // action granularity plus the bottom cube all new data enters, here
+    // in a one-shard warehouse held in memory.
+    let m = ShardRouter::in_memory(spec)?;
+    let describe = || m.view_set().views()[0].describe();
     m.bulk_load(&mo)?;
     println!("Figure 6 — subcube architecture after bulk load:");
-    print!("{}", m.describe());
+    print!("{}", describe());
 
     // Figure 7: synchronization migrates facts along the cube DAG as NOW
     // advances (bottom → month cube → quarter cube).
@@ -39,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "\nsync at {y}/{mm}/{d}: ticks={}, cells_delta={}, merged={}",
             stats.ticks, stats.cells_delta, stats.merged
         );
-        print!("{}", m.describe());
+        print!("{}", describe());
     }
 
     // Figure 8: a query evaluated per cube in parallel, sub-results
@@ -54,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         levels: vec![time_cat::MONTH, cats.domain_grp],
         approach: AggApproach::Availability,
     };
-    let r = m.query(&q, now, true)?;
+    let r = m.view_set().query(&q, now, true)?;
     println!(
         "\nFigure 8 — Q = α[month, domain_grp](σ[1999/6 < month ≤ 2000/5]) over synced cubes:"
     );
@@ -68,9 +70,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // sub-queries pull not-yet-migrated facts from ancestor cubes, so the
     // answer matches what a fully synchronized warehouse would give.
     let later = days_from_civil(2001, 1, 20);
-    let r_unsync = m.query_unsync(&q, later, true)?;
+    let r_unsync = m.view_set().query_unsync(&q, later, true)?;
     m.sync(later)?;
-    let r_synced = m.query(&q, later, true)?;
+    let r_synced = m.view_set().query(&q, later, true)?;
     let mut a: Vec<String> = r_unsync.facts().map(|f| r_unsync.render_fact(f)).collect();
     let mut b: Vec<String> = r_synced.facts().map(|f| r_synced.render_fact(f)).collect();
     a.sort();

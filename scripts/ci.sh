@@ -77,6 +77,17 @@ if [ "$protocols" -ne 5 ] || [ "$exhaustive" -ne 5 ]; then
   echo "  got $protocols protocols / $exhaustive exhaustive" >&2
   exit 1
 fi
+# Each protocol's schedule count is pinned to the value ROADMAP.md
+# records: a harness that explores more or fewer schedules than before
+# changed what it proves, even when it still finishes exhaustively.
+for pin in "epoch 149" "group-commit 73" "shard 52" "serve 51" "memo 288"; do
+  read -r proto want <<<"$pin"
+  if ! echo "$check_out" | grep -q "^check $proto: $want schedules explored"; then
+    echo "specdr check gate: protocol $proto no longer explores exactly $want schedules:" >&2
+    echo "$check_out" >&2
+    exit 1
+  fi
+done
 
 # Mutation gate: each protocol ships a named model-only failpoint that
 # re-introduces the exact bug the protocol prevents. `specdr check

@@ -14,9 +14,7 @@ use specdr::mdm::{render_table, MeasureId, TableOptions};
 use specdr::reduce::DataReductionSpec;
 use specdr::serve::QuerySpec;
 use specdr::spec::{explain_action, parse_actions};
-use specdr::subcube::{
-    read_manifest, AgeStats, Manifest, ShardRouter, SubcubeManager, WarehouseView,
-};
+use specdr::subcube::{read_manifest, AgeStats, Manifest, ShardRouter, WarehouseView};
 use specdr::workload::{
     generate, retention_policy, Clickstream, ClickstreamConfig, ACTION_A1, ACTION_A2,
 };
@@ -416,21 +414,21 @@ fn clickstream_schema() -> Arc<specdr::mdm::Schema> {
 
 /// Builds the synthetic warehouse `query` and `explain --query/--reduce`
 /// run against: `months` × `clicks`/day of click-stream facts
-/// bulk-loaded into a subcube manager under the 6/36-month retention
-/// policy.
-/// Returns the manager, the schema, `NOW` and the last loaded day.
+/// bulk-loaded into a one-shard in-memory warehouse under the
+/// 6/36-month retention policy.
+/// Returns the warehouse, the schema, `NOW` and the last loaded day.
 fn query_warehouse(
     opts: &Opts,
-) -> Result<(SubcubeManager, Arc<specdr::mdm::Schema>, i32, i32), AnyError> {
+) -> Result<(ShardRouter, Arc<specdr::mdm::Schema>, i32, i32), AnyError> {
     let syn = synthetic(opts, "24", "100")?;
     let now = match opts.value("--now") {
         Some(s) => parse_date(s)?,
         None => syn.end_day_plus(2),
     };
     let loaded_until = syn.end_day_plus(0);
-    let mgr = SubcubeManager::new(syn.spec);
-    mgr.bulk_load(&syn.cs.mo)?;
-    Ok((mgr, syn.cs.schema, now, loaded_until))
+    let router = ShardRouter::in_memory(syn.spec)?;
+    router.bulk_load(&syn.cs.mo)?;
+    Ok((router, syn.cs.schema, now, loaded_until))
 }
 
 /// The query the flags spell — `--where`, `--mode`, `--approach`,
@@ -459,11 +457,11 @@ fn print_introspection(r: &specdr::introspect::Introspection, opts: &Opts) -> Re
 
 /// `specdr explain --query` / `specdr explain --reduce`.
 fn cmd_explain_warehouse(opts: &Opts, reduce_pass: bool) -> Result<(), AnyError> {
-    let (mgr, schema, now, loaded_until) = query_warehouse(opts)?;
+    let (router, schema, now, loaded_until) = query_warehouse(opts)?;
     let report = if reduce_pass {
         // The one explainer, on the warehouse as loaded: never
         // synchronized, so the reduction homes every row in one step.
-        let (stats, report) = specdr::introspect::explain_age(&mgr, now)?;
+        let (stats, report) = specdr::introspect::explain_age(&router, now)?;
         if opts.value("--format").unwrap_or("table") == "table" {
             println!(
                 "reduction pass at NOW = {}: {}\n",
@@ -480,8 +478,9 @@ fn cmd_explain_warehouse(opts: &Opts, reduce_pass: bool) -> Result<(), AnyError>
         // with `--unsync` the warehouse stays where the loader left it
         // and the query ages its pinned view to `now` without publishing
         // anything.
-        mgr.sync(if spec.unsync { loaded_until } else { now }.min(now))?;
-        let (answer, report) = specdr::introspect::explain_query(&mgr, &q, now, true, spec.unsync)?;
+        router.sync(if spec.unsync { loaded_until } else { now }.min(now))?;
+        let (answer, report) =
+            specdr::introspect::explain_query(&router, &q, now, true, spec.unsync)?;
         if opts.value("--format").unwrap_or("table") == "table" {
             println!(
                 "query at NOW = {}: {} result rows\n",
@@ -497,9 +496,9 @@ fn cmd_explain_warehouse(opts: &Opts, reduce_pass: bool) -> Result<(), AnyError>
 /// Builds the warehouse `specdr age` operates on: click-stream facts
 /// under the retention policy (or `--spec-file`), baseline-synchronized
 /// to the end of the loaded data so the aging below is genuinely
-/// incremental. Returns the manager, the baseline day, and the default
-/// `--until` (two years past the data).
-fn aging_warehouse(opts: &Opts) -> Result<(SubcubeManager, i32, i32), AnyError> {
+/// incremental. Returns the one-shard in-memory warehouse, the baseline
+/// day, and the default `--until` (two years past the data).
+fn aging_warehouse(opts: &Opts) -> Result<(ShardRouter, i32, i32), AnyError> {
     let syn = synthetic(opts, "24", "50")?;
     let (baseline, default_until) = (syn.end_day_plus(0), syn.end_day_plus(2));
     let spec = match opts.value("--spec-file") {
@@ -510,10 +509,10 @@ fn aging_warehouse(opts: &Opts) -> Result<(SubcubeManager, i32, i32), AnyError> 
         }
         None => syn.spec,
     };
-    let mgr = SubcubeManager::new(spec);
-    mgr.bulk_load(&syn.cs.mo)?;
-    mgr.sync(baseline)?;
-    Ok((mgr, baseline, default_until))
+    let router = ShardRouter::in_memory(spec)?;
+    router.bulk_load(&syn.cs.mo)?;
+    router.sync(baseline)?;
+    Ok((router, baseline, default_until))
 }
 
 /// What a reduction did, as every command prints it.
@@ -524,40 +523,42 @@ fn age_line(s: &AgeStats) -> String {
     )
 }
 
-fn print_age_stats(t: i32, s: &AgeStats, mgr: &SubcubeManager) {
+fn print_age_stats(t: i32, s: &AgeStats, router: &ShardRouter) {
     println!(
         "aged to {}: {}; {} facts remain",
         render_date(t),
         age_line(s),
-        mgr.len()
+        router.len()
     );
 }
 
 /// `specdr age`: incremental continuous aging driven by the spec's
 /// transition-day schedule.
 fn cmd_age(opts: &Opts) -> Result<(), AnyError> {
-    let (mgr, baseline, _) = aging_warehouse(opts)?;
+    let (router, baseline, _) = aging_warehouse(opts)?;
     let until = match opts.value("--until") {
         Some(s) => parse_date(s)?,
         None => return Err("`specdr age` requires --until Y/M/D".into()),
     };
+    let set = router.view_set();
     println!(
         "warehouse: {} facts across {} cubes, synchronized to {}",
-        mgr.len(),
-        mgr.n_cubes(),
+        set.len(),
+        set.views()[0].cubes().len(),
         render_date(baseline)
     );
-    let stats = mgr.age(until)?;
-    print_age_stats(until, &stats, &mgr);
+    let stats = router.age(until)?;
+    print_age_stats(until, &stats, &router);
     if opts.switch("--follow") {
         let ticks: u32 = opts.value("--tick").unwrap_or("4").parse()?;
+        let spec = router.spec();
         let mut cur = until;
         for i in 1..=ticks {
-            match mgr.next_sync_due(cur) {
+            match spec.schedule().next_transition(cur) {
                 Some(t) => {
-                    let s = mgr.age(t)?;
+                    let s = router.age(t)?;
                     print!("tick {i}: ");
-                    print_age_stats(t, &s, &mgr);
+                    print_age_stats(t, &s, &router);
                     cur = t;
                 }
                 None => {
@@ -572,12 +573,12 @@ fn cmd_age(opts: &Opts) -> Result<(), AnyError> {
 
 /// `specdr explain --age`: introspect one incremental aging pass.
 fn cmd_explain_age(opts: &Opts) -> Result<(), AnyError> {
-    let (mgr, baseline, default_until) = aging_warehouse(opts)?;
+    let (router, baseline, default_until) = aging_warehouse(opts)?;
     let until = match opts.value("--until") {
         Some(s) => parse_date(s)?,
         None => default_until,
     };
-    let (stats, report) = specdr::introspect::explain_age(&mgr, until)?;
+    let (stats, report) = specdr::introspect::explain_age(&router, until)?;
     if opts.value("--format").unwrap_or("table") == "table" {
         println!(
             "aging pass {} → {}: {}\n",
@@ -687,16 +688,16 @@ fn cmd_lint(opts: &Opts) -> Result<(), AnyError> {
 /// NOW, answers the query the flags spell; without `--roll-up` it stays
 /// at bottom granularity, so the selected facts print as stored.
 fn cmd_query(opts: &Opts) -> Result<(), AnyError> {
-    let (mgr, schema, now, _) = query_warehouse(opts)?;
-    let loaded = mgr.len();
-    mgr.sync(now)?;
+    let (router, schema, now, _) = query_warehouse(opts)?;
+    let loaded = router.len();
+    router.sync(now)?;
     println!(
         "warehouse: {loaded} facts loaded → {} facts at NOW = {}",
-        mgr.len(),
+        router.len(),
         render_date(now)
     );
     let q = query_spec(opts, now, "").build(&schema)?;
-    let result = mgr.query(&q, now, true)?;
+    let result = router.view_set().query(&q, now, true)?;
     println!("\n{}", render_table(&result, TableOptions::default()));
     let total: i64 = result
         .facts()

@@ -1,17 +1,17 @@
 //! Closed-loop concurrent warehouse driver.
 //!
 //! One seeded writer thread applies a [`churn_script`] of bulk loads,
-//! syncs, and specification insert/delete to a shared
-//! [`SubcubeManager`], while `readers` threads continuously issue the
-//! Figure 5–9 query mix against whatever snapshot [`view()`] hands them.
-//! The writer retains the version each mutation leaves, every reader
-//! observation `(query, result digest)` the view it pinned (a
-//! reduction publishes once per transition day, so a reader can pin a
-//! version between two mutations); after the threads join, every
-//! observation is re-evaluated against its view, and a view of an epoch
-//! the writer retained must be that version — a mismatch is a *torn
-//! read*, a result that matches no published version of the warehouse.
-//! Under snapshot isolation the count must be zero.
+//! syncs, and specification insert/delete to a shared one-shard
+//! [`ShardRouter`] held [in memory](ShardRouter::in_memory), while
+//! `readers` threads continuously issue the Figure 5–9 query mix
+//! ([`serve::mix_specs`]) against whatever set [`view_set()`] hands
+//! them. The writer retains the set each mutation publishes; each reader
+//! records `(epoch, query, result digest)` exactly as a wire client of
+//! [`drive_socket`] does. After the threads join, every observation is
+//! re-evaluated against the retained set of its epoch — a missing epoch
+//! or another digest is a *torn read*, a result that matches no
+//! published version of the warehouse. Under snapshot isolation the
+//! count must be zero.
 //!
 //! The driver is deliberately deterministic on the writer side: the
 //! churn schedule and therefore the sequence of published epochs and
@@ -21,7 +21,7 @@
 //! makes any interleaving-visible inconsistency a test failure.
 //!
 //! [`churn_script`]: sdr_workload::churn_script
-//! [`view()`]: sdr_subcube::SubcubeManager::view
+//! [`view_set()`]: sdr_subcube::ShardRouter::view_set
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,10 +30,7 @@ use std::time::{Duration, Instant};
 
 use sdr_mdm::{calendar::days_from_civil, DayNum, Mo};
 use sdr_reduce::DataReductionSpec;
-use sdr_subcube::{
-    CubeQuery, OpOutcome, ShardRouter, ShardViewSet, SubcubeError, SubcubeManager, WarehouseOp,
-    WarehouseView,
-};
+use sdr_subcube::{ShardRouter, ShardViewSet, SubcubeError, WarehouseOp, WarehouseView};
 use sdr_workload::{churn_script, ChurnOp, SplitMix64};
 
 use crate::serve;
@@ -61,17 +58,6 @@ impl Default for DriveConfig {
             min_queries_per_reader: 40,
         }
     }
-}
-
-/// One reader observation: which query ran against which published
-/// version and what the result's content digest was.
-#[derive(Clone)]
-struct Observation {
-    view: WarehouseView,
-    query: usize,
-    unsync: bool,
-    now: DayNum,
-    digest: u64,
 }
 
 /// The outcome of a driver run.
@@ -138,48 +124,82 @@ fn view_digest(v: &WarehouseView) -> u64 {
     h
 }
 
-/// The Figure 5–9 mix ([`serve::mix_specs`]) built against `schema`; a
-/// built query depends on neither `now` nor the sync state.
-fn built_mix(schema: &Arc<sdr_mdm::Schema>) -> Vec<CubeQuery> {
-    let build = |s: &serve::QuerySpec| s.build(schema).expect("the mix builds on the paper schema");
-    serve::mix_specs(0, false).iter().map(build).collect()
-}
-
 /// The fixed evaluation days readers draw `NOW` from (results differ per
 /// day, so each observation records which one it used).
 fn query_days() -> [DayNum; 3] {
     [(2000, 9, 15), (2001, 6, 15), (2002, 3, 1)].map(|(y, m, d)| days_from_civil(y, m, d))
 }
 
-fn run_query(
-    view: &WarehouseView,
-    q: &CubeQuery,
-    now: DayNum,
+/// One reader observation, in-process or parsed out of a query response
+/// frame: which mix query ran at which `NOW` and sync state against the
+/// set of which epoch, and the result's content digest.
+#[derive(Debug, Clone, Copy)]
+struct Observation {
+    epoch: u64,
+    query: usize,
     unsync: bool,
-    parallel: bool,
-) -> Result<Mo, SubcubeError> {
-    if unsync {
-        view.query_unsync(q, now, parallel)
-    } else {
-        view.query(q, now, parallel)
+    now: DayNum,
+    digest: u64,
+}
+
+impl Observation {
+    /// A reader's next request, drawn from `rng`: the query's `NOW`, its
+    /// sync state and its index in the mix; `epoch` and `digest` are
+    /// filled in from the answer.
+    fn draw(rng: &mut SplitMix64) -> Observation {
+        let days = query_days();
+        let now = days[rng.below(days.len() as u64) as usize];
+        let unsync = rng.below(2) == 0;
+        let query = rng.below(serve::mix_specs(now, unsync).len() as u64) as usize;
+        Observation {
+            epoch: 0,
+            query,
+            unsync,
+            now,
+            digest: 0,
+        }
+    }
+
+    /// The request's query spec.
+    fn spec(&self) -> serve::QuerySpec {
+        serve::mix_specs(self.now, self.unsync).swap_remove(self.query)
     }
 }
 
-/// Applies one churn op through `apply` — [`SubcubeManager::apply`] for
-/// the in-process loop, [`ShardRouter::apply`] for the socket one.
-/// `Ok(true)` when the op published a new version, `Ok(false)` when the
-/// warehouse rejected it (legal, nothing published).
-fn apply_churn(
-    apply: impl FnOnce(&WarehouseOp) -> Result<OpOutcome, SubcubeError>,
-    op: &ChurnOp,
-) -> Result<bool, SubcubeError> {
+/// The torn-read audit both drivers share: each observation's query is
+/// rebuilt from the same textual spec the reader sent (one compiler,
+/// [`serve::QuerySpec::build`], so digests compare directly) and
+/// evaluated sequentially on the retained set of the epoch it claims. An
+/// epoch the writer never published, or another digest, is a torn read.
+fn torn_reads<'a>(
+    schema: &Arc<sdr_mdm::Schema>,
+    published: &[Arc<ShardViewSet>],
+    observations: impl IntoIterator<Item = &'a Observation>,
+) -> usize {
+    let by_epoch: std::collections::HashMap<u64, &Arc<ShardViewSet>> =
+        published.iter().map(|v| (v.epoch(), v)).collect();
+    let torn = |ob: &&Observation| {
+        let expect = by_epoch.get(&ob.epoch).and_then(|set| {
+            let spec = ob.spec();
+            let q = spec.build(schema).ok()?;
+            spec.eval(&q, set, false).ok()
+        });
+        expect.is_none_or(|mo| result_digest(&mo) != ob.digest)
+    };
+    observations.into_iter().filter(torn).count()
+}
+
+/// Applies one churn op to `router`. `Ok(true)` when the op published a
+/// new version, `Ok(false)` when the warehouse rejected it (legal,
+/// nothing published).
+fn apply_churn(router: &ShardRouter, op: &ChurnOp) -> Result<bool, SubcubeError> {
     let op = match op {
         ChurnOp::Load(mo) => WarehouseOp::BulkLoad(mo.clone()),
         ChurnOp::Sync(t) => WarehouseOp::Sync(*t),
         ChurnOp::SpecInsert(a) => WarehouseOp::SpecInsert(vec![a.clone()]),
         ChurnOp::SpecDelete(id, t) => WarehouseOp::SpecDelete(vec![*id], *t),
     };
-    match apply(&op) {
+    match router.apply(&op) {
         Ok(_) => Ok(true),
         // Spec-evolution rejections are part of a legal schedule; any
         // other error is a real failure the driver must surface.
@@ -189,10 +209,10 @@ fn apply_churn(
 }
 
 /// What one run of the [`closed_loop`] leaves for its audit.
-struct LoopRun<V, R> {
-    /// The version before the first op, then the version each op that
-    /// published left, in publication order.
-    published: Vec<V>,
+struct LoopRun<R> {
+    /// The set before the first op, then the set each op that published,
+    /// in publication order.
+    published: Vec<Arc<ShardViewSet>>,
     /// What each reader returned, in reader order.
     readers: Vec<R>,
     mutations_ok: usize,
@@ -202,23 +222,22 @@ struct LoopRun<V, R> {
 /// The closed loop both drivers run. `readers` threads each run
 /// `reader(r, go)`, querying while `go(n)` holds for the `n` queries
 /// issued so far: until the writer is done, then down to `min_queries`.
-/// The calling thread is the writer: it applies `script` through
-/// `apply` and keeps `version()` after every op that published.
-fn closed_loop<V, R: Send>(
+/// The calling thread is the writer: it applies `script` to `router`
+/// and keeps the published set after every op that published.
+fn closed_loop<R: Send>(
+    router: &ShardRouter,
     readers: usize,
     min_queries: usize,
     script: &[ChurnOp],
-    apply: impl Fn(&WarehouseOp) -> Result<OpOutcome, SubcubeError>,
-    version: impl Fn() -> V,
     reader: impl Fn(usize, &dyn Fn(usize) -> bool) -> R + Sync,
-) -> Result<LoopRun<V, R>, SubcubeError> {
+) -> Result<LoopRun<R>, SubcubeError> {
     let done = AtomicBool::new(false);
     // Acquire: pairs with the writer's Release store so a reader that
     // sees `done` also sees the final publish.
     let go = |n: usize| !done.load(Ordering::Acquire) || n < min_queries;
-    // The writer is the only mutator, so the version read right after a
+    // The writer is the only mutator, so the set read right after a
     // successful op is exactly the one that op published.
-    let mut published = vec![version()];
+    let mut published = vec![router.view_set()];
     let (mut mutations_ok, mut mutations_rejected) = (0, 0);
     let mut writer_err = None;
     let outputs = std::thread::scope(|s| {
@@ -229,10 +248,10 @@ fn closed_loop<V, R: Send>(
             })
             .collect();
         for op in script {
-            match apply_churn(&apply, op) {
+            match apply_churn(router, op) {
                 Ok(true) => {
                     mutations_ok += 1;
-                    published.push(version());
+                    published.push(router.view_set());
                 }
                 Ok(false) => mutations_rejected += 1,
                 Err(e) => {
@@ -260,39 +279,30 @@ fn closed_loop<V, R: Send>(
     }
 }
 
-/// Runs the closed loop against a fresh warehouse seeded with the paper
-/// spec: writer churn + `cfg.readers` reader threads, then the torn-read
-/// audit. See the module docs for the guarantees checked.
+/// Runs the closed loop against a fresh one-shard in-memory warehouse
+/// under `spec`: writer churn + `cfg.readers` reader threads, then the
+/// torn-read audit. See the module docs for the guarantees checked.
 pub fn drive(spec: DataReductionSpec, cfg: &DriveConfig) -> Result<DriveReport, SubcubeError> {
-    let schema = Arc::clone(spec.schema());
-    let m = SubcubeManager::new(spec);
+    let router = ShardRouter::in_memory(spec)?;
+    let schema = Arc::clone(router.schema());
     let script = churn_script(&schema, cfg.seed, cfg.steps);
-    let query_days = query_days();
     let run = closed_loop(
+        &router,
         cfg.readers,
         cfg.min_queries_per_reader,
         &script,
-        |op| m.apply(op),
-        || m.view(),
         |r, go| {
             let mut rng = SplitMix64(cfg.seed ^ 0x5EAD ^ (r as u64).wrapping_mul(0x9E37_79B9));
-            let mix = built_mix(m.schema());
             let mut local = Vec::new();
             let mut n = 0usize;
             while go(n) {
-                let qi = rng.below(mix.len() as u64) as usize;
-                let now = query_days[rng.below(query_days.len() as u64) as usize];
-                let unsync = rng.below(2) == 0;
-                let parallel = rng.below(2) == 0;
-                let view = m.view();
-                if let Ok(res) = run_query(&view, &mix[qi], now, unsync, parallel) {
-                    local.push(Observation {
-                        view,
-                        query: qi,
-                        unsync,
-                        now,
-                        digest: result_digest(&res),
-                    });
+                let mut ob = Observation::draw(&mut rng);
+                let spec = ob.spec();
+                let set = router.view_set();
+                let res = spec.build(&schema).ok().map(|q| spec.eval(&q, &set, true));
+                if let Some(Ok(res)) = res {
+                    (ob.epoch, ob.digest) = (set.epoch(), result_digest(&res));
+                    local.push(ob);
                 }
                 n += 1;
             }
@@ -300,32 +310,13 @@ pub fn drive(spec: DataReductionSpec, cfg: &DriveConfig) -> Result<DriveReport, 
         },
     )?;
 
-    // Audit: re-evaluate every observation against the view it pinned.
-    // Sequential evaluation (parallel=false) is the reference; the
-    // digest is order-insensitive so it matches both.
     let observations: Vec<Observation> = run.readers.into_iter().flatten().collect();
-    let mix0 = built_mix(&schema);
+    let torn = torn_reads(&schema, &run.published, &observations);
     let published: Vec<(u64, u64)> = run
         .published
         .iter()
-        .map(|v| (v.epoch(), view_digest(v)))
+        .map(|v| (v.epoch(), set_digest(v)))
         .collect();
-    let by_epoch: std::collections::HashMap<u64, u64> = published.iter().copied().collect();
-    let last_epoch = published.last().map_or(0, |&(e, _)| e);
-    let mut torn = 0usize;
-    for ob in &observations {
-        let epoch = ob.view.epoch();
-        // An epoch past the last mutation's was never published; one the
-        // writer retained must be the version the writer saw.
-        let retained = by_epoch.get(&epoch);
-        let was_published =
-            epoch <= last_epoch && retained.is_none_or(|d| *d == view_digest(&ob.view));
-        match run_query(&ob.view, &mix0[ob.query], ob.now, ob.unsync, false) {
-            Ok(expect) if was_published && result_digest(&expect) == ob.digest => {}
-            _ => torn += 1,
-        }
-    }
-
     let mut schedule_digest: u64 = 0xcbf2_9ce4_8422_2325;
     for &(e, d) in &published {
         schedule_digest ^= e.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ d;
@@ -414,20 +405,10 @@ fn set_digest(set: &ShardViewSet) -> u64 {
     h
 }
 
-/// One wire observation, as parsed out of a query response frame.
-#[derive(Debug, Clone, Copy)]
-struct WireObservation {
-    epoch: u64,
-    query: usize,
-    unsync: bool,
-    now: DayNum,
-    digest: u64,
-}
-
 /// What one socket client saw.
 #[derive(Default)]
 struct ClientRun {
-    observations: Vec<WireObservation>,
+    observations: Vec<Observation>,
     latency_ns: Vec<u64>,
     proto_errors: usize,
     transport_errors: usize,
@@ -451,13 +432,11 @@ pub fn drive_socket(
 ) -> Result<SocketDriveReport, SubcubeError> {
     let schema = Arc::clone(router.schema());
     let script = churn_script(&schema, cfg.seed, cfg.steps);
-    let query_days = query_days();
     let run = closed_loop(
+        &router,
         cfg.clients,
         cfg.min_queries_per_client,
         &script,
-        |op| router.apply(op),
-        || router.view_set(),
         |c, go| {
             let mut rng = SplitMix64(cfg.seed ^ 0x50C4E7 ^ (c as u64).wrapping_mul(0x9E37_79B9));
             let mut out = ClientRun::default();
@@ -467,11 +446,8 @@ pub fn drive_socket(
             };
             let mut n = 0usize;
             while go(n) {
-                let now = query_days[rng.below(query_days.len() as u64) as usize];
-                let unsync = rng.below(2) == 0;
-                let mix = serve::mix_specs(now, unsync);
-                let qi = rng.below(mix.len() as u64) as usize;
-                let payload = serve::query_payload(&mix[qi]);
+                let mut ob = Observation::draw(&mut rng);
+                let payload = serve::query_payload(&ob.spec());
                 let t0 = Instant::now();
                 let Ok(resp) = serve::request_on(&stream, &payload, cfg.timeout) else {
                     out.transport_errors += 1;
@@ -479,13 +455,10 @@ pub fn drive_socket(
                 };
                 out.latency_ns.push(t0.elapsed().as_nanos() as u64);
                 match parse_query_response(&resp) {
-                    Some((epoch, digest)) => out.observations.push(WireObservation {
-                        epoch,
-                        query: qi,
-                        unsync,
-                        now,
-                        digest,
-                    }),
+                    Some((epoch, digest)) => {
+                        (ob.epoch, ob.digest) = (epoch, digest);
+                        out.observations.push(ob);
+                    }
                     None => out.proto_errors += 1,
                 }
                 n += 1;
@@ -494,12 +467,7 @@ pub fn drive_socket(
         },
     )?;
 
-    // Audit: rebuild each query from the same textual spec the client
-    // sent and evaluate it against the retained set of the epoch the
-    // response claimed — the daemon and the audit share one compiler
-    // ([`serve::QuerySpec::build`]), so digests are directly comparable.
-    let by_epoch: std::collections::HashMap<u64, &Arc<ShardViewSet>> =
-        run.published.iter().map(|v| (v.epoch(), v)).collect();
+    let observations = run.readers.iter().flat_map(|c| &c.observations);
     let mut report = SocketDriveReport {
         published: run
             .published
@@ -507,7 +475,7 @@ pub fn drive_socket(
             .map(|v| (v.epoch(), set_digest(v)))
             .collect(),
         observations: 0,
-        torn_reads: 0,
+        torn_reads: torn_reads(&schema, &run.published, observations),
         mutations_ok: run.mutations_ok,
         mutations_rejected: run.mutations_rejected,
         proto_errors: 0,
@@ -515,16 +483,6 @@ pub fn drive_socket(
         latency_ns: Vec::new(),
     };
     for client in run.readers {
-        for ob in &client.observations {
-            let expect = by_epoch.get(&ob.epoch).and_then(|set| {
-                let spec = serve::mix_specs(ob.now, ob.unsync).swap_remove(ob.query);
-                let q = spec.build(&schema).ok()?;
-                spec.eval(&q, set, false).ok()
-            });
-            if expect.is_none_or(|mo| result_digest(&mo) != ob.digest) {
-                report.torn_reads += 1;
-            }
-        }
         report.observations += client.observations.len();
         report.proto_errors += client.proto_errors;
         report.transport_errors += client.transport_errors;

@@ -22,7 +22,8 @@ use std::sync::Arc;
 
 use sdr_mdm::{DayNum, Mo};
 use sdr_obs::Snapshot;
-use sdr_subcube::{AgeStats, CubeQuery, SubcubeError, SubcubeManager};
+use sdr_query::QueryError;
+use sdr_subcube::{AgeStats, CubeQuery, ShardRouter, ShardViewSet, SubcubeError, WarehouseView};
 
 /// One cube of the warehouse DAG, annotated for explain output.
 #[derive(Debug, Clone)]
@@ -37,7 +38,7 @@ pub struct CubeReport {
     pub rows: u64,
     /// Resident bytes of the cube's columnar store.
     pub bytes: u64,
-    /// Warehouse epoch at which the cube's facts last changed.
+    /// Shard version epoch at which the cube's facts last changed.
     pub epoch: u64,
     /// Distinct direct values per dimension (schema order).
     pub distinct: Vec<u32>,
@@ -89,7 +90,10 @@ pub struct Introspection {
     pub op: String,
     /// The `NOW` the operation ran at.
     pub now: DayNum,
-    /// The warehouse epoch after the operation.
+    /// The shard's version epoch after the operation: the shard
+    /// publishes one version per reduction step, on the same clock as
+    /// the cubes' `epoch`s. It is not the router's set epoch (one per
+    /// operation) that `serve`'s explain and `specdr concurrent` print.
     pub epoch: u64,
     /// Rows in the operation's result (query answer or post-reduction
     /// total).
@@ -147,9 +151,23 @@ fn phases_of(snap: &Snapshot) -> Vec<PhaseReport> {
     by_path.into_values().collect()
 }
 
+/// The one shard's view of `set`: the subcube DAG an explain annotates
+/// is a shard's, so a warehouse of several shards is refused with a
+/// typed error rather than reported as one of its shards.
+fn sole_view(set: &ShardViewSet) -> Result<WarehouseView, SubcubeError> {
+    match set.views() {
+        [one] => Ok(one.clone()),
+        views => Err(QueryError::Unsupported(format!(
+            "explain annotates one shard's subcube DAG; the warehouse has {} shards",
+            views.len()
+        ))
+        .into()),
+    }
+}
+
 /// The DAG skeleton: every cube with its maintained stats, not yet
 /// annotated with scan results.
-fn dag_of(view: &sdr_subcube::WarehouseView) -> Vec<CubeReport> {
+fn dag_of(view: &WarehouseView) -> Vec<CubeReport> {
     let schema = Arc::clone(view.schema());
     view.cubes()
         .iter()
@@ -182,8 +200,10 @@ fn dag_of(view: &sdr_subcube::WarehouseView) -> Vec<CubeReport> {
         .collect()
 }
 
-/// Explains a query: evaluates `q` on the manager's current view with
-/// tracing on and returns the answer plus the annotated report.
+/// Explains a query: evaluates `q` on the one-shard warehouse's current
+/// view with tracing on and returns the answer plus the annotated
+/// report; a warehouse of several shards is a
+/// [`QueryError::Unsupported`] error.
 /// Scanned/output counts per cube come from the `subcube.query.subquery`
 /// span attributes; a scanned cube that contributed no rows is marked
 /// skippable. Each cube also carries the planner's verdict (scan with a
@@ -198,21 +218,21 @@ fn dag_of(view: &sdr_subcube::WarehouseView) -> Vec<CubeReport> {
 /// `subcube.query.virtual_age` span, which the table and JSON renderings
 /// show as the memo line.
 pub fn explain_query(
-    mgr: &SubcubeManager,
+    router: &ShardRouter,
     q: &CubeQuery,
     now: DayNum,
     parallel: bool,
     unsync: bool,
 ) -> Result<(Mo, Introspection), SubcubeError> {
-    let ((pinned, view, answer), snap) = recorded(|| {
-        let pinned = mgr.view();
+    let pinned = sole_view(&router.view_set())?;
+    let ((view, answer), snap) = recorded(|| {
         let view = if unsync {
             pinned.virtual_age(now)?.0
         } else {
             pinned.clone()
         };
         let answer = view.query(q, now, parallel)?;
-        Ok((pinned, view, answer))
+        Ok((view, answer))
     })?;
     let mut cubes = dag_of(&view);
     annotate_query_scans(&mut cubes, &snap);
@@ -279,21 +299,25 @@ fn annotate_plan(cubes: &mut [CubeReport], plan: &sdr_plan::QueryPlan) {
     }
 }
 
-/// Explains a reduction: runs [`SubcubeManager::age`] to `until` with
-/// tracing on and reports the DAG it leaves. The phase table lists the
+/// Explains a reduction: runs [`ShardRouter::age`] to `until` on a
+/// one-shard warehouse with tracing on and reports the DAG it leaves (a
+/// warehouse of several shards is a [`QueryError::Unsupported`] error,
+/// and nothing is aged). The phase table lists the
 /// steps (`subcube.age.tick`, one per transition day or one homing-only
-/// step) with their summed `rows_in`/`rows_out` — on a warehouse never
+/// step) under the router's `shard.age` with their summed
+/// `rows_in`/`rows_out` — on a warehouse never
 /// synchronized the one step examines every row, on a synchronized one
 /// only what the transitions touch. The schedule the steps follow was
 /// analyzed when the specification was built (`reduce.analyze`), before
 /// this recording, so no scheduling phase appears. Every cube counts as
 /// scanned; `rows_out` is each cube's row count afterwards.
 pub fn explain_age(
-    mgr: &SubcubeManager,
+    router: &ShardRouter,
     until: DayNum,
 ) -> Result<(AgeStats, Introspection), SubcubeError> {
-    let (stats, snap) = recorded(|| mgr.age(until))?;
-    let view = mgr.view();
+    sole_view(&router.view_set())?;
+    let (stats, snap) = recorded(|| router.age(until))?;
+    let view = sole_view(&router.view_set())?;
     let mut cubes = dag_of(&view);
     for c in &mut cubes {
         c.scanned = true;
@@ -478,12 +502,12 @@ impl Introspection {
             ));
         }
         out.push_str(&format!(
-            "\nphases:\n  {:<52} {:>6} {:>10} {:>10} {:>10}\n",
+            "\nphases:\n  {:<62} {:>6} {:>10} {:>10} {:>10}\n",
             "path", "count", "time", "rows_in", "rows_out"
         ));
         for p in &self.phases {
             out.push_str(&format!(
-                "  {:<52} {:>6} {:>10} {:>10} {:>10}\n",
+                "  {:<62} {:>6} {:>10} {:>10} {:>10}\n",
                 p.path,
                 p.count,
                 fmt_ns(p.total_ns),
@@ -507,25 +531,25 @@ mod tests {
     use sdr_query::{AggApproach, SelectMode};
     use sdr_reduce::DataReductionSpec;
     use sdr_spec::parse_action;
+    use sdr_storage::fs::MemFs;
     use sdr_workload::{paper_mo, ACTION_A1, ACTION_A2};
 
-    /// The tests toggle the process-global registry; serialize them.
-    static REGISTRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn warehouse() -> SubcubeManager {
+    fn warehouse(shards: usize) -> ShardRouter {
         let (mo, _) = paper_mo();
         let schema = Arc::clone(mo.schema());
         let a1 = parse_action(&schema, ACTION_A1).unwrap();
         let a2 = parse_action(&schema, ACTION_A2).unwrap();
-        let m = SubcubeManager::new(DataReductionSpec::new(schema, vec![a1, a2]).unwrap());
-        m.bulk_load(&paper_mo().0).unwrap();
-        m
+        let spec = DataReductionSpec::new(schema, vec![a1, a2]).unwrap();
+        let dir = std::path::Path::new("/w");
+        let w = ShardRouter::create_with_fs(spec, dir, shards, MemFs::shared()).unwrap();
+        w.bulk_load(&mo).unwrap();
+        w
     }
 
     #[test]
     fn explain_query_annotates_every_cube_and_restores_registry() {
-        let _g = REGISTRY.lock().unwrap();
-        let m = warehouse();
+        let _g = crate::OBS_REGISTRY.lock().unwrap();
+        let m = warehouse(1);
         let now = days_from_civil(2000, 11, 5);
         m.sync(now).unwrap();
         sdr_obs::set_enabled(false);
@@ -539,7 +563,7 @@ mod tests {
         assert!(!sdr_obs::enabled(), "registry state restored");
         assert_eq!(report.op, "query");
         assert_eq!(report.result_rows, answer.len() as u64);
-        assert_eq!(report.cubes.len(), m.n_cubes());
+        assert_eq!(report.cubes.len(), m.view_set().views()[0].cubes().len());
         for c in &report.cubes {
             // Every cube is either evaluated or provably irrelevant —
             // and the planner's verdict agrees with what actually ran.
@@ -569,34 +593,56 @@ mod tests {
 
     #[test]
     fn explain_age_reports_phase_breakdown() {
-        let _g = REGISTRY.lock().unwrap();
-        let m = warehouse();
+        let _g = crate::OBS_REGISTRY.lock().unwrap();
+        let m = warehouse(1);
         let now = days_from_civil(2000, 6, 5);
         let loaded = m.len();
         let (stats, report) = explain_age(&m, now).unwrap();
         assert_eq!(report.op, "age");
         assert!(stats.cells_delta > 0);
         let paths: Vec<&str> = report.phases.iter().map(|p| p.path.as_str()).collect();
-        assert!(paths.contains(&"subcube.age"), "{paths:?}");
+        assert!(paths.contains(&"shard.age/subcube.age"), "{paths:?}");
         // The span attributes agree with the stats the call returned:
         // the one step of a never-synchronized warehouse examines every
         // loaded fact, the outer span stamps the warehouse total after.
         let tick = report
             .phases
             .iter()
-            .find(|p| p.path == "subcube.age/subcube.age.tick")
+            .find(|p| p.path == "shard.age/subcube.age/subcube.age.tick")
             .unwrap_or_else(|| panic!("{paths:?}"));
         assert_eq!((tick.count, tick.rows_in), (1, loaded as u64));
         assert_eq!(stats.rows_homed, loaded);
         let age = report
             .phases
             .iter()
-            .find(|p| p.path == "subcube.age")
+            .find(|p| p.path == "shard.age/subcube.age")
             .unwrap();
         assert_eq!(age.rows_out, report.result_rows);
         assert_eq!(
             report.cubes.iter().map(|c| c.rows).sum::<u64>(),
             report.result_rows
         );
+    }
+
+    #[test]
+    fn explain_refuses_a_warehouse_of_several_shards() {
+        let _g = crate::OBS_REGISTRY.lock().unwrap();
+        let m = warehouse(2);
+        let now = days_from_civil(2000, 11, 5);
+        let q = CubeQuery {
+            pred: None,
+            mode: SelectMode::Conservative,
+            levels: m.schema().bottom_granularity().0,
+            approach: AggApproach::Availability,
+        };
+        let refused = |e: SubcubeError| {
+            assert!(
+                matches!(e, SubcubeError::Query(QueryError::Unsupported(_))),
+                "{e}"
+            )
+        };
+        refused(explain_query(&m, &q, now, true, false).unwrap_err());
+        refused(explain_age(&m, now).unwrap_err());
+        assert_eq!(m.last_sync(), None, "a refused explain ages nothing");
     }
 }

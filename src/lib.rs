@@ -57,3 +57,8 @@ const _: () = assert!(
     !sdr_sync::MODEL_COMPILED,
     "the sdr-sync `model` feature leaked into a build without `check`"
 );
+
+/// The unit tests that toggle the process-global `sdr-obs` registry
+/// serialize on this.
+#[cfg(test)]
+static OBS_REGISTRY: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -496,7 +496,7 @@ fn handle_request(router: &ShardRouter, payload: &[u8]) -> Vec<u8> {
             .and_then(|spec| Ok((spec.build(router.schema())?, spec)))
             .map_err(|e| (ERR_BAD_REQUEST, e))
             .and_then(|(q, spec)| match tag {
-                REQ_QUERY => run_query(router, &spec, &q),
+                REQ_QUERY => run_query(router, &router.view_set(), &spec, &q),
                 _ => run_explain(router, &spec, &q),
             }),
         other => Err((
@@ -522,15 +522,22 @@ fn handle_request(router: &ShardRouter, payload: &[u8]) -> Vec<u8> {
 /// the full result.
 const ROWS_CAP: usize = 500;
 
+/// Answers `q` from `set`, the set the request pinned. The answer is
+/// consistent whatever the writer does meanwhile (it saw one whole
+/// set), but when a newer set was published while it ran the read was
+/// stale: a traced run counts it as `subcube.query.stale_reads`.
 fn run_query(
     router: &ShardRouter,
+    set: &ShardViewSet,
     spec: &QuerySpec,
     q: &CubeQuery,
 ) -> Result<String, (u8, String)> {
-    let set = router.view_set();
     let res = spec
-        .eval(q, &set, true)
+        .eval(q, set, true)
         .map_err(|e| (ERR_INTERNAL, e.to_string()))?;
+    if sdr_obs::enabled() && router.view_set().epoch() > set.epoch() {
+        sdr_obs::inc("subcube.query.stale_reads");
+    }
     // Rendered and sorted once: the digest folds the rows the body lists.
     let rows = crate::driver::sorted_rows([&res]);
     let mut body = format!(
@@ -647,4 +654,39 @@ pub fn explain_payload(spec: &QuerySpec) -> Vec<u8> {
     let mut p = vec![REQ_EXPLAIN];
     p.extend_from_slice(spec.encode().as_bytes());
     p
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sdr_mdm::calendar::days_from_civil;
+    use sdr_reduce::DataReductionSpec;
+    use sdr_spec::parse_action;
+    use sdr_workload::{paper_mo, ACTION_A1, ACTION_A2};
+
+    #[test]
+    fn a_query_on_a_superseded_set_counts_one_stale_read() {
+        let _g = crate::OBS_REGISTRY.lock().unwrap();
+        let (mo, _) = paper_mo();
+        let schema = Arc::clone(mo.schema());
+        let actions = [ACTION_A1, ACTION_A2].map(|a| parse_action(&schema, a).unwrap());
+        let spec = DataReductionSpec::new(Arc::clone(&schema), actions.to_vec()).unwrap();
+        let router = ShardRouter::in_memory(spec).unwrap();
+        router.bulk_load(&mo.gather(&[0, 1, 2])).unwrap();
+        let spec = baseline_spec(days_from_civil(2000, 11, 5));
+        let q = spec.build(&schema).unwrap();
+        let was_enabled = sdr_obs::enabled();
+        sdr_obs::set_enabled(true);
+        sdr_obs::reset();
+        let stale = || sdr_obs::snapshot().counter("subcube.query.stale_reads");
+        let pinned = router.view_set();
+        router.bulk_load(&mo.gather(&[3])).unwrap();
+        run_query(&router, &pinned, &spec, &q).unwrap();
+        let after_old = stale();
+        run_query(&router, &router.view_set(), &spec, &q).unwrap();
+        let after_fresh = stale();
+        sdr_obs::set_enabled(was_enabled);
+        assert_eq!(after_old, Some(1), "the superseded set's read is stale");
+        assert_eq!(after_fresh, Some(1), "the fresh set's read is not");
+    }
 }

@@ -1,5 +1,5 @@
 //! Continuous-aging suite: the scheduler and the reduction step
-//! (`ReductionSchedule` + `SubcubeManager::age`) proven equal to
+//! (`ReductionSchedule` + `ShardRouter::age`) proven equal to
 //! Definition 2 over the raw facts (`reduce`, which shares no code with
 //! the step) at every tick.
 //!
@@ -33,7 +33,7 @@ use specdr::mdm::{DayNum, Schema};
 use specdr::prover::Region;
 use specdr::reduce::{reduce, reduce_naive, DataReductionSpec, ReductionSchedule};
 use specdr::spec::{eval_pred, ground_conj, parse_action, parse_actions, step_days, to_dnf, Pexp};
-use specdr::subcube::{SubcubeManager, SubcubeStats};
+use specdr::subcube::{ShardRouter, SubcubeStats, WarehouseView};
 use specdr::workload::{
     aging_script, daily_script, generate, paper_mo, ClickstreamConfig, DailyOp, ACTION_A1,
     ACTION_A2,
@@ -55,17 +55,27 @@ fn paper_spec() -> (DataReductionSpec, specdr::mdm::Mo) {
     (DataReductionSpec::new(schema, vec![a1, a2]).unwrap(), mo)
 }
 
-/// `m` holds Definition 2's reduction of `raw` at `t`.
-fn assert_reduced(m: &SubcubeManager, raw: &specdr::mdm::Mo, t: DayNum, ctx: &str) {
-    assert_eq!(m.last_sync(), Some(t), "{ctx}");
-    common::assert_holds(&[m.view()], &reduce(raw, &m.spec(), t).unwrap(), ctx);
+/// A one-shard warehouse under `spec`, in memory.
+fn warehouse(spec: &DataReductionSpec) -> ShardRouter {
+    ShardRouter::in_memory(spec.clone()).unwrap()
+}
+
+/// The one shard's published view.
+fn view(w: &ShardRouter) -> WarehouseView {
+    w.view_set().views()[0].clone()
+}
+
+/// `w` holds Definition 2's reduction of `raw` at `t`.
+fn assert_reduced(w: &ShardRouter, raw: &specdr::mdm::Mo, t: DayNum, ctx: &str) {
+    assert_eq!(w.last_sync(), Some(t), "{ctx}");
+    common::assert_holds(&[view(w)], &reduce(raw, &w.spec(), t).unwrap(), ctx);
 }
 
 /// Per-subcube stats with the epoch stamp masked: an aged warehouse
 /// carries untouched cubes forward without republishing them, so their
 /// `last_epoch` legitimately differs between two ways of getting there.
-fn masked_stats(m: &SubcubeManager) -> Vec<SubcubeStats> {
-    m.view()
+fn masked_stats(w: &ShardRouter) -> Vec<SubcubeStats> {
+    view(w)
         .cubes()
         .iter()
         .map(|c| {
@@ -251,21 +261,23 @@ fn scheduler_answers_what_the_step_day_scan_answered() {
         let scan = step_day_scan(&spec, (lo, hi));
         assert!(scan.len() > 20, "{name}: {} step days", scan.len());
         let due_after = |d: DayNum| scan.iter().copied().find(|&t| t > d);
-        let m = SubcubeManager::new(spec);
+        let w = warehouse(&spec);
         for d in lo..=hi {
-            assert_eq!(m.next_sync_due(d), due_after(d), "{name} day {d}");
-            m.sync(d).unwrap();
+            assert_eq!(view(&w).next_sync_due(d), due_after(d), "{name} day {d}");
+            w.sync(d).unwrap();
+            let v = view(&w);
             for ahead in [1, 40].into_iter().filter(|a| d + a <= hi) {
                 let want = due_after(d).is_some_and(|t| t <= d + ahead);
-                assert_eq!(m.needs_sync(d + ahead), want, "{name} {d}+{ahead}");
+                assert_eq!(v.needs_sync(d + ahead), want, "{name} {d}+{ahead}");
             }
-            assert!(!m.needs_sync(d - 5), "{name}: before the watermark");
+            assert!(!v.needs_sync(d - 5), "{name}: before the watermark");
         }
-        assert_eq!(m.next_sync_due(lo - 400), scan.first().copied());
+        let v = view(&w);
+        assert_eq!(v.next_sync_due(lo - 400), scan.first().copied());
         assert!(scan[0] > lo, "{name}: a due day at or before the horizon");
         for past in [hi, hi + 1, hi + 4000] {
-            assert_eq!(m.next_sync_due(past), None, "{name} day {past}");
-            assert!(!m.needs_sync(past), "{name} day {past}");
+            assert_eq!(v.next_sync_due(past), None, "{name} day {past}");
+            assert!(!v.needs_sync(past), "{name} day {past}");
         }
     }
 }
@@ -277,7 +289,7 @@ fn differential_run(seed: u64) {
     let script = aging_script(seed);
     let schema = Arc::clone(&script.cs.schema);
     let spec = spec_from_sources(&schema, &script.actions);
-    let aged = SubcubeManager::new(spec.clone());
+    let aged = warehouse(&spec);
     aged.bulk_load(&script.cs.mo).unwrap();
     aged.sync(script.data_end).unwrap();
 
@@ -297,7 +309,7 @@ fn differential_run(seed: u64) {
     }
     // Incrementality was real: untouched cubes were carried forward.
     assert!(skipped_total > 0, "seed {seed}: no cube ever skipped");
-    aged.verify_stats().unwrap();
+    view(&aged).verify_stats().unwrap();
 }
 
 #[test]
@@ -323,7 +335,7 @@ fn interleaved_run(seed: u64) {
     let script = daily_script(seed, 430);
     let spec = spec_from_sources(&script.schema, &script.actions);
     let sched = ReductionSchedule::build(&spec).unwrap();
-    let aged = SubcubeManager::new(spec.clone());
+    let aged = warehouse(&spec);
     let mut all = specdr::mdm::Mo::new(Arc::clone(&script.schema));
     let mut pending = 0usize; // rows loaded since the last age
     let (mut late_homed, mut double_loads, mut quiet_ages) = (false, 0usize, 0usize);
@@ -335,12 +347,12 @@ fn interleaved_run(seed: u64) {
                 all.absorb(mo).unwrap();
                 pending += mo.len();
                 loads_since_age += 1;
-                assert!(aged.view().is_dirty() || mo.is_empty());
+                assert!(view(&aged).is_dirty() || mo.is_empty());
                 continue;
             }
             DailyOp::Age(t) => *t,
         };
-        let before = aged.view();
+        let before = view(&aged);
         let stats = aged.age(t).unwrap();
         let ctx = format!("seed {seed} step {step} day {t}");
         if let Some(last) = before.last_sync() {
@@ -350,15 +362,15 @@ fn interleaved_run(seed: u64) {
             quiet_ages += usize::from(ticks == 0);
             // A non-bottom cube that changed on a quiet day received a
             // late fact: nothing else can reach it without a transition.
-            let after = aged.view();
+            let after = view(&aged);
             late_homed |= ticks == 0 && before.version_vector()[1..] != after.version_vector()[1..];
         }
         double_loads += usize::from(loads_since_age >= 2);
         (pending, loads_since_age) = (0, 0);
-        assert!(!aged.view().is_dirty(), "{ctx}");
+        assert!(!view(&aged).is_dirty(), "{ctx}");
 
         assert_reduced(&aged, &all, t, &ctx);
-        aged.verify_stats().unwrap();
+        view(&aged).verify_stats().unwrap();
     }
     // The script exercised what it promises.
     assert!(
@@ -367,7 +379,7 @@ fn interleaved_run(seed: u64) {
     );
     assert!(double_loads > 0, "seed {seed}: no double load");
     assert!(quiet_ages > 300, "seed {seed}: {quiet_ages} quiet agings");
-    let v = aged.view();
+    let v = view(&aged);
     assert!(
         v.cubes().iter().all(|c| c.rows() > 0),
         "seed {seed}: every tier populated: {}",
@@ -409,21 +421,21 @@ proptest! {
             .map(|(_, &t)| t)
             .collect();
 
-        let jump = SubcubeManager::new(spec.clone());
+        let jump = warehouse(&spec);
         jump.bulk_load(&mo).unwrap();
         jump.sync(baseline).unwrap();
         jump.age(target).unwrap();
 
-        let stepped = SubcubeManager::new(spec.clone());
+        let stepped = warehouse(&spec);
         stepped.bulk_load(&mo).unwrap();
         stepped.sync(baseline).unwrap();
         for &t in &stops {
             stepped.age(t).unwrap();
         }
         stepped.age(target).unwrap();
-        prop_assert_eq!(common::placed(&[jump.view()]), common::placed(&[stepped.view()]));
+        prop_assert_eq!(common::placed(&[view(&jump)]), common::placed(&[view(&stepped)]));
         prop_assert_eq!(masked_stats(&jump), masked_stats(&stepped));
         let want = reduce_naive(&mo, &spec, target).unwrap();
-        common::assert_holds(&[jump.view()], &want, "one jump");
+        common::assert_holds(&[view(&jump)], &want, "one jump");
     }
 }

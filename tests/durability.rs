@@ -25,9 +25,7 @@ use specdr::mdm::{time_cat as tc, DimValue, Mo, Schema, TimeValue};
 use specdr::reduce::{DataReductionSpec, ReductionSchedule};
 use specdr::spec::{parse_action, ActionId, ActionSpec};
 use specdr::storage::fs::{FailpointFs, FaultMode, Fs, RealFs};
-use specdr::subcube::{
-    AgeStats, ShardRouter, SubcubeManager, SubcubeStats, WarehouseOp, WarehouseView,
-};
+use specdr::subcube::{AgeStats, ShardRouter, SubcubeStats, WarehouseOp, WarehouseView};
 use specdr::workload::{daily_script, paper_mo, DailyOp, ACTION_A1, ACTION_A2};
 
 /// One logical warehouse operation of a test workload.
@@ -69,9 +67,11 @@ impl Op {
         }
     }
 
-    fn apply_plain(&self, m: &SubcubeManager) {
+    /// Applies the logged mutation alone: a checkpoint changes nothing
+    /// a reader sees.
+    fn apply_plain(&self, w: &ShardRouter) {
         if let Some(op) = self.mutation() {
-            m.apply(&op).unwrap();
+            w.apply(&op).unwrap();
         }
     }
 }
@@ -109,13 +109,18 @@ fn single_fact(schema: &Arc<Schema>, day: i32, url_idx: usize, measures: [i64; 4
     mo
 }
 
-/// The never-crashed run: the same logical ops on a plain manager.
-fn reference(spec: &DataReductionSpec, ops: &[Op]) -> SubcubeManager {
-    let m = SubcubeManager::new(spec.clone());
+/// A one-shard warehouse under `spec`, in memory.
+fn in_memory(spec: &DataReductionSpec) -> ShardRouter {
+    ShardRouter::in_memory(spec.clone()).unwrap()
+}
+
+/// The never-crashed run: the same logical ops on a warehouse in memory.
+fn reference(spec: &DataReductionSpec, ops: &[Op]) -> ShardRouter {
+    let w = in_memory(spec);
     for op in ops {
-        op.apply_plain(&m);
+        op.apply_plain(&w);
     }
-    m
+    w
 }
 
 /// The one shard's published view.
@@ -210,7 +215,7 @@ fn recover_and_verify(
             .unwrap_or_else(|e| panic!("{ctx}: re-applying suffix failed: {e}"));
     }
     let got = state(&view(&w));
-    let want = state(&reference(spec, ops).view());
+    let want = state(&view(&reference(spec, ops)));
     assert_eq!(
         got, want,
         "{ctx}: recovered+resumed state diverges from never-crashed run"
@@ -273,7 +278,7 @@ fn paper_workload_is_clean() {
     let acked = run_workload(&spec, &dir, RealFs::shared(), &ops);
     assert_eq!(acked, logged);
     let (w, _) = ShardRouter::recover(spec.clone(), &dir).unwrap();
-    assert_eq!(state(&view(&w)), state(&reference(&spec, &ops).view()));
+    assert_eq!(state(&view(&w)), state(&view(&reference(&spec, &ops))));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -386,7 +391,7 @@ fn aging_workload_is_clean() {
     let acked = run_workload(&spec, &dir, RealFs::shared(), &ops);
     assert_eq!(acked, logged);
     let (w, _) = ShardRouter::recover(spec.clone(), &dir).unwrap();
-    assert_eq!(state(&view(&w)), state(&reference(&spec, &ops).view()));
+    assert_eq!(state(&view(&w)), state(&view(&reference(&spec, &ops))));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -466,7 +471,7 @@ fn interleaved_load_and_age_survives_drop_and_recover() {
     let (ckpt_drop, wal_drop) = (after(ckpt_at + 40, false), after(3 * n / 4, false));
     let dir = tmpdir("daily");
     let mut w = ShardRouter::create(spec.clone(), &dir, 1).unwrap();
-    let plain = SubcubeManager::new(spec.clone());
+    let plain = in_memory(&spec);
     let mut all = Mo::new(Arc::clone(&script.schema));
     for (i, op) in ops.iter().enumerate() {
         op.apply_durable(&w).unwrap();
@@ -488,7 +493,7 @@ fn interleaved_load_and_age_survives_drop_and_recover() {
                 pending,
                 "drop point {i}: un-homed rows must survive recovery"
             );
-            assert_eq!(state(&view(&rec)), state(&plain.view()), "drop point {i}");
+            assert_eq!(state(&view(&rec)), state(&view(&plain)), "drop point {i}");
             w = rec;
         }
     }
@@ -559,18 +564,19 @@ fn batched_workload() -> (DataReductionSpec, Vec<Vec<WarehouseOp>>) {
     (spec, batches)
 }
 
-/// Applies a prefix of batches to a plain manager — the reference state
-/// a crashed-and-recovered warehouse must land on exactly.
+/// Applies a prefix of batches, op by op, to a warehouse in memory —
+/// the reference state a crashed-and-recovered warehouse must land on
+/// exactly.
 fn batch_reference(
     spec: &DataReductionSpec,
     batches: &[Vec<WarehouseOp>],
     n_batches: usize,
-) -> SubcubeManager {
-    let m = SubcubeManager::new(spec.clone());
+) -> ShardRouter {
+    let w = in_memory(spec);
     for op in batches[..n_batches].iter().flatten() {
-        m.apply(op).unwrap();
+        w.apply(op).unwrap();
     }
-    m
+    w
 }
 
 /// Runs `create` + the batches through `fs`, stopping at the first
@@ -611,7 +617,7 @@ fn batched_workload_is_clean() {
     );
     assert_eq!(
         state(&view(&w)),
-        state(&batch_reference(&spec, &batches, batches.len()).view())
+        state(&view(&batch_reference(&spec, &batches, batches.len())))
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -621,7 +627,7 @@ fn batched_workload_is_clean() {
 /// batches* — no acknowledged op lost, no partial batch applied. Every
 /// fault mode at every mutating fs op of the batched workload; the
 /// decisive assertion is that the recovered op count always sits on a
-/// batch boundary and the recovered state equals the plain-manager
+/// batch boundary and the recovered state equals the in-memory
 /// reference for exactly that many whole batches.
 #[test]
 fn group_commit_crash_recovers_whole_batch_prefix() {
@@ -684,7 +690,7 @@ fn group_commit_crash_recovers_whole_batch_prefix() {
             );
             assert_eq!(
                 state(&view(&w)),
-                state(&batch_reference(&spec, &batches, n_batches).view()),
+                state(&view(&batch_reference(&spec, &batches, n_batches))),
                 "{ctx}: recovered state is not the {n_batches}-batch reference"
             );
             std::fs::remove_dir_all(&dir).ok();
@@ -762,7 +768,7 @@ proptest! {
             let got_stats = moved(w.sync(probe).unwrap());
             prop_assert_eq!(got_stats, ref_stats);
             let (f2, c2, l2) = state(&view(&w));
-            let (rf, rc, rl) = state(&reference_m.view());
+            let (rf, rc, rl) = state(&view(&reference_m));
             prop_assert_eq!(f2, rf);
             prop_assert_eq!(c2, rc);
             prop_assert_eq!(l2, rl);
@@ -984,10 +990,10 @@ fn format2_migration_crash_matrix() {
     let a1 = parse_action(&schema, ACTION_A1).unwrap();
     let a2 = parse_action(&schema, ACTION_A2).unwrap();
     let spec = DataReductionSpec::new(schema, vec![a1, a2]).unwrap();
-    let m = SubcubeManager::new(spec.clone());
+    let m = in_memory(&spec);
     m.bulk_load(&mo).unwrap();
     m.sync(days_from_civil(2000, 11, 5)).unwrap();
-    let want = state(&m.view());
+    let want = state(&view(&m));
     let format = |dir: &std::path::Path| specdr::subcube::read_manifest(dir).unwrap().format;
     let recover = |dir: &std::path::Path, fs: Arc<dyn Fs>| {
         ShardRouter::recover_with_fs(spec.clone(), dir, fs).map(|(w, _)| w)
@@ -1090,7 +1096,7 @@ fn checkpoint_between_load_and_age_keeps_rows_unhomed() {
     let ops = [Op::Load(early), Op::Sync(synced), Op::Load(late.clone())];
     let dir = tmpdir("unhomed");
     let w = ShardRouter::create(spec.clone(), &dir, 1).unwrap();
-    let plain = SubcubeManager::new(spec.clone());
+    let plain = in_memory(&spec);
     for op in &ops {
         op.apply_durable(&w).unwrap();
         op.apply_plain(&plain);
@@ -1121,7 +1127,7 @@ fn checkpoint_between_load_and_age_keeps_rows_unhomed() {
     let (rec, report) = ShardRouter::recover(spec.clone(), &dir).unwrap();
     assert_eq!(report.replayed, 0, "the load is in the checkpoint alone");
     assert_eq!(view(&rec).unhomed_rows(), late.len());
-    assert_eq!(state(&view(&rec)), state(&plain.view()));
+    assert_eq!(state(&view(&rec)), state(&view(&plain)));
     view(&rec).verify_stats().unwrap();
 
     // Asked at the bottom granularity, the answer shows every fact at
@@ -1140,12 +1146,12 @@ fn checkpoint_between_load_and_age_keeps_rows_unhomed() {
     for day in [soon, later] {
         assert_eq!(
             rows(view(&rec).query_unsync(&q, day, false).unwrap()),
-            rows(plain.query_unsync(&q, day, false).unwrap()),
+            rows(plain.view_set().query_unsync(&q, day, false).unwrap()),
             "query_unsync at {day}"
         );
         rec.age(day).unwrap();
         plain.age(day).unwrap();
-        assert_eq!(state(&view(&rec)), state(&plain.view()), "age({day})");
+        assert_eq!(state(&view(&rec)), state(&view(&plain)), "age({day})");
         let want = specdr::reduce::reduce_naive(&mo, &spec, day).unwrap();
         common::assert_holds(&[view(&rec)], &want, &format!("age({day})"));
     }
@@ -1591,23 +1597,26 @@ fn measure_sums_that_leave_i64_are_refused_and_recovery_stays_clean() {
     }
 
     // A multi-step age whose second step overflows: the first step had
-    // landed, and is taken back — the failed call is as if never issued.
-    let m = SubcubeManager::new(spec.clone());
+    // landed, and is taken back — the failed call is as if never issued,
+    // on the shard too: a publish after it shows the shard's own state.
+    let m = in_memory(&spec);
     m.bulk_load(&sales(&schema, [[1, 5], [1, 7]])).unwrap();
     m.bulk_load(&sales_in(2, &schema, [[1, big], [1, big]]))
         .unwrap();
     let synced = days_from_civil(2000, 1, 20);
     m.sync(synced).unwrap();
-    let before = m.to_mo().unwrap();
+    let before = m.view_set().to_mo().unwrap();
     let err = m.age(days_from_civil(2000, 3, 5)).unwrap_err();
     assert!(
         err.to_string().contains("(2000/2, sku-0-0-0, store-0-0-0)"),
         "{err}"
     );
-    let after = m.to_mo().unwrap();
+    assert!(!m.is_broken(), "a step refused in memory wedges nothing");
+    m.bulk_load(&Mo::new(Arc::clone(&schema))).unwrap();
+    let after = m.view_set().to_mo().unwrap();
     let render = |mo: &Mo| mo.facts().map(|f| mo.render_fact(f)).collect::<Vec<_>>();
     assert_eq!(render(&after), render(&before));
-    assert_eq!(m.view().last_sync(), Some(synced));
+    assert_eq!(m.last_sync(), Some(synced));
 
     // MIN and MAX at the ends of the range combine without error.
     let extremes = Schema::new(
@@ -1619,14 +1628,14 @@ fn measure_sums_that_leave_i64_are_refused_and_recovery_stays_clean() {
         ],
     )
     .unwrap();
-    let m = SubcubeManager::new(spec_over(&extremes));
+    let m = in_memory(&spec_over(&extremes));
     m.bulk_load(&sales(
         &extremes,
         [[i64::MIN, i64::MAX], [i64::MAX, i64::MIN]],
     ))
     .unwrap();
     m.sync(day).unwrap();
-    let got = m.view().query(&month_query, day, false).unwrap();
+    let got = m.view_set().query(&month_query, day, false).unwrap();
     let facts: Vec<_> = got.facts().map(|f| got.measures_of(f)).collect();
     assert_eq!(facts, vec![vec![i64::MIN, i64::MAX]]);
 }
@@ -1682,7 +1691,7 @@ fn overflowing_cells_of_one_step_name_the_coordinate_first() {
         for sku in [last, first] {
             for shard in 0..shards {
                 let days: Vec<u32> = (1..=31)
-                    .filter(|&d| w.route(&cell(d, sku), shards) == shard)
+                    .filter(|&d| w.route(&cell(d, sku)) == shard)
                     .take(2)
                     .collect();
                 assert_eq!(days.len(), 2, "shard {shard} of {shards}");

@@ -15,21 +15,27 @@ use specdr::plan::Grounding;
 use specdr::query::{aggregate_ids_naive, select_snapshot, AggApproach, SelectMode};
 use specdr::reduce::DataReductionSpec;
 use specdr::spec::{parse_action, parse_pexp};
-use specdr::subcube::{CubeQuery, SubcubeManager};
+use specdr::subcube::{CubeQuery, ShardRouter, WarehouseView};
 use specdr::workload::{paper_mo, ACTION_A1, ACTION_A2};
 
-fn manager_with_paper_data() -> SubcubeManager {
+fn warehouse_with_paper_data() -> ShardRouter {
     let (mo, _) = paper_mo();
     let schema = Arc::clone(mo.schema());
     let a1 = parse_action(&schema, ACTION_A1).unwrap();
     let a2 = parse_action(&schema, ACTION_A2).unwrap();
-    let m = SubcubeManager::new(DataReductionSpec::new(schema, vec![a1, a2]).unwrap());
+    let spec = DataReductionSpec::new(schema, vec![a1, a2]).unwrap();
+    let m = ShardRouter::in_memory(spec).unwrap();
     m.bulk_load(&mo).unwrap();
     m
 }
 
+/// The one shard's published view.
+fn shard(m: &ShardRouter) -> WarehouseView {
+    m.view_set().views()[0].clone()
+}
+
 /// The Figure 8 query: α[month, domain_grp](σ[1999/6 < month ≤ 2000/5]).
-fn figure8_query(m: &SubcubeManager) -> CubeQuery {
+fn figure8_query(m: &ShardRouter) -> CubeQuery {
     let grp = m
         .schema()
         .dim(specdr::mdm::DimId(1))
@@ -46,7 +52,7 @@ fn figure8_query(m: &SubcubeManager) -> CubeQuery {
 
 #[test]
 fn explain_counts_match_naive_references() {
-    let m = manager_with_paper_data();
+    let m = warehouse_with_paper_data();
     let now = days_from_civil(2000, 11, 5);
     m.sync(now).unwrap();
     let q = figure8_query(&m);
@@ -54,16 +60,15 @@ fn explain_counts_match_naive_references() {
     // --- Phase 1: explain a Figure 8 query; every reported count must
     // equal a reference recomputed with the naive kernels.
     let (answer, report) = explain_query(&m, &q, now, true, false).unwrap();
-    let direct = m.query(&q, now, false).unwrap();
+    let direct = m.view_set().query(&q, now, false).unwrap();
     assert_eq!(
         answer.len(),
         direct.len(),
         "explain must not change the answer"
     );
     assert_eq!(report.result_rows, direct.len() as u64);
-    assert_eq!(report.epoch, m.epoch());
-
-    let view = m.view();
+    let view = shard(&m);
+    assert_eq!(report.epoch, view.epoch());
     assert_eq!(report.cubes.len(), view.cubes().len());
     for (i, cube) in view.cubes().iter().enumerate() {
         let rep = &report.cubes[i];
@@ -111,7 +116,7 @@ fn explain_counts_match_naive_references() {
     // is one chunk per fact: the report's chunk verdicts are the hull
     // test's, and a window from 2000 on skips some of them.
     let (facts, _) = paper_mo();
-    let chunked = SubcubeManager::new(m.spec().as_ref().clone());
+    let chunked = ShardRouter::in_memory(m.spec().as_ref().clone()).unwrap();
     for f in 0..facts.len() as u32 {
         chunked.bulk_load(&facts.gather(&[f])).unwrap();
     }
@@ -120,7 +125,7 @@ fn explain_counts_match_naive_references() {
         ..figure8_query(&m)
     };
     let (_, chunked_report) = explain_query(&chunked, &recent, now, false, false).unwrap();
-    let chunked_view = chunked.view();
+    let chunked_view = shard(&chunked);
     let k0 = &chunked_view.cubes()[0];
     let grounding = Grounding::new(m.schema(), recent.pred.as_ref(), recent.mode, now);
     let hulls = k0.chunks().iter().map(|c| c.summary().hulls());
@@ -194,23 +199,26 @@ fn explain_counts_match_naive_references() {
 
     // --- Phase 3: explain a reduction on a fresh warehouse; the
     // per-cube rows must equal a naive recount of the state it leaves.
-    let m2 = manager_with_paper_data();
+    let m2 = warehouse_with_paper_data();
     let (stats, age_report) = explain_age(&m2, now).unwrap();
     assert!(stats.cells_delta > 0);
-    let v2 = m2.view();
+    let v2 = shard(&m2);
     for (i, cube) in v2.cubes().iter().enumerate() {
         assert_eq!(age_report.cubes[i].rows, cube.data().len() as u64);
         assert!(age_report.cubes[i].scanned);
     }
     assert_eq!(age_report.result_rows, v2.len() as u64);
     let paths: Vec<&str> = age_report.phases.iter().map(|p| p.path.as_str()).collect();
-    assert!(paths.contains(&"subcube.age"), "{paths:?}");
-    assert!(paths.contains(&"subcube.age/subcube.age.tick"), "{paths:?}");
+    assert!(paths.contains(&"shard.age/subcube.age"), "{paths:?}");
+    assert!(
+        paths.contains(&"shard.age/subcube.age/subcube.age.tick"),
+        "{paths:?}"
+    );
 
     // --- Phase 4: the query half on its own warehouse, synchronized
     // first: the subquery phase aggregates one span per cube with exact
     // rows, and the answer is the direct one.
-    let m3 = manager_with_paper_data();
+    let m3 = warehouse_with_paper_data();
     m3.sync(now).unwrap();
     let q3 = figure8_query(&m3);
     let (panswer, preport) = explain_query(&m3, &q3, now, true, false).unwrap();
@@ -230,10 +238,10 @@ fn explain_counts_match_naive_references() {
         .iter()
         .find(|p| p.path == "subcube.query/subcube.query.subquery")
         .unwrap();
-    assert_eq!(subq.count, m3.n_cubes() as u64);
+    assert_eq!(subq.count, shard(&m3).cubes().len() as u64);
     assert_eq!(
         subq.rows_in,
-        m3.view()
+        shard(&m3)
             .cubes()
             .iter()
             .map(|c| c.data().len() as u64)
@@ -244,12 +252,16 @@ fn explain_counts_match_naive_references() {
     // at an earlier day. The report describes the virtually aged
     // version — the same cubes, rows and verdicts a real sync to `now`
     // then shows — and carries the memo line; nothing was published.
-    let m4 = manager_with_paper_data();
+    let m4 = warehouse_with_paper_data();
     m4.sync(days_from_civil(2000, 6, 5)).unwrap();
     let q4 = figure8_query(&m4);
-    let epoch = m4.epoch();
+    let epoch = shard(&m4).epoch();
     let (uanswer, ureport) = explain_query(&m4, &q4, now, true, true).unwrap();
-    assert_eq!(m4.epoch(), epoch, "explaining a read published a version");
+    assert_eq!(
+        shard(&m4).epoch(),
+        epoch,
+        "explaining a read published a version"
+    );
     assert_eq!(
         (ureport.op.as_str(), ureport.epoch),
         ("query_unsync", epoch)

@@ -326,9 +326,7 @@ fn packed_key_overflow_falls_back_to_naive() {
         let raised = rk.facts().filter(|f| rk.store().origin[f.index()] == 0);
         assert_eq!(raised.count(), i, "spec {i}: facts the action produced");
         // The warehouse's reduction step holds the same facts.
-        let fs: Arc<dyn Fs> = MemFs::shared();
-        let dir = std::path::Path::new("/wide");
-        let w = ShardRouter::create_with_fs(spec, dir, 1, fs).unwrap();
+        let w = ShardRouter::in_memory(spec).unwrap();
         w.bulk_load(&mo).unwrap();
         w.age(now).unwrap();
         let sorted = |mo: &Mo| {

@@ -13,7 +13,7 @@ use specdr::obs;
 use specdr::query::{AggApproach, SelectMode};
 use specdr::reduce::{reduce, DataReductionSpec};
 use specdr::spec::parse_action;
-use specdr::subcube::{CubeQuery, SubcubeManager};
+use specdr::subcube::{CubeQuery, ShardRouter};
 use specdr::workload::{generate, retention_policy, ClickstreamConfig};
 
 fn warehouse() -> (specdr::mdm::Mo, Arc<specdr::mdm::Schema>, DataReductionSpec) {
@@ -65,7 +65,9 @@ fn metrics_agree_with_authoritative_numbers() {
     // a reduction emits one name family whichever entry point ran, and
     // the `subcube.sync` span says which one did.
     obs::reset();
-    let mgr = SubcubeManager::new(spec);
+    let mgr = ShardRouter::in_memory(spec).unwrap();
+    // The one shard's published view.
+    let shard = || mgr.view_set().views()[0].clone();
     mgr.bulk_load(&mo).unwrap();
     let stats = mgr.sync(now).unwrap();
     let snap = obs::snapshot();
@@ -122,10 +124,10 @@ fn metrics_agree_with_authoritative_numbers() {
     // --- Phase 3: a sync with nothing to do takes no step and publishes
     // nothing.
     obs::reset();
-    let epoch = mgr.epoch();
+    let epoch = shard().epoch();
     assert_eq!(mgr.sync(now).unwrap(), specdr::subcube::AgeStats::default());
     let snap = obs::snapshot();
-    assert_eq!(mgr.epoch(), epoch);
+    assert_eq!(shard().epoch(), epoch);
     assert_eq!(snap.span("subcube.sync").unwrap().count, 1);
     assert_eq!(snap.span("subcube.age.tick").map_or(0, |s| s.count), 0);
 
@@ -134,7 +136,7 @@ fn metrics_agree_with_authoritative_numbers() {
     // included. The load re-delivers old clicks, so homing them rewrites
     // chunks of the coarse cubes; the target day crosses a month start.
     obs::reset();
-    let chunks_before: usize = mgr.view().cubes().iter().map(|c| c.chunks().len()).sum();
+    let chunks_before: usize = shard().cubes().iter().map(|c| c.chunks().len()).sum();
     let late: Vec<u32> = (0..50).collect();
     mgr.bulk_load(&mo.gather(&late)).unwrap();
     let aged = mgr.age(now + 40).unwrap();
@@ -197,10 +199,10 @@ fn metrics_agree_with_authoritative_numbers() {
         levels,
         approach: AggApproach::Availability,
     };
-    let answer = mgr.query(&q, now, true).unwrap();
+    let answer = mgr.view_set().query(&q, now, true).unwrap();
     assert!(!answer.is_empty());
     let snap = obs::snapshot();
-    let n_cubes = mgr.n_cubes() as u64;
+    let n_cubes = shard().cubes().len() as u64;
     assert_eq!(snap.span("subcube.query.subquery").unwrap().count, n_cubes);
     assert_eq!(snap.span("subcube.query").unwrap().count, 1);
     // The planner accounts for every cube: scanned + skipped = cubes.
@@ -222,7 +224,7 @@ fn metrics_agree_with_authoritative_numbers() {
     // view, and the skipped one still gets its sub-query span.
     mgr.bulk_load(&mo.gather(&late)).unwrap();
     obs::reset();
-    mgr.query(&q, now, true).unwrap();
+    mgr.view_set().query(&q, now, true).unwrap();
     let snap = obs::snapshot();
     assert_eq!(snap.counter("plan.cubes_skipped"), Some(1));
     assert_eq!(snap.counter("subcube.query.fanout"), Some(n_cubes - 1));
@@ -234,14 +236,15 @@ fn metrics_agree_with_authoritative_numbers() {
     // does; and nothing on the write path's books moves.
     obs::reset();
     let unsync_now = now + 85;
-    let (epoch, view) = (mgr.epoch(), mgr.view());
+    let view = shard();
+    let epoch = view.epoch();
     let first = view.query_unsync(&q, unsync_now, false).unwrap();
     let again = view.query_unsync(&q, unsync_now, true).unwrap();
-    let third = mgr.query_unsync(&q, unsync_now, false).unwrap();
+    let third = mgr.view_set().query_unsync(&q, unsync_now, false).unwrap();
     assert!(!first.is_empty());
     assert_eq!((again.len(), third.len()), (first.len(), first.len()));
     let snap = obs::snapshot();
-    assert_eq!(mgr.epoch(), epoch, "a read published");
+    assert_eq!(shard().epoch(), epoch, "a read published");
     assert_eq!(snap.counter("subcube.unsync.memo_misses"), Some(1));
     assert_eq!(snap.counter("subcube.unsync.memo_hits"), Some(2));
     assert_eq!(snap.span("subcube.query.virtual_age").unwrap().count, 3);
@@ -293,7 +296,7 @@ fn metrics_agree_with_authoritative_numbers() {
         assert_eq!(attr(virtual_ages[1], key), "0", "hit {key}");
     }
     // What the read computed is what the write then published.
-    let published = mgr.query(&q, unsync_now, false).unwrap();
+    let published = mgr.view_set().query(&q, unsync_now, false).unwrap();
     let rows = |mo: &specdr::mdm::Mo| {
         let mut v: Vec<String> = mo.facts().map(|f| mo.render_fact(f)).collect();
         v.sort();
@@ -375,7 +378,7 @@ fn metrics_agree_with_authoritative_numbers() {
     obs::set_enabled(true);
     let run = |parallel: bool| {
         obs::reset();
-        mgr.query(&q, unsync_now, parallel).unwrap();
+        mgr.view_set().query(&q, unsync_now, parallel).unwrap();
         let snap = obs::snapshot();
         assert_eq!(
             obs::open_spans(),

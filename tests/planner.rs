@@ -14,6 +14,7 @@
 //! and under the same in-engine check.
 
 use proptest::prelude::*;
+use std::path::Path;
 use std::sync::Arc;
 
 use specdr::mdm::calendar::days_from_civil;
@@ -23,7 +24,7 @@ use specdr::query::{aggregate_ids_naive, select_naive, select_snapshot, AggAppro
 use specdr::reduce::DataReductionSpec;
 use specdr::spec::{parse_action, parse_pexp};
 use specdr::storage::MemFs;
-use specdr::subcube::{CubeQuery, ShardRouter, SubcubeError, SubcubeManager, WarehouseOp};
+use specdr::subcube::{CubeQuery, ShardRouter, WarehouseOp, WarehouseView};
 use specdr::workload::{paper_mo, paper_schema, ACTION_A1, ACTION_A2};
 
 /// Predicate pool spanning every atom family the planner reasons about:
@@ -137,7 +138,7 @@ proptest! {
     ) {
         let mo = mo_from_rows(&rows);
         let spec = paper_spec_for(&mo);
-        let m = SubcubeManager::new(spec);
+        let m = ShardRouter::in_memory(spec).unwrap();
         m.bulk_load(&mo).unwrap();
         let t_sync = days_from_civil(2000, 1, 1) + sync_off;
         m.sync(t_sync).unwrap();
@@ -156,7 +157,7 @@ proptest! {
             approach: AggApproach::Availability,
         };
 
-        let view = m.view();
+        let view = shard(&m);
         let oracle = view.region_oracle();
         prop_assert!(oracle.is_some(), "synced warehouse must yield an oracle");
 
@@ -183,11 +184,11 @@ proptest! {
 fn planner_prunes_on_the_paper_fixture() {
     let (mo, _) = paper_mo();
     let spec = paper_spec_for(&mo);
-    let m = SubcubeManager::new(spec);
+    let m = ShardRouter::in_memory(spec).unwrap();
     m.bulk_load(&mo).unwrap();
     let now = days_from_civil(2000, 11, 5);
     m.sync(now).unwrap();
-    let view = m.view();
+    let view = shard(&m);
     let oracle = view.region_oracle();
     let (_, domain) = m.schema().resolve_cat("URL.domain").unwrap();
 
@@ -228,57 +229,24 @@ fn planner_prunes_on_the_paper_fixture() {
     assert_skips_contribute_nothing(&view, &plan, &selective, now);
 }
 
-/// A warehouse under test: the plain manager or an N-shard router (on an
-/// in-memory filesystem) — the two surfaces `query_unsync` is served
-/// from.
-enum Target {
-    Mgr(SubcubeManager),
-    Router(ShardRouter),
+/// The one shard's published view.
+fn shard(w: &ShardRouter) -> WarehouseView {
+    w.view_set().views()[0].clone()
 }
 
-impl Target {
-    fn new(spec: &DataReductionSpec, shards: usize) -> Target {
-        match shards {
-            0 => Target::Mgr(SubcubeManager::new(spec.clone())),
-            n => Target::Router(
-                ShardRouter::create_with_fs(
-                    spec.clone(),
-                    std::path::Path::new("/w"),
-                    n,
-                    MemFs::shared(),
-                )
-                .unwrap(),
-            ),
-        }
-    }
+/// The published epoch and, per shard, the pinned view.
+fn pinned(w: &ShardRouter) -> (u64, Vec<WarehouseView>) {
+    let set = w.view_set();
+    (set.epoch(), set.views().to_vec())
+}
 
-    fn apply(&self, op: &WarehouseOp) -> Result<(), SubcubeError> {
-        match self {
-            Target::Mgr(m) => m.apply(op).map(|_| ()),
-            Target::Router(r) => r.apply(op).map(|_| ()),
-        }
+fn query(w: &ShardRouter, q: &CubeQuery, now: i32, parallel: bool, unsync: bool) -> Mo {
+    let set = w.view_set();
+    match unsync {
+        false => set.query(q, now, parallel),
+        true => set.query_unsync(q, now, parallel),
     }
-
-    /// The current epoch and, per shard, the pinned view.
-    fn pinned(&self) -> (u64, Vec<specdr::subcube::WarehouseView>) {
-        match self {
-            Target::Mgr(m) => (m.epoch(), vec![m.view()]),
-            Target::Router(r) => {
-                let set = r.view_set();
-                (set.epoch(), set.views().to_vec())
-            }
-        }
-    }
-
-    fn query(&self, q: &CubeQuery, now: i32, parallel: bool, unsync: bool) -> Mo {
-        match (self, unsync) {
-            (Target::Mgr(m), false) => m.query(q, now, parallel),
-            (Target::Mgr(m), true) => m.query_unsync(q, now, parallel),
-            (Target::Router(r), false) => r.view_set().query(q, now, parallel),
-            (Target::Router(r), true) => r.view_set().query_unsync(q, now, parallel),
-        }
-        .unwrap()
-    }
+    .unwrap()
 }
 
 fn rows_in_order(mo: &Mo) -> Vec<String> {
@@ -292,8 +260,8 @@ proptest! {
     /// loads, agings, syncs and specification changes, and for `now`
     /// behind the watermark, on it, up to 400 days ahead of it, or with
     /// no watermark at all, `query_unsync(q, now)` equals `query(q, now)`
-    /// on a twin warehouse brought to `sync(now)` — unsharded and on 1
-    /// and 2 shards, sequential and parallel. And it is *virtual*:
+    /// on a twin warehouse brought to `sync(now)` — on 1 and 2 shards,
+    /// sequential and parallel. And it is *virtual*:
     /// nothing the warehouse publishes moves, the second call is a memo
     /// hit returning the identical answer, the aged version's statistics
     /// verify, and a view pinned after the next publish computes afresh.
@@ -307,7 +275,7 @@ proptest! {
         mode_ix in 0usize..MODES.len(),
         level_quarter in any::<bool>(),
         parallel in any::<bool>(),
-        shards in 0usize..3,
+        shards in 1usize..3,
     ) {
         let mo = mo_from_rows(&rows);
         let schema = Arc::clone(mo.schema());
@@ -316,9 +284,13 @@ proptest! {
         let a1 = parse_action(&schema, ACTION_A1).unwrap();
         let a2 = parse_action(&schema, ACTION_A2).unwrap();
         let spec = DataReductionSpec::new(Arc::clone(&schema), vec![a2]).unwrap();
-        let (target, twin) = (Target::new(&spec, shards), Target::new(&spec, shards));
+        let router = || {
+            ShardRouter::create_with_fs(spec.clone(), Path::new("/w"), shards, MemFs::shared())
+                .unwrap()
+        };
+        let (target, twin) = (router(), router());
         let both = |op: WarehouseOp| -> bool {
-            let (a, b) = (target.apply(&op), twin.apply(&op));
+            let (a, b) = (target.apply(&op).map(|_| ()), twin.apply(&op).map(|_| ()));
             assert_eq!(a.is_ok(), b.is_ok(), "twins diverge on {op:?}");
             assert!(
                 a.is_ok() || matches!(op, WarehouseOp::SpecInsert(_) | WarehouseOp::SpecDelete(..)),
@@ -384,17 +356,17 @@ proptest! {
             PREDS[pred_ix], MODES[mode_ix]
         );
 
-        let (epoch, pinned) = target.pinned();
-        let vectors: Vec<_> = pinned.iter().map(|v| (v.epoch(), v.version_vector())).collect();
-        let first = target.query(&q, now, parallel, true);
+        let (epoch, pinned_views) = pinned(&target);
+        let vectors: Vec<_> = pinned_views.iter().map(|v| (v.epoch(), v.version_vector())).collect();
+        let first = query(&target, &q, now, parallel, true);
         twin.apply(&WarehouseOp::Sync(now)).unwrap();
-        let want = twin.query(&q, now, parallel, false);
+        let want = query(&twin, &q, now, parallel, false);
         prop_assert_eq!(sorted_rows(&first), sorted_rows(&want), "{}", ctx);
 
         // Virtual: nothing published, nothing moved under the pinned views.
-        let (epoch_after, _) = target.pinned();
+        let (epoch_after, _) = pinned(&target);
         prop_assert_eq!(epoch_after, epoch, "{}", ctx);
-        for (v, (e, vv)) in pinned.iter().zip(&vectors) {
+        for (v, (e, vv)) in pinned_views.iter().zip(&vectors) {
             prop_assert_eq!((v.epoch(), v.version_vector()), (*e, vv.clone()), "{}", ctx);
             // Memoized on the pinned version: asking again is a hit, and
             // what it holds is a well-formed version at `now`.
@@ -403,13 +375,13 @@ proptest! {
             aged.verify_stats().unwrap();
             prop_assert!(!aged.is_dirty());
         }
-        let second = target.query(&q, now, parallel, true);
+        let second = query(&target, &q, now, parallel, true);
         prop_assert_eq!(rows_in_order(&second), rows_in_order(&first), "{}", ctx);
 
         // The next publish starts over: a fresh view has an empty memo.
         let held_back = WarehouseOp::BulkLoad(mo.gather(&[mo.len() as u32 - 1]));
         both(held_back);
-        for v in target.pinned().1 {
+        for v in pinned(&target).1 {
             // Only a view that needs no aging (the shard whose partition
             // of the load was empty, at or past `now`) may answer "hit".
             let current = !v.is_dirty() && v.last_sync().is_some_and(|last| now <= last);
@@ -417,8 +389,8 @@ proptest! {
             prop_assert_eq!(hit, current, "fresh view and the memo: {}", ctx);
         }
         twin.apply(&WarehouseOp::Sync(now)).unwrap();
-        let after = target.query(&q, now, parallel, true);
-        let want = twin.query(&q, now, parallel, false);
+        let after = query(&target, &q, now, parallel, true);
+        let want = query(&twin, &q, now, parallel, false);
         prop_assert_eq!(sorted_rows(&after), sorted_rows(&want), "after publish: {}", ctx);
     }
 }
@@ -439,7 +411,7 @@ fn chunk_skipping_matches_naive_across_approaches() {
     };
     let urls: Vec<DimValue> = e.values(cats.url).collect();
     let spec = paper_spec_for(&Mo::new(Arc::clone(&schema)));
-    let m = SubcubeManager::new(spec);
+    let m = ShardRouter::in_memory(spec).unwrap();
     // 420 days from 1999/1/1 at 12 clicks a day, aged every 30 days: the
     // last days stay un-homed, one chunk each, after the homed chunks.
     let first = days_from_civil(1999, 1, 1);
@@ -457,7 +429,7 @@ fn chunk_skipping_matches_naive_across_approaches() {
         }
     }
     let now = first + 420;
-    let view = m.view();
+    let view = shard(&m);
     assert!(
         view.cubes()[0].chunks().len() >= 3,
         "bottom cube in {} chunks",

@@ -12,7 +12,7 @@ use specdr::prover::{implies_union, BitSet, DayInterval, GroundSet, Region};
 use specdr::query::{compare_weight, satisfies, SelectMode};
 use specdr::reduce::{cell_for, reduce, DataReductionSpec};
 use specdr::spec::{parse_action, parse_pexp, CmpOp};
-use specdr::subcube::{CubeQuery, SubcubeManager};
+use specdr::subcube::{CubeQuery, ShardRouter};
 use specdr::workload::{paper_mo, paper_schema, ACTION_A1, ACTION_A2};
 
 const DAY_LO: i32 = 10_227; // 1998-01-01
@@ -212,7 +212,7 @@ proptest! {
     ) {
         let mo = mo_from_rows(&rows);
         let spec = paper_spec_for(&mo);
-        let m = SubcubeManager::new(spec.clone());
+        let m = ShardRouter::in_memory(spec.clone()).unwrap();
         m.bulk_load(&mo).unwrap();
         let t_sync = days_from_civil(2000, 1, 1) + sync_off;
         let t_query = t_sync.max(days_from_civil(2000, 1, 1) + query_off);
@@ -224,7 +224,7 @@ proptest! {
             levels: vec![time_cat::QUARTER, domain],
             approach: specdr::query::AggApproach::Availability,
         };
-        let via_cubes = m.query_unsync(&q, t_query, false).unwrap();
+        let via_cubes = m.view_set().query_unsync(&q, t_query, false).unwrap();
         let logical = reduce(&mo, &spec, t_query).unwrap();
         let expected = specdr::query::aggregate_ids(
             &logical,

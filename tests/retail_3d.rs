@@ -10,7 +10,7 @@ use specdr::mdm::{time_cat, DimId, MeasureId, Mo};
 use specdr::query::{aggregate, select, AggApproach, Query, SelectMode};
 use specdr::reduce::{reduce, DataReductionSpec};
 use specdr::spec::{parse_action, parse_pexp};
-use specdr::subcube::{CubeQuery, SubcubeManager};
+use specdr::subcube::{CubeQuery, ShardRouter};
 use specdr::workload::{generate_retail, retail_policy, Retail, RetailConfig};
 
 fn setup(sales_per_day: usize) -> (Retail, DataReductionSpec) {
@@ -128,13 +128,13 @@ fn queries_across_three_dimensions() {
 #[test]
 fn subcube_layout_and_equivalence_in_3d() {
     let (r, spec) = setup(15);
-    let m = SubcubeManager::new(spec.clone());
+    let m = ShardRouter::in_memory(spec.clone()).unwrap();
     m.bulk_load(&r.mo).unwrap();
     // Bottom + three action granularities.
-    assert_eq!(m.n_cubes(), 4);
+    assert_eq!(m.view_set().views()[0].cubes().len(), 4);
     let now = days_from_civil(2003, 6, 15);
     m.sync(now).unwrap();
-    let physical = m.to_mo().unwrap();
+    let physical = m.view_set().to_mo().unwrap();
     let logical = reduce(&r.mo, &spec, now).unwrap();
     assert_eq!(sorted_rows(&physical), sorted_rows(&logical));
     // Query equivalence in sync and unsync states.
@@ -144,9 +144,9 @@ fn subcube_layout_and_equivalence_in_3d() {
         levels: vec![time_cat::YEAR, r.cats.category, r.cats.region],
         approach: AggApproach::Availability,
     };
-    let synced = m.query(&q, now, true).unwrap();
+    let synced = m.view_set().query(&q, now, true).unwrap();
     let later = days_from_civil(2004, 3, 1);
-    let unsync = m.query_unsync(&q, later, true).unwrap();
+    let unsync = m.view_set().query_unsync(&q, later, true).unwrap();
     let expected = specdr::query::aggregate_ids(
         &reduce(&r.mo, &spec, later).unwrap(),
         &[time_cat::YEAR, r.cats.category, r.cats.region],

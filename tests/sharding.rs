@@ -1,11 +1,13 @@
-//! Sharded-vs-unsharded differential suite (ISSUE 9, satellite 3).
+//! Sharded-vs-unsharded differential suite.
 //!
-//! The [`ShardRouter`] must be *observationally identical* to a single
-//! [`SubcubeManager`]: same accept/reject decision for every churn op,
-//! same query-mix digests in both sync states at every evaluation day,
-//! and the same whole-batch / whole-tick semantics across crashes. The
-//! tests here drive random `sdr-workload` churn schedules through both
-//! and compare content digests, then repeat under injected failures:
+//! A [`ShardRouter`] of N shards must be *observationally identical* to
+//! the one-shard warehouse: same accept/reject decision for every churn
+//! op, same query-mix digests in both sync states at every evaluation
+//! day, and the same whole-batch / whole-tick semantics across crashes.
+//! The tests here drive random `sdr-workload` churn schedules through an
+//! N-shard warehouse on disk and a one-shard reference
+//! [in memory](ShardRouter::in_memory) and compare content digests, then
+//! repeat under injected failures:
 //! a torn record in a single shard's WAL, a seeded [`FailpointFs`]
 //! crash matrix, and a cross-shard checkpoint interrupted between
 //! shards. Recovery must land on a state equal to replaying a *prefix*
@@ -23,9 +25,9 @@ use specdr::mdm::calendar::days_from_civil;
 use specdr::reduce::DataReductionSpec;
 use specdr::serve::{mix_specs, QuerySpec};
 use specdr::spec::parse_action;
-use specdr::storage::fs::{FailpointFs, FaultMode, RealFs};
+use specdr::storage::fs::{FailpointFs, FaultMode, MemFs, RealFs};
 use specdr::storage::{scan_wal, Fs};
-use specdr::subcube::{ShardRouter, SubcubeError, SubcubeManager, WarehouseLayout};
+use specdr::subcube::{ShardRouter, SubcubeError, WarehouseLayout};
 use specdr::workload::{
     churn_script, daily_script, paper_schema, ChurnOp, DailyOp, ACTION_A1, ACTION_A2,
 };
@@ -43,23 +45,13 @@ fn tdir(name: &str) -> PathBuf {
     d
 }
 
-/// Applies one churn op to the unsharded reference. `Ok(true)` =
-/// accepted (published), `Ok(false)` = legal rejection.
-fn apply_mgr(m: &SubcubeManager, op: &ChurnOp) -> Result<bool, SubcubeError> {
-    let r = match op {
-        ChurnOp::Load(mo) => m.bulk_load(mo).map(|_| ()),
-        ChurnOp::Sync(t) => m.sync(*t).map(|_| ()),
-        ChurnOp::SpecInsert(a) => m.evolve_insert(vec![a.clone()]).map(|_| ()),
-        ChurnOp::SpecDelete(id, t) => m.evolve_delete(&[*id], *t),
-    };
-    match r {
-        Ok(()) => Ok(true),
-        Err(SubcubeError::Reduce(_)) => Ok(false),
-        Err(e) => Err(e),
-    }
+/// The unsharded reference: one shard, in memory.
+fn reference() -> ShardRouter {
+    ShardRouter::in_memory(paper_spec()).unwrap()
 }
 
-/// Applies one churn op through the shard router, same convention.
+/// Applies one churn op through the shard router. `Ok(true)` = accepted
+/// (published), `Ok(false)` = legal rejection.
 fn apply_router(r: &ShardRouter, op: &ChurnOp) -> Result<bool, SubcubeError> {
     let res = match op {
         ChurnOp::Load(mo) => r.bulk_load(mo).map(|_| ()),
@@ -127,27 +119,6 @@ fn router_digests(r: &ShardRouter) -> Vec<u64> {
     out
 }
 
-fn mgr_digests(m: &SubcubeManager) -> Vec<u64> {
-    let view = m.view();
-    let schema = view.schema();
-    let mut out = vec![canonical_digest(&view.to_mo().unwrap())];
-    for &now in &query_days() {
-        for unsync in [false, true] {
-            for spec in mix_specs(now, unsync) {
-                let q = spec.build(schema).unwrap();
-                let res = if unsync {
-                    view.query_unsync(&q, now, false)
-                } else {
-                    view.query(&q, now, false)
-                }
-                .unwrap();
-                out.push(result_digest(&res));
-            }
-        }
-    }
-    out
-}
-
 /// The core differential matrix: N ∈ {1, 2, 4, 7} shards × seeded
 /// random churn schedules. Accept/reject parity on every op; digest
 /// equality of the full observable surface at the end and at a
@@ -160,12 +131,12 @@ fn sharded_matches_unsharded_over_random_churn() {
             let schema = Arc::clone(paper_spec().schema());
             let router = ShardRouter::create(paper_spec(), &dir, shards)
                 .unwrap_or_else(|e| panic!("create {shards}/{seed}: {e}"));
-            let mgr = SubcubeManager::new(paper_spec());
+            let unsharded = reference();
             let script = churn_script(&schema, seed, 16);
             for (i, op) in script.iter().enumerate() {
                 let a = apply_router(&router, op)
                     .unwrap_or_else(|e| panic!("shards={shards} seed={seed} op {i}: {e}"));
-                let b = apply_mgr(&mgr, op).unwrap();
+                let b = apply_router(&unsharded, op).unwrap();
                 assert_eq!(
                     a, b,
                     "shards={shards} seed={seed}: accept/reject diverged at op {i}"
@@ -173,14 +144,14 @@ fn sharded_matches_unsharded_over_random_churn() {
                 if i == script.len() / 2 {
                     assert_eq!(
                         router_digests(&router),
-                        mgr_digests(&mgr),
+                        router_digests(&unsharded),
                         "shards={shards} seed={seed}: digests diverged mid-schedule"
                     );
                 }
             }
             assert_eq!(
                 router_digests(&router),
-                mgr_digests(&mgr),
+                router_digests(&unsharded),
                 "shards={shards} seed={seed}: digests diverged at end"
             );
             std::fs::remove_dir_all(&dir).ok();
@@ -207,14 +178,15 @@ fn sharded_answers_equal_the_unsharded_naive_fan_out_row_for_row() {
     for shards in [1usize, 2, 4] {
         let dir = tdir(&format!("rows-{shards}"));
         let router = ShardRouter::create(paper_spec(), &dir, shards).unwrap();
-        let mgr = SubcubeManager::new(paper_spec());
+        let unsharded = reference();
         for op in churn_script(&schema, 5, 16) {
             assert_eq!(
                 apply_router(&router, &op).unwrap(),
-                apply_mgr(&mgr, &op).unwrap()
+                apply_router(&unsharded, &op).unwrap()
             );
         }
-        let (set, view) = (router.view_set(), mgr.view());
+        let set = router.view_set();
+        let view = unsharded.view_set().views()[0].clone();
         for now in query_days() {
             for unsync in [false, true] {
                 let reference = if unsync {
@@ -300,7 +272,7 @@ fn sharded_apply_batch_matches_unsharded() {
     let dir = tdir("batch");
     let schema = Arc::clone(paper_spec().schema());
     let router = ShardRouter::create(paper_spec(), &dir, 3).unwrap();
-    let mgr = SubcubeManager::new(paper_spec());
+    let unsharded = reference();
     let script = churn_script(&schema, 9, 8);
     let ops: Vec<WarehouseOp> = script
         .iter()
@@ -313,33 +285,28 @@ fn sharded_apply_batch_matches_unsharded() {
     assert!(ops.len() >= 4, "schedule too short for a batch test");
     router.apply_batch(ops.clone()).unwrap();
     for op in &ops {
-        mgr.apply(op).unwrap();
+        unsharded.apply(op).unwrap();
     }
-    assert_eq!(router_digests(&router), mgr_digests(&mgr));
+    assert_eq!(router_digests(&router), router_digests(&unsharded));
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Replays the first `n_accepted` accepted ops of `script` into a fresh
-/// unsharded manager and returns its digests — the reference state for
+/// unsharded reference and returns its digests — the reference state for
 /// prefix-recovery checks.
-fn prefix_reference(
-    schema: &Arc<specdr::mdm::Schema>,
-    script: &[ChurnOp],
-    n_accepted: usize,
-) -> Vec<u64> {
-    let mgr = SubcubeManager::new(paper_spec());
-    let _ = schema;
+fn prefix_reference(script: &[ChurnOp], n_accepted: usize) -> Vec<u64> {
+    let unsharded = reference();
     let mut accepted = 0;
     for op in script {
         if accepted == n_accepted {
             break;
         }
-        if apply_mgr(&mgr, op).unwrap() {
+        if apply_router(&unsharded, op).unwrap() {
             accepted += 1;
         }
     }
     assert_eq!(accepted, n_accepted, "schedule has too few accepted ops");
-    mgr_digests(&mgr)
+    router_digests(&unsharded)
 }
 
 /// A torn record in a *single* shard's WAL: recovery must align every
@@ -384,7 +351,7 @@ fn torn_single_shard_wal_recovers_to_common_prefix() {
         assert!(!report.resumed_checkpoint);
         assert_eq!(
             router_digests(&recovered),
-            prefix_reference(&schema, &script, accepted - 1),
+            prefix_reference(&script, accepted - 1),
             "victim={victim}: recovered state is not the common-prefix replay"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -404,14 +371,14 @@ fn failpoint_crash_matrix_recovers_to_a_prefix() {
 
     // Reference digests for every accepted-prefix length.
     let total_accepted = {
-        let mgr = SubcubeManager::new(paper_spec());
+        let unsharded = reference();
         script
             .iter()
-            .filter(|op| apply_mgr(&mgr, op).unwrap())
+            .filter(|op| apply_router(&unsharded, op).unwrap())
             .count()
     };
     let prefixes: Vec<Vec<u64>> = (0..=total_accepted)
-        .map(|n| prefix_reference(&schema, &script, n))
+        .map(|n| prefix_reference(&script, n))
         .collect();
 
     let mut reopened = 0;
@@ -479,7 +446,6 @@ fn every_shipped_schema_packs_and_shards() {
         AggFn, CatGraph, Dimension, EnumDimensionBuilder, KeyPacker, MeasureDef, Schema,
         TimeDimension,
     };
-    use specdr::storage::MemFs;
     use specdr::workload::{
         generate, generate_retail, generate_sessions, ClickstreamConfig, RetailConfig,
         SessionConfig,
@@ -624,7 +590,7 @@ fn routing_is_deterministic_across_reopen() {
         let mo = view.to_mo().unwrap();
         for f in mo.facts() {
             assert_eq!(
-                router.route(&mo.coords(f), 4),
+                router.route(&mo.coords(f)),
                 i,
                 "fact stored on shard {i} does not route there"
             );
