@@ -487,6 +487,21 @@ impl Dimension {
         }
     }
 
+    /// The lowest value code a value of category `cat` can carry: `0` for
+    /// enumerated dimensions (interned ids), and for the time dimension
+    /// the code of the horizon's first day rolled up to `cat` (codes are
+    /// order-preserving per category, so the earliest value has the
+    /// lowest code).
+    pub fn min_code(&self, cat: CatId) -> u64 {
+        match self {
+            Dimension::Time(_) if cat == self.graph().top() => TimeValue::Top.code(),
+            Dimension::Time(t) => TimeValue::Day(t.min_day)
+                .rollup(cat)
+                .map_or(0, |v| v.code()),
+            Dimension::Enum(_) => 0,
+        }
+    }
+
     /// The single `⊤` value of the dimension.
     pub fn top_value(&self) -> DimValue {
         match self {

@@ -28,7 +28,9 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::BitOr;
 
+use crate::category::CatId;
 use crate::dimension::DimValue;
 use crate::mo::{FactId, FactStore};
 use crate::schema::Schema;
@@ -107,8 +109,12 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// A cell key packed by a [`KeyPacker`]: `u64` or `u128`. The kernels are
-/// generic over this trait so narrow schemas pay only 64-bit hashing.
-pub trait PackedKey: Copy + Eq + Hash + Send + Sync + 'static {
+/// generic over this trait so narrow schemas pay only 64-bit hashing; a
+/// key is the OR of its dimensions' [fields](KeyPacker::field), and
+/// widens back losslessly for [`KeyPacker::unpack`].
+pub trait PackedKey:
+    Copy + Ord + Hash + Send + Sync + BitOr<Output = Self> + Into<u128> + 'static
+{
     /// Truncates the packer's 128-bit accumulator to the key width (the
     /// packer guarantees the value fits when this key type is selected).
     fn from_wide(wide: u128) -> Self;
@@ -138,6 +144,8 @@ impl PackedKey for u128 {
 pub struct KeyPacker {
     /// Per dimension: bits reserved for the category id and the code.
     widths: Vec<(u32, u32)>,
+    /// Per dimension: how far its field sits above bit 0.
+    shifts: Vec<u32>,
     total_bits: u32,
 }
 
@@ -160,8 +168,18 @@ impl KeyPacker {
             total += cat_bits + code_bits;
             widths.push((cat_bits, code_bits));
         }
+        // The first dimension occupies the highest bits.
+        let mut below = total;
+        let shifts = widths
+            .iter()
+            .map(|&(cat_bits, code_bits)| {
+                below -= cat_bits + code_bits;
+                below
+            })
+            .collect();
         (total <= 128).then_some(KeyPacker {
             widths,
+            shifts,
             total_bits: total,
         })
     }
@@ -189,6 +207,30 @@ impl KeyPacker {
             acc = (acc << code_bits) | v.code as u128;
         }
         acc
+    }
+
+    /// Dimension `d`'s field of a key whose coordinate there is `v`,
+    /// already shifted into place: a key is the OR of its dimensions'
+    /// fields, so a kernel can memoize fields per value and never pack a
+    /// whole cell.
+    #[inline]
+    pub fn field(&self, d: usize, v: DimValue) -> u128 {
+        let code_bits = self.widths[d].1;
+        (((v.cat.0 as u128) << code_bits) | v.code as u128) << self.shifts[d]
+    }
+
+    /// The coordinates `key` packs, into `out` (cleared first): the
+    /// inverse of [`pack_coords`](KeyPacker::pack_coords).
+    pub fn unpack(&self, key: u128, out: &mut Vec<DimValue>) {
+        let mask = |bits: u32| (1u128 << bits) - 1;
+        out.clear();
+        for (&(cat_bits, code_bits), &shift) in self.widths.iter().zip(&self.shifts) {
+            let f = key >> shift;
+            out.push(DimValue {
+                cat: CatId(((f >> code_bits) & mask(cat_bits)) as u8),
+                code: (f & mask(code_bits)) as u64,
+            });
+        }
     }
 
     /// Packs the direct cell of row `f` straight from the columnar store
@@ -281,6 +323,27 @@ mod tests {
         mo.insert_fact(&[day, top], &[1]).unwrap();
         let f = FactId(0);
         assert_eq!(p.pack_row(mo.store(), f), p.pack_coords(&mo.coords(f)));
+    }
+
+    #[test]
+    fn fields_or_into_the_key_and_unpack_inverts_it() {
+        let s = two_dim_schema();
+        let p = KeyPacker::new(&s).expect("packs");
+        let day0 = crate::calendar::days_from_civil(1999, 1, 1);
+        let mut out = Vec::new();
+        for d in [0, 45, 700] {
+            let tv = crate::time::TimeValue::Day(day0 + d);
+            for cat in s.dims[0].graph().all() {
+                let t = DimValue::new(cat, tv.rollup(cat).map(|x| x.code()).unwrap_or(0));
+                for ucat in s.dims[1].graph().all() {
+                    let coords = vec![t, DimValue::new(ucat, 0)];
+                    let key = p.pack_coords(&coords);
+                    assert_eq!(p.field(0, coords[0]) | p.field(1, coords[1]), key);
+                    p.unpack(key, &mut out);
+                    assert_eq!(out, coords);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Cost-based query planning over the subcube DAG.
 //!
-//! A warehouse query fans out over every subcube and unions the
-//! sub-results. Most selective queries touch a handful of cubes; the
-//! rest are scanned only to produce empty sub-results. This crate
+//! A warehouse query fans out over every subcube and folds each one's
+//! kept rows into one aggregation. Most selective queries touch a
+//! handful of cubes; the rest are scanned only to keep no row. This crate
 //! decides, *before* any row is read, which cubes can be skipped and in
 //! what order the survivors should be scanned, using two per-cube
 //! oracles that are maintained exactly (not estimated). The query's

@@ -30,21 +30,24 @@
 //! grouping runs through an FxHash map over packed keys
 //! ([`KeyPacker`](sdr_mdm::KeyPacker)) instead of a
 //! `BTreeMap<Vec<DimValue>, _>`, targets are memoized per distinct
-//! dimension value, and the LUB approach folds its uniform target into
-//! the same single grouping pass. The row-at-a-time reference is retained
-//! as [`aggregate_ids_naive`]; measure folds are reassociated across
-//! partials only for the (commutative, associative) built-in [`AggFn`]s,
-//! so kernel output is identical.
+//! dimension value in dense per-category tables, and the LUB approach
+//! folds its uniform target into the same single grouping pass. The
+//! row-at-a-time reference is retained as [`aggregate_ids_naive`]. Both
+//! add SUM and COUNT up in `i128` and check each group once, in
+//! coordinate order, so they agree on every answer and on every
+//! `MeasureOverflow`; measure folds are reassociated only for the
+//! (commutative, associative) built-in [`AggFn`]s, so kernel output is
+//! identical.
 
 use std::collections::BTreeMap;
 
 use std::sync::Arc;
 
-use sdr_mdm::{AggFn, CatId, DimId, DimValue, FactId, MdmError, Mo, Schema, ORIGIN_USER};
+use sdr_mdm::{AggFn, CatId, DimId, DimValue, Mo, Schema, ORIGIN_USER};
 
 use crate::compare::SelectMode;
 use crate::error::QueryError;
-use crate::scan::Scan;
+use crate::scan::{Accs, Scan};
 
 /// Varying-granularity handling for aggregate formation (Section 6.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,30 +147,24 @@ pub fn aggregate_ids_naive(
     levels: &[CatId],
     approach: AggApproach,
 ) -> Result<Mo, QueryError> {
-    aggregate_rows_naive(mo.schema(), &[(mo, None)], levels, approach)
+    aggregate_rows_naive(mo.schema(), &[mo], levels, approach)
 }
 
-/// The facts of one run a row-at-a-time aggregation reads: `rows` of
-/// `mo` (`None`: all of them).
-fn part_facts<'a>(
-    (mo, rows): &'a (&'a Mo, Option<Vec<u32>>),
-) -> impl Iterator<Item = (&'a Mo, FactId)> + 'a {
-    let n = rows.as_ref().map_or(mo.len(), Vec::len);
-    (0..n).map(move |i| {
-        let f = rows.as_ref().map_or(i as u32, |r| r[i]);
-        (*mo, FactId(f))
-    })
-}
-
-/// Row-at-a-time aggregate formation over the given rows of `parts`
-/// (MOs over `schema`, read as one input in the order given).
+/// Row-at-a-time aggregate formation over the facts of `parts` (MOs over
+/// `schema`, read as one input in the order given). SUM and COUNT add up
+/// in `i128` and are checked once per group, in coordinate order — the
+/// scan kernel's overflow rule.
 pub(crate) fn aggregate_rows_naive(
     schema: &Arc<Schema>,
-    parts: &[(&Mo, Option<Vec<u32>>)],
+    parts: &[&Mo],
     levels: &[CatId],
     approach: AggApproach,
 ) -> Result<Mo, QueryError> {
-    let facts = || parts.iter().flat_map(part_facts);
+    let facts = || {
+        parts
+            .iter()
+            .flat_map(|&mo| mo.facts().map(move |f| (mo, f)))
+    };
     // For the LUB approach, first compute the uniform target granularity.
     let lub_target: Option<Vec<CatId>> = match approach {
         AggApproach::Lub => {
@@ -183,9 +180,15 @@ pub(crate) fn aggregate_rows_naive(
         _ => None,
     };
 
-    let mut groups: BTreeMap<Vec<DimValue>, Vec<i64>> = BTreeMap::new();
+    let mut groups: BTreeMap<Vec<DimValue>, u32> = BTreeMap::new();
+    let mut accs = Accs::new(schema);
     let mut add_to_group = |key: Vec<DimValue>, values: &[i64]| {
-        schema.fold_into_group(&mut groups, key, |j| values[j])
+        let next = groups.len() as u32;
+        let slot = *groups.entry(key).or_insert_with(|| {
+            accs.push_group();
+            next
+        });
+        accs.fold(&[slot], |j, _| values[j]);
     };
     'facts: for (mo, f) in facts() {
         if approach == AggApproach::Disaggregated {
@@ -216,13 +219,14 @@ pub(crate) fn aggregate_rows_naive(
             };
             key.push(dim.rollup(v, target)?);
         }
-        add_to_group(key, &mo.measures_of(f))?;
+        add_to_group(key, &mo.measures_of(f));
     }
-    // End the closure's mutable borrow of `groups`.
-    let _ = &mut add_to_group;
     let mut out = Mo::new(Arc::clone(schema));
-    for (coords, ms) in groups {
-        out.insert_fact_at(&coords, &ms, ORIGIN_USER)?;
+    let mut values = Vec::new();
+    for (coords, slot) in groups {
+        accs.values(slot, &mut values)
+            .map_err(|m| schema.measure_overflow(m, &coords))?;
+        out.insert_fact_at(&coords, &values, ORIGIN_USER)?;
     }
     Ok(out)
 }
@@ -239,7 +243,7 @@ fn disaggregate_fact(
     mo: &Mo,
     f: sdr_mdm::FactId,
     levels: &[CatId],
-    add_to_group: &mut impl FnMut(Vec<DimValue>, &[i64]) -> Result<(), MdmError>,
+    add_to_group: &mut impl FnMut(Vec<DimValue>, &[i64]),
 ) -> Result<(), QueryError> {
     let schema = mo.schema();
     // Per dimension: the list of target values the fact covers.
@@ -307,7 +311,7 @@ fn disaggregate_fact(
     let mut idx = vec![0usize; per_dim.len()];
     for s in spread.iter() {
         let key: Vec<DimValue> = idx.iter().zip(&per_dim).map(|(&i, t)| t[i]).collect();
-        add_to_group(key, s)?;
+        add_to_group(key, s);
         // Advance the mixed-radix counter.
         for (pos, t) in idx.iter_mut().zip(&per_dim).rev() {
             *pos += 1;

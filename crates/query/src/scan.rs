@@ -4,30 +4,44 @@
 //! A [`Scan`] is compiled once per query — the predicate to DNF with
 //! every `NOW` term resolved (`CompiledSelect`), its per-dimension mask
 //! plan (`SelMaskPlan`), the target levels, the approach and the key
-//! packer — and is then shared read-only by every worker. Each worker
-//! starts a [`ScanAcc`] and [`feed`](ScanAcc::feed)s it the runs of one
-//! input in row order (a warehouse cube's chunks, or a single MO); the
-//! accumulator carries across runs everything the kernels memoize:
+//! packer — and is then shared read-only by every worker. A worker
+//! starts a [`ScanAcc`] and [`feed`](ScanAcc::feed)s it runs (chunks of
+//! any cube of any shard, or a single MO); workers that ran side by side
+//! merge their accumulators with [`absorb`](ScanAcc::absorb), and the
+//! one accumulator left is [`finish`](ScanAcc::finish)ed once. The
+//! aggregate functions are distributive (Section 3), so folding every
+//! kept row of every run into one group table is the answer of the
+//! operators on the runs' union, bit for bit.
 //!
-//! * the per-dimension select masks (or the per-cell decisions of the
-//!   weighted mode), keyed by distinct dimension value / packed cell;
-//! * the per-dimension aggregate targets (availability, strict), or the
-//!   LUB approach's direct-cell groups and its uniform target;
-//! * the packed-key group map and its accumulators.
+//! The kernel is dense. Everything it memoizes per distinct dimension
+//! value — the selection's satisfied-atom masks, and the aggregation's
+//! target per direct value — sits in one table per (dimension,
+//! category), indexed by the code's offset in that category's domain
+//! (`CodeTable`). Enum codes are dense interned ids and time codes are
+//! bounded by the schema horizon, so over the schema's values a table
+//! never outgrows its category's domain; it grows lazily to the codes
+//! seen, and there is no hash-map fallback. A target entry
+//! holds the target value's pre-shifted [`KeyPacker`] field (or
+//! "excluded", for strict), so a row's group key is the OR of its
+//! dimensions' fields. A run's rows are first mapped to group slots,
+//! into a reused buffer; then each measure folds column by column into
+//! its accumulator column, with the aggregate function chosen once per
+//! column. SUM and COUNT accumulate in `i128` and are checked once per
+//! group, at `finish`, in coordinate order: a query fails with
+//! `MeasureOverflow` exactly when some group's true total leaves `i64`,
+//! whatever the order, split or parallelism of its runs.
 //!
-//! A run's kept rows are found first (row indices into the run, in a
-//! buffer reused across runs) and then folded straight into the group
-//! map: no row is copied. [`finish`](ScanAcc::finish) sorts the groups
-//! by coordinates — packed keys are injective on cells, so this
-//! reproduces the reference `BTreeMap` order exactly — or, for LUB,
-//! rolls the distinct direct cells up to the target folded over every
-//! fed row. Measure folds are reassociated across runs only for the
-//! (commutative, associative) built-in `AggFn`s, so the answer is the
-//! one a scan of the concatenated runs gives, bit for bit.
+//! [`finish`](ScanAcc::finish) sorts the groups by packed key — packing
+//! is injective and order-preserving, so this is the reference
+//! `BTreeMap` order — and unpacks each key into the answer's
+//! coordinates. The LUB approach groups by *direct* cell while folding
+//! the uniform target over every fed row, and rolls the distinct cells up
+//! at `finish`. The weighted selection mode decides per distinct packed
+//! cell instead (a hash map, as its weight is not dimension-local).
 //!
 //! Without a key packer (a schema too wide for 128 bits) and for the
 //! disaggregated approach, whose fan-out is not cell-local, the kept
-//! rows are remembered per run instead and aggregated row at a time at
+//! rows are copied out per run instead and aggregated row at a time at
 //! the end (`aggregate_rows_naive`). A scan with no aggregation
 //! (`Scan::selection`, behind [`crate::select_view`]) returns the kept
 //! rows themselves.
@@ -36,12 +50,11 @@
 //! one MO; nothing else implements either kernel.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sdr_mdm::{
-    CatId, DayNum, DimId, DimValue, FactId, FxHashMap, KeyPacker, Mo, PackedKey, Schema,
-    ORIGIN_USER,
+    AggFn, CatId, DayNum, DimId, DimValue, FactId, FxHashMap, KeyPacker, MeasureId, Mo, PackedKey,
+    Schema, ORIGIN_USER,
 };
 use sdr_spec::Pexp;
 
@@ -68,6 +81,8 @@ pub struct Scan {
     /// Target levels and approach; `None` scans select only.
     group: Option<(Vec<CatId>, AggApproach)>,
     packer: Option<KeyPacker>,
+    /// Per dimension, per category: its lowest code (see [`CodeTable`]).
+    floors: Vec<Vec<u64>>,
 }
 
 impl Scan {
@@ -122,6 +137,9 @@ impl Scan {
             select,
             group,
             packer: KeyPacker::new(schema),
+            floors: (schema.dims.iter())
+                .map(|dim| dim.graph().all().map(|c| dim.min_code(c)).collect())
+                .collect(),
         })
     }
 
@@ -130,12 +148,11 @@ impl Scan {
         &self.schema
     }
 
-    /// A fresh accumulator for one input.
-    pub fn start<'m>(&self) -> ScanAcc<'_, 'm> {
-        let masks = self.select.as_ref().and_then(|s| s.masks.as_ref());
+    /// A fresh accumulator for one worker.
+    pub fn start(&self) -> ScanAcc<'_> {
         let state = match &self.packer {
-            Some(pk) if pk.fits64() => State::Narrow(Keyed::new(self, masks)),
-            _ => State::Wide(Keyed::new(self, masks)),
+            Some(pk) if pk.fits64() => State::Narrow(Keyed::new(self)),
+            _ => State::Wide(Keyed::new(self)),
         };
         ScanAcc {
             scan: self,
@@ -154,120 +171,193 @@ impl Scan {
                 .as_ref()
                 .is_some_and(|(_, a)| *a != AggApproach::Disaggregated)
     }
+
+    /// One memo per dimension `dims` names, each with a table per
+    /// category.
+    fn memos<T: Copy>(&self, dims: impl Iterator<Item = DimId>) -> Vec<DimMemo<T>> {
+        let memo = |d: DimId| {
+            DimMemo(
+                self.floors[d.index()]
+                    .iter()
+                    .map(|&f| CodeTable::new(f))
+                    .collect(),
+            )
+        };
+        dims.map(memo).collect()
+    }
 }
 
-/// The state of one scan over one input, carried across its runs.
-pub struct ScanAcc<'s, 'm> {
+/// Every dimension of `schema`, in order.
+fn every_dim(schema: &Schema) -> impl Iterator<Item = DimId> {
+    (0..schema.n_dims()).map(|d| DimId(d as u16))
+}
+
+/// A memo over one category's value codes: slot `i` is code `base + i`.
+/// It covers only the span of codes seen so far, and grows to take in a
+/// new one — downward (re-basing) by at least its own length, so a run
+/// fed in descending code order costs amortized O(1) per code, but never
+/// below the category's lowest code. Over values within the schema (enum
+/// ids, days within the time horizon) a table is therefore at most as
+/// long as its category's domain.
+struct CodeTable<T> {
+    base: u64,
+    slots: Vec<Option<T>>,
+    /// The category's lowest code.
+    floor: u64,
+}
+
+impl<T: Copy> CodeTable<T> {
+    fn new(floor: u64) -> CodeTable<T> {
+        CodeTable {
+            base: floor,
+            slots: Vec::new(),
+            floor,
+        }
+    }
+
+    #[inline]
+    fn get(&self, code: u64) -> Option<T> {
+        // A code below `base` wraps to an offset past the end.
+        let off = code.wrapping_sub(self.base);
+        if off < self.slots.len() as u64 {
+            self.slots[off as usize]
+        } else {
+            None
+        }
+    }
+
+    fn insert(&mut self, code: u64, v: T) {
+        if self.slots.is_empty() {
+            self.base = code;
+        } else if code < self.base {
+            let len = self.slots.len() as u64;
+            let base = code.min(self.base.saturating_sub(len).max(self.floor));
+            let grow = (self.base - base) as usize;
+            self.slots.splice(0..0, std::iter::repeat_n(None, grow));
+            self.base = base;
+        }
+        let off = (code - self.base) as usize;
+        if off >= self.slots.len() {
+            self.slots.resize(off + 1, None);
+        }
+        self.slots[off] = Some(v);
+    }
+
+    /// The codes memoized.
+    fn filled(&self) -> usize {
+        self.slots.iter().filter(|s| s.is_some()).count()
+    }
+}
+
+/// One dimension's memo: a [`CodeTable`] per category id.
+struct DimMemo<T>(Vec<CodeTable<T>>);
+
+impl<T: Copy> DimMemo<T> {
+    /// The entry of value `(cat, code)`, made by `make` on a miss.
+    #[inline]
+    fn get_or_make(
+        &mut self,
+        cat: u8,
+        code: u64,
+        make: impl FnOnce() -> Result<T, QueryError>,
+    ) -> Result<T, QueryError> {
+        let table = &mut self.0[cat as usize];
+        match table.get(code) {
+            Some(v) => Ok(v),
+            None => {
+                let v = make()?;
+                table.insert(code, v);
+                Ok(v)
+            }
+        }
+    }
+
+    fn filled(&self) -> usize {
+        self.0.iter().map(CodeTable::filled).sum()
+    }
+}
+
+/// The distinct values memoized over `memos`.
+fn filled<T: Copy>(memos: &[DimMemo<T>]) -> usize {
+    memos.iter().map(DimMemo::filled).sum()
+}
+
+/// The state of one worker's scan, carried across its runs.
+pub struct ScanAcc<'s> {
     scan: &'s Scan,
-    state: State<'m>,
+    state: State,
     /// The current run's kept rows (reused across runs).
     keep: Vec<u32>,
     visited: u64,
     kept: u64,
 }
 
-enum State<'m> {
-    Narrow(Keyed<'m, u64>),
-    Wide(Keyed<'m, u128>),
+enum State {
+    Narrow(Keyed<u64>),
+    Wide(Keyed<u128>),
 }
 
 /// The memo and group state of one scan, over packed keys `K`.
-struct Keyed<'m, K> {
-    /// Per mask-plan dimension: distinct value → satisfied-bit mask.
-    masks: Vec<FxHashMap<(u8, u64), u64>>,
+struct Keyed<K> {
+    /// Per mask-plan dimension: satisfied-bit mask per direct value.
+    masks: Vec<DimMemo<u64>>,
     /// Packed direct cell → decision (weighted mode, wide predicates).
     cells: FxHashMap<K, bool>,
-    out: Out<'m, K>,
+    out: Out<K>,
 }
 
-/// A run and its kept rows (`None`: every row).
-type Part<'m> = (&'m Mo, Option<Vec<u32>>);
-
-enum Out<'m, K> {
+enum Out<K> {
     /// The kept rows of every run: a selection's result, or the input of
     /// the row-at-a-time aggregation.
-    Rows(Vec<Part<'m>>),
-    /// The packed-key group map.
+    Rows(Vec<Mo>),
+    /// The packed-key group table.
     Groups(Groups<K>),
 }
 
-/// One output cell's coordinates and measure accumulators.
-type Group = (Vec<DimValue>, Vec<i64>);
-
-struct Groups<K> {
-    /// Availability / strict: per dimension, distinct direct value → its
-    /// target value (`None`: excluded by a strict aggregation).
-    targets: Vec<FxHashMap<(u8, u64), Option<DimValue>>>,
-    /// Packed target cell (availability, strict) or packed direct cell
-    /// (LUB) → slot in `groups`.
-    slots: FxHashMap<K, u32>,
-    /// Accumulators in first-seen order.
-    groups: Vec<Group>,
-    /// LUB: the uniform target, folded over every fed row's categories.
-    lub: Vec<CatId>,
-    tbuf: Vec<DimValue>,
-}
-
-impl<'m, K: PackedKey> Keyed<'m, K> {
-    fn new(scan: &Scan, masks: Option<&SelMaskPlan>) -> Keyed<'m, K> {
+impl<K: PackedKey> Keyed<K> {
+    fn new(scan: &Scan) -> Keyed<K> {
         let out = match &scan.group {
-            Some((levels, _)) if scan.keyed_groups() => Out::Groups(Groups {
-                targets: levels.iter().map(|_| FxHashMap::default()).collect(),
-                slots: FxHashMap::default(),
-                groups: Vec::new(),
-                lub: levels.clone(),
-                tbuf: Vec::with_capacity(levels.len()),
-            }),
+            Some((levels, approach)) if scan.keyed_groups() => {
+                let targets = match approach {
+                    AggApproach::Lub => Vec::new(),
+                    _ => scan.memos(every_dim(&scan.schema)),
+                };
+                Out::Groups(Groups::new(scan, levels.clone(), targets))
+            }
             _ => Out::Rows(Vec::new()),
         };
+        let plan = scan.select.as_ref().and_then(|s| s.masks.as_ref());
         Keyed {
-            masks: masks.map_or_else(Vec::new, |m| {
-                m.dims.iter().map(|_| FxHashMap::default()).collect()
-            }),
+            masks: plan.map_or_else(Vec::new, |p| scan.memos(p.dims.iter().map(|(d, _)| *d))),
             cells: FxHashMap::default(),
             out,
         }
     }
 
     /// One run: its kept rows into `keep`, then into the output.
-    fn feed(&mut self, scan: &Scan, mo: &'m Mo, keep: &mut Vec<u32>) -> Result<u64, QueryError> {
-        let all = match &scan.select {
-            None => true,
-            Some(sel) => {
-                keep.clear();
-                self.select(scan, sel, mo, keep)?;
-                keep.len() == mo.len()
-            }
-        };
+    fn feed(&mut self, scan: &Scan, mo: &Mo, keep: &mut Vec<u32>) -> Result<u64, QueryError> {
+        let all = self.select(scan, mo, keep)?;
         let kept = if all { mo.len() } else { keep.len() } as u64;
         match &mut self.out {
             Out::Rows(parts) => {
                 if kept > 0 {
-                    parts.push((mo, (!all).then(|| keep.clone())));
+                    parts.push(if all { mo.clone() } else { mo.gather(keep) });
                 }
             }
-            Out::Groups(g) => {
-                let (levels, approach) = scan.group.as_ref().expect("a grouping scan");
-                let pk = scan.packer.as_ref().expect("a keyed scan");
-                if all {
-                    g.fold(mo, 0..mo.len(), levels, *approach, pk)?;
-                } else {
-                    g.fold(mo, keep.iter().map(|&r| r as usize), levels, *approach, pk)?;
-                }
-            }
+            Out::Groups(g) if all => g.fold(scan, mo, 0..mo.len() as u32)?,
+            Out::Groups(g) => g.fold(scan, mo, keep.iter().copied())?,
         }
         Ok(kept)
     }
 
     /// The selection kernels: per-dimension masks for boolean modes,
-    /// per-cell memo otherwise, row at a time without a packer.
-    fn select(
-        &mut self,
-        scan: &Scan,
-        sel: &Selection,
-        mo: &Mo,
-        keep: &mut Vec<u32>,
-    ) -> Result<(), QueryError> {
+    /// per-cell memo otherwise, row at a time without a packer. Returns
+    /// `true`, leaving `keep` alone, when every row is kept.
+    fn select(&mut self, scan: &Scan, mo: &Mo, keep: &mut Vec<u32>) -> Result<bool, QueryError> {
+        let Some(sel) = &scan.select else {
+            return Ok(true);
+        };
+        keep.clear();
         let schema = &*scan.schema;
         let store = mo.store();
         let compiled = &sel.compiled;
@@ -277,24 +367,17 @@ impl<'m, K: PackedKey> Keyed<'m, K> {
                 for (memo, (dim, atoms)) in self.masks.iter_mut().zip(&plan.dims) {
                     let d = dim.index();
                     let (cat, code) = (store.cats[d][i], store.codes[d][i]);
-                    sat |= match memo.get(&(cat, code)) {
-                        Some(&m) => m,
-                        None => {
-                            let v = DimValue {
-                                cat: CatId(cat),
-                                code,
-                            };
-                            let mut m = 0u64;
-                            for &(b, ci, ai) in atoms {
-                                let atom = &compiled.dnf[ci][ai];
-                                if compiled.eval_atom_value(schema, atom, v, sel.mode)? {
-                                    m |= b;
-                                }
+                    sat |= memo.get_or_make(cat, code, || {
+                        let v = DimValue::new(CatId(cat), code);
+                        let mut m = 0u64;
+                        for &(b, ci, ai) in atoms {
+                            let atom = &compiled.dnf[ci][ai];
+                            if compiled.eval_atom_value(schema, atom, v, sel.mode)? {
+                                m |= b;
                             }
-                            memo.insert((cat, code), m);
-                            m
                         }
-                    };
+                        Ok(m)
+                    })?;
                 }
                 if plan.conj_masks.iter().any(|&cm| cm & !sat == 0) {
                     keep.push(i as u32);
@@ -322,152 +405,274 @@ impl<'m, K: PackedKey> Keyed<'m, K> {
                 }
             }
         }
+        Ok(keep.len() == mo.len())
+    }
+
+    /// Folds `other`'s output into this one's.
+    fn absorb(&mut self, schema: &Schema, other: Keyed<K>) {
+        match (&mut self.out, other.out) {
+            (Out::Rows(parts), Out::Rows(more)) => parts.extend(more),
+            (Out::Groups(g), Out::Groups(more)) => g.absorb(schema, more),
+            _ => unreachable!("accumulators of one scan share their output kind"),
+        }
+    }
+}
+
+/// One accumulator column per measure, one entry per group, in `i128`:
+/// no partial sum of `i64` values can leave it, and MIN and MAX keep an
+/// `i64` value.
+pub(crate) struct Accs(Vec<(AggFn, Vec<i128>)>);
+
+impl Accs {
+    pub(crate) fn new(schema: &Schema) -> Accs {
+        Accs(
+            schema
+                .measures
+                .iter()
+                .map(|m| (m.agg, Vec::new()))
+                .collect(),
+        )
+    }
+
+    /// Appends a group holding each aggregate's identity.
+    pub(crate) fn push_group(&mut self) {
+        for (agg, a) in &mut self.0 {
+            a.push(agg.identity().into());
+        }
+    }
+
+    /// Folds `value(j, i)` into measure `j` of group `slots[i]`, for
+    /// every `i`: one pass per measure, its aggregate chosen once.
+    pub(crate) fn fold(&mut self, slots: &[u32], value: impl Fn(usize, usize) -> i64) {
+        for (j, (agg, a)) in self.0.iter_mut().enumerate() {
+            let rows = slots.iter().map(|&s| s as usize).enumerate();
+            let value = |i| i128::from(value(j, i));
+            match agg {
+                AggFn::Sum | AggFn::Count => rows.for_each(|(i, s)| a[s] += value(i)),
+                AggFn::Min => rows.for_each(|(i, s)| a[s] = a[s].min(value(i))),
+                AggFn::Max => rows.for_each(|(i, s)| a[s] = a[s].max(value(i))),
+            }
+        }
+    }
+
+    /// Folds group `src` of `other` into group `dst`.
+    fn absorb(&mut self, dst: u32, other: &Accs, src: u32) {
+        let (d, s) = (dst as usize, src as usize);
+        for ((agg, a), (_, b)) in self.0.iter_mut().zip(&other.0) {
+            a[d] = match agg {
+                AggFn::Sum | AggFn::Count => a[d] + b[s],
+                AggFn::Min => a[d].min(b[s]),
+                AggFn::Max => a[d].max(b[s]),
+            };
+        }
+    }
+
+    /// Group `slot`'s aggregates into `out` (cleared first), or the
+    /// lowest measure whose total leaves `i64`.
+    pub(crate) fn values(&self, slot: u32, out: &mut Vec<i64>) -> Result<(), MeasureId> {
+        out.clear();
+        for (j, (_, a)) in self.0.iter().enumerate() {
+            out.push(i64::try_from(a[slot as usize]).map_err(|_| MeasureId(j as u16))?);
+        }
         Ok(())
     }
 }
 
-/// A fresh accumulator row: each measure's aggregate identity.
-fn identity_acc(schema: &Schema) -> Vec<i64> {
-    schema.measures.iter().map(|m| m.agg.identity()).collect()
-}
-
-/// Folds measure row `fi` of `mo` into the group `(cell, acc)`.
-fn combine_row(
-    schema: &Schema,
-    (cell, acc): &mut (Vec<DimValue>, Vec<i64>),
-    mo: &Mo,
-    fi: usize,
-) -> Result<(), QueryError> {
-    let measures = &mo.store().measures;
-    let folded = schema.fold_measures(acc, |j| measures[j][fi]);
-    Ok(folded.map_err(|m| schema.measure_overflow(m, cell))?)
+/// The group table of a keyed scan.
+struct Groups<K> {
+    /// Availability / strict: per dimension, per direct value, its
+    /// target's key field (`None`: excluded by a strict aggregation).
+    targets: Vec<DimMemo<Option<K>>>,
+    /// Packed target cell (availability, strict) or packed direct cell
+    /// (LUB) → slot.
+    slots: FxHashMap<K, u32>,
+    /// Each slot's packed key, in first-seen order.
+    keys: Vec<K>,
+    accs: Accs,
+    /// LUB: the uniform target, folded over every fed row's categories.
+    lub: Vec<CatId>,
+    /// The current run's grouped rows and their slots (reused).
+    rows: Vec<u32>,
+    slot_of: Vec<u32>,
 }
 
 impl<K: PackedKey> Groups<K> {
-    /// Folds `rows` of `mo` into the group map.
+    fn new(scan: &Scan, lub: Vec<CatId>, targets: Vec<DimMemo<Option<K>>>) -> Groups<K> {
+        Groups {
+            targets,
+            slots: FxHashMap::default(),
+            keys: Vec::new(),
+            accs: Accs::new(&scan.schema),
+            lub,
+            rows: Vec::new(),
+            slot_of: Vec::new(),
+        }
+    }
+
+    /// The slot of `key`, opened at the identity if new.
+    #[inline]
+    fn slot(&mut self, key: K) -> u32 {
+        if let Some(&slot) = self.slots.get(&key) {
+            return slot;
+        }
+        let slot = self.keys.len() as u32;
+        self.slots.insert(key, slot);
+        self.keys.push(key);
+        self.accs.push_group();
+        slot
+    }
+
+    /// Folds `rows` of `mo` into the group table: every row to its slot
+    /// first, then the measures column by column.
     fn fold(
         &mut self,
+        scan: &Scan,
         mo: &Mo,
-        rows: impl Iterator<Item = usize>,
-        levels: &[CatId],
-        approach: AggApproach,
-        pk: &KeyPacker,
+        rows: impl Iterator<Item = u32>,
     ) -> Result<(), QueryError> {
-        let schema = &**mo.schema();
+        let (levels, approach) = scan.group.as_ref().expect("a grouping scan");
+        let pk = scan.packer.as_ref().expect("a keyed scan");
+        let schema = &*scan.schema;
         let store = mo.store();
-        if approach == AggApproach::Lub {
+        self.rows.clear();
+        self.slot_of.clear();
+        if *approach == AggApproach::Lub {
             // Group by *direct* cell while folding the uniform target
             // (LUB over distinct cells equals LUB over all rows —
             // idempotent); `finish` rolls the few distinct cells up.
-            for fi in rows {
-                let f = FactId(fi as u32);
-                let key = K::from_wide(pk.pack_row(store, f));
-                let slot = match self.slots.get(&key) {
-                    Some(&s) => s,
-                    None => {
-                        let coords = mo.coords(f);
-                        for (i, tc) in self.lub.iter_mut().enumerate() {
-                            *tc = schema.dims[i].graph().lub(*tc, coords[i].cat);
-                        }
-                        let s = self.groups.len() as u32;
-                        self.groups.push((coords, identity_acc(schema)));
-                        self.slots.insert(key, s);
-                        s
+            for r in rows {
+                let key = K::from_wide(pk.pack_row(store, FactId(r)));
+                let next = self.keys.len() as u32;
+                let slot = self.slot(key);
+                if slot == next {
+                    for (d, tc) in self.lub.iter_mut().enumerate() {
+                        let c = CatId(store.cats[d][r as usize]);
+                        *tc = schema.dims[d].graph().lub(*tc, c);
                     }
-                };
-                combine_row(schema, &mut self.groups[slot as usize], mo, fi)?;
+                }
+                self.rows.push(r);
+                self.slot_of.push(slot);
             }
-            return Ok(());
-        }
-        // Availability / strict: a row's target value in each dimension
-        // is a function of its direct value in that dimension alone, so
-        // the lattice walk (lub/leq + rollup) is memoized per distinct
-        // dimension value — a domain orders of magnitude smaller than
-        // distinct cells, which on raw data are nearly one per row.
-        'row: for fi in rows {
-            self.tbuf.clear();
-            for (i, &req) in levels.iter().enumerate() {
-                let (cat, code) = (store.cats[i][fi], store.codes[i][fi]);
-                let tv = match self.targets[i].get(&(cat, code)) {
-                    Some(&t) => t,
-                    None => {
-                        let dim = schema.dim(DimId(i as u16));
-                        let g = dim.graph();
-                        let v = DimValue {
-                            cat: CatId(cat),
-                            code,
-                        };
-                        let tc = match approach {
-                            AggApproach::Availability => Some(g.lub(req, v.cat)),
-                            AggApproach::Strict => g.leq(v.cat, req).then_some(req),
-                            _ => unreachable!("LUB above, disaggregated row at a time"),
-                        };
-                        let t = tc.map(|tc| dim.rollup(v, tc)).transpose()?;
-                        self.targets[i].insert((cat, code), t);
-                        t
+        } else {
+            // Availability / strict: a row's target value in each
+            // dimension is a function of its direct value there alone.
+            'row: for r in rows {
+                let i = r as usize;
+                let mut key = K::from_wide(0);
+                for (d, memo) in self.targets.iter_mut().enumerate() {
+                    let (cat, code) = (store.cats[d][i], store.codes[d][i]);
+                    let field = memo.get_or_make(cat, code, || {
+                        target_field(schema, pk, d, levels[d], *approach, cat, code)
+                    })?;
+                    match field {
+                        Some(f) => key = key | f,
+                        None => continue 'row,
                     }
-                };
-                match tv {
-                    Some(t) => self.tbuf.push(t),
-                    None => continue 'row,
                 }
+                let slot = self.slot(key);
+                self.rows.push(r);
+                self.slot_of.push(slot);
             }
-            let key = K::from_wide(pk.pack_coords(&self.tbuf));
-            let slot = match self.slots.get(&key) {
-                Some(&s) => s,
-                None => {
-                    let s = self.groups.len() as u32;
-                    self.slots.insert(key, s);
-                    self.groups.push((self.tbuf.clone(), identity_acc(schema)));
-                    s
-                }
-            };
-            combine_row(schema, &mut self.groups[slot as usize], mo, fi)?;
         }
+        let (measures, rows) = (&store.measures, &self.rows);
+        self.accs
+            .fold(&self.slot_of, |j, i| measures[j][rows[i] as usize]);
         Ok(())
     }
 
-    /// The groups as an MO over `schema`, in coordinate order.
-    fn finish(self, schema: &Arc<Schema>, approach: AggApproach) -> Result<Mo, QueryError> {
-        if sdr_obs::enabled() {
-            sdr_obs::add(
-                "query.aggregate.kernel.distinct_cells",
-                self.slots.len() as u64,
-            );
-            if approach != AggApproach::Lub {
-                let dvals: usize = self.targets.iter().map(|m| m.len()).sum();
-                sdr_obs::add("query.aggregate.kernel.distinct_dim_values", dvals as u64);
-            }
+    /// Folds `other`'s groups into this table, by packed key.
+    fn absorb(&mut self, schema: &Schema, other: Groups<K>) {
+        // LUB's uniform targets meet; the levels of availability and
+        // strict stay themselves.
+        for ((tc, &oc), dim) in self.lub.iter_mut().zip(&other.lub).zip(&schema.dims) {
+            *tc = dim.graph().lub(*tc, oc);
         }
-        let mut groups = self.groups;
-        if approach == AggApproach::Lub {
-            // Roll each distinct direct cell up to the uniform target and
-            // merge partials (AggFns are commutative and associative).
-            let mut merged: BTreeMap<Vec<DimValue>, Vec<i64>> = BTreeMap::new();
-            for (coords, acc) in groups {
-                let key: Vec<DimValue> = coords
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| schema.dim(DimId(i as u16)).rollup(v, self.lub[i]))
-                    .collect::<Result<_, _>>()?;
-                schema.fold_into_group(&mut merged, key, |j| acc[j])?;
-            }
-            groups = merged.into_iter().collect();
-        } else {
-            groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        for (src, &key) in other.keys.iter().enumerate() {
+            let dst = self.slot(key);
+            self.accs.absorb(dst, &other.accs, src as u32);
         }
+    }
+
+    /// The groups as an MO, in coordinate order; the first group in that
+    /// order whose SUM or COUNT leaves `i64` is the error, naming its
+    /// lowest such measure.
+    fn finish(self, scan: &Scan) -> Result<Mo, QueryError> {
+        let (schema, pk) = (&scan.schema, scan.packer.as_ref().expect("a keyed scan"));
+        let groups = match &scan.group {
+            Some((_, AggApproach::Lub)) => self.roll_up(scan, pk)?,
+            _ => self,
+        };
+        // Packed keys sort in coordinate order.
+        let mut order: Vec<(K, u32)> = groups.keys.iter().copied().zip(0..).collect();
+        order.sort_unstable();
         let mut out = Mo::new(Arc::clone(schema));
-        out.reserve(groups.len());
-        for (coords, ms) in groups {
-            out.insert_fact_at(&coords, &ms, ORIGIN_USER)?;
+        out.reserve(order.len());
+        let (mut coords, mut values) = (Vec::new(), Vec::new());
+        for (key, s) in order {
+            pk.unpack(key.into(), &mut coords);
+            groups
+                .accs
+                .values(s, &mut values)
+                .map_err(|m| schema.measure_overflow(m, &coords))?;
+            out.insert_fact_at(&coords, &values, ORIGIN_USER)?;
         }
         Ok(out)
     }
+
+    /// LUB: every distinct direct cell rolled up to the uniform target
+    /// (memoized per direct value, like the other approaches' targets),
+    /// merged by target cell.
+    fn roll_up(self, scan: &Scan, pk: &KeyPacker) -> Result<Groups<K>, QueryError> {
+        let schema = &*scan.schema;
+        let mut fields: Vec<DimMemo<K>> = scan.memos(every_dim(schema));
+        let mut up = Groups::new(scan, self.lub.clone(), Vec::new());
+        let mut coords = Vec::new();
+        for (src, &key) in self.keys.iter().enumerate() {
+            pk.unpack(key.into(), &mut coords);
+            let mut target = K::from_wide(0);
+            for (d, (&v, memo)) in coords.iter().zip(&mut fields).enumerate() {
+                target = target
+                    | memo.get_or_make(v.cat.0, v.code, || {
+                        let t = schema.dim(DimId(d as u16)).rollup(v, self.lub[d])?;
+                        Ok(K::from_wide(pk.field(d, t)))
+                    })?;
+            }
+            let dst = up.slot(target);
+            up.accs.absorb(dst, &self.accs, src as u32);
+        }
+        Ok(up)
+    }
 }
 
-impl<'m> ScanAcc<'_, 'm> {
+/// Dimension `d`'s key field for the direct value `(cat, code)`: its
+/// target value's, or `None` when a strict aggregation excludes it.
+fn target_field<K: PackedKey>(
+    schema: &Schema,
+    pk: &KeyPacker,
+    d: usize,
+    req: CatId,
+    approach: AggApproach,
+    cat: u8,
+    code: u64,
+) -> Result<Option<K>, QueryError> {
+    let dim = schema.dim(DimId(d as u16));
+    let g = dim.graph();
+    let v = DimValue {
+        cat: CatId(cat),
+        code,
+    };
+    let tc = match approach {
+        AggApproach::Availability => Some(g.lub(req, v.cat)),
+        AggApproach::Strict => g.leq(v.cat, req).then_some(req),
+        _ => unreachable!("LUB groups direct cells, disaggregated row at a time"),
+    };
+    let target = tc.map(|tc| dim.rollup(v, tc)).transpose()?;
+    Ok(target.map(|t| K::from_wide(pk.field(d, t))))
+}
+
+impl ScanAcc<'_> {
     /// Scans one run of the input, after the runs fed before it.
-    pub fn feed(&mut self, mo: &'m Mo) -> Result<(), QueryError> {
+    pub fn feed(&mut self, mo: &Mo) -> Result<(), QueryError> {
         sdr_mdm::check_same_schema(&self.scan.schema, mo.schema())?;
         let kept = match &mut self.state {
             State::Narrow(k) => k.feed(self.scan, mo, &mut self.keep)?,
@@ -476,6 +681,25 @@ impl<'m> ScanAcc<'_, 'm> {
         self.visited += mo.len() as u64;
         self.kept += kept;
         Ok(())
+    }
+
+    /// Merges `other` — an accumulator of the same scan, fed other runs —
+    /// into this one: its groups by packed key (its kept rows, on the
+    /// row-at-a-time path) and its counts. The answer
+    /// [`finish`](ScanAcc::finish) then gives is the one a single
+    /// accumulator fed both sets of runs gives.
+    pub fn absorb(&mut self, other: ScanAcc<'_>) {
+        debug_assert!(std::ptr::eq(self.scan, other.scan), "one scan");
+        if sdr_obs::enabled() {
+            other.record_memos();
+        }
+        self.visited += other.visited;
+        self.kept += other.kept;
+        match (&mut self.state, other.state) {
+            (State::Narrow(a), State::Narrow(b)) => a.absorb(&self.scan.schema, b),
+            (State::Wide(a), State::Wide(b)) => a.absorb(&self.scan.schema, b),
+            _ => unreachable!("accumulators of one scan share their key width"),
+        }
     }
 
     /// Rows fed so far.
@@ -488,49 +712,35 @@ impl<'m> ScanAcc<'_, 'm> {
         self.kept
     }
 
-    /// The selection's distinct-value and distinct-cell memo sizes.
-    fn record_select(&self) {
-        let (masks, cells) = match &self.state {
-            State::Narrow(k) => (&k.masks, k.cells.len()),
-            State::Wide(k) => (&k.masks, k.cells.len()),
+    /// The memo sizes: the selection's distinct values or cells, and the
+    /// aggregation's distinct direct values.
+    fn record_memos(&self) {
+        let (masks, cells, targets) = match &self.state {
+            State::Narrow(k) => (filled(&k.masks), k.cells.len(), k.out.targets()),
+            State::Wide(k) => (filled(&k.masks), k.cells.len(), k.out.targets()),
         };
         match self.scan.select.as_ref().map(|s| s.masks.is_some()) {
-            Some(true) => {
-                let distinct: usize = masks.iter().map(|m| m.len()).sum();
-                sdr_obs::add("query.select.kernel.distinct_dim_values", distinct as u64);
-            }
+            Some(true) => sdr_obs::add("query.select.kernel.distinct_dim_values", masks as u64),
             Some(false) if self.scan.packer.is_some() => {
                 sdr_obs::add("query.select.kernel.distinct_cells", cells as u64);
             }
             _ => {}
         }
+        if let Some(t) = targets {
+            sdr_obs::add("query.aggregate.kernel.distinct_dim_values", t as u64);
+        }
     }
 
     /// The aggregated answer over every fed row.
     pub fn finish(self) -> Result<Mo, QueryError> {
-        let (levels, approach) = self.scan.group.as_ref().expect("an aggregating scan");
+        let (_, approach) = self.scan.group.as_ref().expect("an aggregating scan");
         let enabled = sdr_obs::enabled();
         if enabled {
-            self.record_select();
+            self.record_memos();
         }
-        let schema = &self.scan.schema;
         let out = match self.state {
-            State::Narrow(Keyed {
-                out: Out::Groups(g),
-                ..
-            }) => g.finish(schema, *approach)?,
-            State::Wide(Keyed {
-                out: Out::Groups(g),
-                ..
-            }) => g.finish(schema, *approach)?,
-            State::Narrow(Keyed {
-                out: Out::Rows(parts),
-                ..
-            })
-            | State::Wide(Keyed {
-                out: Out::Rows(parts),
-                ..
-            }) => aggregate_rows_naive(schema, &parts, levels, *approach)?,
+            State::Narrow(k) => k.out.finish(self.scan)?,
+            State::Wide(k) => k.out.finish(self.scan)?,
         };
         if enabled {
             sdr_obs::add(approach.visited_metric(), self.kept);
@@ -539,28 +749,50 @@ impl<'m> ScanAcc<'_, 'm> {
         Ok(out)
     }
 
-    /// A selection-only scan's kept rows, over the one run it was fed:
-    /// that run itself when every row was kept, else the kept rows copied
-    /// out.
-    pub(crate) fn finish_rows(self) -> Cow<'m, Mo> {
+    /// A selection-only scan of `mo`: `mo` itself when every row is
+    /// kept, else the kept rows copied out.
+    pub(crate) fn filter<'m>(mut self, mo: &'m Mo) -> Result<Cow<'m, Mo>, QueryError> {
         debug_assert!(self.scan.group.is_none());
-        if sdr_obs::enabled() {
-            self.record_select();
-        }
-        let mut parts = match self.state {
-            State::Narrow(Keyed {
-                out: Out::Rows(p), ..
-            })
-            | State::Wide(Keyed {
-                out: Out::Rows(p), ..
-            }) => p,
-            _ => unreachable!("a selection-only scan keeps rows"),
+        sdr_mdm::check_same_schema(&self.scan.schema, mo.schema())?;
+        let all = match &mut self.state {
+            State::Narrow(k) => k.select(self.scan, mo, &mut self.keep)?,
+            State::Wide(k) => k.select(self.scan, mo, &mut self.keep)?,
         };
-        debug_assert!(parts.len() <= 1, "a selection is fed one run");
-        match parts.pop() {
-            Some((mo, None)) => Cow::Borrowed(mo),
-            Some((mo, Some(rows))) => Cow::Owned(mo.gather(&rows)),
-            None => Cow::Owned(Mo::new(Arc::clone(&self.scan.schema))),
+        if sdr_obs::enabled() {
+            self.record_memos();
+        }
+        Ok(if all {
+            Cow::Borrowed(mo)
+        } else {
+            Cow::Owned(mo.gather(&self.keep))
+        })
+    }
+}
+
+impl<K: PackedKey> Out<K> {
+    /// The aggregation's memoized distinct direct values (keyed
+    /// availability and strict only).
+    fn targets(&self) -> Option<usize> {
+        match self {
+            Out::Groups(g) if !g.targets.is_empty() => Some(filled(&g.targets)),
+            _ => None,
+        }
+    }
+
+    fn finish(self, scan: &Scan) -> Result<Mo, QueryError> {
+        match self {
+            Out::Groups(g) => {
+                if sdr_obs::enabled() {
+                    let distinct = g.keys.len() as u64;
+                    sdr_obs::add("query.aggregate.kernel.distinct_cells", distinct);
+                }
+                g.finish(scan)
+            }
+            Out::Rows(parts) => {
+                let (levels, approach) = scan.group.as_ref().expect("an aggregating scan");
+                let parts: Vec<&Mo> = parts.iter().collect();
+                aggregate_rows_naive(&scan.schema, &parts, levels, *approach)
+            }
         }
     }
 }
@@ -593,10 +825,32 @@ mod tests {
             .collect()
     }
 
-    /// One scan fed an MO in 1, 2 or 7 runs answers exactly what the
+    /// `mo` plus one fact on the first and one on the last day of the
+    /// schema horizon, so a day table spans its category's whole domain.
+    fn with_horizon_ends(mo: &Mo) -> Mo {
+        let time = &mo.schema().dims[0];
+        let sdr_mdm::Dimension::Time(t) = time else {
+            panic!("the paper's first dimension is Time")
+        };
+        let code = |d| sdr_mdm::TimeValue::Day(d).code();
+        assert_eq!(time.min_code(sdr_mdm::time_cat::DAY), code(t.min_day));
+        let mut out = mo.clone();
+        let f = sdr_mdm::FactId(0);
+        for day in [t.max_day, t.min_day] {
+            let mut coords = mo.coords(f);
+            coords[0] = DimValue::new(sdr_mdm::time_cat::DAY, code(day));
+            out.insert_fact(&coords, &mo.measures_of(f)).unwrap();
+        }
+        out
+    }
+
+    /// One scan fed an MO in 1, 2 or 7 runs — in row order, in reverse
+    /// run order (the tables re-base downward), or split over two
+    /// accumulators that are then absorbed — answers exactly what the
     /// operators answer on the whole MO, row for row, under every select
-    /// mode and approach — on raw facts and on reduced ones, whose
-    /// varying granularities exercise LUB, strict and the weighted mode.
+    /// mode and approach: on raw facts, on reduced ones, whose varying
+    /// granularities exercise LUB, strict and the weighted mode, and on
+    /// raw facts that reach both ends of the schema horizon.
     #[test]
     fn a_scan_over_runs_equals_the_operators_on_the_whole() {
         let (raw, _) = paper_mo();
@@ -606,6 +860,7 @@ mod tests {
         let spec = DataReductionSpec::new(Arc::clone(&schema), vec![a1, a2]).unwrap();
         let now = days_from_civil(2000, 11, 5);
         let reduced = reduce(&raw, &spec, now).unwrap();
+        let ends = with_horizon_ends(&raw);
         let (_, grp) = schema.resolve_cat("URL.domain_grp").unwrap();
         let (_, domain) = schema.resolve_cat("URL.domain").unwrap();
         let preds = [
@@ -629,9 +884,10 @@ mod tests {
         let levels = [
             vec![sdr_mdm::time_cat::MONTH, grp],
             vec![sdr_mdm::time_cat::QUARTER, domain],
+            vec![sdr_mdm::time_cat::DAY, domain],
         ];
         let mut compared = 0;
-        for mo in [&raw, &reduced] {
+        for mo in [&raw, &reduced, &ends] {
             for pred in preds {
                 let p = parse_pexp(&schema, pred).unwrap();
                 for mode in modes {
@@ -643,22 +899,49 @@ mod tests {
                                 Scan::compile(&schema, Some(&p), now, mode, lv, approach).unwrap();
                             for n in [1, 2, 7] {
                                 let runs = split(mo, n);
-                                let mut acc = scan.start();
-                                for run in &runs {
-                                    acc.feed(run).unwrap();
+                                let mut forward = scan.start();
+                                let mut reverse = scan.start();
+                                let (mut left, mut right) = (scan.start(), scan.start());
+                                for (i, run) in runs.iter().enumerate() {
+                                    forward.feed(run).unwrap();
+                                    reverse.feed(&runs[n - 1 - i]).unwrap();
+                                    let half = if i % 2 == 0 { &mut left } else { &mut right };
+                                    half.feed(run).unwrap();
                                 }
-                                assert_eq!(acc.visited(), mo.len() as u64);
-                                assert_eq!(acc.kept(), selected.len() as u64);
-                                let got = rows(&acc.finish().unwrap());
-                                let ctx = format!("{pred} {mode:?} {approach:?} {n} runs");
-                                assert_eq!(got, want, "{ctx}");
-                                compared += 1;
+                                left.absorb(right);
+                                for (how, acc) in [
+                                    ("forward", forward),
+                                    ("reverse", reverse),
+                                    ("absorbed", left),
+                                ] {
+                                    assert_eq!(acc.visited(), mo.len() as u64);
+                                    assert_eq!(acc.kept(), selected.len() as u64);
+                                    let got = rows(&acc.finish().unwrap());
+                                    let ctx =
+                                        format!("{pred} {mode:?} {approach:?} {n} runs {how}");
+                                    assert_eq!(got, want, "{ctx}");
+                                    compared += 1;
+                                }
                             }
                         }
                     }
                 }
             }
         }
-        assert_eq!(compared, 2 * 4 * 4 * 2 * 4 * 3);
+        assert_eq!(compared, 3 * 4 * 4 * 3 * 4 * 3 * 3);
+    }
+
+    /// A table fed codes in descending order grows downward by at least
+    /// its own length, and never below its category's lowest code.
+    #[test]
+    fn a_code_table_rebases_downward_within_its_range() {
+        let mut t = CodeTable::new(100);
+        for code in (100..=200).rev() {
+            t.insert(code, code);
+            assert!(t.base >= 100 && t.base <= code);
+        }
+        assert_eq!(t.slots.len(), 101);
+        assert!((100..=200).all(|c| t.get(c) == Some(c)));
+        assert_eq!((t.get(99), t.get(201)), (None, None));
     }
 }

@@ -344,9 +344,7 @@ pub fn select_view<'a>(
         None => Cow::Borrowed(mo),
         Some(p) => {
             let scan = Scan::selection(mo.schema(), p, now, mode)?;
-            let mut acc = scan.start();
-            acc.feed(mo)?;
-            acc.finish_rows()
+            scan.start().filter(mo)?
         }
     };
     if sdr_obs::enabled() {

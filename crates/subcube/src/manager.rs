@@ -72,9 +72,8 @@ pub struct CubeId(pub usize);
 pub const CHUNK_ROWS: usize = 4096;
 
 /// `parts` (`rows` facts in all) appended into one MO over `schema` —
-/// the crate's one union, whether of a cube's chunks, of a view's cubes,
-/// of shards or of a query's sub-results. A part over another schema is
-/// its one failure.
+/// the crate's one union, whether of a cube's chunks, of a view's cubes
+/// or of shards. A part over another schema is its one failure.
 pub(crate) fn union<'a>(
     schema: &Arc<Schema>,
     rows: usize,

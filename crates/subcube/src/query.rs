@@ -1,20 +1,22 @@
 //! Querying a set of subcubes (Section 7.3).
 //!
-//! A query is evaluated on every subcube *separately and in parallel*,
-//! producing up to `m` sub-results that are combined by **one** final
-//! aggregation — exact because all default aggregate functions are
-//! distributive (Section 3). One scan loop (`eval_per_cube`, over the
-//! cubes a [`QueryPlan`] scans; the naive fan-out is that loop under
-//! [`QueryPlan::scan_all`]) feeds one `merge`, applied once per query
-//! at whichever level is the top: a view merges its own sub-results, a
-//! sharded set every shard's. `parallel` fans a view's scanned cubes out
-//! over scoped threads; a set of several shards fans out the shards
-//! instead. Two states are supported:
+//! The paper evaluates a query on every subcube separately and combines
+//! the sub-results by one final aggregation — exact because all default
+//! aggregate functions are distributive (Section 3). The same property
+//! lets every subcube's kept rows fold into **one** accumulator, so
+//! there are no sub-results here at all: one scan loop
+//! (`WarehouseView::scan_into`, over the cubes a [`QueryPlan`] scans; the
+//! naive fan-out is that loop under [`QueryPlan::scan_all`]) feeds every
+//! kept chunk of every scanned cube, of every shard a query spans, into
+//! one [`ScanAcc`], which is finished once. `parallel` fans a view's
+//! scanned cubes out over scoped threads, and a set of several shards
+//! fans out the shards instead; each worker then fills an accumulator of
+//! its own, and the caller [absorbs](ScanAcc::absorb) them by packed key
+//! before the one finish. Two states are supported:
 //!
 //! * **synchronized** — each cube holds exactly its own facts; the
-//!   planner skips the cubes whose statistics prove them irrelevant, the
-//!   query runs on the rest and the sub-results are unioned and
-//!   re-aggregated (Figure 8);
+//!   planner skips the cubes whose statistics prove them irrelevant and
+//!   the query folds the rest into its accumulator (Figure 8);
 //! * **un-synchronized** — facts may still sit in ancestor cubes, or
 //!   un-homed in the bottom cube. The paper answers with a *virtual*
 //!   synchronization (`α[G_i]σ[P_i](K_i ∪ parents)`, Figure 9); here that
@@ -40,20 +42,21 @@
 //! every worker of every shard. A scanned cube is read chunk by chunk in
 //! row order: a chunk whose summary hulls fail the planner's hull test
 //! — the one a cube's skip is decided by — is skipped, and the kept rows
-//! of the rest are folded straight into one accumulator per cube scan.
-//! No cube is concatenated and no row is copied before it is grouped.
+//! of the rest are folded straight into the worker's accumulator. No
+//! cube is concatenated, no row is copied before it is grouped, and no
+//! group is aggregated twice.
 
 use std::sync::Arc;
 
 use sdr_mdm::{DayNum, Mo, Schema};
 use sdr_plan::{CubeSummary, Grounding, QueryPlan, RegionOracle};
-use sdr_query::{aggregate_ids, AggApproach, Scan, SelectMode};
+use sdr_query::{AggApproach, Scan, ScanAcc, SelectMode};
 use sdr_reduce::ReduceError;
 use sdr_spec::Pexp;
 use sdr_sync::thread;
 
 use crate::error::SubcubeError;
-use crate::manager::{union, Chunk, Subcube, SubcubeManager, WarehouseView};
+use crate::manager::{Chunk, Subcube, SubcubeManager, WarehouseView};
 
 /// A query against the subcube warehouse: optional selection followed by
 /// aggregate formation (the operators of Section 6).
@@ -84,7 +87,7 @@ fn summarize(c: &Subcube) -> CubeSummary {
 /// A query compiled once and shared read-only by every scan worker: the
 /// fused kernel and the predicate grounded for the hull test.
 pub(crate) struct CompiledQuery {
-    scan: Scan,
+    pub(crate) scan: Scan,
     pub(crate) grounding: Grounding,
 }
 
@@ -106,12 +109,24 @@ impl CompiledQuery {
         })
     }
 
-    /// `q` over one cube: the chunks the hull test keeps, in row order,
-    /// into one accumulator. Returns the sub-result and the chunks
-    /// scanned and skipped.
-    fn scan_cube(&self, i: usize, cube: &Subcube) -> Result<(Mo, u64, u64), SubcubeError> {
+    /// The query's answer: the one accumulator left after every worker's
+    /// was absorbed, finished once.
+    pub(crate) fn finish(&self, acc: ScanAcc<'_>) -> Result<Mo, SubcubeError> {
         let _span = sdr_obs::span("query.aggregate");
-        let mut acc = self.scan.start();
+        Ok(acc.finish()?)
+    }
+
+    /// `q` over one cube: the chunks the hull test keeps, in row order,
+    /// into `acc`. Returns the rows the selection kept and the chunks
+    /// scanned and skipped.
+    fn scan_cube(
+        &self,
+        i: usize,
+        cube: &Subcube,
+        acc: &mut ScanAcc<'_>,
+    ) -> Result<(u64, u64, u64), SubcubeError> {
+        let _span = sdr_obs::span("query.aggregate");
+        let (visited, kept) = (acc.visited(), acc.kept());
         let mut skipped = 0u64;
         for (c, chunk) in cube.chunks().iter().enumerate() {
             if self.grounding.may_match(chunk.summary().hulls()) {
@@ -122,13 +137,14 @@ impl CompiledQuery {
             }
         }
         let scanned = cube.chunks().len() as u64 - skipped;
+        let kept = acc.kept() - kept;
         if sdr_obs::enabled() {
-            sdr_obs::add("query.select.cells_visited", acc.visited());
-            sdr_obs::add("query.select.cells_kept", acc.kept());
+            sdr_obs::add("query.select.cells_visited", acc.visited() - visited);
+            sdr_obs::add("query.select.cells_kept", kept);
             sdr_obs::add("plan.chunks_scanned", scanned);
             sdr_obs::add("plan.chunks_skipped", skipped);
         }
-        Ok((acc.finish()?, scanned, skipped))
+        Ok((kept, scanned, skipped))
     }
 
     /// In a debug build, scans a chunk the planner skipped — span- and
@@ -182,6 +198,29 @@ pub(crate) fn fan_out<T: Send, R: Send>(
     })
 }
 
+/// `visit` on every item, folding into `acc`: in item order on the
+/// calling thread, or — when `parallel` — each item into an accumulator
+/// of its own on a [`fan_out`] worker, absorbed into `acc` in item order.
+pub(crate) fn fold_each<T: Sync>(
+    cq: &CompiledQuery,
+    items: &[T],
+    parallel: bool,
+    acc: &mut ScanAcc<'_>,
+    visit: impl Fn(&T, &mut ScanAcc<'_>) -> Result<(), SubcubeError> + Sync,
+) -> Result<(), SubcubeError> {
+    if !parallel {
+        return items.iter().try_for_each(|item| visit(item, acc));
+    }
+    let workers = fan_out(items, |item| {
+        let mut own = cq.scan.start();
+        visit(item, &mut own).map(|()| own)
+    });
+    for worker in workers {
+        acc.absorb(worker?);
+    }
+    Ok(())
+}
+
 impl WarehouseView {
     /// Plans `q` against this view's cubes: a scan/skip verdict per cube
     /// from their exact statistics (and `oracle`'s proved regions, when
@@ -208,7 +247,7 @@ impl WarehouseView {
     /// (empty, hull-disjoint) or by the schedule's proved regions
     /// ([`region_oracle`](WarehouseView::region_oracle)) are skipped, the
     /// rest scanned — one worker per scanned cube (scoped threads) when
-    /// `parallel` — and the sub-results merged.
+    /// `parallel` — into one accumulator, finished once.
     /// [`query_planned`](WarehouseView::query_planned) chooses the
     /// oracle, [`query_naive`](WarehouseView::query_naive) is the
     /// unplanned full fan-out.
@@ -227,8 +266,7 @@ impl WarehouseView {
     ) -> Result<Mo, SubcubeError> {
         let cq = CompiledQuery::new(self.schema(), q, now, true)?;
         let plan = self.plan_grounded(&cq.grounding, oracle);
-        let parts = self.eval_per_cube(&cq, parallel, &plan)?;
-        merge(self.schema(), q, &parts)
+        self.answer(&cq, parallel, &plan)
     }
 
     /// The unplanned full fan-out over every chunk of every cube — what
@@ -244,8 +282,20 @@ impl WarehouseView {
         let rows: Vec<u64> = self.cubes().iter().map(|c| c.rows() as u64).collect();
         let plan = QueryPlan::scan_all(&rows);
         let cq = CompiledQuery::new(self.schema(), q, now, false)?;
-        let parts = self.eval_per_cube(&cq, parallel, &plan)?;
-        merge(self.schema(), q, &parts)
+        self.answer(&cq, parallel, &plan)
+    }
+
+    /// `cq` over the cubes `plan` scans, into one accumulator finished
+    /// once.
+    fn answer(
+        &self,
+        cq: &CompiledQuery,
+        parallel: bool,
+        plan: &QueryPlan,
+    ) -> Result<Mo, SubcubeError> {
+        let mut acc = cq.scan.start();
+        self.scan_into(cq, parallel, plan, &mut acc)?;
+        cq.finish(acc)
     }
 
     /// Evaluates `q` without assuming synchronization: the planned
@@ -273,19 +323,19 @@ impl WarehouseView {
         self.v.oracle.get_or_init(build).as_ref()
     }
 
-    /// The one scan loop: `cq` on every cube `plan` scans — in the plan's
-    /// cheapest-first order, or each on its own thread when `parallel` —
-    /// with the sub-results returned un-merged (a shard hands them to the
-    /// cross-shard `merge`, which is order-insensitive). A skipped cube
-    /// costs a span, never a thread or a placeholder result. A view over
-    /// another schema than `cq`'s is the error the merge of its parts
-    /// would be.
-    pub(crate) fn eval_per_cube(
+    /// The one scan loop: `cq` on every cube `plan` scans, folded into
+    /// `acc` — in the plan's cheapest-first order, or each cube into an
+    /// accumulator of its own on its own thread when `parallel`, absorbed
+    /// into `acc` in plan order. A skipped cube costs a span, never a
+    /// thread or an accumulator. A view over another schema than `cq`'s
+    /// is a schema-mismatch error.
+    pub(crate) fn scan_into(
         &self,
         cq: &CompiledQuery,
         parallel: bool,
         plan: &QueryPlan,
-    ) -> Result<Vec<Mo>, SubcubeError> {
+        acc: &mut ScanAcc<'_>,
+    ) -> Result<(), SubcubeError> {
         let _span = sdr_obs::span("subcube.query");
         sdr_obs::attr("epoch", self.epoch());
         sdr_mdm::check_same_schema(cq.scan.schema(), self.schema()).map_err(ReduceError::Model)?;
@@ -296,57 +346,46 @@ impl WarehouseView {
         // One span per cube, scanned or skipped: its p50/p99 spread
         // exposes cube-size skew across workers, and `explain` reads
         // every verdict and chunk count off the trace.
-        let visit = |&i: &usize| -> Result<Option<Mo>, SubcubeError> {
+        let visit = |i: usize, acc: &mut ScanAcc<'_>| -> Result<(), SubcubeError> {
             let skip = plan.skip_reason(i);
             let sub = sdr_obs::span_in("subcube.query.subquery", &ctx);
             let cube = &self.cubes()[i];
-            let r = skip.is_none().then(|| cq.scan_cube(i, cube)).transpose();
+            let r = skip
+                .is_none()
+                .then(|| cq.scan_cube(i, cube, acc))
+                .transpose();
             if sub.is_recording() {
                 sdr_obs::attr("subcube", format_args!("K{i}"));
                 sdr_obs::attr("epoch", cube.epoch());
                 sdr_obs::attr("rows_in", cube.rows());
                 match &r {
-                    Ok(Some((mo, chunks, skipped))) => {
-                        sdr_obs::attr("rows_out", mo.len());
+                    Ok(Some((kept, chunks, skipped))) => {
+                        sdr_obs::attr("rows_kept", kept);
                         sdr_obs::attr("chunks_scanned", chunks);
                         sdr_obs::attr("chunks_skipped", skipped);
                     }
-                    Ok(None) => sdr_obs::attr("rows_out", 0),
+                    Ok(None) => sdr_obs::attr("rows_kept", 0),
                     Err(_) => {}
                 }
                 if let Some(reason) = skip {
                     sdr_obs::attr("skipped", reason.label());
                 }
             }
-            Ok(r?.map(|(mo, _, _)| mo))
+            r.map(|_| ())
         };
-        let scanned: Result<Vec<_>, _> = if parallel {
+        if parallel {
             sdr_obs::add("subcube.query.fanout", plan.order.len() as u64);
-            fan_out(&plan.order, visit).into_iter().collect()
-        } else {
-            plan.order.iter().map(visit).collect()
-        };
-        let scanned = scanned?;
+        }
+        fold_each(cq, &plan.order, parallel, acc, |&i, acc| visit(i, acc))?;
         for (i, reason) in (0..plan.cubes.len()).filter_map(|i| Some((i, plan.skip_reason(i)?))) {
-            visit(&i)?;
+            visit(i, acc)?;
             for (c, chunk) in self.cubes()[i].chunks().iter().enumerate() {
                 let why = || format!("K{i} ({}), its chunk {c}", reason.label());
                 cq.verify_skipped(chunk, why)?;
             }
         }
-        Ok(scanned.into_iter().flatten().collect())
+        Ok(())
     }
-}
-
-/// The one union + final aggregation of a query's sub-results — exact
-/// because all default aggregate functions are distributive (Section 3),
-/// and therefore applied once per query, over the per-cube sub-results of
-/// however many views the query spans. A sub-result over another schema
-/// is the same error at every level.
-pub(crate) fn merge(schema: &Arc<Schema>, q: &CubeQuery, parts: &[Mo]) -> Result<Mo, SubcubeError> {
-    let rows = parts.iter().map(Mo::len).sum();
-    let all = union(schema, rows, parts)?;
-    Ok(aggregate_ids(&all, &q.levels, q.approach)?)
 }
 
 impl SubcubeManager {

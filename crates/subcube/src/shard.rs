@@ -45,15 +45,16 @@
 //!   writes in again. An `Err` therefore always means "as if never
 //!   issued".
 //!
-//! Queries scatter to the per-shard planners, which return their
-//! per-cube sub-results un-merged; the set applies the unsharded
-//! evaluator's own merge (`union` + one final `aggregate_ids`) once over
-//! all of them — a query is aggregated per scanned cube and once more,
-//! however many shards it spans. `parallel` runs the shards concurrently
-//! (each scans its cubes in sequence; a single shard fans out over its
-//! cubes), an un-synchronized query ages each shard inside that scatter,
-//! and the answer is row-for-row the unsharded one — `tests/sharding.rs`
-//! proves it differentially for N ∈ {1, 2, 4, 7}.
+//! Queries scatter to the per-shard planners, and every shard folds the
+//! chunks it scans into the query's one accumulator — the unsharded
+//! evaluator's own scan loop — which is finished once, however many
+//! shards the query spans. `parallel` runs the shards concurrently, each
+//! into an accumulator of its own (each scans its cubes in sequence; a
+//! single shard fans out over its cubes), and the set absorbs them by
+//! packed key before the finish. An un-synchronized query ages each
+//! shard inside that scatter, and the answer is row-for-row the
+//! unsharded one — `tests/sharding.rs` proves it differentially for
+//! N ∈ {1, 2, 4, 7}.
 //!
 //! On disk (see [`crate::layout`]):
 //!
@@ -70,6 +71,7 @@ use sdr_sync::{fail, Mutex, Swap};
 
 use sdr_mdm::{DayNum, DimValue, KeyPacker, Mo, Schema};
 use sdr_plan::QueryPlan;
+use sdr_query::ScanAcc;
 use sdr_reduce::DataReductionSpec;
 use sdr_spec::{ActionId, ActionSpec};
 use sdr_storage::fs::{atomic_write, Fs, MemFs, RealFs};
@@ -81,7 +83,7 @@ use crate::layout::WarehouseLayout;
 use crate::manager::{union, AgeStats, WarehouseView};
 use crate::op::{OpOutcome, WarehouseOp};
 use crate::persist::{read_current, spec_fingerprint};
-use crate::query::{fan_out, merge, CompiledQuery, CubeQuery};
+use crate::query::{fan_out, fold_each, CompiledQuery, CubeQuery};
 
 /// `SHARDS` manifest magic: `"SDRSHD01"`.
 const SHARDS_MAGIC: u64 = 0x5344_5253_4844_3031;
@@ -215,10 +217,9 @@ impl ShardViewSet {
     }
 
     /// Scatter-gather query over the synchronized state: each shard
-    /// plans and scans its own cubes, and the per-cube sub-results of
-    /// all shards get the one distributive `union + aggregate` merge the
-    /// unsharded evaluator applies between subcubes — so the result is
-    /// bit-identical to the unsharded path.
+    /// plans and scans its own cubes into the query's one accumulator,
+    /// finished once — so the result is bit-identical to the unsharded
+    /// path.
     pub fn query(&self, q: &CubeQuery, now: DayNum, parallel: bool) -> Result<Mo, SubcubeError> {
         let _span = sdr_obs::span("shard.query");
         self.scatter(q, now, parallel, false)
@@ -227,8 +228,8 @@ impl ShardViewSet {
     /// Scatter-gather query over the *un*-synchronized state: each shard
     /// is [virtually aged](WarehouseView::virtual_age) to `now` (memoized
     /// on its pinned version) inside the scatter — a memo miss ages the
-    /// shards concurrently — and scanned through its planner, then the
-    /// same single merge.
+    /// shards concurrently — and scanned through its planner into the
+    /// same one accumulator.
     pub fn query_unsync(
         &self,
         q: &CubeQuery,
@@ -263,10 +264,11 @@ impl ShardViewSet {
         union_mo(&self.views)
     }
 
-    /// Every shard's un-merged sub-results — the shards across threads
-    /// when `parallel` and there are several, each then scanning its
-    /// cubes sequentially; a single shard fans out over its cubes instead
-    /// — and the one merge of all of them.
+    /// Every shard's scanned chunks into one accumulator, finished once:
+    /// the shards across threads when `parallel` and there are several,
+    /// each into an accumulator of its own (absorbed in shard order) and
+    /// scanning its cubes sequentially; a single shard fans out over its
+    /// cubes instead.
     fn scatter(
         &self,
         q: &CubeQuery,
@@ -276,19 +278,15 @@ impl ShardViewSet {
     ) -> Result<Mo, SubcubeError> {
         let across = parallel && self.views.len() > 1;
         let cq = CompiledQuery::new(self.views[0].schema(), q, now, true)?;
-        let scan = |v: &WarehouseView| {
+        let scan = |v: &WarehouseView, acc: &mut ScanAcc<'_>| {
             let aged = unsync.then(|| v.virtual_age(now)).transpose()?;
             let v = aged.as_ref().map_or(v, |(aged, _hit)| aged);
             let plan = v.plan_grounded(&cq.grounding, v.region_oracle());
-            v.eval_per_cube(&cq, parallel && !across, &plan)
+            v.scan_into(&cq, parallel && !across, &plan, acc)
         };
-        let parts: Result<Vec<Vec<Mo>>, SubcubeError> = if across {
-            fan_out(&self.views, scan).into_iter().collect()
-        } else {
-            self.views.iter().map(scan).collect()
-        };
-        let parts: Vec<Mo> = parts?.into_iter().flatten().collect();
-        merge(self.views[0].schema(), q, &parts)
+        let mut acc = cq.scan.start();
+        fold_each(&cq, &self.views, across, &mut acc, scan)?;
+        cq.finish(acc)
     }
 }
 
@@ -969,10 +967,11 @@ mod tests {
     use sdr_reduce::ReduceError;
     use sdr_workload::paper_mo;
 
-    /// A sub-result over another schema is one failure, so it is one
-    /// error — `Reduce(Model(SchemaMismatch))` — whether the merge meets
-    /// it between the cubes of a view or between shards, and whether the
-    /// union is a query's or `to_mo`'s.
+    /// Cubes over another schema are one failure, so they are one error
+    /// — `Reduce(Model(SchemaMismatch))` — whether a view's scan loop
+    /// meets them under a query compiled for the other schema, or a shard
+    /// set does between its shards, and whether the read is a query or
+    /// `to_mo`'s union.
     #[test]
     fn a_foreign_schema_is_the_same_error_between_cubes_and_between_shards() {
         let (paper, _) = paper_mo();
@@ -1007,14 +1006,15 @@ mod tests {
             m.view()
         };
         let (ours, theirs) = (view(&paper), view(&foreign));
-        // Between cubes: one view's sub-results, one of them foreign.
-        let scan = |v: &WarehouseView| {
-            let cq = CompiledQuery::new(v.schema(), &q, 0, true).unwrap();
-            let plan = v.plan_grounded(&cq.grounding, None);
-            v.eval_per_cube(&cq, false, &plan).unwrap()
-        };
-        let parts = [scan(&ours), scan(&theirs)].concat();
-        mismatch(merge(s, &q, &parts));
+        // One view: the scan loop of a query compiled for our schema,
+        // over their cubes, sequential and fanned out.
+        let cq = CompiledQuery::new(s, &q, 0, true).unwrap();
+        let plan = theirs.plan_grounded(&cq.grounding, None);
+        for parallel in [false, true] {
+            let mut acc = cq.scan.start();
+            let scanned = theirs.scan_into(&cq, parallel, &plan, &mut acc);
+            mismatch(scanned.and_then(|()| cq.finish(acc)));
+        }
         // Between shards: a set whose second shard is foreign.
         let set = ShardViewSet {
             epoch: 1,

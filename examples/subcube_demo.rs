@@ -44,8 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         print!("{}", describe());
     }
 
-    // Figure 8: a query evaluated per cube in parallel, sub-results
-    // combined by one final (distributive) aggregation.
+    // Figure 8: a query evaluated over the cubes in parallel, every
+    // cube's kept rows folded into one (distributive) aggregation.
     let now = days_from_civil(2000, 11, 5);
     let q = CubeQuery {
         pred: Some(parse_pexp(

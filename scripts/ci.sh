@@ -177,6 +177,10 @@ fi
 # encoder runs full 65 536-row segments.
 run cargo test -q --release -p sdr-storage
 
+# Query kernel under --release: the dense tables' code-offset arithmetic
+# and the i128 measure fold run with overflow checks off, as shipped.
+run cargo test -q --release -p sdr-query
+
 # Durability suite under --release: the crash matrix and the proptest
 # layer exercise many fs-failure schedules and want optimized code.
 run cargo test -q --release --test durability

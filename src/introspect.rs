@@ -46,8 +46,10 @@ pub struct CubeReport {
     pub key_range: Option<(u128, u128)>,
     /// True when the operation evaluated this cube.
     pub scanned: bool,
-    /// Rows this cube contributed to the operation's result.
-    pub rows_out: u64,
+    /// Rows of this cube the operation kept: for a query, the rows its
+    /// selection kept (folded into the query's one accumulator); for an
+    /// age, the cube's rows afterwards.
+    pub rows_kept: u64,
     /// The cube's chunks.
     pub chunks: u64,
     /// Chunks of a scanned cube the query read, and those its hull test
@@ -56,7 +58,7 @@ pub struct CubeReport {
     /// See [`chunks_scanned`](CubeReport::chunks_scanned).
     pub chunks_skipped: u64,
     /// True when scanning the cube was provably unnecessary — the
-    /// operation read it and produced nothing from it.
+    /// operation read it and kept none of its rows.
     pub skippable: bool,
     /// The query planner's verdict (`"scan"`, `"skip(empty)"`,
     /// `"skip(zone)"`, `"skip(region)"`); `None` for non-query
@@ -188,7 +190,7 @@ fn dag_of(view: &WarehouseView) -> Vec<CubeReport> {
                 distinct: s.dims.iter().map(|d| d.distinct).collect(),
                 key_range: s.key_min.zip(s.key_max),
                 scanned: false,
-                rows_out: 0,
+                rows_kept: 0,
                 chunks: c.chunks().len() as u64,
                 chunks_scanned: 0,
                 chunks_skipped: 0,
@@ -204,9 +206,9 @@ fn dag_of(view: &WarehouseView) -> Vec<CubeReport> {
 /// view with tracing on and returns the answer plus the annotated
 /// report; a warehouse of several shards is a
 /// [`QueryError::Unsupported`] error.
-/// Scanned/output counts per cube come from the `subcube.query.subquery`
-/// span attributes; a scanned cube that contributed no rows is marked
-/// skippable. Each cube also carries the planner's verdict (scan with a
+/// Scanned/kept counts per cube come from the `subcube.query.subquery`
+/// span attributes; a scanned cube none of whose rows the selection
+/// kept is marked skippable. Each cube also carries the planner's verdict (scan with a
 /// cost estimate, or the skip reason) — planning is deterministic, so
 /// the report's plan is the one the evaluation followed.
 ///
@@ -250,8 +252,9 @@ pub fn explain_query(
 }
 
 /// Marks every cube with a `subcube.query.subquery` span as scanned and
-/// copies its `rows_out`, `chunks_scanned` and `chunks_skipped`
-/// attributes; a scanned cube that produced nothing is skippable. Spans stamped with a `skipped` attr were planner skips:
+/// copies its `rows_kept`, `chunks_scanned` and `chunks_skipped`
+/// attributes; a scanned cube that kept no row is skippable. Spans
+/// stamped with a `skipped` attr were planner skips:
 /// the cube was *not* evaluated (and by planner soundness contributed
 /// nothing).
 fn annotate_query_scans(cubes: &mut [CubeReport], snap: &Snapshot) {
@@ -268,15 +271,15 @@ fn annotate_query_scans(cubes: &mut [CubeReport], snap: &Snapshot) {
         if let Some(c) = cubes.get_mut(id) {
             if attr_str(&t.attrs, "skipped").is_some() {
                 c.scanned = false;
-                c.rows_out = 0;
+                c.rows_kept = 0;
                 c.skippable = false;
                 continue;
             }
             c.scanned = true;
-            c.rows_out = attr_u64(&t.attrs, "rows_out").unwrap_or(0);
+            c.rows_kept = attr_u64(&t.attrs, "rows_kept").unwrap_or(0);
             c.chunks_scanned = attr_u64(&t.attrs, "chunks_scanned").unwrap_or(0);
             c.chunks_skipped = attr_u64(&t.attrs, "chunks_skipped").unwrap_or(0);
-            c.skippable = c.rows_out == 0;
+            c.skippable = c.rows_kept == 0;
         }
     }
 }
@@ -310,7 +313,7 @@ fn annotate_plan(cubes: &mut [CubeReport], plan: &sdr_plan::QueryPlan) {
 /// only what the transitions touch. The schedule the steps follow was
 /// analyzed when the specification was built (`reduce.analyze`), before
 /// this recording, so no scheduling phase appears. Every cube counts as
-/// scanned; `rows_out` is each cube's row count afterwards.
+/// scanned; `rows_kept` is each cube's row count afterwards.
 pub fn explain_age(
     router: &ShardRouter,
     until: DayNum,
@@ -321,7 +324,7 @@ pub fn explain_age(
     let mut cubes = dag_of(&view);
     for c in &mut cubes {
         c.scanned = true;
-        c.rows_out = c.rows;
+        c.rows_kept = c.rows;
         c.skippable = false;
     }
     let report = Introspection {
@@ -412,7 +415,7 @@ impl Introspection {
             };
             out.push_str(&format!(
                 "{{\"id\":{},\"grain\":\"{}\",\"parents\":[{}],\"rows\":{},\"bytes\":{},\
-                 \"epoch\":{},\"distinct\":[{}],{keys}{planned}\"scanned\":{},\"rows_out\":{},\
+                 \"epoch\":{},\"distinct\":[{}],{keys}{planned}\"scanned\":{},\"rows_kept\":{},\
                  \"chunks\":{},\"chunks_scanned\":{},\"chunks_skipped\":{},\"skippable\":{}}}",
                 c.id,
                 json_escape(&c.grain),
@@ -422,7 +425,7 @@ impl Introspection {
                 c.epoch,
                 distinct.join(","),
                 c.scanned,
-                c.rows_out,
+                c.rows_kept,
                 c.chunks,
                 c.chunks_scanned,
                 c.chunks_skipped,
@@ -496,9 +499,9 @@ impl Introspection {
                 format!("chunks={}", c.chunks)
             };
             out.push_str(&format!(
-                "     distinct/dim=[{}] {mark}, rows_out={}, {chunks}\n",
+                "     distinct/dim=[{}] {mark}, rows_kept={}, {chunks}\n",
                 distinct.join(","),
-                c.rows_out
+                c.rows_kept
             ));
         }
         out.push_str(&format!(
@@ -580,10 +583,18 @@ mod tests {
             report.cubes.iter().any(|c| c.scanned),
             "a non-empty warehouse scans at least one cube"
         );
-        // The per-cube output rows sum to at least the answer (the final
-        // combine can only merge rows, never invent them).
-        let contributed: u64 = report.cubes.iter().map(|c| c.rows_out).sum();
-        assert!(contributed >= report.result_rows);
+        // With no predicate every row of a scanned cube is kept, and the
+        // kept rows of the cubes make up the whole warehouse (the planner
+        // skips only empty cubes); they fold into at least one row per
+        // answer row, since the one finish can only merge rows.
+        let kept: u64 = report.cubes.iter().map(|c| c.rows_kept).sum();
+        let rows: u64 = report.cubes.iter().map(|c| c.rows).sum();
+        assert_eq!(kept, rows);
+        assert!(kept >= report.result_rows);
+        for c in &report.cubes {
+            assert_eq!(c.rows_kept, if c.scanned { c.rows } else { 0 }, "{c:?}");
+            assert_eq!(c.skippable, c.scanned && c.rows == 0, "{c:?}");
+        }
         // Formats render and carry the cube ids.
         let (t, j) = (report.to_table(), report.to_json());
         assert!(t.contains("K0") && t.contains("subcube DAG"), "{t}");

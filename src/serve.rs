@@ -522,10 +522,13 @@ fn handle_request(router: &ShardRouter, payload: &[u8]) -> Vec<u8> {
 /// the full result.
 const ROWS_CAP: usize = 500;
 
-/// Answers `q` from `set`, the set the request pinned. The answer is
-/// consistent whatever the writer does meanwhile (it saw one whole
-/// set), but when a newer set was published while it ran the read was
-/// stale: a traced run counts it as `subcube.query.stale_reads`.
+/// Answers `q` from `set`, the set the request pinned, on the
+/// connection's own thread: the connections already run side by side,
+/// and a per-request fan-out would only add thread spawns to every
+/// answer. The answer is consistent whatever the writer does meanwhile
+/// (it saw one whole set), but when a newer set was published while it
+/// ran the read was stale: a traced run counts it as
+/// `subcube.query.stale_reads`.
 fn run_query(
     router: &ShardRouter,
     set: &ShardViewSet,
@@ -533,7 +536,7 @@ fn run_query(
     q: &CubeQuery,
 ) -> Result<String, (u8, String)> {
     let res = spec
-        .eval(q, set, true)
+        .eval(q, set, false)
         .map_err(|e| (ERR_INTERNAL, e.to_string()))?;
     if sdr_obs::enabled() && router.view_set().epoch() > set.epoch() {
         sdr_obs::inc("subcube.query.stale_reads");

@@ -1640,6 +1640,102 @@ fn measure_sums_that_leave_i64_are_refused_and_recovery_stays_clean() {
     assert_eq!(facts, vec![vec![i64::MIN, i64::MAX]]);
 }
 
+/// A query refuses a SUM or COUNT only when the group's *true* total
+/// leaves `i64`. Mixed-sign sales whose partial sums leave it — loaded so
+/// that a row-order fold meets `MAX + MAX` first — but whose total fits
+/// get the exact answer, on one shard or two, sequential or parallel,
+/// synchronized or not. Once two cells' totals leave `i64` (the
+/// coordinate-last one loaded first), every one of those reads names the
+/// coordinate-first cell and its lowest such measure.
+#[test]
+fn partial_sums_may_leave_i64_but_only_totals_that_do_are_refused() {
+    use specdr::mdm::{DimId, FactId, MdmError};
+    use specdr::query::{AggApproach, SelectMode};
+    use specdr::subcube::CubeQuery;
+    use specdr::workload::{generate_retail, RetailConfig};
+    let retail = generate_retail(&RetailConfig {
+        sales_per_day: 0,
+        ..Default::default()
+    });
+    let schema = Arc::clone(&retail.schema);
+    let value = |d: u16, cat, label: &str| schema.dim(DimId(d)).parse_value(cat, label).unwrap();
+    let (first, last) = (
+        value(1, retail.cats.sku, "sku-0-0-0"),
+        value(1, retail.cats.sku, "sku-0-0-1"),
+    );
+    let store = value(2, retail.cats.store, "store-0-0-0");
+    let action = "p(a[Time.month, Product.sku, Store.store] o[Time.month <= NOW - 1 months](O))";
+    let spec = DataReductionSpec::new(
+        Arc::clone(&schema),
+        vec![parse_action(&schema, action).unwrap()],
+    )
+    .unwrap();
+    // March sales, too recent for the action at `now`: no reduction step
+    // sums them, only the query does. Measures are (Count, Revenue).
+    let now = days_from_civil(2000, 3, 20);
+    let sales = |rows: &[(u32, DimValue, [i64; 2])]| {
+        let mut mo = Mo::new(Arc::clone(&schema));
+        for &(d, sku, m) in rows {
+            let day = TimeValue::Day(days_from_civil(2000, 3, d));
+            let day = DimValue::new(tc::DAY, day.code());
+            mo.insert_fact(&[day, sku, store], &m).unwrap();
+        }
+        mo
+    };
+    let big = i64::MAX - 1;
+    let fits = sales(&[
+        (10, first, [1, big]),
+        (11, first, [1, big]),
+        (12, first, [1, -big]),
+    ]);
+    let overflows = sales(&[
+        (13, last, [big, big]),
+        (14, last, [big, big]),
+        (15, first, [big, big]),
+    ]);
+    let month_query = CubeQuery {
+        pred: None,
+        mode: SelectMode::Conservative,
+        levels: vec![tc::MONTH, retail.cats.sku, retail.cats.store],
+        approach: AggApproach::Availability,
+    };
+    let overflow = MdmError::MeasureOverflow {
+        measure: "COUNT(Count)".into(),
+        cell: "(2000/3, sku-0-0-0, store-0-0-0)".into(),
+    };
+    for shards in [1, 2] {
+        let dir = tmpdir(&format!("partial-sums-{shards}"));
+        let w = ShardRouter::create(spec.clone(), &dir, shards).unwrap();
+        w.bulk_load(&fits).unwrap();
+        let reads = |w: &ShardRouter| {
+            let set = w.view_set();
+            let mut out = Vec::new();
+            for parallel in [false, true] {
+                out.push(set.query(&month_query, now, parallel));
+                out.push(set.query_unsync(&month_query, now, parallel));
+            }
+            out
+        };
+        for synced in [false, true] {
+            if synced {
+                w.sync(now).unwrap();
+            }
+            for r in reads(&w) {
+                let got = r.unwrap_or_else(|e| panic!("shards={shards} synced={synced}: {e}"));
+                assert_eq!(got.len(), 1, "shards={shards} synced={synced}");
+                assert_eq!(got.measures_of(FactId(0)), vec![3, big]);
+            }
+        }
+        w.bulk_load(&overflows).unwrap();
+        for r in reads(&w) {
+            let e = r.expect_err("a total that leaves i64 is no answer");
+            assert!(e.to_string().contains(&overflow.to_string()), "{e}");
+        }
+        drop(w);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// Two cells of one cube overflow in the same step, the coordinate-last
 /// one loaded first. The step is refused naming the coordinate-first
 /// cell — what a pass over the arrivals in cell order reports, however

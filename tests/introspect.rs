@@ -12,7 +12,7 @@ use specdr::introspect::{explain_age, explain_query};
 use specdr::mdm::calendar::days_from_civil;
 use specdr::mdm::time_cat as tc;
 use specdr::plan::Grounding;
-use specdr::query::{aggregate_ids_naive, select_snapshot, AggApproach, SelectMode};
+use specdr::query::{select_naive, AggApproach, SelectMode};
 use specdr::reduce::DataReductionSpec;
 use specdr::spec::{parse_action, parse_pexp};
 use specdr::subcube::{CubeQuery, ShardRouter, WarehouseView};
@@ -88,13 +88,13 @@ fn explain_counts_match_naive_references() {
                 "K{i} dim {d} distinct"
             );
         }
-        // The sub-query the engine attributes to this cube, re-run with
-        // the retained naive kernels: σ then the row-at-a-time α.
+        // The rows the engine kept from this cube, re-selected with the
+        // naive kernel: σ alone, as the cube's rows fold into the query's
+        // one accumulator.
         assert!(rep.scanned, "a synchronized query scans every cube");
-        let selected = select_snapshot(&cube.snapshot(), q.pred.as_ref(), now, q.mode).unwrap();
-        let naive = aggregate_ids_naive(&selected, &q.levels, q.approach).unwrap();
-        assert_eq!(rep.rows_out, naive.len() as u64, "K{i} rows_out");
-        assert_eq!(rep.skippable, naive.is_empty(), "K{i} skippable");
+        let selected = select_naive(&cube.data(), q.pred.as_ref().unwrap(), now, q.mode).unwrap();
+        assert_eq!(rep.rows_kept, selected.len() as u64, "K{i} rows_kept");
+        assert_eq!(rep.skippable, selected.is_empty(), "K{i} skippable");
         // Chunk verdicts, recomputed from each chunk's hulls.
         let grounding = Grounding::new(m.schema(), q.pred.as_ref(), q.mode, now);
         let alive = cube
@@ -154,7 +154,7 @@ fn explain_counts_match_naive_references() {
             c.planned.as_deref().is_some_and(|p| p.starts_with("skip(")),
             "{c:?}"
         );
-        assert_eq!(c.rows_out, 0, "{c:?}");
+        assert_eq!(c.rows_kept, 0, "{c:?}");
     }
 
     // --- Phase 2: the exported chrome trace is a well-formed
@@ -289,8 +289,9 @@ fn explain_counts_match_naive_references() {
         "{memo:?}"
     );
     for (virt, real) in ureport.cubes.iter().zip(&report.cubes) {
-        let key =
-            |c: &specdr::introspect::CubeReport| (c.rows, c.planned.clone(), c.scanned, c.rows_out);
+        let key = |c: &specdr::introspect::CubeReport| {
+            (c.rows, c.planned.clone(), c.scanned, c.rows_kept)
+        };
         assert_eq!(key(virt), key(real), "K{}", virt.id);
     }
 }

@@ -162,7 +162,7 @@ fn sharded_matches_unsharded_over_random_churn() {
 /// What "same answers" means for the one merge: for every mix query ×
 /// all four aggregation approaches × {synchronized, un-synchronized} ×
 /// `parallel` ∈ {false, true} × N ∈ {1, 2, 4} shards, the sharded answer
-/// — every shard's per-cube sub-results merged once — is the unsharded,
+/// — every shard's chunks folded into one accumulator — is the unsharded,
 /// unplanned, sequential full fan-out's, row for row: same rows, same
 /// order, same provenance.
 #[test]
