@@ -19,8 +19,9 @@
 //!   mutator and `checkpoint` refused — until `ShardRouter::recover`
 //!   rebuilds it as if the failed call was never issued.
 //! * [`Protocol::Shard`] — the cross-shard scatter protocol of
-//!   `ShardRouter`: a scatter that fails on one shard after another
-//!   shard acknowledged must wedge the router; every subsequent mutator
+//!   `ShardRouter`: the shards apply and log a scatter concurrently, and
+//!   a scatter that fails on one shard while another shard acknowledged
+//!   must wedge the router; every subsequent mutator
 //!   returns the wedge error verbatim while readers keep being served
 //!   the last published set at a monotone epoch.
 //! * [`Protocol::Serve`] — the connection-admission protocol of
@@ -232,12 +233,13 @@ impl Default for CheckOptions {
 /// The preemption bound that fully explores the clean harness. The
 /// serve harness is all short atomic sections, so proving it needs a
 /// deeper bound; the warehouse harnesses hold locks across their points
-/// and close out earlier.
+/// and close out earlier — the shard harness's scatters run a worker
+/// thread per shard beside the writer, so it needs two more.
 fn default_preemptions(p: Protocol) -> usize {
     match p {
-        Protocol::GroupCommit | Protocol::Shard => 3,
+        Protocol::GroupCommit => 3,
         Protocol::Epoch => 4,
-        Protocol::Memo => 5,
+        Protocol::Memo | Protocol::Shard => 5,
         Protocol::Serve => 8,
     }
 }
@@ -450,9 +452,11 @@ fn check_group_commit(mopts: &ModelOptions, mutation: Option<&'static str>) -> R
 // ---- cross-shard scatter -----------------------------------------------
 
 /// A writer performs a clean scatter, then one with a WAL failure
-/// injected into shard 0 (shard 1 acknowledges, so the results are
+/// injected into one shard (the other acknowledges, so the results are
 /// mixed and the router must wedge); a reader snapshots the published
-/// set throughout. See [`Protocol::Shard`].
+/// set throughout. Each scatter runs a worker thread per shard, so the
+/// schedules interleave the shards' applies and appends too. See
+/// [`Protocol::Shard`].
 fn check_shard(mopts: &ModelOptions, mutation: Option<&'static str>) -> Report {
     let spec = paper_spec();
     let (mo, _) = paper_mo();
@@ -502,8 +506,10 @@ fn check_shard(mopts: &ModelOptions, mutation: Option<&'static str>) -> Report {
                 let (good, doomed) = (&good, &doomed);
                 s.spawn_named("writer".into(), move || {
                     router.bulk_load(good).expect("clean scatter");
-                    // Shard 0 logs first in a scatter; one token fails
-                    // exactly its append while shard 1 acknowledges.
+                    // The shards log at once, each on a worker of its
+                    // own: one token fails exactly the append that
+                    // reaches the failpoint first, whichever shard's it
+                    // is, while the other shard acknowledges.
                     fail::arm("durable.wal-fail", 1);
                     let e = router
                         .bulk_load(doomed)

@@ -146,20 +146,29 @@ impl FactStore {
     /// re-inserting surviving facts row by row.
     pub fn gather(&self, rows: &[u32]) -> FactStore {
         let mut out = FactStore::new(self.cats.len(), self.measures.len());
-        out.reserve(rows.len());
-        for (src, dst) in self.cats.iter().zip(&mut out.cats) {
-            dst.extend(rows.iter().map(|&r| src[r as usize]));
-        }
-        for (src, dst) in self.codes.iter().zip(&mut out.codes) {
-            dst.extend(rows.iter().map(|&r| src[r as usize]));
-        }
-        for (src, dst) in self.measures.iter().zip(&mut out.measures) {
-            dst.extend(rows.iter().map(|&r| src[r as usize]));
-        }
-        out.origin
-            .extend(rows.iter().map(|&r| self.origin[r as usize]));
-        out.len = rows.len();
+        out.extend_gather(self, rows);
         out
+    }
+
+    /// Columnar gather onto the end of this store: appends the given
+    /// rows of `other`, in order, one pass per column. The caller
+    /// guarantees both stores have the same shape.
+    pub fn extend_gather(&mut self, other: &FactStore, rows: &[u32]) {
+        debug_assert_eq!(other.cats.len(), self.cats.len());
+        debug_assert_eq!(other.measures.len(), self.measures.len());
+        self.reserve(rows.len());
+        for (dst, src) in self.cats.iter_mut().zip(&other.cats) {
+            dst.extend(rows.iter().map(|&r| src[r as usize]));
+        }
+        for (dst, src) in self.codes.iter_mut().zip(&other.codes) {
+            dst.extend(rows.iter().map(|&r| src[r as usize]));
+        }
+        for (dst, src) in self.measures.iter_mut().zip(&other.measures) {
+            dst.extend(rows.iter().map(|&r| src[r as usize]));
+        }
+        self.origin
+            .extend(rows.iter().map(|&r| other.origin[r as usize]));
+        self.len += rows.len();
     }
 
     /// Columnar append: copies rows `rows` of `other` onto the end of
@@ -441,6 +450,14 @@ impl Mo {
     ) -> Result<(), MdmError> {
         check_same_schema(&self.schema, &other.schema)?;
         self.store.extend_from(&other.store, rows);
+        Ok(())
+    }
+
+    /// Appends the given rows of `other` (same schema required), in
+    /// order: the gathering twin of [`absorb_rows`](Mo::absorb_rows).
+    pub fn absorb_gather(&mut self, other: &Mo, rows: &[u32]) -> Result<(), MdmError> {
+        check_same_schema(&self.schema, &other.schema)?;
+        self.store.extend_gather(&other.store, rows);
         Ok(())
     }
 

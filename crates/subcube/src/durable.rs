@@ -45,13 +45,20 @@ use sdr_sync::fail;
 
 use crate::error::SubcubeError;
 use crate::layout::WarehouseLayout;
-use crate::manager::SubcubeManager;
+use crate::manager::{Chunk, SubcubeManager};
 use crate::op::{OpOutcome, WarehouseOp};
 use crate::persist::{
     load_checkpoint, read_current, read_manifest_at, spec_from_manifest, sweep_garbage,
     write_checkpoint, write_current,
 };
 use crate::shard::RecoveryReport;
+
+/// One shard's part of a logical operation: the chunks of the rows of a
+/// load that route to it (possibly none), or any other operation whole.
+pub(crate) enum Part<'a> {
+    Load(Vec<Arc<Chunk>>),
+    Op(&'a WarehouseOp),
+}
 
 /// One shard: a [`SubcubeManager`] whose every state change is
 /// write-ahead logged and whose checkpoints are atomic. See the module
@@ -244,19 +251,30 @@ impl Shard {
         Ok(())
     }
 
-    /// Encodes `op` and applies it to the manager. Encoding comes first:
-    /// an operation that cannot be replayed from its bytes must not
-    /// change memory.
-    fn stage(&self, op: &WarehouseOp) -> Result<(Vec<u8>, OpOutcome), SubcubeError> {
-        let payload = op.encode(self.mgr.schema())?;
-        Ok((payload, self.mgr.apply(op)?))
+    /// Encodes `part` and applies it to the manager. Encoding comes
+    /// first: an operation that cannot be replayed from its bytes must not
+    /// change memory. A load's chunks are encoded as they are — the
+    /// record a plain `BulkLoad` of their rows carries, byte for byte —
+    /// and appended by pointer.
+    fn stage(&self, part: &Part<'_>) -> Result<(Vec<u8>, OpOutcome), SubcubeError> {
+        match part {
+            Part::Load(chunks) => {
+                let parts = chunks.iter().map(|c| c.mo());
+                let payload = WarehouseOp::encode_load(self.mgr.schema(), parts);
+                Ok((payload, OpOutcome::Loaded(self.mgr.append_load(chunks))))
+            }
+            Part::Op(op) => {
+                let payload = op.encode(self.mgr.schema())?;
+                Ok((payload, self.mgr.apply(op)?))
+            }
+        }
     }
 
     /// Applies one operation and journals it as one WAL record. The
     /// record is appended only after the operation succeeded in memory,
     /// so a crash mid-call recovers to the state before the call.
-    pub(crate) fn apply(&mut self, op: &WarehouseOp) -> Result<OpOutcome, SubcubeError> {
-        let (payload, outcome) = self.stage(op)?;
+    pub(crate) fn apply(&mut self, part: &Part<'_>) -> Result<OpOutcome, SubcubeError> {
+        let (payload, outcome) = self.stage(part)?;
         self.append("wal append", 1, |wal| wal.append(&payload))?;
         Ok(outcome)
     }
@@ -269,12 +287,12 @@ impl Shard {
     /// of the batch — the record's CRC frame makes a partial batch
     /// structurally impossible. Returns the number of operations
     /// committed.
-    pub(crate) fn apply_batch(&mut self, ops: Vec<WarehouseOp>) -> Result<usize, SubcubeError> {
+    pub(crate) fn apply_batch(&mut self, parts: &[Part<'_>]) -> Result<usize, SubcubeError> {
         let _span = sdr_obs::span("durable.apply_batch");
         let before = self.mgr.view();
-        let mut encoded = Vec::with_capacity(ops.len());
-        for op in &ops {
-            match self.stage(op) {
+        let mut encoded = Vec::with_capacity(parts.len());
+        for part in parts {
+            match self.stage(part) {
                 Ok((payload, _)) => encoded.push(payload),
                 Err(e) => {
                     // Undo the partially applied batch: nothing was

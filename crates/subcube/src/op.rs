@@ -119,10 +119,7 @@ impl WarehouseOp {
     pub fn encode(&self, schema: &Schema) -> Result<Vec<u8>, SubcubeError> {
         let mut b = Vec::new();
         match self {
-            WarehouseOp::BulkLoad(mo) => {
-                b.push(TAG_BULK_LOAD);
-                b.append(&mut encode_facts(mo.schema(), [mo]));
-            }
+            WarehouseOp::BulkLoad(mo) => b = Self::encode_load(mo.schema(), [mo]),
             WarehouseOp::Sync(now) => {
                 b.push(TAG_SYNC);
                 put_day(&mut b, *now);
@@ -155,6 +152,19 @@ impl WarehouseOp {
             }
         }
         Ok(b)
+    }
+
+    /// The payload of a [`BulkLoad`](WarehouseOp::BulkLoad) of the facts
+    /// of `parts`, read as one table in the order given: the bytes depend
+    /// on the concatenated rows only, so a shard logs the chunks it
+    /// appended without joining them first.
+    pub(crate) fn encode_load<'a>(
+        schema: &Schema,
+        parts: impl IntoIterator<Item = &'a Mo>,
+    ) -> Vec<u8> {
+        let mut b = vec![TAG_BULK_LOAD];
+        b.append(&mut encode_facts(schema, parts));
+        b
     }
 
     /// Decodes a WAL record payload against the warehouse schema.

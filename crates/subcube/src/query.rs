@@ -176,7 +176,9 @@ impl CompiledQuery {
 /// thread: a caller that spawns one worker per item and sleeps on the
 /// joins leaves all of them to be placed at once, and two new threads
 /// regularly start on the same core while the caller's idles — the
-/// fan-out then waits for a worker that has not run yet.
+/// fan-out then waits for a worker that has not run yet. Each worker
+/// [adopts](sdr_obs::adopt) the caller's span context, so the spans of
+/// every item nest as the first item's do on the calling thread.
 pub(crate) fn fan_out<T: Send, R: Send>(
     items: impl IntoIterator<Item = T>,
     f: impl Fn(T) -> R + Sync,
@@ -185,9 +187,15 @@ pub(crate) fn fan_out<T: Send, R: Send>(
     let Some(first) = items.next() else {
         return Vec::new();
     };
-    let f = &f;
+    let (f, ctx) = (&f, &sdr_obs::ctx());
     thread::scope(|s| {
-        let handles: Vec<_> = items.map(|item| s.spawn(move || f(item))).collect();
+        let worker = |item| {
+            s.spawn(move || {
+                let _nested = sdr_obs::adopt(ctx);
+                f(item)
+            })
+        };
+        let handles: Vec<_> = items.map(worker).collect();
         let mut results = vec![f(first)];
         results.extend(
             handles
@@ -339,16 +347,12 @@ impl WarehouseView {
         let _span = sdr_obs::span("subcube.query");
         sdr_obs::attr("epoch", self.epoch());
         sdr_mdm::check_same_schema(cq.scan.schema(), self.schema()).map_err(ReduceError::Model)?;
-        // Sub-query spans open under this context — on this thread for a
-        // sequential evaluation, handed off explicitly to the fan-out
-        // workers otherwise — so both trees nest identically.
-        let ctx = sdr_obs::ctx();
         // One span per cube, scanned or skipped: its p50/p99 spread
         // exposes cube-size skew across workers, and `explain` reads
         // every verdict and chunk count off the trace.
         let visit = |i: usize, acc: &mut ScanAcc<'_>| -> Result<(), SubcubeError> {
             let skip = plan.skip_reason(i);
-            let sub = sdr_obs::span_in("subcube.query.subquery", &ctx);
+            let sub = sdr_obs::span("subcube.query.subquery");
             let cube = &self.cubes()[i];
             let r = skip
                 .is_none()

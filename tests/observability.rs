@@ -424,5 +424,49 @@ fn metrics_agree_with_authoritative_numbers() {
         subquery_tids(&par).len() >= 2,
         "sub-query spans all closed on one thread"
     );
+
+    // --- Phase 8: the write scatter hands its span context over too. A
+    // load, an age step and a checkpoint of two shards run each shard's
+    // part on a worker of its own, and every shard's work nests under the
+    // router's `shard.*` span exactly as one shard's does.
+    let (mo, _, spec) = warehouse();
+    let write = |shards: usize| {
+        let fs = specdr::storage::fs::MemFs::shared();
+        let dir = std::path::Path::new("/w");
+        let router = ShardRouter::create_with_fs(spec.clone(), dir, shards, fs).unwrap();
+        obs::reset();
+        router.bulk_load(&mo).unwrap();
+        router.age(now).unwrap();
+        router.checkpoint().unwrap();
+        assert_eq!(obs::open_spans(), 0, "leaked open spans ({shards} shards)");
+        obs::snapshot()
+    };
+    let (one, two) = (write(1), write(2));
+    let by_id: std::collections::BTreeMap<u64, &specdr::obs::TraceSpan> =
+        two.traces.iter().map(|t| (t.id, t)).collect();
+    let mut tids = std::collections::BTreeSet::new();
+    let names = [
+        "subcube.bulk_load",
+        "subcube.age",
+        "durable.checkpoint",
+        "wal.append",
+    ];
+    for name in names {
+        let spans: Vec<_> = two.traces.iter().filter(|t| t.name == name).collect();
+        assert!(
+            spans.len() >= 2,
+            "{name}: one span per shard, got {spans:?}"
+        );
+        for t in spans {
+            let mut up = by_id.get(&t.parent);
+            while let Some(p) = up.filter(|p| !p.name.starts_with("shard.")) {
+                up = by_id.get(&p.parent);
+            }
+            assert!(up.is_some(), "{name} has no shard.* ancestor: {t:?}");
+            tids.insert(t.tid);
+        }
+    }
+    assert!(tids.len() >= 2, "the shards' writes all ran on one thread");
+    assert_eq!(path_set(&one), path_set(&two), "shard span trees diverge");
     obs::set_enabled(false);
 }

@@ -1433,9 +1433,7 @@ fn request_path_has_one_of_each() {
 /// a contiguous copy of the cube. The warehouse keeps no concatenated
 /// view (`CubeData` has no `whole` field), and the query and shard
 /// modules neither concatenate a cube (`Subcube::snapshot()`,
-/// `Subcube::data()`) nor copy the rows they keep (`gather(`). The one
-/// exemption is the write path's `fn partition`, which splits a load
-/// into one batch per shard.
+/// `Subcube::data()`) nor copy the rows they keep (`gather(`).
 #[test]
 fn read_path_is_chunk_native() {
     let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/subcube/src");
@@ -1458,13 +1456,9 @@ fn read_path_is_chunk_native() {
         }
     }
     for file in ["query.rs", "shard.rs"] {
-        let mut in_partition = false;
         for (n, line) in code(file) {
-            if line.contains("fn ") {
-                in_partition = line.contains("fn partition(");
-            }
             for pat in [".snapshot()", ".data()", "gather("] {
-                if line.contains(pat) && !(in_partition && pat == "gather(") {
+                if line.contains(pat) {
                     violations.push(format!("{file}:{n}: `{pat}` in `{line}`"));
                 }
             }
