@@ -119,29 +119,14 @@ impl Registry {
     /// Starts a span timer: the elapsed wall time (ns) is recorded into
     /// the span histogram `name` when the guard drops, and a completed
     /// [`TraceSpan`] — parented under the innermost span already open on
-    /// this thread — lands in the trace ring. A no-op guard is returned
-    /// while the registry is disabled.
+    /// this thread, else under the context the thread
+    /// [adopted](crate::adopt) — lands in the trace ring. A no-op guard is
+    /// returned while the registry is disabled.
     pub fn span(&self, name: &str) -> SpanTimer<'_> {
         if !self.enabled() {
             return SpanTimer::disabled();
         }
         let ctx = trace::top_ctx().unwrap_or_default();
-        self.start_span(name, &ctx)
-    }
-
-    /// Starts a span timer under an explicitly captured [`SpanContext`]
-    /// instead of this thread's stack — the cross-thread handoff used by
-    /// fan-out workers (capture with
-    /// [`current_ctx`](Registry::current_ctx) on the spawning thread,
-    /// open worker spans with this).
-    pub fn span_in(&self, name: &str, ctx: &SpanContext) -> SpanTimer<'_> {
-        if !self.enabled() {
-            return SpanTimer::disabled();
-        }
-        self.start_span(name, ctx)
-    }
-
-    fn start_span(&self, name: &str, ctx: &SpanContext) -> SpanTimer<'_> {
         let id = trace::next_span_id();
         let path = if ctx.path.is_empty() {
             name.to_string()
@@ -163,7 +148,7 @@ impl Registry {
     }
 
     /// Captures the innermost open span on this thread as a context a
-    /// worker thread can open spans under. Returns a root context while
+    /// worker thread can [adopt](crate::adopt). Returns a root context while
     /// the registry is disabled or no span is open.
     pub fn current_ctx(&self) -> SpanContext {
         if !self.enabled() {
@@ -328,7 +313,7 @@ impl Registry {
 
 /// RAII guard recording its lifetime into a span histogram — and, since
 /// the introspection layer, a [`TraceSpan`] into the trace ring — on
-/// drop. Obtained from [`Registry::span`] / [`Registry::span_in`]; a
+/// drop. Obtained from [`Registry::span`]; a
 /// disabled registry hands out inert guards that never touch the clock.
 ///
 /// Timers must drop on the thread that created them (the RAII style
