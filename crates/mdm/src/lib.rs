@@ -22,6 +22,7 @@
 
 pub mod calendar;
 pub mod category;
+pub mod dense;
 pub mod dimension;
 pub mod error;
 pub mod mo;
@@ -32,6 +33,7 @@ pub mod time;
 
 pub use calendar::DayNum;
 pub use category::{CatGraph, CatId};
+pub use dense::{Accs, CodeTable, DimTables, Slots};
 pub use dimension::{
     DimId, DimValue, Dimension, EnumDimension, EnumDimensionBuilder, SubDimension,
 };

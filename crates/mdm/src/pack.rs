@@ -28,7 +28,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::ops::BitOr;
+use std::ops::{BitOr, Shl};
 
 use crate::category::CatId;
 use crate::dimension::DimValue;
@@ -231,6 +231,51 @@ impl KeyPacker {
                 code: (f & mask(code_bits)) as u64,
             });
         }
+    }
+
+    /// The smallest and largest packed key of `store`'s rows (`None`
+    /// when it is empty), computed column by column over runs of rows:
+    /// each dimension's fields OR'd into one key per row, in 64 bits
+    /// when the keys fit.
+    pub fn key_range(&self, store: &FactStore) -> Option<(u128, u128)> {
+        if store.is_empty() {
+            return None;
+        }
+        if self.fits64() {
+            let (lo, hi) = self.range_of::<u64>(store);
+            Some((lo.into(), hi.into()))
+        } else {
+            Some(self.range_of::<u128>(store))
+        }
+    }
+
+    fn range_of<K>(&self, store: &FactStore) -> (K, K)
+    where
+        K: PackedKey + Shl<u32, Output = K> + From<u8> + From<u64>,
+    {
+        const RUN: usize = 256;
+        let mut keys = [K::from_wide(0); RUN];
+        let mut range: Option<(K, K)> = None;
+        for lo in (0..store.len()).step_by(RUN) {
+            let rows = lo..store.len().min(lo + RUN);
+            let keys = &mut keys[..rows.len()];
+            keys.fill(K::from_wide(0));
+            for (d, &(_, code_bits)) in self.widths.iter().enumerate() {
+                let shift = self.shifts[d];
+                let cells = store.cats[d][rows.clone()]
+                    .iter()
+                    .zip(&store.codes[d][rows.clone()]);
+                for (k, (&cat, &code)) in keys.iter_mut().zip(cells) {
+                    *k = *k | (((K::from(cat) << code_bits) | K::from(code)) << shift);
+                }
+            }
+            let first = range.unwrap_or((keys[0], keys[0]));
+            range = Some(
+                keys.iter()
+                    .fold(first, |(lo, hi), &k| (lo.min(k), hi.max(k))),
+            );
+        }
+        range.expect("a non-empty store")
     }
 
     /// Packs the direct cell of row `f` straight from the columnar store

@@ -43,11 +43,11 @@ use std::collections::BTreeMap;
 
 use std::sync::Arc;
 
-use sdr_mdm::{AggFn, CatId, DimId, DimValue, Mo, Schema, ORIGIN_USER};
+use sdr_mdm::{Accs, AggFn, CatId, DimId, DimValue, Mo, Schema, ORIGIN_USER};
 
 use crate::compare::SelectMode;
 use crate::error::QueryError;
-use crate::scan::{Accs, Scan};
+use crate::scan::Scan;
 
 /// Varying-granularity handling for aggregate formation (Section 6.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,7 +185,7 @@ pub(crate) fn aggregate_rows_naive(
     let mut add_to_group = |key: Vec<DimValue>, values: &[i64]| {
         let next = groups.len() as u32;
         let slot = *groups.entry(key).or_insert_with(|| {
-            accs.push_group();
+            accs.open_to(next as usize + 1);
             next
         });
         accs.fold(&[slot], |j, _| values[j]);

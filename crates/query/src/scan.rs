@@ -17,19 +17,21 @@
 //! value — the selection's satisfied-atom masks, and the aggregation's
 //! target per direct value — sits in one table per (dimension,
 //! category), indexed by the code's offset in that category's domain
-//! (`CodeTable`). Enum codes are dense interned ids and time codes are
-//! bounded by the schema horizon, so over the schema's values a table
-//! never outgrows its category's domain; it grows lazily to the codes
-//! seen, and there is no hash-map fallback. A target entry
-//! holds the target value's pre-shifted [`KeyPacker`] field (or
-//! "excluded", for strict), so a row's group key is the OR of its
-//! dimensions' fields. A run's rows are first mapped to group slots,
-//! into a reused buffer; then each measure folds column by column into
-//! its accumulator column, with the aggregate function chosen once per
-//! column. SUM and COUNT accumulate in `i128` and are checked once per
-//! group, at `finish`, in coordinate order: a query fails with
-//! `MeasureOverflow` exactly when some group's true total leaves `i64`,
-//! whatever the order, split or parallelism of its runs.
+//! ([`CodeTable`](sdr_mdm::CodeTable), shared through `sdr_mdm::dense`
+//! with the reduction step of the subcube manager). Enum codes are
+//! dense interned ids and time codes are bounded by the schema horizon,
+//! so over the schema's values a table never outgrows its category's
+//! domain; it grows lazily to the codes seen, and there is no hash-map
+//! fallback. A target entry holds the target value's pre-shifted
+//! [`KeyPacker`] field (or "excluded", for strict), so a row's group
+//! key is the OR of its dimensions' fields. A run's rows are first
+//! mapped to group slots, into a reused buffer; then each measure folds
+//! column by column into its accumulator column, with the aggregate
+//! function chosen once per column. SUM and COUNT accumulate in `i128`
+//! and are checked once per group, at `finish`, in coordinate order: a
+//! query fails with `MeasureOverflow` exactly when some group's true
+//! total leaves `i64`, whatever the order, split or parallelism of its
+//! runs.
 //!
 //! [`finish`](ScanAcc::finish) sorts the groups by packed key — packing
 //! is injective and order-preserving, so this is the reference
@@ -53,8 +55,8 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use sdr_mdm::{
-    AggFn, CatId, DayNum, DimId, DimValue, FactId, FxHashMap, KeyPacker, MeasureId, Mo, PackedKey,
-    Schema, ORIGIN_USER,
+    Accs, CatId, DayNum, DimId, DimTables, DimValue, FactId, FxHashMap, KeyPacker, Mo, PackedKey,
+    Schema, Slots, ORIGIN_USER,
 };
 use sdr_spec::Pexp;
 
@@ -81,8 +83,6 @@ pub struct Scan {
     /// Target levels and approach; `None` scans select only.
     group: Option<(Vec<CatId>, AggApproach)>,
     packer: Option<KeyPacker>,
-    /// Per dimension, per category: its lowest code (see [`CodeTable`]).
-    floors: Vec<Vec<u64>>,
 }
 
 impl Scan {
@@ -137,9 +137,6 @@ impl Scan {
             select,
             group,
             packer: KeyPacker::new(schema),
-            floors: (schema.dims.iter())
-                .map(|dim| dim.graph().all().map(|c| dim.min_code(c)).collect())
-                .collect(),
         })
     }
 
@@ -174,16 +171,8 @@ impl Scan {
 
     /// One memo per dimension `dims` names, each with a table per
     /// category.
-    fn memos<T: Copy>(&self, dims: impl Iterator<Item = DimId>) -> Vec<DimMemo<T>> {
-        let memo = |d: DimId| {
-            DimMemo(
-                self.floors[d.index()]
-                    .iter()
-                    .map(|&f| CodeTable::new(f))
-                    .collect(),
-            )
-        };
-        dims.map(memo).collect()
+    fn memos<T: Copy>(&self, dims: impl Iterator<Item = DimId>) -> Vec<DimTables<T>> {
+        dims.map(|d| DimTables::new(self.schema.dim(d))).collect()
     }
 }
 
@@ -192,94 +181,9 @@ fn every_dim(schema: &Schema) -> impl Iterator<Item = DimId> {
     (0..schema.n_dims()).map(|d| DimId(d as u16))
 }
 
-/// A memo over one category's value codes: slot `i` is code `base + i`.
-/// It covers only the span of codes seen so far, and grows to take in a
-/// new one — downward (re-basing) by at least its own length, so a run
-/// fed in descending code order costs amortized O(1) per code, but never
-/// below the category's lowest code. Over values within the schema (enum
-/// ids, days within the time horizon) a table is therefore at most as
-/// long as its category's domain.
-struct CodeTable<T> {
-    base: u64,
-    slots: Vec<Option<T>>,
-    /// The category's lowest code.
-    floor: u64,
-}
-
-impl<T: Copy> CodeTable<T> {
-    fn new(floor: u64) -> CodeTable<T> {
-        CodeTable {
-            base: floor,
-            slots: Vec::new(),
-            floor,
-        }
-    }
-
-    #[inline]
-    fn get(&self, code: u64) -> Option<T> {
-        // A code below `base` wraps to an offset past the end.
-        let off = code.wrapping_sub(self.base);
-        if off < self.slots.len() as u64 {
-            self.slots[off as usize]
-        } else {
-            None
-        }
-    }
-
-    fn insert(&mut self, code: u64, v: T) {
-        if self.slots.is_empty() {
-            self.base = code;
-        } else if code < self.base {
-            let len = self.slots.len() as u64;
-            let base = code.min(self.base.saturating_sub(len).max(self.floor));
-            let grow = (self.base - base) as usize;
-            self.slots.splice(0..0, std::iter::repeat_n(None, grow));
-            self.base = base;
-        }
-        let off = (code - self.base) as usize;
-        if off >= self.slots.len() {
-            self.slots.resize(off + 1, None);
-        }
-        self.slots[off] = Some(v);
-    }
-
-    /// The codes memoized.
-    fn filled(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-}
-
-/// One dimension's memo: a [`CodeTable`] per category id.
-struct DimMemo<T>(Vec<CodeTable<T>>);
-
-impl<T: Copy> DimMemo<T> {
-    /// The entry of value `(cat, code)`, made by `make` on a miss.
-    #[inline]
-    fn get_or_make(
-        &mut self,
-        cat: u8,
-        code: u64,
-        make: impl FnOnce() -> Result<T, QueryError>,
-    ) -> Result<T, QueryError> {
-        let table = &mut self.0[cat as usize];
-        match table.get(code) {
-            Some(v) => Ok(v),
-            None => {
-                let v = make()?;
-                table.insert(code, v);
-                Ok(v)
-            }
-        }
-    }
-
-    fn filled(&self) -> usize {
-        self.0.iter().map(CodeTable::filled).sum()
-    }
-}
-
 /// The distinct values memoized over `memos`.
-fn filled<T: Copy>(memos: &[DimMemo<T>]) -> usize {
-    memos.iter().map(DimMemo::filled).sum()
+fn filled<T: Copy>(memos: &[DimTables<T>]) -> usize {
+    memos.iter().map(DimTables::filled).sum()
 }
 
 /// The state of one worker's scan, carried across its runs.
@@ -300,7 +204,7 @@ enum State {
 /// The memo and group state of one scan, over packed keys `K`.
 struct Keyed<K> {
     /// Per mask-plan dimension: satisfied-bit mask per direct value.
-    masks: Vec<DimMemo<u64>>,
+    masks: Vec<DimTables<u64>>,
     /// Packed direct cell → decision (weighted mode, wide predicates).
     cells: FxHashMap<K, bool>,
     out: Out<K>,
@@ -376,7 +280,7 @@ impl<K: PackedKey> Keyed<K> {
                                 m |= b;
                             }
                         }
-                        Ok(m)
+                        Ok::<_, QueryError>(m)
                     })?;
                 }
                 if plan.conj_masks.iter().any(|&cm| cm & !sat == 0) {
@@ -418,76 +322,14 @@ impl<K: PackedKey> Keyed<K> {
     }
 }
 
-/// One accumulator column per measure, one entry per group, in `i128`:
-/// no partial sum of `i64` values can leave it, and MIN and MAX keep an
-/// `i64` value.
-pub(crate) struct Accs(Vec<(AggFn, Vec<i128>)>);
-
-impl Accs {
-    pub(crate) fn new(schema: &Schema) -> Accs {
-        Accs(
-            schema
-                .measures
-                .iter()
-                .map(|m| (m.agg, Vec::new()))
-                .collect(),
-        )
-    }
-
-    /// Appends a group holding each aggregate's identity.
-    pub(crate) fn push_group(&mut self) {
-        for (agg, a) in &mut self.0 {
-            a.push(agg.identity().into());
-        }
-    }
-
-    /// Folds `value(j, i)` into measure `j` of group `slots[i]`, for
-    /// every `i`: one pass per measure, its aggregate chosen once.
-    pub(crate) fn fold(&mut self, slots: &[u32], value: impl Fn(usize, usize) -> i64) {
-        for (j, (agg, a)) in self.0.iter_mut().enumerate() {
-            let rows = slots.iter().map(|&s| s as usize).enumerate();
-            let value = |i| i128::from(value(j, i));
-            match agg {
-                AggFn::Sum | AggFn::Count => rows.for_each(|(i, s)| a[s] += value(i)),
-                AggFn::Min => rows.for_each(|(i, s)| a[s] = a[s].min(value(i))),
-                AggFn::Max => rows.for_each(|(i, s)| a[s] = a[s].max(value(i))),
-            }
-        }
-    }
-
-    /// Folds group `src` of `other` into group `dst`.
-    fn absorb(&mut self, dst: u32, other: &Accs, src: u32) {
-        let (d, s) = (dst as usize, src as usize);
-        for ((agg, a), (_, b)) in self.0.iter_mut().zip(&other.0) {
-            a[d] = match agg {
-                AggFn::Sum | AggFn::Count => a[d] + b[s],
-                AggFn::Min => a[d].min(b[s]),
-                AggFn::Max => a[d].max(b[s]),
-            };
-        }
-    }
-
-    /// Group `slot`'s aggregates into `out` (cleared first), or the
-    /// lowest measure whose total leaves `i64`.
-    pub(crate) fn values(&self, slot: u32, out: &mut Vec<i64>) -> Result<(), MeasureId> {
-        out.clear();
-        for (j, (_, a)) in self.0.iter().enumerate() {
-            out.push(i64::try_from(a[slot as usize]).map_err(|_| MeasureId(j as u16))?);
-        }
-        Ok(())
-    }
-}
-
 /// The group table of a keyed scan.
 struct Groups<K> {
     /// Availability / strict: per dimension, per direct value, its
     /// target's key field (`None`: excluded by a strict aggregation).
-    targets: Vec<DimMemo<Option<K>>>,
+    targets: Vec<DimTables<Option<K>>>,
     /// Packed target cell (availability, strict) or packed direct cell
     /// (LUB) → slot.
-    slots: FxHashMap<K, u32>,
-    /// Each slot's packed key, in first-seen order.
-    keys: Vec<K>,
+    slots: Slots<K>,
     accs: Accs,
     /// LUB: the uniform target, folded over every fed row's categories.
     lub: Vec<CatId>,
@@ -497,11 +339,10 @@ struct Groups<K> {
 }
 
 impl<K: PackedKey> Groups<K> {
-    fn new(scan: &Scan, lub: Vec<CatId>, targets: Vec<DimMemo<Option<K>>>) -> Groups<K> {
+    fn new(scan: &Scan, lub: Vec<CatId>, targets: Vec<DimTables<Option<K>>>) -> Groups<K> {
         Groups {
             targets,
-            slots: FxHashMap::default(),
-            keys: Vec::new(),
+            slots: Slots::default(),
             accs: Accs::new(&scan.schema),
             lub,
             rows: Vec::new(),
@@ -511,15 +352,12 @@ impl<K: PackedKey> Groups<K> {
 
     /// The slot of `key`, opened at the identity if new.
     #[inline]
-    fn slot(&mut self, key: K) -> u32 {
-        if let Some(&slot) = self.slots.get(&key) {
-            return slot;
+    fn slot(&mut self, key: K) -> (u32, bool) {
+        let (slot, new) = self.slots.slot(key);
+        if new {
+            self.accs.open_to(self.slots.len());
         }
-        let slot = self.keys.len() as u32;
-        self.slots.insert(key, slot);
-        self.keys.push(key);
-        self.accs.push_group();
-        slot
+        (slot, new)
     }
 
     /// Folds `rows` of `mo` into the group table: every row to its slot
@@ -542,9 +380,8 @@ impl<K: PackedKey> Groups<K> {
             // idempotent); `finish` rolls the few distinct cells up.
             for r in rows {
                 let key = K::from_wide(pk.pack_row(store, FactId(r)));
-                let next = self.keys.len() as u32;
-                let slot = self.slot(key);
-                if slot == next {
+                let (slot, new) = self.slot(key);
+                if new {
                     for (d, tc) in self.lub.iter_mut().enumerate() {
                         let c = CatId(store.cats[d][r as usize]);
                         *tc = schema.dims[d].graph().lub(*tc, c);
@@ -569,7 +406,7 @@ impl<K: PackedKey> Groups<K> {
                         None => continue 'row,
                     }
                 }
-                let slot = self.slot(key);
+                let (slot, _) = self.slot(key);
                 self.rows.push(r);
                 self.slot_of.push(slot);
             }
@@ -587,8 +424,8 @@ impl<K: PackedKey> Groups<K> {
         for ((tc, &oc), dim) in self.lub.iter_mut().zip(&other.lub).zip(&schema.dims) {
             *tc = dim.graph().lub(*tc, oc);
         }
-        for (src, &key) in other.keys.iter().enumerate() {
-            let dst = self.slot(key);
+        for (src, &key) in other.slots.keys().iter().enumerate() {
+            let (dst, _) = self.slot(key);
             self.accs.absorb(dst, &other.accs, src as u32);
         }
     }
@@ -603,7 +440,7 @@ impl<K: PackedKey> Groups<K> {
             _ => self,
         };
         // Packed keys sort in coordinate order.
-        let mut order: Vec<(K, u32)> = groups.keys.iter().copied().zip(0..).collect();
+        let mut order: Vec<(K, u32)> = groups.slots.keys().iter().copied().zip(0..).collect();
         order.sort_unstable();
         let mut out = Mo::new(Arc::clone(schema));
         out.reserve(order.len());
@@ -624,20 +461,20 @@ impl<K: PackedKey> Groups<K> {
     /// merged by target cell.
     fn roll_up(self, scan: &Scan, pk: &KeyPacker) -> Result<Groups<K>, QueryError> {
         let schema = &*scan.schema;
-        let mut fields: Vec<DimMemo<K>> = scan.memos(every_dim(schema));
+        let mut fields: Vec<DimTables<K>> = scan.memos(every_dim(schema));
         let mut up = Groups::new(scan, self.lub.clone(), Vec::new());
         let mut coords = Vec::new();
-        for (src, &key) in self.keys.iter().enumerate() {
+        for (src, &key) in self.slots.keys().iter().enumerate() {
             pk.unpack(key.into(), &mut coords);
             let mut target = K::from_wide(0);
             for (d, (&v, memo)) in coords.iter().zip(&mut fields).enumerate() {
                 target = target
                     | memo.get_or_make(v.cat.0, v.code, || {
                         let t = schema.dim(DimId(d as u16)).rollup(v, self.lub[d])?;
-                        Ok(K::from_wide(pk.field(d, t)))
+                        Ok::<_, QueryError>(K::from_wide(pk.field(d, t)))
                     })?;
             }
-            let dst = up.slot(target);
+            let (dst, _) = up.slot(target);
             up.accs.absorb(dst, &self.accs, src as u32);
         }
         Ok(up)
@@ -783,7 +620,7 @@ impl<K: PackedKey> Out<K> {
         match self {
             Out::Groups(g) => {
                 if sdr_obs::enabled() {
-                    let distinct = g.keys.len() as u64;
+                    let distinct = g.slots.len() as u64;
                     sdr_obs::add("query.aggregate.kernel.distinct_cells", distinct);
                 }
                 g.finish(scan)
@@ -929,19 +766,5 @@ mod tests {
             }
         }
         assert_eq!(compared, 3 * 4 * 4 * 3 * 4 * 3 * 3);
-    }
-
-    /// A table fed codes in descending order grows downward by at least
-    /// its own length, and never below its category's lowest code.
-    #[test]
-    fn a_code_table_rebases_downward_within_its_range() {
-        let mut t = CodeTable::new(100);
-        for code in (100..=200).rev() {
-            t.insert(code, code);
-            assert!(t.base >= 100 && t.base <= code);
-        }
-        assert_eq!(t.slots.len(), 101);
-        assert!((100..=200).all(|c| t.get(c) == Some(c)));
-        assert_eq!((t.get(99), t.get(201)), (None, None));
     }
 }

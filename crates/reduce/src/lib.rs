@@ -28,7 +28,7 @@ pub use error::ReduceError;
 pub use purge::{reduce_and_purge, PurgeSpec};
 pub use schedule::{crossings, escapes, ActionAnalysis, Crossing, Escape, ReductionSchedule};
 pub use semantics::{
-    agg_level, cell, cell_for, reduce, reduce_naive, spec_gran, CellMemo, CellResult,
+    agg_level, cell, cell_for, reduce, reduce_naive, spec_gran, CellMemo, CellResult, Decision,
 };
 pub use spec_set::DataReductionSpec;
 

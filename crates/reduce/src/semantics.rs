@@ -8,12 +8,11 @@
 //! *responsible* action, supporting the paper's requirement that the
 //! system can explain why data sits at its current level.
 
-use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
 use sdr_mdm::{
-    CatId, DayNum, DimId, DimValue, FactId, FxHashMap, Granularity, MeasureId, Mo, Schema,
-    ORIGIN_USER,
+    CatId, DayNum, DimId, DimTables, DimValue, FactId, FactStore, FxHashMap, Granularity,
+    KeyPacker, MeasureId, Mo, Schema, ORIGIN_USER,
 };
 use sdr_spec::{eval_pred, ActionId, CompiledPred, LeafMaskPlan};
 
@@ -97,6 +96,8 @@ pub fn cell_for(
 struct CellDecision {
     responsible: Option<ActionId>,
     target_cats: Vec<CatId>,
+    /// `target_cats` differs from the cell's own categories.
+    raises: bool,
 }
 
 /// The one `Cell` decision, given the actions whose predicates the cell
@@ -126,6 +127,7 @@ fn decide(
         return Ok(CellDecision {
             responsible: None,
             target_cats: own,
+            raises: false,
         });
     };
     let target_cats: Vec<CatId> = max
@@ -137,7 +139,8 @@ fn decide(
         .collect();
     // Responsible: the action achieving the maximum, when it strictly
     // raises the fact; otherwise the fact keeps its provenance.
-    let responsible = if target_cats == own {
+    let raises = target_cats != own;
+    let responsible = if !raises {
         None
     } else {
         applicable
@@ -148,6 +151,7 @@ fn decide(
     Ok(CellDecision {
         responsible,
         target_cats,
+        raises,
     })
 }
 
@@ -339,19 +343,28 @@ fn fold(
 /// 2. **Decision per (action set, own granularity).** Granularity
 ///    maximum, incomparability, LUB target and responsibility are
 ///    functions of the applicable-action mask and the fact's category
-///    vector only — a handful of distinct combinations per pass.
+///    vector only — a handful of distinct combinations per pass. Each
+///    gets an id, so a caller can hang its own per-decision answer
+///    (the subcube manager's home cube) on it.
 /// 3. **Roll-up per (value, target category).** Graph walks are memoized
-///    per distinct dimension value and target, shared across all cells
-///    that contain the value.
+///    in the dense tables of `sdr_mdm::dense` — per dimension and target
+///    category, a table per source category indexed by code — shared
+///    across all cells that contain the value.
 ///
 /// Construction returns `None` (callers keep the whole-cell walk) when
 /// the decision key does not fit 128 bits: > 32 actions or > 12
 /// dimensions.
 struct CellKernelState {
-    /// `(action mask, packed category vector)` → decision.
-    decisions: FxHashMap<u128, CellDecision>,
-    /// `(dim, cat, code, target cat)` → rolled-up value.
-    rollups: FxHashMap<(u16, u8, u64, u8), DimValue>,
+    /// `(action mask, packed category vector)` → decision id.
+    ids: FxHashMap<u128, u32>,
+    /// The last key looked up and its id: neighbouring rows mostly share
+    /// a decision.
+    last: Option<(u128, u32)>,
+    /// The decisions, by id.
+    decisions: Vec<CellDecision>,
+    /// Per dimension, per target category: the rolled-up value of each
+    /// source value (tables made on first use).
+    rollups: Vec<Vec<Option<DimTables<DimValue>>>>,
 }
 
 impl CellKernelState {
@@ -359,60 +372,83 @@ impl CellKernelState {
         if n_actions > 32 || schema.n_dims() > 12 {
             return None;
         }
+        let rollups = (schema.dims.iter())
+            .map(|dim| vec![None; dim.graph().len()])
+            .collect();
         Some(CellKernelState {
-            decisions: FxHashMap::default(),
-            rollups: FxHashMap::default(),
+            ids: FxHashMap::default(),
+            last: None,
+            decisions: Vec::new(),
+            rollups,
         })
     }
 
-    /// Resolves `Cell(coords, t)` given `amask`, the actions whose
-    /// predicates `coords` satisfies: returns the responsible action and
-    /// leaves the target coordinates in `target`. Agrees with
-    /// [`cell_for`] on every input.
-    fn resolve(
+    /// The id of the decision for `amask`, the actions whose predicates
+    /// the cell satisfies, and its categories `cat(d)`; `coords` makes
+    /// the cell on a miss.
+    fn decide(
         &mut self,
         schema: &Schema,
         actions: &[(ActionId, Granularity)],
         amask: u32,
-        coords: &[DimValue],
-        target: &mut Vec<DimValue>,
-    ) -> Result<Option<ActionId>, ReduceError> {
+        cat: impl Fn(usize) -> u8,
+        coords: impl FnOnce() -> Vec<DimValue>,
+    ) -> Result<u32, ReduceError> {
         let mut dkey = amask as u128;
-        for v in coords {
-            dkey = (dkey << 8) | v.cat.0 as u128;
+        for d in 0..schema.n_dims() {
+            dkey = (dkey << 8) | cat(d) as u128;
         }
-        let dec = match self.decisions.entry(dkey) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                let applicable: Vec<(ActionId, &Granularity)> = actions
-                    .iter()
-                    .enumerate()
-                    .filter(|(ai, _)| amask & (1 << ai) != 0)
-                    .map(|(_, (id, grain))| (*id, grain))
-                    .collect();
-                e.insert(decide(schema, coords, &applicable)?)
+        if let Some((key, id)) = self.last {
+            if key == dkey {
+                return Ok(id);
             }
-        };
-        target.clear();
-        for (i, v) in coords.iter().enumerate() {
-            let tc = dec.target_cats[i];
-            let tv = if v.cat == tc {
-                *v
-            } else {
-                let rkey = (i as u16, v.cat.0, v.code, tc.0);
-                match self.rollups.get(&rkey) {
-                    Some(&t) => t,
-                    None => {
-                        let t = schema.dim(DimId(i as u16)).rollup(*v, tc)?;
-                        self.rollups.insert(rkey, t);
-                        t
-                    }
-                }
-            };
-            target.push(tv);
         }
-        Ok(dec.responsible)
+        if let Some(&id) = self.ids.get(&dkey) {
+            self.last = Some((dkey, id));
+            return Ok(id);
+        }
+        let applicable: Vec<(ActionId, &Granularity)> = actions
+            .iter()
+            .enumerate()
+            .filter(|(ai, _)| amask & (1 << ai) != 0)
+            .map(|(_, (id, grain))| (*id, grain))
+            .collect();
+        let id = self.decisions.len() as u32;
+        self.decisions.push(decide(schema, &coords(), &applicable)?);
+        self.ids.insert(dkey, id);
+        self.last = Some((dkey, id));
+        Ok(id)
     }
+
+    /// `v` rolled up to category `tc` of dimension `d`.
+    #[inline]
+    fn roll_up(
+        &mut self,
+        schema: &Schema,
+        d: usize,
+        v: DimValue,
+        tc: CatId,
+    ) -> Result<DimValue, ReduceError> {
+        if v.cat == tc {
+            return Ok(v);
+        }
+        let dim = schema.dim(DimId(d as u16));
+        let table = self.rollups[d][tc.index()].get_or_insert_with(|| DimTables::new(dim));
+        table.get_or_make(v.cat.0, v.code, || Ok(dim.rollup(v, tc)?))
+    }
+}
+
+/// One `Cell` decision of a [`CellMemo`], as [`CellMemo::decision`]
+/// lends it.
+#[derive(Debug, Clone, Copy)]
+pub struct Decision<'m> {
+    /// The target category per dimension.
+    pub target: &'m [CatId],
+    /// The action responsible for raising the cell, if any.
+    pub responsible: Option<ActionId>,
+    /// Whether the target differs from the cell's own categories — i.e.
+    /// whether the cell moves.
+    pub raises: bool,
 }
 
 /// The compiled, memoized coordinate-level `Cell` for one `(spec, now)`
@@ -430,6 +466,8 @@ pub struct CellMemo<'a> {
     kernel: Option<CellKernelState>,
     /// The target coordinates of the last [`CellMemo::cell`].
     target: Vec<DimValue>,
+    /// Scratch: the actions each row of a run satisfies.
+    amasks: Vec<u64>,
 }
 
 impl<'a> CellMemo<'a> {
@@ -448,6 +486,7 @@ impl<'a> CellMemo<'a> {
             actions,
             preds: LeafMaskPlan::new(preds),
             target: Vec::with_capacity(schema.n_dims()),
+            amasks: Vec::new(),
         })
     }
 
@@ -459,21 +498,98 @@ impl<'a> CellMemo<'a> {
         &mut self,
         coords: &[DimValue],
     ) -> Result<(&[DimValue], Option<ActionId>), ReduceError> {
+        let schema = self.schema;
         let responsible = match self.kernel.as_mut() {
             Some(k) => {
-                let amask = self.preds.holding(self.schema, coords)? as u32;
-                k.resolve(self.schema, &self.actions, amask, coords, &mut self.target)?
+                let amask = self.preds.holding(schema, coords)? as u32;
+                let cat = |d: usize| coords[d].cat.0;
+                let id = k.decide(schema, &self.actions, amask, cat, || coords.to_vec())?;
+                self.target.clear();
+                for (d, &v) in coords.iter().enumerate() {
+                    let tc = k.decisions[id as usize].target_cats[d];
+                    self.target.push(k.roll_up(schema, d, v, tc)?);
+                }
+                k.decisions[id as usize].responsible
             }
             None => {
                 let mut applicable = Vec::with_capacity(self.actions.len());
                 for ((id, grain), pred) in self.actions.iter().zip(self.preds.preds()) {
-                    if pred.eval_cell(self.schema, coords)? {
+                    if pred.eval_cell(schema, coords)? {
                         applicable.push((*id, grain));
                     }
                 }
-                roll_up(self.schema, coords, &applicable, &mut self.target)?
+                roll_up(schema, coords, &applicable, &mut self.target)?
             }
         };
         Ok((&self.target, responsible))
+    }
+
+    /// The `Cell` decision of each row of `rows` of `store`, read
+    /// straight from its columns, into `ids` (cleared first): the id of
+    /// the actions the row's cell satisfies and its own categories,
+    /// resolved once per distinct pair. False, leaving `ids` empty, when
+    /// the spec does not fit the kernel's decision key; callers then
+    /// resolve each row's coordinates through [`cell`](CellMemo::cell).
+    pub fn decide_rows(
+        &mut self,
+        store: &FactStore,
+        rows: &[u32],
+        ids: &mut Vec<u32>,
+    ) -> Result<bool, ReduceError> {
+        ids.clear();
+        let Some(k) = self.kernel.as_mut() else {
+            return Ok(false);
+        };
+        let schema = self.schema;
+        let amasks = &mut self.amasks;
+        self.preds.holding_rows(schema, store, rows, amasks)?;
+        for (&r, &amask) in rows.iter().zip(amasks.iter()) {
+            let (f, row) = (FactId(r), r as usize);
+            let cells = || {
+                (0..schema.n_dims())
+                    .map(|d| store.value(f, DimId(d as u16)))
+                    .collect()
+            };
+            let cat = |d: usize| store.cats[d][row];
+            ids.push(k.decide(schema, &self.actions, amask as u32, cat, cells)?);
+        }
+        Ok(true)
+    }
+
+    /// Decision `id` of [`decide_rows`](CellMemo::decide_rows).
+    pub fn decision(&self, id: u32) -> Decision<'_> {
+        let k = self
+            .kernel
+            .as_ref()
+            .expect("decision ids come from the kernel");
+        let d = &k.decisions[id as usize];
+        Decision {
+            target: &d.target_cats,
+            responsible: d.responsible,
+            raises: d.raises,
+        }
+    }
+
+    /// The packed key of row `row`'s target cell under decision `id`
+    /// (which [`decide_rows`](CellMemo::decide_rows) gave for that row):
+    /// the OR of each dimension's rolled-up value's key field.
+    pub fn target_key(
+        &mut self,
+        id: u32,
+        store: &FactStore,
+        row: usize,
+        pk: &KeyPacker,
+    ) -> Result<u128, ReduceError> {
+        let k = self
+            .kernel
+            .as_mut()
+            .expect("decision ids come from the kernel");
+        let mut key = 0u128;
+        for d in 0..store.cats.len() {
+            let v = DimValue::new(CatId(store.cats[d][row]), store.codes[d][row]);
+            let tc = k.decisions[id as usize].target_cats[d];
+            key |= pk.field(d, k.roll_up(self.schema, d, v, tc)?);
+        }
+        Ok(key)
     }
 }

@@ -30,7 +30,7 @@
 //! and distribution are truth-preserving for every leaf valuation, so the
 //! compiled DNF agrees with the recursive evaluation on every cell.
 
-use sdr_mdm::{CatId, DayNum, DimId, DimValue, FactId, FactStore, FxHashMap, Schema};
+use sdr_mdm::{CatId, DayNum, DimId, DimTables, DimValue, FactId, FactStore, Schema};
 
 use crate::ast::{Atom, AtomKind, CmpOp, Pexp};
 use crate::error::SpecError;
@@ -168,6 +168,8 @@ pub struct LeafMaskPlan {
     masks: Option<Masks>,
     /// Scratch cell of the row-by-row path.
     cell: Vec<DimValue>,
+    /// Scratch masks of [`any_rows`](LeafMaskPlan::any_rows).
+    sat: Vec<u64>,
 }
 
 /// The bit layout of a [`LeafMaskPlan`] and its per-dimension memos.
@@ -180,12 +182,13 @@ struct Masks {
 }
 
 /// The leaves of one dimension with their bits, and the memo distinct
-/// `(cat, code)` → satisfied-leaf mask.
+/// `(cat, code)` → satisfied-leaf mask: the dimension's dense tables
+/// (made on first use, when the schema is at hand).
 #[derive(Debug, Clone)]
 struct DimLeaves {
     dim: DimId,
     leaves: Vec<(u64, CompiledLeaf)>,
-    memo: FxHashMap<(u8, u64), u64>,
+    memo: Option<DimTables<u64>>,
 }
 
 impl Masks {
@@ -214,7 +217,7 @@ impl Masks {
                                 None => dims.push(DimLeaves {
                                     dim: leaf.dim,
                                     leaves: vec![(b, leaf.clone())],
-                                    memo: FxHashMap::default(),
+                                    memo: None,
                                 }),
                             }
                         }
@@ -235,24 +238,58 @@ impl Masks {
         value: impl Fn(DimId) -> (u8, u64),
     ) -> Result<u64, SpecError> {
         let mut sat = 0u64;
-        for DimLeaves { dim, leaves, memo } in &mut self.dims {
-            let key = value(*dim);
-            sat |= match memo.get(&key) {
-                Some(&m) => m,
-                None => {
-                    let v = DimValue::new(CatId(key.0), key.1);
-                    let mut m = 0u64;
-                    for (b, leaf) in leaves.iter() {
-                        if leaf.eval_value(schema, v)? {
-                            m |= b;
-                        }
-                    }
-                    memo.insert(key, m);
-                    m
-                }
-            };
+        for dl in &mut self.dims {
+            let (cat, code) = value(dl.dim);
+            sat |= dl.mask(schema, cat, code)?;
         }
         Ok(sat)
+    }
+
+    /// Per row of `rows` of `store`: its satisfied-leaf mask, into `sat`
+    /// (cleared first). Read column by column, and a run of rows with one
+    /// value in a dimension costs one lookup there.
+    fn sat_rows(
+        &mut self,
+        schema: &Schema,
+        store: &FactStore,
+        rows: &[u32],
+        sat: &mut Vec<u64>,
+    ) -> Result<(), SpecError> {
+        sat.clear();
+        sat.resize(rows.len(), 0);
+        for dl in &mut self.dims {
+            let (cats, codes) = (&store.cats[dl.dim.index()], &store.codes[dl.dim.index()]);
+            let mut last = None;
+            for (s, &r) in sat.iter_mut().zip(rows) {
+                let v = (cats[r as usize], codes[r as usize]);
+                let m = match last {
+                    Some((lv, m)) if lv == v => m,
+                    _ => dl.mask(schema, v.0, v.1)?,
+                };
+                last = Some((v, m));
+                *s |= m;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl DimLeaves {
+    /// The mask of this dimension's leaves that value `(cat, code)`
+    /// satisfies.
+    #[inline]
+    fn mask(&mut self, schema: &Schema, cat: u8, code: u64) -> Result<u64, SpecError> {
+        let memo = (self.memo).get_or_insert_with(|| DimTables::new(schema.dim(self.dim)));
+        memo.get_or_make(cat, code, || {
+            let v = DimValue::new(CatId(cat), code);
+            let mut m = 0u64;
+            for (b, leaf) in &self.leaves {
+                if leaf.eval_value(schema, v)? {
+                    m |= b;
+                }
+            }
+            Ok(m)
+        })
     }
 }
 
@@ -273,6 +310,7 @@ impl LeafMaskPlan {
             masks: Masks::new(&preds),
             preds,
             cell: Vec::new(),
+            sat: Vec::new(),
         }
     }
 
@@ -313,6 +351,77 @@ impl LeafMaskPlan {
             }
         }
         Ok(out)
+    }
+
+    /// [`holding`](LeafMaskPlan::holding) on each row of `rows` of
+    /// `store`, read straight from its columns, into `out` (cleared
+    /// first).
+    pub fn holding_rows(
+        &mut self,
+        schema: &Schema,
+        store: &FactStore,
+        rows: &[u32],
+        out: &mut Vec<u64>,
+    ) -> Result<(), SpecError> {
+        let Some(m) = &mut self.masks else {
+            out.clear();
+            let mut cell = std::mem::take(&mut self.cell);
+            for &r in rows {
+                cell.clear();
+                let f = FactId(r);
+                cell.extend((0..schema.n_dims()).map(|d| store.value(f, DimId(d as u16))));
+                out.push(self.holding(schema, &cell)?);
+            }
+            self.cell = cell;
+            return Ok(());
+        };
+        // Each row's satisfied-leaf mask, turned in place into the
+        // predicates it satisfies.
+        m.sat_rows(schema, store, rows, out)?;
+        let mut last = None;
+        for sat in out.iter_mut() {
+            let held = match last {
+                Some((s, held)) if s == *sat => held,
+                _ => (m.conjs.iter().enumerate())
+                    .filter(|(_, conjs)| any_within(conjs, *sat))
+                    .fold(0u64, |held, (i, _)| held | 1 << i),
+            };
+            last = Some((*sat, held));
+            *sat = held;
+        }
+        Ok(())
+    }
+
+    /// The rows of `rows` of `store` on which some predicate holds, into
+    /// `out` (cleared first): [`any_row`](LeafMaskPlan::any_row) column
+    /// by column.
+    pub fn any_rows(
+        &mut self,
+        schema: &Schema,
+        store: &FactStore,
+        rows: &[u32],
+        out: &mut Vec<u32>,
+    ) -> Result<(), SpecError> {
+        out.clear();
+        let Some(m) = &mut self.masks else {
+            for &r in rows {
+                if self.any_row(schema, store, r as usize)? {
+                    out.push(r);
+                }
+            }
+            return Ok(());
+        };
+        let mut sat = std::mem::take(&mut self.sat);
+        m.sat_rows(schema, store, rows, &mut sat)?;
+        let held = |s: u64| m.conjs.iter().any(|conjs| any_within(conjs, s));
+        out.extend(
+            rows.iter()
+                .zip(&sat)
+                .filter(|(_, &s)| held(s))
+                .map(|(&r, _)| r),
+        );
+        self.sat = sat;
+        Ok(())
     }
 
     /// Whether any predicate holds on row `row` of `store`, read straight

@@ -97,7 +97,8 @@ proptest! {
     /// Each Δ pair — the changed disjuncts compiled at the day before a
     /// transition and at the transition — laid out in one plan: a row
     /// passes iff `eval_cell` holds at either day, and `holding` names
-    /// exactly the days at which it does.
+    /// exactly the days at which it does; the run forms (`any_rows`,
+    /// `holding_rows`) over every row agree row for row.
     #[test]
     fn delta_pair_masks_agree_with_eval_cell(
         picks in proptest::collection::vec((0i32..1_000_000, 0u64..1_000_000), 1..6)
@@ -116,13 +117,19 @@ proptest! {
             let at_t = CompiledPred::compile(schema, delta, *t).unwrap();
             let mut plan = LeafMaskPlan::new(vec![at_prev.clone(), at_t.clone()]);
             prop_assert!(plan.is_masked());
+            let rows: Vec<u32> = (0..cells.len() as u32).collect();
+            let (mut passing, mut held) = (Vec::new(), Vec::new());
+            plan.any_rows(schema, &store, &rows, &mut passing).unwrap();
+            plan.holding_rows(schema, &store, &rows, &mut held).unwrap();
             for (row, cell) in cells.iter().enumerate() {
                 let prev = at_prev.eval_cell(schema, cell).unwrap();
                 let now = at_t.eval_cell(schema, cell).unwrap();
                 let any = plan.any_row(schema, &store, row).unwrap();
                 prop_assert_eq!(any, prev || now, "day {} cell {:?}", t, cell);
+                prop_assert_eq!(passing.contains(&(row as u32)), any);
                 let holding = plan.holding(schema, cell).unwrap();
                 prop_assert_eq!(holding, u64::from(prev) | u64::from(now) << 1);
+                prop_assert_eq!(held[row], holding);
             }
         }
     }
@@ -153,6 +160,11 @@ fn wide_predicates_take_the_row_by_row_path() {
         }
     }
     let store = store_of(schema, &row_cells);
+    let rows: Vec<u32> = (0..row_cells.len() as u32).collect();
+    let (mut passing, mut holding_rows) = (Vec::new(), Vec::new());
+    plan.any_rows(schema, &store, &rows, &mut passing).unwrap();
+    plan.holding_rows(schema, &store, &rows, &mut holding_rows)
+        .unwrap();
     let (mut held, mut missed) = (0, 0);
     for (row, cell) in row_cells.iter().enumerate() {
         let each: Vec<bool> = preds
@@ -163,6 +175,8 @@ fn wide_predicates_take_the_row_by_row_path() {
         assert_eq!(any, each.iter().any(|&b| b), "{cell:?}");
         let holding = plan.holding(schema, cell).unwrap();
         assert_eq!(holding, u64::from(each[0]) | u64::from(each[1]) << 1);
+        assert_eq!(passing.contains(&(row as u32)), any, "{cell:?}");
+        assert_eq!(holding_rows[row], holding, "{cell:?}");
         if any {
             held += 1;
         } else {

@@ -177,7 +177,9 @@ impl Shard {
         // stats as they go; re-assert the no-drift invariant on the final
         // recovered state (the persisted copy was already verified
         // against the checkpoint's chunks in `load_checkpoint`).
+        let verify_span = sdr_obs::span("durable.recover.verify");
         mgr.view().verify_stats()?;
+        drop(verify_span);
         if sdr_obs::enabled() {
             sdr_obs::inc("durable.recover.runs");
             sdr_obs::add("durable.recover.records_replayed", replayed as u64);

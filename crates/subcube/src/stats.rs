@@ -22,7 +22,7 @@
 //! subcube DAG (which cubes a query scanned, which were skippable), so
 //! the numbers here must be exact, not estimates.
 
-use sdr_mdm::{CatId, DimId, DimValue, Dimension, KeyPacker, Mo, Schema, TimeValue};
+use sdr_mdm::{CatId, DimId, DimValue, Dimension, KeyPacker, Mo, Schema, TimeValue, ORIGIN_USER};
 
 use crate::error::SubcubeError;
 
@@ -110,6 +110,38 @@ fn sorted_set<T: Ord>(mut values: Vec<T>) -> Vec<T> {
     values
 }
 
+/// Calls `emit` once per distinct value of `values` — `n` values, all
+/// within `lo..=hi` — in ascending order. They are marked in a bitset
+/// over `lo..=hi` when it has fewer words than there are values (the
+/// codes of one category lie within its domain, so a chunk's span is
+/// usually a small multiple of its rows), and sorted otherwise.
+fn each_distinct(
+    values: impl Iterator<Item = u64>,
+    n: u64,
+    (lo, hi): (u64, u64),
+    mut emit: impl FnMut(u64),
+) {
+    let words = (hi - lo) / 64 + 1;
+    if words > n {
+        let mut all: Vec<u64> = values.collect();
+        all.sort_unstable();
+        all.dedup();
+        return all.into_iter().for_each(emit);
+    }
+    let mut bits = vec![0u64; words as usize];
+    for v in values {
+        let off = v - lo;
+        bits[(off / 64) as usize] |= 1 << (off % 64);
+    }
+    for (w, &word) in bits.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            emit(lo + w as u64 * 64 + u64::from(word.trailing_zeros()));
+            word &= word - 1;
+        }
+    }
+}
+
 /// Rows per category id from a dense count table.
 fn per_cat_of(counts: &[u64; 256]) -> Vec<(u8, u64)> {
     (0u8..=255)
@@ -119,9 +151,79 @@ fn per_cat_of(counts: &[u64; 256]) -> Vec<(u8, u64)> {
         .collect()
 }
 
+/// Pairs keyed by category id, sorted: `(category, code)` values or
+/// `(category, rows)` counts.
+type CatPairs = Vec<(u8, u64)>;
+
+/// One dimension column's sorted distinct `(category, code)` values
+/// and its rows per category: one pass for each category's count and
+/// code range, then one marking pass per category present (usually
+/// one).
+fn distinct_column(cats: &[u8], codes: &[u64]) -> (CatPairs, CatPairs) {
+    // Sized for every row and shrunk once, as the sort's copy was: grown
+    // by doubling instead, these sets raised the benchmark's peak RSS by
+    // a fifth (the reallocations fragment the heap).
+    let mut seen = Vec::with_capacity(cats.len());
+    let Some(&first) = cats.first() else {
+        return (seen, Vec::new());
+    };
+    if cats.iter().all(|&c| c == first) {
+        // One category (a synchronized cube's column, or a load): its
+        // count and code range in one vectorizable pass each.
+        let range = codes
+            .iter()
+            .fold((u64::MAX, 0), |(lo, hi), &c| (lo.min(c), hi.max(c)));
+        let n = cats.len() as u64;
+        each_distinct(codes.iter().copied(), n, range, |code| {
+            seen.push((first, code))
+        });
+        seen.shrink_to_fit();
+        return (seen, vec![(first, n)]);
+    }
+    let mut counts = [0u64; 256];
+    let mut ranges = [(u64::MAX, 0u64); 256];
+    for (&c, &code) in cats.iter().zip(codes) {
+        let (n, (lo, hi)) = (&mut counts[c as usize], &mut ranges[c as usize]);
+        *n += 1;
+        (*lo, *hi) = ((*lo).min(code), (*hi).max(code));
+    }
+    let per_cat = per_cat_of(&counts);
+    for &(c, n) in &per_cat {
+        let of_cat = cats.iter().zip(codes).filter(move |(&x, _)| x == c);
+        let codes = of_cat.map(|(_, &code)| code);
+        each_distinct(codes, n, ranges[c as usize], |code| seen.push((c, code)));
+    }
+    seen.shrink_to_fit();
+    (seen, per_cat)
+}
+
+/// The sorted distinct origins, or `None` beyond [`MAX_ORIGINS`]:
+/// action ids are small, so they are marked like codes, and
+/// [`ORIGIN_USER`] (the largest `u32`) goes last.
+fn distinct_origins(origin: &[u32]) -> Option<Vec<u32>> {
+    let actions = origin.iter().filter(|&&o| o != ORIGIN_USER);
+    let (mut n, mut range) = (0u64, (u64::MAX, 0u64));
+    for &o in actions.clone() {
+        n += 1;
+        range = (range.0.min(o.into()), range.1.max(o.into()));
+    }
+    let mut out = Vec::with_capacity(origin.len());
+    if n > 0 {
+        let values = actions.map(|&o| u64::from(o));
+        each_distinct(values, n, range, |o| out.push(o as u32));
+    }
+    if n < origin.len() as u64 {
+        out.push(ORIGIN_USER);
+    }
+    out.shrink_to_fit();
+    (out.len() <= MAX_ORIGINS).then_some(out)
+}
+
 impl ChunkSummary {
     /// Summarizes `mo`'s rows — the one place fact rows are scanned for
-    /// statistics.
+    /// statistics. Each dimension's distinct values come out of a
+    /// per-category bitset over the codes seen (`each_distinct`),
+    /// not a sort of every row.
     pub fn compute(mo: &Mo) -> ChunkSummary {
         let store = mo.store();
         let n_dims = mo.schema().n_dims();
@@ -129,45 +231,21 @@ impl ChunkSummary {
         let mut per_cat = Vec::with_capacity(n_dims);
         let mut hulls = Vec::with_capacity(n_dims);
         for d in 0..n_dims {
-            let cats = &store.cats[d];
-            let seen: Vec<(u8, u64)> = sorted_set(
-                cats.iter()
-                    .copied()
-                    .zip(store.codes[d].iter().copied())
-                    .collect(),
-            );
-            let mut counts = [0u64; 256];
-            for &c in cats {
-                counts[c as usize] += 1;
-            }
+            let (seen, counts) = distinct_column(&store.cats[d], &store.codes[d]);
             hulls.push(dim_hull(mo.schema().dim(DimId(d as u16)), &seen));
-            per_cat.push(per_cat_of(&counts));
+            per_cat.push(counts);
             distinct.push(seen);
         }
-        let origins = sorted_set(store.origin.clone());
-        let (mut key_min, mut key_max) = (None, None);
-        if !store.is_empty() {
-            if let Some(packer) = KeyPacker::new(mo.schema()) {
-                let mut lo = u128::MAX;
-                let mut hi = 0u128;
-                for f in mo.facts() {
-                    let k = packer.pack_row(store, f);
-                    lo = lo.min(k);
-                    hi = hi.max(k);
-                }
-                key_min = Some(lo);
-                key_max = Some(hi);
-            }
-        }
+        let keys = KeyPacker::new(mo.schema()).and_then(|pk| pk.key_range(store));
         ChunkSummary {
             rows: store.len() as u64,
             bytes: store.approx_bytes() as u64,
             distinct,
             per_cat,
-            key_min,
-            key_max,
+            key_min: keys.map(|k| k.0),
+            key_max: keys.map(|k| k.1),
             hulls,
-            origins: (origins.len() <= MAX_ORIGINS).then_some(origins),
+            origins: distinct_origins(&store.origin),
         }
     }
 
@@ -234,20 +312,10 @@ impl ChunkSummary {
         &self.hulls
     }
 
-    /// False only when no summarized row can sit at cell `coords`
-    /// (packed as `key`, when the schema packs): the key lies outside
-    /// the zone map or some coordinate is not among that dimension's
-    /// distinct values.
-    pub fn may_hold(&self, coords: &[DimValue], key: Option<u128>) -> bool {
-        if let (Some(k), Some(lo), Some(hi)) = (key, self.key_min, self.key_max) {
-            if k < lo || k > hi {
-                return false;
-            }
-        }
-        coords
-            .iter()
-            .zip(&self.distinct)
-            .all(|(v, seen)| seen.binary_search(&(v.cat.0, v.code)).is_ok())
+    /// The zone map: the smallest and largest packed cell key of the
+    /// summarized rows (`None` when empty or the schema does not pack).
+    pub fn key_range(&self) -> Option<(u128, u128)> {
+        self.key_min.zip(self.key_max)
     }
 
     /// The statistics of a cube made of exactly the summarized rows,
@@ -442,7 +510,134 @@ fn dim_hull(dim: &Dimension, seen: &[(u8, u64)]) -> Option<(i64, i64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdr_workload::paper_mo;
+    use proptest::prelude::*;
+    use sdr_mdm::FactId;
+    use sdr_workload::{paper_mo, paper_schema};
+
+    /// The summary as it was computed before the linear pass: every
+    /// row's `(cat, code)` sorted per dimension, and the origins sorted
+    /// — the reference [`ChunkSummary::compute`] must equal.
+    fn compute_by_sort(mo: &Mo) -> ChunkSummary {
+        let store = mo.store();
+        let n_dims = mo.schema().n_dims();
+        let mut distinct = Vec::with_capacity(n_dims);
+        let mut per_cat = Vec::with_capacity(n_dims);
+        let mut hulls = Vec::with_capacity(n_dims);
+        for d in 0..n_dims {
+            let cats = &store.cats[d];
+            let seen: Vec<(u8, u64)> = sorted_set(
+                cats.iter()
+                    .copied()
+                    .zip(store.codes[d].iter().copied())
+                    .collect(),
+            );
+            let mut counts = [0u64; 256];
+            for &c in cats {
+                counts[c as usize] += 1;
+            }
+            hulls.push(dim_hull(mo.schema().dim(DimId(d as u16)), &seen));
+            per_cat.push(per_cat_of(&counts));
+            distinct.push(seen);
+        }
+        let origins = sorted_set(store.origin.clone());
+        let (mut key_min, mut key_max) = (None, None);
+        if !store.is_empty() {
+            if let Some(packer) = KeyPacker::new(mo.schema()) {
+                let mut lo = u128::MAX;
+                let mut hi = 0u128;
+                for f in mo.facts() {
+                    let k = packer.pack_row(store, f);
+                    lo = lo.min(k);
+                    hi = hi.max(k);
+                }
+                key_min = Some(lo);
+                key_max = Some(hi);
+            }
+        }
+        ChunkSummary {
+            rows: store.len() as u64,
+            bytes: store.approx_bytes() as u64,
+            distinct,
+            per_cat,
+            key_min,
+            key_max,
+            hulls,
+            origins: (origins.len() <= MAX_ORIGINS).then_some(origins),
+        }
+    }
+
+    /// One random row of the paper schema: a day offset into the
+    /// horizon (past its end: one of its two ends, chosen by the URL
+    /// seed), the Time and URL categories to roll it up to (⊤
+    /// included), a URL seed and an origin seed.
+    type RowSeed = (u32, u8, u8, u32, u32);
+
+    fn row_seed() -> impl Strategy<Value = RowSeed> {
+        (0u32..2400, 0u8..8, 0u8..4, any::<u32>(), any::<u32>())
+    }
+
+    /// The rows `seeds` describe, over the paper schema; origins are
+    /// drawn from `origins` action ids (and the user's), so more than
+    /// [`MAX_ORIGINS`] of them can occur.
+    fn chunk_of(seeds: &[RowSeed], origins: u32, descending: bool) -> Mo {
+        let (schema, _) = paper_schema();
+        let Dimension::Time(t) = schema.dim(DimId(0)) else {
+            unreachable!("the paper's first dimension is Time")
+        };
+        let Dimension::Enum(url) = schema.dim(DimId(1)) else {
+            unreachable!("the paper's second dimension is URL")
+        };
+        let time_cats: Vec<CatId> = schema.dims[0].graph().all().collect();
+        let url_cats: Vec<CatId> = schema.dims[1].graph().all().collect();
+        let mut rows: Vec<(Vec<DimValue>, u32)> = seeds
+            .iter()
+            .map(|&(day, tc, uc, u, o)| {
+                let day = match t.min_day + day as i32 {
+                    d if d <= t.max_day => d,
+                    _ if u % 2 == 0 => t.min_day,
+                    _ => t.max_day,
+                };
+                let tc = time_cats[tc as usize % time_cats.len()];
+                let time = TimeValue::Day(day).rollup(tc).unwrap();
+                let uc = url_cats[uc as usize % url_cats.len()];
+                let code = u64::from(u) % url.cardinality(uc).max(1) as u64;
+                let origin = match o % (origins + 1) {
+                    0 => ORIGIN_USER,
+                    o => o - 1,
+                };
+                let coords = vec![DimValue::new(tc, time.code()), DimValue::new(uc, code)];
+                (coords, origin)
+            })
+            .collect();
+        if descending {
+            rows.sort_by(|a, b| b.cmp(a));
+        }
+        let mut mo = Mo::new(schema);
+        for (coords, origin) in rows {
+            let ms = vec![1; mo.schema().n_measures()];
+            mo.insert_fact_at(&coords, &ms, origin).unwrap();
+        }
+        mo
+    }
+
+    proptest! {
+        /// The linear summary equals the sorted one on random chunks:
+        /// every Time and URL category (⊤ included), days at both ends
+        /// of the horizon, rows in descending code order, one-row
+        /// chunks, and more than `MAX_ORIGINS` origins.
+        #[test]
+        fn the_linear_summary_equals_the_sorted_one(
+            seeds in collection::vec(row_seed(), 1..300),
+            many_origins in any::<bool>(),
+            descending in any::<bool>(),
+            one in any::<bool>(),
+        ) {
+            let seeds = if one { &seeds[..1] } else { &seeds[..] };
+            let origins = if many_origins { MAX_ORIGINS as u32 + 8 } else { 3 };
+            let mo = chunk_of(seeds, origins, descending);
+            prop_assert_eq!(ChunkSummary::compute(&mo), compute_by_sort(&mo));
+        }
+    }
 
     #[test]
     fn compute_is_exact_and_deterministic() {
@@ -516,22 +711,19 @@ mod tests {
     }
 
     #[test]
-    fn may_hold_never_misses_a_stored_cell() {
+    fn key_range_brackets_every_stored_cell() {
         let (mo, _) = paper_mo();
         let s = ChunkSummary::compute(&slice(&mo, 0..3));
         let packer = KeyPacker::new(mo.schema()).unwrap();
-        for f in mo.facts() {
-            let coords = mo.coords(f);
-            let held = f.index() < 3;
-            let key = Some(packer.pack_coords(&coords));
-            // Sound with and without a packed key; rows outside the
-            // chunk may still be admitted (it is a filter, not an index).
-            assert!(!held || s.may_hold(&coords, key), "{coords:?}");
-            assert!(!held || s.may_hold(&coords, None), "{coords:?}");
-            assert!(s.may_hold(&coords, None) || !s.may_hold(&coords, key));
-        }
-        let top: Vec<DimValue> = mo.schema().dims.iter().map(|d| d.top_value()).collect();
-        assert!(!s.may_hold(&top, None), "no stored row sits at ⊤");
+        let (lo, hi) = s.key_range().unwrap();
+        let keys: Vec<u128> = (0..3)
+            .map(|f| packer.pack_row(mo.store(), FactId(f)))
+            .collect();
+        assert_eq!(
+            (lo, hi),
+            (*keys.iter().min().unwrap(), *keys.iter().max().unwrap())
+        );
+        assert_eq!(ChunkSummary::compute(&mo.empty_like()).key_range(), None);
     }
 
     #[test]

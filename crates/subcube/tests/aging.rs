@@ -183,3 +183,105 @@ fn never_synced_virtual_age_equals_sync_on_a_clone() {
     let v = m.view();
     assert_eq!((v.epoch(), v.last_sync()), (clone.view().epoch(), None));
 }
+
+/// Time plus `n` enumerated dimensions of `values` bottom values each,
+/// every value under one of two groups (`v < g < ⊤`).
+fn many_dims_schema(n: usize, values: usize) -> Arc<sdr_mdm::Schema> {
+    use sdr_mdm::{AggFn, CatGraph, Dimension, EnumDimensionBuilder, MeasureDef, TimeDimension};
+    let time = Dimension::Time(TimeDimension::new((1999, 1, 1), (2001, 12, 31)).unwrap());
+    let dims = (0..n).map(|d| {
+        let g = CatGraph::new(vec!["v", "g", "T"], &[("v", "g"), ("g", "T")]).unwrap();
+        let (v, grp) = (g.by_name("v").unwrap(), g.by_name("g").unwrap());
+        let mut b = EnumDimensionBuilder::new(format!("D{d:02}"), g);
+        for k in 0..2 {
+            b.add_value(grp, &format!("g{k}"), &[]).unwrap();
+        }
+        for j in 0..values {
+            let parent = format!("g{}", j % 2);
+            b.add_value(v, &format!("x{j}"), &[(grp, &parent)]).unwrap();
+        }
+        Dimension::Enum(b.build().unwrap())
+    });
+    let dims = std::iter::once(time).chain(dims).collect();
+    let measures = vec![
+        MeasureDef::new("n", AggFn::Count),
+        MeasureDef::new("s", AggFn::Sum),
+    ];
+    sdr_mdm::Schema::new("Many", dims, measures).unwrap()
+}
+
+/// Schemas past the packed-key kernel age through the coordinate path:
+/// 20 dimensions of 40 values need more than 128 key bits (cells are
+/// named by interned coordinates), and 13 dimensions of 2 values pack
+/// but exceed the decision key (cells resolve row by row, keyed by
+/// packed coordinates). Loads with duplicate cells and late rows,
+/// interleaved with ages across month starts, hold Definition 2's
+/// reduction throughout.
+#[test]
+fn schemas_past_the_kernel_age_through_coordinates() {
+    use sdr_mdm::{time_cat, DimValue, KeyPacker, TimeValue};
+    let mut got = Vec::new();
+    for (n, values) in [(19, 40), (12, 2)] {
+        let schema = many_dims_schema(n, values);
+        assert_eq!(KeyPacker::new(&schema).is_some(), n == 12, "{n} dims");
+        // Every dimension appears in the grain: D00 rises to its group.
+        let rest: String = (1..n).map(|d| format!(", D{d:02}.v")).collect();
+        let action = format!("p(a[Time.month, D00.g{rest}] o[Time.month <= NOW - 1 months](O))");
+        let spec = DataReductionSpec::new(
+            Arc::clone(&schema),
+            vec![parse_action(&schema, &action).unwrap()],
+        )
+        .unwrap();
+        let m = SubcubeManager::new(spec);
+        let mut raw = Mo::new(Arc::clone(&schema));
+        let mut seed = 0x9e37_79b9_u64;
+        let mut next = |k: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % k
+        };
+        let start = days_from_civil(2000, 1, 20);
+        for (batch, until) in [(0, (2000, 2, 3)), (1, (2000, 2, 10)), (2, (2000, 3, 15))] {
+            let mut load = Mo::new(Arc::clone(&schema));
+            for i in 0..60 {
+                // Batches overlap by ten days, so late January rows rise
+                // into month rows an earlier step placed.
+                let day = start + batch * 10 + (i % 20);
+                let mut coords = vec![DimValue::new(time_cat::DAY, TimeValue::Day(day).code())];
+                let v = schema.dims[1].graph().by_name("v").unwrap();
+                // Few distinct cells, so duplicates merge.
+                coords.extend((0..n).map(|d| DimValue::new(v, if d < 3 { next(2) } else { 0 })));
+                load.insert_fact(&coords, &[1, next(100) as i64]).unwrap();
+            }
+            raw.absorb(&load).unwrap();
+            m.bulk_load(&load).unwrap();
+            m.age(days_from_civil(until.0, until.1, until.2)).unwrap();
+            assert_reduced(&m, &raw, &format!("{n} dims, batch {batch}"));
+        }
+        // Arrivals are laid out in coordinate order, as the
+        // coordinate-keyed step before the packed-key kernel laid them
+        // out: every cube encodes to the bytes it left.
+        let digests: Vec<u64> = (m.view().cubes().iter())
+            .map(|c| {
+                fnv(&sdr_storage::encode_facts(
+                    &schema,
+                    c.chunks().iter().map(|k| k.mo()),
+                ))
+            })
+            .collect();
+        got.push(digests);
+    }
+    let want = [
+        [0x4390_6724_6da6_f8d8, 0xe9e6_0085_5418_e6eb],
+        [0x3a7f_93bc_451f_e0f1, 0x7d08_4053_e31b_dde9],
+    ];
+    assert_eq!(got, want, "got {got:#x?}");
+}
+
+/// FNV-1a of `bytes`.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}

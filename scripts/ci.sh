@@ -181,6 +181,11 @@ run cargo test -q --release -p sdr-storage
 # and the i128 measure fold run with overflow checks off, as shipped.
 run cargo test -q --release -p sdr-query
 
+# Subcube suites under --release: the reduction step shares those tables
+# and folds, and the chunk summaries mark codes by offset, all with
+# overflow checks off as shipped.
+run cargo test -q --release -p sdr-subcube
+
 # Durability suite under --release: the crash matrix and the proptest
 # layer exercise many fs-failure schedules and want optimized code.
 run cargo test -q --release --test durability

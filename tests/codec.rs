@@ -400,3 +400,108 @@ proptest! {
         }
     }
 }
+
+/// Per shard, per cube: the FNV of its facts as `encode_facts` writes
+/// them from the cube's chunk list.
+fn cube_digests(views: &[specdr::subcube::WarehouseView]) -> Vec<Vec<u64>> {
+    views
+        .iter()
+        .map(|v| {
+            v.cubes()
+                .iter()
+                .map(|c| fnv(&encode_facts(v.schema(), c.chunks().iter().map(|k| k.mo()))))
+                .collect()
+        })
+        .collect()
+}
+
+/// (d) Three years of daily (load, age) on one and on two shards, then
+/// one more day loaded and the warehouse virtually aged two months on:
+/// every cube, live and aged, encodes to the bytes the parent's
+/// coordinate-keyed reduction step left — the packed-key step groups,
+/// absorbs and orders arrivals as it did.
+#[test]
+fn three_years_of_daily_aging_match_the_parents() {
+    /// Per shard count: per shard, per cube, live and then aged.
+    type Digests = (usize, &'static [&'static [u64]], &'static [&'static [u64]]);
+    const WANT: [Digests; 2] = [
+        (
+            1,
+            &[&[
+                0xc907_c084_c4f1_9d9d,
+                0x2e84_d642_7134_0bd7,
+                0xf542_967d_35fc_f700,
+            ]],
+            &[&[
+                0x9be9_a64d_6081_4ae8,
+                0x621b_2ec9_fd55_615d,
+                0x427c_12b0_2996_8439,
+            ]],
+        ),
+        (
+            2,
+            &[
+                &[
+                    0x1213_d064_e84f_797e,
+                    0x7a41_1e4e_5de2_9c85,
+                    0x17c3_3fc5_e0dc_fbed,
+                ],
+                &[
+                    0x3646_7bda_4761_f985,
+                    0x8e9f_cc28_35b4_6067,
+                    0x1570_ce5a_6fd8_caa1,
+                ],
+            ],
+            &[
+                &[
+                    0x9be9_a64d_6081_4ae8,
+                    0x84ba_e604_7e15_48f2,
+                    0x529d_85c6_a4df_f31a,
+                ],
+                &[
+                    0x9be9_a64d_6081_4ae8,
+                    0x3800_aaca_84c4_27eb,
+                    0x4c4f_b25e_6d6f_406a,
+                ],
+            ],
+        ),
+    ];
+    let start = days_from_civil(1999, 1, 1);
+    let days = 3 * 365;
+    let cs = generate(&ClickstreamConfig {
+        seed: 43,
+        clicks_per_day: 20,
+        start: (1999, 1, 1),
+        end: civil_from_days(start + days as i32),
+        ..Default::default()
+    });
+    let actions: Vec<_> = retention_policy(2, 12)
+        .iter()
+        .map(|s| parse_action(&cs.schema, s).unwrap())
+        .collect();
+    let by_day = cs.rows_by_day(start, days + 1);
+    let mut got = Vec::new();
+    for shards in [1, 2] {
+        let spec = DataReductionSpec::new(Arc::clone(&cs.schema), actions.clone()).unwrap();
+        let fs = specdr::storage::MemFs::shared();
+        let router = ShardRouter::create_with_fs(spec, Path::new("/wh"), shards, fs).unwrap();
+        for (i, rows) in by_day[..days].iter().enumerate() {
+            router.bulk_load(&cs.mo.gather(rows)).unwrap();
+            router.age(start + i as i32).unwrap();
+        }
+        let live = cube_digests(router.view_set().views());
+        router.bulk_load(&cs.mo.gather(&by_day[days])).unwrap();
+        let (aged, _) = router
+            .view_set()
+            .virtual_age(days_from_civil(2002, 3, 1))
+            .unwrap();
+        got.push((shards, live, cube_digests(aged.views())));
+    }
+    let want: Vec<_> = (WANT.iter())
+        .map(|(n, live, aged)| {
+            let owned = |d: &[&[u64]]| d.iter().map(|c| c.to_vec()).collect::<Vec<_>>();
+            (*n, owned(live), owned(aged))
+        })
+        .collect();
+    assert_eq!(got, want, "got {got:#x?}");
+}

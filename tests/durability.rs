@@ -1818,3 +1818,87 @@ fn overflowing_cells_of_one_step_name_the_coordinate_first() {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// A cell whose SUM leaves `i64` only once an arriving group is absorbed
+/// into the row the cube already holds for it: the month row holds
+/// `i64::MAX - 1`, a late sale of 2 arrives for the same month, and
+/// neither overflows alone. The step is refused naming that cell, as
+/// the row-at-a-time fold did; every shard holds such a pair, so every
+/// shard refuses alike and nothing is published, logged or wedged.
+#[test]
+fn a_sum_that_overflows_only_when_absorbed_names_its_cell() {
+    use specdr::mdm::{DimId, MdmError};
+    use specdr::reduce::ReduceError;
+    use specdr::subcube::SubcubeError;
+    use specdr::workload::{generate_retail, RetailConfig};
+    let retail = generate_retail(&RetailConfig {
+        sales_per_day: 0,
+        ..Default::default()
+    });
+    let schema = Arc::clone(&retail.schema);
+    let value = |d: u16, cat, label: &str| schema.dim(DimId(d)).parse_value(cat, label).unwrap();
+    let sku = value(1, retail.cats.sku, "sku-0-0-0");
+    let store = value(2, retail.cats.store, "store-0-0-0");
+    let action = "p(a[Time.month, Product.sku, Store.store] o[Time.month <= NOW - 1 months](O))";
+    let spec = DataReductionSpec::new(
+        Arc::clone(&schema),
+        vec![parse_action(&schema, action).unwrap()],
+    )
+    .unwrap();
+    let overflow = MdmError::MeasureOverflow {
+        measure: "SUM(Revenue)".into(),
+        cell: "(2000/1, sku-0-0-0, store-0-0-0)".into(),
+    };
+    let cell = |d: u32| {
+        let day = TimeValue::Day(days_from_civil(2000, 1, d));
+        [DimValue::new(tc::DAY, day.code()), sku, store]
+    };
+    let rows = |w: &ShardRouter| {
+        let mo = w.view_set().to_mo().unwrap();
+        let mut v: Vec<String> = mo.facts().map(|f| mo.render_fact(f)).collect();
+        v.sort();
+        v
+    };
+    let (synced, late) = (days_from_civil(2000, 3, 1), days_from_civil(2000, 3, 2));
+    for shards in [1, 2] {
+        let dir = tmpdir(&format!("overflow-absorbed-{shards}"));
+        let w = ShardRouter::create(spec.clone(), &dir, shards).unwrap();
+        // Per shard, two days of January routed to it: the first day's
+        // sale is homed into the month row, the second arrives late.
+        let (mut held, mut arriving) = (Mo::new(Arc::clone(&schema)), Mo::new(Arc::clone(&schema)));
+        for shard in 0..shards {
+            let days: Vec<u32> = (1..=31)
+                .filter(|&d| w.route(&cell(d)) == shard)
+                .take(2)
+                .collect();
+            assert_eq!(days.len(), 2, "shard {shard} of {shards}");
+            held.insert_fact(&cell(days[0]), &[1, i64::MAX - 1])
+                .unwrap();
+            arriving.insert_fact(&cell(days[1]), &[1, 2]).unwrap();
+        }
+        w.bulk_load(&held).unwrap();
+        w.sync(synced).unwrap();
+        w.bulk_load(&arriving).unwrap();
+        let (loaded, epoch) = (rows(&w), w.epoch());
+        let err = w.sync(late).unwrap_err();
+        assert!(
+            matches!(&err, SubcubeError::Reduce(ReduceError::Model(e)) if *e == overflow),
+            "shards={shards}: {err:?}"
+        );
+        assert!(
+            !w.is_broken(),
+            "shards={shards}: a uniform refusal does not wedge"
+        );
+        assert_eq!(
+            (w.epoch(), w.last_sync()),
+            (epoch, Some(synced)),
+            "shards={shards}"
+        );
+        assert_eq!(rows(&w), loaded, "shards={shards}");
+        drop(w);
+        let (rec, report) = ShardRouter::recover(spec.clone(), &dir).unwrap();
+        assert_eq!((report.ops_durable, report.last_sync), (3, Some(synced)));
+        assert_eq!(rows(&rec), loaded);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

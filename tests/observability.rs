@@ -468,5 +468,32 @@ fn metrics_agree_with_authoritative_numbers() {
     }
     assert!(tids.len() >= 2, "the shards' writes all ran on one thread");
     assert_eq!(path_set(&one), path_set(&two), "shard span trees diverge");
+
+    // --- Phase 9: recovery's stats check is its own phase. Each shard's
+    // `verify_stats` runs in a `durable.recover.verify` span whose
+    // parent is that shard's `durable.recover`, so none of it is booked
+    // to the recovery itself.
+    let fs = specdr::storage::fs::MemFs::shared();
+    let dir = std::path::Path::new("/r");
+    let router = ShardRouter::create_with_fs(spec.clone(), dir, 2, fs.clone()).unwrap();
+    router.bulk_load(&mo).unwrap();
+    router.age(now).unwrap();
+    router.checkpoint().unwrap();
+    router.bulk_load(&mo).unwrap();
+    drop(router);
+    obs::reset();
+    let (recovered, report) = ShardRouter::recover_with_fs(spec.clone(), dir, fs).unwrap();
+    assert_eq!((recovered.shards(), report.replayed), (2, 2));
+    let snap = obs::snapshot();
+    let by_id: std::collections::BTreeMap<u64, &specdr::obs::TraceSpan> =
+        snap.traces.iter().map(|t| (t.id, t)).collect();
+    let verifies: Vec<_> = (snap.traces.iter())
+        .filter(|t| t.name == "durable.recover.verify")
+        .collect();
+    assert_eq!(verifies.len(), 2, "one stats check per shard: {verifies:?}");
+    for t in verifies {
+        let parent = by_id.get(&t.parent).map(|p| p.name.as_str());
+        assert_eq!(parent, Some("durable.recover"), "{t:?}");
+    }
     obs::set_enabled(false);
 }

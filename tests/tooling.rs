@@ -752,6 +752,7 @@ fn cli_recover_and_checkpoint_read_a_serve_created_directory() {
         "durable.recover",
         "durable.recover.checkpoint",
         "durable.recover.replay",
+        "durable.recover.verify",
     ] {
         assert_eq!(span_count(shard_span), Some(2), "{shard_span}: {stdout}");
     }
