@@ -10,8 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use sdr_mdm::{time_cat as tc, DimId};
-use sdr_query::{compare, SelectMode};
-use sdr_spec::CmpOp;
+use sdr_spec::{compare_conservative, compare_weight, CmpOp};
 use sdr_workload::paper_mo;
 
 fn bench_compare(c: &mut Criterion) {
@@ -34,23 +33,12 @@ fn bench_compare(c: &mut Criterion) {
         ("quarter_vs_week_eq", quarter, week, CmpOp::Eq),
     ] {
         g.bench_function(BenchmarkId::new("op", label), |bch| {
-            bch.iter(|| black_box(compare(time, a, op, b_, SelectMode::Conservative).unwrap()));
+            bch.iter(|| black_box(compare_conservative(time, a, op, b_).unwrap()));
         });
     }
-    // Weighted mode does the same interval math plus a division.
+    // The weight does the same interval math plus a division.
     g.bench_function(BenchmarkId::new("op", "quarter_vs_month_weighted"), |bch| {
-        bch.iter(|| {
-            black_box(
-                compare(
-                    time,
-                    quarter,
-                    CmpOp::Le,
-                    month,
-                    SelectMode::Weighted { threshold: 0.5 },
-                )
-                .unwrap(),
-            )
-        });
+        bch.iter(|| black_box(compare_weight(time, quarter, CmpOp::Le, month).unwrap()));
     });
     g.finish();
 
@@ -67,9 +55,7 @@ fn bench_compare(c: &mut Criterion) {
         ("domain_vs_grp_ne", cnn, com),
     ] {
         g.bench_function(BenchmarkId::new("op", label), |bch| {
-            bch.iter(|| {
-                black_box(compare(url, a, CmpOp::Eq, b_, SelectMode::Conservative).unwrap())
-            });
+            bch.iter(|| black_box(compare_conservative(url, a, CmpOp::Eq, b_).unwrap()));
         });
         let _ = label;
     }

@@ -10,8 +10,9 @@ pub enum QueryError {
     Model(MdmError),
     /// Predicate-language error.
     Spec(SpecError),
-    /// The strict aggregation approach found no admissible facts in a
-    /// dimension (informational wrapper for callers that care).
+    /// A request the operators do not answer: a strict aggregation with
+    /// no admissible facts in a dimension, a per-atom verdict asked of the
+    /// weighted mode, and the like.
     Unsupported(String),
 }
 

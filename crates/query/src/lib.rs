@@ -6,8 +6,9 @@
 //! defined over multidimensional objects whose facts may sit at *varying
 //! granularities* after reduction.
 //!
-//! * [`mod@compare`] — Definition 5's GLB-drill-down comparison operators with
-//!   the conservative (default), liberal, and weighted modes;
+//! * [`mod@compare`] — the conservative (default), liberal, and weighted
+//!   modes over Definition 5's GLB-drill-down comparisons, which live
+//!   beside the predicate compiler in `sdr-spec`;
 //! * [`mod@select`] — `σ[p](O)` (Equation 36);
 //! * [`mod@project`] — `π[D…][M…](O)` (Equation 37);
 //! * [`mod@aggregate`] — `α[C₁…Cₙ](O)` (Definition 6) with the availability
@@ -128,6 +129,10 @@ mod tests {
         assert!(compare(dim, q4, CmpOp::Lt, w1, SelectMode::Conservative).unwrap());
         // Liberal <: some day of Q4 precedes some day of W48.
         assert!(compare(dim, q4, CmpOp::Lt, w48, SelectMode::Liberal).unwrap());
+        // The weighted mode weighs an atom; it gives no verdict.
+        let weighted = SelectMode::Weighted { threshold: 0.5 };
+        let refused = compare(dim, q4, CmpOp::Lt, w48, weighted);
+        assert!(matches!(refused, Err(QueryError::Unsupported(_))));
     }
 
     #[test]

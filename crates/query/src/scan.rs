@@ -2,10 +2,12 @@
 //! `α[C₁…Cₙ]` fused into a single pass over any number of fact runs.
 //!
 //! A [`Scan`] is compiled once per query — the predicate to DNF with
-//! every `NOW` term resolved (`CompiledSelect`), its per-dimension mask
-//! plan (`SelMaskPlan`), the target levels, the approach and the key
-//! packer — and is then shared read-only by every worker. A worker
-//! starts a [`ScanAcc`] and [`feed`](ScanAcc::feed)s it runs (chunks of
+//! every `NOW` term resolved, laid out in one un-memoized
+//! [`LeafMaskPlan`] (`sdr-spec`'s, the one reduction uses), the target
+//! levels, the approach and the key packer — and is then shared
+//! read-only by every worker. Each accumulator memoizes a clone of the
+//! plan of its own. A worker starts a [`ScanAcc`] and
+//! [`feed`](ScanAcc::feed)s it runs (chunks of
 //! any cube of any shard, or a single MO); workers that ran side by side
 //! merge their accumulators with [`absorb`](ScanAcc::absorb), and the
 //! one accumulator left is [`finish`](ScanAcc::finish)ed once. The
@@ -40,6 +42,8 @@
 //! the uniform target over every fed row, and rolls the distinct cells up
 //! at `finish`. The weighted selection mode decides per distinct packed
 //! cell instead (a hash map, as its weight is not dimension-local).
+//! Above [`LeafMaskPlan::MAX_LEAVES`] leaves a boolean selection takes
+//! the plan's one fallback, every row's cell evaluated whole.
 //!
 //! Without a key packer (a schema too wide for 128 bits) and for the
 //! disaggregated approach, whose fan-out is not cell-local, the kept
@@ -58,21 +62,41 @@ use sdr_mdm::{
     Accs, CatId, DayNum, DimId, DimTables, DimValue, FactId, FxHashMap, KeyPacker, Mo, PackedKey,
     Schema, Slots, ORIGIN_USER,
 };
-use sdr_spec::Pexp;
+use sdr_spec::{CompiledPred, LeafMaskPlan, LeafMeaning, Pexp};
 
 use crate::aggregate::{aggregate_rows_naive, AggApproach};
 use crate::compare::SelectMode;
 use crate::error::QueryError;
-use crate::select::{CompiledSelect, SelMaskPlan};
 
-/// A compiled predicate plus the kernel that evaluates it.
-struct Selection {
-    compiled: CompiledSelect,
-    /// The per-dimension mask plan: boolean modes with ≤ 64 atom
-    /// occurrences. Otherwise decisions are memoized per packed cell
-    /// (or, without a packer, made row by row).
-    masks: Option<SelMaskPlan>,
-    mode: SelectMode,
+/// A compiled predicate in the plan that evaluates it.
+#[derive(Clone)]
+enum Selection {
+    /// Conservative or liberal: the plan's leaf masks decide every row.
+    Masks(LeafMaskPlan),
+    /// Weighted: the plan's weight decides every distinct packed cell
+    /// (or, without a packer, every row) against the threshold.
+    Weighted(LeafMaskPlan, f64),
+}
+
+impl Selection {
+    fn compile(
+        schema: &Schema,
+        p: &Pexp,
+        now: DayNum,
+        mode: SelectMode,
+    ) -> Result<Selection, QueryError> {
+        let meaning = match mode {
+            SelectMode::Conservative => LeafMeaning::Conservative,
+            SelectMode::Liberal => LeafMeaning::Liberal,
+            SelectMode::Weighted { threshold } => {
+                // A weight reads no leaf meaning.
+                let plan = LeafMaskPlan::new(vec![CompiledPred::compile(schema, p, now)?]);
+                return Ok(Selection::Weighted(plan, threshold));
+            }
+        };
+        let pred = CompiledPred::compile_as(schema, p, now, meaning)?;
+        Ok(Selection::Masks(LeafMaskPlan::new(vec![pred])))
+    }
 }
 
 /// A query's selection and aggregation, compiled once and shared
@@ -117,21 +141,9 @@ impl Scan {
         mode: SelectMode,
         group: Option<(Vec<CatId>, AggApproach)>,
     ) -> Result<Scan, QueryError> {
-        let select = match pred {
-            Some(p) => {
-                let compiled = CompiledSelect::compile(schema, p, now)?;
-                let masks = match mode {
-                    SelectMode::Weighted { .. } => None,
-                    _ => SelMaskPlan::build(&compiled),
-                };
-                Some(Selection {
-                    compiled,
-                    masks,
-                    mode,
-                })
-            }
-            None => None,
-        };
+        let select = pred
+            .map(|p| Selection::compile(schema, p, now, mode))
+            .transpose()?;
         Ok(Scan {
             schema: Arc::clone(schema),
             select,
@@ -203,9 +215,10 @@ enum State {
 
 /// The memo and group state of one scan, over packed keys `K`.
 struct Keyed<K> {
-    /// Per mask-plan dimension: satisfied-bit mask per direct value.
-    masks: Vec<DimTables<u64>>,
-    /// Packed direct cell → decision (weighted mode, wide predicates).
+    /// This accumulator's clone of the scan's selection, whose plan
+    /// memoizes satisfied-leaf masks per direct value.
+    select: Option<Selection>,
+    /// Packed direct cell → decision (weighted mode).
     cells: FxHashMap<K, bool>,
     out: Out<K>,
 }
@@ -230,9 +243,8 @@ impl<K: PackedKey> Keyed<K> {
             }
             _ => Out::Rows(Vec::new()),
         };
-        let plan = scan.select.as_ref().and_then(|s| s.masks.as_ref());
         Keyed {
-            masks: plan.map_or_else(Vec::new, |p| scan.memos(p.dims.iter().map(|(d, _)| *d))),
+            select: scan.select.clone(),
             cells: FxHashMap::default(),
             out,
         }
@@ -254,62 +266,56 @@ impl<K: PackedKey> Keyed<K> {
         Ok(kept)
     }
 
-    /// The selection kernels: per-dimension masks for boolean modes,
-    /// per-cell memo otherwise, row at a time without a packer. Returns
-    /// `true`, leaving `keep` alone, when every row is kept.
+    /// The selection kernels: the plan's leaf masks for boolean modes,
+    /// the per-cell memo of weighted decisions otherwise, row at a time
+    /// without a packer. Returns `true`, leaving `keep` alone, when every
+    /// row is kept.
     fn select(&mut self, scan: &Scan, mo: &Mo, keep: &mut Vec<u32>) -> Result<bool, QueryError> {
-        let Some(sel) = &scan.select else {
-            return Ok(true);
-        };
-        keep.clear();
         let schema = &*scan.schema;
         let store = mo.store();
-        let compiled = &sel.compiled;
-        if let Some(plan) = &sel.masks {
-            for i in 0..mo.len() {
-                let mut sat = 0u64;
-                for (memo, (dim, atoms)) in self.masks.iter_mut().zip(&plan.dims) {
-                    let d = dim.index();
-                    let (cat, code) = (store.cats[d][i], store.codes[d][i]);
-                    sat |= memo.get_or_make(cat, code, || {
-                        let v = DimValue::new(CatId(cat), code);
-                        let mut m = 0u64;
-                        for &(b, ci, ai) in atoms {
-                            let atom = &compiled.dnf[ci][ai];
-                            if compiled.eval_atom_value(schema, atom, v, sel.mode)? {
-                                m |= b;
+        match &mut self.select {
+            None => return Ok(true),
+            Some(Selection::Masks(plan)) => plan.any_run(schema, store, keep)?,
+            Some(Selection::Weighted(plan, threshold)) => {
+                keep.clear();
+                for f in mo.facts() {
+                    let key = scan
+                        .packer
+                        .as_ref()
+                        .map(|pk| K::from_wide(pk.pack_row(store, f)));
+                    let dec = match key.and_then(|k| self.cells.get(&k)) {
+                        Some(&d) => d,
+                        None => {
+                            let d = plan.weight(schema, &mo.coords(f))? >= *threshold;
+                            if let Some(k) = key {
+                                self.cells.insert(k, d);
                             }
+                            d
                         }
-                        Ok::<_, QueryError>(m)
-                    })?;
-                }
-                if plan.conj_masks.iter().any(|&cm| cm & !sat == 0) {
-                    keep.push(i as u32);
-                }
-            }
-        } else if let Some(pk) = &scan.packer {
-            for f in mo.facts() {
-                let key = K::from_wide(pk.pack_row(store, f));
-                let dec = match self.cells.get(&key) {
-                    Some(&d) => d,
-                    None => {
-                        let d = compiled.decide_cell(schema, &mo.coords(f), sel.mode)?;
-                        self.cells.insert(key, d);
-                        d
+                    };
+                    if dec {
+                        keep.push(f.0);
                     }
-                };
-                if dec {
-                    keep.push(f.0);
-                }
-            }
-        } else {
-            for f in mo.facts() {
-                if compiled.decide_cell(schema, &mo.coords(f), sel.mode)? {
-                    keep.push(f.0);
                 }
             }
         }
         Ok(keep.len() == mo.len())
+    }
+
+    /// The selection's memo, named by its metric: the plan's distinct
+    /// dimension values, or the weighted mode's distinct packed cells.
+    /// The plan's whole-cell fallback, and the weighted mode without a
+    /// packer, memoize nothing.
+    fn select_memo(&self, packed: bool) -> Option<(&'static str, usize)> {
+        match &self.select {
+            Some(Selection::Masks(plan)) if plan.is_masked() => {
+                Some(("query.select.kernel.distinct_dim_values", plan.filled()))
+            }
+            Some(Selection::Weighted(..)) if packed => {
+                Some(("query.select.kernel.distinct_cells", self.cells.len()))
+            }
+            _ => None,
+        }
     }
 
     /// Folds `other`'s output into this one's.
@@ -552,16 +558,13 @@ impl ScanAcc<'_> {
     /// The memo sizes: the selection's distinct values or cells, and the
     /// aggregation's distinct direct values.
     fn record_memos(&self) {
-        let (masks, cells, targets) = match &self.state {
-            State::Narrow(k) => (filled(&k.masks), k.cells.len(), k.out.targets()),
-            State::Wide(k) => (filled(&k.masks), k.cells.len(), k.out.targets()),
+        let packed = self.scan.packer.is_some();
+        let (select, targets) = match &self.state {
+            State::Narrow(k) => (k.select_memo(packed), k.out.targets()),
+            State::Wide(k) => (k.select_memo(packed), k.out.targets()),
         };
-        match self.scan.select.as_ref().map(|s| s.masks.is_some()) {
-            Some(true) => sdr_obs::add("query.select.kernel.distinct_dim_values", masks as u64),
-            Some(false) if self.scan.packer.is_some() => {
-                sdr_obs::add("query.select.kernel.distinct_cells", cells as u64);
-            }
-            _ => {}
+        if let Some((name, n)) = select {
+            sdr_obs::add(name, n as u64);
         }
         if let Some(t) = targets {
             sdr_obs::add("query.aggregate.kernel.distinct_dim_values", t as u64);

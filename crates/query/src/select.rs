@@ -9,31 +9,33 @@
 //! # Vectorized kernel
 //!
 //! [`select`] is the compiled [`Scan`](crate::scan) over one MO with no
-//! aggregation: the predicate is normalized to DNF **once** and every
-//! `NOW`-dependent term is pre-resolved into a constant
-//! (`CompiledSelect`); an atom depends only on its own dimension's
-//! value, so satisfied-atom masks are memoized per *distinct dimension
-//! value* (`SelMaskPlan`), or — for the weighted mode — decisions per
-//! distinct cell (packed into a `u64`/`u128` key by [`KeyPacker`]), and
-//! surviving rows are materialized with one columnar gather instead of
-//! per-fact re-inserts. [`select_view`] returns `Cow::Borrowed` when
-//! nothing is filtered (no predicate, or a full selection).
+//! aggregation: the predicate is compiled **once** into the one
+//! [`CompiledPred`] of `sdr-spec`, under the mode's leaf meaning, and
+//! evaluated through its [`LeafMaskPlan`] — satisfied-leaf masks
+//! memoized per *distinct dimension value*, or, for the weighted mode,
+//! decisions per distinct cell (packed into a `u64`/`u128` key by
+//! [`KeyPacker`]) — and surviving rows are materialized with one columnar
+//! gather instead of per-fact re-inserts. [`select_view`] returns
+//! `Cow::Borrowed` when nothing is filtered (no predicate, or a full
+//! selection).
 //!
 //! The row-at-a-time reference implementation is retained as
-//! [`select_naive`]; the differential property suite asserts kernel ≡
-//! reference on arbitrary workloads.
+//! [`select_naive`] (over [`satisfies`] and [`predicate_weight`]); the
+//! differential property suite asserts kernel ≡ reference on arbitrary
+//! workloads.
 
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use sdr_mdm::{DayNum, DimId, DimValue, FactId, FxHashMap, KeyPacker, Mo, PackedKey, Schema};
-use sdr_spec::{to_dnf, Atom, AtomKind, CmpOp, Pexp};
+use sdr_mdm::{DayNum, FactId, FxHashMap, KeyPacker, Mo};
+use sdr_spec::{to_dnf, Atom, AtomKind, CompiledPred, LeafMaskPlan, Pexp};
 
-use crate::compare::{compare, compare_weight, member_of, member_weight, SelectMode};
+use crate::compare::{compare, compare_weight, covered, member_of, member_weight, SelectMode};
 use crate::error::QueryError;
 use crate::scan::Scan;
 
-/// Evaluates one atom against a fact under `mode` at time `now`.
+/// Evaluates one atom against a fact under a boolean `mode` at time
+/// `now`.
 fn eval_atom(
     mo: &Mo,
     atom: &Atom,
@@ -58,13 +60,8 @@ fn eval_atom(
             let consts = consts?;
             if atom.negated {
                 // NOT IN: conservative ⇔ footprint disjoint from the union;
-                // liberal ⇔ not fully covered; weighted ⇔ 1 − coverage.
-                let w = 1.0 - member_weight(dim, v, &consts)?;
-                Ok(match mode {
-                    SelectMode::Conservative => w >= 1.0,
-                    SelectMode::Liberal => w > 0.0,
-                    SelectMode::Weighted { threshold } => w >= threshold,
-                })
+                // liberal ⇔ not fully covered.
+                covered(1.0 - member_weight(dim, v, &consts)?, mode)
             } else {
                 member_of(dim, v, &consts, mode)
             }
@@ -142,190 +139,6 @@ pub fn satisfies(
         }
     }
     Ok(false)
-}
-
-/// A selection predicate compiled for one `(schema, NOW)` pass: DNF
-/// normalized once, every term resolved to a constant. Decisions computed
-/// from it agree with [`satisfies`] / [`predicate_weight`] on every fact.
-pub(crate) struct CompiledSelect {
-    pub(crate) dnf: Vec<Vec<SelAtom>>,
-}
-
-pub(crate) struct SelAtom {
-    dim: DimId,
-    negated: bool,
-    kind: SelKind,
-}
-
-enum SelKind {
-    Cmp { op: CmpOp, c: DimValue },
-    In { consts: Vec<DimValue> },
-}
-
-impl CompiledSelect {
-    pub(crate) fn compile(
-        schema: &Schema,
-        p: &Pexp,
-        now: DayNum,
-    ) -> Result<CompiledSelect, QueryError> {
-        let mut dnf = Vec::new();
-        for conj in to_dnf(p) {
-            let mut out = Vec::with_capacity(conj.len());
-            for atom in &conj {
-                let kind = match &atom.kind {
-                    AtomKind::Cmp { op, term } => SelKind::Cmp {
-                        op: *op,
-                        c: sdr_spec::eval::term_value(schema, atom, term, now)?,
-                    },
-                    AtomKind::In { terms } => SelKind::In {
-                        consts: terms
-                            .iter()
-                            .map(|t| sdr_spec::eval::term_value(schema, atom, t, now))
-                            .collect::<Result<_, _>>()?,
-                    },
-                };
-                out.push(SelAtom {
-                    dim: atom.dim,
-                    negated: atom.negated,
-                    kind,
-                });
-            }
-            dnf.push(out);
-        }
-        Ok(CompiledSelect { dnf })
-    }
-
-    /// One atom on a single dimension value — mirrors [`eval_atom`] with
-    /// resolved constants. An atom depends only on its own dimension's
-    /// value, which is what makes the per-dimension mask memo exact.
-    pub(crate) fn eval_atom_value(
-        &self,
-        schema: &Schema,
-        a: &SelAtom,
-        v: DimValue,
-        mode: SelectMode,
-    ) -> Result<bool, QueryError> {
-        let dim = schema.dim(a.dim);
-        match &a.kind {
-            SelKind::Cmp { op, c } => {
-                let op = if a.negated { op.negate() } else { *op };
-                compare(dim, v, op, *c, mode)
-            }
-            SelKind::In { consts } => {
-                if a.negated {
-                    let w = 1.0 - member_weight(dim, v, consts)?;
-                    Ok(match mode {
-                        SelectMode::Conservative => w >= 1.0,
-                        SelectMode::Liberal => w > 0.0,
-                        SelectMode::Weighted { threshold } => w >= threshold,
-                    })
-                } else {
-                    member_of(dim, v, consts, mode)
-                }
-            }
-        }
-    }
-
-    /// The decision for one distinct cell — mirrors [`satisfies`].
-    pub(crate) fn decide_cell(
-        &self,
-        schema: &Schema,
-        coords: &[DimValue],
-        mode: SelectMode,
-    ) -> Result<bool, QueryError> {
-        if let SelectMode::Weighted { threshold } = mode {
-            return Ok(self.weight_cell(schema, coords)? >= threshold);
-        }
-        'conj: for conj in &self.dnf {
-            for atom in conj {
-                if !self.eval_atom_value(schema, atom, coords[atom.dim.index()], mode)? {
-                    continue 'conj;
-                }
-            }
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
-    /// The satisfaction weight for one distinct cell — mirrors
-    /// [`predicate_weight`].
-    fn weight_cell(&self, schema: &Schema, coords: &[DimValue]) -> Result<f64, QueryError> {
-        let mut best = 0.0f64;
-        for conj in &self.dnf {
-            let mut w = 1.0f64;
-            for a in conj {
-                let dim = schema.dim(a.dim);
-                let v = coords[a.dim.index()];
-                let aw = match &a.kind {
-                    SelKind::Cmp { op, c } => {
-                        let op = if a.negated { op.negate() } else { *op };
-                        compare_weight(dim, v, op, *c)?
-                    }
-                    SelKind::In { consts } => {
-                        let mw = member_weight(dim, v, consts)?;
-                        if a.negated {
-                            1.0 - mw
-                        } else {
-                            mw
-                        }
-                    }
-                };
-                w *= aw;
-                if w == 0.0 {
-                    break;
-                }
-            }
-            best = best.max(w);
-        }
-        Ok(best)
-    }
-}
-
-/// One atom occurrence within a dimension's plan: its mask bit plus the
-/// `(conjunction, atom)` address inside the compiled DNF.
-type AtomSlot = (u64, usize, usize);
-
-/// A bitmask execution plan over a [`CompiledSelect`]: every atom
-/// occurrence gets one bit, and a conjunction holds iff all its bits are
-/// satisfied. Because each atom reads exactly one dimension value, the
-/// satisfied-bit set of a fact is the union of per-dimension masks — and
-/// those are memoized per *distinct dimension value*, of which there are
-/// orders of magnitude fewer than distinct cells. Built only when the
-/// predicate has ≤ 64 atom occurrences (callers fall back to the
-/// cell-memo kernel otherwise).
-pub(crate) struct SelMaskPlan {
-    /// One bit-set per conjunction; a fact is kept iff any conjunction's
-    /// mask is contained in its satisfied mask.
-    pub(crate) conj_masks: Vec<u64>,
-    /// Dimensions that carry atoms: for each, the (bit, conj, atom)
-    /// positions to evaluate on a memo miss.
-    pub(crate) dims: Vec<(DimId, Vec<AtomSlot>)>,
-}
-
-impl SelMaskPlan {
-    pub(crate) fn build(compiled: &CompiledSelect) -> Option<SelMaskPlan> {
-        let n: usize = compiled.dnf.iter().map(|c| c.len()).sum();
-        if n > 64 {
-            return None;
-        }
-        let mut conj_masks = Vec::with_capacity(compiled.dnf.len());
-        let mut dims: Vec<(DimId, Vec<AtomSlot>)> = Vec::new();
-        let mut bit = 0u32;
-        for (ci, conj) in compiled.dnf.iter().enumerate() {
-            let mut cm = 0u64;
-            for (ai, atom) in conj.iter().enumerate() {
-                let b = 1u64 << bit;
-                bit += 1;
-                cm |= b;
-                match dims.iter_mut().find(|(d, _)| *d == atom.dim) {
-                    Some((_, v)) => v.push((b, ci, ai)),
-                    None => dims.push((atom.dim, vec![(b, ci, ai)])),
-                }
-            }
-            conj_masks.push(cm);
-        }
-        Some(SelMaskPlan { conj_masks, dims })
-    }
 }
 
 /// The selection operator `σ[p](O)` (Equation 36) under `mode`, with
@@ -431,56 +244,34 @@ pub fn select_naive(mo: &Mo, p: &Pexp, now: DayNum, mode: SelectMode) -> Result<
 
 /// Weighted selection returning each qualifying fact with its weight
 /// (Section 6.1's weighted approach exposes the certainty to the caller).
-/// Weights are memoized per distinct cell like the boolean kernel.
+/// Weights come from the one compiled plan, memoized per distinct cell
+/// like the scan's weighted decisions.
 pub fn select_weighted(
     mo: &Mo,
     p: &Pexp,
     now: DayNum,
     threshold: f64,
 ) -> Result<Vec<(FactId, f64)>, QueryError> {
-    fn run<K: PackedKey>(
-        mo: &Mo,
-        packer: &KeyPacker,
-        compiled: &CompiledSelect,
-        threshold: f64,
-    ) -> Result<Vec<(FactId, f64)>, QueryError> {
-        let store = mo.store();
-        let mut memo: FxHashMap<K, f64> = FxHashMap::default();
-        let mut out = Vec::new();
-        for f in mo.facts() {
-            let key = K::from_wide(packer.pack_row(store, f));
-            let w = match memo.get(&key) {
-                Some(&w) => w,
-                None => {
-                    let w = compiled.weight_cell(mo.schema(), &mo.coords(f))?;
-                    memo.insert(key, w);
-                    w
+    let schema = mo.schema();
+    let plan = LeafMaskPlan::new(vec![CompiledPred::compile(schema, p, now)?]);
+    let packer = KeyPacker::new(schema);
+    let mut memo: FxHashMap<u128, f64> = FxHashMap::default();
+    let mut out = Vec::new();
+    for f in mo.facts() {
+        let key = packer.as_ref().map(|pk| pk.pack_row(mo.store(), f));
+        let w = match key.and_then(|k| memo.get(&k)) {
+            Some(&w) => w,
+            None => {
+                let w = plan.weight(schema, &mo.coords(f))?;
+                if let Some(k) = key {
+                    memo.insert(k, w);
                 }
-            };
-            if w >= threshold && w > 0.0 {
-                out.push((f, w));
+                w
             }
-        }
-        Ok(out)
-    }
-    match KeyPacker::new(mo.schema()) {
-        Some(pk) => {
-            let compiled = CompiledSelect::compile(mo.schema(), p, now)?;
-            if pk.fits64() {
-                run::<u64>(mo, &pk, &compiled, threshold)
-            } else {
-                run::<u128>(mo, &pk, &compiled, threshold)
-            }
-        }
-        None => {
-            let mut out = Vec::new();
-            for f in mo.facts() {
-                let w = predicate_weight(mo, p, f, now)?;
-                if w >= threshold && w > 0.0 {
-                    out.push((f, w));
-                }
-            }
-            Ok(out)
+        };
+        if w >= threshold && w > 0.0 {
+            out.push((f, w));
         }
     }
+    Ok(out)
 }

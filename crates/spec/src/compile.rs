@@ -3,38 +3,68 @@
 //! [`eval_pred`](crate::eval::eval_pred) is exact but per-call expensive:
 //! every evaluation walks the `Pexp` tree and re-resolves `NOW`-dependent
 //! terms through the calendar. Reduction evaluates every action's
-//! predicate for every fact, so a pass over *n* facts with *a* actions
-//! pays `n·a` tree walks and `NOW` groundings even though `NOW` is fixed
-//! for the whole pass.
+//! predicate for every fact, and a query's selection every row it scans,
+//! so a pass over *n* facts pays `n` tree walks and `NOW` groundings per
+//! predicate even though `NOW` is fixed for the whole pass.
 //!
 //! [`CompiledPred`] does that work once per pass: the predicate is
-//! normalized to DNF, and every term — including `NOW ± k` expressions —
-//! is pre-evaluated into a constant [`DimValue`]. Evaluation then runs
-//! over flat conjunctions of resolved atoms with no allocation.
-//! [`LeafMaskPlan`] goes one step further for a set of predicates
-//! evaluated over many rows: each leaf's outcome is memoized per distinct
-//! value of the one dimension it reads, and a predicate holds when one of
-//! its conjunctions' leaf bits are all set.
+//! normalized to DNF (by the one walker of [`crate::dnf`]), and every
+//! term — including `NOW ± k` expressions — is pre-evaluated into a
+//! constant [`DimValue`]. Evaluation then runs over flat conjunctions of
+//! resolved atoms with no allocation. [`LeafMaskPlan`] goes one step
+//! further for a set of predicates evaluated over many rows: each leaf's
+//! outcome is memoized per distinct value of the one dimension it reads,
+//! and a predicate holds when one of its conjunctions' leaf bits are all
+//! set.
 //!
-//! # Exactness
+//! # What a leaf means
 //!
-//! Compilation must reproduce `eval_pred` *bit for bit*, including one
-//! subtle convention: an atom whose cell value is coarser than the atom's
-//! category is **unsatisfied** (`false`) regardless of the atom's own
-//! `negated` flag — but a syntactic `NOT` *around* it still flips that
-//! `false` to `true`. Folding context negation into `Atom::negated` (as
-//! plain DNF normalization does) would conflate the two and change the
-//! result for unevaluable atoms. The compiled form therefore keeps the
-//! context negation in a separate `ctx_negated` bit applied *outside* the
-//! atom evaluation. With atoms treated as opaque boolean leaves, De Morgan
-//! and distribution are truth-preserving for every leaf valuation, so the
-//! compiled DNF agrees with the recursive evaluation on every cell.
+//! Reduction actions and queries share one predicate language (Table 1);
+//! they differ only in what one atom means on a cell value, which is the
+//! [`LeafMeaning`] a predicate is compiled under:
+//! * [`LeafMeaning::Characterize`] — Definition 2, reduction's meaning,
+//!   which must reproduce `eval_pred` *bit for bit*, including one subtle
+//!   convention: an atom whose cell value is coarser than the atom's
+//!   category is **unsatisfied** (`false`) regardless of the atom's own
+//!   `negated` flag — but a syntactic `NOT` *around* it still flips that
+//!   `false` to `true`. Folding context negation into `Atom::negated` (as
+//!   [`to_dnf`](crate::to_dnf) does) would conflate the two and change
+//!   the result for unevaluable atoms, so a compiled leaf keeps the
+//!   context negation in a separate `ctx_negated` bit, applied *outside*
+//!   the atom. With atoms treated as opaque boolean leaves, De Morgan and
+//!   distribution are truth-preserving for every leaf valuation, so the
+//!   compiled DNF agrees with the recursive evaluation on every cell.
+//! * [`LeafMeaning::Conservative`] and [`LeafMeaning::Liberal`] —
+//!   Definition 5's comparison at the GLB ([`crate::compare`]), a
+//!   query's meaning. It never calls a value unevaluable, so the two
+//!   negations fold into one: a negated comparison tests the negated
+//!   operator, and a negated `IN` tests `1 −` the membership weight.
+//!
+//! Section 6.1's weighted approach has no per-leaf verdict: a cell's
+//! weight ([`LeafMaskPlan::weight`]) multiplies its leaves' weights
+//! along a conjunction and takes the largest conjunction, whatever
+//! meaning the predicate was compiled under.
 
 use sdr_mdm::{CatId, DayNum, DimId, DimTables, DimValue, FactId, FactStore, Schema};
 
 use crate::ast::{Atom, AtomKind, CmpOp, Pexp};
+use crate::compare::{compare_conservative, compare_liberal, compare_weight, member_weight};
+use crate::dnf::nnf_dnf;
 use crate::error::SpecError;
 use crate::eval::term_value;
+
+/// What one leaf of a compiled predicate means on a cell value (see the
+/// module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LeafMeaning {
+    /// Definition 2: the value rolled up to the atom's category
+    /// satisfies it; a coarser value does not.
+    Characterize,
+    /// Definition 5: the comparison is known to hold.
+    Conservative,
+    /// Definition 5: the comparison might hold.
+    Liberal,
+}
 
 /// The comparison kind of a compiled atom, with all terms resolved to
 /// constants of the atom's category.
@@ -55,7 +85,7 @@ enum CompiledKind {
 }
 
 /// One leaf of the compiled DNF: a resolved atom plus the negation
-/// context it was compiled under.
+/// context it was compiled under and what it means.
 #[derive(Debug, Clone)]
 struct CompiledLeaf {
     dim: DimId,
@@ -64,45 +94,80 @@ struct CompiledLeaf {
     /// exactly like [`crate::eval::eval_atom`]'s `raw ^ a.negated`.
     negated: bool,
     /// Negation inherited from enclosing `NOT`s — applied *outside* the
-    /// atom, so an unevaluable atom under `NOT` yields `true` (see the
-    /// module docs).
+    /// atom under [`LeafMeaning::Characterize`], so an unevaluable atom
+    /// under `NOT` yields `true` (see the module docs).
     ctx_negated: bool,
+    meaning: LeafMeaning,
     kind: CompiledKind,
 }
 
 impl CompiledLeaf {
-    /// Evaluates the leaf on a cell; mirrors
-    /// [`crate::eval::eval_atom`] with the context negation applied last.
-    #[inline]
-    fn eval(&self, schema: &Schema, coords: &[DimValue]) -> Result<bool, SpecError> {
-        self.eval_value(schema, coords[self.dim.index()])
-    }
-
     /// Evaluates the leaf on a single dimension value. A leaf reads
     /// exactly one dimension, which is what makes per-dimension
     /// memoization of leaf outcomes exact.
     #[inline]
-    fn eval_value(&self, schema: &Schema, v: DimValue) -> Result<bool, SpecError> {
+    fn holds(&self, schema: &Schema, v: DimValue) -> Result<bool, SpecError> {
         let dim = schema.dim(self.dim);
-        let atom_value = if !dim.graph().leq(v.cat, self.cat) {
-            false
-        } else {
-            let rv = dim.rollup(v, self.cat)?;
-            let raw = match &self.kind {
-                CompiledKind::Cmp { op, value } => op.test(rv.code.cmp(&value.code)),
-                CompiledKind::In { values } => values.iter().any(|t| t.code == rv.code),
-            };
-            raw ^ self.negated
+        let liberal = match self.meaning {
+            LeafMeaning::Characterize => {
+                // Mirrors `eval_atom`, with the context negation last.
+                let atom = dim.graph().leq(v.cat, self.cat) && {
+                    let rv = dim.rollup(v, self.cat)?;
+                    let raw = match &self.kind {
+                        CompiledKind::Cmp { op, value } => op.test(rv.code.cmp(&value.code)),
+                        CompiledKind::In { values } => values.iter().any(|t| t.code == rv.code),
+                    };
+                    raw ^ self.negated
+                };
+                return Ok(atom ^ self.ctx_negated);
+            }
+            LeafMeaning::Conservative => false,
+            LeafMeaning::Liberal => true,
         };
-        Ok(atom_value ^ self.ctx_negated)
+        let negated = self.negated ^ self.ctx_negated;
+        match &self.kind {
+            CompiledKind::Cmp { op, value } => {
+                let op = if negated { op.negate() } else { *op };
+                if liberal {
+                    compare_liberal(dim, v, op, *value)
+                } else {
+                    compare_conservative(dim, v, op, *value)
+                }
+            }
+            // NOT IN: conservative ⇔ footprint disjoint from the union;
+            // liberal ⇔ not fully covered.
+            CompiledKind::In { .. } => {
+                let w = self.weight(schema, v)?;
+                Ok(if liberal { w > 0.0 } else { w >= 1.0 })
+            }
+        }
+    }
+
+    /// The leaf's weight on a single dimension value: the share of the
+    /// value's drill-down positions that satisfy it. A negated comparison
+    /// weighs the negated operator, not `1 −` the weight, which is equal
+    /// only in exact arithmetic.
+    fn weight(&self, schema: &Schema, v: DimValue) -> Result<f64, SpecError> {
+        let dim = schema.dim(self.dim);
+        let negated = self.negated ^ self.ctx_negated;
+        match &self.kind {
+            CompiledKind::Cmp { op, value } => {
+                let op = if negated { op.negate() } else { *op };
+                compare_weight(dim, v, op, *value)
+            }
+            CompiledKind::In { values } => {
+                let w = member_weight(dim, v, values)?;
+                Ok(if negated { 1.0 - w } else { w })
+            }
+        }
     }
 }
 
 /// A predicate compiled for one `(schema, NOW)` pass: DNF over resolved
-/// atoms, evaluable on any cell without further allocation or calendar
-/// arithmetic. Build once per reduction/query pass with
-/// [`CompiledPred::compile`], evaluate per cell with
-/// [`CompiledPred::eval_cell`].
+/// atoms of one [`LeafMeaning`], evaluable on any cell without further
+/// allocation or calendar arithmetic. Build once per reduction/query pass
+/// with [`CompiledPred::compile`] (or [`CompiledPred::compile_as`]),
+/// evaluate per cell with [`CompiledPred::eval_cell`].
 #[derive(Debug, Clone)]
 pub struct CompiledPred {
     /// Disjunction of conjunctions; `vec![]` is `false`,
@@ -111,27 +176,56 @@ pub struct CompiledPred {
 }
 
 impl CompiledPred {
-    /// Compiles `p` against `schema` with `NOW ← now`. All terms are
-    /// resolved to constants here, so evaluation never touches the
-    /// calendar.
+    /// Compiles `p` against `schema` with `NOW ← now`, under Definition
+    /// 2's [`LeafMeaning::Characterize`]. All terms are resolved to
+    /// constants here, so evaluation never touches the calendar.
     pub fn compile(schema: &Schema, p: &Pexp, now: DayNum) -> Result<CompiledPred, SpecError> {
-        Ok(CompiledPred {
-            dnf: nnf_dnf(schema, p, false, now)?,
-        })
+        CompiledPred::compile_as(schema, p, now, LeafMeaning::Characterize)
+    }
+
+    /// [`compile`](CompiledPred::compile) with every leaf meaning
+    /// `meaning`.
+    pub fn compile_as(
+        schema: &Schema,
+        p: &Pexp,
+        now: DayNum,
+        meaning: LeafMeaning,
+    ) -> Result<CompiledPred, SpecError> {
+        let dnf = nnf_dnf(p, false, &mut |a, ctx_negated| {
+            compile_leaf(schema, a, ctx_negated, meaning, now)
+        })?;
+        Ok(CompiledPred { dnf })
     }
 
     /// Evaluates the compiled predicate on a cell of direct coordinates.
-    /// Agrees with [`crate::eval::eval_pred`] on every cell.
+    /// Under [`LeafMeaning::Characterize`] it agrees with
+    /// [`crate::eval::eval_pred`] on every cell.
     pub fn eval_cell(&self, schema: &Schema, coords: &[DimValue]) -> Result<bool, SpecError> {
         'conj: for conj in &self.dnf {
             for leaf in conj {
-                if !leaf.eval(schema, coords)? {
+                if !leaf.holds(schema, coords[leaf.dim.index()])? {
                     continue 'conj;
                 }
             }
             return Ok(true);
         }
         Ok(false)
+    }
+
+    /// The predicate's weight on a cell of direct coordinates.
+    fn weight_cell(&self, schema: &Schema, coords: &[DimValue]) -> Result<f64, SpecError> {
+        let mut best = 0.0f64;
+        for conj in &self.dnf {
+            let mut w = 1.0f64;
+            for leaf in conj {
+                w *= leaf.weight(schema, coords[leaf.dim.index()])?;
+                if w == 0.0 {
+                    break;
+                }
+            }
+            best = best.max(w);
+        }
+        Ok(best)
     }
 
     /// True when the compiled form is the constant `false` (no
@@ -148,8 +242,8 @@ impl CompiledPred {
 }
 
 /// Compiled predicates evaluated through one per-dimension **leaf-mask
-/// plan** — the kernel behind the reduction step's Δ test and its
-/// `Cell` resolution.
+/// plan** — the kernel behind the reduction step's Δ test, its `Cell`
+/// resolution and a query's selection.
 ///
 /// Every leaf reads one dimension, so its outcome is a function of that
 /// dimension's value alone and is memoized per distinct `(cat, code)`
@@ -160,7 +254,7 @@ impl CompiledPred {
 /// conjunction masks is contained in it. Above that the plan has no
 /// layout and evaluates every cell whole through
 /// [`CompiledPred::eval_cell`]. Either way it agrees with `eval_cell` on
-/// every cell.
+/// every cell, whatever its leaves mean.
 #[derive(Debug, Clone)]
 pub struct LeafMaskPlan {
     preds: Vec<CompiledPred>,
@@ -252,7 +346,7 @@ impl Masks {
         &mut self,
         schema: &Schema,
         store: &FactStore,
-        rows: &[u32],
+        rows: impl ExactSizeIterator<Item = u32> + Clone,
         sat: &mut Vec<u64>,
     ) -> Result<(), SpecError> {
         sat.clear();
@@ -260,7 +354,7 @@ impl Masks {
         for dl in &mut self.dims {
             let (cats, codes) = (&store.cats[dl.dim.index()], &store.codes[dl.dim.index()]);
             let mut last = None;
-            for (s, &r) in sat.iter_mut().zip(rows) {
+            for (s, r) in sat.iter_mut().zip(rows.clone()) {
                 let v = (cats[r as usize], codes[r as usize]);
                 let m = match last {
                     Some((lv, m)) if lv == v => m,
@@ -284,7 +378,7 @@ impl DimLeaves {
             let v = DimValue::new(CatId(cat), code);
             let mut m = 0u64;
             for (b, leaf) in &self.leaves {
-                if leaf.eval_value(schema, v)? {
+                if leaf.holds(schema, v)? {
                     m |= b;
                 }
             }
@@ -292,6 +386,10 @@ impl DimLeaves {
         })
     }
 }
+
+/// The rows a column-by-column pass takes at a time, so that their
+/// satisfied-leaf masks stay in cache between the passes.
+const BLOCK: u32 = 4096;
 
 /// True when some conjunction mask of `conjs` is contained in `sat`.
 #[inline]
@@ -377,7 +475,7 @@ impl LeafMaskPlan {
         };
         // Each row's satisfied-leaf mask, turned in place into the
         // predicates it satisfies.
-        m.sat_rows(schema, store, rows, out)?;
+        m.sat_rows(schema, store, rows.iter().copied(), out)?;
         let mut last = None;
         for sat in out.iter_mut() {
             let held = match last {
@@ -403,8 +501,38 @@ impl LeafMaskPlan {
         out: &mut Vec<u32>,
     ) -> Result<(), SpecError> {
         out.clear();
+        for block in rows.chunks(BLOCK as usize) {
+            self.any_of(schema, store, block.iter().copied(), out)?;
+        }
+        Ok(())
+    }
+
+    /// [`any_rows`](LeafMaskPlan::any_rows) over every row of `store`.
+    pub fn any_run(
+        &mut self,
+        schema: &Schema,
+        store: &FactStore,
+        out: &mut Vec<u32>,
+    ) -> Result<(), SpecError> {
+        out.clear();
+        let n = store.len() as u32;
+        for start in (0..n).step_by(BLOCK as usize) {
+            self.any_of(schema, store, start..n.min(start + BLOCK), out)?;
+        }
+        Ok(())
+    }
+
+    /// The rows of one block on which some predicate holds, appended to
+    /// `out`.
+    fn any_of(
+        &mut self,
+        schema: &Schema,
+        store: &FactStore,
+        rows: impl ExactSizeIterator<Item = u32> + Clone,
+        out: &mut Vec<u32>,
+    ) -> Result<(), SpecError> {
         let Some(m) = &mut self.masks else {
-            for &r in rows {
+            for r in rows {
                 if self.any_row(schema, store, r as usize)? {
                     out.push(r);
                 }
@@ -412,14 +540,9 @@ impl LeafMaskPlan {
             return Ok(());
         };
         let mut sat = std::mem::take(&mut self.sat);
-        m.sat_rows(schema, store, rows, &mut sat)?;
+        m.sat_rows(schema, store, rows.clone(), &mut sat)?;
         let held = |s: u64| m.conjs.iter().any(|conjs| any_within(conjs, s));
-        out.extend(
-            rows.iter()
-                .zip(&sat)
-                .filter(|(_, &s)| held(s))
-                .map(|(&r, _)| r),
-        );
+        out.extend(rows.zip(&sat).filter(|(_, &s)| held(s)).map(|(r, _)| r));
         self.sat = sat;
         Ok(())
     }
@@ -449,56 +572,33 @@ impl LeafMaskPlan {
         }
         Ok(false)
     }
-}
 
-/// DNF normalization with term resolution, keeping context negation on a
-/// separate bit (see the module docs for why `a.negated ^= neg` would be
-/// wrong here).
-fn nnf_dnf(
-    schema: &Schema,
-    p: &Pexp,
-    neg: bool,
-    now: DayNum,
-) -> Result<Vec<Vec<CompiledLeaf>>, SpecError> {
-    Ok(match (p, neg) {
-        (Pexp::True, false) | (Pexp::False, true) => vec![vec![]],
-        (Pexp::True, true) | (Pexp::False, false) => vec![],
-        (Pexp::Not(x), _) => nnf_dnf(schema, x, !neg, now)?,
-        (Pexp::Atom(a), _) => vec![vec![compile_leaf(schema, a, neg, now)?]],
-        (Pexp::And(xs), false) | (Pexp::Or(xs), true) => {
-            // Conjunction: distribute over the children's disjuncts.
-            let mut acc: Vec<Vec<CompiledLeaf>> = vec![vec![]];
-            for x in xs {
-                let d = nnf_dnf(schema, x, neg, now)?;
-                let mut next = Vec::with_capacity(acc.len() * d.len());
-                for left in &acc {
-                    for right in &d {
-                        let mut c = left.clone();
-                        c.extend(right.iter().cloned());
-                        next.push(c);
-                    }
-                }
-                acc = next;
-                if acc.is_empty() {
-                    return Ok(acc);
-                }
-            }
-            acc
+    /// The largest weight of a predicate on `coords` (Section 6.1's
+    /// weighted approach): a conjunction weighs the product of its
+    /// leaves' weights, a predicate its heaviest conjunction. Unmemoized,
+    /// as a weight is not dimension-local.
+    pub fn weight(&self, schema: &Schema, coords: &[DimValue]) -> Result<f64, SpecError> {
+        let mut best = 0.0f64;
+        for p in &self.preds {
+            best = best.max(p.weight_cell(schema, coords)?);
         }
-        (Pexp::Or(xs), false) | (Pexp::And(xs), true) => {
-            let mut out = Vec::new();
-            for x in xs {
-                out.extend(nnf_dnf(schema, x, neg, now)?);
-            }
-            out
-        }
-    })
+        Ok(best)
+    }
+
+    /// The distinct dimension values the leaf masks have memoized.
+    pub fn filled(&self) -> usize {
+        let dims = self.masks.iter().flat_map(|m| &m.dims);
+        dims.filter_map(|d| d.memo.as_ref())
+            .map(DimTables::filled)
+            .sum()
+    }
 }
 
 fn compile_leaf(
     schema: &Schema,
     a: &Atom,
     ctx_negated: bool,
+    meaning: LeafMeaning,
     now: DayNum,
 ) -> Result<CompiledLeaf, SpecError> {
     let kind = match &a.kind {
@@ -518,6 +618,7 @@ fn compile_leaf(
         cat: a.cat,
         negated: a.negated,
         ctx_negated,
+        meaning,
         kind,
     })
 }

@@ -5,6 +5,8 @@
 //! predicate becomes a conjunction of (range) constraints per dimension.
 //! The normalized set has exactly the same effect as the original.
 
+use std::convert::Infallible;
+
 use crate::ast::{ActionSpec, Atom, Pexp};
 
 /// A conjunction of (possibly negated) atoms. The empty conjunction is
@@ -17,24 +19,33 @@ pub type Conj = Vec<Atom>;
 /// Negations are pushed onto atoms (`Atom::negated`), so the result
 /// contains no `Not`/`And`/`Or` structure.
 pub fn to_dnf(p: &Pexp) -> Vec<Conj> {
-    nnf_dnf(p, false)
+    let folded = nnf_dnf(p, false, &mut |a: &Atom, neg| {
+        let mut a = a.clone();
+        a.negated ^= neg;
+        Ok::<_, Infallible>(a)
+    });
+    folded.unwrap_or_else(|e| match e {})
 }
 
-fn nnf_dnf(p: &Pexp, neg: bool) -> Vec<Conj> {
-    match (p, neg) {
+/// The one DNF walker: normalizes `p` under the negation `neg` of its
+/// context, emitting each atom as the leaf `leaf(atom, context
+/// negation)` makes. [`to_dnf`] folds the context into the atom; the
+/// predicate compiler keeps it apart (see [`crate::compile`]).
+pub(crate) fn nnf_dnf<L: Clone, E>(
+    p: &Pexp,
+    neg: bool,
+    leaf: &mut impl FnMut(&Atom, bool) -> Result<L, E>,
+) -> Result<Vec<Vec<L>>, E> {
+    Ok(match (p, neg) {
         (Pexp::True, false) | (Pexp::False, true) => vec![vec![]],
         (Pexp::True, true) | (Pexp::False, false) => vec![],
-        (Pexp::Not(x), _) => nnf_dnf(x, !neg),
-        (Pexp::Atom(a), _) => {
-            let mut a = a.clone();
-            a.negated ^= neg;
-            vec![vec![a]]
-        }
+        (Pexp::Not(x), _) => nnf_dnf(x, !neg, leaf)?,
+        (Pexp::Atom(a), _) => vec![vec![leaf(a, neg)?]],
         (Pexp::And(xs), false) | (Pexp::Or(xs), true) => {
             // Conjunction: distribute over the children's disjuncts.
-            let mut acc: Vec<Conj> = vec![vec![]];
+            let mut acc: Vec<Vec<L>> = vec![vec![]];
             for x in xs {
-                let d = nnf_dnf(x, neg);
+                let d = nnf_dnf(x, neg, leaf)?;
                 let mut next = Vec::with_capacity(acc.len() * d.len());
                 for left in &acc {
                     for right in &d {
@@ -45,15 +56,19 @@ fn nnf_dnf(p: &Pexp, neg: bool) -> Vec<Conj> {
                 }
                 acc = next;
                 if acc.is_empty() {
-                    return acc;
+                    return Ok(acc);
                 }
             }
             acc
         }
         (Pexp::Or(xs), false) | (Pexp::And(xs), true) => {
-            xs.iter().flat_map(|x| nnf_dnf(x, neg)).collect()
+            let mut out = Vec::new();
+            for x in xs {
+                out.extend(nnf_dnf(x, neg, leaf)?);
+            }
+            out
         }
-    }
+    })
 }
 
 /// Rebuilds a `Pexp` from a DNF (used after splitting).

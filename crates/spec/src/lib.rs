@@ -14,9 +14,12 @@
 //!   cells, with `NOW ← t`;
 //! * [`ground`] — exact compilation of predicates into `sdr-prover`
 //!   regions for the operational NonCrossing/Growing checks;
+//! * [`compare`] — Definition 5's comparisons at the GLB category:
+//!   conservative, liberal and weighted;
 //! * [`compile`] — predicates compiled once per pass ([`CompiledPred`])
-//!   and laid out in one per-dimension leaf-mask plan ([`LeafMaskPlan`])
-//!   for the reduction step;
+//!   under one [`LeafMeaning`] and laid out in one per-dimension
+//!   leaf-mask plan ([`LeafMaskPlan`]) for the reduction step and a
+//!   query's selection;
 //! * [`analyze`] — the growing/shrinking syntactic classification
 //!   (categories A–H) and step-day enumeration;
 //! * [`span`] — byte-offset source spans carried by every parsed atom,
@@ -26,6 +29,7 @@
 
 pub mod analyze;
 pub mod ast;
+pub mod compare;
 pub mod compile;
 pub mod dnf;
 pub mod error;
@@ -37,7 +41,8 @@ pub mod span;
 
 pub use analyze::{classify_conj, step_days, GrowthClass};
 pub use ast::{ActionId, ActionSpec, Atom, AtomKind, CmpOp, Pexp, Term};
-pub use compile::{CompiledPred, LeafMaskPlan};
+pub use compare::{compare_conservative, compare_liberal, compare_weight, member_weight};
+pub use compile::{CompiledPred, LeafMaskPlan, LeafMeaning};
 pub use dnf::{from_dnf, split_action, to_dnf, Conj};
 pub use error::SpecError;
 pub use eval::{eval_pred, is_dynamic};

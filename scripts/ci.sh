@@ -177,6 +177,11 @@ fi
 # encoder runs full 65 536-row segments.
 run cargo test -q --release -p sdr-storage
 
+# Predicate compiler under --release: its one leaf-mask plan serves every
+# selection and reduction, and its code-offset memos ship without
+# overflow checks.
+run cargo test -q --release -p sdr-spec
+
 # Query kernel under --release: the dense tables' code-offset arithmetic
 # and the i128 measure fold run with overflow checks off, as shipped.
 run cargo test -q --release -p sdr-query

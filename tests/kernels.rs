@@ -61,9 +61,15 @@ fn fact_rows(mo: &Mo) -> Vec<String> {
         .collect()
 }
 
-/// A pool of predicate shapes covering atoms, AND/OR, NOT, and
-/// `NOW`-dependent terms.
+/// A pool of predicate shapes covering atoms, AND/OR, NOT, `IN` and
+/// `NOT IN`, `NOW`-dependent terms, and a disjunction one atom wider
+/// than the mask plan's 64 leaves (its whole-cell fallback).
 fn pred_src(ix: usize, month: u32, grp: &str) -> String {
+    let dom = if grp == ".com" {
+        "amazon.com"
+    } else {
+        "gatech.edu"
+    };
     match ix {
         0 => format!("Time.month <= 1999/{month}"),
         1 => format!("URL.domain_grp = {grp}"),
@@ -71,7 +77,49 @@ fn pred_src(ix: usize, month: u32, grp: &str) -> String {
         3 => format!("NOT (URL.domain_grp = {grp})"),
         4 => "Time.quarter <= NOW - 4 quarters".to_string(),
         5 => format!("URL.domain_grp = {grp} AND NOW - 12 months < Time.month <= NOW - 6 months"),
-        _ => format!("NOT (Time.month <= 1999/{month} AND URL.domain_grp = {grp})"),
+        6 => format!("NOT (Time.month <= 1999/{month} AND URL.domain_grp = {grp})"),
+        7 => format!(
+            "Time.month IN {{1999/{month}, 2000/{month}, 1999/{}}}",
+            month % 12 + 1
+        ),
+        8 => format!("NOT (URL.domain IN {{cnn.com, {dom}}})"),
+        _ => {
+            let days =
+                (0..64).map(|i| format!("Time.day = 1999/{}/{}", 1 + i % 12, i / 12 + month));
+            let atoms: Vec<String> = days
+                .chain([format!("NOT (URL.domain_grp = {grp})")])
+                .collect();
+            atoms.join(" OR ")
+        }
+    }
+}
+
+/// The pool's `IN`, `NOT IN` and 65-atom shapes on one fixed MO and its
+/// reduction, under every mode: the proptest below draws them at random,
+/// this runs each one, on more rows than the mask plan takes in one
+/// block.
+#[test]
+fn select_kernel_matches_naive_on_in_and_wide_predicates() {
+    let rows: Vec<(i32, u8)> = (0..4500).map(|i| (i * 7 % 720, (i % 9) as u8)).collect();
+    let mo = mo_from_rows(&rows);
+    let now = days_from_civil(2001, 1, 1);
+    let red = reduce(&mo, &paper_spec_for(&mo), now).unwrap();
+    let modes = [
+        SelectMode::Conservative,
+        SelectMode::Liberal,
+        SelectMode::Weighted { threshold: 0.3 },
+    ];
+    for (ix, grp, mode) in (7..10).flat_map(|ix| {
+        [".com", ".edu"]
+            .into_iter()
+            .flat_map(move |g| modes.map(|m| (ix, g, m)))
+    }) {
+        let p = parse_pexp(mo.schema(), &pred_src(ix, 3, grp)).unwrap();
+        for m in [&mo, &red] {
+            let kernel = select(m, &p, now, mode).unwrap();
+            let naive = select_naive(m, &p, now, mode).unwrap();
+            assert_eq!(fact_rows(&kernel), fact_rows(&naive), "{ix} {grp} {mode}");
+        }
     }
 }
 
@@ -82,7 +130,7 @@ proptest! {
     #[test]
     fn select_kernel_matches_naive(
         rows in proptest::collection::vec((0i32..720, 0u8..9), 1..60),
-        pred_ix in 0usize..7,
+        pred_ix in 0usize..10,
         month in 1u32..13,
         grp_ix in 0usize..2,
         t_off in 0i32..900,

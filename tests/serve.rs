@@ -442,6 +442,10 @@ fn corrupt_frames_yield_typed_errors_never_panics() {
         b"\x01nonsense\n".to_vec(),
         b"\x01now=notaday\n".to_vec(),
         b"\x01now=1000\nmode=cubist\n".to_vec(),
+        // A weighted threshold outside [0, 1], or not a number.
+        b"\x01now=1000\nmode=weighted:NaN\n".to_vec(),
+        b"\x01now=1000\nmode=weighted:-1\n".to_vec(),
+        b"\x01now=1000\nmode=weighted:inf\n".to_vec(),
         b"\x01now=1000\nwhere=URL.bogus_cat = 3\n".to_vec(),
         b"\x01unsync=1\n".to_vec(), // missing now=
         vec![],

@@ -844,6 +844,32 @@ fn cli_rejects_impossible_dates() {
     }
 }
 
+/// A weighted threshold is a number in `[0, 1]`, the range its mode
+/// documents: `NaN`, an infinity or a number outside it is a `bad mode`,
+/// never an empty or an unfiltered answer. The range's ends stay valid.
+#[test]
+fn cli_rejects_out_of_range_weighted_thresholds() {
+    let query = |mode: &str| {
+        let filter = ["--where", "URL.domain_grp = .com", "--mode", mode];
+        let args = ["query", "--months", "3", "--clicks", "20"];
+        specdr_bin().args(args).args(filter).output().unwrap()
+    };
+    for bad in [
+        "weighted:NaN",
+        "weighted:-1",
+        "weighted:inf",
+        "weighted:1.5",
+    ] {
+        let out = query(bad);
+        assert_eq!(out.status.code(), Some(1), "{bad}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("bad mode `{bad}`")), "{bad}: {err}");
+    }
+    for good in ["weighted:0", "weighted:1"] {
+        assert!(query(good).status.success(), "{good}");
+    }
+}
+
 /// `specdr query` answers from the warehouse exactly what Definitions
 /// 2, 5 and 6 give on the raw facts: its output equals the test-side
 /// reference — `reduce_naive` → `select_naive` → `aggregate_ids_naive`,
@@ -1427,6 +1453,38 @@ fn request_path_has_one_of_each() {
     assert_eq!(weighted_files.len(), 1, "{weighted_files:?}");
     assert!(aggregations.is_empty(), "{aggregations:?}");
     assert_eq!(compiles.len(), 1, "{compiles:?}");
+    assert!(violations.is_empty(), "{}", violations.join("\n"));
+}
+
+/// Source audit for the predicate language: selection and reduction
+/// compile a predicate with one DNF walker into one plan. The library
+/// sources define `fn nnf_dnf` exactly once, and the query layer's
+/// second compiler and mask plan do not come back.
+#[test]
+fn one_predicate_compiler() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let gone = [
+        concat!("struct ", "CompiledSelect"),
+        concat!("struct ", "SelMaskPlan"),
+    ];
+    let (mut walkers, mut violations) = (Vec::new(), Vec::new());
+    for p in rust_files(crate_sources(root).chain([root.join("src")])) {
+        let src = std::fs::read_to_string(&p).unwrap();
+        let code = src.lines().take_while(|l| !l.starts_with("#[cfg(test)]"));
+        for (i, line) in code.enumerate() {
+            if line.trim_start().starts_with("//") {
+                continue;
+            }
+            let at = format!("{}:{}", p.display(), i + 1);
+            if line.contains(concat!("fn ", "nnf_dnf")) {
+                walkers.push(at.clone());
+            }
+            if let Some(def) = gone.iter().find(|d| line.contains(**d)) {
+                violations.push(format!("{at}: defines `{def}`"));
+            }
+        }
+    }
+    assert_eq!(walkers.len(), 1, "{walkers:?}");
     assert!(violations.is_empty(), "{}", violations.join("\n"));
 }
 
