@@ -24,6 +24,7 @@ pub type DayNum = i32;
 /// # Panics
 /// Does not panic for in-range inputs; `month` must be in `1..=12` and
 /// `day` in `1..=31` for a meaningful result (callers validate).
+#[inline]
 pub fn days_from_civil(year: i32, month: u32, day: u32) -> DayNum {
     debug_assert!((1..=12).contains(&month));
     debug_assert!((1..=31).contains(&day));
@@ -37,6 +38,7 @@ pub fn days_from_civil(year: i32, month: u32, day: u32) -> DayNum {
 }
 
 /// Converts a [`DayNum`] back to a civil `(year, month, day)` triple.
+#[inline]
 pub fn civil_from_days(z: DayNum) -> (i32, u32, u32) {
     let z = z as i64 + 719_468;
     let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
@@ -51,11 +53,13 @@ pub fn civil_from_days(z: DayNum) -> (i32, u32, u32) {
 }
 
 /// Returns true when `year` is a Gregorian leap year.
+#[inline]
 pub fn is_leap_year(year: i32) -> bool {
     (year % 4 == 0 && year % 100 != 0) || year % 400 == 0
 }
 
 /// Number of days in `month` (1-based) of `year`.
+#[inline]
 pub fn days_in_month(year: i32, month: u32) -> u32 {
     match month {
         1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,

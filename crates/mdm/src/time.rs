@@ -65,6 +65,7 @@ pub enum TimeValue {
 
 impl TimeValue {
     /// The category type this value belongs to.
+    #[inline]
     pub fn category(self) -> CatId {
         match self {
             TimeValue::Day(_) => cat::DAY,
@@ -78,6 +79,7 @@ impl TimeValue {
 
     /// First day covered by this value (`None` for `⊤`, whose extent is the
     /// dimension horizon).
+    #[inline]
     pub fn start_day(self) -> Option<DayNum> {
         Some(match self {
             TimeValue::Day(d) => d,
@@ -90,6 +92,7 @@ impl TimeValue {
     }
 
     /// Last day covered by this value (inclusive; `None` for `⊤`).
+    #[inline]
     pub fn end_day(self) -> Option<DayNum> {
         Some(match self {
             TimeValue::Day(d) => d,
@@ -108,6 +111,7 @@ impl TimeValue {
 
     /// Packs the value into a `u64` code for columnar storage. The category
     /// is stored separately; codes order-preserve within a category.
+    #[inline]
     pub fn code(self) -> u64 {
         const BIAS: i64 = 1 << 40;
         let v: i64 = match self {
@@ -122,6 +126,7 @@ impl TimeValue {
     }
 
     /// Inverse of [`TimeValue::code`] given the category.
+    #[inline]
     pub fn from_code(category: CatId, code: u64) -> Result<Self, MdmError> {
         const BIAS: i64 = 1 << 40;
         let v = code as i64 - BIAS;
@@ -151,6 +156,7 @@ impl TimeValue {
     /// # Errors
     /// [`MdmError::NotComparable`] when the roll-up path does not exist
     /// (e.g. `week → month`: weeks straddle months).
+    #[inline]
     pub fn rollup(self, target: CatId) -> Result<TimeValue, MdmError> {
         if target == self.category() {
             return Ok(self);
@@ -278,6 +284,7 @@ impl TimeValue {
     /// scales). Drill-down of any value to a finer time category is a
     /// *contiguous* serial range, which lets the Definition 5 comparison
     /// operators work on interval endpoints instead of materialized sets.
+    #[inline]
     pub fn serial(self) -> i64 {
         match self {
             TimeValue::Day(d) => d as i64,
@@ -294,6 +301,7 @@ impl TimeValue {
     /// The inclusive serial range of this value drilled down to `to`
     /// (`to ≤_Time category(self)` required; `None` for `⊤`, whose extent
     /// is the dimension horizon).
+    #[inline]
     pub fn serial_range(self, to: CatId) -> Result<Option<(i64, i64)>, MdmError> {
         let (Some(s), Some(e)) = (self.start_day(), self.end_day()) else {
             return Ok(None);
@@ -402,6 +410,7 @@ impl TimeUnit {
     }
 
     /// The time category whose values step by this unit.
+    #[inline]
     pub fn category(self) -> CatId {
         match self {
             TimeUnit::Day => cat::DAY,

@@ -45,6 +45,11 @@
 //! Above [`LeafMaskPlan::MAX_LEAVES`] leaves a boolean selection takes
 //! the plan's one fallback, every row's cell evaluated whole.
 //!
+//! Before a run is fed, [`ScanAcc::may_keep`] judges it from its
+//! distinct values per dimension, on the same memo the scan then reads:
+//! a run no cell of whose value product the selection can keep need not
+//! be fed at all. That is how a warehouse query skips chunks and cubes.
+//!
 //! Without a key packer (a schema too wide for 128 bits) and for the
 //! disaggregated approach, whose fan-out is not cell-local, the kept
 //! rows are copied out per run instead and aggregated row at a time at
@@ -74,7 +79,9 @@ enum Selection {
     /// Conservative or liberal: the plan's leaf masks decide every row.
     Masks(LeafMaskPlan),
     /// Weighted: the plan's weight decides every distinct packed cell
-    /// (or, without a packer, every row) against the threshold.
+    /// (or, without a packer, every row) against the threshold. The plan
+    /// is compiled liberal, which its weight does not read: only the
+    /// chunk verdict does (see [`ScanAcc::may_keep`]).
     Weighted(LeafMaskPlan, f64),
 }
 
@@ -87,15 +94,13 @@ impl Selection {
     ) -> Result<Selection, QueryError> {
         let meaning = match mode {
             SelectMode::Conservative => LeafMeaning::Conservative,
-            SelectMode::Liberal => LeafMeaning::Liberal,
-            SelectMode::Weighted { threshold } => {
-                // A weight reads no leaf meaning.
-                let plan = LeafMaskPlan::new(vec![CompiledPred::compile(schema, p, now)?]);
-                return Ok(Selection::Weighted(plan, threshold));
-            }
+            SelectMode::Liberal | SelectMode::Weighted { .. } => LeafMeaning::Liberal,
         };
-        let pred = CompiledPred::compile_as(schema, p, now, meaning)?;
-        Ok(Selection::Masks(LeafMaskPlan::new(vec![pred])))
+        let plan = LeafMaskPlan::new(vec![CompiledPred::compile_as(schema, p, now, meaning)?]);
+        Ok(match mode {
+            SelectMode::Weighted { threshold } => Selection::Weighted(plan, threshold),
+            _ => Selection::Masks(plan),
+        })
     }
 }
 
@@ -220,6 +225,8 @@ struct Keyed<K> {
     select: Option<Selection>,
     /// Packed direct cell → decision (weighted mode).
     cells: FxHashMap<K, bool>,
+    /// Scratch cell of the weighted mode's misses.
+    cell: Vec<DimValue>,
     out: Out<K>,
 }
 
@@ -246,6 +253,7 @@ impl<K: PackedKey> Keyed<K> {
         Keyed {
             select: scan.select.clone(),
             cells: FxHashMap::default(),
+            cell: Vec::new(),
             out,
         }
     }
@@ -286,7 +294,8 @@ impl<K: PackedKey> Keyed<K> {
                     let dec = match key.and_then(|k| self.cells.get(&k)) {
                         Some(&d) => d,
                         None => {
-                            let d = plan.weight(schema, &mo.coords(f))? >= *threshold;
+                            mo.coords_into(f, &mut self.cell);
+                            let d = plan.weight(schema, &self.cell)? >= *threshold;
                             if let Some(k) = key {
                                 self.cells.insert(k, d);
                             }
@@ -316,6 +325,17 @@ impl<K: PackedKey> Keyed<K> {
             }
             _ => None,
         }
+    }
+
+    /// The chunk verdict of this accumulator's selection (see
+    /// [`ScanAcc::may_keep`]).
+    fn may_keep(&mut self, schema: &Schema, values: &[Vec<(u8, u64)>]) -> Result<bool, QueryError> {
+        let plan = match &mut self.select {
+            Some(Selection::Masks(plan)) => plan,
+            Some(Selection::Weighted(plan, threshold)) if *threshold > 0.0 => plan,
+            _ => return Ok(true),
+        };
+        Ok(plan.any_in_product(schema, values)?)
     }
 
     /// Folds `other`'s output into this one's.
@@ -542,6 +562,24 @@ impl ScanAcc<'_> {
             (State::Narrow(a), State::Narrow(b)) => a.absorb(&self.scan.schema, b),
             (State::Wide(a), State::Wide(b)) => a.absorb(&self.scan.schema, b),
             _ => unreachable!("accumulators of one scan share their key width"),
+        }
+    }
+
+    /// The chunk verdict: whether a run whose distinct `(cat, code)`
+    /// values per dimension are `values` may hold a row this scan's
+    /// selection keeps — `false` only when no cell of their product can
+    /// ([`LeafMaskPlan::any_in_product`], on this accumulator's memo,
+    /// which the scan then reuses). Conservative and liberal selections
+    /// judge their own plan. A weighted one with threshold `t > 0`
+    /// judges its plan liberal: a weight `≥ t` needs every leaf of some
+    /// conjunction to weigh more than 0, and a leaf weighs more than 0
+    /// exactly when it holds liberally. No predicate, or `t ≤ 0`, keeps
+    /// every run.
+    pub fn may_keep(&mut self, values: &[Vec<(u8, u64)>]) -> Result<bool, QueryError> {
+        let schema = &self.scan.schema;
+        match &mut self.state {
+            State::Narrow(k) => k.may_keep(schema, values),
+            State::Wide(k) => k.may_keep(schema, values),
         }
     }
 

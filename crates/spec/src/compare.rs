@@ -28,12 +28,13 @@ use crate::error::SpecError;
 
 /// The drill-down footprint of a value at the GLB category: a contiguous
 /// serial range for time values, an explicit id set for enumerated ones.
-enum Footprint {
+#[derive(Debug, Clone)]
+pub(crate) enum Footprint {
     Range(i64, i64),
     Set(Vec<u64>),
 }
 
-fn footprint(dim: &Dimension, v: DimValue, glb: CatId) -> Result<Footprint, SpecError> {
+pub(crate) fn footprint(dim: &Dimension, v: DimValue, glb: CatId) -> Result<Footprint, SpecError> {
     match dim {
         Dimension::Time(t) => {
             let tv = TimeValue::from_code(v.cat, v.code)?;
@@ -68,8 +69,13 @@ pub fn compare_conservative(
 ) -> Result<bool, SpecError> {
     let g = glb_of(dim, v_fact.cat, v_const.cat);
     let f = footprint(dim, v_fact, g)?;
-    let c = footprint(dim, v_const, g)?;
-    Ok(match (f, c) {
+    Ok(conservative(op, &f, &footprint(dim, v_const, g)?))
+}
+
+/// [`compare_conservative`] on the fact's and the constant's footprints
+/// at their GLB.
+pub(crate) fn conservative(op: CmpOp, f: &Footprint, c: &Footprint) -> bool {
+    match (f, c) {
         (Footprint::Range(af, bf), Footprint::Range(a1, b1)) => match op {
             // ∀va ∀vb: va op vb.
             CmpOp::Lt => bf < a1,
@@ -118,7 +124,7 @@ pub fn compare_conservative(
             CmpOp::Ne => fs.iter().all(|x| cs.binary_search(x).is_err()),
         },
         _ => unreachable!("footprints of one dimension share a kind"),
-    })
+    }
 }
 
 /// Liberal variant: the comparison might hold for some detail position.
@@ -130,14 +136,19 @@ pub fn compare_liberal(
 ) -> Result<bool, SpecError> {
     let g = glb_of(dim, v_fact.cat, v_const.cat);
     let f = footprint(dim, v_fact, g)?;
-    let c = footprint(dim, v_const, g)?;
+    Ok(liberal(op, &f, &footprint(dim, v_const, g)?))
+}
+
+/// [`compare_liberal`] on the fact's and the constant's footprints at
+/// their GLB.
+pub(crate) fn liberal(op: CmpOp, f: &Footprint, c: &Footprint) -> bool {
     // Liberal = "some detail position of the fact satisfies the
     // comparison". A single detail position compared against a *coarse*
     // constant follows Definition 5 with a singleton left side: strict
     // inequalities must clear the constant's far endpoint (a day is `<` a
     // quarter only when it precedes the whole quarter), reflexive ones
     // only its near endpoint.
-    Ok(match (f, c) {
+    match (f, c) {
         (Footprint::Range(af, bf), Footprint::Range(a1, b1)) => match op {
             CmpOp::Lt => af < a1,
             CmpOp::Gt => bf > b1,
@@ -170,7 +181,7 @@ pub fn compare_liberal(
             CmpOp::Ne => fs.iter().any(|x| cs.binary_search(x).is_err()),
         },
         _ => unreachable!("footprints of one dimension share a kind"),
-    })
+    }
 }
 
 /// Weighted variant: the fraction of the fact's drill-down positions that

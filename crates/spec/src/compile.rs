@@ -48,7 +48,7 @@
 use sdr_mdm::{CatId, DayNum, DimId, DimTables, DimValue, FactId, FactStore, Schema};
 
 use crate::ast::{Atom, AtomKind, CmpOp, Pexp};
-use crate::compare::{compare_conservative, compare_liberal, compare_weight, member_weight};
+use crate::compare::{self, compare_weight, footprint, member_weight, Footprint};
 use crate::dnf::nnf_dnf;
 use crate::error::SpecError;
 use crate::eval::term_value;
@@ -76,6 +76,10 @@ enum CompiledKind {
         op: CmpOp,
         /// The pre-resolved constant.
         value: DimValue,
+        /// Per category of a fact value: the constant's footprint at
+        /// their GLB, where it resolves — what Definition 5 compares
+        /// against, made once rather than per distinct value.
+        at: Vec<Option<Footprint>>,
     },
     /// `value(dim) IN {constants}`.
     In {
@@ -114,7 +118,7 @@ impl CompiledLeaf {
                 let atom = dim.graph().leq(v.cat, self.cat) && {
                     let rv = dim.rollup(v, self.cat)?;
                     let raw = match &self.kind {
-                        CompiledKind::Cmp { op, value } => op.test(rv.code.cmp(&value.code)),
+                        CompiledKind::Cmp { op, value, .. } => op.test(rv.code.cmp(&value.code)),
                         CompiledKind::In { values } => values.iter().any(|t| t.code == rv.code),
                     };
                     raw ^ self.negated
@@ -126,13 +130,23 @@ impl CompiledLeaf {
         };
         let negated = self.negated ^ self.ctx_negated;
         match &self.kind {
-            CompiledKind::Cmp { op, value } => {
+            CompiledKind::Cmp { op, value, at } => {
                 let op = if negated { op.negate() } else { *op };
-                if liberal {
-                    compare_liberal(dim, v, op, *value)
+                let glb = dim.graph().glb(v.cat, value.cat);
+                let f = footprint(dim, v, glb)?;
+                let made;
+                let c = match at.get(v.cat.index()) {
+                    Some(Some(c)) => c,
+                    _ => {
+                        made = footprint(dim, *value, glb)?;
+                        &made
+                    }
+                };
+                Ok(if liberal {
+                    compare::liberal(op, &f, c)
                 } else {
-                    compare_conservative(dim, v, op, *value)
-                }
+                    compare::conservative(op, &f, c)
+                })
             }
             // NOT IN: conservative ⇔ footprint disjoint from the union;
             // liberal ⇔ not fully covered.
@@ -151,7 +165,7 @@ impl CompiledLeaf {
         let dim = schema.dim(self.dim);
         let negated = self.negated ^ self.ctx_negated;
         match &self.kind {
-            CompiledKind::Cmp { op, value } => {
+            CompiledKind::Cmp { op, value, .. } => {
                 let op = if negated { op.negate() } else { *op };
                 compare_weight(dim, v, op, *value)
             }
@@ -573,6 +587,59 @@ impl LeafMaskPlan {
         Ok(false)
     }
 
+    /// Whether some cell of the product of `values` — per dimension of the
+    /// schema, a set of `(cat, code)` values — may satisfy some predicate:
+    /// the verdict that lets a reader skip a run of rows whose distinct
+    /// values per dimension are `values`, since the product contains
+    /// every cell of the run. A conjunction survives when, on every
+    /// dimension it constrains, some value's satisfied-leaf mask holds
+    /// all of its leaves there; over the product that is exact, so a
+    /// `false` is never wrong. The masks come from the plan's own memos,
+    /// which evaluating the rows then reuses. Above
+    /// [`LeafMaskPlan::MAX_LEAVES`] leaves the plan has no masks and
+    /// answers `true` for every non-empty product.
+    pub fn any_in_product(
+        &mut self,
+        schema: &Schema,
+        values: &[Vec<(u8, u64)>],
+    ) -> Result<bool, SpecError> {
+        if values.iter().any(Vec::is_empty) {
+            return Ok(false);
+        }
+        let Some(Masks { conjs, dims }) = &mut self.masks else {
+            return Ok(true);
+        };
+        // Conjunction `j` (across predicates) is bit `j`; at most 64 have
+        // a leaf, and one without any holds everywhere.
+        let all = || conjs.iter().flatten().copied();
+        if all().any(|cm| cm == 0) {
+            return Ok(true);
+        }
+        // The conjunctions whose leaves among `bits` all lie in `m`.
+        let within = |bits: u64, m: u64| {
+            (all().enumerate())
+                .filter(|&(_, cm)| cm & bits & !m == 0)
+                .fold(0u64, |a, (j, _)| a | 1 << j)
+        };
+        let mut alive = within(0, 0);
+        for dl in dims {
+            let bits = dl.leaves.iter().fold(0, |a, (b, _)| a | b);
+            let mut held = within(bits, 0);
+            let mut last = None;
+            for &(cat, code) in &values[dl.dim.index()] {
+                if held & alive == alive {
+                    break;
+                }
+                let m = dl.mask(schema, cat, code)?;
+                if last.replace(m) != Some(m) {
+                    held |= within(bits, m);
+                }
+            }
+            alive &= held;
+        }
+        Ok(alive != 0)
+    }
+
     /// The largest weight of a predicate on `coords` (Section 6.1's
     /// weighted approach): a conjunction weighs the product of its
     /// leaves' weights, a predicate its heaviest conjunction. Unmemoized,
@@ -602,10 +669,17 @@ fn compile_leaf(
     now: DayNum,
 ) -> Result<CompiledLeaf, SpecError> {
     let kind = match &a.kind {
-        AtomKind::Cmp { op, term } => CompiledKind::Cmp {
-            op: *op,
-            value: term_value(schema, a, term, now)?,
-        },
+        AtomKind::Cmp { op, term } => {
+            let value = term_value(schema, a, term, now)?;
+            let dim = schema.dim(a.dim);
+            let at = match meaning {
+                LeafMeaning::Characterize => Vec::new(),
+                _ => (dim.graph().all())
+                    .map(|c| footprint(dim, value, dim.graph().glb(c, value.cat)).ok())
+                    .collect(),
+            };
+            CompiledKind::Cmp { op: *op, value, at }
+        }
         AtomKind::In { terms } => CompiledKind::In {
             values: terms
                 .iter()

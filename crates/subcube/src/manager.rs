@@ -54,7 +54,6 @@ use sdr_mdm::{
     Accs, CatId, DayNum, DimId, DimValue, Dimension, FactId, FactStore, FxHashMap, Granularity,
     KeyPacker, MeasureId, Mo, Schema, Slots, ORIGIN_USER,
 };
-use sdr_plan::RegionOracle;
 use sdr_reduce::{cell_for, CellMemo, DataReductionSpec, ReduceError, ReductionSchedule};
 use sdr_spec::{ActionId, ActionSpec, CompiledPred, LeafMaskPlan};
 
@@ -343,10 +342,6 @@ pub(crate) struct VersionInner {
     /// change) and not yet resolved to their home cell by a reduction
     /// step. Everything else is synchronized to `last_sync`.
     pub(crate) unhomed: usize,
-    /// The planner's region oracle, a function of `(spec.schedule(),
-    /// last_sync)` built on first use: shared by every successor that
-    /// moves neither, fresh otherwise.
-    pub(crate) oracle: Arc<OnceCell<Option<RegionOracle>>>,
     /// The single-slot memo of [`WarehouseView::virtual_age`]: the last
     /// day this version was virtually aged to and the version that
     /// produced. It lives and dies with this version, and costs only
@@ -365,7 +360,6 @@ impl VersionInner {
             parents,
             last_sync: None,
             unhomed: 0,
-            oracle: Arc::new(OnceCell::new()),
             aged: Mutex::new(None),
         }
     }
@@ -384,11 +378,6 @@ impl VersionInner {
             parents: self.parents.clone(),
             last_sync,
             unhomed,
-            oracle: if last_sync == self.last_sync {
-                Arc::clone(&self.oracle)
-            } else {
-                Arc::new(OnceCell::new())
-            },
             aged: Mutex::new(None),
         }
     }
@@ -1444,7 +1433,7 @@ impl SubcubeManager {
     /// reduction cannot be undone — so a `now` before the watermark
     /// synchronizes to the watermark instead of being refused: every
     /// version is the reduction at one day, and no cell was ever placed
-    /// after `last_sync` (the region oracle's premise).
+    /// after `last_sync`.
     pub fn sync(&self, now: DayNum) -> Result<AgeStats, SubcubeError> {
         let _span = sdr_obs::span("subcube.sync");
         let stats = self.reduce_to(now, true)?;

@@ -15,8 +15,8 @@
 //! before the one finish. Two states are supported:
 //!
 //! * **synchronized** — each cube holds exactly its own facts; the
-//!   planner skips the cubes whose statistics prove them irrelevant and
-//!   the query folds the rest into its accumulator (Figure 8);
+//!   planner skips the cubes whose chunks' values prove them irrelevant
+//!   and the query folds the rest into its accumulator (Figure 8);
 //! * **un-synchronized** — facts may still sit in ancestor cubes, or
 //!   un-homed in the bottom cube. The paper answers with a *virtual*
 //!   synchronization (`α[G_i]σ[P_i](K_i ∪ parents)`, Figure 9); here that
@@ -25,8 +25,8 @@
 //!   publish ([`WarehouseView::virtual_age`]), computed by the write
 //!   path's own reduction steps, published nowhere, and kept in a single
 //!   slot on the pinned version so the next read of the same `(version,
-//!   now)` finds it. The aged version's chunk summaries fold into exact
-//!   statistics, so this path is planned like the other. Query answers
+//!   now)` finds it. The aged version's chunks carry their summaries, so
+//!   this path is planned like the other. Query answers
 //!   are thereby independent of the sync state, which the test suite
 //!   verifies.
 //!
@@ -38,18 +38,20 @@
 //! # Chunk-native scans
 //!
 //! A query is compiled once (`CompiledQuery`: the fused select/aggregate
-//! [`Scan`] plus the predicate's [`Grounding`]) and shared read-only by
-//! every worker of every shard. A scanned cube is read chunk by chunk in
-//! row order: a chunk whose summary hulls fail the planner's hull test
-//! — the one a cube's skip is decided by — is skipped, and the kept rows
-//! of the rest are folded straight into the worker's accumulator. No
+//! [`Scan`]) and shared read-only by every worker of every shard. Before
+//! a shard's cubes are read, each chunk is judged once by the query's
+//! own predicate: [`ScanAcc::may_keep`] over the per-dimension distinct
+//! values of the chunk's summary, on the memo of the accumulator that
+//! then scans it. A cube none of whose chunks survives is skipped, and a
+//! scanned cube is read chunk by chunk in row order, the kept rows of its
+//! surviving chunks folded straight into the worker's accumulator. No
 //! cube is concatenated, no row is copied before it is grouped, and no
 //! group is aggregated twice.
 
 use std::sync::Arc;
 
 use sdr_mdm::{DayNum, Mo, Schema};
-use sdr_plan::{CubeSummary, Grounding, QueryPlan, RegionOracle};
+use sdr_plan::QueryPlan;
 use sdr_query::{AggApproach, Scan, ScanAcc, SelectMode};
 use sdr_reduce::ReduceError;
 use sdr_spec::Pexp;
@@ -72,41 +74,20 @@ pub struct CubeQuery {
     pub approach: AggApproach,
 }
 
-/// The planner's view of one cube: exact maintained statistics plus the
-/// cube's granularity.
-fn summarize(c: &Subcube) -> CubeSummary {
-    let s = c.stats();
-    CubeSummary {
-        rows: s.rows,
-        hulls: s.hulls.clone(),
-        origins: s.origins.clone(),
-        grain: c.grain.0.clone(),
-    }
-}
-
-/// A query compiled once and shared read-only by every scan worker: the
-/// fused kernel and the predicate grounded for the hull test.
+/// A query compiled once and shared read-only by every scan worker.
 pub(crate) struct CompiledQuery {
     pub(crate) scan: Scan,
-    pub(crate) grounding: Grounding,
 }
 
 impl CompiledQuery {
-    /// Compiles `q` at `now` against `schema`. `planned: false` grounds
-    /// no predicate, so the hull test keeps every chunk — the unplanned
-    /// baseline.
+    /// Compiles `q` at `now` against `schema`.
     pub(crate) fn new(
         schema: &Arc<Schema>,
         q: &CubeQuery,
         now: DayNum,
-        planned: bool,
     ) -> Result<CompiledQuery, SubcubeError> {
-        let pred = q.pred.as_ref();
-        let grounded = pred.filter(|_| planned);
-        Ok(CompiledQuery {
-            scan: Scan::compile(schema, pred, now, q.mode, &q.levels, q.approach)?,
-            grounding: Grounding::new(schema, grounded, q.mode, now),
-        })
+        let scan = Scan::compile(schema, q.pred.as_ref(), now, q.mode, &q.levels, q.approach)?;
+        Ok(CompiledQuery { scan })
     }
 
     /// The query's answer: the one accumulator left after every worker's
@@ -116,20 +97,21 @@ impl CompiledQuery {
         Ok(acc.finish()?)
     }
 
-    /// `q` over one cube: the chunks the hull test keeps, in row order,
-    /// into `acc`. Returns the rows the selection kept and the chunks
-    /// scanned and skipped.
+    /// `q` over one cube: the chunks `keep` marks, in row order, into
+    /// `acc`. Returns the rows the selection kept and the chunks scanned
+    /// and skipped.
     fn scan_cube(
         &self,
         i: usize,
         cube: &Subcube,
+        keep: &[bool],
         acc: &mut ScanAcc<'_>,
     ) -> Result<(u64, u64, u64), SubcubeError> {
         let _span = sdr_obs::span("query.aggregate");
         let (visited, kept) = (acc.visited(), acc.kept());
         let mut skipped = 0u64;
-        for (c, chunk) in cube.chunks().iter().enumerate() {
-            if self.grounding.may_match(chunk.summary().hulls()) {
+        for (c, (chunk, &keep)) in cube.chunks().iter().zip(keep).enumerate() {
+            if keep {
                 acc.feed(chunk.mo())?;
             } else {
                 skipped += 1;
@@ -230,51 +212,49 @@ pub(crate) fn fold_each<T: Sync>(
 }
 
 impl WarehouseView {
-    /// Plans `q` against this view's cubes: a scan/skip verdict per cube
-    /// from their exact statistics (and `oracle`'s proved regions, when
-    /// given), plus a cheapest-first scan order. Pruning is sound: the
-    /// planned evaluation returns exactly the naive full fan-out's
-    /// answer.
-    pub fn plan(&self, q: &CubeQuery, now: DayNum, oracle: Option<&RegionOracle>) -> QueryPlan {
-        let grounding = Grounding::new(self.schema(), q.pred.as_ref(), q.mode, now);
-        self.plan_grounded(&grounding, oracle)
+    /// Plans `q` against this view's cubes: every chunk judged by the
+    /// query's own predicate over the chunk's distinct values
+    /// ([`ScanAcc::may_keep`]), a cube skipped when it is empty or none
+    /// of its chunks survives, and a cheapest-first scan order. Pruning
+    /// is sound: the planned evaluation returns exactly the naive full
+    /// fan-out's answer. A query that does not compile is planned as the
+    /// full fan-out; evaluating it reports the error.
+    pub fn plan(&self, q: &CubeQuery, now: DayNum) -> QueryPlan {
+        match CompiledQuery::new(self.schema(), q, now) {
+            Ok(cq) => self.judge(&mut cq.scan.start()),
+            Err(_) => self.scan_all(),
+        }
     }
 
-    /// [`plan`](WarehouseView::plan) for a predicate already grounded.
-    pub(crate) fn plan_grounded(
-        &self,
-        grounding: &Grounding,
-        oracle: Option<&RegionOracle>,
-    ) -> QueryPlan {
-        let summaries: Vec<CubeSummary> = self.cubes().iter().map(summarize).collect();
-        sdr_plan::plan(self.schema(), grounding, &summaries, oracle)
+    /// The plan whose chunk verdicts `acc` gives, on its memo. `acc`'s
+    /// scan must be over this view's schema, so that the chunks' codes
+    /// index its plan. A verdict that fails keeps its chunk: the scan
+    /// then reports the error.
+    fn judge(&self, acc: &mut ScanAcc<'_>) -> QueryPlan {
+        sdr_plan::plan(self.cubes().iter().map(|c| {
+            let keep = |ch: &Arc<Chunk>| acc.may_keep(ch.summary().distinct()).unwrap_or(true);
+            (c.rows() as u64, c.chunks().iter().map(keep).collect())
+        }))
     }
 
-    /// Evaluates `q` assuming synchronized cubes, planned with the full
-    /// oracle set: cubes proved irrelevant by their exact statistics
-    /// (empty, hull-disjoint) or by the schedule's proved regions
-    /// ([`region_oracle`](WarehouseView::region_oracle)) are skipped, the
+    /// The naive fan-out: every chunk of every cube.
+    fn scan_all(&self) -> QueryPlan {
+        QueryPlan::scan_all(
+            self.cubes()
+                .iter()
+                .map(|c| (c.rows() as u64, c.chunks().len())),
+        )
+    }
+
+    /// Evaluates `q` assuming synchronized cubes: the chunks and cubes
+    /// [`plan`](WarehouseView::plan) proves irrelevant are skipped, the
     /// rest scanned — one worker per scanned cube (scoped threads) when
     /// `parallel` — into one accumulator, finished once.
-    /// [`query_planned`](WarehouseView::query_planned) chooses the
-    /// oracle, [`query_naive`](WarehouseView::query_naive) is the
-    /// unplanned full fan-out.
+    /// [`query_naive`](WarehouseView::query_naive) is the unplanned full
+    /// fan-out.
     pub fn query(&self, q: &CubeQuery, now: DayNum, parallel: bool) -> Result<Mo, SubcubeError> {
-        self.query_planned(q, now, parallel, self.region_oracle())
-    }
-
-    /// [`query`](WarehouseView::query) with the region oracle the caller
-    /// picks (`None`: statistics-only pruning).
-    pub fn query_planned(
-        &self,
-        q: &CubeQuery,
-        now: DayNum,
-        parallel: bool,
-        oracle: Option<&RegionOracle>,
-    ) -> Result<Mo, SubcubeError> {
-        let cq = CompiledQuery::new(self.schema(), q, now, true)?;
-        let plan = self.plan_grounded(&cq.grounding, oracle);
-        self.answer(&cq, parallel, &plan)
+        let cq = CompiledQuery::new(self.schema(), q, now)?;
+        self.answer(&cq, parallel, true)
     }
 
     /// The unplanned full fan-out over every chunk of every cube — what
@@ -287,22 +267,20 @@ impl WarehouseView {
         now: DayNum,
         parallel: bool,
     ) -> Result<Mo, SubcubeError> {
-        let rows: Vec<u64> = self.cubes().iter().map(|c| c.rows() as u64).collect();
-        let plan = QueryPlan::scan_all(&rows);
-        let cq = CompiledQuery::new(self.schema(), q, now, false)?;
-        self.answer(&cq, parallel, &plan)
+        let cq = CompiledQuery::new(self.schema(), q, now)?;
+        self.answer(&cq, parallel, false)
     }
 
-    /// `cq` over the cubes `plan` scans, into one accumulator finished
+    /// `cq` over this view, planned or not, into one accumulator finished
     /// once.
     fn answer(
         &self,
         cq: &CompiledQuery,
         parallel: bool,
-        plan: &QueryPlan,
+        planned: bool,
     ) -> Result<Mo, SubcubeError> {
         let mut acc = cq.scan.start();
-        self.scan_into(cq, parallel, plan, &mut acc)?;
+        self.scan_into(cq, parallel, planned, &mut acc)?;
         cq.finish(acc)
     }
 
@@ -318,35 +296,29 @@ impl WarehouseView {
         self.virtual_age(now)?.0.query(q, now, parallel)
     }
 
-    /// The region oracle for this view, built once per `(specification,
-    /// last_sync)` from the specification's reduction schedule and kept on
-    /// the version. `None` when the view was never synchronized (no cube
-    /// content is action-placed yet) — planning then falls back to
-    /// statistics-only pruning.
-    pub fn region_oracle(&self) -> Option<&RegionOracle> {
-        let build = || {
-            let last = self.last_sync()?;
-            Some(RegionOracle::build(self.v.spec.schedule(), last))
-        };
-        self.v.oracle.get_or_init(build).as_ref()
-    }
-
-    /// The one scan loop: `cq` on every cube `plan` scans, folded into
+    /// The one scan loop: `cq` on every cube its plan scans, folded into
     /// `acc` — in the plan's cheapest-first order, or each cube into an
     /// accumulator of its own on its own thread when `parallel`, absorbed
-    /// into `acc` in plan order. A skipped cube costs a span, never a
-    /// thread or an accumulator. A view over another schema than `cq`'s
-    /// is a schema-mismatch error.
+    /// into `acc` in plan order. `planned` judges every chunk on `acc`'s
+    /// memo first ([`plan`](WarehouseView::plan)); otherwise every chunk
+    /// of every cube is read. A skipped cube costs a span, never a thread
+    /// or an accumulator. A view over another schema than `cq`'s is a
+    /// schema-mismatch error, raised before any chunk is judged.
     pub(crate) fn scan_into(
         &self,
         cq: &CompiledQuery,
         parallel: bool,
-        plan: &QueryPlan,
+        planned: bool,
         acc: &mut ScanAcc<'_>,
     ) -> Result<(), SubcubeError> {
         let _span = sdr_obs::span("subcube.query");
         sdr_obs::attr("epoch", self.epoch());
         sdr_mdm::check_same_schema(cq.scan.schema(), self.schema()).map_err(ReduceError::Model)?;
+        let plan = &if planned {
+            self.judge(acc)
+        } else {
+            self.scan_all()
+        };
         // One span per cube, scanned or skipped: its p50/p99 spread
         // exposes cube-size skew across workers, and `explain` reads
         // every verdict and chunk count off the trace.
@@ -354,9 +326,10 @@ impl WarehouseView {
             let skip = plan.skip_reason(i);
             let sub = sdr_obs::span("subcube.query.subquery");
             let cube = &self.cubes()[i];
+            let keep = &plan.cubes[i].chunks;
             let r = skip
                 .is_none()
-                .then(|| cq.scan_cube(i, cube, acc))
+                .then(|| cq.scan_cube(i, cube, keep, acc))
                 .transpose();
             if sub.is_recording() {
                 sdr_obs::attr("subcube", format_args!("K{i}"));

@@ -252,8 +252,7 @@ impl ShardViewSet {
 
     /// The per-shard query plans (for `explain` over the wire).
     pub fn plans(&self, q: &CubeQuery, now: DayNum) -> Vec<QueryPlan> {
-        let plan = |v: &WarehouseView| v.plan(q, now, v.region_oracle());
-        self.views.iter().map(plan).collect()
+        self.views.iter().map(|v| v.plan(q, now)).collect()
     }
 
     /// The set [`query_unsync`](ShardViewSet::query_unsync) evaluates at
@@ -287,12 +286,11 @@ impl ShardViewSet {
         unsync: bool,
     ) -> Result<Mo, SubcubeError> {
         let across = parallel && self.views.len() > 1;
-        let cq = CompiledQuery::new(self.views[0].schema(), q, now, true)?;
+        let cq = CompiledQuery::new(self.views[0].schema(), q, now)?;
         let scan = |v: &WarehouseView, acc: &mut ScanAcc<'_>| {
             let aged = unsync.then(|| v.virtual_age(now)).transpose()?;
             let v = aged.as_ref().map_or(v, |(aged, _hit)| aged);
-            let plan = v.plan_grounded(&cq.grounding, v.region_oracle());
-            v.scan_into(&cq, parallel && !across, &plan, acc)
+            v.scan_into(&cq, parallel && !across, true, acc)
         };
         let mut acc = cq.scan.start();
         fold_each(&cq, &self.views, across, &mut acc, scan)?;
@@ -1008,11 +1006,10 @@ mod tests {
         let (ours, theirs) = (view(&paper), view(&foreign));
         // One view: the scan loop of a query compiled for our schema,
         // over their cubes, sequential and fanned out.
-        let cq = CompiledQuery::new(s, &q, 0, true).unwrap();
-        let plan = theirs.plan_grounded(&cq.grounding, None);
-        for parallel in [false, true] {
+        let cq = CompiledQuery::new(s, &q, 0).unwrap();
+        for (parallel, planned) in [(false, true), (true, true), (false, false)] {
             let mut acc = cq.scan.start();
-            let scanned = theirs.scan_into(&cq, parallel, &plan, &mut acc);
+            let scanned = theirs.scan_into(&cq, parallel, planned, &mut acc);
             mismatch(scanned.and_then(|()| cq.finish(acc)));
         }
         // Between shards: a set whose second shard is foreign.

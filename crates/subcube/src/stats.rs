@@ -16,7 +16,8 @@
 //! checks this), [`verify`](crate::manager::WarehouseView::verify_stats)
 //! re-derives it from every chunk's rows on demand, and recovery
 //! re-checks it against the persisted copy in the checkpoint manifest.
-//! A query reads each chunk's hulls to skip the chunks it cannot match.
+//! A query judges each chunk by its distinct sets to skip the chunks it
+//! cannot match.
 //!
 //! `specdr explain` uses the zone maps and row counts to annotate the
 //! subcube DAG (which cubes a query scanned, which were skippable), so
@@ -63,23 +64,21 @@ pub struct SubcubeStats {
     /// interval covering the *bottom-category* footprint of every stored
     /// cell — day serials for time dimensions (a `⊤` cell covers the
     /// dimension horizon, matching the query comparison's footprint),
-    /// interned bottom-value ids for enumerated dimensions. The hull
-    /// lives in the same coordinate space as the prover's ground sets
-    /// (`DayInterval` / `BitSet`), so the planner can test an atom's
-    /// ground set against it directly. `None` means "no hull": the cube
-    /// is empty, a value failed to resolve, or the stats predate format
-    /// 3 — the planner must not prune on that dimension.
+    /// interned bottom-value ids for enumerated dimensions. The age step
+    /// skips a chunk whose time hull misses every window its transitions
+    /// change. `None` means "no hull": the cube is empty, a value failed
+    /// to resolve, or the stats predate format 3 — nothing may be
+    /// skipped on that dimension.
     pub hulls: Vec<Option<(i64, i64)>>,
     /// Sorted distinct values of the origin column (the responsible
     /// [`sdr_spec::ActionId`] index per fact, `u32::MAX` for
     /// user-inserted rows). `None` when more than [`MAX_ORIGINS`]
-    /// distinct origins occur (or the stats predate format 3) — the
-    /// planner then skips origin-gated region pruning for this cube.
+    /// distinct origins occur (or the stats predate format 3).
     pub origins: Option<Vec<u32>>,
 }
 
 /// Cap on the distinct-origin set kept in [`SubcubeStats::origins`];
-/// beyond it the set degrades to `None` (planner: no region oracle).
+/// beyond it the set degrades to `None`.
 pub const MAX_ORIGINS: usize = 64;
 
 /// What one immutable chunk of a cube's facts contributes to the cube's
@@ -306,10 +305,11 @@ impl ChunkSummary {
         self.hulls.get(d).copied().flatten()
     }
 
-    /// Every dimension's bottom-footprint hull, in schema order — what
-    /// the planner's hull test reads to skip the chunk.
-    pub fn hulls(&self) -> &[Option<(i64, i64)>] {
-        &self.hulls
+    /// Per dimension (schema order), the sorted distinct direct
+    /// `(category, code)` values of the summarized rows — what a query's
+    /// chunk verdict reads to skip the chunk.
+    pub fn distinct(&self) -> &[Vec<(u8, u64)>] {
+        &self.distinct
     }
 
     /// The zone map: the smallest and largest packed cell key of the
@@ -469,7 +469,7 @@ impl SubcubeStats {
 /// interval (in ground-set coordinates — day serials for time, interned
 /// bottom ids for enums) containing the bottom footprint of every
 /// distinct stored value. `None` when the column is empty or a value
-/// fails to resolve, which the planner must read as "cannot prune".
+/// fails to resolve, which a reader must take as "cannot skip".
 fn dim_hull(dim: &Dimension, seen: &[(u8, u64)]) -> Option<(i64, i64)> {
     if seen.is_empty() {
         return None;

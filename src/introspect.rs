@@ -52,8 +52,8 @@ pub struct CubeReport {
     pub rows_kept: u64,
     /// The cube's chunks.
     pub chunks: u64,
-    /// Chunks of a scanned cube the query read, and those its hull test
-    /// skipped (both 0 when the cube was not scanned).
+    /// Chunks of a scanned cube the query read, and those its chunk
+    /// verdict skipped (both 0 when the cube was not scanned).
     pub chunks_scanned: u64,
     /// See [`chunks_scanned`](CubeReport::chunks_scanned).
     pub chunks_skipped: u64,
@@ -61,8 +61,8 @@ pub struct CubeReport {
     /// operation read it and kept none of its rows.
     pub skippable: bool,
     /// The query planner's verdict (`"scan"`, `"skip(empty)"`,
-    /// `"skip(zone)"`, `"skip(region)"`); `None` for non-query
-    /// operations, which have no plan.
+    /// `"skip(zone)"`); `None` for non-query operations, which have no
+    /// plan.
     pub planned: Option<String>,
     /// The planner's scan-cost estimate (stored rows — exact, since
     /// statistics are maintained). `None` when there is no plan.
@@ -238,7 +238,7 @@ pub fn explain_query(
     })?;
     let mut cubes = dag_of(&view);
     annotate_query_scans(&mut cubes, &snap);
-    annotate_plan(&mut cubes, &view.plan(q, now, view.region_oracle()));
+    annotate_plan(&mut cubes, &view.plan(q, now));
     let report = Introspection {
         op: if unsync { "query_unsync" } else { "query" }.into(),
         now,

@@ -14,8 +14,9 @@
 //! * [`lint`] — static analysis over parsed specifications: span-anchored
 //!   diagnostics (L001–L007) with concrete counterexamples (`specdr lint`);
 //! * [`query`] — the query algebra over reduced MOs (Section 6);
-//! * [`plan`] — cost-based subcube query planning over exact per-cube
-//!   statistics and proved regions (`specdr explain --query`);
+//! * [`plan`] — subcube query planning: scan/skip decisions from each
+//!   chunk's verdict under the query's own predicate (`specdr explain
+//!   --query`);
 //! * [`storage`] — the columnar star-schema substrate (Section 7);
 //! * [`subcube`] — the subcube implementation strategy (Section 7);
 //! * [`workload`] — the paper's example dataset and synthetic click-stream

@@ -11,11 +11,10 @@ use std::sync::Arc;
 use specdr::introspect::{explain_age, explain_query};
 use specdr::mdm::calendar::days_from_civil;
 use specdr::mdm::time_cat as tc;
-use specdr::plan::Grounding;
-use specdr::query::{select_naive, AggApproach, SelectMode};
+use specdr::query::{select_naive, AggApproach, Scan, SelectMode};
 use specdr::reduce::DataReductionSpec;
 use specdr::spec::{parse_action, parse_pexp};
-use specdr::subcube::{CubeQuery, ShardRouter, WarehouseView};
+use specdr::subcube::{Chunk, CubeQuery, ShardRouter, WarehouseView};
 use specdr::workload::{paper_mo, ACTION_A1, ACTION_A2};
 
 fn warehouse_with_paper_data() -> ShardRouter {
@@ -35,6 +34,15 @@ fn shard(m: &ShardRouter) -> WarehouseView {
 }
 
 /// The Figure 8 query: α[month, domain_grp](σ[1999/6 < month ≤ 2000/5]).
+/// How many of `chunks` the chunk verdict of `q` at `now` keeps.
+fn chunks_kept(m: &ShardRouter, q: &CubeQuery, now: i32, chunks: &[Arc<Chunk>]) -> u64 {
+    let p = q.pred.as_ref();
+    let scan = Scan::compile(m.schema(), p, now, q.mode, &q.levels, q.approach).unwrap();
+    let mut acc = scan.start();
+    let mut keep = |c: &&Arc<Chunk>| acc.may_keep(c.summary().distinct()).unwrap();
+    chunks.iter().filter(&mut keep).count() as u64
+}
+
 fn figure8_query(m: &ShardRouter) -> CubeQuery {
     let grp = m
         .schema()
@@ -95,13 +103,8 @@ fn explain_counts_match_naive_references() {
         let selected = select_naive(&cube.data(), q.pred.as_ref().unwrap(), now, q.mode).unwrap();
         assert_eq!(rep.rows_kept, selected.len() as u64, "K{i} rows_kept");
         assert_eq!(rep.skippable, selected.is_empty(), "K{i} skippable");
-        // Chunk verdicts, recomputed from each chunk's hulls.
-        let grounding = Grounding::new(m.schema(), q.pred.as_ref(), q.mode, now);
-        let alive = cube
-            .chunks()
-            .iter()
-            .filter(|c| grounding.may_match(c.summary().hulls()))
-            .count() as u64;
+        // Chunk verdicts, recomputed from each chunk's distinct values.
+        let alive = chunks_kept(&m, &q, now, cube.chunks());
         assert_eq!(rep.chunks, cube.chunks().len() as u64, "K{i} chunks");
         assert_eq!(rep.chunks_scanned, alive, "K{i} chunks scanned");
         assert_eq!(
@@ -113,8 +116,8 @@ fn explain_counts_match_naive_references() {
     assert!(report.cubes.iter().any(|c| !c.skippable));
 
     // Loaded one fact at a time and never synchronized, the bottom cube
-    // is one chunk per fact: the report's chunk verdicts are the hull
-    // test's, and a window from 2000 on skips some of them.
+    // is one chunk per fact: the report's chunk verdicts are the chunk
+    // verdict's, and a window from 2000 on skips some of them.
     let (facts, _) = paper_mo();
     let chunked = ShardRouter::in_memory(m.spec().as_ref().clone()).unwrap();
     for f in 0..facts.len() as u32 {
@@ -127,9 +130,7 @@ fn explain_counts_match_naive_references() {
     let (_, chunked_report) = explain_query(&chunked, &recent, now, false, false).unwrap();
     let chunked_view = shard(&chunked);
     let k0 = &chunked_view.cubes()[0];
-    let grounding = Grounding::new(m.schema(), recent.pred.as_ref(), recent.mode, now);
-    let hulls = k0.chunks().iter().map(|c| c.summary().hulls());
-    let alive = hulls.filter(|h| grounding.may_match(h)).count() as u64;
+    let alive = chunks_kept(&m, &recent, now, k0.chunks());
     let rep = &chunked_report.cubes[0];
     assert_eq!(rep.chunks, facts.len() as u64);
     assert_eq!(

@@ -1,12 +1,13 @@
-//! Differential tests for the cost-based subcube planner: across random
-//! datasets, sync/query days, predicates, and select modes, the planned
-//! evaluation must equal the naive full fan-out bit-for-bit, and every
-//! cube the planner skips must contribute zero rows when its sub-query
-//! is evaluated anyway.
+//! Differential tests for the subcube planner: across random datasets,
+//! sync/query days, predicates, and select modes, the planned evaluation
+//! must equal the naive full fan-out bit-for-bit, and every cube or
+//! chunk the planner skips must contribute zero rows when its sub-query
+//! is evaluated anyway. The chunk verdict itself
+//! ([`ScanAcc::may_keep`]) is checked on hand-made value sets.
 //!
 //! In a debug build the engine itself re-evaluates each skipped cube and
-//! chunk inside `query_planned` and panics if one contributes a row — so
-//! the same matrix exercises both the external and the in-engine check.
+//! chunk inside `query` and panics if one contributes a row — so the
+//! same matrix exercises both the external and the in-engine check.
 //!
 //! The un-synchronized path is planned too — `query_unsync(q, now)` is
 //! `query(q, now)` on the view virtually aged to `now` — so its
@@ -18,9 +19,10 @@ use std::path::Path;
 use std::sync::Arc;
 
 use specdr::mdm::calendar::days_from_civil;
-use specdr::mdm::{time_cat, DimValue, Mo, TimeValue};
-use specdr::plan::Grounding;
-use specdr::query::{aggregate_ids_naive, select_naive, select_snapshot, AggApproach, SelectMode};
+use specdr::mdm::{time_cat, DimId, DimValue, Mo, Schema, TimeValue};
+use specdr::query::{
+    aggregate_ids_naive, select_naive, select_snapshot, AggApproach, Scan, ScanAcc, SelectMode,
+};
 use specdr::reduce::DataReductionSpec;
 use specdr::spec::{parse_action, parse_pexp};
 use specdr::storage::MemFs;
@@ -158,10 +160,7 @@ proptest! {
         };
 
         let view = shard(&m);
-        let oracle = view.region_oracle();
-        prop_assert!(oracle.is_some(), "synced warehouse must yield an oracle");
-
-        let planned = view.query_planned(&q, now, parallel, oracle).unwrap();
+        let planned = view.query(&q, now, parallel).unwrap();
         let naive = view.query_naive(&q, now, parallel).unwrap();
         prop_assert_eq!(
             sorted_rows(&planned),
@@ -171,7 +170,7 @@ proptest! {
             MODES[mode_ix]
         );
 
-        let plan = view.plan(&q, now, oracle);
+        let plan = view.plan(&q, now);
         assert_skips_contribute_nothing(&view, &plan, &q, now);
     }
 }
@@ -189,7 +188,6 @@ fn planner_prunes_on_the_paper_fixture() {
     let now = days_from_civil(2000, 11, 5);
     m.sync(now).unwrap();
     let view = shard(&m);
-    let oracle = view.region_oracle();
     let (_, domain) = m.schema().resolve_cat("URL.domain").unwrap();
 
     // Impossible time window: everything is skipped, the answer is empty.
@@ -199,14 +197,9 @@ fn planner_prunes_on_the_paper_fixture() {
         levels: vec![time_cat::QUARTER, domain],
         approach: AggApproach::Availability,
     };
-    let plan = view.plan(&impossible, now, oracle);
+    let plan = view.plan(&impossible, now);
     assert_eq!(plan.n_skipped(), view.cubes().len(), "{plan:?}");
-    assert_eq!(
-        view.query_planned(&impossible, now, false, oracle)
-            .unwrap()
-            .len(),
-        0
-    );
+    assert_eq!(view.query(&impossible, now, false).unwrap().len(), 0);
 
     // Selective predicate: at least one cube pruned, answer unchanged,
     // and the scan order visits cheapest cubes first.
@@ -214,7 +207,7 @@ fn planner_prunes_on_the_paper_fixture() {
         pred: Some(parse_pexp(m.schema(), "Time.quarter >= 2000Q1").unwrap()),
         ..impossible.clone()
     };
-    let plan = view.plan(&selective, now, oracle);
+    let plan = view.plan(&selective, now);
     assert!(plan.n_skipped() >= 1, "{plan:?}");
     assert!(!plan.order.is_empty(), "{plan:?}");
     for w in plan.order.windows(2) {
@@ -223,7 +216,7 @@ fn planner_prunes_on_the_paper_fixture() {
             "scan order must be cheapest-first: {plan:?}"
         );
     }
-    let planned = view.query_planned(&selective, now, false, oracle).unwrap();
+    let planned = view.query(&selective, now, false).unwrap();
     let naive = view.query_naive(&selective, now, false).unwrap();
     assert_eq!(sorted_rows(&planned), sorted_rows(&naive));
     assert_skips_contribute_nothing(&view, &plan, &selective, now);
@@ -395,14 +388,24 @@ proptest! {
     }
 }
 
+/// The chunk verdict of `q` at `now` on the per-dimension value sets
+/// `values`, from a fresh accumulator of the query's own scan.
+fn verdict(schema: &Arc<Schema>, q: &CubeQuery, now: i32, values: &[Vec<(u8, u64)>]) -> bool {
+    let p = q.pred.as_ref();
+    let scan = Scan::compile(schema, p, now, q.mode, &q.levels, q.approach).unwrap();
+    let mut acc: ScanAcc<'_> = scan.start();
+    acc.may_keep(values).unwrap()
+}
+
 /// Chunk skipping, differentially: a warehouse loaded day by day whose
 /// bottom cube spans several chunks, so scanned cubes have chunks the
-/// hull test rules out. Over the whole predicate pool, every select
+/// chunk verdict rules out. Over the whole predicate pool, every select
 /// mode and all four approaches, the planned answer equals the
 /// unplanned fan-out (which scans every chunk) and the naive operators
-/// over the warehouse's logical MO; every chunk the hull test skips
-/// keeps no row under the naive selection; and some chunk *is* skipped,
-/// so the comparison is not vacuous.
+/// over the warehouse's logical MO; the plan carries the verdict of
+/// every chunk, recomputed from the chunk's distinct values; every chunk
+/// it skips keeps no row under the naive selection; and some chunk of a
+/// scanned cube *is* skipped, so the comparison is not vacuous.
 #[test]
 fn chunk_skipping_matches_naive_across_approaches() {
     let (schema, cats) = paper_schema();
@@ -436,7 +439,6 @@ fn chunk_skipping_matches_naive_across_approaches() {
         view.cubes()[0].chunks().len()
     );
     let logical = view.to_mo().unwrap();
-    let oracle = view.region_oracle();
     let (_, grp) = schema.resolve_cat("URL.domain_grp").unwrap();
     let levels = vec![time_cat::MONTH, grp];
     let approaches = [
@@ -456,15 +458,16 @@ fn chunk_skipping_matches_naive_across_approaches() {
                 levels: levels.clone(),
                 approach: AggApproach::Availability,
             };
-            let plan = view.plan(&plan_q, now, oracle);
-            let grounding = Grounding::new(&schema, Some(&p), mode, now);
+            let plan = view.plan(&plan_q, now);
             for (i, cube) in view.cubes().iter().enumerate() {
-                if !plan.scans(i) {
-                    continue;
-                }
-                for chunk in cube.chunks() {
-                    if !grounding.may_match(chunk.summary().hulls()) {
-                        chunks_skipped += 1;
+                for (c, chunk) in cube.chunks().iter().enumerate() {
+                    let keep = verdict(&schema, &plan_q, now, chunk.summary().distinct());
+                    assert_eq!(
+                        plan.cubes[i].chunks[c], keep,
+                        "K{i} chunk {c}: {pred} {mode:?}"
+                    );
+                    if !keep {
+                        chunks_skipped += u32::from(plan.scans(i));
                         let kept = select_naive(chunk.mo(), &p, now, mode).unwrap();
                         assert!(kept.is_empty(), "skipped chunk keeps rows: {pred} {mode:?}");
                     }
@@ -477,7 +480,7 @@ fn chunk_skipping_matches_naive_across_approaches() {
                 };
                 let want = aggregate_ids_naive(&selected, &levels, approach).unwrap();
                 let ctx = format!("pred={pred} mode={mode:?} approach={approach:?}");
-                let planned = view.query_planned(&q, now, true, oracle).unwrap();
+                let planned = view.query(&q, now, true).unwrap();
                 let naive = view.query_naive(&q, now, false).unwrap();
                 assert_eq!(rows_in_order(&planned), rows_in_order(&want), "{ctx}");
                 assert_eq!(rows_in_order(&naive), rows_in_order(&want), "{ctx}");
@@ -485,4 +488,281 @@ fn chunk_skipping_matches_naive_across_approaches() {
         }
     }
     assert!(chunks_skipped > 0, "no chunk was ever skipped");
+}
+
+/// Per dimension, a set of `(category, code)` values.
+type ValueSets = Vec<Vec<(u8, u64)>>;
+
+/// One click of a test chunk: `((year, month, day), url)`.
+type Click<'a> = ((i32, u32, u32), &'a str);
+
+/// The chunk verdict on hand-made per-dimension value sets of the paper
+/// schema: a time window, a coarse time atom over days, a coarse value
+/// under a finer atom, enum `=`/`IN` and their negations, a conjunction
+/// over the product of two sets, a disjunction, `false` and an empty
+/// set. Every mode but weighted `0` prunes; weighted `0` keeps
+/// everything.
+#[test]
+fn chunk_verdict_judges_the_product_of_value_sets() {
+    let (schema, cats) = paper_schema();
+    let now = days_from_civil(2000, 4, 5);
+    let day = |y, m, d| (0u8, TimeValue::Day(days_from_civil(y, m, d)).code());
+    let time = |cat, s: &str| {
+        let v = schema.dim(DimId(0)).parse_value(cat, s).unwrap();
+        (v.cat.0, v.code)
+    };
+    let url = |s: &str| {
+        let v = schema.dim(DimId(1)).parse_value(cats.url, s).unwrap();
+        (v.cat.0, v.code)
+    };
+    let gatech = url("http://www.cc.gatech.edu/");
+    let cnn = url("http://www.cnn.com/");
+    let health = url("http://www.cnn.com/health");
+    let amazon = url("http://www.amazon.com/exec/...");
+    let urls = vec![gatech, cnn, health, amazon];
+    let h1999 = vec![day(1999, 1, 1), day(1999, 6, 30)];
+    let h2000 = vec![day(2000, 1, 1), day(2000, 6, 30)];
+    let pruning = [
+        SelectMode::Conservative,
+        SelectMode::Liberal,
+        SelectMode::Weighted { threshold: 0.5 },
+    ];
+    let judge = |pred: &str, mode, values: &[Vec<(u8, u64)>]| {
+        let q = CubeQuery {
+            pred: Some(parse_pexp(&schema, pred).unwrap()),
+            mode,
+            levels: schema.bottom_granularity().0,
+            approach: AggApproach::Availability,
+        };
+        verdict(&schema, &q, now, values)
+    };
+    // (predicate, value sets, whether some cell may be kept), under
+    // every pruning mode.
+    let cases: Vec<(&str, ValueSets, bool)> = vec![
+        (
+            "Time.day <= 1999/12/31",
+            vec![h1999.clone(), urls.clone()],
+            true,
+        ),
+        (
+            "Time.day <= 1999/12/31",
+            vec![h2000.clone(), urls.clone()],
+            false,
+        ),
+        (
+            "Time.month IN {1999/11, 1999/12}",
+            vec![vec![day(1999, 11, 2), day(1999, 11, 20)], urls.clone()],
+            true,
+        ),
+        (
+            "Time.month IN {1999/11, 1999/12}",
+            vec![vec![day(2000, 1, 1), day(2000, 1, 31)], urls.clone()],
+            false,
+        ),
+        (
+            "URL.domain = cnn.com",
+            vec![h1999.clone(), vec![gatech]],
+            false,
+        ),
+        (
+            "URL.domain = cnn.com",
+            vec![h1999.clone(), vec![amazon]],
+            false,
+        ),
+        // A hull over these ids would straddle cnn.com's.
+        (
+            "URL.domain = cnn.com",
+            vec![h1999.clone(), vec![gatech, amazon]],
+            false,
+        ),
+        (
+            "URL.domain = cnn.com",
+            vec![h1999.clone(), vec![cnn, amazon]],
+            true,
+        ),
+        (
+            "URL.domain_grp = .com",
+            vec![h1999.clone(), vec![gatech]],
+            false,
+        ),
+        (
+            "URL.domain_grp = .com",
+            vec![h1999.clone(), vec![amazon]],
+            true,
+        ),
+        (
+            "NOT (URL.domain_grp = .com)",
+            vec![h1999.clone(), vec![gatech]],
+            true,
+        ),
+        (
+            "NOT (URL.domain_grp = .com)",
+            vec![h1999.clone(), vec![amazon]],
+            false,
+        ),
+        (
+            "URL.domain IN {gatech.edu, amazon.com}",
+            vec![h1999.clone(), vec![gatech]],
+            true,
+        ),
+        (
+            "URL.domain IN {gatech.edu, amazon.com}",
+            vec![h1999.clone(), vec![cnn, health]],
+            false,
+        ),
+        (
+            "NOT (URL.domain IN {gatech.edu, amazon.com})",
+            vec![h1999.clone(), vec![gatech, amazon]],
+            false,
+        ),
+        (
+            "NOT (URL.domain IN {gatech.edu, amazon.com})",
+            vec![h1999.clone(), vec![amazon, health]],
+            true,
+        ),
+        // The product holds (1999, cnn) although no set alone decides.
+        (
+            "URL.domain = cnn.com AND Time.day <= 1999/12/31",
+            vec![vec![day(1999, 3, 1), day(2000, 3, 1)], vec![gatech, cnn]],
+            true,
+        ),
+        (
+            "URL.domain = amazon.com OR Time.day <= 1999/12/31",
+            vec![h1999.clone(), vec![gatech, cnn]],
+            true,
+        ),
+        (
+            "URL.domain = amazon.com OR Time.day <= 1999/12/31",
+            vec![h2000.clone(), vec![gatech, cnn]],
+            false,
+        ),
+        ("false", vec![h1999.clone(), urls.clone()], false),
+        ("Time.day <= 1999/12/31", vec![h1999.clone(), vec![]], false),
+    ];
+    for (pred, values, want) in &cases {
+        for mode in pruning {
+            assert_eq!(
+                judge(pred, mode, values),
+                *want,
+                "{pred} {mode:?} {values:?}"
+            );
+        }
+        // Weighted 0 keeps every fact, so it never prunes a value set.
+        let w0 = SelectMode::Weighted { threshold: 0.0 };
+        assert!(
+            judge(pred, w0, values) || values.iter().any(Vec::is_empty),
+            "{pred}"
+        );
+    }
+    // A coarse value under a finer atom: 1999Q4 may hold a day of
+    // 1999/11, but is not known to.
+    let q4 = vec![time(time_cat::QUARTER, "1999Q4")];
+    let nov = "Time.month = 1999/11";
+    assert!(!judge(
+        nov,
+        SelectMode::Conservative,
+        &[q4.clone(), urls.clone()]
+    ));
+    assert!(judge(nov, SelectMode::Liberal, &[q4.clone(), urls.clone()]));
+    // Its weight is a third: below the threshold, but above 0, so the
+    // weighted verdict keeps it and the scan decides.
+    assert!(judge(
+        nov,
+        SelectMode::Weighted { threshold: 0.5 },
+        &[q4, urls]
+    ));
+}
+
+/// A warehouse of the paper schema without reduction actions, never
+/// synchronized, whose bottom cube holds `chunks` in order: one click
+/// per `((year, month, day), url)` pair.
+fn chunked_warehouse(chunks: &[&[Click<'_>]]) -> ShardRouter {
+    let (schema, cats) = paper_schema();
+    let m = ShardRouter::in_memory(DataReductionSpec::empty(Arc::clone(&schema))).unwrap();
+    for chunk in chunks {
+        let mut mo = Mo::new(Arc::clone(&schema));
+        for (i, &((y, mo_, d), u)) in chunk.iter().enumerate() {
+            let day = DimValue::new(
+                time_cat::DAY,
+                TimeValue::Day(days_from_civil(y, mo_, d)).code(),
+            );
+            let url = schema.dim(DimId(1)).parse_value(cats.url, u).unwrap();
+            mo.insert_fact(&[day, url], &[1, 10 + i as i64, 1, 1000])
+                .unwrap();
+        }
+        m.bulk_load(&mo).unwrap();
+    }
+    m
+}
+
+/// The verdict skips what a hull could not: a chunk holding days d and
+/// d+2 but not d+1, queried at d+1, and a chunk whose URL ids straddle
+/// an `IN` member's without holding one. A cube both of whose chunks
+/// fail is skipped whole. Above `LeafMaskPlan::MAX_LEAVES` leaves (a
+/// 65-atom disjunction) every chunk is kept. Every answer equals the
+/// unplanned fan-out and the naive operators, under every mode.
+#[test]
+fn the_verdict_skips_chunks_a_hull_cannot() {
+    const GATECH: &str = "http://www.cc.gatech.edu/";
+    const CNN: &str = "http://www.cnn.com/";
+    const HEALTH: &str = "http://www.cnn.com/health";
+    const AMAZON: &str = "http://www.amazon.com/exec/...";
+    let m = chunked_warehouse(&[
+        &[((1999, 3, 1), GATECH), ((1999, 3, 3), AMAZON)],
+        &[((1999, 3, 2), CNN), ((1999, 3, 2), HEALTH)],
+    ]);
+    let view = shard(&m);
+    let schema = Arc::clone(m.schema());
+    assert_eq!(view.cubes()[0].chunks().len(), 2);
+    let logical = view.to_mo().unwrap();
+    let now = days_from_civil(2000, 1, 1);
+    // 65 atoms: 64 days of 1999 no chunk holds, and 1999/3/2.
+    let days = (1..=31).map(|d| (1, d)).chain((1..=28).map(|d| (2, d)));
+    let days = days.chain((1..=5).map(|d| (4, d))).chain([(3, 2)]);
+    let atoms: Vec<String> = days
+        .map(|(mo, d)| format!("Time.day = 1999/{mo}/{d}"))
+        .collect();
+    assert_eq!(atoms.len(), 65);
+    let wide = atoms.join(" OR ");
+    // (predicate, the chunk verdicts of K0 when the mode prunes).
+    let cases: [(&str, [bool; 2]); 5] = [
+        ("Time.day = 1999/3/2", [false, true]),
+        ("URL.domain IN {cnn.com}", [false, true]),
+        (
+            "NOT (URL.domain IN {gatech.edu, amazon.com})",
+            [false, true],
+        ),
+        (
+            "Time.day = 1999/3/2 AND URL.domain = gatech.edu",
+            [false, false],
+        ),
+        (&wide, [true, true]),
+    ];
+    let (_, grp) = schema.resolve_cat("URL.domain_grp").unwrap();
+    let levels = vec![time_cat::MONTH, grp];
+    for (pred, pruned) in cases {
+        let p = parse_pexp(&schema, pred).unwrap();
+        for &mode in MODES {
+            let q = CubeQuery {
+                pred: Some(p.clone()),
+                mode,
+                levels: levels.clone(),
+                approach: AggApproach::Availability,
+            };
+            let ctx = format!("{pred} {mode:?}");
+            let prunes = mode != SelectMode::Weighted { threshold: 0.0 };
+            let want = if prunes { pruned } else { [true, true] };
+            let plan = view.plan(&q, now);
+            assert_eq!(plan.cubes[0].chunks, want, "{ctx}");
+            assert_eq!(plan.scans(0), want.contains(&true), "{ctx}");
+            let selected = select_naive(&logical, &p, now, mode).unwrap();
+            let naive = aggregate_ids_naive(&selected, &levels, AggApproach::Availability).unwrap();
+            for parallel in [false, true] {
+                let planned = view.query(&q, now, parallel).unwrap();
+                let unplanned = view.query_naive(&q, now, parallel).unwrap();
+                assert_eq!(rows_in_order(&planned), rows_in_order(&naive), "{ctx}");
+                assert_eq!(rows_in_order(&unplanned), rows_in_order(&naive), "{ctx}");
+            }
+        }
+    }
 }

@@ -11,9 +11,37 @@ use specdr::mdm::{time_cat, DimValue, Granularity, MeasureId, Mo, TimeValue};
 use specdr::prover::{implies_union, BitSet, DayInterval, GroundSet, Region};
 use specdr::query::{compare_weight, satisfies, SelectMode};
 use specdr::reduce::{cell_for, reduce, DataReductionSpec};
-use specdr::spec::{parse_action, parse_pexp, CmpOp};
+use specdr::spec::{
+    parse_action, parse_pexp, Atom, AtomKind, CmpOp, CompiledPred, LeafMaskPlan, LeafMeaning, Pexp,
+    SrcSpan, Term,
+};
 use specdr::subcube::{CubeQuery, ShardRouter};
 use specdr::workload::{paper_mo, paper_schema, ACTION_A1, ACTION_A2};
+
+/// Values of dimension `d` of the paper schema at every category, ⊤
+/// included: every URL value, and for time a day every 37 days of
+/// 1999–2000 rolled up to each category.
+fn value_pool(schema: &specdr::mdm::Schema, d: specdr::mdm::DimId) -> Vec<DimValue> {
+    let dim = schema.dim(d);
+    let mut pool: Vec<DimValue> = match dim {
+        specdr::mdm::Dimension::Enum(e) => dim.graph().all().flat_map(|c| e.values(c)).collect(),
+        specdr::mdm::Dimension::Time(_) => (0..720)
+            .step_by(37)
+            .flat_map(|off| {
+                dim.graph().all().map(move |c| {
+                    let tv = TimeValue::Day(days_from_civil(1999, 1, 1) + off)
+                        .rollup(c)
+                        .unwrap();
+                    DimValue::new(tv.category(), tv.code())
+                })
+            })
+            .collect(),
+    };
+    pool.push(dim.top_value());
+    pool.sort_by_key(|v| (v.cat.0, v.code));
+    pool.dedup();
+    pool
+}
 
 const DAY_LO: i32 = 10_227; // 1998-01-01
 const DAY_HI: i32 = 12_418; // 2004-01-01
@@ -202,6 +230,28 @@ proptest! {
         if cons { prop_assert!(lib); }
     }
 
+    /// [`weight_lemma`] on time values sampled at any pair of
+    /// categories (the URL dimension is checked exhaustively by
+    /// `liberal_is_positive_weight_on_every_url_pair`).
+    #[test]
+    fn liberal_is_positive_weight_at_every_time_category(
+        fact_ix in 0usize..10_000,
+        const_ix in 0usize..10_000,
+        op_ix in 0usize..6,
+        members in 1u32..64,
+    ) {
+        let (schema, _) = paper_schema();
+        let pool = value_pool(&schema, specdr::mdm::DimId(0));
+        let (v, k) = (pool[fact_ix % pool.len()], pool[const_ix % pool.len()]);
+        let same_cat: Vec<DimValue> = pool.iter().copied().filter(|m| m.cat == k.cat).collect();
+        let set: Vec<DimValue> = (same_cat.iter().enumerate())
+            .filter(|(i, _)| members >> (i % 6) & 1 == 1)
+            .map(|(_, &m)| m)
+            .collect();
+        let set = if set.is_empty() { vec![k] } else { set };
+        weight_lemma(&schema, specdr::mdm::DimId(0), v, k, OPS[op_ix], &set);
+    }
+
     /// Subcube warehouse ≡ monolithic reduction, synced or not, under
     /// random loads and random sync/query times.
     #[test]
@@ -301,4 +351,94 @@ proptest! {
             prop_assert!(!cons || lib, "{} on {}", src, red.render_fact(f));
         }
     }
+}
+
+const OPS: [CmpOp; 6] = [
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+    CmpOp::Eq,
+    CmpOp::Ne,
+];
+
+/// The lemma the weighted chunk verdict rests on — a leaf holds
+/// liberally exactly when it weighs more than 0 — for the fact value
+/// `v` of dimension `d`: `v op k` (and conservative ⇔ weight 1), and
+/// `v IN set` / `v NOT IN set` through `member_weight`, against the
+/// compiled leaf's liberal verdict and the plan's weight.
+fn weight_lemma(
+    schema: &specdr::mdm::Schema,
+    d: specdr::mdm::DimId,
+    v: DimValue,
+    k: DimValue,
+    op: CmpOp,
+    set: &[DimValue],
+) {
+    let dim = schema.dim(d);
+    let w = compare_weight(dim, v, op, k).unwrap();
+    assert!((0.0..=1.0).contains(&w));
+    let cons = specdr::query::compare(dim, v, op, k, SelectMode::Conservative).unwrap();
+    let lib = specdr::query::compare(dim, v, op, k, SelectMode::Liberal).unwrap();
+    assert_eq!(lib, w > 0.0, "{v:?} {op:?} {k:?} w={w}");
+    assert_eq!(cons, (w - 1.0).abs() < 1e-12, "{v:?} {op:?} {k:?} w={w}");
+
+    let w_in = specdr::query::member_weight(dim, v, set).unwrap();
+    let mut cell: Vec<DimValue> = (0..schema.n_dims() as u16)
+        .map(|e| schema.dim(specdr::mdm::DimId(e)).top_value())
+        .collect();
+    cell[d.index()] = v;
+    let now = days_from_civil(2000, 1, 1);
+    for negated in [false, true] {
+        let atom = Pexp::Atom(Atom {
+            dim: d,
+            cat: set[0].cat,
+            kind: AtomKind::In {
+                terms: set.iter().map(|&m| Term::Value(m)).collect(),
+            },
+            negated,
+            span: SrcSpan::DUMMY,
+        });
+        let leaf = CompiledPred::compile_as(schema, &atom, now, LeafMeaning::Liberal).unwrap();
+        let held = leaf.eval_cell(schema, &cell).unwrap();
+        let want = if negated { 1.0 - w_in } else { w_in };
+        assert_eq!(
+            held,
+            want > 0.0,
+            "{v:?} IN {set:?} negated={negated} w={w_in}"
+        );
+        let plan = LeafMaskPlan::new(vec![leaf]);
+        assert_eq!(
+            plan.weight(schema, &cell).unwrap(),
+            want,
+            "{v:?} IN {set:?}"
+        );
+    }
+}
+
+/// [`weight_lemma`] on every pair of URL values at every category, ⊤
+/// included, under all six operators, with every non-empty `IN` set of
+/// the constant's category.
+#[test]
+fn liberal_is_positive_weight_on_every_url_pair() {
+    let (schema, _) = paper_schema();
+    let d = specdr::mdm::DimId(1);
+    let pool = value_pool(&schema, d);
+    let mut checked = 0;
+    for &v in &pool {
+        for &k in &pool {
+            let same_cat: Vec<DimValue> = pool.iter().copied().filter(|m| m.cat == k.cat).collect();
+            for mask in 1u32..1 << same_cat.len() {
+                let set: Vec<DimValue> = (same_cat.iter().enumerate())
+                    .filter(|(i, _)| mask >> i & 1 == 1)
+                    .map(|(_, &m)| m)
+                    .collect();
+                for op in OPS {
+                    weight_lemma(&schema, d, v, k, op, &set);
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(checked > 1_000, "{checked}");
 }

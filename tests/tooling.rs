@@ -1488,6 +1488,44 @@ fn one_predicate_compiler() {
     assert!(violations.is_empty(), "{}", violations.join("\n"));
 }
 
+/// Source audit for the planner: every skip is decided by the query's
+/// own compiled plan over the chunks' distinct values. No library source
+/// defines the region oracle or the prover grounding of the query
+/// predicate, or names the proved-region skip; and predicates are
+/// grounded (`ground_atom`, `ground_conj`) only by the crates that
+/// analyze specifications — spec, prover, reduce and lint — so the read
+/// path never grounds.
+#[test]
+fn one_chunk_verdict() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let gone = [
+        concat!("struct ", "RegionOracle"),
+        concat!("struct ", "Grounding"),
+        concat!("Proved", "Region"),
+    ];
+    let grounders = ["spec", "prover", "reduce", "lint"].map(|c| root.join("crates").join(c));
+    let mut violations = Vec::new();
+    for p in rust_files(crate_sources(root).chain([root.join("src")])) {
+        let src = std::fs::read_to_string(&p).unwrap();
+        let code = src.lines().take_while(|l| !l.starts_with("#[cfg(test)]"));
+        let grounds_here = grounders.iter().any(|g| p.starts_with(g));
+        for (i, line) in code.enumerate() {
+            if line.trim_start().starts_with("//") {
+                continue;
+            }
+            let at = format!("{}:{}", p.display(), i + 1);
+            if let Some(name) = gone.iter().find(|d| line.contains(**d)) {
+                violations.push(format!("{at}: names `{name}`"));
+            }
+            let calls = [concat!("ground_", "atom("), concat!("ground_", "conj(")];
+            if !grounds_here && calls.iter().any(|c| line.contains(c)) {
+                violations.push(format!("{at}: grounds a predicate"));
+            }
+        }
+    }
+    assert!(violations.is_empty(), "{}", violations.join("\n"));
+}
+
 /// Source audit for the read path: a query scans a cube's chunks, never
 /// a contiguous copy of the cube. The warehouse keeps no concatenated
 /// view (`CubeData` has no `whole` field), and the query and shard
